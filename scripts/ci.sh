@@ -34,6 +34,13 @@ python scripts/profile_hotpath.py --smoke
 echo "== perf: benchmark trajectory ledger (regression gate) =="
 python scripts/bench_trajectory.py --scale smoke --check
 
+# Sealed vs written: buckets are sealed at the epoch flush, so what separates
+# the two counts is bulk load, WAL and checkpoint sealing (about 1300
+# slots/txn at smoke size).  A wider gap means ciphertexts nobody reads.
+echo "== perf: slots sealed vs slots written (repo benchmark, traced smoke) =="
+python bench/run.py --workload tpcc_durable --smoke --seed 17 --seconds 1 --trace 1 \
+    | grep -E "^metric (crypto\.sealed_slots_per_txn|storage\.slots_written_per_txn) "
+
 echo "== tier-1: unit, property, integration and benchmark suites =="
 # With pytest-cov available the tier-1 run doubles as the coverage run, and
 # floors are enforced on src/repro/api, src/repro/audit, src/repro/concurrency,

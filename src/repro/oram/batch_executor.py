@@ -13,9 +13,10 @@ executes logical requests the way Section 7 of the paper describes:
   their read phase immediately (it is workload-independent) but their bucket
   rewrites are buffered;
 * at the end of the epoch the buffered rewrites are deduplicated (only the
-  last version of each bucket is written) and flushed as one parallel write
-  batch; reads that targeted an intermediate buffered version were served
-  locally from the buffer.
+  last version of each bucket is written), sealed — buffered rewrites are
+  plaintext, so a superseded version is never encrypted — and flushed as
+  one parallel write batch; reads that targeted an intermediate buffered
+  version were served locally from the buffer.
 
 Setting ``buffer_writes=False`` disables the delayed-visibility optimisation
 (every eviction's write phase executes immediately); Figure 10d measures the
@@ -24,7 +25,7 @@ difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.oram.crypto import freshness_context
@@ -119,7 +120,7 @@ class EpochBatchExecutor:
         self.stats = EpochStats()
 
     def abort_epoch(self) -> None:
-        """Drop all buffered writes (used on crash simulation / epoch abort)."""
+        """Drop all buffered writes, none of them sealed yet (crash / abort)."""
         self._buffered_rewrites.clear()
         self._buffered_versions.clear()
         self._read_cache.clear()
@@ -132,7 +133,7 @@ class EpochBatchExecutor:
                      physical: List[PhysicalRead]) -> Dict[int, bytes]:
         """Fetch a plan's slots with one storage batch and one decrypt batch.
 
-        Each slot's sealed payload comes from the epoch write buffer, the
+        Each slot comes from the epoch write buffer (in plaintext), the
         epoch read cache, or the server; all server misses of the plan are
         issued as a *single* ``read_batch`` and all recovered real blocks are
         opened with a *single*
@@ -192,10 +193,8 @@ class EpochBatchExecutor:
         """Fetch every slot of an eviction/reshuffle read phase."""
         return self._fetch_slots(plan.slot_reads, physical)
 
-    def _buffer_rewrites(self, rewrites: Sequence[BucketRewrite],
-                         physical: List[PhysicalRead]) -> None:
+    def _buffer_rewrites(self, rewrites: Sequence[BucketRewrite]) -> None:
         """Buffer (or, if buffering is off, immediately apply) bucket rewrites."""
-        del physical
         if self.buffer_writes:
             for rewrite in rewrites:
                 if rewrite.bucket_id in self._buffered_rewrites:
@@ -205,21 +204,22 @@ class EpochBatchExecutor:
                 self._rewrites_buffered_total += 1
             return
         # Immediate write-back (delayed visibility disabled).
-        items: Dict[str, bytes] = {}
-        slot_counts: Dict[int, int] = {}
-        for rewrite in rewrites:
-            items.update(rewrite.storage_items())
-            slot_counts[rewrite.bucket_id] = len(rewrite.slot_payloads)
-        if not items:
-            return
+        if rewrites:
+            self._write_rewrites(rewrites)
+
+    def _write_rewrites(self, rewrites: Sequence[BucketRewrite]) -> float:
+        """Seal and write ``rewrites`` as one parallel batch; returns its duration."""
+        items = self.oram.seal_rewrites(rewrites)
         self.oram.storage.write_batch(items, parallelism=self.parallelism, record_batch=False)
         self.stats.physical_writes += len(items)
         self.lifetime_stats.physical_writes += len(items)
+        slot_counts = {rewrite.bucket_id: len(rewrite.slot_blocks) for rewrite in rewrites}
         schedule = simulate_parallel_write_batch(slot_counts, self.latency, self.parallelism,
                                                  self.cost_model,
                                                  encrypted=self._crypto_charged())
         self._charge_time(schedule.makespan_ms)
         self.stats.write_time_ms += schedule.makespan_ms
+        return schedule.makespan_ms
 
     def _run_maintenance(self, touched_buckets: Sequence[int],
                          physical: List[PhysicalRead]) -> None:
@@ -228,7 +228,7 @@ class EpochBatchExecutor:
             plan = self.oram.plan_early_reshuffle(bid)
             fetched = self._drain_plan(plan, physical)
             rewrites = self.oram.complete_eviction(plan, fetched)
-            self._buffer_rewrites(rewrites, physical)
+            self._buffer_rewrites(rewrites)
             self.stats.early_reshuffles += 1
             self.lifetime_stats.early_reshuffles += 1
 
@@ -237,7 +237,7 @@ class EpochBatchExecutor:
             plan = self.oram.plan_eviction()
             fetched = self._drain_plan(plan, physical)
             rewrites = self.oram.complete_eviction(plan, fetched)
-            self._buffer_rewrites(rewrites, physical)
+            self._buffer_rewrites(rewrites)
             self.stats.evictions += 1
             self.lifetime_stats.evictions += 1
 
@@ -359,34 +359,22 @@ class EpochBatchExecutor:
         """Write all buffered bucket rewrites as one parallel batch.
 
         Returns the simulated duration of the write-back.  Only the latest
-        buffered version of each bucket is written (write deduplication);
-        intermediate versions were never sent to the server.
+        buffered version of each bucket is sealed and written (write
+        deduplication); intermediate versions never left the proxy.
         """
         if not self._buffered_rewrites:
             self._read_cache.clear()
             self._buffered_versions.clear()
             return 0.0
 
-        items: Dict[str, bytes] = {}
-        slot_counts: Dict[int, int] = {}
-        for bucket_id, rewrite in sorted(self._buffered_rewrites.items()):
-            items.update(rewrite.storage_items())
-            slot_counts[bucket_id] = len(rewrite.slot_payloads)
-
+        rewrites = [rewrite for _, rewrite in sorted(self._buffered_rewrites.items())]
         trace = getattr(self.oram.storage, "trace", None)
         if trace is not None:
-            trace.begin_batch("write", self.oram.clock.now_ms, len(items))
-        self.oram.storage.write_batch(items, parallelism=self.parallelism, record_batch=False)
-        self.stats.physical_writes += len(items)
-        self.lifetime_stats.physical_writes += len(items)
-
-        schedule = simulate_parallel_write_batch(slot_counts, self.latency, self.parallelism,
-                                                 self.cost_model,
-                                                 encrypted=self._crypto_charged())
-        self._charge_time(schedule.makespan_ms)
-        self.stats.write_time_ms += schedule.makespan_ms
+            trace.begin_batch("write", self.oram.clock.now_ms,
+                              sum(len(rewrite.slot_blocks) for rewrite in rewrites))
+        elapsed = self._write_rewrites(rewrites)
 
         self._buffered_rewrites.clear()
         self._buffered_versions.clear()
         self._read_cache.clear()
-        return schedule.makespan_ms
+        return elapsed

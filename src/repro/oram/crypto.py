@@ -1,9 +1,12 @@
 """Block encryption, authentication and padding.
 
-The Java prototype uses Bouncy Castle AES; the reproduction substitutes a
-keyed XOR keystream (SHA-256 in counter mode) plus an HMAC-SHA256 tag.  The
-substitution is documented in DESIGN.md: nothing in the evaluation depends on
-cryptographic strength — what matters is that
+The Java prototype uses Bouncy Castle AES; the reproduction substitutes two
+standard-library primitives (the substitution is recorded in
+``docs/ARCHITECTURE.md``): the keystream of a ciphertext is one XOF call,
+``shake_256(key || nonce)`` squeezed to the block size, and its tag one keyed
+hash, ``blake2b(nonce || body || context, key=key)`` truncated to 16 bytes.
+Nothing in the evaluation depends on which primitives these are — what
+matters is that
 
 * every slot stored on the server is a fixed-size, freshly randomised
   ciphertext (so the adversary cannot distinguish real blocks from dummies or
@@ -16,26 +19,18 @@ Encryption cost is charged to the simulated clock by the executor via
 
 Hot path
 --------
-A bucket rewrite seals ``Z + S`` slots and an epoch rewrites hundreds of
-buckets, so this module is the single hottest Python code in the tier-1
-closed loop (see ``scripts/profile_hotpath.py``).  Three things keep it fast
-without changing a single output byte:
-
-* the SHA-256 counter keystream reuses a *midstate*: the hash object over
-  ``key`` (and, per ciphertext, ``key + nonce``) is built once and
-  ``.copy()``-ed per 32-byte chunk instead of re-hashing the prefix from
-  scratch for every chunk;
-* the keystream XOR runs over whole blocks at once — via numpy when it is
-  importable, via big-integer XOR otherwise — never byte-by-byte;
-* the HMAC tags reuse precomputed inner/outer pad midstates, and the
-  ``*_many`` batch entry points (:meth:`CipherSuite.encrypt_many`,
-  :meth:`CipherSuite.seal_blocks`, …) amortise per-call overhead across a
-  padded batch so callers make one vectorised call per batch, not one call
-  per slot.
+Sealing happens where bytes leave the proxy
+(:meth:`repro.oram.ring_oram.RingOram.seal_rewrites`): one
+:meth:`CipherSuite.seal_blocks` call per bucket that is actually written.
+Per slot that is one ``shake_256`` call and one ``blake2b`` call; the XOR
+runs once over the whole bucket as a big integer, nonces for a batch come
+from one ``os.urandom`` call, and the dummy slots (most of a bucket) share
+one precomputed padded plaintext.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 import os
@@ -43,14 +38,9 @@ import struct
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-try:                                    # optional fast path; never required
-    import numpy as _np
-except ImportError:                     # pragma: no cover - numpy is baked in
-    _np = None
-
-#: Blocks at least this long XOR through numpy when it is available; below
-#: it the big-integer path wins (array setup costs more than it saves).
-_NUMPY_XOR_MIN_BYTES = 1 << 20
+#: Block id field of a dummy slot, and the slot payload that carries it.
+_DUMMY_ID = 0xFFFFFFFF
+_DUMMY_PAYLOAD = struct.pack(">I", _DUMMY_ID)
 
 
 class IntegrityError(Exception):
@@ -59,44 +49,8 @@ class IntegrityError(Exception):
 
 def _xor_bytes(data: bytes, stream: bytes) -> bytes:
     """XOR two equal-length byte strings (whole-block, not per byte)."""
-    if _np is not None and len(data) >= _NUMPY_XOR_MIN_BYTES:
-        out = _np.frombuffer(data, dtype=_np.uint8) ^ _np.frombuffer(
-            stream, dtype=_np.uint8)
-        return out.tobytes()
     return (int.from_bytes(data, "little")
             ^ int.from_bytes(stream, "little")).to_bytes(len(data), "little")
-
-
-def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    """Deterministic keystream of ``length`` bytes from (key, nonce).
-
-    Byte-compatible with the original per-chunk construction
-    ``sha256(key + nonce + counter_be64)``; the midstate over ``key + nonce``
-    is hashed once and copied per chunk.
-    """
-    return _keystream_from_midstate(_midstate(key, nonce), length)
-
-
-def _midstate(key: bytes, nonce: bytes) -> "hashlib._Hash":
-    """SHA-256 state primed with ``key + nonce``, ready to copy per chunk."""
-    state = hashlib.sha256(key)
-    state.update(nonce)
-    return state
-
-
-def _keystream_from_midstate(midstate: "hashlib._Hash", length: int) -> bytes:
-    """Expand a primed midstate into ``length`` keystream bytes."""
-    chunks: List[bytes] = []
-    produced = 0
-    counter = 0
-    pack = struct.pack
-    while produced < length:
-        chunk = midstate.copy()
-        chunk.update(pack(">Q", counter))
-        chunks.append(chunk.digest())
-        produced += 32
-        counter += 1
-    return b"".join(chunks)[:length]
 
 
 @dataclass
@@ -130,28 +84,17 @@ class CipherSuite:
     def __post_init__(self) -> None:
         if not self.key:
             self.key = os.urandom(32)
+        if len(self.key) > hashlib.blake2b.MAX_KEY_SIZE:
+            raise ValueError(
+                f"key of {len(self.key)} bytes exceeds the "
+                f"{hashlib.blake2b.MAX_KEY_SIZE}-byte tag key limit")
         if self.block_size < 1:
             raise ValueError("block_size must be positive")
-        # Midstate caches (not dataclass fields: they derive from ``key``).
-        # ``_key_state`` is the SHA-256 state over the key alone; per
-        # ciphertext it is copied and extended with the nonce, and that
-        # per-ciphertext midstate is copied per 32-byte chunk.
-        self._key_state = hashlib.sha256(self.key)
-        # HMAC-SHA256 midstates: hash the inner/outer key pads once instead
-        # of rebuilding the whole HMAC object per tag.  Matches RFC 2104
-        # (and :func:`hmac.new` with sha256) exactly.
-        mac_key = self.key if len(self.key) <= 64 else hashlib.sha256(self.key).digest()
-        mac_key = mac_key.ljust(64, b"\x00")
-        self._hmac_inner = hashlib.sha256(_xor_bytes(mac_key, b"\x36" * 64))
-        self._hmac_outer = hashlib.sha256(_xor_bytes(mac_key, b"\x5c" * 64))
 
-    def _mac(self, data: bytes) -> bytes:
-        """HMAC-SHA256 tag over ``data`` (truncated), via cached midstates."""
-        inner = self._hmac_inner.copy()
-        inner.update(data)
-        outer = self._hmac_outer.copy()
-        outer.update(inner.digest())
-        return outer.digest()[: self._mac_len]
+    @functools.cached_property
+    def _dummy_padded(self) -> bytes:
+        """The padded plaintext every dummy slot of this suite shares."""
+        return self.pad(_DUMMY_PAYLOAD)
 
     # ------------------------------------------------------------------ #
     # Padding
@@ -201,15 +144,60 @@ class CipherSuite:
             size += self._mac_len
         return size
 
-    def _encrypt_padded(self, padded: bytes, context: bytes, nonce: bytes) -> bytes:
-        """Seal one already-padded block under a caller-supplied nonce."""
-        midstate = self._key_state.copy()
-        midstate.update(nonce)
-        stream = _keystream_from_midstate(midstate, len(padded))
-        blob = nonce + _xor_bytes(padded, stream)
-        if self.authenticated:
-            blob += self._mac(blob + context)
-        return blob
+    def _seal_padded(self, padded: Sequence[bytes],
+                     contexts: Optional[Sequence[bytes]]) -> List[bytes]:
+        """Seal already-padded blocks: ``nonce || body || tag`` for each.
+
+        The one place ciphertexts are made.  ``body`` is the padded block
+        XOR ``shake_256(key || nonce)``; ``tag`` is keyed BLAKE2b over
+        ``nonce || body || context``.  Nonces for the whole batch come from
+        one ``os.urandom`` call and the batch is XORed as one flat buffer.
+        """
+        key, size, nonce_len = self.key, self.block_size, self._nonce_len
+        drawn = os.urandom(nonce_len * len(padded))
+        nonces = [drawn[i:i + nonce_len] for i in range(0, len(drawn), nonce_len)]
+        shake = hashlib.shake_256
+        bodies = _xor_bytes(
+            b"".join(padded),
+            b"".join([shake(key + nonce).digest(size) for nonce in nonces]))
+        blobs = [nonce + bodies[i * size:(i + 1) * size]
+                 for i, nonce in enumerate(nonces)]
+        if not self.authenticated:
+            return blobs
+        if contexts is None:
+            contexts = [b""] * len(blobs)
+        blake, mac_len = hashlib.blake2b, self._mac_len
+        return [blob + blake(blob + context, key=key, digest_size=mac_len).digest()
+                for blob, context in zip(blobs, contexts)]
+
+    def _open_sealed(self, blobs: Sequence[bytes],
+                     contexts: Optional[Sequence[bytes]]) -> List[bytes]:
+        """Verify and decrypt ciphertexts back to padded blocks.
+
+        Raises :class:`IntegrityError` at the first blob of the wrong size
+        or with a tag that does not match its context.
+        """
+        key, size, nonce_len = self.key, self.block_size, self._nonce_len
+        expected = self.ciphertext_size
+        blake, mac_len = hashlib.blake2b, self._mac_len
+        shake = hashlib.shake_256
+        bodies: List[bytes] = []
+        streams: List[bytes] = []
+        for i, blob in enumerate(blobs):
+            if len(blob) != expected:
+                raise IntegrityError(
+                    f"ciphertext has {len(blob)} bytes, expected {expected}")
+            sealed = blob                       # nonce || body, tag stripped
+            if self.authenticated:
+                sealed, tag = blob[:-mac_len], blob[-mac_len:]
+                context = contexts[i] if contexts is not None else b""
+                if not hmac.compare_digest(tag, blake(
+                        sealed + context, key=key, digest_size=mac_len).digest()):
+                    raise IntegrityError("MAC verification failed")
+            streams.append(shake(key + sealed[:nonce_len]).digest(size))
+            bodies.append(sealed[nonce_len:])
+        padded = _xor_bytes(b"".join(bodies), b"".join(streams))
+        return [padded[i * size:(i + 1) * size] for i in range(len(bodies))]
 
     def encrypt(self, plaintext: bytes, context: bytes = b"") -> bytes:
         """Encrypt (and authenticate) a padded-to-block-size plaintext.
@@ -221,67 +209,33 @@ class CipherSuite:
         padded = self.pad(plaintext)
         if not self.enabled:
             return padded
-        return self._encrypt_padded(padded, context, os.urandom(self._nonce_len))
+        return self._seal_padded([padded], [context])[0]
 
     def decrypt(self, blob: bytes, context: bytes = b"") -> bytes:
         """Decrypt and verify a ciphertext produced by :meth:`encrypt`."""
         if not self.enabled:
             return self.unpad(blob)
-        expected = self.ciphertext_size
-        if len(blob) != expected:
-            raise IntegrityError(f"ciphertext has {len(blob)} bytes, expected {expected}")
-        if self.authenticated:
-            body, tag = blob[: -self._mac_len], blob[-self._mac_len:]
-            if not hmac.compare_digest(tag, self._mac(body + context)):
-                raise IntegrityError("MAC verification failed")
-        else:
-            body = blob
-        nonce, ciphertext = body[: self._nonce_len], body[self._nonce_len:]
-        midstate = self._key_state.copy()
-        midstate.update(nonce)
-        stream = _keystream_from_midstate(midstate, len(ciphertext))
-        return self.unpad(_xor_bytes(ciphertext, stream))
+        return self.unpad(self._open_sealed([blob], [context])[0])
 
     # ------------------------------------------------------------------ #
-    # Batched encryption (one call per padded batch, not one per slot)
+    # Batched encryption (one call per bucket, not one per slot)
     # ------------------------------------------------------------------ #
     def encrypt_many(self, plaintexts: Sequence[bytes],
                      contexts: Optional[Sequence[bytes]] = None) -> List[bytes]:
         """Encrypt a batch of plaintexts; equivalent to per-slot :meth:`encrypt`.
 
         ``contexts`` (optional) supplies one authenticated context per
-        plaintext.  Nonces for the whole batch are drawn with a single
-        ``os.urandom`` call and the padded batch is XORed as one flat
-        buffer, so the per-block Python cost is a handful of hash-object
-        copies instead of a per-byte loop.
+        plaintext.  Dummy-slot payloads skip :meth:`pad`: they all share the
+        suite's precomputed padded dummy.
         """
-        n = len(plaintexts)
-        if contexts is not None and len(contexts) != n:
-            raise ValueError(f"{len(contexts)} contexts for {n} plaintexts")
-        padded = [self.pad(p) for p in plaintexts]
-        if not self.enabled or n == 0:
+        if contexts is not None and len(contexts) != len(plaintexts):
+            raise ValueError(
+                f"{len(contexts)} contexts for {len(plaintexts)} plaintexts")
+        dummy, pad = self._dummy_padded, self.pad
+        padded = [dummy if p == _DUMMY_PAYLOAD else pad(p) for p in plaintexts]
+        if not self.enabled or not padded:
             return padded
-
-        nonce_len = self._nonce_len
-        nonces = os.urandom(nonce_len * n)
-        key_state = self._key_state
-        streams: List[bytes] = []
-        for i in range(n):
-            midstate = key_state.copy()
-            midstate.update(nonces[i * nonce_len:(i + 1) * nonce_len])
-            streams.append(_keystream_from_midstate(midstate, self.block_size))
-
-        bodies = _xor_bytes(b"".join(padded), b"".join(streams))
-        size = self.block_size
-        out: List[bytes] = []
-        for i in range(n):
-            blob = (nonces[i * nonce_len:(i + 1) * nonce_len]
-                    + bodies[i * size:(i + 1) * size])
-            if self.authenticated:
-                context = contexts[i] if contexts is not None else b""
-                blob += self._mac(blob + context)
-            out.append(blob)
-        return out
+        return self._seal_padded(padded, contexts)
 
     def decrypt_many(self, blobs: Sequence[bytes],
                      contexts: Optional[Sequence[bytes]] = None) -> List[bytes]:
@@ -290,59 +244,32 @@ class CipherSuite:
         Verification failures raise exactly as :meth:`decrypt` does, at the
         first offending blob.
         """
-        n = len(blobs)
-        if contexts is not None and len(contexts) != n:
-            raise ValueError(f"{len(contexts)} contexts for {n} blobs")
+        if contexts is not None and len(contexts) != len(blobs):
+            raise ValueError(f"{len(contexts)} contexts for {len(blobs)} blobs")
         if not self.enabled:
             return [self.unpad(blob) for blob in blobs]
-        if n == 0:
+        if not blobs:
             return []
-
-        expected = self.ciphertext_size
-        nonce_len, mac_len = self._nonce_len, self._mac_len
-        bodies: List[bytes] = []
-        streams: List[bytes] = []
-        key_state = self._key_state
-        for i, blob in enumerate(blobs):
-            if len(blob) != expected:
-                raise IntegrityError(
-                    f"ciphertext has {len(blob)} bytes, expected {expected}")
-            if self.authenticated:
-                body, tag = blob[:-mac_len], blob[-mac_len:]
-                context = contexts[i] if contexts is not None else b""
-                if not hmac.compare_digest(tag, self._mac(body + context)):
-                    raise IntegrityError("MAC verification failed")
-            else:
-                body = blob
-            midstate = key_state.copy()
-            midstate.update(body[:nonce_len])
-            streams.append(_keystream_from_midstate(midstate, self.block_size))
-            bodies.append(body[nonce_len:])
-
-        padded = _xor_bytes(b"".join(bodies), b"".join(streams))
-        size = self.block_size
-        return [self.unpad(padded[i * size:(i + 1) * size]) for i in range(n)]
+        return [self.unpad(padded)
+                for padded in self._open_sealed(blobs, contexts)]
 
     # ------------------------------------------------------------------ #
     # Block serialisation helpers
     # ------------------------------------------------------------------ #
     def seal_block(self, block_id: Optional[int], value: bytes, context: bytes = b"") -> bytes:
         """Serialise and encrypt a (block id, value) pair; ``None`` id = dummy."""
-        bid = block_id if block_id is not None else 0xFFFFFFFF
-        payload = struct.pack(">I", bid) + value
-        return self.encrypt(payload, context)
+        return self.encrypt(self._slot_payload(block_id, value), context)
 
     def seal_blocks(self, entries: Sequence[Tuple[Optional[int], bytes, bytes]]
                     ) -> List[bytes]:
         """Seal a batch of ``(block_id_or_None, value, context)`` entries.
 
-        One vectorised call per bucket rewrite (or padded batch) replacing a
-        :meth:`seal_block` call per slot; the outputs are byte-equivalent.
+        One call per bucket written replaces a :meth:`seal_block` call per
+        slot; each output opens exactly as a :meth:`seal_block` output does.
         """
-        payloads = [
-            struct.pack(">I", bid if bid is not None else 0xFFFFFFFF) + value
-            for bid, value, _ in entries]
-        return self.encrypt_many(payloads, [context for _, _, context in entries])
+        payload = self._slot_payload
+        return self.encrypt_many([payload(bid, value) for bid, value, _ in entries],
+                                 [context for _, _, context in entries])
 
     def open_block(self, blob: bytes, context: bytes = b"") -> Tuple[Optional[int], bytes]:
         """Inverse of :meth:`seal_block`; returns ``(block_id_or_None, value)``."""
@@ -355,12 +282,19 @@ class CipherSuite:
                 for payload in self.decrypt_many(blobs, contexts)]
 
     @staticmethod
+    def _slot_payload(block_id: Optional[int], value: bytes) -> bytes:
+        """Serialise ``(block_id_or_None, value)`` into a slot payload."""
+        if block_id is None:
+            return _DUMMY_PAYLOAD + value
+        return struct.pack(">I", block_id) + value
+
+    @staticmethod
     def _split_payload(payload: bytes) -> Tuple[Optional[int], bytes]:
         """Split a decrypted slot payload into ``(block_id_or_None, value)``."""
         if len(payload) < 4:
             raise IntegrityError("sealed block too short")
         (bid,) = struct.unpack(">I", payload[:4])
-        block_id = None if bid == 0xFFFFFFFF else bid
+        block_id = None if bid == _DUMMY_ID else bid
         return block_id, payload[4:]
 
     def dummy_block(self, context: bytes = b"") -> bytes:

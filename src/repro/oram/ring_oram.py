@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.oram import path_math
 from repro.oram.crypto import CipherSuite, freshness_context
@@ -85,19 +85,17 @@ class PathReadPlan:
 
 @dataclass
 class BucketRewrite:
-    """A bucket's new contents, ready to be written out (copy-on-write)."""
+    """A bucket's next version in plaintext (copy-on-write), not yet sealed.
+
+    Ciphertexts are made by :meth:`RingOram.seal_rewrites` only when the
+    version is actually written; a version superseded inside its epoch is
+    never sealed.
+    """
 
     bucket_id: int
     version: int                              # version being written
-    slot_payloads: Dict[int, bytes] = field(default_factory=dict)
-    plain_contents: Dict[int, bytes] = field(default_factory=dict)
-
-    def storage_items(self) -> Dict[str, bytes]:
-        """Storage key/payload pairs for every slot of the new version."""
-        return {
-            slot_storage_key(self.bucket_id, self.version, idx): payload
-            for idx, payload in self.slot_payloads.items()
-        }
+    slot_blocks: List[Optional[int]]          # block id per physical slot, None = dummy
+    plain_contents: Dict[int, bytes]          # value of every real block placed
 
 
 @dataclass
@@ -292,7 +290,7 @@ class RingOram:
         rewrites: List[BucketRewrite] = []
         if plan.kind == "reshuffle":
             for bid in plan.bucket_ids:
-                rewrites.append(self._rewrite_bucket_from_stash(bid, restrict_to_bucket=True))
+                rewrites.append(self._rewrite_bucket_from_stash(bid))
             return rewrites
 
         # Ordinary evict-path: fill buckets from the leaf upwards so blocks
@@ -321,9 +319,8 @@ class RingOram:
             self.stash.mark_residue(block_id)
         return rewrites
 
-    def _rewrite_bucket_from_stash(self, bucket_id: int, restrict_to_bucket: bool) -> BucketRewrite:
+    def _rewrite_bucket_from_stash(self, bucket_id: int) -> BucketRewrite:
         """Early reshuffle: rewrite one bucket with the blocks it already held."""
-        del restrict_to_bucket
         level = path_math.bucket_level(bucket_id)
         index = path_math.bucket_index_in_level(bucket_id)
         placements: List[Tuple[int, bytes]] = []
@@ -337,24 +334,32 @@ class RingOram:
         return self._build_rewrite(bucket_id, placements)
 
     def _build_rewrite(self, bucket_id: int, contents: List[Tuple[int, bytes]]) -> BucketRewrite:
-        """Produce the sealed slot payloads for a bucket's next version.
-
-        The whole bucket — ``Z + S`` real and dummy slots — is sealed with
-        one :meth:`~repro.oram.crypto.CipherSuite.seal_blocks` call instead
-        of a cipher call per slot; bucket rewrites dominate the hot path.
-        """
+        """Shuffle a bucket's next layout and record it, unsealed."""
         meta = self.metadata.rewrite_bucket(bucket_id, contents)
-        version = meta.version
-        by_block = dict(contents)
-        entries = [
-            (slot.block_id,
-             by_block[slot.block_id] if slot.block_id is not None else b"",
-             freshness_context(bucket_id, version, idx))
-            for idx, slot in enumerate(meta.slots)]
-        sealed = self.cipher.seal_blocks(entries)
-        return BucketRewrite(bucket_id=bucket_id, version=version,
-                             slot_payloads=dict(enumerate(sealed)),
-                             plain_contents=dict(by_block))
+        return BucketRewrite(bucket_id=bucket_id, version=meta.version,
+                             slot_blocks=[slot.block_id for slot in meta.slots],
+                             plain_contents=dict(contents))
+
+    def seal_rewrites(self, rewrites: Iterable[BucketRewrite]) -> Dict[str, bytes]:
+        """Seal every slot of ``rewrites``: ``{storage key: ciphertext}``.
+
+        Called exactly where bytes leave the proxy.  Each bucket — ``Z + S``
+        real and dummy slots — is one
+        :meth:`~repro.oram.crypto.CipherSuite.seal_blocks` call: a cipher
+        call per slot costs more, one call per flush holds every bucket's
+        XOR temporaries at once.
+        """
+        items: Dict[str, bytes] = {}
+        for rewrite in rewrites:
+            bucket_id, version = rewrite.bucket_id, rewrite.version
+            contents = rewrite.plain_contents
+            sealed = self.cipher.seal_blocks([
+                (block_id, contents[block_id] if block_id is not None else b"",
+                 freshness_context(bucket_id, version, idx))
+                for idx, block_id in enumerate(rewrite.slot_blocks)])
+            items.update((slot_storage_key(bucket_id, version, idx), blob)
+                         for idx, blob in enumerate(sealed))
+        return items
 
     def buckets_needing_reshuffle(self, bucket_ids: Sequence[int]) -> List[int]:
         """Subset of ``bucket_ids`` that must be early-reshuffled."""
@@ -400,10 +405,8 @@ class RingOram:
 
     def _write_rewrites(self, rewrites: Sequence[BucketRewrite],
                         parallelism: int = 1) -> None:
-        """Write new bucket versions to storage."""
-        items: Dict[str, bytes] = {}
-        for rewrite in rewrites:
-            items.update(rewrite.storage_items())
+        """Seal and write new bucket versions to storage."""
+        items = self.seal_rewrites(rewrites)
         if items:
             self.storage.write_batch(items, parallelism=parallelism)
             self.stats_physical_writes += len(items)

@@ -4,23 +4,39 @@ import random
 
 import pytest
 
+from repro.oram import path_math
 from repro.oram.batch_executor import EpochBatchExecutor
-from repro.oram.crypto import CipherSuite
+from repro.oram.crypto import CipherSuite, IntegrityError
 from repro.oram.parameters import RingOramParameters
-from repro.oram.ring_oram import RingOram
+from repro.oram.ring_oram import RingOram, slot_storage_key
 from repro.sim.clock import SimClock
 from repro.storage.backend import StorageOp
 from repro.storage.memory import InMemoryStorageServer
 
 
+class CountingCipher(CipherSuite):
+    """Counts what goes through ``encrypt_many`` — every ORAM slot seal does."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.seal_calls = 0
+        self.sealed_slots = 0
+
+    def encrypt_many(self, plaintexts, contexts=None):
+        self.seal_calls += 1
+        self.sealed_slots += len(plaintexts)
+        return super().encrypt_many(plaintexts, contexts)
+
+
 def make_executor(seed=0, backend="server", buffer_writes=True, depth=4, z=4, s=6, a=3,
-                  parallelism=64):
+                  parallelism=64, cipher=None):
     clock = SimClock()
     storage = InMemoryStorageServer(latency=backend, clock=clock, charge_latency=False)
     params = RingOramParameters(num_blocks=z << depth, z_real=z, s_dummies=s,
                                 evict_rate=a, depth=depth, block_size=64)
-    oram = RingOram(params, storage, cipher=CipherSuite(block_size=72), clock=clock,
-                    seed=seed, dummiless_writes=True)
+    oram = RingOram(params, storage,
+                    cipher=cipher if cipher is not None else CipherSuite(block_size=72),
+                    clock=clock, seed=seed, dummiless_writes=True)
     executor = EpochBatchExecutor(oram, latency=backend, parallelism=parallelism,
                                   buffer_writes=buffer_writes)
     return executor, oram, storage
@@ -152,6 +168,139 @@ class TestDeferredWrites:
         elapsed = executor.flush_epoch()
         assert elapsed >= 0.0
         assert executor.pending_bucket_writes() == 0
+
+
+class TestLazySealing:
+    """Buckets are sealed where their bytes leave the proxy, and only there."""
+
+    def test_bucket_rewritten_many_times_is_sealed_once_at_flush(self):
+        cipher = CountingCipher(block_size=72)
+        executor, oram, storage = make_executor(a=2, cipher=cipher)
+        executor.begin_epoch()
+        executor.execute_read_batch(list(range(12)), batch_size=12)
+        executor.execute_write_batch({i: bytes([i]) for i in range(8)})
+        assert executor.stats.buffered_bucket_writes_saved > 0
+        assert cipher.seal_calls == 0           # nothing sealed inside the epoch
+        pending = executor.pending_bucket_writes()
+        executor.flush_epoch()
+        assert cipher.seal_calls == pending     # one seal_blocks per surviving bucket
+        assert cipher.sealed_slots == storage.stats_writes \
+            == pending * (oram.params.z_real + oram.params.s_dummies)
+
+    def test_aborted_epoch_seals_nothing(self):
+        cipher = CountingCipher(block_size=72)
+        executor, _, storage = make_executor(cipher=cipher)
+        executor.begin_epoch()
+        executor.execute_write_batch({i: b"will-vanish" for i in range(6)})
+        assert executor.pending_bucket_writes() > 0
+        executor.abort_epoch()
+        executor.begin_epoch()
+        assert executor.flush_epoch() == 0.0
+        assert cipher.seal_calls == 0
+        assert storage.stats_writes == 0
+
+    def test_read_of_intermediate_buffered_version_returns_its_plaintext(self):
+        cipher = CountingCipher(block_size=72)
+        executor, oram, storage = make_executor(a=2, cipher=cipher)
+        written = {i: b"v%d" % i for i in range(12)}
+        executor.begin_epoch()
+        executor.execute_write_batch(written)
+        # Blocks already evicted into buffered — unsealed, unwritten — buckets.
+        placed = {block: (rewrite.bucket_id, rewrite.version)
+                  for rewrite in executor._buffered_rewrites.values()
+                  for block in rewrite.plain_contents}
+        targets = sorted(block for block in placed if block not in oram.stash)
+        assert targets
+        values = executor.execute_read_batch(targets, batch_size=len(targets))
+        assert values == {block: written[block] for block in targets}
+        assert executor.stats.local_buffer_hits > 0
+        # Some of those versions were superseded later in the epoch.
+        assert any(executor._buffered_rewrites[bucket].version > version
+                   for bucket, version in placed.values())
+        assert cipher.seal_calls == 0 and storage.stats_writes == 0
+        executor.flush_epoch()
+        executor.begin_epoch()
+        assert executor.execute_read_batch(list(written), batch_size=12) == written
+        executor.flush_epoch()
+
+    def test_immediate_mode_seals_and_writes_every_version(self):
+        cipher = CountingCipher(block_size=72)
+        executor, oram, storage = make_executor(a=2, buffer_writes=False, cipher=cipher)
+        executor.begin_epoch()
+        executor.execute_read_batch(list(range(12)), batch_size=12)
+        executor.execute_write_batch({i: bytes([i]) for i in range(8)})
+        rewritten = (executor.stats.evictions * (oram.params.depth + 1)
+                     + executor.stats.early_reshuffles)
+        assert cipher.seal_calls == rewritten
+        assert cipher.sealed_slots == storage.stats_writes \
+            == rewritten * (oram.params.z_real + oram.params.s_dummies)
+        assert executor.pending_bucket_writes() == 0
+        assert executor.flush_epoch() == 0.0
+        assert cipher.seal_calls == rewritten
+
+    def test_sequential_write_and_bulk_load_seal_what_they_write(self):
+        cipher = CountingCipher(block_size=72)
+        _, oram, storage = make_executor(cipher=cipher)
+        loaded = {i: b"bulk-%d" % i for i in range(20)}
+        oram.bulk_load(loaded)
+        assert cipher.sealed_slots == storage.stats_writes > 0
+        for i in range(20, 26):
+            oram.write(i, b"seq-%d" % i)
+            loaded[i] = b"seq-%d" % i
+        assert cipher.sealed_slots == storage.stats_writes
+        assert {i: oram.read(i) for i in loaded} == loaded
+
+
+class TestStorageFaults:
+    """A server that replays or relocates authentic slots is caught on read."""
+
+    @staticmethod
+    def _block_with_older_version_on_storage(oram, storage, blocks):
+        """(block, bucket, version, slot) of a tree-resident block whose
+        bucket's previous version was written too."""
+        for block in blocks:
+            if block in oram.stash:
+                continue
+            for bucket in path_math.path_buckets(oram.position_map.lookup(block),
+                                                 oram.params.depth):
+                meta = oram.metadata.bucket(bucket)
+                slot = meta.slot_of_block(block)
+                if slot is not None and storage.contains(
+                        slot_storage_key(bucket, meta.version - 1, slot)):
+                    return block, bucket, meta.version, slot
+        raise AssertionError("no tree-resident block with an older version on storage")
+
+    @staticmethod
+    def _run_epochs(executor, epochs=3):
+        for epoch in range(epochs):
+            executor.begin_epoch()
+            executor.execute_write_batch({i: b"e%d-%d" % (epoch, i) for i in range(12)})
+            executor.flush_epoch()
+
+    def test_stale_slot_replayed_under_next_versions_key_is_rejected(self):
+        executor, oram, storage = make_executor()
+        self._run_epochs(executor)
+        block, bucket, version, slot = self._block_with_older_version_on_storage(
+            oram, storage, range(12))
+        stale = storage.snapshot()[slot_storage_key(bucket, version - 1, slot)]
+        storage.write_batch({slot_storage_key(bucket, version, slot): stale})
+        executor.begin_epoch()
+        with pytest.raises(IntegrityError):
+            executor.execute_read_batch([block], batch_size=1)
+
+    def test_two_slots_of_one_bucket_swapped_is_rejected(self):
+        executor, oram, storage = make_executor()
+        self._run_epochs(executor)
+        block, bucket, version, slot = self._block_with_older_version_on_storage(
+            oram, storage, range(12))
+        here = slot_storage_key(bucket, version, slot)
+        there = slot_storage_key(bucket, version, (slot + 1) % len(
+            oram.metadata.bucket(bucket).slots))
+        data = storage.snapshot()
+        storage.write_batch({here: data[there], there: data[here]})
+        executor.begin_epoch()
+        with pytest.raises(IntegrityError):
+            executor.execute_read_batch([block], batch_size=1)
 
 
 class TestAdversaryView:

@@ -130,6 +130,18 @@ class TestBlockSealing:
         suite = CipherSuite(block_size=32)
         assert len(suite.key) == 32
 
+    def test_key_longer_than_the_tag_key_limit_rejected(self):
+        with pytest.raises(ValueError):
+            CipherSuite(key=b"k" * 65, block_size=32)
+
+    def test_precomputed_dummy_plaintext_opens_as_a_dummy(self, suite):
+        assert suite._dummy_padded == suite.pad(b"\xff\xff\xff\xff")
+        assert suite._split_payload(suite.unpad(suite._dummy_padded)) == (None, b"")
+        # The batched path (which uses it) and the per-slot path agree.
+        (blob,) = suite.seal_blocks([(None, b"", b"ctx")])
+        assert suite.open_block(blob, b"ctx") == (None, b"")
+        assert suite.open_blocks([suite.dummy_block(b"ctx")], [b"ctx"]) == [(None, b"")]
+
 
 class TestBatchedEncryption:
     """The ``*_many`` batch entry points must match their per-slot forms."""

@@ -10,6 +10,9 @@ leaves and payloads the batched form produces *exactly* the values of the
 scalar form it replaced, with and without numpy.
 """
 
+import hashlib
+from unittest import mock
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -129,6 +132,32 @@ class TestBatchedCryptoEquivalence:
         assert [suite.decrypt(blob, ctx) for blob, ctx in zip(blobs, contexts)] \
             == payloads
         assert suite.decrypt_many(blobs, contexts) == payloads
+
+    @given(PAYLOADS, st.booleans(), st.binary(min_size=12 * 12, max_size=12 * 12))
+    @settings(deadline=None)
+    def test_encrypt_many_is_the_documented_construction(self, payloads,
+                                                         authenticated, drawn):
+        # Known answer, independent of the implementation: under fixed nonces
+        # every blob is  nonce || pad(p) XOR shake_256(key || nonce)
+        #                      || blake2b(nonce || body || context, key).
+        key = b"t" * 32
+        suite = CipherSuite(key=key, block_size=64, authenticated=authenticated)
+        contexts = [freshness_context(5, 6, slot) for slot in range(len(payloads))]
+        with mock.patch("repro.oram.crypto.os.urandom", lambda n: drawn[:n]):
+            blobs = suite.encrypt_many(payloads, contexts)
+            first_alone = suite.encrypt(payloads[0], contexts[0]) if payloads else None
+        expected = []
+        for slot, (payload, context) in enumerate(zip(payloads, contexts)):
+            nonce = drawn[12 * slot:12 * (slot + 1)]
+            stream = hashlib.shake_256(key + nonce).digest(64)
+            sealed = nonce + bytes(a ^ b for a, b in zip(suite.pad(payload), stream))
+            if authenticated:
+                sealed += hashlib.blake2b(sealed + context, key=key,
+                                          digest_size=16).digest()
+            expected.append(sealed)
+        assert blobs == expected
+        if payloads:
+            assert first_alone == expected[0]      # batched ≡ per-slot, byte for byte
 
     @given(PAYLOADS)
     @settings(deadline=None)
