@@ -37,9 +37,14 @@ python scripts/bench_trajectory.py --scale smoke --check
 # Sealed vs written: buckets are sealed at the epoch flush, so what separates
 # the two counts is bulk load, WAL and checkpoint sealing (about 1300
 # slots/txn at smoke size).  A wider gap means ciphertexts nobody reads.
-echo "== perf: slots sealed vs slots written (repo benchmark, traced smoke) =="
-python bench/run.py --workload tpcc_durable --smoke --seed 17 --seconds 1 --trace 1 \
-    | grep -E "^metric (crypto\.sealed_slots_per_txn|storage\.slots_written_per_txn) "
+# Scheduled batches: benchmark traffic is timed from bucket counts alone
+# (repro.oram.dependency); a list-scheduled batch here means it has left
+# the decided-without-scheduling regime, and the step fails.
+echo "== perf: sealed vs written slots, scheduled batches (repo benchmark, traced smoke) =="
+traced_smoke=$(python bench/run.py --workload tpcc_durable --smoke --seed 17 --seconds 1 --trace 1)
+grep -E "^metric (crypto\.sealed_slots_per_txn|storage\.slots_written_per_txn|storage\.trace_events_per_txn|sim\.schedule_calls|sim\.schedule_ms_per_txn) " <<<"$traced_smoke"
+grep -qE "^metric sim\.schedule_calls 0 " <<<"$traced_smoke" \
+    || { echo "sim.schedule_calls is not 0 on tpcc_durable" >&2; exit 1; }
 
 echo "== tier-1: unit, property, integration and benchmark suites =="
 # With pytest-cov available the tier-1 run doubles as the coverage run, and

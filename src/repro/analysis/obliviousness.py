@@ -66,15 +66,7 @@ def generation_traces(trace: AccessTrace) -> Dict[int, AccessTrace]:
     returned traces have the generation prefix stripped — apply
     :func:`partition_traces` and the other helpers to each one directly.
     """
-    per_generation: Dict[int, AccessTrace] = {}
-    for event in trace.events:
-        generation, stripped = split_generation_key(event.key)
-        sub = per_generation.get(generation)
-        if sub is None:
-            sub = per_generation[generation] = AccessTrace()
-        sub.record(event.op, stripped, event.size_bytes, event.time_ms,
-                   event.batch_id)
-    return per_generation
+    return trace.split(split_generation_key)
 
 
 def split_partition_key(key: str) -> Tuple[int, str]:
@@ -116,14 +108,7 @@ def partition_traces(trace: AccessTrace) -> Dict[int, AccessTrace]:
     (they interleave on the shared server) and are not carried over; compare
     per-partition request sequences instead.
     """
-    per_partition: Dict[int, AccessTrace] = {}
-    for event in trace.events:
-        index, stripped = split_partition_key(event.key)
-        sub = per_partition.get(index)
-        if sub is None:
-            sub = per_partition[index] = AccessTrace()
-        sub.record(event.op, stripped, event.size_bytes, event.time_ms, event.batch_id)
-    return per_partition
+    return trace.split(split_partition_key)
 
 
 def server_traces(storage) -> Dict[int, AccessTrace]:
@@ -182,10 +167,8 @@ def bucket_access_counts(trace: AccessTrace, op: Optional[StorageOp] = StorageOp
                          ) -> Counter:
     """How often each ORAM bucket was touched."""
     counts: Counter = Counter()
-    for event in trace.events:
-        if op is not None and event.op != op:
-            continue
-        parsed = _parse_oram_key(event.key)
+    for key in trace.keys_accessed(op):
+        parsed = _parse_oram_key(key)
         if parsed is None:
             continue
         counts[parsed[0]] += 1
@@ -254,10 +237,8 @@ def trace_similarity(trace_a: AccessTrace, trace_b: AccessTrace, depth: int) -> 
 def slot_read_multiset(trace: AccessTrace) -> Dict[Tuple[int, int, int], int]:
     """Read counts per (bucket, version, slot) physical location."""
     counts: Dict[Tuple[int, int, int], int] = defaultdict(int)
-    for event in trace.events:
-        if event.op != StorageOp.READ:
-            continue
-        parsed = _parse_oram_key(event.key)
+    for key in trace.keys_accessed(StorageOp.READ):
+        parsed = _parse_oram_key(key)
         if parsed is not None:
             counts[parsed] += 1
     return dict(counts)
@@ -277,11 +258,9 @@ def check_bucket_invariant(trace: AccessTrace) -> List[Tuple[int, int, int]]:
     :func:`partition_traces` and check each partition's view.
     """
     counts: Dict[Tuple[int, int, int, int], int] = defaultdict(int)
-    for event in trace.events:
-        if event.op != StorageOp.READ:
-            continue
-        partition, _ = split_partition_key(event.key)
-        parsed = _parse_oram_key(event.key)
+    for key in trace.keys_accessed(StorageOp.READ):
+        partition, _ = split_partition_key(key)
+        parsed = _parse_oram_key(key)
         if parsed is not None:
             counts[(partition,) + parsed] += 1
     violations = {location[1:] for location, count in counts.items() if count > 1}

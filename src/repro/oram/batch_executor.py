@@ -29,11 +29,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.oram.crypto import freshness_context
-from repro.oram.dependency import (PhysicalRead, simulate_parallel_read_batch,
+from repro.oram.dependency import (simulate_parallel_read_batch,
                                    simulate_parallel_write_batch)
-from repro.oram import path_math
-from repro.oram.ring_oram import (BucketRewrite, EvictionPlan, PathReadPlan, RingOram,
-                                  SlotRead)
+from repro.oram.ring_oram import (BucketRewrite, PathReadPlan, RingOram, SlotRead,
+                                  slot_storage_key)
 from repro.oram.stash import StashReason
 from repro.sim.latency import CpuCostModel, LatencyModel, get_latency_model
 
@@ -102,6 +101,14 @@ class EpochBatchExecutor:
         else:
             self.deferred_ms += elapsed_ms
 
+    def _charge_read_time(self, physical: Sequence[int]) -> None:
+        """Charge the parallel read of the slots whose bucket ids are ``physical``."""
+        elapsed = simulate_parallel_read_batch(physical, self.latency, self.parallelism,
+                                               self.cost_model,
+                                               encrypted=self._crypto_charged())
+        self._charge_time(elapsed)
+        self.stats.read_time_ms += elapsed
+
     def take_deferred_ms(self) -> float:
         """Return and reset the accumulated deferred duration."""
         elapsed, self.deferred_ms = self.deferred_ms, 0.0
@@ -130,44 +137,26 @@ class EpochBatchExecutor:
     # Physical fetch helpers
     # ------------------------------------------------------------------ #
     def _fetch_slots(self, slot_reads: Sequence[SlotRead],
-                     physical: List[PhysicalRead]) -> Dict[int, bytes]:
+                     physical: List[int]) -> Dict[int, bytes]:
         """Fetch a plan's slots with one storage batch and one decrypt batch.
 
         Each slot comes from the epoch write buffer (in plaintext), the
         epoch read cache, or the server; all server misses of the plan are
         issued as a *single* ``read_batch`` and all recovered real blocks are
         opened with a *single*
-        :meth:`~repro.oram.crypto.CipherSuite.open_blocks` call — the
-        per-slot bookkeeping (cache fills, :class:`PhysicalRead` descriptors,
-        stats) is unchanged from the historical one-call-per-slot form.
+        :meth:`~repro.oram.crypto.CipherSuite.open_blocks` call.  One pass
+        over the plan formats each storage key once and appends the bucket id
+        of every server read to ``physical`` — all the batch timing needs.
         Returns ``{block_id: value}`` for the real blocks recovered.
         """
         cache = self._read_cache
-        missing: List[SlotRead] = []
-        for slot in slot_reads:
-            if (slot.bucket_id, slot.version) in self._buffered_versions:
-                continue
-            key = slot.storage_key
-            if key not in cache:
-                cache[key] = None           # placeholder; filled below
-                missing.append(slot)
-        if missing:
-            keys = [slot.storage_key for slot in missing]
-            result = self.oram.storage.read_batch(keys, parallelism=1,
-                                                  record_batch=False)
-            for slot, key in zip(missing, keys):
-                cache[key] = result.values.get(key)
-                physical.append(PhysicalRead(
-                    key=key, bucket_id=slot.bucket_id,
-                    level=path_math.bucket_level(slot.bucket_id)))
-            self.stats.physical_reads += len(missing)
-            self.lifetime_stats.physical_reads += len(missing)
-
+        buffered_versions = self._buffered_versions
         fetched: Dict[int, bytes] = {}
-        to_open: List[bytes] = []
-        to_open_contexts: List[bytes] = []
+        missing: List[str] = []
+        to_open: List[Tuple[str, SlotRead]] = []    # real slots, with their key
         for slot in slot_reads:
-            buffered = self._buffered_versions.get((slot.bucket_id, slot.version))
+            bucket_id, version = slot.bucket_id, slot.version
+            buffered = buffered_versions.get((bucket_id, version))
             if buffered is not None:
                 self.stats.local_buffer_hits += 1
                 if slot.expected_block is not None:
@@ -175,23 +164,32 @@ class EpochBatchExecutor:
                     if value is not None:
                         fetched[slot.expected_block] = value
                 continue
-            if slot.expected_block is None:
-                continue
-            blob = cache.get(slot.storage_key)
-            if blob is None:
-                continue
-            to_open.append(blob)
-            to_open_contexts.append(freshness_context(
-                slot.bucket_id, slot.version, slot.slot_index))
-        for block_id, value in self.oram.cipher.open_blocks(to_open,
-                                                            to_open_contexts):
+            key = slot_storage_key(bucket_id, version, slot.slot_index)
+            if key not in cache:
+                cache[key] = None           # placeholder; filled below
+                missing.append(key)
+                physical.append(bucket_id)
+            if slot.expected_block is not None:
+                to_open.append((key, slot))
+        if missing:
+            result = self.oram.storage.read_batch(missing, parallelism=1,
+                                                  record_batch=False)
+            cache.update(result.values)
+            self.stats.physical_reads += len(missing)
+            self.lifetime_stats.physical_reads += len(missing)
+
+        blobs: List[bytes] = []
+        contexts: List[bytes] = []
+        for key, slot in to_open:
+            blob = cache.get(key)
+            if blob is not None:
+                blobs.append(blob)
+                contexts.append(freshness_context(slot.bucket_id, slot.version,
+                                                  slot.slot_index))
+        for block_id, value in self.oram.cipher.open_blocks(blobs, contexts):
             if block_id is not None:
                 fetched[block_id] = value
         return fetched
-
-    def _drain_plan(self, plan: EvictionPlan, physical: List[PhysicalRead]) -> Dict[int, bytes]:
-        """Fetch every slot of an eviction/reshuffle read phase."""
-        return self._fetch_slots(plan.slot_reads, physical)
 
     def _buffer_rewrites(self, rewrites: Sequence[BucketRewrite]) -> None:
         """Buffer (or, if buffering is off, immediately apply) bucket rewrites."""
@@ -214,19 +212,19 @@ class EpochBatchExecutor:
         self.stats.physical_writes += len(items)
         self.lifetime_stats.physical_writes += len(items)
         slot_counts = {rewrite.bucket_id: len(rewrite.slot_blocks) for rewrite in rewrites}
-        schedule = simulate_parallel_write_batch(slot_counts, self.latency, self.parallelism,
-                                                 self.cost_model,
-                                                 encrypted=self._crypto_charged())
-        self._charge_time(schedule.makespan_ms)
-        self.stats.write_time_ms += schedule.makespan_ms
-        return schedule.makespan_ms
+        elapsed = simulate_parallel_write_batch(slot_counts, self.latency, self.parallelism,
+                                                self.cost_model,
+                                                encrypted=self._crypto_charged())
+        self._charge_time(elapsed)
+        self.stats.write_time_ms += elapsed
+        return elapsed
 
     def _run_maintenance(self, touched_buckets: Sequence[int],
-                         physical: List[PhysicalRead]) -> None:
+                         physical: List[int]) -> None:
         """Early reshuffles for over-read buckets plus any due evict-path."""
         for bid in self.oram.buckets_needing_reshuffle(touched_buckets):
             plan = self.oram.plan_early_reshuffle(bid)
-            fetched = self._drain_plan(plan, physical)
+            fetched = self._fetch_slots(plan.slot_reads, physical)
             rewrites = self.oram.complete_eviction(plan, fetched)
             self._buffer_rewrites(rewrites)
             self.stats.early_reshuffles += 1
@@ -235,7 +233,7 @@ class EpochBatchExecutor:
         while self.oram.access_count % self.oram.params.evict_rate == 0 and \
                 self.oram.access_count > self.oram.eviction_count * self.oram.params.evict_rate:
             plan = self.oram.plan_eviction()
-            fetched = self._drain_plan(plan, physical)
+            fetched = self._fetch_slots(plan.slot_reads, physical)
             rewrites = self.oram.complete_eviction(plan, fetched)
             self._buffer_rewrites(rewrites)
             self.stats.evictions += 1
@@ -259,7 +257,7 @@ class EpochBatchExecutor:
                     f"read batch of {len(requests)} exceeds configured size {batch_size}")
             requests.extend([None] * (batch_size - len(requests)))
 
-        physical: List[PhysicalRead] = []
+        physical: List[int] = []
         results: Dict[int, Optional[bytes]] = {}
         trace = getattr(self.oram.storage, "trace", None)
         if trace is not None:
@@ -307,11 +305,7 @@ class EpochBatchExecutor:
             touched = [s.bucket_id for s in plan.slot_reads]
             self._run_maintenance(touched, physical)
 
-        schedule = simulate_parallel_read_batch(physical, self.latency, self.parallelism,
-                                                self.cost_model,
-                                                encrypted=self._crypto_charged())
-        self._charge_time(schedule.makespan_ms)
-        self.stats.read_time_ms += schedule.makespan_ms
+        self._charge_read_time(physical)
         return results
 
     def execute_write_batch(self, items: Dict[int, bytes],
@@ -322,7 +316,7 @@ class EpochBatchExecutor:
         evictions they trigger produce physical traffic, and that traffic is
         buffered until :meth:`flush_epoch`.
         """
-        physical: List[PhysicalRead] = []
+        physical: List[int] = []
         count = 0
         for block_id in sorted(items):
             value = items[block_id]
@@ -342,11 +336,7 @@ class EpochBatchExecutor:
                 self._run_maintenance([], physical)
 
         if physical:
-            schedule = simulate_parallel_read_batch(physical, self.latency, self.parallelism,
-                                                    self.cost_model,
-                                                    encrypted=self._crypto_charged())
-            self._charge_time(schedule.makespan_ms)
-            self.stats.read_time_ms += schedule.makespan_ms
+            self._charge_read_time(physical)
 
     # ------------------------------------------------------------------ #
     # Epoch flush

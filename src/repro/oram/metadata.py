@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -27,12 +28,26 @@ class SlotInfo:
 
 @dataclass
 class BucketMeta:
-    """Proxy-side metadata for one bucket."""
+    """Proxy-side metadata for one bucket.
+
+    ``slots`` is the record; the ascending list of *valid dummy* slot indices
+    — what every path read picks from — is kept beside it rather than
+    re-scanned per read.  Change a slot only through :meth:`invalidate`,
+    :meth:`forget` and :meth:`set_valid_map`, which keep the two in step.
+    """
 
     bucket_id: int
     slots: List[SlotInfo] = field(default_factory=list)
     reads_since_write: int = 0
     version: int = 0
+    _valid_dummies: List[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._index_valid_dummies()
+
+    def _index_valid_dummies(self) -> None:
+        self._valid_dummies = [i for i, s in enumerate(self.slots)
+                               if s.block_id is None and s.valid]
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -45,8 +60,11 @@ class BucketMeta:
         return None
 
     def valid_dummy_slots(self) -> List[int]:
-        """Indices of valid dummy slots."""
-        return [i for i, s in enumerate(self.slots) if s.block_id is None and s.valid]
+        """Indices of valid dummy slots, ascending.
+
+        This is the kept list itself, not a copy: read it, do not mutate it.
+        """
+        return self._valid_dummies
 
     def valid_real_slots(self) -> List[int]:
         """Indices of valid slots holding real blocks."""
@@ -68,6 +86,31 @@ class BucketMeta:
                 f"slot {slot_index} of bucket {self.bucket_id} read twice between reshuffles"
             )
         slot.valid = False
+        if slot.block_id is None:
+            self._valid_dummies.remove(slot_index)
+
+    def forget(self, block_id: int) -> bool:
+        """Turn every slot recording ``block_id`` into a dummy; True if any did.
+
+        Every recorded copy is cleared, valid or not: invalidated slots keep
+        their block id until the bucket is rewritten, so stopping at the
+        first match could hit a consumed slot and leave the live copy behind.
+        A slot that was still valid becomes a valid dummy.
+        """
+        changed = False
+        for index, slot in enumerate(self.slots):
+            if slot.block_id == block_id:
+                slot.block_id = None
+                if slot.valid:
+                    insort(self._valid_dummies, index)
+                changed = True
+        return changed
+
+    def set_valid_map(self, valids: List[bool]) -> None:
+        """Overwrite every slot's valid bit (restoring a checkpointed map)."""
+        for slot, valid in zip(self.slots, valids):
+            slot.valid = bool(valid)
+        self._index_valid_dummies()
 
     def needs_reshuffle(self, s_dummies: int) -> bool:
         """Whether the bucket must be reshuffled before it can serve more reads.
@@ -222,5 +265,4 @@ class MetadataTable:
             meta = self._buckets.get(bid)
             if meta is None or len(meta.slots) != len(valids):
                 continue
-            for slot, valid in zip(meta.slots, valids):
-                slot.valid = bool(valid)
+            meta.set_valid_map(valids)

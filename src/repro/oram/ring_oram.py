@@ -266,7 +266,7 @@ class RingOram:
         for idx in real_slots:
             reads.append(SlotRead(bucket_id, idx, meta.version, meta.slots[idx].block_id))
         dummy_needed = max(0, self.params.z_real - len(real_slots))
-        dummies = meta.valid_dummy_slots()
+        dummies = list(meta.valid_dummy_slots())
         self.rng.shuffle(dummies)
         for idx in dummies[:dummy_needed]:
             reads.append(SlotRead(bucket_id, idx, meta.version, None))
@@ -507,20 +507,7 @@ class RingOram:
         if leaf is None:
             return
         for bid in path_math.path_buckets(leaf, self.params.depth):
-            meta = self.metadata.bucket(bid)
-            changed = False
-            for slot in meta.slots:
-                if slot.block_id == block_id:
-                    # Clear every recorded copy on the path, valid or not.
-                    # Invalidated slots keep their block id until the bucket
-                    # is rewritten, so stopping at the first match could hit
-                    # a consumed slot near the root (the root is on *every*
-                    # path) and leave the live copy deeper down — a later
-                    # bucket drain would then resurrect the stale value over
-                    # the freshly written one (a lost update).
-                    slot.block_id = None
-                    changed = True
-            if changed:
+            if self.metadata.bucket(bid).forget(block_id):
                 self.metadata.mark_dirty(bid)
         # The block may only exist in the stash (or nowhere yet); nothing to do.
 

@@ -61,12 +61,19 @@ class StorageServer:
     sequence: the security analysis replays workloads and compares traces.
     """
 
-    def read_batch(self, keys: Sequence[str], parallelism: int = 1) -> BatchResult:
-        """Read many keys; returns payloads and the simulated elapsed time."""
+    def read_batch(self, keys: Sequence[str], parallelism: int = 1,
+                   record_batch: bool = True) -> BatchResult:
+        """Read many keys; returns payloads and the simulated elapsed time.
+
+        ``record_batch=False`` tells a tracing backend that the caller has
+        already announced the adversary-visible batch these requests belong
+        to (the epoch executor issues one logical batch as many calls).
+        """
         raise NotImplementedError
 
-    def write_batch(self, items: Dict[str, bytes], parallelism: int = 1) -> BatchResult:
-        """Write many key/payload pairs."""
+    def write_batch(self, items: Dict[str, bytes], parallelism: int = 1,
+                    record_batch: bool = True) -> BatchResult:
+        """Write many key/payload pairs, all of them or (on error) none."""
         raise NotImplementedError
 
     def delete_batch(self, keys: Sequence[str], parallelism: int = 1) -> BatchResult:

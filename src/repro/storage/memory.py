@@ -94,36 +94,39 @@ class InMemoryStorageServer(StorageServer):
             self.clock.advance(elapsed)
         self.stats_reads += len(keys)
         self.stats_batches += 1
-        batch_id = -1
-        if self.trace is not None and record_batch:
-            batch_id = self.trace.begin_batch("read", start_ms, len(keys))
-        values: Dict[str, Optional[bytes]] = {}
-        for key in keys:
-            value = self._data.get(key)
-            values[key] = value
-            if self.trace is not None:
-                size = len(value) if value is not None else 0
-                self.trace.record(StorageOp.READ, key, size, start_ms, batch_id)
-        return BatchResult(values=values, elapsed_ms=elapsed, request_count=len(keys))
+        found = list(map(self._data.get, keys))
+        if self.trace is not None:
+            batch_id = -1
+            if record_batch:
+                batch_id = self.trace.begin_batch("read", start_ms, len(keys))
+            self.trace.record_batch(
+                StorageOp.READ, keys,
+                [len(value) if value is not None else 0 for value in found],
+                start_ms, batch_id)
+        return BatchResult(values=dict(zip(keys, found)), elapsed_ms=elapsed,
+                           request_count=len(keys))
 
     def write_batch(self, items: Dict[str, bytes], parallelism: int = 1,
                     record_batch: bool = True) -> BatchResult:
         self._check_available()
+        # Validate the whole batch before anything is counted, stored or
+        # traced: a bad payload must not leave a partially applied batch.
+        for key, payload in items.items():
+            if not isinstance(payload, (bytes, bytearray)):
+                raise TypeError(f"payload for {key!r} must be bytes, got {type(payload).__name__}")
         elapsed = self._batch_elapsed_ms(len(items), is_write=True, parallelism=parallelism)
         start_ms = self.clock.now_ms
         if self.charge_latency:
             self.clock.advance(elapsed)
         self.stats_writes += len(items)
         self.stats_batches += 1
-        batch_id = -1
-        if self.trace is not None and record_batch:
-            batch_id = self.trace.begin_batch("write", start_ms, len(items))
-        for key, payload in items.items():
-            if not isinstance(payload, (bytes, bytearray)):
-                raise TypeError(f"payload for {key!r} must be bytes, got {type(payload).__name__}")
-            self._data[key] = bytes(payload)
-            if self.trace is not None:
-                self.trace.record(StorageOp.WRITE, key, len(payload), start_ms, batch_id)
+        self._data.update((key, bytes(payload)) for key, payload in items.items())
+        if self.trace is not None:
+            batch_id = -1
+            if record_batch:
+                batch_id = self.trace.begin_batch("write", start_ms, len(items))
+            self.trace.record_batch(StorageOp.WRITE, items, map(len, items.values()),
+                                    start_ms, batch_id)
         return BatchResult(values={}, elapsed_ms=elapsed, request_count=len(items))
 
     def delete_batch(self, keys: Sequence[str], parallelism: int = 1) -> BatchResult:
@@ -132,13 +135,12 @@ class InMemoryStorageServer(StorageServer):
         start_ms = self.clock.now_ms
         if self.charge_latency:
             self.clock.advance(elapsed)
-        batch_id = -1
-        if self.trace is not None:
-            batch_id = self.trace.begin_batch("write", start_ms, len(keys))
         for key in keys:
             self._data.pop(key, None)
-            if self.trace is not None:
-                self.trace.record(StorageOp.DELETE, key, 0, start_ms, batch_id)
+        if self.trace is not None:
+            batch_id = self.trace.begin_batch("write", start_ms, len(keys))
+            self.trace.record_batch(StorageOp.DELETE, keys, [0] * len(keys),
+                                    start_ms, batch_id)
         return BatchResult(values={}, elapsed_ms=elapsed, request_count=len(keys))
 
     def contains(self, key: str) -> bool:

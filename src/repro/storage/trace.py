@@ -11,8 +11,10 @@ workload ran.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.storage.backend import StorageOp
 
@@ -39,13 +41,25 @@ class BatchBoundary:
     request_count: int
 
 
+#: One storage batch as recorded: the requests of a batch share their
+#: operation kind, timestamp and batch id, so only keys and sizes are per
+#: request.  ``(op, keys, sizes, time_ms, batch_id)``.
+_Block = Tuple[StorageOp, Tuple[str, ...], Tuple[int, ...], float, int]
+
+
 class AccessTrace:
-    """Accumulates the sequence of requests observed by the storage server."""
+    """Accumulates the sequence of requests observed by the storage server.
+
+    Requests are stored as plain row blocks, one per recorded storage batch;
+    a request's ``seq`` is its row index.  :class:`TraceEvent` objects exist
+    only once :attr:`events` is read.
+    """
 
     def __init__(self) -> None:
-        self._events: List[TraceEvent] = []
+        self._blocks: List[_Block] = []
+        self._length = 0
+        self._events: Optional[List[TraceEvent]] = None     # cache of ``events``
         self._batches: List[BatchBoundary] = []
-        self._next_seq = 0
         self._next_batch = 0
 
     # ------------------------------------------------------------------ #
@@ -58,33 +72,49 @@ class AccessTrace:
         self._batches.append(BatchBoundary(batch_id, time_ms, kind, request_count))
         return batch_id
 
+    def record_batch(self, op: StorageOp, keys: Iterable[str], sizes: Iterable[int],
+                     time_ms: float, batch_id: int = -1) -> None:
+        """Record the requests of one storage batch, in order.
+
+        Equivalent to one :meth:`record` per ``(key, size)`` pair.
+        """
+        keys, sizes = tuple(keys), tuple(sizes)
+        if len(keys) != len(sizes):
+            raise ValueError(f"{len(keys)} keys but {len(sizes)} sizes")
+        if keys:
+            self._blocks.append((op, keys, sizes, time_ms, batch_id))
+            self._length += len(keys)
+            self._events = None
+
     def record(self, op: StorageOp, key: str, size_bytes: int, time_ms: float,
-               batch_id: int = -1) -> TraceEvent:
-        """Record one request and return the stored event."""
-        event = TraceEvent(
-            seq=self._next_seq,
-            time_ms=time_ms,
-            op=op,
-            key=key,
-            size_bytes=size_bytes,
-            batch_id=batch_id,
-        )
-        self._next_seq += 1
-        self._events.append(event)
-        return event
+               batch_id: int = -1) -> None:
+        """Record one request."""
+        self.record_batch(op, (key,), (size_bytes,), time_ms, batch_id)
 
     def clear(self) -> None:
         """Drop all recorded events (used between experiment phases)."""
-        self._events.clear()
+        self._blocks.clear()
+        self._length = 0
+        self._events = None
         self._batches.clear()
-        self._next_seq = 0
         self._next_batch = 0
 
     # ------------------------------------------------------------------ #
     # Inspection
     # ------------------------------------------------------------------ #
+    def _rows(self) -> Iterator[Tuple[int, float, StorageOp, str, int, int]]:
+        """Every request as a :class:`TraceEvent` field tuple, in ``seq`` order."""
+        seq = 0
+        for op, keys, sizes, time_ms, batch_id in self._blocks:
+            for key, size in zip(keys, sizes):
+                yield seq, time_ms, op, key, size, batch_id
+                seq += 1
+
     @property
     def events(self) -> List[TraceEvent]:
+        """The recorded requests, materialised (and cached until the next append)."""
+        if self._events is None:
+            self._events = [TraceEvent(*row) for row in self._rows()]
         return list(self._events)
 
     @property
@@ -92,11 +122,15 @@ class AccessTrace:
         return list(self._batches)
 
     def __len__(self) -> int:
-        return len(self._events)
+        return self._length
 
     def keys_accessed(self, op: Optional[StorageOp] = None) -> List[str]:
         """Keys in access order, optionally filtered by operation kind."""
-        return [e.key for e in self._events if op is None or e.op == op]
+        keys: List[str] = []
+        for block in self._blocks:
+            if op is None or block[0] == op:
+                keys.extend(block[1])
+        return keys
 
     def key_frequencies(self, op: Optional[StorageOp] = None) -> Counter:
         """How often each key was touched."""
@@ -105,8 +139,8 @@ class AccessTrace:
     def ops_by_kind(self) -> Dict[StorageOp, int]:
         """Number of requests per operation kind."""
         counts: Dict[StorageOp, int] = {}
-        for event in self._events:
-            counts[event.op] = counts.get(event.op, 0) + 1
+        for block in self._blocks:
+            counts[block[0]] = counts.get(block[0], 0) + len(block[1])
         return counts
 
     def batch_shape(self) -> List[Tuple[str, int]]:
@@ -120,11 +154,34 @@ class AccessTrace:
 
     def events_in_window(self, start_ms: float, end_ms: float) -> List[TraceEvent]:
         """Events whose timestamp lies in [start_ms, end_ms)."""
-        return [e for e in self._events if start_ms <= e.time_ms < end_ms]
+        return [TraceEvent(*row) for row in self._rows() if start_ms <= row[1] < end_ms]
 
     def keys_matching(self, prefix: str) -> List[str]:
         """Keys in access order restricted to those starting with ``prefix``."""
-        return [e.key for e in self._events if e.key.startswith(prefix)]
+        return [key for key in self.keys_accessed() if key.startswith(prefix)]
+
+    def split(self, classify: Callable[[str], Tuple[int, str]]) -> Dict[int, "AccessTrace"]:
+        """One sub-trace per key group, in order of first appearance.
+
+        ``classify(key)`` returns ``(group, key as the sub-trace records
+        it)``; every other field of a request is carried over unchanged.
+        """
+        parts: Dict[int, AccessTrace] = {}
+        for op, keys, sizes, time_ms, batch_id in self._blocks:
+            grouped: Dict[int, Tuple[List[str], List[int]]] = {}
+            for key, size in zip(keys, sizes):
+                group, sub_key = classify(key)
+                columns = grouped.get(group)
+                if columns is None:
+                    columns = grouped[group] = ([], [])
+                columns[0].append(sub_key)
+                columns[1].append(size)
+            for group, (sub_keys, sub_sizes) in grouped.items():
+                part = parts.get(group)
+                if part is None:
+                    part = parts[group] = AccessTrace()
+                part.record_batch(op, sub_keys, sub_sizes, time_ms, batch_id)
+        return parts
 
     def filter_prefix(self, prefix: str, strip: bool = True) -> "AccessTrace":
         """New trace holding only events under ``prefix``.
@@ -135,16 +192,17 @@ class AccessTrace:
         helpers apply unchanged.
         """
         view = AccessTrace()
-        for event in self._events:
-            if not event.key.startswith(prefix):
-                continue
-            key = event.key[len(prefix):] if strip else event.key
-            view.record(event.op, key, event.size_bytes, event.time_ms, event.batch_id)
+        cut = len(prefix) if strip else 0
+        for op, keys, sizes, time_ms, batch_id in self._blocks:
+            kept = [index for index, key in enumerate(keys) if key.startswith(prefix)]
+            view.record_batch(op, [keys[index][cut:] for index in kept],
+                              [sizes[index] for index in kept], time_ms, batch_id)
         return view
 
     def total_bytes(self, op: Optional[StorageOp] = None) -> int:
         """Total payload bytes moved, optionally restricted to one op kind."""
-        return sum(e.size_bytes for e in self._events if op is None or e.op == op)
+        return sum(sum(block[2]) for block in self._blocks
+                   if op is None or block[0] == op)
 
 
 def merge_traces(traces: Iterable[AccessTrace],
@@ -160,14 +218,16 @@ def merge_traces(traces: Iterable[AccessTrace],
     """
     merged = into if into is not None else AccessTrace()
     all_batches: List[BatchBoundary] = []
-    all_events: List[TraceEvent] = []
+    rows: List[Tuple[int, float, StorageOp, str, int, int]] = []
     for trace in traces:
-        all_events.extend(trace.events)
+        rows.extend(trace._rows())
         all_batches.extend(trace.batches)
     all_batches.sort(key=lambda b: (b.time_ms, b.batch_id))
     for batch in all_batches:
         merged.begin_batch(batch.kind, batch.time_ms, batch.request_count)
-    all_events.sort(key=lambda e: (e.time_ms, e.seq))
-    for event in all_events:
-        merged.record(event.op, event.key, event.size_bytes, event.time_ms, event.batch_id)
+    rows.sort(key=itemgetter(1, 0))        # (time_ms, seq); stable across traces
+    for (time_ms, op, batch_id), run in groupby(rows, key=itemgetter(1, 2, 5)):
+        requests = list(run)
+        merged.record_batch(op, [row[3] for row in requests],
+                            [row[4] for row in requests], time_ms, batch_id)
     return merged

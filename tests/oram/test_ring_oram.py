@@ -1,5 +1,6 @@
 """Tests for the sequential Ring ORAM client."""
 
+import json
 import random
 
 import pytest
@@ -21,6 +22,13 @@ def make_oram(seed=0, dummiless=False, depth=4, z=4, s=6, a=3, latency="dummy"):
     oram = RingOram(params, storage, cipher=cipher, clock=clock, seed=seed,
                     dummiless_writes=dummiless)
     return oram, storage
+
+
+def plant(oram, bucket_id, slot_index, block_id, valid):
+    """Overwrite one slot's record, the way restoring a checkpoint delta does."""
+    row = oram.metadata.bucket(bucket_id).to_row()
+    row[1][slot_index], row[2][slot_index] = block_id, valid
+    oram.metadata.apply_delta(json.dumps({"rows": [row]}).encode())
 
 
 class TestBasicCorrectness:
@@ -168,19 +176,19 @@ class TestInvariants:
         path = path_math.path_buckets(leaf, oram.params.depth)
         oram.position_map._positions[1] = leaf
         # Consumed slot in the root still records block 1 ...
-        root = oram.metadata.bucket(path[0])
-        root.slots[0].block_id = 1
-        root.slots[0].valid = False
+        plant(oram, path[0], 0, block_id=1, valid=False)
         # ... while the live copy sits in the leaf-level bucket.
-        tip = oram.metadata.bucket(path[-1])
-        tip.slots[0].block_id = 1
-        tip.slots[0].valid = True
+        plant(oram, path[-1], 0, block_id=1, valid=True)
 
         oram.forget_tree_copy(1)
 
         for bid in path:
             meta = oram.metadata.bucket(bid)
             assert all(slot.block_id != 1 for slot in meta.slots), bid
+        # The consumed root slot stays consumed; the live copy's slot is now
+        # a dummy that reads may pick.
+        assert 0 not in oram.metadata.bucket(path[0]).valid_dummy_slots()
+        assert 0 in oram.metadata.bucket(path[-1]).valid_dummy_slots()
 
     def test_rewrite_after_forget_does_not_resurrect_stale_value(self):
         """End-to-end shape of the lost update the shadow bug caused.
@@ -205,11 +213,9 @@ class TestInvariants:
                         if path_math.bucket_level(bid)
                         < path_math.bucket_level(holders[0])]
         decoy = oram.metadata.bucket(decoy_levels[-1])
-        free = [s for s in decoy.slots if s.block_id is None and not s.valid]
-        if not free:
-            free = [s for s in decoy.slots if s.block_id is None]
-            free[0].valid = False
-        free[0].block_id = 1
+        free = ([i for i, s in enumerate(decoy.slots) if s.block_id is None and not s.valid]
+                or [i for i, s in enumerate(decoy.slots) if s.block_id is None])
+        plant(oram, decoy.bucket_id, free[0], block_id=1, valid=False)
 
         oram.write(1, b"new")
         # The dummiless write moved block 1 to the stash (or an immediate

@@ -118,6 +118,29 @@ class TestTraceRecording:
         event = server.trace.events[-1]
         assert event.size_bytes == 5
 
+    def test_read_batch_records_every_request_in_order(self, server):
+        server.write("a", b"123")
+        server.trace.clear()
+        server.read_batch(["a", "missing", "a"])
+        assert [(e.seq, e.op, e.key, e.size_bytes, e.batch_id)
+                for e in server.trace.events] == [
+            (0, StorageOp.READ, "a", 3, 0), (1, StorageOp.READ, "missing", 0, 0),
+            (2, StorageOp.READ, "a", 3, 0)]
+
+
+class TestWriteBatchAtomicity:
+    def test_bad_payload_leaves_nothing_applied(self, server):
+        """A bad payload mid-batch used to leave the items before it stored
+        and traced, under counters already bumped for the whole batch."""
+        server.write("kept", b"old")
+        before = (server.stats_writes, server.stats_batches, server.clock.now_ms,
+                  len(server.trace), server.trace.batch_shape(), server.snapshot())
+        with pytest.raises(TypeError, match="'c'"):
+            server.write_batch({"a": b"1", "kept": b"new", "c": "not bytes", "d": b"4"})
+        assert (server.stats_writes, server.stats_batches, server.clock.now_ms,
+                len(server.trace), server.trace.batch_shape(),
+                server.snapshot()) == before
+
 
 class TestFailureInjection:
     def test_failed_server_raises(self, server):

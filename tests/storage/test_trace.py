@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.analysis import generation_traces, partition_traces
 from repro.storage.backend import StorageOp
+from repro.storage.cluster import StorageCluster
 from repro.storage.trace import AccessTrace, merge_traces
 
 
@@ -98,3 +100,108 @@ class TestMergeTraces:
             b.record(StorageOp.WRITE, f"b{i}", 1, float(i))
         merged = merge_traces([a, b])
         assert len(merged) == 8
+
+
+def event_fields_of(events):
+    return [(e.seq, e.time_ms, e.op, e.key, e.size_bytes, e.batch_id) for e in events]
+
+
+def event_fields(trace):
+    return event_fields_of(trace.events)
+
+
+#: Storage batches as ``(op, [(key, size), ...], time_ms, batch_id)``: two
+#: generations, two partitions and the shared WAL namespace, interleaved.
+BATCHES = [
+    (StorageOp.WRITE, [("p0/oram/0/v1/s/0", 64), ("p1/oram/0/v1/s/0", 64),
+                       ("wal/0/0", 900)], 0.0, 0),
+    (StorageOp.READ, [("p1/oram/0/v1/s/0", 64), ("g1/p0/oram/2/v0/s/3", 0),
+                      ("p0/oram/0/v1/s/0", 64)], 1.5, -1),
+    (StorageOp.READ, [], 1.5, 1),
+    (StorageOp.DELETE, [("ckpt/3", 0)], 2.0, 2),
+    (StorageOp.READ, [("g1/p1/oram/5/v2/s/1", 64), ("g1/p0/oram/5/v2/s/1", 64)], 2.0, 3),
+]
+
+
+def recorded(batched: bool) -> AccessTrace:
+    """``BATCHES`` recorded one batch, or one request, at a time."""
+    trace = AccessTrace()
+    for op, requests, time_ms, batch_id in BATCHES:
+        if batched:
+            trace.record_batch(op, [key for key, _ in requests],
+                               [size for _, size in requests], time_ms, batch_id)
+        else:
+            for key, size in requests:
+                trace.record(op, key, size, time_ms, batch_id)
+    return trace
+
+
+class TestRecordBatch:
+    def test_equals_one_record_per_request(self):
+        batched, single = recorded(True), recorded(False)
+        assert event_fields(batched) == event_fields(single)
+        assert [e.seq for e in batched.events] == list(range(9))
+        assert len(batched) == len(single) == 9
+        assert batched.total_bytes(StorageOp.WRITE) == 64 + 64 + 900
+        assert batched.ops_by_kind() == single.ops_by_kind()
+        assert batched.keys_accessed(StorageOp.READ) == single.keys_accessed(StorageOp.READ)
+        assert (event_fields_of(batched.events_in_window(1.0, 2.0))
+                == event_fields_of(single.events_in_window(1.0, 2.0)))
+
+    def test_mismatched_columns_are_rejected(self):
+        with pytest.raises(ValueError):
+            AccessTrace().record_batch(StorageOp.READ, ["a", "b"], [1], 0.0)
+
+    def test_events_are_rebuilt_after_an_append(self, trace):
+        trace.record_batch(StorageOp.READ, ["a", "b"], [1, 2], 0.0)
+        first = trace.events
+        first.pop()                     # a caller's list, not the trace's
+        assert len(trace.events) == 2
+        trace.record(StorageOp.WRITE, "c", 3, 1.0)
+        assert [e.key for e in trace.events] == ["a", "b", "c"]
+        trace.clear()
+        assert trace.events == [] and len(trace) == 0
+
+    def test_filter_prefix(self):
+        for strip in (True, False):
+            assert (event_fields(recorded(True).filter_prefix("p1/", strip=strip))
+                    == event_fields(recorded(False).filter_prefix("p1/", strip=strip)))
+        view = recorded(True).filter_prefix("p1/")
+        assert view.keys_accessed() == ["oram/0/v1/s/0", "oram/0/v1/s/0"]
+        assert [e.batch_id for e in view.events] == [0, -1]
+
+    def test_partition_and_generation_split(self):
+        for split in (partition_traces, generation_traces):
+            batched, single = split(recorded(True)), split(recorded(False))
+            assert list(batched) == list(single)
+            for group in batched:
+                assert event_fields(batched[group]) == event_fields(single[group])
+        generations = generation_traces(recorded(True))
+        assert sorted(generations) == [0, 1]
+        assert partition_traces(generations[1])[1].keys_accessed() == ["oram/5/v2/s/1"]
+
+    def test_merge_interleaves_equal_times_by_sequence(self):
+        other = AccessTrace()
+        other.record_batch(StorageOp.READ, ["x0", "x1", "x2"], [1, 1, 1], 1.5, 7)
+        for first, second in ((recorded(True), other), (other, recorded(True))):
+            merged = merge_traces([first, second])
+            reference = sorted(first.events + second.events,
+                               key=lambda e: (e.time_ms, e.seq))
+            assert ([(e.time_ms, e.op, e.key, e.size_bytes, e.batch_id)
+                     for e in merged.events]
+                    == [(e.time_ms, e.op, e.key, e.size_bytes, e.batch_id)
+                        for e in reference])
+            assert [e.seq for e in merged.events] == list(range(len(reference)))
+
+    def test_cluster_trace_clear_reaches_batch_recorded_rows(self):
+        cluster = StorageCluster(latency="dummy", num_servers=2)
+        cluster.servers[0].write_batch({"a": b"1", "b": b"22"})
+        cluster.servers[1].read_batch(["c", "d", "e"])
+        merged = cluster.trace
+        # Both batches happened at t=0: equal times interleave by sequence.
+        assert merged.keys_accessed() == ["a", "c", "b", "d", "e"]
+        assert merged.total_bytes() == 3
+        merged.clear()
+        assert [len(trace) for trace in cluster.traces] == [0, 0]
+        assert len(cluster.trace) == 0
+
