@@ -34,8 +34,8 @@ GATES = {
     "audit": ("*/repro/audit/*", 85.0),
     "concurrency": ("*/repro/concurrency/*", 85.0),
     "elasticity": ("*/repro/elasticity/*", 85.0),
-    # The vectorised hot path: the property suite must actually exercise
-    # both the numpy and the fallback arms of the batched helpers.
+    # The ORAM client's hot path: the unit and property suites must reach
+    # every branch of the planner's fallback ladder and of the executor.
     "oram": ("*/repro/oram/*", 85.0),
 }
 

@@ -14,6 +14,15 @@ echo "== docs gate: doctests + exported-symbol docstrings =="
 python -m doctest docs/ARCHITECTURE.md README.md
 python scripts/check_docstrings.py
 
+# One representation, pure Python: the numpy twin of the path math was
+# measured against the plain-int forms and lost (ARCHITECTURE "Performance").
+# (An ``if``, not ``! grep``: ``set -e`` ignores a status inverted with ``!``.)
+echo "== tripwire: no numpy under src/ =="
+if grep -rn --include='*.py' "import numpy" src/; then
+    echo "numpy is imported under src/" >&2
+    exit 1
+fi
+
 # Smoke first: an end-to-end regression across the three engines surfaces
 # in seconds, before the multi-minute figure regenerations start.
 echo "== smoke: Figure 9 end-to-end across all three engines =="
@@ -42,7 +51,7 @@ python scripts/bench_trajectory.py --scale smoke --check
 # the decided-without-scheduling regime, and the step fails.
 echo "== perf: sealed vs written slots, scheduled batches (repo benchmark, traced smoke) =="
 traced_smoke=$(python bench/run.py --workload tpcc_durable --smoke --seed 17 --seconds 1 --trace 1)
-grep -E "^metric (crypto\.sealed_slots_per_txn|storage\.slots_written_per_txn|storage\.trace_events_per_txn|sim\.schedule_calls|sim\.schedule_ms_per_txn) " <<<"$traced_smoke"
+grep -E "^metric (crypto\.sealed_slots_per_txn|storage\.slots_written_per_txn|storage\.trace_events_per_txn|sim\.schedule_calls|sim\.schedule_ms_per_txn|oram\.self_ms_per_txn|oram\.eviction_ms_per_txn|recovery\.checkpoint_ms_per_txn) " <<<"$traced_smoke"
 grep -qE "^metric sim\.schedule_calls 0 " <<<"$traced_smoke" \
     || { echo "sim.schedule_calls is not 0 on tpcc_durable" >&2; exit 1; }
 

@@ -4,8 +4,8 @@
 Runs the same configuration the sharding smoke benchmark exercises —
 hash-partitioned Ring ORAM under the Obladi engine, SmallBank closed loop —
 under :mod:`cProfile` and prints the top functions by cumulative and by
-self time.  This is the profile that motivated the vectorised path-math /
-midstate-crypto hot path (see docs/ARCHITECTURE.md, "Performance"); re-run
+self time.  This is the profile that motivated the batched crypto and the
+columnar ORAM client (see docs/ARCHITECTURE.md, "Performance"); re-run
 it after touching the ORAM layer to check where the time actually goes.
 
 Usage (from the repository root)::

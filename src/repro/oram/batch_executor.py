@@ -82,8 +82,7 @@ class EpochBatchExecutor:
 
         # Epoch-scoped state
         self._read_cache: Dict[str, Optional[bytes]] = {}
-        self._buffered_rewrites: Dict[int, BucketRewrite] = {}
-        self._buffered_versions: Dict[Tuple[int, int], BucketRewrite] = {}
+        self._buffered_rewrites: Dict[int, BucketRewrite] = {}   # latest per bucket
         self._rewrites_buffered_total = 0
         self.stats = EpochStats()
         self.lifetime_stats = EpochStats()
@@ -122,14 +121,12 @@ class EpochBatchExecutor:
         if self._buffered_rewrites:
             raise RuntimeError("previous epoch's buffered writes were never flushed")
         self._read_cache.clear()
-        self._buffered_versions.clear()
         self._rewrites_buffered_total = 0
         self.stats = EpochStats()
 
     def abort_epoch(self) -> None:
         """Drop all buffered writes, none of them sealed yet (crash / abort)."""
         self._buffered_rewrites.clear()
-        self._buffered_versions.clear()
         self._read_cache.clear()
         self._rewrites_buffered_total = 0
 
@@ -147,30 +144,34 @@ class EpochBatchExecutor:
         :meth:`~repro.oram.crypto.CipherSuite.open_blocks` call.  One pass
         over the plan formats each storage key once and appends the bucket id
         of every server read to ``physical`` — all the batch timing needs.
+        A plan is fetched right after it is planned, so a slot of a bucket
+        rewritten this epoch always names the bucket's *latest* buffered
+        version: the buffer lookup is by bucket id plus a version compare.
         Returns ``{block_id: value}`` for the real blocks recovered.
         """
         cache = self._read_cache
-        buffered_versions = self._buffered_versions
+        buffered_rewrites = self._buffered_rewrites
         fetched: Dict[int, bytes] = {}
         missing: List[str] = []
-        to_open: List[Tuple[str, SlotRead]] = []    # real slots, with their key
-        for slot in slot_reads:
-            bucket_id, version = slot.bucket_id, slot.version
-            buffered = buffered_versions.get((bucket_id, version))
-            if buffered is not None:
-                self.stats.local_buffer_hits += 1
-                if slot.expected_block is not None:
-                    value = buffered.plain_contents.get(slot.expected_block)
+        to_open: List[Tuple[str, int, int, int]] = []   # real slots: key, bucket, version, slot
+        buffer_hits = 0
+        for bucket_id, slot_index, version, expected_block in slot_reads:
+            buffered = buffered_rewrites.get(bucket_id)
+            if buffered is not None and buffered.version == version:
+                buffer_hits += 1
+                if expected_block is not None:
+                    value = buffered.plain_contents.get(expected_block)
                     if value is not None:
-                        fetched[slot.expected_block] = value
+                        fetched[expected_block] = value
                 continue
-            key = slot_storage_key(bucket_id, version, slot.slot_index)
+            key = slot_storage_key(bucket_id, version, slot_index)
             if key not in cache:
                 cache[key] = None           # placeholder; filled below
                 missing.append(key)
                 physical.append(bucket_id)
-            if slot.expected_block is not None:
-                to_open.append((key, slot))
+            if expected_block is not None:
+                to_open.append((key, bucket_id, version, slot_index))
+        self.stats.local_buffer_hits += buffer_hits
         if missing:
             result = self.oram.storage.read_batch(missing, parallelism=1,
                                                   record_batch=False)
@@ -180,12 +181,11 @@ class EpochBatchExecutor:
 
         blobs: List[bytes] = []
         contexts: List[bytes] = []
-        for key, slot in to_open:
+        for key, bucket_id, version, slot_index in to_open:
             blob = cache.get(key)
             if blob is not None:
                 blobs.append(blob)
-                contexts.append(freshness_context(slot.bucket_id, slot.version,
-                                                  slot.slot_index))
+                contexts.append(freshness_context(bucket_id, version, slot_index))
         for block_id, value in self.oram.cipher.open_blocks(blobs, contexts):
             if block_id is not None:
                 fetched[block_id] = value
@@ -198,7 +198,6 @@ class EpochBatchExecutor:
                 if rewrite.bucket_id in self._buffered_rewrites:
                     self.stats.buffered_bucket_writes_saved += 1
                 self._buffered_rewrites[rewrite.bucket_id] = rewrite
-                self._buffered_versions[(rewrite.bucket_id, rewrite.version)] = rewrite
                 self._rewrites_buffered_total += 1
             return
         # Immediate write-back (delayed visibility disabled).
@@ -289,6 +288,7 @@ class EpochBatchExecutor:
                 elif stash_entry is not None:
                     value = stash_entry.value
                     self.stats.stash_hits += 1
+                    self.lifetime_stats.stash_hits += 1
                 else:
                     value = None
                 results[block_id] = value
@@ -302,7 +302,7 @@ class EpochBatchExecutor:
                     leaf = self.oram.position_map.lookup_or_assign(bid)
                     self.oram.stash.put(bid, leaf, val, StashReason.EVICTION_RESIDUE)
 
-            touched = [s.bucket_id for s in plan.slot_reads]
+            touched = [bucket_id for bucket_id, _, _, _ in plan.slot_reads]
             self._run_maintenance(touched, physical)
 
         self._charge_read_time(physical)
@@ -354,7 +354,6 @@ class EpochBatchExecutor:
         """
         if not self._buffered_rewrites:
             self._read_cache.clear()
-            self._buffered_versions.clear()
             return 0.0
 
         rewrites = [rewrite for _, rewrite in sorted(self._buffered_rewrites.items())]
@@ -365,6 +364,5 @@ class EpochBatchExecutor:
         elapsed = self._write_rewrites(rewrites)
 
         self._buffered_rewrites.clear()
-        self._buffered_versions.clear()
         self._read_cache.clear()
         return elapsed

@@ -14,49 +14,83 @@ from __future__ import annotations
 import json
 import random
 from bisect import insort
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 
-@dataclass
-class SlotInfo:
-    """One physical slot of a bucket, as known to the proxy."""
+def shuffle_in_place(items: list, getrandbits: Callable[[int], int]) -> None:
+    """``random.Random.shuffle(items)``, draw for draw, without a call per element.
 
-    block_id: Optional[int]   # None = dummy slot
-    valid: bool = True        # becomes False once the slot has been read
+    The stdlib shuffle swaps ``items[i]`` with ``items[_randbelow(i + 1)]``
+    for ``i`` from the end down to 1, and ``_randbelow(n)`` draws
+    ``getrandbits(n.bit_length())`` until the result is below ``n``.  This
+    is the same loop with the rejection sampling inlined: from an equal RNG
+    state it makes the same draws, leaves the same permutation and the same
+    state (a props test pins that), so fixed-seed runs cannot tell the two
+    apart.
+    """
+    for i in range(len(items) - 1, 0, -1):
+        bits = (i + 1).bit_length()
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
+        items[i], items[j] = items[j], items[i]
 
 
-@dataclass
 class BucketMeta:
-    """Proxy-side metadata for one bucket.
+    """Proxy-side metadata for one bucket, as columns indexed by physical slot.
 
-    ``slots`` is the record; the ascending list of *valid dummy* slot indices
-    — what every path read picks from — is kept beside it rather than
-    re-scanned per read.  Change a slot only through :meth:`invalidate`,
-    :meth:`forget` and :meth:`set_valid_map`, which keep the two in step.
+    ``blocks[i]`` is the block id recorded in slot ``i`` (``None`` = dummy)
+    and ``valid[i]`` says whether the slot is still unread since the bucket
+    was last written; an invalidated slot keeps its block id until the
+    rewrite.  ``valid`` holds Python ``bool``s and nothing else: the columns
+    are checkpointed as they are, and checkpoint bytes feed the simulated
+    clock.  Between rewrites a bucket holds at most one copy of a block
+    (rewrites place stash entries, and the stash is keyed by block id).
+
+    The ascending list of *valid dummy* slot indices — what every path read
+    picks from — is kept beside the columns rather than re-scanned per read.
+    Outside this module, change a slot only through :meth:`invalidate`,
+    :meth:`forget` and :meth:`set_valid_map`, which keep the three in step
+    (:meth:`RingOram.plan_path_read <repro.oram.ring_oram.RingOram.plan_path_read>`
+    is the one exception and says so).
     """
 
-    bucket_id: int
-    slots: List[SlotInfo] = field(default_factory=list)
-    reads_since_write: int = 0
-    version: int = 0
-    _valid_dummies: List[int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("bucket_id", "blocks", "valid", "reads_since_write", "version",
+                 "_valid_dummies")
 
-    def __post_init__(self) -> None:
-        self._index_valid_dummies()
+    def __init__(self, bucket_id: int, blocks: List[Optional[int]],
+                 valid: Optional[List[bool]] = None,
+                 reads_since_write: int = 0, version: int = 0) -> None:
+        self.bucket_id = bucket_id
+        self.blocks = blocks
+        self.reads_since_write = reads_since_write
+        self.version = version
+        if valid is None:                   # a freshly written bucket
+            self.valid = [True] * len(blocks)
+            self._valid_dummies = [i for i, block in enumerate(blocks) if block is None]
+        else:
+            self.valid = valid
+            self._index_valid_dummies()
+
+    def __repr__(self) -> str:
+        return (f"BucketMeta(bucket_id={self.bucket_id}, blocks={self.blocks}, "
+                f"valid={self.valid}, reads_since_write={self.reads_since_write}, "
+                f"version={self.version})")
 
     def _index_valid_dummies(self) -> None:
-        self._valid_dummies = [i for i, s in enumerate(self.slots)
-                               if s.block_id is None and s.valid]
+        self._valid_dummies = [i for i, (block, valid) in enumerate(zip(self.blocks, self.valid))
+                               if valid and block is None]
 
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
     def slot_of_block(self, block_id: int) -> Optional[int]:
         """Physical index of the valid slot holding ``block_id``, if any."""
-        for idx, slot in enumerate(self.slots):
-            if slot.block_id == block_id and slot.valid:
-                return idx
+        blocks = self.blocks
+        if block_id in blocks:
+            index = blocks.index(block_id)
+            if self.valid[index]:
+                return index
         return None
 
     def valid_dummy_slots(self) -> List[int]:
@@ -66,50 +100,51 @@ class BucketMeta:
         """
         return self._valid_dummies
 
-    def valid_real_slots(self) -> List[int]:
-        """Indices of valid slots holding real blocks."""
-        return [i for i, s in enumerate(self.slots) if s.block_id is not None and s.valid]
-
     def real_block_ids(self) -> List[int]:
         """Block ids of all real blocks recorded in the bucket (valid or not)."""
-        return [s.block_id for s in self.slots if s.block_id is not None]
+        return [block for block in self.blocks if block is not None]
 
     def valid_real_block_ids(self) -> List[int]:
         """Block ids of real blocks whose slots are still valid (unread)."""
-        return [s.block_id for s in self.slots if s.block_id is not None and s.valid]
+        return [block for block, valid in zip(self.blocks, self.valid)
+                if valid and block is not None]
 
     def invalidate(self, slot_index: int) -> None:
         """Mark a slot as read; reading it again before a rewrite is a bug."""
-        slot = self.slots[slot_index]
-        if not slot.valid:
+        if not self.valid[slot_index]:
             raise ValueError(
                 f"slot {slot_index} of bucket {self.bucket_id} read twice between reshuffles"
             )
-        slot.valid = False
-        if slot.block_id is None:
+        self.valid[slot_index] = False
+        if self.blocks[slot_index] is None:
             self._valid_dummies.remove(slot_index)
 
     def forget(self, block_id: int) -> bool:
         """Turn every slot recording ``block_id`` into a dummy; True if any did.
 
         Every recorded copy is cleared, valid or not: invalidated slots keep
-        their block id until the bucket is rewritten, so stopping at the
-        first match could hit a consumed slot and leave the live copy behind.
-        A slot that was still valid becomes a valid dummy.
+        their block id until the bucket is rewritten (and are checkpointed
+        with it), so stopping at the first match could hit a consumed slot
+        and leave the live copy behind.  A slot that was still valid becomes
+        a valid dummy.
         """
-        changed = False
-        for index, slot in enumerate(self.slots):
-            if slot.block_id == block_id:
-                slot.block_id = None
-                if slot.valid:
+        blocks = self.blocks
+        if block_id not in blocks:
+            return False
+        for index, block in enumerate(blocks):
+            if block == block_id:
+                blocks[index] = None
+                if self.valid[index]:
                     insort(self._valid_dummies, index)
-                changed = True
-        return changed
+        return True
 
     def set_valid_map(self, valids: List[bool]) -> None:
         """Overwrite every slot's valid bit (restoring a checkpointed map)."""
-        for slot, valid in zip(self.slots, valids):
-            slot.valid = bool(valid)
+        if len(valids) != len(self.blocks):
+            raise ValueError(
+                f"valid map for bucket {self.bucket_id} has {len(valids)} slots, "
+                f"the bucket has {len(self.blocks)}")
+        self.valid = [bool(valid) for valid in valids]
         self._index_valid_dummies()
 
     def needs_reshuffle(self, s_dummies: int) -> bool:
@@ -125,20 +160,14 @@ class BucketMeta:
     # Serialisation (checkpointing)
     # ------------------------------------------------------------------ #
     def to_row(self) -> Tuple[int, List[Optional[int]], List[bool], int, int]:
-        return (
-            self.bucket_id,
-            [s.block_id for s in self.slots],
-            [s.valid for s in self.slots],
-            self.reads_since_write,
-            self.version,
-        )
+        """The checkpoint row.  The lists are the live columns, not copies."""
+        return (self.bucket_id, self.blocks, self.valid,
+                self.reads_since_write, self.version)
 
     @classmethod
     def from_row(cls, row) -> "BucketMeta":
-        bucket_id, block_ids, valids, reads, version = row
-        slots = [SlotInfo(block_id=b, valid=v) for b, v in zip(block_ids, valids)]
-        return cls(bucket_id=bucket_id, slots=slots,
-                   reads_since_write=reads, version=version)
+        bucket_id, blocks, valid, reads, version = row
+        return cls(bucket_id, list(blocks), list(valid), reads, version)
 
 
 class MetadataTable:
@@ -178,12 +207,12 @@ class MetadataTable:
             raise ValueError(
                 f"bucket {bucket_id} asked to hold {len(contents)} blocks, Z={self.z_real}"
             )
+        # The shuffled layout *is* the block column: real blocks, then empty
+        # real slots and dummy slots (both ``None``), permuted.
         layout: List[Optional[int]] = [bid for bid, _ in contents]
-        layout.extend([None] * (self.z_real - len(contents)))   # empty real slots
-        layout.extend([None] * self.s_dummies)                  # dummy slots
-        self._rng.shuffle(layout)
-        slots = [SlotInfo(block_id=bid, valid=True) for bid in layout]
-        return BucketMeta(bucket_id=bucket_id, slots=slots)
+        layout.extend([None] * (self.z_real + self.s_dummies - len(contents)))
+        shuffle_in_place(layout, self._rng.getrandbits)
+        return BucketMeta(bucket_id, layout)
 
     def rewrite_bucket(self, bucket_id: int, contents: List[Tuple[int, bytes]]) -> BucketMeta:
         """Replace a bucket's layout after an eviction / reshuffle write.
@@ -255,14 +284,21 @@ class MetadataTable:
         else:
             selected = ((bid, self._buckets[bid]) for bid in bucket_ids
                         if bid in self._buckets)
-        rows = {str(bid): [s.valid for s in meta.slots] for bid, meta in selected}
+        rows = {str(bid): meta.valid for bid, meta in selected}
         return json.dumps(rows, sort_keys=True).encode("utf-8")
 
     def apply_valid_map(self, blob: bytes) -> None:
+        """Restore checkpointed valid bits.
+
+        A checkpoint's valid rows cover the same buckets as its metadata
+        rows, so a row for an unknown bucket (or of another width) is
+        corruption.  Skipping it would leave slots the server already saw
+        read marked valid — a second read of the same slot — so it raises.
+        """
         rows = json.loads(blob.decode("utf-8"))
         for bid_str, valids in rows.items():
-            bid = int(bid_str)
-            meta = self._buckets.get(bid)
-            if meta is None or len(meta.slots) != len(valids):
-                continue
+            meta = self._buckets.get(int(bid_str))
+            if meta is None:
+                raise ValueError(f"valid map names bucket {bid_str}, "
+                                 f"which has no metadata row")
             meta.set_valid_map(valids)

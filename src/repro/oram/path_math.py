@@ -17,16 +17,7 @@ reshuffles).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
-
-try:                                    # optional fast path; never required
-    import numpy as _np
-except ImportError:                     # pragma: no cover - numpy is baked in
-    _np = None
-
-#: Array-shaped results: a numpy array when numpy is importable, else nested
-#: lists with identical values — callers treat both as sequences.
-ArrayLike = Union["_np.ndarray", List]
+from typing import List
 
 
 def tree_levels(num_leaves: int) -> int:
@@ -73,11 +64,7 @@ def path_buckets(leaf: int, depth: int) -> List[int]:
     """
     if not 0 <= leaf < (1 << depth):
         raise ValueError(f"leaf {leaf} out of range for depth {depth}")
-    buckets = []
-    for level in range(depth + 1):
-        index = leaf >> (depth - level)
-        buckets.append(bucket_id(level, index))
-    return buckets
+    return [(1 << level) - 1 + (leaf >> (depth - level)) for level in range(depth + 1)]
 
 
 def bucket_on_path(bid: int, leaf: int, depth: int) -> bool:
@@ -88,92 +75,14 @@ def bucket_on_path(bid: int, leaf: int, depth: int) -> bool:
     return bucket_index_in_level(bid) == (leaf >> (depth - level))
 
 
-def path_buckets_many(leaves: Sequence[int], depth: int) -> ArrayLike:
-    """Bucket ids on the root-to-leaf path of *every* leaf in ``leaves``.
-
-    The batched form of :func:`path_buckets`: row ``i`` holds the
-    ``depth + 1`` bucket ids (root first) of ``leaves[i]``'s path.  Returns
-    a ``(len(leaves), depth + 1)`` numpy array when numpy is importable and
-    an equal-valued list of lists otherwise — the pure-python fallback sits
-    behind the same API.
-    """
-    if _np is not None:
-        arr = _np.asarray(list(leaves), dtype=_np.int64)
-        if arr.size and (arr.min() < 0 or arr.max() >= (1 << depth)):
-            bad = int(arr[(arr < 0) | (arr >= (1 << depth))][0])
-            raise ValueError(f"leaf {bad} out of range for depth {depth}")
-        levels = _np.arange(depth + 1, dtype=_np.int64)
-        # bucket id at level l = 2**l - 1 + (leaf >> (depth - l))
-        return ((1 << levels) - 1) + (arr[:, None] >> (depth - levels)[None, :])
-    return [path_buckets(leaf, depth) for leaf in leaves]
-
-
-def buckets_on_path(bids: Sequence[int], leaf: int, depth: int) -> ArrayLike:
-    """Whether each bucket in ``bids`` lies on the path to ``leaf``.
-
-    The batched form of :func:`bucket_on_path`; returns a boolean array
-    (numpy) or list (fallback) aligned with ``bids``.
-    """
-    if _np is not None:
-        arr = _np.asarray(list(bids), dtype=_np.int64)
-        if arr.size and arr.min() < 0:
-            raise ValueError("bucket id must be non-negative")
-        # level = bit_length(bid + 1) - 1, vectorised as floor(log2(bid + 1));
-        # exact for the int64 range because frexp works on the significand.
-        _, exponents = _np.frexp((arr + 1).astype(_np.float64))
-        levels = exponents.astype(_np.int64) - 1
-        index_in_level = arr - ((1 << _np.minimum(levels, 62)) - 1)
-        on_path = index_in_level == (leaf >> _np.maximum(depth - levels, 0))
-        return _np.where(levels <= depth, on_path, False)
-    return [bucket_on_path(bid, leaf, depth) for bid in bids]
-
-
-def deepest_common_levels(leaves: Sequence[int], leaf: int, depth: int) -> ArrayLike:
-    """Deepest shared level of each path in ``leaves`` with the path to ``leaf``.
-
-    The batched form of :func:`deepest_common_level`, used by the eviction
-    write phase to place a whole stash against the target path in one pass.
-    """
-    if _np is not None:
-        arr = _np.asarray(list(leaves), dtype=_np.int64)
-        if arr.size and (arr.min() < 0 or arr.max() >= (1 << depth)):
-            bad = int(arr[(arr < 0) | (arr >= (1 << depth))][0])
-            raise ValueError(f"leaf {bad} out of range for depth {depth}")
-        if not 0 <= leaf < (1 << depth):
-            raise ValueError(f"leaf {leaf} out of range for depth {depth}")
-        diff = arr ^ leaf
-        # Common prefix length of the ``depth``-bit leaf indices: the level
-        # equals depth - bit_length(diff) (diff == 0 -> the full depth).
-        _, exponents = _np.frexp(diff.astype(_np.float64))
-        return depth - _np.where(diff == 0, 0, exponents.astype(_np.int64))
-    return [deepest_common_level(leaf_b, leaf, depth) for leaf_b in leaves]
-
-
-def eviction_paths(start: int, count: int, depth: int) -> ArrayLike:
-    """Leaves targeted by evictions ``start .. start + count - 1``.
-
-    The batched form of :func:`eviction_path`: one bit-reversal sweep over a
-    run of the reverse-lexicographic schedule.
-    """
-    if start < 0:
-        raise ValueError("eviction counter must be non-negative")
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    if _np is not None:
-        values = _np.arange(start, start + count, dtype=_np.int64) % (1 << depth)
-        result = _np.zeros(count, dtype=_np.int64)
-        for _ in range(depth):
-            result = (result << 1) | (values & 1)
-            values >>= 1
-        return result
-    return [eviction_path(g, depth) for g in range(start, start + count)]
-
-
 def deepest_common_level(leaf_a: int, leaf_b: int, depth: int) -> int:
     """Deepest level at which the paths to ``leaf_a`` and ``leaf_b`` intersect.
 
     Two paths always intersect at the root (level 0); they share levels
-    ``0..k`` where ``k`` is the length of their common leaf-index prefix.
+    ``0..k`` where ``k`` is the length of their common leaf-index prefix,
+    ``depth - (leaf_a ^ leaf_b).bit_length()`` — the closed form the eviction
+    write phase computes inline; this bit walk is the oracle it is tested
+    against.
     """
     for leaf in (leaf_a, leaf_b):
         if not 0 <= leaf < (1 << depth):

@@ -29,7 +29,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.oram import path_math
 from repro.oram.crypto import CipherSuite, freshness_context
-from repro.oram.metadata import MetadataTable
+from repro.oram.metadata import MetadataTable, shuffle_in_place
 from repro.oram.parameters import RingOramParameters
 from repro.oram.position_map import PositionMap
 from repro.oram.stash import Stash, StashReason
@@ -58,18 +58,11 @@ class OramAccess:
             raise ValueError("write access requires a value")
 
 
-@dataclass
-class SlotRead:
-    """One physical slot read planned for a path access or eviction."""
-
-    bucket_id: int
-    slot_index: int
-    version: int
-    expected_block: Optional[int]   # real block id expected there, None = dummy
-
-    @property
-    def storage_key(self) -> str:
-        return slot_storage_key(self.bucket_id, self.version, self.slot_index)
+#: One planned physical slot read, a plain row:
+#: ``(bucket_id, slot_index, version, expected_block)`` — ``expected_block`` is
+#: the real block id recorded there, ``None`` for a dummy.  Consumers unpack
+#: it by name; its storage key is :func:`slot_storage_key`.
+SlotRead = Tuple[int, int, int, Optional[int]]
 
 
 @dataclass
@@ -107,6 +100,11 @@ class EvictionPlan:
     leaf: int
     bucket_ids: List[int] = field(default_factory=list)
     slot_reads: List[SlotRead] = field(default_factory=list)
+
+
+def slot_key_prefix(bucket_id: int, version: int) -> str:
+    """What the storage keys of one bucket version's slots start with."""
+    return f"oram/{bucket_id}/v{version}/s/"
 
 
 def slot_storage_key(bucket_id: int, version: int, slot_index: int) -> str:
@@ -191,46 +189,63 @@ class RingOram:
         else:
             leaf = self.rng.randrange(self.params.num_leaves)
 
-        plan = PathReadPlan(block_id=block_id, leaf=leaf)
-        target_found_in_tree = False
-
+        # One pass per level over the bucket's columns.  This loop is the
+        # hottest in the client, so it reads the metadata table's dicts and
+        # consumes slots in place instead of calling ``MetadataTable.bucket``
+        # / ``BucketMeta.invalidate`` per level; it keeps their contracts
+        # (first use draws an all-dummy layout, ``valid`` and the kept dummy
+        # list move together, every touched bucket is dirty).
+        metadata = self.metadata
+        buckets, dirty = metadata._buckets, metadata._dirty
+        getrandbits = self.rng.getrandbits
+        searching = block_id is not None
+        slot_reads: List[SlotRead] = []
         for bid in path_math.path_buckets(leaf, self.params.depth):
-            meta = self.metadata.bucket(bid)
-            slot_index: Optional[int] = None
-            expected: Optional[int] = None
-            if block_id is not None and not target_found_in_tree:
-                slot_index = meta.slot_of_block(block_id)
-                if slot_index is not None:
-                    expected = block_id
-                    target_found_in_tree = True
-            if slot_index is None:
-                dummies = meta.valid_dummy_slots()
-                if dummies:
-                    slot_index = self.rng.choice(dummies)
-                else:
-                    # No valid dummy left: fall back to any valid slot (the
-                    # bucket will be early-reshuffled right after this path).
-                    valid = [i for i, s in enumerate(meta.slots) if s.valid]
-                    if not valid:
-                        # Bucket fully consumed; early reshuffle will restore
-                        # it.  Read slot 0 of the current version: the server
-                        # cannot distinguish this from any other slot choice.
-                        slot_index = 0
-                        plan.slot_reads.append(SlotRead(bid, slot_index, meta.version, None))
-                        meta.reads_since_write += 1
-                        self.metadata.mark_dirty(bid)
-                        continue
-                    slot_index = self.rng.choice(valid)
-                    expected = meta.slots[slot_index].block_id
-
-            meta.invalidate(slot_index)
+            meta = buckets.get(bid)
+            if meta is None:
+                meta = metadata.bucket(bid)
+            dirty.add(bid)
             meta.reads_since_write += 1
-            self.metadata.mark_dirty(bid)
-            plan.slot_reads.append(SlotRead(bid, slot_index, meta.version, expected))
+            blocks, valid = meta.blocks, meta.valid
+            if searching and block_id in blocks:
+                slot_index = blocks.index(block_id)
+                if valid[slot_index]:
+                    searching = False
+                    valid[slot_index] = False
+                    slot_reads.append((bid, slot_index, meta.version, block_id))
+                    continue
+            dummies = meta._valid_dummies
+            count = len(dummies)
+            if count:
+                # ``rng.choice(dummies)``, draw for draw: its index comes
+                # from ``_randbelow(count)``, inlined as in
+                # ``shuffle_in_place``; popping by that index spares the
+                # ``list.remove`` search.
+                bits = count.bit_length()
+                pick = getrandbits(bits)
+                while pick >= count:
+                    pick = getrandbits(bits)
+                slot_index = dummies.pop(pick)
+                valid[slot_index] = False
+                slot_reads.append((bid, slot_index, meta.version, None))
+                continue
+            # No valid dummy left: fall back to any valid slot (the bucket
+            # will be early-reshuffled right after this path).
+            remaining = [i for i, still_valid in enumerate(valid) if still_valid]
+            if remaining:
+                slot_index = self.rng.choice(remaining)
+                meta.invalidate(slot_index)
+                slot_reads.append((bid, slot_index, meta.version, blocks[slot_index]))
+            else:
+                # Bucket fully consumed; early reshuffle will restore it.
+                # Read slot 0 of the current version: the server cannot
+                # distinguish this from any other slot choice.
+                slot_reads.append((bid, 0, meta.version, None))
 
+        plan = PathReadPlan(block_id=block_id, leaf=leaf, slot_reads=slot_reads)
         if block_id is not None:
             plan.new_leaf = self.position_map.remap(block_id)
-            if not target_found_in_tree and block_id in self.stash:
+            if searching and block_id in self.stash:
                 plan.served_from_stash = True
         return plan
 
@@ -261,15 +276,15 @@ class RingOram:
         learns nothing about the bucket's occupancy.
         """
         meta = self.metadata.bucket(bucket_id)
-        reads: List[SlotRead] = []
-        real_slots = meta.valid_real_slots()
-        for idx in real_slots:
-            reads.append(SlotRead(bucket_id, idx, meta.version, meta.slots[idx].block_id))
-        dummy_needed = max(0, self.params.z_real - len(real_slots))
+        version = meta.version
+        reads: List[SlotRead] = [
+            (bucket_id, index, version, block)
+            for index, (block, valid) in enumerate(zip(meta.blocks, meta.valid))
+            if valid and block is not None]
+        dummy_needed = max(0, self.params.z_real - len(reads))
         dummies = list(meta.valid_dummy_slots())
-        self.rng.shuffle(dummies)
-        for idx in dummies[:dummy_needed]:
-            reads.append(SlotRead(bucket_id, idx, meta.version, None))
+        shuffle_in_place(dummies, self.rng.getrandbits)
+        reads += [(bucket_id, index, version, None) for index in dummies[:dummy_needed]]
         return reads
 
     def complete_eviction(self, plan: EvictionPlan,
@@ -293,25 +308,24 @@ class RingOram:
                 rewrites.append(self._rewrite_bucket_from_stash(bid))
             return rewrites
 
-        # Ordinary evict-path: fill buckets from the leaf upwards so blocks
-        # land as deep as possible.  The stash scan is batched: every entry's
-        # deepest common level with the target path comes from one
-        # vectorised pass instead of a per-entry bit walk.
-        placements: Dict[int, List[Tuple[int, bytes]]] = {bid: [] for bid in plan.bucket_ids}
-        for entry, common in self.stash.entries_with_common_levels(
-                plan.leaf, self.params.depth):
-            placed = False
-            for level in range(common, -1, -1):
-                bid = plan.bucket_ids[level]
-                if len(placements[bid]) < self.params.z_real:
-                    placements[bid].append((entry.block_id, entry.value))
-                    placed = True
+        # Ordinary evict-path: every stash block goes into the deepest bucket
+        # of the target path that lies on its own path and has room.  Two
+        # paths share levels 0..k, k the length of the leaves' common prefix
+        # (:func:`repro.oram.path_math.deepest_common_level`).
+        depth, z_real = self.params.depth, self.params.z_real
+        target_leaf = plan.leaf
+        placements: List[List[Tuple[int, bytes]]] = [[] for _ in plan.bucket_ids]
+        for entry in self.stash.entries():
+            level = depth - (entry.leaf ^ target_leaf).bit_length()
+            while level >= 0:
+                if len(placements[level]) < z_real:
+                    placements[level].append((entry.block_id, entry.value))
+                    self.stash.remove(entry.block_id)
                     break
-            if placed:
-                self.stash.remove(entry.block_id)
+                level -= 1
 
-        for bid in plan.bucket_ids:
-            rewrites.append(self._build_rewrite(bid, placements[bid]))
+        for bid, contents in zip(plan.bucket_ids, placements):
+            rewrites.append(self._build_rewrite(bid, contents))
 
         # Anything still in the stash had no room: mark it as eviction
         # residue so the caching optimisation will not serve it silently.
@@ -337,7 +351,7 @@ class RingOram:
         """Shuffle a bucket's next layout and record it, unsealed."""
         meta = self.metadata.rewrite_bucket(bucket_id, contents)
         return BucketRewrite(bucket_id=bucket_id, version=meta.version,
-                             slot_blocks=[slot.block_id for slot in meta.slots],
+                             slot_blocks=list(meta.blocks),
                              plain_contents=dict(contents))
 
     def seal_rewrites(self, rewrites: Iterable[BucketRewrite]) -> Dict[str, bytes]:
@@ -357,17 +371,15 @@ class RingOram:
                 (block_id, contents[block_id] if block_id is not None else b"",
                  freshness_context(bucket_id, version, idx))
                 for idx, block_id in enumerate(rewrite.slot_blocks)])
-            items.update((slot_storage_key(bucket_id, version, idx), blob)
-                         for idx, blob in enumerate(sealed))
+            prefix = slot_key_prefix(bucket_id, version)
+            for idx, blob in enumerate(sealed):
+                items[f"{prefix}{idx}"] = blob
         return items
 
     def buckets_needing_reshuffle(self, bucket_ids: Sequence[int]) -> List[int]:
         """Subset of ``bucket_ids`` that must be early-reshuffled."""
-        due = []
-        for bid in bucket_ids:
-            if self.metadata.bucket(bid).needs_reshuffle(self.params.s_dummies):
-                due.append(bid)
-        return due
+        bucket, s_dummies = self.metadata.bucket, self.params.s_dummies
+        return [bid for bid in bucket_ids if bucket(bid).needs_reshuffle(s_dummies)]
 
     # ------------------------------------------------------------------ #
     # Physical execution (sequential mode)
@@ -381,9 +393,10 @@ class RingOram:
     def _decrypt_slot(self, slot: SlotRead, blob: Optional[bytes]) -> Optional[Tuple[int, bytes]]:
         """Decrypt one fetched slot; returns (block_id, value) for real blocks."""
         self.clock.advance(self.cost_model.sequential_block_cost_ms(self._crypto_charged()))
-        if blob is None or slot.expected_block is None:
+        bucket_id, slot_index, version, expected_block = slot
+        if blob is None or expected_block is None:
             return None
-        context = freshness_context(slot.bucket_id, slot.version, slot.slot_index)
+        context = freshness_context(bucket_id, version, slot_index)
         block_id, value = self.cipher.open_block(blob, context)
         if block_id is None:
             return None
@@ -392,13 +405,13 @@ class RingOram:
     def _execute_slot_reads(self, slot_reads: Sequence[SlotRead],
                             parallelism: int = 1) -> Dict[int, bytes]:
         """Issue the physical reads and return {block_id: plaintext value}."""
-        keys = [s.storage_key for s in slot_reads]
+        keys = [slot_storage_key(bucket_id, version, slot_index)
+                for bucket_id, slot_index, version, _ in slot_reads]
         result = self.storage.read_batch(keys, parallelism=parallelism)
         self.stats_physical_reads += len(keys)
         fetched: Dict[int, bytes] = {}
-        for slot in slot_reads:
-            blob = result.values.get(slot.storage_key)
-            opened = self._decrypt_slot(slot, blob)
+        for key, slot in zip(keys, slot_reads):
+            opened = self._decrypt_slot(slot, result.values.get(key))
             if opened is not None:
                 fetched[opened[0]] = opened[1]
         return fetched
@@ -474,7 +487,7 @@ class RingOram:
             if bid not in self.stash:
                 self.stash.put(bid, leaf, val, StashReason.EVICTION_RESIDUE)
 
-        touched = [s.bucket_id for s in plan.slot_reads]
+        touched = [bucket_id for bucket_id, _, _, _ in plan.slot_reads]
         self._maybe_reshuffle(touched)
         self._maybe_evict()
         return value if request.op is OramOp.READ else None
@@ -524,19 +537,11 @@ class RingOram:
         filled through the normal protocol (every slot is a fresh
         ciphertext).
         """
-        ordered = sorted(blocks.items())
-        # Assign leaves first (one RNG draw per block, in block-id order —
-        # exactly the sequential behaviour), then compute every root-to-leaf
-        # path in one vectorised sweep.
-        leaves = [self.position_map.lookup_or_assign(block_id)
-                  for block_id, _ in ordered]
-        paths = path_math.path_buckets_many(leaves, self.params.depth)
-        paths = paths.tolist() if hasattr(paths, "tolist") else paths
-
         placements: Dict[int, List[Tuple[int, bytes]]] = {}
-        for (block_id, value), leaf, path in zip(ordered, leaves, paths):
+        for block_id, value in sorted(blocks.items()):
+            leaf = self.position_map.lookup_or_assign(block_id)
             placed = False
-            for bid in reversed(path):
+            for bid in reversed(path_math.path_buckets(leaf, self.params.depth)):
                 bucket_load = placements.setdefault(bid, [])
                 if len(bucket_load) < self.params.z_real:
                     bucket_load.append((block_id, value))

@@ -22,8 +22,6 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.oram import path_math
-
 
 class StashReason(enum.Enum):
     """Why a block currently resides in the stash."""
@@ -88,35 +86,6 @@ class Stash:
     def entries(self) -> List[StashEntry]:
         """All entries (stable order by block id, for determinism)."""
         return [self._entries[bid] for bid in sorted(self._entries)]
-
-    def entries_for_path(self, leaf: int, depth: int) -> List[StashEntry]:
-        """Entries whose assigned path intersects the path to ``leaf``.
-
-        Every path intersects at the root, so strictly speaking all entries
-        qualify; eviction uses :func:`repro.oram.path_math.deepest_common_level`
-        to decide how deep each block can be placed.  This helper simply
-        returns all entries — it exists so callers express intent clearly.
-        """
-        del leaf, depth
-        return self.entries()
-
-    def entries_with_common_levels(self, leaf: int, depth: int
-                                   ) -> List[Tuple[StashEntry, int]]:
-        """Every entry paired with its deepest common level with ``leaf``'s path.
-
-        The eviction write phase needs, for each stashed block, the deepest
-        bucket on the evicted path that still lies on the block's own path.
-        Scanning the stash entry-by-entry with a bit walk per entry was the
-        hot loop; this batches the whole scan through
-        :func:`repro.oram.path_math.deepest_common_levels` (vectorised under
-        numpy, same values without it).  Order matches :meth:`entries`.
-        """
-        entries = self.entries()
-        if not entries:
-            return []
-        levels = path_math.deepest_common_levels(
-            [entry.leaf for entry in entries], leaf, depth)
-        return [(entry, int(level)) for entry, level in zip(entries, levels)]
 
     def mark_residue(self, block_id: int) -> None:
         """Flag a block as eviction residue (could not be flushed)."""

@@ -28,9 +28,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import ObladiConfig
-from repro.oram.crypto import CipherSuite
+from repro.oram.crypto import CipherSuite, freshness_context
 from repro.oram.position_map import PositionMap
 from repro.oram.metadata import MetadataTable
+from repro.oram.ring_oram import slot_storage_key
 from repro.oram.stash import Stash
 from repro.recovery.checkpoint import CheckpointSizes, CheckpointStore
 from repro.recovery.wal import WalRecord, WriteAheadLog
@@ -313,17 +314,18 @@ class RecoveryManager:
             part = proxy.data_layer.partition_for_key(key)
             block_id = part.directory.block_id(key)
             plan = part.oram.plan_path_read(block_id)
-            slot_keys = [slot.storage_key for slot in plan.slot_reads]
+            slot_keys = [slot_storage_key(bucket_id, version, slot_index)
+                         for bucket_id, slot_index, version, _ in plan.slot_reads]
             fetched = part.storage.read_batch(slot_keys, parallelism=proxy.config.parallelism)
             physical_requests += len(slot_keys)
             result.bytes_read += sum(len(v) for v in fetched.values.values() if v)
-            for slot in plan.slot_reads:
-                blob = fetched.values.get(slot.storage_key)
-                if blob is None or slot.expected_block is None:
+            for slot_key, (bucket_id, slot_index, version, expected_block) in zip(
+                    slot_keys, plan.slot_reads):
+                blob = fetched.values.get(slot_key)
+                if blob is None or expected_block is None:
                     continue
-                from repro.oram.crypto import freshness_context
                 bid, value = part.cipher.open_block(
-                    blob, freshness_context(slot.bucket_id, slot.version, slot.slot_index))
+                    blob, freshness_context(bucket_id, version, slot_index))
                 if bid is not None and bid not in part.oram.stash:
                     leaf = part.oram.position_map.lookup_or_assign(bid)
                     part.oram.stash.put(bid, leaf, value)

@@ -9,6 +9,7 @@ from repro.oram.batch_executor import EpochBatchExecutor
 from repro.oram.crypto import CipherSuite, IntegrityError
 from repro.oram.parameters import RingOramParameters
 from repro.oram.ring_oram import RingOram, slot_storage_key
+from repro.oram.stash import StashReason
 from repro.sim.clock import SimClock
 from repro.storage.backend import StorageOp
 from repro.storage.memory import InMemoryStorageServer
@@ -119,6 +120,27 @@ class TestCorrectness:
             assert values[1] == b"cached"
             assert executor.lifetime_stats.physical_reads == before
             executor.flush_epoch()
+
+    def test_residue_stash_hit_counts_in_lifetime_stats_too(self):
+        """Regression: a read served from an *eviction-residue* stash entry —
+        the branch after the padded path read — was counted in the epoch's
+        ``stash_hits`` but not in ``lifetime_stats``."""
+        executor, oram, _ = make_executor()
+        per_epoch = []
+        for block, reason in ((1, StashReason.LOGICAL_ACCESS),
+                              (2, StashReason.EVICTION_RESIDUE)):
+            leaf = oram.position_map.lookup_or_assign(block)
+            oram.stash.put(block, leaf, b"held", reason)
+            executor.begin_epoch()
+            before = executor.stats.physical_reads
+            assert executor.execute_read_batch([block], batch_size=1) == {block: b"held"}
+            # Only the residue entry still costs its dummy path read.
+            assert (executor.stats.physical_reads > before) == (
+                reason is StashReason.EVICTION_RESIDUE)
+            executor.flush_epoch()
+            per_epoch.append(executor.stats.stash_hits)
+        assert per_epoch == [1, 1]
+        assert executor.lifetime_stats.stash_hits == sum(per_epoch)
 
 
 class TestDeferredWrites:
@@ -295,7 +317,7 @@ class TestStorageFaults:
             oram, storage, range(12))
         here = slot_storage_key(bucket, version, slot)
         there = slot_storage_key(bucket, version, (slot + 1) % len(
-            oram.metadata.bucket(bucket).slots))
+            oram.metadata.bucket(bucket).blocks))
         data = storage.snapshot()
         storage.write_batch({here: data[there], there: data[here]})
         executor.begin_epoch()

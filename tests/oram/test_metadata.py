@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.oram.metadata import BucketMeta, MetadataTable, SlotInfo
+from repro.oram.metadata import BucketMeta, MetadataTable
 
 
 @pytest.fixture
@@ -15,7 +15,7 @@ def table():
 class TestBucketLayout:
     def test_fresh_bucket_has_all_slots(self, table):
         meta = table.bucket(0)
-        assert len(meta.slots) == 10
+        assert len(meta.blocks) == len(meta.valid) == 10
         assert meta.version == 0
         assert meta.reads_since_write == 0
 
@@ -59,7 +59,7 @@ class TestSlotAccounting:
         table.rewrite_bucket(0, [(42, b"v")])
         idx = table.bucket(0).slot_of_block(42)
         assert idx is not None
-        assert table.bucket(0).slots[idx].block_id == 42
+        assert table.bucket(0).blocks[idx] == 42
 
     def test_invalidate_marks_slot(self, table):
         table.rewrite_bucket(0, [(42, b"v")])
@@ -116,16 +116,35 @@ class TestSerialization:
         other = MetadataTable(15, 4, 6)
         other.rewrite_bucket(0, [(1, b"a")])
         other.apply_valid_map(blob)
-        assert other.bucket(0).slots[0].valid is False
+        assert other.bucket(0).valid[0] is False
+
+    def test_valid_map_for_unknown_bucket_is_corruption(self, table):
+        # A checkpoint's valid rows cover the buckets of its metadata rows;
+        # skipping a stray row would leave consumed slots marked valid.
+        table.rewrite_bucket(0, [(1, b"a")])
+        blob = table.serialize_valid_map()
+        with pytest.raises(ValueError, match="bucket 0"):
+            MetadataTable(15, 4, 6).apply_valid_map(blob)
+
+    def test_valid_map_of_another_width_is_corruption(self, table):
+        table.rewrite_bucket(5, [(1, b"a")])
+        blob = table.serialize_valid_map()
+        narrower = MetadataTable(15, 4, 5)
+        narrower.rewrite_bucket(5, [(1, b"a")])
+        before = list(narrower.bucket(5).valid)
+        with pytest.raises(ValueError, match="bucket 5"):
+            narrower.apply_valid_map(blob)
+        assert narrower.bucket(5).valid == before
 
     def test_bucket_row_roundtrip(self):
-        meta = BucketMeta(bucket_id=3, slots=[SlotInfo(5, True), SlotInfo(None, False)],
+        meta = BucketMeta(bucket_id=3, blocks=[5, None], valid=[True, False],
                           reads_since_write=2, version=7)
         restored = BucketMeta.from_row(meta.to_row())
         assert restored.bucket_id == 3
         assert restored.version == 7
-        assert restored.slots[0].block_id == 5
-        assert restored.slots[1].valid is False
+        assert restored.blocks == [5, None]
+        assert restored.valid == [True, False]
+        assert restored.blocks is not meta.blocks and restored.valid is not meta.valid
 
     def test_dirty_tracking_cleared(self, table):
         table.rewrite_bucket(0, [])

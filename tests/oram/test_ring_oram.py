@@ -8,7 +8,8 @@ import pytest
 from repro.oram import path_math
 from repro.oram.crypto import CipherSuite
 from repro.oram.parameters import RingOramParameters
-from repro.oram.ring_oram import OramAccess, OramOp, RingOram
+from repro.oram.ring_oram import (OramAccess, OramOp, RingOram, slot_key_prefix,
+                                  slot_storage_key)
 from repro.sim.clock import SimClock
 from repro.storage.memory import InMemoryStorageServer
 
@@ -26,7 +27,7 @@ def make_oram(seed=0, dummiless=False, depth=4, z=4, s=6, a=3, latency="dummy"):
 
 def plant(oram, bucket_id, slot_index, block_id, valid):
     """Overwrite one slot's record, the way restoring a checkpoint delta does."""
-    row = oram.metadata.bucket(bucket_id).to_row()
+    row = json.loads(json.dumps(oram.metadata.bucket(bucket_id).to_row()))
     row[1][slot_index], row[2][slot_index] = block_id, valid
     oram.metadata.apply_delta(json.dumps({"rows": [row]}).encode())
 
@@ -184,7 +185,7 @@ class TestInvariants:
 
         for bid in path:
             meta = oram.metadata.bucket(bid)
-            assert all(slot.block_id != 1 for slot in meta.slots), bid
+            assert 1 not in meta.blocks, bid
         # The consumed root slot stays consumed; the live copy's slot is now
         # a dummy that reads may pick.
         assert 0 not in oram.metadata.bucket(path[0]).valid_dummy_slots()
@@ -213,8 +214,8 @@ class TestInvariants:
                         if path_math.bucket_level(bid)
                         < path_math.bucket_level(holders[0])]
         decoy = oram.metadata.bucket(decoy_levels[-1])
-        free = ([i for i, s in enumerate(decoy.slots) if s.block_id is None and not s.valid]
-                or [i for i, s in enumerate(decoy.slots) if s.block_id is None])
+        dummies = [i for i, block in enumerate(decoy.blocks) if block is None]
+        free = [i for i in dummies if not decoy.valid[i]] or dummies
         plant(oram, decoy.bucket_id, free[0], block_id=1, valid=False)
 
         oram.write(1, b"new")
@@ -235,6 +236,12 @@ class TestInvariants:
 
 
 class TestPhysicalBehaviour:
+    def test_slot_keys_are_the_bucket_version_prefix_plus_the_slot(self):
+        # ``seal_rewrites`` formats the prefix once per bucket; it must spell
+        # the keys the read path asks for.
+        assert slot_storage_key(5, 2, 13) == "oram/5/v2/s/13"
+        assert slot_key_prefix(5, 2) + "13" == slot_storage_key(5, 2, 13)
+
     def test_path_read_touches_one_slot_per_level(self):
         oram, storage = make_oram(seed=0)
         oram.write(1, b"v")

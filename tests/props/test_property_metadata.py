@@ -1,12 +1,20 @@
-"""Property-based tests: the kept valid-dummy list ≡ a scan of the slots.
+"""Property-based tests: the bucket columns against per-slot references.
+
+Two properties.  The kept valid-dummy list ≡ a scan of the slots:
 
 :class:`repro.oram.metadata.BucketMeta` keeps the ascending list of its
-valid dummy slots beside the slot records instead of re-scanning them on
+valid dummy slots beside the slot columns instead of re-scanning them on
 every path read.  Contents *and order* must equal the scan at all times —
 the ORAM's RNG draws index into that list, so a divergence would move every
 later draw.  The driver below plays the ORAM's discipline (a block consumed
 from the tree goes to the stash, only stash blocks are placed), so the
 single-live-copy invariant can be asserted alongside.
+
+And the checkpoint bytes are frozen: ``RecoveryManager`` advances the
+simulated clock by checkpoint size, so the encoding is part of the model.
+The columns are handed to ``json.dumps`` as they are; a per-slot model kept
+by the test, encoded the way the object-per-slot layout was, must give the
+same bytes after any sequence of slot operations.
 """
 
 import json
@@ -29,7 +37,7 @@ STEPS = st.lists(
 
 def scanned_valid_dummies(meta):
     """The reference: what ``valid_dummy_slots`` computed before the list was kept."""
-    return [i for i, s in enumerate(meta.slots) if s.block_id is None and s.valid]
+    return [i for i in range(len(meta.blocks)) if meta.blocks[i] is None and meta.valid[i]]
 
 
 def check(table, stash):
@@ -51,12 +59,12 @@ def test_kept_dummy_list_equals_scan_and_blocks_stay_single(steps, seed):
     for op, bucket_id, pick in steps:
         meta = table.bucket(bucket_id)
         if op == "invalidate":
-            valid = [i for i, s in enumerate(meta.slots) if s.valid]
+            valid = [i for i, still_valid in enumerate(meta.valid) if still_valid]
             if not valid:
                 continue
             index = valid[pick % len(valid)]
-            if meta.slots[index].block_id is not None:
-                stash.add(meta.slots[index].block_id)       # read into the stash
+            if meta.blocks[index] is not None:
+                stash.add(meta.blocks[index])               # read into the stash
             meta.invalidate(index)
         elif op == "forget":                    # a dummiless write of the block
             block_id = pick % BLOCKS
@@ -71,11 +79,119 @@ def test_kept_dummy_list_equals_scan_and_blocks_stay_single(steps, seed):
         elif op == "valid_map":
             # A checkpointed valid map is at least as recent as the layout it
             # is applied to, so it can only have consumed more slots.
-            valids = [s.valid and not (pick >> i) & 1 for i, s in enumerate(meta.slots)]
-            stash.update(s.block_id for s, valid in zip(meta.slots, valids)
-                         if s.valid and not valid and s.block_id is not None)
+            valids = [was and not (pick >> i) & 1 for i, was in enumerate(meta.valid)]
+            stash.update(block for block, was, valid in zip(meta.blocks, meta.valid, valids)
+                         if was and not valid and block is not None)
             table.apply_valid_map(json.dumps({str(bucket_id): valids}).encode())
         else:                                   # to_row -> json -> from_row
             table = MetadataTable.deserialize_full(table.serialize_full(),
                                                    rng=random.Random(seed))
         check(table, stash)
+
+
+# --------------------------------------------------------------------------- #
+# Checkpoint bytes: columns ≡ a per-slot reference encoder
+# --------------------------------------------------------------------------- #
+class SlotModel:
+    """The test's own record of every bucket: one ``[block_id, valid]`` per slot."""
+
+    def __init__(self, table):
+        self.buckets = {}
+        self.dirty = set()
+        for bucket_id in table.buckets_present():
+            self.rewritten(table.bucket(bucket_id))
+
+    def rewritten(self, meta):
+        self.buckets[meta.bucket_id] = {
+            "slots": [[block, True] for block in meta.blocks],
+            "reads": 0, "version": meta.version}
+        self.dirty.add(meta.bucket_id)
+
+    # The encoders below are the pre-column ``to_row`` / ``serialize_*``
+    # bodies, comprehension for comprehension.
+    def row(self, bucket_id):
+        record = self.buckets[bucket_id]
+        return (bucket_id,
+                [slot[0] for slot in record["slots"]],
+                [slot[1] for slot in record["slots"]],
+                record["reads"], record["version"])
+
+    def full(self):
+        return json.dumps({"num_buckets": BUCKETS, "z": Z, "s": S,
+                           "rows": [self.row(b) for b in sorted(self.buckets)]}).encode()
+
+    def delta(self):
+        return json.dumps({"rows": [self.row(b) for b in sorted(self.dirty)]}).encode()
+
+    def valid_map(self, bucket_ids):
+        rows = {str(b): [slot[1] for slot in self.buckets[b]["slots"]] for b in bucket_ids}
+        return json.dumps(rows, sort_keys=True).encode()
+
+
+BYTES_STEPS = st.lists(
+    st.tuples(st.sampled_from(["invalidate", "forget", "rewrite", "valid_map",
+                               "checkpoint"]),
+              st.integers(0, BUCKETS - 1), st.integers(0, 1 << 16)),
+    max_size=60)
+
+
+@given(BYTES_STEPS, st.integers(0, 2 ** 32))
+def test_checkpoint_bytes_equal_the_per_slot_encoding(steps, seed):
+    table = MetadataTable(BUCKETS, Z, S, rng=random.Random(seed))
+    for bucket_id in range(0, BUCKETS, 2):          # the rest appear on first use
+        table.rewrite_bucket(bucket_id, [(bucket_id, b"")])
+    model = SlotModel(table)
+    replica = MetadataTable.deserialize_full(table.serialize_full())
+    table.clear_dirty()
+    model.dirty.clear()
+
+    for op, bucket_id, pick in steps:
+        known = bucket_id in model.buckets
+        meta = table.bucket(bucket_id)
+        if not known:
+            model.rewritten(meta)
+        record = model.buckets[bucket_id]
+        if op == "invalidate":
+            index = pick % (Z + S)
+            if not meta.valid[index]:
+                continue
+            meta.invalidate(index)
+            meta.reads_since_write += 1
+            record["slots"][index][1] = False
+            record["reads"] += 1
+        elif op == "forget":                    # nulls consumed copies as well
+            recorded = [slot[0] for slot in record["slots"] if slot[0] is not None]
+            block_id = recorded[pick % len(recorded)] if recorded else 0
+            assert meta.forget(block_id) == bool(recorded)
+            for slot in record["slots"]:
+                if slot[0] == block_id:
+                    slot[0] = None
+        elif op == "rewrite":
+            contents = [(BUCKETS + (pick + i) % BLOCKS, b"") for i in range(pick % (Z + 1))]
+            model.rewritten(table.rewrite_bucket(bucket_id, contents))
+        elif op == "valid_map":
+            valids = [was and not (pick >> i) & 1 for i, was in enumerate(meta.valid)]
+            meta.set_valid_map([int(valid) for valid in valids])    # ints in, bools kept
+            for slot, valid in zip(record["slots"], valids):
+                slot[1] = valid
+        else:                                   # an epoch boundary: delta + valid map
+            delta = table.serialize_delta()
+            valid_blob = table.serialize_valid_map(table.dirty_buckets())
+            assert delta == model.delta()
+            assert valid_blob == model.valid_map(sorted(model.dirty))
+            assert replica.apply_delta(delta) == len(model.dirty)
+            replica.apply_valid_map(valid_blob)
+            assert replica.serialize_full() == table.serialize_full()
+            table.clear_dirty()
+            model.dirty.clear()
+            continue
+        table.mark_dirty(bucket_id)
+        model.dirty.add(bucket_id)
+
+        assert table.serialize_full() == model.full()
+        assert table.serialize_delta() == model.delta()
+        assert table.serialize_valid_map() == model.valid_map(sorted(model.buckets))
+        restored = MetadataTable.deserialize_full(table.serialize_full())
+        assert restored.serialize_full() == model.full()
+        assert [restored.bucket(b).valid_dummy_slots() for b in sorted(model.buckets)] \
+            == [table.bucket(b).valid_dummy_slots() for b in sorted(model.buckets)]
