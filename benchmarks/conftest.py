@@ -4,8 +4,9 @@ Every file in this directory regenerates one figure or table of the paper's
 evaluation (§11) using :mod:`repro.harness.experiments` and prints it as a
 text table; pytest-benchmark additionally reports the wall-clock cost of
 producing it.  All throughput/latency numbers inside the tables are
-*simulated* time (see DESIGN.md); the pytest-benchmark column measures how
-long the simulation itself took and has no counterpart in the paper.
+*simulated* time (docs/ARCHITECTURE.md, "Simulation substrate"); the
+pytest-benchmark column measures how long the simulation itself took and
+has no counterpart in the paper.
 
 Scale knobs are chosen so the full suite completes in a few minutes.  The
 ``REPRO_BENCH_SCALE`` environment variable (``small`` | ``paper``) bumps the

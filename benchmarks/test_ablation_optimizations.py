@@ -1,8 +1,8 @@
 """Ablation benchmarks for Obladi's individual design choices.
 
-These do not correspond to a single numbered figure; they quantify the
-optimisations DESIGN.md calls out (dummiless writes, stash-read caching,
-request deduplication) by running the same workload with each optimisation
+These do not correspond to a single numbered figure; they quantify three
+of Obladi's optimisations (dummiless writes, stash-read caching, request
+deduplication) by running the same workload with each optimisation
 toggled off.  The paper discusses all three in §6.3 and §6.2.
 """
 

@@ -16,23 +16,11 @@ the PR's acceptance bar:
   auditor across their migration windows (``audit_ok``).
 * **The control loop actually actuated** — at least one scale-up decision
   and one completed oblivious migration window.
-
-The measured rows are snapshotted to ``BENCH_elasticity.json`` in the repo
-root for FIGURES.md, and the sweep is appended to the cross-PR trajectory
-ledger (``BENCH_trajectory.json``).
 """
 
-import json
-import os
-import time
-
-from repro.harness import perfbench
 from repro.harness.experiments import run_elasticity_comparison
 
-from .conftest import SCALE, run_once
-
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_SNAPSHOT = os.path.join(_REPO_ROOT, "BENCH_elasticity.json")
+from .conftest import run_once
 
 
 def _print_rows(rows):
@@ -57,12 +45,8 @@ def test_autoscaler_beats_static_under_flash_crowd(benchmark, bench_scale):
     """
     transactions = max(900, 3 * bench_scale["transactions"])
 
-    def sweep():
-        started = time.perf_counter()
-        rows = run_elasticity_comparison(transactions=transactions)
-        return rows, time.perf_counter() - started
-
-    rows, sweep_wall = run_once(benchmark, sweep)
+    rows = run_once(
+        benchmark, lambda: run_elasticity_comparison(transactions=transactions))
     _print_rows(rows)
 
     by_mode = {row.mode: row for row in rows}
@@ -88,36 +72,3 @@ def test_autoscaler_beats_static_under_flash_crowd(benchmark, bench_scale):
 
     # Every row's history passed the streaming auditor, migration included.
     assert all(row.audit_ok for row in rows)
-
-    snapshot = {
-        "transactions": transactions,
-        "rows": [
-            {"mode": row.mode,
-             "offered": row.offered,
-             "dropped": row.dropped,
-             "committed": row.committed,
-             "achieved_tps": round(row.achieved_tps, 2),
-             "mean_total_latency_ms": round(row.mean_total_latency_ms, 3),
-             "p95_total_latency_ms": round(row.p95_total_latency_ms, 3),
-             "max_queue_depth": row.max_queue_depth,
-             "epochs": row.epochs,
-             "reshards": row.reshards,
-             "scale_ups": row.scale_ups,
-             "scale_downs": row.scale_downs,
-             "final_topology": list(row.final_topology),
-             "audit_ok": row.audit_ok}
-            for row in rows],
-    }
-    with open(_SNAPSHOT, "w") as fh:
-        json.dump(snapshot, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    # Append the sweep to the cross-PR trajectory ledger.
-    perfbench.append_entry(
-        perfbench.DEFAULT_LEDGER, "elasticity-flash-crowd", sweep_wall,
-        scale=SCALE, repeats=1,
-        metrics={"autoscaled_dropped": autoscaled.dropped,
-                 "static_dropped": static.dropped,
-                 "autoscaled_tps": round(autoscaled.achieved_tps, 2),
-                 "static_tps": round(static.achieved_tps, 2)},
-        signature=perfbench.results_signature(snapshot["rows"]))

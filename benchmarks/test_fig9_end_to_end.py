@@ -4,8 +4,8 @@ Regenerates the throughput (9a) and latency (9b) bars for Obladi, NoPriv and
 the MySQL-like baseline on TPC-C, FreeHealth and SmallBank, in both the LAN
 (0.3 ms) and WAN (10 ms) settings.  The paper's headline numbers are that
 Obladi stays within 5x-12x of NoPriv's throughput while paying roughly
-20x-70x in latency; EXPERIMENTS.md records the ratios this reproduction
-obtains.
+20x-70x in latency; the tables printed under ``pytest -s`` show the ratios
+this reproduction obtains.
 """
 
 from repro.harness.experiments import run_end_to_end

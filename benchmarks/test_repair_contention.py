@@ -19,26 +19,14 @@ ceiling — on the two contended workloads of the evaluation and pins:
 * **Repaired histories are serializable** — every repair-strategy point
   runs under the streaming auditor (``audit_ok``), and a direct run's
   committed history additionally passes the *offline* cycle check.
-
-The measured rows are snapshotted to ``BENCH_repair.json`` in the repo root
-for FIGURES.md, and each workload's sweep is appended to the cross-PR
-trajectory ledger (``BENCH_trajectory.json``).
 """
-
-import json
-import os
-import time
 
 from repro.api import EngineConfig, create_engine
 from repro.concurrency import check_serializable
-from repro.harness import perfbench
 from repro.workloads.smallbank import SmallBankConfig, SmallBankWorkload
 from repro.harness.experiments import run_repair_comparison
 
-from .conftest import SCALE, run_once
-
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_SNAPSHOT = os.path.join(_REPO_ROOT, "BENCH_repair.json")
+from .conftest import run_once
 
 AT_KNEE = 2.0
 PAST_KNEE = 4.0
@@ -63,19 +51,13 @@ def test_repair_beats_retry_at_the_knee(benchmark, bench_scale):
     num_accounts = max(60, int(2_000 * bench_scale["workload_scale"]))
 
     def sweep():
-        walls = {}
-        results = {}
-        for workload in ("smallbank", "ycsb"):
-            started = time.perf_counter()
-            results[workload] = run_repair_comparison(
-                rate_multipliers=MULTIPLIERS, transactions=transactions,
-                clients=16, num_accounts=num_accounts, workload=workload)
-            walls[workload] = time.perf_counter() - started
-        return results, walls
+        return {workload: run_repair_comparison(
+                    rate_multipliers=MULTIPLIERS, transactions=transactions,
+                    clients=16, num_accounts=num_accounts, workload=workload)
+                for workload in ("smallbank", "ycsb")}
 
-    sweeps, sweep_walls = run_once(benchmark, sweep)
+    sweeps = run_once(benchmark, sweep)
 
-    snapshot = {}
     for workload, rows in sweeps.items():
         _print_rows(workload, rows)
         by_key = {(row.strategy, row.rate_multiplier): row for row in rows}
@@ -99,44 +81,6 @@ def test_repair_beats_retry_at_the_knee(benchmark, bench_scale):
             assert retry.repaired == 0 and retry.repair_failed == 0
             # Every repaired run's history passed the streaming auditor.
             assert repair.audit_ok, (workload, multiplier)
-
-        snapshot[workload] = [
-            {"strategy": row.strategy,
-             "rate_multiplier": row.rate_multiplier,
-             "achieved_tps": round(row.achieved_tps, 2),
-             "committed": row.committed,
-             "aborted": row.aborted,
-             "repaired": row.repaired,
-             "repair_failed": row.repair_failed,
-             "wasted_attempts": row.wasted_attempts,
-             "abort_rate": round(row.abort_rate, 4),
-             "mean_total_latency_ms": round(row.mean_total_latency_ms, 3),
-             "closed_loop_tps": round(row.closed_loop_tps, 2),
-             "audit_ok": row.audit_ok}
-            for row in rows]
-
-    snapshot["transactions"] = transactions
-    snapshot["num_accounts"] = num_accounts
-    snapshot["rate_multipliers"] = list(MULTIPLIERS)
-    with open(_SNAPSHOT, "w") as fh:
-        json.dump(snapshot, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    # Append each workload's sweep to the cross-PR trajectory ledger.
-    for workload, rows in sweeps.items():
-        by_key = {(row.strategy, row.rate_multiplier): row for row in rows}
-        perfbench.append_entry(
-            perfbench.DEFAULT_LEDGER, f"repair-contention-{workload}",
-            sweep_walls[workload], scale=SCALE, repeats=1,
-            metrics={"repair_tps_at_knee":
-                         round(by_key[("repair", AT_KNEE)].achieved_tps, 2),
-                     "retry_tps_at_knee":
-                         round(by_key[("retry", AT_KNEE)].achieved_tps, 2),
-                     "repair_wasted":
-                         by_key[("repair", AT_KNEE)].wasted_attempts,
-                     "retry_wasted":
-                         by_key[("retry", AT_KNEE)].wasted_attempts},
-            signature=perfbench.results_signature(snapshot[workload]))
 
 
 def test_repair_smoke_offline_serializable(benchmark):

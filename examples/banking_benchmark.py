@@ -85,7 +85,7 @@ def main() -> None:
     print(f"  latency:    {obladi.average_latency_ms / max(nopriv.average_latency_ms, 1e-9):.0f}x higher")
     print("\nThe paper reports Obladi within 5x-12x of NoPriv's throughput with a "
           "17x-70x latency penalty; the simulated reproduction should land in the "
-          "same ballpark (see EXPERIMENTS.md).")
+          "same ballpark (see docs/FIGURES.md).")
 
 
 if __name__ == "__main__":

@@ -6,8 +6,8 @@ NoPriv and a MySQL-like store.  This package is that idea as an API:
 * :class:`~repro.api.engine.TransactionEngine` — the interface every system
   implements (``submit`` / ``submit_many`` / ``transaction()`` /
   ``run_closed_loop`` / ``stats`` / ``crash``/``recover`` where supported);
-* :class:`~repro.api.results.RunStats` — the one closed-loop result type
-  (replacing the old ``BaselineRunResult`` / ``WorkloadRun`` split);
+* :class:`~repro.api.results.RunStats` — the one run-result type every
+  engine and both loop drivers return;
 * :func:`~repro.api.factory.create_engine` and the fluent
   :class:`~repro.api.factory.EngineConfig` — construction;
 * :func:`~repro.api.loop.run_closed_loop` and
@@ -30,8 +30,7 @@ backends, async batching) plugs in by implementing ``TransactionEngine``
 and registering a kind with ``create_engine``.
 """
 
-from repro.api.adapters import (MySQLEngine, NoPrivEngine, ObladiEngine,
-                                wrap_engine)
+from repro.api.adapters import MySQLEngine, NoPrivEngine, ObladiEngine
 from repro.api.engine import (EngineFeatureUnavailable, FactorySource,
                               ProgramFactory, TransactionEngine)
 from repro.api.factory import (DIAGNOSTIC_KINDS, ENGINE_KINDS, EngineConfig,
@@ -59,7 +58,6 @@ __all__ = [
     "ObladiEngine",
     "NoPrivEngine",
     "MySQLEngine",
-    "wrap_engine",
     "ProgramFactory",
     "FactorySource",
 ]

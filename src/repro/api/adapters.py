@@ -488,19 +488,3 @@ class MySQLEngine(_ClosedLoopBaselineEngine):
     """The MySQL/InnoDB stand-in (strict 2PL over local storage)."""
 
     name = "mysql"
-
-
-def wrap_engine(system) -> TransactionEngine:
-    """Wrap an already-constructed system in its engine adapter."""
-    if isinstance(system, TransactionEngine):
-        return system
-    from repro.baseline.mysql_like import TwoPhaseLockingStore
-    from repro.baseline.nopriv import NoPrivProxy
-    from repro.core.proxy import ObladiProxy
-    if isinstance(system, ObladiProxy):
-        return ObladiEngine(system)
-    if isinstance(system, NoPrivProxy):
-        return NoPrivEngine(system)
-    if isinstance(system, TwoPhaseLockingStore):
-        return MySQLEngine(system)
-    raise TypeError(f"no engine adapter for {type(system).__name__}")

@@ -38,14 +38,6 @@ ENGINE_KINDS = ("obladi", "nopriv", "mysql")
 #: feed a figure.
 DIAGNOSTIC_KINDS = ("buggy",)
 
-_KIND_ALIASES = {
-    "2pl": "mysql",
-    "mysql_like": "mysql",
-    "twophaselockingstore": "mysql",
-    "noprivproxy": "nopriv",
-    "obladiproxy": "obladi",
-}
-
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -253,16 +245,6 @@ class EngineConfig:
         """Toggle ORAM block / WAL / checkpoint encryption (ablation benchmarks)."""
         return replace(self, encrypt=enabled)
 
-    def with_locking(self, *, local_execution: Optional[bool] = None,
-                     exclusive_reads: Optional[bool] = None) -> "EngineConfig":
-        """Tune the MySQL-like engine's 2PL behaviour; ``None`` keeps the default."""
-        updates = {}
-        if local_execution is not None:
-            updates["local_execution"] = local_execution
-        if exclusive_reads is not None:
-            updates["exclusive_reads"] = exclusive_reads
-        return replace(self, **updates)
-
     def with_autoscale(self, policy) -> "EngineConfig":
         """Attach an autoscaling control loop to the engine at creation.
 
@@ -353,8 +335,7 @@ def create_engine(kind: str,
     kind:
         ``"obladi"``, ``"nopriv"``, ``"mysql"`` or ``"buggy"`` — the latter
         an Obladi engine whose reported history is corrupted per the
-        config's fault plan (a few legacy aliases such as ``"2pl"`` are
-        accepted).
+        config's fault plan.
     config:
         An :class:`EngineConfig`, or — for the Obladi engine only — a fully
         resolved :class:`ObladiConfig`.  Defaults to ``EngineConfig()``.
@@ -371,7 +352,7 @@ def create_engine(kind: str,
         ``EngineConfig`` field overrides applied on top of ``config``, so
         quick one-offs read ``create_engine("nopriv", backend="server_wan")``.
     """
-    normalized = _KIND_ALIASES.get(kind.lower(), kind.lower())
+    normalized = kind.lower()
     if normalized not in ENGINE_KINDS + DIAGNOSTIC_KINDS:
         raise KeyError(f"unknown engine kind {kind!r}; valid: "
                        f"{', '.join(ENGINE_KINDS + DIAGNOSTIC_KINDS)}")

@@ -1,9 +1,6 @@
 """The one shared closed-loop driver.
 
-Historically the repo had three copies of the closed-loop retry logic: the
-Obladi epoch driver in ``workloads/driver.py`` and one hand-rolled retry
-path inside each baseline's ``run_transactions``.  They have been folded
-into this module:
+The closed-loop retry logic lives here and nowhere else:
 
 * :func:`run_closed_loop` is the engine-agnostic loop every
   :class:`~repro.api.engine.TransactionEngine` uses: draw up to ``clients``
@@ -13,8 +10,7 @@ into this module:
 * :class:`RetryPolicy` is the retry/backoff policy itself.  The closed loop
   uses its attempt accounting; the baselines' internal discrete-event
   simulations use its :meth:`RetryPolicy.backoff_ms` so a conflict-aborted
-  transaction is not replayed in lockstep (the jitter formula that used to
-  be duplicated in ``nopriv.py`` and ``mysql_like.py``).
+  transaction is not replayed in lockstep.
 
 Conflict resolution is a strategy seam (``repro.concurrency.repair``):
 after each wave the driver hands the aborted attempts to a

@@ -1,16 +1,8 @@
 """The unified run-result type shared by every transaction engine.
 
-Before the :mod:`repro.api` layer existed, closed-loop runs produced two
-incompatible result types: ``BaselineRunResult`` (the baselines' discrete
-event simulations) and ``WorkloadRun`` (the Obladi epoch driver).  Harness
-code had to know which system produced a run before it could read a
-throughput number.  :class:`RunStats` replaces both: every engine's
-``run_closed_loop`` returns one, with identical field semantics, so rows of
-Figure 9 can be computed without a single ``isinstance`` check.
-
-``BaselineRunResult`` and ``WorkloadRun`` remain importable as aliases of
-this class; the legacy attribute names (``system``, ``makespan_ms``) are
-provided as read/write properties.
+Every engine's ``run_closed_loop`` / ``run_open_loop`` returns one
+:class:`RunStats`, with identical field semantics, so rows of Figure 9 can
+be computed without knowing which system produced a run.
 """
 
 from __future__ import annotations
@@ -52,7 +44,7 @@ class RunStats:
     partition_physical:
         Per-ORAM-partition ``(physical_reads, physical_writes)`` breakdown
         for partitioned Obladi engines (one entry per shard; the totals
-        above are its sums).  Empty for baselines and legacy consumers.
+        above are its sums).  Empty for baselines.
     server_physical:
         Per-storage-server ``(reads, writes)`` request counters — what each
         *node* of the storage tier observed, durability traffic included
@@ -262,24 +254,3 @@ class RunStats:
     def p99_total_latency_ms(self) -> float:
         """99th-percentile queue-inclusive latency."""
         return self._percentile(0.99, self.total_latencies_ms)
-
-    # ------------------------------------------------------------------ #
-    # Legacy attribute names
-    # ------------------------------------------------------------------ #
-    @property
-    def system(self) -> str:
-        """Legacy alias of :attr:`engine` (``WorkloadRun.system``)."""
-        return self.engine
-
-    @system.setter
-    def system(self, value: str) -> None:
-        self.engine = value
-
-    @property
-    def makespan_ms(self) -> float:
-        """Legacy alias of :attr:`elapsed_ms` (``BaselineRunResult.makespan_ms``)."""
-        return self.elapsed_ms
-
-    @makespan_ms.setter
-    def makespan_ms(self, value: float) -> None:
-        self.elapsed_ms = value

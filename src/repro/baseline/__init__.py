@@ -9,12 +9,11 @@
   what serialises TPC-C's new-order/payment contention in the paper.
 
 Both are usually driven through the unified engine layer
-(:func:`repro.api.create_engine` with kind ``"nopriv"`` or ``"mysql"``);
-``BaselineRunResult`` is now an alias of :class:`repro.api.results.RunStats`.
+(:func:`repro.api.create_engine` with kind ``"nopriv"`` or ``"mysql"``) and
+report a :class:`repro.api.results.RunStats`.
 """
 
-from repro.baseline.common import BaselineRunResult
 from repro.baseline.nopriv import NoPrivProxy
 from repro.baseline.mysql_like import TwoPhaseLockingStore
 
-__all__ = ["BaselineRunResult", "NoPrivProxy", "TwoPhaseLockingStore"]
+__all__ = ["NoPrivProxy", "TwoPhaseLockingStore"]

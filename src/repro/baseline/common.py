@@ -13,9 +13,8 @@ simulated clock:
   stay I/O-bound, as in the paper.
 
 Run results are :class:`repro.api.results.RunStats`, the unified result type
-of the engine layer (``BaselineRunResult`` is kept as an alias).  The
-retry/backoff bookkeeping both executors share lives in
-:func:`record_attempt`, parameterised by the engine layer's
+of the engine layer.  The retry/backoff bookkeeping both executors share
+lives in :func:`record_attempt`, parameterised by the engine layer's
 :class:`~repro.api.loop.RetryPolicy`.
 """
 
@@ -27,9 +26,6 @@ from typing import Callable, List, Optional
 from repro.api.loop import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.api.results import RunStats
 from repro.core.client import TransactionResult
-
-#: Unified result type; the historical name remains importable.
-BaselineRunResult = RunStats
 
 
 @dataclass

@@ -26,7 +26,3 @@ class EpochClosedError(ObladiError):
 
 class ProxyCrashedError(ObladiError):
     """The proxy has crashed; clients must wait for recovery."""
-
-
-class RecoveryError(ObladiError):
-    """Recovery could not restore a consistent state."""

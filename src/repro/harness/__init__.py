@@ -3,7 +3,8 @@
 One function per figure/table of the paper's evaluation (§11).  Each function
 returns plain data rows; :mod:`repro.harness.report` renders them as text
 tables, and the ``benchmarks/`` suite wraps them in pytest-benchmark targets.
-All results are in *simulated* time (see DESIGN.md).
+All results are in *simulated* time (see ``docs/ARCHITECTURE.md``,
+"Simulation substrate").
 """
 
 from repro.harness.experiments import (EndToEndRow, ParallelismRow, BatchSizeRow,

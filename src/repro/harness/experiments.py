@@ -2,7 +2,7 @@
 
 Every function accepts scale parameters so the same code serves both the
 quick benchmark suite (small object counts, few transactions) and fuller
-runs recorded in EXPERIMENTS.md.  All results are in simulated time.
+runs (``REPRO_BENCH_SCALE=paper``).  All results are in simulated time.
 
 ==============  ====================================================
 Figure 9a/9b    :func:`run_end_to_end`

@@ -553,12 +553,3 @@ class RingOram:
         rewrites = [self._build_rewrite(bid, contents)
                     for bid, contents in sorted(placements.items())]
         self._write_rewrites(rewrites, parallelism=64)
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    def stash_size(self) -> int:
-        return len(self.stash)
-
-    def physical_request_count(self) -> int:
-        return self.stats_physical_reads + self.stats_physical_writes

@@ -10,8 +10,8 @@ owned by N :class:`~repro.proxytier.worker.ProxyWorker` slices:
   (sha256 key hash, the same partition map ``repro.sharding`` uses);
 * each round's concurrency-control CPU is charged as *parallel worker
   lanes* on the shared :class:`~repro.sim.clock.SimClock` — one lane per
-  worker, makespan via :class:`~repro.sim.scheduler.ParallelScheduler` —
-  instead of the single proxy's serial charge;
+  worker, so the charge is the slowest worker — instead of the single
+  proxy's serial charge;
 * at the epoch boundary the coordinator runs a lightweight 2PC: every
   participating worker votes commit/abort per transaction
   (:meth:`~repro.proxytier.sharded.ShardedMVTSOManager.prepare_epoch`),
@@ -37,7 +37,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.config import ObladiConfig
 from repro.core.proxy import ObladiProxy
 from repro.sharding.data_layer import key_partition
-from repro.sim.scheduler import ParallelScheduler, ScheduledOp
 from repro.proxytier.sharded import ShardedMVTSOManager, ShardedVersionCache
 from repro.proxytier.worker import ProxyWorker
 
@@ -110,7 +109,6 @@ class ProxyCoordinator(ObladiProxy):
         self.data_layer.cache = cache
         for part in self.data_layer.partitions:
             part.handler.cache = cache
-        self._lane_scheduler = ParallelScheduler(max(1, count))
         self.lane_stats = CcLaneStats()
         self._worker_ops_before = [(0, 0)] * count
 
@@ -145,28 +143,23 @@ class ProxyCoordinator(ObladiProxy):
     def _charge_cc(self) -> None:
         """Charge pending CC operations as parallel worker lanes.
 
-        Each worker's drained operations form one schedulable unit of lane
-        work; with one lane per worker the makespan is the slowest worker —
-        the trusted-tier analogue of the data layer's partition-batch
-        fan-out.  A zero per-op cost drains the counters without touching
-        the clock, keeping ``cc_op_ms=0`` runs byte-identical to the single
-        proxy.
+        Each worker's drained operations run on that worker's own lane, so
+        nothing ever queues and the makespan is the slowest worker — the
+        trusted-tier analogue of the data layer's partition-batch fan-out.
+        A zero per-op cost drains the counters without touching the clock,
+        keeping ``cc_op_ms=0`` runs byte-identical to the single proxy.
         """
         cost = self.config.cost_model.cc_op_ms
         pending = [worker.take_pending_ops() for worker in self.workers]
         if cost <= 0 or not any(pending):
             return
         durations = [ops * cost for ops in pending]
-        lane_ops = [ScheduledOp(op_id=index, duration_ms=duration,
-                                tag=f"proxy-worker:{index}")
-                    for index, duration in enumerate(durations) if duration > 0]
-        makespan = self._lane_scheduler.makespan_ms(lane_ops)
+        makespan = max(durations)
         self.lane_stats.record(durations, makespan)
         for worker, duration in zip(self.workers, durations):
             worker.cpu_ms += duration
-        if makespan > 0:
-            self.clock.advance(makespan)
-            self.cc_cpu_ms += makespan
+        self.clock.advance(makespan)
+        self.cc_cpu_ms += makespan
 
     def _finalize_epoch(self, admitted, state) -> None:
         """Run the epoch barrier (2PC prepare), then finalise as usual.

@@ -106,10 +106,6 @@ class RecoveryManager:
     # ------------------------------------------------------------------ #
     # Normal-operation hooks
     # ------------------------------------------------------------------ #
-    def oram_cipher_key(self) -> bytes:
-        """Key the proxy's ORAM cipher must use so recovery can decrypt blocks."""
-        return derive_key(self.master_key, "oram-block")
-
     def log_read_batch(self, epoch_id: int, batch_index: int, keys: Sequence[str],
                        batch_size: int) -> None:
         """Durably log a read batch's access set before it executes."""

@@ -22,8 +22,8 @@ the available lanes the epoch's simulated batch duration is the *maximum*
 over partitions — exactly how :mod:`repro.oram.dependency` treats the
 independent slot fetches inside one batch.  When ``shards`` exceeds the
 lanes the fan-out is *staggered*: the per-partition durations are
-list-scheduled onto ``config.fanout_lanes`` lanes with a
-:class:`~repro.sim.scheduler.ParallelScheduler`, so the makespan lands
+list-scheduled, in partition order, onto ``config.fanout_lanes`` lanes (each
+goes to the lane that frees up first), so the makespan lands
 between the ideal-parallel bound (max) and the serial bound (sum) —
 strictly above the ideal bound whenever no single partition dominates.
 Each partition's executor runs with a deferred clock and the layer advances
@@ -33,6 +33,7 @@ the shared :class:`~repro.sim.clock.SimClock` once per fan-out.
 from __future__ import annotations
 
 import hashlib
+import heapq
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
@@ -40,7 +41,6 @@ from repro.core.config import ObladiConfig
 from repro.core.version_cache import VersionCache
 from repro.sharding.data_layer import DataLayer, build_partition, key_partition
 from repro.sim.clock import SimClock
-from repro.sim.scheduler import ParallelScheduler, ScheduledOp
 from repro.storage.backend import StorageServer
 from repro.storage.cluster import StorageCluster
 from repro.storage.namespace import NamespacedStorage, partition_prefix
@@ -88,7 +88,6 @@ class PartitionedDataLayer(DataLayer):
         self.clock = clock
         self.base_storage = storage
         self.cache = VersionCache()
-        self._fanout_scheduler = ParallelScheduler(config.fanout_lanes)
         self.fanout_stats = FanoutStats()
         cluster = storage if isinstance(storage, StorageCluster) else None
         if cluster is None and config.storage_servers > 1:
@@ -211,8 +210,10 @@ class PartitionedDataLayer(DataLayer):
         Every partition's deferred batch duration is one unit of schedulable
         work; with at least as many fan-out lanes as busy partitions the
         makespan is simply the slowest partition (ideal parallel fan-out),
-        otherwise the :class:`ParallelScheduler` staggers the batches across
-        the available lanes.
+        otherwise the batches are staggered: each, in partition order, runs
+        on the lane that frees up first — what :mod:`repro.sim.scheduler`'s
+        list scheduler does with independent operations, addition for
+        addition (``tests/props/test_property_timing.py``).
         """
         durations = [part.executor.take_deferred_ms() for part in self.partitions]
         lanes = self.config.fanout_lanes
@@ -220,10 +221,11 @@ class PartitionedDataLayer(DataLayer):
         if busy <= lanes:
             makespan = max(durations, default=0.0)
         else:
-            ops = [ScheduledOp(op_id=index, duration_ms=duration,
-                               tag=f"partition-batch:{index}")
-                   for index, duration in enumerate(durations) if duration > 0]
-            makespan = self._fanout_scheduler.makespan_ms(ops)
+            lane_free = [0.0] * lanes
+            for duration in durations:
+                if duration > 0:
+                    heapq.heapreplace(lane_free, lane_free[0] + duration)
+            makespan = max(lane_free)
         self.fanout_stats.record(durations, makespan, lanes)
         if makespan > 0:
             self.clock.advance(makespan)

@@ -10,9 +10,10 @@
   episode creation.
 * :mod:`repro.workloads.ycsb` — YCSB-style key-value microbenchmark used for
   the ORAM-level experiments of Figure 10.
-* :mod:`repro.workloads.driver` — legacy closed-loop entry points; the loop
-  itself lives in :mod:`repro.api.loop` and runs any workload against any
-  :class:`~repro.api.engine.TransactionEngine`.
+
+The loop drivers live in :mod:`repro.api.loop` / :mod:`repro.api.openloop`
+and run any workload against any
+:class:`~repro.api.engine.TransactionEngine`.
 """
 
 from repro.workloads.records import encode_record, decode_record
@@ -20,7 +21,6 @@ from repro.workloads.ycsb import YCSBWorkload, YCSBConfig
 from repro.workloads.tpcc import TPCCWorkload, TPCCConfig
 from repro.workloads.smallbank import SmallBankWorkload, SmallBankConfig
 from repro.workloads.freehealth import FreeHealthWorkload, FreeHealthConfig
-from repro.workloads.driver import run_obladi_closed_loop, run_baseline_closed_loop, WorkloadRun
 
 __all__ = [
     "encode_record",
@@ -33,7 +33,4 @@ __all__ = [
     "SmallBankConfig",
     "FreeHealthWorkload",
     "FreeHealthConfig",
-    "run_obladi_closed_loop",
-    "run_baseline_closed_loop",
-    "WorkloadRun",
 ]

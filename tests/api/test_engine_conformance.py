@@ -143,16 +143,6 @@ class TestEngineConstruction:
         with pytest.raises(KeyError):
             create_engine("postgres")
 
-    def test_legacy_aliases_resolve(self):
-        assert create_engine("2pl").name == "mysql"
-        assert create_engine("noprivproxy").name == "nopriv"
-
-    def test_legacy_result_types_are_run_stats(self):
-        from repro.baseline.common import BaselineRunResult
-        from repro.workloads.driver import WorkloadRun
-        assert BaselineRunResult is RunStats
-        assert WorkloadRun is RunStats
-
 
 class TestSubmission:
     def test_submit_commits_and_returns_value(self, engine):

@@ -2,12 +2,10 @@
 
 import pytest
 
-from repro.baseline.mysql_like import TwoPhaseLockingStore
-from repro.baseline.nopriv import NoPrivProxy
+from repro.api import ObladiEngine, create_engine
 from repro.concurrency.serializability import check_serializable
 from repro.core.config import ObladiConfig, RingOramConfig
 from repro.core.proxy import ObladiProxy
-from repro.workloads.driver import run_baseline_closed_loop, run_obladi_closed_loop
 from repro.workloads.freehealth import FreeHealthConfig, FreeHealthWorkload
 from repro.workloads.records import record_field
 from repro.workloads.smallbank import SmallBankConfig, SmallBankWorkload
@@ -32,16 +30,13 @@ class TestSmallBankEndToEnd:
             workload = SmallBankWorkload(SmallBankConfig(**workload_args))
             data = workload.initial_data()
             if system == "obladi":
-                proxy = obladi_for(data, "smallbank")
-                run = run_obladi_closed_loop(proxy, workload.transaction_factory,
-                                             total_transactions=40, clients=8)
-                ok, cycle = check_serializable(proxy.committed_history)
+                engine = ObladiEngine(obladi_for(data, "smallbank"))
             else:
-                baseline = NoPrivProxy() if system == "nopriv" else TwoPhaseLockingStore()
-                baseline.load_initial_data(data)
-                run = run_baseline_closed_loop(baseline, workload.transaction_factory,
-                                               total_transactions=40, clients=8)
-                ok, cycle = check_serializable(baseline.committed_history)
+                engine = create_engine(system)
+                engine.load_initial_data(data)
+            run = engine.run_closed_loop(workload.transaction_factory,
+                                         total_transactions=40, clients=8)
+            ok, cycle = check_serializable(engine.committed_history)
             assert run.committed > 0, system
             assert ok, f"{system}: {cycle}"
             results[system] = run
@@ -85,8 +80,8 @@ class TestTPCCEndToEnd:
                                            customers_per_district=4, items=40, seed=5))
         data = workload.initial_data()
         proxy = obladi_for(data, "tpcc")
-        run = run_obladi_closed_loop(proxy, workload.transaction_factory,
-                                     total_transactions=30, clients=6)
+        run = ObladiEngine(proxy).run_closed_loop(workload.transaction_factory,
+                                                  total_transactions=30, clients=6)
         assert run.committed > 0
         ok, cycle = check_serializable(proxy.committed_history)
         assert ok, cycle
@@ -112,8 +107,8 @@ class TestFreeHealthEndToEnd:
         workload = FreeHealthWorkload(FreeHealthConfig(num_patients=40, num_drugs=15, seed=3))
         data = workload.initial_data()
         proxy = obladi_for(data, "freehealth")
-        run = run_obladi_closed_loop(proxy, workload.transaction_factory,
-                                     total_transactions=30, clients=6)
+        run = ObladiEngine(proxy).run_closed_loop(workload.transaction_factory,
+                                                  total_transactions=30, clients=6)
         assert run.committed > 0
         assert run.abort_rate < 0.5
         ok, cycle = check_serializable(proxy.committed_history)

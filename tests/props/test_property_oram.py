@@ -10,6 +10,7 @@ from repro.analysis.obliviousness import (check_bucket_invariant,
                                           partition_traces,
                                           server_partition_traces,
                                           server_traces, trace_similarity)
+from repro.api import ObladiEngine
 from repro.core.client import Read, Write
 from repro.core.config import ObladiConfig, RingOramConfig
 from repro.core.proxy import ObladiProxy
@@ -203,9 +204,7 @@ class TestPartitionedObliviousness:
     def test_sharded_proxy_behaves_like_a_dictionary(self, seed):
         """Partitioning never changes answers: random read/write programs see
         exactly the values the reference dictionary predicts."""
-        from repro.api.adapters import wrap_engine
-        proxy = build_sharded_proxy(seed=seed)
-        engine = wrap_engine(proxy)
+        engine = ObladiEngine(build_sharded_proxy(seed=seed))
         reference = {f"k{i}": bytes([i % 251]) for i in range(64)}
         rng = random.Random(seed)
         for _ in range(4):

@@ -8,6 +8,11 @@ branch the inputs select, the result must be *exactly* what scheduling the
 DAG and applying the floors gives — every ``sim_*`` number downstream is a
 sum of these durations.  The reference DAG is written out here, independent
 of the builder under test.
+
+The two fan-outs above the ORAM — partition batches onto the proxy's fan-out
+lanes, CC work onto one lane per proxy worker — schedule independent
+operations only, so they use the closed form outright; the same oracle holds
+them.
 """
 
 import random
@@ -15,8 +20,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import ObladiConfig, RingOramConfig
 from repro.oram.dependency import (simulate_parallel_read_batch,
                                    simulate_parallel_write_batch)
+from repro.proxytier import build_proxy
 from repro.sim.latency import BACKENDS, CpuCostModel
 from repro.sim.scheduler import ParallelScheduler, ScheduledOp
 
@@ -71,6 +78,21 @@ def batch_settings(draw, sizes):
     return latency, parallelism, draw(st.booleans()), size, rng
 
 
+def tiny_proxy(**topology):
+    """A proxy over a 64-block tree; only its timing code is exercised."""
+    return build_proxy(ObladiConfig(
+        oram=RingOramConfig(num_blocks=64, z_real=4, block_size=64),
+        read_batches=2, read_batch_size=8, write_batch_size=8,
+        backend="dummy", durability=False, encrypt=False, seed=5, **topology))
+
+
+def scheduled_independent_ms(durations, lanes):
+    """Makespan of the positive ``durations``, in order, on ``lanes`` lanes."""
+    ops = [ScheduledOp(index, duration)
+           for index, duration in enumerate(durations) if duration > 0]
+    return ParallelScheduler(lanes).schedule(ops).makespan_ms
+
+
 class TestTimingEqualsScheduler:
     @settings(deadline=None)
     @given(batch_settings(lambda w: [0, 1, w // 2, w // 2 + 1, 4 * w]),
@@ -92,6 +114,31 @@ class TestTimingEqualsScheduler:
         assert (simulate_parallel_write_batch(slot_counts, latency, parallelism,
                                               encrypted=encrypted)
                 == scheduled_write_ms(slot_counts, latency, parallelism, encrypted))
+
+    @settings(deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 0.1, 3.7]) | st.floats(0.0, 1e4),
+                    min_size=2, max_size=12),
+           st.integers(1, 12))
+    def test_partition_fanout(self, durations, parallelism):
+        # Fewer lanes than busy partitions staggers the fan-out; otherwise
+        # the slowest partition decides.
+        layer = tiny_proxy(shards=len(durations), parallelism=parallelism).data_layer
+        for part, duration in zip(layer.partitions, durations):
+            part.executor.deferred_ms = duration
+        assert layer._advance_parallel() == scheduled_independent_ms(
+            durations, layer.config.fanout_lanes)
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(0, 5000), min_size=2, max_size=8),
+           st.sampled_from([0.01, 0.013]) | st.floats(1e-6, 1.0))
+    def test_cc_worker_lanes(self, pending, cc_op_ms):
+        proxy = tiny_proxy(proxy_workers=len(pending),
+                           cost_model=CpuCostModel(cc_op_ms=cc_op_ms))
+        for worker, ops in zip(proxy.workers, pending):
+            worker.pending_ops = ops
+        proxy._charge_cc()
+        assert proxy.cc_cpu_ms == scheduled_independent_ms(
+            [ops * cc_op_ms for ops in pending], len(pending))
 
 
 class TestWhichBatchesAreScheduled:

@@ -1,12 +1,11 @@
-"""Tests for the closed-loop workload drivers."""
+"""The closed loop over a real workload, on engines wrapping pre-built systems."""
 
 import pytest
 
+from repro.api import NoPrivEngine, ObladiEngine, RunStats
 from repro.baseline.nopriv import NoPrivProxy
 from repro.core.config import ObladiConfig, RingOramConfig
 from repro.core.proxy import ObladiProxy
-from repro.workloads.driver import (WorkloadRun, generate_mixed_factory_source,
-                                    run_baseline_closed_loop, run_obladi_closed_loop)
 from repro.workloads.smallbank import SmallBankConfig, SmallBankWorkload
 
 
@@ -15,52 +14,37 @@ def smallbank():
     return SmallBankWorkload(SmallBankConfig(num_accounts=60, seed=5))
 
 
-@pytest.fixture
-def obladi(smallbank):
+def obladi_engine(workload, **overrides):
     config = ObladiConfig(
         oram=RingOramConfig(num_blocks=512, z_real=8, block_size=192),
         read_batches=3, read_batch_size=24, write_batch_size=24,
-        backend="server", durability=False, seed=2,
-    )
+        backend="server", durability=False, seed=2, **overrides)
     proxy = ObladiProxy(config)
-    proxy.load_initial_data(smallbank.initial_data())
-    return proxy
+    proxy.load_initial_data(workload.initial_data())
+    return ObladiEngine(proxy)
 
 
-class TestDeprecationShim:
-    def test_obladi_driver_warns_and_points_at_create_engine(self, obladi, smallbank):
-        with pytest.warns(DeprecationWarning, match=r"repro\.api\.create_engine"):
-            run_obladi_closed_loop(obladi, smallbank.transaction_factory,
-                                   total_transactions=4, clients=2)
-
-    def test_baseline_driver_warns_and_points_at_create_engine(self, smallbank):
-        baseline = NoPrivProxy(backend="server")
-        baseline.load_initial_data(smallbank.initial_data())
-        with pytest.warns(DeprecationWarning, match=r"repro\.api\.create_engine"):
-            run_baseline_closed_loop(baseline, smallbank.transaction_factory,
-                                     total_transactions=4, clients=2)
+@pytest.fixture
+def obladi(smallbank):
+    return obladi_engine(smallbank)
 
 
-class TestShimForwardsTopologyStats:
-    """The legacy shims delegate to the unified loop, so the new per-server
-    and per-partition breakdowns must come through them unchanged."""
+@pytest.fixture
+def nopriv(smallbank):
+    baseline = NoPrivProxy(backend="server")
+    baseline.load_initial_data(smallbank.initial_data())
+    return NoPrivEngine(baseline)
 
-    def _sharded_proxy(self, smallbank, storage_servers):
-        config = ObladiConfig(
-            oram=RingOramConfig(num_blocks=512, z_real=8, block_size=192),
-            read_batches=3, read_batch_size=24, write_batch_size=24,
-            backend="server", durability=False, seed=2, encrypt=False,
-            shards=4, storage_servers=storage_servers,
-        )
-        proxy = ObladiProxy(config)
-        proxy.load_initial_data(smallbank.initial_data())
-        return proxy
 
-    def test_obladi_shim_forwards_per_server_stats(self, smallbank):
-        proxy = self._sharded_proxy(smallbank, storage_servers=4)
-        with pytest.warns(DeprecationWarning):
-            run = run_obladi_closed_loop(proxy, smallbank.transaction_factory,
-                                         total_transactions=12, clients=4)
+class TestRunReportsTopologyStats:
+    """A closed-loop run's own ``RunStats`` (not just the engine's lifetime
+    totals) carries the per-server and per-partition breakdowns."""
+
+    def test_obladi_run_reports_per_server_stats(self, smallbank):
+        engine = obladi_engine(smallbank, encrypt=False, shards=4,
+                               storage_servers=4)
+        run = engine.run_closed_loop(smallbank.transaction_factory,
+                                     total_transactions=12, clients=4)
         assert len(run.server_physical) == 4
         assert len(run.partition_physical) == 4
         # One homogeneous server per partition and no durability traffic:
@@ -70,27 +54,24 @@ class TestShimForwardsTopologyStats:
             assert server_reads == part_reads
         assert sum(r for r, _ in run.server_physical) > 0
 
-    def test_obladi_shim_reports_single_server_for_colocated(self, smallbank):
-        proxy = self._sharded_proxy(smallbank, storage_servers=1)
-        with pytest.warns(DeprecationWarning):
-            run = run_obladi_closed_loop(proxy, smallbank.transaction_factory,
-                                         total_transactions=12, clients=4)
+    def test_obladi_run_reports_single_server_for_colocated(self, smallbank):
+        engine = obladi_engine(smallbank, encrypt=False, shards=4,
+                               storage_servers=1)
+        run = engine.run_closed_loop(smallbank.transaction_factory,
+                                     total_transactions=12, clients=4)
         assert len(run.server_physical) == 1
         assert run.server_physical[0][0] == run.physical_reads
 
-    def test_baseline_shim_forwards_server_stats(self, smallbank):
-        baseline = NoPrivProxy(backend="server")
-        baseline.load_initial_data(smallbank.initial_data())
-        with pytest.warns(DeprecationWarning):
-            run = run_baseline_closed_loop(baseline, smallbank.transaction_factory,
-                                           total_transactions=12, clients=4)
+    def test_baseline_run_reports_server_stats(self, smallbank, nopriv):
+        run = nopriv.run_closed_loop(smallbank.transaction_factory,
+                                     total_transactions=12, clients=4)
         assert len(run.server_physical) == 1
         assert run.server_physical[0] == (run.physical_reads, run.physical_writes)
 
 
-class TestObladiDriver:
+class TestObladiClosedLoop:
     def test_closed_loop_commits_requested_transactions(self, obladi, smallbank):
-        run = run_obladi_closed_loop(obladi, smallbank.transaction_factory,
+        run = obladi.run_closed_loop(smallbank.transaction_factory,
                                      total_transactions=24, clients=6)
         assert run.committed + run.aborted >= 24
         assert run.committed > 0
@@ -99,47 +80,38 @@ class TestObladiDriver:
         assert run.throughput_tps > 0
 
     def test_latencies_collected_for_committed(self, obladi, smallbank):
-        run = run_obladi_closed_loop(obladi, smallbank.transaction_factory,
+        run = obladi.run_closed_loop(smallbank.transaction_factory,
                                      total_transactions=12, clients=4)
         assert len(run.latencies_ms) == run.committed
         assert run.average_latency_ms > 0
 
     def test_physical_work_recorded(self, obladi, smallbank):
-        run = run_obladi_closed_loop(obladi, smallbank.transaction_factory,
+        run = obladi.run_closed_loop(smallbank.transaction_factory,
                                      total_transactions=12, clients=4)
         assert run.physical_reads > 0
         assert run.physical_writes > 0
 
 
-class TestBaselineDriver:
-    def test_baseline_closed_loop(self, smallbank):
-        baseline = NoPrivProxy(backend="server")
-        baseline.load_initial_data(smallbank.initial_data())
-        run = run_baseline_closed_loop(baseline, smallbank.transaction_factory,
-                                       total_transactions=30, clients=6)
-        assert run.system == "nopriv"
+class TestBaselineClosedLoop:
+    def test_baseline_closed_loop(self, smallbank, nopriv):
+        run = nopriv.run_closed_loop(smallbank.transaction_factory,
+                                     total_transactions=30, clients=6)
         assert run.engine == "nopriv"
         assert run.committed > 0
         assert run.elapsed_ms > 0
 
-    def test_factory_source_adapter(self, smallbank):
-        source = generate_mixed_factory_source(smallbank)
-        program = source()()
+    def test_workload_transaction_factory_is_a_factory_source(self, smallbank):
+        program = smallbank.transaction_factory()()
         assert hasattr(program, "send")
 
 
-class TestWorkloadRunMetrics:
-    def test_workload_run_is_run_stats(self):
-        from repro.api import RunStats
-        assert WorkloadRun is RunStats
-
+class TestRunStatsMetrics:
     def test_zero_division_guards(self):
-        run = WorkloadRun(engine="x")
+        run = RunStats(engine="x")
         assert run.throughput_tps == 0.0
         assert run.average_latency_ms == 0.0
         assert run.abort_rate == 0.0
 
     def test_abort_rate(self):
-        run = WorkloadRun(engine="x", committed=8, aborted=2)
+        run = RunStats(engine="x", committed=8, aborted=2)
         assert run.abort_rate == pytest.approx(0.2)
-        assert run.system == "x"
