@@ -40,11 +40,25 @@ python -m pytest -q benchmarks/test_elasticity_smoke.py
 # Scheduled batches: benchmark traffic is timed from bucket counts alone
 # (repro.oram.dependency); a list-scheduled batch here means it has left
 # the decided-without-scheduling regime, and the step fails.
-echo "== perf: sealed vs written slots, scheduled batches (repo benchmark, traced smoke) =="
+# Storage read calls: the executor holds back the slot reads it does not
+# open, so the store is called once per opened plan, not once per path read
+# (262 calls against 144 path reads x 16 transactions here; 2299 before the
+# hold-back).  The step fails unless the calls are under half the path reads.
+echo "== perf: sealed vs written slots, scheduled batches, storage read calls (repo benchmark, traced smoke) =="
 traced_smoke=$(python bench/run.py --workload tpcc_durable --smoke --seed 17 --seconds 1 --trace 1)
-grep -E "^metric (crypto\.sealed_slots_per_txn|storage\.slots_written_per_txn|storage\.trace_events_per_txn|sim\.schedule_calls|sim\.schedule_ms_per_txn|oram\.self_ms_per_txn|oram\.eviction_ms_per_txn|recovery\.checkpoint_ms_per_txn) " <<<"$traced_smoke"
+grep -E "^metric (crypto\.sealed_slots_per_txn|storage\.slots_written_per_txn|storage\.trace_events_per_txn|sim\.schedule_calls|sim\.schedule_ms_per_txn|oram\.self_ms_per_txn|oram\.eviction_ms_per_txn|recovery\.checkpoint_ms_per_txn|storage\.read_batch_calls|oram\.path_reads_per_txn|crypto\.open_ms_per_txn) " <<<"$traced_smoke"
 grep -qE "^metric sim\.schedule_calls 0 " <<<"$traced_smoke" \
     || { echo "sim.schedule_calls is not 0 on tpcc_durable" >&2; exit 1; }
+read_calls=$(awk '$1 == "metric" && $2 == "storage.read_batch_calls" { print $3 }' <<<"$traced_smoke")
+path_reads=$(awk '$1 == "metric" && $2 == "oram.path_reads_per_txn" { print $3 }' <<<"$traced_smoke")
+committed=$(sed -nE 's/^round [0-9]+ traced .* committed=([0-9]+)\/.*/\1/p' <<<"$traced_smoke" | head -n 1)
+echo "storage.read_batch_calls $read_calls against $path_reads path reads/txn x $committed committed"
+held_back=$(awk -v calls="$read_calls" -v reads="$path_reads" -v txns="$committed" \
+    'BEGIN { print (calls != "" && 2 * calls < reads * txns) ? "yes" : "no" }')
+if [ "$held_back" != yes ]; then
+    echo "storage.read_batch_calls is not under half the path reads on tpcc_durable" >&2
+    exit 1
+fi
 
 # Tier-1 holds the fixed-seed drift gates (the golden smoke sim_digests and
 # adversary-trace hashes under tests/integration/) and, through the root

@@ -21,6 +21,11 @@ executes logical requests the way Section 7 of the paper describes:
 Setting ``buffer_writes=False`` disables the delayed-visibility optimisation
 (every eviction's write phase executes immediately); Figure 10d measures the
 difference.
+
+Most path reads of a padded batch fetch slots the proxy never opens.  Their
+storage keys are *held back* and ride with the next read that does open
+something (:meth:`EpochBatchExecutor._fetch_slots`), so the store is called
+once per opened plan, not once per path read.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from repro.oram.crypto import freshness_context
 from repro.oram.dependency import (simulate_parallel_read_batch,
                                    simulate_parallel_write_batch)
 from repro.oram.ring_oram import (BucketRewrite, PathReadPlan, RingOram, SlotRead,
-                                  slot_storage_key)
+                                  lost_real_slot, slot_storage_key)
 from repro.oram.stash import StashReason
 from repro.sim.latency import CpuCostModel, LatencyModel, get_latency_model
 
@@ -55,7 +60,19 @@ class EpochStats:
 
 
 class EpochBatchExecutor:
-    """Executes read/write batches for one Obladi proxy over one ORAM tree."""
+    """Executes read/write batches for one Obladi proxy over one ORAM tree.
+
+    The slot reads of one logical batch reach the store in several
+    ``read_batch`` calls (:meth:`_fetch_slots` decides how many), and the
+    modelled adversary cannot see where one call ends and the next begins.
+    The rows of an announced batch share their op, their ``batch_id``
+    (``-1``: the executor announced the batch itself) and their ``time_ms``:
+    every store an executor is built over — both ``build_storage`` branches,
+    ``ObladiProxy`` and ``harness.experiments._build_executor`` — has
+    ``charge_latency=False``, so the clock moves only when the executor
+    charges a whole batch.  ``AccessTrace.record_batch`` is ``n x record``,
+    and every :class:`~repro.recovery.crash.CrashPoint` is a batch boundary.
+    """
 
     def __init__(self, oram: RingOram, latency="server", parallelism: int = 64,
                  cost_model: Optional[CpuCostModel] = None,
@@ -82,6 +99,7 @@ class EpochBatchExecutor:
 
         # Epoch-scoped state
         self._read_cache: Dict[str, Optional[bytes]] = {}
+        self._held_back: List[str] = []      # keys registered as read, not yet sent
         self._buffered_rewrites: Dict[int, BucketRewrite] = {}   # latest per bucket
         self._rewrites_buffered_total = 0
         self.stats = EpochStats()
@@ -120,6 +138,7 @@ class EpochBatchExecutor:
         """Reset per-epoch state.  Buffered writes must have been flushed."""
         if self._buffered_rewrites:
             raise RuntimeError("previous epoch's buffered writes were never flushed")
+        self._check_nothing_held_back()
         self._read_cache.clear()
         self._rewrites_buffered_total = 0
         self.stats = EpochStats()
@@ -128,31 +147,44 @@ class EpochBatchExecutor:
         """Drop all buffered writes, none of them sealed yet (crash / abort)."""
         self._buffered_rewrites.clear()
         self._read_cache.clear()
+        self._held_back.clear()
         self._rewrites_buffered_total = 0
+
+    def _check_nothing_held_back(self) -> None:
+        """Held-back reads never outlive the batch that registered them."""
+        if self._held_back:
+            raise RuntimeError(
+                f"{len(self._held_back)} held-back slot reads were never sent")
 
     # ------------------------------------------------------------------ #
     # Physical fetch helpers
     # ------------------------------------------------------------------ #
     def _fetch_slots(self, slot_reads: Sequence[SlotRead],
                      physical: List[int]) -> Dict[int, bytes]:
-        """Fetch a plan's slots with one storage batch and one decrypt batch.
+        """Fetch a plan's slots; call the store only if the plan opens one.
 
         Each slot comes from the epoch write buffer (in plaintext), the
-        epoch read cache, or the server; all server misses of the plan are
-        issued as a *single* ``read_batch`` and all recovered real blocks are
-        opened with a *single*
-        :meth:`~repro.oram.crypto.CipherSuite.open_blocks` call.  One pass
-        over the plan formats each storage key once and appends the bucket id
-        of every server read to ``physical`` — all the batch timing needs.
+        epoch read cache, or the server.  One pass over the plan formats each
+        storage key once, registers every server read in the read cache,
+        appends its key to the held-back list and its bucket id to
+        ``physical`` — all the batch timing needs.  A plan that opens no
+        server slot (every padded request, most dummy levels of a real one)
+        stops there: nobody looks at the bytes, so its keys wait.  A plan
+        that does open one sends the list — the waiting keys and its own, in
+        the order they were registered — as a *single* ``read_batch`` and
+        opens its real blocks with a *single*
+        :meth:`~repro.oram.crypto.CipherSuite.open_blocks` call.
         A plan is fetched right after it is planned, so a slot of a bucket
         rewritten this epoch always names the bucket's *latest* buffered
         version: the buffer lookup is by bucket id plus a version compare.
-        Returns ``{block_id: value}`` for the real blocks recovered.
+        Returns ``{block_id: value}`` for the real blocks recovered; a real
+        slot the server has nothing for is an
+        :class:`~repro.oram.crypto.IntegrityError`.
         """
         cache = self._read_cache
         buffered_rewrites = self._buffered_rewrites
+        held_back = self._held_back
         fetched: Dict[int, bytes] = {}
-        missing: List[str] = []
         to_open: List[Tuple[str, int, int, int]] = []   # real slots: key, bucket, version, slot
         buffer_hits = 0
         for bucket_id, slot_index, version, expected_block in slot_reads:
@@ -166,30 +198,45 @@ class EpochBatchExecutor:
                 continue
             key = slot_storage_key(bucket_id, version, slot_index)
             if key not in cache:
-                cache[key] = None           # placeholder; filled below
-                missing.append(key)
+                cache[key] = None           # placeholder; filled when sent
+                held_back.append(key)
                 physical.append(bucket_id)
             if expected_block is not None:
                 to_open.append((key, bucket_id, version, slot_index))
         self.stats.local_buffer_hits += buffer_hits
-        if missing:
-            result = self.oram.storage.read_batch(missing, parallelism=1,
-                                                  record_batch=False)
-            cache.update(result.values)
-            self.stats.physical_reads += len(missing)
-            self.lifetime_stats.physical_reads += len(missing)
+        if not to_open:
+            return fetched
 
+        self._send_held_back()
         blobs: List[bytes] = []
         contexts: List[bytes] = []
         for key, bucket_id, version, slot_index in to_open:
-            blob = cache.get(key)
-            if blob is not None:
-                blobs.append(blob)
-                contexts.append(freshness_context(bucket_id, version, slot_index))
+            blob = cache[key]
+            if blob is None:
+                raise lost_real_slot(key)
+            blobs.append(blob)
+            contexts.append(freshness_context(bucket_id, version, slot_index))
         for block_id, value in self.oram.cipher.open_blocks(blobs, contexts):
             if block_id is not None:
                 fetched[block_id] = value
         return fetched
+
+    def _send_held_back(self) -> None:
+        """Issue every held-back slot read as one storage batch.
+
+        Called where the bytes, or their place in the adversary's trace, are
+        needed: by a plan that opens a slot, before a mid-batch write, and
+        before a logical batch charges its read time and returns.
+        """
+        held_back = self._held_back
+        if not held_back:
+            return
+        result = self.oram.storage.read_batch(held_back, parallelism=1,
+                                              record_batch=False)
+        self._read_cache.update(result.values)
+        self.stats.physical_reads += len(held_back)
+        self.lifetime_stats.physical_reads += len(held_back)
+        held_back.clear()
 
     def _buffer_rewrites(self, rewrites: Sequence[BucketRewrite]) -> None:
         """Buffer (or, if buffering is off, immediately apply) bucket rewrites."""
@@ -200,8 +247,10 @@ class EpochBatchExecutor:
                 self._buffered_rewrites[rewrite.bucket_id] = rewrite
                 self._rewrites_buffered_total += 1
             return
-        # Immediate write-back (delayed visibility disabled).
+        # Immediate write-back (delayed visibility disabled): the reads
+        # registered so far reach the store before the write does.
         if rewrites:
+            self._send_held_back()
             self._write_rewrites(rewrites)
 
     def _write_rewrites(self, rewrites: Sequence[BucketRewrite]) -> float:
@@ -218,10 +267,10 @@ class EpochBatchExecutor:
         self.stats.write_time_ms += elapsed
         return elapsed
 
-    def _run_maintenance(self, touched_buckets: Sequence[int],
+    def _run_maintenance(self, over_read: Sequence[int],
                          physical: List[int]) -> None:
-        """Early reshuffles for over-read buckets plus any due evict-path."""
-        for bid in self.oram.buckets_needing_reshuffle(touched_buckets):
+        """Early reshuffles for the ``over_read`` buckets plus any due evict-path."""
+        for bid in over_read:
             plan = self.oram.plan_early_reshuffle(bid)
             fetched = self._fetch_slots(plan.slot_reads, physical)
             rewrites = self.oram.complete_eviction(plan, fetched)
@@ -302,9 +351,9 @@ class EpochBatchExecutor:
                     leaf = self.oram.position_map.lookup_or_assign(bid)
                     self.oram.stash.put(bid, leaf, val, StashReason.EVICTION_RESIDUE)
 
-            touched = [bucket_id for bucket_id, _, _, _ in plan.slot_reads]
-            self._run_maintenance(touched, physical)
+            self._run_maintenance(plan.over_read, physical)
 
+        self._send_held_back()
         self._charge_read_time(physical)
         return results
 
@@ -335,6 +384,7 @@ class EpochBatchExecutor:
                 self.oram.access_count += 1
                 self._run_maintenance([], physical)
 
+        self._send_held_back()
         if physical:
             self._charge_read_time(physical)
 
@@ -352,6 +402,7 @@ class EpochBatchExecutor:
         buffered version of each bucket is sealed and written (write
         deduplication); intermediate versions never left the proxy.
         """
+        self._check_nothing_held_back()
         if not self._buffered_rewrites:
             self._read_cache.clear()
             return 0.0

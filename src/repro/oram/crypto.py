@@ -91,6 +91,11 @@ class CipherSuite:
         if self.block_size < 1:
             raise ValueError("block_size must be positive")
 
+    @property
+    def binds_context(self) -> bool:
+        """Whether a ciphertext depends on the context it is sealed under."""
+        return self.enabled and self.authenticated
+
     @functools.cached_property
     def _dummy_padded(self) -> bytes:
         """The padded plaintext every dummy slot of this suite shares."""

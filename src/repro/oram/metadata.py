@@ -147,15 +147,6 @@ class BucketMeta:
         self.valid = [bool(valid) for valid in valids]
         self._index_valid_dummies()
 
-    def needs_reshuffle(self, s_dummies: int) -> bool:
-        """Whether the bucket must be reshuffled before it can serve more reads.
-
-        Ring ORAM triggers an *early reshuffle* once a bucket has been
-        touched ``S`` times since its last write: at that point it may have
-        no valid dummies left to serve further accesses obliviously.
-        """
-        return self.reads_since_write >= s_dummies
-
     # ------------------------------------------------------------------ #
     # Serialisation (checkpointing)
     # ------------------------------------------------------------------ #

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.oram import path_math
-from repro.oram.crypto import CipherSuite, freshness_context
+from repro.oram.crypto import CipherSuite, IntegrityError, freshness_context
 from repro.oram.metadata import MetadataTable, shuffle_in_place
 from repro.oram.parameters import RingOramParameters
 from repro.oram.position_map import PositionMap
@@ -67,12 +67,17 @@ SlotRead = Tuple[int, int, int, Optional[int]]
 
 @dataclass
 class PathReadPlan:
-    """Plan for one logical path read (real or padded dummy request)."""
+    """Plan for one logical path read (real or padded dummy request).
+
+    ``over_read`` lists, in path order, the buckets this read brought to
+    ``S`` reads since their last rewrite: each must be early-reshuffled
+    before it serves another read.
+    """
 
     block_id: Optional[int]          # None = dummy request
     leaf: int
     slot_reads: List[SlotRead] = field(default_factory=list)
-    served_from_stash: bool = False
+    over_read: List[int] = field(default_factory=list)
     new_leaf: Optional[int] = None
 
 
@@ -110,6 +115,16 @@ def slot_key_prefix(bucket_id: int, version: int) -> str:
 def slot_storage_key(bucket_id: int, version: int, slot_index: int) -> str:
     """Storage key of one physical slot of one bucket version."""
     return f"oram/{bucket_id}/v{version}/s/{slot_index}"
+
+
+def lost_real_slot(key: str) -> IntegrityError:
+    """The error for a slot metadata records a real block in and the server lacks.
+
+    Skipping such a slot would deliver "never written" for a block the store
+    dropped; a *dummy* slot the server lacks (a bucket never written) is not
+    opened and is no event.
+    """
+    return IntegrityError(f"storage has nothing under {key!r}, which holds a real block")
 
 
 class RingOram:
@@ -176,11 +191,12 @@ class RingOram:
         """Plan the physical slot reads for one logical (or dummy) path read.
 
         Planning mutates client metadata: the touched slots are invalidated,
-        per-bucket read counters advance, and a real block is remapped to a
-        fresh leaf.  The physical reads *must* subsequently be issued (either
-        immediately by :meth:`read`/:meth:`write` or by the batch executor),
-        otherwise the bucket invariant bookkeeping would diverge from what
-        the server observed.
+        per-bucket read counters advance (a bucket that reaches ``S`` reads
+        since its last rewrite is reported in the plan's ``over_read``), and
+        a real block is remapped to a fresh leaf.  The physical reads *must*
+        subsequently be issued (either immediately by :meth:`read` /
+        :meth:`write` or by the batch executor), otherwise the bucket
+        invariant bookkeeping would diverge from what the server observed.
         """
         if block_id is not None:
             leaf = self.position_map.lookup_or_assign(block_id)
@@ -198,14 +214,18 @@ class RingOram:
         metadata = self.metadata
         buckets, dirty = metadata._buckets, metadata._dirty
         getrandbits = self.rng.getrandbits
+        s_dummies = self.params.s_dummies
         searching = block_id is not None
         slot_reads: List[SlotRead] = []
+        over_read: List[int] = []
         for bid in path_math.path_buckets(leaf, self.params.depth):
             meta = buckets.get(bid)
             if meta is None:
                 meta = metadata.bucket(bid)
             dirty.add(bid)
             meta.reads_since_write += 1
+            if meta.reads_since_write >= s_dummies:
+                over_read.append(bid)
             blocks, valid = meta.blocks, meta.valid
             if searching and block_id in blocks:
                 slot_index = blocks.index(block_id)
@@ -242,11 +262,10 @@ class RingOram:
                 # distinguish this from any other slot choice.
                 slot_reads.append((bid, 0, meta.version, None))
 
-        plan = PathReadPlan(block_id=block_id, leaf=leaf, slot_reads=slot_reads)
+        plan = PathReadPlan(block_id=block_id, leaf=leaf, slot_reads=slot_reads,
+                            over_read=over_read)
         if block_id is not None:
             plan.new_leaf = self.position_map.remap(block_id)
-            if searching and block_id in self.stash:
-                plan.served_from_stash = True
         return plan
 
     def plan_eviction(self) -> EvictionPlan:
@@ -361,25 +380,29 @@ class RingOram:
         real and dummy slots — is one
         :meth:`~repro.oram.crypto.CipherSuite.seal_blocks` call: a cipher
         call per slot costs more, one call per flush holds every bucket's
-        XOR temporaries at once.
+        XOR temporaries at once.  Each slot is bound to its own
+        ``(bucket, version, slot)`` context — unless the cipher binds none
+        (encryption or authentication off), and then none is built.
         """
         items: Dict[str, bytes] = {}
+        binds_context = self.cipher.binds_context
         for rewrite in rewrites:
             bucket_id, version = rewrite.bucket_id, rewrite.version
             contents = rewrite.plain_contents
-            sealed = self.cipher.seal_blocks([
-                (block_id, contents[block_id] if block_id is not None else b"",
-                 freshness_context(bucket_id, version, idx))
-                for idx, block_id in enumerate(rewrite.slot_blocks)])
+            if binds_context:
+                entries = [
+                    (block_id, contents[block_id] if block_id is not None else b"",
+                     freshness_context(bucket_id, version, idx))
+                    for idx, block_id in enumerate(rewrite.slot_blocks)]
+            else:
+                entries = [
+                    (block_id, contents[block_id] if block_id is not None else b"", b"")
+                    for block_id in rewrite.slot_blocks]
+            sealed = self.cipher.seal_blocks(entries)
             prefix = slot_key_prefix(bucket_id, version)
             for idx, blob in enumerate(sealed):
                 items[f"{prefix}{idx}"] = blob
         return items
-
-    def buckets_needing_reshuffle(self, bucket_ids: Sequence[int]) -> List[int]:
-        """Subset of ``bucket_ids`` that must be early-reshuffled."""
-        bucket, s_dummies = self.metadata.bucket, self.params.s_dummies
-        return [bid for bid in bucket_ids if bucket(bid).needs_reshuffle(s_dummies)]
 
     # ------------------------------------------------------------------ #
     # Physical execution (sequential mode)
@@ -391,11 +414,17 @@ class RingOram:
         return self.cipher.enabled
 
     def _decrypt_slot(self, slot: SlotRead, blob: Optional[bytes]) -> Optional[Tuple[int, bytes]]:
-        """Decrypt one fetched slot; returns (block_id, value) for real blocks."""
+        """Decrypt one fetched slot; returns (block_id, value) for real blocks.
+
+        A dummy slot is not opened; a real slot the server returned nothing
+        for is an :class:`IntegrityError`.
+        """
         self.clock.advance(self.cost_model.sequential_block_cost_ms(self._crypto_charged()))
         bucket_id, slot_index, version, expected_block = slot
-        if blob is None or expected_block is None:
+        if expected_block is None:
             return None
+        if blob is None:
+            raise lost_real_slot(slot_storage_key(bucket_id, version, slot_index))
         context = freshness_context(bucket_id, version, slot_index)
         block_id, value = self.cipher.open_block(blob, context)
         if block_id is None:
@@ -435,8 +464,9 @@ class RingOram:
         rewrites = self.complete_eviction(plan, fetched)
         self._write_rewrites(rewrites)
 
-    def _maybe_reshuffle(self, bucket_ids: Sequence[int]) -> None:
-        for bid in self.buckets_needing_reshuffle(bucket_ids):
+    def _maybe_reshuffle(self, over_read: Sequence[int]) -> None:
+        """Early-reshuffle the buckets a path read reported as over-read."""
+        for bid in over_read:
             plan = self.plan_early_reshuffle(bid)
             fetched = self._execute_slot_reads(plan.slot_reads)
             rewrites = self.complete_eviction(plan, fetched)
@@ -487,8 +517,7 @@ class RingOram:
             if bid not in self.stash:
                 self.stash.put(bid, leaf, val, StashReason.EVICTION_RESIDUE)
 
-        touched = [bucket_id for bucket_id, _, _, _ in plan.slot_reads]
-        self._maybe_reshuffle(touched)
+        self._maybe_reshuffle(plan.over_read)
         self._maybe_evict()
         return value if request.op is OramOp.READ else None
 

@@ -31,7 +31,7 @@ from repro.core.config import ObladiConfig
 from repro.oram.crypto import CipherSuite, freshness_context
 from repro.oram.position_map import PositionMap
 from repro.oram.metadata import MetadataTable
-from repro.oram.ring_oram import slot_storage_key
+from repro.oram.ring_oram import lost_real_slot, slot_storage_key
 from repro.oram.stash import Stash
 from repro.recovery.checkpoint import CheckpointSizes, CheckpointStore
 from repro.recovery.wal import WalRecord, WriteAheadLog
@@ -317,9 +317,11 @@ class RecoveryManager:
             result.bytes_read += sum(len(v) for v in fetched.values.values() if v)
             for slot_key, (bucket_id, slot_index, version, expected_block) in zip(
                     slot_keys, plan.slot_reads):
-                blob = fetched.values.get(slot_key)
-                if blob is None or expected_block is None:
+                if expected_block is None:
                     continue
+                blob = fetched.values.get(slot_key)
+                if blob is None:
+                    raise lost_real_slot(slot_key)
                 bid, value = part.cipher.open_block(
                     blob, freshness_context(bucket_id, version, slot_index))
                 if bid is not None and bid not in part.oram.stash:

@@ -111,16 +111,21 @@ class InMemoryStorageServer(StorageServer):
         self._check_available()
         # Validate the whole batch before anything is counted, stored or
         # traced: a bad payload must not leave a partially applied batch.
-        for key, payload in items.items():
-            if not isinstance(payload, (bytes, bytearray)):
-                raise TypeError(f"payload for {key!r} must be bytes, got {type(payload).__name__}")
+        # ``bytes`` payloads are immutable and are stored by reference; only
+        # a batch holding something else is looked at item by item, and only
+        # a ``bytearray`` (its owner may still mutate it) is copied.
+        if set(map(type, items.values())) != {bytes}:
+            for key, payload in items.items():
+                if not isinstance(payload, (bytes, bytearray)):
+                    raise TypeError(f"payload for {key!r} must be bytes, got {type(payload).__name__}")
+            items = {key: bytes(payload) for key, payload in items.items()}
         elapsed = self._batch_elapsed_ms(len(items), is_write=True, parallelism=parallelism)
         start_ms = self.clock.now_ms
         if self.charge_latency:
             self.clock.advance(elapsed)
         self.stats_writes += len(items)
         self.stats_batches += 1
-        self._data.update((key, bytes(payload)) for key, payload in items.items())
+        self._data.update(items)
         if self.trace is not None:
             batch_id = -1
             if record_batch:

@@ -64,9 +64,11 @@ class NamespacedStorage(StorageServer):
     # ------------------------------------------------------------------ #
     def read_batch(self, keys: Sequence[str], parallelism: int = 1,
                    record_batch: bool = True) -> BatchResult:
-        result = self.base.read_batch([self.prefix + key for key in keys],
-                                      parallelism=parallelism, record_batch=record_batch)
-        values = {key: result.values.get(self.prefix + key) for key in keys}
+        prefix = self.prefix
+        prefixed = [prefix + key for key in keys]
+        result = self.base.read_batch(prefixed, parallelism=parallelism,
+                                      record_batch=record_batch)
+        values = dict(zip(keys, map(result.values.get, prefixed)))
         return BatchResult(values=values, elapsed_ms=result.elapsed_ms,
                            request_count=result.request_count)
 

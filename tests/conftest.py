@@ -14,7 +14,8 @@ from repro.core.config import ObladiConfig, RingOramConfig
 from repro.core.proxy import ObladiProxy
 from repro.oram.crypto import CipherSuite
 from repro.oram.parameters import RingOramParameters
-from repro.oram.ring_oram import RingOram
+from repro.oram import path_math
+from repro.oram.ring_oram import RingOram, slot_storage_key
 from repro.sim.clock import SimClock
 from repro.storage.memory import InMemoryStorageServer
 
@@ -119,3 +120,14 @@ def read_write_program(read_key, write_key, value):
         return observed
 
     return program
+
+
+def tree_slot_key(oram, block_id):
+    """Storage key of the valid tree slot that holds ``block_id``."""
+    for bucket in path_math.path_buckets(oram.position_map.lookup(block_id),
+                                         oram.params.depth):
+        meta = oram.metadata.bucket(bucket)
+        slot = meta.slot_of_block(block_id)
+        if slot is not None:
+            return slot_storage_key(bucket, meta.version, slot)
+    raise AssertionError(f"block {block_id} is not in the tree")

@@ -10,10 +10,18 @@ rows ``(seq, time_ms, op, key, size_bytes, batch_id)`` plus its
 *before* the columnar metadata landed; a change that moves them changes what
 the adversary sees (an RNG draw moved, a slot choice or a version changed, a
 checkpoint grew) and must say so and re-record them in its own PR.
+
+A third engine runs with ``buffer_writes=False`` — two durable partitions
+sharing one server, so one trace — where every eviction writes its buckets
+in the middle of the batch that triggered it: the one configuration in which
+the executor's slot reads and its writes interleave inside a batch.  Its
+constant was recorded at the commit *before* the executor began holding back
+the reads it does not open.
 """
 
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -30,6 +38,9 @@ GOLDEN_SINGLE_DURABLE = [
 GOLDEN_SHARDED_TWO_SERVERS = [
     "eb16cd2e43bd82e38f84f22ab69e19355f0761ad8b2c038c62deae36804509e1",
     "476f87a7005e15fd1b699134b713199e05b07c93973fc842b3334eac2e790cf4",
+]
+GOLDEN_IMMEDIATE_WRITES = [
+    "d8751b7b1ec09e75f3aee8844b8e012ed2720c071c77c7c3534831bc378de39a",
 ]
 
 
@@ -105,3 +116,19 @@ def test_two_shards_on_two_storage_servers():
     run_waves(engine, random.Random(78), waves=10)
 
     assert server_hashes(engine) == GOLDEN_SHARDED_TWO_SERVERS
+
+
+def test_immediate_writes_interleave_with_reads_inside_a_batch():
+    config = replace(base_config(7).with_sharding(2).with_durability(
+        True, checkpoint_frequency=3).to_obladi_config(), buffer_writes=False)
+    engine = create_engine("obladi", config)
+    engine.load_initial_data({f"k{i}": f"v{i}".encode() for i in range(KEYS)})
+    run_waves(engine, random.Random(79), waves=10)
+
+    # Far more read-to-write switches than epochs: the writes are not one
+    # flush per epoch, they sit between the slot reads of the batches.
+    ops = [event.op.value for event in engine.storage.trace.events
+           if event.key.startswith("p0/oram/")]
+    assert sum(before == "read" and after == "write"
+               for before, after in zip(ops, ops[1:])) > 20
+    assert server_hashes(engine) == GOLDEN_IMMEDIATE_WRITES

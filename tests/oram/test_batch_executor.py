@@ -14,6 +14,8 @@ from repro.sim.clock import SimClock
 from repro.storage.backend import StorageOp
 from repro.storage.memory import InMemoryStorageServer
 
+from tests.conftest import tree_slot_key
+
 
 class CountingCipher(CipherSuite):
     """Counts what goes through ``encrypt_many`` — every ORAM slot seal does."""
@@ -323,6 +325,102 @@ class TestStorageFaults:
         executor.begin_epoch()
         with pytest.raises(IntegrityError):
             executor.execute_read_batch([block], batch_size=1)
+
+    def test_real_slot_the_store_lost_is_rejected_not_read_as_never_written(self):
+        executor, oram, storage = make_executor()
+        self._run_epochs(executor)
+        block = next(block for block in range(12) if block not in oram.stash)
+        lost = tree_slot_key(oram, block)
+        storage.delete_batch([lost])
+        executor.begin_epoch()
+        with pytest.raises(IntegrityError, match=lost):
+            executor.execute_read_batch([block], batch_size=1)
+
+    def test_outage_mid_batch_surfaces_and_a_fresh_epoch_works_after_abort(self):
+        executor, oram, storage = make_executor()
+        self._run_epochs(executor)
+        plan_path_read, plans = oram.plan_path_read, []
+
+        def failing_from_the_third_plan(block_id, force_dummy_path=None):
+            plans.append(block_id)
+            if len(plans) == 3:
+                storage.fail()
+            return plan_path_read(block_id, force_dummy_path)
+
+        oram.plan_path_read = failing_from_the_third_plan
+        executor.begin_epoch()
+        with pytest.raises(ConnectionError):
+            executor.execute_read_batch([], batch_size=8)
+        del oram.plan_path_read
+
+        executor.abort_epoch()
+        storage.recover()
+        executor.begin_epoch()
+        assert executor.execute_read_batch([3, 7], batch_size=4) == {
+            3: b"e2-3", 7: b"e2-7"}
+        executor.flush_epoch()
+
+
+class TestHeldBackReads:
+    """Reads nobody opens wait for one that is opened, never past their batch."""
+
+    @pytest.mark.parametrize("buffer_writes", [True, False])
+    def test_nothing_outlives_its_batch(self, buffer_writes):
+        executor, _, storage = make_executor(seed=5, buffer_writes=buffer_writes)
+
+        def reads_sent_by(batch_call, *args, **kwargs):
+            """Run one logical batch; every read it counted is in the trace."""
+            counted, rows = executor.stats.physical_reads, len(storage.trace)
+            written = storage.stats_writes          # immediate mode writes too
+            batch_call(*args, **kwargs)
+            assert executor._held_back == []
+            counted = executor.stats.physical_reads - counted
+            assert len(storage.trace) - rows == counted + storage.stats_writes - written
+            return counted
+
+        for epoch in range(4):
+            executor.begin_epoch()
+            for batch in ([1, 2, 30], [], [4]):
+                assert reads_sent_by(executor.execute_read_batch, batch, batch_size=8) > 0
+            writes = {i: b"w%d" % epoch for i in range(epoch, epoch + 5)}
+            assert reads_sent_by(executor.execute_write_batch, writes, batch_size=8) > 0
+            executor.flush_epoch()
+
+    def test_all_padding_batch_calls_the_store_once_per_maintenance_plus_one(self):
+        executor, _, storage = make_executor(seed=5)
+        TestStorageFaults._run_epochs(executor)
+        read_batch, calls = storage.read_batch, []
+
+        def counting(keys, parallelism=1, record_batch=True):
+            calls.append(len(keys))
+            return read_batch(keys, parallelism=parallelism, record_batch=record_batch)
+
+        storage.read_batch = counting
+        executor.begin_epoch()
+        assert executor.execute_read_batch([None] * 16) == {}
+        maintenance = executor.stats.evictions + executor.stats.early_reshuffles
+        assert maintenance > 0
+        assert len(calls) <= maintenance + 1 < 16
+        assert sum(calls) == executor.stats.physical_reads
+        executor.flush_epoch()
+
+    def test_abort_epoch_drops_held_back_reads(self):
+        executor, _, storage = make_executor()
+        executor.begin_epoch()
+        storage.fail()
+        with pytest.raises(ConnectionError):
+            executor.execute_read_batch([None, None])
+        assert executor._held_back
+        executor.abort_epoch()
+        assert executor._held_back == []
+
+    @pytest.mark.parametrize("lifecycle_call", ["begin_epoch", "flush_epoch"])
+    def test_leftover_held_back_read_is_an_error(self, lifecycle_call):
+        executor, _, _ = make_executor()
+        executor.begin_epoch()
+        executor._held_back.append(slot_storage_key(0, 0, 0))
+        with pytest.raises(RuntimeError, match="held-back"):
+            getattr(executor, lifecycle_call)()
 
 
 class TestAdversaryView:

@@ -5,6 +5,9 @@ import random
 import pytest
 
 from repro.oram.metadata import BucketMeta, MetadataTable
+from repro.oram.parameters import RingOramParameters
+from repro.oram.ring_oram import RingOram
+from repro.storage.memory import InMemoryStorageServer
 
 
 @pytest.fixture
@@ -74,12 +77,20 @@ class TestSlotAccounting:
         with pytest.raises(ValueError):
             meta.invalidate(0)
 
-    def test_needs_reshuffle_after_s_reads(self, table):
-        meta = table.bucket(0)
-        meta.reads_since_write = 6
-        assert meta.needs_reshuffle(s_dummies=6)
-        meta.reads_since_write = 5
-        assert not meta.needs_reshuffle(s_dummies=6)
+    def test_over_read_reported_on_the_sth_read_since_a_rewrite(self):
+        # Six dummy paths over distinct leaves: only the root, which lies on
+        # every path, reaches S = 6 reads, and only on the sixth.
+        params = RingOramParameters(num_blocks=32, z_real=4, s_dummies=6,
+                                    evict_rate=3, depth=3, block_size=64)
+        oram = RingOram(params, InMemoryStorageServer(), seed=2)
+        for leaf in range(5):
+            assert oram.plan_path_read(None, force_dummy_path=leaf).over_read == []
+        assert oram.plan_path_read(None, force_dummy_path=5).over_read == [0]
+        assert oram.metadata.bucket(0).reads_since_write == 6
+
+        oram.complete_eviction(oram.plan_early_reshuffle(0), {})
+        assert oram.metadata.bucket(0).reads_since_write == 0
+        assert oram.plan_path_read(None, force_dummy_path=6).over_read == []
 
     def test_valid_real_block_ids_excludes_invalidated(self, table):
         table.rewrite_bucket(0, [(1, b"a"), (2, b"b")])

@@ -6,12 +6,14 @@ import random
 import pytest
 
 from repro.oram import path_math
-from repro.oram.crypto import CipherSuite
+from repro.oram.crypto import CipherSuite, IntegrityError, freshness_context
 from repro.oram.parameters import RingOramParameters
-from repro.oram.ring_oram import (OramAccess, OramOp, RingOram, slot_key_prefix,
-                                  slot_storage_key)
+from repro.oram.ring_oram import (BucketRewrite, OramAccess, OramOp, RingOram,
+                                  slot_key_prefix, slot_storage_key)
 from repro.sim.clock import SimClock
 from repro.storage.memory import InMemoryStorageServer
+
+from tests.conftest import tree_slot_key
 
 
 def make_oram(seed=0, dummiless=False, depth=4, z=4, s=6, a=3, latency="dummy"):
@@ -277,3 +279,62 @@ class TestPhysicalBehaviour:
             second.write(block, bytes([block]))
         assert first.position_map.serialize_full() == second.position_map.serialize_full()
         assert first.eviction_count == second.eviction_count
+
+    def test_real_slot_the_store_lost_is_rejected_not_read_as_never_written(self):
+        oram, storage = make_oram(seed=0)
+        oram.bulk_load({block: b"v%d" % block for block in range(8)})
+        block = next(b for b in range(8) if b not in oram.stash)
+        lost = tree_slot_key(oram, block)
+        storage.delete_batch([lost])
+        with pytest.raises(IntegrityError, match=lost):
+            oram.read(block)
+
+
+class TestSealRewrites:
+    REWRITES = [
+        BucketRewrite(bucket_id=3, version=2, slot_blocks=[None, 5, None, 9, None],
+                      plain_contents={5: b"five", 9: b"nine"}),
+        BucketRewrite(bucket_id=4, version=1, slot_blocks=[None, None, 7],
+                      plain_contents={7: b"seven"}),
+    ]
+
+    @staticmethod
+    def sealed_with_a_context_per_slot(cipher, rewrites):
+        """Reference: every slot sealed under its own freshness context."""
+        items = {}
+        for rewrite in rewrites:
+            sealed = cipher.seal_blocks([
+                (block, rewrite.plain_contents.get(block, b""),
+                 freshness_context(rewrite.bucket_id, rewrite.version, slot))
+                for slot, block in enumerate(rewrite.slot_blocks)])
+            for slot, blob in enumerate(sealed):
+                items[slot_storage_key(rewrite.bucket_id, rewrite.version, slot)] = blob
+        return items
+
+    @pytest.mark.parametrize("suite", [dict(enabled=False), dict(authenticated=False)])
+    def test_cipher_that_binds_no_context_seals_the_same_items_without_one(
+            self, suite, monkeypatch):
+        monkeypatch.setattr("repro.oram.crypto.os.urandom", lambda n: b"\x07" * n)
+        oram, _ = make_oram()
+        oram.cipher = CipherSuite(key=b"k" * 32, block_size=72, **suite)
+        assert not oram.cipher.binds_context
+        items = oram.seal_rewrites(self.REWRITES)
+        assert items == self.sealed_with_a_context_per_slot(oram.cipher, self.REWRITES)
+        assert list(items) == [slot_storage_key(3, 2, slot) for slot in range(5)] + [
+            slot_storage_key(4, 1, slot) for slot in range(3)]
+
+    def test_default_suite_binds_every_slot_to_its_own_position_and_version(self):
+        oram, _ = make_oram()
+        assert oram.cipher.binds_context
+        items = oram.seal_rewrites(self.REWRITES)
+        for rewrite in self.REWRITES:
+            bucket, version = rewrite.bucket_id, rewrite.version
+            for slot, block in enumerate(rewrite.slot_blocks):
+                blob = items[slot_storage_key(bucket, version, slot)]
+                assert oram.cipher.open_block(
+                    blob, freshness_context(bucket, version, slot)) == (
+                        block, rewrite.plain_contents.get(block, b""))
+                for elsewhere in ((bucket + 1, version, slot), (bucket, version + 1, slot),
+                                  (bucket, version, slot + 1)):
+                    with pytest.raises(IntegrityError):
+                        oram.cipher.open_block(blob, freshness_context(*elsewhere))

@@ -6,10 +6,11 @@ from repro.core.client import Read, Write
 from repro.core.config import ObladiConfig, RingOramConfig
 from repro.core.errors import ProxyCrashedError
 from repro.core.proxy import ObladiProxy
+from repro.oram.crypto import IntegrityError
 from repro.recovery.crash import CrashInjector, CrashPoint
 from repro.recovery.manager import RecoveryManager, derive_key, recover_proxy
 
-from tests.conftest import read_program, write_program
+from tests.conftest import read_program, tree_slot_key, write_program
 
 
 @pytest.fixture
@@ -114,10 +115,28 @@ class TestRecovery:
         assert result.paths_replayed >= 1
         assert result.paths_ms > 0
 
+    def test_replay_over_a_real_slot_the_store_lost_is_rejected(
+            self, durable_proxy_with_history):
+        proxy = durable_proxy_with_history
+        part = proxy.data_layer.partitions[0]
+        # A key whose block the last checkpoint records in the tree: the
+        # replay of the aborted epoch's logged path will open that slot.
+        key = next(key for key in (f"k{i}" for i in range(10, 30))
+                   if part.directory.block_id(key) not in part.oram.stash)
+        lost = tree_slot_key(part.oram, part.directory.block_id(key))
+        injector = CrashInjector(proxy, crash_after_batches=1,
+                                 point=CrashPoint.AFTER_READ_BATCH)
+        injector.arm()
+        proxy.submit(read_program(key))
+        with pytest.raises(ProxyCrashedError):
+            proxy.run_epoch()
+        proxy.storage.delete_batch([lost])
+        with pytest.raises(IntegrityError, match=lost):
+            recover_proxy(proxy.storage, proxy.config, master_key=proxy.master_key)
+
     def test_wrong_master_key_cannot_recover(self, durable_proxy_with_history):
         proxy = durable_proxy_with_history
         proxy.crash()
-        from repro.oram.crypto import IntegrityError
         with pytest.raises(IntegrityError):
             recover_proxy(proxy.storage, proxy.config, master_key=b"wrong" * 8)
 

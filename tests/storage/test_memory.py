@@ -129,17 +129,30 @@ class TestTraceRecording:
 
 
 class TestWriteBatchAtomicity:
-    def test_bad_payload_leaves_nothing_applied(self, server):
+    @pytest.mark.parametrize("items", [
+        {"a": b"1", "kept": b"new", "c": "not bytes", "d": b"4"},
+        {"a": b"1", "kept": bytearray(b"new"), "d": b"4", "c": "not bytes"},    # bad one last
+    ])
+    def test_bad_payload_leaves_nothing_applied(self, server, items):
         """A bad payload mid-batch used to leave the items before it stored
         and traced, under counters already bumped for the whole batch."""
         server.write("kept", b"old")
         before = (server.stats_writes, server.stats_batches, server.clock.now_ms,
                   len(server.trace), server.trace.batch_shape(), server.snapshot())
-        with pytest.raises(TypeError, match="'c'"):
-            server.write_batch({"a": b"1", "kept": b"new", "c": "not bytes", "d": b"4"})
+        with pytest.raises(TypeError, match="payload for 'c' must be bytes, got str"):
+            server.write_batch(items)
         assert (server.stats_writes, server.stats_batches, server.clock.now_ms,
                 len(server.trace), server.trace.batch_shape(),
                 server.snapshot()) == before
+
+    def test_store_keeps_the_bytes_it_was_given_and_copies_what_can_change(self, server):
+        kept, mutable = b"immutable", bytearray(b"before")
+        server.write_batch({"kept": kept, "mutable": mutable})
+        mutable[:] = b"after!"
+        values = server.read_batch(["kept", "mutable"]).values
+        assert values == {"kept": b"immutable", "mutable": b"before"}
+        assert values["kept"] is kept                   # stored by reference
+        assert type(values["mutable"]) is bytes
 
 
 class TestFailureInjection:

@@ -50,8 +50,14 @@ class TestMixedPrefixIteration:
 
     def test_read_batch_round_trips_under_mixed_prefixes(self, base):
         view = NamespacedStorage(base, "p1/")
-        result = view.read_batch(["oram/1", "oram/2", "missing"])
+        keys = ["oram/1", "oram/2", "missing", "oram/1"]        # present, missing, repeated
+        result = view.read_batch(keys)
         assert result.values == {"oram/1": b"b", "oram/2": b"c", "missing": None}
+        assert list(result.values) == ["oram/1", "oram/2", "missing"]
+        assert result.request_count == 4
+        # The mapping a lookup per caller key under the prefix gives.
+        stored = base.snapshot()
+        assert result.values == {key: stored.get("p1/" + key) for key in keys}
 
     def test_delete_batch_only_touches_the_namespace(self, base):
         NamespacedStorage(base, "p1/").delete_batch(["oram/1"])
