@@ -1,7 +1,7 @@
 """Conflict repair vs retry at the contention knee.
 
 Retry — the default conflict strategy — re-queues an MVTSO conflict loser
-through backoff and re-executes it from scratch, so at a contended hotspot
+into the next wave and re-executes it from scratch, so at a contended hotspot
 every retry has roughly the same probability of losing again and offered
 load past the knee is amplified into wasted work.  Repair
 (:mod:`repro.concurrency.repair`) instead re-executes the loser against the

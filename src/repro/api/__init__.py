@@ -10,15 +10,15 @@ NoPriv and a MySQL-like store.  This package is that idea as an API:
   engine and both loop drivers return;
 * :func:`~repro.api.factory.create_engine` and the fluent
   :class:`~repro.api.factory.EngineConfig` — construction;
-* :func:`~repro.api.loop.run_closed_loop` and
-  :class:`~repro.api.loop.RetryPolicy` — the single shared closed-loop
-  driver with its retry/backoff policy;
+* :func:`~repro.api.loop.run_closed_loop` — the closed-loop driver: fill a
+  wave, ``submit_many``, account, re-queue the aborted programs that have
+  retries left (the one place anything is retried);
 * :func:`~repro.api.openloop.run_open_loop` with its pluggable
   :class:`~repro.api.openloop.ArrivalProcess`es
   (:class:`~repro.api.openloop.DeterministicArrivals`,
-  :class:`~repro.api.openloop.PoissonArrivals`) — the open-loop driver:
-  offered load through a bounded admission queue into batched waves, with
-  queueing delay measured separately from service latency.
+  :class:`~repro.api.openloop.PoissonArrivals`) — the same wave loop fed by
+  the clock: offered load through a bounded admission queue, with queueing
+  delay measured separately from service latency.
 
 Engines also expose an *observer seam* (``engine.attach_observer(...)``):
 passive observers — most notably the streaming serializability auditor of
@@ -35,7 +35,7 @@ from repro.api.engine import (EngineFeatureUnavailable, FactorySource,
                               ProgramFactory, TransactionEngine)
 from repro.api.factory import (DIAGNOSTIC_KINDS, ENGINE_KINDS, EngineConfig,
                                create_engine)
-from repro.api.loop import DEFAULT_RETRY_POLICY, RetryPolicy, run_closed_loop
+from repro.api.loop import run_closed_loop
 from repro.api.openloop import (ArrivalProcess, DeterministicArrivals,
                                 PoissonArrivals, run_open_loop)
 from repro.api.results import RunStats
@@ -53,8 +53,6 @@ __all__ = [
     "ArrivalProcess",
     "DeterministicArrivals",
     "PoissonArrivals",
-    "RetryPolicy",
-    "DEFAULT_RETRY_POLICY",
     "ObladiEngine",
     "NoPrivEngine",
     "MySQLEngine",

@@ -2,17 +2,18 @@
 
 Each adapter is thin: it owns one underlying system (the Obladi proxy, the
 NoPriv executor, or the strict-2PL store) and maps the uniform
-:class:`~repro.api.engine.TransactionEngine` surface onto it.  The closed
-loop, retry policy and result bookkeeping all live in :mod:`repro.api.loop`
-and :mod:`repro.api.results`; nothing here duplicates them.
+:class:`~repro.api.engine.TransactionEngine` surface onto it.  The wave
+loop, retrying and result bookkeeping all live in :mod:`repro.api.loop` and
+:mod:`repro.api.results`; nothing here duplicates them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import replace
+from typing import Dict, List, Sequence
 
 from repro.api.engine import ProgramFactory, TransactionEngine
-from repro.api.results import RunStats
+from repro.api.results import Counters, RunStats
 from repro.core.client import TransactionResult
 
 
@@ -50,6 +51,7 @@ class ObladiEngine(TransactionEngine):
         # reshard cutovers), so the engine's lifetime accounting survives
         # proxy replacement.
         self._retired = RunStats(engine=self.name)
+        self._retired_counters = Counters()
         self._retired_history: list = []
         # Live-resharding state (repro.elasticity): a staged plan waits for
         # the next wave boundary, a running migration rides epoch barriers,
@@ -83,17 +85,6 @@ class ObladiEngine(TransactionEngine):
         self._notify_wave(ordered)
         return ordered
 
-    def conflict_strategy(self) -> str:
-        """The proxy's configured conflict-resolution strategy.
-
-        Loop drivers default to this, so an engine built with
-        ``EngineConfig.with_conflict_strategy("repair")`` drives its waves
-        repair-aware without the call sites changing.  The repair itself
-        happens *inside* the proxy's epochs (``_repair_conflict_losers``);
-        the engine keeps the default ``repair_many`` of ``None``.
-        """
-        return self.proxy.config.conflict_strategy
-
     def open_loop_wave_limit(self) -> int:
         """One open-loop wave is one epoch: pipeline a full epoch batch.
 
@@ -108,46 +99,41 @@ class ObladiEngine(TransactionEngine):
         """Mirror the wave's admission-queue counters into its epoch summary."""
         if not self.proxy.epoch_summaries:
             return
-        from dataclasses import replace
         self.proxy.epoch_summaries[-1] = replace(self.proxy.epoch_summaries[-1],
                                                  queue_depth=queue_depth,
                                                  arrivals_dropped=dropped)
 
     # -- introspection -------------------------------------------------- #
     def stats(self) -> RunStats:
-        results = list(self.proxy.results.values())
-        reads, writes = self.io_counters()
         retired = self._retired
-        aborted = retired.aborted + self.proxy.stats_aborted
-        repair_failed = retired.repair_failed + self.proxy.stats_repair_failed
-        aborts_by_reason = dict(retired.aborts_by_reason)
+        # A copy of the retired proxies' totals, plus the live proxy's.
+        stats = replace(retired, latencies_ms=list(retired.latencies_ms),
+                        results=list(retired.results),
+                        aborts_by_reason=dict(retired.aborts_by_reason))
+        self._absorb(stats, self.proxy)
+        stats.elapsed_ms = self.clock.now_ms - self._start_ms
+        # Every abort wasted its attempt; a failed repair wasted one more on
+        # top (see ``account_final_result``).
+        stats.wasted_attempts = stats.aborted + stats.repair_failed
+        stats.migrations = tuple(self._migration_reports)
+        self.counters().write_to(stats)
+        return stats
+
+    @staticmethod
+    def _absorb(total: RunStats, proxy) -> None:
+        """Add one proxy incarnation's outcomes to ``total`` (not its counters)."""
+        results = list(proxy.results.values())
+        total.committed += proxy.stats_committed
+        total.aborted += proxy.stats_aborted
+        total.epochs += len(proxy.epoch_summaries)
+        total.latencies_ms.extend(r.latency_ms for r in results if r.committed)
+        total.results.extend(results)
+        total.repaired += proxy.stats_repaired
+        total.repair_failed += proxy.stats_repair_failed
         for result in results:
             if not result.committed and result.abort_reason:
-                aborts_by_reason[result.abort_reason] = (
-                    aborts_by_reason.get(result.abort_reason, 0) + 1)
-        return RunStats(
-            engine=self.name,
-            committed=retired.committed + self.proxy.stats_committed,
-            aborted=aborted,
-            elapsed_ms=self.clock.now_ms - self._start_ms,
-            epochs=retired.epochs + len(self.proxy.epoch_summaries),
-            physical_reads=reads,
-            physical_writes=writes,
-            latencies_ms=(list(retired.latencies_ms)
-                          + [r.latency_ms for r in results if r.committed]),
-            results=list(retired.results) + results,
-            cpu_ms=self.cpu_ms(),
-            partition_physical=self._partition_physical(),
-            server_physical=self.server_io_counters(),
-            worker_ops=self.worker_op_counters(),
-            repaired=retired.repaired + self.proxy.stats_repaired,
-            repair_failed=repair_failed,
-            # Every abort wasted its attempt; a failed repair wasted one
-            # more on top (see ``account_final_result``).
-            wasted_attempts=aborted + repair_failed,
-            aborts_by_reason=aborts_by_reason,
-            migrations=tuple(self._migration_reports),
-        )
+                total.aborts_by_reason[result.abort_reason] = (
+                    total.aborts_by_reason.get(result.abort_reason, 0) + 1)
 
     def _notify_run_end(self, stats: RunStats) -> None:
         """Stamp completed migration windows before observers see the stats.
@@ -159,25 +145,6 @@ class ObladiEngine(TransactionEngine):
         """
         stats.migrations = tuple(self._migration_reports)
         super()._notify_run_end(stats)
-
-    @staticmethod
-    def _merge_counters(current: List[Tuple[int, int]],
-                        retired: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
-        """Entry-wise sum of two (reads, writes) counter lists (ragged ok)."""
-        merged = []
-        for index in range(max(len(current), len(retired))):
-            reads = writes = 0
-            if index < len(current):
-                reads, writes = current[index]
-            if index < len(retired):
-                reads, writes = reads + retired[index][0], writes + retired[index][1]
-            merged.append((reads, writes))
-        return merged
-
-    def _partition_physical(self) -> List[Tuple[int, int]]:
-        """Lifetime per-partition I/O: current proxy plus retired proxies."""
-        return self._merge_counters(self.proxy.data_layer.per_partition_physical(),
-                                    self._retired.partition_physical)
 
     @property
     def clock(self):
@@ -194,41 +161,33 @@ class ObladiEngine(TransactionEngine):
         """The untrusted storage server (its trace is the adversary's view)."""
         return self.proxy.storage
 
-    def io_counters(self) -> Tuple[int, int]:
-        reads, writes = self.proxy.data_layer.lifetime_physical()
-        return (self._retired.physical_reads + reads,
-                self._retired.physical_writes + writes)
+    @staticmethod
+    def _proxy_counters(proxy) -> Counters:
+        """What one proxy incarnation counted (the storage tier outlives it)."""
+        reads, writes = proxy.data_layer.lifetime_physical()
+        # Per-worker CC operations exist on the sharded proxy tier only.
+        worker_totals = getattr(proxy, "worker_op_totals", None)
+        return Counters(
+            physical_reads=reads, physical_writes=writes,
+            partition_physical=proxy.data_layer.per_partition_physical(),
+            worker_ops=worker_totals() if worker_totals is not None else [],
+            cpu_ms=proxy.cc_cpu_ms)
 
-    def partition_io_counters(self) -> List[Tuple[int, int]]:
-        return self._partition_physical()
+    def counters(self) -> Counters:
+        """Lifetime counters: the current proxy's plus every retired proxy's.
 
-    def worker_op_counters(self) -> List[Tuple[int, int]]:
-        """Lifetime per-proxy-worker CC op counters (sharded proxy tier only).
-
-        Empty for the single-proxy path; merged across proxy incarnations
-        when crash/recover replaced the coordinator.
-        """
-        totals = getattr(self.proxy, "worker_op_totals", None)
-        current = totals() if totals is not None else []
-        return self._merge_counters(current, self._retired.worker_ops)
-
-    def cpu_ms(self) -> float:
-        """Simulated trusted-tier CC CPU charged so far (0 when unpriced)."""
-        return self._retired.cpu_ms + self.proxy.cc_cpu_ms
-
-    def server_io_counters(self) -> List[Tuple[int, int]]:
-        """Per-storage-server lifetime ``(reads, writes)`` request counters.
-
-        Read straight off the storage tier: the untrusted servers survive
-        proxy crashes (recovery reuses the same store), so their counters
-        are already lifetime totals and include durability traffic — this is
-        the per-node observer's ledger, not the data layer's ORAM I/O.
+        ``server_physical`` is read straight off the storage tier: the
+        untrusted servers survive proxy crashes (recovery reuses the same
+        store), so their counters are already lifetime totals and include
+        durability traffic — this is the per-node observer's ledger, not the
+        data layer's ORAM I/O.
         """
         storage = self.proxy.storage
-        servers = getattr(storage, "servers", None)
-        if servers is None:
-            return [(storage.stats_reads, storage.stats_writes)]
-        return [(server.stats_reads, server.stats_writes) for server in servers]
+        servers = getattr(storage, "servers", None) or [storage]
+        return replace(
+            self._retired_counters + self._proxy_counters(self.proxy),
+            server_physical=[(server.stats_reads, server.stats_writes)
+                             for server in servers])
 
     # -- elastic topology ------------------------------------------------ #
     @property
@@ -331,30 +290,8 @@ class ObladiEngine(TransactionEngine):
         ``self.proxy`` and must not lose the old incarnation's committed
         work, I/O counters or history.
         """
-        old_results = list(old.results.values())
-        self._retired.committed += old.stats_committed
-        self._retired.aborted += old.stats_aborted
-        self._retired.epochs += len(old.epoch_summaries)
-        self._retired.latencies_ms.extend(
-            r.latency_ms for r in old_results if r.committed)
-        self._retired.results.extend(old_results)
-        old_reads, old_writes = old.data_layer.lifetime_physical()
-        self._retired.physical_reads += old_reads
-        self._retired.physical_writes += old_writes
-        self._retired.partition_physical = self._merge_counters(
-            old.data_layer.per_partition_physical(),
-            self._retired.partition_physical)
-        old_worker_totals = getattr(old, "worker_op_totals", None)
-        self._retired.worker_ops = self._merge_counters(
-            old_worker_totals() if old_worker_totals is not None else [],
-            self._retired.worker_ops)
-        self._retired.cpu_ms += old.cc_cpu_ms
-        self._retired.repaired += old.stats_repaired
-        self._retired.repair_failed += old.stats_repair_failed
-        for result in old_results:
-            if not result.committed and result.abort_reason:
-                self._retired.aborts_by_reason[result.abort_reason] = (
-                    self._retired.aborts_by_reason.get(result.abort_reason, 0) + 1)
+        self._absorb(self._retired, old)
+        self._retired_counters += self._proxy_counters(old)
         self._retired_history.extend(old.committed_history)
 
     def recover(self):
@@ -390,12 +327,11 @@ class ObladiEngine(TransactionEngine):
         return report
 
 
-class _ClosedLoopBaselineEngine(TransactionEngine):
-    """Shared adapter over the baselines' discrete-event executors.
+class _BaselineEngine(TransactionEngine):
+    """Shared adapter over the baselines' wave executors.
 
-    A ``submit_many`` wave maps to one ``run_transactions`` call with as
-    many client slots as programs, with the executor's *internal* retries
-    disabled — retry/backoff across waves belongs to the shared closed loop.
+    A ``submit_many`` wave is one ``run_transactions`` call: one client slot
+    per program, every program's fate reported once.
     """
 
     def __init__(self, impl) -> None:
@@ -414,46 +350,35 @@ class _ClosedLoopBaselineEngine(TransactionEngine):
     def submit_many(self, programs: Sequence[ProgramFactory]) -> List[TransactionResult]:
         if not programs:
             return []
-        factories = [_as_factory(p) for p in programs]
-        wave = self.impl.run_transactions(factories, clients=len(factories),
-                                          retry_aborted=False)
-        self._absorb(wave)
-        # With retries off each factory resolves exactly once, and slots pick
-        # factories up in queue order with monotonically increasing txn ids,
-        # so sorting by id restores submission order.
-        ordered = sorted(wave.results, key=lambda r: r.txn_id)
-        self._notify_wave(ordered)
-        return ordered
-
-    def _absorb(self, wave: RunStats) -> None:
+        wave = self.impl.run_transactions([_as_factory(p) for p in programs])
         total = self._lifetime
         total.committed += wave.committed
         total.aborted += wave.aborted
-        total.retries += wave.retries
         total.cpu_ms += wave.cpu_ms
         total.epochs += 1
         total.latencies_ms.extend(wave.latencies_ms)
         total.results.extend(wave.results)
+        # Programs start in submission order with monotonically increasing
+        # txn ids, so sorting by id restores submission order.
+        ordered = sorted(wave.results, key=lambda r: r.txn_id)
+        self._notify_wave(ordered)
+        return ordered
 
     # -- introspection -------------------------------------------------- #
     def stats(self) -> RunStats:
         total = self._lifetime
-        reads, writes = self.io_counters()
         # Snapshot, not the live accumulator: callers may hold or mutate it.
-        return RunStats(
+        stats = RunStats(
             engine=self.name,
             committed=total.committed,
             aborted=total.aborted,
-            retries=total.retries,
             elapsed_ms=self.clock.now_ms - self._start_ms,
-            cpu_ms=total.cpu_ms,
             epochs=total.epochs,
-            physical_reads=reads,
-            physical_writes=writes,
             latencies_ms=list(total.latencies_ms),
             results=list(total.results),
-            server_physical=self.server_io_counters(),
         )
+        self.counters().write_to(stats)
+        return stats
 
     @property
     def clock(self):
@@ -467,24 +392,21 @@ class _ClosedLoopBaselineEngine(TransactionEngine):
     def storage(self):
         return self.impl.storage
 
-    def io_counters(self) -> Tuple[int, int]:
-        return (self.impl.storage.stats_reads, self.impl.storage.stats_writes)
-
-    def server_io_counters(self) -> List[Tuple[int, int]]:
-        """The baselines run one storage server; one counter entry."""
-        return [self.io_counters()]
-
-    def cpu_ms(self) -> float:
-        return self._lifetime.cpu_ms
+    def counters(self) -> Counters:
+        """Raw key I/O on the baseline's one storage server, and its CPU."""
+        storage = self.impl.storage
+        io = (storage.stats_reads, storage.stats_writes)
+        return Counters(physical_reads=io[0], physical_writes=io[1],
+                        server_physical=[io], cpu_ms=self._lifetime.cpu_ms)
 
 
-class NoPrivEngine(_ClosedLoopBaselineEngine):
+class NoPrivEngine(_BaselineEngine):
     """The paper's NoPriv baseline (MVTSO over plain remote storage)."""
 
     name = "nopriv"
 
 
-class MySQLEngine(_ClosedLoopBaselineEngine):
+class MySQLEngine(_BaselineEngine):
     """The MySQL/InnoDB stand-in (strict 2PL over local storage)."""
 
     name = "mysql"

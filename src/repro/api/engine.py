@@ -17,10 +17,10 @@ required wherever a program may be retried) or a bare generator object.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.client import (Read, Transaction, TransactionProgram,
-                               TransactionResult)
+from repro.api.results import Counters
+from repro.core.client import Read, Transaction, TransactionResult
 
 ProgramFactory = Callable[[], object]
 FactorySource = Callable[[], ProgramFactory]
@@ -68,9 +68,10 @@ class TransactionEngine(abc.ABC):
         """Execute a wave of programs concurrently.
 
         Results are returned in submission order (``results[i]`` is the fate
-        of ``programs[i]``).  This is the primitive the shared closed loop
-        builds on: for the Obladi proxy one wave is one epoch; for the
-        baselines it is one batch of concurrent client slots.
+        of ``programs[i]``).  This is the primitive both loop drivers build
+        on: for the Obladi proxy one wave is one epoch; for the baselines it
+        is one batch of concurrent client slots.  An engine runs the wave it
+        is given, once; retrying is the drivers' job.
         """
 
     def read(self, key: str) -> Optional[bytes]:
@@ -97,50 +98,17 @@ class TransactionEngine(abc.ABC):
     # ------------------------------------------------------------------ #
     def run_closed_loop(self, factory_source: FactorySource, total_transactions: int,
                         clients: int = 32, max_retries: int = 2,
-                        max_batches: int = 10_000, conflict_strategy=None):
+                        max_batches: int = 10_000):
         """Run ``total_transactions`` closed loop and return a ``RunStats``.
 
         All engines share one loop implementation
         (:func:`repro.api.loop.run_closed_loop`): ``clients`` concurrent
         slots, aborted transactions retried up to ``max_retries`` times.
-        ``conflict_strategy`` picks how aborted attempts are resolved
-        (``"retry"``/``"repair"`` or a
-        :class:`~repro.concurrency.repair.ConflictStrategy`); ``None``
-        defers to the engine's own preference (:meth:`conflict_strategy`).
         """
         from repro.api.loop import run_closed_loop
         return run_closed_loop(self, factory_source, total_transactions,
                                clients=clients, max_retries=max_retries,
-                               max_batches=max_batches,
-                               conflict_strategy=conflict_strategy)
-
-    def conflict_strategy(self) -> str:
-        """The conflict-resolution strategy this engine prefers.
-
-        Loop drivers consult this when the caller passes
-        ``conflict_strategy=None``: ``"retry"`` (the default) leaves every
-        abort to the drivers' re-queue path; the Obladi adapter reports its
-        proxy's configured strategy, so an engine built with
-        ``EngineConfig.with_conflict_strategy("repair")`` gets repair-aware
-        driving without every call site threading the knob through.
-        """
-        return "retry"
-
-    def repair_many(self, factories: Sequence[ProgramFactory]
-                    ) -> Optional[List[TransactionResult]]:
-        """Hook: repair a wave's aborted programs immediately, or ``None``.
-
-        :class:`~repro.concurrency.repair.RepairStrategy` offers the
-        factories of a wave's aborted attempts here.  Engines that can
-        re-execute them against the wave's winning state return one result
-        per factory (entries may be ``None`` for attempts they could not
-        take); returning ``None`` — the default — declares repair
-        unsupported, and every abort falls back to the retry path.  The
-        Obladi engine repairs *inside* the epoch instead (the proxy's
-        repair pass), so it keeps this default.
-        """
-        del factories
-        return None
+                               max_batches=max_batches)
 
     # ------------------------------------------------------------------ #
     # Open-loop execution
@@ -148,7 +116,7 @@ class TransactionEngine(abc.ABC):
     def run_open_loop(self, factory_source: FactorySource, total_transactions: int,
                       arrivals=None, clients: int = 32,
                       queue_limit: Optional[int] = None, max_retries: int = 2,
-                      max_waves: int = 100_000, conflict_strategy=None):
+                      max_waves: int = 100_000):
         """Offer ``total_transactions`` open loop and return a ``RunStats``.
 
         Arrivals follow ``arrivals`` — an
@@ -165,8 +133,7 @@ class TransactionEngine(abc.ABC):
         return run_open_loop(self, factory_source, total_transactions,
                              arrivals=arrivals, clients=clients,
                              queue_limit=queue_limit, max_retries=max_retries,
-                             max_waves=max_waves,
-                             conflict_strategy=conflict_strategy)
+                             max_waves=max_waves)
 
     def open_loop_wave_limit(self) -> Optional[int]:
         """Engine-specific cap on one open-loop wave's size, or ``None``.
@@ -246,41 +213,14 @@ class TransactionEngine(abc.ABC):
         """Committed transactions, for serializability checking."""
         return []
 
-    def io_counters(self) -> Tuple[int, int]:
-        """Cumulative ``(physical_reads, physical_writes)`` issued to storage."""
-        return (0, 0)
+    def counters(self) -> Counters:
+        """Snapshot of the engine's cumulative I/O, CC-operation and CPU counters.
 
-    def partition_io_counters(self) -> List[Tuple[int, int]]:
-        """Cumulative per-ORAM-partition ``(reads, writes)``, where sharded.
-
-        Engines without a partitioned data layer return an empty list (or a
-        single entry for one tree); the totals in :meth:`io_counters` are
-        always the sums of whatever this reports.
+        One :class:`~repro.api.results.Counters` value; the loop drivers
+        report a run as the difference of two snapshots.  The default is all
+        zeros and no per-partition / per-server / per-worker breakdown.
         """
-        return []
-
-    def server_io_counters(self) -> List[Tuple[int, int]]:
-        """Cumulative per-storage-server ``(reads, writes)`` request counters.
-
-        One entry per storage server of the engine's deployment — what each
-        node of the untrusted tier observed, durability traffic included.
-        Engines without per-server accounting return an empty list.
-        """
-        return []
-
-    def worker_op_counters(self) -> List[Tuple[int, int]]:
-        """Cumulative per-proxy-worker ``(cc_reads, cc_writes)`` counters.
-
-        One entry per trusted proxy worker for engines whose concurrency
-        control is sharded (``repro.proxytier``): the version-chain reads
-        and version installs each worker's slice performed.  Engines without
-        a sharded proxy tier return an empty list.
-        """
-        return []
-
-    def cpu_ms(self) -> float:
-        """Cumulative simulated proxy CPU, where the engine models it."""
-        return 0.0
+        return Counters()
 
     # ------------------------------------------------------------------ #
     # Elastic topology

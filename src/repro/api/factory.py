@@ -96,10 +96,6 @@ class EngineConfig:
     encrypt: Optional[bool] = None
     checkpoint_frequency: Optional[int] = None
 
-    # Locking behaviour (MySQL-like engine only).
-    local_execution: bool = True
-    exclusive_reads: bool = True
-
     # Fault plan (``buggy`` engine only): which violation kinds the wrapper
     # injects into the reported history, how many commits apart, and the
     # RNG seed for choosing victims.  ``None`` kinds = all known kinds.
@@ -212,9 +208,8 @@ class EngineConfig:
     def with_conflict_strategy(self, strategy: str) -> "EngineConfig":
         """Pick the conflict-resolution strategy (``"retry"``/``"repair"``).
 
-        ``"retry"`` (the default) aborts MVTSO conflict losers and lets the
-        loop drivers requeue them through ``RetryPolicy`` backoff —
-        byte-identical to the historical behaviour at fixed seeds.
+        ``"retry"`` (the default) aborts MVTSO conflict losers and leaves
+        them to the loop drivers, which re-queue them into the next wave.
         ``"repair"`` re-executes losers against the winning versions inside
         the epoch that detected the conflict, so salvaged transactions ride
         the same padded write batch instead of costing a full extra
@@ -388,10 +383,8 @@ def create_engine(kind: str,
     if normalized == "nopriv":
         from repro.baseline.nopriv import NoPrivProxy
         return NoPrivEngine(NoPrivProxy(backend=engine_config.backend, clock=clock,
-                                        storage=storage, seed=engine_config.seed))
+                                        storage=storage))
 
     from repro.baseline.mysql_like import TwoPhaseLockingStore
-    return MySQLEngine(TwoPhaseLockingStore(
-        backend=engine_config.backend, clock=clock, storage=storage,
-        seed=engine_config.seed, local_execution=engine_config.local_execution,
-        exclusive_reads=engine_config.exclusive_reads))
+    return MySQLEngine(TwoPhaseLockingStore(backend=engine_config.backend,
+                                            clock=clock, storage=storage))

@@ -7,8 +7,10 @@ trade-off (Figure 9) and epoch-size sensitivity (Figure 10) are statements
 about *offered load* — how the system behaves as arrivals approach and pass
 its service capacity — which only an open loop can express.
 
-:func:`run_open_loop` is that second driver, shared by every
-:class:`~repro.api.engine.TransactionEngine` exactly like the closed loop:
+:func:`run_open_loop` is that second driver.  It runs the same wave loop
+as the closed one (:func:`repro.api.loop.run_waves`: retries first, then
+fresh programs, ``submit_many``, account, re-queue up to ``max_retries``
+times) and differs only in where a wave's fresh programs come from:
 
 * an :class:`ArrivalProcess` (:class:`DeterministicArrivals` or seeded
   :class:`PoissonArrivals`) generates arrival instants on the engine's
@@ -16,21 +18,18 @@ its service capacity — which only an open loop can express.
   serving;
 * arrivals are admitted into a bounded admission queue (``queue_limit``);
   an arrival that finds the queue full is *dropped* and counted, never
-  executed;
-* queued work is drained in batched ``submit_many`` waves sized to the
-  engine (:meth:`~repro.api.engine.TransactionEngine.open_loop_wave_limit`:
-  the Obladi proxy pipelines full epoch read batches, the baselines drain
+  executed.  Retries were admitted once already and bypass the bound;
+* waves are sized to the engine
+  (:meth:`~repro.api.engine.TransactionEngine.open_loop_wave_limit`: the
+  Obladi proxy pipelines full epoch read batches, the baselines drain
   whatever is queued up to ``clients``);
 * queueing delay (arrival/re-queue to wave dispatch) is recorded separately
   from service latency, so :class:`~repro.api.results.RunStats` can report
   offered vs achieved throughput and queue-inclusive latency percentiles.
 
-Retry semantics mirror the closed loop: an aborted attempt re-enters a
-retry pool that is served ahead of fresh arrivals (retries are already
-admitted, so they bypass the queue bound), up to ``max_retries`` times.
-With unbounded arrivals (``arrivals=None``) and ``clients=1`` the wave
-schedule degenerates to the closed loop's, which the conformance suite pins
-as an invariant.
+With unbounded arrivals (``arrivals=None``) and ``clients=1`` every program
+is admitted at the start and each wave takes one, which is the closed loop's
+schedule; ``tests/api/test_loop.py`` and the conformance suite pin it.
 
 One boundary rule matters enough to state: an arrival whose instant lands
 *exactly* on a wave boundary (``arrival_ms == clock.now_ms`` when admission
@@ -46,9 +45,10 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Iterator, List, Optional, Tuple, Union
+from typing import Deque, Iterator, Optional, Tuple, Union
 
 from repro.api.engine import FactorySource, ProgramFactory, TransactionEngine
+from repro.api.loop import ProgramSupply, run_waves
 from repro.api.results import RunStats
 
 
@@ -139,22 +139,70 @@ def as_arrival_process(arrivals: Union[ArrivalProcess, float, None]
                     f"or None; got {type(arrivals).__name__}")
 
 
+class _AdmissionQueue(ProgramSupply):
+    """The open loop's supply: arrivals admitted by the clock, bounded queue.
+
+    Every arrival whose instant has passed (inclusive: an arrival exactly on
+    a wave boundary joins that wave, once) is drawn from ``factory_source``
+    and queued, or dropped and counted when the queue is full.  When nothing
+    else can run, the clock jumps to the next arrival instant — the
+    generator is the only idle party; the engine's time only advances by its
+    own work.
+    """
+
+    queued = True
+
+    def __init__(self, engine: TransactionEngine, stats: RunStats,
+                 process: ArrivalProcess, factory_source: FactorySource,
+                 total: int, queue_limit: Optional[int]) -> None:
+        self._engine = engine
+        self._stats = stats
+        self._gaps = process.intervals()
+        self._source = factory_source
+        self._remaining = total
+        self._queue_limit = queue_limit
+        self._queue: Deque[Tuple[ProgramFactory, float]] = deque()
+        self._next_arrival_ms = engine.clock.now_ms + next(self._gaps)
+
+    def _admit_through(self, now_ms: float) -> None:
+        stats, queue = self._stats, self._queue
+        while self._remaining > 0 and self._next_arrival_ms <= now_ms:
+            self._remaining -= 1
+            stats.offered += 1
+            if self._queue_limit is not None and len(queue) >= self._queue_limit:
+                stats.dropped += 1
+            else:
+                queue.append((self._source(), self._next_arrival_ms))
+                stats.max_queue_depth = max(stats.max_queue_depth, len(queue))
+            self._next_arrival_ms += next(self._gaps)
+
+    def fresh(self, room, idle):
+        clock = self._engine.clock
+        self._admit_through(clock.now_ms)
+        while idle and not self._queue and self._remaining > 0:
+            clock.advance_to(self._next_arrival_ms)
+            self._admit_through(clock.now_ms)
+        return [self._queue.popleft()
+                for _ in range(max(0, min(room, len(self._queue))))]
+
+    def backlog(self) -> int:
+        return len(self._queue)
+
+
 def run_open_loop(engine: TransactionEngine, factory_source: FactorySource,
                   total_transactions: int,
                   arrivals: Union[ArrivalProcess, float, None] = None,
                   clients: int = 32, queue_limit: Optional[int] = None,
-                  max_retries: int = 2, max_waves: int = 100_000,
-                  conflict_strategy=None) -> RunStats:
+                  max_retries: int = 2, max_waves: int = 100_000) -> RunStats:
     """Offer ``total_transactions`` to ``engine`` according to ``arrivals``.
 
-    Each iteration admits every arrival whose instant has passed into the
-    bounded admission queue (capacity ``queue_limit``; ``None`` = unbounded;
-    a full queue drops the arrival), then dispatches one wave — retries
-    first, then queued arrivals in FIFO order — of at most
-    ``min(clients, engine.open_loop_wave_limit())`` programs through
-    ``engine.submit_many``.  When the queue is empty and arrivals remain,
-    the clock jumps to the next arrival instant (the generator is the only
-    idle party; the engine's time only advances by its own work).
+    Before each wave every arrival whose instant has passed is admitted into
+    the bounded admission queue (capacity ``queue_limit``; ``None`` =
+    unbounded; a full queue drops the arrival); the wave then takes retries
+    first and queued arrivals in FIFO order, at most
+    ``min(clients, engine.open_loop_wave_limit())`` programs
+    (:func:`repro.api.loop.run_waves`).  When nothing is pending and
+    arrivals remain, the clock jumps to the next arrival instant.
 
     Queueing delay — admission (or re-queue, for retries) to wave dispatch —
     is recorded per committing attempt in ``RunStats.queue_delays_ms``,
@@ -163,92 +211,11 @@ def run_open_loop(engine: TransactionEngine, factory_source: FactorySource,
     :class:`~repro.api.results.RunStats`.  ``max_waves`` bounds the loop for
     pathological configurations, exactly like the closed loop's
     ``max_batches``.
-
-    ``conflict_strategy`` mirrors the closed loop's: the wave's aborted
-    attempts are offered to the strategy before the retry pool sees them
-    (``None`` defers to the engine's preference).
     """
-    from repro.api.loop import (CounterBaseline, account_final_result,
-                                resolve_conflict_strategy)
-    from repro.concurrency.repair import WaveEntry
-
-    process = as_arrival_process(arrivals)
-    strategy = resolve_conflict_strategy(engine, conflict_strategy)
     stats = RunStats(engine=engine.name)
-    baseline = CounterBaseline.capture(engine)
-    start_ms = baseline.start_ms
-
     wave_limit = engine.open_loop_wave_limit()
     capacity = clients if wave_limit is None else min(clients, max(1, wave_limit))
-
-    gaps = process.intervals()
-    next_arrival_ms = start_ms + next(gaps)
-    generated = 0
-    # Admission queue of (factory, enqueued_ms); retries carry their attempt
-    # count and travel in a separate pool served first (as in the closed
-    # loop), since they were already admitted once.
-    queue: Deque[Tuple[ProgramFactory, float]] = deque()
-    retry_pool: List[Tuple[ProgramFactory, int, float]] = []
-
-    def admit_through(now_ms: float) -> None:
-        """Admit every arrival with ``arrival_ms <= now_ms`` (inclusive:
-        an arrival exactly on the boundary joins this wave, once)."""
-        nonlocal generated, next_arrival_ms
-        while generated < total_transactions and next_arrival_ms <= now_ms:
-            generated += 1
-            stats.offered += 1
-            if queue_limit is not None and len(queue) >= queue_limit:
-                stats.dropped += 1
-            else:
-                queue.append((factory_source(), next_arrival_ms))
-                stats.max_queue_depth = max(stats.max_queue_depth, len(queue))
-            next_arrival_ms += next(gaps)
-
-    while stats.epochs < max_waves:
-        admit_through(engine.clock.now_ms)
-        if not retry_pool and not queue:
-            if generated < total_transactions:
-                engine.clock.advance_to(next_arrival_ms)
-                continue
-            break
-
-        dispatch_ms = engine.clock.now_ms
-        wave: List[Tuple[ProgramFactory, int, float]] = []
-        while retry_pool and len(wave) < capacity:
-            wave.append(retry_pool.pop(0))
-        while queue and len(wave) < capacity:
-            factory, enqueued_ms = queue.popleft()
-            wave.append((factory, 0, enqueued_ms))
-        if not wave:
-            # Work is pending but the wave capacity admits none of it
-            # (non-positive ``clients``): stop, as the closed loop does,
-            # instead of spinning max_waves empty submissions.
-            break
-        backlog = len(queue)
-
-        results = engine.submit_many([factory for factory, _, _ in wave])
-        stats.epochs += 1
-        engine.record_open_loop_wave(queue_depth=backlog, dropped=stats.dropped)
-
-        replacements = strategy.resolve(engine, [
-            WaveEntry(index=i, factory=factory, attempts=attempts, result=result)
-            for i, ((factory, attempts, _), result) in enumerate(zip(wave, results))
-            if not result.committed])
-        for i, ((factory, attempts, enqueued_ms), result) in enumerate(zip(wave, results)):
-            final = replacements.get(i, result)
-            stats.results.append(final)
-            account_final_result(stats, final)
-            if final.committed:
-                stats.committed += 1
-                stats.latencies_ms.append(final.latency_ms)
-                stats.queue_delays_ms.append(dispatch_ms - enqueued_ms)
-            else:
-                stats.aborted += 1
-                if attempts < max_retries:
-                    retry_pool.append((factory, attempts + 1,
-                                       engine.clock.now_ms))
-                    stats.retries += 1
-
-    baseline.finalize(stats, engine)
-    engine._notify_run_end(stats)
-    return stats
+    supply = _AdmissionQueue(engine, stats, as_arrival_process(arrivals),
+                             factory_source, total_transactions, queue_limit)
+    return run_waves(engine, stats, supply, capacity=capacity,
+                     max_retries=max_retries, max_waves=max_waves)

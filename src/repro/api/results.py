@@ -7,10 +7,64 @@ be computed without knowing which system produced a run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from itertools import islice, zip_longest
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple
 
 from repro.core.client import TransactionResult
+
+CounterList = List[Tuple[int, int]]
+
+
+@dataclass(frozen=True)
+class Counters:
+    """One snapshot of an engine's cumulative counters.
+
+    What :meth:`TransactionEngine.counters() <repro.api.engine.
+    TransactionEngine.counters>` returns.  Every field is named after, and
+    means the same as, the :class:`RunStats` field it ends up in; the three
+    lists hold one ``(reads, writes)`` pair per partition / storage server /
+    proxy worker and are empty where an engine has no such breakdown.
+
+    ``after - before`` is what happened in between, entry by entry over
+    ``after``'s entries: an engine may grow entries mid-run (a reshard adds
+    partitions), and an entry ``before`` lacks counts from zero.  ``a + b``
+    sums two engines' worth (a retired proxy's and its successor's) over the
+    longer of each pair of lists.
+    """
+
+    physical_reads: int = 0
+    physical_writes: int = 0
+    partition_physical: CounterList = field(default_factory=list)
+    server_physical: CounterList = field(default_factory=list)
+    worker_ops: CounterList = field(default_factory=list)
+    cpu_ms: float = 0.0
+
+    def _combine(self, other: "Counters", op, length) -> "Counters":
+        def pairs(mine: CounterList, theirs: CounterList) -> CounterList:
+            padded = zip_longest(mine, theirs, fillvalue=(0, 0))
+            return [(op(a[0], b[0]), op(a[1], b[1]))
+                    for a, b in islice(padded, length(len(mine), len(theirs)))]
+
+        return Counters(
+            physical_reads=op(self.physical_reads, other.physical_reads),
+            physical_writes=op(self.physical_writes, other.physical_writes),
+            partition_physical=pairs(self.partition_physical, other.partition_physical),
+            server_physical=pairs(self.server_physical, other.server_physical),
+            worker_ops=pairs(self.worker_ops, other.worker_ops),
+            cpu_ms=op(self.cpu_ms, other.cpu_ms))
+
+    def __sub__(self, other: "Counters") -> "Counters":
+        return self._combine(other, operator.sub, lambda mine, theirs: mine)
+
+    def __add__(self, other: "Counters") -> "Counters":
+        return self._combine(other, operator.add, max)
+
+    def write_to(self, stats: "RunStats") -> None:
+        """Set ``stats``' six counter fields from this value."""
+        for spec in fields(self):
+            setattr(stats, spec.name, getattr(self, spec.name))
 
 
 @dataclass

@@ -123,14 +123,6 @@ class BuggyEngine(TransactionEngine):
         """The *corrupted* committed history (the lie under audit)."""
         return list(self._history)
 
-    def conflict_strategy(self) -> str:
-        """The inner engine's preferred conflict strategy (pass-through)."""
-        return self.inner.conflict_strategy()
-
-    def repair_many(self, factories):
-        """Delegate driver-level repair to the inner engine (usually ``None``)."""
-        return self.inner.repair_many(factories)
-
     def open_loop_wave_limit(self):
         """Delegate the wave-size cap to the wrapped engine."""
         return self.inner.open_loop_wave_limit()
@@ -139,25 +131,9 @@ class BuggyEngine(TransactionEngine):
         """Forward open-loop queue accounting to the wrapped engine."""
         self.inner.record_open_loop_wave(queue_depth, dropped)
 
-    def io_counters(self):
-        """The wrapped engine's physical I/O counters."""
-        return self.inner.io_counters()
-
-    def partition_io_counters(self):
-        """The wrapped engine's per-partition I/O counters."""
-        return self.inner.partition_io_counters()
-
-    def server_io_counters(self):
-        """The wrapped engine's per-server I/O counters."""
-        return self.inner.server_io_counters()
-
-    def worker_op_counters(self):
-        """The wrapped engine's per-proxy-worker CC op counters."""
-        return self.inner.worker_op_counters()
-
-    def cpu_ms(self) -> float:
-        """The wrapped engine's simulated CPU."""
-        return self.inner.cpu_ms()
+    def counters(self):
+        """The wrapped engine's cumulative counters."""
+        return self.inner.counters()
 
     def crash(self) -> None:
         """Crash the wrapped engine (the corrupted history is retained)."""

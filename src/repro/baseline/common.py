@@ -1,92 +1,172 @@
-"""Shared infrastructure for the closed-loop baseline executors.
+"""The wave simulator both baseline executors share.
 
-Both baselines execute transaction programs (the same generator programs the
-Obladi proxy runs) in a closed loop with ``C`` concurrent client slots over a
-simulated clock:
+A baseline's primitive is "run this wave": every program of the wave starts
+at the wave's instant in a client slot of its own, and the programs are
+interleaved at *operation* granularity over a simulated clock —
 
-* each client slot runs one transaction at a time and advances its own local
-  time as its operations incur storage round trips;
-* the proxy's CPU is a shared, serial resource: every operation also charges
-  a small CPU cost to a global accumulator, and the run's makespan is the
+* each slot runs its one transaction and advances its own local time as the
+  operations incur storage round trips;
+* the slot with the earliest local time executes its next operation (not its
+  whole transaction) before control moves on, which is what exposes
+  conflicts exactly where concurrent executions would produce them;
+* the proxy's CPU is a shared, serial resource: operations also charge a
+  small CPU cost to a global accumulator, and the wave's makespan is the
   larger of "last client finished" and "total CPU demanded" — this is how
   the ``dummy``/LAN configurations become CPU-bound while WAN configurations
   stay I/O-bound, as in the paper.
 
-Run results are :class:`repro.api.results.RunStats`, the unified result type
-of the engine layer.  The retry/backoff bookkeeping both executors share
-lives in :func:`record_attempt`, parameterised by the engine layer's
-:class:`~repro.api.loop.RetryPolicy`.
+:class:`WaveExecutor` is that event loop, written once.  The two baselines
+specialise what one operation does and what it means to be stuck:
+:class:`~repro.baseline.nopriv.NoPrivProxy` parks transactions that wait for
+uncommitted writers, :class:`~repro.baseline.mysql_like.TwoPhaseLockingStore`
+parks lock waiters and aborts deadlock victims.  Nothing is retried here: an
+aborted program is reported aborted, and the engine layer's wave loop
+(:func:`repro.api.loop.run_waves`) decides whether it rides a later wave.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional
+import heapq
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
-from repro.api.loop import DEFAULT_RETRY_POLICY, RetryPolicy
+from repro.api.engine import ProgramFactory
 from repro.api.results import RunStats
+from repro.concurrency.transaction import CommittedTransaction, TransactionRecord
 from repro.core.client import TransactionResult
+from repro.sim.clock import SimClock
+from repro.sim.latency import get_latency_model
+from repro.storage.memory import InMemoryStorageServer
 
 
-@dataclass
-class ClientSlot:
-    """One closed-loop client: runs transactions back-to-back."""
+class WaveRunner:
+    """One in-flight transaction of a wave, in its own client slot."""
 
-    slot_id: int
-    time_ms: float = 0.0
-    busy: bool = False
-    transactions_run: int = 0
+    def __init__(self, generator: Generator, record: TransactionRecord) -> None:
+        self.generator = generator
+        self.record = record
+        self.time_ms = 0.0              # slot-local; every wave starts at 0
+        self.send_value = None
+        self.return_value = None
+        self.pending_operation = None   # operation to re-issue after a wait
+        self.done = False
 
 
-ProgramFactory = Callable[[], object]
+class WaveExecutor:
+    """Discrete-event execution of one wave, one client slot per program.
 
-
-@dataclass
-class PendingProgram:
-    """A program waiting to be executed (possibly a retry).
-
-    ``not_before_ms`` implements client retry backoff: a transaction aborted
-    by a conflict or deadlock is resubmitted only after a short delay, which
-    prevents the deterministic simulation from replaying the same collision
-    in lockstep forever (real clients get the same effect from scheduling
-    noise).
+    The executor owns the plain key-value store the baseline runs over (the
+    server itself never advances the clock: storage cost is charged to the
+    client slot that waits for it) and the committed history.  Subclasses
+    provide four hooks: :meth:`_begin_wave`, :meth:`_begin_transaction`,
+    :meth:`_advance` and :meth:`_unpark` (with :meth:`_parked` saying whether
+    anyone is left to unpark).  The wave's state lives on the executor while
+    the wave runs; an executor runs one wave at a time.
     """
 
-    factory: ProgramFactory
-    attempts: int = 0
-    first_submit_ms: float = 0.0
-    not_before_ms: float = 0.0
+    #: ``RunStats.engine`` of the waves this executor runs.
+    engine_name = ""
 
+    def __init__(self, backend: str = "server", clock: Optional[SimClock] = None,
+                 storage: Optional[InMemoryStorageServer] = None) -> None:
+        self.latency = get_latency_model(backend)
+        self.clock = clock if clock is not None else SimClock()
+        if storage is None:
+            storage = InMemoryStorageServer(latency=self.latency, clock=self.clock,
+                                            charge_latency=False, record_trace=False)
+        else:
+            storage.clock = self.clock
+            storage.charge_latency = False
+        self.storage = storage
+        self.committed_history: List[CommittedTransaction] = []
 
-def record_attempt(run: RunStats, pending: PendingProgram, txn_id: int,
-                   slot_time_ms: float, committed: bool, reason: Optional[str],
-                   return_value, queue: List[PendingProgram],
-                   retry_aborted: bool, max_retries: int,
-                   policy: RetryPolicy = DEFAULT_RETRY_POLICY) -> TransactionResult:
-    """Account for one finished transaction attempt.
+    # -- data loading and raw storage access ---------------------------- #
+    def load_initial_data(self, items: Dict[str, bytes]) -> None:
+        """Install the initial database state on the storage server."""
+        self.storage.write_batch({f"kv/{key}": value for key, value in items.items()},
+                                 parallelism=64)
 
-    Updates ``run`` counters and latency samples, appends the attempt's
-    :class:`~repro.core.client.TransactionResult`, and — when the attempt
-    aborted and retries remain — re-queues ``pending`` with the policy's
-    backoff so the same conflict is not replayed in lockstep.  Returns the
-    recorded result.  (This is the bookkeeping that used to be duplicated
-    between the NoPriv and 2PL executors.)
-    """
-    latency = slot_time_ms - pending.first_submit_ms
-    if committed:
-        run.committed += 1
-        run.latencies_ms.append(latency)
-    else:
-        run.aborted += 1
-        if retry_aborted and pending.attempts < max_retries:
-            pending.attempts += 1
-            run.retries += 1
-            pending.not_before_ms = slot_time_ms + policy.backoff_ms(txn_id,
-                                                                     pending.attempts)
-            queue.append(pending)
-    result = TransactionResult(
-        txn_id=txn_id, committed=committed,
-        return_value=return_value if committed else None,
-        abort_reason=reason, latency_ms=latency, epoch=-1)
-    run.results.append(result)
-    return result
+    def _storage_read(self, key: str) -> Optional[bytes]:
+        result = self.storage.read_batch([f"kv/{key}"], parallelism=1, record_batch=False)
+        return result.values.get(f"kv/{key}")
+
+    def _storage_write_many(self, items: Dict[str, Optional[bytes]]) -> None:
+        payload = {f"kv/{key}": (value if value is not None else b"")
+                   for key, value in items.items()}
+        if payload:
+            self.storage.write_batch(payload, parallelism=16, record_batch=False)
+
+    # -- the wave loop --------------------------------------------------- #
+    def run_transactions(self, factories: Sequence[ProgramFactory]) -> RunStats:
+        """Run one wave to completion and report every program's fate once."""
+        self._run = RunStats(engine=self.engine_name)
+        self._active: List[Tuple[float, int, WaveRunner]] = []   # earliest first
+        self._seq = 0
+        self._cpu_ms = 0.0
+        self._finish_ms = 0.0
+        base_ms = self.clock.now_ms
+
+        self._begin_wave(max(1, len(factories)))
+        for factory in factories:
+            record = self._begin_transaction()
+            self._schedule(WaveRunner(factory(), record))
+        while self._active or self._parked():
+            if not self._active:
+                self._unpark()
+                continue
+            _, _, runner = heapq.heappop(self._active)
+            if not runner.done:
+                self._advance(runner)
+
+        run = self._run
+        run.cpu_ms = self._cpu_ms
+        run.elapsed_ms = max(self._finish_ms, self._cpu_ms)
+        # Slot times are wave-local; anchor the shared clock at the call's
+        # start so consecutive waves accumulate simulated time correctly.
+        self.clock.advance_to(base_ms + run.elapsed_ms)
+        return run
+
+    def _schedule(self, runner: WaveRunner) -> None:
+        """Make ``runner`` runnable at its slot's local time."""
+        heapq.heappush(self._active, (runner.time_ms, self._seq, runner))
+        self._seq += 1
+
+    def _finish(self, runner: WaveRunner, committed: bool,
+                reason: Optional[str]) -> None:
+        """Account for a transaction that resolved at its slot's local time."""
+        run = self._run
+        self._finish_ms = max(self._finish_ms, runner.time_ms)
+        if committed:
+            self.committed_history.append(
+                CommittedTransaction.from_record(runner.record))
+            run.committed += 1
+            run.latencies_ms.append(runner.time_ms)
+        else:
+            run.aborted += 1
+        run.results.append(TransactionResult(
+            txn_id=runner.record.txn_id, committed=committed,
+            return_value=runner.return_value if committed else None,
+            abort_reason=reason, latency_ms=runner.time_ms, epoch=-1))
+        runner.done = True
+
+    # -- what a baseline specialises ------------------------------------ #
+    def _begin_wave(self, slots: int) -> None:
+        """Reset the baseline's own per-wave state for ``slots`` clients."""
+        raise NotImplementedError
+
+    def _begin_transaction(self) -> TransactionRecord:
+        """Open the record of a transaction that starts at slot time 0."""
+        raise NotImplementedError
+
+    def _advance(self, runner: WaveRunner) -> None:
+        """Execute ``runner``'s next operation, then :meth:`_schedule` it
+        again, park it, or :meth:`_finish` it."""
+        raise NotImplementedError
+
+    def _parked(self) -> bool:
+        """Whether any transaction is parked (waiting on another one)."""
+        raise NotImplementedError
+
+    def _unpark(self) -> None:
+        """Nothing is runnable: finish or re-schedule at least one parked
+        transaction so the wave makes progress."""
+        raise NotImplementedError

@@ -4,56 +4,40 @@ Figure 9 uses a local MySQL instance as a conventional reference point.  The
 relevant behaviour the paper calls out is that InnoDB "acquires exclusive
 locks for the duration of the transactions", so conflicting TPC-C
 transactions serialise instead of pipelining the way MVTSO allows.  This
-baseline implements exactly that: shared locks for reads, exclusive locks
-for writes, all held until commit, waits-for deadlock detection with the
+baseline implements exactly that: an exclusive lock for every read and
+write, all held until commit, waits-for deadlock detection with the
 requesting transaction aborted when its wait would close a cycle, and writes
 applied at commit time.
 
 Execution model
 ---------------
-Like :class:`repro.baseline.nopriv.NoPrivProxy`, transactions are
-interleaved at operation granularity across ``C`` client slots in simulated
-time, so lock conflicts and deadlocks arise exactly where concurrent
-executions would produce them.  A transaction that blocks on a lock resumes
-when the holder commits, with its clock advanced to the holder's completion
-time.
+Like :class:`repro.baseline.nopriv.NoPrivProxy`, a wave's transactions are
+interleaved at operation granularity, one client slot per program, by the
+shared discrete-event loop (:class:`~repro.baseline.common.WaveExecutor`),
+so lock conflicts and deadlocks arise exactly where concurrent executions
+would produce them.  What 2PL adds to the loop is the *lock wait*: a
+transaction that blocks on a lock resumes when the holder finishes, with its
+clock advanced to the holder's completion time; when every transaction is
+blocked, a deadlock victim is aborted.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.api.results import RunStats
-from repro.baseline.common import (ClientSlot, PendingProgram, ProgramFactory,
-                                   record_attempt)
-from repro.concurrency.transaction import (AbortReason, CommittedTransaction,
-                                           TransactionRecord, TransactionStatus)
+from repro.baseline.common import WaveExecutor, WaveRunner
+from repro.concurrency.transaction import AbortReason, TransactionRecord
 from repro.concurrency.two_phase_locking import DeadlockError, LockManager, LockMode
 from repro.core.client import (AbortRequest, Read, ReadMany, TransactionAborted,
                                Write)
 from repro.sim.clock import SimClock
-from repro.sim.latency import get_latency_model
 from repro.storage.memory import InMemoryStorageServer
 
 
-class _Runner:
-    """One in-flight 2PL transaction."""
+class TwoPhaseLockingStore(WaveExecutor):
+    """Operation-interleaved wave executor for the strict-2PL baseline."""
 
-    def __init__(self, pending: PendingProgram, slot: ClientSlot, generator: Generator,
-                 record: TransactionRecord) -> None:
-        self.pending = pending
-        self.slot = slot
-        self.generator = generator
-        self.record = record
-        self.send_value = None
-        self.return_value = None
-        self.pending_operation = None     # operation retried after a lock wait
-        self.done = False
-
-
-class TwoPhaseLockingStore:
-    """Closed-loop, operation-interleaved executor for the strict-2PL baseline."""
+    engine_name = "mysql"
 
     CPU_PER_OP_MS = 0.009
     CPU_PER_COMMIT_MS = 0.015
@@ -63,29 +47,15 @@ class TwoPhaseLockingStore:
     LOCAL_COMMIT_MS = 0.06
 
     def __init__(self, backend: str = "server", clock: Optional[SimClock] = None,
-                 seed: Optional[int] = 0, local_execution: bool = True,
-                 exclusive_reads: bool = True,
                  storage: Optional[InMemoryStorageServer] = None) -> None:
-        self.latency = get_latency_model(backend)
-        self.clock = clock if clock is not None else SimClock()
-        if storage is None:
-            storage = InMemoryStorageServer(latency=self.latency, clock=self.clock,
-                                            charge_latency=False, record_trace=False)
-        else:
-            storage.clock = self.clock
-            storage.charge_latency = False
-        self.storage = storage
+        super().__init__(backend, clock, storage)
+        # Every access takes an exclusive lock: the paper describes MySQL as
+        # acquiring exclusive locks for the duration of conflicting
+        # transactions (InnoDB's SELECT ... FOR UPDATE pattern in OLTP code),
+        # which also avoids the shared-to-exclusive upgrade deadlock storms
+        # that a naive 2PL client would suffer on read-modify-write rows.
         self.locks = LockManager()
-        self.local_execution = local_execution
-        # The paper describes MySQL as acquiring exclusive locks for the
-        # duration of conflicting transactions (InnoDB's SELECT ... FOR UPDATE
-        # pattern in OLTP code).  Exclusive-only locking also avoids the
-        # shared-to-exclusive upgrade deadlock storms that a naive 2PL client
-        # would suffer on read-modify-write rows.  Set ``exclusive_reads`` to
-        # False to get plain shared/exclusive 2PL.
-        self.exclusive_reads = exclusive_reads
         self._next_txn_id = 1
-        self.committed_history: List[CommittedTransaction] = []
         self._local_state: Dict[str, Optional[bytes]] = {}
         # Timestamp of the last committed writer of each key, so read sets
         # carry accurate version provenance for the serializability checker.
@@ -94,134 +64,70 @@ class TwoPhaseLockingStore:
         # the start order; committed transactions are stamped with a commit
         # sequence number so history checking uses the right version order.
         self._next_commit_seq = 1
-        self.seed = seed
 
     # ------------------------------------------------------------------ #
-    # Data loading and raw storage access
+    # The wave loop's hooks
     # ------------------------------------------------------------------ #
-    def load_initial_data(self, items: Dict[str, bytes]) -> None:
-        self.storage.write_batch({f"kv/{key}": value for key, value in items.items()},
-                                 parallelism=64)
+    def _begin_wave(self, slots: int) -> None:
+        self._blocked: Dict[int, WaveRunner] = {}
 
-    def _storage_read(self, key: str) -> Optional[bytes]:
-        result = self.storage.read_batch([f"kv/{key}"], parallelism=1, record_batch=False)
-        return result.values.get(f"kv/{key}")
+    def _begin_transaction(self) -> TransactionRecord:
+        record = TransactionRecord(txn_id=self._next_txn_id,
+                                   timestamp=self._next_txn_id,
+                                   epoch=0, start_time_ms=0.0)
+        self._next_txn_id += 1
+        return record
 
-    def _storage_write_many(self, items: Dict[str, Optional[bytes]]) -> None:
-        payload = {f"kv/{key}": (value if value is not None else b"")
-                   for key, value in items.items()}
-        if payload:
-            self.storage.write_batch(payload, parallelism=16, record_batch=False)
+    def _parked(self) -> bool:
+        return bool(self._blocked)
 
-    # ------------------------------------------------------------------ #
-    # Closed-loop execution
-    # ------------------------------------------------------------------ #
-    def run_transactions(self, factories: List[ProgramFactory], clients: int = 32,
-                         retry_aborted: bool = True, max_retries: int = 3) -> RunStats:
-        result = RunStats(engine="mysql")
-        base_ms = self.clock.now_ms
-        queue: List[PendingProgram] = [PendingProgram(factory=f) for f in factories]
-        slots = [ClientSlot(slot_id=i) for i in range(max(1, clients))]
-        idle: List[Tuple[float, int]] = [(slot.time_ms, slot.slot_id) for slot in slots]
-        heapq.heapify(idle)
-        active: List[Tuple[float, int, _Runner]] = []
-        blocked: Dict[int, _Runner] = {}
-        seq = 0
-        cpu_ms_total = 0.0
-        finish_ms = 0.0
+    def _advance(self, runner: WaveRunner) -> None:
+        outcome = self._step(runner)
+        if outcome == "running":
+            self._schedule(runner)
+        elif outcome == "blocked":
+            self._blocked[runner.record.txn_id] = runner
+        else:
+            committed, reason = outcome
+            self._finish(runner, committed, reason)
 
-        read_cost_ms = self.LOCAL_READ_MS if self.local_execution else self.latency.read_rtt_ms
+    def _finish(self, runner: WaveRunner, committed: bool,
+                reason: Optional[str]) -> None:
+        self._cpu_ms += (runner.record.operations * self.CPU_PER_OP_MS
+                         + self.CPU_PER_COMMIT_MS)
+        super()._finish(runner, committed, reason)
+        # Release this transaction's locks and wake eligible waiters.
+        for waiter_id, _key, _mode in self.locks.release_all(runner.record.txn_id):
+            waiter = self._blocked.pop(waiter_id, None)
+            if waiter is not None:
+                waiter.time_ms = max(waiter.time_ms, runner.time_ms)
+                self._schedule(waiter)
 
-        def start_next() -> bool:
-            nonlocal seq
-            if not queue or not idle:
-                return False
-            slot_time, slot_id = heapq.heappop(idle)
-            slot = slots[slot_id]
-            slot.time_ms = max(slot.time_ms, slot_time)
-            pending = queue.pop(0)
-            slot.time_ms = max(slot.time_ms, pending.not_before_ms)
-            if pending.attempts == 0 and pending.first_submit_ms == 0.0:
-                pending.first_submit_ms = slot.time_ms
-            record = TransactionRecord(txn_id=self._next_txn_id, timestamp=self._next_txn_id,
-                                       epoch=0, start_time_ms=slot.time_ms)
-            self._next_txn_id += 1
-            runner = _Runner(pending, slot, pending.factory(), record)
-            heapq.heappush(active, (slot.time_ms, seq, runner))
-            seq += 1
-            return True
-
-        def finish(runner: _Runner, committed: bool, reason: Optional[str]) -> None:
-            nonlocal finish_ms, cpu_ms_total, seq
-            finish_ms = max(finish_ms, runner.slot.time_ms)
-            cpu_ms_total += (runner.record.operations * self.CPU_PER_OP_MS
-                             + self.CPU_PER_COMMIT_MS)
-            if committed:
-                self.committed_history.append(CommittedTransaction.from_record(runner.record))
-            record_attempt(result, runner.pending, runner.record.txn_id,
-                           runner.slot.time_ms, committed, reason, runner.return_value,
-                           queue, retry_aborted, max_retries)
-            runner.done = True
-            # Release this transaction's locks and wake eligible waiters.
-            grants = self.locks.release_all(runner.record.txn_id)
-            for waiter_id, _key, _mode in grants:
-                waiter = blocked.pop(waiter_id, None)
-                if waiter is not None:
-                    waiter.slot.time_ms = max(waiter.slot.time_ms, runner.slot.time_ms)
-                    heapq.heappush(active, (waiter.slot.time_ms, seq, waiter))
-                    seq += 1
-            heapq.heappush(idle, (runner.slot.time_ms, runner.slot.slot_id))
-
-        while queue or active or blocked:
-            while start_next():
-                pass
-            if not active:
-                if blocked:
-                    # Every runnable transaction is blocked.  A deadlock cycle
-                    # may have formed when a released lock was granted past an
-                    # existing holder; abort one member of the cycle (or, if
-                    # none is found, the youngest blocked transaction) so the
-                    # rest can proceed.
-                    cycle = self.locks.find_any_cycle()
-                    candidates = [blocked[t] for t in (cycle or []) if t in blocked]
-                    if not candidates:
-                        candidates = list(blocked.values())
-                    victim = max(candidates, key=lambda r: r.record.txn_id)
-                    blocked.pop(victim.record.txn_id)
-                    victim.record.mark_aborted(AbortReason.DEADLOCK, victim.slot.time_ms)
-                    finish(victim, False, AbortReason.DEADLOCK.value)
-                continue
-
-            _, _, runner = heapq.heappop(active)
-            if runner.done:
-                continue
-            outcome = self._step(runner, read_cost_ms)
-            if outcome == "running":
-                heapq.heappush(active, (runner.slot.time_ms, seq, runner))
-                seq += 1
-            elif outcome == "blocked":
-                blocked[runner.record.txn_id] = runner
-            else:
-                committed, reason = outcome
-                finish(runner, committed, reason)
-
-        result.cpu_ms = cpu_ms_total
-        result.elapsed_ms = max(finish_ms, cpu_ms_total)
-        # Slot times are run-local; anchor the shared clock at the call's
-        # start so consecutive runs accumulate simulated time correctly.
-        self.clock.advance_to(base_ms + result.elapsed_ms)
-        return result
+    def _unpark(self) -> None:
+        # Every runnable transaction is blocked.  A deadlock cycle may have
+        # formed when a released lock was granted past an existing holder;
+        # abort one member of the cycle (or, if none is found, the youngest
+        # blocked transaction) so the rest can proceed.
+        blocked = self._blocked
+        cycle = self.locks.find_any_cycle()
+        candidates = [blocked[t] for t in (cycle or []) if t in blocked]
+        if not candidates:
+            candidates = list(blocked.values())
+        victim = max(candidates, key=lambda r: r.record.txn_id)
+        blocked.pop(victim.record.txn_id)
+        victim.record.mark_aborted(AbortReason.DEADLOCK, victim.time_ms)
+        self._finish(victim, False, AbortReason.DEADLOCK.value)
 
     # ------------------------------------------------------------------ #
     # One operation at a time
     # ------------------------------------------------------------------ #
-    def _step(self, runner: _Runner, read_cost_ms: float):
+    def _step(self, runner: WaveRunner):
         """Execute the runner's next operation (or retry one after a lock wait)."""
         record = runner.record
         # Every operation occupies the client for a sliver of CPU time; this
         # keeps concurrently started transactions from executing in perfect
         # lockstep at identical simulated instants.
-        runner.slot.time_ms += self.CPU_PER_OP_MS
+        runner.time_ms += self.CPU_PER_OP_MS
         if runner.pending_operation is not None:
             operation = runner.pending_operation
             runner.pending_operation = None
@@ -234,31 +140,31 @@ class TwoPhaseLockingStore:
             except TransactionAborted:
                 return self._abort(runner, AbortReason.USER)
 
-        read_mode = LockMode.EXCLUSIVE if self.exclusive_reads else LockMode.SHARED
         if isinstance(operation, Read):
-            granted, deadlocked = self._acquire(runner, operation.key, read_mode)
+            granted, deadlocked = self._acquire(runner, operation.key)
             if deadlocked:
                 return self._abort(runner, AbortReason.DEADLOCK)
             if not granted:
                 runner.pending_operation = operation
                 return "blocked"
-            runner.send_value = self._read_locked(runner, operation.key, read_cost_ms)
+            runner.send_value = self._read_locked(runner, operation.key,
+                                                  self.LOCAL_READ_MS)
             return "running"
         if isinstance(operation, ReadMany):
             values = {}
             for key in operation.keys:
-                granted, deadlocked = self._acquire(runner, key, read_mode)
+                granted, deadlocked = self._acquire(runner, key)
                 if deadlocked:
                     return self._abort(runner, AbortReason.DEADLOCK)
                 if not granted:
                     runner.pending_operation = operation
                     return "blocked"
                 values[key] = self._read_locked(runner, key, 0.0)
-            runner.slot.time_ms += read_cost_ms
+            runner.time_ms += self.LOCAL_READ_MS
             runner.send_value = values
             return "running"
         if isinstance(operation, Write):
-            granted, deadlocked = self._acquire(runner, operation.key, LockMode.EXCLUSIVE)
+            granted, deadlocked = self._acquire(runner, operation.key)
             if deadlocked:
                 return self._abort(runner, AbortReason.DEADLOCK)
             if not granted:
@@ -274,15 +180,16 @@ class TwoPhaseLockingStore:
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
-    def _acquire(self, runner: _Runner, key: str, mode: LockMode) -> Tuple[bool, bool]:
-        """Acquire a lock; returns (granted, aborted_by_deadlock)."""
+    def _acquire(self, runner: WaveRunner, key: str) -> Tuple[bool, bool]:
+        """Take ``key``'s exclusive lock; returns (granted, aborted_by_deadlock)."""
         try:
-            granted = self.locks.acquire(runner.record.txn_id, key, mode)
+            granted = self.locks.acquire(runner.record.txn_id, key,
+                                         LockMode.EXCLUSIVE)
             return granted, False
         except DeadlockError:
             return False, True
 
-    def _read_locked(self, runner: _Runner, key: str, charge_ms: float):
+    def _read_locked(self, runner: WaveRunner, key: str, charge_ms: float):
         """Read a key the transaction already holds a lock on."""
         record = runner.record
         if key in record.write_set:
@@ -291,11 +198,11 @@ class TwoPhaseLockingStore:
             value = self._local_state.get(key)
             if value is None:
                 value = self._storage_read(key)
-            runner.slot.time_ms += charge_ms
+            runner.time_ms += charge_ms
         record.record_read(key, writer_ts=self._last_writer_ts.get(key, -1))
         return value
 
-    def _commit(self, runner: _Runner):
+    def _commit(self, runner: WaveRunner):
         record = runner.record
         record.request_commit()
         # Stamp the record with its commit-order position: that is the
@@ -307,11 +214,10 @@ class TwoPhaseLockingStore:
             self._local_state.update(record.write_set)
             for key in record.write_set:
                 self._last_writer_ts[key] = record.timestamp
-            commit_cost = self.LOCAL_COMMIT_MS if self.local_execution else self.latency.write_rtt_ms
-            runner.slot.time_ms += commit_cost
-        record.mark_committed(runner.slot.time_ms)
+            runner.time_ms += self.LOCAL_COMMIT_MS
+        record.mark_committed(runner.time_ms)
         return True, None
 
-    def _abort(self, runner: _Runner, reason: AbortReason):
-        runner.record.mark_aborted(reason, runner.slot.time_ms)
+    def _abort(self, runner: WaveRunner, reason: AbortReason):
+        runner.record.mark_aborted(reason, runner.time_ms)
         return False, reason.value

@@ -9,48 +9,34 @@ commit notifications.
 
 Execution model
 ---------------
-``run_transactions`` is a small discrete-event simulation: ``C`` client
-slots each run one transaction at a time, and the slot with the earliest
-simulated time executes its next *operation* (not its whole transaction)
-before control moves on.  Interleaving at operation granularity is what
-exposes MVTSO's write conflicts and cascading aborts under contention — the
-paper's NoPriv is contention-bottlenecked on TPC-C for exactly this reason.
+``run_transactions`` runs one wave through the shared discrete-event loop
+(:class:`~repro.baseline.common.WaveExecutor`): one client slot per program,
+the slot with the earliest simulated time executes its next *operation* (not
+its whole transaction) before control moves on.  Interleaving at operation
+granularity is what exposes MVTSO's write conflicts and cascading aborts
+under contention — the paper's NoPriv is contention-bottlenecked on TPC-C
+for exactly this reason.  What NoPriv adds to the loop is the *dependency
+wait*: a transaction that read an uncommitted write parks until its writers
+resolve.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import List, Optional
 
-from repro.api.results import RunStats
-from repro.baseline.common import (ClientSlot, PendingProgram, ProgramFactory,
-                                   record_attempt)
+from repro.baseline.common import WaveExecutor, WaveRunner
 from repro.concurrency.mvtso import MVTSOManager, WriteConflictError
-from repro.concurrency.transaction import (AbortReason, CommittedTransaction,
-                                           TransactionStatus)
+from repro.concurrency.transaction import AbortReason, TransactionStatus
 from repro.core.client import (AbortRequest, Read, ReadMany, TransactionAborted,
                                Write)
 from repro.sim.clock import SimClock
-from repro.sim.latency import CpuCostModel, get_latency_model
 from repro.storage.memory import InMemoryStorageServer
 
 
-class _Runner:
-    """One in-flight transaction bound to a client slot."""
+class NoPrivProxy(WaveExecutor):
+    """Operation-interleaved wave executor for the NoPriv baseline."""
 
-    def __init__(self, pending: PendingProgram, slot: ClientSlot, generator: Generator,
-                 record) -> None:
-        self.pending = pending
-        self.slot = slot
-        self.generator = generator
-        self.record = record
-        self.send_value = None
-        self.return_value = None
-        self.done = False
-
-
-class NoPrivProxy:
-    """Closed-loop, operation-interleaved executor for the NoPriv baseline."""
+    engine_name = "nopriv"
 
     #: CPU charged per operation for MVTSO dependency tracking; the paper
     #: observes this becomes NoPriv's bottleneck on SmallBank.
@@ -58,155 +44,80 @@ class NoPrivProxy:
     CPU_PER_COMMIT_MS = 0.020
 
     def __init__(self, backend: str = "server", clock: Optional[SimClock] = None,
-                 cost_model: Optional[CpuCostModel] = None, seed: Optional[int] = 0,
                  storage: Optional[InMemoryStorageServer] = None) -> None:
-        self.latency = get_latency_model(backend)
-        self.clock = clock if clock is not None else SimClock()
-        self.cost_model = cost_model if cost_model is not None else CpuCostModel()
-        if storage is None:
-            storage = InMemoryStorageServer(latency=self.latency, clock=self.clock,
-                                            charge_latency=False, record_trace=False)
-        else:
-            storage.clock = self.clock
-            storage.charge_latency = False
-        self.storage = storage
+        super().__init__(backend, clock, storage)
         self.mvtso = MVTSOManager()
-        self.committed_history: List[CommittedTransaction] = []
-        self.seed = seed
 
     # ------------------------------------------------------------------ #
-    # Data loading and raw storage access
+    # The wave loop's hooks
     # ------------------------------------------------------------------ #
-    def load_initial_data(self, items: Dict[str, bytes]) -> None:
-        """Install the initial database state on the storage server."""
-        self.storage.write_batch({f"kv/{key}": value for key, value in items.items()},
-                                 parallelism=64)
+    def _begin_wave(self, slots: int) -> None:
+        overlap = self.latency.effective_parallelism(slots)
+        queueing = max(1.0, slots / overlap)
+        self._read_cost_ms = (self.latency.read_rtt_ms * queueing
+                              + self.latency.per_request_server_ms)
+        self._waiting_for_deps: List[WaveRunner] = []
 
-    def _storage_read(self, key: str) -> Optional[bytes]:
-        result = self.storage.read_batch([f"kv/{key}"], parallelism=1, record_batch=False)
-        return result.values.get(f"kv/{key}")
+    def _begin_transaction(self):
+        return self.mvtso.begin(epoch=0, now_ms=0.0)
 
-    def _storage_write_many(self, items: Dict[str, Optional[bytes]]) -> None:
-        payload = {f"kv/{key}": (value if value is not None else b"")
-                   for key, value in items.items()}
-        if payload:
-            self.storage.write_batch(payload, parallelism=16, record_batch=False)
+    def _parked(self) -> bool:
+        return bool(self._waiting_for_deps)
 
-    # ------------------------------------------------------------------ #
-    # Closed-loop execution
-    # ------------------------------------------------------------------ #
-    def run_transactions(self, factories: List[ProgramFactory], clients: int = 32,
-                         retry_aborted: bool = True, max_retries: int = 3) -> RunStats:
-        """Run every program to completion with ``clients`` concurrent slots."""
-        result = RunStats(engine="nopriv")
-        base_ms = self.clock.now_ms
-        queue: List[PendingProgram] = [PendingProgram(factory=f) for f in factories]
-        slots = [ClientSlot(slot_id=i) for i in range(max(1, clients))]
-        idle: List[Tuple[float, int]] = [(slot.time_ms, slot.slot_id) for slot in slots]
-        heapq.heapify(idle)
-        active: List[Tuple[float, int, _Runner]] = []   # (next event time, seq, runner)
-        waiting_for_deps: List[_Runner] = []
-        seq = 0
-        cpu_ms_total = 0.0
-        finish_ms = 0.0
+    def _advance(self, runner: WaveRunner) -> None:
+        if runner.record.is_finished:
+            # Aborted in cascade while queued; surface it.
+            self._finish(runner, False,
+                         (runner.record.abort_reason or AbortReason.CASCADE).value)
+            return
+        outcome = self._step(runner)
+        self._cpu_ms += self.CPU_PER_OP_MS
+        if outcome == "running":
+            self._schedule(runner)
+        elif outcome == "waiting":
+            self._waiting_for_deps.append(runner)
+            self._resolve_waiting()
+        else:
+            committed, reason = outcome
+            self._cpu_ms += self.CPU_PER_COMMIT_MS
+            self._finish(runner, committed, reason)
+            self._resolve_waiting()
 
-        overlap = self.latency.effective_parallelism(len(slots))
-        queueing = max(1.0, len(slots) / overlap)
-        read_cost_ms = self.latency.read_rtt_ms * queueing + self.latency.per_request_server_ms
-
-        def start_next() -> bool:
-            nonlocal seq
-            if not queue or not idle:
-                return False
-            slot_time, slot_id = heapq.heappop(idle)
-            slot = slots[slot_id]
-            slot.time_ms = max(slot.time_ms, slot_time)
-            pending = queue.pop(0)
-            slot.time_ms = max(slot.time_ms, pending.not_before_ms)
-            if pending.attempts == 0 and pending.first_submit_ms == 0.0:
-                pending.first_submit_ms = slot.time_ms
-            record = self.mvtso.begin(epoch=0, now_ms=slot.time_ms)
-            runner = _Runner(pending, slot, pending.factory(), record)
-            heapq.heappush(active, (slot.time_ms, seq, runner))
-            seq += 1
-            return True
-
-        def finish(runner: _Runner, committed: bool, reason: Optional[str]) -> None:
-            nonlocal finish_ms
-            finish_ms = max(finish_ms, runner.slot.time_ms)
-            if committed:
-                self.committed_history.append(CommittedTransaction.from_record(runner.record))
-            record_attempt(result, runner.pending, runner.record.txn_id,
-                           runner.slot.time_ms, committed, reason, runner.return_value,
-                           queue, retry_aborted, max_retries)
-            heapq.heappush(idle, (runner.slot.time_ms, runner.slot.slot_id))
-            runner.done = True
-
-        def resolve_waiting() -> None:
-            still: List[_Runner] = []
-            for runner in waiting_for_deps:
-                record = runner.record
-                deps = [self.mvtso.transactions[d] for d in record.dependencies
-                        if d in self.mvtso.transactions]
-                if record.status is TransactionStatus.ABORTED:
-                    finish(runner, False, (record.abort_reason or AbortReason.CASCADE).value)
-                elif any(d.status is TransactionStatus.ABORTED for d in deps):
-                    self.mvtso.abort(record, AbortReason.CASCADE, runner.slot.time_ms)
-                    finish(runner, False, AbortReason.CASCADE.value)
-                elif all(d.is_finished for d in deps):
-                    self._commit(runner)
-                    finish(runner, True, None)
-                else:
-                    still.append(runner)
-            waiting_for_deps[:] = still
-
-        while queue or active or waiting_for_deps:
-            while start_next():
-                pass
-            if not active:
-                resolve_waiting()
-                if not active and not queue and waiting_for_deps:
-                    # Remaining transactions wait on each other: commit the
-                    # oldest to break the tie (its dependencies, if any, are
-                    # also in this set and will resolve next).
-                    waiting_for_deps.sort(key=lambda r: r.record.timestamp)
-                    runner = waiting_for_deps.pop(0)
-                    self._commit(runner)
-                    finish(runner, True, None)
-                continue
-
-            _, _, runner = heapq.heappop(active)
-            if runner.done or runner.record.is_finished:
-                # Aborted in cascade while queued; surface it.
-                if not runner.done:
-                    finish(runner, False,
-                           (runner.record.abort_reason or AbortReason.CASCADE).value)
-                continue
-            outcome = self._step(runner, read_cost_ms)
-            cpu_ms_total += self.CPU_PER_OP_MS
-            if outcome == "running":
-                heapq.heappush(active, (runner.slot.time_ms, seq, runner))
-                seq += 1
-            elif outcome == "waiting":
-                waiting_for_deps.append(runner)
-                resolve_waiting()
+    def _resolve_waiting(self) -> None:
+        """Resolve every parked transaction whose writers have all resolved."""
+        still: List[WaveRunner] = []
+        for runner in self._waiting_for_deps:
+            record = runner.record
+            deps = [self.mvtso.transactions[d] for d in record.dependencies
+                    if d in self.mvtso.transactions]
+            if record.status is TransactionStatus.ABORTED:
+                self._finish(runner, False,
+                             (record.abort_reason or AbortReason.CASCADE).value)
+            elif any(d.status is TransactionStatus.ABORTED for d in deps):
+                self.mvtso.abort(record, AbortReason.CASCADE, runner.time_ms)
+                self._finish(runner, False, AbortReason.CASCADE.value)
+            elif all(d.is_finished for d in deps):
+                self._commit(runner)
+                self._finish(runner, True, None)
             else:
-                committed, reason = outcome
-                cpu_ms_total += self.CPU_PER_COMMIT_MS
-                finish(runner, committed, reason)
-                resolve_waiting()
+                still.append(runner)
+        self._waiting_for_deps[:] = still
 
-        result.cpu_ms = cpu_ms_total
-        result.elapsed_ms = max(finish_ms, cpu_ms_total)
-        # Slot times are run-local; anchor the shared clock at the call's
-        # start so consecutive runs accumulate simulated time correctly.
-        self.clock.advance_to(base_ms + result.elapsed_ms)
-        return result
+    def _unpark(self) -> None:
+        self._resolve_waiting()
+        if self._waiting_for_deps:
+            # Remaining transactions wait on each other: commit the oldest
+            # to break the tie (its dependencies, if any, are also in this
+            # set and will resolve next).
+            self._waiting_for_deps.sort(key=lambda r: r.record.timestamp)
+            runner = self._waiting_for_deps.pop(0)
+            self._commit(runner)
+            self._finish(runner, True, None)
 
     # ------------------------------------------------------------------ #
     # One operation at a time
     # ------------------------------------------------------------------ #
-    def _step(self, runner: _Runner, read_cost_ms: float):
+    def _step(self, runner: WaveRunner):
         """Execute the runner's next operation.
 
         Returns ``"running"`` while the transaction has more operations,
@@ -216,7 +127,7 @@ class NoPrivProxy:
         record = runner.record
         # Charge a sliver of client CPU per operation so concurrent
         # transactions do not execute at identical simulated instants.
-        runner.slot.time_ms += self.CPU_PER_OP_MS
+        runner.time_ms += self.CPU_PER_OP_MS
         try:
             operation = runner.generator.send(runner.send_value)
         except StopIteration as stop:
@@ -224,14 +135,14 @@ class NoPrivProxy:
             record.request_commit()
             return self._try_commit(runner)
         except TransactionAborted:
-            self.mvtso.abort(record, AbortReason.USER, runner.slot.time_ms)
+            self.mvtso.abort(record, AbortReason.USER, runner.time_ms)
             return False, AbortReason.USER.value
 
         if isinstance(operation, Read):
             value, _writer = self.mvtso.read(record, operation.key)
             if value is None:
                 value = self._storage_read(operation.key)
-                runner.slot.time_ms += read_cost_ms
+                runner.time_ms += self._read_cost_ms
             runner.send_value = value
             return "running"
         if isinstance(operation, ReadMany):
@@ -245,41 +156,41 @@ class NoPrivProxy:
                 values[key] = value
             if fetched_any:
                 # Independent keys are fetched concurrently: one round trip.
-                runner.slot.time_ms += read_cost_ms
+                runner.time_ms += self._read_cost_ms
             runner.send_value = values
             return "running"
         if isinstance(operation, Write):
             try:
                 self.mvtso.write(record, operation.key, bytes(operation.value))
             except WriteConflictError:
-                self.mvtso.abort(record, AbortReason.WRITE_CONFLICT, runner.slot.time_ms)
+                self.mvtso.abort(record, AbortReason.WRITE_CONFLICT, runner.time_ms)
                 return False, AbortReason.WRITE_CONFLICT.value
             runner.send_value = None
             return "running"
         if isinstance(operation, AbortRequest):
-            self.mvtso.abort(record, AbortReason.USER, runner.slot.time_ms)
+            self.mvtso.abort(record, AbortReason.USER, runner.time_ms)
             return False, AbortReason.USER.value
         raise TypeError(f"unsupported operation {operation!r}")
 
-    def _try_commit(self, runner: _Runner):
+    def _try_commit(self, runner: WaveRunner):
         """Commit if all observed writers have resolved; park otherwise."""
         record = runner.record
         deps = [self.mvtso.transactions[d] for d in record.dependencies
                 if d in self.mvtso.transactions]
         if any(d.status is TransactionStatus.ABORTED for d in deps):
-            self.mvtso.abort(record, AbortReason.CASCADE, runner.slot.time_ms)
+            self.mvtso.abort(record, AbortReason.CASCADE, runner.time_ms)
             return False, AbortReason.CASCADE.value
         if any(not d.is_finished for d in deps):
             return "waiting"
         self._commit(runner)
         return True, None
 
-    def _commit(self, runner: _Runner) -> None:
+    def _commit(self, runner: WaveRunner) -> None:
         """Commit: apply the write set to storage and finish the record."""
         record = runner.record
         if record.status is TransactionStatus.ACTIVE:
             record.request_commit()
         if record.write_set:
             self._storage_write_many(record.write_set)
-            runner.slot.time_ms += self.latency.write_rtt_ms
-        self.mvtso.commit(record, now_ms=runner.slot.time_ms)
+            runner.time_ms += self.latency.write_rtt_ms
+        self.mvtso.commit(record, now_ms=runner.time_ms)

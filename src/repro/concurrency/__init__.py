@@ -10,10 +10,10 @@ record write-read dependencies and abort in cascade if a dependency aborts.
 The package also contains a strict two-phase-locking store used by the
 "MySQL" baseline of Figure 9, a serialization-graph checker used by the
 test suite to validate that every committed history really is serializable,
-and the pluggable conflict-resolution seam (``repro.concurrency.repair``):
-abort+retry as :class:`RetryStrategy` (the default) and transaction repair
-as :class:`RepairStrategy`, with :meth:`MVTSOManager.stale_reads` supplying
-the conflict witness (which reads went stale, which writer won).
+and the conflict witness of transaction repair (``repro.concurrency.repair``):
+:meth:`MVTSOManager.stale_reads` says which of a conflict loser's reads went
+stale and which writer won, which is what the proxy's in-epoch repair pass
+(``ObladiConfig.conflict_strategy="repair"``) recomputes.
 """
 
 from repro.concurrency.transaction import TransactionRecord, TransactionStatus
@@ -25,10 +25,7 @@ from repro.concurrency.serializability import (SerializationGraph,
                                                check_serializable)
 from repro.concurrency.transaction import CommittedTransaction
 from repro.concurrency.two_phase_locking import LockManager, LockMode, DeadlockError
-from repro.concurrency.repair import (CONFLICT_STRATEGIES, ConflictStrategy,
-                                      ConflictWitness, RepairStrategy,
-                                      RetryStrategy, WaveEntry,
-                                      as_conflict_strategy)
+from repro.concurrency.repair import ConflictWitness
 
 __all__ = [
     "TransactionRecord",
@@ -46,11 +43,5 @@ __all__ = [
     "LockManager",
     "LockMode",
     "DeadlockError",
-    "CONFLICT_STRATEGIES",
-    "ConflictStrategy",
     "ConflictWitness",
-    "RetryStrategy",
-    "RepairStrategy",
-    "WaveEntry",
-    "as_conflict_strategy",
 ]

@@ -1,29 +1,24 @@
-"""Conflict resolution as a pluggable strategy: retry vs transaction repair.
+"""Transaction repair: why a conflict loser lost.
 
 Obladi's MVTSO aborts a transaction the moment it loses a conflict — a late
 write hits a younger reader's read marker, or a dependency on an uncommitted
-writer collapses at the epoch boundary.  Historically the only recovery was
-*retry*: the loop drivers re-queued the whole program through
-:class:`~repro.api.loop.RetryPolicy` backoff and re-executed it from
-scratch.  Under a hotspot that amplifies work quadratically — every loser
-re-reads and re-computes everything, usually to conflict again.
+writer collapses at the epoch boundary.  Under the default strategy
+(``ObladiConfig.conflict_strategy="retry"``) that abort is the transaction's
+fate: the loop drivers re-queue the whole program into the next wave and it
+re-executes from scratch.  Under a hotspot that amplifies work
+quadratically — every loser re-reads and re-computes everything, usually to
+conflict again.
 
-This module makes the resolution step pluggable:
-
-* :class:`RetryStrategy` is the historical behaviour, extracted verbatim.
-  It resolves nothing itself; the loop drivers' existing re-queue path does
-  the work, so fixed-seed runs stay byte-identical to the pre-seam code.
-* :class:`RepairStrategy` implements *transaction repair* (see PAPERS.md —
-  "Transaction Repair: Full Serializability Without Locks"): instead of
-  re-queueing a loser, ask the engine to recompute only its stale reads
-  against the winning versions and re-derive its writes by re-running the
-  workload program's re-execution closure, then re-validate — inside the
-  same epoch for the Obladi proxy (:meth:`repro.core.proxy.ObladiProxy`
-  repairs under the epoch barrier before write-back), or as an immediate
-  same-wave re-submission for engines that implement
-  :meth:`~repro.api.engine.TransactionEngine.repair_many`.  Engines that
-  support neither fall back to the retry path, so repair is always safe to
-  request.
+With ``conflict_strategy="repair"`` the proxy applies *transaction repair*
+(see PAPERS.md — "Transaction Repair: Full Serializability Without Locks")
+instead: inside the epoch that detected the conflict, under the same epoch
+barrier and before write-back, it recomputes only the loser's stale reads
+against the winning versions, re-derives its writes by re-running the
+workload program, and re-validates
+(:meth:`repro.core.proxy.ObladiProxy._repair_conflict_losers`).  A repaired
+transaction commits in its own epoch and its result is marked ``repaired``;
+one whose repair still aborts is marked ``repair_failed`` and takes the
+retry path.  Repair is a proxy configuration, not something a driver does.
 
 The conflict *witness* — which reads went stale and which writer won — comes
 from :meth:`repro.concurrency.mvtso.MVTSOManager.stale_reads`;
@@ -33,12 +28,9 @@ from :meth:`repro.concurrency.mvtso.MVTSOManager.stale_reads`;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.concurrency.transaction import TransactionRecord
-
-#: The conflict-resolution strategies an engine or loop driver can run.
-CONFLICT_STRATEGIES = ("retry", "repair")
 
 #: Abort reasons a repair pass may attempt to fix.  Everything else —
 #: epoch-boundary starvation, a full write batch, a crash, a voluntary
@@ -75,114 +67,3 @@ class ConflictWitness:
     def repairable(self) -> bool:
         """Whether the abort reason is one repair can, in principle, fix."""
         return self.abort_reason in REPAIRABLE_REASONS
-
-
-@dataclass(frozen=True)
-class WaveEntry:
-    """One aborted attempt of a loop-driver wave, handed to a strategy.
-
-    ``index`` is the attempt's position in the wave (and in the result
-    list), ``factory`` the zero-argument program factory, ``attempts`` how
-    many times the program has already been re-queued, and ``result`` the
-    aborted :class:`~repro.core.client.TransactionResult`.
-    """
-
-    index: int
-    factory: object
-    attempts: int
-    result: object
-
-
-class ConflictStrategy:
-    """How a loop driver resolves the aborted attempts of one wave.
-
-    After every ``submit_many`` wave the driver collects the aborted
-    attempts into :class:`WaveEntry` objects and calls :meth:`resolve`; the
-    strategy may return replacement results (keyed by wave index) for
-    attempts it salvaged.  Attempts left unresolved fall through to the
-    driver's ordinary retry re-queue, so a strategy only ever *adds*
-    recovery paths — it can never lose a transaction.
-    """
-
-    #: Stable strategy name (matches ``ObladiConfig.conflict_strategy``).
-    name = "strategy"
-
-    def resolve(self, engine, entries: Sequence[WaveEntry]) -> Dict[int, object]:
-        """Resolve aborted wave entries; return replacements by wave index.
-
-        The default resolves nothing (every abort falls through to retry).
-        """
-        del engine, entries
-        return {}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} name={self.name!r}>"
-
-
-class RetryStrategy(ConflictStrategy):
-    """Abort-and-retry, the historical default.
-
-    Resolves nothing: the loop drivers' existing re-queue path (retries
-    first in the next wave, bounded by ``max_retries``) handles every
-    abort, exactly as before the strategy seam existed — fixed-seed runs
-    are byte-identical.
-    """
-
-    name = "retry"
-
-    def resolve(self, engine, entries: Sequence[WaveEntry]) -> Dict[int, object]:
-        """Leave every abort to the driver's retry re-queue."""
-        del engine, entries
-        return {}
-
-
-class RepairStrategy(ConflictStrategy):
-    """Transaction repair: patch the loser instead of re-running it later.
-
-    For engines with *in-wave* repair (the Obladi proxy repairs conflict
-    losers inside the epoch that detected them, marking results
-    ``repaired``/``repair_failed``), this strategy has nothing left to do —
-    repaired attempts come back committed.  For the rest it offers the
-    aborted factories to :meth:`~repro.api.engine.TransactionEngine.
-    repair_many`, which re-executes them immediately against the wave's
-    winning state instead of re-queueing them through backoff.  Engines
-    that return ``None`` (the default: repair unsupported) — and attempts
-    whose in-wave repair already failed — fall back to the retry path.
-    """
-
-    name = "repair"
-
-    def resolve(self, engine, entries: Sequence[WaveEntry]) -> Dict[int, object]:
-        """Ask ``engine`` to repair the wave's repairable aborted attempts."""
-        candidates = [entry for entry in entries
-                      if callable(entry.factory)
-                      and not getattr(entry.result, "repair_failed", False)]
-        if not candidates:
-            return {}
-        repaired = engine.repair_many([entry.factory for entry in candidates])
-        if repaired is None:
-            return {}
-        replacements: Dict[int, object] = {}
-        for entry, result in zip(candidates, repaired):
-            if result is None:
-                continue
-            result.repaired = result.committed
-            result.repair_failed = not result.committed
-            replacements[entry.index] = result
-        return replacements
-
-
-def as_conflict_strategy(strategy) -> ConflictStrategy:
-    """Normalise a strategy name or instance to a :class:`ConflictStrategy`.
-
-    Accepts ``"retry"`` / ``"repair"`` (the names ``ObladiConfig.
-    conflict_strategy`` takes) or an already-built strategy object.
-    """
-    if isinstance(strategy, ConflictStrategy):
-        return strategy
-    if strategy == "retry":
-        return RetryStrategy()
-    if strategy == "repair":
-        return RepairStrategy()
-    raise KeyError(f"unknown conflict strategy {strategy!r}; valid: "
-                   f"{', '.join(CONFLICT_STRATEGIES)}")

@@ -21,16 +21,20 @@ Table 11b       :func:`run_recovery_table`
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.api import EngineConfig, create_engine
+from repro.api import EngineConfig, PoissonArrivals, RunStats, create_engine
+from repro.audit import AuditingObserver
 from repro.core.config import ObladiConfig, RingOramConfig
+from repro.core.errors import ProxyCrashedError
+from repro.elasticity import AutoscalePolicy, FlashCrowdArrivals
 from repro.oram.batch_executor import EpochBatchExecutor
+from repro.oram.crypto import CipherSuite
 from repro.oram.parameters import derive_parameters
 from repro.oram.ring_oram import OramAccess, OramOp, RingOram
+from repro.recovery.crash import CrashInjector, CrashPoint
 from repro.sim.clock import SimClock
-from repro.sim.latency import BACKENDS, get_latency_model, wan_variant
 from repro.storage.memory import InMemoryStorageServer
 from repro.workloads.freehealth import FreeHealthConfig, FreeHealthWorkload
 from repro.workloads.smallbank import SmallBankConfig, SmallBankWorkload
@@ -45,25 +49,24 @@ DEFAULT_ORAM_OBJECTS = 100_000
 MICROBENCH_Z = 16
 
 
-def _build_executor(num_blocks: int, backend: str, parallelism: int = 1024,
-                    buffer_writes: bool = True, charge_crypto: bool = True,
-                    seed: int = 0):
-    """An ORAM + epoch executor pair sized like the microbenchmarks (§11.2).
+def _build_oram(num_blocks: int, backend: str, seed: int, charge_latency: bool,
+                **oram_options) -> RingOram:
+    """A Ring ORAM over a fresh store, sized like the microbenchmarks (§11.2).
 
-    The cipher is disabled (values are irrelevant to these experiments) but
-    the *simulated* crypto cost is charged unless ``charge_crypto`` is False,
-    matching the paper's Parallel vs ParallelCrypto distinction.
+    The cipher is disabled: values are irrelevant to these experiments, only
+    the *simulated* crypto cost matters.
     """
     clock = SimClock()
     storage = InMemoryStorageServer(latency=backend, clock=clock, record_trace=False,
-                                    charge_latency=False)
+                                    charge_latency=charge_latency)
     params = derive_parameters(num_blocks=num_blocks, z_real=MICROBENCH_Z, block_size=64)
-    from repro.oram.crypto import CipherSuite
-    oram = RingOram(params, storage, cipher=CipherSuite(block_size=72, enabled=False),
-                    clock=clock, seed=seed, dummiless_writes=True)
-    executor = EpochBatchExecutor(oram, latency=backend, parallelism=parallelism,
-                                  buffer_writes=buffer_writes, charge_crypto=charge_crypto)
-    return oram, executor
+    return RingOram(params, storage, cipher=CipherSuite(block_size=72, enabled=False),
+                    clock=clock, seed=seed, **oram_options)
+
+
+def _ops_per_s(operations: int, elapsed_ms: float) -> float:
+    """Throughput of ``operations`` completed in ``elapsed_ms`` simulated ms."""
+    return operations * 1000.0 / elapsed_ms if elapsed_ms > 0 else float("inf")
 
 
 def _workload_objects(name: str, scale: float = 1.0):
@@ -108,22 +111,23 @@ class EndToEndRow:
 END_TO_END_SYSTEMS = ("obladi", "nopriv", "mysql", "obladi_wan", "nopriv_wan")
 
 
-def _obladi_config_for(app: str, num_blocks: int, backend: str,
-                       encrypt: bool, clients: int = 16) -> ObladiConfig:
+def _obladi_config_for(app: str, num_keys: int, backend: str,
+                       encrypt: bool, clients: int) -> ObladiConfig:
     """Configure Obladi for an application the way §6.4 prescribes.
 
     Batch sizes are provisioned from the expected concurrent load: the read
     capacity must cover each client's reads per round and the write batch the
     epoch's committed write set.  TPC-C gets deep epochs and a large write
-    batch; FreeHealth a small write batch; SmallBank shallow epochs.
+    batch; FreeHealth a small write batch; SmallBank shallow epochs.  The
+    tree holds twice the loaded keys.
     """
+    num_blocks = max(num_keys * 2, 2048)
     oram = RingOramConfig(num_blocks=num_blocks, z_real=32, block_size=384)
-    per_round_reads = {"tpcc": 12, "smallbank": 3, "freehealth": 4, "ycsb": 4}
-    writes_per_txn = {"tpcc": 14, "smallbank": 2, "freehealth": 2, "ycsb": 2}
-    profile = app if app in per_round_reads else "ycsb"
-    read_batch = max(32, clients * per_round_reads[profile])
-    write_batch = max(32, clients * writes_per_txn[profile])
-    return ObladiConfig.for_workload(profile, num_blocks=num_blocks, backend=backend,
+    per_round_reads = {"tpcc": 12, "smallbank": 3, "freehealth": 4}
+    writes_per_txn = {"tpcc": 14, "smallbank": 2, "freehealth": 2}
+    read_batch = max(32, clients * per_round_reads[app])
+    write_batch = max(32, clients * writes_per_txn[app])
+    return ObladiConfig.for_workload(app, num_blocks=num_blocks, backend=backend,
                                      oram=oram, durability=True, encrypt=encrypt,
                                      checkpoint_frequency=8,
                                      read_batch_size=read_batch,
@@ -145,18 +149,15 @@ def run_end_to_end(applications: Sequence[str] = ("tpcc", "freehealth", "smallba
         for system in systems:
             workload = _workload_objects(app, scale)
             data = workload.initial_data()
-            wan = system.endswith("_wan")
-            backend = "server_wan" if wan else "server"
+            backend = "server_wan" if system.endswith("_wan") else "server"
 
             if system.startswith("obladi"):
                 engine = create_engine("obladi", _obladi_config_for(
-                    app, num_blocks=max(len(data) * 2, 2048),
-                    backend=backend, encrypt=encrypt, clients=clients))
-            elif system.startswith("nopriv"):
-                engine = create_engine("nopriv", EngineConfig(backend=backend, seed=seed))
-            elif system == "mysql":
+                    app, len(data), backend=backend, encrypt=encrypt, clients=clients))
+            elif system.startswith("nopriv") or system == "mysql":
                 # MySQL in the paper runs locally, so it never sees the WAN.
-                engine = create_engine("mysql", EngineConfig(backend="server", seed=seed))
+                engine = create_engine(system.split("_")[0],
+                                       EngineConfig(backend=backend, seed=seed))
             else:
                 raise KeyError(f"unknown system {system!r}")
 
@@ -193,14 +194,9 @@ class ParallelismRow:
 def _run_sequential_ops(num_blocks: int, backend: str, operations: int,
                         charge_crypto: bool, seed: int = 0) -> float:
     """Simulated duration of ``operations`` sequential Ring ORAM accesses."""
-    clock = SimClock()
-    storage = InMemoryStorageServer(latency=backend, clock=clock, record_trace=False,
-                                    charge_latency=True)
-    params = derive_parameters(num_blocks=num_blocks, z_real=MICROBENCH_Z, block_size=64)
-    from repro.oram.crypto import CipherSuite
-    oram = RingOram(params, storage,
-                    cipher=CipherSuite(block_size=72, enabled=False),
-                    clock=clock, seed=seed, charge_crypto=charge_crypto)
+    oram = _build_oram(num_blocks, backend, seed, charge_latency=True,
+                       charge_crypto=charge_crypto)
+    clock = oram.clock
     rng = random.Random(seed)
     start = clock.now_ms
     for _ in range(operations):
@@ -211,11 +207,18 @@ def _run_sequential_ops(num_blocks: int, backend: str, operations: int,
 
 def _run_parallel_ops(num_blocks: int, backend: str, operations: int, batch_size: int,
                       charge_crypto: bool, buffer_writes: bool = True,
-                      batches_per_epoch: int = 1, seed: int = 0) -> float:
-    """Simulated duration of ``operations`` accesses through the epoch executor."""
-    oram, executor = _build_executor(num_blocks, backend, charge_crypto=charge_crypto,
-                                     buffer_writes=buffer_writes, seed=seed)
-    rng = random.Random(seed)
+                      batches_per_epoch: int = 1, access_seed: int = 0) -> float:
+    """Simulated duration of ``operations`` accesses through the epoch executor.
+
+    The simulated crypto cost is charged unless ``charge_crypto`` is False,
+    matching the paper's Parallel vs ParallelCrypto distinction.  The
+    accessed blocks are drawn from ``access_seed``.
+    """
+    oram = _build_oram(num_blocks, backend, seed=0, charge_latency=False,
+                       dummiless_writes=True)
+    executor = EpochBatchExecutor(oram, latency=backend, parallelism=1024,
+                                  buffer_writes=buffer_writes, charge_crypto=charge_crypto)
+    rng = random.Random(access_seed)
     clock = oram.clock
     start = clock.now_ms
     remaining = operations
@@ -244,17 +247,13 @@ def run_parallelism(backends: Sequence[str] = ("dummy", "server", "server_wan", 
             if mode == "sequential":
                 elapsed = _run_sequential_ops(num_blocks, backend, operations,
                                               charge_crypto=True)
-            elif mode == "parallel":
+            elif mode in ("parallel", "parallel_crypto"):
                 elapsed = _run_parallel_ops(num_blocks, backend, operations, batch_size,
-                                            charge_crypto=False)
-            elif mode == "parallel_crypto":
-                elapsed = _run_parallel_ops(num_blocks, backend, operations, batch_size,
-                                            charge_crypto=True)
+                                            charge_crypto=mode == "parallel_crypto")
             else:
                 raise KeyError(f"unknown mode {mode!r}")
-            throughput = operations * 1000.0 / elapsed if elapsed > 0 else float("inf")
             rows.append(ParallelismRow(backend=backend, mode=mode,
-                                       throughput_ops_per_s=throughput,
+                                       throughput_ops_per_s=_ops_per_s(operations, elapsed),
                                        elapsed_ms=elapsed))
     return rows
 
@@ -287,23 +286,13 @@ def run_batch_size_sweep(backends: Sequence[str] = ("dummy", "server", "server_w
     rows: List[BatchSizeRow] = []
     for backend in backends:
         for batch_size in batch_sizes:
-            oram, executor = _build_executor(num_blocks, backend, charge_crypto=True)
-            rng = random.Random(1)
-            clock = oram.clock
             batches = max(1, -(-min_operations // batch_size))
-            total_ops = 0
-            start = clock.now_ms
-            for _ in range(batches):
-                executor.begin_epoch()
-                block_ids = [rng.randrange(num_blocks) for _ in range(batch_size)]
-                executor.execute_read_batch(block_ids, batch_size=batch_size)
-                executor.flush_epoch()
-                total_ops += batch_size
-            elapsed = clock.now_ms - start
-            latency = elapsed / batches
-            throughput = total_ops * 1000.0 / elapsed if elapsed > 0 else float("inf")
+            total_ops = batches * batch_size      # one full batch per epoch
+            elapsed = _run_parallel_ops(num_blocks, backend, total_ops, batch_size,
+                                        charge_crypto=True, access_seed=1)
             rows.append(BatchSizeRow(backend=backend, batch_size=batch_size,
-                                     throughput_ops_per_s=throughput, latency_ms=latency))
+                                     throughput_ops_per_s=_ops_per_s(total_ops, elapsed),
+                                     latency_ms=elapsed / batches))
     return rows
 
 
@@ -330,9 +319,9 @@ def run_delayed_visibility(backends: Sequence[str] = ("dummy", "server", "server
             elapsed = _run_parallel_ops(num_blocks, backend, operations, batch_size,
                                         charge_crypto=True, buffer_writes=buffer_writes,
                                         batches_per_epoch=batches_per_epoch)
-            throughput = operations * 1000.0 / elapsed if elapsed > 0 else float("inf")
-            rows.append(DelayedVisibilityRow(backend=backend, mode=mode,
-                                             throughput_ops_per_s=throughput))
+            rows.append(DelayedVisibilityRow(
+                backend=backend, mode=mode,
+                throughput_ops_per_s=_ops_per_s(operations, elapsed)))
     return rows
 
 
@@ -362,7 +351,7 @@ def run_epoch_size_oram(backends: Sequence[str] = ("dummy", "server", "server_wa
             elapsed = _run_parallel_ops(num_blocks, backend, operations, batch_size,
                                         charge_crypto=True, buffer_writes=True,
                                         batches_per_epoch=batches)
-            throughput = operations * 1000.0 / elapsed if elapsed > 0 else float("inf")
+            throughput = _ops_per_s(operations, elapsed)
             if base_throughput is None:
                 base_throughput = throughput
             rows.append(EpochSizeOramRow(
@@ -403,9 +392,8 @@ def run_epoch_size_proxy(applications: Sequence[str] = ("smallbank", "freehealth
             read_batches = max(1, int(round(epoch_ms / batch_interval_ms)))
             workload = _workload_objects(app, scale)
             data = workload.initial_data()
-            config = _obladi_config_for(app, num_blocks=max(len(data) * 2, 2048),
-                                        backend="server", encrypt=encrypt, clients=clients)
-            from dataclasses import replace
+            config = _obladi_config_for(app, len(data), backend="server",
+                                        encrypt=encrypt, clients=clients)
             config = replace(config, read_batches=read_batches,
                              batch_interval_ms=batch_interval_ms, durability=False)
             engine = create_engine("obladi", config)
@@ -445,10 +433,18 @@ class SaturationRow:
     audit_max_retained: int = 0   # auditor's retained-node high-water mark
 
 
-def _saturation_engine(kind: str, clients: int, shards: int, proxy_workers: int,
-                       num_accounts: int, seed: int,
-                       conflict_strategy: Optional[str] = None):
-    """A small, fast engine sized so ``clients`` fit in one epoch wave."""
+def _small_engine(kind: str, topology: Tuple[int, int, int], clients: int,
+                  num_accounts: int, seed: int,
+                  conflict_strategy: Optional[str] = None,
+                  cc_op_ms: Optional[float] = None, autoscale=None):
+    """A small, fast engine sized so ``clients`` fit in one epoch wave.
+
+    ``topology`` is ``(shards, storage_servers, proxy_workers)``.  A positive
+    ``cc_op_ms`` makes epochs proxy-CPU-bound (the seed charges no CC CPU),
+    so a rung with more proxy workers genuinely serves more load — the axis
+    the autoscale ladder climbs.  ``None`` leaves an option at its default.
+    """
+    shards, storage_servers, proxy_workers = topology
     config = (EngineConfig()
               .with_workload("smallbank")
               .with_backend("server")
@@ -458,13 +454,51 @@ def _saturation_engine(kind: str, clients: int, shards: int, proxy_workers: int,
                              write_batch_size=2 * clients,
                              batch_interval_ms=2.0)
               .with_sharding(shards)
+              .with_storage_servers(storage_servers)
               .with_proxy_workers(proxy_workers)
+              .with_conflict_strategy(conflict_strategy)
+              .with_cc_cost(cc_op_ms)
+              .with_autoscale(autoscale)
               .with_durability(False)
               .with_encryption(False)
               .with_seed(seed))
-    if conflict_strategy is not None:
-        config = config.with_conflict_strategy(conflict_strategy)
     return create_engine(kind, config)
+
+
+def _audited_open_loop(engine, workload, transactions: int, clients: int,
+                       arrivals, queue_limit: Optional[int] = None) -> RunStats:
+    """Load ``workload`` into ``engine`` and offer it open loop, with a
+    streaming serializability auditor (:class:`repro.audit.AuditingObserver`)
+    attached: ``run.audit`` certifies the run's own history."""
+    engine.load_initial_data(workload.initial_data())
+    engine.attach_observer(AuditingObserver())
+    return engine.run_open_loop(workload.transaction_factory,
+                                total_transactions=transactions, arrivals=arrivals,
+                                clients=clients, queue_limit=queue_limit)
+
+
+def _knee_sweep(make_engine: Callable[[], object], make_workload: Callable[[], object],
+                rate_multipliers: Sequence[float], transactions: int, clients: int,
+                arrival_seed: int) -> Iterator[Tuple[float, float, RunStats, RunStats]]:
+    """The method of both knee sweeps: the ceiling, then the multipliers.
+
+    First measures the *closed-loop ceiling* (``run_closed_loop`` with
+    ``clients`` slots — the service capacity an open loop cannot exceed),
+    then, on a fresh engine and workload per point, offers seeded-Poisson
+    arrivals at ``multiplier x ceiling``, audited, and yields
+    ``(multiplier, rate, ceiling, run)``.
+    """
+    workload, engine = make_workload(), make_engine()
+    engine.load_initial_data(workload.initial_data())
+    ceiling = engine.run_closed_loop(workload.transaction_factory,
+                                     total_transactions=transactions,
+                                     clients=clients)
+    for multiplier in rate_multipliers:
+        rate = max(1e-6, multiplier * ceiling.throughput_tps)
+        workload, engine = make_workload(), make_engine()
+        run = _audited_open_loop(engine, workload, transactions, clients,
+                                 PoissonArrivals(rate, seed=arrival_seed))
+        yield multiplier, rate, ceiling, run
 
 
 def run_saturation_sweep(kinds: Sequence[str] = ("obladi", "nopriv"),
@@ -475,20 +509,17 @@ def run_saturation_sweep(kinds: Sequence[str] = ("obladi", "nopriv"),
                          seed: int = 11) -> List[SaturationRow]:
     """Open-loop saturation sweep: offered load as a fraction of capacity.
 
-    For each engine kind the sweep first measures the *closed-loop ceiling*
-    (``run_closed_loop`` with ``clients`` slots — the service capacity an
-    open loop cannot exceed), then offers seeded-Poisson arrivals at
-    ``multiplier x ceiling`` for each multiplier and records achieved
-    throughput and queue-inclusive latency.  Below the knee
+    For each engine kind the sweep measures the closed-loop ceiling, then
+    offers arrivals at ``multiplier x ceiling`` (:func:`_knee_sweep`) and
+    records achieved throughput and queue-inclusive latency.  Below the knee
     (``multiplier < 1``) latency should sit near the closed-loop latency;
     past it, queueing delay grows with the multiplier while achieved
     throughput plateaus at the ceiling — the open-loop shape of the paper's
     Figure 9 latency/throughput trade-off.
 
-    Every open-loop point runs with a streaming serializability auditor
-    attached (:class:`repro.audit.AuditingObserver`), so each row also
-    certifies its own history (``audit_ok``) and records the auditor's
-    bounded-memory high-water mark (``audit_max_retained``).
+    Every open-loop point is audited, so each row also certifies its own
+    history (``audit_ok``) and records the auditor's bounded-memory
+    high-water mark (``audit_max_retained``).
 
     An epoch-batched engine adds ~half an epoch of queueing at *any* rate
     above one arrival per epoch (the pipeline never idles, and an arrival
@@ -497,33 +528,15 @@ def run_saturation_sweep(kinds: Sequence[str] = ("obladi", "nopriv"),
     system idle — that is the regime where open-loop latency genuinely
     approaches the closed-loop number.
     """
-    from repro.api.openloop import PoissonArrivals
-    from repro.audit import AuditingObserver
-
     rows: List[SaturationRow] = []
     for kind in kinds:
-        workload = SmallBankWorkload(SmallBankConfig(num_accounts=num_accounts,
-                                                     seed=seed))
-        engine = _saturation_engine(kind, clients, shards, proxy_workers,
-                                    num_accounts, seed)
-        engine.load_initial_data(workload.initial_data())
-        ceiling = engine.run_closed_loop(workload.transaction_factory,
-                                         total_transactions=transactions,
-                                         clients=clients)
-
-        for multiplier in rate_multipliers:
-            workload = SmallBankWorkload(SmallBankConfig(num_accounts=num_accounts,
-                                                         seed=seed))
-            engine = _saturation_engine(kind, clients, shards, proxy_workers,
-                                        num_accounts, seed)
-            engine.load_initial_data(workload.initial_data())
-            engine.attach_observer(AuditingObserver())
-            rate = max(1e-6, multiplier * ceiling.throughput_tps)
-            run = engine.run_open_loop(workload.transaction_factory,
-                                       total_transactions=transactions,
-                                       arrivals=PoissonArrivals(rate, seed=arrival_seed),
-                                       clients=clients)
-            audit = run.audit
+        points = _knee_sweep(
+            lambda: _small_engine(kind, (shards, 1, proxy_workers), clients,
+                                  num_accounts, seed),
+            lambda: SmallBankWorkload(SmallBankConfig(num_accounts=num_accounts,
+                                                      seed=seed)),
+            rate_multipliers, transactions, clients, arrival_seed)
+        for multiplier, rate, ceiling, run in points:
             rows.append(SaturationRow(
                 engine=kind,
                 rate_multiplier=multiplier,
@@ -539,9 +552,8 @@ def run_saturation_sweep(kinds: Sequence[str] = ("obladi", "nopriv"),
                 abort_rate=run.abort_rate,
                 closed_loop_tps=ceiling.throughput_tps,
                 closed_loop_latency_ms=ceiling.average_latency_ms,
-                audit_ok=audit.ok if audit is not None else True,
-                audit_max_retained=(audit.max_retained_nodes
-                                    if audit is not None else 0),
+                audit_ok=run.audit.ok,
+                audit_max_retained=run.audit.max_retained_nodes,
             ))
     return rows
 
@@ -578,14 +590,13 @@ def run_repair_comparison(rate_multipliers: Sequence[float] = (1.0, 2.0, 4.0),
                           workload: str = "smallbank") -> List[RepairComparisonRow]:
     """Head-to-head retry vs repair on a contended workload at the knee.
 
-    Reuses the saturation-sweep method (closed-loop ceiling first, then
-    seeded-Poisson arrivals at ``multiplier x ceiling``) but pins the
+    Reuses the saturation-sweep method (:func:`_knee_sweep`) but pins the
     workload to a contended shape — ``workload="smallbank"`` puts
     ``hotspot_probability`` of operations on the hot 10% of accounts;
     ``workload="ycsb"`` draws keys Zipfian(0.99) over ``num_accounts``
     records — so MVTSO conflicts dominate, and runs every point twice:
-    once under ``conflict_strategy="retry"`` (losers re-queue through
-    backoff and re-execute from scratch) and once under ``"repair"``
+    once under ``conflict_strategy="retry"`` (losers re-queue into the next
+    wave and re-execute from scratch) and once under ``"repair"``
     (losers re-execute against the winning versions inside the epoch that
     detected the conflict).  At and past the knee the retry path
     amplifies hotspot work — every loser's full re-execution conflicts
@@ -593,12 +604,9 @@ def run_repair_comparison(rate_multipliers: Sequence[float] = (1.0, 2.0, 4.0),
     within their epoch; the rows expose exactly that difference through
     ``repaired`` / ``wasted_attempts`` / ``achieved_tps``.
 
-    Every open-loop point runs with a streaming serializability auditor
-    attached, so each row certifies its own (possibly repaired) history.
+    Every open-loop point is audited, so each row certifies its own
+    (possibly repaired) history.
     """
-    from repro.api.openloop import PoissonArrivals
-    from repro.audit import AuditingObserver
-
     def hotspot_workload():
         if workload == "ycsb":
             return YCSBWorkload(YCSBConfig(
@@ -614,28 +622,11 @@ def run_repair_comparison(rate_multipliers: Sequence[float] = (1.0, 2.0, 4.0),
 
     rows: List[RepairComparisonRow] = []
     for strategy in ("retry", "repair"):
-        load = hotspot_workload()
-        engine = _saturation_engine("obladi", clients, shards, proxy_workers,
-                                    num_accounts, seed,
-                                    conflict_strategy=strategy)
-        engine.load_initial_data(load.initial_data())
-        ceiling = engine.run_closed_loop(load.transaction_factory,
-                                         total_transactions=transactions,
-                                         clients=clients)
-
-        for multiplier in rate_multipliers:
-            load = hotspot_workload()
-            engine = _saturation_engine("obladi", clients, shards,
-                                        proxy_workers, num_accounts, seed,
-                                        conflict_strategy=strategy)
-            engine.load_initial_data(load.initial_data())
-            engine.attach_observer(AuditingObserver())
-            rate = max(1e-6, multiplier * ceiling.throughput_tps)
-            run = engine.run_open_loop(load.transaction_factory,
-                                       total_transactions=transactions,
-                                       arrivals=PoissonArrivals(rate, seed=arrival_seed),
-                                       clients=clients)
-            audit = run.audit
+        points = _knee_sweep(
+            lambda: _small_engine("obladi", (shards, 1, proxy_workers), clients,
+                                  num_accounts, seed, conflict_strategy=strategy),
+            hotspot_workload, rate_multipliers, transactions, clients, arrival_seed)
+        for multiplier, rate, ceiling, run in points:
             rows.append(RepairComparisonRow(
                 strategy=strategy,
                 rate_multiplier=multiplier,
@@ -650,7 +641,7 @@ def run_repair_comparison(rate_multipliers: Sequence[float] = (1.0, 2.0, 4.0),
                 abort_rate=run.abort_rate,
                 mean_total_latency_ms=run.average_total_latency_ms,
                 closed_loop_tps=ceiling.throughput_tps,
-                audit_ok=audit.ok if audit is not None else True,
+                audit_ok=run.audit.ok,
             ))
     return rows
 
@@ -676,21 +667,11 @@ def run_checkpoint_frequency(frequencies: Sequence[int] = (1, 4, 16, 64, 256),
     rows: List[CheckpointFrequencyRow] = []
     for backend in backends:
         for frequency in frequencies:
-            ycsb = YCSBWorkload(YCSBConfig(num_records=num_records,
-                                           ops_per_transaction=ops_per_transaction, seed=3))
-            data = ycsb.initial_data()
-            config = ObladiConfig.for_workload("ycsb", num_blocks=num_records * 2,
-                                               backend=backend,
-                                               oram=RingOramConfig(num_blocks=num_records * 2,
-                                                                   z_real=32, block_size=192),
-                                               durability=True, encrypt=False,
-                                               checkpoint_frequency=frequency,
-                                               read_batch_size=clients * ops_per_transaction,
-                                               write_batch_size=clients * ops_per_transaction)
-            engine = create_engine("obladi", config)
-            engine.load_initial_data(data)
-            run = engine.run_closed_loop(ycsb.transaction_factory,
-                                         total_transactions=transactions, clients=clients)
+            _engine, run = _ycsb_obladi_run(
+                num_records, durability=True, backend=backend,
+                transactions=transactions, clients=clients,
+                checkpoint_frequency=frequency,
+                ops_per_transaction=ops_per_transaction, seed=3)
             ops = run.committed * ops_per_transaction
             tput = ops * 1000.0 / run.elapsed_ms if run.elapsed_ms > 0 else 0.0
             rows.append(CheckpointFrequencyRow(backend=backend, checkpoint_frequency=frequency,
@@ -716,21 +697,25 @@ class RecoveryRow:
 
 
 def _ycsb_obladi_run(num_records: int, durability: bool, backend: str,
-                     transactions: int, clients: int, checkpoint_frequency: int = 4):
-    ycsb = YCSBWorkload(YCSBConfig(num_records=num_records, ops_per_transaction=4, seed=5))
+                     transactions: int, clients: int, checkpoint_frequency: int = 4,
+                     ops_per_transaction: int = 4, seed: int = 5):
+    """A closed-loop YCSB run on an Obladi engine whose batches hold one
+    operation per client per transaction; returns ``(engine, run)``."""
+    ycsb = YCSBWorkload(YCSBConfig(num_records=num_records,
+                                   ops_per_transaction=ops_per_transaction, seed=seed))
     data = ycsb.initial_data()
     config = ObladiConfig.for_workload("ycsb", num_blocks=num_records * 2, backend=backend,
                                        oram=RingOramConfig(num_blocks=num_records * 2,
                                                            z_real=32, block_size=192),
                                        durability=durability, encrypt=False,
                                        checkpoint_frequency=checkpoint_frequency,
-                                       read_batch_size=clients * 4,
-                                       write_batch_size=clients * 4)
+                                       read_batch_size=clients * ops_per_transaction,
+                                       write_batch_size=clients * ops_per_transaction)
     engine = create_engine("obladi", config)
     engine.load_initial_data(data)
     run = engine.run_closed_loop(ycsb.transaction_factory,
                                  total_transactions=transactions, clients=clients)
-    return engine, config, run
+    return engine, run
 
 
 def run_recovery_table(sizes: Sequence[int] = (1_000, 10_000, 100_000),
@@ -740,10 +725,10 @@ def run_recovery_table(sizes: Sequence[int] = (1_000, 10_000, 100_000),
     rows: List[RecoveryRow] = []
     for size in sizes:
         # Normal-execution slowdown: with vs without durability.
-        _engine_off, _cfg, run_off = _ycsb_obladi_run(size, durability=False, backend=backend,
-                                                      transactions=transactions, clients=clients)
-        engine_on, _config_on, run_on = _ycsb_obladi_run(size, durability=True, backend=backend,
-                                                         transactions=transactions, clients=clients)
+        _engine_off, run_off = _ycsb_obladi_run(size, durability=False, backend=backend,
+                                                transactions=transactions, clients=clients)
+        engine_on, run_on = _ycsb_obladi_run(size, durability=True, backend=backend,
+                                             transactions=transactions, clients=clients)
         slowdown = (run_on.throughput_tps / run_off.throughput_tps
                     if run_off.throughput_tps > 0 else 0.0)
 
@@ -752,8 +737,6 @@ def run_recovery_table(sizes: Sequence[int] = (1_000, 10_000, 100_000),
         proxy_on = engine_on.proxy
         for _ in range(clients):
             proxy_on.submit(ycsb.transaction_factory())
-        from repro.core.errors import ProxyCrashedError
-        from repro.recovery.crash import CrashInjector, CrashPoint
         injector = CrashInjector(proxy_on, crash_after_batches=0,
                                  point=CrashPoint.AFTER_READ_BATCH)
         injector.arm()
@@ -799,35 +782,6 @@ class ElasticityRow:
     audit_ok: bool = True         # streaming serializability verdict
 
 
-def _elasticity_engine(topology, clients: int, num_accounts: int, seed: int,
-                       cc_op_ms: float = 0.2, autoscale=None):
-    """A small Obladi engine at ``topology``, optionally autoscaled.
-
-    ``cc_op_ms`` makes epochs proxy-CPU-bound (the seed charges no CC CPU),
-    so a rung with more proxy workers genuinely serves more load — the axis
-    the autoscale ladder climbs.
-    """
-    shards, storage_servers, proxy_workers = topology
-    config = (EngineConfig()
-              .with_workload("smallbank")
-              .with_backend("server")
-              .with_oram(num_blocks=max(2048, 2 * num_accounts), z_real=8,
-                         block_size=192)
-              .with_batching(read_batches=3, read_batch_size=2 * clients,
-                             write_batch_size=2 * clients,
-                             batch_interval_ms=2.0)
-              .with_sharding(shards)
-              .with_storage_servers(storage_servers)
-              .with_proxy_workers(proxy_workers)
-              .with_cc_cost(cc_op_ms)
-              .with_durability(False)
-              .with_encryption(False)
-              .with_seed(seed))
-    if autoscale is not None:
-        config = config.with_autoscale(autoscale)
-    return create_engine("obladi", config)
-
-
 def run_elasticity_comparison(transactions: int = 900, clients: int = 16,
                               num_accounts: int = 200,
                               base_tps: float = 150.0,
@@ -861,9 +815,6 @@ def run_elasticity_comparison(transactions: int = 900, clients: int = 16,
     Both runs carry a streaming serializability auditor, so each row also
     certifies its own history across any migration windows it contains.
     """
-    from repro.audit import AuditingObserver
-    from repro.elasticity import AutoscalePolicy, FlashCrowdArrivals
-
     arrivals = FlashCrowdArrivals(base_tps=base_tps,
                                   spike_tps=spike_tps,
                                   spike_start_ms=spike_start_ms,
@@ -877,20 +828,14 @@ def run_elasticity_comparison(transactions: int = 900, clients: int = 16,
     for mode in ("static", "autoscaled"):
         workload = SmallBankWorkload(SmallBankConfig(num_accounts=num_accounts,
                                                      seed=seed))
-        engine = _elasticity_engine(ladder[0], clients, num_accounts, seed,
-                                    cc_op_ms=cc_op_ms,
-                                    autoscale=policy if mode == "autoscaled"
-                                    else None)
-        engine.load_initial_data(workload.initial_data())
-        engine.attach_observer(AuditingObserver())
-        run = engine.run_open_loop(workload.transaction_factory,
-                                   total_transactions=transactions,
-                                   arrivals=arrivals, clients=clients,
-                                   queue_limit=queue_limit)
+        engine = _small_engine("obladi", ladder[0], clients, num_accounts, seed,
+                               cc_op_ms=cc_op_ms,
+                               autoscale=policy if mode == "autoscaled" else None)
+        run = _audited_open_loop(engine, workload, transactions, clients,
+                                 arrivals, queue_limit)
         config = engine.proxy.config
         controller = run.controller
         decisions = () if controller is None else controller.decisions
-        audit = run.audit
         rows.append(ElasticityRow(
             mode=mode,
             offered=run.offered,
@@ -906,6 +851,6 @@ def run_elasticity_comparison(transactions: int = 900, clients: int = 16,
             scale_downs=sum(1 for d in decisions if d.action == "scale_down"),
             final_topology=(config.shards, config.storage_servers,
                             config.proxy_workers),
-            audit_ok=audit.ok if audit is not None else True,
+            audit_ok=run.audit.ok,
         ))
     return rows

@@ -68,7 +68,7 @@ class EpochBatchExecutor:
     The rows of an announced batch share their op, their ``batch_id``
     (``-1``: the executor announced the batch itself) and their ``time_ms``:
     every store an executor is built over — both ``build_storage`` branches,
-    ``ObladiProxy`` and ``harness.experiments._build_executor`` — has
+    ``ObladiProxy`` and ``harness.experiments._run_parallel_ops`` — has
     ``charge_latency=False``, so the clock moves only when the executor
     charges a whole batch.  ``AccessTrace.record_batch`` is ``n x record``,
     and every :class:`~repro.recovery.crash.CrashPoint` is a batch boundary.

@@ -111,7 +111,7 @@ class CheckpointStore:
                             authenticated=True, enabled=True)
         return suite.encrypt(payload)
 
-    def _unseal(self, blob: bytes, plaintext_hint: int = 0) -> bytes:
+    def _unseal(self, blob: bytes) -> bytes:
         if not self.encrypt:
             return blob
         suite = CipherSuite(key=self.cipher.key,

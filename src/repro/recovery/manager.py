@@ -5,7 +5,7 @@ During normal operation the manager is invoked by the proxy at two points:
 * before every read batch, to log the batch's access locations
   (:meth:`RecoveryManager.log_read_batch`);
 * at every epoch boundary, to checkpoint the proxy metadata
-  (:meth:`RecoveryManager.checkpoint_epoch`).
+  (:meth:`RecoveryManager.checkpoint_data_layer`).
 
 After a crash, :func:`recover_proxy` builds a fresh proxy from the untrusted
 store: it restores the last committed epoch's metadata, replays the aborted
@@ -113,7 +113,7 @@ class RecoveryManager:
                            keys=list(keys), padded_size=batch_size)
         size = self.wal.append(record)
         self.stats_wal_bytes += size
-        self._charge(size, requests=1)
+        self._charge(size)
 
     @staticmethod
     def _oram_components(oram, pad_position_entries: int, full: bool):
@@ -135,29 +135,6 @@ class RecoveryManager:
             "stash": oram.stash.serialize(stash_pad, params.block_size),
         }
         return encrypted, {"valid_map": valid_blob}
-
-    def checkpoint_epoch(self, epoch_id: int, oram, pad_position_entries: int,
-                         extra_state: Dict[str, bytes], full: bool) -> CheckpointSizes:
-        """Checkpoint one ORAM's proxy metadata at an epoch boundary.
-
-        Retained for single-tree callers; the proxy itself checkpoints its
-        whole data layer through :meth:`checkpoint_data_layer`.
-        """
-        encrypted, plain = self._oram_components(oram, pad_position_entries, full)
-        components = dict(extra_state)
-        components.update(encrypted)
-
-        sizes = self.checkpoints.write_checkpoint(
-            epoch_id=epoch_id, components=components, plain_components=plain, full=full,
-            access_count=oram.access_count, eviction_count=oram.eviction_count)
-        oram.position_map.clear_dirty()
-        oram.metadata.clear_dirty()
-        self.wal.truncate_before(epoch_id, self.config.read_batches)
-
-        self.stats_checkpoint_bytes += sizes.total_bytes
-        self.stats_checkpoints += 1
-        self._charge(sizes.total_bytes, requests=len(components) + len(plain) + 1)
-        return sizes
 
     def checkpoint_data_layer(self, epoch_id: int, data_layer, full: bool) -> CheckpointSizes:
         """Checkpoint every partition of the proxy's data layer as one epoch.
@@ -198,17 +175,16 @@ class RecoveryManager:
 
         self.stats_checkpoint_bytes += sizes.total_bytes
         self.stats_checkpoints += 1
-        self._charge(sizes.total_bytes, requests=len(components) + len(plain) + 1)
+        self._charge(sizes.total_bytes)
         return sizes
 
-    def _charge(self, total_bytes: int, requests: int) -> None:
+    def _charge(self, total_bytes: int) -> None:
         """Charge simulated time for synchronous durability traffic.
 
         The checkpoint components (and the WAL entry) are independent objects
         written concurrently, so the proxy waits one round trip plus the time
         to push the bytes at the available bandwidth.
         """
-        del requests
         elapsed = (self.latency.write_rtt_ms
                    + total_bytes / self.costs.bandwidth_bytes_per_ms)
         self.clock.advance(elapsed)

@@ -32,6 +32,7 @@ from repro.oram.crypto import CipherSuite
 from repro.oram.ring_oram import RingOram
 from repro.sim.clock import SimClock
 from repro.storage.backend import StorageServer
+from repro.storage.cluster import StorageCluster
 
 
 def key_partition(key: str, shards: int, partition_seed: int = 0) -> int:
@@ -218,6 +219,12 @@ class SingleOramDataLayer(DataLayer):
         # a reshard cutover — namespace their tree under "g<g>/" so they
         # coexist with the generation they replaced on the same storage.
         gen_prefix = config.generation_prefix
+        # After a scale-down to one storage server the tier is still a
+        # cluster; the tree lives on its first server, and must address that
+        # server itself (as each partition of a partitioned layer addresses
+        # its host) for the batch boundaries to reach the server's trace.
+        if isinstance(storage, StorageCluster):
+            storage = storage.servers[0]
         view = storage
         if gen_prefix:
             from repro.storage.namespace import NamespacedStorage

@@ -36,28 +36,9 @@ from repro.sim.clock import SimClock
 from repro.sim.latency import LatencyModel, link_latency_models
 from repro.storage.backend import BatchResult, StorageServer
 from repro.storage.memory import InMemoryStorageServer
-from repro.storage.trace import AccessTrace, merge_traces
+from repro.storage.trace import AccessTrace
 
 __all__ = ["StorageCluster", "build_storage", "link_latency_models"]
-
-
-class _MergedClusterTrace(AccessTrace):
-    """Merged view of every server's trace that keeps ``clear()`` meaningful.
-
-    The merge itself is a snapshot (recording into it would not reach any
-    server), but ``clear()`` is the one mutation existing code performs on
-    ``proxy.storage.trace`` between experiment phases — forward it to the
-    per-server traces so that idiom keeps working on a cluster.
-    """
-
-    def __init__(self, cluster: "StorageCluster") -> None:
-        super().__init__()
-        self._cluster = cluster
-
-    def clear(self) -> None:
-        """Clear this snapshot *and* every server's underlying trace."""
-        super().clear()
-        self._cluster.clear_traces()
 
 
 class StorageCluster(StorageServer):
@@ -217,25 +198,6 @@ class StorageCluster(StorageServer):
     def traces(self) -> List[Optional[AccessTrace]]:
         """Each server's own adversary trace (``None`` when not recorded)."""
         return [server.trace for server in self.servers]
-
-    @property
-    def trace(self) -> Optional[AccessTrace]:
-        """A merged *snapshot* of every server's trace, ordered by time.
-
-        Useful for whole-deployment diagnostics; the security analysis works
-        on the per-server :attr:`traces` instead (each node's observer sees
-        only its own requests).  Batch boundaries are merged in time order
-        (ids renumbered), recording into the snapshot does not reach any
-        server, and ``.clear()`` on it clears the per-server traces
-        (equivalent to :meth:`clear_traces`), so the single-server idioms
-        ``storage.trace.clear()`` / ``storage.trace.batch_shape()`` keep
-        working.  Each access rebuilds the merge (O(total events) plus the
-        sort) and returns a fresh object — hoist it out of hot loops.
-        """
-        recorded = [trace for trace in self.traces if trace is not None]
-        if not recorded:
-            return None
-        return merge_traces(recorded, into=_MergedClusterTrace(self))
 
     def clear_traces(self) -> None:
         """Clear every server's recorded trace (between experiment phases)."""

@@ -205,8 +205,7 @@ class AccessTrace:
                    if op is None or block[0] == op)
 
 
-def merge_traces(traces: Iterable[AccessTrace],
-                 into: Optional[AccessTrace] = None) -> AccessTrace:
+def merge_traces(traces: Iterable[AccessTrace]) -> AccessTrace:
     """Merge several traces into one, re-sequencing events by time.
 
     Useful when an experiment runs multiple proxies against separate storage
@@ -214,9 +213,9 @@ def merge_traces(traces: Iterable[AccessTrace],
     boundaries are carried over in time order so ``batch_shape()`` stays
     meaningful, but their ids are renumbered — events keep the batch id they
     had in their source trace, so event→batch links are not preserved across
-    traces.  ``into`` lets callers supply the (empty) result instance.
+    traces.
     """
-    merged = into if into is not None else AccessTrace()
+    merged = AccessTrace()
     all_batches: List[BatchBoundary] = []
     rows: List[Tuple[int, float, StorageOp, str, int, int]] = []
     for trace in traces:

@@ -35,9 +35,9 @@ from repro.elasticity import AutoscalePolicy, ReshardPlan
 NUM_KEYS = 24
 
 #: Every variant runs under both conflict strategies: ``retry`` (the
-#: pre-seam default) and ``repair`` (in-epoch conflict repair).  Engines
-#: without a repair path fall back to retry through the strategy seam, so
-#: the repair variants double as fallback conformance.
+#: default) and ``repair`` (in-epoch conflict repair).  The strategy is an
+#: Obladi proxy configuration; the baselines ignore it, so their repair
+#: variants pin that the field is harmless there.
 STRATEGIES = ("retry", "repair")
 
 #: (kind, shards, storage_servers, proxy_workers, strategy) variants the
@@ -426,14 +426,14 @@ class TestProxyTierStats:
                             _config(proxy_workers=4).with_durability(True))
         eng.load_initial_data({f"k{i}": b"0" for i in range(NUM_KEYS)})
         eng.submit(append_program("k1"))
-        before = eng.worker_op_counters()
+        before = eng.counters().worker_ops
         assert sum(reads for reads, _ in before) > 0
         eng.crash()
         eng.recover()
         assert len(eng.proxy.workers) == 4
-        assert eng.worker_op_counters() == before   # retired proxy's work kept
+        assert eng.counters().worker_ops == before   # retired proxy's work kept
         eng.submit(append_program("k2"))
-        after = eng.worker_op_counters()
+        after = eng.counters().worker_ops
         assert sum(reads for reads, _ in after) > sum(reads for reads, _ in before)
 
 
@@ -745,6 +745,26 @@ class TestElasticReshard:
         assert total_appends == before.committed + after.committed
         for i in range(6, NUM_KEYS):
             assert eng.read(f"k{i}") == b"0"
+
+    def test_single_tree_on_a_cluster_keeps_its_batch_boundaries(self):
+        """A scale-down to one storage server leaves the tier a cluster.
+        The single tree must address its host server, not the façade, so
+        server 0 records the same batch boundaries per epoch as after a
+        scale-down that never left one server."""
+
+        def epoch_shape(source):
+            eng = create_engine("obladi", self._narrow_config(*source[:2]))
+            eng.load_initial_data({f"k{i}": b"0" for i in range(NUM_KEYS)})
+            eng.reshard(self._plan((1, 1, 1)))
+            self._drain(eng)
+            host = getattr(eng.storage, "servers", [eng.storage])[0]
+            host.trace.clear()
+            eng.submit_many([read_program("k1")])
+            return host.trace.batch_shape()
+
+        on_a_cluster = epoch_shape((4, 2, 1))
+        assert [kind for kind, _ in on_a_cluster] == ["read"] * 3 + ["write"]
+        assert on_a_cluster == epoch_shape((4, 1, 1))
 
     def test_crash_during_migration_recovers_on_the_old_side(self):
         """The staged plan and half-copied target generation are volatile:

@@ -5,20 +5,21 @@ open-loop driver (:func:`repro.api.openloop.run_open_loop`) are exercised
 end-to-end by every engine run, but their *scheduling decisions* — which
 wave a retry lands in, when abort accounting stops re-queueing, how counter
 deltas handle engines that grow entries mid-run, which wave an arrival on an
-exact epoch boundary joins — were previously only observable indirectly.
-This file drives both loops against a scripted fake engine whose outcomes
-and timing are fully deterministic, so each decision is pinned on its own.
+exact epoch boundary joins, how a repaired or repair-failed result is
+counted — were previously only observable indirectly.  This file drives both
+loops (one wave body, :func:`repro.api.loop.run_waves`) against a scripted
+fake engine whose outcomes and timing are fully deterministic, so each
+decision is pinned on its own.
 """
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
-from repro.api import (DEFAULT_RETRY_POLICY, DeterministicArrivals,
-                       PoissonArrivals, RetryPolicy, RunStats,
+from repro.api import (DeterministicArrivals, PoissonArrivals, RunStats,
                        TransactionEngine, run_closed_loop, run_open_loop)
-from repro.api.loop import _counter_deltas
 from repro.api.openloop import as_arrival_process
+from repro.api.results import Counters
 from repro.core.client import TransactionResult
 from repro.sim.clock import SimClock
 
@@ -47,14 +48,17 @@ class ScriptedEngine(TransactionEngine):
 
     ``script[tag]`` is the list of verdicts for that tag's successive
     attempts (``True`` = commit); missing tags and exhausted lists commit.
-    Every ``submit_many`` wave advances the clock by ``wave_ms`` and records
-    the wave's tags and dispatch time, so tests can assert on the exact
-    wave composition the drivers produced.
+    Two more verdicts model an engine that repairs conflict losers inside
+    the wave, as the Obladi proxy does: ``"repaired"`` commits with the
+    result's ``repaired`` flag set, ``"repair_failed"`` aborts with its
+    ``repair_failed`` flag set.  Every ``submit_many`` wave advances the
+    clock by ``wave_ms`` and records the wave's tags and dispatch time, so
+    tests can assert on the exact wave composition the drivers produced.
     """
 
     name = "scripted"
 
-    def __init__(self, script: Optional[Dict[str, List[bool]]] = None,
+    def __init__(self, script: Optional[Dict[str, list]] = None,
                  wave_ms: float = 10.0,
                  wave_limit: Optional[int] = None) -> None:
         self._clock = SimClock()
@@ -97,12 +101,15 @@ class ScriptedEngine(TransactionEngine):
             attempt = self._attempts.get(tag, 0)
             self._attempts[tag] = attempt + 1
             verdicts = self.script.get(tag, [])
-            committed = verdicts[attempt] if attempt < len(verdicts) else True
+            verdict = verdicts[attempt] if attempt < len(verdicts) else True
+            committed = verdict in (True, "repaired")
             results.append(TransactionResult(
                 txn_id=self._next_txn_id, committed=committed,
                 return_value=tag if committed else None,
                 abort_reason=None if committed else "scripted",
-                latency_ms=self.wave_ms, epoch=len(self.waves) - 1))
+                latency_ms=self.wave_ms, epoch=len(self.waves) - 1,
+                repaired=verdict == "repaired",
+                repair_failed=verdict == "repair_failed"))
             self._next_txn_id += 1
         return results
 
@@ -115,41 +122,13 @@ class ScriptedEngine(TransactionEngine):
         """The fake engine's private clock."""
         return self._clock
 
-    def partition_io_counters(self) -> List[Tuple[int, int]]:
+    def counters(self) -> Counters:
         """The scripted per-partition counters (may grow between waves)."""
-        return list(self.partition_counters)
+        return Counters(partition_physical=list(self.partition_counters))
 
     def open_loop_wave_limit(self) -> Optional[int]:
         """Scripted wave cap (None = drain up to ``clients``)."""
         return self.wave_limit
-
-
-# --------------------------------------------------------------------------- #
-# Retry/backoff policy
-# --------------------------------------------------------------------------- #
-class TestRetryPolicy:
-    def test_backoff_is_jitter_plus_linear_slope(self):
-        policy = RetryPolicy(backoff_slope_ms=0.5, jitter_step_ms=0.1,
-                             jitter_buckets=4)
-        # jitter = (txn_id % 4) * 0.1; slope = 0.5 * attempts
-        assert policy.backoff_ms(txn_id=0, attempts=0) == pytest.approx(0.0)
-        assert policy.backoff_ms(txn_id=6, attempts=0) == pytest.approx(0.2)
-        assert policy.backoff_ms(txn_id=6, attempts=3) == pytest.approx(0.2 + 1.5)
-
-    def test_jitter_phase_decorrelates_colliding_transactions(self):
-        policy = DEFAULT_RETRY_POLICY
-        delays = {policy.backoff_ms(txn_id, attempts=1)
-                  for txn_id in range(policy.jitter_buckets)}
-        assert len(delays) == policy.jitter_buckets
-
-    def test_backoff_grows_with_attempts(self):
-        policy = DEFAULT_RETRY_POLICY
-        series = [policy.backoff_ms(txn_id=3, attempts=n) for n in range(4)]
-        assert series == sorted(series)
-        assert series[0] < series[-1]
-
-    def test_default_policy_is_the_dataclass_default(self):
-        assert DEFAULT_RETRY_POLICY == RetryPolicy()
 
 
 # --------------------------------------------------------------------------- #
@@ -211,16 +190,28 @@ class TestClosedLoopScheduling:
 
 class TestCounterDeltas:
     def test_entrywise_subtraction(self):
-        before = [(5, 2), (1, 1)]
-        after = [(8, 3), (4, 1)]
-        assert _counter_deltas(before, after) == [(3, 1), (3, 0)]
+        before = Counters(physical_reads=6, physical_writes=3, cpu_ms=1.5,
+                          partition_physical=[(5, 2), (1, 1)])
+        after = Counters(physical_reads=12, physical_writes=4, cpu_ms=4.0,
+                         partition_physical=[(8, 3), (4, 1)])
+        assert after - before == Counters(
+            physical_reads=6, physical_writes=1, cpu_ms=2.5,
+            partition_physical=[(3, 1), (3, 0)])
 
     def test_ragged_growth_counts_missing_entries_as_zero(self):
         """An engine may grow counter entries mid-run (e.g. a recovery that
         expands the topology); new entries delta from zero."""
-        before = [(5, 2)]
-        after = [(6, 2), (4, 7)]
-        assert _counter_deltas(before, after) == [(1, 0), (4, 7)]
+        before = Counters(server_physical=[(5, 2)])
+        after = Counters(server_physical=[(6, 2), (4, 7)])
+        assert (after - before).server_physical == [(1, 0), (4, 7)]
+
+    def test_ragged_sum_spans_the_longer_list(self):
+        """Summing a retired proxy's counters with its successor's keeps
+        every entry either side has (a reshard may shrink the topology)."""
+        retired = Counters(worker_ops=[(5, 2), (1, 1)], cpu_ms=1.0)
+        current = Counters(worker_ops=[(2, 2)], cpu_ms=0.5)
+        assert retired + current == current + retired == Counters(
+            worker_ops=[(7, 4), (1, 1)], cpu_ms=1.5)
 
     def test_closed_loop_reports_partition_deltas_across_growth(self):
         engine = ScriptedEngine()
@@ -403,95 +394,13 @@ class TestOpenLoopScheduling:
 
 
 # --------------------------------------------------------------------------- #
-# Conflict-strategy seam
+# In-wave repair: the loop only counts the flags an engine reports
 # --------------------------------------------------------------------------- #
-class RepairableScriptedEngine(ScriptedEngine):
-    """A scripted engine that additionally scripts driver-level repair.
-
-    ``repair_script[tag]`` is the verdict ``repair_many`` returns for that
-    tag (``True`` = the repair commits, ``False`` = it fails); a missing tag
-    is unrepairable (``None`` in the returned list).  ``supports_repair``
-    False makes ``repair_many`` decline outright (return ``None``), the
-    unsupported-engine fallback.  ``prefail`` tags come back from
-    ``submit_many`` with ``repair_failed`` already set, modelling an engine
-    whose *in-epoch* repair already failed for them.
-    """
-
-    def __init__(self, script=None, repair_script=None, preferred="repair",
-                 supports_repair=True, prefail=(), **kwargs):
-        super().__init__(script=script, **kwargs)
-        self.repair_script = dict(repair_script or {})
-        self.preferred = preferred
-        self.supports_repair = supports_repair
-        self.prefail = set(prefail)
-        self.repair_calls: List[List[str]] = []
-
-    def conflict_strategy(self) -> str:
-        """The engine's scripted strategy preference."""
-        return self.preferred
-
-    def submit_many(self, programs) -> List[TransactionResult]:
-        """As scripted, plus ``repair_failed`` on ``prefail`` tags' aborts."""
-        results = super().submit_many(programs)
-        for program, result in zip(programs, results):
-            if not result.committed and getattr(program, "tag", "?") in self.prefail:
-                result.repair_failed = True
-        return results
-
-    def repair_many(self, factories):
-        """Resolve a repair offer according to ``repair_script``."""
-        if not self.supports_repair:
-            return None
-        tags = [getattr(f, "tag", "?") for f in factories]
-        self.repair_calls.append(tags)
-        repaired = []
-        for tag in tags:
-            verdict = self.repair_script.get(tag)
-            if verdict is None:
-                repaired.append(None)
-                continue
-            repaired.append(TransactionResult(
-                txn_id=self._next_txn_id, committed=verdict,
-                return_value=tag if verdict else None,
-                abort_reason=None if verdict else "scripted",
-                latency_ms=self.wave_ms, epoch=len(self.waves) - 1))
-            self._next_txn_id += 1
-        return repaired
-
-
-class TestConflictStrategySeam:
-    def test_engine_preference_selects_the_strategy(self):
-        """``conflict_strategy=None`` defers to the engine's preference."""
-        engine = RepairableScriptedEngine(script={"A": [False, True]},
-                                          repair_script={"A": True})
-        run = run_closed_loop(engine, tagged_source(["A", "B"]),
-                              total_transactions=2, clients=2)
-        assert engine.repair_calls == [["A"]]
-        assert run.repaired == 1
-
-    def test_explicit_strategy_overrides_engine_preference(self):
-        """An explicit ``"retry"`` beats the engine's repair preference."""
-        engine = RepairableScriptedEngine(script={"A": [False, True]},
-                                          repair_script={"A": True})
-        run = run_closed_loop(engine, tagged_source(["A", "B"]),
-                              total_transactions=2, clients=2,
-                              conflict_strategy="retry")
-        assert engine.repair_calls == []
-        assert run.repaired == 0
-        assert run.retries == 1
-
-    def test_unknown_strategy_name_is_rejected(self):
-        engine = ScriptedEngine()
-        with pytest.raises(KeyError):
-            run_closed_loop(engine, tagged_source(["A"]),
-                            total_transactions=1, clients=1,
-                            conflict_strategy="optimism")
-
+class TestRepairAccounting:
     def test_repair_salvages_the_conflict_within_its_wave(self):
-        """A successful repair commits in the abort's own wave: no retry,
+        """A successful repair commits in the conflict's own wave: no retry,
         no extra wave, no wasted attempt."""
-        engine = RepairableScriptedEngine(script={"A": [False]},
-                                          repair_script={"A": True})
+        engine = ScriptedEngine(script={"A": ["repaired"]})
         run = run_closed_loop(engine, tagged_source(["A", "B"]),
                               total_transactions=2, clients=2)
         assert engine.waves == [["A", "B"]]      # no second wave
@@ -501,88 +410,64 @@ class TestConflictStrategySeam:
         assert run.repaired == 1
         assert run.wasted_attempts == 0
 
-    def test_unsupported_engine_falls_back_to_retry(self):
-        """``repair_many`` returning None means the wave retries exactly as
-        under RetryStrategy — same waves, same accounting."""
-        script = {"A": [False, True]}
-        declining = RepairableScriptedEngine(script=dict(script),
-                                             supports_repair=False)
-        plain = ScriptedEngine(script=dict(script))
-        repaired_run = run_closed_loop(declining, tagged_source(["A", "B"]),
-                                       total_transactions=2, clients=2)
-        retry_run = run_closed_loop(plain, tagged_source(["A", "B"]),
-                                    total_transactions=2, clients=2)
-        assert declining.waves == plain.waves == [["A", "B"], ["A"]]
-        assert repr(repaired_run) == repr(retry_run)
-        assert repaired_run.repaired == 0
-        assert repaired_run.retries == 1
-
     def test_unrepairable_entry_retries_while_siblings_repair(self):
-        """A per-entry None from ``repair_many`` sends only that entry to
-        the retry pool; repaired siblings stay committed in-wave."""
-        engine = RepairableScriptedEngine(
-            script={"A": [False], "B": [False, True]},
-            repair_script={"A": True})           # B is unrepairable
+        """Only the entry that comes back aborted goes to the retry pool;
+        repaired siblings stay committed in-wave."""
+        engine = ScriptedEngine(script={"A": ["repaired"], "B": [False, True]})
         run = run_closed_loop(engine, tagged_source(["A", "B"]),
                               total_transactions=2, clients=2)
-        assert engine.repair_calls == [["A", "B"]]
         assert engine.waves == [["A", "B"], ["B"]]
         assert run.committed == 2
         assert run.repaired == 1
         assert run.retries == 1
 
     def test_failed_repair_is_counted_and_still_retried(self):
-        """A repair that fails marks the result ``repair_failed``, charges
-        the extra wasted attempt, and the program still gets its retries."""
-        engine = RepairableScriptedEngine(script={"A": [False, True]},
-                                          repair_script={"A": False})
+        """A result marked ``repair_failed`` charges the extra wasted
+        attempt, and the program still gets its retries."""
+        engine = ScriptedEngine(script={"A": ["repair_failed", True]})
         run = run_closed_loop(engine, tagged_source(["A"]),
                               total_transactions=1, clients=1)
+        assert engine.waves == [["A"], ["A"]]
         assert run.committed == 1                # committed on the retry
         assert run.aborted == 1
         assert run.repair_failed == 1
         assert run.wasted_attempts == 2          # the abort + the dead repair
         assert run.retries == 1
 
-    def test_exhausted_repairs_are_not_reoffered(self):
-        """An abort that already carries ``repair_failed`` (the engine's
-        in-epoch repair died) is never offered to ``repair_many`` again —
-        exhaustion falls straight through to retry."""
-        engine = RepairableScriptedEngine(script={"A": [False, True]},
-                                          repair_script={"A": True},
-                                          prefail={"A"})
-        run = run_closed_loop(engine, tagged_source(["A"]),
-                              total_transactions=1, clients=1)
-        assert engine.repair_calls == []         # A was filtered out
-        assert run.committed == 1
-        assert run.repair_failed == 1
-        assert run.retries == 1
-
-    def test_retry_strategy_reproduces_batching_byte_for_byte(self):
-        """Regression: the extracted RetryStrategy must reproduce the exact
-        cross-wave retry batching (and RunStats repr) of the pre-seam loop,
-        pinned against the schedule asserted in
-        ``test_retries_are_batched_before_fresh_draws``."""
-        runs = {}
-        for label, kwargs in (("default", {}),
-                              ("explicit", {"conflict_strategy": "retry"})):
-            engine = ScriptedEngine(script={"B": [False, True],
-                                            "C": [False, False]})
-            runs[label] = run_closed_loop(
-                engine, tagged_source(["A", "B", "C", "D"]),
-                total_transactions=4, clients=3, max_retries=1, **kwargs)
-            assert engine.waves == [["A", "B", "C"], ["B", "C", "D"]], label
-        assert repr(runs["default"]) == repr(runs["explicit"])
-
     def test_open_loop_repairs_count_queue_delay_for_the_committing_attempt(self):
-        """The open loop resolves repairs through the same seam: a repaired
-        entry commits in its wave with its own admission-to-dispatch delay."""
-        engine = RepairableScriptedEngine(script={"A": [False]},
-                                          repair_script={"A": True},
-                                          wave_ms=10.0)
+        """The open loop runs the same wave body: a repaired entry commits
+        in its wave with its own admission-to-dispatch delay."""
+        engine = ScriptedEngine(script={"A": ["repaired"]}, wave_ms=10.0)
         run = run_open_loop(engine, tagged_source(["A", "B"]),
                             total_transactions=2, arrivals=None, clients=2)
         assert engine.waves == [["A", "B"]]
         assert run.committed == 2
         assert run.repaired == 1
         assert run.queue_delays_ms == [0.0, 0.0]
+
+
+# --------------------------------------------------------------------------- #
+# One wave body, two sources of fresh programs
+# --------------------------------------------------------------------------- #
+class TestOneWaveBody:
+    def test_unbounded_one_client_open_loop_is_the_closed_loop(self):
+        """Everything offered at the start and one client per wave is the
+        closed loop's schedule: same waves, results, latencies, epochs."""
+        script = {"B": [False, True], "C": ["repair_failed", False, True],
+                  "D": ["repaired"]}
+        closed_engine = ScriptedEngine(script=dict(script), wave_ms=3.0)
+        closed = run_closed_loop(closed_engine, tagged_source(list("ABCDE")),
+                                 total_transactions=5, clients=1, max_retries=2)
+        open_engine = ScriptedEngine(script=dict(script), wave_ms=3.0)
+        opened = run_open_loop(open_engine, tagged_source(list("ABCDE")),
+                               total_transactions=5, arrivals=None, clients=1,
+                               max_retries=2)
+        assert open_engine.waves == closed_engine.waves
+        assert opened.results == closed.results
+        assert opened.latencies_ms == closed.latencies_ms
+        assert opened.epochs == closed.epochs
+        assert opened.elapsed_ms == closed.elapsed_ms
+        # What only the open loop has: the offer count and queueing delay.
+        assert (closed.offered, closed.queue_delays_ms) == (0, [])
+        assert opened.offered == 5
+        assert len(opened.queue_delays_ms) == opened.committed

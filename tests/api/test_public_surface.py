@@ -1,0 +1,56 @@
+"""The public surface does not grow by accident.
+
+``repro.api.__all__`` and ``repro.concurrency.__all__`` are compared with the
+literal lists below, so exporting one more name (or dropping one) is a
+deliberate edit of this file, made in the PR that argues for it.
+"""
+
+import repro.api
+import repro.concurrency
+
+API = [
+    "TransactionEngine",
+    "EngineFeatureUnavailable",
+    "RunStats",
+    "EngineConfig",
+    "create_engine",
+    "ENGINE_KINDS",
+    "DIAGNOSTIC_KINDS",
+    "run_closed_loop",
+    "run_open_loop",
+    "ArrivalProcess",
+    "DeterministicArrivals",
+    "PoissonArrivals",
+    "ObladiEngine",
+    "NoPrivEngine",
+    "MySQLEngine",
+    "ProgramFactory",
+    "FactorySource",
+]
+
+CONCURRENCY = [
+    "TransactionRecord",
+    "TransactionStatus",
+    "CommittedTransaction",
+    "MVTSOManager",
+    "WriteConflictError",
+    "Version",
+    "VersionChain",
+    "VersionStore",
+    "SerializationGraph",
+    "build_serialization_graph",
+    "check_recoverable",
+    "check_serializable",
+    "LockManager",
+    "LockMode",
+    "DeadlockError",
+    "ConflictWitness",
+]
+
+
+def test_api_exports_are_the_recorded_list():
+    assert repro.api.__all__ == API
+
+
+def test_concurrency_exports_are_the_recorded_list():
+    assert repro.concurrency.__all__ == CONCURRENCY

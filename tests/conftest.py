@@ -26,6 +26,19 @@ def clock():
 
 
 @pytest.fixture
+def closed_loop():
+    """``run(engine, factories, clients, max_retries)``: the shared closed
+    loop over a fixed list of program factories, in list order."""
+
+    def run(engine, factories, clients=32, max_retries=3):
+        supply = iter(factories)
+        return engine.run_closed_loop(lambda: next(supply), len(factories),
+                                      clients=clients, max_retries=max_retries)
+
+    return run
+
+
+@pytest.fixture
 def storage(clock):
     """In-memory storage with the LAN ``server`` latency model."""
     return InMemoryStorageServer(latency="server", clock=clock)

@@ -50,6 +50,8 @@ class TestObladiConfig:
             ObladiConfig(parallelism=0)
         with pytest.raises(ValueError):
             ObladiConfig(checkpoint_frequency=0)
+        with pytest.raises(ValueError):
+            ObladiConfig(conflict_strategy="optimism")
 
     def test_describe_mentions_batching(self):
         text = ObladiConfig().describe()

@@ -7,6 +7,7 @@ from repro.sim.clock import SimClock
 from repro.storage.cluster import StorageCluster, build_storage, link_latency_models
 from repro.storage.memory import InMemoryStorageServer
 from repro.storage.namespace import NamespacedStorage, partition_prefix
+from repro.storage.trace import merge_traces
 
 
 def _cluster(num_servers=3, **kwargs):
@@ -108,13 +109,10 @@ class TestObservability:
         cluster = _cluster(2)
         cluster.servers[0].write("a", b"1")
         cluster.servers[1].write("b", b"2")
-        merged = cluster.trace
-        assert merged.keys_accessed() == ["a", "b"]
-        # The single-server idiom `storage.trace.clear()` between experiment
-        # phases must keep working: clearing the merged view clears every
-        # server's underlying trace.
-        merged.clear()
-        assert len(merged) == 0
+        assert merge_traces(cluster.traces).keys_accessed() == ["a", "b"]
+        # The cluster has no trace of its own: `clear_traces()` is what an
+        # experiment calls between phases, and it clears every server's.
+        cluster.clear_traces()
         for server in cluster.servers:
             assert len(server.trace) == 0
 
@@ -122,16 +120,7 @@ class TestObservability:
         cluster = _cluster(2)
         cluster.servers[0].trace.begin_batch("read", 1.0, 8)
         cluster.servers[1].trace.begin_batch("write", 0.5, 4)
-        assert cluster.trace.batch_shape() == [("write", 4), ("read", 8)]
-
-    def test_recording_into_the_merged_view_reaches_no_server(self):
-        from repro.storage.backend import StorageOp
-        cluster = _cluster(2)
-        cluster.servers[0].write("a", b"1")
-        merged = cluster.trace
-        merged.record(StorageOp.READ, "ghost", 0, 0.0)
-        assert all("ghost" not in server.trace.keys_accessed()
-                   for server in cluster.servers)
+        assert merge_traces(cluster.traces).batch_shape() == [("write", 4), ("read", 8)]
 
     def test_aggregate_and_per_server_stats(self):
         cluster = _cluster(2)

@@ -197,11 +197,11 @@ class TestRecordBatch:
         cluster = StorageCluster(latency="dummy", num_servers=2)
         cluster.servers[0].write_batch({"a": b"1", "b": b"22"})
         cluster.servers[1].read_batch(["c", "d", "e"])
-        merged = cluster.trace
+        merged = merge_traces(cluster.traces)
         # Both batches happened at t=0: equal times interleave by sequence.
         assert merged.keys_accessed() == ["a", "c", "b", "d", "e"]
         assert merged.total_bytes() == 3
-        merged.clear()
+        cluster.clear_traces()
         assert [len(trace) for trace in cluster.traces] == [0, 0]
-        assert len(cluster.trace) == 0
+        assert len(merge_traces(cluster.traces)) == 0
 

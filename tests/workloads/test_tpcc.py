@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baseline.nopriv import NoPrivProxy
+from repro.api import create_engine
 from repro.workloads.records import decode_record, make_key, record_field
 from repro.workloads.tpcc import STANDARD_MIX, TPCCConfig, TPCCWorkload, last_name
 
@@ -123,10 +123,10 @@ class TestTransactions:
         factories = workload.transaction_factories(50)
         assert len(factories) == 50
 
-    def test_runs_on_nopriv_baseline(self, workload):
-        proxy = NoPrivProxy(backend="server")
+    def test_runs_on_nopriv_baseline(self, workload, closed_loop):
+        proxy = create_engine("nopriv", backend="server")
         proxy.load_initial_data(workload.initial_data())
-        result = proxy.run_transactions(workload.transaction_factories(40), clients=8)
+        result = closed_loop(proxy, workload.transaction_factories(40), clients=8)
         assert result.committed > 0
         from repro.concurrency.serializability import check_serializable
         ok, cycle = check_serializable(proxy.committed_history)
