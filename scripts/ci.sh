@@ -34,9 +34,11 @@ python -m pytest -q benchmarks/test_repair_contention.py -k smoke
 echo "== smoke: autoscaled elastic topology beats static under a flash crowd =="
 python -m pytest -q benchmarks/test_elasticity_smoke.py
 
-# Sealed vs written: buckets are sealed at the epoch flush, so what separates
-# the two counts is bulk load, WAL and checkpoint sealing (about 1300
-# slots/txn at smoke size).  A wider gap means ciphertexts nobody reads.
+# Sealed vs written: only real slots, WAL records and checkpoints go through
+# the keystream; a bucket's dummy slots are stored as random bytes.  The
+# step fails unless the sealed slots are under half the slots written
+# (about 262 against 1667 a transaction here; 2979 when every dummy was
+# sealed).
 # Scheduled batches: benchmark traffic is timed from bucket counts alone
 # (repro.oram.dependency); a list-scheduled batch here means it has left
 # the decided-without-scheduling regime, and the step fails.
@@ -49,6 +51,14 @@ traced_smoke=$(python bench/run.py --workload tpcc_durable --smoke --seed 17 --s
 grep -E "^metric (crypto\.sealed_slots_per_txn|storage\.slots_written_per_txn|storage\.trace_events_per_txn|sim\.schedule_calls|sim\.schedule_ms_per_txn|oram\.self_ms_per_txn|oram\.eviction_ms_per_txn|recovery\.checkpoint_ms_per_txn|storage\.read_batch_calls|oram\.path_reads_per_txn|crypto\.open_ms_per_txn) " <<<"$traced_smoke"
 grep -qE "^metric sim\.schedule_calls 0 " <<<"$traced_smoke" \
     || { echo "sim.schedule_calls is not 0 on tpcc_durable" >&2; exit 1; }
+sealed=$(awk '$1 == "metric" && $2 == "crypto.sealed_slots_per_txn" { print $3 }' <<<"$traced_smoke")
+written=$(awk '$1 == "metric" && $2 == "storage.slots_written_per_txn" { print $3 }' <<<"$traced_smoke")
+real_only=$(awk -v sealed="$sealed" -v written="$written" \
+    'BEGIN { print (sealed != "" && written != "" && 2 * sealed < written) ? "yes" : "no" }')
+if [ "$real_only" != yes ]; then
+    echo "crypto.sealed_slots_per_txn ($sealed) is not under half of storage.slots_written_per_txn ($written) on tpcc_durable" >&2
+    exit 1
+fi
 read_calls=$(awk '$1 == "metric" && $2 == "storage.read_batch_calls" { print $3 }' <<<"$traced_smoke")
 path_reads=$(awk '$1 == "metric" && $2 == "oram.path_reads_per_txn" { print $3 }' <<<"$traced_smoke")
 committed=$(sed -nE 's/^round [0-9]+ traced .* committed=([0-9]+)\/.*/\1/p' <<<"$traced_smoke" | head -n 1)

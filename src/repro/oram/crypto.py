@@ -8,24 +8,33 @@ hash, ``blake2b(nonce || body || context, key=key)`` truncated to 16 bytes.
 Nothing in the evaluation depends on which primitives these are — what
 matters is that
 
-* every slot stored on the server is a fixed-size, freshly randomised
-  ciphertext (so the adversary cannot distinguish real blocks from dummies or
-  correlate rewrites), and
-* integrity tags bind a ciphertext to its storage position and freshness
-  counter (Appendix A's malicious-server extension).
+* every slot stored on the server is fixed-size and indistinguishable from
+  uniform bytes: a real slot is a fresh ciphertext, a dummy slot fresh
+  random bytes (so the adversary cannot distinguish real blocks from dummies
+  or correlate rewrites), and
+* integrity tags bind a real slot's ciphertext to its storage position and
+  freshness counter (Appendix A's malicious-server extension).
+
+A dummy slot needs no ciphertext because nobody opens one: the executor,
+the sequential client and recovery's path replay all skip it.  Under the PRF
+assumption ``nonce ‖ (pad ⊕ SHAKE(key ‖ nonce)) ‖ BLAKE2b_key(…)`` is
+indistinguishable from uniform bytes of its length, so random bytes hide
+exactly what a sealed dummy hid, and a tag on a slot nobody verifies
+protected nothing.
 
 Encryption cost is charged to the simulated clock by the executor via
-:class:`repro.sim.latency.CpuCostModel`, not here; these functions stay pure.
+:class:`repro.sim.latency.CpuCostModel`, not here — per slot, dummies
+included — and these functions stay pure.
 
 Hot path
 --------
 Sealing happens where bytes leave the proxy
 (:meth:`repro.oram.ring_oram.RingOram.seal_rewrites`): one
 :meth:`CipherSuite.seal_blocks` call per bucket that is actually written.
-Per slot that is one ``shake_256`` call and one ``blake2b`` call; the XOR
-runs once over the whole bucket as a big integer, nonces for a batch come
-from one ``os.urandom`` call, and the dummy slots (most of a bucket) share
-one precomputed padded plaintext.
+Per real slot that is one ``shake_256`` call and one ``blake2b`` call; the
+XOR runs once over the bucket's real slots as a big integer, their nonces
+come from one ``os.urandom`` call and the dummy slots (most of a bucket)
+from one more.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import hmac
+import itertools
 import os
 import struct
 from dataclasses import dataclass
@@ -98,7 +108,7 @@ class CipherSuite:
 
     @functools.cached_property
     def _dummy_padded(self) -> bytes:
-        """The padded plaintext every dummy slot of this suite shares."""
+        """The stored dummy slot of a suite with the cipher off."""
         return self.pad(_DUMMY_PAYLOAD)
 
     # ------------------------------------------------------------------ #
@@ -230,14 +240,13 @@ class CipherSuite:
         """Encrypt a batch of plaintexts; equivalent to per-slot :meth:`encrypt`.
 
         ``contexts`` (optional) supplies one authenticated context per
-        plaintext.  Dummy-slot payloads skip :meth:`pad`: they all share the
-        suite's precomputed padded dummy.
+        plaintext.
         """
         if contexts is not None and len(contexts) != len(plaintexts):
             raise ValueError(
                 f"{len(contexts)} contexts for {len(plaintexts)} plaintexts")
-        dummy, pad = self._dummy_padded, self.pad
-        padded = [dummy if p == _DUMMY_PAYLOAD else pad(p) for p in plaintexts]
+        pad = self.pad
+        padded = [pad(p) for p in plaintexts]
         if not self.enabled or not padded:
             return padded
         return self._seal_padded(padded, contexts)
@@ -262,19 +271,32 @@ class CipherSuite:
     # Block serialisation helpers
     # ------------------------------------------------------------------ #
     def seal_block(self, block_id: Optional[int], value: bytes, context: bytes = b"") -> bytes:
-        """Serialise and encrypt a (block id, value) pair; ``None`` id = dummy."""
-        return self.encrypt(self._slot_payload(block_id, value), context)
+        """Seal one ``(block id, value)`` slot; ``None`` id = dummy (see :meth:`seal_blocks`)."""
+        return self.seal_blocks([(block_id, value, context)])[0]
 
     def seal_blocks(self, entries: Sequence[Tuple[Optional[int], bytes, bytes]]
                     ) -> List[bytes]:
-        """Seal a batch of ``(block_id_or_None, value, context)`` entries.
+        """Seal a bucket's ``(block_id_or_None, value, context)`` entries.
 
-        One call per bucket written replaces a :meth:`seal_block` call per
-        slot; each output opens exactly as a :meth:`seal_block` output does.
+        The one place a dummy slot's stored bytes are decided.  Real entries
+        are serialised (``block id || value``) and encrypted under their
+        contexts by one :meth:`encrypt_many` call; each opens with
+        :meth:`open_block`.  A dummy entry (``None`` id; its value and
+        context are ignored) becomes :attr:`ciphertext_size` fresh random
+        bytes — all of the call's dummies from one ``os.urandom`` draw — that
+        no context opens; with the cipher off, the padded dummy payload,
+        which opens as ``(None, b"")``.
         """
-        payload = self._slot_payload
-        return self.encrypt_many([payload(bid, value) for bid, value, _ in entries],
-                                 [context for _, _, context in entries])
+        real = [entry for entry in entries if entry[0] is not None]
+        sealed = iter(self.encrypt_many([struct.pack(">I", bid) + value for bid, value, _ in real],
+                                        [context for _, _, context in real]))
+        if self.enabled:
+            size = self.ciphertext_size
+            drawn = os.urandom(size * (len(entries) - len(real)))
+            dummies = iter([drawn[i:i + size] for i in range(0, len(drawn), size)])
+        else:
+            dummies = itertools.repeat(self._dummy_padded)
+        return [next(dummies) if bid is None else next(sealed) for bid, _, _ in entries]
 
     def open_block(self, blob: bytes, context: bytes = b"") -> Tuple[Optional[int], bytes]:
         """Inverse of :meth:`seal_block`; returns ``(block_id_or_None, value)``."""
@@ -287,13 +309,6 @@ class CipherSuite:
                 for payload in self.decrypt_many(blobs, contexts)]
 
     @staticmethod
-    def _slot_payload(block_id: Optional[int], value: bytes) -> bytes:
-        """Serialise ``(block_id_or_None, value)`` into a slot payload."""
-        if block_id is None:
-            return _DUMMY_PAYLOAD + value
-        return struct.pack(">I", block_id) + value
-
-    @staticmethod
     def _split_payload(payload: bytes) -> Tuple[Optional[int], bytes]:
         """Split a decrypted slot payload into ``(block_id_or_None, value)``."""
         if len(payload) < 4:
@@ -301,10 +316,6 @@ class CipherSuite:
         (bid,) = struct.unpack(">I", payload[:4])
         block_id = None if bid == _DUMMY_ID else bid
         return block_id, payload[4:]
-
-    def dummy_block(self, context: bytes = b"") -> bytes:
-        """A fresh ciphertext indistinguishable from a real sealed block."""
-        return self.seal_block(None, b"", context)
 
 
 def freshness_context(bucket: int, version: int, slot: int = -1) -> bytes:

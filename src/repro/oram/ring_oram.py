@@ -64,6 +64,9 @@ class OramAccess:
 #: it by name; its storage key is :func:`slot_storage_key`.
 SlotRead = Tuple[int, int, int, Optional[int]]
 
+#: The :meth:`~repro.oram.crypto.CipherSuite.seal_blocks` entry of a dummy slot.
+_DUMMY_ENTRY: Tuple[None, bytes, bytes] = (None, b"", b"")
+
 
 @dataclass
 class PathReadPlan:
@@ -380,9 +383,10 @@ class RingOram:
         real and dummy slots — is one
         :meth:`~repro.oram.crypto.CipherSuite.seal_blocks` call: a cipher
         call per slot costs more, one call per flush holds every bucket's
-        XOR temporaries at once.  Each slot is bound to its own
+        XOR temporaries at once.  Each real slot is bound to its own
         ``(bucket, version, slot)`` context — unless the cipher binds none
-        (encryption or authentication off), and then none is built.
+        (encryption or authentication off), and then none is built.  A
+        dummy slot is never opened, so it gets no context either.
         """
         items: Dict[str, bytes] = {}
         binds_context = self.cipher.binds_context
@@ -391,12 +395,12 @@ class RingOram:
             contents = rewrite.plain_contents
             if binds_context:
                 entries = [
-                    (block_id, contents[block_id] if block_id is not None else b"",
-                     freshness_context(bucket_id, version, idx))
+                    _DUMMY_ENTRY if block_id is None else
+                    (block_id, contents[block_id], freshness_context(bucket_id, version, idx))
                     for idx, block_id in enumerate(rewrite.slot_blocks)]
             else:
                 entries = [
-                    (block_id, contents[block_id] if block_id is not None else b"", b"")
+                    _DUMMY_ENTRY if block_id is None else (block_id, contents[block_id], b"")
                     for block_id in rewrite.slot_blocks]
             sealed = self.cipher.seal_blocks(entries)
             prefix = slot_key_prefix(bucket_id, version)
@@ -563,8 +567,8 @@ class RingOram:
         deepest bucket on their path with room, leaf level first; overflow
         lands in the stash.  Bucket versions advance exactly once, so the
         resulting server state is indistinguishable from a tree that was
-        filled through the normal protocol (every slot is a fresh
-        ciphertext).
+        filled through the normal protocol (every real slot is a fresh
+        ciphertext, every dummy slot fresh random bytes).
         """
         placements: Dict[int, List[Tuple[int, bytes]]] = {}
         for block_id, value in sorted(blocks.items()):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.analysis.obliviousness import chi_square_uniformity
 from repro.oram import path_math
 from repro.oram.batch_executor import EpochBatchExecutor
 from repro.oram.crypto import CipherSuite, IntegrityError
@@ -18,16 +19,27 @@ from tests.conftest import tree_slot_key
 
 
 class CountingCipher(CipherSuite):
-    """Counts what goes through ``encrypt_many`` — every ORAM slot seal does."""
+    """Counts bucket seals and the slots that go through the keystream.
+
+    Every bucket written is one ``seal_blocks`` call; of its slots only the
+    real ones reach ``encrypt_many``, the dummies are random bytes.
+    """
 
     def __post_init__(self):
         super().__post_init__()
-        self.seal_calls = 0
-        self.sealed_slots = 0
+        self.seal_calls = 0         # buckets sealed
+        self.sealed_slots = 0       # their slots, real and dummy
+        self.real_slots = 0         # their slots that hold a real block
+        self.keystream_slots = 0    # slots encrypted
+
+    def seal_blocks(self, entries):
+        self.seal_calls += 1
+        self.sealed_slots += len(entries)
+        self.real_slots += sum(block_id is not None for block_id, _, _ in entries)
+        return super().seal_blocks(entries)
 
     def encrypt_many(self, plaintexts, contexts=None):
-        self.seal_calls += 1
-        self.sealed_slots += len(plaintexts)
+        self.keystream_slots += len(plaintexts)
         return super().encrypt_many(plaintexts, contexts)
 
 
@@ -206,10 +218,13 @@ class TestLazySealing:
         assert executor.stats.buffered_bucket_writes_saved > 0
         assert cipher.seal_calls == 0           # nothing sealed inside the epoch
         pending = executor.pending_bucket_writes()
+        real = sum(len(rewrite.plain_contents)
+                   for rewrite in executor._buffered_rewrites.values())
         executor.flush_epoch()
         assert cipher.seal_calls == pending     # one seal_blocks per surviving bucket
         assert cipher.sealed_slots == storage.stats_writes \
             == pending * (oram.params.z_real + oram.params.s_dummies)
+        assert 0 < cipher.keystream_slots == cipher.real_slots == real < cipher.sealed_slots
 
     def test_aborted_epoch_seals_nothing(self):
         cipher = CountingCipher(block_size=72)
@@ -258,6 +273,7 @@ class TestLazySealing:
         assert cipher.seal_calls == rewritten
         assert cipher.sealed_slots == storage.stats_writes \
             == rewritten * (oram.params.z_real + oram.params.s_dummies)
+        assert 0 < cipher.keystream_slots == cipher.real_slots < cipher.sealed_slots
         assert executor.pending_bucket_writes() == 0
         assert executor.flush_epoch() == 0.0
         assert cipher.seal_calls == rewritten
@@ -268,10 +284,13 @@ class TestLazySealing:
         loaded = {i: b"bulk-%d" % i for i in range(20)}
         oram.bulk_load(loaded)
         assert cipher.sealed_slots == storage.stats_writes > 0
+        # Every loaded block lands in a bucket or in the stash.
+        assert cipher.keystream_slots == cipher.real_slots == len(loaded) - len(oram.stash)
         for i in range(20, 26):
             oram.write(i, b"seq-%d" % i)
             loaded[i] = b"seq-%d" % i
         assert cipher.sealed_slots == storage.stats_writes
+        assert cipher.keystream_slots == cipher.real_slots < cipher.sealed_slots
         assert {i: oram.read(i) for i in loaded} == loaded
 
 
@@ -453,6 +472,38 @@ class TestAdversaryView:
         reads = [e.key for e in storage.trace.events
                  if e.op == StorageOp.READ and e.key.startswith("oram/")]
         assert len(reads) == len(set(reads))
+
+    @staticmethod
+    def _stored_byte_histograms(enabled):
+        """Byte counts of the slots three flushes stored: ``[real, dummy]``."""
+        executor, _, storage = make_executor(
+            seed=7, cipher=CipherSuite(block_size=72, enabled=enabled))
+        histograms = [{}, {}]
+        for epoch in range(3):
+            executor.begin_epoch()
+            executor.execute_write_batch({i: b"e%d-%d" % (epoch, i) for i in range(12)})
+            written = list(executor._buffered_rewrites.values())
+            executor.flush_epoch()
+            stored = storage.snapshot()
+            for rewrite in written:
+                for slot, block in enumerate(rewrite.slot_blocks):
+                    counts = histograms[block is None]
+                    blob = stored[slot_storage_key(rewrite.bucket_id, rewrite.version, slot)]
+                    for byte in blob:
+                        counts[byte] = counts.get(byte, 0) + 1
+        return histograms
+
+    def test_byte_histogram_cannot_tell_stored_real_slots_from_dummies(self, monkeypatch):
+        # Seeded "randomness" keeps the test deterministic; the bar is the
+        # one the leaf-uniformity tests use.
+        monkeypatch.setattr("repro.oram.crypto.os.urandom", random.Random(7).randbytes)
+        real, dummy = self._stored_byte_histograms(enabled=True)
+        assert sum(real.values()) > 2000 and sum(dummy.values()) > 2000
+        for counts in (real, dummy):
+            assert chi_square_uniformity(counts, 256)[1] > 0.001
+        # The statistic does see structure: padded plaintexts fail it.
+        for counts in self._stored_byte_histograms(enabled=False):
+            assert chi_square_uniformity(counts, 256)[1] < 1e-6
 
     def test_clock_advances_more_on_wan(self):
         lan, oram_lan, _ = make_executor(backend="server")

@@ -110,15 +110,16 @@ class TestBlockSealing:
         assert block_id == 42
         assert value == b"value"
 
-    def test_seal_open_dummy_block(self, suite):
-        block_id, value = suite.open_block(suite.dummy_block())
-        assert block_id is None
-        assert value == b""
+    def test_sealed_dummy_block_does_not_open(self, suite):
+        dummy = suite.seal_block(None, b"", b"ctx")
+        for context in (b"ctx", b""):
+            with pytest.raises(IntegrityError):
+                suite.open_block(dummy, context)
 
     def test_real_and_dummy_blocks_same_size(self, suite):
         real = suite.seal_block(7, b"payload")
-        dummy = suite.dummy_block()
-        assert len(real) == len(dummy)
+        dummy = suite.seal_block(None, b"")
+        assert len(real) == len(dummy) == suite.ciphertext_size
 
     def test_sealed_block_bound_to_position(self, suite):
         ctx = freshness_context(bucket=3, version=1, slot=5)
@@ -134,13 +135,13 @@ class TestBlockSealing:
         with pytest.raises(ValueError):
             CipherSuite(key=b"k" * 65, block_size=32)
 
-    def test_precomputed_dummy_plaintext_opens_as_a_dummy(self, suite):
+    def test_precomputed_dummy_plaintext_opens_as_a_dummy(self):
+        # With the cipher off a dummy slot is stored as the padded dummy payload.
+        suite = CipherSuite(block_size=64, enabled=False)
         assert suite._dummy_padded == suite.pad(b"\xff\xff\xff\xff")
-        assert suite._split_payload(suite.unpad(suite._dummy_padded)) == (None, b"")
-        # The batched path (which uses it) and the per-slot path agree.
-        (blob,) = suite.seal_blocks([(None, b"", b"ctx")])
-        assert suite.open_block(blob, b"ctx") == (None, b"")
-        assert suite.open_blocks([suite.dummy_block(b"ctx")], [b"ctx"]) == [(None, b"")]
+        sealed = suite.seal_blocks([(None, b"", b"ctx"), (3, b"v", b"ctx"), (None, b"", b"")])
+        assert sealed[0] == sealed[2] == suite._dummy_padded == suite.seal_block(None, b"")
+        assert suite.open_blocks(sealed, [b""] * 3) == [(None, b""), (3, b"v"), (None, b"")]
 
 
 class TestBatchedEncryption:
@@ -206,15 +207,33 @@ class TestBatchedEncryption:
                    (None, b"", freshness_context(0, 1, 1)),
                    (0xFFFFFFFE, b"edge", freshness_context(0, 1, 2))]
         sealed = suite.seal_blocks(entries)
-        opened = suite.open_blocks(sealed, [ctx for _, _, ctx in entries])
-        assert opened == [(7, b"v7"), (None, b""), (0xFFFFFFFE, b"edge")]
-        # Per-slot open_block agrees blob by blob.
-        for blob, (bid, value, ctx) in zip(sealed, entries):
-            assert suite.open_block(blob, ctx) == (bid, value)
+        real = [0, 2]
+        opened = suite.open_blocks([sealed[i] for i in real], [entries[i][2] for i in real])
+        assert opened == [(7, b"v7"), (0xFFFFFFFE, b"edge")]
+        # Per-slot open_block agrees blob by blob; the dummy opens under no context.
+        for i in real:
+            assert suite.open_block(sealed[i], entries[i][2]) == entries[i][:2]
+        with pytest.raises(IntegrityError):
+            suite.open_blocks(sealed, [ctx for _, _, ctx in entries])
 
     def test_seal_blocks_real_and_dummy_same_size(self, suite):
         sealed = suite.seal_blocks([(3, b"real", b""), (None, b"", b"")])
         assert len(sealed[0]) == len(sealed[1]) == suite.ciphertext_size
+
+    def test_seal_blocks_dummies_are_fresh_random_bytes(self, suite, monkeypatch):
+        draws = []
+
+        def urandom(n):
+            draws.append(n)
+            return bytes(i % 256 for i in range(n))
+
+        monkeypatch.setattr("repro.oram.crypto.os.urandom", urandom)
+        size = suite.ciphertext_size
+        sealed = suite.seal_blocks([(None, b"", b""), (5, b"real", b""), (None, b"", b"")])
+        # One draw for the real slot's nonce, one for both dummies.
+        assert draws == [suite._nonce_len, 2 * size]
+        drawn = urandom(2 * size)
+        assert [sealed[0], sealed[2]] == [drawn[:size], drawn[size:]]
 
 
 class TestFreshnessContext:

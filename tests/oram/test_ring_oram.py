@@ -331,10 +331,35 @@ class TestSealRewrites:
             bucket, version = rewrite.bucket_id, rewrite.version
             for slot, block in enumerate(rewrite.slot_blocks):
                 blob = items[slot_storage_key(bucket, version, slot)]
-                assert oram.cipher.open_block(
-                    blob, freshness_context(bucket, version, slot)) == (
-                        block, rewrite.plain_contents.get(block, b""))
-                for elsewhere in ((bucket + 1, version, slot), (bucket, version + 1, slot),
-                                  (bucket, version, slot + 1)):
+                assert len(blob) == oram.cipher.ciphertext_size
+                wrong = [(bucket + 1, version, slot), (bucket, version + 1, slot),
+                         (bucket, version, slot + 1)]
+                if block is None:
+                    wrong.append((bucket, version, slot))       # a dummy opens nowhere
+                else:
+                    assert oram.cipher.open_block(
+                        blob, freshness_context(bucket, version, slot)) == (
+                            block, rewrite.plain_contents[block])
+                for position in wrong:
                     with pytest.raises(IntegrityError):
-                        oram.cipher.open_block(blob, freshness_context(*elsewhere))
+                        oram.cipher.open_block(blob, freshness_context(*position))
+
+    def test_dummy_slots_are_fresh_random_bytes_nobody_opens(self):
+        oram, _ = make_oram()
+        rewrite = self.REWRITES[0]
+        next_version = BucketRewrite(bucket_id=rewrite.bucket_id, version=rewrite.version + 1,
+                                     slot_blocks=list(rewrite.slot_blocks),
+                                     plain_contents=dict(rewrite.plain_contents))
+        dummies = []
+        for version in (rewrite, next_version):
+            items = oram.seal_rewrites([version])
+            for slot, block in enumerate(version.slot_blocks):
+                if block is None:
+                    blob = items[slot_storage_key(version.bucket_id, version.version, slot)]
+                    assert len(blob) == oram.cipher.ciphertext_size
+                    with pytest.raises(IntegrityError):
+                        oram.cipher.open_block(
+                            blob, freshness_context(version.bucket_id, version.version, slot))
+                    dummies.append(blob)
+        # Two versions of one bucket share no dummy bytes, nor do two slots.
+        assert len(dummies) == 6 and len(set(dummies)) == 6
