@@ -10,6 +10,7 @@ workload ran.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
@@ -43,16 +44,21 @@ class BatchBoundary:
 
 #: One storage batch as recorded: the requests of a batch share their
 #: operation kind, timestamp and batch id, so only keys and sizes are per
-#: request.  ``(op, keys, sizes, time_ms, batch_id)``.
-_Block = Tuple[StorageOp, Tuple[str, ...], Tuple[int, ...], float, int]
+#: request — packed as one NUL-joined ``str`` and one ``array('q')``, not an
+#: object per request.  ``(op, keys, sizes, time_ms, batch_id)``.
+_Block = Tuple[StorageOp, str, array, float, int]
+
+#: Joins a block's keys; a key containing it cannot be recorded.
+_SEP = "\0"
 
 
 class AccessTrace:
     """Accumulates the sequence of requests observed by the storage server.
 
-    Requests are stored as plain row blocks, one per recorded storage batch;
-    a request's ``seq`` is its row index.  :class:`TraceEvent` objects exist
-    only once :attr:`events` is read.
+    Requests are stored as packed row blocks, one per recorded storage
+    batch; a request's ``seq`` is its row index.  A trace keeps no key
+    object alive — the server may long since have dropped the key — and
+    :class:`TraceEvent` objects exist only once :attr:`events` is read.
     """
 
     def __init__(self) -> None:
@@ -76,15 +82,22 @@ class AccessTrace:
                      time_ms: float, batch_id: int = -1) -> None:
         """Record the requests of one storage batch, in order.
 
-        Equivalent to one :meth:`record` per ``(key, size)`` pair.
+        Equivalent to one :meth:`record` per ``(key, size)`` pair.  A key
+        may not contain NUL (the separator of a packed block).
         """
-        keys, sizes = tuple(keys), tuple(sizes)
+        if not isinstance(keys, (list, tuple)):
+            keys = list(keys)
+        sizes = array("q", sizes)
         if len(keys) != len(sizes):
             raise ValueError(f"{len(keys)} keys but {len(sizes)} sizes")
-        if keys:
-            self._blocks.append((op, keys, sizes, time_ms, batch_id))
-            self._length += len(keys)
-            self._events = None
+        if not keys:
+            return
+        packed = _SEP.join(keys)
+        if packed.count(_SEP) != len(keys) - 1:
+            raise ValueError("a trace key cannot contain NUL")
+        self._blocks.append((op, packed, sizes, time_ms, batch_id))
+        self._length += len(keys)
+        self._events = None
 
     def record(self, op: StorageOp, key: str, size_bytes: int, time_ms: float,
                batch_id: int = -1) -> None:
@@ -106,7 +119,7 @@ class AccessTrace:
         """Every request as a :class:`TraceEvent` field tuple, in ``seq`` order."""
         seq = 0
         for op, keys, sizes, time_ms, batch_id in self._blocks:
-            for key, size in zip(keys, sizes):
+            for key, size in zip(keys.split(_SEP), sizes):
                 yield seq, time_ms, op, key, size, batch_id
                 seq += 1
 
@@ -129,7 +142,7 @@ class AccessTrace:
         keys: List[str] = []
         for block in self._blocks:
             if op is None or block[0] == op:
-                keys.extend(block[1])
+                keys.extend(block[1].split(_SEP))
         return keys
 
     def key_frequencies(self, op: Optional[StorageOp] = None) -> Counter:
@@ -140,7 +153,7 @@ class AccessTrace:
         """Number of requests per operation kind."""
         counts: Dict[StorageOp, int] = {}
         for block in self._blocks:
-            counts[block[0]] = counts.get(block[0], 0) + len(block[1])
+            counts[block[0]] = counts.get(block[0], 0) + len(block[2])
         return counts
 
     def batch_shape(self) -> List[Tuple[str, int]]:
@@ -169,7 +182,7 @@ class AccessTrace:
         parts: Dict[int, AccessTrace] = {}
         for op, keys, sizes, time_ms, batch_id in self._blocks:
             grouped: Dict[int, Tuple[List[str], List[int]]] = {}
-            for key, size in zip(keys, sizes):
+            for key, size in zip(keys.split(_SEP), sizes):
                 group, sub_key = classify(key)
                 columns = grouped.get(group)
                 if columns is None:
@@ -193,7 +206,8 @@ class AccessTrace:
         """
         view = AccessTrace()
         cut = len(prefix) if strip else 0
-        for op, keys, sizes, time_ms, batch_id in self._blocks:
+        for op, packed, sizes, time_ms, batch_id in self._blocks:
+            keys = packed.split(_SEP)
             kept = [index for index, key in enumerate(keys) if key.startswith(prefix)]
             view.record_batch(op, [keys[index][cut:] for index in kept],
                               [sizes[index] for index in kept], time_ms, batch_id)

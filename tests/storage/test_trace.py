@@ -152,6 +152,20 @@ class TestRecordBatch:
         with pytest.raises(ValueError):
             AccessTrace().record_batch(StorageOp.READ, ["a", "b"], [1], 0.0)
 
+    @pytest.mark.parametrize("keys", [["a\0b"], ["a", "\0"], ["\0"]])
+    def test_a_key_containing_nul_is_rejected(self, trace, keys):
+        """NUL separates the keys of a packed block: a key holding one would
+        read back as two."""
+        with pytest.raises(ValueError, match="NUL"):
+            trace.record_batch(StorageOp.READ, keys, [1] * len(keys), 0.0)
+        assert len(trace) == 0 and trace.events == []
+
+    def test_empty_and_generator_keys_round_trip(self, trace):
+        trace.record_batch(StorageOp.WRITE, iter(["", "x", ""]), iter([0, 5, 7]), 2.0)
+        assert [(e.key, e.size_bytes) for e in trace.events] == [("", 0), ("x", 5), ("", 7)]
+        assert trace.keys_accessed() == ["", "x", ""]
+        assert trace.total_bytes() == 12
+
     def test_events_are_rebuilt_after_an_append(self, trace):
         trace.record_batch(StorageOp.READ, ["a", "b"], [1, 2], 0.0)
         first = trace.events
