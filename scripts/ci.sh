@@ -46,9 +46,13 @@ python -m pytest -q benchmarks/test_elasticity_smoke.py
 # open, so the store is called once per opened plan, not once per path read
 # (262 calls against 144 path reads x 16 transactions here; 2299 before the
 # hold-back).  The step fails unless the calls are under half the path reads.
-echo "== perf: sealed vs written slots, scheduled batches, storage read calls (repo benchmark, traced smoke) =="
+# Stored bytes: once an epoch commits, the bucket versions it superseded and
+# the checkpoint chain a full checkpoint replaced are deleted.  The step
+# fails unless the servers hold under 150 bytes per loaded user byte (about
+# 130 here; 168 when every version and chain was kept).
+echo "== perf: sealed vs written slots, scheduled batches, storage read calls, stored bytes (repo benchmark, traced smoke) =="
 traced_smoke=$(python bench/run.py --workload tpcc_durable --smoke --seed 17 --seconds 1 --trace 1)
-grep -E "^metric (crypto\.sealed_slots_per_txn|storage\.slots_written_per_txn|storage\.trace_events_per_txn|sim\.schedule_calls|sim\.schedule_ms_per_txn|oram\.self_ms_per_txn|oram\.eviction_ms_per_txn|recovery\.checkpoint_ms_per_txn|storage\.read_batch_calls|oram\.path_reads_per_txn|crypto\.open_ms_per_txn) " <<<"$traced_smoke"
+grep -E "^metric (crypto\.sealed_slots_per_txn|storage\.slots_written_per_txn|storage\.trace_events_per_txn|storage\.stored_bytes_per_user_byte|sim\.schedule_calls|sim\.schedule_ms_per_txn|oram\.self_ms_per_txn|oram\.eviction_ms_per_txn|recovery\.checkpoint_ms_per_txn|storage\.read_batch_calls|oram\.path_reads_per_txn|crypto\.open_ms_per_txn) " <<<"$traced_smoke"
 grep -qE "^metric sim\.schedule_calls 0 " <<<"$traced_smoke" \
     || { echo "sim.schedule_calls is not 0 on tpcc_durable" >&2; exit 1; }
 sealed=$(awk '$1 == "metric" && $2 == "crypto.sealed_slots_per_txn" { print $3 }' <<<"$traced_smoke")
@@ -67,6 +71,12 @@ held_back=$(awk -v calls="$read_calls" -v reads="$path_reads" -v txns="$committe
     'BEGIN { print (calls != "" && 2 * calls < reads * txns) ? "yes" : "no" }')
 if [ "$held_back" != yes ]; then
     echo "storage.read_batch_calls is not under half the path reads on tpcc_durable" >&2
+    exit 1
+fi
+stored=$(awk '$1 == "metric" && $2 == "storage.stored_bytes_per_user_byte" { print $3 }' <<<"$traced_smoke")
+collected=$(awk -v stored="$stored" 'BEGIN { print (stored != "" && stored < 150) ? "yes" : "no" }')
+if [ "$collected" != yes ]; then
+    echo "storage.stored_bytes_per_user_byte ($stored) is not under 150 on tpcc_durable" >&2
     exit 1
 fi
 

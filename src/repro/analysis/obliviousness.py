@@ -268,10 +268,12 @@ def check_bucket_invariant(trace: AccessTrace) -> List[Tuple[int, int, int]]:
 
 
 def epoch_batch_pattern(trace: AccessTrace) -> List[str]:
-    """The adversary-visible sequence of batch kinds ("read"/"write").
+    """The adversary-visible sequence of batch kinds ("read"/"write"/"delete").
 
     In a correct Obladi execution this sequence is ``R`` reads followed by
-    one write, repeated per epoch — a function of the configuration alone.
+    one write and the delete of the versions that write superseded (as
+    many slots as it wrote), repeated per epoch — a function of the
+    configuration alone.
     Tests compare the pattern across workloads and against the expected
     regular structure.
     """

@@ -247,6 +247,7 @@ class ObladiEngine(TransactionEngine):
         order.  With durability on, a full checkpoint is written as the
         migration *fence*: recovery from any later crash finds only the new
         generation's chain, while a crash before this point never sees it.
+        After the fence the retiring generation's slots are deleted.
         """
         from repro.core.version_cache import VersionCache
         from repro.proxytier.coordinator import build_proxy
@@ -278,6 +279,10 @@ class ObladiEngine(TransactionEngine):
         self._reshard_target = None
         if fresh.recovery is not None:
             fresh._checkpoint(full=True)
+        # Past the fence nothing reads the retiring generation; the server
+        # has already seen the reshard, so deleting it leaks nothing new.
+        if migration is not None:
+            migration.source.retire()
 
     # -- fault injection ------------------------------------------------ #
     def crash(self) -> None:

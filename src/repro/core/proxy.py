@@ -590,6 +590,9 @@ class ObladiProxy:
         # Durability: the epoch is committed only once its metadata is logged.
         if self.recovery is not None:
             self._checkpoint(full=(state.epoch_id % self.config.checkpoint_frequency == 0))
+        # Shadow paging ends at the commit: nothing durable names the bucket
+        # versions the flush superseded any more.
+        self.data_layer.collect()
 
         end_ms = self.clock.now_ms
         state.finish(EpochPhase.COMMITTED, end_ms)

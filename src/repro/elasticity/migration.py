@@ -212,7 +212,9 @@ class TopologyMigration:
             reads, self.source.config.read_batch_size)
         # The reads buffer bucket rewrites (reshuffles) exactly like
         # foreground batches do; flush them now — the epoch's own flush has
-        # already run, and the next epoch asserts an empty buffer.
+        # already run, and the next epoch asserts an empty buffer.  What this
+        # flush supersedes is still named by the last checkpoint; the next
+        # epoch's collect deletes it, after that epoch commits.
         self.source.flush()
         items: Dict[str, bytes] = {}
         for key in selected:
@@ -227,6 +229,9 @@ class TopologyMigration:
         self.layer.begin_epoch()
         self.layer.execute_write_batch(items, self.layer.config.write_batch_size)
         self.layer.flush()
+        # Nothing durable names the target generation before the cutover
+        # fence, so its superseded versions can go at once.
+        self.layer.collect()
         for key in selected:
             del self.pending[key]
         self.copied_keys += len(selected)

@@ -232,6 +232,7 @@ def _run_parallel_ops(num_blocks: int, backend: str, operations: int, batch_size
             executor.execute_read_batch(block_ids, batch_size=count)
             remaining -= count
         executor.flush_epoch()
+        executor.collect()
     return clock.now_ms - start
 
 

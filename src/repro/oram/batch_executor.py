@@ -26,6 +26,13 @@ Most path reads of a padded batch fetch slots the proxy never opens.  Their
 storage keys are *held back* and ride with the next read that does open
 something (:meth:`EpochBatchExecutor._fetch_slots`), so the store is called
 once per opened plan, not once per path read.
+
+Every bucket version a flush writes supersedes the one the server held
+before the epoch (version 0, which no bucket ever stored, included — so the
+delete set is exactly as large as the flush).  The flush *stages* those slot
+keys and :meth:`EpochBatchExecutor.collect` deletes them as one storage
+batch; the proxy calls it once the epoch has committed, so a crash before
+then leaves only garbage, never a hole.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from repro.oram.crypto import freshness_context
 from repro.oram.dependency import (simulate_parallel_read_batch,
                                    simulate_parallel_write_batch)
 from repro.oram.ring_oram import (BucketRewrite, PathReadPlan, RingOram, SlotRead,
-                                  lost_real_slot, slot_storage_key)
+                                  lost_real_slot, slot_key_prefix, slot_storage_key)
 from repro.oram.stash import StashReason
 from repro.sim.latency import CpuCostModel, LatencyModel, get_latency_model
 
@@ -101,7 +108,14 @@ class EpochBatchExecutor:
         self._read_cache: Dict[str, Optional[bytes]] = {}
         self._held_back: List[str] = []      # keys registered as read, not yet sent
         self._buffered_rewrites: Dict[int, BucketRewrite] = {}   # latest per bucket
+        self._stored_versions: Dict[int, int] = {}   # buffered bucket -> version on the server
         self._rewrites_buffered_total = 0
+        # Slot keys of the versions this epoch's writes superseded, deleted
+        # by ``collect``; a flush after the epoch's collect (a migration copy
+        # step at the barrier) waits for the next epoch's.
+        self._superseded: List[str] = []
+        self._collected = True
+        self._slot_suffixes = [str(idx) for idx in range(oram.params.slots_per_bucket)]
         self.stats = EpochStats()
         self.lifetime_stats = EpochStats()
 
@@ -135,19 +149,33 @@ class EpochBatchExecutor:
     # Epoch lifecycle
     # ------------------------------------------------------------------ #
     def begin_epoch(self) -> None:
-        """Reset per-epoch state.  Buffered writes must have been flushed."""
+        """Reset per-epoch state.
+
+        Buffered writes must have been flushed, and what the flush
+        superseded collected.
+        """
         if self._buffered_rewrites:
             raise RuntimeError("previous epoch's buffered writes were never flushed")
         self._check_nothing_held_back()
+        if self._superseded and not self._collected:
+            raise RuntimeError(
+                f"{len(self._superseded)} superseded slot keys were never collected")
         self._read_cache.clear()
         self._rewrites_buffered_total = 0
+        self._collected = False
         self.stats = EpochStats()
 
     def abort_epoch(self) -> None:
-        """Drop all buffered writes, none of them sealed yet (crash / abort)."""
+        """Drop all buffered writes, none of them sealed yet (crash / abort).
+
+        The staged superseded keys go too: recovery's sweep deletes every
+        version the restored metadata does not name.
+        """
         self._buffered_rewrites.clear()
+        self._stored_versions.clear()
         self._read_cache.clear()
         self._held_back.clear()
+        self._superseded = []
         self._rewrites_buffered_total = 0
 
     def _check_nothing_held_back(self) -> None:
@@ -244,6 +272,8 @@ class EpochBatchExecutor:
             for rewrite in rewrites:
                 if rewrite.bucket_id in self._buffered_rewrites:
                     self.stats.buffered_bucket_writes_saved += 1
+                else:
+                    self._stored_versions[rewrite.bucket_id] = rewrite.version - 1
                 self._buffered_rewrites[rewrite.bucket_id] = rewrite
                 self._rewrites_buffered_total += 1
             return
@@ -254,9 +284,19 @@ class EpochBatchExecutor:
             self._write_rewrites(rewrites)
 
     def _write_rewrites(self, rewrites: Sequence[BucketRewrite]) -> float:
-        """Seal and write ``rewrites`` as one parallel batch; returns its duration."""
+        """Seal and write ``rewrites`` as one parallel batch; returns its duration.
+
+        Stages the slot keys of the version each rewrite supersedes on the
+        server: the one before the epoch's first rewrite of the bucket when
+        writes are buffered, the one just before it when they are not.
+        """
         items = self.oram.seal_rewrites(rewrites)
         self.oram.storage.write_batch(items, parallelism=self.parallelism, record_batch=False)
+        stored_versions, superseded = self._stored_versions, self._superseded
+        for rewrite in rewrites:
+            prefix = slot_key_prefix(rewrite.bucket_id, stored_versions.pop(
+                rewrite.bucket_id, rewrite.version - 1))
+            superseded += [prefix + suffix for suffix in self._slot_suffixes]
         self.stats.physical_writes += len(items)
         self.lifetime_stats.physical_writes += len(items)
         slot_counts = {rewrite.bucket_id: len(rewrite.slot_blocks) for rewrite in rewrites}
@@ -400,7 +440,9 @@ class EpochBatchExecutor:
 
         Returns the simulated duration of the write-back.  Only the latest
         buffered version of each bucket is sealed and written (write
-        deduplication); intermediate versions never left the proxy.
+        deduplication); intermediate versions never left the proxy.  The
+        versions the written buckets held on the server are staged for
+        :meth:`collect`.
         """
         self._check_nothing_held_back()
         if not self._buffered_rewrites:
@@ -417,3 +459,34 @@ class EpochBatchExecutor:
         self._buffered_rewrites.clear()
         self._read_cache.clear()
         return elapsed
+
+    def collect(self) -> int:
+        """Delete the staged superseded slot keys as one storage batch.
+
+        Safe once the flushes that staged them are durable: after the
+        epoch's checkpoint commits, or right after the flush when nothing is
+        checkpointed.  The delete set is a function of the flush, which the
+        server has already seen; the simulated clock does not charge it.
+        Returns how many keys were deleted.
+        """
+        self._collected = True
+        superseded = self._superseded
+        if not superseded:
+            return 0
+        self.oram.storage.delete_batch(superseded, parallelism=self.parallelism)
+        self._superseded = []
+        return len(superseded)
+
+    def retire(self) -> int:
+        """Delete every slot key the tree stores, with the staged ones, as one batch.
+
+        For a tree nothing durable names any more (a reshard's retiring
+        generation).  Returns how many keys were deleted.
+        """
+        metadata = self.oram.metadata
+        for bucket_id in metadata.buckets_present():
+            version = metadata.bucket(bucket_id).version
+            if version:
+                prefix = slot_key_prefix(bucket_id, version)
+                self._superseded += [prefix + suffix for suffix in self._slot_suffixes]
+        return self.collect()

@@ -6,7 +6,8 @@ metadata, the valid/invalid map, the stash (padded to its bound), the key
 directory, and the access/eviction counters.  To keep the steady-state cost
 low, most epochs write *deltas* (entries changed since the last full
 checkpoint); every ``checkpoint_frequency`` epochs a full checkpoint is
-written and older deltas become garbage (Figure 11a sweeps this frequency).
+written, and once its manifest is stored the previous chain — the old full
+checkpoint plus its deltas — is deleted (Figure 11a sweeps this frequency).
 
 All components except the valid/invalid map are encrypted; the position-map
 delta is padded to the maximum number of entries an epoch can change so its
@@ -72,6 +73,14 @@ def _component_key(epoch_id: int, name: str, full: bool) -> str:
     return f"ckpt/{epoch_id}/{kind}/{name}"
 
 
+def _in_chain(key: str, manifest: CheckpointManifest) -> bool:
+    """Whether component ``key`` belongs to the chain ``manifest`` describes."""
+    _, epoch, kind, _ = key.split("/", 3)
+    if kind == "full":
+        return int(epoch) == manifest.last_full_epoch
+    return int(epoch) in manifest.delta_epochs
+
+
 @dataclass
 class CheckpointSizes:
     """Byte sizes of one checkpoint's components (used by Figure 11a / Table 11b)."""
@@ -100,6 +109,9 @@ class CheckpointStore:
         self.cipher = cipher if cipher is not None else CipherSuite(block_size=64,
                                                                     enabled=encrypt)
         self.manifest = self._load_manifest()
+        # Keys of the chain the manifest describes; unknown (``None``) for a
+        # chain an earlier incarnation wrote until :meth:`sweep` lists it.
+        self._chain_keys: Optional[List[str]] = None if self.manifest.last_epoch >= 0 else []
 
     # ------------------------------------------------------------------ #
     # Sealing helpers (variable-length payloads)
@@ -163,18 +175,28 @@ class CheckpointStore:
             items[_component_key(epoch_id, name, full)] = payload
             sizes.valid_map_bytes += len(payload)
 
+        if self._chain_keys is None:
+            self.sweep()
         self.storage.write_batch(items)
 
+        previous_chain: List[str] = []
         if full:
             self.manifest.last_full_epoch = epoch_id
             self.manifest.delta_epochs = []
+            previous_chain, self._chain_keys = self._chain_keys, []
         else:
             self.manifest.delta_epochs.append(epoch_id)
+        self._chain_keys.extend(items)
         self.manifest.last_epoch = epoch_id
         self.manifest.access_count = access_count
         self.manifest.eviction_count = eviction_count
         self.manifest.partition_counters = dict(partition_counters or {})
         self._store_manifest()
+        # The manifest no longer names the previous chain, so nothing can
+        # read it — except a key the new chain just rewrote.
+        stale = [key for key in previous_chain if key not in items]
+        if stale:
+            self.storage.delete_batch(stale)
         return sizes
 
     # ------------------------------------------------------------------ #
@@ -196,11 +218,19 @@ class CheckpointStore:
             entries.append({"epoch": epoch, "full": False})
         return entries
 
-    def garbage_collect(self, keep_after_epoch: int) -> int:
-        """Delete checkpoint objects older than ``keep_after_epoch``."""
-        victims = [key for key in self.storage.keys()
-                   if key.startswith("ckpt/") and key != MANIFEST_KEY
-                   and int(key.split("/")[1]) < keep_after_epoch]
-        if victims:
-            self.storage.delete_batch(victims)
-        return len(victims)
+    def sweep(self) -> int:
+        """Delete every checkpoint object outside the manifest's chain.
+
+        Lists the store once: recovery calls this, and so does the first
+        checkpoint of a store that loaded a chain it did not write (a
+        reshard cutover's fence).  Returns how many objects were deleted.
+        """
+        chain: List[str] = []
+        orphans: List[str] = []
+        for key in self.storage.keys():
+            if key.startswith("ckpt/") and key != MANIFEST_KEY:
+                (chain if _in_chain(key, self.manifest) else orphans).append(key)
+        if orphans:
+            self.storage.delete_batch(orphans)
+        self._chain_keys = chain
+        return len(orphans)

@@ -3,8 +3,9 @@
 The paper's failure model allows the proxy to crash at any point, losing all
 volatile state.  The simulator injects crashes at the boundaries that matter
 for the recovery protocol: before/after a read batch, and at the epoch
-boundary before the checkpoint is written.  (Crashing in the middle of a
-local computation is indistinguishable from crashing just before it, since
+boundary before the checkpoint is written or after it commits, before any
+superseded bucket version is deleted.  (Crashing in the middle of a local
+computation is indistinguishable from crashing just before it, since
 nothing local persists.)
 """
 
@@ -23,6 +24,7 @@ class CrashPoint(enum.Enum):
     BEFORE_READ_BATCH = "before_read_batch"
     AFTER_READ_BATCH = "after_read_batch"
     BEFORE_CHECKPOINT = "before_checkpoint"
+    AFTER_CHECKPOINT = "after_checkpoint"
 
 
 @dataclass
@@ -41,6 +43,7 @@ class CrashInjector:
     _batches_seen: int = 0
     _original_read: Optional[Callable] = None
     _original_checkpoint: Optional[Callable] = None
+    _original_collect: Optional[Callable] = None
 
     def arm(self) -> None:
         """Install the wrappers (on the proxy's data layer, single or sharded)."""
@@ -67,10 +70,20 @@ class CrashInjector:
 
             self.proxy.recovery.checkpoint_data_layer = wrapped_checkpoint
 
+        if self.point is CrashPoint.AFTER_CHECKPOINT:
+            self._original_collect = layer.collect
+
+            def wrapped_collect():
+                self._crash()
+
+            layer.collect = wrapped_collect
+
     def disarm(self) -> None:
         """Remove the wrappers (used after recovery to reuse helper objects)."""
         if self._original_read is not None:
             self.proxy.data_layer.execute_read_batch = self._original_read
+        if self._original_collect is not None:
+            self.proxy.data_layer.collect = self._original_collect
         if self._original_checkpoint is not None and self.proxy.recovery is not None:
             self.proxy.recovery.checkpoint_data_layer = self._original_checkpoint
 

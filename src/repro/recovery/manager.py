@@ -9,7 +9,8 @@ During normal operation the manager is invoked by the proxy at two points:
 
 After a crash, :func:`recover_proxy` builds a fresh proxy from the untrusted
 store: it restores the last committed epoch's metadata, replays the aborted
-epoch's logged paths (so the adversary observes the same accesses), and
+epoch's logged paths (so the adversary observes the same accesses), deletes
+what the restored state cannot read (:meth:`RecoveryManager.sweep`), and
 reports a per-component time breakdown — the quantities of Table 11b.
 
 The untrusted tier may be a single server or a multi-server
@@ -308,6 +309,31 @@ class RecoveryManager:
         waves = (physical_requests + parallelism - 1) // parallelism if physical_requests else 0
         result.paths_ms = waves * self.latency.read_rtt_ms + physical_requests * 0.002
 
+    def sweep(self, proxy) -> int:
+        """Delete what the restored state cannot read; returns how many objects.
+
+        Per partition, one batch of every ``oram/`` slot key whose version
+        differs from the restored bucket metadata: the aborted epoch's
+        flush, or the versions a crash between commit and collect left
+        behind.  Then every checkpoint object outside the manifest's chain.
+        After the sweep each bucket ever written has exactly one version.
+        """
+        removed = 0
+        for part in proxy.data_layer.partitions:
+            metadata = part.oram.metadata
+            current = {bucket_id: metadata.bucket(bucket_id).version
+                       for bucket_id in metadata.buckets_present()}
+            orphans: List[str] = []
+            for key in part.storage.keys():
+                if key.startswith("oram/"):
+                    _, bucket_id, version, _ = key.split("/", 3)
+                    if int(version[1:]) != current.get(int(bucket_id), 0):
+                        orphans.append(key)
+            if orphans:
+                part.storage.delete_batch(orphans)
+            removed += len(orphans)
+        return removed + self.checkpoints.sweep()
+
 
 def recover_proxy(storage: StorageServer, config: ObladiConfig, master_key: bytes,
                   clock: Optional[SimClock] = None):
@@ -333,6 +359,7 @@ def recover_proxy(storage: StorageServer, config: ObladiConfig, master_key: byte
     start_ms = clock.now_ms
     result = manager.restore_metadata(proxy)
     manager.replay_aborted_epoch(proxy, result)
+    manager.sweep(proxy)
     result.total_ms = (result.position_ms + result.permutation_ms + result.paths_ms
                        + result.network_ms)
     clock.advance(result.total_ms)

@@ -124,6 +124,24 @@ class DataLayer(abc.ABC):
     def bulk_load(self, items: Dict[str, bytes]) -> None:
         """Load an initial dataset directly into the tree(s)."""
 
+    def collect(self) -> None:
+        """Delete the bucket versions the flushes superseded, one batch per partition.
+
+        The proxy calls this once the epoch has committed
+        (:meth:`~repro.oram.batch_executor.EpochBatchExecutor.collect`).
+        """
+        for part in self.partitions:
+            part.executor.collect()
+
+    def retire(self) -> None:
+        """Delete every slot key the layer still stores, one batch per partition.
+
+        For a layer a reshard cutover has replaced: nothing durable names
+        its buckets any more.
+        """
+        for part in self.partitions:
+            part.executor.retire()
+
     # -- cache / stash lookups (single reads while serving transactions) - #
     def has_cached(self, key: str) -> bool:
         """Whether the epoch's version cache holds a base value for ``key``."""

@@ -77,7 +77,7 @@ class StorageServer:
         raise NotImplementedError
 
     def delete_batch(self, keys: Sequence[str], parallelism: int = 1) -> BatchResult:
-        """Delete keys (used by checkpoint garbage collection)."""
+        """Delete keys: superseded bucket versions, WAL segments, checkpoint chains."""
         raise NotImplementedError
 
     def read(self, key: str) -> Optional[bytes]:

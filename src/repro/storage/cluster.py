@@ -241,7 +241,7 @@ class StorageCluster(StorageServer):
                                                 record_batch=record_batch)
 
     def delete_batch(self, keys: Sequence[str], parallelism: int = 1) -> BatchResult:
-        """Delete on the metadata server (checkpoint garbage collection)."""
+        """Delete on the metadata server (WAL truncation, checkpoint chains)."""
         return self.metadata_server.delete_batch(keys, parallelism=parallelism)
 
     def contains(self, key: str) -> bool:

@@ -143,7 +143,7 @@ class InMemoryStorageServer(StorageServer):
         for key in keys:
             self._data.pop(key, None)
         if self.trace is not None:
-            batch_id = self.trace.begin_batch("write", start_ms, len(keys))
+            batch_id = self.trace.begin_batch("delete", start_ms, len(keys))
             self.trace.record_batch(StorageOp.DELETE, keys, [0] * len(keys),
                                     start_ms, batch_id)
         return BatchResult(values={}, elapsed_ms=elapsed, request_count=len(keys))

@@ -38,7 +38,7 @@ class BatchBoundary:
 
     batch_id: int
     time_ms: float
-    kind: str          # "read" or "write"
+    kind: str          # "read", "write" or "delete"
     request_count: int
 
 

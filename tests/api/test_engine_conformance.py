@@ -763,7 +763,7 @@ class TestElasticReshard:
             return host.trace.batch_shape()
 
         on_a_cluster = epoch_shape((4, 2, 1))
-        assert [kind for kind, _ in on_a_cluster] == ["read"] * 3 + ["write"]
+        assert [kind for kind, _ in on_a_cluster] == ["read"] * 3 + ["write", "delete"]
         assert on_a_cluster == epoch_shape((4, 1, 1))
 
     def test_crash_during_migration_recovers_on_the_old_side(self):

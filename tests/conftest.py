@@ -144,3 +144,23 @@ def tree_slot_key(oram, block_id):
         if slot is not None:
             return slot_storage_key(bucket, meta.version, slot)
     raise AssertionError(f"block {block_id} is not in the tree")
+
+
+def stored_versions(storage):
+    """``{bucket: {version: slots stored}}`` over the ``oram/`` keys of ``storage``."""
+    versions = {}
+    for key in storage.keys():
+        if key.startswith("oram/"):
+            _, bucket, version, _ = key.split("/", 3)
+            per_bucket = versions.setdefault(int(bucket), {})
+            per_bucket[int(version[1:])] = per_bucket.get(int(version[1:]), 0) + 1
+    return versions
+
+
+def live_versions(oram):
+    """What :func:`stored_versions` holds when only live versions are stored:
+    every written bucket's current version, all ``Z + S`` slots of it."""
+    slots = oram.params.slots_per_bucket
+    current = {bucket: oram.metadata.bucket(bucket).version
+               for bucket in oram.metadata.buckets_present()}
+    return {bucket: {version: slots} for bucket, version in current.items() if version}

@@ -73,6 +73,7 @@ class TestDataHandler:
         handler.begin_epoch()
         handler.execute_write_batch({"k1": b"v1", "k2": b"v2"}, batch_size=4)
         handler.flush()
+        handler.executor.collect()
         handler.begin_epoch()
         values = handler.execute_read_batch(["k1", "k2", "missing"], batch_size=8)
         assert values["k1"] == b"v1"

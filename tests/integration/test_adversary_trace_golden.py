@@ -7,9 +7,12 @@ mid-epoch, recovers (WAL path replay included) and keeps serving, and a
 ``shards=2`` layer hosted on two storage servers — and every server's trace
 rows ``(seq, time_ms, op, key, size_bytes, batch_id)`` plus its
 ``batch_shape()`` are hashed.  The constants were recorded at the commit
-*before* the columnar metadata landed; a change that moves them changes what
-the adversary sees (an RNG draw moved, a slot choice or a version changed, a
-checkpoint grew) and must say so and re-record them in its own PR.
+*before* the columnar metadata landed and re-recorded once when the proxy
+began deleting superseded bucket versions and checkpoint chains: that added
+``DELETE`` rows and ``"delete"`` batches, and left every other row and
+batch as it was.  A change that moves them changes what the adversary sees
+(an RNG draw moved, a slot choice or a version changed, a checkpoint grew)
+and must say so and re-record them in its own PR.
 
 A third engine runs with ``buffer_writes=False`` — two durable partitions
 sharing one server, so one trace — where every eviction writes its buckets
@@ -33,14 +36,14 @@ from repro.recovery.crash import CrashInjector, CrashPoint
 KEYS = 48
 
 GOLDEN_SINGLE_DURABLE = [
-    "ca52c1b7f8aa847af8bfc029da4b6f59c9cbdb3ae2e3c302f3d3c9b358d87b04",
+    "a8590185eb1e29059805b978f998f8bf2b62e7b7d9f73fd9dc197313f1729806",
 ]
 GOLDEN_SHARDED_TWO_SERVERS = [
-    "eb16cd2e43bd82e38f84f22ab69e19355f0761ad8b2c038c62deae36804509e1",
-    "476f87a7005e15fd1b699134b713199e05b07c93973fc842b3334eac2e790cf4",
+    "3558d239bbb321a4526653354a246c241e97598ecdc51aa4b66b3927c18c0d0c",
+    "7701472fd7fa9f8ea8e27dcad6b56df90b6130a5e34615396f19890bc07f7392",
 ]
 GOLDEN_IMMEDIATE_WRITES = [
-    "d8751b7b1ec09e75f3aee8844b8e012ed2720c071c77c7c3534831bc378de39a",
+    "61f531267d44a1058154ad9e5e76ebe4d9974cd952e03f68cb68ac20875fb7eb",
 ]
 
 

@@ -76,8 +76,9 @@ class TestWorkloadIndependence:
         proxy.storage.trace.clear()
         run_workload(proxy, lambda rng: f"k{rng.randrange(16)}", epochs=4)
         pattern = epoch_batch_pattern(proxy.storage.trace)
-        # Each epoch shows exactly R read batches followed by one write batch.
-        expected = (["read"] * proxy.config.read_batches + ["write"]) * 4
+        # Each epoch shows exactly R read batches, one write batch and the
+        # delete batch of the versions that write superseded.
+        expected = (["read"] * proxy.config.read_batches + ["write", "delete"]) * 4
         assert pattern == expected
 
     def test_read_batches_always_padded_to_fixed_size(self):

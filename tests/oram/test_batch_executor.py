@@ -15,7 +15,7 @@ from repro.sim.clock import SimClock
 from repro.storage.backend import StorageOp
 from repro.storage.memory import InMemoryStorageServer
 
-from tests.conftest import tree_slot_key
+from tests.conftest import live_versions, stored_versions, tree_slot_key
 
 
 class CountingCipher(CipherSuite):
@@ -97,6 +97,7 @@ class TestCorrectness:
             executor.execute_write_batch(writes)
             reference.update(writes)
             executor.flush_epoch()
+            executor.collect()
 
     def test_abort_epoch_discards_buffered_bucket_writes(self):
         # Epoch abort drops the buffered bucket rewrites so nothing from the
@@ -258,6 +259,7 @@ class TestLazySealing:
                    for bucket, version in placed.values())
         assert cipher.seal_calls == 0 and storage.stats_writes == 0
         executor.flush_epoch()
+        executor.collect()
         executor.begin_epoch()
         assert executor.execute_read_batch(list(written), batch_size=12) == written
         executor.flush_epoch()
@@ -298,9 +300,9 @@ class TestStorageFaults:
     """A server that replays or relocates authentic slots is caught on read."""
 
     @staticmethod
-    def _block_with_older_version_on_storage(oram, storage, blocks):
+    def _block_with_older_version_kept(oram, kept, blocks):
         """(block, bucket, version, slot) of a tree-resident block whose
-        bucket's previous version was written too."""
+        bucket's previous version the server kept."""
         for block in blocks:
             if block in oram.stash:
                 continue
@@ -308,24 +310,30 @@ class TestStorageFaults:
                                                  oram.params.depth):
                 meta = oram.metadata.bucket(bucket)
                 slot = meta.slot_of_block(block)
-                if slot is not None and storage.contains(
-                        slot_storage_key(bucket, meta.version - 1, slot)):
+                if slot is not None and \
+                        slot_storage_key(bucket, meta.version - 1, slot) in kept:
                     return block, bucket, meta.version, slot
-        raise AssertionError("no tree-resident block with an older version on storage")
+        raise AssertionError("no tree-resident block with an older version kept")
 
     @staticmethod
-    def _run_epochs(executor, epochs=3):
+    def _run_epochs(executor, storage, epochs=3):
+        """Run ``epochs`` write epochs; returns every slot the server ever
+        held — a malicious server keeps what it is told to delete."""
+        kept = {}
         for epoch in range(epochs):
             executor.begin_epoch()
             executor.execute_write_batch({i: b"e%d-%d" % (epoch, i) for i in range(12)})
             executor.flush_epoch()
+            kept.update(storage.snapshot())
+            executor.collect()
+        return kept
 
     def test_stale_slot_replayed_under_next_versions_key_is_rejected(self):
         executor, oram, storage = make_executor()
-        self._run_epochs(executor)
-        block, bucket, version, slot = self._block_with_older_version_on_storage(
-            oram, storage, range(12))
-        stale = storage.snapshot()[slot_storage_key(bucket, version - 1, slot)]
+        kept = self._run_epochs(executor, storage)
+        block, bucket, version, slot = self._block_with_older_version_kept(
+            oram, kept, range(12))
+        stale = kept[slot_storage_key(bucket, version - 1, slot)]
         storage.write_batch({slot_storage_key(bucket, version, slot): stale})
         executor.begin_epoch()
         with pytest.raises(IntegrityError):
@@ -333,9 +341,9 @@ class TestStorageFaults:
 
     def test_two_slots_of_one_bucket_swapped_is_rejected(self):
         executor, oram, storage = make_executor()
-        self._run_epochs(executor)
-        block, bucket, version, slot = self._block_with_older_version_on_storage(
-            oram, storage, range(12))
+        kept = self._run_epochs(executor, storage)
+        block, bucket, version, slot = self._block_with_older_version_kept(
+            oram, kept, range(12))
         here = slot_storage_key(bucket, version, slot)
         there = slot_storage_key(bucket, version, (slot + 1) % len(
             oram.metadata.bucket(bucket).blocks))
@@ -347,7 +355,7 @@ class TestStorageFaults:
 
     def test_real_slot_the_store_lost_is_rejected_not_read_as_never_written(self):
         executor, oram, storage = make_executor()
-        self._run_epochs(executor)
+        self._run_epochs(executor, storage)
         block = next(block for block in range(12) if block not in oram.stash)
         lost = tree_slot_key(oram, block)
         storage.delete_batch([lost])
@@ -357,7 +365,7 @@ class TestStorageFaults:
 
     def test_outage_mid_batch_surfaces_and_a_fresh_epoch_works_after_abort(self):
         executor, oram, storage = make_executor()
-        self._run_epochs(executor)
+        self._run_epochs(executor, storage)
         plan_path_read, plans = oram.plan_path_read, []
 
         def failing_from_the_third_plan(block_id, force_dummy_path=None):
@@ -404,10 +412,11 @@ class TestHeldBackReads:
             writes = {i: b"w%d" % epoch for i in range(epoch, epoch + 5)}
             assert reads_sent_by(executor.execute_write_batch, writes, batch_size=8) > 0
             executor.flush_epoch()
+            executor.collect()
 
     def test_all_padding_batch_calls_the_store_once_per_maintenance_plus_one(self):
         executor, _, storage = make_executor(seed=5)
-        TestStorageFaults._run_epochs(executor)
+        TestStorageFaults._run_epochs(executor, storage)
         read_batch, calls = storage.read_batch, []
 
         def counting(keys, parallelism=1, record_batch=True):
@@ -485,6 +494,7 @@ class TestAdversaryView:
             written = list(executor._buffered_rewrites.values())
             executor.flush_epoch()
             stored = storage.snapshot()
+            executor.collect()
             for rewrite in written:
                 for slot, block in enumerate(rewrite.slot_blocks):
                     counts = histograms[block is None]
@@ -513,3 +523,90 @@ class TestAdversaryView:
             executor.execute_read_batch(list(range(8)), batch_size=8)
             executor.flush_epoch()
         assert oram_wan.clock.now_ms > oram_lan.clock.now_ms
+
+
+def parse_slot_key(key):
+    """``(bucket, version, slot)`` of an ``oram/<b>/v<v>/s/<i>`` key."""
+    _, bucket, version, _, slot = key.split("/")
+    return int(bucket), int(version[1:]), int(slot)
+
+
+class TestVersionCollection:
+    """A flush stages the versions it supersedes; ``collect`` deletes them."""
+
+    @pytest.mark.parametrize("buffer_writes", [True, False])
+    def test_after_collect_each_written_bucket_has_one_version(self, buffer_writes):
+        executor, oram, storage = make_executor(seed=4, buffer_writes=buffer_writes)
+        oram.bulk_load({i: b"bulk" for i in range(20)})
+        assert stored_versions(storage) == live_versions(oram)
+        for epoch in range(4):
+            executor.begin_epoch()
+            executor.execute_read_batch(list(range(epoch, epoch + 6)), batch_size=8)
+            executor.execute_write_batch({i: b"e%d" % epoch for i in range(epoch, epoch + 4)})
+            executor.flush_epoch()
+            assert stored_versions(storage) != live_versions(oram)
+            executor.collect()
+            assert stored_versions(storage) == live_versions(oram)
+
+    def test_delete_batch_mirrors_the_flush(self):
+        """Same buckets, same slots, as many keys: each bucket's version
+        from before the epoch — version 0, never stored, included."""
+        executor, oram, storage = make_executor(seed=4)
+        deleted_versions = []
+        for epoch in range(3):
+            executor.begin_epoch()
+            before = {bucket: oram.metadata.bucket(bucket).version
+                      for bucket in oram.metadata.buckets_present()}
+            executor.execute_write_batch({i: b"e%d" % epoch for i in range(8)})
+            executor.flush_epoch()
+            executor.collect()
+            (write, written), (delete, deleted) = storage.trace.batch_shape()[-2:]
+            assert (write, delete) == ("write", "delete") and written == deleted > 0
+            rows = [parse_slot_key(e.key) for e in storage.trace.events[-2 * written:]]
+            writes, deletes = rows[:written], rows[written:]
+            assert [(b, s) for b, _, s in writes] == [(b, s) for b, _, s in deletes]
+            assert all(version == before.get(bucket, 0) for bucket, version, _ in deletes)
+            deleted_versions += [version for _, version, _ in deletes]
+        assert 0 in deleted_versions and max(deleted_versions) > 0
+
+    def test_collect_moves_neither_the_clock_nor_the_physical_counters(self):
+        executor, oram, _ = make_executor()
+        executor.begin_epoch()
+        executor.execute_write_batch({i: b"x" for i in range(6)})
+        executor.flush_epoch()
+        now, stats = oram.clock.now_ms, (executor.lifetime_stats.physical_reads,
+                                         executor.lifetime_stats.physical_writes)
+        assert executor.collect() > 0
+        assert oram.clock.now_ms == now
+        assert (executor.lifetime_stats.physical_reads,
+                executor.lifetime_stats.physical_writes) == stats
+
+    def test_uncollected_flush_is_an_error_and_abort_drops_it(self):
+        executor, _, _ = make_executor()
+        executor.begin_epoch()
+        executor.execute_write_batch({i: b"x" for i in range(6)})
+        executor.flush_epoch()
+        with pytest.raises(RuntimeError, match="never collected"):
+            executor.begin_epoch()
+        executor.abort_epoch()
+        executor.begin_epoch()
+        assert executor.collect() == 0
+
+    def test_a_flush_after_the_epochs_collect_waits_for_the_next_one(self):
+        """A migration copy step flushes at the barrier, after the epoch's
+        collect: the versions it supersedes are still named by the last
+        checkpoint, so they go with the next epoch's collect."""
+        executor, oram, storage = make_executor(seed=2)
+        executor.begin_epoch()
+        executor.execute_write_batch({i: b"a" for i in range(6)})
+        executor.flush_epoch()
+        executor.collect()
+        executor.execute_read_batch([None] * 8)        # the barrier's copy read
+        executor.flush_epoch()
+        kept = stored_versions(storage)
+        assert kept != live_versions(oram)
+        executor.begin_epoch()
+        assert stored_versions(storage) == kept
+        executor.flush_epoch()
+        executor.collect()
+        assert stored_versions(storage) == live_versions(oram)

@@ -82,8 +82,8 @@ class TestOpenLoopObliviousness:
         """Whatever Poisson rate offers the load and whatever keys it
         touches, every epoch fans out as padded per-partition batches: R
         read batches *per partition* at exactly the per-partition quota,
-        then one write batch per partition — and both namespaces carry
-        traffic.  (Batch boundaries interleave on the shared server, so the
+        then one write batch per partition, then one delete batch per
+        partition — and both namespaces carry traffic.  (Batch boundaries interleave on the shared server, so the
         shape is asserted on the shared trace; ``partition_traces`` splits
         the request streams themselves.)"""
         engine = build_engine(seed, shards=SHARDS)
@@ -97,7 +97,7 @@ class TestOpenLoopObliviousness:
         shape = engine.proxy.storage.trace.batch_shape()
         kinds = [kind for kind, _ in shape]
         assert kinds == ((["read"] * SHARDS) * config.read_batches
-                         + ["write"] * SHARDS) * run.epochs
+                         + ["write"] * SHARDS + ["delete"] * SHARDS) * run.epochs
         read_sizes = {size for kind, size in shape if kind == "read"}
         assert read_sizes == {config.partition_read_batch_size}
         split = partition_traces(engine.proxy.storage.trace)

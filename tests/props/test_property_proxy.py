@@ -78,7 +78,7 @@ class TestProxyLinearisesEpochs:
     @given(st.integers(0, 2**16))
     def test_epoch_shape_independent_of_random_workload(self, seed):
         """Whatever transactions run, the adversary sees R read batches of the
-        configured size followed by one write batch, per epoch."""
+        configured size, one write batch and one delete batch, per epoch."""
         proxy = build_proxy(seed)
         proxy.storage.trace.clear()
         rng = random.Random(seed)
@@ -98,4 +98,4 @@ class TestProxyLinearisesEpochs:
         read_sizes = {size for kind, size in shape if kind == "read"}
         kinds = [kind for kind, _ in shape]
         assert read_sizes == {proxy.config.read_batch_size}
-        assert kinds == (["read"] * proxy.config.read_batches + ["write"]) * 3
+        assert kinds == (["read"] * proxy.config.read_batches + ["write", "delete"]) * 3

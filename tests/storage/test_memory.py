@@ -41,6 +41,16 @@ class TestReadWrite:
         server.delete_batch(["a"])
         assert not server.contains("a")
 
+    def test_delete_batch_is_its_own_boundary_kind_and_no_physical_op(self, server):
+        server.write_batch({"a": b"1", "b": b"2"})
+        server.trace.clear()
+        reads, writes = server.stats_reads, server.stats_writes
+        server.delete_batch(["a", "b", "never-written"])
+        assert server.trace.batch_shape() == [("delete", 3)]
+        assert [(e.op, e.size_bytes) for e in server.trace.events] == \
+            [(StorageOp.DELETE, 0)] * 3
+        assert (server.stats_reads, server.stats_writes) == (reads, writes)
+
     def test_non_bytes_payload_rejected(self, server):
         with pytest.raises(TypeError):
             server.write_batch({"a": "not-bytes"})
