@@ -80,6 +80,23 @@ if [ "$collected" != yes ]; then
     exit 1
 fi
 
+# Full-size drift gate: one untraced round of each repo-benchmark workload at
+# seed 17 must print the sim_digest ROADMAP records (about 12 s for all four).
+# A refactor or a host-cost change must not move a simulated number.
+echo "== drift gate: full-size seed-17 sim_digests (repo benchmark) =="
+for pinned in smallbank_sharded:54bd2030a4c348b5 tpcc_durable:8833c8bb01c68186 \
+              freehealth_openloop:390ffd62f50e36f5 ycsb_hot_elastic:182d60c47869690d; do
+    workload=${pinned%%:*}
+    expected=${pinned#*:}
+    digest=$(python bench/run.py --workload "$workload" --seed 17 --seconds 0 --trace 0 \
+        | awk '$1 == "sim_digest" { print $2 }')
+    echo "$workload sim_digest $digest"
+    if [ "$digest" != "$expected" ]; then
+        echo "$workload sim_digest $digest is not the recorded $expected" >&2
+        exit 1
+    fi
+done
+
 # Tier-1 holds the fixed-seed drift gates (the golden smoke sim_digests and
 # adversary-trace hashes under tests/integration/) and, through the root
 # conftest.py, fails if the run changed any file git does not ignore.

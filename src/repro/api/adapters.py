@@ -249,7 +249,6 @@ class ObladiEngine(TransactionEngine):
         generation's chain, while a crash before this point never sees it.
         After the fence the retiring generation's slots are deleted.
         """
-        from repro.core.version_cache import VersionCache
         from repro.proxytier.coordinator import build_proxy
         old = self.proxy
         target = self._reshard_target
@@ -262,14 +261,9 @@ class ObladiEngine(TransactionEngine):
         else:
             layer, storage = old.data_layer, old.storage
         self._retire_proxy(old)
-        # The layer follows the target topology; its epoch cache is re-built
-        # so a coordinator's sharded cache never outlives its workers (the
-        # new proxy re-points it again if it shards the trusted tier).
+        # The layer follows the target topology; its epoch cache is reset by
+        # the next begin_epoch before anything reads it.
         layer.config = target
-        cache = VersionCache()
-        layer.cache = cache
-        for part in layer.partitions:
-            part.handler.cache = cache
         fresh = build_proxy(config=target, storage=storage, clock=old.clock,
                             master_key=old.master_key, data_layer=layer)
         fresh.mvtso.fast_forward(old.mvtso.next_timestamp, old.mvtso.next_txn_id)

@@ -80,8 +80,8 @@ class EngineConfig:
     parallelism: Optional[int] = None
 
     # Proxy tier (Obladi only): number of trusted proxy workers the MVTSO
-    # version store / version cache are sharded across (1 = the paper's
-    # single proxy; see ``repro.proxytier``).
+    # concurrency-control work is divided across (1 = the paper's single
+    # proxy; see ``repro.proxytier``).
     proxy_workers: Optional[int] = None
 
     # Conflict resolution (Obladi only): what the proxy does with MVTSO

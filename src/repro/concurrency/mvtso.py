@@ -17,10 +17,11 @@ locking would (paper §6.1).
   commit after the writer does, and must abort if the writer aborts
   (cascading abort).
 
-The manager's version store can be sharded across trusted proxy workers
+The manager's work can be divided across trusted proxy workers
 (:class:`repro.proxytier.ShardedMVTSOManager`, ``docs/ARCHITECTURE.md`` —
-"Distributed proxy tier"): timestamps stay global while chain ownership and
-the commit check move to per-worker slices and an epoch-barrier vote.
+"Distributed proxy tier"): timestamps and the one version store stay global
+while each operation is attributed to the key's worker and the commit check
+becomes an epoch-barrier vote.
 """
 
 from __future__ import annotations

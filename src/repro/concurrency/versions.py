@@ -10,7 +10,7 @@ read the older state).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 
 @dataclass
@@ -98,33 +98,6 @@ class VersionStore:
         """The version chain for ``key``, or ``None`` if no write touched it."""
         return self._chains.get(key)
 
-    def keys(self) -> List[str]:
-        """Every key with a chain, sorted."""
-        return sorted(self._chains)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._chains
-
-    def __len__(self) -> int:
-        return len(self._chains)
-
-    def items(self) -> Iterator[Tuple[str, VersionChain]]:
-        """Iterate over ``(key, chain)`` pairs."""
-        return iter(self._chains.items())
-
     def clear(self) -> None:
-        """Drop every chain (used when an epoch's cache is discarded)."""
+        """Drop every chain (at the end of an epoch's write-back)."""
         self._chains.clear()
-
-    def latest_committed_values(self) -> Dict[str, Optional[bytes]]:
-        """Map of key to latest committed value (the epoch's write-back set)."""
-        out: Dict[str, Optional[bytes]] = {}
-        for key, chain in self._chains.items():
-            version = chain.latest_committed()
-            if version is not None:
-                out[key] = version.value
-        return out
-
-    def drop_aborted(self) -> int:
-        """Remove aborted versions from every chain; returns total removed."""
-        return sum(chain.remove_aborted() for chain in self._chains.values())

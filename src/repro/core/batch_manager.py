@@ -35,23 +35,21 @@ class ReadBatch:
 
     index: int
     capacity: int
-    partition_quota: Optional[int] = None
+    partition_quota: int
     keys: List[str] = field(default_factory=list)
     _keyset: Set[str] = field(default_factory=set)
     _partition_counts: Dict[int, int] = field(default_factory=dict)
     dispatched: bool = False
 
-    def has_room(self, partition: Optional[int] = None) -> bool:
+    def has_room(self, partition: int = 0) -> bool:
         if len(self.keys) >= self.capacity:
             return False
-        if partition is not None and self.partition_quota is not None:
-            return self._partition_counts.get(partition, 0) < self.partition_quota
-        return True
+        return self._partition_counts.get(partition, 0) < self.partition_quota
 
     def contains(self, key: str) -> bool:
         return key in self._keyset
 
-    def add(self, key: str, partition: Optional[int] = None) -> None:
+    def add(self, key: str, partition: int = 0) -> None:
         if self.dispatched:
             raise ValueError(f"read batch {self.index} already dispatched")
         if key in self._keyset:
@@ -60,8 +58,7 @@ class ReadBatch:
             raise BatchFullError("read", self.capacity)
         self.keys.append(key)
         self._keyset.add(key)
-        if partition is not None:
-            self._partition_counts[partition] = self._partition_counts.get(partition, 0) + 1
+        self._partition_counts[partition] = self._partition_counts.get(partition, 0) + 1
 
     @property
     def padding(self) -> int:
@@ -69,29 +66,32 @@ class ReadBatch:
         return self.capacity - len(self.keys)
 
 
+def _one_partition(key: str) -> int:
+    return 0
+
+
 class BatchManager:
     """Assembles the epoch's R read batches and its write batch.
 
-    ``partitioner`` (optional) maps an application key to its partition
-    index; with it set, each batch additionally enforces the per-partition
-    read quota and the write batch the per-partition write quota, matching
-    the padded per-partition batches the partitioned data layer executes.
+    ``partitioner`` maps an application key to its partition index; each
+    batch enforces the per-partition read quota and the write batch the
+    per-partition write quota, matching the padded per-partition batches the
+    data layer executes.  Unpartitioned, every key is partition 0 and the
+    quotas are the batch sizes themselves.
     """
 
     def __init__(self, read_batches: int, read_batch_size: int, write_batch_size: int,
-                 partitioner: Optional[Callable[[str], int]] = None,
+                 partitioner: Callable[[str], int] = _one_partition,
                  read_partition_quota: Optional[int] = None,
                  write_partition_quota: Optional[int] = None) -> None:
         if read_batches < 1:
             raise ValueError("need at least one read batch per epoch")
-        if partitioner is not None and read_partition_quota is None:
-            raise ValueError("a partitioned batch manager needs a read quota")
         self.read_batches_per_epoch = read_batches
         self.read_batch_size = read_batch_size
         self.write_batch_size = write_batch_size
         self.partitioner = partitioner
-        self.read_partition_quota = read_partition_quota
-        self.write_partition_quota = write_partition_quota
+        self.read_partition_quota = read_partition_quota or read_batch_size
+        self.write_partition_quota = write_partition_quota or write_batch_size
         self.reset_epoch()
 
     # ------------------------------------------------------------------ #
@@ -100,8 +100,7 @@ class BatchManager:
     def reset_epoch(self) -> None:
         self._batches: List[ReadBatch] = [
             ReadBatch(index=i, capacity=self.read_batch_size,
-                      partition_quota=self.read_partition_quota
-                      if self.partitioner is not None else None)
+                      partition_quota=self.read_partition_quota)
             for i in range(self.read_batches_per_epoch)
         ]
         self._next_batch = 0
@@ -126,7 +125,7 @@ class BatchManager:
         Raises :class:`BatchFullError` when every remaining batch of the
         epoch is full — the paper aborts the transaction in that case.
         """
-        partition = self.partitioner(key) if self.partitioner is not None else None
+        partition = self.partitioner(key)
         for idx in range(self._next_batch, self.read_batches_per_epoch):
             batch = self._batches[idx]
             if batch.dispatched:
@@ -170,13 +169,12 @@ class BatchManager:
         """
         if len(write_back) > self.write_batch_size:
             raise BatchFullError("write", self.write_batch_size)
-        if self.partitioner is not None and self.write_partition_quota is not None:
-            per_partition: Dict[int, int] = {}
-            for key in write_back:
-                partition = self.partitioner(key)
-                per_partition[partition] = per_partition.get(partition, 0) + 1
-                if per_partition[partition] > self.write_partition_quota:
-                    raise BatchFullError("write", self.write_partition_quota)
+        per_partition: Dict[int, int] = {}
+        for key in write_back:
+            partition = self.partitioner(key)
+            per_partition[partition] = per_partition.get(partition, 0) + 1
+            if per_partition[partition] > self.write_partition_quota:
+                raise BatchFullError("write", self.write_partition_quota)
         return {key: (value if value is not None else b"")
                 for key, value in sorted(write_back.items())}
 

@@ -90,8 +90,8 @@ class ObladiConfig:
     storage_servers: int = 1
     link_extra_rtt_ms: Tuple[float, ...] = ()
 
-    # Proxy tier: how many trusted ``ProxyWorker`` lanes the MVTSO version
-    # store and version cache are sharded across (``repro.proxytier``).  1
+    # Proxy tier: how many trusted ``ProxyWorker`` lanes the MVTSO
+    # concurrency-control work is divided across (``repro.proxytier``).  1
     # (the default) is the paper's single proxy, byte-identical to the seed;
     # N > 1 hashes application keys over N workers with the same sha256
     # partition map the data layer uses (perturbed by ``partition_seed``)
@@ -181,15 +181,6 @@ class ObladiConfig:
         """Nominal epoch length: R batch intervals."""
         return self.read_batches * self.batch_interval_ms
 
-    @property
-    def position_delta_pad_entries(self) -> int:
-        """Padding bound for position-map delta checkpoints (paper §8).
-
-        The number of position-map entries an epoch can change is bounded by
-        the read slots plus the write batch size.
-        """
-        return self.epoch_read_capacity + self.write_batch_size
-
     # ------------------------------------------------------------------ #
     # Sharding-derived quantities
     # ------------------------------------------------------------------ #
@@ -246,11 +237,12 @@ class ObladiConfig:
         return max(1, min(self.parallelism, self.shards))
 
     @property
-    def partition_position_delta_pad_entries(self) -> int:
-        """Per-partition padding bound for position-map delta checkpoints.
+    def position_delta_pad_entries(self) -> int:
+        """Per-partition padding bound for position-map delta checkpoints (§8).
 
         A partition's position map changes at most its share of the epoch's
-        read slots plus its share of the write batch.
+        read slots plus its share of the write batch (``R·b_read + b_write``
+        on a single tree).
         """
         return (self.read_batches * self.partition_read_batch_size
                 + self.partition_write_batch_size)

@@ -106,8 +106,6 @@ class DataHandler:
         self.directory = directory if directory is not None else KeyDirectory()
         self.cache = cache if cache is not None else VersionCache()
         self.stats_reads_served_from_cache = 0
-        self.stats_oram_reads = 0
-        self.stats_oram_writes = 0
 
     # ------------------------------------------------------------------ #
     # Epoch lifecycle
@@ -134,7 +132,6 @@ class DataHandler:
         to_fetch = [key for key in keys if not self.cache.has_base(key)]
         block_ids: List[Optional[int]] = [self.directory.block_id(key) for key in to_fetch]
         results = self.executor.execute_read_batch(block_ids, batch_size=batch_size)
-        self.stats_oram_reads += len(to_fetch)
 
         out: Dict[str, Optional[bytes]] = {}
         for key, bid in zip(to_fetch, block_ids):
@@ -152,22 +149,14 @@ class DataHandler:
         """Write the epoch's final values as one padded write batch."""
         payload = {self.directory.block_id(key): value for key, value in items.items()}
         self.executor.execute_write_batch(payload, batch_size=batch_size)
-        self.stats_oram_writes += len(items)
 
     def flush(self) -> float:
         """Flush all buffered bucket rewrites; returns simulated duration."""
         return self.executor.flush_epoch()
 
     # ------------------------------------------------------------------ #
-    # Cache-aware single reads (used when serving transactions)
+    # Stash lookups (used when serving transactions)
     # ------------------------------------------------------------------ #
-    def cached_value(self, key: str) -> Optional[bytes]:
-        """Base value for ``key`` if this epoch already fetched it."""
-        return self.cache.base_value(key)
-
-    def has_cached(self, key: str) -> bool:
-        return self.cache.has_base(key)
-
     def stash_resident(self, key: str) -> bool:
         """Whether the key's block sits in the ORAM stash after a logical access.
 

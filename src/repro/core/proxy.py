@@ -115,17 +115,12 @@ class ObladiProxy:
         self.cipher = part0.oram.cipher
 
         self.mvtso = MVTSOManager()
-        if self.config.shards > 1:
-            self.batch_manager = BatchManager(
-                self.config.read_batches, self.config.read_batch_size,
-                self.config.write_batch_size,
-                partitioner=self.data_layer.partition_of,
-                read_partition_quota=self.config.partition_read_batch_size,
-                write_partition_quota=self.config.partition_write_batch_size)
-        else:
-            self.batch_manager = BatchManager(self.config.read_batches,
-                                              self.config.read_batch_size,
-                                              self.config.write_batch_size)
+        self.batch_manager = BatchManager(
+            self.config.read_batches, self.config.read_batch_size,
+            self.config.write_batch_size,
+            partitioner=self.data_layer.partition_of,
+            read_partition_quota=self.config.partition_read_batch_size,
+            write_partition_quota=self.config.partition_write_batch_size)
 
         self.recovery = recovery_manager
         if self.recovery is None and self.config.durability:
@@ -454,7 +449,7 @@ class ObladiProxy:
         if has_epoch_version:
             value, _writer = self.mvtso.read(active.record, key)
             return True, value
-        if self.data_layer.has_cached(key):
+        if cache.has_base(key):
             self.mvtso.read(active.record, key)          # records marker, finds nothing
             self._record_base_read(active, key)
             return True, cache.base_value(key)
@@ -468,12 +463,13 @@ class ObladiProxy:
 
     def _deliver_values(self, admitted: List[_ActiveTransaction]) -> None:
         """Unblock transactions whose awaited keys were fetched by the last batch."""
+        cache = self.data_layer.cache
         for active in admitted:
             if not active.waiting or active.record.is_finished:
                 continue
 
             def _available(key: str) -> bool:
-                if self.data_layer.has_cached(key):
+                if cache.has_base(key):
                     return True
                 chain = self.mvtso.store.get_chain(key)
                 return (chain is not None
@@ -485,7 +481,7 @@ class ObladiProxy:
             for key in active.waiting_keys:
                 value, _writer = self.mvtso.read(active.record, key)
                 if value is None:
-                    value = self.data_layer.cached_value(key)
+                    value = cache.base_value(key)
                     self._record_base_read(active, key)
                 values[key] = value
             if active.waiting_multi:

@@ -1,42 +1,31 @@
 """The proxy's per-epoch version cache.
 
-The version cache (paper Figure 4/§6.2) buffers, for the duration of one
-epoch:
+The version cache (paper Figure 4/§6.2) holds, for the duration of one
+epoch, the *base values*: the committed state of keys fetched from the ORAM
+by this epoch's read batches (or already present in the ORAM stash from a
+logical access).  The epoch's own uncommitted versions live in MVTSO's
+version chains (:class:`repro.concurrency.versions.VersionStore`), not here.
 
-* *base values* — the committed state of keys fetched from the ORAM by this
-  epoch's read batches (or already present in the ORAM stash from a logical
-  access), and
-* *epoch versions* — uncommitted versions created by the epoch's
-  transactions, managed by MVTSO's version chains.
-
-Reads are served from the cache whenever possible; only keys whose base
-value is unknown require an ORAM read batch slot.  At the end of the epoch
-the latest committed version of every written key forms the write batch.
-
-On a sharded proxy tier the cache's base values are owned per worker slice
-(:class:`repro.proxytier.ShardedVersionCache`; ``docs/ARCHITECTURE.md`` —
-"Distributed proxy tier") with unchanged semantics.
+Reads are served from the chains or the cache whenever possible; only keys
+whose base value is unknown require an ORAM read batch slot.  The write
+batch is built from the committed transactions' write sets
+(``ObladiProxy._collect_write_back``).  The proxy keeps exactly one cache
+whatever its worker count; ``docs/ARCHITECTURE.md`` — "Distributed proxy
+tier".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
-
-from repro.concurrency.versions import VersionStore
+from typing import Dict, Optional
 
 
 @dataclass
 class VersionCache:
-    """Epoch-scoped cache of base values plus MVTSO version chains."""
+    """Epoch-scoped cache of the pre-epoch base values read batches fetched."""
 
-    store: VersionStore = field(default_factory=VersionStore)
     _base_values: Dict[str, Optional[bytes]] = field(default_factory=dict)
-    _pending_fetch: Set[str] = field(default_factory=set)
 
-    # ------------------------------------------------------------------ #
-    # Base (previous-epoch) state
-    # ------------------------------------------------------------------ #
     def has_base(self, key: str) -> bool:
         """Whether the committed (pre-epoch) value of ``key`` is cached."""
         return key in self._base_values
@@ -47,41 +36,7 @@ class VersionCache:
     def install_base(self, key: str, value: Optional[bytes]) -> None:
         """Record the committed value fetched from the ORAM for this epoch."""
         self._base_values[key] = value
-        self._pending_fetch.discard(key)
 
-    def mark_pending(self, key: str) -> None:
-        """Record that a fetch for ``key`` has been scheduled in a read batch."""
-        self._pending_fetch.add(key)
-
-    def is_pending(self, key: str) -> bool:
-        return key in self._pending_fetch
-
-    # ------------------------------------------------------------------ #
-    # Epoch write-back
-    # ------------------------------------------------------------------ #
-    def write_back_set(self) -> Dict[str, Optional[bytes]]:
-        """Latest committed value per key written this epoch.
-
-        Intermediate versions are skipped (write deduplication): only the
-        tail of each chain among committed versions is flushed to the ORAM.
-        """
-        return self.store.latest_committed_values()
-
-    def keys_written(self) -> List[str]:
-        return self.store.keys()
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
     def reset(self) -> None:
         """Drop all epoch state (called between epochs and on aborts)."""
-        self.store.clear()
         self._base_values.clear()
-        self._pending_fetch.clear()
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "base_values": len(self._base_values),
-            "version_chains": len(self.store),
-            "pending_fetches": len(self._pending_fetch),
-        }

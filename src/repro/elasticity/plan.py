@@ -73,8 +73,8 @@ class ReshardPlan:
         ``storage_servers`` re-homes partitions onto different hosts; both
         need the padded background copy of
         :class:`~repro.elasticity.migration.TopologyMigration`.  A pure
-        ``proxy_workers`` change only re-slices *trusted* proxy state, which
-        is re-built instantly at an epoch barrier — the adversary-visible
+        ``proxy_workers`` change only re-routes *trusted* proxy accounting,
+        which is re-built instantly at an epoch barrier — the adversary-visible
         data layer is handed over untouched.
         """
         shards, servers, _ = self.target_topology(config)

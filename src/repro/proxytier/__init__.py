@@ -1,15 +1,17 @@
-"""Distributed proxy tier: the trusted MVTSO/version-cache layer, sharded.
+"""Distributed proxy tier: the trusted tier's concurrency control, sharded.
 
 PRs 2–3 scaled the *untrusted* half of Obladi (partitioned ORAM, distinct
 storage servers); this package scales the *trusted* half.  N
-:class:`ProxyWorker` slices each own a key range of the MVTSO version store
-and the epoch version cache (same sha256 partition map as
-``repro.sharding``), and a :class:`ProxyCoordinator` admits transactions,
-routes every read/write to the owning worker, charges concurrency-control
-CPU as parallel worker lanes on the simulated clock, and runs a lightweight
-2PC over the epoch boundary — every participating worker votes commit/abort
-per transaction — before merging the epoch's batches into the existing
-``DataLayer`` fan-out.
+:class:`ProxyWorker` lanes each account for a key range (same sha256
+partition map as ``repro.sharding``): the chain reads and writes routed to
+it, the dependencies they observed, and its vote.  A
+:class:`ProxyCoordinator` admits transactions, attributes every read/write
+to the owning worker, charges concurrency-control CPU as parallel worker
+lanes on the simulated clock, and runs a lightweight 2PC over the epoch
+boundary — every participating worker votes commit/abort per transaction —
+before merging the epoch's batches into the existing ``DataLayer`` fan-out.
+The version chains and the epoch cache's base values stay the proxy's, one
+of each.
 
 Selected by ``ObladiConfig.proxy_workers`` /
 ``EngineConfig.with_proxy_workers(N)``; ``proxy_workers=1`` builds the
@@ -23,16 +25,13 @@ walkthrough.
 
 from repro.proxytier.coordinator import (CcLaneStats, ProxyCoordinator,
                                          build_proxy, worker_for_key)
-from repro.proxytier.sharded import (BarrierStats, ShardedMVTSOManager,
-                                     ShardedVersionCache, ShardedVersionStore)
+from repro.proxytier.sharded import BarrierStats, ShardedMVTSOManager
 from repro.proxytier.worker import ProxyWorker
 
 __all__ = [
     "ProxyWorker",
     "ProxyCoordinator",
     "ShardedMVTSOManager",
-    "ShardedVersionCache",
-    "ShardedVersionStore",
     "BarrierStats",
     "CcLaneStats",
     "build_proxy",

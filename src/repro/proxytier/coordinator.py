@@ -3,10 +3,11 @@
 :class:`ProxyCoordinator` is the sharded trusted tier's front end.  It keeps
 the single proxy's externally observable behaviour — same admission order,
 same global timestamps, same epoch shape, same batch quotas, same data-layer
-fan-out — while the MVTSO version store and the epoch version cache are
-owned by N :class:`~repro.proxytier.worker.ProxyWorker` slices:
+fan-out, the same one MVTSO version store and one epoch version cache —
+while the concurrency-control *work* is divided across N
+:class:`~repro.proxytier.worker.ProxyWorker` lanes:
 
-* every read/write a transaction issues is routed to the owning worker
+* every read/write a transaction issues is attributed to the owning worker
   (sha256 key hash, the same partition map ``repro.sharding`` uses);
 * each round's concurrency-control CPU is charged as *parallel worker
   lanes* on the shared :class:`~repro.sim.clock.SimClock` — one lane per
@@ -16,7 +17,7 @@ owned by N :class:`~repro.proxytier.worker.ProxyWorker` slices:
   participating worker votes commit/abort per transaction
   (:meth:`~repro.proxytier.sharded.ShardedMVTSOManager.prepare_epoch`),
   and only unanimously approved transactions commit, which keeps the
-  committed history serializable across slices;
+  committed history serializable across workers;
 * per-worker epoch batches merge into the *existing* data-layer fan-out:
   the physical schedule the storage tier observes is byte-identical to the
   single proxy's, so every per-partition/per-server obliviousness argument
@@ -37,7 +38,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.config import ObladiConfig
 from repro.core.proxy import ObladiProxy
 from repro.sharding.data_layer import key_partition
-from repro.proxytier.sharded import ShardedMVTSOManager, ShardedVersionCache
+from repro.proxytier.sharded import ShardedMVTSOManager
 from repro.proxytier.worker import ProxyWorker
 
 
@@ -89,7 +90,8 @@ class ProxyCoordinator(ObladiProxy):
     Drop-in for the single proxy: engines, the recovery manager, benchmarks
     and the harness drive it through the exact same methods.  Construction
     mirrors :class:`~repro.core.proxy.ObladiProxy`; ``config.proxy_workers``
-    decides how many worker slices the trusted state is sharded across.
+    decides how many worker lanes the concurrency-control work is divided
+    across.
     """
 
     def __init__(self, config: Optional[ObladiConfig] = None,
@@ -102,13 +104,6 @@ class ProxyCoordinator(ObladiProxy):
         self.workers = [ProxyWorker(index) for index in range(count)]
         self._worker_cache: Dict[str, int] = {}
         self.mvtso = ShardedMVTSOManager(self.workers, self.worker_of)
-        # Re-point the whole data path at the worker-owned cache: the data
-        # layer and each partition's handler install fetched base values
-        # straight into the owning worker's slice.
-        cache = ShardedVersionCache(self.workers, self.worker_of)
-        self.data_layer.cache = cache
-        for part in self.data_layer.partitions:
-            part.handler.cache = cache
         self.lane_stats = CcLaneStats()
         self._worker_ops_before = [(0, 0)] * count
 

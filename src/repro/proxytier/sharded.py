@@ -1,148 +1,29 @@
-"""Sharded MVTSO and version cache: the trusted tier split across workers.
+"""Sharded MVTSO: concurrency-control work attributed across proxy workers.
 
-Three façades make ``repro.concurrency.mvtso`` and
-``repro.core.version_cache`` run unchanged over per-worker state:
+:class:`ShardedMVTSOManager` is an :class:`MVTSOManager` over the proxy's
+one version store that additionally (a) attributes every operation and
+every observed write-read dependency to the worker owning the key and
+(b) turns the commit check into the epoch barrier's unanimous vote
+(:meth:`ShardedMVTSOManager.prepare_epoch`).
 
-* :class:`ShardedVersionStore` presents the :class:`VersionStore` interface
-  while routing every per-key operation to the owning worker's slice;
-* :class:`ShardedVersionCache` does the same for the epoch cache's base
-  values (and mirrors the single proxy's *separate* cache-side chain store
-  slice-for-slice, so the sharded tier reproduces the single proxy's read
-  paths exactly);
-* :class:`ShardedMVTSOManager` is an :class:`MVTSOManager` whose store is
-  sharded and which additionally (a) attributes every operation and every
-  observed write-read dependency to the owning worker and (b) turns the
-  commit check into the epoch barrier's unanimous vote
-  (:meth:`ShardedMVTSOManager.prepare_epoch`).
-
-Timestamps remain global — the coordinator assigns them exactly as the
-single proxy does — so the serialization order is unchanged; only *where*
-each chain lives and *who* performs each check moves.  See
+Timestamps and chains stay global — the coordinator assigns timestamps
+exactly as the single proxy does — so the serialization order is
+unchanged; only *who* performs each operation and each check moves.  See
 ``docs/ARCHITECTURE.md`` — "Distributed proxy tier".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.concurrency.mvtso import MVTSOManager
 from repro.concurrency.transaction import TransactionRecord, TransactionStatus
-from repro.concurrency.versions import Version, VersionChain, VersionStore
-from repro.core.version_cache import VersionCache
+from repro.concurrency.versions import Version
 from repro.proxytier.worker import ProxyWorker
 
 #: Maps an application key to the index of its owning proxy worker.
 KeyRouter = Callable[[str], int]
-
-
-class ShardedVersionStore(VersionStore):
-    """The :class:`VersionStore` interface over per-worker chain slices.
-
-    Constructed over any list of slice stores (the coordinator builds one
-    over the workers' MVTSO slices and another over their cache-side
-    slices).  Aggregate queries merge across slices; per-key operations
-    route to exactly one.
-    """
-
-    def __init__(self, stores: Sequence[VersionStore], router: KeyRouter) -> None:
-        self._stores = list(stores)
-        self._router = router
-
-    def slice_for(self, key: str) -> VersionStore:
-        """The slice store owning ``key``."""
-        return self._stores[self._router(key)]
-
-    def chain(self, key: str) -> VersionChain:
-        """Get-or-create the chain for ``key`` on its owning slice."""
-        return self.slice_for(key).chain(key)
-
-    def get_chain(self, key: str) -> Optional[VersionChain]:
-        """The chain for ``key`` if its owning slice has one."""
-        return self.slice_for(key).get_chain(key)
-
-    def keys(self) -> List[str]:
-        """Sorted union of every slice's chain keys."""
-        merged: List[str] = []
-        for store in self._stores:
-            merged.extend(store.keys())
-        return sorted(merged)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.slice_for(key)
-
-    def __len__(self) -> int:
-        return sum(len(store) for store in self._stores)
-
-    def items(self) -> Iterator[Tuple[str, VersionChain]]:
-        """Chains of every slice, slice by slice."""
-        for store in self._stores:
-            yield from store.items()
-
-    def clear(self) -> None:
-        """Clear every slice (epoch reset)."""
-        for store in self._stores:
-            store.clear()
-
-    def latest_committed_values(self) -> Dict[str, Optional[bytes]]:
-        """Merged map of key to latest committed value across slices."""
-        out: Dict[str, Optional[bytes]] = {}
-        for store in self._stores:
-            out.update(store.latest_committed_values())
-        return out
-
-    def drop_aborted(self) -> int:
-        """Drop aborted versions on every slice; returns total removed."""
-        return sum(store.drop_aborted() for store in self._stores)
-
-
-class ShardedVersionCache(VersionCache):
-    """The epoch version cache with base values owned per worker.
-
-    Behaviour is identical to :class:`VersionCache`; only ownership moves —
-    ``install_base``/``base_value``/``has_base`` route to the owning
-    worker's slice, and ``reset`` clears every worker's slice.  The cache's
-    chain ``store`` is a :class:`ShardedVersionStore` over the workers'
-    *cache-side* slices, which — exactly like the single proxy's separate
-    ``VersionCache.store`` — never receives the MVTSO chains.
-    """
-
-    def __init__(self, workers: Sequence[ProxyWorker], router: KeyRouter) -> None:
-        super().__init__(store=ShardedVersionStore(
-            [worker.cache_store for worker in workers], router))
-        self._workers = list(workers)
-        self._router = router
-
-    def _slice(self, key: str) -> Dict[str, Optional[bytes]]:
-        return self._workers[self._router(key)].base_values
-
-    def has_base(self, key: str) -> bool:
-        """Whether the owning worker caches the pre-epoch value of ``key``."""
-        return key in self._slice(key)
-
-    def base_value(self, key: str) -> Optional[bytes]:
-        """The owning worker's cached base value (``None`` when absent)."""
-        return self._slice(key).get(key)
-
-    def install_base(self, key: str, value: Optional[bytes]) -> None:
-        """Install a fetched base value on the owning worker's slice."""
-        self._slice(key)[key] = value
-        self._pending_fetch.discard(key)
-
-    def reset(self) -> None:
-        """Drop all epoch state on every worker (between epochs / on aborts)."""
-        self.store.clear()
-        for worker in self._workers:
-            worker.base_values.clear()
-        self._pending_fetch.clear()
-
-    def stats(self) -> Dict[str, int]:
-        """Aggregate cache statistics across every worker's slice."""
-        return {
-            "base_values": sum(len(w.base_values) for w in self._workers),
-            "version_chains": len(self.store),
-            "pending_fetches": len(self._pending_fetch),
-        }
 
 
 @dataclass
@@ -163,39 +44,37 @@ class BarrierStats:
 
 
 class ShardedMVTSOManager(MVTSOManager):
-    """MVTSO with per-worker chain ownership and epoch-barrier voting.
+    """MVTSO with per-worker operation attribution and epoch-barrier voting.
 
-    Reads and writes go through the base implementation — the sharded store
-    routes each chain to its owner — and are attributed to the owning worker
-    for CPU-lane accounting.  At the epoch boundary the coordinator calls
-    :meth:`prepare_epoch`: every participating worker votes commit/abort per
-    transaction, and :meth:`can_commit` honours the memoized unanimous
-    decision.  Because each dependency is attributed to exactly the worker
-    whose chain produced it, the unanimous vote equals the single proxy's
-    global check — serializability is preserved across slices.
+    Reads and writes go through the base implementation and are attributed
+    to the worker owning the key for CPU-lane accounting.  At the epoch
+    boundary the coordinator calls :meth:`prepare_epoch`: every
+    participating worker votes commit/abort per transaction, and
+    :meth:`can_commit` honours the memoized unanimous decision.  Because
+    each dependency is attributed to exactly the worker owning the key that
+    produced it, the unanimous vote equals the single proxy's global check
+    — serializability is preserved across workers.
     """
 
     def __init__(self, workers: Sequence[ProxyWorker], router: KeyRouter) -> None:
         super().__init__()
         self.workers = list(workers)
         self._router = router
-        self.store = ShardedVersionStore(
-            [worker.mvtso_store for worker in workers], router)
         self.barrier_stats = BarrierStats()
         self._vote_memo: Dict[int, bool] = {}
 
     def worker_for(self, key: str) -> ProxyWorker:
-        """The worker owning ``key``'s slice of the trusted state."""
+        """The worker ``key``'s operations are attributed to."""
         return self.workers[self._router(key)]
 
     def read(self, txn: TransactionRecord, key: str) -> Tuple[Optional[bytes], Optional[int]]:
-        """MVTSO read routed to the owning worker (dependency attributed there)."""
+        """MVTSO read attributed to the owning worker (dependency included)."""
         value, writer_txn_id = super().read(txn, key)
         self.worker_for(key).note_read(txn.txn_id, writer_txn_id)
         return value, writer_txn_id
 
     def write(self, txn: TransactionRecord, key: str, value: Optional[bytes]) -> Version:
-        """MVTSO write routed to the owning worker.
+        """MVTSO write attributed to the owning worker.
 
         The write is counted against the worker even when it is rejected as
         a late write: the conflict check was that worker's work.
@@ -245,7 +124,7 @@ class ShardedMVTSOManager(MVTSOManager):
         return super().can_commit(txn)
 
     def reset_epoch_state(self) -> None:
-        """Clear chains (all slices), votes and per-worker epoch bookkeeping."""
+        """Clear chains, votes and per-worker epoch bookkeeping."""
         super().reset_epoch_state()
         self._vote_memo.clear()
         for worker in self.workers:

@@ -1,14 +1,13 @@
-"""One trusted proxy worker: a key-range slice of MVTSO state and cache.
+"""One trusted proxy worker: the accounting of a key-range slice.
 
-A :class:`ProxyWorker` owns everything the trusted tier keeps *per key* —
-the MVTSO version chains, the epoch version cache's base values, and the
-(always-cold) cache-side chain store that mirrors the single proxy's
-separate ``VersionCache.store`` — for the slice of the keyspace that hashes
-to it.  Workers do not talk to each other: all routing and cross-worker
+A :class:`ProxyWorker` does the concurrency-control work for the slice of
+the keyspace that hashes to it: it counts the chain reads and writes routed
+to it, holds the write-read dependencies they observed, and votes at the
+epoch barrier.  It owns no *state* — the version chains and the epoch
+cache's base values are the proxy's, one of each, whatever the worker
+count.  Workers do not talk to each other: all routing and cross-worker
 coordination (the epoch-barrier commit protocol) is the
-:class:`~repro.proxytier.coordinator.ProxyCoordinator`'s job, so each
-worker's state is touched only through keys it owns, exactly like an ORAM
-partition is touched only through its own namespace.
+:class:`~repro.proxytier.coordinator.ProxyCoordinator`'s job.
 
 See ``docs/ARCHITECTURE.md`` — "Distributed proxy tier" — for how workers
 compose with the data layer's partitions and the storage servers.
@@ -19,14 +18,13 @@ from __future__ import annotations
 from typing import Dict, Optional, Set
 
 from repro.concurrency.transaction import TransactionRecord, TransactionStatus
-from repro.concurrency.versions import VersionStore
 
 
 class ProxyWorker:
-    """A trusted concurrency-control lane owning one slice of the keyspace.
+    """A trusted concurrency-control lane accounting for one keyspace slice.
 
     The worker records, per transaction, which uncommitted writers the
-    transaction observed *through this worker's chains* (``txn_deps``).
+    transaction observed *through keys this worker owns* (``txn_deps``).
     Because every read is routed to exactly one worker, those per-worker
     dependency sets partition the transaction's global dependency set — the
     property that makes the epoch barrier's unanimous vote equivalent to the
@@ -35,14 +33,6 @@ class ProxyWorker:
 
     def __init__(self, index: int) -> None:
         self.index = index
-        #: This worker's slice of the MVTSO version chains.
-        self.mvtso_store = VersionStore()
-        #: This worker's slice of the epoch cache's chain store (the single
-        #: proxy keeps the cache's store distinct from MVTSO's; the sharded
-        #: tier mirrors that structure slice-for-slice).
-        self.cache_store = VersionStore()
-        #: This worker's slice of the epoch cache's base values.
-        self.base_values: Dict[str, Optional[bytes]] = {}
 
         # Lifetime concurrency-control operation counters.
         self.stats_reads = 0
@@ -100,7 +90,7 @@ class ProxyWorker:
         """This worker's commit vote for ``txn_id`` (2PC prepare phase).
 
         The worker votes abort iff some uncommitted writer the transaction
-        observed *through this worker's chains* has aborted — its local
+        observed *through keys this worker owns* has aborted — its local
         fragment of exactly the check
         :meth:`repro.concurrency.mvtso.MVTSOManager.can_commit` runs
         globally on the single proxy.
@@ -114,6 +104,6 @@ class ProxyWorker:
         return True
 
     def reset_epoch_state(self) -> None:
-        """Clear per-epoch vote bookkeeping (chains are cleared via the store)."""
+        """Clear per-epoch vote bookkeeping."""
         self.txn_deps.clear()
         self.txn_touched.clear()

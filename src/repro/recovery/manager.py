@@ -148,7 +148,7 @@ class RecoveryManager:
         components: Dict[str, bytes] = {}
         plain: Dict[str, bytes] = {}
         partition_counters: Dict[str, List[int]] = {}
-        pad_entries = data_layer.position_delta_pad_entries
+        pad_entries = data_layer.config.position_delta_pad_entries
         for part in data_layer.partitions:
             prefix = part.component_prefix
             directory = part.directory

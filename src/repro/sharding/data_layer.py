@@ -142,15 +142,7 @@ class DataLayer(abc.ABC):
         for part in self.partitions:
             part.executor.retire()
 
-    # -- cache / stash lookups (single reads while serving transactions) - #
-    def has_cached(self, key: str) -> bool:
-        """Whether the epoch's version cache holds a base value for ``key``."""
-        return self.cache.has_base(key)
-
-    def cached_value(self, key: str) -> Optional[bytes]:
-        """The cached base value of ``key`` (``None`` when absent)."""
-        return self.cache.base_value(key)
-
+    # -- stash lookups (single reads while serving transactions) -------- #
     def stash_resident(self, key: str) -> bool:
         """Whether ``key`` currently sits in its partition's stash."""
         return self.partition_for_key(key).handler.stash_resident(key)
@@ -170,12 +162,6 @@ class DataLayer(abc.ABC):
         """Aggregate lifetime ``(physical_reads, physical_writes)``."""
         per = self.per_partition_physical()
         return (sum(r for r, _ in per), sum(w for _, w in per))
-
-    # -- durability ----------------------------------------------------- #
-    @property
-    def position_delta_pad_entries(self) -> int:
-        """Per-partition padding bound for position-map delta checkpoints."""
-        return self.config.position_delta_pad_entries
 
 
 def _oram_cipher_key(master_key: bytes, partition_index: int, shards: int) -> bytes:

@@ -272,14 +272,6 @@ class PartitionedDataLayer(DataLayer):
         for part, blocks in zip(self.partitions, groups):
             part.oram.bulk_load(blocks)
 
-    # ------------------------------------------------------------------ #
-    # Durability
-    # ------------------------------------------------------------------ #
-    @property
-    def position_delta_pad_entries(self) -> int:
-        """Per-partition padding bound for position-map delta checkpoints."""
-        return self.config.partition_position_delta_pad_entries
-
 
 def build_data_layer(config: ObladiConfig, storage: StorageServer,
                      clock: SimClock, master_key: bytes) -> DataLayer:

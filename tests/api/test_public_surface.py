@@ -1,12 +1,14 @@
 """The public surface does not grow by accident.
 
-``repro.api.__all__`` and ``repro.concurrency.__all__`` are compared with the
-literal lists below, so exporting one more name (or dropping one) is a
-deliberate edit of this file, made in the PR that argues for it.
+``repro.api.__all__``, ``repro.concurrency.__all__`` and
+``repro.proxytier.__all__`` are compared with the literal lists below, so
+exporting one more name (or dropping one) is a deliberate edit of this file,
+made in the PR that argues for it.
 """
 
 import repro.api
 import repro.concurrency
+import repro.proxytier
 
 API = [
     "TransactionEngine",
@@ -48,9 +50,24 @@ CONCURRENCY = [
 ]
 
 
+PROXYTIER = [
+    "ProxyWorker",
+    "ProxyCoordinator",
+    "ShardedMVTSOManager",
+    "BarrierStats",
+    "CcLaneStats",
+    "build_proxy",
+    "worker_for_key",
+]
+
+
 def test_api_exports_are_the_recorded_list():
     assert repro.api.__all__ == API
 
 
 def test_concurrency_exports_are_the_recorded_list():
     assert repro.concurrency.__all__ == CONCURRENCY
+
+
+def test_proxytier_exports_are_the_recorded_list():
+    assert repro.proxytier.__all__ == PROXYTIER

@@ -57,33 +57,13 @@ class TestVersionStore:
         store = VersionStore()
         chain = store.chain("x")
         assert chain.key == "x"
-        assert "x" in store
+        assert store.get_chain("x") is chain
 
     def test_get_chain_returns_none_for_unknown(self):
         assert VersionStore().get_chain("missing") is None
-
-    def test_latest_committed_values(self):
-        store = VersionStore()
-        store.chain("a").insert(Version("a", b"1", writer_ts=1, committed=True))
-        store.chain("a").insert(Version("a", b"2", writer_ts=2, committed=True))
-        store.chain("b").insert(Version("b", b"x", writer_ts=3, committed=False))
-        values = store.latest_committed_values()
-        assert values == {"a": b"2"}
-
-    def test_drop_aborted_counts_total(self):
-        store = VersionStore()
-        store.chain("a").insert(Version("a", b"1", writer_ts=1, aborted=True))
-        store.chain("b").insert(Version("b", b"2", writer_ts=2, aborted=True))
-        assert store.drop_aborted() == 2
 
     def test_clear(self):
         store = VersionStore()
         store.chain("a")
         store.clear()
-        assert len(store) == 0
-
-    def test_keys_sorted(self):
-        store = VersionStore()
-        for key in ("c", "a", "b"):
-            store.chain(key)
-        assert store.keys() == ["a", "b", "c"]
+        assert store.get_chain("a") is None

@@ -78,8 +78,8 @@ class TestDataHandler:
         values = handler.execute_read_batch(["k1", "k2", "missing"], batch_size=8)
         assert values["k1"] == b"v1"
         assert values["missing"] is None
-        assert handler.has_cached("k1")
-        assert handler.cached_value("k2") == b"v2"
+        assert handler.cache.has_base("k1")
+        assert handler.cache.base_value("k2") == b"v2"
 
     def test_cached_keys_not_refetched(self):
         handler = make_handler()
@@ -94,7 +94,7 @@ class TestDataHandler:
         handler.begin_epoch()
         handler.execute_read_batch(["k1"], batch_size=4)
         handler.abort_epoch()
-        assert not handler.has_cached("k1")
+        assert not handler.cache.has_base("k1")
         assert handler.executor.pending_bucket_writes() == 0
 
     def test_stash_resident_detection(self):

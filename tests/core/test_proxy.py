@@ -186,6 +186,30 @@ class TestEpochSemantics:
         assert "cascade" in reasons
 
 
+class TestWriteBack:
+    """The write batch carries one value per key: the youngest committed."""
+
+    def test_younger_of_two_writers_lands(self, proxy):
+        proxy.submit(write_program("k7", b"older"))
+        proxy.submit(write_program("k7", b"younger"))
+        summary = proxy.run_epoch()
+        assert summary.committed == 2
+        assert proxy.execute_transaction(read_program("k7")).return_value == b"younger"
+
+    def test_aborted_writer_never_lands(self, proxy):
+        def aborter():
+            yield Write("k7", b"aborted")
+            yield AbortRequest("changed my mind")
+            return None
+
+        proxy.submit(write_program("k7", b"older"))
+        proxy.submit(write_program("k7", b"younger"))
+        proxy.submit(aborter)
+        summary = proxy.run_epoch()
+        assert (summary.committed, summary.aborted) == (2, 1)
+        assert proxy.execute_transaction(read_program("k7")).return_value == b"younger"
+
+
 class TestSerializabilityAndDurability:
     def test_committed_history_is_serializable(self, proxy):
         import random

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.concurrency.versions import Version
 from repro.core.version_cache import VersionCache
 
 
@@ -26,44 +25,12 @@ class TestBaseValues:
         assert cache.has_base("k")
         assert cache.base_value("k") is None
 
-    def test_pending_tracking(self, cache):
-        cache.mark_pending("k")
-        assert cache.is_pending("k")
-        cache.install_base("k", b"v")
-        assert not cache.is_pending("k")
-
-
-class TestWriteBack:
-    def test_write_back_set_takes_latest_committed(self, cache):
-        chain = cache.store.chain("k")
-        chain.insert(Version("k", b"v1", writer_ts=1, committed=True))
-        chain.insert(Version("k", b"v2", writer_ts=2, committed=True))
-        chain.insert(Version("k", b"dirty", writer_ts=3, committed=False))
-        assert cache.write_back_set() == {"k": b"v2"}
-
-    def test_write_back_skips_uncommitted_only_chains(self, cache):
-        cache.store.chain("k").insert(Version("k", b"dirty", writer_ts=1, committed=False))
-        assert cache.write_back_set() == {}
-
-    def test_keys_written(self, cache):
-        cache.store.chain("b")
-        cache.store.chain("a")
-        assert cache.keys_written() == ["a", "b"]
-
 
 class TestLifecycle:
     def test_reset_clears_everything(self, cache):
         cache.install_base("k", b"v")
-        cache.mark_pending("p")
-        cache.store.chain("k").insert(Version("k", b"v", writer_ts=1, committed=True))
+        cache.install_base("gone", None)
         cache.reset()
         assert not cache.has_base("k")
-        assert not cache.is_pending("p")
-        assert cache.write_back_set() == {}
-
-    def test_stats(self, cache):
-        cache.install_base("k", b"v")
-        cache.mark_pending("p")
-        stats = cache.stats()
-        assert stats["base_values"] == 1
-        assert stats["pending_fetches"] == 1
+        assert not cache.has_base("gone")
+        assert cache.base_value("k") is None

@@ -23,7 +23,7 @@ proxy workers {1, 4}:
 
 import random
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import generation_traces, server_traces, trace_similarity
@@ -139,6 +139,10 @@ class TestStateEquivalence:
               suppress_health_check=[HealthCheck.too_slow])
     @given(st.integers(0, 2**16), topology, topology,
            st.integers(min_value=0, max_value=3))
+    # Pure proxy-worker reshards cut over instantly, keeping the data layer
+    # and its epoch cache across the proxy swap; pin both directions.
+    @example(seed=17, source=(1, 1, 1), target=(1, 1, 4), reshard_wave=2)
+    @example(seed=17, source=(4, 2, 4), target=(4, 2, 1), reshard_wave=2)
     def test_resharded_run_equals_static_run(self, seed, source, target,
                                              reshard_wave):
         """The identical wave schedule on a resharding engine and on a

@@ -7,8 +7,7 @@ from repro.core.client import Read, ReadMany, Write
 from repro.core.config import ObladiConfig, RingOramConfig
 from repro.core.proxy import ObladiProxy
 from repro.proxytier import (ProxyCoordinator, ProxyWorker,
-                             ShardedMVTSOManager, ShardedVersionCache,
-                             build_proxy, worker_for_key)
+                             ShardedMVTSOManager, build_proxy, worker_for_key)
 from repro.sharding import key_partition
 from repro.sim.latency import CpuCostModel
 
@@ -44,48 +43,20 @@ class TestBuildProxy:
 
 
 class TestShardedState:
-    def test_chains_live_on_the_owning_worker_slice(self):
+    def test_operations_count_on_the_owning_worker_only(self):
         workers = [ProxyWorker(i) for i in range(4)]
         manager = ShardedMVTSOManager(workers, lambda key: worker_for_key(key, 4))
-        txn = manager.begin(epoch=0)
-        manager.write(txn, "k1", b"v")
+        writer = manager.begin(epoch=0)
+        manager.write(writer, "k1", b"v")
+        reader = manager.begin(epoch=0)
+        manager.read(reader, "k1")
         owner = worker_for_key("k1", 4)
         for index, worker in enumerate(workers):
-            held = worker.mvtso_store.get_chain("k1")
-            assert (held is not None) == (index == owner)
-        # Aggregate views merge the slices.
-        assert "k1" in manager.store.keys()
-        assert len(manager.store) == 1
-
-    def test_cache_base_values_live_on_the_owning_worker(self):
-        workers = [ProxyWorker(i) for i in range(4)]
-        cache = ShardedVersionCache(workers, lambda key: worker_for_key(key, 4))
-        cache.install_base("k1", b"v")
-        owner = worker_for_key("k1", 4)
-        for index, worker in enumerate(workers):
-            assert ("k1" in worker.base_values) == (index == owner)
-        assert cache.has_base("k1") and cache.base_value("k1") == b"v"
-        assert not cache.has_base("k2")
-        cache.reset()
-        assert not cache.has_base("k1")
-
-    def test_cache_store_stays_cold_like_the_single_proxy(self):
-        """The single proxy keeps ``VersionCache.store`` distinct from the
-        MVTSO chains; the sharded tier must mirror that, or read paths
-        would diverge from the ``proxy_workers=1`` behaviour."""
-        proxy = build_proxy(make_config(workers=4))
-        proxy.load_initial_data({f"k{i}": b"0" for i in range(8)})
-
-        def program():
-            value = yield Read("k1")
-            yield Write("k1", (value or b"") + b"x")
-            return value
-
-        proxy.submit(program)
-        proxy.run_epoch()
-        assert proxy.mvtso.store is not proxy.data_layer.cache.store
-        for worker in proxy.workers:
-            assert len(worker.cache_store) == 0
+            mine = index == owner
+            assert worker.stats_writes == (1 if mine else 0)
+            assert worker.stats_reads == (1 if mine else 0)
+            assert worker.txn_touched == ({writer.txn_id, reader.txn_id}
+                                          if mine else set())
 
 
 class TestEpochBarrier:
@@ -144,9 +115,9 @@ class TestEpochBarrier:
         manager.prepare_epoch([txn])
         manager.reset_epoch_state()
         assert manager._vote_memo == {}
+        assert manager.store.get_chain("k1") is None
         for worker in workers:
             assert worker.txn_deps == {} and worker.txn_touched == set()
-            assert len(worker.mvtso_store) == 0
 
 
 class TestWorkerLaneCpu:
