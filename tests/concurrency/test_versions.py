@@ -59,6 +59,13 @@ class TestVersionStore:
         assert chain.key == "x"
         assert store.get_chain("x") is chain
 
+    def test_chain_is_created_once_per_key(self):
+        store = VersionStore()
+        store.chain("x").insert(Version("x", b"a", writer_ts=1))
+        assert store.chain("x") is store.get_chain("x")
+        assert store.chain("x").writer_timestamps() == [1]
+        assert store.get_chain("y") is None
+
     def test_get_chain_returns_none_for_unknown(self):
         assert VersionStore().get_chain("missing") is None
 

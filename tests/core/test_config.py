@@ -32,6 +32,12 @@ class TestObladiConfig:
         config = ObladiConfig(read_batches=2, read_batch_size=10, write_batch_size=5)
         assert config.position_delta_pad_entries == 25
 
+    def test_position_delta_padding_is_per_partition_when_sharded(self):
+        config = ObladiConfig(read_batches=2, read_batch_size=10,
+                              write_batch_size=5, shards=4)
+        # R·ceil(b_read/N) + ceil(b_write/N) = 2·3 + 2
+        assert config.position_delta_pad_entries == 8
+
     def test_with_backend_copies(self):
         config = ObladiConfig(backend="server")
         wan = config.with_backend("server_wan")

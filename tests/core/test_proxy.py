@@ -210,6 +210,26 @@ class TestWriteBack:
         assert proxy.execute_transaction(read_program("k7")).return_value == b"younger"
 
 
+class TestBatchQuotas:
+    """One batch manager for every shard count; one tree is partition 0."""
+
+    def test_unsharded_proxy_batches_as_partition_zero(self, proxy, small_config):
+        manager = proxy.batch_manager
+        assert {manager.partitioner(f"k{i}") for i in range(30)} == {0}
+        assert manager.read_partition_quota == small_config.read_batch_size
+        assert manager.write_partition_quota == small_config.write_batch_size
+
+    def test_sharded_proxy_batches_per_partition(self, small_config):
+        from dataclasses import replace
+        config = replace(small_config, shards=4)
+        proxy = ObladiProxy(config)
+        manager = proxy.batch_manager
+        for i in range(30):
+            assert manager.partitioner(f"k{i}") == proxy.data_layer.partition_of(f"k{i}")
+        assert manager.read_partition_quota == config.partition_read_batch_size == 2
+        assert manager.write_partition_quota == config.partition_write_batch_size == 2
+
+
 class TestSerializabilityAndDurability:
     def test_committed_history_is_serializable(self, proxy):
         import random

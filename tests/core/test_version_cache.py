@@ -25,6 +25,11 @@ class TestBaseValues:
         assert cache.has_base("k")
         assert cache.base_value("k") is None
 
+    def test_reinstall_replaces_base_value(self, cache):
+        cache.install_base("k", b"old")
+        cache.install_base("k", b"new")
+        assert cache.base_value("k") == b"new"
+
 
 class TestLifecycle:
     def test_reset_clears_everything(self, cache):

@@ -2,10 +2,14 @@
 
 import pytest
 
+from repro.api import EngineConfig, create_engine
 from repro.concurrency.transaction import AbortReason, TransactionStatus
+from repro.concurrency.versions import VersionStore
 from repro.core.client import Read, ReadMany, Write
 from repro.core.config import ObladiConfig, RingOramConfig
 from repro.core.proxy import ObladiProxy
+from repro.core.version_cache import VersionCache
+from repro.elasticity import ReshardPlan
 from repro.proxytier import (ProxyCoordinator, ProxyWorker,
                              ShardedMVTSOManager, build_proxy, worker_for_key)
 from repro.sharding import key_partition
@@ -57,6 +61,66 @@ class TestShardedState:
             assert worker.stats_reads == (1 if mine else 0)
             assert worker.txn_touched == ({writer.txn_id, reader.txn_id}
                                           if mine else set())
+
+    def test_dependency_fragment_lands_on_the_owning_worker(self):
+        workers = [ProxyWorker(i) for i in range(4)]
+        manager = ShardedMVTSOManager(workers, lambda key: worker_for_key(key, 4))
+        writer = manager.begin(epoch=0)
+        manager.write(writer, "k1", b"v")
+        reader = manager.begin(epoch=0)
+        value, _writer = manager.read(reader, "k1")
+        assert value == b"v"
+        owner = worker_for_key("k1", 4)
+        for index, worker in enumerate(workers):
+            expected = {reader.txn_id: {writer.txn_id}} if index == owner else {}
+            assert worker.txn_deps == expected
+
+    def test_coordinator_keeps_one_store_and_one_cache(self):
+        proxy = build_proxy(make_config(workers=4, shards=2))
+        assert type(proxy.mvtso.store) is VersionStore
+        assert type(proxy.data_layer.cache) is VersionCache
+        assert len(proxy.data_layer.partitions) == 2
+        for part in proxy.data_layer.partitions:
+            assert part.handler.cache is proxy.data_layer.cache
+
+
+class TestWorkerCutover:
+    """A pure ``proxy_workers`` reshard hands the data layer, and with it
+    the one epoch cache, to the new proxy untouched."""
+
+    @pytest.mark.parametrize("source,target", [(1, 4), (4, 1)])
+    def test_cutover_keeps_the_layer_and_its_one_cache(self, source, target):
+        config = (EngineConfig()
+                  .with_oram(num_blocks=256, z_real=4, block_size=96)
+                  .with_batching(read_batches=3, read_batch_size=8,
+                                 write_batch_size=8)
+                  .with_proxy_workers(source)
+                  .with_backend("dummy")
+                  .with_durability(False)
+                  .with_encryption(False)
+                  .with_seed(11))
+        engine = create_engine("obladi", config)
+        engine.load_initial_data({f"k{i}": b"0" for i in range(16)})
+
+        def writer():
+            yield Write("k3", b"before")
+            return True
+
+        def reader():
+            value = yield Read("k3")
+            return value
+
+        assert engine.submit_many([writer])[0].committed
+        layer = engine.proxy.data_layer
+        engine.reshard(ReshardPlan(proxy_workers=target))
+        result = engine.submit_many([reader])[0]
+        assert not engine.reshard_in_flight
+        assert result.committed and result.return_value == b"before"
+        assert engine.proxy.config.proxy_workers == target
+        assert isinstance(engine.proxy, ProxyCoordinator) == (target > 1)
+        assert engine.proxy.data_layer is layer
+        for part in layer.partitions:
+            assert part.handler.cache is layer.cache
 
 
 class TestEpochBarrier:
