@@ -2,7 +2,8 @@
 """Docs gate: every exported symbol of the public packages is documented.
 
 Covers ``repro.api``, ``repro.sharding``, ``repro.proxytier``,
-``repro.audit``, ``repro.concurrency`` and ``repro.elasticity``.
+``repro.audit``, ``repro.concurrency``, ``repro.elasticity`` and
+``repro.storage``.
 
 Walks the ``__all__`` of the public packages and fails (exit code 1, listing
 the offenders) if any exported class or function — or any public method of
@@ -22,7 +23,7 @@ import sys
 
 #: Public packages whose exported surface the gate covers.
 PACKAGES = ("repro.api", "repro.sharding", "repro.proxytier", "repro.audit",
-            "repro.concurrency", "repro.elasticity")
+            "repro.concurrency", "repro.elasticity", "repro.storage")
 
 
 def _missing_in_class(qualname: str, cls: type) -> list:

@@ -9,7 +9,8 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 # Docs gate: the README/ARCHITECTURE doctest snippets must execute, and
 # every exported repro.api / repro.sharding / repro.proxytier / repro.audit
-# / repro.concurrency / repro.elasticity symbol must carry a docstring.
+# / repro.concurrency / repro.elasticity / repro.storage symbol must carry a
+# docstring.
 echo "== docs gate: doctests + exported-symbol docstrings =="
 python -m doctest docs/ARCHITECTURE.md README.md
 python scripts/check_docstrings.py
@@ -20,6 +21,15 @@ python scripts/check_docstrings.py
 echo "== tripwire: no numpy under src/ =="
 if grep -rn --include='*.py' "import numpy" src/; then
     echo "numpy is imported under src/" >&2
+    exit 1
+fi
+
+# The storage tier keeps bytes and no time: every simulated millisecond is
+# charged by the proxy's cost model, so no storage module may reach for a
+# latency model or a switch that lets a server charge its own.
+echo "== tripwire: no latency model under src/repro/storage/ =="
+if grep -rnE --include='*.py' "^\s*(from|import) repro\.sim\.latency|charge_latency" src/repro/storage/; then
+    echo "the storage tier imports repro.sim.latency or mentions charge_latency" >&2
     exit 1
 fi
 

@@ -66,9 +66,7 @@ class ObladiEngine(TransactionEngine):
         self.proxy.load_initial_data(items)
 
     def submit(self, program) -> TransactionResult:
-        result = self.proxy.execute_transaction(program)
-        self._notify_wave([result])
-        return result
+        return self.submit_many([_as_factory(program)])[0]
 
     def submit_many(self, programs: Sequence[ProgramFactory]) -> List[TransactionResult]:
         if not programs:

@@ -71,29 +71,25 @@ class WaveExecutor:
         self.latency = get_latency_model(backend)
         self.clock = clock if clock is not None else SimClock()
         if storage is None:
-            storage = InMemoryStorageServer(latency=self.latency, clock=self.clock,
-                                            charge_latency=False, record_trace=False)
+            storage = InMemoryStorageServer(clock=self.clock, record_trace=False)
         else:
             storage.clock = self.clock
-            storage.charge_latency = False
         self.storage = storage
         self.committed_history: List[CommittedTransaction] = []
 
     # -- data loading and raw storage access ---------------------------- #
     def load_initial_data(self, items: Dict[str, bytes]) -> None:
         """Install the initial database state on the storage server."""
-        self.storage.write_batch({f"kv/{key}": value for key, value in items.items()},
-                                 parallelism=64)
+        self.storage.write_batch({f"kv/{key}": value for key, value in items.items()})
 
     def _storage_read(self, key: str) -> Optional[bytes]:
-        result = self.storage.read_batch([f"kv/{key}"], parallelism=1, record_batch=False)
-        return result.values.get(f"kv/{key}")
+        return self.storage.read_batch([f"kv/{key}"], record_batch=False)[f"kv/{key}"]
 
     def _storage_write_many(self, items: Dict[str, Optional[bytes]]) -> None:
         payload = {f"kv/{key}": (value if value is not None else b"")
                    for key, value in items.items()}
         if payload:
-            self.storage.write_batch(payload, parallelism=16, record_batch=False)
+            self.storage.write_batch(payload, record_batch=False)
 
     # -- the wave loop --------------------------------------------------- #
     def run_transactions(self, factories: Sequence[ProgramFactory]) -> RunStats:

@@ -85,9 +85,6 @@ class ObladiProxy:
                 f"servers but a single {type(storage).__name__} was supplied; "
                 f"pass a repro.storage.cluster.StorageCluster")
         self.storage = storage
-        # The proxy computes batch timings itself from the dependency-aware
-        # schedule, so the raw backend must not double-charge latency.
-        self.storage.charge_latency = False
         self.storage.clock = self.clock
 
         # The master key is the one secret that persists across proxy crashes;

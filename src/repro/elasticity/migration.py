@@ -58,12 +58,9 @@ def prepare_storage(storage, target: ObladiConfig):
     if target.storage_servers > 1:
         if isinstance(storage, StorageCluster):
             if storage.num_servers < target.storage_servers:
-                storage.resize(target.storage_servers, latency=target.backend,
-                               link_extra_rtt_ms=target.link_extra_rtt_ms)
+                storage.resize(target.storage_servers)
             return storage
-        return StorageCluster.from_server(storage, latency=target.backend,
-                                          num_servers=target.storage_servers,
-                                          link_extra_rtt_ms=target.link_extra_rtt_ms)
+        return StorageCluster.from_server(storage, num_servers=target.storage_servers)
     return storage
 
 

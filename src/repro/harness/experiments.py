@@ -49,16 +49,14 @@ DEFAULT_ORAM_OBJECTS = 100_000
 MICROBENCH_Z = 16
 
 
-def _build_oram(num_blocks: int, backend: str, seed: int, charge_latency: bool,
-                **oram_options) -> RingOram:
+def _build_oram(num_blocks: int, seed: int, **oram_options) -> RingOram:
     """A Ring ORAM over a fresh store, sized like the microbenchmarks (§11.2).
 
     The cipher is disabled: values are irrelevant to these experiments, only
     the *simulated* crypto cost matters.
     """
     clock = SimClock()
-    storage = InMemoryStorageServer(latency=backend, clock=clock, record_trace=False,
-                                    charge_latency=charge_latency)
+    storage = InMemoryStorageServer(clock=clock, record_trace=False)
     params = derive_parameters(num_blocks=num_blocks, z_real=MICROBENCH_Z, block_size=64)
     return RingOram(params, storage, cipher=CipherSuite(block_size=72, enabled=False),
                     clock=clock, seed=seed, **oram_options)
@@ -194,8 +192,7 @@ class ParallelismRow:
 def _run_sequential_ops(num_blocks: int, backend: str, operations: int,
                         charge_crypto: bool, seed: int = 0) -> float:
     """Simulated duration of ``operations`` sequential Ring ORAM accesses."""
-    oram = _build_oram(num_blocks, backend, seed, charge_latency=True,
-                       charge_crypto=charge_crypto)
+    oram = _build_oram(num_blocks, seed, charge_crypto=charge_crypto, latency=backend)
     clock = oram.clock
     rng = random.Random(seed)
     start = clock.now_ms
@@ -214,8 +211,7 @@ def _run_parallel_ops(num_blocks: int, backend: str, operations: int, batch_size
     matching the paper's Parallel vs ParallelCrypto distinction.  The
     accessed blocks are drawn from ``access_seed``.
     """
-    oram = _build_oram(num_blocks, backend, seed=0, charge_latency=False,
-                       dummiless_writes=True)
+    oram = _build_oram(num_blocks, seed=0, dummiless_writes=True)
     executor = EpochBatchExecutor(oram, latency=backend, parallelism=1024,
                                   buffer_writes=buffer_writes, charge_crypto=charge_crypto)
     rng = random.Random(access_seed)

@@ -74,11 +74,10 @@ class EpochBatchExecutor:
     modelled adversary cannot see where one call ends and the next begins.
     The rows of an announced batch share their op, their ``batch_id``
     (``-1``: the executor announced the batch itself) and their ``time_ms``:
-    every store an executor is built over — both ``build_storage`` branches,
-    ``ObladiProxy`` and ``harness.experiments._run_parallel_ops`` — has
-    ``charge_latency=False``, so the clock moves only when the executor
-    charges a whole batch.  ``AccessTrace.record_batch`` is ``n x record``,
-    and every :class:`~repro.recovery.crash.CrashPoint` is a batch boundary.
+    a store never advances the clock, so it moves only when the executor
+    charges a whole batch against ``latency``.  ``AccessTrace.record_batch``
+    is ``n x record``, and every :class:`~repro.recovery.crash.CrashPoint` is
+    a batch boundary.
     """
 
     def __init__(self, oram: RingOram, latency="server", parallelism: int = 64,
@@ -259,9 +258,7 @@ class EpochBatchExecutor:
         held_back = self._held_back
         if not held_back:
             return
-        result = self.oram.storage.read_batch(held_back, parallelism=1,
-                                              record_batch=False)
-        self._read_cache.update(result.values)
+        self._read_cache.update(self.oram.storage.read_batch(held_back, record_batch=False))
         self.stats.physical_reads += len(held_back)
         self.lifetime_stats.physical_reads += len(held_back)
         held_back.clear()
@@ -291,7 +288,7 @@ class EpochBatchExecutor:
         writes are buffered, the one just before it when they are not.
         """
         items = self.oram.seal_rewrites(rewrites)
-        self.oram.storage.write_batch(items, parallelism=self.parallelism, record_batch=False)
+        self.oram.storage.write_batch(items, record_batch=False)
         stored_versions, superseded = self._stored_versions, self._superseded
         for rewrite in rewrites:
             prefix = slot_key_prefix(rewrite.bucket_id, stored_versions.pop(
@@ -473,7 +470,7 @@ class EpochBatchExecutor:
         superseded = self._superseded
         if not superseded:
             return 0
-        self.oram.storage.delete_batch(superseded, parallelism=self.parallelism)
+        self.oram.storage.delete_batch(superseded)
         self._superseded = []
         return len(superseded)
 

@@ -23,9 +23,10 @@ observes in the paper) and a bucket rewrite is ``Z + S`` slot writes under a
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.oram import path_math
 from repro.oram.crypto import CipherSuite, IntegrityError, freshness_context
@@ -34,7 +35,7 @@ from repro.oram.parameters import RingOramParameters
 from repro.oram.position_map import PositionMap
 from repro.oram.stash import Stash, StashReason
 from repro.sim.clock import SimClock
-from repro.sim.latency import CpuCostModel
+from repro.sim.latency import CpuCostModel, LatencyModel, get_latency_model
 from repro.storage.backend import StorageServer
 
 
@@ -142,9 +143,14 @@ class RingOram:
     cipher:
         Cipher suite for sealing slots.  A fresh suite is created if omitted.
     clock:
-        Shared simulated clock (storage requests advance it); optional.
+        Shared simulated clock; optional.
     cost_model:
         CPU cost constants charged per physical block handled.
+    latency:
+        Backend name or :class:`LatencyModel` whose round trips the
+        sequential front end charges to the clock after each storage call
+        (Figure 10a's sequential series).  ``None`` charges none: the epoch
+        executor times its own batches.
     seed:
         Seed for the ORAM's private RNG (position remapping, permutations),
         so tests are reproducible.
@@ -160,11 +166,13 @@ class RingOram:
                  cost_model: Optional[CpuCostModel] = None,
                  seed: Optional[int] = None,
                  dummiless_writes: bool = False,
-                 charge_crypto: Optional[bool] = None) -> None:
+                 charge_crypto: Optional[bool] = None,
+                 latency: Union[str, LatencyModel, None] = None) -> None:
         self.params = params
         self.storage = storage
         self.clock = clock if clock is not None else getattr(storage, "clock", SimClock())
         self.cost_model = cost_model if cost_model is not None else CpuCostModel()
+        self.latency = None if latency is None else get_latency_model(latency)
         self.rng = random.Random(seed)
         self.cipher = cipher if cipher is not None else CipherSuite(
             block_size=params.block_size + 8)
@@ -435,16 +443,31 @@ class RingOram:
             return None
         return block_id, value
 
+    def _charge_round_trips(self, requests: int, is_write: bool, parallelism: int) -> None:
+        """Charge ``requests`` round trips to :attr:`latency`, ``parallelism`` in flight.
+
+        With ``p`` usable parallel slots, ``n`` requests complete in
+        ``ceil(n / p)`` waves of one round trip each, plus a serialised
+        server-side service term that models provisioned-throughput limits.
+        """
+        latency = self.latency
+        if latency is None or not requests:
+            return
+        p = latency.effective_parallelism(parallelism)
+        self.clock.advance(math.ceil(requests / p) * latency.rtt_ms(is_write)
+                           + latency.per_request_server_ms * requests / p)
+
     def _execute_slot_reads(self, slot_reads: Sequence[SlotRead],
                             parallelism: int = 1) -> Dict[int, bytes]:
         """Issue the physical reads and return {block_id: plaintext value}."""
         keys = [slot_storage_key(bucket_id, version, slot_index)
                 for bucket_id, slot_index, version, _ in slot_reads]
-        result = self.storage.read_batch(keys, parallelism=parallelism)
+        values = self.storage.read_batch(keys)
+        self._charge_round_trips(len(keys), False, parallelism)
         self.stats_physical_reads += len(keys)
         fetched: Dict[int, bytes] = {}
         for key, slot in zip(keys, slot_reads):
-            opened = self._decrypt_slot(slot, result.values.get(key))
+            opened = self._decrypt_slot(slot, values.get(key))
             if opened is not None:
                 fetched[opened[0]] = opened[1]
         return fetched
@@ -454,7 +477,8 @@ class RingOram:
         """Seal and write new bucket versions to storage."""
         items = self.seal_rewrites(rewrites)
         if items:
-            self.storage.write_batch(items, parallelism=parallelism)
+            self.storage.write_batch(items)
+            self._charge_round_trips(len(items), True, parallelism)
             self.stats_physical_writes += len(items)
             per_block = self.cost_model.sequential_block_cost_ms(self._crypto_charged())
             self.clock.advance(per_block * len(items))

@@ -289,14 +289,14 @@ class RecoveryManager:
             plan = part.oram.plan_path_read(block_id)
             slot_keys = [slot_storage_key(bucket_id, version, slot_index)
                          for bucket_id, slot_index, version, _ in plan.slot_reads]
-            fetched = part.storage.read_batch(slot_keys, parallelism=proxy.config.parallelism)
+            fetched = part.storage.read_batch(slot_keys)
             physical_requests += len(slot_keys)
-            result.bytes_read += sum(len(v) for v in fetched.values.values() if v)
+            result.bytes_read += sum(len(v) for v in fetched.values() if v)
             for slot_key, (bucket_id, slot_index, version, expected_block) in zip(
                     slot_keys, plan.slot_reads):
                 if expected_block is None:
                     continue
-                blob = fetched.values.get(slot_key)
+                blob = fetched.get(slot_key)
                 if blob is None:
                     raise lost_real_slot(slot_key)
                 bid, value = part.cipher.open_block(

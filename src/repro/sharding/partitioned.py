@@ -41,6 +41,7 @@ from repro.core.config import ObladiConfig
 from repro.core.version_cache import VersionCache
 from repro.sharding.data_layer import DataLayer, build_partition, key_partition
 from repro.sim.clock import SimClock
+from repro.sim.latency import link_latency_models
 from repro.storage.backend import StorageServer
 from repro.storage.cluster import StorageCluster
 from repro.storage.namespace import NamespacedStorage, partition_prefix
@@ -105,6 +106,8 @@ class PartitionedDataLayer(DataLayer):
             raise ValueError(
                 f"storage cluster has {cluster.num_servers} servers but the "
                 f"configuration asks for {config.storage_servers}")
+        links = link_latency_models(config.backend, config.storage_servers,
+                                    config.link_extra_rtt_ms)
         self.partitions = []
         for index in range(config.shards):
             # Reshard cutovers bump config.generation; the generation prefix
@@ -116,10 +119,9 @@ class PartitionedDataLayer(DataLayer):
             # its executor is timed against that link's latency model.
             if cluster is not None:
                 host_index = index % config.storage_servers
-                host = cluster.servers[host_index]
-                link = cluster.link_models[host_index]
+                host, link = cluster.servers[host_index], links[host_index]
             else:
-                host, link = storage, None
+                host, link = storage, config.backend
             view = NamespacedStorage(host, prefix)
             # Distinct deterministic RNG streams per partition (position
             # remapping, permutations); None stays None (non-reproducible).

@@ -5,23 +5,22 @@ it stores encrypted ORAM buckets, the write-ahead log, and checkpoints, and
 it is controlled by an honest-but-curious adversary.  Everything the server
 observes — which addresses are read or written, when, and in what sizes — is
 recorded in an :class:`repro.storage.trace.AccessTrace` so the analysis
-package can verify workload independence empirically.
+package can verify workload independence empirically.  The servers keep
+bytes and count requests; simulated time is charged by the proxy.
 """
 
-from repro.storage.backend import StorageServer, StorageRequest, StorageOp
-from repro.storage.cluster import StorageCluster, build_storage, link_latency_models
+from repro.storage.backend import StorageServer, StorageOp
+from repro.storage.cluster import StorageCluster, build_storage
 from repro.storage.memory import InMemoryStorageServer
 from repro.storage.namespace import NamespacedStorage, partition_prefix
 from repro.storage.trace import AccessTrace, TraceEvent
 
 __all__ = [
     "StorageServer",
-    "StorageRequest",
     "StorageOp",
     "InMemoryStorageServer",
     "StorageCluster",
     "build_storage",
-    "link_latency_models",
     "NamespacedStorage",
     "partition_prefix",
     "AccessTrace",

@@ -2,15 +2,16 @@
 
 The proxy talks to storage exclusively through this interface.  Requests are
 addressed by an opaque string key (ORAM bucket ids, WAL segment names,
-checkpoint names); payloads are ``bytes``.  The interface deliberately
-exposes *batched* reads and writes because the simulated-time model charges
-latency per request and computes the parallel makespan per batch.
+checkpoint names); payloads are ``bytes``.  The interface is *batched*
+because batches are what the adversary observes: a tracing backend records
+one boundary per batch.  A store keeps bytes and counts requests; it never
+says how long anything took — the proxy's cost model owns every simulated
+millisecond.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 
@@ -22,38 +23,6 @@ class StorageOp(enum.Enum):
     DELETE = "delete"
 
 
-@dataclass(frozen=True)
-class StorageRequest:
-    """A single physical request sent to the storage server.
-
-    The adversary sees the key, the operation type, the payload *size* and
-    the time — never plaintext contents (payloads are encrypted by the ORAM
-    layer before they reach storage).
-    """
-
-    op: StorageOp
-    key: str
-    payload: Optional[bytes] = None
-
-    @property
-    def size_bytes(self) -> int:
-        return len(self.payload) if self.payload is not None else 0
-
-
-@dataclass
-class BatchResult:
-    """Result of a batched storage operation.
-
-    ``values`` maps keys to payloads for read batches (missing keys map to
-    ``None``); ``elapsed_ms`` is the simulated time the batch took given the
-    backend latency model and the parallelism available.
-    """
-
-    values: Dict[str, Optional[bytes]] = field(default_factory=dict)
-    elapsed_ms: float = 0.0
-    request_count: int = 0
-
-
 class StorageServer:
     """Interface implemented by storage backends.
 
@@ -61,9 +30,9 @@ class StorageServer:
     sequence: the security analysis replays workloads and compares traces.
     """
 
-    def read_batch(self, keys: Sequence[str], parallelism: int = 1,
-                   record_batch: bool = True) -> BatchResult:
-        """Read many keys; returns payloads and the simulated elapsed time.
+    def read_batch(self, keys: Sequence[str],
+                   record_batch: bool = True) -> Dict[str, Optional[bytes]]:
+        """Read many keys: ``{key: payload}``, ``None`` for a missing key.
 
         ``record_batch=False`` tells a tracing backend that the caller has
         already announced the adversary-visible batch these requests belong
@@ -71,18 +40,17 @@ class StorageServer:
         """
         raise NotImplementedError
 
-    def write_batch(self, items: Dict[str, bytes], parallelism: int = 1,
-                    record_batch: bool = True) -> BatchResult:
+    def write_batch(self, items: Dict[str, bytes], record_batch: bool = True) -> None:
         """Write many key/payload pairs, all of them or (on error) none."""
         raise NotImplementedError
 
-    def delete_batch(self, keys: Sequence[str], parallelism: int = 1) -> BatchResult:
+    def delete_batch(self, keys: Sequence[str]) -> None:
         """Delete keys: superseded bucket versions, WAL segments, checkpoint chains."""
         raise NotImplementedError
 
     def read(self, key: str) -> Optional[bytes]:
         """Convenience single-key read."""
-        return self.read_batch([key]).values.get(key)
+        return self.read_batch([key])[key]
 
     def write(self, key: str, payload: bytes) -> None:
         """Convenience single-key write."""

@@ -2,18 +2,15 @@
 
 Obladi's evaluation fans epoch batches out from the proxy to cloud storage
 over a real network.  A single :class:`~repro.storage.memory.InMemoryStorageServer`
-multiplexing every partition through key namespaces cannot express two
-things that matter once the data layer shards:
-
-* **per-link network cost** — each proxy-to-server link has its own
-  :class:`~repro.sim.latency.LatencyModel` (optionally perturbed per link via
-  :class:`~repro.sim.latency.NetworkConditions`), so a slow replica slows
-  only the partitions it hosts;
-* **per-server adversaries** — a real storage provider runs one observer per
-  storage node.  Each server records its *own*
-  :class:`~repro.storage.trace.AccessTrace`, and the obliviousness argument
-  must hold for every node independently
-  (:func:`repro.analysis.server_traces` splits the views back out).
+multiplexing every partition through key namespaces cannot express that a
+real storage provider runs one observer per storage node: each server of a
+cluster records its *own* :class:`~repro.storage.trace.AccessTrace`, and the
+obliviousness argument must hold for every node independently
+(:func:`repro.analysis.server_traces` splits the views back out).  What the
+link to each node costs is not the cluster's concern: the proxy's data layer
+times partition ``i`` against link ``i % M`` of
+:func:`~repro.sim.latency.link_latency_models` (``ObladiConfig.backend`` and
+``link_extra_rtt_ms``).
 
 :class:`StorageCluster` is the registry of those servers.  Partition ``i``
 of an N-partition data layer is hosted on server ``i % num_servers``
@@ -33,12 +30,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.sim.clock import SimClock
-from repro.sim.latency import LatencyModel, link_latency_models
-from repro.storage.backend import BatchResult, StorageServer
+from repro.storage.backend import StorageServer
 from repro.storage.memory import InMemoryStorageServer
 from repro.storage.trace import AccessTrace
 
-__all__ = ["StorageCluster", "build_storage", "link_latency_models"]
+__all__ = ["StorageCluster", "build_storage"]
 
 
 class StorageCluster(StorageServer):
@@ -46,92 +42,69 @@ class StorageCluster(StorageServer):
 
     Parameters
     ----------
-    latency:
-        Backend name or :class:`LatencyModel` shared by every link.
     num_servers:
         How many distinct servers the cluster runs (at least 2; a single
         server is just :class:`InMemoryStorageServer`).
     clock:
-        Shared simulated clock; every server advances the same clock.
-    record_trace / charge_latency:
+        Shared simulated clock every server stamps its trace with.
+    record_trace:
         Forwarded to each server (see :class:`InMemoryStorageServer`).
-    link_extra_rtt_ms:
-        Optional per-link extra round-trip latency (heterogeneous links).
 
     The :class:`StorageServer` interface (``read_batch`` .. ``keys``)
     delegates to the metadata server (server 0); address a specific server
     through :attr:`servers` or :meth:`server_for_partition`.
     """
 
-    def __init__(self, latency="dummy", num_servers: int = 2,
-                 clock: Optional[SimClock] = None, record_trace: bool = True,
-                 charge_latency: bool = True,
-                 link_extra_rtt_ms: Sequence[float] = ()) -> None:
+    def __init__(self, num_servers: int = 2, clock: Optional[SimClock] = None,
+                 record_trace: bool = True) -> None:
         if num_servers < 2:
             raise ValueError("a StorageCluster needs at least two servers; "
                              "use InMemoryStorageServer for one")
         shared_clock = clock if clock is not None else SimClock()
-        self.link_models = link_latency_models(latency, num_servers, link_extra_rtt_ms)
         self.servers: List[InMemoryStorageServer] = [
-            InMemoryStorageServer(latency=model, clock=shared_clock,
-                                  record_trace=record_trace,
-                                  charge_latency=charge_latency)
-            for model in self.link_models
+            InMemoryStorageServer(clock=shared_clock, record_trace=record_trace)
+            for _ in range(num_servers)
         ]
 
     # ------------------------------------------------------------------ #
     # Topology
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_server(cls, server: InMemoryStorageServer, latency="dummy",
-                    num_servers: int = 2,
-                    link_extra_rtt_ms: Sequence[float] = ()) -> "StorageCluster":
+    def from_server(cls, server: InMemoryStorageServer,
+                    num_servers: int = 2) -> "StorageCluster":
         """Promote an existing single server to a cluster's metadata server.
 
         The live-resharding path (``repro.elasticity``) uses this to grow a
         single-server deployment: ``server`` keeps every key it already
         holds — including the WAL and checkpoint chain, which is why it must
         become server 0 — and ``num_servers - 1`` fresh servers join it,
-        sharing its clock, trace-recording and latency-charging settings.
+        sharing its clock and trace-recording setting.
         """
         if num_servers < 2:
             raise ValueError("a StorageCluster needs at least two servers")
         cluster = cls.__new__(cls)
-        cluster.link_models = link_latency_models(latency, num_servers,
-                                                  link_extra_rtt_ms)
-        cluster.servers = [server] + [
-            InMemoryStorageServer(latency=model, clock=server.clock,
-                                  record_trace=server.trace is not None,
-                                  charge_latency=server.charge_latency)
-            for model in cluster.link_models[1:]
-        ]
+        cluster.servers = [server]
+        cluster.resize(num_servers)
         return cluster
 
-    def resize(self, num_servers: int, latency="dummy",
-               link_extra_rtt_ms: Sequence[float] = ()) -> None:
+    def resize(self, num_servers: int) -> None:
         """Grow or shrink the cluster to ``num_servers`` distinct servers.
 
         Growth appends fresh servers (sharing the metadata server's clock
-        and settings, each on its own link model); shrinkage truncates from
-        the *end* of the server list, so the metadata server — and with it
-        the WAL and checkpoint chain — is never dropped.  Shrinking is only
-        safe once no live partition is hosted on the departing servers (the
-        reshard cutover guarantees this before it resizes).
+        and trace-recording setting); shrinkage truncates from the *end* of
+        the server list, so the metadata server — and with it the WAL and
+        checkpoint chain — is never dropped.  Shrinking is only safe once no
+        live partition is hosted on the departing servers (the reshard
+        cutover guarantees this before it resizes).
         """
         if num_servers < 2:
             raise ValueError("a StorageCluster needs at least two servers")
-        if num_servers <= len(self.servers):
-            del self.servers[num_servers:]
-            del self.link_models[num_servers:]
-            return
-        models = link_latency_models(latency, num_servers, link_extra_rtt_ms)
         template = self.metadata_server
-        for model in models[len(self.servers):]:
-            self.link_models.append(model)
+        del self.servers[num_servers:]
+        while len(self.servers) < num_servers:
             self.servers.append(
-                InMemoryStorageServer(latency=model, clock=template.clock,
-                                      record_trace=template.trace is not None,
-                                      charge_latency=template.charge_latency))
+                InMemoryStorageServer(clock=template.clock,
+                                      record_trace=template.trace is not None))
 
     @property
     def num_servers(self) -> int:
@@ -153,33 +126,19 @@ class StorageCluster(StorageServer):
         """The server hosting data-layer partition ``partition_index``."""
         return self.servers[self.server_index_for_partition(partition_index)]
 
-    def link_model_for_partition(self, partition_index: int) -> LatencyModel:
-        """Latency model of the link to ``partition_index``'s host server."""
-        return self.link_models[self.server_index_for_partition(partition_index)]
-
     # ------------------------------------------------------------------ #
-    # Shared-clock / simulation plumbing (the proxy sets these on whatever
-    # storage object it is handed, single server or cluster alike).
+    # Shared-clock plumbing (the proxy sets the clock on whatever storage
+    # object it is handed, single server or cluster alike).
     # ------------------------------------------------------------------ #
     @property
     def clock(self) -> SimClock:
-        """The shared simulated clock every server advances."""
+        """The shared simulated clock every server stamps its trace with."""
         return self.servers[0].clock
 
     @clock.setter
     def clock(self, value: SimClock) -> None:
         for server in self.servers:
             server.clock = value
-
-    @property
-    def charge_latency(self) -> bool:
-        """Whether servers advance the clock themselves (the proxy disables it)."""
-        return self.servers[0].charge_latency
-
-    @charge_latency.setter
-    def charge_latency(self, value: bool) -> None:
-        for server in self.servers:
-            server.charge_latency = value
 
     def fail(self) -> None:
         """Inject an outage on every server (whole storage tier unavailable)."""
@@ -215,34 +174,21 @@ class StorageCluster(StorageServer):
         """Total write requests across every server."""
         return sum(server.stats_writes for server in self.servers)
 
-    @property
-    def stats_batches(self) -> int:
-        """Total batches across every server."""
-        return sum(server.stats_batches for server in self.servers)
-
-    def per_server_stats(self) -> List[Dict[str, int]]:
-        """Per-server request counters (``reads``/``writes``/``batches``)."""
-        return [{"reads": server.stats_reads, "writes": server.stats_writes,
-                 "batches": server.stats_batches} for server in self.servers]
-
     # ------------------------------------------------------------------ #
     # StorageServer interface — delegated to the metadata server
     # ------------------------------------------------------------------ #
-    def read_batch(self, keys: Sequence[str], parallelism: int = 1,
-                   record_batch: bool = True) -> BatchResult:
+    def read_batch(self, keys: Sequence[str],
+                   record_batch: bool = True) -> Dict[str, Optional[bytes]]:
         """Read from the metadata server (WAL / checkpoint traffic)."""
-        return self.metadata_server.read_batch(keys, parallelism=parallelism,
-                                               record_batch=record_batch)
+        return self.metadata_server.read_batch(keys, record_batch=record_batch)
 
-    def write_batch(self, items: Dict[str, bytes], parallelism: int = 1,
-                    record_batch: bool = True) -> BatchResult:
+    def write_batch(self, items: Dict[str, bytes], record_batch: bool = True) -> None:
         """Write to the metadata server (WAL / checkpoint traffic)."""
-        return self.metadata_server.write_batch(items, parallelism=parallelism,
-                                                record_batch=record_batch)
+        self.metadata_server.write_batch(items, record_batch=record_batch)
 
-    def delete_batch(self, keys: Sequence[str], parallelism: int = 1) -> BatchResult:
+    def delete_batch(self, keys: Sequence[str]) -> None:
         """Delete on the metadata server (WAL truncation, checkpoint chains)."""
-        return self.metadata_server.delete_batch(keys, parallelism=parallelism)
+        self.metadata_server.delete_batch(keys)
 
     def contains(self, key: str) -> bool:
         """Whether the metadata server holds ``key``."""
@@ -281,8 +227,5 @@ def build_storage(config, clock: Optional[SimClock] = None):
     round-robin.
     """
     if config.storage_servers <= 1:
-        return InMemoryStorageServer(latency=config.backend, clock=clock,
-                                     charge_latency=False)
-    return StorageCluster(latency=config.backend, num_servers=config.storage_servers,
-                          clock=clock, charge_latency=False,
-                          link_extra_rtt_ms=config.link_extra_rtt_ms)
+        return InMemoryStorageServer(clock=clock)
+    return StorageCluster(num_servers=config.storage_servers, clock=clock)

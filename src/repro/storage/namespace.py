@@ -22,15 +22,15 @@ exactly as they did on a single server.  The prefix is retained even with
 one server per partition so traces, checkpoint components and the analysis
 helpers parse identically across every topology.
 
-The view shares its base server's clock, trace and latency model; only the
-key space is remapped.
+The view shares its base server's clock, trace, counters and fault switch;
+only the key space is remapped.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.storage.backend import BatchResult, StorageServer
+from repro.storage.backend import StorageServer
 
 
 def partition_prefix(index: int) -> str:
@@ -56,31 +56,25 @@ class NamespacedStorage(StorageServer):
 
     def __getattr__(self, name):
         # Only reached for attributes not defined on the view itself:
-        # clock, trace, charge_latency, fail/recover, stats_* ...
+        # clock, trace, fail/recover, stats_* ...
         return getattr(self.base, name)
 
     # ------------------------------------------------------------------ #
     # StorageServer interface
     # ------------------------------------------------------------------ #
-    def read_batch(self, keys: Sequence[str], parallelism: int = 1,
-                   record_batch: bool = True) -> BatchResult:
+    def read_batch(self, keys: Sequence[str],
+                   record_batch: bool = True) -> Dict[str, Optional[bytes]]:
         prefix = self.prefix
         prefixed = [prefix + key for key in keys]
-        result = self.base.read_batch(prefixed, parallelism=parallelism,
-                                      record_batch=record_batch)
-        values = dict(zip(keys, map(result.values.get, prefixed)))
-        return BatchResult(values=values, elapsed_ms=result.elapsed_ms,
-                           request_count=result.request_count)
+        values = self.base.read_batch(prefixed, record_batch=record_batch)
+        return dict(zip(keys, map(values.get, prefixed)))
 
-    def write_batch(self, items: Dict[str, bytes], parallelism: int = 1,
-                    record_batch: bool = True) -> BatchResult:
+    def write_batch(self, items: Dict[str, bytes], record_batch: bool = True) -> None:
         prefixed = {self.prefix + key: payload for key, payload in items.items()}
-        return self.base.write_batch(prefixed, parallelism=parallelism,
-                                     record_batch=record_batch)
+        self.base.write_batch(prefixed, record_batch=record_batch)
 
-    def delete_batch(self, keys: Sequence[str], parallelism: int = 1) -> BatchResult:
-        return self.base.delete_batch([self.prefix + key for key in keys],
-                                      parallelism=parallelism)
+    def delete_batch(self, keys: Sequence[str]) -> None:
+        self.base.delete_batch([self.prefix + key for key in keys])
 
     def contains(self, key: str) -> bool:
         return self.base.contains(self.prefix + key)

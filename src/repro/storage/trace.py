@@ -132,6 +132,7 @@ class AccessTrace:
 
     @property
     def batches(self) -> List[BatchBoundary]:
+        """Copy of the announced batch boundaries, in announcement order."""
         return list(self._batches)
 
     def __len__(self) -> int:

@@ -686,8 +686,6 @@ class TestElasticReshard:
         committed = 0
         waves = 0
         while eng.reshard_in_flight and waves < max_waves:
-            # submit_many: single-shot submit never runs a wave boundary, so
-            # it neither starts staged plans nor steps in-flight migrations.
             results = eng.submit_many([read_program("k0")])
             committed += sum(int(r.committed) for r in results)
             waves += 1
@@ -705,6 +703,22 @@ class TestElasticReshard:
         with pytest.raises(EngineFeatureUnavailable):
             engine.reshard(self._plan((4, 1, 1)))
         assert not engine.reshard_in_flight
+
+    def test_single_submits_cross_wave_boundaries(self):
+        """``submit`` is a wave of one program: it starts a staged plan and
+        steps the migration to its cutover exactly as ``submit_many`` does."""
+        def topology_after(submit):
+            eng = create_engine("obladi", self._narrow_config())
+            eng.load_initial_data({f"k{i}": b"0" for i in range(NUM_KEYS)})
+            eng.reshard(ReshardPlan(shards=2))
+            for _ in range(40):
+                submit(eng)
+            assert not eng.reshard_in_flight
+            return self._topology(eng)
+
+        one = topology_after(lambda eng: eng.submit(read_program("k0")))
+        many = topology_after(lambda eng: eng.submit_many([read_program("k0")]))
+        assert one == many == (2, 1, 1)
 
     def test_second_reshard_while_in_flight_is_rejected(self):
         eng = create_engine("obladi", self._narrow_config())

@@ -1,7 +1,8 @@
 """The public surface does not grow by accident.
 
-``repro.api.__all__``, ``repro.concurrency.__all__`` and
-``repro.proxytier.__all__`` are compared with the literal lists below, so
+``repro.api.__all__``, ``repro.concurrency.__all__``,
+``repro.proxytier.__all__`` and ``repro.storage.__all__`` are compared with
+the literal lists below, so
 exporting one more name (or dropping one) is a deliberate edit of this file,
 made in the PR that argues for it.
 """
@@ -9,6 +10,7 @@ made in the PR that argues for it.
 import repro.api
 import repro.concurrency
 import repro.proxytier
+import repro.storage
 
 API = [
     "TransactionEngine",
@@ -61,6 +63,19 @@ PROXYTIER = [
 ]
 
 
+STORAGE = [
+    "StorageServer",
+    "StorageOp",
+    "InMemoryStorageServer",
+    "StorageCluster",
+    "build_storage",
+    "NamespacedStorage",
+    "partition_prefix",
+    "AccessTrace",
+    "TraceEvent",
+]
+
+
 def test_api_exports_are_the_recorded_list():
     assert repro.api.__all__ == API
 
@@ -71,3 +86,7 @@ def test_concurrency_exports_are_the_recorded_list():
 
 def test_proxytier_exports_are_the_recorded_list():
     assert repro.proxytier.__all__ == PROXYTIER
+
+
+def test_storage_exports_are_the_recorded_list():
+    assert repro.storage.__all__ == STORAGE

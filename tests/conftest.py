@@ -41,7 +41,7 @@ def closed_loop():
 @pytest.fixture
 def storage(clock):
     """In-memory storage with the LAN ``server`` latency model."""
-    return InMemoryStorageServer(latency="server", clock=clock)
+    return InMemoryStorageServer(clock=clock)
 
 
 @pytest.fixture

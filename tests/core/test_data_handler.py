@@ -13,7 +13,7 @@ from repro.storage.memory import InMemoryStorageServer
 
 def make_handler():
     clock = SimClock()
-    storage = InMemoryStorageServer(latency="server", clock=clock, charge_latency=False)
+    storage = InMemoryStorageServer(clock=clock)
     params = RingOramParameters(num_blocks=64, z_real=4, s_dummies=6, evict_rate=3,
                                 depth=4, block_size=64)
     oram = RingOram(params, storage, cipher=CipherSuite(block_size=72), clock=clock,

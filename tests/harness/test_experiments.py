@@ -27,6 +27,25 @@ class TestParallelism:
         assert by[("server_wan", "parallel")] > 20 * by[("server_wan", "sequential")]
         assert by[("dummy", "parallel_crypto")] < 2 * by[("dummy", "sequential")]
 
+    def test_exact_elapsed_ms(self):
+        """Every Figure 10a row, bit for bit: who charges a round trip may
+        move, the simulated milliseconds may not."""
+        rows = exp.run_parallelism(num_blocks=2048, operations=100, batch_size=100)
+        assert {(r.backend, r.mode): r.elapsed_ms for r in rows} == {
+            ("dummy", "sequential"): 1.8479999999999757,
+            ("dummy", "parallel"): 1.7884,
+            ("dummy", "parallel_crypto"): 2.7492,
+            ("server", "sequential"): 932.0079999999883,
+            ("server", "parallel"): 5.8402,
+            ("server", "parallel_crypto"): 6.2372000000000005,
+            ("server_wan", "sequential"): 30808.007999999405,
+            ("server_wan", "parallel"): 30.112400000000008,
+            ("server_wan", "parallel_crypto"): 30.12960000000001,
+            ("dynamo", "sequential"): 6400.348000000086,
+            ("dynamo", "parallel"): 25.320700000000002,
+            ("dynamo", "parallel_crypto"): 25.3371,
+        }
+
 
 class TestBatchSizeSweep:
     def test_throughput_grows_with_batch_size_on_wan(self):

@@ -46,7 +46,7 @@ class CountingCipher(CipherSuite):
 def make_executor(seed=0, backend="server", buffer_writes=True, depth=4, z=4, s=6, a=3,
                   parallelism=64, cipher=None):
     clock = SimClock()
-    storage = InMemoryStorageServer(latency=backend, clock=clock, charge_latency=False)
+    storage = InMemoryStorageServer(clock=clock)
     params = RingOramParameters(num_blocks=z << depth, z_real=z, s_dummies=s,
                                 evict_rate=a, depth=depth, block_size=64)
     oram = RingOram(params, storage,
@@ -419,9 +419,9 @@ class TestHeldBackReads:
         TestStorageFaults._run_epochs(executor, storage)
         read_batch, calls = storage.read_batch, []
 
-        def counting(keys, parallelism=1, record_batch=True):
+        def counting(keys, record_batch=True):
             calls.append(len(keys))
-            return read_batch(keys, parallelism=parallelism, record_batch=record_batch)
+            return read_batch(keys, record_batch=record_batch)
 
         storage.read_batch = counting
         executor.begin_epoch()

@@ -18,12 +18,12 @@ from tests.conftest import tree_slot_key
 
 def make_oram(seed=0, dummiless=False, depth=4, z=4, s=6, a=3, latency="dummy"):
     clock = SimClock()
-    storage = InMemoryStorageServer(latency=latency, clock=clock)
+    storage = InMemoryStorageServer(clock=clock)
     params = RingOramParameters(num_blocks=z << depth, z_real=z, s_dummies=s,
                                 evict_rate=a, depth=depth, block_size=64)
     cipher = CipherSuite(block_size=params.block_size + 8)
     oram = RingOram(params, storage, cipher=cipher, clock=clock, seed=seed,
-                    dummiless_writes=dummiless)
+                    dummiless_writes=dummiless, latency=latency)
     return oram, storage
 
 
@@ -271,6 +271,16 @@ class TestPhysicalBehaviour:
         oram.read(1)
         assert oram.clock.now_ms > start
 
+    def test_a_store_call_is_timed_after_it_returns(self):
+        """Trace rows carry the time the call was issued; the round trips
+        are charged once it returns."""
+        oram, storage = make_oram(seed=0, latency="server_wan")
+        oram.read(1)
+        times = [event.time_ms for event in storage.trace.events]
+        assert len(times) == oram.params.depth + 1
+        assert set(times) == {0.0}
+        assert oram.clock.now_ms > 10.0 * len(times)
+
     def test_deterministic_given_seed(self):
         first, _ = make_oram(seed=123)
         second, _ = make_oram(seed=123)
@@ -288,6 +298,53 @@ class TestPhysicalBehaviour:
         storage.delete_batch([lost])
         with pytest.raises(IntegrityError, match=lost):
             oram.read(block)
+
+
+class TestSequentialTiming:
+    """The sequential client charges the round trips of each store call
+    itself: ``ceil(n / p)`` waves of one round trip, plus the backend's
+    per-request service time over ``p`` usable slots."""
+
+    def _elapsed(self, latency):
+        oram, _ = make_oram(seed=0, latency=latency)
+        for block in range(6):
+            oram.write(block, b"v")
+        oram.read(3)
+        return oram.clock.now_ms
+
+    def test_dummy_backend_charges_no_round_trips(self):
+        assert self._elapsed("dummy") == self._elapsed(None) > 0.0
+
+    def test_wan_slower_than_lan(self):
+        assert self._elapsed(None) < self._elapsed("server") < self._elapsed("server_wan")
+
+    def test_path_read_pays_one_round_trip_per_slot(self):
+        timed, _ = make_oram(seed=0, latency="server")
+        untimed, _ = make_oram(seed=0)
+        timed.read(1)
+        untimed.read(1)
+        slots = timed.stats_physical_reads
+        assert slots == timed.params.depth + 1
+        assert timed.clock.now_ms - untimed.clock.now_ms == pytest.approx(
+            slots * 0.3 + slots * 0.002)
+
+    @pytest.mark.parametrize("requests,parallelism,is_write,expected", [
+        (3, 1, False, 3 * 1.0 + 0.0125 * 3),
+        (100, 32, False, 4 * 1.0 + 0.0125 * 100 / 32),
+        (100, 1024, False, 2 * 1.0 + 0.0125 * 100 / 64),   # dynamo serves 64 at once
+        (2, 1, True, 2 * 3.0 + 0.0125 * 2),
+        (0, 1, True, 0.0),
+    ])
+    def test_round_trips_come_in_waves_of_the_usable_parallelism(
+            self, requests, parallelism, is_write, expected):
+        oram, _ = make_oram(latency="dynamo")
+        oram._charge_round_trips(requests, is_write, parallelism)
+        assert oram.clock.now_ms == pytest.approx(expected)
+
+    def test_no_latency_charges_nothing(self):
+        oram, _ = make_oram(latency=None)
+        oram._charge_round_trips(100, False, 1)
+        assert oram.clock.now_ms == 0.0
 
 
 class TestSealRewrites:

@@ -44,7 +44,7 @@ def test_planned_dummy_pick_is_random_choice(n, seed, leaf):
     (``n == 0``: the consumed-bucket branch, which draws nothing)."""
     params = RingOramParameters(num_blocks=32, z_real=4, s_dummies=6, evict_rate=3,
                                 depth=3, block_size=16)
-    oram = RingOram(params, InMemoryStorageServer(latency="dummy"), seed=seed)
+    oram = RingOram(params, InMemoryStorageServer(), seed=seed)
     path = path_math.path_buckets(leaf, params.depth)
     for bid in path:
         oram.metadata._buckets[bid] = BucketMeta(bid, [None] * n)

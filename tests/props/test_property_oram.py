@@ -25,7 +25,7 @@ from repro.storage.memory import InMemoryStorageServer
 
 def build_oram(seed, depth=3, z=4, s=6, a=3, dummiless=False):
     clock = SimClock()
-    storage = InMemoryStorageServer(latency="dummy", clock=clock, record_trace=False)
+    storage = InMemoryStorageServer(clock=clock, record_trace=False)
     params = RingOramParameters(num_blocks=z << depth, z_real=z, s_dummies=s,
                                 evict_rate=a, depth=depth, block_size=64)
     return RingOram(params, storage, cipher=CipherSuite(block_size=72), clock=clock,

@@ -14,7 +14,7 @@ def checkpoint_keys(storage):
 
 @pytest.fixture
 def storage():
-    return InMemoryStorageServer(latency="dummy", clock=SimClock())
+    return InMemoryStorageServer(clock=SimClock())
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ from repro.storage.memory import InMemoryStorageServer
 
 @pytest.fixture
 def storage():
-    return InMemoryStorageServer(latency="dummy", clock=SimClock())
+    return InMemoryStorageServer(clock=SimClock())
 
 
 @pytest.fixture

@@ -24,7 +24,7 @@ def _config(**overrides):
 
 def _layer(shards):
     clock = SimClock()
-    storage = InMemoryStorageServer(latency="dummy", clock=clock, charge_latency=False)
+    storage = InMemoryStorageServer(clock=clock)
     return build_data_layer(_config(shards=shards), storage=storage, clock=clock,
                             master_key=b"m" * 32)
 
@@ -55,7 +55,7 @@ class TestKeyPartition:
 
 class TestNamespacedStorage:
     def test_round_trip_and_isolation(self):
-        base = InMemoryStorageServer(latency="dummy")
+        base = InMemoryStorageServer()
         view_a = NamespacedStorage(base, partition_prefix(0))
         view_b = NamespacedStorage(base, partition_prefix(1))
         view_a.write("x", b"from-a")
@@ -66,7 +66,7 @@ class TestNamespacedStorage:
         assert sorted(view_a.keys()) == ["x"]
 
     def test_shares_base_clock_and_trace(self):
-        base = InMemoryStorageServer(latency="dummy")
+        base = InMemoryStorageServer()
         view = NamespacedStorage(base, "p3/")
         view.write("y", b"payload")
         assert view.clock is base.clock
@@ -74,7 +74,7 @@ class TestNamespacedStorage:
         assert base.trace.keys_accessed()[-1] == "p3/y"
 
     def test_trace_filter_prefix_recovers_partition_view(self):
-        base = InMemoryStorageServer(latency="dummy")
+        base = InMemoryStorageServer()
         NamespacedStorage(base, "p0/").write("x", b"a")
         NamespacedStorage(base, "p1/").write("x", b"b")
         view = base.trace.filter_prefix("p1/")
@@ -169,12 +169,10 @@ class TestParallelTiming:
             assert part.executor.deferred_ms == 0.0
 
 
-def _cluster_layer(shards, servers, **overrides):
+def _cluster_layer(shards, servers, cluster_servers=None, **overrides):
     clock = SimClock()
     config = _config(shards=shards, storage_servers=servers, **overrides)
-    cluster = StorageCluster(latency=config.backend, num_servers=servers,
-                             clock=clock, charge_latency=False,
-                             link_extra_rtt_ms=config.link_extra_rtt_ms)
+    cluster = StorageCluster(num_servers=cluster_servers or servers, clock=clock)
     return build_data_layer(config, storage=cluster, clock=clock,
                             master_key=b"m" * 32), cluster
 
@@ -199,9 +197,19 @@ class TestServerTopology:
         rtts = [part.executor.latency.read_rtt_ms for part in layer.partitions]
         assert rtts == pytest.approx([0.3, 5.3, 0.3, 9.3])
 
+    def test_links_follow_the_layers_own_server_count(self):
+        """After a scale-down the cluster keeps idle servers; partition i
+        still travels link i % storage_servers of the configuration."""
+        layer, cluster = _cluster_layer(4, 2, cluster_servers=4, backend="server",
+                                        link_extra_rtt_ms=(0.0, 5.0, 7.0, 9.0))
+        rtts = [part.executor.latency.read_rtt_ms for part in layer.partitions]
+        assert rtts == pytest.approx([0.3, 5.3, 0.3, 5.3])
+        hosts = [part.storage.base for part in layer.partitions]
+        assert hosts == [cluster.servers[i % 2] for i in range(4)]
+
     def test_mismatched_cluster_size_rejected(self):
         clock = SimClock()
-        cluster = StorageCluster(latency="dummy", num_servers=2, clock=clock)
+        cluster = StorageCluster(num_servers=2, clock=clock)
         with pytest.raises(ValueError, match="cluster"):
             build_data_layer(_config(shards=4, storage_servers=4),
                              storage=cluster, clock=clock, master_key=b"m" * 32)
@@ -210,7 +218,7 @@ class TestServerTopology:
         """No silent degrade to colocated: a multi-server config given a
         single server must fail loudly at the data-layer seam too."""
         clock = SimClock()
-        storage = InMemoryStorageServer(latency="dummy", clock=clock)
+        storage = InMemoryStorageServer(clock=clock)
         with pytest.raises(ValueError, match="StorageCluster"):
             build_data_layer(_config(shards=4, storage_servers=4),
                              storage=storage, clock=clock, master_key=b"m" * 32)
@@ -244,8 +252,7 @@ class TestStaggeredFanout:
 
     def test_lane_pressure_staggers_between_the_bounds(self):
         clock = SimClock()
-        storage = InMemoryStorageServer(latency="server", clock=clock,
-                                        charge_latency=False)
+        storage = InMemoryStorageServer(clock=clock)
         config = _config(shards=8, parallelism=4, backend="server",
                          read_batch_size=32, write_batch_size=32)
         layer = build_data_layer(config, storage=storage, clock=clock,
@@ -261,8 +268,7 @@ class TestStaggeredFanout:
 
     def test_fanout_makespan_advances_the_shared_clock(self):
         clock = SimClock()
-        storage = InMemoryStorageServer(latency="server", clock=clock,
-                                        charge_latency=False)
+        storage = InMemoryStorageServer(clock=clock)
         config = _config(shards=8, parallelism=4, backend="server",
                          read_batch_size=32, write_batch_size=32)
         layer = build_data_layer(config, storage=storage, clock=clock,

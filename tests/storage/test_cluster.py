@@ -4,14 +4,14 @@ import pytest
 
 from repro.core.config import ObladiConfig, RingOramConfig
 from repro.sim.clock import SimClock
-from repro.storage.cluster import StorageCluster, build_storage, link_latency_models
+from repro.sim.latency import link_latency_models
+from repro.storage.cluster import StorageCluster, build_storage
 from repro.storage.memory import InMemoryStorageServer
 from repro.storage.namespace import NamespacedStorage, partition_prefix
 from repro.storage.trace import merge_traces
 
 
 def _cluster(num_servers=3, **kwargs):
-    kwargs.setdefault("latency", "dummy")
     return StorageCluster(num_servers=num_servers, **kwargs)
 
 
@@ -51,10 +51,11 @@ class TestLinkModels:
         assert models[2].read_rtt_ms == pytest.approx(0.3)   # beyond the sequence
         assert models[1].name == "server_s1"
 
-    def test_cluster_exposes_partition_link_model(self):
-        cluster = _cluster(2, latency="server", link_extra_rtt_ms=(0.0, 5.0))
-        assert cluster.link_model_for_partition(3).read_rtt_ms == pytest.approx(5.3)
-        assert cluster.link_model_for_partition(2).read_rtt_ms == pytest.approx(0.3)
+    def test_link_of_a_server_does_not_depend_on_the_cluster_size(self):
+        """A scale-down keeps the links of the servers it keeps."""
+        extra = (0.0, 5.0, 2.0)
+        assert link_latency_models("server", 2, extra) == \
+            link_latency_models("server", 3, extra)[:2]
 
 
 class TestMetadataRouting:
@@ -76,17 +77,29 @@ class TestMetadataRouting:
 
 
 class TestSharedSimulationPlumbing:
-    def test_clock_and_charge_latency_forward_to_every_server(self):
-        cluster = _cluster(2, latency="server")
+    def test_clock_forwards_to_every_server(self):
+        cluster = _cluster(2)
         clock = SimClock()
         cluster.clock = clock
-        cluster.charge_latency = False
         for server in cluster.servers:
             assert server.clock is clock
-            assert server.charge_latency is False
         assert cluster.clock is clock
-        cluster.read_batch(["k"])
-        assert clock.now_ms == 0.0   # latency charging disabled
+        clock.advance(1.5)
+        cluster.servers[1].read_batch(["k"])
+        assert clock.now_ms == 1.5
+        assert [event.time_ms for event in cluster.servers[1].trace.events] == [1.5]
+
+    def test_growth_shares_the_clock_and_trace_setting(self):
+        clock = SimClock()
+        server = InMemoryStorageServer(clock=clock, record_trace=False)
+        server.write("wal/0", b"w")
+        cluster = StorageCluster.from_server(server, num_servers=2)
+        assert cluster.metadata_server is server and cluster.contains("wal/0")
+        cluster.resize(4)
+        assert [s.clock for s in cluster.servers] == [clock] * 4
+        assert cluster.traces == [None] * 4
+        cluster.resize(2)
+        assert cluster.servers[0] is server and cluster.num_servers == 2
 
     def test_fail_recover_covers_the_whole_tier(self):
         cluster = _cluster(2)
@@ -122,15 +135,14 @@ class TestObservability:
         cluster.servers[1].trace.begin_batch("write", 0.5, 4)
         assert merge_traces(cluster.traces).batch_shape() == [("write", 4), ("read", 8)]
 
-    def test_aggregate_and_per_server_stats(self):
+    def test_aggregate_stats(self):
         cluster = _cluster(2)
         cluster.servers[0].write("a", b"1")
         cluster.servers[1].read("a")
         cluster.servers[1].read("b")
         assert cluster.stats_writes == 1
         assert cluster.stats_reads == 2
-        per = cluster.per_server_stats()
-        assert per[0]["writes"] == 1 and per[1]["reads"] == 2
+        assert [(s.stats_reads, s.stats_writes) for s in cluster.servers] == [(0, 1), (2, 0)]
 
 
 class TestBuildStorage:
@@ -149,7 +161,6 @@ class TestBuildStorage:
                                              link_extra_rtt_ms=(1.0,)))
         assert isinstance(storage, StorageCluster)
         assert storage.num_servers == 4
-        assert storage.link_models[0].read_rtt_ms == pytest.approx(1.0)
 
     def test_config_rejects_more_servers_than_shards(self):
         with pytest.raises(ValueError, match="storage_servers"):

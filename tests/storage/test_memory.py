@@ -9,7 +9,7 @@ from repro.storage.memory import InMemoryStorageServer
 
 @pytest.fixture
 def server():
-    return InMemoryStorageServer(latency="server", clock=SimClock())
+    return InMemoryStorageServer(clock=SimClock())
 
 
 class TestReadWrite:
@@ -27,9 +27,9 @@ class TestReadWrite:
 
     def test_read_batch_returns_none_for_missing(self, server):
         server.write("a", b"1")
-        result = server.read_batch(["a", "b"])
-        assert result.values["a"] == b"1"
-        assert result.values["b"] is None
+        values = server.read_batch(["a", "b"])
+        assert values["a"] == b"1"
+        assert values["b"] is None
 
     def test_overwrite_replaces_value(self, server):
         server.write("a", b"old")
@@ -72,38 +72,25 @@ class TestReadWrite:
         assert server.size_bytes() == 7
 
 
-class TestTiming:
-    def test_dummy_backend_charges_no_time(self):
-        server = InMemoryStorageServer(latency="dummy", clock=SimClock())
-        server.read_batch([f"k{i}" for i in range(100)])
-        assert server.clock.now_ms == pytest.approx(0.0)
+class TestTimeless:
+    """The store keeps bytes; what a request costs is charged by the proxy."""
 
-    def test_sequential_reads_charge_one_rtt_each(self):
-        server = InMemoryStorageServer(latency="server", clock=SimClock())
-        server.read_batch(["a", "b", "c"], parallelism=1)
-        # 3 waves of 0.3ms plus the tiny per-request service time.
-        assert server.clock.now_ms >= 0.9
+    def test_no_request_advances_the_clock(self, server):
+        server.write_batch({"a": b"1", "b": b"22"})
+        server.read_batch(["a", "b", "missing"])
+        server.delete_batch(["a"])
+        assert server.clock.now_ms == 0.0
 
-    def test_parallel_reads_overlap(self):
-        serial = InMemoryStorageServer(latency="server", clock=SimClock())
-        parallel = InMemoryStorageServer(latency="server", clock=SimClock())
-        keys = [f"k{i}" for i in range(32)]
-        serial.read_batch(keys, parallelism=1)
-        parallel.read_batch(keys, parallelism=32)
-        assert parallel.clock.now_ms < serial.clock.now_ms
+    def test_trace_rows_carry_the_clock_time_of_their_batch(self, server):
+        server.clock.advance(2.5)
+        server.write_batch({"a": b"1", "b": b"2"})
+        server.clock.advance(1.0)
+        server.read_batch(["a"])
+        assert [e.time_ms for e in server.trace.events] == [2.5, 2.5, 3.5]
 
-    def test_charge_latency_false_does_not_advance_clock(self):
-        server = InMemoryStorageServer(latency="server_wan", clock=SimClock(),
-                                       charge_latency=False)
-        server.read_batch(["a", "b"])
-        assert server.clock.now_ms == pytest.approx(0.0)
-
-    def test_wan_slower_than_lan(self):
-        lan = InMemoryStorageServer(latency="server", clock=SimClock())
-        wan = InMemoryStorageServer(latency="server_wan", clock=SimClock())
-        lan.read_batch(["a"] * 4, parallelism=1)
-        wan.read_batch(["a"] * 4, parallelism=1)
-        assert wan.clock.now_ms > lan.clock.now_ms
+    def test_read_batch_returns_a_value_per_key(self, server):
+        server.write("a", b"1")
+        assert server.read_batch(["a", "b", "a"]) == {"a": b"1", "b": None}
 
 
 class TestTraceRecording:
@@ -115,7 +102,7 @@ class TestTraceRecording:
         assert ops[StorageOp.READ] == 1
 
     def test_trace_disabled(self):
-        server = InMemoryStorageServer(latency="dummy", record_trace=False)
+        server = InMemoryStorageServer(record_trace=False)
         server.write("a", b"1")
         assert server.trace is None
 
@@ -147,19 +134,18 @@ class TestWriteBatchAtomicity:
         """A bad payload mid-batch used to leave the items before it stored
         and traced, under counters already bumped for the whole batch."""
         server.write("kept", b"old")
-        before = (server.stats_writes, server.stats_batches, server.clock.now_ms,
-                  len(server.trace), server.trace.batch_shape(), server.snapshot())
+        before = (server.stats_writes, len(server.trace), server.trace.batch_shape(),
+                  server.snapshot())
         with pytest.raises(TypeError, match="payload for 'c' must be bytes, got str"):
             server.write_batch(items)
-        assert (server.stats_writes, server.stats_batches, server.clock.now_ms,
-                len(server.trace), server.trace.batch_shape(),
+        assert (server.stats_writes, len(server.trace), server.trace.batch_shape(),
                 server.snapshot()) == before
 
     def test_store_keeps_the_bytes_it_was_given_and_copies_what_can_change(self, server):
         kept, mutable = b"immutable", bytearray(b"before")
         server.write_batch({"kept": kept, "mutable": mutable})
         mutable[:] = b"after!"
-        values = server.read_batch(["kept", "mutable"]).values
+        values = server.read_batch(["kept", "mutable"])
         assert values == {"kept": b"immutable", "mutable": b"before"}
         assert values["kept"] is kept                   # stored by reference
         assert type(values["mutable"]) is bytes

@@ -8,7 +8,7 @@ from repro.storage.namespace import NamespacedStorage, partition_prefix
 
 @pytest.fixture
 def base():
-    server = InMemoryStorageServer(latency="dummy")
+    server = InMemoryStorageServer()
     server.write("wal/0", b"wal")                     # unprefixed durability key
     NamespacedStorage(server, "p0/").write("oram/1", b"a")
     NamespacedStorage(server, "p1/").write("oram/1", b"b")
@@ -51,13 +51,14 @@ class TestMixedPrefixIteration:
     def test_read_batch_round_trips_under_mixed_prefixes(self, base):
         view = NamespacedStorage(base, "p1/")
         keys = ["oram/1", "oram/2", "missing", "oram/1"]        # present, missing, repeated
-        result = view.read_batch(keys)
-        assert result.values == {"oram/1": b"b", "oram/2": b"c", "missing": None}
-        assert list(result.values) == ["oram/1", "oram/2", "missing"]
-        assert result.request_count == 4
+        reads = base.stats_reads
+        values = view.read_batch(keys)
+        assert values == {"oram/1": b"b", "oram/2": b"c", "missing": None}
+        assert list(values) == ["oram/1", "oram/2", "missing"]
+        assert base.stats_reads - reads == 4
         # The mapping a lookup per caller key under the prefix gives.
         stored = base.snapshot()
-        assert result.values == {key: stored.get("p1/" + key) for key in keys}
+        assert values == {key: stored.get("p1/" + key) for key in keys}
 
     def test_delete_batch_only_touches_the_namespace(self, base):
         NamespacedStorage(base, "p1/").delete_batch(["oram/1"])

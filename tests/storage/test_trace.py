@@ -208,7 +208,7 @@ class TestRecordBatch:
             assert [e.seq for e in merged.events] == list(range(len(reference)))
 
     def test_cluster_trace_clear_reaches_batch_recorded_rows(self):
-        cluster = StorageCluster(latency="dummy", num_servers=2)
+        cluster = StorageCluster(num_servers=2)
         cluster.servers[0].write_batch({"a": b"1", "b": b"22"})
         cluster.servers[1].read_batch(["c", "d", "e"])
         merged = merge_traces(cluster.traces)
