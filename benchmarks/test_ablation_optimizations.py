@@ -45,6 +45,11 @@ def run_mixed_workload(proxy, transactions=120, clients=12, seed=3):
     return proxy
 
 
+def tree(proxy):
+    """The proxy's one ORAM partition (these ablations run unsharded)."""
+    return proxy.data_layer.partitions[0]
+
+
 def test_ablation_dummiless_writes(benchmark, bench_scale):
     """Dummiless writes skip one path read per logical write."""
 
@@ -54,8 +59,8 @@ def test_ablation_dummiless_writes(benchmark, bench_scale):
         return with_opt, without_opt
 
     with_opt, without_opt = run_once(benchmark, experiment)
-    reads_with = with_opt.executor.lifetime_stats.physical_reads
-    reads_without = without_opt.executor.lifetime_stats.physical_reads
+    reads_with = tree(with_opt).executor.lifetime_stats.physical_reads
+    reads_without = tree(without_opt).executor.lifetime_stats.physical_reads
     print(f"\nAblation (dummiless writes): physical reads {reads_with} vs {reads_without} "
           f"({reads_without / max(reads_with, 1):.2f}x more without)")
     assert with_opt.stats_committed > 0 and without_opt.stats_committed > 0
@@ -70,8 +75,8 @@ def test_ablation_stash_read_caching(benchmark, bench_scale):
         return with_opt, without_opt
 
     with_opt, without_opt = run_once(benchmark, experiment)
-    hits_with = with_opt.executor.lifetime_stats.stash_hits + \
-        with_opt.data_handler.stats_reads_served_from_cache
+    hits_with = tree(with_opt).executor.lifetime_stats.stash_hits + \
+        tree(with_opt).handler.stats_reads_served_from_cache
     print(f"\nAblation (stash-read caching): locally served reads with={hits_with}, "
           f"clock {with_opt.clock.now_ms:.1f}ms vs {without_opt.clock.now_ms:.1f}ms without")
     assert with_opt.clock.now_ms <= without_opt.clock.now_ms * 1.25
@@ -86,12 +91,13 @@ def test_ablation_write_deduplication(benchmark, bench_scale):
         return proxy
 
     proxy = run_once(benchmark, experiment)
-    stats = proxy.executor.lifetime_stats
+    part = tree(proxy)
+    stats = part.executor.lifetime_stats
     print(f"\nAblation (write dedup): evictions={stats.evictions}, "
           f"bucket writes={stats.physical_writes}, "
           f"local buffer hits={stats.local_buffer_hits}")
     # Without deduplication every eviction would rewrite an entire path; the
     # deduplicated write-back must be strictly cheaper than that bound.
-    slots_per_bucket = proxy.oram.params.slots_per_bucket
-    naive_bound = stats.evictions * (proxy.oram.params.depth + 1) * slots_per_bucket
+    slots_per_bucket = part.oram.params.slots_per_bucket
+    naive_bound = stats.evictions * (part.oram.params.depth + 1) * slots_per_bucket
     assert stats.physical_writes < naive_bound

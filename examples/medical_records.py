@@ -14,8 +14,6 @@ Run it with::
     python examples/medical_records.py
 """
 
-import random
-
 from repro.analysis.obliviousness import leaf_access_counts, trace_similarity
 from repro.api import EngineConfig, create_engine
 from repro.workloads.freehealth import FreeHealthConfig, FreeHealthWorkload
@@ -72,13 +70,11 @@ def main() -> None:
 
     world_b, workload_b = build_clinic(seed=2)
     world_b.storage.trace.clear()
-    rng = random.Random(3)
     for _ in range(6):
         world_b.submit_many([workload_b.lookup_patient_program(),
                              workload_b.medical_history_program()])
-    del rng
 
-    depth = world_a.proxy.oram.params.depth
+    depth = world_a.proxy.data_layer.partitions[0].oram.params.depth
     distance = trace_similarity(world_a.storage.trace, world_b.storage.trace, depth)
     counts_a = leaf_access_counts(world_a.storage.trace, depth)
     read_batches_a = [s for k, s in world_a.storage.trace.batch_shape() if k == "read"]

@@ -48,7 +48,7 @@ def main() -> None:
                 for i in range(20)}
     engine.load_initial_data(accounts)
     print(f"Loaded {len(accounts)} records into the ORAM "
-          f"({engine.proxy.oram.params.describe()})\n")
+          f"({engine.proxy.data_layer.partitions[0].oram.params.describe()})\n")
 
     # ------------------------------------------------------------------ #
     # 2. The interactive facade: read, write, commit.

@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Docs gate: every exported symbol of the public packages is documented.
 
-Covers ``repro.api``, ``repro.sharding``, ``repro.proxytier``,
-``repro.audit``, ``repro.concurrency``, ``repro.elasticity`` and
-``repro.storage``.
+Covers ``repro.api``, ``repro.core``, ``repro.sharding``,
+``repro.proxytier``, ``repro.audit``, ``repro.concurrency``,
+``repro.elasticity`` and ``repro.storage``.
 
 Walks the ``__all__`` of the public packages and fails (exit code 1, listing
 the offenders) if any exported class or function — or any public method of
@@ -22,8 +22,8 @@ import inspect
 import sys
 
 #: Public packages whose exported surface the gate covers.
-PACKAGES = ("repro.api", "repro.sharding", "repro.proxytier", "repro.audit",
-            "repro.concurrency", "repro.elasticity", "repro.storage")
+PACKAGES = ("repro.api", "repro.core", "repro.sharding", "repro.proxytier",
+            "repro.audit", "repro.concurrency", "repro.elasticity", "repro.storage")
 
 
 def _missing_in_class(qualname: str, cls: type) -> list:

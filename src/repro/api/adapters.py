@@ -66,9 +66,11 @@ class ObladiEngine(TransactionEngine):
         self.proxy.load_initial_data(items)
 
     def submit(self, program) -> TransactionResult:
-        return self.submit_many([_as_factory(program)])[0]
+        return self.submit_many([program])[0]
 
     def submit_many(self, programs: Sequence[ProgramFactory]) -> List[TransactionResult]:
+        # Programs reach the proxy as given: a generator object is one-shot,
+        # so conflict repair must be able to tell it from a factory.
         if not programs:
             return []
         self._begin_staged_reshard()

@@ -12,7 +12,7 @@ of the workload.
 from repro.core.config import ObladiConfig, RingOramConfig
 from repro.core.client import Transaction, TransactionAborted, Read, ReadMany, Write
 from repro.core.proxy import ObladiProxy
-from repro.core.errors import BatchFullError, EpochClosedError
+from repro.core.errors import BatchFullError
 
 __all__ = [
     "ObladiConfig",
@@ -24,5 +24,4 @@ __all__ = [
     "ReadMany",
     "Write",
     "BatchFullError",
-    "EpochClosedError",
 ]

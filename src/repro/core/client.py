@@ -15,8 +15,8 @@ into its fixed epoch structure without threads):
         yield Write(f"account:{dst}", encode(decode(dst_balance) + amount))
         return "ok"
 
-The same programs run unchanged against :class:`repro.core.proxy.ObladiProxy`,
-the NoPriv baseline and the 2PL baseline.
+The same programs run unchanged on every :class:`repro.api.TransactionEngine`:
+Obladi, the NoPriv baseline and the 2PL baseline.
 
 For interactive use (the quickstart example), :class:`Transaction` offers a
 blocking façade over a single-transaction epoch: ``txn.read(key)`` /
@@ -135,10 +135,10 @@ def static_program(reads: Iterable[str],
 class Transaction:
     """Blocking convenience façade used by the quickstart example.
 
-    Engines expose ``engine.transaction()`` (and the proxy
-    ``proxy.transaction()``) returning one of these; reads and writes are
-    buffered and submitted as a single generator program when :meth:`commit`
-    is called, so each interactive transaction occupies one epoch slot.
+    Engines expose ``engine.transaction()`` returning one of these; reads
+    and writes are buffered and submitted as a single generator program when
+    :meth:`commit` is called, so each interactive transaction occupies one
+    epoch slot.
     Reads issued before commit see the transaction's own buffered writes
     first, then the current committed state (and are re-validated at commit
     time by the engine's concurrency control).

@@ -43,6 +43,7 @@ class RingOramConfig:
     max_stash_blocks: int = 0   # 0 = conservative default (4Z)
 
     def to_parameters(self) -> RingOramParameters:
+        """The tree geometry: zero ``s_dummies`` / ``evict_rate`` take the published optimum."""
         return derive_parameters(
             num_blocks=self.num_blocks,
             z_real=self.z_real,

@@ -20,9 +20,5 @@ class BatchFullError(ObladiError):
         self.capacity = capacity
 
 
-class EpochClosedError(ObladiError):
-    """An operation arrived for an epoch that has already been finalised."""
-
-
 class ProxyCrashedError(ObladiError):
     """The proxy has crashed; clients must wait for recovery."""

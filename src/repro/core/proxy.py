@@ -14,6 +14,11 @@ the blocked transactions in the next round.  Transactions that need more
 rounds than the epoch has read batches — or that find every remaining batch
 full — abort, exactly as in the paper.
 
+The proxy is an epoch executor with no client API of its own: clients reach
+it through :class:`repro.api.ObladiEngine`, which drives it through
+:meth:`ObladiProxy.submit`, :meth:`ObladiProxy.run_epoch` and
+:meth:`ObladiProxy.crash`.
+
 Layer context and the request-lifecycle diagram live in
 ``docs/ARCHITECTURE.md`` ("Trusted proxy"); the sharded variant of this
 class — the trusted tier split across parallel workers — is
@@ -24,14 +29,14 @@ same document).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Generator, List, Optional, Union
 
 from repro.concurrency.mvtso import MVTSOManager, WriteConflictError
 from repro.concurrency.repair import ConflictWitness
 from repro.concurrency.transaction import (AbortReason, CommittedTransaction,
                                            TransactionRecord, TransactionStatus)
 from repro.core.batch_manager import BatchManager
-from repro.core.client import (AbortRequest, Read, ReadMany, Transaction, TransactionAborted,
+from repro.core.client import (AbortRequest, Read, ReadMany, TransactionAborted,
                                TransactionProgram, TransactionResult, Write)
 from repro.core.config import ObladiConfig
 from repro.core.epoch import EpochPhase, EpochState, EpochSummary
@@ -71,7 +76,6 @@ class ObladiProxy:
     def __init__(self, config: Optional[ObladiConfig] = None,
                  storage: Optional[StorageServer] = None,
                  clock: Optional[SimClock] = None,
-                 recovery_manager=None,
                  master_key: Optional[bytes] = None,
                  data_layer=None) -> None:
         self.config = config if config is not None else ObladiConfig()
@@ -103,13 +107,6 @@ class ObladiProxy:
             self.data_layer = build_data_layer(self.config, storage=self.storage,
                                                clock=self.clock,
                                                master_key=self.master_key)
-        # Single-partition views kept for compatibility: most introspection
-        # (tests, harness, sequential baselines) reads partition 0 directly.
-        part0 = self.data_layer.partitions[0]
-        self.oram = part0.oram
-        self.executor = part0.executor
-        self.data_handler = part0.handler
-        self.cipher = part0.oram.cipher
 
         self.mvtso = MVTSOManager()
         self.batch_manager = BatchManager(
@@ -119,8 +116,8 @@ class ObladiProxy:
             read_partition_quota=self.config.partition_read_batch_size,
             write_partition_quota=self.config.partition_write_batch_size)
 
-        self.recovery = recovery_manager
-        if self.recovery is None and self.config.durability:
+        self.recovery = None
+        if self.config.durability:
             from repro.recovery.manager import RecoveryManager
             self.recovery = RecoveryManager(storage=self.storage, clock=self.clock,
                                             config=self.config, master_key=self.master_key)
@@ -177,29 +174,6 @@ class ObladiProxy:
         self._queue.append(active)
         return len(self._queue) - 1
 
-    def execute_transaction(self, program: Union[TransactionProgram, Generator]
-                            ) -> TransactionResult:
-        """Submit a single transaction and run one epoch to completion."""
-        self.submit(program)
-        summary = self.run_epoch()
-        del summary
-        txn_id = max(self.results)
-        return self.results[txn_id]
-
-    def transaction(self) -> Transaction:
-        """Interactive transaction façade (see the quickstart example)."""
-        return Transaction(submit=self.execute_transaction, read_now=self._read_only)
-
-    def _read_only(self, key: str) -> Optional[bytes]:
-        """Read a single committed value through a one-off read-only epoch."""
-
-        def program():
-            value = yield Read(key)
-            return value
-
-        result = self.execute_transaction(program)
-        return result.return_value if result.committed else None
-
     def load_initial_data(self, items: Dict[str, bytes]) -> None:
         """Bulk-load a dataset before serving transactions.
 
@@ -215,10 +189,7 @@ class ObladiProxy:
     # ------------------------------------------------------------------ #
     # Epoch execution
     # ------------------------------------------------------------------ #
-    def pending_transactions(self) -> int:
-        return len(self._queue)
-
-    def run_epoch(self, max_transactions: Optional[int] = None) -> EpochSummary:
+    def run_epoch(self) -> EpochSummary:
         """Execute one epoch over the queued transactions.
 
         Returns a summary.  Raises :class:`ProxyCrashedError` if the proxy
@@ -233,17 +204,13 @@ class ObladiProxy:
         self.batch_manager.reset_epoch()
         physical_before = self.data_layer.per_partition_physical()
 
-        # Admission: transactions waiting in the queue join this epoch.
-        admitted: List[_ActiveTransaction] = []
-        take = len(self._queue) if max_transactions is None else min(max_transactions,
-                                                                     len(self._queue))
-        for active in self._queue[:take]:
+        # Admission: every transaction waiting in the queue joins this epoch.
+        admitted, self._queue = self._queue, []
+        for active in admitted:
             record = self.mvtso.begin(epoch_id, now_ms=active.record.start_time_ms)
             record.start_time_ms = active.record.start_time_ms
             active.record = record
             state.admit(record)
-            admitted.append(active)
-        self._queue = self._queue[take:]
 
         epoch_start_ms = self.clock.now_ms
         # Round-based execution: one round per read batch.
@@ -321,13 +288,6 @@ class ObladiProxy:
     def _summary_extras(self) -> Dict[str, tuple]:
         """Extra :class:`EpochSummary` fields; the proxy tier adds worker counters."""
         return {}
-
-    def run_until_drained(self, max_epochs: int = 1000) -> List[EpochSummary]:
-        """Run epochs until the queue is empty (bounded by ``max_epochs``)."""
-        summaries = []
-        while self._queue and len(summaries) < max_epochs:
-            summaries.append(self.run_epoch())
-        return summaries
 
     # ------------------------------------------------------------------ #
     # Transaction stepping
@@ -749,30 +709,9 @@ class ObladiProxy:
 
     @property
     def crashed(self) -> bool:
+        """Whether :meth:`crash` ran; a crashed proxy refuses all work."""
         return self._crashed
 
     def _check_alive(self) -> None:
         if self._crashed:
             raise ProxyCrashedError("the proxy has crashed; recover() a new proxy first")
-
-    # ------------------------------------------------------------------ #
-    # Metrics helpers
-    # ------------------------------------------------------------------ #
-    def committed_count(self) -> int:
-        return self.stats_committed
-
-    def aborted_count(self) -> int:
-        return self.stats_aborted
-
-    def throughput_tps(self) -> float:
-        """Committed transactions per simulated second so far."""
-        elapsed_s = self.clock.now_s
-        if elapsed_s <= 0:
-            return 0.0
-        return self.stats_committed / elapsed_s
-
-    def average_latency_ms(self) -> float:
-        latencies = [r.latency_ms for r in self.results.values() if r.committed]
-        if not latencies:
-            return 0.0
-        return sum(latencies) / len(latencies)

@@ -211,9 +211,10 @@ def _run_parallel_ops(num_blocks: int, backend: str, operations: int, batch_size
     matching the paper's Parallel vs ParallelCrypto distinction.  The
     accessed blocks are drawn from ``access_seed``.
     """
-    oram = _build_oram(num_blocks, seed=0, dummiless_writes=True)
+    oram = _build_oram(num_blocks, seed=0, dummiless_writes=True,
+                       charge_crypto=charge_crypto)
     executor = EpochBatchExecutor(oram, latency=backend, parallelism=1024,
-                                  buffer_writes=buffer_writes, charge_crypto=charge_crypto)
+                                  buffer_writes=buffer_writes)
     rng = random.Random(access_seed)
     clock = oram.clock
     start = clock.now_ms
@@ -731,18 +732,15 @@ def run_recovery_table(sizes: Sequence[int] = (1_000, 10_000, 100_000),
 
         # Crash the durable proxy mid-epoch and recover it.
         ycsb = YCSBWorkload(YCSBConfig(num_records=size, ops_per_transaction=4, seed=11))
-        proxy_on = engine_on.proxy
-        for _ in range(clients):
-            proxy_on.submit(ycsb.transaction_factory())
-        injector = CrashInjector(proxy_on, crash_after_batches=0,
+        injector = CrashInjector(engine_on.proxy, crash_after_batches=0,
                                  point=CrashPoint.AFTER_READ_BATCH)
         injector.arm()
         try:
-            proxy_on.run_epoch()
+            engine_on.submit_many([ycsb.transaction_factory() for _ in range(clients)])
         except ProxyCrashedError:
             pass
         result = engine_on.recover()
-        levels = engine_on.proxy.oram.params.depth
+        levels = engine_on.proxy.data_layer.partitions[0].oram.params.depth
         rows.append(RecoveryRow(
             num_objects=size,
             tree_levels=levels,

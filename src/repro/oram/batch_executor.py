@@ -83,18 +83,12 @@ class EpochBatchExecutor:
     def __init__(self, oram: RingOram, latency="server", parallelism: int = 64,
                  cost_model: Optional[CpuCostModel] = None,
                  buffer_writes: bool = True,
-                 charge_crypto: Optional[bool] = None,
                  advance_clock: bool = True) -> None:
         self.oram = oram
         self.latency: LatencyModel = get_latency_model(latency)
         self.parallelism = max(1, parallelism)
         self.cost_model = cost_model if cost_model is not None else oram.cost_model
         self.buffer_writes = buffer_writes
-        # When set, overrides whether the *simulated* per-block crypto cost is
-        # charged, independently of whether the cipher actually encrypts.
-        # Benchmarks use this to model encryption costs without paying for
-        # real Python-side encryption at 100K-object scale.
-        self.charge_crypto = charge_crypto
         # With ``advance_clock=False`` simulated batch durations accumulate in
         # ``deferred_ms`` instead of advancing the shared clock.  A partitioned
         # data layer runs one executor per partition this way and advances the
@@ -118,12 +112,6 @@ class EpochBatchExecutor:
         self.stats = EpochStats()
         self.lifetime_stats = EpochStats()
 
-    def _crypto_charged(self) -> bool:
-        """Whether the simulated per-block crypto cost applies."""
-        if self.charge_crypto is not None:
-            return self.charge_crypto
-        return self.oram.cipher.enabled
-
     def _charge_time(self, elapsed_ms: float) -> None:
         """Advance the clock, or accumulate when the clock is deferred."""
         if self.advance_clock:
@@ -135,7 +123,7 @@ class EpochBatchExecutor:
         """Charge the parallel read of the slots whose bucket ids are ``physical``."""
         elapsed = simulate_parallel_read_batch(physical, self.latency, self.parallelism,
                                                self.cost_model,
-                                               encrypted=self._crypto_charged())
+                                               encrypted=self.oram.crypto_charged())
         self._charge_time(elapsed)
         self.stats.read_time_ms += elapsed
 
@@ -299,7 +287,7 @@ class EpochBatchExecutor:
         slot_counts = {rewrite.bucket_id: len(rewrite.slot_blocks) for rewrite in rewrites}
         elapsed = simulate_parallel_write_batch(slot_counts, self.latency, self.parallelism,
                                                 self.cost_model,
-                                                encrypted=self._crypto_charged())
+                                                encrypted=self.oram.crypto_charged())
         self._charge_time(elapsed)
         self.stats.write_time_ms += elapsed
         return elapsed

@@ -419,8 +419,12 @@ class RingOram:
     # ------------------------------------------------------------------ #
     # Physical execution (sequential mode)
     # ------------------------------------------------------------------ #
-    def _crypto_charged(self) -> bool:
-        """Whether simulated per-block crypto cost is charged."""
+    def crypto_charged(self) -> bool:
+        """Whether simulated per-block crypto cost is charged.
+
+        ``charge_crypto`` overrides the cipher's own setting; the epoch
+        executor asks the same question of the tree it drives.
+        """
         if self.charge_crypto is not None:
             return self.charge_crypto
         return self.cipher.enabled
@@ -431,7 +435,7 @@ class RingOram:
         A dummy slot is not opened; a real slot the server returned nothing
         for is an :class:`IntegrityError`.
         """
-        self.clock.advance(self.cost_model.sequential_block_cost_ms(self._crypto_charged()))
+        self.clock.advance(self.cost_model.sequential_block_cost_ms(self.crypto_charged()))
         bucket_id, slot_index, version, expected_block = slot
         if expected_block is None:
             return None
@@ -480,7 +484,7 @@ class RingOram:
             self.storage.write_batch(items)
             self._charge_round_trips(len(items), True, parallelism)
             self.stats_physical_writes += len(items)
-            per_block = self.cost_model.sequential_block_cost_ms(self._crypto_charged())
+            per_block = self.cost_model.sequential_block_cost_ms(self.crypto_charged())
             self.clock.advance(per_block * len(items))
 
     def _maybe_evict(self) -> None:

@@ -87,19 +87,18 @@ class CcLaneStats:
 class ProxyCoordinator(ObladiProxy):
     """Sharded trusted proxy tier behind the :class:`ObladiProxy` surface.
 
-    Drop-in for the single proxy: engines, the recovery manager, benchmarks
-    and the harness drive it through the exact same methods.  Construction
+    Drop-in for the single proxy: :class:`repro.api.ObladiEngine` and the
+    recovery manager drive it through the exact same methods.  Construction
     mirrors :class:`~repro.core.proxy.ObladiProxy`; ``config.proxy_workers``
     decides how many worker lanes the concurrency-control work is divided
     across.
     """
 
     def __init__(self, config: Optional[ObladiConfig] = None,
-                 storage=None, clock=None, recovery_manager=None,
-                 master_key: Optional[bytes] = None, data_layer=None) -> None:
+                 storage=None, clock=None, master_key: Optional[bytes] = None,
+                 data_layer=None) -> None:
         super().__init__(config, storage=storage, clock=clock,
-                         recovery_manager=recovery_manager, master_key=master_key,
-                         data_layer=data_layer)
+                         master_key=master_key, data_layer=data_layer)
         count = self.config.proxy_workers
         self.workers = [ProxyWorker(index) for index in range(count)]
         self._worker_cache: Dict[str, int] = {}
@@ -122,11 +121,11 @@ class ProxyCoordinator(ObladiProxy):
     # ------------------------------------------------------------------ #
     # Epoch execution overrides
     # ------------------------------------------------------------------ #
-    def run_epoch(self, max_transactions: Optional[int] = None):
+    def run_epoch(self):
         """Execute one epoch; additionally snapshots per-worker op counters."""
         self._worker_ops_before = [(w.stats_reads, w.stats_writes)
                                    for w in self.workers]
-        return super().run_epoch(max_transactions)
+        return super().run_epoch()
 
     def _summary_extras(self) -> Dict[str, tuple]:
         """Per-worker ``(cc_reads, cc_writes)`` deltas for the epoch summary."""
@@ -193,8 +192,7 @@ class ProxyCoordinator(ObladiProxy):
 
 
 def build_proxy(config: Optional[ObladiConfig] = None, storage=None, clock=None,
-                recovery_manager=None, master_key: Optional[bytes] = None,
-                data_layer=None):
+                master_key: Optional[bytes] = None, data_layer=None):
     """Construct the proxy the configuration asks for.
 
     ``proxy_workers=1`` (the default) returns the plain
@@ -207,6 +205,5 @@ def build_proxy(config: Optional[ObladiConfig] = None, storage=None, clock=None,
     """
     config = config if config is not None else ObladiConfig()
     cls = ObladiProxy if config.proxy_workers <= 1 else ProxyCoordinator
-    return cls(config, storage=storage, clock=clock,
-               recovery_manager=recovery_manager, master_key=master_key,
+    return cls(config, storage=storage, clock=clock, master_key=master_key,
                data_layer=data_layer)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import ObladiConfig
@@ -356,12 +356,10 @@ def recover_proxy(storage: StorageServer, config: ObladiConfig, master_key: byte
     if manager is None:
         raise ValueError("recovery requires a configuration with durability enabled")
 
-    start_ms = clock.now_ms
     result = manager.restore_metadata(proxy)
     manager.replay_aborted_epoch(proxy, result)
     manager.sweep(proxy)
     result.total_ms = (result.position_ms + result.permutation_ms + result.paths_ms
                        + result.network_ms)
     clock.advance(result.total_ms)
-    del start_ms
     return proxy, result

@@ -1,14 +1,15 @@
 """The public surface does not grow by accident.
 
 ``repro.api.__all__``, ``repro.concurrency.__all__``,
-``repro.proxytier.__all__`` and ``repro.storage.__all__`` are compared with
-the literal lists below, so
+``repro.proxytier.__all__``, ``repro.storage.__all__`` and
+``repro.core.__all__`` are compared with the literal lists below, so
 exporting one more name (or dropping one) is a deliberate edit of this file,
 made in the PR that argues for it.
 """
 
 import repro.api
 import repro.concurrency
+import repro.core
 import repro.proxytier
 import repro.storage
 
@@ -76,6 +77,19 @@ STORAGE = [
 ]
 
 
+CORE = [
+    "ObladiConfig",
+    "RingOramConfig",
+    "ObladiProxy",
+    "Transaction",
+    "TransactionAborted",
+    "Read",
+    "ReadMany",
+    "Write",
+    "BatchFullError",
+]
+
+
 def test_api_exports_are_the_recorded_list():
     assert repro.api.__all__ == API
 
@@ -90,3 +104,7 @@ def test_proxytier_exports_are_the_recorded_list():
 
 def test_storage_exports_are_the_recorded_list():
     assert repro.storage.__all__ == STORAGE
+
+
+def test_core_exports_are_the_recorded_list():
+    assert repro.core.__all__ == CORE

@@ -1,7 +1,13 @@
-"""Tests for the Obladi proxy: transactions, epochs, batching, commits."""
+"""Tests for the Obladi proxy: transactions, epochs, batching, commits.
+
+Clients reach the proxy through :class:`repro.api.ObladiEngine`; tests of the
+epoch executor itself queue programs with ``proxy.submit`` and run
+``proxy.run_epoch`` directly.
+"""
 
 import pytest
 
+from repro.api import ObladiEngine
 from repro.concurrency.serializability import check_serializable
 from repro.core.client import AbortRequest, Read, ReadMany, Write
 from repro.core.config import ObladiConfig, RingOramConfig
@@ -11,63 +17,68 @@ from repro.core.proxy import ObladiProxy
 from tests.conftest import read_program, read_write_program, write_program
 
 
+@pytest.fixture
+def engine(proxy):
+    return ObladiEngine(proxy)
+
+
 class TestBasicTransactions:
-    def test_read_initial_data(self, proxy):
-        result = proxy.execute_transaction(read_program("k3"))
+    def test_read_initial_data(self, engine):
+        result = engine.submit(read_program("k3"))
         assert result.committed
         assert result.return_value == b"value-3"
 
-    def test_read_unknown_key_returns_none(self, proxy):
-        result = proxy.execute_transaction(read_program("missing"))
+    def test_read_unknown_key_returns_none(self, engine):
+        result = engine.submit(read_program("missing"))
         assert result.committed
         assert result.return_value is None
 
-    def test_write_is_visible_to_later_epochs(self, proxy):
-        proxy.execute_transaction(write_program("k1", b"updated"))
-        result = proxy.execute_transaction(read_program("k1"))
+    def test_write_is_visible_to_later_epochs(self, engine):
+        engine.submit(write_program("k1", b"updated"))
+        result = engine.submit(read_program("k1"))
         assert result.return_value == b"updated"
 
-    def test_read_many_returns_dict(self, proxy):
+    def test_read_many_returns_dict(self, engine):
         def program():
             values = yield ReadMany(["k1", "k2", "k5"])
             return values
 
-        result = proxy.execute_transaction(program)
+        result = engine.submit(program)
         assert result.return_value == {"k1": b"value-1", "k2": b"value-2",
                                        "k5": b"value-5"}
 
-    def test_read_your_own_write_within_transaction(self, proxy):
+    def test_read_your_own_write_within_transaction(self, engine):
         def program():
             yield Write("k1", b"mine")
             value = yield Read("k1")
             return value
 
-        result = proxy.execute_transaction(program)
+        result = engine.submit(program)
         assert result.return_value == b"mine"
 
-    def test_explicit_abort(self, proxy):
+    def test_explicit_abort(self, engine):
         def program():
             yield Write("k1", b"should-not-commit")
             yield AbortRequest("changed my mind")
             return None
 
-        result = proxy.execute_transaction(program)
+        result = engine.submit(program)
         assert not result.committed
         assert result.abort_reason == "user"
-        check = proxy.execute_transaction(read_program("k1"))
+        check = engine.submit(read_program("k1"))
         assert check.return_value == b"value-1"
 
-    def test_results_record_epoch_and_latency(self, proxy):
-        result = proxy.execute_transaction(read_program("k1"))
+    def test_results_record_epoch_and_latency(self, engine):
+        result = engine.submit(read_program("k1"))
         assert result.epoch >= 0
         assert result.latency_ms > 0
 
-    def test_transaction_facade_round_trip(self, proxy):
-        txn = proxy.transaction()
+    def test_transaction_facade_round_trip(self, engine):
+        txn = engine.transaction()
         assert txn.read("k2") == b"value-2"
         txn.write("k2", b"facade")
         txn.commit()
-        assert proxy.transaction().read("k2") == b"facade"
+        assert engine.transaction().read("k2") == b"facade"
 
     def test_submit_rejects_non_generator(self, proxy):
         with pytest.raises(TypeError):
@@ -75,7 +86,7 @@ class TestBasicTransactions:
 
 
 class TestEpochSemantics:
-    def test_transactions_in_same_epoch_see_uncommitted_writes(self, proxy):
+    def test_transactions_in_same_epoch_see_uncommitted_writes(self, engine):
         observed = {}
 
         def writer():
@@ -87,9 +98,7 @@ class TestEpochSemantics:
             observed["value"] = value
             return value
 
-        proxy.submit(writer)
-        proxy.submit(reader)
-        proxy.run_epoch()
+        engine.submit_many([writer, reader])
         # MVTSO lets the later-timestamped reader observe the uncommitted
         # write; both commit together at the epoch boundary.
         assert observed["value"] == b"fresh"
@@ -116,24 +125,17 @@ class TestEpochSemantics:
         summary = proxy.run_epoch()
         assert summary.duration_ms >= proxy.config.epoch_length_ms * 0.99
 
-    def test_run_until_drained(self, proxy):
-        for i in range(5):
-            proxy.submit(read_program(f"k{i}"))
-        summaries = proxy.run_until_drained()
-        assert proxy.pending_transactions() == 0
-        assert sum(s.committed for s in summaries) == 5
-
-    def test_dependent_reads_use_multiple_batches(self, proxy):
+    def test_dependent_reads_use_multiple_batches(self, engine):
         def chained():
             first = yield Read("k0")
             second = yield Read("k" + str(len(first or b"") % 5 + 1))
             third = yield Read("k" + str(len(second or b"") % 5 + 2))
             return third
 
-        result = proxy.execute_transaction(chained)
+        result = engine.submit(chained)
         assert result.committed
 
-    def test_too_many_dependent_reads_abort_at_epoch_boundary(self, proxy):
+    def test_too_many_dependent_reads_abort_at_epoch_boundary(self, engine):
         # The epoch has 3 read batches; a chain of 6 dependent fresh reads
         # cannot finish and must abort (paper: unfinished transactions are
         # aborted when the epoch closes).
@@ -143,11 +145,11 @@ class TestEpochSemantics:
                 value = yield Read(f"k{(len(value or b'') + i) % 30}")
             return value
 
-        result = proxy.execute_transaction(chained)
+        result = engine.submit(chained)
         assert not result.committed
         assert result.abort_reason in ("epoch_boundary", "batch_full")
 
-    def test_write_conflict_aborts_older_writer(self, proxy):
+    def test_write_conflict_aborts_older_writer(self, engine):
         # The younger transaction reads k1 before the older one writes it.
         def older():
             yield Read("k2")          # burn a timestamp slot; then write k1
@@ -158,13 +160,10 @@ class TestEpochSemantics:
             value = yield Read("k1")
             return value
 
-        proxy.submit(older)
-        proxy.submit(younger)
-        proxy.run_epoch()
-        results = sorted(proxy.results.values(), key=lambda r: r.txn_id)
+        results = engine.submit_many([older, younger])
         assert any(not r.committed and r.abort_reason == "write_conflict" for r in results)
 
-    def test_cascading_abort_within_epoch(self, proxy):
+    def test_cascading_abort_within_epoch(self, engine):
         # t1 writes k5, blocks on an ORAM read (letting t2 observe the dirty
         # value), then aborts voluntarily; t2 must abort in cascade.
         def t1():
@@ -177,37 +176,71 @@ class TestEpochSemantics:
             value = yield Read("k5")
             return value
 
-        proxy.submit(t1)
-        proxy.submit(t2)
-        proxy.run_epoch()
-        outcomes = {r.txn_id: r for r in proxy.results.values()}
-        assert sum(1 for r in outcomes.values() if not r.committed) == 2
-        reasons = {r.abort_reason for r in outcomes.values()}
+        results = engine.submit_many([t1, t2])
+        assert not any(r.committed for r in results)
+        reasons = {r.abort_reason for r in results}
         assert "cascade" in reasons
 
 
 class TestWriteBack:
     """The write batch carries one value per key: the youngest committed."""
 
-    def test_younger_of_two_writers_lands(self, proxy):
-        proxy.submit(write_program("k7", b"older"))
-        proxy.submit(write_program("k7", b"younger"))
-        summary = proxy.run_epoch()
-        assert summary.committed == 2
-        assert proxy.execute_transaction(read_program("k7")).return_value == b"younger"
+    def test_younger_of_two_writers_lands(self, engine):
+        results = engine.submit_many([write_program("k7", b"older"),
+                                      write_program("k7", b"younger")])
+        assert [r.committed for r in results] == [True, True]
+        assert engine.read("k7") == b"younger"
 
-    def test_aborted_writer_never_lands(self, proxy):
+    def test_aborted_writer_never_lands(self, engine):
         def aborter():
             yield Write("k7", b"aborted")
             yield AbortRequest("changed my mind")
             return None
 
-        proxy.submit(write_program("k7", b"older"))
-        proxy.submit(write_program("k7", b"younger"))
-        proxy.submit(aborter)
-        summary = proxy.run_epoch()
-        assert (summary.committed, summary.aborted) == (2, 1)
-        assert proxy.execute_transaction(read_program("k7")).return_value == b"younger"
+        results = engine.submit_many([write_program("k7", b"older"),
+                                      write_program("k7", b"younger"), aborter])
+        assert [r.committed for r in results] == [True, True, False]
+        assert engine.read("k7") == b"younger"
+
+
+class TestConflictRepair:
+    """Repair re-runs a loser's program, so it needs a program it can re-run.
+
+    Two read-modify-writes of ``k0`` share one wave: the older one's write
+    hits the younger one's read marker and loses.  A factory is repaired
+    against the winner's version; a generator object is one-shot (it was
+    closed by the abort), so it keeps its abort instead of being re-run as
+    an empty transaction that would report the lost write as committed.
+    """
+
+    @pytest.fixture
+    def repair_engine(self, small_config):
+        from dataclasses import replace
+        engine = ObladiEngine(ObladiProxy(replace(small_config,
+                                                  conflict_strategy="repair")))
+        engine.load_initial_data({"k0": b"0"})
+        return engine
+
+    @staticmethod
+    def append(suffix):
+        def program():
+            value = yield Read("k0")
+            yield Write("k0", value + suffix)
+            return value
+        return program
+
+    def test_factory_loser_is_repaired(self, repair_engine):
+        results = repair_engine.submit_many([self.append(b"a"), self.append(b"b")])
+        assert [(r.txn_id, r.committed, r.repaired) for r in results] == [
+            (1, True, True), (2, True, False)]
+        assert repair_engine.read("k0") == b"0ba"
+
+    def test_generator_object_loser_is_not_rerun(self, repair_engine):
+        results = repair_engine.submit_many([self.append(b"a")(), self.append(b"b")()])
+        assert [(r.txn_id, r.committed, r.abort_reason) for r in results] == [
+            (1, False, "write_conflict"), (2, True, None)]
+        assert not results[0].repaired and not results[0].repair_failed
+        assert repair_engine.read("k0") == b"0b"
 
 
 class TestBatchQuotas:
@@ -231,25 +264,25 @@ class TestBatchQuotas:
 
 
 class TestSerializabilityAndDurability:
-    def test_committed_history_is_serializable(self, proxy):
+    def test_committed_history_is_serializable(self, engine):
         import random
         rng = random.Random(3)
         for round_index in range(6):
+            wave = []
             for _ in range(5):
                 a, b = rng.randrange(30), rng.randrange(30)
-                proxy.submit(read_write_program(f"k{a}", f"k{b}",
-                                                f"r{round_index}-{a}-{b}".encode()))
-            proxy.run_epoch()
-        ok, cycle = check_serializable(proxy.committed_history)
+                wave.append(read_write_program(f"k{a}", f"k{b}",
+                                               f"r{round_index}-{a}-{b}".encode()))
+            engine.submit_many(wave)
+        ok, cycle = check_serializable(engine.committed_history)
         assert ok, f"serialization cycle: {cycle}"
 
-    def test_throughput_and_latency_metrics(self, proxy):
-        for i in range(4):
-            proxy.submit(read_program(f"k{i}"))
-        proxy.run_epoch()
-        assert proxy.committed_count() == 4
-        assert proxy.throughput_tps() > 0
-        assert proxy.average_latency_ms() > 0
+    def test_throughput_and_latency_metrics(self, engine):
+        engine.submit_many([read_program(f"k{i}") for i in range(4)])
+        stats = engine.stats()
+        assert stats.committed == 4
+        assert stats.throughput_tps > 0
+        assert stats.average_latency_ms > 0
 
     def test_crashed_proxy_rejects_work(self, proxy):
         proxy.crash()

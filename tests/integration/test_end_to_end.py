@@ -48,12 +48,10 @@ class TestSmallBankEndToEnd:
         workload = SmallBankWorkload(SmallBankConfig(num_accounts=40, seed=7))
         data = workload.initial_data()
         total_before = sum(record_field(v, "balance", 0.0) for v in data.values())
-        proxy = obladi_for(data, "smallbank")
+        engine = ObladiEngine(obladi_for(data, "smallbank"))
         # send_payment and amalgamate move money around but never create it.
         factories = [workload.send_payment_program, workload.amalgamate_program]
-        for i in range(12):
-            proxy.submit(factories[i % 2]())
-        proxy.run_until_drained()
+        engine.submit_many([factories[i % 2]() for i in range(12)])
 
         from repro.core.client import ReadMany
 
@@ -66,7 +64,7 @@ class TestSmallBankEndToEnd:
         # The audit needs a bigger read batch than the default profile.
         audit_result = None
         for _attempt in range(3):
-            result = proxy.execute_transaction(audit)
+            result = engine.submit(audit)
             if result.committed:
                 audit_result = result.return_value
                 break

@@ -9,6 +9,7 @@ corrupting the database.
 
 import pytest
 
+from repro.api import ObladiEngine
 from repro.core.client import Read, Write
 from repro.core.config import ObladiConfig, RingOramConfig
 from repro.core.proxy import ObladiProxy
@@ -86,19 +87,14 @@ class TestTamperDetection:
             read_batches=2, read_batch_size=6, write_batch_size=6,
             backend="server", durability=False, encrypt=False, seed=3,
         )
-        proxy = ObladiProxy(config)
-        proxy.load_initial_data({"k": b"plain"})
+        engine = ObladiEngine(ObladiProxy(config))
+        engine.load_initial_data({"k": b"plain"})
 
         def rw():
             value = yield Read("k")
             yield Write("k", b"updated")
             return value
 
-        result = proxy.execute_transaction(rw)
+        result = engine.submit(rw)
         assert result.committed and result.return_value == b"plain"
-
-        def check():
-            value = yield Read("k")
-            return value
-
-        assert proxy.execute_transaction(check).return_value == b"updated"
+        assert engine.read("k") == b"updated"

@@ -55,7 +55,7 @@ class TestWorkloadIndependence:
         run_workload(uniform_proxy, lambda rng: f"k{rng.randrange(64)}")
         run_workload(skewed_proxy, lambda rng: f"k{rng.randrange(4)}")   # hot keys only
 
-        depth = uniform_proxy.oram.params.depth
+        depth = uniform_proxy.data_layer.partitions[0].oram.params.depth
         distance = trace_similarity(uniform_proxy.storage.trace, skewed_proxy.storage.trace,
                                     depth)
         # The leaf-access distributions must stay statistically close even
@@ -66,7 +66,7 @@ class TestWorkloadIndependence:
         proxy = build_proxy()
         proxy.storage.trace.clear()
         run_workload(proxy, lambda rng: f"k{rng.randrange(8)}", epochs=16)
-        depth = proxy.oram.params.depth
+        depth = proxy.data_layer.partitions[0].oram.params.depth
         counts = leaf_access_counts(proxy.storage.trace, depth)
         _stat, p_value = chi_square_uniformity(counts, 1 << depth)
         assert p_value > 0.001

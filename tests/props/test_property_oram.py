@@ -162,7 +162,7 @@ class TestPartitionedObliviousness:
         proxy_b.storage.trace.clear()
         run_sharded_workload(proxy_a, picker_a)
         run_sharded_workload(proxy_b, picker_b)
-        depth = proxy_a.oram.params.depth
+        depth = proxy_a.data_layer.partitions[0].oram.params.depth
         return proxy_a, proxy_b, depth
 
     def test_different_workloads_same_per_partition_shape(self):
@@ -242,7 +242,7 @@ class TestPerServerObliviousness:
         proxy_b.storage.clear_traces()
         run_sharded_workload(proxy_a, picker_a)
         run_sharded_workload(proxy_b, picker_b)
-        depth = proxy_a.oram.params.depth
+        depth = proxy_a.data_layer.partitions[0].oram.params.depth
         return proxy_a, proxy_b, depth
 
     def test_each_server_trace_is_workload_independent(self):
@@ -363,7 +363,7 @@ class TestProxyTierObliviousness:
         proxy_b.storage.trace.clear()
         run_sharded_workload(proxy_a, lambda rng: f"k{rng.randrange(64)}")
         run_sharded_workload(proxy_b, lambda rng: f"k{rng.randrange(4)}")
-        depth = proxy_a.oram.params.depth
+        depth = proxy_a.data_layer.partitions[0].oram.params.depth
         distances = partition_trace_similarity(proxy_a.storage.trace,
                                                proxy_b.storage.trace, depth)
         assert set(distances) == set(range(SHARDS))
@@ -383,7 +383,7 @@ class TestProxyTierObliviousness:
         proxy_b.storage.clear_traces()
         run_sharded_workload(proxy_a, lambda rng: f"k{rng.randrange(64)}")
         run_sharded_workload(proxy_b, lambda rng: f"k{rng.randrange(4)}")
-        depth = proxy_a.oram.params.depth
+        depth = proxy_a.data_layer.partitions[0].oram.params.depth
         views_a = server_partition_traces(proxy_a.storage)
         views_b = server_partition_traces(proxy_b.storage)
         assert set(views_a) == set(views_b) == set(range(SHARDS))

@@ -5,6 +5,7 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import ObladiEngine
 from repro.concurrency.serializability import check_serializable
 from repro.core.client import Read, ReadMany, Write
 from repro.core.config import ObladiConfig, RingOramConfig
@@ -36,11 +37,11 @@ class TestProxyLinearisesEpochs:
     def test_committed_writes_follow_epoch_order(self, epochs, seed):
         """The value read after all epochs is the last *committed* write, and
         committed histories are serializable."""
-        proxy = build_proxy(seed)
+        engine = ObladiEngine(build_proxy(seed))
         expected = {f"k{i}": f"init-{i}".encode() for i in range(12)}
 
         for epoch_ops in epochs:
-            handles = []
+            programs, handles = [], []
             for key_index, value in epoch_ops:
                 key = f"k{key_index}"
 
@@ -49,16 +50,11 @@ class TestProxyLinearisesEpochs:
                     yield Write(key, value)
                     return value
 
-                proxy.submit(program)
+                programs.append(program)
                 handles.append((key, value))
-            summary = proxy.run_epoch()
-            del summary
-            # Determine which of this epoch's transactions committed and apply
-            # them to the reference model in timestamp order.
-            epoch_results = sorted((r for r in proxy.results.values()
-                                    if r.epoch == proxy.epoch_summaries[-1].epoch_id),
-                                   key=lambda r: r.txn_id)
-            for result, (key, value) in zip(epoch_results, handles):
+            # One wave is one epoch; results come back in submission (and so
+            # timestamp) order, and the committed ones update the model.
+            for result, (key, value) in zip(engine.submit_many(programs), handles):
                 if result.committed:
                     expected[key] = value
 
@@ -66,12 +62,12 @@ class TestProxyLinearisesEpochs:
             rows = yield ReadMany([f"k{i}" for i in range(8)])
             return rows
 
-        result = proxy.execute_transaction(audit)
+        result = engine.submit(audit)
         if result.committed:
             for key, value in result.return_value.items():
                 assert value == expected[key], key
 
-        ok, cycle = check_serializable(proxy.committed_history)
+        ok, cycle = check_serializable(engine.committed_history)
         assert ok, cycle
 
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])

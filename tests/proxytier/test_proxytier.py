@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.api import EngineConfig, create_engine
-from repro.concurrency.transaction import AbortReason, TransactionStatus
+from repro.api import EngineConfig, ObladiEngine, create_engine
+from repro.concurrency.transaction import AbortReason
 from repro.concurrency.versions import VersionStore
 from repro.core.client import Read, ReadMany, Write
 from repro.core.config import ObladiConfig, RingOramConfig
@@ -261,6 +261,4 @@ class TestCrashRecovery:
                                           master_key=proxy.master_key)
         assert isinstance(recovered, ProxyCoordinator)
         assert len(recovered.workers) == 4
-        result = recovered.execute_transaction(
-            lambda: (lambda: (yield Read("k3")))())
-        assert result.return_value == b"0x"
+        assert ObladiEngine(recovered).read("k3") == b"0x"

@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro.api import ObladiEngine
 from repro.core.client import Read, Write
-from repro.core.config import ObladiConfig, RingOramConfig
 from repro.core.errors import ProxyCrashedError
 from repro.core.proxy import ObladiProxy
 from repro.oram.crypto import IntegrityError
 from repro.recovery.crash import CrashInjector, CrashPoint
-from repro.recovery.manager import RecoveryManager, derive_key, recover_proxy
+from repro.recovery.manager import derive_key, recover_proxy
 
 from tests.conftest import read_program, tree_slot_key, write_program
 
@@ -62,11 +62,11 @@ class TestRecovery:
         proxy.crash()
         recovered, result = recover_proxy(proxy.storage, config, master_key=proxy.master_key)
         assert result.recovered_epoch >= 2
+        engine = ObladiEngine(recovered)
         for i in range(4):
-            value = recovered.execute_transaction(read_program(f"k{i}")).return_value
-            assert value == f"epoch2-{i}".encode()
+            assert engine.read(f"k{i}") == f"epoch2-{i}".encode()
         # Untouched keys still hold their initial values.
-        assert recovered.execute_transaction(read_program("k20")).return_value == b"value-20"
+        assert engine.read("k20") == b"value-20"
 
     def test_aborted_epoch_writes_do_not_survive(self, durable_proxy_with_history):
         proxy = durable_proxy_with_history
@@ -83,16 +83,16 @@ class TestRecovery:
         with pytest.raises(ProxyCrashedError):
             proxy.run_epoch()
         recovered, _ = recover_proxy(proxy.storage, proxy.config, master_key=proxy.master_key)
-        value = recovered.execute_transaction(read_program("k0")).return_value
-        assert value == b"epoch2-0"
+        assert ObladiEngine(recovered).read("k0") == b"epoch2-0"
 
     def test_recovered_proxy_continues_serving(self, durable_proxy_with_history):
         proxy = durable_proxy_with_history
         proxy.crash()
         recovered, _ = recover_proxy(proxy.storage, proxy.config, master_key=proxy.master_key)
-        result = recovered.execute_transaction(write_program("k9", b"after-recovery"))
+        engine = ObladiEngine(recovered)
+        result = engine.submit(write_program("k9", b"after-recovery"))
         assert result.committed
-        assert recovered.execute_transaction(read_program("k9")).return_value == b"after-recovery"
+        assert engine.read("k9") == b"after-recovery"
 
     def test_recovery_reports_component_times(self, durable_proxy_with_history):
         proxy = durable_proxy_with_history

@@ -62,7 +62,7 @@ class TestTransactions:
         else:
             assert writes == {}
 
-    def test_lookup_patient_is_read_only(self, workload):
+    def test_lookup_patient_writes_nothing(self, workload):
         state = dict(workload.initial_data())
         before = dict(state)
         result, writes = run_program(workload.lookup_patient_program(), state)
