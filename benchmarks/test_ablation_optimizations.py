@@ -1,9 +1,10 @@
 """Ablation benchmarks for Obladi's individual design choices.
 
-These do not correspond to a single numbered figure; they quantify three
-of Obladi's optimisations (dummiless writes, stash-read caching, request
-deduplication) by running the same workload with each optimisation
-toggled off.  The paper discusses all three in §6.3 and §6.2.
+These do not correspond to a single numbered figure; they quantify two
+of Obladi's optimisations (stash-read caching, request deduplication) by
+running the same workload with each optimisation toggled off or bounded.
+The paper discusses both in §6.3 and §6.2.  Dummiless writes (§6.3) have
+no toggle: the epoch executor writes no other way.
 """
 
 import random
@@ -15,12 +16,12 @@ from repro.core.proxy import ObladiProxy
 from .conftest import run_once
 
 
-def build_proxy(num_keys, *, dummiless=True, cache_stash=True, seed=5):
+def build_proxy(num_keys, *, cache_stash=True, seed=5):
     config = ObladiConfig(
         oram=RingOramConfig(num_blocks=max(512, num_keys * 2), z_real=16, block_size=160),
         read_batches=3, read_batch_size=32, write_batch_size=32,
         backend="server", durability=False, encrypt=False, seed=seed,
-        dummiless_writes=dummiless, cache_stash_reads=cache_stash,
+        cache_stash_reads=cache_stash,
     )
     proxy = ObladiProxy(config)
     proxy.load_initial_data({f"k{i}": f"v{i}".encode() for i in range(num_keys)})
@@ -48,22 +49,6 @@ def run_mixed_workload(proxy, transactions=120, clients=12, seed=3):
 def tree(proxy):
     """The proxy's one ORAM partition (these ablations run unsharded)."""
     return proxy.data_layer.partitions[0]
-
-
-def test_ablation_dummiless_writes(benchmark, bench_scale):
-    """Dummiless writes skip one path read per logical write."""
-
-    def experiment():
-        with_opt = run_mixed_workload(build_proxy(64, dummiless=True))
-        without_opt = run_mixed_workload(build_proxy(64, dummiless=False))
-        return with_opt, without_opt
-
-    with_opt, without_opt = run_once(benchmark, experiment)
-    reads_with = tree(with_opt).executor.lifetime_stats.physical_reads
-    reads_without = tree(without_opt).executor.lifetime_stats.physical_reads
-    print(f"\nAblation (dummiless writes): physical reads {reads_with} vs {reads_without} "
-          f"({reads_without / max(reads_with, 1):.2f}x more without)")
-    assert with_opt.stats_committed > 0 and without_opt.stats_committed > 0
 
 
 def test_ablation_stash_read_caching(benchmark, bench_scale):

@@ -24,8 +24,8 @@ def test_fig10a_parallelism(benchmark, bench_scale):
                                    f"batch size {bench_scale['batch_operations']}"))
 
     by = {(r.backend, r.mode): r.throughput_ops_per_s for r in rows}
-    # Parallelism is a wash (or a loss) on the zero-latency backend...
-    assert by[("dummy", "parallel_crypto")] < 2.0 * by[("dummy", "sequential")]
+    # Parallelism is a loss on the zero-latency backend...
+    assert by[("dummy", "parallel_crypto")] < by[("dummy", "sequential")]
     # ...but a large win on every remote backend.
     for backend in ("server", "server_wan", "dynamo"):
         assert by[(backend, "parallel_crypto")] > 10 * by[(backend, "sequential")]

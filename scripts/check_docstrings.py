@@ -3,7 +3,7 @@
 
 Covers ``repro.api``, ``repro.core``, ``repro.sharding``,
 ``repro.proxytier``, ``repro.audit``, ``repro.concurrency``,
-``repro.elasticity`` and ``repro.storage``.
+``repro.elasticity``, ``repro.storage`` and ``repro.oram``.
 
 Walks the ``__all__`` of the public packages and fails (exit code 1, listing
 the offenders) if any exported class or function — or any public method of
@@ -23,7 +23,8 @@ import sys
 
 #: Public packages whose exported surface the gate covers.
 PACKAGES = ("repro.api", "repro.core", "repro.sharding", "repro.proxytier",
-            "repro.audit", "repro.concurrency", "repro.elasticity", "repro.storage")
+            "repro.audit", "repro.concurrency", "repro.elasticity", "repro.storage",
+            "repro.oram")
 
 
 def _missing_in_class(qualname: str, cls: type) -> list:

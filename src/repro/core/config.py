@@ -112,7 +112,6 @@ class ObladiConfig:
 
     # Security toggles (used by ablation benchmarks).
     encrypt: bool = True
-    dummiless_writes: bool = True
     cache_stash_reads: bool = True
     buffer_writes: bool = True       # delayed visibility (Figure 10d ablation)
 

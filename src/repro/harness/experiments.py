@@ -32,9 +32,10 @@ from repro.elasticity import AutoscalePolicy, FlashCrowdArrivals
 from repro.oram.batch_executor import EpochBatchExecutor
 from repro.oram.crypto import CipherSuite
 from repro.oram.parameters import derive_parameters
-from repro.oram.ring_oram import OramAccess, OramOp, RingOram
+from repro.oram.ring_oram import RingOram
 from repro.recovery.crash import CrashInjector, CrashPoint
 from repro.sim.clock import SimClock
+from repro.sim.latency import CpuCostModel
 from repro.storage.memory import InMemoryStorageServer
 from repro.workloads.freehealth import FreeHealthConfig, FreeHealthWorkload
 from repro.workloads.smallbank import SmallBankConfig, SmallBankWorkload
@@ -49,17 +50,18 @@ DEFAULT_ORAM_OBJECTS = 100_000
 MICROBENCH_Z = 16
 
 
-def _build_oram(num_blocks: int, seed: int, **oram_options) -> RingOram:
+def _build_oram(num_blocks: int, charge_crypto: bool) -> RingOram:
     """A Ring ORAM over a fresh store, sized like the microbenchmarks (§11.2).
 
     The cipher is disabled: values are irrelevant to these experiments, only
-    the *simulated* crypto cost matters.
+    the *simulated* crypto cost matters, and ``charge_crypto`` says whether
+    it is charged.
     """
     clock = SimClock()
     storage = InMemoryStorageServer(clock=clock, record_trace=False)
     params = derive_parameters(num_blocks=num_blocks, z_real=MICROBENCH_Z, block_size=64)
     return RingOram(params, storage, cipher=CipherSuite(block_size=72, enabled=False),
-                    clock=clock, seed=seed, **oram_options)
+                    clock=clock, seed=0, charge_crypto=charge_crypto)
 
 
 def _ops_per_s(operations: int, elapsed_ms: float) -> float:
@@ -189,32 +191,21 @@ class ParallelismRow:
     elapsed_ms: float
 
 
-def _run_sequential_ops(num_blocks: int, backend: str, operations: int,
-                        charge_crypto: bool, seed: int = 0) -> float:
-    """Simulated duration of ``operations`` sequential Ring ORAM accesses."""
-    oram = _build_oram(num_blocks, seed, charge_crypto=charge_crypto, latency=backend)
-    clock = oram.clock
-    rng = random.Random(seed)
-    start = clock.now_ms
-    for _ in range(operations):
-        block = rng.randrange(num_blocks)
-        oram.access(OramAccess(OramOp.READ, block))
-    return clock.now_ms - start
-
-
 def _run_parallel_ops(num_blocks: int, backend: str, operations: int, batch_size: int,
                       charge_crypto: bool, buffer_writes: bool = True,
-                      batches_per_epoch: int = 1, access_seed: int = 0) -> float:
+                      batches_per_epoch: int = 1, access_seed: int = 0,
+                      parallelism: int = 1024,
+                      cost_model: Optional[CpuCostModel] = None) -> float:
     """Simulated duration of ``operations`` accesses through the epoch executor.
 
     The simulated crypto cost is charged unless ``charge_crypto`` is False,
     matching the paper's Parallel vs ParallelCrypto distinction.  The
-    accessed blocks are drawn from ``access_seed``.
+    accessed blocks are drawn from ``access_seed``.  ``parallelism`` and
+    ``cost_model`` go to the executor (``None``: the tree's default model).
     """
-    oram = _build_oram(num_blocks, seed=0, dummiless_writes=True,
-                       charge_crypto=charge_crypto)
-    executor = EpochBatchExecutor(oram, latency=backend, parallelism=1024,
-                                  buffer_writes=buffer_writes)
+    oram = _build_oram(num_blocks, charge_crypto)
+    executor = EpochBatchExecutor(oram, latency=backend, parallelism=parallelism,
+                                  cost_model=cost_model, buffer_writes=buffer_writes)
     rng = random.Random(access_seed)
     clock = oram.clock
     start = clock.now_ms
@@ -238,13 +229,22 @@ def run_parallelism(backends: Sequence[str] = ("dummy", "server", "server_wan", 
                     num_blocks: int = DEFAULT_ORAM_OBJECTS,
                     modes: Sequence[str] = ("sequential", "parallel", "parallel_crypto"),
                     ) -> List[ParallelismRow]:
-    """Figure 10a: sequential vs parallel ORAM throughput per backend."""
+    """Figure 10a: sequential vs parallel ORAM throughput per backend.
+
+    "Sequential" is Ring ORAM without batching or parallelism: the same
+    executor at one read per epoch, one request in flight and immediate
+    write-back.  It pays no multilevel-serializability coordination, as
+    :meth:`~repro.sim.latency.CpuCostModel.sequential_block_cost_ms` defines
+    sequential mode.
+    """
+    sequential_cost = CpuCostModel(coordination_per_block_ms=0.0)
     rows: List[ParallelismRow] = []
     for backend in backends:
         for mode in modes:
             if mode == "sequential":
-                elapsed = _run_sequential_ops(num_blocks, backend, operations,
-                                              charge_crypto=True)
+                elapsed = _run_parallel_ops(num_blocks, backend, operations, batch_size=1,
+                                            charge_crypto=True, buffer_writes=False,
+                                            parallelism=1, cost_model=sequential_cost)
             elif mode in ("parallel", "parallel_crypto"):
                 elapsed = _run_parallel_ops(num_blocks, backend, operations, batch_size,
                                             charge_crypto=mode == "parallel_crypto")

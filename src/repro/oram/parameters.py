@@ -67,14 +67,17 @@ class RingOramParameters:
 
     @property
     def num_leaves(self) -> int:
+        """Leaves of the tree, ``2 ** depth``: the positions a block can map to."""
         return 1 << self.depth
 
     @property
     def num_buckets(self) -> int:
+        """Buckets in the whole tree, root to leaves: ``2 ** (depth + 1) - 1``."""
         return (1 << (self.depth + 1)) - 1
 
     @property
     def slots_per_bucket(self) -> int:
+        """Physical slots of one bucket, ``Z`` real plus ``S`` dummy."""
         return self.z_real + self.s_dummies
 
     @property

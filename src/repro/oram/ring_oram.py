@@ -1,13 +1,15 @@
-"""Sequential Ring ORAM.
+"""The Ring ORAM planner.
 
 This module implements the Ring ORAM construction (Ren et al., 2015) that
-Obladi builds on, split into *planning* (pure metadata decisions: which
-physical slots to read, where evicted blocks land) and *execution* (issuing
-storage requests).  The sequential :class:`RingOram` front end executes each
-plan immediately, one request at a time — this is the "Sequential" baseline
-of Figure 10a.  Obladi's epoch executor
-(:class:`repro.oram.batch_executor.EpochBatchExecutor`) reuses the same
-planner but batches, parallelises and defers the physical operations.
+Obladi builds on as *planning*: pure metadata decisions about which physical
+slots a path read touches, which buckets an evict-path or early reshuffle
+drains, and where evicted blocks land.  :class:`RingOram` owns the one tree's
+client state (position map, bucket metadata, stash); it issues no storage
+request except the initial :meth:`RingOram.bulk_load`.  Every plan is run by
+the one executor, :class:`repro.oram.batch_executor.EpochBatchExecutor`,
+which batches, parallelises and defers the physical operations.  Figure
+10a's "Sequential" baseline is that executor at batch size 1, parallelism 1
+and immediate write-back.
 
 Storage layout
 --------------
@@ -22,11 +24,9 @@ observes in the paper) and a bucket rewrite is ``Z + S`` slot writes under a
 
 from __future__ import annotations
 
-import enum
-import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.oram import path_math
 from repro.oram.crypto import CipherSuite, IntegrityError, freshness_context
@@ -35,28 +35,8 @@ from repro.oram.parameters import RingOramParameters
 from repro.oram.position_map import PositionMap
 from repro.oram.stash import Stash, StashReason
 from repro.sim.clock import SimClock
-from repro.sim.latency import CpuCostModel, LatencyModel, get_latency_model
+from repro.sim.latency import CpuCostModel
 from repro.storage.backend import StorageServer
-
-
-class OramOp(enum.Enum):
-    """Logical operation kinds accepted by the ORAM."""
-
-    READ = "read"
-    WRITE = "write"
-
-
-@dataclass(frozen=True)
-class OramAccess:
-    """A logical request submitted to the ORAM."""
-
-    op: OramOp
-    block_id: int
-    value: Optional[bytes] = None
-
-    def __post_init__(self) -> None:
-        if self.op is OramOp.WRITE and self.value is None:
-            raise ValueError("write access requires a value")
 
 
 #: One planned physical slot read, a plain row:
@@ -132,7 +112,7 @@ def lost_real_slot(key: str) -> IntegrityError:
 
 
 class RingOram:
-    """Sequential Ring ORAM client.
+    """Ring ORAM planner and client state for one tree.
 
     Parameters
     ----------
@@ -146,18 +126,9 @@ class RingOram:
         Shared simulated clock; optional.
     cost_model:
         CPU cost constants charged per physical block handled.
-    latency:
-        Backend name or :class:`LatencyModel` whose round trips the
-        sequential front end charges to the clock after each storage call
-        (Figure 10a's sequential series).  ``None`` charges none: the epoch
-        executor times its own batches.
     seed:
         Seed for the ORAM's private RNG (position remapping, permutations),
         so tests are reproducible.
-    dummiless_writes:
-        Obladi's optimisation (§6.3): logical writes go straight to the stash
-        without a physical path read.  Off by default so the plain Ring ORAM
-        behaviour is available for baselines and tests.
     """
 
     def __init__(self, params: RingOramParameters, storage: StorageServer,
@@ -165,18 +136,14 @@ class RingOram:
                  clock: Optional[SimClock] = None,
                  cost_model: Optional[CpuCostModel] = None,
                  seed: Optional[int] = None,
-                 dummiless_writes: bool = False,
-                 charge_crypto: Optional[bool] = None,
-                 latency: Union[str, LatencyModel, None] = None) -> None:
+                 charge_crypto: Optional[bool] = None) -> None:
         self.params = params
         self.storage = storage
         self.clock = clock if clock is not None else getattr(storage, "clock", SimClock())
         self.cost_model = cost_model if cost_model is not None else CpuCostModel()
-        self.latency = None if latency is None else get_latency_model(latency)
         self.rng = random.Random(seed)
         self.cipher = cipher if cipher is not None else CipherSuite(
             block_size=params.block_size + 8)
-        self.dummiless_writes = dummiless_writes
         # When set, overrides whether simulated crypto CPU cost is charged
         # (used by benchmarks that disable real encryption for speed but want
         # to model its cost).
@@ -189,13 +156,9 @@ class RingOram:
 
         self.access_count = 0          # logical accesses since the ORAM started
         self.eviction_count = 0        # G: number of evict-path operations issued
-        self.stats_physical_reads = 0
-        self.stats_physical_writes = 0
-        self.stats_early_reshuffles = 0
-        self.stats_stash_hits = 0
 
     # ------------------------------------------------------------------ #
-    # Planning (pure metadata; shared with the batch executor)
+    # Planning (pure metadata; the epoch executor runs the plans)
     # ------------------------------------------------------------------ #
     def plan_path_read(self, block_id: Optional[int],
                        force_dummy_path: Optional[int] = None) -> PathReadPlan:
@@ -204,9 +167,8 @@ class RingOram:
         Planning mutates client metadata: the touched slots are invalidated,
         per-bucket read counters advance (a bucket that reaches ``S`` reads
         since its last rewrite is reported in the plan's ``over_read``), and
-        a real block is remapped to a fresh leaf.  The physical reads *must*
-        subsequently be issued (either immediately by :meth:`read` /
-        :meth:`write` or by the batch executor), otherwise the bucket
+        a real block is remapped to a fresh leaf.  The executor *must*
+        subsequently issue the physical reads, otherwise the bucket
         invariant bookkeeping would diverge from what the server observed.
         """
         if block_id is not None:
@@ -295,7 +257,6 @@ class RingOram:
         plan = EvictionPlan(kind="reshuffle", eviction_index=self.eviction_count,
                             leaf=-1, bucket_ids=[bucket_id])
         plan.slot_reads = self._plan_bucket_drain(bucket_id)
-        self.stats_early_reshuffles += 1
         return plan
 
     def _plan_bucket_drain(self, bucket_id: int) -> List[SlotRead]:
@@ -323,7 +284,7 @@ class RingOram:
 
         ``fetched`` maps block ids recovered by the read phase to their
         plaintext values.  Fetched blocks join the stash first (exactly as in
-        the sequential algorithm), then the write phase greedily places every
+        Ring ORAM's evict-path), then the write phase greedily places every
         stash block into the deepest bucket on the target path that
         intersects the block's assigned path and still has room.
         """
@@ -416,9 +377,6 @@ class RingOram:
                 items[f"{prefix}{idx}"] = blob
         return items
 
-    # ------------------------------------------------------------------ #
-    # Physical execution (sequential mode)
-    # ------------------------------------------------------------------ #
     def crypto_charged(self) -> bool:
         """Whether simulated per-block crypto cost is charged.
 
@@ -428,142 +386,6 @@ class RingOram:
         if self.charge_crypto is not None:
             return self.charge_crypto
         return self.cipher.enabled
-
-    def _decrypt_slot(self, slot: SlotRead, blob: Optional[bytes]) -> Optional[Tuple[int, bytes]]:
-        """Decrypt one fetched slot; returns (block_id, value) for real blocks.
-
-        A dummy slot is not opened; a real slot the server returned nothing
-        for is an :class:`IntegrityError`.
-        """
-        self.clock.advance(self.cost_model.sequential_block_cost_ms(self.crypto_charged()))
-        bucket_id, slot_index, version, expected_block = slot
-        if expected_block is None:
-            return None
-        if blob is None:
-            raise lost_real_slot(slot_storage_key(bucket_id, version, slot_index))
-        context = freshness_context(bucket_id, version, slot_index)
-        block_id, value = self.cipher.open_block(blob, context)
-        if block_id is None:
-            return None
-        return block_id, value
-
-    def _charge_round_trips(self, requests: int, is_write: bool, parallelism: int) -> None:
-        """Charge ``requests`` round trips to :attr:`latency`, ``parallelism`` in flight.
-
-        With ``p`` usable parallel slots, ``n`` requests complete in
-        ``ceil(n / p)`` waves of one round trip each, plus a serialised
-        server-side service term that models provisioned-throughput limits.
-        """
-        latency = self.latency
-        if latency is None or not requests:
-            return
-        p = latency.effective_parallelism(parallelism)
-        self.clock.advance(math.ceil(requests / p) * latency.rtt_ms(is_write)
-                           + latency.per_request_server_ms * requests / p)
-
-    def _execute_slot_reads(self, slot_reads: Sequence[SlotRead],
-                            parallelism: int = 1) -> Dict[int, bytes]:
-        """Issue the physical reads and return {block_id: plaintext value}."""
-        keys = [slot_storage_key(bucket_id, version, slot_index)
-                for bucket_id, slot_index, version, _ in slot_reads]
-        values = self.storage.read_batch(keys)
-        self._charge_round_trips(len(keys), False, parallelism)
-        self.stats_physical_reads += len(keys)
-        fetched: Dict[int, bytes] = {}
-        for key, slot in zip(keys, slot_reads):
-            opened = self._decrypt_slot(slot, values.get(key))
-            if opened is not None:
-                fetched[opened[0]] = opened[1]
-        return fetched
-
-    def _write_rewrites(self, rewrites: Sequence[BucketRewrite],
-                        parallelism: int = 1) -> None:
-        """Seal and write new bucket versions to storage."""
-        items = self.seal_rewrites(rewrites)
-        if items:
-            self.storage.write_batch(items)
-            self._charge_round_trips(len(items), True, parallelism)
-            self.stats_physical_writes += len(items)
-            per_block = self.cost_model.sequential_block_cost_ms(self.crypto_charged())
-            self.clock.advance(per_block * len(items))
-
-    def _maybe_evict(self) -> None:
-        """Run the deterministic evict-path if this access crossed a boundary."""
-        if self.access_count % self.params.evict_rate != 0:
-            return
-        plan = self.plan_eviction()
-        fetched = self._execute_slot_reads(plan.slot_reads)
-        rewrites = self.complete_eviction(plan, fetched)
-        self._write_rewrites(rewrites)
-
-    def _maybe_reshuffle(self, over_read: Sequence[int]) -> None:
-        """Early-reshuffle the buckets a path read reported as over-read."""
-        for bid in over_read:
-            plan = self.plan_early_reshuffle(bid)
-            fetched = self._execute_slot_reads(plan.slot_reads)
-            rewrites = self.complete_eviction(plan, fetched)
-            self._write_rewrites(rewrites)
-
-    # ------------------------------------------------------------------ #
-    # Public logical interface
-    # ------------------------------------------------------------------ #
-    def access(self, request: OramAccess) -> Optional[bytes]:
-        """Execute one logical access sequentially and return the read value."""
-        if request.op is OramOp.WRITE and self.dummiless_writes:
-            return self._write_dummiless(request.block_id, request.value or b"")
-        return self._access_with_path_read(request)
-
-    def read(self, block_id: int) -> Optional[bytes]:
-        """Logical read; returns ``None`` if the block has never been written."""
-        return self.access(OramAccess(OramOp.READ, block_id))
-
-    def write(self, block_id: int, value: bytes) -> None:
-        """Logical write."""
-        self.access(OramAccess(OramOp.WRITE, block_id, value))
-
-    def _access_with_path_read(self, request: OramAccess) -> Optional[bytes]:
-        self.access_count += 1
-        stash_entry = self.stash.get(request.block_id)
-        plan = self.plan_path_read(request.block_id)
-        fetched = self._execute_slot_reads(plan.slot_reads)
-
-        value: Optional[bytes]
-        if request.block_id in fetched:
-            value = fetched.pop(request.block_id)
-        elif stash_entry is not None:
-            value = stash_entry.value
-            self.stats_stash_hits += 1
-        else:
-            value = None
-
-        if request.op is OramOp.WRITE:
-            value = request.value
-
-        if value is not None:
-            assert plan.new_leaf is not None
-            self.stash.put(request.block_id, plan.new_leaf, value, StashReason.LOGICAL_ACCESS)
-
-        # Any other real blocks accidentally recovered rejoin the stash too.
-        for bid, val in fetched.items():
-            leaf = self.position_map.lookup_or_assign(bid)
-            if bid not in self.stash:
-                self.stash.put(bid, leaf, val, StashReason.EVICTION_RESIDUE)
-
-        self._maybe_reshuffle(plan.over_read)
-        self._maybe_evict()
-        return value if request.op is OramOp.READ else None
-
-    def _write_dummiless(self, block_id: int, value: bytes) -> None:
-        """Obladi's dummiless write: stash insertion, no physical path read.
-
-        The access still counts toward the eviction schedule so the stash
-        bound is preserved (paper §6.3).
-        """
-        self.access_count += 1
-        self.forget_tree_copy(block_id)
-        new_leaf = self.position_map.remap(block_id)
-        self.stash.put(block_id, new_leaf, value, StashReason.LOGICAL_ACCESS)
-        self._maybe_evict()
 
     def forget_tree_copy(self, block_id: int) -> None:
         """Drop the proxy's record of a block's in-tree copy.
@@ -596,7 +418,8 @@ class RingOram:
         lands in the stash.  Bucket versions advance exactly once, so the
         resulting server state is indistinguishable from a tree that was
         filled through the normal protocol (every real slot is a fresh
-        ciphertext, every dummy slot fresh random bytes).
+        ciphertext, every dummy slot fresh random bytes).  The clock is
+        charged the sequential per-block CPU cost of every slot written.
         """
         placements: Dict[int, List[Tuple[int, bytes]]] = {}
         for block_id, value in sorted(blocks.items()):
@@ -613,4 +436,8 @@ class RingOram:
 
         rewrites = [self._build_rewrite(bid, contents)
                     for bid, contents in sorted(placements.items())]
-        self._write_rewrites(rewrites, parallelism=64)
+        items = self.seal_rewrites(rewrites)
+        if items:
+            self.storage.write_batch(items)
+            self.clock.advance(self.cost_model.sequential_block_cost_ms(self.crypto_charged())
+                               * len(items))

@@ -196,8 +196,7 @@ def build_partition(config: ObladiConfig, index: int, storage: StorageServer,
                          block_size=params.block_size + 8,
                          enabled=config.encrypt)
     oram = RingOram(params, storage, cipher=cipher, clock=clock,
-                    cost_model=config.cost_model, seed=seed,
-                    dummiless_writes=config.dummiless_writes)
+                    cost_model=config.cost_model, seed=seed)
     executor = EpochBatchExecutor(oram,
                                   latency=latency if latency is not None
                                   else config.backend,

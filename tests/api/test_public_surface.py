@@ -1,8 +1,8 @@
 """The public surface does not grow by accident.
 
 ``repro.api.__all__``, ``repro.concurrency.__all__``,
-``repro.proxytier.__all__``, ``repro.storage.__all__`` and
-``repro.core.__all__`` are compared with the literal lists below, so
+``repro.proxytier.__all__``, ``repro.storage.__all__``,
+``repro.core.__all__`` and ``repro.oram.__all__`` are compared with the literal lists below, so
 exporting one more name (or dropping one) is a deliberate edit of this file,
 made in the PR that argues for it.
 """
@@ -10,6 +10,7 @@ made in the PR that argues for it.
 import repro.api
 import repro.concurrency
 import repro.core
+import repro.oram
 import repro.proxytier
 import repro.storage
 
@@ -90,6 +91,15 @@ CORE = [
 ]
 
 
+ORAM = [
+    "RingOramParameters",
+    "derive_parameters",
+    "RingOram",
+    "EpochBatchExecutor",
+    "CipherSuite",
+]
+
+
 def test_api_exports_are_the_recorded_list():
     assert repro.api.__all__ == API
 
@@ -108,3 +118,7 @@ def test_storage_exports_are_the_recorded_list():
 
 def test_core_exports_are_the_recorded_list():
     assert repro.core.__all__ == CORE
+
+
+def test_oram_exports_are_the_recorded_list():
+    assert repro.oram.__all__ == ORAM

@@ -12,9 +12,10 @@ import pytest
 from repro.core.client import Read, Write
 from repro.core.config import ObladiConfig, RingOramConfig
 from repro.core.proxy import ObladiProxy
+from repro.oram import path_math
+from repro.oram.batch_executor import EpochBatchExecutor
 from repro.oram.crypto import CipherSuite
 from repro.oram.parameters import RingOramParameters
-from repro.oram import path_math
 from repro.oram.ring_oram import RingOram, slot_storage_key
 from repro.sim.clock import SimClock
 from repro.storage.memory import InMemoryStorageServer
@@ -42,20 +43,6 @@ def closed_loop():
 def storage(clock):
     """In-memory storage with the LAN ``server`` latency model."""
     return InMemoryStorageServer(clock=clock)
-
-
-@pytest.fixture
-def tiny_params():
-    """A tiny but non-trivial Ring ORAM: Z=4, S=6, A=3, depth 4."""
-    return RingOramParameters(num_blocks=64, z_real=4, s_dummies=6, evict_rate=3,
-                              depth=4, block_size=64)
-
-
-@pytest.fixture
-def tiny_oram(tiny_params, storage, clock):
-    """A sequential Ring ORAM over the tiny tree with a deterministic seed."""
-    cipher = CipherSuite(block_size=tiny_params.block_size + 8)
-    return RingOram(tiny_params, storage, cipher=cipher, clock=clock, seed=42)
 
 
 @pytest.fixture
@@ -133,6 +120,47 @@ def read_write_program(read_key, write_key, value):
         return observed
 
     return program
+
+
+class OneOpPerEpoch:
+    """A tiny Ring ORAM driven by the epoch executor, one logical operation
+    per epoch: Figure 10a's sequential baseline, used as a test oracle.
+
+    A write is ``execute_write_batch``, ``flush_epoch``, ``collect``; a read
+    is ``execute_read_batch([b], batch_size=1)``, ``flush_epoch``,
+    ``collect``.  Writes are dummiless, the only kind the executor has.
+    ``executor``, ``oram`` and ``storage`` are there to drive or inspect by
+    hand.
+    """
+
+    def __init__(self, seed=0, depth=4, z=4, s=6, a=3, backend="dummy",
+                 parallelism=1, buffer_writes=True, cipher=None):
+        clock = SimClock()
+        self.storage = InMemoryStorageServer(clock=clock)
+        params = RingOramParameters(num_blocks=z << depth, z_real=z, s_dummies=s,
+                                    evict_rate=a, depth=depth, block_size=64)
+        self.oram = RingOram(params, self.storage,
+                             cipher=cipher if cipher is not None else CipherSuite(block_size=72),
+                             clock=clock, seed=seed)
+        self.executor = EpochBatchExecutor(self.oram, latency=backend,
+                                           parallelism=parallelism,
+                                           buffer_writes=buffer_writes)
+
+    def _epoch(self, operation):
+        self.executor.begin_epoch()
+        result = operation()
+        self.executor.flush_epoch()
+        self.executor.collect()
+        return result
+
+    def read(self, block_id):
+        """Read ``block_id`` in an epoch of its own; ``None`` if never written."""
+        return self._epoch(lambda: self.executor.execute_read_batch(
+            [block_id], batch_size=1))[block_id]
+
+    def write(self, block_id, value):
+        """Write ``value`` to ``block_id`` in an epoch of its own."""
+        self._epoch(lambda: self.executor.execute_write_batch({block_id: value}))
 
 
 def tree_slot_key(oram, block_id):

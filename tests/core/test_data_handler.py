@@ -3,23 +3,13 @@
 import pytest
 
 from repro.core.data_handler import DataHandler, KeyDirectory
-from repro.oram.batch_executor import EpochBatchExecutor
-from repro.oram.crypto import CipherSuite
-from repro.oram.parameters import RingOramParameters
-from repro.oram.ring_oram import RingOram
-from repro.sim.clock import SimClock
-from repro.storage.memory import InMemoryStorageServer
+
+from tests.conftest import OneOpPerEpoch
 
 
 def make_handler():
-    clock = SimClock()
-    storage = InMemoryStorageServer(clock=clock)
-    params = RingOramParameters(num_blocks=64, z_real=4, s_dummies=6, evict_rate=3,
-                                depth=4, block_size=64)
-    oram = RingOram(params, storage, cipher=CipherSuite(block_size=72), clock=clock,
-                    seed=3, dummiless_writes=True)
-    executor = EpochBatchExecutor(oram, latency="server", parallelism=32)
-    return DataHandler(oram, executor)
+    db = OneOpPerEpoch(seed=3, backend="server", parallelism=32)
+    return DataHandler(db.oram, db.executor)
 
 
 class TestKeyDirectory:

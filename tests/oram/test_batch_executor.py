@@ -6,16 +6,12 @@ import pytest
 
 from repro.analysis.obliviousness import chi_square_uniformity
 from repro.oram import path_math
-from repro.oram.batch_executor import EpochBatchExecutor
 from repro.oram.crypto import CipherSuite, IntegrityError
-from repro.oram.parameters import RingOramParameters
-from repro.oram.ring_oram import RingOram, slot_storage_key
+from repro.oram.ring_oram import slot_storage_key
 from repro.oram.stash import StashReason
-from repro.sim.clock import SimClock
 from repro.storage.backend import StorageOp
-from repro.storage.memory import InMemoryStorageServer
 
-from tests.conftest import live_versions, stored_versions, tree_slot_key
+from tests.conftest import OneOpPerEpoch, live_versions, stored_versions, tree_slot_key
 
 
 class CountingCipher(CipherSuite):
@@ -43,18 +39,10 @@ class CountingCipher(CipherSuite):
         return super().encrypt_many(plaintexts, contexts)
 
 
-def make_executor(seed=0, backend="server", buffer_writes=True, depth=4, z=4, s=6, a=3,
-                  parallelism=64, cipher=None):
-    clock = SimClock()
-    storage = InMemoryStorageServer(clock=clock)
-    params = RingOramParameters(num_blocks=z << depth, z_real=z, s_dummies=s,
-                                evict_rate=a, depth=depth, block_size=64)
-    oram = RingOram(params, storage,
-                    cipher=cipher if cipher is not None else CipherSuite(block_size=72),
-                    clock=clock, seed=seed, dummiless_writes=True)
-    executor = EpochBatchExecutor(oram, latency=backend, parallelism=parallelism,
-                                  buffer_writes=buffer_writes)
-    return executor, oram, storage
+def make_executor(seed=0, backend="server", parallelism=64, **tree):
+    """``(executor, oram, storage)`` of a tiny tree; ``tree`` as ``OneOpPerEpoch``."""
+    db = OneOpPerEpoch(seed=seed, backend=backend, parallelism=parallelism, **tree)
+    return db.executor, db.oram, db.storage
 
 
 class TestCorrectness:
@@ -282,18 +270,19 @@ class TestLazySealing:
 
     def test_sequential_write_and_bulk_load_seal_what_they_write(self):
         cipher = CountingCipher(block_size=72)
-        _, oram, storage = make_executor(cipher=cipher)
+        db = OneOpPerEpoch(cipher=cipher)
+        oram, storage = db.oram, db.storage
         loaded = {i: b"bulk-%d" % i for i in range(20)}
         oram.bulk_load(loaded)
         assert cipher.sealed_slots == storage.stats_writes > 0
         # Every loaded block lands in a bucket or in the stash.
         assert cipher.keystream_slots == cipher.real_slots == len(loaded) - len(oram.stash)
         for i in range(20, 26):
-            oram.write(i, b"seq-%d" % i)
+            db.write(i, b"seq-%d" % i)
             loaded[i] = b"seq-%d" % i
         assert cipher.sealed_slots == storage.stats_writes
         assert cipher.keystream_slots == cipher.real_slots < cipher.sealed_slots
-        assert {i: oram.read(i) for i in loaded} == loaded
+        assert {i: db.read(i) for i in loaded} == loaded
 
 
 class TestStorageFaults:

@@ -1,4 +1,5 @@
-"""Tests for the sequential Ring ORAM client."""
+"""Tests for the Ring ORAM planner, run by the epoch executor one logical
+operation per epoch (``tests.conftest.OneOpPerEpoch``)."""
 
 import json
 import random
@@ -7,24 +8,11 @@ import pytest
 
 from repro.oram import path_math
 from repro.oram.crypto import CipherSuite, IntegrityError, freshness_context
-from repro.oram.parameters import RingOramParameters
-from repro.oram.ring_oram import (BucketRewrite, OramAccess, OramOp, RingOram,
-                                  slot_key_prefix, slot_storage_key)
-from repro.sim.clock import SimClock
-from repro.storage.memory import InMemoryStorageServer
+from repro.oram.dependency import simulate_parallel_read_batch, simulate_parallel_write_batch
+from repro.oram.ring_oram import BucketRewrite, slot_key_prefix, slot_storage_key
+from repro.sim.latency import CpuCostModel, LatencyModel, get_latency_model
 
-from tests.conftest import tree_slot_key
-
-
-def make_oram(seed=0, dummiless=False, depth=4, z=4, s=6, a=3, latency="dummy"):
-    clock = SimClock()
-    storage = InMemoryStorageServer(clock=clock)
-    params = RingOramParameters(num_blocks=z << depth, z_real=z, s_dummies=s,
-                                evict_rate=a, depth=depth, block_size=64)
-    cipher = CipherSuite(block_size=params.block_size + 8)
-    oram = RingOram(params, storage, cipher=cipher, clock=clock, seed=seed,
-                    dummiless_writes=dummiless, latency=latency)
-    return oram, storage
+from tests.conftest import OneOpPerEpoch, stored_versions, tree_slot_key
 
 
 def plant(oram, bucket_id, slot_index, block_id, valid):
@@ -36,75 +24,74 @@ def plant(oram, bucket_id, slot_index, block_id, valid):
 
 class TestBasicCorrectness:
     def test_read_of_unknown_block_returns_none(self):
-        oram, _ = make_oram()
-        assert oram.read(3) is None
+        db = OneOpPerEpoch()
+        assert db.read(3) is None
 
     def test_write_then_read(self):
-        oram, _ = make_oram()
-        oram.write(1, b"hello")
-        assert oram.read(1) == b"hello"
+        db = OneOpPerEpoch()
+        db.write(1, b"hello")
+        assert db.read(1) == b"hello"
 
     def test_overwrite(self):
-        oram, _ = make_oram()
-        oram.write(1, b"v1")
-        oram.write(1, b"v2")
-        assert oram.read(1) == b"v2"
+        db = OneOpPerEpoch()
+        db.write(1, b"v1")
+        db.write(1, b"v2")
+        assert db.read(1) == b"v2"
 
     def test_many_blocks_roundtrip(self):
-        oram, _ = make_oram()
+        db = OneOpPerEpoch()
         expected = {}
         for block in range(20):
             value = f"value-{block}".encode()
-            oram.write(block, value)
+            db.write(block, value)
             expected[block] = value
         for block, value in expected.items():
-            assert oram.read(block) == value, f"block {block}"
+            assert db.read(block) == value, f"block {block}"
 
     def test_interleaved_reads_and_writes(self):
-        oram, _ = make_oram(seed=3)
+        db = OneOpPerEpoch(seed=3)
         rng = random.Random(5)
         reference = {}
         for step in range(150):
             block = rng.randrange(16)
             if rng.random() < 0.5 or block not in reference:
                 value = f"{step}".encode()
-                oram.write(block, value)
+                db.write(block, value)
                 reference[block] = value
             else:
-                assert oram.read(block) == reference[block]
+                assert db.read(block) == reference[block]
 
-    def test_dummiless_writes_preserve_correctness(self):
-        oram, _ = make_oram(seed=1, dummiless=True)
+    def test_write_heavy_mix_preserves_correctness(self):
+        # Writes are dummiless: most land in the stash and reach the tree
+        # only through evictions.
+        db = OneOpPerEpoch(seed=1)
         rng = random.Random(9)
         reference = {}
         for step in range(150):
             block = rng.randrange(16)
             if rng.random() < 0.6 or block not in reference:
                 value = f"d{step}".encode()
-                oram.write(block, value)
+                db.write(block, value)
                 reference[block] = value
             else:
-                assert oram.read(block) == reference[block]
+                assert db.read(block) == reference[block]
 
     def test_bulk_load_roundtrip(self):
-        oram, _ = make_oram(seed=2)
+        db = OneOpPerEpoch(seed=2)
         data = {block: f"bulk-{block}".encode() for block in range(30)}
-        oram.bulk_load(data)
+        db.oram.bulk_load(data)
         for block, value in data.items():
-            assert oram.read(block) == value
-
-    def test_access_requires_value_for_write(self):
-        with pytest.raises(ValueError):
-            OramAccess(OramOp.WRITE, 1)
+            assert db.read(block) == value
 
 
 class TestInvariants:
     def test_path_invariant_holds_after_accesses(self):
-        oram, _ = make_oram(seed=4)
+        db = OneOpPerEpoch(seed=4)
+        oram = db.oram
         for block in range(16):
-            oram.write(block, bytes([block]))
+            db.write(block, bytes([block]))
         for _ in range(100):
-            oram.read(random.Random(7).randrange(16))
+            db.read(random.Random(7).randrange(16))
         # Every mapped block is either in the stash or recorded in a bucket on
         # its assigned path.
         for block in range(16):
@@ -118,43 +105,44 @@ class TestInvariants:
             assert on_path, f"block {block} not found on its path"
 
     def test_remap_after_every_access(self):
-        oram, _ = make_oram(seed=6)
-        oram.write(1, b"v")
+        db = OneOpPerEpoch(seed=6)
+        db.write(1, b"v")
         seen = set()
         for _ in range(20):
-            oram.read(1)
-            seen.add(oram.position_map.lookup(1))
+            db.read(1)
+            seen.add(db.oram.position_map.lookup(1))
         assert len(seen) > 1
 
     def test_eviction_counter_advances_every_a_accesses(self):
-        oram, _ = make_oram(seed=1, a=3)
+        db = OneOpPerEpoch(seed=1, a=3)
         for block in range(9):
-            oram.write(block, b"v")
-        assert oram.eviction_count == 3
+            db.write(block, b"v")
+        assert db.oram.eviction_count == 3
 
     def test_stash_stays_bounded(self):
-        oram, _ = make_oram(seed=8)
+        db = OneOpPerEpoch(seed=8)
         rng = random.Random(3)
         for step in range(300):
-            oram.write(rng.randrange(32), bytes([step % 250]))
-        assert len(oram.stash) <= 4 * oram.params.z_real + oram.params.z_real
+            db.write(rng.randrange(32), bytes([step % 250]))
+        assert len(db.oram.stash) <= 4 * db.oram.params.z_real + db.oram.params.z_real
 
     def test_bucket_slots_never_read_twice_between_rewrites(self):
-        oram, storage = make_oram(seed=5)
+        db = OneOpPerEpoch(seed=5)
         for block in range(16):
-            oram.write(block, bytes([block]))
+            db.write(block, bytes([block]))
         rng = random.Random(11)
         for _ in range(120):
-            oram.read(rng.randrange(16))
+            db.read(rng.randrange(16))
         from repro.analysis.obliviousness import check_bucket_invariant
-        assert check_bucket_invariant(storage.trace) == []
+        assert check_bucket_invariant(db.storage.trace) == []
 
     def test_forget_tree_copy_removes_stale_entry(self):
-        oram, _ = make_oram(seed=9)
-        oram.write(1, b"v")
+        db = OneOpPerEpoch(seed=9)
+        oram = db.oram
+        db.write(1, b"v")
         # Force the block out of the stash into the tree.
         for block in range(2, 14):
-            oram.write(block, bytes([block]))
+            db.write(block, bytes([block]))
         leaf = oram.position_map.lookup(1)
         holders_before = [bid for bid in path_math.path_buckets(leaf, oram.params.depth)
                           if 1 in oram.metadata.bucket(bid).real_block_ids()]
@@ -174,7 +162,7 @@ class TestInvariants:
         copy would later be drained by an eviction and resurrect its stale
         value over the freshly written one: a lost update.
         """
-        oram, _ = make_oram(seed=9, depth=3)
+        oram = OneOpPerEpoch(seed=9, depth=3).oram
         leaf = 5
         path = path_math.path_buckets(leaf, oram.params.depth)
         oram.position_map._positions[1] = leaf
@@ -201,10 +189,11 @@ class TestInvariants:
         traffic that evictions drain the old copy's bucket.  The read must
         return the new value, never the resurrected old one.
         """
-        oram, _ = make_oram(seed=21, dummiless=True, depth=3)
-        oram.write(1, b"old")
+        db = OneOpPerEpoch(seed=21, depth=3)
+        oram = db.oram
+        db.write(1, b"old")
         for block in range(2, 12):
-            oram.write(block, bytes([block]))
+            db.write(block, bytes([block]))
         leaf = oram.position_map.lookup(1)
         path = path_math.path_buckets(leaf, oram.params.depth)
         holders = [bid for bid in path
@@ -220,7 +209,7 @@ class TestInvariants:
         free = [i for i in dummies if not decoy.valid[i]] or dummies
         plant(oram, decoy.bucket_id, free[0], block_id=1, valid=False)
 
-        oram.write(1, b"new")
+        db.write(1, b"new")
         # The dummiless write moved block 1 to the stash (or an immediate
         # eviction already re-placed it).  Either way the old tree copy must
         # be gone: block 1 lives in exactly one place, or a later drain
@@ -233,8 +222,8 @@ class TestInvariants:
             assert len(copies) == 1
         rng = random.Random(13)
         for step in range(120):
-            oram.write(rng.randrange(2, 12), bytes([step % 250]))
-        assert oram.read(1) == b"new"
+            db.write(rng.randrange(2, 12), bytes([step % 250]))
+        assert db.read(1) == b"new"
 
 
 class TestPhysicalBehaviour:
@@ -245,106 +234,139 @@ class TestPhysicalBehaviour:
         assert slot_key_prefix(5, 2) + "13" == slot_storage_key(5, 2, 13)
 
     def test_path_read_touches_one_slot_per_level(self):
-        oram, storage = make_oram(seed=0)
-        oram.write(1, b"v")
-        storage.trace.clear()
-        before = oram.stats_physical_reads
-        oram.read(1)
-        path_reads = oram.stats_physical_reads - before
-        # One slot per bucket on the path, plus any eviction/reshuffle reads.
-        assert path_reads >= oram.params.depth + 1
+        # A is large enough that the read triggers no eviction.
+        db = OneOpPerEpoch(a=100)
+        db.read(1)
+        assert db.executor.stats.physical_reads == db.oram.params.depth + 1
+        assert db.executor.stats.evictions == db.executor.stats.early_reshuffles == 0
 
     def test_shadow_paging_creates_new_versions(self):
-        oram, storage = make_oram(seed=0)
+        db = OneOpPerEpoch()
         for block in range(12):
-            oram.write(block, b"v")
-        versions = set()
-        for key in storage.keys():
-            if key.startswith("oram/0/"):
-                versions.add(key.split("/")[2])
-        assert len(versions) >= 2   # the root has been rewritten at least twice
+            db.write(block, b"v")
+        root = db.oram.metadata.bucket(0).version
+        assert root >= 2   # the root has been rewritten at least twice
+        # ... and the server keeps only its latest version.
+        assert stored_versions(db.storage)[0] == {root: db.oram.params.slots_per_bucket}
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_bulk_load_charges_the_sequential_block_cost_per_slot_written(self, enabled):
+        # Every engine's simulated clock starts from this charge.
+        db = OneOpPerEpoch(cipher=CipherSuite(block_size=72, enabled=enabled))
+        db.oram.bulk_load({block: b"v" for block in range(30)})
+        per_slot = db.oram.cost_model.sequential_block_cost_ms(enabled)
+        assert db.storage.stats_writes > 0
+        assert db.oram.clock.now_ms == per_slot * db.storage.stats_writes
 
     def test_clock_advances_with_accesses(self):
-        oram, _ = make_oram(seed=0, latency="server")
-        start = oram.clock.now_ms
-        oram.write(1, b"v")
-        oram.read(1)
-        assert oram.clock.now_ms > start
+        db = OneOpPerEpoch(backend="server")
+        db.write(1, b"v")
+        db.read(2)      # block 1 would be served from the stash
+        assert db.oram.clock.now_ms > 0.0
 
     def test_a_store_call_is_timed_after_it_returns(self):
         """Trace rows carry the time the call was issued; the round trips
         are charged once it returns."""
-        oram, storage = make_oram(seed=0, latency="server_wan")
-        oram.read(1)
-        times = [event.time_ms for event in storage.trace.events]
-        assert len(times) == oram.params.depth + 1
+        db = OneOpPerEpoch(backend="server_wan")
+        db.read(1)
+        times = [event.time_ms for event in db.storage.trace.events]
+        assert len(times) == db.oram.params.depth + 1
         assert set(times) == {0.0}
-        assert oram.clock.now_ms > 10.0 * len(times)
+        assert db.oram.clock.now_ms > 10.0 * len(times)
 
     def test_deterministic_given_seed(self):
-        first, _ = make_oram(seed=123)
-        second, _ = make_oram(seed=123)
+        first, second = OneOpPerEpoch(seed=123), OneOpPerEpoch(seed=123)
         for block in range(10):
             first.write(block, bytes([block]))
             second.write(block, bytes([block]))
-        assert first.position_map.serialize_full() == second.position_map.serialize_full()
-        assert first.eviction_count == second.eviction_count
+        assert first.oram.position_map.serialize_full() == \
+            second.oram.position_map.serialize_full()
+        assert first.oram.eviction_count == second.oram.eviction_count
 
     def test_real_slot_the_store_lost_is_rejected_not_read_as_never_written(self):
-        oram, storage = make_oram(seed=0)
-        oram.bulk_load({block: b"v%d" % block for block in range(8)})
-        block = next(b for b in range(8) if b not in oram.stash)
-        lost = tree_slot_key(oram, block)
-        storage.delete_batch([lost])
+        db = OneOpPerEpoch()
+        db.oram.bulk_load({block: b"v%d" % block for block in range(8)})
+        block = next(b for b in range(8) if b not in db.oram.stash)
+        lost = tree_slot_key(db.oram, block)
+        db.storage.delete_batch([lost])
         with pytest.raises(IntegrityError, match=lost):
-            oram.read(block)
+            db.read(block)
+
+
+#: A backend with no network at all: all it is charged is the proxy's CPU.
+NO_NETWORK = LatencyModel(name="none", read_rtt_ms=0.0, write_rtt_ms=0.0)
+#: A proxy whose CPU is free: all it is charged is the store's round trips.
+NO_CPU = CpuCostModel(crypto_per_block_ms=0.0, metadata_per_block_ms=0.0,
+                      coordination_per_block_ms=0.0)
 
 
 class TestSequentialTiming:
-    """The sequential client charges the round trips of each store call
-    itself: ``ceil(n / p)`` waves of one round trip, plus the backend's
-    per-request service time over ``p`` usable slots."""
+    """Figure 10a's sequential baseline is the executor with one request in
+    flight: a batch costs the serial sum of its requests, a round trip per
+    slot read and one per bucket written, plus the proxy's CPU per slot.
+    With more in flight, round trips come in waves of the usable
+    parallelism."""
 
-    def _elapsed(self, latency):
-        oram, _ = make_oram(seed=0, latency=latency)
+    def _elapsed(self, backend):
+        db = OneOpPerEpoch(backend=backend, buffer_writes=False)
         for block in range(6):
-            oram.write(block, b"v")
-        oram.read(3)
-        return oram.clock.now_ms
+            db.write(block, b"v")
+        db.read(3)
+        return db.oram.clock.now_ms
 
     def test_dummy_backend_charges_no_round_trips(self):
-        assert self._elapsed("dummy") == self._elapsed(None) > 0.0
+        assert self._elapsed("dummy") == self._elapsed(NO_NETWORK) > 0.0
 
     def test_wan_slower_than_lan(self):
-        assert self._elapsed(None) < self._elapsed("server") < self._elapsed("server_wan")
+        assert self._elapsed("dummy") < self._elapsed("server") < self._elapsed("server_wan")
 
     def test_path_read_pays_one_round_trip_per_slot(self):
-        timed, _ = make_oram(seed=0, latency="server")
-        untimed, _ = make_oram(seed=0)
+        timed, untimed = OneOpPerEpoch(backend="server"), OneOpPerEpoch(backend="dummy")
         timed.read(1)
         untimed.read(1)
-        slots = timed.stats_physical_reads
-        assert slots == timed.params.depth + 1
-        assert timed.clock.now_ms - untimed.clock.now_ms == pytest.approx(
+        slots = timed.executor.stats.physical_reads
+        cost = timed.oram.cost_model
+        assert slots == timed.oram.params.depth + 1
+        assert untimed.oram.clock.now_ms == pytest.approx(slots * (
+            cost.metadata_per_block_ms + cost.coordination_per_block_ms
+            + cost.crypto_per_block_ms))
+        assert timed.oram.clock.now_ms - untimed.oram.clock.now_ms == pytest.approx(
             slots * 0.3 + slots * 0.002)
 
+    def test_bucket_write_pays_one_round_trip(self):
+        db = OneOpPerEpoch(backend="server_wan", buffer_writes=False, a=1)
+        db.write(1, b"v")                   # evicts one path, bucket by bucket
+        cost, params = db.oram.cost_model, db.oram.params
+        per_bucket = 10.0 + params.slots_per_bucket * (
+            0.002 + cost.crypto_per_block_ms + cost.metadata_per_block_ms)
+        assert db.executor.stats.evictions == 1
+        assert db.executor.stats.write_time_ms == pytest.approx(
+            (params.depth + 1) * per_bucket)
+
+    @staticmethod
+    def _round_trips(requests, parallelism, is_write, backend="dynamo"):
+        """Time ``requests`` one-slot requests to distinct buckets, CPU free."""
+        latency = get_latency_model(backend)
+        if is_write:
+            return simulate_parallel_write_batch(dict.fromkeys(range(requests), 1),
+                                                 latency, parallelism, NO_CPU)
+        return simulate_parallel_read_batch(list(range(requests)), latency,
+                                            parallelism, NO_CPU)
+
+    # Each wave is one round trip plus one request's service time.
     @pytest.mark.parametrize("requests,parallelism,is_write,expected", [
         (3, 1, False, 3 * 1.0 + 0.0125 * 3),
-        (100, 32, False, 4 * 1.0 + 0.0125 * 100 / 32),
-        (100, 1024, False, 2 * 1.0 + 0.0125 * 100 / 64),   # dynamo serves 64 at once
+        (100, 32, False, 4 * 1.0 + 0.0125 * 4),
+        (100, 1024, False, 2 * 1.0 + 0.0125 * 2),   # dynamo serves 64 at once
         (2, 1, True, 2 * 3.0 + 0.0125 * 2),
         (0, 1, True, 0.0),
     ])
     def test_round_trips_come_in_waves_of_the_usable_parallelism(
             self, requests, parallelism, is_write, expected):
-        oram, _ = make_oram(latency="dynamo")
-        oram._charge_round_trips(requests, is_write, parallelism)
-        assert oram.clock.now_ms == pytest.approx(expected)
+        assert self._round_trips(requests, parallelism, is_write) == pytest.approx(expected)
 
     def test_no_latency_charges_nothing(self):
-        oram, _ = make_oram(latency=None)
-        oram._charge_round_trips(100, False, 1)
-        assert oram.clock.now_ms == 0.0
+        assert self._round_trips(100, 1, False, NO_NETWORK) == 0.0
 
 
 class TestSealRewrites:
@@ -372,7 +394,7 @@ class TestSealRewrites:
     def test_cipher_that_binds_no_context_seals_the_same_items_without_one(
             self, suite, monkeypatch):
         monkeypatch.setattr("repro.oram.crypto.os.urandom", lambda n: b"\x07" * n)
-        oram, _ = make_oram()
+        oram = OneOpPerEpoch().oram
         oram.cipher = CipherSuite(key=b"k" * 32, block_size=72, **suite)
         assert not oram.cipher.binds_context
         items = oram.seal_rewrites(self.REWRITES)
@@ -381,7 +403,7 @@ class TestSealRewrites:
             slot_storage_key(4, 1, slot) for slot in range(3)]
 
     def test_default_suite_binds_every_slot_to_its_own_position_and_version(self):
-        oram, _ = make_oram()
+        oram = OneOpPerEpoch().oram
         assert oram.cipher.binds_context
         items = oram.seal_rewrites(self.REWRITES)
         for rewrite in self.REWRITES:
@@ -402,7 +424,7 @@ class TestSealRewrites:
                         oram.cipher.open_block(blob, freshness_context(*position))
 
     def test_dummy_slots_are_fresh_random_bytes_nobody_opens(self):
-        oram, _ = make_oram()
+        oram = OneOpPerEpoch().oram
         rewrite = self.REWRITES[0]
         next_version = BucketRewrite(bucket_id=rewrite.bucket_id, version=rewrite.version + 1,
                                      slot_blocks=list(rewrite.slot_blocks),

@@ -16,20 +16,9 @@ from repro.core.config import ObladiConfig, RingOramConfig
 from repro.core.proxy import ObladiProxy
 from repro.oram import path_math
 from repro.oram.crypto import CipherSuite
-from repro.oram.parameters import (RingOramParameters, derive_parameters,
-                                   partition_block_count)
-from repro.oram.ring_oram import RingOram
-from repro.sim.clock import SimClock
-from repro.storage.memory import InMemoryStorageServer
+from repro.oram.parameters import derive_parameters, partition_block_count
 
-
-def build_oram(seed, depth=3, z=4, s=6, a=3, dummiless=False):
-    clock = SimClock()
-    storage = InMemoryStorageServer(clock=clock, record_trace=False)
-    params = RingOramParameters(num_blocks=z << depth, z_real=z, s_dummies=s,
-                                evict_rate=a, depth=depth, block_size=64)
-    return RingOram(params, storage, cipher=CipherSuite(block_size=72), clock=clock,
-                    seed=seed, dummiless_writes=dummiless)
+from tests.conftest import OneOpPerEpoch
 
 
 class TestPathMathProperties:
@@ -72,17 +61,17 @@ class TestOramProperties:
            st.integers(min_value=0, max_value=2**16))
     def test_oram_behaves_like_a_dictionary(self, operations, seed):
         """Writes followed by reads always return the latest written value."""
-        oram = build_oram(seed)
+        db = OneOpPerEpoch(seed=seed, depth=3)
         reference = {}
         rng = random.Random(seed)
         for block, value in operations:
             if reference and rng.random() < 0.4:
                 probe = rng.choice(sorted(reference))
-                assert oram.read(probe) == reference[probe]
-            oram.write(block, value)
+                assert db.read(probe) == reference[probe]
+            db.write(block, value)
             reference[block] = value
         for block, value in sorted(reference.items()):
-            assert oram.read(block) == value
+            assert db.read(block) == value
 
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -90,11 +79,12 @@ class TestOramProperties:
            st.integers(min_value=0, max_value=2**16))
     def test_path_invariant_always_holds(self, accesses, seed):
         """After any access sequence every block is in the stash or on its path."""
-        oram = build_oram(seed, dummiless=True)
+        db = OneOpPerEpoch(seed=seed, depth=3)
+        oram = db.oram
         for block in range(16):
-            oram.write(block, bytes([block]))
+            db.write(block, bytes([block]))
         for block in accesses:
-            oram.read(block)
+            db.read(block)
         for block in range(16):
             leaf = oram.position_map.lookup(block)
             if block in oram.stash or leaf is None:
@@ -111,10 +101,10 @@ class TestOramProperties:
     @given(st.lists(st.integers(min_value=0, max_value=31), min_size=1, max_size=120),
            st.integers(min_value=0, max_value=2**16))
     def test_stash_never_explodes(self, accesses, seed):
-        oram = build_oram(seed, depth=4, dummiless=True)
+        db = OneOpPerEpoch(seed=seed)
         for i, block in enumerate(accesses):
-            oram.write(block, bytes([i % 251]))
-        assert len(oram.stash) <= 6 * oram.params.z_real
+            db.write(block, bytes([i % 251]))
+        assert len(db.oram.stash) <= 6 * db.oram.params.z_real
 
 
 SHARDS = 4
