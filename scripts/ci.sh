@@ -93,17 +93,30 @@ fi
 # Full-size drift gate: one untraced round of each repo-benchmark workload at
 # seed 17 must print the sim_digest ROADMAP records (about 12 s for all four).
 # A refactor or a host-cost change must not move a simulated number.
-echo "== drift gate: full-size seed-17 sim_digests (repo benchmark) =="
+# Peak RSS: the adversary trace keeps its keys in zlib segments and one size
+# per uniform batch, so ycsb_hot_elastic peaks at about 54 MiB after a round
+# (about 73 when every block held its keys as a plain string and its sizes as
+# an array).  The step fails at 64 MiB or more.
+echo "== drift gate: full-size seed-17 sim_digests, ycsb_hot_elastic peak RSS (repo benchmark) =="
 for pinned in smallbank_sharded:54bd2030a4c348b5 tpcc_durable:8833c8bb01c68186 \
               freehealth_openloop:390ffd62f50e36f5 ycsb_hot_elastic:182d60c47869690d; do
     workload=${pinned%%:*}
     expected=${pinned#*:}
-    digest=$(python bench/run.py --workload "$workload" --seed 17 --seconds 0 --trace 0 \
-        | awk '$1 == "sim_digest" { print $2 }')
+    round=$(python bench/run.py --workload "$workload" --seed 17 --seconds 0 --trace 0)
+    digest=$(awk '$1 == "sim_digest" { print $2 }' <<<"$round")
     echo "$workload sim_digest $digest"
     if [ "$digest" != "$expected" ]; then
         echo "$workload sim_digest $digest is not the recorded $expected" >&2
         exit 1
+    fi
+    if [ "$workload" = ycsb_hot_elastic ]; then
+        rss=$(awk '$1 == "metric" && $2 == "peak_rss_mb" { print $3 }' <<<"$round")
+        echo "$workload peak_rss_mb $rss"
+        compact=$(awk -v rss="$rss" 'BEGIN { print (rss != "" && rss < 64) ? "yes" : "no" }')
+        if [ "$compact" != yes ]; then
+            echo "$workload peak_rss_mb ($rss) is not under 64 MiB" >&2
+            exit 1
+        fi
     fi
 done
 

@@ -10,12 +10,14 @@ workload ran.
 
 from __future__ import annotations
 
+import zlib
 from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
-from operator import itemgetter
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from operator import index, itemgetter
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.storage.backend import StorageOp
 
@@ -42,29 +44,51 @@ class BatchBoundary:
     request_count: int
 
 
-#: One storage batch as recorded: the requests of a batch share their
-#: operation kind, timestamp and batch id, so only keys and sizes are per
-#: request — packed as one NUL-joined ``str`` and one ``array('q')``, not an
-#: object per request.  ``(op, keys, sizes, time_ms, batch_id)``.
-_Block = Tuple[StorageOp, str, array, float, int]
+#: One storage batch as recorded, without its keys: the requests of a batch
+#: share their operation kind, timestamp and batch id, so only keys and sizes
+#: are per request.  ``sizes`` is one ``int`` when every request of the batch
+#: moved the same number of bytes (every delete batch and most slot batches)
+#: and an ``array('q')`` otherwise.  ``(op, count, sizes, time_ms, batch_id)``.
+_Block = Tuple[StorageOp, int, Union[int, array], float, int]
 
-#: Joins a block's keys; a key containing it cannot be recorded.
+#: Joins keys, within a block and between blocks; a key containing it cannot
+#: be recorded.
 _SEP = "\0"
+
+#: Open keys are closed into a segment once about this many characters wait.
+_SEGMENT_CHARS = 1 << 16
+
+#: ``wbits`` of a segment: raw deflate, without zlib's header and checksum
+#: (about 8 % less compression time; a segment never leaves the process).
+_RAW_DEFLATE = -15
+
+
+def _size_column(sizes: Union[int, array], count: int) -> Sequence[int]:
+    """A block's sizes, one per request."""
+    return [sizes] * count if isinstance(sizes, int) else sizes
 
 
 class AccessTrace:
     """Accumulates the sequence of requests observed by the storage server.
 
-    Requests are stored as packed row blocks, one per recorded storage
-    batch; a request's ``seq`` is its row index.  A trace keeps no key
-    object alive — the server may long since have dropped the key — and
-    :class:`TraceEvent` objects exist only once :attr:`events` is read.
+    Requests are stored per recorded storage batch: a block holds the
+    batch's operation, time, batch id, request count and sizes (one ``int``
+    when they are all equal).  Keys are kept apart, in request order: the
+    NUL-joined keys of whole blocks wait until about ``_SEGMENT_CHARS``
+    characters have gathered and are then closed into one level-1 ``zlib``
+    segment — about 4 bytes a request on ORAM slot keys.  A request's
+    ``seq`` is its row index.  A trace keeps no key object alive — the
+    server may long since have dropped the key — and :class:`TraceEvent`
+    objects exist only in the lists a view returns; every view decompresses
+    the segments it reads.
     """
 
     def __init__(self) -> None:
         self._blocks: List[_Block] = []
+        self._segments: List[bytes] = []   # closed keys, whole blocks each
+        self._open: List[str] = []         # NUL-joined keys of each later block
+        self._open_chars = 0
         self._length = 0
-        self._events: Optional[List[TraceEvent]] = None     # cache of ``events``
         self._batches: List[BatchBoundary] = []
         self._next_batch = 0
 
@@ -83,21 +107,32 @@ class AccessTrace:
         """Record the requests of one storage batch, in order.
 
         Equivalent to one :meth:`record` per ``(key, size)`` pair.  A key
-        may not contain NUL (the separator of a packed block).
+        may not contain NUL (the separator of the packed keys); a rejected
+        batch leaves the trace as it was.
         """
         if not isinstance(keys, (list, tuple)):
             keys = list(keys)
-        sizes = array("q", sizes)
-        if len(keys) != len(sizes):
-            raise ValueError(f"{len(keys)} keys but {len(sizes)} sizes")
-        if not keys:
+        if not isinstance(sizes, (list, tuple)):
+            sizes = list(sizes)
+        count = len(keys)
+        if count != len(sizes):
+            raise ValueError(f"{count} keys but {len(sizes)} sizes")
+        if not count:
             return
         packed = _SEP.join(keys)
-        if packed.count(_SEP) != len(keys) - 1:
+        if packed.count(_SEP) != count - 1:
             raise ValueError("a trace key cannot contain NUL")
-        self._blocks.append((op, packed, sizes, time_ms, batch_id))
-        self._length += len(keys)
-        self._events = None
+        first = sizes[0]
+        column = index(first) if sizes.count(first) == count else array("q", sizes)
+        self._blocks.append((op, count, column, time_ms, batch_id))
+        self._length += count
+        self._open.append(packed)
+        self._open_chars += len(packed) + 1
+        if self._open_chars >= _SEGMENT_CHARS:
+            self._segments.append(zlib.compress(
+                _SEP.join(self._open).encode("utf-8", "surrogatepass"), 1, _RAW_DEFLATE))
+            self._open = []
+            self._open_chars = 0
 
     def record(self, op: StorageOp, key: str, size_bytes: int, time_ms: float,
                batch_id: int = -1) -> None:
@@ -107,28 +142,46 @@ class AccessTrace:
     def clear(self) -> None:
         """Drop all recorded events (used between experiment phases)."""
         self._blocks.clear()
+        self._segments.clear()
+        self._open = []
+        self._open_chars = 0
         self._length = 0
-        self._events = None
         self._batches.clear()
         self._next_batch = 0
 
     # ------------------------------------------------------------------ #
     # Inspection
     # ------------------------------------------------------------------ #
+    def _chunks(self) -> Iterator[str]:
+        """The recorded keys, NUL-joined, one segment (then the open keys) at a time."""
+        for segment in self._segments:
+            yield zlib.decompress(segment, _RAW_DEFLATE).decode("utf-8", "surrogatepass")
+        if self._open:
+            yield _SEP.join(self._open)
+
+    def _block_keys(self) -> Iterator[Tuple[_Block, List[str]]]:
+        """Every block with its keys, in record order."""
+        blocks = iter(self._blocks)
+        for chunk in self._chunks():
+            keys = chunk.split(_SEP)
+            start = 0
+            while start < len(keys):
+                block = next(blocks)
+                yield block, keys[start:start + block[1]]
+                start += block[1]
+
     def _rows(self) -> Iterator[Tuple[int, float, StorageOp, str, int, int]]:
         """Every request as a :class:`TraceEvent` field tuple, in ``seq`` order."""
         seq = 0
-        for op, keys, sizes, time_ms, batch_id in self._blocks:
-            for key, size in zip(keys.split(_SEP), sizes):
+        for (op, count, sizes, time_ms, batch_id), keys in self._block_keys():
+            for key, size in zip(keys, _size_column(sizes, count)):
                 yield seq, time_ms, op, key, size, batch_id
                 seq += 1
 
     @property
     def events(self) -> List[TraceEvent]:
-        """The recorded requests, materialised (and cached until the next append)."""
-        if self._events is None:
-            self._events = [TraceEvent(*row) for row in self._rows()]
-        return list(self._events)
+        """The recorded requests, materialised afresh on every read."""
+        return [TraceEvent(*row) for row in self._rows()]
 
     @property
     def batches(self) -> List[BatchBoundary]:
@@ -141,9 +194,9 @@ class AccessTrace:
     def keys_accessed(self, op: Optional[StorageOp] = None) -> List[str]:
         """Keys in access order, optionally filtered by operation kind."""
         keys: List[str] = []
-        for block in self._blocks:
+        for block, block_keys in self._block_keys():
             if op is None or block[0] == op:
-                keys.extend(block[1].split(_SEP))
+                keys.extend(block_keys)
         return keys
 
     def key_frequencies(self, op: Optional[StorageOp] = None) -> Counter:
@@ -154,7 +207,7 @@ class AccessTrace:
         """Number of requests per operation kind."""
         counts: Dict[StorageOp, int] = {}
         for block in self._blocks:
-            counts[block[0]] = counts.get(block[0], 0) + len(block[2])
+            counts[block[0]] = counts.get(block[0], 0) + block[1]
         return counts
 
     def batch_shape(self) -> List[Tuple[str, int]]:
@@ -181,9 +234,9 @@ class AccessTrace:
         it)``; every other field of a request is carried over unchanged.
         """
         parts: Dict[int, AccessTrace] = {}
-        for op, keys, sizes, time_ms, batch_id in self._blocks:
+        for (op, count, sizes, time_ms, batch_id), keys in self._block_keys():
             grouped: Dict[int, Tuple[List[str], List[int]]] = {}
-            for key, size in zip(keys.split(_SEP), sizes):
+            for key, size in zip(keys, _size_column(sizes, count)):
                 group, sub_key = classify(key)
                 columns = grouped.get(group)
                 if columns is None:
@@ -207,17 +260,18 @@ class AccessTrace:
         """
         view = AccessTrace()
         cut = len(prefix) if strip else 0
-        for op, packed, sizes, time_ms, batch_id in self._blocks:
-            keys = packed.split(_SEP)
-            kept = [index for index, key in enumerate(keys) if key.startswith(prefix)]
-            view.record_batch(op, [keys[index][cut:] for index in kept],
-                              [sizes[index] for index in kept], time_ms, batch_id)
+        for (op, count, sizes, time_ms, batch_id), keys in self._block_keys():
+            kept = [row for row, key in enumerate(keys) if key.startswith(prefix)]
+            column = _size_column(sizes, count)
+            view.record_batch(op, [keys[row][cut:] for row in kept],
+                              [column[row] for row in kept], time_ms, batch_id)
         return view
 
     def total_bytes(self, op: Optional[StorageOp] = None) -> int:
         """Total payload bytes moved, optionally restricted to one op kind."""
-        return sum(sum(block[2]) for block in self._blocks
-                   if op is None or block[0] == op)
+        return sum(sizes * count if isinstance(sizes, int) else sum(sizes)
+                   for kind, count, sizes, _, _ in self._blocks
+                   if op is None or kind == op)
 
 
 def merge_traces(traces: Iterable[AccessTrace]) -> AccessTrace:

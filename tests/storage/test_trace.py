@@ -1,8 +1,13 @@
 """Tests for the adversary-visible access trace."""
 
+import random
+import tracemalloc
+from array import array
+
 import pytest
 
 from repro.analysis import generation_traces, partition_traces
+from repro.storage import trace as trace_module
 from repro.storage.backend import StorageOp
 from repro.storage.cluster import StorageCluster
 from repro.storage.trace import AccessTrace, merge_traces
@@ -160,6 +165,25 @@ class TestRecordBatch:
             trace.record_batch(StorageOp.READ, keys, [1] * len(keys), 0.0)
         assert len(trace) == 0 and trace.events == []
 
+    @pytest.mark.parametrize("keys, sizes", [(["x", "a\0b"], [1, 1]), (["x", "y"], [1]),
+                                             (["x"], [1, 2])])
+    def test_a_rejected_batch_leaves_the_trace_as_it_was(self, monkeypatch, keys, sizes):
+        monkeypatch.setattr(trace_module, "_SEGMENT_CHARS", 8)
+        trace = recorded(True)
+        trace.record(StorageOp.READ, "k", 1, 2.5)
+        state = (len(trace), event_fields(trace), list(trace._segments), list(trace._open))
+        assert state[2] and state[3]            # closed segments and open keys
+        with pytest.raises(ValueError):
+            trace.record_batch(StorageOp.READ, keys, sizes, 3.0, 4)
+        assert (len(trace), event_fields(trace), trace._segments, trace._open) == state
+
+    def test_sizes_are_one_int_when_uniform(self, trace):
+        trace.record_batch(StorageOp.WRITE, ["a", "b"], [64, 64], 0.0)
+        trace.record_batch(StorageOp.READ, ["a", "b"], [64, 0], 0.0)
+        assert [block[2] for block in trace._blocks] == [64, array("q", [64, 0])]
+        assert [e.size_bytes for e in trace.events] == [64, 64, 64, 0]
+        assert trace.total_bytes() == 192
+
     def test_empty_and_generator_keys_round_trip(self, trace):
         trace.record_batch(StorageOp.WRITE, iter(["", "x", ""]), iter([0, 5, 7]), 2.0)
         assert [(e.key, e.size_bytes) for e in trace.events] == [("", 0), ("x", 5), ("", 7)]
@@ -219,3 +243,39 @@ class TestRecordBatch:
         assert [len(trace) for trace in cluster.traces] == [0, 0]
         assert len(merge_traces(cluster.traces)) == 0
 
+
+def oram_shaped_batches(rng: random.Random, epochs: int = 40):
+    """``(kind, op, keys, sizes)`` of an ORAM-shaped run: each epoch, three
+    read batches of 640 random slot keys, then a write batch and a delete
+    batch of 120 buckets x 20 slots each."""
+    for epoch in range(epochs):
+        for _ in range(3):
+            keys = [f"p{rng.randrange(4)}/oram/{rng.randrange(4096)}/v{rng.randrange(64)}"
+                    f"/s/{rng.randrange(20)}" for _ in range(640)]
+            yield "read", StorageOp.READ, keys, [rng.choice((292, 0)) for _ in keys]
+        buckets = [(rng.randrange(4), rng.randrange(4096)) for _ in range(120)]
+        for kind, op, version, size in (("write", StorageOp.WRITE, epoch + 1, 292),
+                                        ("delete", StorageOp.DELETE, epoch, 0)):
+            keys = [f"p{part}/oram/{bucket}/v{version}/s/{slot}"
+                    for part, bucket in buckets for slot in range(20)]
+            yield kind, op, keys, [size] * len(keys)
+
+
+def test_a_trace_retains_few_bytes_per_request():
+    """Memory gate: what ``trace.py`` still holds after recording an
+    ORAM-shaped run, per request (about 29 bytes with one NUL-joined string
+    and one ``array('q')`` per block; about 7 with compressed key segments
+    and one size per uniform block)."""
+    trace = AccessTrace()
+    tracemalloc.start()
+    try:
+        for time_ms, (kind, op, keys, sizes) in enumerate(oram_shaped_batches(random.Random(7))):
+            batch_id = trace.begin_batch(kind, float(time_ms), len(keys))
+            trace.record_batch(op, keys, sizes, float(time_ms), batch_id)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    retained = sum(stat.size for stat in snapshot.filter_traces(
+        [tracemalloc.Filter(True, trace_module.__file__)]).statistics("filename"))
+    assert len(trace) == 40 * (3 * 640 + 2 * 120 * 20)
+    assert retained / len(trace) <= 12
