@@ -12,6 +12,9 @@ nothing from the failure.
 The engine API surfaces this as ``engine.crash()`` / ``engine.recover()``
 (the Obladi engine sets ``supports_crash_recovery``; the baselines raise
 ``EngineFeatureUnavailable`` — they have no durability story to recover).
+A crash at a chosen point is a storage outage: ``storage.fail(after=k)``
+fails every request once k more keys have been written or deleted, and the
+engine crashes its proxy on the error.
 
 Run it with::
 
@@ -20,8 +23,6 @@ Run it with::
 
 from repro.api import EngineConfig, create_engine
 from repro.core.client import Read, Write
-from repro.core.errors import ProxyCrashedError
-from repro.recovery.crash import CrashInjector, CrashPoint
 
 
 def main() -> None:
@@ -49,12 +50,10 @@ def main() -> None:
         print(f"epoch wave {epoch}: committed {sum(r.committed for r in results)} edits")
     print("doc:1 is now:", engine.read("doc:1").decode(), "\n")
 
-    # Crash in the middle of the next epoch, after its first read batch.
-    # (Crash *injection* is proxy-level tooling; the engine exposes the
-    # recovery path itself.)
-    injector = CrashInjector(engine.proxy, crash_after_batches=1,
-                             point=CrashPoint.AFTER_READ_BATCH)
-    injector.arm()
+    # Crash in the middle of the next epoch: the storage tier goes down once
+    # the epoch has logged its first two read batches to the WAL, and the
+    # proxy crashes on the failed request.
+    engine.storage.fail(after=2)
 
     def doomed_edit():
         yield Read("doc:1")
@@ -63,11 +62,13 @@ def main() -> None:
 
     try:
         engine.submit_many([doomed_edit])
-    except ProxyCrashedError as crash:
-        print(f"proxy crashed mid-epoch: {crash}\n")
+    except ConnectionError as outage:
+        print(f"storage outage mid-epoch ({outage}); proxy crashed: "
+              f"{engine.proxy.crashed}\n")
 
     # Recover: only the master key survives; everything else comes from the
     # untrusted store.  The engine swaps in the recovered proxy.
+    engine.storage.recover()
     report = engine.recover()
     print("recovery complete:")
     print(f"  recovered epoch        : {report.recovered_epoch}")

@@ -3,7 +3,8 @@
 
 Covers ``repro.api``, ``repro.core``, ``repro.sharding``,
 ``repro.proxytier``, ``repro.audit``, ``repro.concurrency``,
-``repro.elasticity``, ``repro.storage`` and ``repro.oram``.
+``repro.elasticity``, ``repro.storage``, ``repro.oram`` and
+``repro.recovery``.
 
 Walks the ``__all__`` of the public packages and fails (exit code 1, listing
 the offenders) if any exported class or function — or any public method of
@@ -24,7 +25,7 @@ import sys
 #: Public packages whose exported surface the gate covers.
 PACKAGES = ("repro.api", "repro.core", "repro.sharding", "repro.proxytier",
             "repro.audit", "repro.concurrency", "repro.elasticity", "repro.storage",
-            "repro.oram")
+            "repro.oram", "repro.recovery")
 
 
 def _missing_in_class(qualname: str, cls: type) -> list:

@@ -73,15 +73,22 @@ class ObladiEngine(TransactionEngine):
         # so conflict repair must be able to tell it from a factory.
         if not programs:
             return []
-        self._begin_staged_reshard()
-        for program in programs:
-            self.proxy.submit(program)
-        summary = self.proxy.run_epoch()
-        epoch_results = [r for r in self.proxy.results.values()
-                         if r.epoch == summary.epoch_id]
-        ordered = sorted(epoch_results, key=lambda r: r.txn_id)
-        if self._migration is not None and self._migration.done:
-            self._cutover()
+        try:
+            self._begin_staged_reshard()
+            for program in programs:
+                self.proxy.submit(program)
+            summary = self.proxy.run_epoch()
+            epoch_results = [r for r in self.proxy.results.values()
+                             if r.epoch == summary.epoch_id]
+            ordered = sorted(epoch_results, key=lambda r: r.txn_id)
+            if self._migration is not None and self._migration.done:
+                self._cutover()
+        except ConnectionError:
+            # A storage outage is a proxy crash: what the epoch held in
+            # memory is gone, and recover() rebuilds from what the servers
+            # hold.
+            self.crash()
+            raise
         self._notify_wave(ordered)
         return ordered
 
@@ -246,21 +253,17 @@ class ObladiEngine(TransactionEngine):
         timestamps/transaction ids keep extending the same serialization
         order.  With durability on, a full checkpoint is written as the
         migration *fence*: recovery from any later crash finds only the new
-        generation's chain, while a crash before this point never sees it.
-        After the fence the retiring generation's slots are deleted.
+        generation's chain, while a crash before this point never sees it —
+        so the new proxy takes over the moment the fence's manifest is
+        stored, before anything is deleted.  After the fence the retiring
+        generation's slots are deleted.
         """
         from repro.proxytier.coordinator import build_proxy
         old = self.proxy
         target = self._reshard_target
         migration = self._migration
-        if migration is not None:
-            layer, storage = migration.layer, migration.storage
-            self._migration_reports.append(migration.report())
-            old._migration = None
-            self._migration = None
-        else:
-            layer, storage = old.data_layer, old.storage
-        self._retire_proxy(old)
+        layer, storage = ((migration.layer, migration.storage) if migration is not None
+                          else (old.data_layer, old.storage))
         # The layer follows the target topology; its epoch cache is reset by
         # the next begin_epoch before anything reads it.
         layer.config = target
@@ -269,12 +272,18 @@ class ObladiEngine(TransactionEngine):
         fresh.mvtso.fast_forward(old.mvtso.next_timestamp, old.mvtso.next_txn_id)
         fresh._last_writer_ts.update(old._last_writer_ts)
         fresh._epoch_counter = old._epoch_counter
+
+        fresh._checkpoint(full=True)
+        if migration is not None:
+            self._migration_reports.append(migration.report())
+            old._migration = None
+            self._migration = None
+        self._retire_proxy(old)
         self.proxy = fresh
         self._reshard_target = None
-        if fresh.recovery is not None:
-            fresh._checkpoint(full=True)
         # Past the fence nothing reads the retiring generation; the server
         # has already seen the reshard, so deleting it leaks nothing new.
+        fresh._collect()
         if migration is not None:
             migration.source.retire()
 
@@ -301,17 +310,20 @@ class ObladiEngine(TransactionEngine):
         what already committed durably.  An in-flight reshard dies with the
         crash: its staged plan and half-copied target generation are
         volatile, and recovery lands on whichever side of the migration
-        fence the durable chain reflects.
+        fence the durable chain reflects.  Recovery reads and deletes on
+        the servers too: if an outage cuts it short, nothing here has
+        changed and ``recover()`` can simply run again.
         """
         from repro.recovery.manager import recover_proxy
         old = self.proxy
+        recovered, report = recover_proxy(
+            old.storage, old.config, master_key=old.master_key,
+            committed_epoch=(old.recovery.checkpoints.committed_epoch
+                             if old.recovery is not None else None))
         self._retire_proxy(old)
         self._pending_reshard = None
         self._reshard_target = None
         self._migration = None
-
-        recovered, report = recover_proxy(old.storage, old.config,
-                                          master_key=old.master_key)
         # The engine's lifetime history spans proxy incarnations, so the new
         # proxy must *extend* the old serialization order, not restart it:
         # MVTSO timestamps define the multiversion order (and txn ids name

@@ -183,8 +183,8 @@ class ObladiProxy:
         """
         self._check_alive()
         self.data_layer.bulk_load(items)
-        if self.recovery is not None:
-            self._checkpoint(full=True)
+        self._checkpoint(full=True)
+        self._collect()
 
     # ------------------------------------------------------------------ #
     # Epoch execution
@@ -519,17 +519,6 @@ class ObladiProxy:
         batch_items = {k: (v if v is not None else b"")
                        for k, v in sorted(write_back.items())[: self.config.write_batch_size]}
 
-        # Record version provenance for future epochs' reads: the value the
-        # ORAM will return for each key is the one written by the latest
-        # committed writer of this epoch.
-        for active in sorted(admitted, key=lambda a: a.record.timestamp):
-            record = active.record
-            if record.status is not TransactionStatus.COMMITTED:
-                continue
-            for key in record.write_set:
-                if key in batch_items:
-                    self._last_writer_ts[key] = record.timestamp
-
         self.data_layer.execute_write_batch(batch_items, self.config.write_batch_size)
         state.write_batch_keys = sorted(batch_items)
         # Write-through replication: a live migration (``repro.elasticity``)
@@ -540,12 +529,16 @@ class ObladiProxy:
             self._migration.observe_writes(batch_items)
         self.data_layer.flush()
 
-        # Durability: the epoch is committed only once its metadata is logged.
-        if self.recovery is not None:
-            self._checkpoint(full=(state.epoch_id % self.config.checkpoint_frequency == 0))
-        # Shadow paging ends at the commit: nothing durable names the bucket
-        # versions the flush superseded any more.
-        self.data_layer.collect()
+        # Durability: the epoch commits when its checkpoint's manifest is
+        # stored (with durability off, once its writes are flushed).  A crash
+        # before that point loses the epoch and a crash after it keeps it, so
+        # that is where it enters the history.
+        self._checkpoint(full=(state.epoch_id % self.config.checkpoint_frequency == 0))
+        self._record_commits(admitted, batch_items)
+        # Shadow paging ends at the commit: nothing durable names the
+        # checkpoint chain it replaced or the bucket versions the flush
+        # superseded any more.
+        self._collect()
 
         end_ms = self.clock.now_ms
         state.finish(EpochPhase.COMMITTED, end_ms)
@@ -564,7 +557,6 @@ class ObladiProxy:
             if committed:
                 state.committed_txn_ids.append(record.txn_id)
                 self.stats_committed += 1
-                self.committed_history.append(CommittedTransaction.from_record(record))
                 if repaired:
                     state.repaired_txn_ids.append(record.txn_id)
                     self.stats_repaired += 1
@@ -590,6 +582,25 @@ class ObladiProxy:
             )
 
         self.mvtso.reset_epoch_state()
+
+    def _record_commits(self, admitted: List[_ActiveTransaction],
+                        batch_items: Dict[str, bytes]) -> None:
+        """Enter a durable epoch's committed transactions into the history.
+
+        Also records version provenance for future epochs' reads: the value
+        the ORAM now returns for each key of the write batch is the one its
+        latest committed writer wrote.
+        """
+        for active in sorted(admitted, key=lambda a: a.record.timestamp):
+            record = active.record
+            if record.status is not TransactionStatus.COMMITTED:
+                continue
+            for key in record.write_set:
+                if key in batch_items:
+                    self._last_writer_ts[key] = record.timestamp
+        self.committed_history.extend(
+            CommittedTransaction.from_record(active.record) for active in admitted
+            if active.record.status is TransactionStatus.COMMITTED)
 
     #: Abort reasons the in-epoch repair pass may attempt to fix (a late
     #: write hit a read marker, or a dependency aborted).  Anything else —
@@ -689,14 +700,30 @@ class ObladiProxy:
     # Durability / crash handling
     # ------------------------------------------------------------------ #
     def _checkpoint(self, full: bool) -> None:
-        self.recovery.checkpoint_data_layer(
-            epoch_id=self._epoch_counter - 1,
-            data_layer=self.data_layer,
-            full=full,
-        )
+        """Store the last epoch's checkpoint, if durable: its manifest commits it."""
+        if self.recovery is not None:
+            self.recovery.checkpoint_data_layer(
+                epoch_id=self._epoch_counter - 1,
+                data_layer=self.data_layer,
+                full=full,
+            )
+
+    def _collect(self) -> None:
+        """Delete what the commit superseded.
+
+        That is the checkpoint chain and WAL records it replaced, if
+        durable, then the bucket versions the flushes replaced.
+        """
+        if self.recovery is not None:
+            self.recovery.collect()
+        self.data_layer.collect()
 
     def crash(self) -> None:
         """Simulate a proxy crash: all volatile state is lost.
+
+        The engine calls this when a storage request fails: a storage outage
+        (:meth:`repro.storage.memory.InMemoryStorageServer.fail`) is how a
+        crash at a given storage mutation is injected.
 
         An in-flight migration dies with the proxy: its next-generation
         layer was volatile until the cutover fence, so recovery lands on the

@@ -27,13 +27,11 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 from repro.api import EngineConfig, PoissonArrivals, RunStats, create_engine
 from repro.audit import AuditingObserver
 from repro.core.config import ObladiConfig, RingOramConfig
-from repro.core.errors import ProxyCrashedError
 from repro.elasticity import AutoscalePolicy, FlashCrowdArrivals
 from repro.oram.batch_executor import EpochBatchExecutor
 from repro.oram.crypto import CipherSuite
 from repro.oram.parameters import derive_parameters
 from repro.oram.ring_oram import RingOram
-from repro.recovery.crash import CrashInjector, CrashPoint
 from repro.sim.clock import SimClock
 from repro.sim.latency import CpuCostModel
 from repro.storage.memory import InMemoryStorageServer
@@ -730,15 +728,16 @@ def run_recovery_table(sizes: Sequence[int] = (1_000, 10_000, 100_000),
         slowdown = (run_on.throughput_tps / run_off.throughput_tps
                     if run_off.throughput_tps > 0 else 0.0)
 
-        # Crash the durable proxy mid-epoch and recover it.
+        # Crash the durable proxy mid-epoch — a storage outage once its first
+        # mutation, the WAL record of the epoch's first read batch, is
+        # stored — and recover it.
         ycsb = YCSBWorkload(YCSBConfig(num_records=size, ops_per_transaction=4, seed=11))
-        injector = CrashInjector(engine_on.proxy, crash_after_batches=0,
-                                 point=CrashPoint.AFTER_READ_BATCH)
-        injector.arm()
+        engine_on.storage.fail(after=1)
         try:
             engine_on.submit_many([ycsb.transaction_factory() for _ in range(clients)])
-        except ProxyCrashedError:
+        except ConnectionError:
             pass
+        engine_on.storage.recover()
         result = engine_on.recover()
         levels = engine_on.proxy.data_layer.partitions[0].oram.params.depth
         rows.append(RecoveryRow(

@@ -76,8 +76,8 @@ class EpochBatchExecutor:
     (``-1``: the executor announced the batch itself) and their ``time_ms``:
     a store never advances the clock, so it moves only when the executor
     charges a whole batch against ``latency``.  ``AccessTrace.record_batch``
-    is ``n x record``, and every :class:`~repro.recovery.crash.CrashPoint` is
-    a batch boundary.
+    is ``n x record``.  A storage outage can cut a batch short at any key
+    (``InMemoryStorageServer.fail``); the epoch dies with the proxy.
     """
 
     def __init__(self, oram: RingOram, latency="server", parallelism: int = 64,

@@ -9,12 +9,16 @@ touch.  After a crash the proxy restores the last committed epoch's
 metadata, rolls the ORAM back to that epoch's deterministic bucket versions,
 and replays the logged read paths so the adversary observes exactly the same
 accesses it would have seen without the failure.
+
+A crash is injected as a storage outage
+(:meth:`repro.storage.memory.InMemoryStorageServer.fail`): ``fail(after=k)``
+crashes the proxy right after its k-th storage mutation, so a test can crash
+it at every one.
 """
 
 from repro.recovery.wal import WriteAheadLog, WalRecord
 from repro.recovery.checkpoint import CheckpointStore, CheckpointManifest
 from repro.recovery.manager import RecoveryManager, RecoveryResult, recover_proxy
-from repro.recovery.crash import CrashInjector, CrashPoint
 
 __all__ = [
     "WriteAheadLog",
@@ -24,6 +28,4 @@ __all__ = [
     "RecoveryManager",
     "RecoveryResult",
     "recover_proxy",
-    "CrashInjector",
-    "CrashPoint",
 ]

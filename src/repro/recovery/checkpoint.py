@@ -35,13 +35,16 @@ class CheckpointManifest:
     """
 
     last_epoch: int = -1
-    last_full_epoch: int = -1
+    #: ``None`` until a full checkpoint exists.  The one written by
+    #: ``load_initial_data``, before epoch 0, is epoch -1.
+    last_full_epoch: Optional[int] = None
     delta_epochs: List[int] = field(default_factory=list)
     access_count: int = 0
     eviction_count: int = 0
     partition_counters: Dict[str, List[int]] = field(default_factory=dict)
 
     def serialize(self) -> bytes:
+        """The manifest as stored: sorted-key JSON, in the clear."""
         return json.dumps({
             "last_epoch": self.last_epoch,
             "last_full_epoch": self.last_full_epoch,
@@ -53,6 +56,7 @@ class CheckpointManifest:
 
     @classmethod
     def deserialize(cls, blob: bytes) -> "CheckpointManifest":
+        """Parse a manifest :meth:`serialize` wrote."""
         payload = json.loads(blob.decode("utf-8"))
         return cls(
             last_epoch=payload["last_epoch"],
@@ -108,38 +112,40 @@ class CheckpointStore:
         # cipher sized per payload rather than padded to one block.
         self.cipher = cipher if cipher is not None else CipherSuite(block_size=64,
                                                                     enabled=encrypt)
-        self.manifest = self._load_manifest()
+        blob = self.storage.read(MANIFEST_KEY)
+        self.manifest = (CheckpointManifest() if blob is None
+                         else CheckpointManifest.deserialize(blob))
         # Keys of the chain the manifest describes; unknown (``None``) for a
         # chain an earlier incarnation wrote until :meth:`sweep` lists it.
-        self._chain_keys: Optional[List[str]] = None if self.manifest.last_epoch >= 0 else []
+        self._chain_keys: Optional[List[str]] = [] if blob is None else None
+        # Keys of replaced chains, deleted by :meth:`collect`.
+        self._stale: List[str] = []
+        #: The last epoch whose manifest this store saw stored: the trusted
+        #: epoch counter a recovery checks the chain against.
+        self.committed_epoch: Optional[int] = None if blob is None else self.manifest.last_epoch
 
     # ------------------------------------------------------------------ #
-    # Sealing helpers (variable-length payloads)
+    # Sealing helpers (variable-length payloads, each bound to its storage
+    # key, so the store cannot answer for one component with another)
     # ------------------------------------------------------------------ #
-    def _seal(self, payload: bytes) -> bytes:
+    def _seal(self, payload: bytes, key: str) -> bytes:
         if not self.encrypt:
             return payload
         suite = CipherSuite(key=self.cipher.key, block_size=len(payload) + 4,
                             authenticated=True, enabled=True)
-        return suite.encrypt(payload)
+        return suite.encrypt(payload, key.encode("utf-8"))
 
-    def _unseal(self, blob: bytes) -> bytes:
+    def _unseal(self, blob: bytes, key: str) -> bytes:
         if not self.encrypt:
             return blob
         suite = CipherSuite(key=self.cipher.key,
                             block_size=len(blob) - 12 - 16,
                             authenticated=True, enabled=True)
-        return suite.decrypt(blob)
+        return suite.decrypt(blob, key.encode("utf-8"))
 
     # ------------------------------------------------------------------ #
     # Manifest
     # ------------------------------------------------------------------ #
-    def _load_manifest(self) -> CheckpointManifest:
-        blob = self.storage.read(MANIFEST_KEY)
-        if blob is None:
-            return CheckpointManifest()
-        return CheckpointManifest.deserialize(blob)
-
     def _store_manifest(self) -> None:
         self.storage.write(MANIFEST_KEY, self.manifest.serialize())
 
@@ -157,12 +163,15 @@ class CheckpointStore:
         (the valid/invalid map) are stored as-is.  Component names may carry
         a partition namespace prefix (``p<i>/position``); sizes are
         classified by the unprefixed suffix and summed across partitions.
+        Storing the manifest commits the checkpoint, and this returns right
+        after it: the chain a full checkpoint replaces stays stored until
+        :meth:`collect`.
         """
         items: Dict[str, bytes] = {}
         sizes = CheckpointSizes()
         for name, payload in components.items():
-            sealed = self._seal(payload)
-            items[_component_key(epoch_id, name, full)] = sealed
+            key = _component_key(epoch_id, name, full)
+            sealed = items[key] = self._seal(payload, key)
             if name.endswith("position"):
                 sizes.position_bytes += len(sealed)
             elif name.endswith("metadata"):
@@ -179,11 +188,13 @@ class CheckpointStore:
             self.sweep()
         self.storage.write_batch(items)
 
-        previous_chain: List[str] = []
         if full:
             self.manifest.last_full_epoch = epoch_id
             self.manifest.delta_epochs = []
-            previous_chain, self._chain_keys = self._chain_keys, []
+            # The manifest will no longer name the previous chain, so nothing
+            # can read it — except a key the new chain just rewrote.
+            self._stale += [key for key in self._chain_keys if key not in items]
+            self._chain_keys = []
         else:
             self.manifest.delta_epochs.append(epoch_id)
         self._chain_keys.extend(items)
@@ -192,27 +203,36 @@ class CheckpointStore:
         self.manifest.eviction_count = eviction_count
         self.manifest.partition_counters = dict(partition_counters or {})
         self._store_manifest()
-        # The manifest no longer names the previous chain, so nothing can
-        # read it — except a key the new chain just rewrote.
-        stale = [key for key in previous_chain if key not in items]
+        self.committed_epoch = epoch_id
+        return sizes
+
+    def collect(self) -> int:
+        """Delete the chains the stored manifest replaced, as one batch.
+
+        Runs after the checkpoint has committed; returns how many objects
+        were deleted.
+        """
+        stale, self._stale = self._stale, []
         if stale:
             self.storage.delete_batch(stale)
-        return sizes
+        return len(stale)
 
     # ------------------------------------------------------------------ #
     # Reading checkpoints (recovery)
     # ------------------------------------------------------------------ #
     def read_component(self, epoch_id: int, name: str, full: bool,
                        encrypted: bool = True) -> Optional[bytes]:
-        blob = self.storage.read(_component_key(epoch_id, name, full))
+        """One component of one checkpoint, opened; ``None`` if not stored."""
+        key = _component_key(epoch_id, name, full)
+        blob = self.storage.read(key)
         if blob is None:
             return None
-        return self._unseal(blob) if encrypted else blob
+        return self._unseal(blob, key) if encrypted else blob
 
     def chain(self) -> List[Dict[str, object]]:
         """The checkpoint chain to replay: the last full one plus its deltas."""
         entries: List[Dict[str, object]] = []
-        if self.manifest.last_full_epoch >= 0:
+        if self.manifest.last_full_epoch is not None:
             entries.append({"epoch": self.manifest.last_full_epoch, "full": True})
         for epoch in self.manifest.delta_epochs:
             entries.append({"epoch": epoch, "full": False})

@@ -5,7 +5,9 @@ During normal operation the manager is invoked by the proxy at two points:
 * before every read batch, to log the batch's access locations
   (:meth:`RecoveryManager.log_read_batch`);
 * at every epoch boundary, to checkpoint the proxy metadata
-  (:meth:`RecoveryManager.checkpoint_data_layer`).
+  (:meth:`RecoveryManager.checkpoint_data_layer`, which commits the epoch),
+  then to delete what that checkpoint replaced
+  (:meth:`RecoveryManager.collect`).
 
 After a crash, :func:`recover_proxy` builds a fresh proxy from the untrusted
 store: it restores the last committed epoch's metadata, replays the aborted
@@ -24,12 +26,11 @@ partitions from the one checkpoint chain.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import ObladiConfig
-from repro.oram.crypto import CipherSuite, freshness_context
+from repro.oram.crypto import CipherSuite, IntegrityError, freshness_context
 from repro.oram.position_map import PositionMap
 from repro.oram.metadata import MetadataTable
 from repro.oram.ring_oram import lost_real_slot, slot_storage_key
@@ -39,6 +40,7 @@ from repro.recovery.wal import WalRecord, WriteAheadLog
 from repro.sim.clock import SimClock
 from repro.sim.latency import get_latency_model
 from repro.storage.backend import StorageServer
+from repro.storage.namespace import NamespacedStorage
 
 
 def derive_key(master_key: bytes, purpose: str) -> bytes:
@@ -76,13 +78,12 @@ class RecoveryManager:
     """Durability hooks used by :class:`repro.core.proxy.ObladiProxy`."""
 
     def __init__(self, storage: StorageServer, clock: SimClock, config: ObladiConfig,
-                 master_key: Optional[bytes] = None,
-                 costs: Optional[DurabilityCosts] = None) -> None:
+                 master_key: bytes) -> None:
         self.storage = storage
         self.clock = clock
         self.config = config
-        self.master_key = master_key if master_key is not None else os.urandom(32)
-        self.costs = costs if costs is not None else DurabilityCosts()
+        self.master_key = master_key
+        self.costs = DurabilityCosts()
         self.latency = get_latency_model(config.backend)
 
         entry_capacity = max(8 * 1024, config.read_batch_size * 64)
@@ -99,6 +100,9 @@ class RecoveryManager:
             encrypt=config.encrypt,
         )
 
+        # ``(epoch, bytes)`` of a committed checkpoint :meth:`collect` has
+        # not finished yet.
+        self._uncollected: Optional[Tuple[int, int]] = None
         self.stats_wal_bytes = 0
         self.stats_checkpoint_bytes = 0
         self.stats_checkpoints = 0
@@ -143,7 +147,9 @@ class RecoveryManager:
         Component names are namespaced by the partition's prefix (partition 0
         of a single-tree layer uses no prefix, keeping the historical layout)
         and the manifest records per-partition access/eviction counters so
-        recovery can restore each tree's schedule position.
+        recovery can restore each tree's schedule position.  Returns once
+        the manifest is stored: that commits the epoch, and a crash no
+        longer undoes it.  :meth:`collect` finishes the checkpoint.
         """
         components: Dict[str, bytes] = {}
         plain: Dict[str, bytes] = {}
@@ -172,12 +178,24 @@ class RecoveryManager:
             part.oram.position_map.clear_dirty()
             part.oram.metadata.clear_dirty()
             part.directory.clear_dirty()
+        self._uncollected = (epoch_id, sizes.total_bytes)
+        return sizes
+
+    def collect(self) -> None:
+        """Finish the committed checkpoint: delete what it replaced, charge it.
+
+        Deletes the checkpoint chain it replaced and the WAL records of the
+        epochs before it, then charges the checkpoint's traffic to the
+        clock (the deletes are not charged).
+        """
+        epoch_id, total_bytes = self._uncollected
+        self._uncollected = None
+        self.checkpoints.collect()
         self.wal.truncate_before(epoch_id, self.config.read_batches)
 
-        self.stats_checkpoint_bytes += sizes.total_bytes
+        self.stats_checkpoint_bytes += total_bytes
         self.stats_checkpoints += 1
-        self._charge(sizes.total_bytes)
-        return sizes
+        self._charge(total_bytes)
 
     def _charge(self, total_bytes: int) -> None:
         """Charge simulated time for synchronous durability traffic.
@@ -206,38 +224,33 @@ class RecoveryManager:
         stash = Stash()
         directory = KeyDirectory()
 
+        names = ("position", "metadata", "stash", "valid_map", "key_directory")
         for entry in self.checkpoints.chain():
             epoch = int(entry["epoch"])
             full = bool(entry["full"])
-            position_blob = self.checkpoints.read_component(epoch, prefix + "position", full)
-            metadata_blob = self.checkpoints.read_component(epoch, prefix + "metadata", full)
-            stash_blob = self.checkpoints.read_component(epoch, prefix + "stash", full)
-            valid_blob = self.checkpoints.read_component(epoch, prefix + "valid_map", full,
-                                                         encrypted=False)
-            extra_blob = self.checkpoints.read_component(epoch, prefix + "key_directory", full)
-            for blob in (position_blob, metadata_blob, stash_blob, valid_blob, extra_blob):
-                if blob is not None:
-                    result.bytes_read += len(blob)
+            blobs = [self.checkpoints.read_component(epoch, prefix + name, full,
+                                                     encrypted=name != "valid_map")
+                     for name in names]
+            for name, blob in zip(names, blobs):
+                # Every checkpoint stores all five components: a missing one
+                # was lost or withheld, and skipping it would restore a
+                # silently older state.
+                if blob is None:
+                    raise IntegrityError(
+                        f"checkpoint {epoch} has no {prefix}{name} component")
+                result.bytes_read += len(blob)
+            position_blob, metadata_blob, stash_blob, valid_blob, extra_blob = blobs
 
-            if position_blob is not None:
-                if full:
-                    position = PositionMap.deserialize_full(position_blob, rng=part.oram.rng)
-                else:
-                    position.apply_delta(position_blob)
-            if metadata_blob is not None:
-                if full:
-                    metadata = MetadataTable.deserialize_full(metadata_blob, rng=part.oram.rng)
-                else:
-                    metadata.apply_delta(metadata_blob)
-            if valid_blob is not None:
-                metadata.apply_valid_map(valid_blob)
-            if stash_blob is not None:
-                stash = Stash.deserialize(stash_blob)
-            if extra_blob is not None:
-                if full:
-                    directory = KeyDirectory.deserialize(extra_blob)
-                else:
-                    directory.apply_delta(extra_blob)
+            if full:
+                position = PositionMap.deserialize_full(position_blob, rng=part.oram.rng)
+                metadata = MetadataTable.deserialize_full(metadata_blob, rng=part.oram.rng)
+                directory = KeyDirectory.deserialize(extra_blob)
+            else:
+                position.apply_delta(position_blob)
+                metadata.apply_delta(metadata_blob)
+                directory.apply_delta(extra_blob)
+            metadata.apply_valid_map(valid_blob)
+            stash = Stash.deserialize(stash_blob)
 
         part.oram.position_map = position
         part.oram.metadata = metadata
@@ -312,36 +325,52 @@ class RecoveryManager:
     def sweep(self, proxy) -> int:
         """Delete what the restored state cannot read; returns how many objects.
 
-        Per partition, one batch of every ``oram/`` slot key whose version
-        differs from the restored bucket metadata: the aborted epoch's
-        flush, or the versions a crash between commit and collect left
-        behind.  Then every checkpoint object outside the manifest's chain.
-        After the sweep each bucket ever written has exactly one version.
+        Per server of the tier, one batch of every ORAM slot key the
+        restored layer does not name: a version that differs from its
+        bucket's restored metadata (the aborted epoch's flush, or what a
+        crash between commit and collect left behind), and every key of a
+        namespace that is no partition of the layer (the target generation
+        of a migration that died with the proxy, or the generation a crash
+        at the cutover had not finished retiring).  Then every checkpoint
+        object outside the manifest's chain.  After the sweep each bucket
+        ever written has exactly one version, and no other generation's.
         """
-        removed = 0
+        current: Dict[tuple, Dict[int, int]] = {}
         for part in proxy.data_layer.partitions:
+            view = part.storage
+            host, prefix = ((view.base, view.prefix) if isinstance(view, NamespacedStorage)
+                            else (view, ""))
             metadata = part.oram.metadata
-            current = {bucket_id: metadata.bucket(bucket_id).version
-                       for bucket_id in metadata.buckets_present()}
+            current[host, prefix] = {bucket_id: metadata.bucket(bucket_id).version
+                                     for bucket_id in metadata.buckets_present()}
+        storage = proxy.storage
+        removed = 0
+        for server in getattr(storage, "servers", None) or [storage]:
             orphans: List[str] = []
-            for key in part.storage.keys():
-                if key.startswith("oram/"):
-                    _, bucket_id, version, _ = key.split("/", 3)
-                    if int(version[1:]) != current.get(int(bucket_id), 0):
-                        orphans.append(key)
+            for key in server.keys():
+                prefix, oram, slot = key.partition("oram/")
+                if not oram:
+                    continue
+                versions = current.get((server, prefix))
+                bucket_id, version, _ = slot.split("/", 2)
+                if versions is None or int(version[1:]) != versions.get(int(bucket_id), 0):
+                    orphans.append(key)
             if orphans:
-                part.storage.delete_batch(orphans)
+                server.delete_batch(orphans)
             removed += len(orphans)
         return removed + self.checkpoints.sweep()
 
 
-def recover_proxy(storage: StorageServer, config: ObladiConfig, master_key: bytes,
-                  clock: Optional[SimClock] = None):
-    """Rebuild a proxy after a crash.
+def recover_proxy(storage: StorageServer, config: ObladiConfig, master_key: bytes, *,
+                  committed_epoch: Optional[int]):
+    """Rebuild a proxy after a crash, on the storage tier's clock.
 
     Returns ``(proxy, RecoveryResult)``.  ``master_key`` is the persistent
     proxy secret (the only state assumed to survive the crash, along with the
-    trusted epoch counter it protects).  A sharded proxy tier
+    trusted epoch counter it protects): ``committed_epoch``, the last epoch
+    the crashed proxy saw commit (its ``CheckpointStore.committed_epoch``;
+    ``None`` if it never saw one).  A chain that ends before it was rolled
+    back by the store and raises ``IntegrityError``.  A sharded proxy tier
     (``config.proxy_workers > 1``) comes back as a fresh coordinator whose
     workers start with empty epoch state — correct by epoch fate sharing:
     every worker's MVTSO/cache slice is epoch-scoped, so the durable state
@@ -350,11 +379,15 @@ def recover_proxy(storage: StorageServer, config: ObladiConfig, master_key: byte
     """
     from repro.proxytier import build_proxy
 
-    clock = clock if clock is not None else getattr(storage, "clock", SimClock())
+    clock = storage.clock
     proxy = build_proxy(config=config, storage=storage, clock=clock, master_key=master_key)
     manager: RecoveryManager = proxy.recovery
     if manager is None:
         raise ValueError("recovery requires a configuration with durability enabled")
+    last_epoch = manager.checkpoints.manifest.last_epoch
+    if committed_epoch is not None and last_epoch < committed_epoch:
+        raise IntegrityError(f"the checkpoint chain ends at epoch {last_epoch} but epoch "
+                             f"{committed_epoch} committed: the store rolled it back")
 
     result = manager.restore_metadata(proxy)
     manager.replay_aborted_epoch(proxy, result)

@@ -32,6 +32,7 @@ class WalRecord:
     padded_size: int
 
     def storage_key(self) -> str:
+        """The key this record is stored under (``wal/<epoch>/<batch>``)."""
         return wal_storage_key(self.epoch_id, self.batch_index)
 
 
@@ -68,8 +69,10 @@ class WriteAheadLog:
             "batch": record.batch_index,
             "rows": rows,
         }).encode("utf-8")
-        sealed = self.cipher.encrypt(payload)
-        self.storage.write_batch({record.storage_key(): sealed})
+        key = record.storage_key()
+        # Bound to its key: the store cannot answer for one record with another.
+        sealed = self.cipher.encrypt(payload, key.encode("utf-8"))
+        self.storage.write_batch({key: sealed})
         self.records_written += 1
         return len(sealed)
 
@@ -84,7 +87,7 @@ class WriteAheadLog:
             blob = self.storage.read(key)
             if blob is None:
                 continue
-            payload = json.loads(self.cipher.decrypt(blob).decode("utf-8"))
+            payload = json.loads(self.cipher.decrypt(blob, key.encode("utf-8")).decode("utf-8"))
             rows = [row for row in payload["rows"] if row is not None]
             records.append(WalRecord(epoch_id=payload["epoch"], batch_index=payload["batch"],
                                      keys=rows, padded_size=len(payload["rows"])))

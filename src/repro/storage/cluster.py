@@ -102,9 +102,11 @@ class StorageCluster(StorageServer):
         template = self.metadata_server
         del self.servers[num_servers:]
         while len(self.servers) < num_servers:
-            self.servers.append(
-                InMemoryStorageServer(clock=template.clock,
-                                      record_trace=template.trace is not None))
+            server = InMemoryStorageServer(clock=template.clock,
+                                           record_trace=template.trace is not None)
+            # An outage in progress covers the servers that join the tier.
+            server.join_outage(template)
+            self.servers.append(server)
 
     @property
     def num_servers(self) -> int:
@@ -140,10 +142,14 @@ class StorageCluster(StorageServer):
         for server in self.servers:
             server.clock = value
 
-    def fail(self) -> None:
-        """Inject an outage on every server (whole storage tier unavailable)."""
-        for server in self.servers:
-            server.fail()
+    def fail(self, after: int = 0) -> None:
+        """Start one outage of the whole tier (see :meth:`InMemoryStorageServer.fail`).
+
+        ``after`` counts the keys written or deleted on any server.
+        """
+        self.metadata_server.fail(after)
+        for server in self.servers[1:]:
+            server.join_outage(self.metadata_server)
 
     def recover(self) -> None:
         """Clear a previously injected outage on every server."""

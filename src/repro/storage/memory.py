@@ -7,15 +7,48 @@ requests and records every one in an
 :class:`~repro.storage.trace.AccessTrace`, stamped with the shared clock's
 current time.  It never advances that clock: what a batch costs on the
 network is the proxy's cost model's business (``ObladiConfig.backend``).
+
+A server also carries the deployment's one fault switch,
+:meth:`InMemoryStorageServer.fail`: an outage that starts once a given
+number of keys has been written or deleted, tearing the batch that crosses
+that point.  The engine crashes its proxy when a request fails, so
+``fail(after=k)`` is a proxy crash right after its k-th storage mutation.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, List, Optional, Sequence
 
 from repro.sim.clock import SimClock
 from repro.storage.backend import StorageOp, StorageServer
 from repro.storage.trace import AccessTrace
+
+
+class _Outage:
+    """An injected outage: how many more keys may be written or deleted first.
+
+    The servers of a cluster share one, so the count runs across the tier.
+    """
+
+    __slots__ = ("left",)
+
+    def __init__(self, after: int) -> None:
+        if after < 0:
+            raise ValueError("an outage cannot start before now")
+        self.left = after
+
+    def check(self) -> None:
+        """Raise once the outage has started."""
+        if not self.left:
+            raise ConnectionError("storage server is unavailable")
+
+    def admit(self, count: int) -> int:
+        """How many keys of a ``count``-key mutation go through; raises if none."""
+        self.check()
+        admitted = min(count, self.left)
+        self.left -= admitted
+        return admitted
 
 
 class InMemoryStorageServer(StorageServer):
@@ -37,32 +70,44 @@ class InMemoryStorageServer(StorageServer):
         self.clock = clock if clock is not None else SimClock()
         self.trace = AccessTrace() if record_trace else None
         self._data: Dict[str, bytes] = {}
-        self._failed = False
+        self._outage: Optional[_Outage] = None
         self.stats_reads = 0
         self.stats_writes = 0
 
     # ------------------------------------------------------------------ #
-    # Failure injection (the paper assumes storage is reliable; tests use
-    # this to validate that the proxy surfaces storage unavailability).
+    # The fault switch (the paper assumes storage is reliable; tests use it
+    # to crash the proxy at a chosen storage mutation and to check that the
+    # proxy surfaces an outage rather than masking it).
     # ------------------------------------------------------------------ #
-    def fail(self) -> None:
-        """Make all subsequent requests raise, simulating an outage."""
-        self._failed = True
+    def fail(self, after: int = 0) -> None:
+        """Start an outage once ``after`` more keys have been written or deleted.
+
+        Requests are served as usual until then.  The write or delete batch
+        that crosses the point applies the keys before it — a torn batch —
+        and raises ``ConnectionError``, as does every request after it until
+        :meth:`recover`.  ``fail()`` starts the outage now.
+        """
+        self._outage = _Outage(after)
+
+    def join_outage(self, server: "InMemoryStorageServer") -> None:
+        """Share ``server``'s injected outage, and its count of keys, from now on.
+
+        A cluster's servers join their metadata server's outage, so one
+        :meth:`fail` covers the whole tier and counts keys on any server.
+        """
+        self._outage = server._outage
 
     def recover(self) -> None:
-        """Clear a previously injected failure."""
-        self._failed = False
-
-    def _check_available(self) -> None:
-        if self._failed:
-            raise ConnectionError("storage server is unavailable")
+        """End an injected outage."""
+        self._outage = None
 
     # ------------------------------------------------------------------ #
     # StorageServer interface
     # ------------------------------------------------------------------ #
     def read_batch(self, keys: Sequence[str],
                    record_batch: bool = True) -> Dict[str, Optional[bytes]]:
-        self._check_available()
+        if self._outage is not None:
+            self._outage.check()
         self.stats_reads += len(keys)
         found = list(map(self._data.get, keys))
         if self.trace is not None:
@@ -77,7 +122,6 @@ class InMemoryStorageServer(StorageServer):
         return dict(zip(keys, found))
 
     def write_batch(self, items: Dict[str, bytes], record_batch: bool = True) -> None:
-        self._check_available()
         # Validate the whole batch before anything is counted, stored or
         # traced: a bad payload must not leave a partially applied batch.
         # ``bytes`` payloads are immutable and are stored by reference; only
@@ -88,6 +132,14 @@ class InMemoryStorageServer(StorageServer):
                 if not isinstance(payload, (bytes, bytearray)):
                     raise TypeError(f"payload for {key!r} must be bytes, got {type(payload).__name__}")
             items = {key: bytes(payload) for key, payload in items.items()}
+        if self._outage is not None:
+            admitted = self._outage.admit(len(items))
+            if admitted < len(items):
+                self._store(dict(islice(items.items(), admitted)), record_batch)
+                raise ConnectionError("storage server failed part-way through a write batch")
+        self._store(items, record_batch)
+
+    def _store(self, items: Dict[str, bytes], record_batch: bool) -> None:
         self.stats_writes += len(items)
         self._data.update(items)
         if self.trace is not None:
@@ -99,7 +151,14 @@ class InMemoryStorageServer(StorageServer):
                                     now_ms, batch_id)
 
     def delete_batch(self, keys: Sequence[str]) -> None:
-        self._check_available()
+        if self._outage is not None:
+            admitted = self._outage.admit(len(keys))
+            if admitted < len(keys):
+                self._drop(list(islice(keys, admitted)))
+                raise ConnectionError("storage server failed part-way through a delete batch")
+        self._drop(keys)
+
+    def _drop(self, keys: Sequence[str]) -> None:
         for key in keys:
             self._data.pop(key, None)
         if self.trace is not None:

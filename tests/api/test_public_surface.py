@@ -2,7 +2,8 @@
 
 ``repro.api.__all__``, ``repro.concurrency.__all__``,
 ``repro.proxytier.__all__``, ``repro.storage.__all__``,
-``repro.core.__all__`` and ``repro.oram.__all__`` are compared with the literal lists below, so
+``repro.core.__all__``, ``repro.oram.__all__`` and ``repro.recovery.__all__``
+are compared with the literal lists below, so
 exporting one more name (or dropping one) is a deliberate edit of this file,
 made in the PR that argues for it.
 """
@@ -12,6 +13,7 @@ import repro.concurrency
 import repro.core
 import repro.oram
 import repro.proxytier
+import repro.recovery
 import repro.storage
 
 API = [
@@ -100,6 +102,17 @@ ORAM = [
 ]
 
 
+RECOVERY = [
+    "WriteAheadLog",
+    "WalRecord",
+    "CheckpointStore",
+    "CheckpointManifest",
+    "RecoveryManager",
+    "RecoveryResult",
+    "recover_proxy",
+]
+
+
 def test_api_exports_are_the_recorded_list():
     assert repro.api.__all__ == API
 
@@ -122,3 +135,7 @@ def test_core_exports_are_the_recorded_list():
 
 def test_oram_exports_are_the_recorded_list():
     assert repro.oram.__all__ == ORAM
+
+
+def test_recovery_exports_are_the_recorded_list():
+    assert repro.recovery.__all__ == RECOVERY

@@ -185,6 +185,17 @@ def stored_versions(storage):
     return versions
 
 
+#: Far more mutations than any test run makes: ``fail(NEVER)`` is an outage
+#: that never starts, armed to count a run's mutations.
+NEVER = 10 ** 9
+
+
+def outage_left(tier):
+    """How many more keys ``tier`` writes or deletes before its outage starts."""
+    servers = getattr(tier, "servers", None) or [tier]
+    return servers[0]._outage.left
+
+
 def live_versions(oram):
     """What :func:`stored_versions` holds when only live versions are stored:
     every written bucket's current version, all ``Z + S`` slots of it."""

@@ -10,7 +10,12 @@ rows ``(seq, time_ms, op, key, size_bytes, batch_id)`` plus its
 *before* the columnar metadata landed and re-recorded once when the proxy
 began deleting superseded bucket versions and checkpoint chains: that added
 ``DELETE`` rows and ``"delete"`` batches, and left every other row and
-batch as it was.  A change that moves them changes what the adversary sees
+batch as it was.  The durable tree's constant was re-recorded once more
+when crashes became storage outages: the crash now comes before the crashed
+epoch's second read batch reaches the server (a failed request), not after
+it, so those 81 slot reads are gone and every later row is stamped earlier;
+every other row's op, key, size and batch id is unchanged.  A change that
+moves them changes what the adversary sees
 (an RNG draw moved, a slot choice or a version changed, a checkpoint grew)
 and must say so and re-record them in its own PR.
 
@@ -30,13 +35,11 @@ import pytest
 
 from repro.api import EngineConfig, create_engine
 from repro.core.client import Read, Write
-from repro.core.errors import ProxyCrashedError
-from repro.recovery.crash import CrashInjector, CrashPoint
 
 KEYS = 48
 
 GOLDEN_SINGLE_DURABLE = [
-    "a8590185eb1e29059805b978f998f8bf2b62e7b7d9f73fd9dc197313f1729806",
+    "67e2055728edea6f367eb6d0392dfabee1690778c31dc80523d5a333dd92f1b9",
 ]
 GOLDEN_SHARDED_TWO_SERVERS = [
     "3558d239bbb321a4526653354a246c241e97598ecdc51aa4b66b3927c18c0d0c",
@@ -100,11 +103,12 @@ def test_single_tree_durable_with_crash_and_recover():
     rng = random.Random(77)
     run_waves(engine, rng, waves=7)
 
-    injector = CrashInjector(engine.proxy, crash_after_batches=1,
-                             point=CrashPoint.AFTER_READ_BATCH)
-    injector.arm()
-    with pytest.raises(ProxyCrashedError):
+    # The storage tier goes down once the epoch has logged both read
+    # batches: the second batch's slot reads fail and the proxy crashes.
+    engine.storage.fail(after=2)
+    with pytest.raises(ConnectionError):
         run_waves(engine, rng, waves=1, hot=8)
+    engine.storage.recover()
     report = engine.recover()
     assert report.paths_replayed > 0            # the WAL replay planned path reads
     run_waves(engine, rng, waves=5)

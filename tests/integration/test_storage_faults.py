@@ -1,7 +1,8 @@
 """One storage node of a cluster fails in the middle of an epoch.
 
 The proxy must surface the outage, not mask it: the wave that reaches the
-failed node raises ``ConnectionError``.  Once the node is back, crash-recovery
+failed node raises ``ConnectionError`` and the proxy is crashed.  Once the
+node is back, crash-recovery
 from what the servers hold must deliver every loaded key as its last committed
 write, and the history must stay serializable.
 """
@@ -46,7 +47,7 @@ def test_a_failed_node_fails_the_wave_and_recovery_restores_every_key():
     servers[1].fail()
     with pytest.raises(ConnectionError):
         engine.submit_many([append("k0", b"|lost"), append("k1", b"|lost")])
-    engine.crash()
+    assert engine.proxy.crashed         # an outage is a crash
     servers[1].recover()
     engine.recover()
 

@@ -13,18 +13,19 @@ deletes the chain before it.  Checked on what the storage servers hold:
   version per bucket (a hole would be a lost-real-slot ``IntegrityError``,
   garbage a wrong version count);
 * a reshard cutover deletes the retiring generation.
+
+``tests/integration/test_crash_matrix.py`` crashes a smaller run at every
+storage mutation.
 """
 
 import pytest
 
 from repro.api import EngineConfig, create_engine
 from repro.core.client import Read, Write
-from repro.core.errors import ProxyCrashedError
 from repro.elasticity import ReshardPlan
 from repro.recovery.checkpoint import MANIFEST_KEY
-from repro.recovery.crash import CrashInjector, CrashPoint
 
-from tests.conftest import live_versions, stored_versions
+from tests.conftest import NEVER, live_versions, outage_left, stored_versions
 
 KEYS = 32
 
@@ -130,34 +131,73 @@ def test_every_epoch_leaves_one_version_per_written_bucket(shards, servers, work
     assert_reads_back(engine, expected_state(engine))
 
 
-@pytest.mark.parametrize("shards,servers", [(1, 1), (4, 2)],
-                         ids=["single-tree", "shards4-servers2"])
-@pytest.mark.parametrize("point", [CrashPoint.BEFORE_CHECKPOINT,
-                                   CrashPoint.AFTER_CHECKPOINT],
-                         ids=lambda point: point.value)
-def test_a_crash_at_the_commit_leaves_garbage_never_a_hole(point, shards, servers):
+class CheckpointWrites:
+    """A checkpoint store's storage that notes how many keys the tier has
+    written or deleted since ``fail(NEVER)``: before each batch of
+    components and after each manifest."""
+
+    def __init__(self, tier):
+        self.tier = tier
+        self.before_components = []
+        self.after_manifest = []
+
+    def __getattr__(self, name):
+        return getattr(self.tier, name)
+
+    def write_batch(self, items, record_batch=True):
+        self.before_components.append(NEVER - outage_left(self.tier))
+        self.tier.write_batch(items, record_batch)
+
+    def write(self, key, value):
+        self.tier.write(key, value)
+        self.after_manifest.append(NEVER - outage_left(self.tier))
+
+
+def run_four_waves(shards, servers):
     engine = engine_for(config(shards, servers, durable=True))
     for epoch in range(4):
         wave(engine, epoch)
+    return engine
+
+
+@pytest.mark.parametrize("shards,servers", [(1, 1), (4, 2)],
+                         ids=["single-tree", "shards4-servers2"])
+@pytest.mark.parametrize("point", ["before_checkpoint", "after_checkpoint"], ids=str)
+def test_a_crash_at_the_commit_leaves_garbage_never_a_hole(point, shards, servers):
+    # Two keys: no partition's write quota can overflow and shed one.
+    crashing = {"k0": b"crash-0", "k1": b"crash-1"}
+    programs = [blind_write(key, value) for key, value in crashing.items()]
+
+    # A fault-free run of the same epoch finds the crash point: the keys
+    # written or deleted before its checkpoint's first write, or up to and
+    # including its manifest.
+    probe = run_four_waves(shards, servers)
+    probe.storage.fail(NEVER)
+    writes = probe.proxy.recovery.checkpoints.storage = CheckpointWrites(probe.storage)
+    probe.submit_many(programs)
+    assert len(writes.before_components) == len(writes.after_manifest) == 1
+    after = (writes.before_components if point == "before_checkpoint"
+             else writes.after_manifest)[0]
+
+    engine = run_four_waves(shards, servers)
     proxy = engine.proxy
     committed = [live_versions(part.oram) for part in proxy.data_layer.partitions]
     expected = expected_state(engine)
-    # Two keys: no partition's write quota can overflow and shed one.
-    crashing = {"k0": b"crash-0", "k1": b"crash-1"}
-
-    CrashInjector(proxy, crash_after_batches=0, point=point).arm()
-    with pytest.raises(ProxyCrashedError):
-        engine.submit_many([blind_write(key, value) for key, value in crashing.items()])
+    engine.storage.fail(after)
+    with pytest.raises(ConnectionError):
+        engine.submit_many(programs)
+    assert proxy.crashed
     # The flush ran, and no delete did: every version the last commit named
     # is still stored, next to the crashed epoch's newer ones.
     assert_no_hole(proxy.data_layer.partitions, committed)
     assert any(stored_versions(part.storage) != versions
                for part, versions in zip(proxy.data_layer.partitions, committed))
 
+    engine.storage.recover()
     engine.recover()
     assert_one_version_per_bucket(engine.proxy)
-    # Past the checkpoint the epoch is durable; before it, it never happened.
-    if point is CrashPoint.AFTER_CHECKPOINT:
+    # Past the manifest the epoch is durable; before it, it never happened.
+    if point == "after_checkpoint":
         expected.update(crashing)
     assert_reads_back(engine, expected)
     assert_one_version_per_bucket(engine.proxy)

@@ -257,8 +257,9 @@ class TestCrashRecovery:
         proxy.run_epoch()
         proxy.crash()
         from repro.recovery.manager import recover_proxy
-        recovered, report = recover_proxy(proxy.storage, config,
-                                          master_key=proxy.master_key)
+        recovered, report = recover_proxy(
+            proxy.storage, config, master_key=proxy.master_key,
+            committed_epoch=proxy.recovery.checkpoints.committed_epoch)
         assert isinstance(recovered, ProxyCoordinator)
         assert len(recovered.workers) == 4
         assert ObladiEngine(recovered).read("k3") == b"0x"

@@ -107,6 +107,11 @@ class TestChain:
         storage.trace.clear()
         store.write_checkpoint(5, {"position": b"new"}, {}, full=True,
                                access_count=0, eviction_count=0)
+        # The commit deletes nothing: the caller collects once it has acted
+        # on it.
+        assert storage.contains("ckpt/1/delta/position")
+        assert store.collect() == 3
+        assert store.collect() == 0
         # Components, then the manifest, then the delete: a crash between
         # any two leaves a readable chain.
         assert [(event.op, event.key) for event in storage.trace.events] == [
@@ -128,13 +133,14 @@ class TestChain:
         for payload in (b"first", b"again"):
             store.write_checkpoint(4, {"position": payload}, {}, full=True,
                                    access_count=0, eviction_count=0)
+            store.collect()
         assert store.read_component(4, "position", full=True) == b"again"
         assert checkpoint_keys(storage) == ["ckpt/4/full/position", MANIFEST_KEY]
 
     def test_a_reloaded_store_sweeps_before_its_first_full_checkpoint(self, store, storage):
         """A store that loaded a chain it did not write lists the server once:
         objects outside the manifest's chain go at once, the chain itself
-        when the next full checkpoint's manifest is stored."""
+        once the next full checkpoint's manifest is stored and collected."""
         store.write_checkpoint(0, {"position": b"f0"}, {}, full=True,
                                access_count=0, eviction_count=0)
         store.write_checkpoint(1, {"position": b"d1"}, {}, full=False,
@@ -148,6 +154,7 @@ class TestChain:
             MANIFEST_KEY]
         reloaded.write_checkpoint(3, {"position": b"f3"}, {}, full=True,
                                   access_count=0, eviction_count=0)
+        reloaded.collect()
         assert checkpoint_keys(storage) == ["ckpt/3/full/position", MANIFEST_KEY]
 
     def test_sweep_keeps_the_chain_and_deletes_the_rest(self, store, storage):

@@ -7,10 +7,29 @@ from repro.core.client import Read, Write
 from repro.core.errors import ProxyCrashedError
 from repro.core.proxy import ObladiProxy
 from repro.oram.crypto import IntegrityError
-from repro.recovery.crash import CrashInjector, CrashPoint
 from repro.recovery.manager import derive_key, recover_proxy
 
 from tests.conftest import read_program, tree_slot_key, write_program
+
+
+def recover(proxy, config=None, master_key=None):
+    """Recover crashed ``proxy``: its chain must reach the last epoch it saw commit."""
+    committed = (proxy.recovery.checkpoints.committed_epoch
+                 if proxy.recovery is not None else None)
+    return recover_proxy(proxy.storage, config or proxy.config,
+                         master_key=master_key or proxy.master_key,
+                         committed_epoch=committed)
+
+
+def crash_after_mutations(proxy, mutations, program):
+    """Crash ``proxy`` in the epoch running ``program``: the storage tier goes
+    down once ``mutations`` more keys have been written or deleted (the epoch's
+    first WAL records), then comes back for recovery."""
+    proxy.storage.fail(after=mutations)
+    with pytest.raises(ConnectionError):
+        ObladiEngine(proxy).submit(program)
+    assert proxy.crashed
+    proxy.storage.recover()
 
 
 @pytest.fixture
@@ -58,9 +77,8 @@ class TestNormalOperationHooks:
 class TestRecovery:
     def test_recovery_restores_committed_state(self, durable_proxy_with_history):
         proxy = durable_proxy_with_history
-        config = proxy.config
         proxy.crash()
-        recovered, result = recover_proxy(proxy.storage, config, master_key=proxy.master_key)
+        recovered, result = recover(proxy)
         assert result.recovered_epoch >= 2
         engine = ObladiEngine(recovered)
         for i in range(4):
@@ -70,25 +88,33 @@ class TestRecovery:
 
     def test_aborted_epoch_writes_do_not_survive(self, durable_proxy_with_history):
         proxy = durable_proxy_with_history
-        injector = CrashInjector(proxy, crash_after_batches=0,
-                                 point=CrashPoint.BEFORE_READ_BATCH)
-        injector.arm()
 
         def doomed():
             yield Read("k0")
             yield Write("k0", b"MUST-NOT-SURVIVE")
             return True
 
-        proxy.submit(doomed)
-        with pytest.raises(ProxyCrashedError):
-            proxy.run_epoch()
-        recovered, _ = recover_proxy(proxy.storage, proxy.config, master_key=proxy.master_key)
+        crash_after_mutations(proxy, 1, doomed)
+        recovered, _ = recover(proxy)
         assert ObladiEngine(recovered).read("k0") == b"epoch2-0"
+
+    def test_a_storage_outage_crashes_the_proxy(self, durable_proxy_with_history):
+        proxy = durable_proxy_with_history
+        engine = ObladiEngine(proxy)
+        proxy.storage.fail()
+        with pytest.raises(ConnectionError):
+            engine.submit(read_program("k1"))
+        assert proxy.crashed
+        proxy.storage.recover()
+        with pytest.raises(ProxyCrashedError):
+            engine.submit(read_program("k1"))
+        engine.recover()
+        assert engine.read("k1") == b"epoch2-1"
 
     def test_recovered_proxy_continues_serving(self, durable_proxy_with_history):
         proxy = durable_proxy_with_history
         proxy.crash()
-        recovered, _ = recover_proxy(proxy.storage, proxy.config, master_key=proxy.master_key)
+        recovered, _ = recover(proxy)
         engine = ObladiEngine(recovered)
         result = engine.submit(write_program("k9", b"after-recovery"))
         assert result.committed
@@ -97,7 +123,7 @@ class TestRecovery:
     def test_recovery_reports_component_times(self, durable_proxy_with_history):
         proxy = durable_proxy_with_history
         proxy.crash()
-        _, result = recover_proxy(proxy.storage, proxy.config, master_key=proxy.master_key)
+        _, result = recover(proxy)
         assert result.total_ms > 0
         assert result.position_ms >= 0
         assert result.permutation_ms >= 0
@@ -105,13 +131,8 @@ class TestRecovery:
 
     def test_recovery_replays_aborted_epoch_paths(self, durable_proxy_with_history):
         proxy = durable_proxy_with_history
-        injector = CrashInjector(proxy, crash_after_batches=1,
-                                 point=CrashPoint.AFTER_READ_BATCH)
-        injector.arm()
-        proxy.submit(read_program("k3"))
-        with pytest.raises(ProxyCrashedError):
-            proxy.run_epoch()
-        _, result = recover_proxy(proxy.storage, proxy.config, master_key=proxy.master_key)
+        crash_after_mutations(proxy, 2, read_program("k3"))
+        _, result = recover(proxy)
         assert result.paths_replayed >= 1
         assert result.paths_ms > 0
 
@@ -124,32 +145,27 @@ class TestRecovery:
         key = next(key for key in (f"k{i}" for i in range(10, 30))
                    if part.directory.block_id(key) not in part.oram.stash)
         lost = tree_slot_key(part.oram, part.directory.block_id(key))
-        injector = CrashInjector(proxy, crash_after_batches=1,
-                                 point=CrashPoint.AFTER_READ_BATCH)
-        injector.arm()
-        proxy.submit(read_program(key))
-        with pytest.raises(ProxyCrashedError):
-            proxy.run_epoch()
+        crash_after_mutations(proxy, 2, read_program(key))
         proxy.storage.delete_batch([lost])
         with pytest.raises(IntegrityError, match=lost):
-            recover_proxy(proxy.storage, proxy.config, master_key=proxy.master_key)
+            recover(proxy)
 
     def test_wrong_master_key_cannot_recover(self, durable_proxy_with_history):
         proxy = durable_proxy_with_history
         proxy.crash()
         with pytest.raises(IntegrityError):
-            recover_proxy(proxy.storage, proxy.config, master_key=b"wrong" * 8)
+            recover(proxy, master_key=b"wrong" * 8)
 
     def test_recovery_requires_durability(self, small_config, proxy):
         proxy.crash()
         with pytest.raises((ValueError, Exception)):
-            recover_proxy(proxy.storage, small_config, master_key=proxy.master_key)
+            recover(proxy, config=small_config)
 
     def test_epoch_counter_continues_after_recovery(self, durable_proxy_with_history):
         proxy = durable_proxy_with_history
         epochs_before = proxy._epoch_counter
         proxy.crash()
-        recovered, _ = recover_proxy(proxy.storage, proxy.config, master_key=proxy.master_key)
+        recovered, _ = recover(proxy)
         recovered.submit(read_program("k1"))
         summary = recovered.run_epoch()
         assert summary.epoch_id >= epochs_before - 1

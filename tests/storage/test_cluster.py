@@ -109,6 +109,18 @@ class TestSharedSimulationPlumbing:
         cluster.recover()
         assert cluster.servers[1].read("x") is None
 
+    def test_one_outage_counts_the_keys_of_every_server(self):
+        cluster = _cluster(2)
+        cluster.fail(after=3)
+        cluster.servers[0].write_batch({"a": b"1", "b": b"2"})
+        cluster.resize(3)
+        with pytest.raises(ConnectionError):
+            cluster.servers[2].write_batch({"c": b"3", "d": b"4"})
+        assert cluster.servers[2].keys() == ["c"]
+        for server in cluster.servers:
+            with pytest.raises(ConnectionError):
+                server.read("a")
+
 
 class TestObservability:
     def test_each_server_records_its_own_trace(self):

@@ -162,3 +162,34 @@ class TestFailureInjection:
         server.fail()
         server.recover()
         assert server.read("a") == b"1"
+
+    def test_an_outage_starts_once_its_keys_are_written_or_deleted(self, server):
+        server.fail(after=3)
+        server.write_batch({"a": b"1", "b": b"2"})
+        assert server.read_batch(["a", "b"]) == {"a": b"1", "b": b"2"}
+        server.delete_batch(["b"])
+        with pytest.raises(ConnectionError):
+            server.read("a")
+        with pytest.raises(ConnectionError):
+            server.delete_batch([])
+
+    def test_a_write_batch_crossing_the_point_is_torn(self, server):
+        server.fail(after=2)
+        with pytest.raises(ConnectionError):
+            server.write_batch({"a": b"1", "b": b"2", "c": b"3"})
+        server.recover()
+        assert sorted(server.keys()) == ["a", "b"]
+        assert server.stats_writes == 2
+        assert server.trace.batch_shape() == [("write", 2)]
+
+    def test_a_delete_batch_crossing_the_point_is_torn(self, server):
+        server.write_batch({"a": b"1", "b": b"2", "c": b"3"})
+        server.fail(after=1)
+        with pytest.raises(ConnectionError):
+            server.delete_batch(["a", "b"])
+        server.recover()
+        assert sorted(server.keys()) == ["b", "c"]
+
+    def test_an_outage_cannot_start_in_the_past(self, server):
+        with pytest.raises(ValueError):
+            server.fail(after=-1)
