@@ -24,6 +24,16 @@ if grep -rn --include='*.py' "import numpy" src/; then
     exit 1
 fi
 
+# Bulk randomness is OpenSSL's user-space CSPRNG (ssl.RAND_bytes): nonces
+# and dummy slots drawn with a getrandom syscall per bucket cost about a
+# tenth of tpcc_durable's host time.  os.urandom makes the 32-byte
+# long-lived keys and nothing else.
+echo "== tripwire: every urandom( under src/ draws a 32-byte key =="
+if grep -rn --include='*.py' "urandom(" src/ | grep -v "urandom(32)"; then
+    echo "urandom( under src/ draws something other than a 32-byte key" >&2
+    exit 1
+fi
+
 # The storage tier keeps bytes and no time: every simulated millisecond is
 # charged by the proxy's cost model, so no storage module may reach for a
 # latency model or a switch that lets a server charge its own.
@@ -94,9 +104,9 @@ fi
 # seed 17 must print the sim_digest ROADMAP records (about 12 s for all four).
 # A refactor or a host-cost change must not move a simulated number.
 # Peak RSS: the adversary trace keeps its keys in zlib segments and one size
-# per uniform batch, so ycsb_hot_elastic peaks at about 54 MiB after a round
-# (about 73 when every block held its keys as a plain string and its sizes as
-# an array).  The step fails at 64 MiB or more.
+# per uniform batch, so ycsb_hot_elastic peaks at about 56 MiB after a round,
+# about 1.8 of it libssl (about 73 when every block held its keys as a plain
+# string and its sizes as an array).  The step fails at 64 MiB or more.
 echo "== drift gate: full-size seed-17 sim_digests, ycsb_hot_elastic peak RSS (repo benchmark) =="
 for pinned in smallbank_sharded:54bd2030a4c348b5 tpcc_durable:8833c8bb01c68186 \
               freehealth_openloop:390ffd62f50e36f5 ycsb_hot_elastic:182d60c47869690d; do

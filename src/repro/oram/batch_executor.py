@@ -108,7 +108,6 @@ class EpochBatchExecutor:
         # step at the barrier) waits for the next epoch's.
         self._superseded: List[str] = []
         self._collected = True
-        self._slot_suffixes = [str(idx) for idx in range(oram.params.slots_per_bucket)]
         self.stats = EpochStats()
         self.lifetime_stats = EpochStats()
 
@@ -278,10 +277,11 @@ class EpochBatchExecutor:
         items = self.oram.seal_rewrites(rewrites)
         self.oram.storage.write_batch(items, record_batch=False)
         stored_versions, superseded = self._stored_versions, self._superseded
+        suffixes = self.oram.slot_suffixes
         for rewrite in rewrites:
             prefix = slot_key_prefix(rewrite.bucket_id, stored_versions.pop(
                 rewrite.bucket_id, rewrite.version - 1))
-            superseded += [prefix + suffix for suffix in self._slot_suffixes]
+            superseded += [prefix + suffix for suffix in suffixes]
         self.stats.physical_writes += len(items)
         self.lifetime_stats.physical_writes += len(items)
         slot_counts = {rewrite.bucket_id: len(rewrite.slot_blocks) for rewrite in rewrites}
@@ -473,5 +473,5 @@ class EpochBatchExecutor:
             version = metadata.bucket(bucket_id).version
             if version:
                 prefix = slot_key_prefix(bucket_id, version)
-                self._superseded += [prefix + suffix for suffix in self._slot_suffixes]
+                self._superseded += [prefix + suffix for suffix in self.oram.slot_suffixes]
         return self.collect()

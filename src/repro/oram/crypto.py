@@ -33,8 +33,10 @@ Sealing happens where bytes leave the proxy
 :meth:`CipherSuite.seal_blocks` call per bucket that is actually written.
 Per real slot that is one ``shake_256`` call and one ``blake2b`` call; the
 XOR runs once over the bucket's real slots as a big integer, their nonces
-come from one ``os.urandom`` call and the dummy slots (most of a bucket)
-from one more.
+come from one ``ssl.RAND_bytes`` draw and the dummy slots (most of a bucket)
+from one more.  ``ssl.RAND_bytes`` reads OpenSSL's OS-seeded DRBG in user
+space, several times faster than a ``getrandom`` syscall (``os.urandom``)
+per draw; ``os.urandom`` only makes the 32-byte long-lived keys.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import hashlib
 import hmac
 import itertools
 import os
+import ssl
 import struct
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -166,10 +169,11 @@ class CipherSuite:
         The one place ciphertexts are made.  ``body`` is the padded block
         XOR ``shake_256(key || nonce)``; ``tag`` is keyed BLAKE2b over
         ``nonce || body || context``.  Nonces for the whole batch come from
-        one ``os.urandom`` call and the batch is XORed as one flat buffer.
+        one ``ssl.RAND_bytes`` draw (OpenSSL's CSPRNG, no syscall) and the
+        batch is XORed as one flat buffer.
         """
         key, size, nonce_len = self.key, self.block_size, self._nonce_len
-        drawn = os.urandom(nonce_len * len(padded))
+        drawn = ssl.RAND_bytes(nonce_len * len(padded))
         nonces = [drawn[i:i + nonce_len] for i in range(0, len(drawn), nonce_len)]
         shake = hashlib.shake_256
         bodies = _xor_bytes(
@@ -283,16 +287,16 @@ class CipherSuite:
         contexts by one :meth:`encrypt_many` call; each opens with
         :meth:`open_block`.  A dummy entry (``None`` id; its value and
         context are ignored) becomes :attr:`ciphertext_size` fresh random
-        bytes — all of the call's dummies from one ``os.urandom`` draw — that
-        no context opens; with the cipher off, the padded dummy payload,
-        which opens as ``(None, b"")``.
+        bytes — all of the call's dummies from one ``ssl.RAND_bytes`` draw,
+        OpenSSL's CSPRNG in user space — that no context opens; with the
+        cipher off, the padded dummy payload, which opens as ``(None, b"")``.
         """
         real = [entry for entry in entries if entry[0] is not None]
         sealed = iter(self.encrypt_many([struct.pack(">I", bid) + value for bid, value, _ in real],
                                         [context for _, _, context in real]))
         if self.enabled:
             size = self.ciphertext_size
-            drawn = os.urandom(size * (len(entries) - len(real)))
+            drawn = ssl.RAND_bytes(size * (len(entries) - len(real)))
             dummies = iter([drawn[i:i + size] for i in range(0, len(drawn), size)])
         else:
             dummies = itertools.repeat(self._dummy_padded)

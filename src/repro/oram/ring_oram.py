@@ -153,6 +153,9 @@ class RingOram:
         self.metadata = MetadataTable(params.num_buckets, params.z_real,
                                       params.s_dummies, rng=self.rng)
         self.stash = Stash(capacity=0)
+        # The slot-index part of every slot key, built once: a bucket
+        # version's slot keys are its ``slot_key_prefix`` plus each suffix.
+        self.slot_suffixes = [str(idx) for idx in range(params.slots_per_bucket)]
 
         self.access_count = 0          # logical accesses since the ORAM started
         self.eviction_count = 0        # G: number of evict-path operations issued
@@ -358,7 +361,7 @@ class RingOram:
         dummy slot is never opened, so it gets no context either.
         """
         items: Dict[str, bytes] = {}
-        binds_context = self.cipher.binds_context
+        binds_context, suffixes = self.cipher.binds_context, self.slot_suffixes
         for rewrite in rewrites:
             bucket_id, version = rewrite.bucket_id, rewrite.version
             contents = rewrite.plain_contents
@@ -371,10 +374,9 @@ class RingOram:
                 entries = [
                     _DUMMY_ENTRY if block_id is None else (block_id, contents[block_id], b"")
                     for block_id in rewrite.slot_blocks]
-            sealed = self.cipher.seal_blocks(entries)
             prefix = slot_key_prefix(bucket_id, version)
-            for idx, blob in enumerate(sealed):
-                items[f"{prefix}{idx}"] = blob
+            items.update(zip([prefix + suffix for suffix in suffixes],
+                             self.cipher.seal_blocks(entries)))
         return items
 
     def crypto_charged(self) -> bool:

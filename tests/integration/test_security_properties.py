@@ -6,6 +6,7 @@ workload, the Ring ORAM invariants must hold end to end, and the epoch shape
 must be a function of the configuration only.
 """
 
+import os
 import random
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from repro.analysis.obliviousness import (check_bucket_invariant, chi_square_uniformity,
                                           epoch_batch_pattern, leaf_access_counts,
                                           trace_similarity)
+from repro.api import EngineConfig, create_engine
 from repro.core.client import Read, ReadMany, Write
 from repro.core.config import ObladiConfig, RingOramConfig
 from repro.core.proxy import ObladiProxy
@@ -129,3 +131,43 @@ class TestWorkloadIndependence:
         sizes_contended = [s for _k, s in contended.storage.trace.batch_shape()
                            if _k == "read"]
         assert sizes_calm == sizes_contended
+
+
+class TestBulkRandomness:
+    def test_a_durable_epoch_draws_no_byte_from_the_getrandom_syscall(self, monkeypatch):
+        # os.urandom makes only the long-lived keys, at construction; nonces
+        # and dummy slots come from OpenSSL's CSPRNG.  One epoch here runs
+        # read batches, a flush, WAL appends, a full checkpoint and the
+        # collect of what they superseded.
+        engine = create_engine("obladi", EngineConfig()
+                               .with_oram(num_blocks=64, z_real=4, s_dummies=3,
+                                          evict_rate=3, block_size=96)
+                               .with_batching(read_batches=2, read_batch_size=4,
+                                              write_batch_size=4)
+                               .with_backend("server")
+                               .with_durability(True, checkpoint_frequency=1)
+                               .with_seed(3))
+
+        def syscall(n):
+            raise AssertionError(f"os.urandom({n}) on the data path")
+
+        monkeypatch.setattr(os, "urandom", syscall)
+        engine.load_initial_data({f"k{i}": b"v%d" % i for i in range(16)})
+        recovery = engine.proxy.recovery
+        checkpoints, wal_bytes = recovery.stats_checkpoints, recovery.stats_wal_bytes
+        stored = engine.storage.keys()
+
+        def append(key):
+            def program():
+                value = yield Read(key)
+                yield Write(key, value + b"!")
+                return value
+            return program
+
+        results = engine.submit_many([append(f"k{i}") for i in range(3)])
+        assert [(result.committed, result.return_value) for result in results] == [
+            (True, b"v0"), (True, b"v1"), (True, b"v2")]
+        assert recovery.stats_checkpoints == checkpoints + 1
+        assert recovery.stats_wal_bytes > wal_bytes
+        assert set(stored) - set(engine.storage.keys())      # collect deleted
+        assert engine.read("k1") == b"v1!"

@@ -495,7 +495,7 @@ class TestAdversaryView:
     def test_byte_histogram_cannot_tell_stored_real_slots_from_dummies(self, monkeypatch):
         # Seeded "randomness" keeps the test deterministic; the bar is the
         # one the leaf-uniformity tests use.
-        monkeypatch.setattr("repro.oram.crypto.os.urandom", random.Random(7).randbytes)
+        monkeypatch.setattr("repro.oram.crypto.ssl.RAND_bytes", random.Random(7).randbytes)
         real, dummy = self._stored_byte_histograms(enabled=True)
         assert sum(real.values()) > 2000 and sum(dummy.values()) > 2000
         for counts in (real, dummy):

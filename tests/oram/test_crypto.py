@@ -223,17 +223,25 @@ class TestBatchedEncryption:
     def test_seal_blocks_dummies_are_fresh_random_bytes(self, suite, monkeypatch):
         draws = []
 
-        def urandom(n):
+        def rand_bytes(n):
             draws.append(n)
             return bytes(i % 256 for i in range(n))
 
-        monkeypatch.setattr("repro.oram.crypto.os.urandom", urandom)
+        monkeypatch.setattr("repro.oram.crypto.ssl.RAND_bytes", rand_bytes)
         size = suite.ciphertext_size
         sealed = suite.seal_blocks([(None, b"", b""), (5, b"real", b""), (None, b"", b"")])
         # One draw for the real slot's nonce, one for both dummies.
         assert draws == [suite._nonce_len, 2 * size]
-        drawn = urandom(2 * size)
+        drawn = rand_bytes(2 * size)
         assert [sealed[0], sealed[2]] == [drawn[:size], drawn[size:]]
+
+    def test_resealing_the_same_entries_draws_fresh_dummies_and_nonces(self, suite):
+        entries = [(None, b"", b""), (5, b"real", b"ctx"), (None, b"", b"")]
+        first, second = suite.seal_blocks(entries), suite.seal_blocks(entries)
+        nonce_len = suite._nonce_len
+        assert first[0] != second[0] and first[2] != second[2]
+        assert first[1][:nonce_len] != second[1][:nonce_len]
+        assert suite.open_block(first[1], b"ctx") == suite.open_block(second[1], b"ctx")
 
 
 class TestFreshnessContext:

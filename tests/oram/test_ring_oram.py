@@ -393,7 +393,7 @@ class TestSealRewrites:
     @pytest.mark.parametrize("suite", [dict(enabled=False), dict(authenticated=False)])
     def test_cipher_that_binds_no_context_seals_the_same_items_without_one(
             self, suite, monkeypatch):
-        monkeypatch.setattr("repro.oram.crypto.os.urandom", lambda n: b"\x07" * n)
+        monkeypatch.setattr("repro.oram.crypto.ssl.RAND_bytes", lambda n: b"\x07" * n)
         oram = OneOpPerEpoch().oram
         oram.cipher = CipherSuite(key=b"k" * 32, block_size=72, **suite)
         assert not oram.cipher.binds_context

@@ -57,7 +57,7 @@ class TestBatchedCryptoEquivalence:
         key = b"t" * 32
         suite = CipherSuite(key=key, block_size=64, authenticated=authenticated)
         contexts = [freshness_context(5, 6, slot) for slot in range(len(payloads))]
-        with mock.patch("repro.oram.crypto.os.urandom", lambda n: drawn[:n]):
+        with mock.patch("repro.oram.crypto.ssl.RAND_bytes", lambda n: drawn[:n]):
             blobs = suite.encrypt_many(payloads, contexts)
             first_alone = suite.encrypt(payloads[0], contexts[0]) if payloads else None
         expected = []
