@@ -130,3 +130,146 @@ class TestDurabilityExperiments:
         assert row.recovery_time_ms > 0
         assert row.tree_levels > 0
         assert row.position_ms >= 0 and row.paths_ms >= 0
+
+
+#: Every number each ``run_*`` returns at the scale of :data:`PINNED_RUNS`,
+#: recorded when each figure still had its own row type.  A refactor of the
+#: harness must not move one of them.
+PINNED = {
+    "run_end_to_end": [
+        ("smallbank", "obladi", 155.9560796488493, 19.23403166666667, 12, 1,
+         0.07692307692307693),
+        ("smallbank", "nopriv", 5279.366476022877, 0.5645833333333333, 12, 1,
+         0.07692307692307693),
+        ("smallbank", "mysql", 19575.856443719415, 0.11975000000000001, 12, 0, 0.0),
+        ("smallbank", "obladi_wan", 32.97573167515232, 90.96999166666667, 12, 1,
+         0.07692307692307693),
+    ],
+    "run_parallelism": [
+        ("dummy", "sequential", 333333.33333333326, 0.048000000000000015),
+        ("dummy", "parallel", 142857.14285714284, 0.112),
+        ("dummy", "parallel_crypto", 111111.11111111112, 0.144),
+        ("server_wan", "sequential", 19.994801351648565, 800.2080000000003),
+        ("server_wan", "parallel", 1596.10550257372, 10.0244),
+        ("server_wan", "parallel_crypto", 1596.0418162955868, 10.0248),
+    ],
+    "run_batch_size_sweep": [
+        ("server", 1, 3291.6392363396976, 0.30379999999999996),
+        ("server", 8, 25510.204081632655, 0.3136),
+    ],
+    "run_delayed_visibility": [
+        ("server_wan", "normal", 637.6610592347268),
+        ("server_wan", "write_back", 637.8034050729287),
+    ],
+    "run_epoch_size_oram": [
+        ("server", 1, 25510.204081632655, 1.0),
+        ("server", 2, 16870.51876845213, 0.6613243357233234),
+        ("server", 4, 16340.703671551857, 0.6405555839248327),
+    ],
+    "run_epoch_size_proxy": [
+        ("smallbank", 25, 1, 101.85762849976447, 0.1111111111111111),
+        ("smallbank", 50, 2, 51.83327826047519, 0.1111111111111111),
+    ],
+    "run_checkpoint_frequency": [
+        ("server", 1, 1379.0012583386483),
+        ("server", 4, 1385.604093074491),
+    ],
+    "run_recovery_table": [
+        (200, 4, 0.8859024880251603, 5.10257, 4.43857, 0.16, 0.124, 0.38),
+    ],
+    "run_saturation_sweep": [
+        ("obladi", 0.5, 240.34128462416632, 384.88032996033263, 384.88032996033263,
+         10.886059604637692, 16.409244217474065, 16.409244217474065, 4.228859604637692, 6,
+         0, 0.0, 480.68256924833264, 6.657200000000002, True, 10),
+        ("obladi", 2.0, 961.3651384966653, 396.5279928693292, 396.5279928693292,
+         18.81045633525705, 32.92492438949802, 32.92492438949802, 12.15325633525705, 13, 0,
+         0.1111111111111111, 480.68256924833264, 6.657200000000002, True, 11),
+        ("nopriv", 0.5, 2451.7315353968743, 3911.3994279236804, 3911.3994279236804,
+         0.9736892301548041, 1.630585107300904, 1.630585107300904, 0.42637673015480404, 6,
+         0, 0.0, 4903.463070793749, 0.5473125, True, 10),
+        ("nopriv", 2.0, 9806.926141587497, 4040.5041494826187, 4040.5041494826187,
+         1.7488615137578492, 3.2320040462336115, 3.2320040462336115, 1.201549013757849, 13,
+         0, 0.1111111111111111, 4903.463070793749, 0.5473125, True, 11),
+    ],
+    "run_repair_comparison": [
+        ("retry", 2.0, 557.935125020386, 295.9720573373305, 14, 8, 6, 0, 0, 8,
+         0.36363636363636365, 17.8474446446715, 278.967562510193, True),
+        ("repair", 2.0, 1201.7064231208315, 476.025671461341, 16, 0, 0, 5, 0, 0, 0.0,
+         18.90342692092754, 600.8532115604157, True),
+    ],
+    "run_elasticity_comparison": [
+        ("static", 200, 33, 139, 440.09100424547114, 48.71211814511934, 98.84984792895617,
+         48, 24, 0, 0, 0, (1, 1, 1), True),
+        ("autoscaled", 200, 43, 132, 509.99362326228396, 43.38974726387849,
+         87.11529014989156, 48, 22, 1, 1, 0, (4, 1, 4), True),
+    ],
+}
+
+
+#: ``run_*`` name -> (its tiny-scale keyword arguments, rows -> the tuples
+#: :data:`PINNED` records).
+PINNED_RUNS = {
+    "run_end_to_end": (
+        dict(applications=("smallbank",), systems=("obladi", "nopriv", "mysql", "obladi_wan"),
+             transactions=12, clients=4, scale=0.01),
+        lambda rows: [(r.application, r.system, r.throughput_tps, r.mean_latency_ms,
+                       r.committed, r.aborted, r.abort_rate) for r in rows]),
+    "run_parallelism": (
+        dict(backends=("dummy", "server_wan"), batch_size=16, operations=16, num_blocks=256),
+        lambda rows: [(r.backend, r.mode, r.throughput_ops_per_s, r.elapsed_ms)
+                      for r in rows]),
+    "run_batch_size_sweep": (
+        dict(backends=("server",), batch_sizes=(1, 8), num_blocks=256, min_operations=12),
+        lambda rows: [(r.backend, r.batch_size, r.throughput_ops_per_s, r.latency_ms)
+                      for r in rows]),
+    "run_delayed_visibility": (
+        dict(backends=("server_wan",), batch_size=8, batches_per_epoch=4, num_blocks=256),
+        lambda rows: [(r.backend, r.mode, r.throughput_ops_per_s) for r in rows]),
+    "run_epoch_size_oram": (
+        dict(backends=("server",), batch_counts=(1, 2, 4), batch_size=8, num_blocks=256),
+        lambda rows: [(r.backend, r.batches_per_epoch, r.throughput_ops_per_s,
+                       r.relative_increase) for r in rows]),
+    "run_epoch_size_proxy": (
+        dict(applications=("smallbank",), epoch_sizes_ms=(25, 50), transactions=8,
+             clients=4, scale=0.01),
+        lambda rows: [(r.application, r.epoch_ms, r.read_batches, r.throughput_tps,
+                       r.abort_rate) for r in rows]),
+    "run_checkpoint_frequency": (
+        dict(frequencies=(1, 4), backends=("server",), num_records=200, transactions=8,
+             clients=4),
+        lambda rows: [(r.backend, r.checkpoint_frequency, r.throughput_ops_per_s)
+                      for r in rows]),
+    "run_recovery_table": (
+        dict(sizes=(200,), backend="server", transactions=8, clients=4),
+        lambda rows: [(r.num_objects, r.tree_levels, r.durability_slowdown,
+                       r.recovery_time_ms, r.network_ms, r.position_ms, r.permutation_ms,
+                       r.paths_ms) for r in rows]),
+    "run_saturation_sweep": (
+        dict(kinds=("obladi", "nopriv"), rate_multipliers=(0.5, 2.0), transactions=16,
+             clients=4, num_accounts=100),
+        lambda rows: [(r.engine, r.rate_multiplier, r.target_rate_tps, r.offered_tps,
+                       r.achieved_tps, r.mean_total_latency_ms, r.p95_total_latency_ms,
+                       r.p99_total_latency_ms, r.mean_queue_delay_ms, r.max_queue_depth,
+                       r.dropped, r.abort_rate, r.closed_loop_tps,
+                       r.closed_loop_latency_ms, r.audit_ok, r.audit_max_retained)
+                      for r in rows]),
+    "run_repair_comparison": (
+        dict(rate_multipliers=(2.0,), transactions=16, clients=4, num_accounts=60),
+        lambda rows: [(r.strategy, r.rate_multiplier, r.target_rate_tps, r.achieved_tps,
+                       r.committed, r.aborted, r.retries, r.repaired, r.repair_failed,
+                       r.wasted_attempts, r.abort_rate, r.mean_total_latency_ms,
+                       r.closed_loop_tps, r.audit_ok) for r in rows]),
+    "run_elasticity_comparison": (
+        dict(transactions=200, num_accounts=40, spike_start_ms=50.0,
+             spike_duration_ms=2000.0),
+        lambda rows: [(r.mode, r.offered, r.dropped, r.committed, r.achieved_tps,
+                       r.mean_total_latency_ms, r.p95_total_latency_ms, r.max_queue_depth,
+                       r.epochs, r.reshards, r.scale_ups, r.scale_downs, r.final_topology,
+                       r.audit_ok) for r in rows]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_every_returned_number_is_pinned(name):
+    kwargs, numbers = PINNED_RUNS[name]
+    assert numbers(getattr(exp, name)(**kwargs)) == PINNED[name]
