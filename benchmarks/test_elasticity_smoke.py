@@ -29,10 +29,11 @@ def _print_rows(rows):
           f"{'tps':>7s} {'lat_ms':>7s} {'reshards':>8s} {'topology':>10s} "
           f"{'audit':>5s}")
     for row in rows:
-        print(f"  {row.mode:10s} {row.offered:7d} {row.dropped:7d} "
-              f"{row.committed:9d} {row.achieved_tps:7.1f} "
-              f"{row.mean_total_latency_ms:7.1f} {row.reshards:8d} "
-              f"{str(row.final_topology):>10s} {str(row.audit_ok):>5s}")
+        run = row.run
+        print(f"  {row.mode:10s} {run.offered:7d} {run.dropped:7d} "
+              f"{run.committed:9d} {run.achieved_tps:7.1f} "
+              f"{run.average_total_latency_ms:7.1f} {len(run.migrations):8d} "
+              f"{str(row.final_topology):>10s} {str(run.audit.ok):>5s}")
 
 
 def test_autoscaler_beats_static_under_flash_crowd(benchmark, bench_scale):
@@ -55,20 +56,20 @@ def test_autoscaler_beats_static_under_flash_crowd(benchmark, bench_scale):
     autoscaled = by_mode["autoscaled"]
 
     # Both runs were offered the identical arrival stream.
-    assert static.offered == autoscaled.offered
+    assert static.run.offered == autoscaled.run.offered
 
     # The headline claims: strictly fewer drops, no throughput sacrifice.
-    assert autoscaled.dropped < static.dropped, (
-        f"autoscaled dropped {autoscaled.dropped} >= static {static.dropped}")
-    assert autoscaled.achieved_tps >= static.achieved_tps, (
-        f"autoscaled {autoscaled.achieved_tps:.1f} tps "
-        f"< static {static.achieved_tps:.1f} tps")
+    assert autoscaled.run.dropped < static.run.dropped, (
+        f"autoscaled dropped {autoscaled.run.dropped} >= static {static.run.dropped}")
+    assert autoscaled.run.achieved_tps >= static.run.achieved_tps, (
+        f"autoscaled {autoscaled.run.achieved_tps:.1f} tps "
+        f"< static {static.run.achieved_tps:.1f} tps")
 
     # ... earned by actually resharding, not by luck.
-    assert autoscaled.scale_ups >= 1
-    assert autoscaled.reshards >= 1
-    assert static.reshards == 0 and static.scale_ups == 0
+    assert autoscaled.decisions("scale_up") >= 1
+    assert len(autoscaled.run.migrations) >= 1
+    assert len(static.run.migrations) == 0 and static.decisions("scale_up") == 0
     assert static.final_topology == (1, 1, 1)
 
     # Every row's history passed the streaming auditor, migration included.
-    assert all(row.audit_ok for row in rows)
+    assert all(row.run.audit.ok for row in rows)

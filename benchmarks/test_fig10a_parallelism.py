@@ -21,7 +21,8 @@ def test_fig10a_parallelism(benchmark, bench_scale):
     ))
     print()
     print(render_table(rows, title="Figure 10a — ORAM throughput (ops/s, simulated), "
-                                   f"batch size {bench_scale['batch_operations']}"))
+                                   f"batch size {bench_scale['batch_operations']}",
+                       columns=["backend", "mode", "throughput_ops_per_s", "elapsed_ms"]))
 
     by = {(r.backend, r.mode): r.throughput_ops_per_s for r in rows}
     # Parallelism is a loss on the zero-latency backend...

@@ -3,7 +3,8 @@
 The paper reports that buffering and deduplicating bucket writes for an
 epoch of eight batches yields roughly a 1.5x speedup on the server and
 DynamoDB backends, 1.6x on the WAN, and only about 1.1x on the local dummy
-backend (where writes are nearly free anyway).
+backend (where writes are nearly free anyway).  The write-back bars are
+the ``parallel_crypto`` rows; ``normal`` writes each bucket back at once.
 """
 
 from repro.harness.experiments import run_delayed_visibility
@@ -21,11 +22,12 @@ def test_fig10d_delayed_visibility(benchmark, bench_scale):
     ))
     print()
     print(render_table(rows, title="Figure 10d — write buffering (ops/s, simulated), "
-                                   "8 batches per epoch"))
+                                   "8 batches per epoch",
+                       columns=["backend", "mode", "throughput_ops_per_s"]))
     by = {(r.backend, r.mode): r.throughput_ops_per_s for r in rows}
     for backend in ("server", "server_wan", "dynamo"):
-        speedup = by[(backend, "write_back")] / by[(backend, "normal")]
+        speedup = by[(backend, "parallel_crypto")] / by[(backend, "normal")]
         assert speedup > 1.2, f"{backend}: {speedup:.2f}"
     # The effect is much smaller (and need not exceed ~1.6x) on dummy storage.
-    dummy_speedup = by[("dummy", "write_back")] / by[("dummy", "normal")]
+    dummy_speedup = by[("dummy", "parallel_crypto")] / by[("dummy", "normal")]
     assert dummy_speedup >= 1.0

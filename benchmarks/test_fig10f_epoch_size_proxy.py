@@ -26,13 +26,12 @@ def test_fig10f_epoch_size_proxy(benchmark, bench_scale):
     ))
     print()
     print(render_table(rows, title="Figure 10f — application throughput vs epoch size "
-                                   "(simulated)",
-                       columns=["application", "epoch_ms", "read_batches", "throughput_tps",
-                                "abort_rate"]))
+                                   "(series: application, x: epoch ms; simulated)",
+                       columns=["series", "x", "throughput_tps", "abort_rate"]))
     for app in ("smallbank", "freehealth", "tpcc"):
-        series = sorted((r for r in rows if r.application == app), key=lambda r: r.epoch_ms)
-        assert all(r.throughput_tps >= 0 for r in series)
+        series = sorted((r for r in rows if r.series == app), key=lambda r: r.x)
+        assert all(r.run.throughput_tps >= 0 for r in series)
         # Applications with multi-round transactions abort heavily when the
         # epoch is too short to fit their dependent reads.
         if app == "tpcc":
-            assert series[0].abort_rate >= series[-1].abort_rate
+            assert series[0].run.abort_rate >= series[-1].run.abort_rate

@@ -42,9 +42,9 @@ def test_fig9a_throughput(benchmark, fig9_sweep):
     rows = run_once(benchmark, fig9_sweep)
     print()
     print(render_table(rows, title="Figure 9a — application throughput (simulated)",
-                       columns=["application", "system", "throughput_tps", "committed",
+                       columns=["x", "series", "throughput_tps", "committed",
                                 "aborted", "abort_rate"]))
-    by = {(r.application, r.system): r for r in rows}
+    by = {(r.x, r.series): r.run for r in rows}
     for app in ("tpcc", "freehealth", "smallbank"):
         obladi = by[(app, "obladi")]
         nopriv = by[(app, "nopriv")]
@@ -64,10 +64,10 @@ def test_fig9_smoke(benchmark):
     rows = run_once(benchmark, lambda: run_end_to_end(
         applications=("smallbank",), systems=("obladi", "nopriv", "mysql"),
         transactions=24, clients=8, scale=0.01))
-    by = {r.system: r for r in rows}
+    by = {r.series: r.run for r in rows}
     assert set(by) == {"obladi", "nopriv", "mysql"}
-    for row in rows:
-        assert row.committed > 0
+    for run in by.values():
+        assert run.committed > 0
     assert by["nopriv"].throughput_tps > by["obladi"].throughput_tps
 
 
@@ -75,9 +75,10 @@ def test_fig9b_latency(benchmark, fig9_sweep):
     rows = run_once(benchmark, fig9_sweep)
     print()
     print(render_table(rows, title="Figure 9b — mean transaction latency (simulated ms)",
-                       columns=["application", "system", "mean_latency_ms"]))
-    by = {(r.application, r.system): r for r in rows}
+                       columns=["x", "series", "average_latency_ms"]))
+    by = {(r.x, r.series): r.run for r in rows}
     for app in ("tpcc", "freehealth", "smallbank"):
-        assert by[(app, "obladi")].mean_latency_ms > by[(app, "nopriv")].mean_latency_ms
+        assert (by[(app, "obladi")].average_latency_ms
+                > by[(app, "nopriv")].average_latency_ms)
         # Latency stays in the hundreds of milliseconds even on the WAN.
-        assert by[(app, "obladi_wan")].mean_latency_ms < 5000
+        assert by[(app, "obladi_wan")].average_latency_ms < 5000

@@ -39,10 +39,11 @@ def _print_rows(rows):
     print(f"  {'engine':8s} {'offered':>10s} {'achieved':>10s} {'ceiling':>10s} "
           f"{'mean lat':>9s} {'p95 lat':>9s} {'queue':>8s} {'maxq':>5s} {'drop':>5s}")
     for row in rows:
-        print(f"  {row.engine:8s} {row.offered_tps:10.1f} {row.achieved_tps:10.1f} "
-              f"{row.closed_loop_tps:10.1f} {row.mean_total_latency_ms:9.2f} "
-              f"{row.p95_total_latency_ms:9.2f} {row.mean_queue_delay_ms:8.2f} "
-              f"{row.max_queue_depth:5d} {row.dropped:5d}")
+        run = row.run
+        print(f"  {row.series:8s} {run.offered_tps:10.1f} {run.achieved_tps:10.1f} "
+              f"{row.ceiling.throughput_tps:10.1f} {run.average_total_latency_ms:9.2f} "
+              f"{run.p95_total_latency_ms:9.2f} {run.average_queue_delay_ms:8.2f} "
+              f"{run.max_queue_depth:5d} {run.dropped:5d}")
 
 
 def test_openloop_saturation_knee(benchmark, bench_scale):
@@ -55,25 +56,27 @@ def test_openloop_saturation_knee(benchmark, bench_scale):
     _print_rows(rows)
 
     for kind in ("obladi", "nopriv"):
-        by_mult = {row.rate_multiplier: row for row in rows if row.engine == kind}
-        assert set(by_mult) == set(MULTIPLIERS)
-        ceiling = by_mult[BELOW_KNEE].closed_loop_tps
+        points = {row.x: row for row in rows if row.series == kind}
+        assert set(points) == set(MULTIPLIERS)
+        by_mult = {m: row.run for m, row in points.items()}
+        closed_loop = points[BELOW_KNEE].ceiling
+        ceiling = closed_loop.throughput_tps
         assert ceiling > 0
 
         # Below the knee: open-loop latency within 1.5x of closed loop.
         below = by_mult[BELOW_KNEE]
-        assert below.mean_total_latency_ms <= 1.5 * below.closed_loop_latency_ms, (
-            f"{kind}: below-knee latency {below.mean_total_latency_ms:.2f} ms "
-            f"vs closed-loop {below.closed_loop_latency_ms:.2f} ms")
+        assert below.average_total_latency_ms <= 1.5 * closed_loop.average_latency_ms, (
+            f"{kind}: below-knee latency {below.average_total_latency_ms:.2f} ms "
+            f"vs closed-loop {closed_loop.average_latency_ms:.2f} ms")
         assert below.dropped == 0
 
         # Monotone latency growth along the sweep and past the knee.
-        latencies = [by_mult[m].mean_total_latency_ms for m in MULTIPLIERS]
+        latencies = [by_mult[m].average_total_latency_ms for m in MULTIPLIERS]
         assert latencies == sorted(latencies), f"{kind}: {latencies}"
-        assert (by_mult[PAST_KNEE[1]].mean_total_latency_ms
-                > by_mult[PAST_KNEE[0]].mean_total_latency_ms), kind
-        assert (by_mult[PAST_KNEE[0]].mean_queue_delay_ms
-                < by_mult[PAST_KNEE[1]].mean_queue_delay_ms), kind
+        assert (by_mult[PAST_KNEE[1]].average_total_latency_ms
+                > by_mult[PAST_KNEE[0]].average_total_latency_ms), kind
+        assert (by_mult[PAST_KNEE[0]].average_queue_delay_ms
+                < by_mult[PAST_KNEE[1]].average_queue_delay_ms), kind
 
         # Achieved throughput plateaus at the closed-loop ceiling.
         plateau = [by_mult[m].achieved_tps for m in PAST_KNEE]
@@ -85,9 +88,9 @@ def test_openloop_saturation_knee(benchmark, bench_scale):
         # ... while the *configured* offered rate genuinely doubled (the
         # measured offered_tps is service-bound once a backlog forms, so it
         # plateaus right alongside the achieved rate).
-        assert (by_mult[PAST_KNEE[1]].target_rate_tps
-                == pytest.approx(2 * by_mult[PAST_KNEE[0]].target_rate_tps)), kind
-        assert by_mult[PAST_KNEE[1]].target_rate_tps > ceiling
+        assert (points[PAST_KNEE[1]].target_rate_tps
+                == pytest.approx(2 * points[PAST_KNEE[0]].target_rate_tps)), kind
+        assert points[PAST_KNEE[1]].target_rate_tps > ceiling
 
 
 def test_openloop_fixed_seed_is_byte_identical(benchmark):
@@ -101,4 +104,4 @@ def test_openloop_fixed_seed_is_byte_identical(benchmark):
     first, second = run_once(benchmark, pair)
     assert repr(first) == repr(second)
     print(f"\n  byte-identical across runs: {len(first)} row(s), "
-          f"achieved {first[0].achieved_tps:.1f} txn/s")
+          f"achieved {first[0].run.achieved_tps:.1f} txn/s")

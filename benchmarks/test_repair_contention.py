@@ -39,10 +39,11 @@ def _print_rows(workload, rows):
           f"{'committed':>9s} {'aborted':>8s} {'repaired':>8s} {'wasted':>7s} "
           f"{'audit':>5s}")
     for row in rows:
-        print(f"  {'':10s} {row.strategy:8s} {row.rate_multiplier:5.1f} "
-              f"{row.achieved_tps:8.1f} {row.committed:9d} {row.aborted:8d} "
-              f"{row.repaired:8d} {row.wasted_attempts:7d} "
-              f"{str(row.audit_ok):>5s}")
+        run = row.run
+        print(f"  {'':10s} {row.series:8s} {row.x:5.1f} "
+              f"{run.achieved_tps:8.1f} {run.committed:9d} {run.aborted:8d} "
+              f"{run.repaired:8d} {run.wasted_attempts:7d} "
+              f"{str(run.audit.ok):>5s}")
 
 
 def test_repair_beats_retry_at_the_knee(benchmark, bench_scale):
@@ -60,7 +61,7 @@ def test_repair_beats_retry_at_the_knee(benchmark, bench_scale):
 
     for workload, rows in sweeps.items():
         _print_rows(workload, rows)
-        by_key = {(row.strategy, row.rate_multiplier): row for row in rows}
+        by_key = {(row.series, row.x): row.run for row in rows}
         assert set(by_key) == {(s, m) for s in ("retry", "repair")
                                for m in MULTIPLIERS}
 
@@ -80,7 +81,7 @@ def test_repair_beats_retry_at_the_knee(benchmark, bench_scale):
             # Retry never reports repair activity.
             assert retry.repaired == 0 and retry.repair_failed == 0
             # Every repaired run's history passed the streaming auditor.
-            assert repair.audit_ok, (workload, multiplier)
+            assert repair.audit.ok, (workload, multiplier)
 
 
 def test_repair_smoke_offline_serializable(benchmark):

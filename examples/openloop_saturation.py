@@ -31,21 +31,21 @@ def main() -> None:
 
     print_table(rows,
                 title="Open-loop saturation sweep (Poisson arrivals, simulated time)",
-                columns=["engine", "rate_multiplier", "target_rate_tps",
-                         "achieved_tps", "mean_total_latency_ms",
-                         "p95_total_latency_ms", "mean_queue_delay_ms",
+                columns=["engine", "x", "target_rate_tps",
+                         "achieved_tps", "average_total_latency_ms",
+                         "p95_total_latency_ms", "average_queue_delay_ms",
                          "max_queue_depth", "dropped"])
 
     for kind in ("obladi", "nopriv"):
-        ceiling = next(r.closed_loop_tps for r in rows if r.engine == kind)
-        past = [r for r in rows if r.engine == kind and r.rate_multiplier > 1]
-        plateau = max(r.achieved_tps for r in past)
+        ceiling = next(r.ceiling.throughput_tps for r in rows if r.series == kind)
+        past = [r for r in rows if r.series == kind and r.x > 1]
+        plateau = max(r.run.achieved_tps for r in past)
         print(f"\n{kind}: closed-loop ceiling {ceiling:.0f} txn/s; "
               f"past-knee plateau {plateau:.0f} txn/s "
               f"({plateau / ceiling:.0%} of ceiling); "
-              f"queueing delay grows {past[0].mean_queue_delay_ms:.1f} -> "
-              f"{past[-1].mean_queue_delay_ms:.1f} ms from "
-              f"{past[0].rate_multiplier:g}x to {past[-1].rate_multiplier:g}x")
+              f"queueing delay grows {past[0].run.average_queue_delay_ms:.1f} -> "
+              f"{past[-1].run.average_queue_delay_ms:.1f} ms from "
+              f"{past[0].x:g}x to {past[-1].x:g}x")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 # Docs gate: the README/ARCHITECTURE doctest snippets must execute, and
 # every exported repro.api / repro.core / repro.sharding / repro.proxytier /
 # repro.audit / repro.concurrency / repro.elasticity / repro.storage /
-# repro.oram / repro.recovery symbol must carry a docstring.
+# repro.oram / repro.recovery / repro.harness symbol must carry a docstring.
 echo "== docs gate: doctests + exported-symbol docstrings =="
 python -m doctest docs/ARCHITECTURE.md README.md
 python scripts/check_docstrings.py

@@ -47,13 +47,6 @@ class VersionChain:
                 return version
         return None
 
-    def latest_committed(self) -> Optional[Version]:
-        """Latest committed version regardless of timestamp (epoch-tail reads)."""
-        for version in reversed(self.versions):
-            if version.committed and not version.aborted:
-                return version
-        return None
-
     def insert(self, version: Version) -> None:
         """Insert a version keeping the chain sorted by writer timestamp."""
         idx = len(self.versions)
@@ -65,12 +58,6 @@ class VersionChain:
         """Advance the read marker to ``reader_ts`` if it is newer."""
         if reader_ts > self.read_marker_ts:
             self.read_marker_ts = reader_ts
-
-    def remove_aborted(self) -> int:
-        """Drop aborted versions; returns how many were removed."""
-        before = len(self.versions)
-        self.versions = [v for v in self.versions if not v.aborted]
-        return before - len(self.versions)
 
     def writer_timestamps(self) -> List[int]:
         """The writer timestamps of every version, oldest first."""

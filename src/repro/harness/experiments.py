@@ -14,15 +14,22 @@ Figure 10f      :func:`run_epoch_size_proxy`
 Figure 11a      :func:`run_checkpoint_frequency`
 Table 11b       :func:`run_recovery_table`
 (open loop)     :func:`run_saturation_sweep`
+(repair)        :func:`run_repair_comparison`
 (elasticity)    :func:`run_elasticity_comparison`
 ==============  ====================================================
+
+Each function lists its points and turns every point into a row.  The ORAM
+microbenchmarks (Figures 10a–10e) return :class:`OramRow`; every other
+experiment keeps the :class:`~repro.api.RunStats` each point produced
+(``row.run``) and adds only what the run does not know: the point's place on
+the figure, and the figure's derived value where it has one.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.api import EngineConfig, PoissonArrivals, RunStats, create_engine
 from repro.audit import AuditingObserver
@@ -32,6 +39,7 @@ from repro.oram.batch_executor import EpochBatchExecutor
 from repro.oram.crypto import CipherSuite
 from repro.oram.parameters import derive_parameters
 from repro.oram.ring_oram import RingOram
+from repro.recovery import RecoveryResult
 from repro.sim.clock import SimClock
 from repro.sim.latency import CpuCostModel
 from repro.storage.memory import InMemoryStorageServer
@@ -39,6 +47,87 @@ from repro.workloads.freehealth import FreeHealthConfig, FreeHealthWorkload
 from repro.workloads.smallbank import SmallBankConfig, SmallBankWorkload
 from repro.workloads.tpcc import TPCCConfig, TPCCWorkload
 from repro.workloads.ycsb import YCSBConfig, YCSBWorkload
+
+
+# --------------------------------------------------------------------------- #
+# Rows
+# --------------------------------------------------------------------------- #
+@dataclass
+class OramRow:
+    """One point of Figures 10a–10e: ``operations`` reads through the epoch
+    executor in ``mode``, ``batch_size`` reads a batch and
+    ``batches_per_epoch`` batches an epoch, taking ``elapsed_ms``."""
+
+    backend: str
+    mode: str                    # sequential / parallel / parallel_crypto / normal
+    batch_size: int
+    batches_per_epoch: int
+    operations: int
+    elapsed_ms: float
+
+    @property
+    def throughput_ops_per_s(self) -> float:
+        """Reads completed per simulated second."""
+        if self.elapsed_ms <= 0:
+            return float("inf")
+        return self.operations * 1000.0 / self.elapsed_ms
+
+    @property
+    def latency_ms(self) -> float:
+        """Mean simulated duration of one epoch (dispatch to flush)."""
+        epochs = -(-self.operations // (self.batch_size * self.batches_per_epoch))
+        return self.elapsed_ms / epochs
+
+
+@dataclass
+class RunRow:
+    """One point of an application-level figure and the run it produced.
+
+    ``series`` is the bar or curve the point belongs to and ``x`` its place
+    on the figure's axis; each ``run_*`` says what they are.  The two knee
+    sweeps also keep ``ceiling``, the closed-loop run whose throughput the
+    offered rate is a multiple ``x`` of.
+    """
+
+    series: str
+    x: object
+    run: RunStats
+    ceiling: Optional[RunStats] = None
+
+    @property
+    def target_rate_tps(self) -> float:
+        """The arrival rate :func:`_knee_sweep` offered at this point: ``x``
+        times the ceiling's throughput."""
+        return max(1e-6, self.x * self.ceiling.throughput_tps)
+
+
+@dataclass
+class RecoveryRow:
+    """One column of Table 11b: the durable run at ``num_objects``, its
+    throughput over the same run without durability, and the recovery that
+    followed a crash of its proxy."""
+
+    num_objects: int
+    tree_levels: int
+    durability_slowdown: float
+    recovery: RecoveryResult
+    run: RunStats
+
+
+@dataclass
+class ElasticityRow:
+    """One run of the flash-crowd elasticity comparison and the
+    ``(shards, storage_servers, proxy_workers)`` it ended at."""
+
+    mode: str                    # "static" or "autoscaled"
+    final_topology: Tuple[int, int, int]
+    run: RunStats
+
+    def decisions(self, action: str) -> int:
+        """How many autoscale decisions were ``action`` (``"scale_up"`` /
+        ``"scale_down"``); 0 for a run without a controller."""
+        return sum(d.action == action
+                   for d in getattr(self.run.controller, "decisions", ()))
 
 
 # --------------------------------------------------------------------------- #
@@ -62,9 +151,49 @@ def _build_oram(num_blocks: int, charge_crypto: bool) -> RingOram:
                     clock=clock, seed=0, charge_crypto=charge_crypto)
 
 
-def _ops_per_s(operations: int, elapsed_ms: float) -> float:
-    """Throughput of ``operations`` completed in ``elapsed_ms`` simulated ms."""
-    return operations * 1000.0 / elapsed_ms if elapsed_ms > 0 else float("inf")
+def _run_parallel_ops(num_blocks: int, backend: str, mode: str, operations: int,
+                      batch_size: int, batches_per_epoch: int = 1,
+                      access_seed: int = 0) -> OramRow:
+    """``operations`` reads of blocks drawn from ``access_seed`` through the
+    epoch executor in ``mode``, one :class:`OramRow`."""
+    charge_crypto, buffer_writes, parallelism, cost_model = {
+        # Ring ORAM without batching or parallelism (run at batch size 1):
+        # one request in flight, immediate write-back, and none of the
+        # multilevel-serializability coordination parallel mode pays.
+        "sequential": (True, False, 1, CpuCostModel(coordination_per_block_ms=0.0)),
+        # The paper's Parallel vs ParallelCrypto: crypto cost charged or not.
+        "parallel": (False, True, 1024, None),
+        "parallel_crypto": (True, True, 1024, None),
+        # ParallelCrypto with bucket writes not buffered to the epoch's end.
+        "normal": (True, False, 1024, None),
+    }[mode]
+    oram = _build_oram(num_blocks, charge_crypto)
+    executor = EpochBatchExecutor(oram, latency=backend, parallelism=parallelism,
+                                  cost_model=cost_model, buffer_writes=buffer_writes)
+    rng = random.Random(access_seed)
+    clock = oram.clock
+    start = clock.now_ms
+    remaining = operations
+    while remaining > 0:
+        executor.begin_epoch()
+        for _ in range(batches_per_epoch):
+            if remaining <= 0:
+                break
+            count = min(batch_size, remaining)
+            block_ids = [rng.randrange(num_blocks) for _ in range(count)]
+            executor.execute_read_batch(block_ids, batch_size=count)
+            remaining -= count
+        executor.flush_epoch()
+        executor.collect()
+    return OramRow(backend, mode, batch_size, batches_per_epoch, operations,
+                   clock.now_ms - start)
+
+
+def _closed_loop(engine, workload, data, transactions: int, clients: int) -> RunStats:
+    """Load ``data`` into ``engine`` and run ``workload`` closed loop."""
+    engine.load_initial_data(data)
+    return engine.run_closed_loop(workload.transaction_factory,
+                                  total_transactions=transactions, clients=clients)
 
 
 def _workload_objects(name: str, scale: float = 1.0):
@@ -92,19 +221,6 @@ def _workload_objects(name: str, scale: float = 1.0):
 # --------------------------------------------------------------------------- #
 # Figure 9: end-to-end application performance
 # --------------------------------------------------------------------------- #
-@dataclass
-class EndToEndRow:
-    """One bar of Figures 9a/9b."""
-
-    application: str
-    system: str
-    throughput_tps: float
-    mean_latency_ms: float
-    committed: int
-    aborted: int
-    abort_rate: float
-
-
 #: Systems evaluated in Figure 9 and the storage backend each one uses.
 END_TO_END_SYSTEMS = ("obladi", "nopriv", "mysql", "obladi_wan", "nopriv_wan")
 
@@ -135,98 +251,42 @@ def _obladi_config_for(app: str, num_keys: int, backend: str,
 def run_end_to_end(applications: Sequence[str] = ("tpcc", "freehealth", "smallbank"),
                    systems: Sequence[str] = END_TO_END_SYSTEMS,
                    transactions: int = 256, clients: int = 64, scale: float = 0.1,
-                   encrypt: bool = False, seed: int = 7) -> List[EndToEndRow]:
+                   encrypt: bool = False, seed: int = 7) -> List[RunRow]:
     """Figure 9a/9b: throughput and latency of every system on every application.
 
-    ``scale`` shrinks the database populations relative to the paper (whose
-    EC2 deployment used full TPC-C scale and one million SmallBank accounts);
-    the relative ordering of the systems is what the experiment reproduces.
+    One :class:`RunRow` a bar: ``x`` is the application, ``series`` the
+    system.  ``scale`` shrinks the database populations relative to the
+    paper (whose EC2 deployment used full TPC-C scale and one million
+    SmallBank accounts); the relative ordering of the systems is what the
+    experiment reproduces.
     """
-    rows: List[EndToEndRow] = []
-    for app in applications:
-        for system in systems:
-            workload = _workload_objects(app, scale)
-            data = workload.initial_data()
-            backend = "server_wan" if system.endswith("_wan") else "server"
+    def bar(app: str, system: str) -> RunRow:
+        workload = _workload_objects(app, scale)
+        data = workload.initial_data()
+        backend = "server_wan" if system.endswith("_wan") else "server"
+        if system.startswith("obladi"):
+            engine = create_engine("obladi", _obladi_config_for(
+                app, len(data), backend=backend, encrypt=encrypt, clients=clients))
+        elif system.startswith("nopriv") or system == "mysql":
+            # MySQL in the paper runs locally, so it never sees the WAN.
+            engine = create_engine(system.split("_")[0],
+                                   EngineConfig(backend=backend, seed=seed))
+        else:
+            raise KeyError(f"unknown system {system!r}")
+        return RunRow(system, app, _closed_loop(engine, workload, data, transactions,
+                                                clients))
 
-            if system.startswith("obladi"):
-                engine = create_engine("obladi", _obladi_config_for(
-                    app, len(data), backend=backend, encrypt=encrypt, clients=clients))
-            elif system.startswith("nopriv") or system == "mysql":
-                # MySQL in the paper runs locally, so it never sees the WAN.
-                engine = create_engine(system.split("_")[0],
-                                       EngineConfig(backend=backend, seed=seed))
-            else:
-                raise KeyError(f"unknown system {system!r}")
-
-            engine.load_initial_data(data)
-            run = engine.run_closed_loop(workload.transaction_factory,
-                                         total_transactions=transactions,
-                                         clients=clients)
-
-            rows.append(EndToEndRow(
-                application=app,
-                system=system,
-                throughput_tps=run.throughput_tps,
-                mean_latency_ms=run.average_latency_ms,
-                committed=run.committed,
-                aborted=run.aborted,
-                abort_rate=run.abort_rate,
-            ))
-    return rows
+    return [bar(app, system) for app in applications for system in systems]
 
 
 # --------------------------------------------------------------------------- #
-# Figure 10a: parallelism
+# Figures 10a–10e: the ORAM microbenchmarks
 # --------------------------------------------------------------------------- #
-@dataclass
-class ParallelismRow:
-    """One bar of Figure 10a (throughput of a 500-op batch)."""
-
-    backend: str
-    mode: str                    # sequential / parallel / parallel_crypto
-    throughput_ops_per_s: float
-    elapsed_ms: float
-
-
-def _run_parallel_ops(num_blocks: int, backend: str, operations: int, batch_size: int,
-                      charge_crypto: bool, buffer_writes: bool = True,
-                      batches_per_epoch: int = 1, access_seed: int = 0,
-                      parallelism: int = 1024,
-                      cost_model: Optional[CpuCostModel] = None) -> float:
-    """Simulated duration of ``operations`` accesses through the epoch executor.
-
-    The simulated crypto cost is charged unless ``charge_crypto`` is False,
-    matching the paper's Parallel vs ParallelCrypto distinction.  The
-    accessed blocks are drawn from ``access_seed``.  ``parallelism`` and
-    ``cost_model`` go to the executor (``None``: the tree's default model).
-    """
-    oram = _build_oram(num_blocks, charge_crypto)
-    executor = EpochBatchExecutor(oram, latency=backend, parallelism=parallelism,
-                                  cost_model=cost_model, buffer_writes=buffer_writes)
-    rng = random.Random(access_seed)
-    clock = oram.clock
-    start = clock.now_ms
-    remaining = operations
-    while remaining > 0:
-        executor.begin_epoch()
-        for _ in range(batches_per_epoch):
-            if remaining <= 0:
-                break
-            count = min(batch_size, remaining)
-            block_ids = [rng.randrange(num_blocks) for _ in range(count)]
-            executor.execute_read_batch(block_ids, batch_size=count)
-            remaining -= count
-        executor.flush_epoch()
-        executor.collect()
-    return clock.now_ms - start
-
-
 def run_parallelism(backends: Sequence[str] = ("dummy", "server", "server_wan", "dynamo"),
                     batch_size: int = 500, operations: int = 500,
                     num_blocks: int = DEFAULT_ORAM_OBJECTS,
                     modes: Sequence[str] = ("sequential", "parallel", "parallel_crypto"),
-                    ) -> List[ParallelismRow]:
+                    ) -> List[OramRow]:
     """Figure 10a: sequential vs parallel ORAM throughput per backend.
 
     "Sequential" is Ring ORAM without batching or parallelism: the same
@@ -235,200 +295,85 @@ def run_parallelism(backends: Sequence[str] = ("dummy", "server", "server_wan", 
     :meth:`~repro.sim.latency.CpuCostModel.sequential_block_cost_ms` defines
     sequential mode.
     """
-    sequential_cost = CpuCostModel(coordination_per_block_ms=0.0)
-    rows: List[ParallelismRow] = []
-    for backend in backends:
-        for mode in modes:
-            if mode == "sequential":
-                elapsed = _run_parallel_ops(num_blocks, backend, operations, batch_size=1,
-                                            charge_crypto=True, buffer_writes=False,
-                                            parallelism=1, cost_model=sequential_cost)
-            elif mode in ("parallel", "parallel_crypto"):
-                elapsed = _run_parallel_ops(num_blocks, backend, operations, batch_size,
-                                            charge_crypto=mode == "parallel_crypto")
-            else:
-                raise KeyError(f"unknown mode {mode!r}")
-            rows.append(ParallelismRow(backend=backend, mode=mode,
-                                       throughput_ops_per_s=_ops_per_s(operations, elapsed),
-                                       elapsed_ms=elapsed))
-    return rows
-
-
-# --------------------------------------------------------------------------- #
-# Figures 10b/10c: batch size sweep
-# --------------------------------------------------------------------------- #
-@dataclass
-class BatchSizeRow:
-    """One point of Figures 10b (throughput) and 10c (latency)."""
-
-    backend: str
-    batch_size: int
-    throughput_ops_per_s: float
-    latency_ms: float
+    return [_run_parallel_ops(num_blocks, backend, mode, operations,
+                              1 if mode == "sequential" else batch_size)
+            for backend in backends for mode in modes]
 
 
 def run_batch_size_sweep(backends: Sequence[str] = ("dummy", "server", "server_wan", "dynamo"),
                          batch_sizes: Sequence[int] = (1, 10, 100, 500, 1000, 2000),
                          num_blocks: int = DEFAULT_ORAM_OBJECTS,
-                         min_operations: int = 600) -> List[BatchSizeRow]:
+                         min_operations: int = 600) -> List[OramRow]:
     """Figures 10b/10c: throughput and latency vs batch size.
 
-    Each configuration executes at least ``min_operations`` logical reads so
-    the deterministic eviction work is represented in every data point (a
-    single tiny batch would otherwise dodge evictions entirely and look
-    artificially fast); latency is the average duration of one batch
-    (dispatch to flush).
+    Each configuration executes at least ``min_operations`` logical reads,
+    one full batch an epoch, so the deterministic eviction work is
+    represented in every data point (a single tiny batch would otherwise
+    dodge evictions entirely and look artificially fast); latency is the
+    average duration of one batch (dispatch to flush).
     """
-    rows: List[BatchSizeRow] = []
-    for backend in backends:
-        for batch_size in batch_sizes:
-            batches = max(1, -(-min_operations // batch_size))
-            total_ops = batches * batch_size      # one full batch per epoch
-            elapsed = _run_parallel_ops(num_blocks, backend, total_ops, batch_size,
-                                        charge_crypto=True, access_seed=1)
-            rows.append(BatchSizeRow(backend=backend, batch_size=batch_size,
-                                     throughput_ops_per_s=_ops_per_s(total_ops, elapsed),
-                                     latency_ms=elapsed / batches))
-    return rows
-
-
-# --------------------------------------------------------------------------- #
-# Figure 10d: delayed visibility (write buffering)
-# --------------------------------------------------------------------------- #
-@dataclass
-class DelayedVisibilityRow:
-    """One bar pair of Figure 10d."""
-
-    backend: str
-    mode: str                    # "normal" (immediate write-back) or "write_back"
-    throughput_ops_per_s: float
+    return [_run_parallel_ops(num_blocks, backend, "parallel_crypto",
+                              max(1, -(-min_operations // size)) * size, size,
+                              access_seed=1)
+            for backend in backends for size in batch_sizes]
 
 
 def run_delayed_visibility(backends: Sequence[str] = ("dummy", "server", "server_wan", "dynamo"),
                            batch_size: int = 200, batches_per_epoch: int = 8,
-                           num_blocks: int = DEFAULT_ORAM_OBJECTS) -> List[DelayedVisibilityRow]:
-    """Figure 10d: effect of buffering bucket writes until the epoch ends."""
-    operations = batch_size * batches_per_epoch
-    rows: List[DelayedVisibilityRow] = []
-    for backend in backends:
-        for mode, buffer_writes in (("normal", False), ("write_back", True)):
-            elapsed = _run_parallel_ops(num_blocks, backend, operations, batch_size,
-                                        charge_crypto=True, buffer_writes=buffer_writes,
-                                        batches_per_epoch=batches_per_epoch)
-            rows.append(DelayedVisibilityRow(
-                backend=backend, mode=mode,
-                throughput_ops_per_s=_ops_per_s(operations, elapsed)))
-    return rows
+                           num_blocks: int = DEFAULT_ORAM_OBJECTS) -> List[OramRow]:
+    """Figure 10d: effect of buffering bucket writes until the epoch ends.
 
-
-# --------------------------------------------------------------------------- #
-# Figure 10e: epoch size impact on the ORAM
-# --------------------------------------------------------------------------- #
-@dataclass
-class EpochSizeOramRow:
-    """One point of Figure 10e (relative throughput vs batches per epoch)."""
-
-    backend: str
-    batches_per_epoch: int
-    throughput_ops_per_s: float
-    relative_increase: float
+    ``normal`` writes buckets back at once; ``parallel_crypto`` buffers them
+    to the epoch's end (the paper's write-back bars)."""
+    return [_run_parallel_ops(num_blocks, backend, mode, batch_size * batches_per_epoch,
+                              batch_size, batches_per_epoch)
+            for backend in backends for mode in ("normal", "parallel_crypto")]
 
 
 def run_epoch_size_oram(backends: Sequence[str] = ("dummy", "server", "server_wan", "dynamo"),
                         batch_counts: Sequence[int] = (1, 2, 4, 8, 16, 32),
                         batch_size: int = 200,
-                        num_blocks: int = DEFAULT_ORAM_OBJECTS) -> List[EpochSizeOramRow]:
-    """Figure 10e: larger epochs buffer more buckets locally and reduce I/O."""
-    rows: List[EpochSizeOramRow] = []
-    for backend in backends:
-        base_throughput: Optional[float] = None
-        for batches in batch_counts:
-            operations = batch_size * batches * 2
-            elapsed = _run_parallel_ops(num_blocks, backend, operations, batch_size,
-                                        charge_crypto=True, buffer_writes=True,
-                                        batches_per_epoch=batches)
-            throughput = _ops_per_s(operations, elapsed)
-            if base_throughput is None:
-                base_throughput = throughput
-            rows.append(EpochSizeOramRow(
-                backend=backend, batches_per_epoch=batches,
-                throughput_ops_per_s=throughput,
-                relative_increase=throughput / base_throughput if base_throughput else 1.0))
-    return rows
+                        num_blocks: int = DEFAULT_ORAM_OBJECTS) -> List[OramRow]:
+    """Figure 10e: larger epochs buffer more buckets locally and reduce I/O.
+
+    Every point runs two epochs.  The figure plots each backend's throughput
+    relative to its first point's."""
+    return [_run_parallel_ops(num_blocks, backend, "parallel_crypto",
+                              batch_size * batches * 2, batch_size, batches)
+            for backend in backends for batches in batch_counts]
 
 
 # --------------------------------------------------------------------------- #
 # Figure 10f: epoch size impact on the proxy (applications)
 # --------------------------------------------------------------------------- #
-@dataclass
-class EpochSizeProxyRow:
-    """One point of Figure 10f."""
-
-    application: str
-    epoch_ms: float
-    read_batches: int
-    throughput_tps: float
-    abort_rate: float
-
-
 def run_epoch_size_proxy(applications: Sequence[str] = ("smallbank", "freehealth", "tpcc"),
                          epoch_sizes_ms: Sequence[float] = (25, 50, 75, 100, 125, 150),
                          batch_interval_ms: float = 25.0,
                          transactions: int = 80, clients: int = 12,
-                         scale: float = 0.05, encrypt: bool = False) -> List[EpochSizeProxyRow]:
+                         scale: float = 0.05, encrypt: bool = False) -> List[RunRow]:
     """Figure 10f: application throughput as a function of the epoch length.
 
-    The epoch length maps to the number of read batches it contains
-    (``epoch_ms / batch_interval_ms``): epochs too short abort transactions
-    that need more rounds; epochs too long leave the proxy idle.
+    One :class:`RunRow` a point: ``series`` is the application, ``x`` the
+    epoch length in ms.  The epoch length maps to the number of read batches
+    it contains (``epoch_ms / batch_interval_ms``): epochs too short abort
+    transactions that need more rounds; epochs too long leave the proxy idle.
     """
-    rows: List[EpochSizeProxyRow] = []
-    for app in applications:
-        for epoch_ms in epoch_sizes_ms:
-            read_batches = max(1, int(round(epoch_ms / batch_interval_ms)))
-            workload = _workload_objects(app, scale)
-            data = workload.initial_data()
-            config = _obladi_config_for(app, len(data), backend="server",
-                                        encrypt=encrypt, clients=clients)
-            config = replace(config, read_batches=read_batches,
-                             batch_interval_ms=batch_interval_ms, durability=False)
-            engine = create_engine("obladi", config)
-            engine.load_initial_data(data)
-            run = engine.run_closed_loop(workload.transaction_factory,
-                                         total_transactions=transactions, clients=clients)
-            rows.append(EpochSizeProxyRow(application=app, epoch_ms=epoch_ms,
-                                          read_batches=read_batches,
-                                          throughput_tps=run.throughput_tps,
-                                          abort_rate=run.abort_rate))
-    return rows
+    def point(app: str, epoch_ms: float) -> RunRow:
+        workload = _workload_objects(app, scale)
+        data = workload.initial_data()
+        config = replace(_obladi_config_for(app, len(data), backend="server",
+                                            encrypt=encrypt, clients=clients),
+                         read_batches=max(1, int(round(epoch_ms / batch_interval_ms))),
+                         batch_interval_ms=batch_interval_ms, durability=False)
+        return RunRow(app, epoch_ms, _closed_loop(create_engine("obladi", config),
+                                                  workload, data, transactions, clients))
+
+    return [point(app, epoch_ms) for app in applications for epoch_ms in epoch_sizes_ms]
 
 
 # --------------------------------------------------------------------------- #
-# Open-loop saturation sweep (offered load vs latency/throughput)
+# Open-loop knee sweeps: saturation, and retry vs repair
 # --------------------------------------------------------------------------- #
-@dataclass
-class SaturationRow:
-    """One offered-load point of an open-loop saturation sweep."""
-
-    engine: str
-    rate_multiplier: float        # offered rate as a fraction of the ceiling
-    target_rate_tps: float        # the configured arrival rate
-    offered_tps: float            # measured arrivals / elapsed (service-bound
-                                  # once a backlog forms, so it plateaus too)
-    achieved_tps: float
-    mean_total_latency_ms: float  # queueing delay + service latency
-    p95_total_latency_ms: float
-    p99_total_latency_ms: float
-    mean_queue_delay_ms: float
-    max_queue_depth: int
-    dropped: int
-    abort_rate: float
-    closed_loop_tps: float        # the engine's closed-loop ceiling
-    closed_loop_latency_ms: float
-    audit_ok: bool = True         # streaming serializability verdict
-    audit_max_retained: int = 0   # auditor's retained-node high-water mark
-
-
 def _small_engine(kind: str, topology: Tuple[int, int, int], clients: int,
                   num_accounts: int, seed: int,
                   conflict_strategy: Optional[str] = None,
@@ -455,9 +400,7 @@ def _small_engine(kind: str, topology: Tuple[int, int, int], clients: int,
               .with_conflict_strategy(conflict_strategy)
               .with_cc_cost(cc_op_ms)
               .with_autoscale(autoscale)
-              .with_durability(False)
-              .with_encryption(False)
-              .with_seed(seed))
+              .with_durability(False).with_encryption(False).with_seed(seed))
     return create_engine(kind, config)
 
 
@@ -473,28 +416,29 @@ def _audited_open_loop(engine, workload, transactions: int, clients: int,
                                 clients=clients, queue_limit=queue_limit)
 
 
-def _knee_sweep(make_engine: Callable[[], object], make_workload: Callable[[], object],
-                rate_multipliers: Sequence[float], transactions: int, clients: int,
-                arrival_seed: int) -> Iterator[Tuple[float, float, RunStats, RunStats]]:
+def _knee_sweep(series: str, make_engine: Callable[[], object],
+                make_workload: Callable[[], object], rate_multipliers: Sequence[float],
+                transactions: int, clients: int, arrival_seed: int) -> List[RunRow]:
     """The method of both knee sweeps: the ceiling, then the multipliers.
 
     First measures the *closed-loop ceiling* (``run_closed_loop`` with
     ``clients`` slots — the service capacity an open loop cannot exceed),
     then, on a fresh engine and workload per point, offers seeded-Poisson
-    arrivals at ``multiplier x ceiling``, audited, and yields
-    ``(multiplier, rate, ceiling, run)``.
+    arrivals at ``multiplier x ceiling``, audited: one :class:`RunRow` a
+    multiplier, with ``x`` the multiplier.
     """
-    workload, engine = make_workload(), make_engine()
-    engine.load_initial_data(workload.initial_data())
-    ceiling = engine.run_closed_loop(workload.transaction_factory,
-                                     total_transactions=transactions,
-                                     clients=clients)
-    for multiplier in rate_multipliers:
-        rate = max(1e-6, multiplier * ceiling.throughput_tps)
+    workload = make_workload()
+    ceiling = _closed_loop(make_engine(), workload, workload.initial_data(),
+                           transactions, clients)
+
+    def point(multiplier: float) -> RunRow:
         workload, engine = make_workload(), make_engine()
-        run = _audited_open_loop(engine, workload, transactions, clients,
-                                 PoissonArrivals(rate, seed=arrival_seed))
-        yield multiplier, rate, ceiling, run
+        rate = max(1e-6, multiplier * ceiling.throughput_tps)
+        return RunRow(series, multiplier, _audited_open_loop(
+            engine, workload, transactions, clients,
+            PoissonArrivals(rate, seed=arrival_seed)), ceiling)
+
+    return [point(multiplier) for multiplier in rate_multipliers]
 
 
 def run_saturation_sweep(kinds: Sequence[str] = ("obladi", "nopriv"),
@@ -502,79 +446,32 @@ def run_saturation_sweep(kinds: Sequence[str] = ("obladi", "nopriv"),
                          transactions: int = 96, clients: int = 16,
                          num_accounts: int = 400, shards: int = 1,
                          proxy_workers: int = 1, arrival_seed: int = 7,
-                         seed: int = 11) -> List[SaturationRow]:
+                         seed: int = 11) -> List[RunRow]:
     """Open-loop saturation sweep: offered load as a fraction of capacity.
 
-    For each engine kind the sweep measures the closed-loop ceiling, then
-    offers arrivals at ``multiplier x ceiling`` (:func:`_knee_sweep`) and
-    records achieved throughput and queue-inclusive latency.  Below the knee
-    (``multiplier < 1``) latency should sit near the closed-loop latency;
-    past it, queueing delay grows with the multiplier while achieved
-    throughput plateaus at the ceiling — the open-loop shape of the paper's
-    Figure 9 latency/throughput trade-off.
+    For each engine kind (``series``) the sweep measures the closed-loop
+    ceiling, then offers arrivals at ``multiplier x ceiling``
+    (:func:`_knee_sweep`) and records achieved throughput and
+    queue-inclusive latency.  Below the knee (``multiplier < 1``) latency
+    should sit near the closed-loop latency; past it, queueing delay grows
+    with the multiplier while achieved throughput plateaus at the ceiling —
+    the open-loop shape of the paper's Figure 9 latency/throughput trade-off.
 
-    Every open-loop point is audited, so each row also certifies its own
-    history (``audit_ok``) and records the auditor's bounded-memory
-    high-water mark (``audit_max_retained``).
+    Every point is audited: ``run.audit`` certifies its history and holds
+    the auditor's bounded-memory high-water mark.
 
     An epoch-batched engine adds ~half an epoch of queueing at *any* rate
-    above one arrival per epoch (the pipeline never idles, and an arrival
-    waits out the in-flight epoch), so the default sweep's lowest point is
-    sparse enough (5% of the ceiling) that arrivals usually find the
-    system idle — that is the regime where open-loop latency genuinely
-    approaches the closed-loop number.
+    above one arrival per epoch (an arrival waits out the in-flight epoch),
+    so the default sweep's lowest point is sparse enough (5% of the
+    ceiling) that arrivals usually find the system idle — the regime where
+    open-loop latency genuinely approaches the closed-loop number.
     """
-    rows: List[SaturationRow] = []
-    for kind in kinds:
-        points = _knee_sweep(
-            lambda: _small_engine(kind, (shards, 1, proxy_workers), clients,
-                                  num_accounts, seed),
-            lambda: SmallBankWorkload(SmallBankConfig(num_accounts=num_accounts,
-                                                      seed=seed)),
-            rate_multipliers, transactions, clients, arrival_seed)
-        for multiplier, rate, ceiling, run in points:
-            rows.append(SaturationRow(
-                engine=kind,
-                rate_multiplier=multiplier,
-                target_rate_tps=rate,
-                offered_tps=run.offered_tps,
-                achieved_tps=run.achieved_tps,
-                mean_total_latency_ms=run.average_total_latency_ms,
-                p95_total_latency_ms=run.p95_total_latency_ms,
-                p99_total_latency_ms=run.p99_total_latency_ms,
-                mean_queue_delay_ms=run.average_queue_delay_ms,
-                max_queue_depth=run.max_queue_depth,
-                dropped=run.dropped,
-                abort_rate=run.abort_rate,
-                closed_loop_tps=ceiling.throughput_tps,
-                closed_loop_latency_ms=ceiling.average_latency_ms,
-                audit_ok=run.audit.ok,
-                audit_max_retained=run.audit.max_retained_nodes,
-            ))
-    return rows
-
-
-# --------------------------------------------------------------------------- #
-# Conflict resolution: retry vs repair at the contention knee
-# --------------------------------------------------------------------------- #
-@dataclass
-class RepairComparisonRow:
-    """One strategy x offered-load point of the retry-vs-repair knee sweep."""
-
-    strategy: str                 # "retry" or "repair"
-    rate_multiplier: float        # offered rate as a fraction of the ceiling
-    target_rate_tps: float
-    achieved_tps: float
-    committed: int
-    aborted: int
-    retries: int
-    repaired: int                 # conflict losers salvaged in-epoch
-    repair_failed: int            # repair attempts that still aborted
-    wasted_attempts: int          # discarded work (aborts + failed repairs)
-    abort_rate: float
-    mean_total_latency_ms: float
-    closed_loop_tps: float        # this strategy's own closed-loop ceiling
-    audit_ok: bool = True         # streaming serializability verdict
+    return [row for kind in kinds for row in _knee_sweep(
+        kind,
+        lambda: _small_engine(kind, (shards, 1, proxy_workers), clients,
+                              num_accounts, seed),
+        lambda: SmallBankWorkload(SmallBankConfig(num_accounts=num_accounts, seed=seed)),
+        rate_multipliers, transactions, clients, arrival_seed)]
 
 
 def run_repair_comparison(rate_multipliers: Sequence[float] = (1.0, 2.0, 4.0),
@@ -583,24 +480,24 @@ def run_repair_comparison(rate_multipliers: Sequence[float] = (1.0, 2.0, 4.0),
                           hotspot_probability: float = 0.9,
                           shards: int = 1, proxy_workers: int = 1,
                           arrival_seed: int = 7, seed: int = 11,
-                          workload: str = "smallbank") -> List[RepairComparisonRow]:
+                          workload: str = "smallbank") -> List[RunRow]:
     """Head-to-head retry vs repair on a contended workload at the knee.
 
     Reuses the saturation-sweep method (:func:`_knee_sweep`) but pins the
     workload to a contended shape — ``workload="smallbank"`` puts
     ``hotspot_probability`` of operations on the hot 10% of accounts;
     ``workload="ycsb"`` draws keys Zipfian(0.99) over ``num_accounts``
-    records — so MVTSO conflicts dominate, and runs every point twice:
-    once under ``conflict_strategy="retry"`` (losers re-queue into the next
-    wave and re-execute from scratch) and once under ``"repair"``
-    (losers re-execute against the winning versions inside the epoch that
-    detected the conflict).  At and past the knee the retry path
+    records — so MVTSO conflicts dominate, and runs every point twice
+    (``series``): once under ``conflict_strategy="retry"`` (losers re-queue
+    into the next wave and re-execute from scratch) and once under
+    ``"repair"`` (losers re-execute against the winning versions inside the
+    epoch that detected the conflict).  At and past the knee the retry path
     amplifies hotspot work — every loser's full re-execution conflicts
     again with high probability — while repair resolves most losers
-    within their epoch; the rows expose exactly that difference through
+    within their epoch; the runs expose exactly that difference through
     ``repaired`` / ``wasted_attempts`` / ``achieved_tps``.
 
-    Every open-loop point is audited, so each row certifies its own
+    Every open-loop point is audited, so each run certifies its own
     (possibly repaired) history.
     """
     def hotspot_workload():
@@ -616,82 +513,16 @@ def run_repair_comparison(rate_multipliers: Sequence[float] = (1.0, 2.0, 4.0),
             num_accounts=num_accounts,
             hotspot_probability=hotspot_probability, seed=seed))
 
-    rows: List[RepairComparisonRow] = []
-    for strategy in ("retry", "repair"):
-        points = _knee_sweep(
-            lambda: _small_engine("obladi", (shards, 1, proxy_workers), clients,
-                                  num_accounts, seed, conflict_strategy=strategy),
-            hotspot_workload, rate_multipliers, transactions, clients, arrival_seed)
-        for multiplier, rate, ceiling, run in points:
-            rows.append(RepairComparisonRow(
-                strategy=strategy,
-                rate_multiplier=multiplier,
-                target_rate_tps=rate,
-                achieved_tps=run.achieved_tps,
-                committed=run.committed,
-                aborted=run.aborted,
-                retries=run.retries,
-                repaired=run.repaired,
-                repair_failed=run.repair_failed,
-                wasted_attempts=run.wasted_attempts,
-                abort_rate=run.abort_rate,
-                mean_total_latency_ms=run.average_total_latency_ms,
-                closed_loop_tps=ceiling.throughput_tps,
-                audit_ok=run.audit.ok,
-            ))
-    return rows
+    return [row for strategy in ("retry", "repair") for row in _knee_sweep(
+        strategy,
+        lambda: _small_engine("obladi", (shards, 1, proxy_workers), clients,
+                              num_accounts, seed, conflict_strategy=strategy),
+        hotspot_workload, rate_multipliers, transactions, clients, arrival_seed)]
 
 
 # --------------------------------------------------------------------------- #
-# Figure 11a: checkpoint frequency
+# Figure 11a and Table 11b: durability
 # --------------------------------------------------------------------------- #
-@dataclass
-class CheckpointFrequencyRow:
-    """One point of Figure 11a."""
-
-    backend: str
-    checkpoint_frequency: int
-    throughput_ops_per_s: float
-
-
-def run_checkpoint_frequency(frequencies: Sequence[int] = (1, 4, 16, 64, 256),
-                             backends: Sequence[str] = ("server", "server_wan", "dynamo"),
-                             num_records: int = 2000, transactions: int = 60,
-                             clients: int = 12, ops_per_transaction: int = 4
-                             ) -> List[CheckpointFrequencyRow]:
-    """Figure 11a: delta checkpoints amortise the cost of durability."""
-    rows: List[CheckpointFrequencyRow] = []
-    for backend in backends:
-        for frequency in frequencies:
-            _engine, run = _ycsb_obladi_run(
-                num_records, durability=True, backend=backend,
-                transactions=transactions, clients=clients,
-                checkpoint_frequency=frequency,
-                ops_per_transaction=ops_per_transaction, seed=3)
-            ops = run.committed * ops_per_transaction
-            tput = ops * 1000.0 / run.elapsed_ms if run.elapsed_ms > 0 else 0.0
-            rows.append(CheckpointFrequencyRow(backend=backend, checkpoint_frequency=frequency,
-                                               throughput_ops_per_s=tput))
-    return rows
-
-
-# --------------------------------------------------------------------------- #
-# Table 11b: recovery
-# --------------------------------------------------------------------------- #
-@dataclass
-class RecoveryRow:
-    """One column of Table 11b."""
-
-    num_objects: int
-    tree_levels: int
-    durability_slowdown: float
-    recovery_time_ms: float
-    network_ms: float
-    position_ms: float
-    permutation_ms: float
-    paths_ms: float
-
-
 def _ycsb_obladi_run(num_records: int, durability: bool, backend: str,
                      transactions: int, clients: int, checkpoint_frequency: int = 4,
                      ops_per_transaction: int = 4, seed: int = 5):
@@ -708,74 +539,60 @@ def _ycsb_obladi_run(num_records: int, durability: bool, backend: str,
                                        read_batch_size=clients * ops_per_transaction,
                                        write_batch_size=clients * ops_per_transaction)
     engine = create_engine("obladi", config)
-    engine.load_initial_data(data)
-    run = engine.run_closed_loop(ycsb.transaction_factory,
-                                 total_transactions=transactions, clients=clients)
-    return engine, run
+    return engine, _closed_loop(engine, ycsb, data, transactions, clients)
+
+
+def run_checkpoint_frequency(frequencies: Sequence[int] = (1, 4, 16, 64, 256),
+                             backends: Sequence[str] = ("server", "server_wan", "dynamo"),
+                             num_records: int = 2000, transactions: int = 60,
+                             clients: int = 12, ops_per_transaction: int = 4
+                             ) -> List[RunRow]:
+    """Figure 11a: delta checkpoints amortise the cost of durability.
+
+    One :class:`RunRow` a point: ``series`` is the backend, ``x`` the
+    full-checkpoint period in epochs; each committed transaction performed
+    ``ops_per_transaction`` YCSB operations."""
+    return [RunRow(backend, frequency, _ycsb_obladi_run(
+                num_records, durability=True, backend=backend,
+                transactions=transactions, clients=clients,
+                checkpoint_frequency=frequency,
+                ops_per_transaction=ops_per_transaction, seed=3)[1])
+            for backend in backends for frequency in frequencies]
 
 
 def run_recovery_table(sizes: Sequence[int] = (1_000, 10_000, 100_000),
                        backend: str = "server_wan", transactions: int = 40,
                        clients: int = 10) -> List[RecoveryRow]:
     """Table 11b: durability slowdown and recovery-time breakdown vs ORAM size."""
-    rows: List[RecoveryRow] = []
-    for size in sizes:
+    def column(size: int) -> RecoveryRow:
         # Normal-execution slowdown: with vs without durability.
-        _engine_off, run_off = _ycsb_obladi_run(size, durability=False, backend=backend,
-                                                transactions=transactions, clients=clients)
-        engine_on, run_on = _ycsb_obladi_run(size, durability=True, backend=backend,
-                                             transactions=transactions, clients=clients)
-        slowdown = (run_on.throughput_tps / run_off.throughput_tps
+        _engine, run_off = _ycsb_obladi_run(size, durability=False, backend=backend,
+                                            transactions=transactions, clients=clients)
+        engine, run = _ycsb_obladi_run(size, durability=True, backend=backend,
+                                       transactions=transactions, clients=clients)
+        slowdown = (run.throughput_tps / run_off.throughput_tps
                     if run_off.throughput_tps > 0 else 0.0)
 
         # Crash the durable proxy mid-epoch — a storage outage once its first
         # mutation, the WAL record of the epoch's first read batch, is
         # stored — and recover it.
         ycsb = YCSBWorkload(YCSBConfig(num_records=size, ops_per_transaction=4, seed=11))
-        engine_on.storage.fail(after=1)
+        engine.storage.fail(after=1)
         try:
-            engine_on.submit_many([ycsb.transaction_factory() for _ in range(clients)])
+            engine.submit_many([ycsb.transaction_factory() for _ in range(clients)])
         except ConnectionError:
             pass
-        engine_on.storage.recover()
-        result = engine_on.recover()
-        levels = engine_on.proxy.data_layer.partitions[0].oram.params.depth
-        rows.append(RecoveryRow(
-            num_objects=size,
-            tree_levels=levels,
-            durability_slowdown=slowdown,
-            recovery_time_ms=result.total_ms,
-            network_ms=result.network_ms,
-            position_ms=result.position_ms,
-            permutation_ms=result.permutation_ms,
-            paths_ms=result.paths_ms,
-        ))
-    return rows
+        engine.storage.recover()
+        recovery = engine.recover()
+        return RecoveryRow(size, engine.proxy.data_layer.partitions[0].oram.params.depth,
+                           slowdown, recovery, run)
+
+    return [column(size) for size in sizes]
 
 
 # --------------------------------------------------------------------------- #
 # Elastic topologies: autoscaled vs static under a flash crowd
 # --------------------------------------------------------------------------- #
-@dataclass
-class ElasticityRow:
-    """One run of the flash-crowd elasticity comparison."""
-
-    mode: str                     # "static" or "autoscaled"
-    offered: int                  # arrivals the flash-crowd process generated
-    dropped: int                  # arrivals turned away by the bounded queue
-    committed: int
-    achieved_tps: float
-    mean_total_latency_ms: float  # queueing delay + service latency
-    p95_total_latency_ms: float
-    max_queue_depth: int
-    epochs: int
-    reshards: int                 # completed migration windows
-    scale_ups: int                # controller decisions, by direction
-    scale_downs: int
-    final_topology: tuple         # (shards, storage_servers, proxy_workers)
-    audit_ok: bool = True         # streaming serializability verdict
-
-
 def run_elasticity_comparison(transactions: int = 900, clients: int = 16,
                               num_accounts: int = 200,
                               base_tps: float = 150.0,
@@ -806,7 +623,7 @@ def run_elasticity_comparison(transactions: int = 900, clients: int = 16,
     the static engine's achieved throughput, which is the acceptance bar
     ``benchmarks/test_elasticity_smoke.py`` pins.
 
-    Both runs carry a streaming serializability auditor, so each row also
+    Both runs carry a streaming serializability auditor, so each run also
     certifies its own history across any migration windows it contains.
     """
     arrivals = FlashCrowdArrivals(base_tps=base_tps,
@@ -818,8 +635,7 @@ def run_elasticity_comparison(transactions: int = 900, clients: int = 16,
                              queue_low=queue_low, patience=patience,
                              cooldown=cooldown)
 
-    rows: List[ElasticityRow] = []
-    for mode in ("static", "autoscaled"):
+    def flash_crowd(mode: str) -> ElasticityRow:
         workload = SmallBankWorkload(SmallBankConfig(num_accounts=num_accounts,
                                                      seed=seed))
         engine = _small_engine("obladi", ladder[0], clients, num_accounts, seed,
@@ -828,23 +644,7 @@ def run_elasticity_comparison(transactions: int = 900, clients: int = 16,
         run = _audited_open_loop(engine, workload, transactions, clients,
                                  arrivals, queue_limit)
         config = engine.proxy.config
-        controller = run.controller
-        decisions = () if controller is None else controller.decisions
-        rows.append(ElasticityRow(
-            mode=mode,
-            offered=run.offered,
-            dropped=run.dropped,
-            committed=run.committed,
-            achieved_tps=run.achieved_tps,
-            mean_total_latency_ms=run.average_total_latency_ms,
-            p95_total_latency_ms=run.p95_total_latency_ms,
-            max_queue_depth=run.max_queue_depth,
-            epochs=run.epochs,
-            reshards=len(run.migrations),
-            scale_ups=sum(1 for d in decisions if d.action == "scale_up"),
-            scale_downs=sum(1 for d in decisions if d.action == "scale_down"),
-            final_topology=(config.shards, config.storage_servers,
-                            config.proxy_workers),
-            audit_ok=run.audit.ok,
-        ))
-    return rows
+        return ElasticityRow(mode, (config.shards, config.storage_servers,
+                                    config.proxy_workers), run)
+
+    return [flash_crowd(mode) for mode in ("static", "autoscaled")]

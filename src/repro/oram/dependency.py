@@ -182,20 +182,6 @@ def simulate_parallel_read_batch(bucket_ids: Sequence[int], latency: LatencyMode
                      lambda: builder.build_read_ops(bucket_ids, encrypted))
 
 
-def simulate_sequential_read_batch(bucket_ids: Sequence[int], latency: LatencyModel,
-                                   cost_model: Optional[CpuCostModel] = None,
-                                   encrypted: bool = True) -> float:
-    """Simulated duration of the same batch executed strictly sequentially.
-
-    Sequential Ring ORAM pays one round trip per slot and the per-block CPU
-    costs, with no coordination overhead (Figure 10a's "Sequential" series).
-    """
-    cm = cost_model or CpuCostModel()
-    per_block = (latency.read_rtt_ms + latency.per_request_server_ms
-                 + cm.sequential_block_cost_ms(encrypted))
-    return per_block * len(bucket_ids)
-
-
 def simulate_parallel_write_batch(bucket_slot_counts: Dict[int, int], latency: LatencyModel,
                                   parallelism: int,
                                   cost_model: Optional[CpuCostModel] = None,

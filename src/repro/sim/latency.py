@@ -92,14 +92,6 @@ class CpuCostModel:
             cost += self.crypto_per_block_ms
         return cost
 
-    def parallel_block_cost_ms(self, encrypted: bool = True) -> float:
-        """CPU cost of handling one physical block in parallel mode.
-
-        Parallel execution pays the extra coordination cost the paper
-        measures as a 3x slowdown on the ``dummy`` backend (Figure 10a).
-        """
-        return self.sequential_block_cost_ms(encrypted) + self.coordination_per_block_ms
-
 
 #: The four storage backends used throughout Section 11.
 #:

@@ -2,8 +2,8 @@
 
 ``repro.api.__all__``, ``repro.concurrency.__all__``,
 ``repro.proxytier.__all__``, ``repro.storage.__all__``,
-``repro.core.__all__``, ``repro.oram.__all__`` and ``repro.recovery.__all__``
-are compared with the literal lists below, so
+``repro.core.__all__``, ``repro.oram.__all__``, ``repro.recovery.__all__`` and
+``repro.harness.__all__`` are compared with the literal lists below, so
 exporting one more name (or dropping one) is a deliberate edit of this file,
 made in the PR that argues for it.
 """
@@ -11,6 +11,7 @@ made in the PR that argues for it.
 import repro.api
 import repro.concurrency
 import repro.core
+import repro.harness
 import repro.oram
 import repro.proxytier
 import repro.recovery
@@ -113,6 +114,27 @@ RECOVERY = [
 ]
 
 
+HARNESS = [
+    "OramRow",
+    "RunRow",
+    "RecoveryRow",
+    "ElasticityRow",
+    "run_end_to_end",
+    "run_parallelism",
+    "run_batch_size_sweep",
+    "run_delayed_visibility",
+    "run_epoch_size_oram",
+    "run_epoch_size_proxy",
+    "run_saturation_sweep",
+    "run_repair_comparison",
+    "run_checkpoint_frequency",
+    "run_recovery_table",
+    "run_elasticity_comparison",
+    "render_table",
+    "rows_to_dicts",
+]
+
+
 def test_api_exports_are_the_recorded_list():
     assert repro.api.__all__ == API
 
@@ -139,3 +161,7 @@ def test_oram_exports_are_the_recorded_list():
 
 def test_recovery_exports_are_the_recorded_list():
     assert repro.recovery.__all__ == RECOVERY
+
+
+def test_harness_exports_are_the_recorded_list():
+    assert repro.harness.__all__ == HARNESS

@@ -86,7 +86,8 @@ class TestCommitAbort:
         mgr.commit(txn)
         assert txn.status is TransactionStatus.COMMITTED
         chain = mgr.store.get_chain("k")
-        assert chain.latest_committed().value == b"v"
+        assert chain.versions[-1].committed
+        assert chain.versions[-1].value == b"v"
 
     def test_abort_marks_versions_aborted(self, mgr):
         txn = mgr.begin(epoch=0)

@@ -32,24 +32,11 @@ class TestVersionChain:
             chain.insert(Version("k", str(ts).encode(), writer_ts=ts))
         assert chain.writer_timestamps() == [1, 3, 5]
 
-    def test_latest_committed(self):
-        chain = VersionChain(key="k")
-        chain.insert(Version("k", b"a", writer_ts=1, committed=True))
-        chain.insert(Version("k", b"b", writer_ts=2, committed=False))
-        assert chain.latest_committed().value == b"a"
-
     def test_read_marker_only_advances(self):
         chain = VersionChain(key="k")
         chain.record_read(5)
         chain.record_read(3)
         assert chain.read_marker_ts == 5
-
-    def test_remove_aborted(self):
-        chain = VersionChain(key="k")
-        chain.insert(Version("k", b"a", writer_ts=1, aborted=True))
-        chain.insert(Version("k", b"b", writer_ts=2))
-        assert chain.remove_aborted() == 1
-        assert len(chain) == 1
 
 
 class TestVersionStore:

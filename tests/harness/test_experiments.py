@@ -30,6 +30,15 @@ class TestParallelism:
         # Parallel Ring ORAM is slower on the CPU-bound backend (paper: ~3x).
         assert by[("dummy", "parallel_crypto")] < by[("dummy", "sequential")]
 
+    def test_speedup_grows_with_latency(self):
+        rows = exp.run_parallelism(backends=("server", "server_wan"), batch_size=96,
+                                   operations=96, num_blocks=2000,
+                                   modes=("sequential", "parallel"))
+        by = {(r.backend, r.mode): r.throughput_ops_per_s for r in rows}
+        speedup = {backend: by[(backend, "parallel")] / by[(backend, "sequential")]
+                   for backend in ("server", "server_wan")}
+        assert speedup["server_wan"] > speedup["server"]
+
     def test_every_mode_leaves_one_version_per_bucket(self, monkeypatch):
         """The sequential baseline collects superseded versions too."""
         build, built = exp._build_oram, []
@@ -85,14 +94,16 @@ class TestDelayedVisibilityAndEpochSize:
         rows = exp.run_delayed_visibility(backends=("server",), batch_size=48,
                                           batches_per_epoch=4, num_blocks=2000)
         by = {r.mode: r.throughput_ops_per_s for r in rows}
-        assert by["write_back"] > by["normal"]
+        assert by["parallel_crypto"] > by["normal"]
 
     def test_larger_epochs_increase_relative_throughput(self):
         rows = exp.run_epoch_size_oram(backends=("server",), batch_counts=(1, 4, 8),
                                        batch_size=32, num_blocks=2000)
         ordered = sorted(rows, key=lambda r: r.batches_per_epoch)
-        assert ordered[-1].relative_increase >= ordered[0].relative_increase
-        assert ordered[0].relative_increase == pytest.approx(1.0)
+        relative = [r.throughput_ops_per_s / ordered[0].throughput_ops_per_s
+                    for r in ordered]
+        assert relative[-1] >= relative[0]
+        assert relative[0] == pytest.approx(1.0)
 
 
 class TestEndToEndAndProxyEpochs:
@@ -100,18 +111,21 @@ class TestEndToEndAndProxyEpochs:
         rows = exp.run_end_to_end(applications=("smallbank",), systems=("obladi", "nopriv"),
                                   transactions=20, clients=6, scale=0.01)
         assert len(rows) == 2
-        by = {r.system: r for r in rows}
+        by = {r.series: r.run for r in rows}
         assert by["obladi"].committed > 0
         assert by["nopriv"].throughput_tps > by["obladi"].throughput_tps
-        assert by["obladi"].mean_latency_ms > by["nopriv"].mean_latency_ms
+        assert by["obladi"].average_latency_ms > by["nopriv"].average_latency_ms
 
     def test_epoch_size_proxy_rows(self):
         rows = exp.run_epoch_size_proxy(applications=("smallbank",),
                                         epoch_sizes_ms=(25, 100), batch_interval_ms=25.0,
                                         transactions=16, clients=4, scale=0.01)
         assert len(rows) == 2
-        assert all(r.throughput_tps >= 0 for r in rows)
-        assert rows[0].read_batches < rows[1].read_batches
+        assert all(r.run.throughput_tps >= 0 for r in rows)
+        # Every epoch pads each of its read batches, so a 100 ms epoch (four
+        # batches) reads more paths than a 25 ms one (one batch).
+        per_epoch = [r.run.physical_reads / r.run.epochs for r in rows]
+        assert per_epoch[0] < per_epoch[1]
 
 
 class TestDurabilityExperiments:
@@ -119,7 +133,7 @@ class TestDurabilityExperiments:
         rows = exp.run_checkpoint_frequency(frequencies=(1, 8), backends=("server",),
                                             num_records=300, transactions=12, clients=4)
         assert len(rows) == 2
-        assert all(r.throughput_ops_per_s > 0 for r in rows)
+        assert all(r.run.throughput_tps > 0 for r in rows)
 
     def test_recovery_table_rows(self):
         rows = exp.run_recovery_table(sizes=(300,), backend="server", transactions=10,
@@ -127,9 +141,9 @@ class TestDurabilityExperiments:
         assert len(rows) == 1
         row = rows[0]
         assert 0 < row.durability_slowdown <= 1.2
-        assert row.recovery_time_ms > 0
+        assert row.recovery.total_ms > 0
         assert row.tree_levels > 0
-        assert row.position_ms >= 0 and row.paths_ms >= 0
+        assert row.recovery.position_ms >= 0 and row.recovery.paths_ms >= 0
 
 
 #: Every number each ``run_*`` returns at the scale of :data:`PINNED_RUNS`,
@@ -207,13 +221,15 @@ PINNED = {
 
 
 #: ``run_*`` name -> (its tiny-scale keyword arguments, rows -> the tuples
-#: :data:`PINNED` records).
+#: :data:`PINNED` records).  The views rebuild the old tuples from today's
+#: rows, so Figure 10d's ``parallel_crypto`` reads as ``write_back`` again and
+#: Figure 10f's read batches per epoch are derived from its ``x``.
 PINNED_RUNS = {
     "run_end_to_end": (
         dict(applications=("smallbank",), systems=("obladi", "nopriv", "mysql", "obladi_wan"),
              transactions=12, clients=4, scale=0.01),
-        lambda rows: [(r.application, r.system, r.throughput_tps, r.mean_latency_ms,
-                       r.committed, r.aborted, r.abort_rate) for r in rows]),
+        lambda rows: [(r.x, r.series, r.run.throughput_tps, r.run.average_latency_ms,
+                       r.run.committed, r.run.aborted, r.run.abort_rate) for r in rows]),
     "run_parallelism": (
         dict(backends=("dummy", "server_wan"), batch_size=16, operations=16, num_blocks=256),
         lambda rows: [(r.backend, r.mode, r.throughput_ops_per_s, r.elapsed_ms)
@@ -224,48 +240,54 @@ PINNED_RUNS = {
                       for r in rows]),
     "run_delayed_visibility": (
         dict(backends=("server_wan",), batch_size=8, batches_per_epoch=4, num_blocks=256),
-        lambda rows: [(r.backend, r.mode, r.throughput_ops_per_s) for r in rows]),
+        lambda rows: [(r.backend, {"parallel_crypto": "write_back"}.get(r.mode, r.mode),
+                       r.throughput_ops_per_s) for r in rows]),
     "run_epoch_size_oram": (
         dict(backends=("server",), batch_counts=(1, 2, 4), batch_size=8, num_blocks=256),
         lambda rows: [(r.backend, r.batches_per_epoch, r.throughput_ops_per_s,
-                       r.relative_increase) for r in rows]),
+                       r.throughput_ops_per_s / rows[0].throughput_ops_per_s)
+                      for r in rows]),
     "run_epoch_size_proxy": (
         dict(applications=("smallbank",), epoch_sizes_ms=(25, 50), transactions=8,
              clients=4, scale=0.01),
-        lambda rows: [(r.application, r.epoch_ms, r.read_batches, r.throughput_tps,
-                       r.abort_rate) for r in rows]),
+        lambda rows: [(r.series, r.x, max(1, int(round(r.x / 25.0))),
+                       r.run.throughput_tps, r.run.abort_rate) for r in rows]),
     "run_checkpoint_frequency": (
         dict(frequencies=(1, 4), backends=("server",), num_records=200, transactions=8,
              clients=4),
-        lambda rows: [(r.backend, r.checkpoint_frequency, r.throughput_ops_per_s)
+        lambda rows: [(r.series, r.x, r.run.committed * 4 * 1000.0 / r.run.elapsed_ms)
                       for r in rows]),
     "run_recovery_table": (
         dict(sizes=(200,), backend="server", transactions=8, clients=4),
         lambda rows: [(r.num_objects, r.tree_levels, r.durability_slowdown,
-                       r.recovery_time_ms, r.network_ms, r.position_ms, r.permutation_ms,
-                       r.paths_ms) for r in rows]),
+                       r.recovery.total_ms, r.recovery.network_ms, r.recovery.position_ms,
+                       r.recovery.permutation_ms, r.recovery.paths_ms) for r in rows]),
     "run_saturation_sweep": (
         dict(kinds=("obladi", "nopriv"), rate_multipliers=(0.5, 2.0), transactions=16,
              clients=4, num_accounts=100),
-        lambda rows: [(r.engine, r.rate_multiplier, r.target_rate_tps, r.offered_tps,
-                       r.achieved_tps, r.mean_total_latency_ms, r.p95_total_latency_ms,
-                       r.p99_total_latency_ms, r.mean_queue_delay_ms, r.max_queue_depth,
-                       r.dropped, r.abort_rate, r.closed_loop_tps,
-                       r.closed_loop_latency_ms, r.audit_ok, r.audit_max_retained)
-                      for r in rows]),
+        lambda rows: [(r.run.engine, r.x, r.target_rate_tps, r.run.offered_tps,
+                       r.run.achieved_tps, r.run.average_total_latency_ms,
+                       r.run.p95_total_latency_ms, r.run.p99_total_latency_ms,
+                       r.run.average_queue_delay_ms, r.run.max_queue_depth, r.run.dropped,
+                       r.run.abort_rate, r.ceiling.throughput_tps,
+                       r.ceiling.average_latency_ms, r.run.audit.ok,
+                       r.run.audit.max_retained_nodes) for r in rows]),
     "run_repair_comparison": (
         dict(rate_multipliers=(2.0,), transactions=16, clients=4, num_accounts=60),
-        lambda rows: [(r.strategy, r.rate_multiplier, r.target_rate_tps, r.achieved_tps,
-                       r.committed, r.aborted, r.retries, r.repaired, r.repair_failed,
-                       r.wasted_attempts, r.abort_rate, r.mean_total_latency_ms,
-                       r.closed_loop_tps, r.audit_ok) for r in rows]),
+        lambda rows: [(r.series, r.x, r.target_rate_tps, r.run.achieved_tps,
+                       r.run.committed, r.run.aborted, r.run.retries, r.run.repaired,
+                       r.run.repair_failed, r.run.wasted_attempts, r.run.abort_rate,
+                       r.run.average_total_latency_ms, r.ceiling.throughput_tps,
+                       r.run.audit.ok) for r in rows]),
     "run_elasticity_comparison": (
         dict(transactions=200, num_accounts=40, spike_start_ms=50.0,
              spike_duration_ms=2000.0),
-        lambda rows: [(r.mode, r.offered, r.dropped, r.committed, r.achieved_tps,
-                       r.mean_total_latency_ms, r.p95_total_latency_ms, r.max_queue_depth,
-                       r.epochs, r.reshards, r.scale_ups, r.scale_downs, r.final_topology,
-                       r.audit_ok) for r in rows]),
+        lambda rows: [(r.mode, r.run.offered, r.run.dropped, r.run.committed,
+                       r.run.achieved_tps, r.run.average_total_latency_ms,
+                       r.run.p95_total_latency_ms, r.run.max_queue_depth, r.run.epochs,
+                       len(r.run.migrations), r.decisions("scale_up"),
+                       r.decisions("scale_down"), r.final_topology, r.run.audit.ok)
+                      for r in rows]),
 }
 
 

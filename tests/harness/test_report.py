@@ -4,6 +4,8 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.api import RunStats
+from repro.harness import RunRow
 from repro.harness.report import render_table, rows_to_dicts
 
 
@@ -26,6 +28,29 @@ class TestRowsToDicts:
     def test_unsupported_row_type_rejected(self):
         with pytest.raises(TypeError):
             rows_to_dicts(["not-a-row"])
+
+
+class TestRowsThatKeepTheirRun:
+    ROW = RunRow("obladi", 0.5, RunStats(engine="obladi", committed=3, elapsed_ms=2.0),
+                 ceiling=RunStats(committed=9, elapsed_ms=3.0))
+
+    def test_default_columns_leave_the_runs_out(self):
+        assert rows_to_dicts([self.ROW]) == [{"series": "obladi", "x": 0.5}]
+
+    def test_a_column_the_row_lacks_is_read_from_its_run(self):
+        assert rows_to_dicts([self.ROW], ["x", "committed", "throughput_tps"]) == [
+            {"x": 0.5, "committed": 3, "throughput_tps": 1500.0}]
+
+    def test_dotted_columns_read_a_path(self):
+        assert rows_to_dicts([self.ROW], ["ceiling.throughput_tps"]) == [
+            {"ceiling.throughput_tps": 3000.0}]
+
+    def test_unknown_column_is_blank(self):
+        assert rows_to_dicts([self.ROW], ["nope"]) == [{"nope": ""}]
+
+    def test_render_reads_run_columns(self):
+        text = render_table([self.ROW], columns=["series", "committed"])
+        assert text.splitlines()[-1].split() == ["obladi", "3"]
 
 
 class TestRenderTable:

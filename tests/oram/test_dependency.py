@@ -4,8 +4,7 @@ import pytest
 
 from repro.oram.dependency import (DependencyGraphBuilder,
                                    simulate_parallel_read_batch,
-                                   simulate_parallel_write_batch,
-                                   simulate_sequential_read_batch)
+                                   simulate_parallel_write_batch)
 from repro.sim.latency import BACKENDS, CpuCostModel
 
 
@@ -47,31 +46,6 @@ class TestGraphBuilder:
 
 
 class TestSimulatedSchedules:
-    def test_parallel_beats_sequential_on_remote_backends(self):
-        reads = make_reads(64, buckets=list(range(64)))
-        for backend in ("server", "server_wan", "dynamo"):
-            parallel = simulate_parallel_read_batch(reads, BACKENDS[backend], 128)
-            sequential = simulate_sequential_read_batch(reads, BACKENDS[backend])
-            assert parallel < sequential, backend
-
-    def test_parallel_does_not_beat_sequential_on_dummy(self):
-        # The zero-latency backend is CPU bound; coordination makes the
-        # parallel executor no faster (paper Figure 10a).
-        reads = make_reads(256, buckets=[i % 15 for i in range(256)])
-        parallel = simulate_parallel_read_batch(reads, BACKENDS["dummy"], 128)
-        sequential = simulate_sequential_read_batch(reads, BACKENDS["dummy"])
-        assert parallel >= sequential * 0.9
-
-    def test_speedup_grows_with_latency(self):
-        reads = make_reads(200, buckets=[i % 63 for i in range(200)])
-        speedups = {}
-        for backend in ("server", "server_wan"):
-            model = BACKENDS[backend]
-            parallel = simulate_parallel_read_batch(reads, model, 256)
-            sequential = simulate_sequential_read_batch(reads, model)
-            speedups[backend] = sequential / parallel
-        assert speedups["server_wan"] > speedups["server"]
-
     def test_crypto_cost_increases_makespan_when_cpu_bound(self):
         reads = make_reads(512, buckets=[i % 7 for i in range(512)])
         with_crypto = simulate_parallel_read_batch(reads, BACKENDS["dummy"], 64,

@@ -88,14 +88,9 @@ class TestCpuCostModel:
         cm = CpuCostModel()
         assert cm.sequential_block_cost_ms(True) > cm.sequential_block_cost_ms(False)
 
-    def test_parallel_cost_adds_coordination(self):
-        cm = CpuCostModel()
-        assert cm.parallel_block_cost_ms(True) > cm.sequential_block_cost_ms(True)
-
     def test_costs_are_positive(self):
         cm = CpuCostModel()
         assert cm.sequential_block_cost_ms(False) > 0
-        assert cm.parallel_block_cost_ms(False) > 0
 
 
 class TestLinkLatencyModels:
