@@ -3,8 +3,8 @@
 
 Covers ``repro.api``, ``repro.core``, ``repro.sharding``,
 ``repro.proxytier``, ``repro.audit``, ``repro.concurrency``,
-``repro.elasticity``, ``repro.storage``, ``repro.oram``, ``repro.recovery``
-and ``repro.harness``.
+``repro.elasticity``, ``repro.storage``, ``repro.oram``, ``repro.recovery``,
+``repro.harness`` and ``repro.analysis``.
 
 Walks the ``__all__`` of the public packages and fails (exit code 1, listing
 the offenders) if any exported class or function — or any public method of
@@ -25,7 +25,7 @@ import sys
 #: Public packages whose exported surface the gate covers.
 PACKAGES = ("repro.api", "repro.core", "repro.sharding", "repro.proxytier",
             "repro.audit", "repro.concurrency", "repro.elasticity", "repro.storage",
-            "repro.oram", "repro.recovery", "repro.harness")
+            "repro.oram", "repro.recovery", "repro.harness", "repro.analysis")
 
 
 def _missing_in_class(qualname: str, cls: type) -> list:

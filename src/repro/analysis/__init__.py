@@ -1,36 +1,8 @@
-"""Analysis tools: obliviousness checks and performance metrics.
+"""Workload-independence analysis (§9, Appendix B): :func:`distinguish` judges
+the storage servers' :func:`views` against views simulated from a :func:`leakage`."""
 
-The security lemmas of the paper (§9, Appendix B) are validated empirically:
-the storage trace recorded by :mod:`repro.storage.trace` is analysed for
-workload independence — uniformly distributed path accesses, no slot re-read
-between reshuffles, batch shapes that depend only on the configuration — and
-compared across deliberately different logical workloads.
-"""
+from repro.analysis.leakage import (Leakage, check_bucket_invariant, distinguish, leakage,
+                                    simulate_view, views)
 
-from repro.analysis.obliviousness import (bucket_access_counts, leaf_access_counts,
-                                          chi_square_uniformity, trace_similarity,
-                                          check_bucket_invariant, slot_read_multiset,
-                                          partition_traces, partition_trace_similarity,
-                                          server_traces, server_partition_traces,
-                                          split_partition_key,
-                                          generation_traces, split_generation_key)
-from repro.analysis.metrics import LatencyStats, summarize_latencies, throughput_tps
-
-__all__ = [
-    "bucket_access_counts",
-    "leaf_access_counts",
-    "chi_square_uniformity",
-    "trace_similarity",
-    "check_bucket_invariant",
-    "slot_read_multiset",
-    "partition_traces",
-    "partition_trace_similarity",
-    "server_traces",
-    "server_partition_traces",
-    "split_partition_key",
-    "generation_traces",
-    "split_generation_key",
-    "LatencyStats",
-    "summarize_latencies",
-    "throughput_tps",
-]
+__all__ = ["Leakage", "check_bucket_invariant", "distinguish", "leakage", "simulate_view",
+           "views"]

@@ -72,8 +72,8 @@ class MigrationReport:
     ``copied_keys`` every key a copy batch published (re-copies included);
     ``write_through_keys`` the re-enqueues caused by foreground writes to
     keys already copied.  ``epochs`` is how many epoch barriers the window
-    spanned, ``copy_batches`` the total padded batches (``drain_batches`` of
-    which ran at the final barrier).
+    spanned, starting at epoch ``first_epoch``, ``copy_batches`` the total
+    padded batches (``drain_batches`` of which ran at the final barrier).
     """
 
     from_generation: int
@@ -86,6 +86,7 @@ class MigrationReport:
     initial_keys: int
     copied_keys: int
     write_through_keys: int
+    first_epoch: int
 
 
 class TopologyMigration:
@@ -120,6 +121,7 @@ class TopologyMigration:
         self.copy_batches = 0
         self.drain_batches = 0
         self.epochs = 0
+        self.first_epoch = proxy._epoch_counter
         self.done = not self.pending
 
     # ------------------------------------------------------------------ #
@@ -253,4 +255,5 @@ class TopologyMigration:
             initial_keys=self.initial_keys,
             copied_keys=self.copied_keys,
             write_through_keys=self.write_through_keys,
+            first_epoch=self.first_epoch,
         )

@@ -6,7 +6,7 @@ multiplexing every partition through key namespaces cannot express that a
 real storage provider runs one observer per storage node: each server of a
 cluster records its *own* :class:`~repro.storage.trace.AccessTrace`, and the
 obliviousness argument must hold for every node independently
-(:func:`repro.analysis.server_traces` splits the views back out).  What the
+(:func:`repro.analysis.views` splits the views back out).  What the
 link to each node costs is not the cluster's concern: the proxy's data layer
 times partition ``i`` against link ``i % M`` of
 :func:`~repro.sim.latency.link_latency_models` (``ObladiConfig.backend`` and

@@ -10,7 +10,7 @@ prefixes every key with the partition's namespace (``p<index>/``), so
   what a real deployment exposes: the storage provider sees which partition
   (storage namespace) each request targets, and the obliviousness argument
   must therefore hold **per partition**
-  (:mod:`repro.analysis.obliviousness` splits traces accordingly).
+  (:func:`repro.analysis.views` splits traces accordingly).
 
 Which *server* a namespace lives on is the server-topology knob
 (``ObladiConfig.storage_servers``), orthogonal to the namespacing: in the

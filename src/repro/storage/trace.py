@@ -3,21 +3,20 @@
 Everything the honest-but-curious storage provider can observe is captured
 here: per-request key, operation type, payload size and timestamp, plus
 batch boundaries.  The obliviousness analysis (:mod:`repro.analysis`) works
-entirely on these traces — if two different logical workloads produce traces
-drawn from the same distribution, the adversary learns nothing about which
-workload ran.
+entirely on these traces: if what a run recorded cannot be told from traces
+simulated out of its leakage profile alone, the adversary learns nothing
+about which workload ran.
 """
 
 from __future__ import annotations
 
 import zlib
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
 from operator import index, itemgetter
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.storage.backend import StorageOp
 
@@ -199,10 +198,6 @@ class AccessTrace:
                 keys.extend(block_keys)
         return keys
 
-    def key_frequencies(self, op: Optional[StorageOp] = None) -> Counter:
-        """How often each key was touched."""
-        return Counter(self.keys_accessed(op))
-
     def ops_by_kind(self) -> Dict[StorageOp, int]:
         """Number of requests per operation kind."""
         counts: Dict[StorageOp, int] = {}
@@ -214,28 +209,21 @@ class AccessTrace:
         """The adversary-visible (kind, size) sequence of batches.
 
         Workload independence requires this sequence to depend only on the
-        configuration, never on the data being accessed; tests compare the
-        shapes produced by different logical workloads.
+        configuration, never on the data being accessed
+        (:func:`repro.analysis.distinguish` checks it per view).
         """
         return [(b.kind, b.request_count) for b in self._batches]
 
-    def events_in_window(self, start_ms: float, end_ms: float) -> List[TraceEvent]:
-        """Events whose timestamp lies in [start_ms, end_ms)."""
-        return [TraceEvent(*row) for row in self._rows() if start_ms <= row[1] < end_ms]
-
-    def keys_matching(self, prefix: str) -> List[str]:
-        """Keys in access order restricted to those starting with ``prefix``."""
-        return [key for key in self.keys_accessed() if key.startswith(prefix)]
-
-    def split(self, classify: Callable[[str], Tuple[int, str]]) -> Dict[int, "AccessTrace"]:
+    def split(self, classify: Callable[[str], Tuple[Hashable, str]]
+              ) -> Dict[Hashable, "AccessTrace"]:
         """One sub-trace per key group, in order of first appearance.
 
         ``classify(key)`` returns ``(group, key as the sub-trace records
         it)``; every other field of a request is carried over unchanged.
         """
-        parts: Dict[int, AccessTrace] = {}
+        parts: Dict[Hashable, AccessTrace] = {}
         for (op, count, sizes, time_ms, batch_id), keys in self._block_keys():
-            grouped: Dict[int, Tuple[List[str], List[int]]] = {}
+            grouped: Dict[Hashable, Tuple[List[str], List[int]]] = {}
             for key, size in zip(keys, _size_column(sizes, count)):
                 group, sub_key = classify(key)
                 columns = grouped.get(group)
@@ -249,23 +237,6 @@ class AccessTrace:
                     part = parts[group] = AccessTrace()
                 part.record_batch(op, sub_keys, sub_sizes, time_ms, batch_id)
         return parts
-
-    def filter_prefix(self, prefix: str, strip: bool = True) -> "AccessTrace":
-        """New trace holding only events under ``prefix``.
-
-        With ``strip`` (the default) the prefix is removed from the returned
-        events' keys, so the view of one ORAM partition's storage namespace
-        (``p<i>/``) looks exactly like a single-tree trace and all analysis
-        helpers apply unchanged.
-        """
-        view = AccessTrace()
-        cut = len(prefix) if strip else 0
-        for (op, count, sizes, time_ms, batch_id), keys in self._block_keys():
-            kept = [row for row, key in enumerate(keys) if key.startswith(prefix)]
-            column = _size_column(sizes, count)
-            view.record_batch(op, [keys[row][cut:] for row in kept],
-                              [column[row] for row in kept], time_ms, batch_id)
-        return view
 
     def total_bytes(self, op: Optional[StorageOp] = None) -> int:
         """Total payload bytes moved, optionally restricted to one op kind."""

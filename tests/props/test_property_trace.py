@@ -12,13 +12,14 @@ trace's own cuts show: keys are closed into compressed segments every
 block, of a few keys and of the default size.
 """
 
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis.obliviousness import split_partition_key
+from repro.analysis import views as namespace_views
 from repro.storage import trace as trace_module
 from repro.storage.backend import StorageOp
 from repro.storage.trace import AccessTrace, merge_traces
@@ -47,12 +48,17 @@ def views(trace):
     """Everything the analysis reads off a trace."""
     other = AccessTrace()
     other.record_batch(StorageOp.WRITE, ["p1/ckpt/0", "wal/7"], [9, 9], 0.5, 0)
-    parts = trace.split(split_partition_key)
+    parts = namespace_views(SimpleNamespace(trace=trace))
+
+    def under(prefix, cut):
+        return trace.split(lambda key: (key.startswith(prefix),
+                                        key[cut:] if key.startswith(prefix) else key))
+
     return (trace.events, len(trace), trace.keys_accessed(),
             trace.keys_accessed(StorageOp.READ), trace.total_bytes(),
             trace.ops_by_kind(), list(parts), [part.events for part in parts.values()],
-            [trace.filter_prefix(prefix, strip=strip).events
-             for prefix in PREFIXES[1:] for strip in (True, False)],
+            [part.events for prefix in PREFIXES[1:] for cut in (0, len(prefix))
+             for part in under(prefix, cut).values()],
             merge_traces([trace, other]).events, merge_traces([other, trace]).events)
 
 

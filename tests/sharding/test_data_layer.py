@@ -73,14 +73,14 @@ class TestNamespacedStorage:
         assert view.trace is base.trace
         assert base.trace.keys_accessed()[-1] == "p3/y"
 
-    def test_trace_filter_prefix_recovers_partition_view(self):
+    def test_trace_split_recovers_partition_view(self):
         base = InMemoryStorageServer()
         NamespacedStorage(base, "p0/").write("x", b"a")
         NamespacedStorage(base, "p1/").write("x", b"b")
-        view = base.trace.filter_prefix("p1/")
-        assert view.keys_accessed() == ["x"]
-        unstripped = base.trace.filter_prefix("p1/", strip=False)
-        assert unstripped.keys_accessed() == ["p1/x"]
+        split = base.trace.split(lambda key: (key[:3], key[3:]))
+        assert split["p1/"].keys_accessed() == ["x"]
+        unstripped = base.trace.split(lambda key: (key[:3], key))
+        assert unstripped["p1/"].keys_accessed() == ["p1/x"]
 
 
 class TestBuildDataLayer:

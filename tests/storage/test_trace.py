@@ -3,10 +3,11 @@
 import random
 import tracemalloc
 from array import array
+from types import SimpleNamespace
 
 import pytest
 
-from repro.analysis import generation_traces, partition_traces
+from repro.analysis import views
 from repro.storage import trace as trace_module
 from repro.storage.backend import StorageOp
 from repro.storage.cluster import StorageCluster
@@ -51,14 +52,6 @@ class TestQueries:
         assert trace.keys_accessed() == ["a", "b", "a"]
         assert trace.keys_accessed(StorageOp.READ) == ["a", "a"]
 
-    def test_key_frequencies(self, trace):
-        for _ in range(3):
-            trace.record(StorageOp.READ, "hot", 1, 0.0)
-        trace.record(StorageOp.READ, "cold", 1, 0.0)
-        freqs = trace.key_frequencies()
-        assert freqs["hot"] == 3
-        assert freqs["cold"] == 1
-
     def test_ops_by_kind(self, trace):
         trace.record(StorageOp.READ, "a", 1, 0.0)
         trace.record(StorageOp.DELETE, "a", 0, 1.0)
@@ -70,18 +63,6 @@ class TestQueries:
         trace.begin_batch("read", 0.0, 8)
         trace.begin_batch("write", 5.0, 4)
         assert trace.batch_shape() == [("read", 8), ("write", 4)]
-
-    def test_events_in_window(self, trace):
-        trace.record(StorageOp.READ, "a", 1, 1.0)
-        trace.record(StorageOp.READ, "b", 1, 5.0)
-        trace.record(StorageOp.READ, "c", 1, 9.0)
-        window = trace.events_in_window(2.0, 8.0)
-        assert [e.key for e in window] == ["b"]
-
-    def test_keys_matching_prefix(self, trace):
-        trace.record(StorageOp.READ, "oram/1/v0/s/0", 1, 0.0)
-        trace.record(StorageOp.READ, "wal/0/1", 1, 0.0)
-        assert trace.keys_matching("oram/") == ["oram/1/v0/s/0"]
 
     def test_total_bytes(self, trace):
         trace.record(StorageOp.READ, "a", 10, 0.0)
@@ -107,12 +88,8 @@ class TestMergeTraces:
         assert len(merged) == 8
 
 
-def event_fields_of(events):
-    return [(e.seq, e.time_ms, e.op, e.key, e.size_bytes, e.batch_id) for e in events]
-
-
 def event_fields(trace):
-    return event_fields_of(trace.events)
+    return [(e.seq, e.time_ms, e.op, e.key, e.size_bytes, e.batch_id) for e in trace.events]
 
 
 #: Storage batches as ``(op, [(key, size), ...], time_ms, batch_id)``: two
@@ -150,8 +127,6 @@ class TestRecordBatch:
         assert batched.total_bytes(StorageOp.WRITE) == 64 + 64 + 900
         assert batched.ops_by_kind() == single.ops_by_kind()
         assert batched.keys_accessed(StorageOp.READ) == single.keys_accessed(StorageOp.READ)
-        assert (event_fields_of(batched.events_in_window(1.0, 2.0))
-                == event_fields_of(single.events_in_window(1.0, 2.0)))
 
     def test_mismatched_columns_are_rejected(self):
         with pytest.raises(ValueError):
@@ -200,23 +175,26 @@ class TestRecordBatch:
         trace.clear()
         assert trace.events == [] and len(trace) == 0
 
-    def test_filter_prefix(self):
-        for strip in (True, False):
-            assert (event_fields(recorded(True).filter_prefix("p1/", strip=strip))
-                    == event_fields(recorded(False).filter_prefix("p1/", strip=strip)))
-        view = recorded(True).filter_prefix("p1/")
+    def test_split(self):
+        def p1(key, strip=True):
+            inside = key.startswith("p1/")
+            return inside, key[3:] if inside and strip else key
+
+        for classify in (p1, lambda key: p1(key, strip=False)):
+            assert (event_fields(recorded(True).split(classify)[True])
+                    == event_fields(recorded(False).split(classify)[True]))
+        view = recorded(True).split(p1)[True]
         assert view.keys_accessed() == ["oram/0/v1/s/0", "oram/0/v1/s/0"]
         assert [e.batch_id for e in view.events] == [0, -1]
 
-    def test_partition_and_generation_split(self):
-        for split in (partition_traces, generation_traces):
-            batched, single = split(recorded(True)), split(recorded(False))
-            assert list(batched) == list(single)
-            for group in batched:
-                assert event_fields(batched[group]) == event_fields(single[group])
-        generations = generation_traces(recorded(True))
-        assert sorted(generations) == [0, 1]
-        assert partition_traces(generations[1])[1].keys_accessed() == ["oram/5/v2/s/1"]
+    def test_views_split_per_generation_and_partition(self):
+        batched = views(SimpleNamespace(trace=recorded(True)))
+        single = views(SimpleNamespace(trace=recorded(False)))
+        assert list(batched) == list(single)
+        for key in batched:
+            assert event_fields(batched[key]) == event_fields(single[key])
+        assert sorted(batched) == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)]
+        assert batched[0, 1, 1].keys_accessed() == ["oram/5/v2/s/1"]
 
     def test_merge_interleaves_equal_times_by_sequence(self):
         other = AccessTrace()
