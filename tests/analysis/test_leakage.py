@@ -1,18 +1,23 @@
-"""Unit tests for :mod:`repro.analysis`: the judge can fail, views split
-right, and Ring ORAM's bucket invariant is checked per namespace.
+"""Unit tests for :mod:`repro.analysis`: the profile names every tree, the
+simulation builds what the configuration fixes, the judge can fail column by
+column, views split right, and Ring ORAM's bucket invariant is checked per
+namespace.
 
 The judge runs on simulated views only, so each case costs milliseconds: two
 simulated runs stand in for the real ones, one of them doctored.
 """
 
 import random
+from collections import defaultdict
 from types import SimpleNamespace
 
 import pytest
 
 from repro.analysis import check_bucket_invariant, distinguish, leakage, simulate_view, views
+from repro.analysis.leakage import _two_sample_p
 from repro.api import RunStats
 from repro.core.config import ObladiConfig, RingOramConfig
+from repro.elasticity.migration import MigrationReport
 from repro.storage.backend import StorageOp
 from repro.storage.cluster import StorageCluster
 from repro.storage.namespace import NamespacedStorage
@@ -23,6 +28,10 @@ CONFIG = ObladiConfig(oram=RingOramConfig(num_blocks=128, z_real=4, s_dummies=2,
                       shards=2, storage_servers=2)
 LEAK = leakage(CONFIG, RunStats(epochs=12))
 FIRST_LEAF = (1 << LEAK.trees[0, 0, 0].depth) - 1
+#: Two epochs of copying into a (4, 2, 1) layout from epoch 5, one drain batch at the end.
+RESHARD = MigrationReport(from_generation=0, to_generation=1, from_topology=(2, 2, 1),
+                          to_topology=(4, 2, 1), epochs=3, copy_batches=4, drain_batches=2,
+                          initial_keys=10, copied_keys=10, write_through_keys=0, first_epoch=5)
 
 
 def rebuilt(view, key=lambda key: key, time=lambda time_ms: time_ms, keep=lambda kind, at: True):
@@ -88,6 +97,146 @@ def test_the_judge_rejects_gaps_between_epochs_taken_from_an_arrival_list():
 
     findings = judged(lambda view: rebuilt(view, time=idle))
     assert findings and {finding.split(":")[0] for finding in findings} == {"steps"}
+
+
+def test_the_judge_rejects_a_view_the_simulation_lacks():
+    extra = simulate_view(LEAK, 1)
+    extra[0, 0, 1] = extra[1, 0, 1]
+    findings = distinguish([extra, simulate_view(LEAK, 2)],
+                           [simulate_view(LEAK, 3), simulate_view(LEAK, 4)])
+    assert {finding.split(": run 0 view (0, 0, 1): ")[0] for finding in findings} == \
+        {"kinds", "read offsets", "write-back sizes"}
+
+
+def test_the_judge_rejects_a_read_batch_one_request_short():
+    def resized(view):
+        trace, first = AccessTrace(), view.batches[0]
+        for batch in view.batches:
+            trace.begin_batch(batch.kind, batch.time_ms,
+                              batch.request_count - (batch is first))
+        for event in view.events:
+            trace.record(event.op, event.key, event.size_bytes, event.time_ms)
+        return trace
+
+    assert [finding.split(":")[0] for finding in judged(resized)] == ["kinds"] * 2
+
+
+def test_the_judge_rejects_an_epoch_without_its_write_back():
+    def dropped(view):
+        skipped = [b.time_ms for b in view.batches if b.kind == "write"][3]
+        return rebuilt(view, keep=lambda kind, at: (kind, at) != ("write", skipped))
+
+    assert "kinds" in {finding.split(":")[0] for finding in judged(dropped)}
+
+
+def test_the_judge_rejects_write_backs_twice_the_simulated_size():
+    def doubled(view):
+        trace = AccessTrace()
+        for batch in view.batches:
+            trace.begin_batch(batch.kind, batch.time_ms,
+                              batch.request_count * (1 + (batch.kind == "write")))
+        for event in view.events:
+            trace.record(event.op, event.key, event.size_bytes, event.time_ms)
+        return trace
+
+    findings = judged(doubled)
+    assert findings == [f"write-back sizes: run 1 view {key}: p=2.3e-06"
+                        for key in sorted(LEAK.trees)]
+
+
+def test_no_runs_have_nothing_to_tell():
+    assert distinguish([], []) == []
+    assert distinguish([{}], [{}]) == []
+
+
+def test_the_two_sample_test_on_empty_and_equal_samples():
+    assert _two_sample_p([], []) == 1.0
+    assert _two_sample_p([3], []) == 0.0
+    assert _two_sample_p([1, 2, 3], [3, 2, 1]) == 1.0
+
+
+class TestLeakage:
+    @pytest.mark.parametrize("shards, servers", [(1, 1), (4, 1), (4, 2), (4, 4)])
+    def test_partition_i_is_a_tree_on_server_i_mod_servers(self, shards, servers):
+        config = ObladiConfig(shards=shards, storage_servers=servers)
+        assert sorted(leakage(config, RunStats()).trees) == \
+            sorted((i % servers, 0, i) for i in range(shards))
+
+    def test_every_tree_has_one_partitions_geometry(self):
+        geometry = CONFIG.oram.for_partition(CONFIG.shards).to_parameters()
+        assert set(LEAK.trees.values()) == {geometry}
+        assert geometry.num_blocks < CONFIG.oram.num_blocks
+
+    def test_the_profile_keeps_the_configuration_and_the_epoch_count(self):
+        assert (LEAK.config, LEAK.epochs, LEAK.reshards) == (CONFIG, 12, ())
+
+    def test_a_reshard_adds_the_target_generation_and_its_copy_batches(self):
+        leak = leakage(CONFIG, RunStats(epochs=12, migrations=[RESHARD]))
+        ((first, target, copies),) = leak.reshards
+        assert (first, copies) == (5, (1, 1, 3))
+        assert (target.generation, target.shards, target.storage_servers) == (1, 4, 2)
+        assert sorted(leak.trees) == [(0, 0, 0), (0, 1, 0), (0, 1, 2),
+                                      (1, 0, 1), (1, 1, 1), (1, 1, 3)]
+        assert leak.trees[0, 1, 0] == CONFIG.oram.for_partition(4).to_parameters()
+
+
+class TestSimulateView:
+    def test_a_seed_fixes_the_views(self):
+        first, again = simulate_view(LEAK, 5), simulate_view(LEAK, 5)
+        assert list(first) == list(again)
+        for key, view in first.items():
+            assert (view.events, view.batches) == (again[key].events, again[key].batches)
+
+    def test_another_seed_reads_other_paths(self):
+        reads = [[e.key for e in simulate_view(LEAK, seed)[0, 0, 0].events
+                  if e.op is StorageOp.READ] for seed in (5, 6)]
+        assert reads[0] != reads[1]
+
+    def test_every_epoch_reads_r_configured_batches_delta_apart(self):
+        delta, size = CONFIG.batch_interval_ms, CONFIG.partition_read_batch_size
+        for view in simulate_view(LEAK, 1).values():
+            starts = [b.time_ms for b in view.batches if b.kind == "read"]
+            assert [b.request_count for b in view.batches if b.kind == "read"] == \
+                [size] * (LEAK.epochs * CONFIG.read_batches)
+            assert {second - first for first, second in zip(starts[::2], starts[1::2])} == \
+                {delta}
+            assert [b.kind for b in view.batches] == \
+                ["read", "read", "write", "delete"] * LEAK.epochs
+
+    def test_a_read_batch_fetches_at_most_one_slot_per_bucket_of_each_path(self):
+        params = LEAK.trees[0, 0, 0]
+        for view in simulate_view(LEAK, 1).values():
+            read = defaultdict(list)
+            for event in (e for e in view.events if e.op is StorageOp.READ):
+                read[event.time_ms].append(int(event.key.split("/")[1]))
+            for batch in (b for b in view.batches if b.kind == "read"):
+                buckets = read[batch.time_ms]
+                assert len(buckets) <= batch.request_count * (params.depth + 1)
+                assert all(0 <= bucket < params.num_buckets for bucket in buckets)
+
+    def test_write_backs_rewrite_whole_buckets_and_each_is_collected(self):
+        params = LEAK.trees[0, 0, 0]
+        for view in simulate_view(LEAK, 1).values():
+            written = [b.request_count for b in view.batches if b.kind == "write"]
+            assert [b.request_count for b in view.batches if b.kind == "delete"] == written
+            assert all(n % params.slots_per_bucket == 0 for n in written)
+            assert all(0 < n <= params.num_buckets * params.slots_per_bucket for n in written)
+
+    def test_a_reshard_copies_into_the_target_then_retires_the_source(self):
+        leak = leakage(CONFIG, RunStats(epochs=12, migrations=[RESHARD]))
+        simulated = simulate_view(leak, 1)
+        cutover = max(b.time_ms for key, view in simulated.items() if key[1] == 0
+                      for b in view.batches)
+        for key, view in simulated.items():
+            before = [b.kind for b in view.batches if b.time_ms < cutover]
+            after = [b.kind for b in view.batches if b.time_ms > cutover]
+            if key[1] == 0:
+                assert not after and view.batches[-1].kind == "delete"
+                assert view.batches[-1].request_count >= \
+                    leak.trees[key].num_buckets * leak.trees[key].slots_per_bucket
+            else:
+                assert set(before) == {"write", "delete"}      # copies, collected
+                assert after.count("read") == (12 - 8) * CONFIG.read_batches
 
 
 class TestViews:

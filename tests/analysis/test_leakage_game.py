@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from repro.analysis import distinguish, leakage, simulate_view, views
+from repro.analysis import check_bucket_invariant, distinguish, leakage, simulate_view, views
 from repro.api import EngineConfig, PoissonArrivals, create_engine
 from repro.audit import EngineObserver
 from repro.core.client import Read, Write
@@ -149,3 +149,19 @@ def test_real_views_are_indistinguishable_from_simulated(topology, cc_op_ms, loo
     if unknown:
         pytest.fail(f"findings beyond the known leaks: {unknown}")
     assert findings == []
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES, ids=str)
+def test_the_profile_names_every_view_the_run_produced(topology):
+    """The game's premise: a real run's views are exactly the simulated ones,
+    each server's requests fall into its views, and Ring ORAM's invariant
+    holds in every view."""
+    engine_views, leak, _ = play(topology, 0.0, "closed", *STREAMS[0][1]()[0])
+    simulated = simulate_view(leak, seed=11)
+    assert sorted(engine_views) == sorted(leak.trees) == sorted(simulated)
+    for key, view in engine_views.items():
+        assert [b.kind for b in view.batches].count("read") == \
+            [b.kind for b in simulated[key].batches].count("read") > 0
+        assert check_bucket_invariant(view) == []
+    servers = {key[0] for key in engine_views}
+    assert servers == set(range(topology[-1][1] if topology == RESHARD else topology[1]))
