@@ -33,8 +33,7 @@ and registering a kind with ``create_engine``.
 from repro.api.adapters import MySQLEngine, NoPrivEngine, ObladiEngine
 from repro.api.engine import (EngineFeatureUnavailable, FactorySource,
                               ProgramFactory, TransactionEngine)
-from repro.api.factory import (DIAGNOSTIC_KINDS, ENGINE_KINDS, EngineConfig,
-                               create_engine)
+from repro.api.factory import ENGINE_KINDS, EngineConfig, create_engine
 from repro.api.loop import run_closed_loop
 from repro.api.openloop import (ArrivalProcess, DeterministicArrivals,
                                 PoissonArrivals, run_open_loop)
@@ -47,7 +46,6 @@ __all__ = [
     "EngineConfig",
     "create_engine",
     "ENGINE_KINDS",
-    "DIAGNOSTIC_KINDS",
     "run_closed_loop",
     "run_open_loop",
     "ArrivalProcess",

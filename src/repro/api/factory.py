@@ -27,16 +27,9 @@ from repro.api.adapters import MySQLEngine, NoPrivEngine, ObladiEngine
 from repro.api.engine import TransactionEngine
 from repro.core.config import ObladiConfig, RingOramConfig
 
-#: The evaluated engine kinds — what comparison harnesses iterate over.
+#: The engine kinds :func:`create_engine` builds — what comparison harnesses
+#: iterate over.
 ENGINE_KINDS = ("obladi", "nopriv", "mysql")
-
-#: Additional kinds :func:`create_engine` accepts but comparisons skip.
-#: ``buggy`` is the adversarial conformance mode: an Obladi engine whose
-#: *reported* history is corrupted with injected serializability violations,
-#: used to prove the streaming auditor catches real bugs (``repro.audit``).
-#: It is deliberately not in :data:`ENGINE_KINDS` — its history must never
-#: feed a figure.
-DIAGNOSTIC_KINDS = ("buggy",)
 
 
 @dataclass(frozen=True)
@@ -95,13 +88,6 @@ class EngineConfig:
     durability: Optional[bool] = None
     encrypt: Optional[bool] = None
     checkpoint_frequency: Optional[int] = None
-
-    # Fault plan (``buggy`` engine only): which violation kinds the wrapper
-    # injects into the reported history, how many commits apart, and the
-    # RNG seed for choosing victims.  ``None`` kinds = all known kinds.
-    fault_kinds: Optional[tuple] = None
-    fault_period: int = 4
-    fault_seed: int = 0
 
     # Autoscaling (Obladi only): an ``repro.elasticity.AutoscalePolicy``
     # attached as an AutoscaleController observer at engine creation.
@@ -266,26 +252,6 @@ class EngineConfig:
         """Fix the deterministic RNG seed (``None`` = non-reproducible run)."""
         return replace(self, seed=seed)
 
-    def with_faults(self, kinds: Optional[tuple] = None, *,
-                    period: Optional[int] = None,
-                    fault_seed: Optional[int] = None) -> "EngineConfig":
-        """Configure the ``buggy`` engine's violation injection plan.
-
-        ``kinds`` restricts the injected violation kinds (subset of
-        :data:`repro.audit.buggy.FAULT_KINDS`; ``None`` = all of them),
-        ``period`` sets how many commits apart injections are attempted and
-        ``fault_seed`` the RNG seed used to pick victims.  Ignored by every
-        other engine kind.
-        """
-        config = self
-        if kinds is not None:
-            config = replace(config, fault_kinds=tuple(kinds))
-        if period is not None:
-            config = replace(config, fault_period=period)
-        if fault_seed is not None:
-            config = replace(config, fault_seed=fault_seed)
-        return config
-
     # ------------------------------------------------------------------ #
     # Materialisation
     # ------------------------------------------------------------------ #
@@ -328,9 +294,8 @@ def create_engine(kind: str,
     Parameters
     ----------
     kind:
-        ``"obladi"``, ``"nopriv"``, ``"mysql"`` or ``"buggy"`` — the latter
-        an Obladi engine whose reported history is corrupted per the
-        config's fault plan.
+        One of :data:`ENGINE_KINDS`: ``"obladi"``, ``"nopriv"`` or
+        ``"mysql"``.
     config:
         An :class:`EngineConfig`, or — for the Obladi engine only — a fully
         resolved :class:`ObladiConfig`.  Defaults to ``EngineConfig()``.
@@ -348,9 +313,9 @@ def create_engine(kind: str,
         quick one-offs read ``create_engine("nopriv", backend="server_wan")``.
     """
     normalized = kind.lower()
-    if normalized not in ENGINE_KINDS + DIAGNOSTIC_KINDS:
+    if normalized not in ENGINE_KINDS:
         raise KeyError(f"unknown engine kind {kind!r}; valid: "
-                       f"{', '.join(ENGINE_KINDS + DIAGNOSTIC_KINDS)}")
+                       f"{', '.join(ENGINE_KINDS)}")
 
     obladi_config: Optional[ObladiConfig] = None
     if isinstance(config, ObladiConfig):
@@ -365,16 +330,11 @@ def create_engine(kind: str,
         if overrides:
             engine_config = replace(engine_config, **overrides)
 
-    if normalized in ("obladi", "buggy"):
+    if normalized == "obladi":
         from repro.proxytier import build_proxy
         if obladi_config is None:
             obladi_config = engine_config.to_obladi_config()
         engine = ObladiEngine(build_proxy(obladi_config, storage=storage, clock=clock))
-        if normalized == "buggy":
-            from repro.audit.buggy import BuggyEngine
-            return BuggyEngine(engine, kinds=engine_config.fault_kinds,
-                               period=engine_config.fault_period,
-                               seed=engine_config.fault_seed)
         if engine_config.autoscale is not None:
             from repro.elasticity import AutoscaleController
             engine.attach_observer(AutoscaleController(engine_config.autoscale))

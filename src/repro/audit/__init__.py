@@ -11,11 +11,6 @@ detection) and garbage-collects settled epochs into per-key
 memory bounded by the active window — not the history.  The verdict and
 retained-graph accounting land on ``RunStats.audit``.
 
-:class:`BuggyEngine` (``create_engine("buggy", ...)``) is the adversarial
-half: a correct engine whose *reported* history is corrupted with injected
-stale reads, lost updates and write-skew cycles, proving the auditor
-catches what the offline checker catches.
-
 Quick start::
 
     from repro.api import EngineConfig, create_engine
@@ -27,7 +22,6 @@ Quick start::
     assert stats.audit.ok
 """
 
-from repro.audit.buggy import FAULT_KINDS, BuggyEngine, InjectedViolation
 from repro.audit.observer import AuditingObserver, EngineObserver
 from repro.audit.streaming import (AuditReport, AuditViolation, KeyFrontier,
                                    StreamingSerializationGraph)
@@ -36,10 +30,7 @@ __all__ = [
     "AuditReport",
     "AuditViolation",
     "AuditingObserver",
-    "BuggyEngine",
     "EngineObserver",
-    "FAULT_KINDS",
-    "InjectedViolation",
     "KeyFrontier",
     "StreamingSerializationGraph",
 ]

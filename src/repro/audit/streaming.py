@@ -63,6 +63,8 @@ class AuditViolation:
       timestamp precedes the settled frontier for the key.
     * ``"watermark"`` — a transaction's timestamp is at or below the settled
       watermark (the engine's timestamp order went backwards).
+    * ``"duplicate-commit"`` — a transaction id that is still retained was
+      reported committed a second time; the repeat is not ingested.
     """
 
     kind: str
@@ -212,7 +214,8 @@ class StreamingSerializationGraph:
             return
         batch = _Batch()
         for txn in txns:
-            self._ingest_txn(txn)
+            if not self._ingest_txn(txn):
+                continue
             batch.txn_ids.append(txn.txn_id)
             batch.min_ts = min(batch.min_ts, txn.timestamp)
             batch.max_ts = max(batch.max_ts, txn.timestamp)
@@ -240,12 +243,17 @@ class StreamingSerializationGraph:
     # ------------------------------------------------------------------ #
     # Ingestion
     # ------------------------------------------------------------------ #
-    def _ingest_txn(self, txn: CommittedTransaction) -> None:
-        """Insert one transaction: node, per-key index entries and edges."""
+    def _ingest_txn(self, txn: CommittedTransaction) -> bool:
+        """Insert one transaction: node, per-key index entries and edges.
+
+        Returns ``False`` for a repeat of a retained txn id, which is
+        reported and left out of its batch (so it cannot hold back the
+        settlement fence).
+        """
         if txn.txn_id in self._txns:
-            self._violation("watermark", txn.txn_id,
+            self._violation("duplicate-commit", txn.txn_id,
                             detail=f"txn id {txn.txn_id} reported committed twice")
-            return
+            return False
         self.txns_ingested += 1
         self._txns[txn.txn_id] = txn
         self._out[txn.txn_id] = set()
@@ -266,6 +274,7 @@ class StreamingSerializationGraph:
 
         self.max_retained_nodes = max(self.max_retained_nodes, len(self._txns))
         self.max_retained_edges = max(self.max_retained_edges, self._edge_count)
+        return True
 
     def _ingest_write(self, txn: CommittedTransaction, key: str) -> None:
         frontier = self._frontier.get(key)

@@ -8,9 +8,10 @@ causes late writers to abort.  Transactions that observed uncommitted data
 record write-read dependencies and abort in cascade if a dependency aborts.
 
 The package also contains a strict two-phase-locking store used by the
-"MySQL" baseline of Figure 9, a serialization-graph checker used by the
-test suite to validate that every committed history really is serializable,
-and the conflict witness of transaction repair (``repro.concurrency.repair``):
+"MySQL" baseline of Figure 9, the offline serializability check
+:func:`check_serializable` (the benchmark runs it on every round's history,
+and the auditor's tests compare against it), and the conflict witness of
+transaction repair (``repro.concurrency.repair``):
 :meth:`MVTSOManager.stale_reads` says which of a conflict loser's reads went
 stale and which writer won, which is what the proxy's in-epoch repair pass
 (``ObladiConfig.conflict_strategy="repair"``) recomputes.
@@ -19,10 +20,7 @@ stale and which writer won, which is what the proxy's in-epoch repair pass
 from repro.concurrency.transaction import TransactionRecord, TransactionStatus
 from repro.concurrency.mvtso import MVTSOManager, WriteConflictError
 from repro.concurrency.versions import Version, VersionChain, VersionStore
-from repro.concurrency.serializability import (SerializationGraph,
-                                               build_serialization_graph,
-                                               check_recoverable,
-                                               check_serializable)
+from repro.concurrency.serializability import check_serializable
 from repro.concurrency.transaction import CommittedTransaction
 from repro.concurrency.two_phase_locking import LockManager, LockMode, DeadlockError
 from repro.concurrency.repair import ConflictWitness
@@ -36,9 +34,6 @@ __all__ = [
     "Version",
     "VersionChain",
     "VersionStore",
-    "SerializationGraph",
-    "build_serialization_graph",
-    "check_recoverable",
     "check_serializable",
     "LockManager",
     "LockMode",

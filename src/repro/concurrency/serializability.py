@@ -11,7 +11,6 @@ write-back install.
 
 from __future__ import annotations
 
-import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -80,35 +79,6 @@ class SerializationGraph:
                     return cycle
         return None
 
-    def is_acyclic(self) -> bool:
-        """Whether the graph admits a serial order (no dependency cycle)."""
-        return self.find_cycle() is None
-
-    def topological_order(self) -> List[int]:
-        """A serialization order, if one exists.
-
-        Deterministic: among the ready nodes the smallest txn id is always
-        emitted first (a min-heap ready queue — O((V+E) log V), replacing a
-        list that was popped from the front and re-sorted per node).
-        """
-        indegree = {node: 0 for node in self.nodes}
-        for src, dsts in self.edges.items():
-            for dst in dsts:
-                indegree[dst] += 1
-        ready = [node for node, deg in indegree.items() if deg == 0]
-        heapq.heapify(ready)
-        order: List[int] = []
-        while ready:
-            node = heapq.heappop(ready)
-            order.append(node)
-            for dst in self.edges[node]:
-                indegree[dst] -= 1
-                if indegree[dst] == 0:
-                    heapq.heappush(ready, dst)
-        if len(order) != len(self.nodes):
-            raise ValueError("graph has a cycle; no serialization order exists")
-        return order
-
 
 def build_serialization_graph(history: Sequence[CommittedTransaction]) -> SerializationGraph:
     """Build the DSG of a committed multiversioned history.
@@ -153,14 +123,3 @@ def check_serializable(history: Sequence[CommittedTransaction]) -> Tuple[bool, O
     graph = build_serialization_graph(history)
     cycle = graph.find_cycle()
     return cycle is None, cycle
-
-
-def check_recoverable(history: Sequence[CommittedTransaction],
-                      aborted_writer_ts: Iterable[int]) -> bool:
-    """No committed transaction observed a write from an aborted transaction."""
-    aborted = set(aborted_writer_ts)
-    for txn in history:
-        for observed_ts in txn.read_set.values():
-            if observed_ts in aborted:
-                return False
-    return True

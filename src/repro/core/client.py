@@ -26,7 +26,7 @@ blocking façade over a single-transaction epoch: ``txn.read(key)`` /
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Generator, List, Optional, Tuple, Union
 
 
 class TransactionAborted(Exception):
@@ -109,27 +109,6 @@ class TransactionResult:
     epoch: int = -1
     repaired: bool = field(default=False, repr=False, compare=False)
     repair_failed: bool = field(default=False, repr=False, compare=False)
-
-
-def static_program(reads: Iterable[str],
-                   writes: Dict[str, bytes]) -> TransactionProgram:
-    """Build a program that performs a fixed set of reads then writes.
-
-    Useful for microbenchmarks (YCSB) and tests where the access set does
-    not depend on the data read.
-    """
-    read_list = list(reads)
-    write_items = dict(writes)
-
-    def program():
-        values = {}
-        for key in read_list:
-            values[key] = yield Read(key)
-        for key, value in write_items.items():
-            yield Write(key, value)
-        return values
-
-    return program
 
 
 class Transaction:

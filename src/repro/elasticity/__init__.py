@@ -15,16 +15,15 @@ system runs*, without weakening the per-node obliviousness story:
 * :class:`AutoscaleController` (:mod:`repro.elasticity.controller`) closes
   the loop: open-loop pressure signals in, reshard plans out, every
   decision recorded on ``RunStats.controller``.
-* :class:`DiurnalArrivals` / :class:`FlashCrowdArrivals`
-  (:mod:`repro.elasticity.arrivals`) provide the time-varying load shapes
-  the controller is evaluated under.
+* :class:`FlashCrowdArrivals` (:mod:`repro.elasticity.arrivals`) provides
+  the time-varying load shape the controller is evaluated under.
 
 See ``docs/ARCHITECTURE.md`` — "Elasticity" — for the full walkthrough,
 including the migration fence diagram and what the adversary does (and does
 not) learn from a migration window.
 """
 
-from repro.elasticity.arrivals import DiurnalArrivals, FlashCrowdArrivals
+from repro.elasticity.arrivals import FlashCrowdArrivals
 from repro.elasticity.controller import (AutoscaleController, AutoscaleDecision,
                                          AutoscalePolicy, ControllerReport)
 from repro.elasticity.migration import (MigrationReport, TopologyMigration,
@@ -36,7 +35,6 @@ __all__ = [
     "AutoscaleDecision",
     "AutoscalePolicy",
     "ControllerReport",
-    "DiurnalArrivals",
     "FlashCrowdArrivals",
     "MigrationReport",
     "ReshardPlan",

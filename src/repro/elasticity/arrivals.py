@@ -2,79 +2,27 @@
 
 The open-loop driver (:func:`repro.api.openloop.run_open_loop`) accepts any
 :class:`~repro.api.openloop.ArrivalProcess`; the stationary ones live there.
-This module adds the two non-stationary shapes the autoscaling evaluation
-exercises:
+This module adds the non-stationary shape the autoscaling evaluation
+exercises: :class:`FlashCrowdArrivals`, a piecewise-constant base rate with
+one rectangular spike (a flash crowd) at a known offset.
 
-* :class:`DiurnalArrivals` — a smooth day/night cycle: the rate follows a
-  raised cosine between ``base_tps`` and ``peak_tps`` with the given period.
-* :class:`FlashCrowdArrivals` — a piecewise-constant base rate with one
-  rectangular spike (a flash crowd) at a known offset.
-
-Both draw exponential gaps at the instantaneous rate (a rate-modulated
+It draws exponential gaps at the instantaneous rate (a rate-modulated
 renewal process — the standard simulation shorthand for a non-homogeneous
 Poisson stream, exact in the piecewise-constant case away from the
-boundaries).  Both are frozen and restartable: every ``intervals()`` call
+boundaries).  It is frozen and restartable: every ``intervals()`` call
 re-seeds its own generator, so two engines fed the same process object see
 identical arrival times.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Iterator
 
 from repro.api.openloop import ArrivalProcess
 
-__all__ = ["DiurnalArrivals", "FlashCrowdArrivals"]
-
-
-@dataclass(frozen=True)
-class DiurnalArrivals(ArrivalProcess):
-    """A sinusoidal day/night load cycle.
-
-    The instantaneous rate at time ``t`` (ms since the run began) is
-    ``base + (peak - base) * (1 - cos(2*pi*(t + phase_ms)/period_ms)) / 2``:
-    it starts at ``base_tps`` (with ``phase_ms=0``), crests at ``peak_tps``
-    half a period in, and returns.
-
-    >>> process = DiurnalArrivals(base_tps=10.0, peak_tps=50.0,
-    ...                           period_ms=60_000.0, seed=7)
-    >>> first, again = process.intervals(), process.intervals()
-    >>> [round(next(first), 3) for _ in range(2)] == \\
-    ...     [round(next(again), 3) for _ in range(2)]
-    True
-    """
-
-    base_tps: float
-    peak_tps: float
-    period_ms: float
-    phase_ms: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.base_tps > 0 or not self.peak_tps > 0:
-            raise ValueError("arrival rates must be positive")
-        if self.peak_tps < self.base_tps:
-            raise ValueError("peak_tps cannot be below base_tps")
-        if not self.period_ms > 0:
-            raise ValueError("period_ms must be positive")
-
-    def rate_at(self, now_ms: float) -> float:
-        """Instantaneous arrival rate (tps) at ``now_ms``."""
-        swing = 0.5 * (1.0 - math.cos(
-            2.0 * math.pi * (now_ms + self.phase_ms) / self.period_ms))
-        return self.base_tps + (self.peak_tps - self.base_tps) * swing
-
-    def intervals(self) -> Iterator[float]:
-        """Exponential gaps at the instantaneous rate (restartable)."""
-        rng = random.Random(self.seed)
-        now_ms = 0.0
-        while True:
-            gap = rng.expovariate(self.rate_at(now_ms) / 1000.0)
-            now_ms += gap
-            yield gap
+__all__ = ["FlashCrowdArrivals"]
 
 
 @dataclass(frozen=True)

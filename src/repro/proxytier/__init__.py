@@ -23,8 +23,7 @@ proxy tier" — for the worker/coordinator diagram and the commit-protocol
 walkthrough.
 """
 
-from repro.proxytier.coordinator import (CcLaneStats, ProxyCoordinator,
-                                         build_proxy, worker_for_key)
+from repro.proxytier.coordinator import CcLaneStats, ProxyCoordinator, build_proxy
 from repro.proxytier.sharded import BarrierStats, ShardedMVTSOManager
 from repro.proxytier.worker import ProxyWorker
 
@@ -35,5 +34,4 @@ __all__ = [
     "BarrierStats",
     "CcLaneStats",
     "build_proxy",
-    "worker_for_key",
 ]

@@ -3,8 +3,8 @@
 All performance numbers reported by the reproduction are expressed in
 *simulated milliseconds*.  Components that perform work (network round trips,
 encryption, dependency tracking) advance the clock explicitly by the cost of
-that work.  The clock is deliberately tiny: it is a float with bookkeeping,
-so that every subsystem can share one instance without coupling.
+that work.  The clock is deliberately tiny: it is one float, so that every
+subsystem can share one instance without coupling.
 """
 
 from __future__ import annotations
@@ -25,22 +25,11 @@ class SimClock:
         if start_ms < 0:
             raise ValueError("clock cannot start at a negative time")
         self._now_ms = float(start_ms)
-        self._total_advances = 0
 
     @property
     def now_ms(self) -> float:
         """Current simulated time in milliseconds."""
         return self._now_ms
-
-    @property
-    def now_s(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now_ms / 1000.0
-
-    @property
-    def total_advances(self) -> int:
-        """Number of times the clock has been advanced (for introspection)."""
-        return self._total_advances
 
     def advance(self, delta_ms: float) -> float:
         """Advance the clock by ``delta_ms`` and return the new time.
@@ -50,7 +39,6 @@ class SimClock:
         if delta_ms < 0:
             raise ValueError(f"cannot advance clock by negative delta {delta_ms}")
         self._now_ms += delta_ms
-        self._total_advances += 1
         return self._now_ms
 
     def advance_to(self, t_ms: float) -> float:
@@ -62,16 +50,7 @@ class SimClock:
         """
         if t_ms > self._now_ms:
             self._now_ms = t_ms
-            self._total_advances += 1
         return self._now_ms
-
-    def fork(self) -> "SimClock":
-        """Return a new clock starting at the current instant.
-
-        Used by components that compute a tentative schedule (e.g. an epoch's
-        write-back) before deciding whether to apply it.
-        """
-        return SimClock(self._now_ms)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimClock(now_ms={self._now_ms:.3f})"

@@ -182,11 +182,6 @@ class NetworkConditions:
         return self._cached
 
 
-def wan_variant(model: LatencyModel, extra_rtt_ms: float = 9.7) -> LatencyModel:
-    """Return a WAN flavour of ``model`` with ``extra_rtt_ms`` added per request."""
-    return NetworkConditions(base=model, extra_rtt_ms=extra_rtt_ms, name_suffix="_wan").resolve()
-
-
 def link_latency_models(base, num_links: int,
                         link_extra_rtt_ms=()) -> "list[LatencyModel]":
     """Resolve one :class:`LatencyModel` per proxy-to-server link.

@@ -31,6 +31,7 @@ from repro.audit import AuditingObserver
 from repro.concurrency import check_serializable
 from repro.core.client import Read, ReadMany, Write
 from repro.elasticity import AutoscalePolicy, ReshardPlan
+from tests.buggy_engine import BuggyEngine
 
 NUM_KEYS = 24
 
@@ -624,8 +625,8 @@ class TestAuditing:
         """Repair must not blunt the auditor: the ``buggy`` engine's
         injected serializability violations are flagged by both checkers
         whether the inner engine retries or repairs its conflict losers."""
-        eng = create_engine("buggy", _config(strategy=strategy)
-                            .with_faults(period=3, fault_seed=7))
+        eng = BuggyEngine(create_engine("obladi", _config(strategy=strategy)),
+                          period=3, seed=7)
         eng.load_initial_data({f"k{i}": b"0" for i in range(NUM_KEYS)})
         eng.attach_observer(AuditingObserver(settle_lag=3))
         run = eng.run_closed_loop(mixed_source(seed=11), self.TOTAL, clients=8)

@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.api import DIAGNOSTIC_KINDS, ENGINE_KINDS, EngineConfig, create_engine
-from repro.audit import FAULT_KINDS, AuditingObserver, BuggyEngine
-from repro.concurrency import build_serialization_graph, check_serializable
-from repro.core.client import Read, ReadMany, Write
+from repro.api import ENGINE_KINDS, EngineConfig, create_engine
+from repro.audit import AuditingObserver
+from repro.concurrency import check_serializable
+from repro.concurrency.serializability import build_serialization_graph
+from repro.core.client import ReadMany, Write
+from tests.buggy_engine import FAULT_KINDS, BuggyEngine
 
 NUM_KEYS = 8
 
@@ -36,34 +38,30 @@ def mixed_source(seed=11):
     return source
 
 
-def _buggy(kinds=None, period=3, seed=3):
-    engine = create_engine("buggy",
-                           _config(seed).with_faults(kinds=kinds, period=period))
+def _buggy(kinds=None, period=3, seed=3, config=None):
+    config = config if config is not None else _config(seed)
+    engine = BuggyEngine(create_engine("obladi", config), kinds=kinds,
+                         period=period)
     engine.load_initial_data({f"k{i}": b"0" for i in range(NUM_KEYS)})
     return engine
 
 
-class TestRegistration:
-    def test_buggy_is_a_diagnostic_kind_not_an_evaluated_one(self):
-        assert "buggy" in DIAGNOSTIC_KINDS
-        assert "buggy" not in ENGINE_KINDS   # must never feed a figure
-
-    def test_create_engine_builds_a_buggy_wrapper(self):
-        engine = create_engine("buggy", _config())
-        assert isinstance(engine, BuggyEngine)
-        assert engine.name == "buggy"
-        assert engine.kinds == FAULT_KINDS
-
-    def test_fault_plan_flows_from_config(self):
-        engine = create_engine(
-            "buggy", _config().with_faults(kinds=("stale_read",), period=7,
-                                           fault_seed=9))
-        assert engine.kinds == ("stale_read",)
-        assert engine.period == 7
+class TestConstruction:
+    def test_create_engine_does_not_build_a_lying_engine(self):
+        with pytest.raises(KeyError) as err:
+            create_engine("buggy", _config())
+        valid = err.value.args[0].split("valid: ", 1)[1]
+        assert tuple(valid.split(", ")) == ENGINE_KINDS
 
     def test_unknown_fault_kind_rejected(self):
         with pytest.raises(ValueError):
-            create_engine("buggy", _config().with_faults(kinds=("phantom",)))
+            BuggyEngine(create_engine("obladi", _config()), kinds=("phantom",))
+
+    def test_fault_plan_defaults_to_every_kind(self):
+        engine = _buggy(period=7)
+        assert engine.name == "buggy"
+        assert engine.kinds == FAULT_KINDS
+        assert engine.period == 7
 
 
 class TestDelegation:
@@ -89,9 +87,7 @@ class TestDelegation:
         assert honest_ok and not lied_ok
 
     def test_crash_recover_delegates(self):
-        engine = create_engine("buggy", _config().with_faults(period=2)
-                               .with_durability(True))
-        engine.load_initial_data({f"k{i}": b"0" for i in range(NUM_KEYS)})
+        engine = _buggy(period=2, config=_config().with_durability(True))
         assert engine.supports_crash_recovery
         engine.run_closed_loop(mixed_source(seed=5), 8, clients=4)
         history_before = len(engine.committed_history)

@@ -81,6 +81,22 @@ class TestIncrementalCycleDetection:
         assert not graph.ok
         assert graph.txns_ingested == 1
 
+    def test_repeated_retained_txn_id_is_a_duplicate_commit(self):
+        graph = StreamingSerializationGraph(settle_lag=4)
+        graph.ingest_batch([txn(1, writes=["a"]), txn(2, reads={"a": 1})])
+        graph.ingest_batch([txn(3, writes=["b"]), txn(2, reads={"a": 1})])
+        assert [(v.kind, v.txn_id) for v in graph.violations] == \
+            [("duplicate-commit", 2)]
+
+    def test_duplicate_commit_does_not_hold_back_settlement(self):
+        # The repeat is not ingested, so its old timestamp must not count
+        # towards the younger batch's fence either.
+        graph = StreamingSerializationGraph(settle_lag=1)
+        graph.ingest_batch([txn(1, writes=["a"])])
+        graph.ingest_batch([txn(2, writes=["a"]), txn(1, writes=["a"])])
+        assert graph.txns_settled == 1
+        assert graph.watermark_ts == 1
+
 
 class TestGarbageCollection:
     def make_batches(self, count, keys=("a", "b"), reads_latest=True):
@@ -147,6 +163,17 @@ class TestGarbageCollection:
         assert not graph.ok
         kinds = {violation.kind for violation in graph.violations}
         assert "time-travel-write" in kinds or "watermark" in kinds
+
+    def test_timestamp_at_the_watermark_is_a_watermark_violation(self):
+        # A read of a key no settled transaction touched, at a timestamp the
+        # settled prefix already covers: only the timestamp order is wrong.
+        graph = StreamingSerializationGraph(settle_lag=1)
+        graph.ingest_batch([txn(1, writes=["a"])])
+        graph.ingest_batch([txn(2, writes=["a"])])   # settles txn 1
+        assert graph.watermark_ts == 1
+        graph.ingest_batch([txn(9, ts=1, reads={"b": -1})])
+        assert [(v.kind, v.txn_id) for v in graph.violations] == \
+            [("watermark", 9)]
 
     def test_settlement_defers_when_timestamps_interleave(self):
         # Batches whose timestamp ranges overlap must not settle past each

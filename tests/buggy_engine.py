@@ -1,4 +1,4 @@
-"""The ``buggy`` engine: adversarial conformance mode for the auditor.
+"""The ``buggy`` engine: the auditor's adversarial conformance fixture.
 
 A verification tool is only as credible as the bugs it has been shown to
 catch.  :class:`BuggyEngine` wraps a real (correct) Obladi engine and
@@ -56,8 +56,8 @@ class InjectedViolation:
 class BuggyEngine(TransactionEngine):
     """A correct engine whose reported history lies.
 
-    Wraps an inner :class:`~repro.api.engine.TransactionEngine` (the factory
-    uses an Obladi engine), delegates all execution to it, and maintains its
+    Wraps an inner :class:`~repro.api.engine.TransactionEngine` (the tests
+    wrap an Obladi engine), delegates all execution to it, and maintains its
     own parallel ``committed_history`` in which roughly every ``period``-th
     committed transaction is corrupted with the next fault kind from
     ``kinds`` (cycling).  Corruptions are deterministic given ``seed``.

@@ -1,10 +1,8 @@
 """Tests for the serialization-graph checker."""
 
-import pytest
-
-from repro.concurrency import (CommittedTransaction, SerializationGraph,
-                               build_serialization_graph, check_recoverable,
-                               check_serializable)
+from repro.concurrency import CommittedTransaction, check_serializable
+from repro.concurrency.serializability import (SerializationGraph,
+                                               build_serialization_graph)
 
 
 def txn(txn_id, ts, reads=None, writes=None, epoch=0):
@@ -18,7 +16,7 @@ class TestGraphPrimitives:
     def test_self_edges_ignored(self):
         graph = SerializationGraph()
         graph.add_edge(1, 1, "ww:k")
-        assert graph.is_acyclic()
+        assert graph.find_cycle() is None
 
     def test_simple_cycle_detected(self):
         graph = SerializationGraph()
@@ -28,41 +26,26 @@ class TestGraphPrimitives:
         assert cycle is not None
         assert set(cycle) >= {1, 2}
 
-    def test_acyclic_graph_topological_order(self):
+    def test_acyclic_chain_has_no_cycle(self):
         graph = SerializationGraph()
         graph.add_edge(1, 2, "ww:a")
         graph.add_edge(2, 3, "ww:a")
-        order = graph.topological_order()
-        assert order.index(1) < order.index(2) < order.index(3)
+        assert graph.find_cycle() is None
 
-    def test_topological_order_is_smallest_id_first(self):
-        """When several nodes are simultaneously ready the order must be
-        deterministic: the heap always yields the smallest txn id first,
-        regardless of insertion order."""
+    def test_diamond_is_not_a_cycle(self):
+        """Two paths into one node are not a cycle: a node the search has
+        already finished is not on the current path."""
         graph = SerializationGraph()
         # A diamond inserted in scrambled order: 9 -> {7, 3, 5} -> 1.
         for src, dst in [(9, 7), (9, 3), (5, 1), (9, 5), (3, 1), (7, 1)]:
             graph.add_edge(src, dst, "ww:k")
-        assert graph.topological_order() == [9, 3, 5, 7, 1]
-
-    def test_topological_order_without_edges_sorts_ids(self):
-        graph = SerializationGraph()
-        for node in (4, 2, 9, 1):
-            graph.add_node(node)
-        assert graph.topological_order() == [1, 2, 4, 9]
-
-    def test_topological_order_raises_on_cycle(self):
-        graph = SerializationGraph()
-        graph.add_edge(1, 2, "x")
-        graph.add_edge(2, 1, "y")
-        with pytest.raises(ValueError):
-            graph.topological_order()
+        assert graph.find_cycle() is None
 
     def test_long_cycle_detected(self):
         graph = SerializationGraph()
         for i in range(5):
             graph.add_edge(i, (i + 1) % 5, "e")
-        assert not graph.is_acyclic()
+        assert graph.find_cycle() is not None
 
 
 class TestHistoryChecking:
@@ -84,7 +67,7 @@ class TestHistoryChecking:
         ]
         graph = build_serialization_graph(history)
         # rw edges in both directions -> cycle.
-        assert not graph.is_acyclic()
+        assert graph.find_cycle() is not None
 
     def test_disjoint_transactions_are_serializable(self):
         history = [txn(i, i, writes={f"k{i}": b"v"}) for i in range(1, 6)]
@@ -112,12 +95,3 @@ class TestHistoryChecking:
         ok, _ = check_serializable([])
         assert ok
 
-
-class TestRecoverability:
-    def test_reading_aborted_writer_flagged(self):
-        history = [txn(2, 2, reads={"a": 5})]
-        assert not check_recoverable(history, aborted_writer_ts=[5])
-
-    def test_clean_history_recoverable(self):
-        history = [txn(2, 2, reads={"a": 1})]
-        assert check_recoverable(history, aborted_writer_ts=[5])

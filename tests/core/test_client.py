@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.client import (AbortRequest, Read, ReadMany, Transaction, TransactionAborted,
-                               TransactionResult, Write, static_program)
+                               TransactionResult, Write)
 
 
 class TestOperations:
@@ -17,19 +17,6 @@ class TestOperations:
 
     def test_abort_request_default_reason(self):
         assert AbortRequest().reason == "user"
-
-
-class TestStaticProgram:
-    def test_reads_then_writes(self):
-        program = static_program(["a", "b"], {"c": b"1"})
-        generator = program()
-        assert generator.send(None) == Read("a")
-        assert generator.send(b"va") == Read("b")
-        operation = generator.send(b"vb")
-        assert operation == Write("c", b"1")
-        with pytest.raises(StopIteration) as stop:
-            generator.send(None)
-        assert stop.value.value == {"a": b"va", "b": b"vb"}
 
 
 class TestTransactionFacade:

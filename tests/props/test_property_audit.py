@@ -5,9 +5,10 @@ arrival process, any shards x proxy_workers topology, with or without a
 crash/recover in the middle (exercising the ``fast_forward`` timestamp
 hand-off) — the streaming auditor's verdict equals the offline
 ``check_serializable`` verdict, while retaining only a bounded window of
-the history.  And on corrupted histories (the ``buggy`` engine) both
-checkers must reject, with every cycle the auditor reports being a genuine
-cycle of the offline DSG.
+the history.  And on corrupted histories (a real engine wrapped in the
+``BuggyEngine`` fixture of ``tests/buggy_engine.py``) both checkers must
+reject, with every cycle the auditor reports being a genuine cycle of the
+offline DSG.
 """
 
 import random
@@ -17,8 +18,10 @@ from hypothesis import strategies as st
 
 from repro.api import EngineConfig, PoissonArrivals, create_engine
 from repro.audit import AuditingObserver
-from repro.concurrency import build_serialization_graph, check_serializable
+from repro.concurrency import check_serializable
+from repro.concurrency.serializability import build_serialization_graph
 from repro.core.client import Read, Write
+from tests.buggy_engine import BuggyEngine
 
 NUM_KEYS = 16
 
@@ -26,7 +29,7 @@ NUM_KEYS = 16
 TOPOLOGIES = [(1, 1), (1, 4), (4, 1), (4, 4)]
 
 
-def build_engine(kind, seed, shards=1, workers=1, durability=False):
+def build_engine(seed, shards=1, workers=1, durability=False):
     config = (EngineConfig()
               .with_oram(num_blocks=256, z_real=4, block_size=96)
               .with_batching(read_batches=3, read_batch_size=8,
@@ -37,9 +40,7 @@ def build_engine(kind, seed, shards=1, workers=1, durability=False):
               .with_durability(durability)
               .with_encryption(False)
               .with_seed(seed))
-    if kind == "buggy":
-        config = config.with_faults(period=3, fault_seed=seed)
-    engine = create_engine(kind, config)
+    engine = create_engine("obladi", config)
     engine.load_initial_data({f"k{i}": b"0" for i in range(NUM_KEYS)})
     return engine
 
@@ -68,7 +69,7 @@ class TestStreamingMatchesOffline:
     @given(st.integers(0, 2**16), st.integers(0, 2**16))
     def test_verdict_matches_offline_across_topologies(self, seed, arrival_seed):
         for shards, workers in TOPOLOGIES:
-            engine = build_engine("obladi", seed, shards, workers)
+            engine = build_engine(seed, shards, workers)
             auditor = engine.attach_observer(AuditingObserver(settle_lag=2))
             stats = engine.run_open_loop(
                 rmw_source(seed), 24,
@@ -90,8 +91,7 @@ class TestStreamingMatchesOffline:
         combined lifetime history must audit clean — streaming and offline
         agreeing — on every topology."""
         for shards, workers in TOPOLOGIES:
-            engine = build_engine("obladi", seed, shards, workers,
-                                  durability=True)
+            engine = build_engine(seed, shards, workers, durability=True)
             auditor = engine.attach_observer(AuditingObserver(settle_lag=2))
             first = engine.run_open_loop(
                 rmw_source(seed), 16,
@@ -118,7 +118,7 @@ class TestStreamingMatchesOffline:
         """A multi-epoch open-loop run must not accumulate the whole history
         in the auditor: the high-water mark stays a small multiple of the
         wave size times the settle lag, far below the committed total."""
-        engine = build_engine("obladi", seed)
+        engine = build_engine(seed)
         auditor = engine.attach_observer(AuditingObserver(settle_lag=2))
         stats = engine.run_open_loop(
             rmw_source(seed, hot_keys=NUM_KEYS), 120,
@@ -137,7 +137,8 @@ class TestStreamingMatchesOffline:
     @given(st.integers(0, 2**16), st.sampled_from(TOPOLOGIES))
     def test_corrupted_histories_rejected_by_both_checkers(self, seed, topology):
         shards, workers = topology
-        engine = build_engine("buggy", seed, shards, workers)
+        engine = BuggyEngine(build_engine(seed, shards, workers),
+                             period=3, seed=seed)
         auditor = engine.attach_observer(AuditingObserver(settle_lag=3))
         stats = engine.run_closed_loop(rmw_source(seed), 36, clients=6)
         if not engine.injected:      # rare: no eligible victim arose

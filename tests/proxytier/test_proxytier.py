@@ -11,7 +11,8 @@ from repro.core.proxy import ObladiProxy
 from repro.core.version_cache import VersionCache
 from repro.elasticity import ReshardPlan
 from repro.proxytier import (ProxyCoordinator, ProxyWorker,
-                             ShardedMVTSOManager, build_proxy, worker_for_key)
+                             ShardedMVTSOManager, build_proxy)
+from repro.proxytier.coordinator import worker_for_key
 from repro.sharding import key_partition
 from repro.sim.latency import CpuCostModel
 

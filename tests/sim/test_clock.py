@@ -31,10 +31,6 @@ class TestSimClockBasics:
         with pytest.raises(ValueError):
             clock.advance(-0.1)
 
-    def test_now_s_is_milliseconds_over_1000(self):
-        clock = SimClock(2500.0)
-        assert clock.now_s == pytest.approx(2.5)
-
 
 class TestAdvanceTo:
     def test_advance_to_later_time(self):
@@ -49,28 +45,6 @@ class TestAdvanceTo:
 
     def test_advance_to_same_time_is_noop(self):
         clock = SimClock(5.0)
-        before = clock.total_advances
         clock.advance_to(5.0)
         assert clock.now_ms == pytest.approx(5.0)
-        assert clock.total_advances == before
 
-
-class TestForkAndCounters:
-    def test_fork_starts_at_current_time(self):
-        clock = SimClock()
-        clock.advance(7.0)
-        fork = clock.fork()
-        assert fork.now_ms == pytest.approx(7.0)
-
-    def test_fork_is_independent(self):
-        clock = SimClock()
-        fork = clock.fork()
-        fork.advance(10.0)
-        assert clock.now_ms == 0.0
-
-    def test_total_advances_counts_operations(self):
-        clock = SimClock()
-        clock.advance(1.0)
-        clock.advance(1.0)
-        clock.advance_to(10.0)
-        assert clock.total_advances == 3

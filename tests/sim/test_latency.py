@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.latency import (BACKENDS, CpuCostModel, LatencyModel, NetworkConditions,
-                               get_latency_model, wan_variant)
+                               get_latency_model)
 
 
 class TestBackendCatalogue:
@@ -65,16 +65,16 @@ class TestGetLatencyModel:
         assert "server" in str(err.value)
 
 
-class TestWanVariant:
+class TestNetworkConditions:
     def test_adds_extra_round_trip(self):
         base = BACKENDS["server"]
-        wan = wan_variant(base, extra_rtt_ms=9.7)
+        wan = NetworkConditions(base=base, extra_rtt_ms=9.7).resolve()
         assert wan.read_rtt_ms == pytest.approx(base.read_rtt_ms + 9.7)
         assert wan.write_rtt_ms == pytest.approx(base.write_rtt_ms + 9.7)
 
     def test_preserves_other_fields(self):
         base = BACKENDS["dynamo"]
-        wan = wan_variant(base, extra_rtt_ms=5.0)
+        wan = NetworkConditions(base=base, extra_rtt_ms=5.0).resolve()
         assert wan.max_parallel_requests == base.max_parallel_requests
         assert wan.dispatch_ms_per_request == base.dispatch_ms_per_request
 
