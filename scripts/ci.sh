@@ -35,6 +35,16 @@ if grep -rn --include='*.py' "urandom(" src/ | grep -v "urandom(32)"; then
     exit 1
 fi
 
+# One checkpoint encoding: the position map, the bucket metadata and the
+# stash checkpoint as fixed-width little-endian records, encoded and decoded
+# by the classes that own them, so no JSON encoding may sit beside them.
+echo "== tripwire: no json in the ORAM checkpoint encoders =="
+if grep -nE "^\s*(import|from)\s.*\bjson\b" src/repro/oram/metadata.py \
+        src/repro/oram/position_map.py src/repro/oram/stash.py; then
+    echo "json is imported by an ORAM checkpoint encoder" >&2
+    exit 1
+fi
+
 # The storage tier keeps bytes and no time: every simulated millisecond is
 # charged by the proxy's cost model, so no storage module may reach for a
 # latency model or a switch that lets a server charge its own.
@@ -70,7 +80,8 @@ python -m pytest -q benchmarks/test_elasticity_smoke.py
 # Stored bytes: once an epoch commits, the bucket versions it superseded and
 # the checkpoint chain a full checkpoint replaced are deleted.  The step
 # fails unless the servers hold under 150 bytes per loaded user byte (about
-# 130 here; 168 when every version and chain was kept).
+# 117 here, 130 when checkpoints were JSON; 168 when every version and chain
+# was kept).
 echo "== perf: sealed vs written slots, scheduled batches, storage read calls, stored bytes (repo benchmark, traced smoke) =="
 traced_smoke=$(python bench/run.py --workload tpcc_durable --smoke --seed 17 --seconds 1 --trace 1)
 grep -E "^metric (crypto\.sealed_slots_per_txn|storage\.slots_written_per_txn|storage\.trace_events_per_txn|storage\.stored_bytes_per_user_byte|sim\.schedule_calls|sim\.schedule_ms_per_txn|oram\.self_ms_per_txn|oram\.eviction_ms_per_txn|recovery\.checkpoint_ms_per_txn|storage\.read_batch_calls|oram\.path_reads_per_txn|crypto\.open_ms_per_txn) " <<<"$traced_smoke"
@@ -109,8 +120,8 @@ fi
 # about 1.8 of it libssl (about 73 when every block held its keys as a plain
 # string and its sizes as an array).  The step fails at 64 MiB or more.
 echo "== drift gate: full-size seed-17 sim_digests, ycsb_hot_elastic peak RSS (repo benchmark) =="
-for pinned in smallbank_sharded:54bd2030a4c348b5 tpcc_durable:8833c8bb01c68186 \
-              freehealth_openloop:390ffd62f50e36f5 ycsb_hot_elastic:182d60c47869690d; do
+for pinned in smallbank_sharded:54bd2030a4c348b5 tpcc_durable:cb3ca4dc03917e3c \
+              freehealth_openloop:9b8e6f174055e11a ycsb_hot_elastic:182d60c47869690d; do
     workload=${pinned%%:*}
     expected=${pinned#*:}
     round=$(python bench/run.py --workload "$workload" --seed 17 --seconds 0 --trace 0)

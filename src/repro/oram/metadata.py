@@ -7,14 +7,34 @@ been written.  The server stores only ciphertexts; all of this metadata lives
 at the proxy and must therefore be checkpointed for durability (paper §8):
 the permutation map encrypted, the valid/invalid map in the clear (the set of
 slots read is public information).
+
+Both are fixed-width little-endian records, one per bucket, so a
+checkpoint's size is its bucket count times a width fixed by ``Z + S``:
+
+* a metadata row is the bucket id, its version and reads since the last
+  write, then one u32 per slot — the block id, or ``NO_BLOCK`` for a dummy
+  (``12 + 4 (Z + S)`` bytes);
+* a valid-map record is the bucket id (u32) and the slots' valid bits, slot
+  ``i`` in bit ``i`` (``4 + ceil((Z + S) / 8)`` bytes).
+
+Each bucket's valid bits are stored once, in the plain map; a row restores
+its bucket with every slot valid until the map is applied.
 """
 
 from __future__ import annotations
 
-import json
 import random
+import struct
 from bisect import insort
 from typing import Callable, Dict, List, Optional, Set, Tuple
+
+from repro.oram.crypto import IntegrityError
+
+#: The block id of a dummy slot or a padding entry in every checkpoint
+#: record (metadata rows, position-map entries, stash entries).
+NO_BLOCK = 0xFFFFFFFF
+#: ``bytes(valid)`` reversed, as the binary digits of the valid bitmap.
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def shuffle_in_place(items: list, getrandbits: Callable[[int], int]) -> None:
@@ -42,10 +62,10 @@ class BucketMeta:
     ``blocks[i]`` is the block id recorded in slot ``i`` (``None`` = dummy)
     and ``valid[i]`` says whether the slot is still unread since the bucket
     was last written; an invalidated slot keeps its block id until the
-    rewrite.  ``valid`` holds Python ``bool``s and nothing else: the columns
-    are checkpointed as they are, and checkpoint bytes feed the simulated
-    clock.  Between rewrites a bucket holds at most one copy of a block
-    (rewrites place stash entries, and the stash is keyed by block id).
+    rewrite.  ``valid`` holds Python ``bool``s and nothing else (the valid
+    map packs ``bytes(valid)``).  Between rewrites a bucket holds at most one
+    copy of a block (rewrites place stash entries, and the stash is keyed by
+    block id).
 
     The ascending list of *valid dummy* slot indices — what every path read
     picks from — is kept beside the columns rather than re-scanned per read.
@@ -147,19 +167,6 @@ class BucketMeta:
         self.valid = [bool(valid) for valid in valids]
         self._index_valid_dummies()
 
-    # ------------------------------------------------------------------ #
-    # Serialisation (checkpointing)
-    # ------------------------------------------------------------------ #
-    def to_row(self) -> Tuple[int, List[Optional[int]], List[bool], int, int]:
-        """The checkpoint row.  The lists are the live columns, not copies."""
-        return (self.bucket_id, self.blocks, self.valid,
-                self.reads_since_write, self.version)
-
-    @classmethod
-    def from_row(cls, row) -> "BucketMeta":
-        bucket_id, blocks, valid, reads, version = row
-        return cls(bucket_id, list(blocks), list(valid), reads, version)
-
 
 class MetadataTable:
     """All per-bucket metadata for one ORAM tree."""
@@ -174,6 +181,9 @@ class MetadataTable:
         self._rng = rng if rng is not None else random.Random()
         self._buckets: Dict[int, BucketMeta] = {}
         self._dirty: Set[int] = set()
+        slots = z_real + s_dummies
+        self._row = struct.Struct(f"<III{slots}I")
+        self._valid_record = struct.Struct(f"<I{(slots + 7) // 8}s")
 
     # ------------------------------------------------------------------ #
     # Access
@@ -231,37 +241,40 @@ class MetadataTable:
         self._dirty.clear()
 
     def serialize_full(self) -> bytes:
-        rows = [self._buckets[bid].to_row() for bid in sorted(self._buckets)]
-        payload = {
-            "num_buckets": self.num_buckets,
-            "z": self.z_real,
-            "s": self.s_dummies,
-            "rows": rows,
-        }
-        return json.dumps(payload).encode("utf-8")
+        """Every bucket's row, ascending by bucket id."""
+        return self._pack_rows(sorted(self._buckets))
 
     def serialize_delta(self) -> bytes:
-        rows = [self._buckets[bid].to_row() for bid in self.dirty_buckets()
-                if bid in self._buckets]
-        return json.dumps({"rows": rows}).encode("utf-8")
+        """The dirty buckets' rows, one ``12 + 4 (Z + S)``-byte row each."""
+        return self._pack_rows(bid for bid in self.dirty_buckets() if bid in self._buckets)
 
-    @classmethod
-    def deserialize_full(cls, blob: bytes,
-                         rng: Optional[random.Random] = None) -> "MetadataTable":
-        payload = json.loads(blob.decode("utf-8"))
-        table = cls(payload["num_buckets"], payload["z"], payload["s"], rng=rng)
-        for row in payload["rows"]:
-            meta = BucketMeta.from_row(row)
-            table._buckets[meta.bucket_id] = meta
-        table.clear_dirty()
-        return table
+    def _pack_rows(self, bucket_ids) -> bytes:
+        pack, buckets = self._row.pack, self._buckets
+        rows = []
+        for bid in bucket_ids:
+            meta = buckets[bid]
+            rows.append(pack(bid, meta.version, meta.reads_since_write,
+                             *[NO_BLOCK if block is None else block for block in meta.blocks]))
+        return b"".join(rows)
 
     def apply_delta(self, blob: bytes) -> int:
-        payload = json.loads(blob.decode("utf-8"))
-        for row in payload["rows"]:
-            meta = BucketMeta.from_row(row)
-            self._buckets[meta.bucket_id] = meta
-        return len(payload["rows"])
+        """Restore the rows of a delta (or of a full table); returns how many.
+
+        A full checkpoint is restored by applying it to an empty table.  A
+        row restores its bucket with every slot valid: the valid map, applied
+        next, holds the bits.  A blob that is not a whole number of rows
+        raises ``IntegrityError``.
+        """
+        if len(blob) % self._row.size:
+            raise IntegrityError(f"metadata of {len(blob)} bytes is not a whole "
+                                 f"number of {self._row.size}-byte rows")
+        rows = 0
+        for bid, version, reads, *slots in self._row.iter_unpack(blob):
+            blocks = [None if block == NO_BLOCK else block for block in slots]
+            self._buckets[bid] = BucketMeta(bid, blocks, reads_since_write=reads,
+                                            version=version)
+            rows += 1
+        return rows
 
     def serialize_valid_map(self, bucket_ids: Optional[List[int]] = None) -> bytes:
         """The valid/invalid map (stored unencrypted, per the paper).
@@ -271,25 +284,39 @@ class MetadataTable:
         the epoch's work rather than to the whole tree.
         """
         if bucket_ids is None:
-            selected = self._buckets.items()
-        else:
-            selected = ((bid, self._buckets[bid]) for bid in bucket_ids
-                        if bid in self._buckets)
-        rows = {str(bid): meta.valid for bid, meta in selected}
-        return json.dumps(rows, sort_keys=True).encode("utf-8")
+            bucket_ids = sorted(self._buckets)
+        pack, buckets = self._valid_record.pack, self._buckets
+        width = self._valid_record.size - 4
+        records = []
+        for bid in bucket_ids:
+            if bid in buckets:
+                bits = int(bytes(reversed(buckets[bid].valid)).translate(_BIT_DIGITS), 2)
+                records.append(pack(bid, bits.to_bytes(width, "little")))
+        return b"".join(records)
 
     def apply_valid_map(self, blob: bytes) -> None:
         """Restore checkpointed valid bits.
 
-        A checkpoint's valid rows cover the same buckets as its metadata
-        rows, so a row for an unknown bucket (or of another width) is
-        corruption.  Skipping it would leave slots the server already saw
-        read marked valid — a second read of the same slot — so it raises.
+        The map is stored in the clear and not authenticated, so its shape
+        is checked and a malformed map raises ``ValueError``: a length that
+        is not a whole number of records, a record for a bucket with no
+        metadata row, or a bit set past the bucket's slots.  A checkpoint's
+        valid records cover the same buckets as its metadata rows; skipping a
+        bad record would leave slots the server already saw read marked
+        valid — a second read of the same slot.
         """
-        rows = json.loads(blob.decode("utf-8"))
-        for bid_str, valids in rows.items():
-            meta = self._buckets.get(int(bid_str))
+        record = self._valid_record
+        if len(blob) % record.size:
+            raise ValueError(f"valid map of {len(blob)} bytes is not a whole "
+                             f"number of {record.size}-byte records")
+        slots = self.z_real + self.s_dummies
+        for bid, bitmap in record.iter_unpack(blob):
+            meta = self._buckets.get(bid)
             if meta is None:
-                raise ValueError(f"valid map names bucket {bid_str}, "
+                raise ValueError(f"valid map names bucket {bid}, "
                                  f"which has no metadata row")
-            meta.set_valid_map(valids)
+            bits = int.from_bytes(bitmap, "little")
+            if bits >> slots:
+                raise ValueError(f"valid map for bucket {bid} sets bits past "
+                                 f"its {slots} slots")
+            meta.set_valid_map([digit == "1" for digit in reversed(f"{bits:0{slots}b}")])

@@ -9,13 +9,23 @@ For durability, Obladi checkpoints the map each epoch; to keep checkpoints
 small it writes *deltas* (entries changed since the last full checkpoint)
 padded to the maximum number of entries an epoch could have changed, so the
 delta size never reveals how many real (non-padded) requests ran.
+
+Both are the same fixed-width records, one ``(block id, leaf)`` pair of
+little-endian u32s per entry; a padding entry has block id ``NO_BLOCK``.
+A full checkpoint is the delta of every entry, unpadded.
 """
 
 from __future__ import annotations
 
-import json
 import random
+import struct
 from typing import Dict, Iterator, List, Optional, Set, Tuple
+
+from repro.oram.crypto import IntegrityError
+from repro.oram.metadata import NO_BLOCK
+
+#: Bytes per checkpointed entry: block id, leaf.
+ENTRY_BYTES = 8
 
 
 class PositionMap:
@@ -80,46 +90,43 @@ class PositionMap:
         self._dirty.clear()
 
     def serialize_full(self) -> bytes:
-        """Full-map serialisation for periodic full checkpoints."""
-        payload = {"num_leaves": self.num_leaves,
-                   "positions": {str(k): v for k, v in self._positions.items()}}
-        return json.dumps(payload, sort_keys=True).encode("utf-8")
+        """Every entry, ascending by block id, for periodic full checkpoints."""
+        return _pack(sorted(self._positions.items()))
 
     def serialize_delta(self, pad_to_entries: int = 0) -> bytes:
-        """Delta serialisation padded to ``pad_to_entries`` entries.
+        """The dirty entries, padded to ``pad_to_entries`` entries.
 
-        Padding entries use the sentinel block id ``-1`` so that the byte
-        length of the delta depends only on ``pad_to_entries`` — the paper's
-        requirement that the delta size not reveal how many real requests an
-        epoch contained.
+        The blob is ``ENTRY_BYTES`` per entry, padding included, so with a pad
+        its length is ``pad_to_entries * ENTRY_BYTES`` whatever the dirty set
+        holds — the paper's requirement that the delta size not reveal how
+        many real requests an epoch contained.
         """
         entries: List[Tuple[int, int]] = sorted(self.dirty_entries().items())
         if pad_to_entries and len(entries) > pad_to_entries:
             raise ValueError(
                 f"delta has {len(entries)} entries but pad bound is {pad_to_entries}"
             )
-        while pad_to_entries and len(entries) < pad_to_entries:
-            entries.append((-1, 0))
-        payload = {"delta": entries}
-        return json.dumps(payload, sort_keys=True).encode("utf-8")
-
-    @classmethod
-    def deserialize_full(cls, blob: bytes, rng: Optional[random.Random] = None) -> "PositionMap":
-        """Rebuild a map from :meth:`serialize_full` output."""
-        payload = json.loads(blob.decode("utf-8"))
-        pmap = cls(payload["num_leaves"], rng=rng)
-        for key, leaf in payload["positions"].items():
-            pmap._positions[int(key)] = int(leaf)
-        pmap.clear_dirty()
-        return pmap
+        entries.extend([(NO_BLOCK, 0)] * (pad_to_entries - len(entries)))
+        return _pack(entries)
 
     def apply_delta(self, blob: bytes) -> int:
-        """Apply a serialised delta; returns the number of real entries applied."""
-        payload = json.loads(blob.decode("utf-8"))
+        """Apply a serialised delta (or a full map); returns the real entries applied.
+
+        A full checkpoint is restored by applying it to an empty map.  A blob
+        that is not a whole number of entries raises ``IntegrityError``.
+        """
+        if len(blob) % ENTRY_BYTES:
+            raise IntegrityError(f"position map of {len(blob)} bytes is not a whole "
+                                 f"number of {ENTRY_BYTES}-byte entries")
+        fields = struct.unpack(f"<{len(blob) // 4}I", blob)
         applied = 0
-        for block_id, leaf in payload["delta"]:
-            if block_id < 0:
-                continue
-            self._positions[int(block_id)] = int(leaf)
-            applied += 1
+        for block_id, leaf in zip(fields[0::2], fields[1::2]):
+            if block_id != NO_BLOCK:
+                self._positions[block_id] = leaf
+                applied += 1
         return applied
+
+
+def _pack(entries: List[Tuple[int, int]]) -> bytes:
+    return struct.pack(f"<{2 * len(entries)}I",
+                       *[field for entry in entries for field in entry])

@@ -18,9 +18,12 @@ flag.
 from __future__ import annotations
 
 import enum
-import json
+import struct
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
+
+from repro.oram.crypto import IntegrityError
+from repro.oram.metadata import NO_BLOCK
 
 
 class StashReason(enum.Enum):
@@ -28,6 +31,10 @@ class StashReason(enum.Enum):
 
     LOGICAL_ACCESS = "logical"
     EVICTION_RESIDUE = "residue"
+
+
+#: A reason's code in a checkpointed stash entry is its index here.
+_REASONS = (StashReason.LOGICAL_ACCESS, StashReason.EVICTION_RESIDUE)
 
 
 @dataclass
@@ -106,37 +113,46 @@ class Stash:
         """Serialise the stash padded to ``pad_to_blocks`` entries.
 
         The checkpointed stash must be padded to its maximum size so its
-        length reveals nothing about workload skew (paper §8).  Each entry is
-        encoded as (block id, leaf, reason, hex value); padding entries use
-        block id ``-1`` and a zero value of ``block_size`` bytes so real and
-        padded entries have identical encoded sizes.
+        length reveals nothing about workload skew (paper §8).  Every entry,
+        padding included, is one ``13 + block_size``-byte record — block id,
+        leaf, value length (little-endian u32s), reason code (u8), then the
+        value zero-padded to ``block_size`` — so the blob is exactly
+        ``pad_to_blocks * (13 + block_size)`` bytes whatever the stash holds.
+        A padding entry has block id ``NO_BLOCK`` and is zero otherwise.
         """
         if pad_to_blocks < len(self._entries):
             raise StashOverflowError(
                 f"cannot pad stash of {len(self._entries)} blocks to {pad_to_blocks}"
             )
-        rows: List[Tuple[int, int, str, int, str]] = []
+        record = _record(block_size)
+        rows: List[bytes] = []
         for entry in self.entries():
             if len(entry.value) > block_size:
                 raise ValueError(
                     f"stash value for block {entry.block_id} exceeds block size {block_size}"
                 )
-            value_hex = entry.value.ljust(block_size, b"\x00").hex()
-            rows.append((entry.block_id, entry.leaf, entry.reason.value,
-                         len(entry.value), value_hex))
-        filler = (b"\x00" * block_size).hex()
-        while len(rows) < pad_to_blocks:
-            rows.append((-1, 0, StashReason.LOGICAL_ACCESS.value, 0, filler))
-        return json.dumps({"stash": rows}).encode("utf-8")
+            rows.append(record.pack(entry.block_id, entry.leaf, len(entry.value),
+                                    _REASONS.index(entry.reason), entry.value))
+        rows.extend([record.pack(NO_BLOCK, 0, 0, 0, b"")] * (pad_to_blocks - len(rows)))
+        return b"".join(rows)
 
     @classmethod
-    def deserialize(cls, blob: bytes, capacity: int = 0) -> "Stash":
-        """Rebuild a stash from :meth:`serialize` output, dropping padding."""
-        payload = json.loads(blob.decode("utf-8"))
+    def deserialize(cls, blob: bytes, block_size: int, capacity: int = 0) -> "Stash":
+        """Rebuild a stash from :meth:`serialize` output, dropping padding.
+
+        A blob that is not a whole number of records raises
+        ``IntegrityError``.
+        """
+        record = _record(block_size)
+        if len(blob) % record.size:
+            raise IntegrityError(f"stash of {len(blob)} bytes is not a whole number "
+                                 f"of {record.size}-byte records")
         stash = cls(capacity=capacity)
-        for block_id, leaf, reason, length, value_hex in payload["stash"]:
-            if block_id < 0:
-                continue
-            value = bytes.fromhex(value_hex)[: int(length)]
-            stash.put(int(block_id), int(leaf), value, StashReason(reason))
+        for block_id, leaf, length, reason, value in record.iter_unpack(blob):
+            if block_id != NO_BLOCK:
+                stash.put(block_id, leaf, value[:length], _REASONS[reason])
         return stash
+
+
+def _record(block_size: int) -> struct.Struct:
+    return struct.Struct(f"<IIIB{block_size}s")

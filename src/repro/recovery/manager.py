@@ -241,16 +241,16 @@ class RecoveryManager:
                 result.bytes_read += len(blob)
             position_blob, metadata_blob, stash_blob, valid_blob, extra_blob = blobs
 
+            # A full checkpoint holds every entry and row in the delta layout;
+            # it comes first in the chain, so it lands on the empty tables.
             if full:
-                position = PositionMap.deserialize_full(position_blob, rng=part.oram.rng)
-                metadata = MetadataTable.deserialize_full(metadata_blob, rng=part.oram.rng)
                 directory = KeyDirectory.deserialize(extra_blob)
             else:
-                position.apply_delta(position_blob)
-                metadata.apply_delta(metadata_blob)
                 directory.apply_delta(extra_blob)
+            position.apply_delta(position_blob)
+            metadata.apply_delta(metadata_blob)
             metadata.apply_valid_map(valid_blob)
-            stash = Stash.deserialize(stash_blob)
+            stash = Stash.deserialize(stash_blob, params.block_size)
 
         part.oram.position_map = position
         part.oram.metadata = metadata

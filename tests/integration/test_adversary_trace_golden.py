@@ -14,8 +14,11 @@ batch as it was.  The durable tree's constant was re-recorded once more
 when crashes became storage outages: the crash now comes before the crashed
 epoch's second read batch reaches the server (a failed request), not after
 it, so those 81 slot reads are gone and every later row is stamped earlier;
-every other row's op, key, size and batch id is unchanged.  A change that
-moves them changes what the adversary sees
+every other row's op, key, size and batch id is unchanged.  All three were
+re-recorded when checkpoints became fixed-width binary records: only the
+checkpoint rows' sizes and the time stamps moved (checkpoint bytes feed the
+simulated clock); every op, key, batch id and slot size is unchanged.  A change
+that moves them changes what the adversary sees
 (an RNG draw moved, a slot choice or a version changed, a checkpoint grew)
 and must say so and re-record them in its own PR.
 
@@ -39,14 +42,14 @@ from repro.core.client import Read, Write
 KEYS = 48
 
 GOLDEN_SINGLE_DURABLE = [
-    "67e2055728edea6f367eb6d0392dfabee1690778c31dc80523d5a333dd92f1b9",
+    "28e78ff853f713db1e3a28899ddf986fcc54f16e4044456b01be57cc3e9de90a",
 ]
 GOLDEN_SHARDED_TWO_SERVERS = [
-    "3558d239bbb321a4526653354a246c241e97598ecdc51aa4b66b3927c18c0d0c",
-    "7701472fd7fa9f8ea8e27dcad6b56df90b6130a5e34615396f19890bc07f7392",
+    "6cb7ee66e3b8f397c26a852bfa5f5089f57809765434f282a368bb6d28fa855b",
+    "0be3e210b67068e8e2cdfcddc61f1d022e52bd4d67cc5da662a90db3b7511815",
 ]
 GOLDEN_IMMEDIATE_WRITES = [
-    "61f531267d44a1058154ad9e5e76ebe4d9974cd952e03f68cb68ac20875fb7eb",
+    "120e3aa1dd078dfd8af0beddda8c173e5a01b09943374599fc661a984148c976",
 ]
 
 

@@ -7,7 +7,8 @@ it kept although the proxy deleted it.  For every write batch of a short
 durable run, dropped with and without a crash and recovery afterwards, and
 for a rollback starting at every epoch boundary, the run either raises
 ``IntegrityError`` somewhere or every key reads back as the last value the
-client saw commit: never a silently wrong read.
+client saw commit: never a silently wrong read.  The plaintext valid map,
+cut short or lengthened, fails recovery in its decoder (``ValueError``).
 """
 
 import pytest
@@ -31,6 +32,7 @@ class LyingServer(InMemoryStorageServer):
         super().__init__()
         self.drop = drop
         self.rollback = ""          # "oram/", "ckpt/": which reads get older versions
+        self.edit_valid_map = None  # bytes -> bytes, applied to valid maps read
         self.write_batches = 0
         self.manifest_writes = []
         self.kept = {}
@@ -46,6 +48,12 @@ class LyingServer(InMemoryStorageServer):
     def delete_batch(self, keys):
         self.kept.update((key, self._data[key]) for key in keys if key in self._data)
         super().delete_batch(keys)
+
+    def read(self, key):
+        value = super().read(key)
+        if self.edit_valid_map is not None and key.endswith("valid_map") and value:
+            value = self.edit_valid_map(value)
+        return value
 
     def read_batch(self, keys, record_batch=True):
         values = super().read_batch(keys, record_batch)
@@ -182,4 +190,19 @@ def test_a_rolled_back_manifest_fails_recovery():
     engine = two_waves(LyingServer(drop=honest.manifest_writes[-1]))
     engine.crash()
     with pytest.raises(IntegrityError, match="rolled it back"):
+        engine.recover()
+
+
+@pytest.mark.parametrize("edit", [lambda blob: blob[:-1], lambda blob: blob + b"\x00"],
+                         ids=["truncated", "lengthened"])
+def test_a_valid_map_of_another_length_fails_recovery(edit):
+    """The valid map is stored in the clear and not authenticated, so its
+    decoder checks that it is a whole number of fixed-width records."""
+    server = LyingServer()
+    engine = engine_over(server)
+    for wave in range(3):
+        engine.submit_many([rewrite(KEYS[wave], b"w%d" % wave)])
+    engine.crash()
+    server.edit_valid_map = edit
+    with pytest.raises(ValueError, match="not a whole number"):
         engine.recover()

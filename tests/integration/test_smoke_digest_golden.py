@@ -20,8 +20,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 
 GOLDEN_SMOKE_DIGESTS = {
     "smallbank_sharded": "1f8ed560038ee2e7",
-    "tpcc_durable": "1775a171825ecf35",
-    "freehealth_openloop": "50eac5fce113d524",
+    "tpcc_durable": "c07674d031c18b90",
+    "freehealth_openloop": "c691344ed80bd34a",
     "ycsb_hot_elastic": "89708953b5737688",
 }
 

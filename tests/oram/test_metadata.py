@@ -1,10 +1,12 @@
 """Tests for per-bucket metadata (permutations, valid bits, versions)."""
 
 import random
+import struct
 
 import pytest
 
-from repro.oram.metadata import BucketMeta, MetadataTable
+from repro.oram.crypto import IntegrityError
+from repro.oram.metadata import NO_BLOCK, MetadataTable
 from repro.oram.parameters import RingOramParameters
 from repro.oram.ring_oram import RingOram
 from repro.storage.memory import InMemoryStorageServer
@@ -104,7 +106,9 @@ class TestSerialization:
         table.rewrite_bucket(0, [(1, b"a")])
         table.rewrite_bucket(7, [(2, b"b")])
         table.bucket(7).invalidate(table.bucket(7).slot_of_block(2))
-        restored = MetadataTable.deserialize_full(table.serialize_full())
+        restored = MetadataTable(15, 4, 6)
+        assert restored.apply_delta(table.serialize_full()) == 2
+        restored.apply_valid_map(table.serialize_valid_map())
         assert restored.bucket(0).real_block_ids() == [1]
         assert restored.bucket(7).slot_of_block(2) is None
         assert restored.bucket(7).version == 1
@@ -147,15 +151,43 @@ class TestSerialization:
             narrower.apply_valid_map(blob)
         assert narrower.bucket(5).valid == before
 
+    def test_valid_map_that_is_not_whole_records_is_corruption(self, table):
+        table.rewrite_bucket(0, [(1, b"a")])
+        table.rewrite_bucket(1, [(2, b"b")])
+        blob = table.serialize_valid_map()
+        assert len(blob) == 2 * (4 + 2)
+        for bad in (blob[:-1], blob + b"\x00"):
+            with pytest.raises(ValueError, match="not a whole number"):
+                table.apply_valid_map(bad)
+
+    def test_valid_map_with_bits_past_the_slots_is_corruption(self, table):
+        table.rewrite_bucket(2, [(1, b"a")])
+        with pytest.raises(ValueError, match="bucket 2 sets bits past its 10 slots"):
+            table.apply_valid_map(struct.pack("<IH", 2, 1 << 10))
+
     def test_bucket_row_roundtrip(self):
-        meta = BucketMeta(bucket_id=3, blocks=[5, None], valid=[True, False],
-                          reads_since_write=2, version=7)
-        restored = BucketMeta.from_row(meta.to_row())
-        assert restored.bucket_id == 3
-        assert restored.version == 7
+        # Bucket id, version, reads since write, then one u32 per slot (a
+        # dummy is NO_BLOCK); the valid bits live in the valid map alone.
+        row = struct.pack("<IIIII", 3, 7, 2, 5, NO_BLOCK)
+        valid_record = struct.pack("<IB", 3, 0b01)
+        table = MetadataTable(num_buckets=4, z_real=1, s_dummies=1)
+        assert table.apply_delta(row) == 1
+        assert table.bucket(3).valid == [True, True]
+        table.apply_valid_map(valid_record)
+        restored = table.bucket(3)
+        assert (restored.bucket_id, restored.version, restored.reads_since_write) == (3, 7, 2)
         assert restored.blocks == [5, None]
         assert restored.valid == [True, False]
-        assert restored.blocks is not meta.blocks and restored.valid is not meta.valid
+        assert table.serialize_full() == row
+        assert table.serialize_valid_map() == valid_record
+
+    def test_rows_that_are_not_whole_are_an_integrity_error(self, table):
+        table.rewrite_bucket(0, [(1, b"a")])
+        blob = table.serialize_full()
+        assert len(blob) == 12 + 4 * 10
+        for bad in (blob[:-1], blob + b"\x00"):
+            with pytest.raises(IntegrityError, match="not a whole number"):
+                MetadataTable(15, 4, 6).apply_delta(bad)
 
     def test_dirty_tracking_cleared(self, table):
         table.rewrite_bucket(0, [])

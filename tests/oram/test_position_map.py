@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.oram.crypto import IntegrityError
 from repro.oram.position_map import PositionMap
 
 
@@ -68,7 +69,10 @@ class TestCheckpointing:
         for block in range(10):
             pmap.lookup_or_assign(block)
         blob = pmap.serialize_full()
-        restored = PositionMap.deserialize_full(blob)
+        assert len(blob) == 10 * 8
+        restored = PositionMap(16)
+        assert restored.apply_delta(blob) == 10
+        assert restored.dirty_entries() == {}
         assert {b: restored.lookup(b) for b in range(10)} == \
                {b: pmap.lookup(b) for b in range(10)}
 
@@ -89,9 +93,8 @@ class TestCheckpointing:
         pmap.set(3, 4)
         pmap.set(5, 6)
         longer = pmap.serialize_delta(pad_to_entries=8)
-        # Both deltas encode exactly 8 rows, so their sizes are very close
-        # (the only variation is the digits of the leaf values).
-        assert abs(len(short) - len(longer)) <= 8
+        # Both deltas encode exactly 8 fixed-width entries.
+        assert len(short) == len(longer) == 8 * 8
 
     def test_delta_padding_overflow_rejected(self, pmap):
         pmap.set(1, 2)
@@ -105,3 +108,10 @@ class TestCheckpointing:
         other = PositionMap(16)
         assert other.apply_delta(blob) == 1
         assert len(other) == 1
+
+    def test_delta_that_is_not_whole_entries_is_an_integrity_error(self, pmap):
+        pmap.set(1, 2)
+        blob = pmap.serialize_delta(pad_to_entries=4)
+        for bad in (blob[:-1], blob + b"\x00"):
+            with pytest.raises(IntegrityError, match="not a whole number"):
+                PositionMap(16).apply_delta(bad)

@@ -1,14 +1,15 @@
 """Tests for the Ring ORAM planner, run by the epoch executor one logical
 operation per epoch (``tests.conftest.OneOpPerEpoch``)."""
 
-import json
 import random
+import struct
 
 import pytest
 
 from repro.oram import path_math
 from repro.oram.crypto import CipherSuite, IntegrityError, freshness_context
 from repro.oram.dependency import simulate_parallel_read_batch, simulate_parallel_write_batch
+from repro.oram.metadata import NO_BLOCK
 from repro.oram.ring_oram import BucketRewrite, slot_key_prefix, slot_storage_key
 from repro.sim.latency import CpuCostModel, LatencyModel, get_latency_model
 
@@ -16,10 +17,17 @@ from tests.conftest import OneOpPerEpoch, stored_versions, tree_slot_key
 
 
 def plant(oram, bucket_id, slot_index, block_id, valid):
-    """Overwrite one slot's record, the way restoring a checkpoint delta does."""
-    row = json.loads(json.dumps(oram.metadata.bucket(bucket_id).to_row()))
-    row[1][slot_index], row[2][slot_index] = block_id, valid
-    oram.metadata.apply_delta(json.dumps({"rows": [row]}).encode())
+    """Overwrite one slot's record, the way restoring a checkpoint delta does:
+    the bucket's metadata row, then its valid-map record."""
+    meta = oram.metadata.bucket(bucket_id)
+    blocks = [NO_BLOCK if block is None else block for block in meta.blocks]
+    valids = list(meta.valid)
+    blocks[slot_index], valids[slot_index] = block_id, valid
+    oram.metadata.apply_delta(struct.pack(f"<III{len(blocks)}I", bucket_id, meta.version,
+                                          meta.reads_since_write, *blocks))
+    bits = sum(1 << index for index, still_valid in enumerate(valids) if still_valid)
+    oram.metadata.apply_valid_map(struct.pack("<I", bucket_id)
+                                  + bits.to_bytes((len(valids) + 7) // 8, "little"))
 
 
 class TestBasicCorrectness:

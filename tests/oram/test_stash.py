@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.oram.crypto import IntegrityError
 from repro.oram.stash import Stash, StashOverflowError, StashReason
 
 
@@ -77,7 +78,7 @@ class TestSerialization:
         stash.put(1, 3, b"alpha")
         stash.put(2, 7, b"beta", StashReason.EVICTION_RESIDUE)
         blob = stash.serialize(pad_to_blocks=8, block_size=16)
-        restored = Stash.deserialize(blob)
+        restored = Stash.deserialize(blob, block_size=16)
         assert restored.get(1).value == b"alpha"
         assert restored.get(2).reason is StashReason.EVICTION_RESIDUE
         assert len(restored) == 2
@@ -89,14 +90,22 @@ class TestSerialization:
             large.put(block, 0, b"y" * 16)
         blob_small = small.serialize(pad_to_blocks=8, block_size=16)
         blob_large = large.serialize(pad_to_blocks=8, block_size=16)
-        # Both serialise eight rows of identical per-row size.
-        assert abs(len(blob_small) - len(blob_large)) <= 16
+        # Both serialise eight records of 13 + 16 bytes.
+        assert len(blob_small) == len(blob_large) == 8 * (13 + 16)
 
     def test_values_with_trailing_zero_bytes_survive(self):
         stash = Stash()
         stash.put(1, 0, b"abc\x00\x00")
         blob = stash.serialize(pad_to_blocks=2, block_size=16)
-        assert Stash.deserialize(blob).get(1).value == b"abc\x00\x00"
+        assert Stash.deserialize(blob, block_size=16).get(1).value == b"abc\x00\x00"
+
+    def test_blob_that_is_not_whole_records_is_an_integrity_error(self):
+        stash = Stash()
+        stash.put(1, 0, b"v")
+        blob = stash.serialize(pad_to_blocks=2, block_size=16)
+        for bad in (blob[:-1], blob + b"\x00"):
+            with pytest.raises(IntegrityError, match="not a whole number"):
+                Stash.deserialize(bad, block_size=16)
 
     def test_serialize_rejects_pad_below_occupancy(self):
         stash = Stash()

@@ -12,13 +12,13 @@ single-live-copy invariant can be asserted alongside.
 
 And the checkpoint bytes are frozen: ``RecoveryManager`` advances the
 simulated clock by checkpoint size, so the encoding is part of the model.
-The columns are handed to ``json.dumps`` as they are; a per-slot model kept
-by the test, encoded the way the object-per-slot layout was, must give the
-same bytes after any sequence of slot operations.
+A per-slot model kept by the test, encoded field by field with
+``struct.pack`` in the fixed-width layout, must give the same bytes as the
+columns after any sequence of slot operations.
 """
 
-import json
 import random
+import struct
 from collections import Counter
 
 from hypothesis import given
@@ -33,6 +33,22 @@ STEPS = st.lists(
                                "round_trip"]),
               st.integers(0, BUCKETS - 1), st.integers(0, 1 << 16)),
     max_size=80)
+
+
+def valid_record(bucket_id, valids):
+    """One valid-map record, packed slot by slot: bucket id, then bit i = slot i."""
+    bits = 0
+    for index, valid in enumerate(valids):
+        bits |= int(valid) << index
+    return struct.pack("<I", bucket_id) + bits.to_bytes((Z + S + 7) // 8, "little")
+
+
+def restored(table, rng=None):
+    """A table rebuilt from ``table``'s full checkpoint: rows, then valid map."""
+    replica = MetadataTable(BUCKETS, Z, S, rng=rng)
+    replica.apply_delta(table.serialize_full())
+    replica.apply_valid_map(table.serialize_valid_map())
+    return replica
 
 
 def scanned_valid_dummies(meta):
@@ -82,10 +98,9 @@ def test_kept_dummy_list_equals_scan_and_blocks_stay_single(steps, seed):
             valids = [was and not (pick >> i) & 1 for i, was in enumerate(meta.valid)]
             stash.update(block for block, was, valid in zip(meta.blocks, meta.valid, valids)
                          if was and not valid and block is not None)
-            table.apply_valid_map(json.dumps({str(bucket_id): valids}).encode())
-        else:                                   # to_row -> json -> from_row
-            table = MetadataTable.deserialize_full(table.serialize_full(),
-                                                   rng=random.Random(seed))
+            table.apply_valid_map(valid_record(bucket_id, valids))
+        else:                                   # full checkpoint -> fresh table
+            table = restored(table, rng=random.Random(seed))
         check(table, stash)
 
 
@@ -107,25 +122,24 @@ class SlotModel:
             "reads": 0, "version": meta.version}
         self.dirty.add(meta.bucket_id)
 
-    # The encoders below are the pre-column ``to_row`` / ``serialize_*``
-    # bodies, comprehension for comprehension.
+    # The reference encoders: every field and slot packed on its own.
     def row(self, bucket_id):
         record = self.buckets[bucket_id]
-        return (bucket_id,
-                [slot[0] for slot in record["slots"]],
-                [slot[1] for slot in record["slots"]],
-                record["reads"], record["version"])
+        row = struct.pack("<I", bucket_id) + struct.pack("<I", record["version"]) \
+            + struct.pack("<I", record["reads"])
+        for block, _ in record["slots"]:
+            row += struct.pack("<I", 0xFFFFFFFF if block is None else block)
+        return row
 
     def full(self):
-        return json.dumps({"num_buckets": BUCKETS, "z": Z, "s": S,
-                           "rows": [self.row(b) for b in sorted(self.buckets)]}).encode()
+        return b"".join(self.row(b) for b in sorted(self.buckets))
 
     def delta(self):
-        return json.dumps({"rows": [self.row(b) for b in sorted(self.dirty)]}).encode()
+        return b"".join(self.row(b) for b in sorted(self.dirty))
 
     def valid_map(self, bucket_ids):
-        rows = {str(b): [slot[1] for slot in self.buckets[b]["slots"]] for b in bucket_ids}
-        return json.dumps(rows, sort_keys=True).encode()
+        return b"".join(valid_record(b, [slot[1] for slot in self.buckets[b]["slots"]])
+                        for b in bucket_ids)
 
 
 BYTES_STEPS = st.lists(
@@ -141,7 +155,7 @@ def test_checkpoint_bytes_equal_the_per_slot_encoding(steps, seed):
     for bucket_id in range(0, BUCKETS, 2):          # the rest appear on first use
         table.rewrite_bucket(bucket_id, [(bucket_id, b"")])
     model = SlotModel(table)
-    replica = MetadataTable.deserialize_full(table.serialize_full())
+    replica = restored(table)
     table.clear_dirty()
     model.dirty.clear()
 
@@ -182,6 +196,7 @@ def test_checkpoint_bytes_equal_the_per_slot_encoding(steps, seed):
             assert replica.apply_delta(delta) == len(model.dirty)
             replica.apply_valid_map(valid_blob)
             assert replica.serialize_full() == table.serialize_full()
+            assert replica.serialize_valid_map() == table.serialize_valid_map()
             table.clear_dirty()
             model.dirty.clear()
             continue
@@ -191,7 +206,8 @@ def test_checkpoint_bytes_equal_the_per_slot_encoding(steps, seed):
         assert table.serialize_full() == model.full()
         assert table.serialize_delta() == model.delta()
         assert table.serialize_valid_map() == model.valid_map(sorted(model.buckets))
-        restored = MetadataTable.deserialize_full(table.serialize_full())
-        assert restored.serialize_full() == model.full()
-        assert [restored.bucket(b).valid_dummy_slots() for b in sorted(model.buckets)] \
+        replica_now = restored(table)
+        assert replica_now.serialize_full() == model.full()
+        assert replica_now.serialize_valid_map() == model.valid_map(sorted(model.buckets))
+        assert [replica_now.bucket(b).valid_dummy_slots() for b in sorted(model.buckets)] \
             == [table.bucket(b).valid_dummy_slots() for b in sorted(model.buckets)]
