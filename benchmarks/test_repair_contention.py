@@ -4,7 +4,8 @@ Retry — the default conflict strategy — re-queues an MVTSO conflict loser
 into the next wave and re-executes it from scratch, so at a contended hotspot
 every retry has roughly the same probability of losing again and offered
 load past the knee is amplified into wasted work.  Repair
-(:mod:`repro.concurrency.repair`) instead re-executes the loser against the
+(:meth:`repro.core.proxy.ObladiProxy._repair_conflict_losers`, ARCHITECTURE
+"Conflict resolution") instead re-executes the loser against the
 winning versions inside the very epoch that detected the conflict, with a
 fresh (highest) timestamp, so most losers are salvaged without another trip
 through the load generator.

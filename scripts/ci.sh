@@ -7,12 +7,13 @@ cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-# Docs gate: the README/ARCHITECTURE doctest snippets must execute, and
-# every exported repro.api / repro.core / repro.sharding / repro.proxytier /
+# Docs gate: the README/ARCHITECTURE doctest snippets must execute, every
+# exported repro.api / repro.core / repro.sharding / repro.proxytier /
 # repro.audit / repro.concurrency / repro.elasticity / repro.storage /
 # repro.oram / repro.recovery / repro.harness / repro.analysis symbol must
-# carry a docstring.
-echo "== docs gate: doctests + exported-symbol docstrings =="
+# carry a docstring, and every dotted repro.x.y name in README.md, docs/*.md
+# and the src/repro docstrings must resolve.
+echo "== docs gate: doctests + exported-symbol docstrings + dotted names =="
 python -m doctest docs/ARCHITECTURE.md README.md
 python scripts/check_docstrings.py
 

@@ -3,8 +3,9 @@
 Each adapter is thin: it owns one underlying system (the Obladi proxy, the
 NoPriv executor, or the strict-2PL store) and maps the uniform
 :class:`~repro.api.engine.TransactionEngine` surface onto it.  The wave
-loop, retrying and result bookkeeping all live in :mod:`repro.api.loop` and
-:mod:`repro.api.results`; nothing here duplicates them.
+loop, retrying and result bookkeeping all live in :mod:`repro.api.loop`,
+:mod:`repro.api.results` and the ledger of
+:class:`~repro.api.engine.TransactionEngine`; nothing here duplicates them.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ class ObladiEngine(TransactionEngine):
     """The Obladi proxy behind the engine interface.
 
     One ``submit_many`` wave is one proxy epoch: the wave's programs are
-    queued, ``run_epoch`` executes them, and the epoch's results are
-    returned in submission order (admission preserves queue order and MVTSO
-    assigns monotonically increasing transaction ids).
+    queued, ``run_epoch`` executes them and hands back the epoch's results
+    in submission order (admission preserves queue order), and those
+    results enter the engine's ledger the moment the epoch has committed.
 
     The engine must own the proxy's queue: programs submitted directly on
     the wrapped proxy in the middle of a wave would shift the id-to-program
@@ -44,13 +45,10 @@ class ObladiEngine(TransactionEngine):
 
     def __init__(self, proxy) -> None:
         self.proxy = proxy
-        # Lifetime stats are measured from here, not from clock zero: a
-        # shared clock may already have advanced before this engine existed.
-        self._start_ms = proxy.clock.now_ms
-        # Contributions of proxies retired by crash/recover cycles (and by
-        # reshard cutovers), so the engine's lifetime accounting survives
-        # proxy replacement.
-        self._retired = RunStats(engine=self.name)
+        super().__init__()
+        # Counters and history of proxies retired by crash/recover cycles
+        # (and by reshard cutovers): outcomes live in the engine's ledger,
+        # but these two are the proxy's own.
         self._retired_counters = Counters()
         self._retired_history: list = []
         # Live-resharding state (repro.elasticity): a staged plan waits for
@@ -65,9 +63,6 @@ class ObladiEngine(TransactionEngine):
     def load_initial_data(self, items: Dict[str, bytes]) -> None:
         self.proxy.load_initial_data(items)
 
-    def submit(self, program) -> TransactionResult:
-        return self.submit_many([program])[0]
-
     def submit_many(self, programs: Sequence[ProgramFactory]) -> List[TransactionResult]:
         # Programs reach the proxy as given: a generator object is one-shot,
         # so conflict repair must be able to tell it from a factory.
@@ -77,10 +72,10 @@ class ObladiEngine(TransactionEngine):
             self._begin_staged_reshard()
             for program in programs:
                 self.proxy.submit(program)
-            summary = self.proxy.run_epoch()
-            epoch_results = [r for r in self.proxy.results.values()
-                             if r.epoch == summary.epoch_id]
-            ordered = sorted(epoch_results, key=lambda r: r.txn_id)
+            _, results = self.proxy.run_epoch()
+            # The epoch has committed: its outcomes are in the ledger even
+            # if the cutover below fails and this call raises.
+            self._record_wave(results)
             if self._migration is not None and self._migration.done:
                 self._cutover()
         except ConnectionError:
@@ -89,8 +84,8 @@ class ObladiEngine(TransactionEngine):
             # hold.
             self.crash()
             raise
-        self._notify_wave(ordered)
-        return ordered
+        self._notify_wave(results)
+        return results
 
     def open_loop_wave_limit(self) -> int:
         """One open-loop wave is one epoch: pipeline a full epoch batch.
@@ -111,47 +106,9 @@ class ObladiEngine(TransactionEngine):
                                                  arrivals_dropped=dropped)
 
     # -- introspection -------------------------------------------------- #
-    def stats(self) -> RunStats:
-        retired = self._retired
-        # A copy of the retired proxies' totals, plus the live proxy's.
-        stats = replace(retired, latencies_ms=list(retired.latencies_ms),
-                        results=list(retired.results),
-                        aborts_by_reason=dict(retired.aborts_by_reason))
-        self._absorb(stats, self.proxy)
-        stats.elapsed_ms = self.clock.now_ms - self._start_ms
-        # Every abort wasted its attempt; a failed repair wasted one more on
-        # top (see ``account_final_result``).
-        stats.wasted_attempts = stats.aborted + stats.repair_failed
+    def _stamp(self, stats: RunStats) -> None:
+        """Attach the completed migration windows, which the engine owns."""
         stats.migrations = tuple(self._migration_reports)
-        self.counters().write_to(stats)
-        return stats
-
-    @staticmethod
-    def _absorb(total: RunStats, proxy) -> None:
-        """Add one proxy incarnation's outcomes to ``total`` (not its counters)."""
-        results = list(proxy.results.values())
-        total.committed += proxy.stats_committed
-        total.aborted += proxy.stats_aborted
-        total.epochs += len(proxy.epoch_summaries)
-        total.latencies_ms.extend(r.latency_ms for r in results if r.committed)
-        total.results.extend(results)
-        total.repaired += proxy.stats_repaired
-        total.repair_failed += proxy.stats_repair_failed
-        for result in results:
-            if not result.committed and result.abort_reason:
-                total.aborts_by_reason[result.abort_reason] = (
-                    total.aborts_by_reason.get(result.abort_reason, 0) + 1)
-
-    def _notify_run_end(self, stats: RunStats) -> None:
-        """Stamp completed migration windows before observers see the stats.
-
-        Loop drivers build their own ``RunStats``; the engine owns the
-        migration record, so it is attached here — ahead of observer
-        callbacks like the autoscale controller's, which publishes its
-        decisions on the same object.
-        """
-        stats.migrations = tuple(self._migration_reports)
-        super()._notify_run_end(stats)
 
     @property
     def clock(self):
@@ -247,7 +204,7 @@ class ObladiEngine(TransactionEngine):
         """Retire the proxy and install the target topology behind a new one.
 
         Mirrors :meth:`recover`'s retirement bookkeeping — a cutover is a
-        bloodless crash/recover: the engine's lifetime stats and committed
+        bloodless crash/recover: the engine's lifetime counters and committed
         history absorb the old proxy, the (migration-populated or handed-
         over) data layer moves behind a freshly built proxy, and MVTSO
         timestamps/transaction ids keep extending the same serialization
@@ -292,21 +249,20 @@ class ObladiEngine(TransactionEngine):
         self.proxy.crash()
 
     def _retire_proxy(self, old) -> None:
-        """Fold a proxy's lifetime contribution into the retired accumulators.
+        """Fold a proxy's counters and history into the retired accumulators.
 
         Shared by :meth:`recover` and the reshard cutover: both replace
-        ``self.proxy`` and must not lose the old incarnation's committed
-        work, I/O counters or history.
+        ``self.proxy`` and must not lose the old incarnation's I/O counters
+        or history (its outcomes are already in the ledger).
         """
-        self._absorb(self._retired, old)
         self._retired_counters += self._proxy_counters(old)
         self._retired_history.extend(old.committed_history)
 
     def recover(self):
         """Build a fresh proxy from the untrusted store; returns the report.
 
-        The crashed proxy's committed work stays in the engine's lifetime
-        stats and history — a crash loses in-flight state, not the record of
+        The crashed proxy's committed work stays in the engine's ledger and
+        history — a crash loses in-flight state, not the record of
         what already committed durably.  An in-flight reshard dies with the
         crash: its staged plan and half-copied target generation are
         volatile, and recovery lands on whichever side of the migration
@@ -347,50 +303,24 @@ class _BaselineEngine(TransactionEngine):
 
     def __init__(self, impl) -> None:
         self.impl = impl
-        self._lifetime = RunStats(engine=self.name)
-        # See ObladiEngine: shared clocks may predate this engine.
-        self._start_ms = impl.clock.now_ms
+        super().__init__()
 
     # -- data plane ----------------------------------------------------- #
     def load_initial_data(self, items: Dict[str, bytes]) -> None:
         self.impl.load_initial_data(items)
 
-    def submit(self, program) -> TransactionResult:
-        return self.submit_many([program])[0]
-
     def submit_many(self, programs: Sequence[ProgramFactory]) -> List[TransactionResult]:
         if not programs:
             return []
         wave = self.impl.run_transactions([_as_factory(p) for p in programs])
-        total = self._lifetime
-        total.committed += wave.committed
-        total.aborted += wave.aborted
-        total.cpu_ms += wave.cpu_ms
-        total.epochs += 1
-        total.latencies_ms.extend(wave.latencies_ms)
-        total.results.extend(wave.results)
         # Programs start in submission order with monotonically increasing
         # txn ids, so sorting by id restores submission order.
         ordered = sorted(wave.results, key=lambda r: r.txn_id)
+        self._record_wave(ordered)
         self._notify_wave(ordered)
         return ordered
 
     # -- introspection -------------------------------------------------- #
-    def stats(self) -> RunStats:
-        total = self._lifetime
-        # Snapshot, not the live accumulator: callers may hold or mutate it.
-        stats = RunStats(
-            engine=self.name,
-            committed=total.committed,
-            aborted=total.aborted,
-            elapsed_ms=self.clock.now_ms - self._start_ms,
-            epochs=total.epochs,
-            latencies_ms=list(total.latencies_ms),
-            results=list(total.results),
-        )
-        self.counters().write_to(stats)
-        return stats
-
     @property
     def clock(self):
         return self.impl.clock
@@ -408,7 +338,7 @@ class _BaselineEngine(TransactionEngine):
         storage = self.impl.storage
         io = (storage.stats_reads, storage.stats_writes)
         return Counters(physical_reads=io[0], physical_writes=io[1],
-                        server_physical=[io], cpu_ms=self._lifetime.cpu_ms)
+                        server_physical=[io], cpu_ms=self.impl.cpu_ms)
 
 
 class NoPrivEngine(_BaselineEngine):

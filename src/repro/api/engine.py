@@ -19,7 +19,7 @@ from __future__ import annotations
 import abc
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.api.results import Counters
+from repro.api.results import Counters, RunStats
 from repro.core.client import Read, Transaction, TransactionResult
 
 ProgramFactory = Callable[[], object]
@@ -45,12 +45,24 @@ class TransactionEngine(abc.ABC):
 
     Concrete engines are created with :func:`repro.api.create_engine`; the
     adapters in :mod:`repro.api.adapters` wrap the underlying systems.
+
+    The engine keeps one ledger: every result a ``submit_many`` wave
+    delivered, entered once by :meth:`_record_wave`.  :meth:`stats` is a
+    fold of it, so a crash, recovery or reshard cutover behind the engine
+    cannot lose or double-count an outcome its clients were told.
     """
 
     #: Stable engine name (matches the ``create_engine`` kind).
     name: str = "engine"
     #: Whether :meth:`crash` / :meth:`recover` are meaningful.
     supports_crash_recovery: bool = False
+
+    def __init__(self) -> None:
+        # Lifetime stats are measured from here, not from clock zero: a
+        # shared clock may already have advanced before this engine existed.
+        self._start_ms = self.clock.now_ms
+        self._waves = 0
+        self._delivered: List[TransactionResult] = []
 
     # ------------------------------------------------------------------ #
     # Data plane
@@ -59,9 +71,9 @@ class TransactionEngine(abc.ABC):
     def load_initial_data(self, items: Dict[str, bytes]) -> None:
         """Bulk-load a dataset before serving transactions."""
 
-    @abc.abstractmethod
     def submit(self, program) -> TransactionResult:
         """Execute one transaction program to completion and return its fate."""
+        return self.submit_many([program])[0]
 
     @abc.abstractmethod
     def submit_many(self, programs: Sequence[ProgramFactory]) -> List[TransactionResult]:
@@ -71,7 +83,8 @@ class TransactionEngine(abc.ABC):
         of ``programs[i]``).  This is the primitive both loop drivers build
         on: for the Obladi proxy one wave is one epoch; for the baselines it
         is one batch of concurrent client slots.  An engine runs the wave it
-        is given, once; retrying is the drivers' job.
+        is given, once; retrying is the drivers' job.  Every wave's results
+        enter the ledger (:meth:`_record_wave`) as soon as they are final.
         """
 
     def read(self, key: str) -> Optional[bytes]:
@@ -186,22 +199,54 @@ class TransactionEngine(abc.ABC):
         if hasattr(self, "_observers") and observer in self._observers:
             self._observers.remove(observer)
 
+    def _record_wave(self, results: List[TransactionResult]) -> None:
+        """Enter one wave's delivered results into the ledger (engines call this)."""
+        self._waves += 1
+        self._delivered.extend(results)
+
     def _notify_wave(self, results) -> None:
         """Notify observers that a wave committed (engines call this)."""
         for observer in getattr(self, "_observers", ()):
             observer.on_wave(self, results)
 
     def _notify_run_end(self, stats) -> None:
-        """Notify observers that a loop driver finished (drivers call this)."""
+        """Stamp a loop driver's ``RunStats``, then notify observers (drivers call this).
+
+        Stamping comes first so observers (the autoscale controller, which
+        publishes its decisions on the same object) see the whole record.
+        """
+        self._stamp(stats)
         for observer in getattr(self, "_observers", ()):
             observer.on_run_end(self, stats)
 
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    @abc.abstractmethod
-    def stats(self):
-        """Cumulative :class:`~repro.api.results.RunStats` over the engine's lifetime."""
+    def stats(self) -> RunStats:
+        """Cumulative :class:`~repro.api.results.RunStats` over the engine's lifetime.
+
+        The ledger folded with the loop drivers' own per-result function
+        (:func:`repro.api.loop.account_final_result`), so a run's
+        ``RunStats`` and the lifetime stats count outcomes identically;
+        ``epochs`` counts the recorded waves, and the counters are the
+        engine's lifetime :meth:`counters`.  A fresh value on every call.
+        """
+        from repro.api.loop import account_final_result
+        stats = RunStats(engine=self.name, epochs=self._waves,
+                         elapsed_ms=self.clock.now_ms - self._start_ms)
+        for result in self._delivered:
+            account_final_result(stats, result)
+        self.counters().write_to(stats)
+        self._stamp(stats)
+        return stats
+
+    def _stamp(self, stats: RunStats) -> None:
+        """Attach engine-owned records to ``stats`` before anyone reads it.
+
+        Called on :meth:`stats` and on every loop driver's ``RunStats``
+        (:meth:`_notify_run_end`).  The default attaches nothing; the Obladi
+        engine stamps its completed migration windows.
+        """
 
     @property
     @abc.abstractmethod

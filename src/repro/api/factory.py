@@ -199,8 +199,8 @@ class EngineConfig:
         ``"repair"`` re-executes losers against the winning versions inside
         the epoch that detected the conflict, so salvaged transactions ride
         the same padded write batch instead of costing a full extra
-        attempt (see ``repro.concurrency.repair`` and the "Conflict
-        resolution" chapter of ``docs/ARCHITECTURE.md``).
+        attempt (see :meth:`repro.core.proxy.ObladiProxy._repair_conflict_losers`
+        and the "Conflict resolution" chapter of ``docs/ARCHITECTURE.md``).
         """
         return replace(self, conflict_strategy=strategy)
 

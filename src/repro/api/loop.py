@@ -67,23 +67,31 @@ class _OnDemand(ProgramSupply):
 
 
 def account_final_result(stats: RunStats, result) -> None:
-    """Fold one result into the repair and abort breakdown.
+    """Fold one delivered result into ``stats``' outcome counts.
 
-    ``wasted_attempts`` counts discarded work: every aborted attempt wastes
-    one, and a failed repair wastes one more on top of the abort it could
-    not prevent — while a *successful* repair salvages its attempt and
-    wastes nothing.
+    The one per-result accounting: :func:`run_waves` folds each wave's
+    results with it, and :meth:`TransactionEngine.stats()
+    <repro.api.engine.TransactionEngine.stats>` folds every result the
+    engine ever delivered.  ``wasted_attempts`` counts discarded work: every
+    aborted attempt wastes one, and a failed repair wastes one more on top
+    of the abort it could not prevent — while a *successful* repair
+    salvages its attempt and wastes nothing.
     """
-    if getattr(result, "repaired", False):
-        stats.repaired += 1
-    if getattr(result, "repair_failed", False):
-        stats.repair_failed += 1
-        stats.wasted_attempts += 1
-    if not result.committed:
+    stats.results.append(result)
+    if result.committed:
+        stats.committed += 1
+        stats.latencies_ms.append(result.latency_ms)
+    else:
+        stats.aborted += 1
         stats.wasted_attempts += 1
         if result.abort_reason:
             stats.aborts_by_reason[result.abort_reason] = (
                 stats.aborts_by_reason.get(result.abort_reason, 0) + 1)
+    if result.repaired:
+        stats.repaired += 1
+    if result.repair_failed:
+        stats.repair_failed += 1
+        stats.wasted_attempts += 1
 
 
 def run_waves(engine: TransactionEngine, stats: RunStats, supply: ProgramSupply,
@@ -123,19 +131,13 @@ def run_waves(engine: TransactionEngine, stats: RunStats, supply: ProgramSupply,
                                          dropped=stats.dropped)
 
         for (factory, attempts, ready_ms), result in zip(wave, results):
-            stats.results.append(result)
             account_final_result(stats, result)
             if result.committed:
-                stats.committed += 1
-                stats.latencies_ms.append(result.latency_ms)
                 if supply.queued:
                     stats.queue_delays_ms.append(dispatch_ms - ready_ms)
-            else:
-                stats.aborted += 1
-                if attempts < max_retries:
-                    retry_pool.append((factory, attempts + 1,
-                                       engine.clock.now_ms))
-                    stats.retries += 1
+            elif attempts < max_retries:
+                retry_pool.append((factory, attempts + 1, engine.clock.now_ms))
+                stats.retries += 1
 
     stats.elapsed_ms = engine.clock.now_ms - start_ms
     (engine.counters() - before).write_to(stats)

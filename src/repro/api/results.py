@@ -146,7 +146,7 @@ class RunStats:
         from ``repr`` and ``==`` so audited fixed-seed runs compare
         byte-identical to unaudited ones.
     repaired / repair_failed:
-        Conflict-repair accounting (``repro.concurrency.repair``): final
+        Conflict-repair accounting (``ObladiConfig.conflict_strategy``): final
         results whose transaction lost an MVTSO conflict but was repaired
         and committed, and repair attempts that still ended in an abort.
         Both stay 0 under the default retry strategy.

@@ -76,6 +76,8 @@ class WaveExecutor:
             storage.clock = self.clock
         self.storage = storage
         self.committed_history: List[CommittedTransaction] = []
+        #: Simulated proxy CPU spent over every wave this executor ran.
+        self.cpu_ms = 0.0
 
     # -- data loading and raw storage access ---------------------------- #
     def load_initial_data(self, items: Dict[str, bytes]) -> None:
@@ -115,6 +117,7 @@ class WaveExecutor:
 
         run = self._run
         run.cpu_ms = self._cpu_ms
+        self.cpu_ms += self._cpu_ms
         run.elapsed_ms = max(self._finish_ms, self._cpu_ms)
         # Slot times are wave-local; anchor the shared clock at the call's
         # start so consecutive waves accumulate simulated time correctly.

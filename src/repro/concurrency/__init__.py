@@ -8,13 +8,11 @@ causes late writers to abort.  Transactions that observed uncommitted data
 record write-read dependencies and abort in cascade if a dependency aborts.
 
 The package also contains a strict two-phase-locking store used by the
-"MySQL" baseline of Figure 9, the offline serializability check
+"MySQL" baseline of Figure 9 and the offline serializability check
 :func:`check_serializable` (the benchmark runs it on every round's history,
-and the auditor's tests compare against it), and the conflict witness of
-transaction repair (``repro.concurrency.repair``):
-:meth:`MVTSOManager.stale_reads` says which of a conflict loser's reads went
-stale and which writer won, which is what the proxy's in-epoch repair pass
-(``ObladiConfig.conflict_strategy="repair"``) recomputes.
+and the auditor's tests compare against it).  Transaction repair
+(``ObladiConfig.conflict_strategy="repair"``) is the proxy's, not this
+package's: :meth:`repro.core.proxy.ObladiProxy._repair_conflict_losers`.
 """
 
 from repro.concurrency.transaction import TransactionRecord, TransactionStatus
@@ -23,7 +21,6 @@ from repro.concurrency.versions import Version, VersionChain, VersionStore
 from repro.concurrency.serializability import check_serializable
 from repro.concurrency.transaction import CommittedTransaction
 from repro.concurrency.two_phase_locking import LockManager, LockMode, DeadlockError
-from repro.concurrency.repair import ConflictWitness
 
 __all__ = [
     "TransactionRecord",
@@ -38,5 +35,4 @@ __all__ = [
     "LockManager",
     "LockMode",
     "DeadlockError",
-    "ConflictWitness",
 ]

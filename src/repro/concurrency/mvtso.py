@@ -204,36 +204,6 @@ class MVTSOManager:
         self.mark_version_state(txn)
 
     # ------------------------------------------------------------------ #
-    # Conflict witnesses
-    # ------------------------------------------------------------------ #
-    def stale_reads(self, txn: TransactionRecord) -> List[Tuple[str, int, int]]:
-        """The conflict witness for an epoch loser: which reads went stale.
-
-        For every read-set entry whose observed version is no longer what a
-        fresh read at the chain tip would return — the observed writer
-        aborted, or a younger writer installed a newer live version —
-        returns a ``(key, observed_writer_ts, winner_ts)`` triple, sorted
-        by key.  ``-1`` stands for "the pre-epoch base value" on either
-        side.  This is the input a repair pass needs: re-read exactly these
-        keys against the winning versions, leave the rest of the read set
-        untouched.
-        """
-        stale: List[Tuple[str, int, int]] = []
-        for key, observed_ts in sorted(txn.read_set.items()):
-            chain = self.store.get_chain(key)
-            winner_ts = -1
-            if chain is not None:
-                # Chains are ordered by writer_ts; the winner is the last
-                # non-aborted version.
-                for version in reversed(chain.versions):
-                    if not version.aborted:
-                        winner_ts = version.writer_ts
-                        break
-            if winner_ts != observed_ts:
-                stale.append((key, observed_ts, winner_ts))
-        return stale
-
-    # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
     def _transaction_with_ts(self, ts: int) -> Optional[TransactionRecord]:

@@ -93,7 +93,8 @@ class TransactionResult:
     """Outcome of one transaction as reported to the client.
 
     ``repaired``/``repair_failed`` record whether the result went through a
-    conflict-repair pass (``repro.concurrency.repair``): ``repaired`` means
+    conflict-repair pass (:meth:`repro.core.proxy.ObladiProxy._repair_conflict_losers`,
+    ARCHITECTURE "Conflict resolution"): ``repaired`` means
     the transaction lost an MVTSO conflict but was re-executed against the
     winning versions and committed; ``repair_failed`` means repair was
     attempted and the transaction still aborted.  Both are excluded from

@@ -107,7 +107,8 @@ class ObladiConfig:
     # behaviour) leaves recovery to the loop drivers' abort+retry path;
     # "repair" re-executes losers against the winning versions inside the
     # epoch that detected the conflict, under the same epoch barrier
-    # (``repro.concurrency.repair``).
+    # (``ObladiProxy._repair_conflict_losers``; ARCHITECTURE "Conflict
+    # resolution").
     conflict_strategy: str = "retry"
 
     # Security toggles (used by ablation benchmarks).

@@ -10,10 +10,12 @@ durable — or, on a crash, disappears entirely (epoch fate sharing).
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, Sequence
 
 from repro.concurrency.transaction import TransactionRecord
+from repro.core.client import TransactionResult
 
 
 class EpochPhase(enum.Enum):
@@ -35,28 +37,11 @@ class EpochState:
     end_ms: float = 0.0
 
     transactions: Dict[int, TransactionRecord] = field(default_factory=dict)
-    committed_txn_ids: List[int] = field(default_factory=list)
-    aborted_txn_ids: List[int] = field(default_factory=list)
-
-    # Conflict-resolution observability: the epoch's aborts broken out by
-    # ``AbortReason.value``, and the transactions the in-epoch repair pass
-    # salvaged (committed after repair) or failed to salvage.
-    aborts_by_reason: Dict[str, int] = field(default_factory=dict)
-    repaired_txn_ids: List[int] = field(default_factory=list)
-    repair_failed_txn_ids: List[int] = field(default_factory=list)
-
-    read_batches_dispatched: int = 0
-    physical_read_keys: List[List[str]] = field(default_factory=list)
-    write_batch_keys: List[str] = field(default_factory=list)
 
     def admit(self, txn: TransactionRecord) -> None:
         if self.phase is not EpochPhase.OPEN:
             raise ValueError(f"epoch {self.epoch_id} is {self.phase.value}; cannot admit")
         self.transactions[txn.txn_id] = txn
-
-    def record_read_batch(self, physical_keys: List[str]) -> None:
-        self.read_batches_dispatched += 1
-        self.physical_read_keys.append(list(physical_keys))
 
     def finish(self, phase: EpochPhase, now_ms: float) -> None:
         if phase not in (EpochPhase.COMMITTED, EpochPhase.ABORTED):
@@ -67,12 +52,6 @@ class EpochState:
     @property
     def duration_ms(self) -> float:
         return max(0.0, self.end_ms - self.start_ms)
-
-    def committed_count(self) -> int:
-        return len(self.committed_txn_ids)
-
-    def aborted_count(self) -> int:
-        return len(self.aborted_txn_ids)
 
 
 @dataclass
@@ -89,11 +68,13 @@ class EpochSummary:
     concurrency-control operations per proxy worker for this epoch.  The
     single-proxy path reports no breakdown (empty tuple).
 
-    ``aborts_by_reason`` breaks the epoch's aborts out by
-    ``AbortReason.value`` as sorted ``(reason, count)`` pairs, and
-    ``repaired``/``repair_failed`` count the transactions the in-epoch
-    repair pass salvaged or gave up on (both stay 0 under the default
-    ``conflict_strategy="retry"``).
+    ``committed``/``aborted`` and the rest of the outcome counts are a
+    fold of the epoch's :class:`~repro.core.client.TransactionResult`\\ s,
+    the one record of what the epoch's clients were told:
+    ``aborts_by_reason`` breaks the aborts out by ``AbortReason.value`` as
+    sorted ``(reason, count)`` pairs, and ``repaired``/``repair_failed``
+    count the transactions the in-epoch repair pass salvaged or gave up on
+    (both stay 0 under the default ``conflict_strategy="retry"``).
 
     ``queue_depth``/``arrivals_dropped`` mirror the open-loop load
     generator's admission queue when the epoch was one of its waves
@@ -119,21 +100,24 @@ class EpochSummary:
     repair_failed: int = 0
 
     @classmethod
-    def from_state(cls, state: EpochState, physical_reads: int,
-                   physical_writes: int,
+    def from_state(cls, state: EpochState, results: Sequence[TransactionResult],
+                   physical_reads: int, physical_writes: int,
                    partition_physical: tuple = (),
                    worker_ops: tuple = ()) -> "EpochSummary":
+        committed = sum(result.committed for result in results)
+        aborts = Counter(result.abort_reason for result in results
+                         if not result.committed and result.abort_reason)
         return cls(
             epoch_id=state.epoch_id,
             phase=state.phase,
             duration_ms=state.duration_ms,
-            committed=state.committed_count(),
-            aborted=state.aborted_count(),
+            committed=committed,
+            aborted=len(results) - committed,
             physical_reads=physical_reads,
             physical_writes=physical_writes,
             partition_physical=tuple(partition_physical),
             worker_ops=tuple(worker_ops),
-            aborts_by_reason=tuple(sorted(state.aborts_by_reason.items())),
-            repaired=len(state.repaired_txn_ids),
-            repair_failed=len(state.repair_failed_txn_ids),
+            aborts_by_reason=tuple(sorted(aborts.items())),
+            repaired=sum(result.repaired for result in results),
+            repair_failed=sum(result.repair_failed for result in results),
         )

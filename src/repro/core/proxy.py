@@ -29,10 +29,9 @@ same document).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Union
+from typing import Dict, Generator, List, Optional, Tuple, Union
 
 from repro.concurrency.mvtso import MVTSOManager, WriteConflictError
-from repro.concurrency.repair import ConflictWitness
 from repro.concurrency.transaction import (AbortReason, CommittedTransaction,
                                            TransactionRecord, TransactionStatus)
 from repro.core.batch_manager import BatchManager
@@ -140,18 +139,8 @@ class ObladiProxy:
         # that committed histories can be checked for serializability.
         self._last_writer_ts: Dict[str, int] = {}
 
-        self.results: Dict[int, TransactionResult] = {}
         self.committed_history: List[CommittedTransaction] = []
         self.epoch_summaries: List[EpochSummary] = []
-        self.stats_committed = 0
-        self.stats_aborted = 0
-        # Conflict-repair accounting (``conflict_strategy="repair"``): how
-        # many conflict losers the in-epoch repair pass salvaged / gave up
-        # on, and the conflict witnesses (which reads went stale, which
-        # writer won) collected per repair attempt.
-        self.stats_repaired = 0
-        self.stats_repair_failed = 0
-        self.repair_witnesses: List[ConflictWitness] = []
 
     # ------------------------------------------------------------------ #
     # Public client API
@@ -189,11 +178,14 @@ class ObladiProxy:
     # ------------------------------------------------------------------ #
     # Epoch execution
     # ------------------------------------------------------------------ #
-    def run_epoch(self) -> EpochSummary:
+    def run_epoch(self) -> Tuple[EpochSummary, List[TransactionResult]]:
         """Execute one epoch over the queued transactions.
 
-        Returns a summary.  Raises :class:`ProxyCrashedError` if the proxy
-        has crashed and has not been recovered.
+        Returns the epoch's summary and its results, one per queued program
+        in submission order.  The proxy keeps no results of its own: what it
+        hands back here is the only record of what its clients were told.
+        Raises :class:`ProxyCrashedError` if the proxy has crashed and has
+        not been recovered.
         """
         self._check_alive()
         epoch_id = self._epoch_counter
@@ -223,7 +215,6 @@ class ObladiProxy:
                 self.recovery.log_read_batch(epoch_id, batch.index, batch.keys,
                                              self.config.read_batch_size)
             self.data_layer.execute_read_batch(batch.keys, self.config.read_batch_size)
-            state.record_read_batch(batch.keys)
             self._deliver_values(admitted)
             self._finish_round(epoch_start_ms, round_index)
 
@@ -231,7 +222,7 @@ class ObladiProxy:
         # values and issue their remaining writes.
         self._advance_transactions(admitted, state, final_round=True)
 
-        self._finalize_epoch(admitted, state)
+        results = self._finalize_epoch(admitted, state)
 
         # Live resharding: one padded migration copy step rides each epoch
         # barrier (``repro.elasticity``); its reads from the retiring layer
@@ -245,11 +236,11 @@ class ObladiProxy:
                                    in zip(physical_before, physical_after))
         physical_reads = sum(reads for reads, _ in partition_physical)
         physical_writes = sum(writes for _, writes in partition_physical)
-        summary = EpochSummary.from_state(state, physical_reads, physical_writes,
+        summary = EpochSummary.from_state(state, results, physical_reads, physical_writes,
                                           partition_physical=partition_physical,
                                           **self._summary_extras())
         self.epoch_summaries.append(summary)
-        return summary
+        return summary, results
 
     def _finish_round(self, epoch_start_ms: float, round_index: int) -> None:
         """Close one read-batch round: charge CC CPU, wait for the boundary.
@@ -461,7 +452,8 @@ class ObladiProxy:
     # ------------------------------------------------------------------ #
     # Epoch finalisation
     # ------------------------------------------------------------------ #
-    def _finalize_epoch(self, admitted: List[_ActiveTransaction], state: EpochState) -> None:
+    def _finalize_epoch(self, admitted: List[_ActiveTransaction],
+                        state: EpochState) -> List[TransactionResult]:
         state.phase = EpochPhase.WRITE_BACK
         # CC work from the final round (writes issued after the last batch
         # boundary) has no boundary to absorb it; charge it up front so the
@@ -492,35 +484,25 @@ class ObladiProxy:
         if self.config.conflict_strategy == "repair":
             self._repair_conflict_losers(admitted, state, now)
 
-        # The write batch may overflow; shed the youngest writers until it fits.
-        write_back = self._collect_write_back(admitted)
+        # The write batch may overflow; shed the youngest writers until it
+        # fits.  The commit pass below aborts nothing, so the accepted set is
+        # the one written back.
         while True:
             try:
-                batch_items = self.batch_manager.build_write_batch(write_back)
+                batch_items = self.batch_manager.build_write_batch(
+                    self._collect_write_back(admitted))
                 break
             except BatchFullError:
-                victim = self._youngest_committed_writer(admitted)
-                if victim is None:
-                    batch_items = dict(list(write_back.items())[: self.config.write_batch_size])
-                    batch_items = {k: (v if v is not None else b"") for k, v in batch_items.items()}
-                    break
+                victim = self._youngest_writer(admitted)
                 self.mvtso.abort(victim.record, AbortReason.BATCH_FULL, now_ms=now)
-                write_back = self._collect_write_back(admitted)
 
         # Finalise commit status now that the shedding is done.
-        committed_records: List[TransactionRecord] = []
         for active in sorted(admitted, key=lambda a: a.record.timestamp):
             record = active.record
             if record.status is TransactionStatus.COMMIT_REQUESTED and self.mvtso.can_commit(record):
                 self.mvtso.commit(record, now_ms=now)
-                committed_records.append(record)
-
-        write_back = self._collect_write_back(admitted)
-        batch_items = {k: (v if v is not None else b"")
-                       for k, v in sorted(write_back.items())[: self.config.write_batch_size]}
 
         self.data_layer.execute_write_batch(batch_items, self.config.write_batch_size)
-        state.write_batch_keys = sorted(batch_items)
         # Write-through replication: a live migration (``repro.elasticity``)
         # must re-copy every key this epoch rewrote; hand it the committed
         # values directly so its copy steps never pick up stale entries from
@@ -543,45 +525,29 @@ class ObladiProxy:
         end_ms = self.clock.now_ms
         state.finish(EpochPhase.COMMITTED, end_ms)
 
-        # Client notification.  A repaired transaction keeps reporting under
-        # its original txn id (``result_txn_id``) even though its repaired
-        # execution ran under a fresh MVTSO record.
+        # Client notification, in admission (= submission) order.  A
+        # repaired transaction keeps reporting under its original txn id
+        # (``result_txn_id``) even though its repaired execution ran under a
+        # fresh MVTSO record.
+        results = []
         for active in admitted:
             record = active.record
             committed = record.status is TransactionStatus.COMMITTED
-            result_txn_id = (record.txn_id if active.result_txn_id is None
-                             else active.result_txn_id)
-            repaired = active.repair_attempts > 0 and committed
-            repair_failed = active.repair_attempts > 0 and not committed
             record.finish_time_ms = end_ms
-            if committed:
-                state.committed_txn_ids.append(record.txn_id)
-                self.stats_committed += 1
-                if repaired:
-                    state.repaired_txn_ids.append(record.txn_id)
-                    self.stats_repaired += 1
-            else:
-                state.aborted_txn_ids.append(record.txn_id)
-                self.stats_aborted += 1
-                if record.abort_reason is not None:
-                    reason = record.abort_reason.value
-                    state.aborts_by_reason[reason] = (
-                        state.aborts_by_reason.get(reason, 0) + 1)
-                if repair_failed:
-                    state.repair_failed_txn_ids.append(record.txn_id)
-                    self.stats_repair_failed += 1
-            self.results[result_txn_id] = TransactionResult(
-                txn_id=result_txn_id,
+            results.append(TransactionResult(
+                txn_id=(record.txn_id if active.result_txn_id is None
+                        else active.result_txn_id),
                 committed=committed,
                 return_value=active.return_value if committed else None,
                 abort_reason=record.abort_reason.value if record.abort_reason else None,
                 latency_ms=record.latency_ms(),
                 epoch=state.epoch_id,
-                repaired=repaired,
-                repair_failed=repair_failed,
-            )
+                repaired=active.repair_attempts > 0 and committed,
+                repair_failed=active.repair_attempts > 0 and not committed,
+            ))
 
         self.mvtso.reset_epoch_state()
+        return results
 
     def _record_commits(self, admitted: List[_ActiveTransaction],
                         batch_items: Dict[str, bytes]) -> None:
@@ -613,8 +579,8 @@ class ObladiProxy:
         """In-epoch transaction repair: re-run conflict losers against the winners.
 
         For each admitted transaction that lost an MVTSO conflict (and only
-        those — see ``_REPAIRABLE_REASONS``), record its conflict witness,
-        then re-execute its program under a fresh MVTSO record.  The fresh
+        those — see ``_REPAIRABLE_REASONS``), re-execute its program under a
+        fresh MVTSO record.  The fresh
         record gets the epoch's highest timestamp, so its re-reads observe
         exactly the winning versions (aborted versions are invisible) and
         its writes cannot conflict with any read marker already placed.
@@ -638,7 +604,6 @@ class ObladiProxy:
                 continue
             if active.repair_attempts > 0 or not callable(active.program):
                 continue
-            self.repair_witnesses.append(ConflictWitness.from_record(self.mvtso, old))
             active.repair_attempts += 1
             if active.result_txn_id is None:
                 active.result_txn_id = old.txn_id
@@ -687,14 +652,15 @@ class ObladiProxy:
                 eligible[key] = value
         return eligible
 
-    def _youngest_committed_writer(self, admitted: List[_ActiveTransaction]
-                                   ) -> Optional[_ActiveTransaction]:
-        """The youngest not-yet-aborted transaction that wrote something."""
-        candidates = [a for a in admitted
-                      if a.record.status is not TransactionStatus.ABORTED and a.record.write_set]
-        if not candidates:
-            return None
-        return max(candidates, key=lambda a: a.record.timestamp)
+    @staticmethod
+    def _youngest_writer(admitted: List[_ActiveTransaction]) -> _ActiveTransaction:
+        """The youngest not-yet-aborted transaction that wrote something.
+
+        Only called while the write-back set is non-empty, so one exists.
+        """
+        return max((a for a in admitted
+                    if a.record.status is not TransactionStatus.ABORTED and a.record.write_set),
+                   key=lambda a: a.record.timestamp)
 
     # ------------------------------------------------------------------ #
     # Durability / crash handling

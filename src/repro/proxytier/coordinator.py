@@ -155,7 +155,7 @@ class ProxyCoordinator(ObladiProxy):
         self.clock.advance(makespan)
         self.cc_cpu_ms += makespan
 
-    def _finalize_epoch(self, admitted, state) -> None:
+    def _finalize_epoch(self, admitted, state):
         """Run the epoch barrier (2PC prepare), then finalise as usual.
 
         Votes are collected — and counted as worker lane work — before the
@@ -164,7 +164,7 @@ class ProxyCoordinator(ObladiProxy):
         prices the barrier into the epoch's clock time.
         """
         self.mvtso.prepare_epoch([active.record for active in admitted])
-        super()._finalize_epoch(admitted, state)
+        return super()._finalize_epoch(admitted, state)
 
     def _prepare_repaired(self, records) -> None:
         """Vote repaired transactions through the epoch barrier.

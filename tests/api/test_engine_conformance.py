@@ -21,6 +21,7 @@ identity holds across a resharding run.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -909,3 +910,67 @@ class TestElasticSeamRegression:
         assert report is not None and report.decisions == ()
         assert runs["autoscaled"].migrations == ()
         assert repr(runs["bare"]) == repr(runs["autoscaled"])
+
+
+#: The ledger test's variants: both baselines and every Obladi topology,
+#: each under both conflict strategies.
+LEDGER_VARIANTS = [(kind, 1, 1, 1, strategy) for kind in ("nopriv", "mysql")
+                   for strategy in STRATEGIES] + \
+    [("obladi",) + topology for topology in OBLADI_TOPOLOGIES]
+
+
+class TestLedger:
+    """``engine.stats()`` is a fold of the results the engine delivered:
+    across runs, a crash and recovery, and a reshard cutover, its outcome
+    counts are the sum of the runs' ``RunStats`` and of the epochs'
+    ``EpochSummary`` counts — nothing is lost and nothing counted twice."""
+
+    @pytest.mark.parametrize("variant", LEDGER_VARIANTS, ids=_variant_id)
+    def test_stats_is_the_fold_of_every_run(self, variant):
+        kind, shards, servers, workers, strategy = variant
+        config = (_config(shards, servers, workers, strategy)
+                  .with_batching(read_batches=3, read_batch_size=8, write_batch_size=8)
+                  .with_durability(kind == "obladi"))
+        eng = create_engine(kind, config)
+        eng.load_initial_data({f"k{i}": b"0" for i in range(NUM_KEYS)})
+        incarnations = [getattr(eng, "proxy", None)]
+        runs = [eng.run_closed_loop(mixed_source(seed=11), 24, clients=6)]
+        if eng.supports_crash_recovery:
+            eng.crash()
+            eng.recover()
+            incarnations.append(eng.proxy)
+        runs.append(eng.run_closed_loop(mixed_source(seed=13), 24, clients=6))
+        if eng.supports_reshard:
+            eng.reshard(ReshardPlan(shards=2, storage_servers=1, proxy_workers=1))
+            while eng.reshard_in_flight:
+                runs.append(eng.run_closed_loop(mixed_source(seed=len(runs)), 8,
+                                                clients=4))
+            incarnations.append(eng.proxy)
+            assert eng.proxy.config.shards == 2
+
+        stats = eng.stats()
+        assert stats.committed == sum(run.committed for run in runs) > 0
+        assert stats.aborted == sum(run.aborted for run in runs)
+        assert stats.latencies_ms == [ms for run in runs for ms in run.latencies_ms]
+        assert stats.results == [result for run in runs for result in run.results]
+        assert stats.repaired == sum(run.repaired for run in runs)
+        assert stats.repair_failed == sum(run.repair_failed for run in runs)
+        assert stats.wasted_attempts == sum(run.wasted_attempts for run in runs)
+        assert stats.aborts_by_reason == dict(sum(
+            (Counter(run.aborts_by_reason) for run in runs), Counter()))
+        assert stats.epochs == sum(run.epochs for run in runs)
+        assert stats.committed == len(eng.committed_history)
+        if kind != "obladi":
+            return
+        # The hot keys conflict: every variant has losers to account for.
+        assert stats.aborted + stats.repaired > 0
+        assert (stats.repaired > 0) == (strategy == "repair")
+        summaries = [summary for proxy in incarnations
+                     for summary in proxy.epoch_summaries]
+        assert len(summaries) == stats.epochs
+        assert sum(s.committed for s in summaries) == stats.committed
+        assert sum(s.aborted for s in summaries) == stats.aborted
+        assert sum(s.repaired for s in summaries) == stats.repaired
+        assert sum(s.repair_failed for s in summaries) == stats.repair_failed
+        assert dict(sum((Counter(dict(s.aborts_by_reason)) for s in summaries),
+                        Counter())) == stats.aborts_by_reason

@@ -54,7 +54,6 @@ CONCURRENCY = [
     "LockManager",
     "LockMode",
     "DeadlockError",
-    "ConflictWitness",
 ]
 
 

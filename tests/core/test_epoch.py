@@ -3,6 +3,7 @@
 import pytest
 
 from repro.concurrency.transaction import TransactionRecord
+from repro.core.client import TransactionResult
 from repro.core.epoch import EpochPhase, EpochState, EpochSummary
 
 
@@ -22,13 +23,6 @@ class TestEpochState:
         with pytest.raises(ValueError):
             state.admit(make_txn(2))
 
-    def test_record_read_batch(self):
-        state = EpochState(epoch_id=0)
-        state.record_read_batch(["a", "b"])
-        state.record_read_batch(["c"])
-        assert state.read_batches_dispatched == 2
-        assert state.physical_read_keys[1] == ["c"]
-
     def test_finish_requires_terminal_phase(self):
         state = EpochState(epoch_id=0)
         with pytest.raises(ValueError):
@@ -39,21 +33,31 @@ class TestEpochState:
         state.finish(EpochPhase.COMMITTED, now_ms=35.0)
         assert state.duration_ms == pytest.approx(25.0)
 
-    def test_counts(self):
-        state = EpochState(epoch_id=0)
-        state.committed_txn_ids.extend([1, 2])
-        state.aborted_txn_ids.append(3)
-        assert state.committed_count() == 2
-        assert state.aborted_count() == 1
-
 
 class TestEpochSummary:
     def test_from_state(self):
         state = EpochState(epoch_id=3, start_ms=0.0)
-        state.committed_txn_ids.append(1)
         state.finish(EpochPhase.COMMITTED, now_ms=12.0)
-        summary = EpochSummary.from_state(state, physical_reads=100, physical_writes=40)
+        results = [TransactionResult(txn_id=1, committed=True, epoch=3)]
+        summary = EpochSummary.from_state(state, results, physical_reads=100,
+                                          physical_writes=40)
         assert summary.epoch_id == 3
         assert summary.committed == 1
         assert summary.physical_reads == 100
         assert summary.duration_ms == pytest.approx(12.0)
+
+    def test_outcome_counts_are_a_fold_of_the_results(self):
+        state = EpochState(epoch_id=0)
+        results = [
+            TransactionResult(txn_id=1, committed=True, repaired=True),
+            TransactionResult(txn_id=2, committed=False, abort_reason="write_conflict",
+                              repair_failed=True),
+            TransactionResult(txn_id=3, committed=False, abort_reason="epoch_boundary"),
+            TransactionResult(txn_id=4, committed=False, abort_reason="write_conflict"),
+            TransactionResult(txn_id=5, committed=True),
+        ]
+        summary = EpochSummary.from_state(state, results, physical_reads=0,
+                                          physical_writes=0)
+        assert (summary.committed, summary.aborted) == (2, 3)
+        assert summary.aborts_by_reason == (("epoch_boundary", 1), ("write_conflict", 2))
+        assert (summary.repaired, summary.repair_failed) == (1, 1)

@@ -105,24 +105,26 @@ class TestEpochSemantics:
 
     def test_commit_notification_only_at_epoch_end(self, proxy):
         proxy.submit(write_program("k1", b"epoch-write"))
-        assert proxy.results == {}
-        summary = proxy.run_epoch()
-        assert summary.committed >= 1
-        assert len(proxy.results) == 1
+        assert proxy.committed_history == []
+        summary, results = proxy.run_epoch()
+        assert summary.committed == 1
+        assert [(r.committed, r.epoch) for r in results] == [(True, summary.epoch_id)]
+        assert len(proxy.committed_history) == 1
 
     def test_epoch_counter_advances(self, proxy):
-        first = proxy.run_epoch()
-        second = proxy.run_epoch()
+        first, _ = proxy.run_epoch()
+        second, _ = proxy.run_epoch()
         assert second.epoch_id == first.epoch_id + 1
 
     def test_empty_epoch_commits_nothing(self, proxy):
-        summary = proxy.run_epoch()
+        summary, results = proxy.run_epoch()
+        assert results == []
         assert summary.committed == 0
         assert summary.aborted == 0
 
     def test_epoch_duration_is_at_least_the_batch_intervals(self, proxy):
         proxy.submit(read_program("k1"))
-        summary = proxy.run_epoch()
+        summary, _ = proxy.run_epoch()
         assert summary.duration_ms >= proxy.config.epoch_length_ms * 0.99
 
     def test_dependent_reads_use_multiple_batches(self, engine):
@@ -301,11 +303,12 @@ class TestSerializabilityAndDurability:
         # 6 transactions each writing 1 distinct key: only 4 fit the batch.
         for i in range(6):
             proxy.submit(write_program(f"w{i}", b"x"))
-        summary = proxy.run_epoch()
+        summary, results = proxy.run_epoch()
         assert summary.committed == 4
         assert summary.aborted == 2
-        reasons = {r.abort_reason for r in proxy.results.values() if not r.committed}
-        assert reasons == {"batch_full"}
+        assert summary.aborts_by_reason == (("batch_full", 2),)
+        # The youngest writers are shed: submission order is timestamp order.
+        assert [r.abort_reason for r in results] == [None] * 4 + ["batch_full"] * 2
 
     def test_load_initial_data_checkpoints_when_durable(self, durable_proxy):
         # The fixture already loaded data; a checkpoint manifest must exist.

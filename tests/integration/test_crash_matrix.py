@@ -288,3 +288,55 @@ def test_larger_trees_recover_from_a_crash_anywhere(row, where):
     _, _, mutations = reference(cfg, migrate)
     assert crash_and_check(cfg, migrate, int(where * mutations),
                            recovery_after=int(where * 97) % 11) is not None
+
+
+@pytest.mark.parametrize("shards,servers,workers,frequency,migrate",
+                         [MATRIX[2], MATRIX[7]], ids=["shards2", "shards2-servers2"])
+def test_the_ledger_keeps_the_epoch_a_failed_cutover_followed(shards, servers, workers,
+                                                              frequency, migrate):
+    """Crash at every mutation of a reshard's cutover — its fence checkpoint
+    and the retiring generation's deletes.  The wave's epoch committed
+    before the fence, so although ``submit_many`` raises, its results are in
+    the engine's ledger, before and after ``recover()``: ``stats()`` counts
+    exactly the committed history."""
+    cfg = config(shards, servers, workers, frequency).to_obladi_config()
+    width = cfg.read_batch_size
+
+    def run_until_cutover(engine):
+        """Reshard, then write waves until the cutover; returns its wave."""
+        engine.reshard(ReshardPlan(shards=2 * shards,
+                                   storage_servers=servers + (migrate == "shards+server")))
+        for wave in range(20):
+            engine.submit_many([rewrite(key, value)
+                                for key, value in wave_writes(wave, width)])
+            if not engine.reshard_in_flight:
+                return wave
+        raise AssertionError("the migration never cut over")
+
+    # The fault-free run: which wave cuts over, and the cutover's mutations.
+    engine = create_engine("obladi", cfg)
+    engine.load_initial_data(LOADED)
+    engine.storage.fail(NEVER)
+    starts = []
+
+    def counted_cutover(cutover=engine._cutover):
+        starts.append(NEVER - outage_left(engine.storage))
+        cutover()
+
+    engine._cutover = counted_cutover
+    last = run_until_cutover(engine)
+    (start,) = starts
+    end = NEVER - outage_left(engine.storage)
+    assert end - start > 10
+
+    for after in range(start, end):
+        engine = create_engine("obladi", cfg)
+        engine.load_initial_data(LOADED)
+        engine.storage.fail(after)
+        with pytest.raises(ConnectionError):
+            run_until_cutover(engine)
+        assert engine.stats().epochs == last + 1, after
+        assert engine.stats().committed == len(engine.committed_history), after
+        engine.storage.recover()
+        engine.recover()
+        assert engine.stats().committed == len(engine.committed_history), after

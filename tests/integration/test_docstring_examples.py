@@ -4,11 +4,14 @@ Every module under ``src/repro`` is imported and handed to
 ``doctest.testmod``.  The test also fails if no example was attempted at
 all, so a change that stops the walk from finding the modules cannot turn
 the gate into a no-op.  ``README.md`` and ``docs/ARCHITECTURE.md`` are run
-the way ``python -m doctest`` runs them.
+the way ``python -m doctest`` runs them.  The docs gate of
+``scripts/check_docstrings.py`` runs here too: every exported symbol has a
+docstring and every dotted ``repro`` name in the docs resolves.
 """
 
 import doctest
 import importlib
+import importlib.util
 import os
 import pkgutil
 
@@ -37,3 +40,24 @@ def test_every_example_in_the_docs_passes(document):
                               module_relative=False)
     assert result.attempted > 0
     assert result.failed == 0
+
+
+def _docs_gate():
+    path = os.path.join(_ROOT, "scripts", "check_docstrings.py")
+    spec = importlib.util.spec_from_file_location("check_docstrings", path)
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    return gate
+
+
+def test_docs_gate_passes(capsys):
+    assert _docs_gate().main() == 0, capsys.readouterr().out
+
+
+def test_docs_gate_rejects_a_dangling_dotted_name():
+    gate = _docs_gate()
+    assert gate.resolves("repro.api.loop.run_waves")
+    assert gate.resolves("repro.core.epoch.EpochSummary.epoch_id")   # a field, no default
+    assert gate.resolves("repro.core.proxy.ObladiProxy._repair_conflict_losers")
+    assert not gate.resolves("repro.concurrency.repair")
+    assert not gate.resolves("repro.oram.batch_executor._fetch_slots")

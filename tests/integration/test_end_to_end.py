@@ -90,11 +90,12 @@ class TestTPCCEndToEnd:
         data = workload.initial_data()
         proxy = obladi_for(data, "tpcc")
         order_ids = []
+        results = []
         for _ in range(4):
             for _ in range(3):
                 proxy.submit(workload.new_order_program(warehouse=0, district=0))
-            proxy.run_epoch()
-        for result in proxy.results.values():
+            results += proxy.run_epoch()[1]
+        for result in results:
             if result.committed and isinstance(result.return_value, dict):
                 order_ids.append(result.return_value["order"])
         assert len(order_ids) == len(set(order_ids)), "duplicate order ids handed out"
@@ -116,11 +117,12 @@ class TestFreeHealthEndToEnd:
         workload = FreeHealthWorkload(FreeHealthConfig(num_patients=5, num_drugs=10, seed=3))
         data = workload.initial_data()
         proxy = obladi_for(data, "freehealth")
+        results = []
         for _ in range(3):
             for _ in range(4):
                 proxy.submit(workload.create_episode_program(patient=1))
-            proxy.run_epoch()
-        committed_episodes = [r.return_value["episode"] for r in proxy.results.values()
+            results += proxy.run_epoch()[1]
+        committed_episodes = [r.return_value["episode"] for r in results
                               if r.committed and isinstance(r.return_value, dict)
                               and "episode" in r.return_value]
         assert len(committed_episodes) == len(set(committed_episodes))

@@ -68,12 +68,12 @@ class TestTamperDetection:
 
         proxy.submit(sweep)
         try:
-            proxy.run_epoch()
+            _, results = proxy.run_epoch()
         except IntegrityError:
             return  # detected, as required
         # If the swapped slots were not touched this epoch, the values that
         # were read must still be correct.
-        for result in proxy.results.values():
+        for result in results:
             if result.committed and isinstance(result.return_value, dict):
                 for i, value in result.return_value.items():
                     if value is not None:

@@ -187,7 +187,9 @@ class TestEpochBarrier:
 
 class TestWorkerLaneCpu:
     def run_epochs(self, proxy, epochs=4):
+        """Run ``epochs`` contended epochs; returns the proxy and their results."""
         proxy.load_initial_data({f"k{i}": b"0" for i in range(32)})
+        results = []
         for epoch in range(epochs):
             for offset in range(8):
                 key_a, key_b = f"k{(epoch * 7 + offset) % 32}", f"k{offset}"
@@ -198,12 +200,12 @@ class TestWorkerLaneCpu:
                     return True
 
                 proxy.submit(program)
-            proxy.run_epoch()
-        return proxy
+            results += proxy.run_epoch()[1]
+        return proxy, results
 
     def test_unpriced_cc_never_touches_the_clock(self):
-        single = self.run_epochs(build_proxy(make_config(workers=1)))
-        sharded = self.run_epochs(build_proxy(make_config(workers=4)))
+        single, _ = self.run_epochs(build_proxy(make_config(workers=1)))
+        sharded, _ = self.run_epochs(build_proxy(make_config(workers=4)))
         assert sharded.clock.now_ms == single.clock.now_ms
         assert sharded.cc_cpu_ms == 0.0
         assert sharded.lane_stats.charges == 0
@@ -212,12 +214,13 @@ class TestWorkerLaneCpu:
         # A proxy-CPU-bound shape: the batch interval is too small to absorb
         # the CC work, so the serial-vs-lanes difference reaches the clock
         # (with roomy intervals both are absorbed and only cc_cpu_ms moves).
-        single = self.run_epochs(build_proxy(
+        single, single_results = self.run_epochs(build_proxy(
             make_config(workers=1, cc_op_ms=0.05, batch_interval_ms=0.25)))
-        sharded = self.run_epochs(build_proxy(
+        sharded, sharded_results = self.run_epochs(build_proxy(
             make_config(workers=4, cc_op_ms=0.05, batch_interval_ms=0.25)))
         # Identical transaction outcomes either way...
-        assert sharded.stats_committed == single.stats_committed
+        assert [(r.txn_id, r.committed, r.abort_reason) for r in sharded_results] == \
+            [(r.txn_id, r.committed, r.abort_reason) for r in single_results]
         # ...but the sharded tier charges the lanes' makespan, which beats
         # the single proxy's serial charge whenever work is spread out.
         assert 0 < sharded.cc_cpu_ms < single.cc_cpu_ms
@@ -231,7 +234,7 @@ class TestWorkerLaneCpu:
             sharded.lane_stats.serial_ms)
 
     def test_epoch_summary_worker_ops_sum_to_manager_totals(self):
-        sharded = self.run_epochs(build_proxy(make_config(workers=4)))
+        sharded, _ = self.run_epochs(build_proxy(make_config(workers=4)))
         per_worker_totals = sharded.worker_op_totals()
         summed = [tuple(sum(epoch.worker_ops[index][column]
                             for epoch in sharded.epoch_summaries)

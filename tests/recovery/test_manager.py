@@ -3,11 +3,13 @@
 import pytest
 
 from repro.api import ObladiEngine
-from repro.core.client import Read, Write
+from repro.core.client import Read, ReadMany, Write
+from repro.core.config import ObladiConfig, RingOramConfig
 from repro.core.errors import ProxyCrashedError
 from repro.core.proxy import ObladiProxy
 from repro.oram.crypto import IntegrityError
 from repro.recovery.manager import derive_key, recover_proxy
+from repro.storage.backend import StorageOp
 
 from tests.conftest import read_program, tree_slot_key, write_program
 
@@ -167,5 +169,33 @@ class TestRecovery:
         proxy.crash()
         recovered, _ = recover(proxy)
         recovered.submit(read_program("k1"))
-        summary = recovered.run_epoch()
+        summary, _ = recovered.run_epoch()
         assert summary.epoch_id >= epochs_before - 1
+
+
+def recovery_slot_reads(real_reads):
+    """ORAM slots ``recover()`` reads after a crash at the first WAL append of
+    an epoch whose one transaction reads ``real_reads`` distinct keys."""
+    config = ObladiConfig(oram=RingOramConfig(num_blocks=64, z_real=4, block_size=64),
+                          read_batches=2, read_batch_size=8, write_batch_size=8,
+                          backend="server", durability=True, seed=5)
+    proxy = ObladiProxy(config)
+    proxy.load_initial_data({f"k{i}": b"v" for i in range(16)})
+
+    def program():
+        return (yield ReadMany([f"k{i}" for i in range(real_reads)]))
+
+    crash_after_mutations(proxy, 1, program)
+    proxy.storage.trace.clear()
+    recover(proxy)
+    return sum("oram/" in key for key in proxy.storage.trace.keys_accessed(StorageOp.READ))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "replay reads one path per logged real key, not the padded batch the "
+    "server saw (ROADMAP item 9, leftovers); the fix pads replay to the "
+    "logged padded_size and re-records the durable goldens"))
+def test_replay_reads_do_not_reveal_the_aborted_epochs_real_reads():
+    """Both worlds logged one padded read batch of ``b_read`` rows before the
+    crash; an observer of recovery must not tell one real read from six."""
+    assert recovery_slot_reads(1) == recovery_slot_reads(6)
