@@ -72,10 +72,10 @@ class ObladiEngine(TransactionEngine):
             self._begin_staged_reshard()
             for program in programs:
                 self.proxy.submit(program)
-            _, results = self.proxy.run_epoch()
-            # The epoch has committed: its outcomes are in the ledger even
-            # if the cutover below fails and this call raises.
-            self._record_wave(results)
+            # The epoch enters the ledger at its commit, so a crash in the
+            # deletes and copy step after it, or in the cutover below,
+            # cannot lose it.
+            _, results = self.proxy.run_epoch(deliver=self._record_wave)
             if self._migration is not None and self._migration.done:
                 self._cutover()
         except ConnectionError:

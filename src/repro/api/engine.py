@@ -49,7 +49,9 @@ class TransactionEngine(abc.ABC):
     The engine keeps one ledger: every result a ``submit_many`` wave
     delivered, entered once by :meth:`_record_wave`.  :meth:`stats` is a
     fold of it, so a crash, recovery or reshard cutover behind the engine
-    cannot lose or double-count an outcome its clients were told.
+    cannot lose or double-count an outcome its clients were told.  The
+    ledger starts in ``__init__``, which reads :attr:`clock`: a subclass
+    calls ``super().__init__()`` once its clock is readable.
     """
 
     #: Stable engine name (matches the ``create_engine`` kind).

@@ -29,7 +29,7 @@ same document).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Generator, List, Optional, Tuple, Union
 
 from repro.concurrency.mvtso import MVTSOManager, WriteConflictError
 from repro.concurrency.transaction import (AbortReason, CommittedTransaction,
@@ -178,14 +178,18 @@ class ObladiProxy:
     # ------------------------------------------------------------------ #
     # Epoch execution
     # ------------------------------------------------------------------ #
-    def run_epoch(self) -> Tuple[EpochSummary, List[TransactionResult]]:
+    def run_epoch(self, deliver: Optional[Callable[[List[TransactionResult]], None]] = None
+                  ) -> Tuple[EpochSummary, List[TransactionResult]]:
         """Execute one epoch over the queued transactions.
 
         Returns the epoch's summary and its results, one per queued program
         in submission order.  The proxy keeps no results of its own: what it
         hands back here is the only record of what its clients were told.
-        Raises :class:`ProxyCrashedError` if the proxy has crashed and has
-        not been recovered.
+        ``deliver``, if given, receives the same results as soon as the
+        epoch has committed, before any later storage request can fail: the
+        engine enters them in its ledger there.  Raises
+        :class:`ProxyCrashedError` if the proxy has crashed and has not been
+        recovered.
         """
         self._check_alive()
         epoch_id = self._epoch_counter
@@ -222,7 +226,7 @@ class ObladiProxy:
         # values and issue their remaining writes.
         self._advance_transactions(admitted, state, final_round=True)
 
-        results = self._finalize_epoch(admitted, state)
+        results = self._finalize_epoch(admitted, state, deliver)
 
         # Live resharding: one padded migration copy step rides each epoch
         # barrier (``repro.elasticity``); its reads from the retiring layer
@@ -452,8 +456,9 @@ class ObladiProxy:
     # ------------------------------------------------------------------ #
     # Epoch finalisation
     # ------------------------------------------------------------------ #
-    def _finalize_epoch(self, admitted: List[_ActiveTransaction],
-                        state: EpochState) -> List[TransactionResult]:
+    def _finalize_epoch(self, admitted: List[_ActiveTransaction], state: EpochState,
+                        deliver: Optional[Callable[[List[TransactionResult]], None]]
+                        ) -> List[TransactionResult]:
         state.phase = EpochPhase.WRITE_BACK
         # CC work from the final round (writes issued after the last batch
         # boundary) has no boundary to absorb it; charge it up front so the
@@ -519,9 +524,20 @@ class ObladiProxy:
         self._record_commits(admitted, batch_items)
         # Shadow paging ends at the commit: nothing durable names the
         # checkpoint chain it replaced or the bucket versions the flush
-        # superseded any more.
-        self._collect()
+        # superseded any more.  The epoch has committed, so its clients are
+        # told even if one of these deletes fails.
+        try:
+            self._collect()
+        finally:
+            results = self._notify_clients(admitted, state)
+            if deliver is not None:
+                deliver(results)
+        self.mvtso.reset_epoch_state()
+        return results
 
+    def _notify_clients(self, admitted: List[_ActiveTransaction],
+                        state: EpochState) -> List[TransactionResult]:
+        """Close the committed epoch and build its results."""
         end_ms = self.clock.now_ms
         state.finish(EpochPhase.COMMITTED, end_ms)
 
@@ -545,8 +561,6 @@ class ObladiProxy:
                 repaired=active.repair_attempts > 0 and committed,
                 repair_failed=active.repair_attempts > 0 and not committed,
             ))
-
-        self.mvtso.reset_epoch_state()
         return results
 
     def _record_commits(self, admitted: List[_ActiveTransaction],

@@ -121,11 +121,11 @@ class ProxyCoordinator(ObladiProxy):
     # ------------------------------------------------------------------ #
     # Epoch execution overrides
     # ------------------------------------------------------------------ #
-    def run_epoch(self):
+    def run_epoch(self, deliver=None):
         """Execute one epoch; additionally snapshots per-worker op counters."""
         self._worker_ops_before = [(w.stats_reads, w.stats_writes)
                                    for w in self.workers]
-        return super().run_epoch()
+        return super().run_epoch(deliver)
 
     def _summary_extras(self) -> Dict[str, tuple]:
         """Per-worker ``(cc_reads, cc_writes)`` deltas for the epoch summary."""
@@ -155,7 +155,7 @@ class ProxyCoordinator(ObladiProxy):
         self.clock.advance(makespan)
         self.cc_cpu_ms += makespan
 
-    def _finalize_epoch(self, admitted, state):
+    def _finalize_epoch(self, admitted, state, deliver):
         """Run the epoch barrier (2PC prepare), then finalise as usual.
 
         Votes are collected — and counted as worker lane work — before the
@@ -164,7 +164,7 @@ class ProxyCoordinator(ObladiProxy):
         prices the barrier into the epoch's clock time.
         """
         self.mvtso.prepare_epoch([active.record for active in admitted])
-        return super()._finalize_epoch(admitted, state)
+        return super()._finalize_epoch(admitted, state, deliver)
 
     def _prepare_repaired(self, records) -> None:
         """Vote repaired transactions through the epoch barrier.

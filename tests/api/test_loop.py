@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
-from repro.api import (DeterministicArrivals, PoissonArrivals, RunStats,
+from repro.api import (DeterministicArrivals, PoissonArrivals,
                        TransactionEngine, run_closed_loop, run_open_loop)
 from repro.api.openloop import as_arrival_process
 from repro.api.results import Counters
@@ -73,13 +73,10 @@ class ScriptedEngine(TransactionEngine):
         # engine whose topology expands after a recovery.
         self.partition_counters: List[Tuple[int, int]] = []
         self.per_wave_partition_growth: List[List[Tuple[int, int]]] = []
+        super().__init__()
 
     def load_initial_data(self, items) -> None:
         """No storage: the fake engine only scripts verdicts."""
-
-    def submit(self, program) -> TransactionResult:
-        """Run a single program as a one-element wave."""
-        return self.submit_many([program])[0]
 
     def submit_many(self, programs) -> List[TransactionResult]:
         """Resolve one wave according to the script; advance ``wave_ms``."""
@@ -111,11 +108,8 @@ class ScriptedEngine(TransactionEngine):
                 repaired=verdict == "repaired",
                 repair_failed=verdict == "repair_failed"))
             self._next_txn_id += 1
+        self._record_wave(results)
         return results
-
-    def stats(self) -> RunStats:
-        """Minimal lifetime stats (the loops never read them)."""
-        return RunStats(engine=self.name)
 
     @property
     def clock(self) -> SimClock:

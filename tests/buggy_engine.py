@@ -73,6 +73,7 @@ class BuggyEngine(TransactionEngine):
         if unknown:
             raise ValueError(f"unknown fault kinds {unknown}; valid: {FAULT_KINDS}")
         self.inner = inner
+        super().__init__()
         self.supports_crash_recovery = inner.supports_crash_recovery
         self.kinds = kinds
         self.period = max(1, period)

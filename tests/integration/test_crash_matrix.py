@@ -292,13 +292,16 @@ def test_larger_trees_recover_from_a_crash_anywhere(row, where):
 
 @pytest.mark.parametrize("shards,servers,workers,frequency,migrate",
                          [MATRIX[2], MATRIX[7]], ids=["shards2", "shards2-servers2"])
-def test_the_ledger_keeps_the_epoch_a_failed_cutover_followed(shards, servers, workers,
-                                                              frequency, migrate):
-    """Crash at every mutation of a reshard's cutover — its fence checkpoint
-    and the retiring generation's deletes.  The wave's epoch committed
-    before the fence, so although ``submit_many`` raises, its results are in
-    the engine's ledger, before and after ``recover()``: ``stats()`` counts
-    exactly the committed history."""
+def test_the_ledger_holds_an_epoch_from_its_commit_on(shards, servers, workers,
+                                                      frequency, migrate):
+    """Crash at every mutation from the checkpoint manifest of a reshard's
+    last wave to the end of its cutover: the deletes that follow the commit,
+    the migration's last copy step, the cutover fence and the retiring
+    generation's deletes.  A crash at the manifest loses the wave's epoch;
+    from the next mutation on the epoch has committed, so although
+    ``submit_many`` raises, its results are in the engine's ledger, before
+    and after ``recover()``: ``stats()`` counts exactly the committed
+    history."""
     cfg = config(shards, servers, workers, frequency).to_obladi_config()
     width = cfg.read_batch_size
 
@@ -313,29 +316,31 @@ def test_the_ledger_keeps_the_epoch_a_failed_cutover_followed(shards, servers, w
                 return wave
         raise AssertionError("the migration never cut over")
 
-    # The fault-free run: which wave cuts over, and the cutover's mutations.
+    # The fault-free run: which wave cuts over, and where each epoch
+    # commits (the mutations stored before it enters the history).
     engine = create_engine("obladi", cfg)
     engine.load_initial_data(LOADED)
     engine.storage.fail(NEVER)
-    starts = []
+    commits = []
 
-    def counted_cutover(cutover=engine._cutover):
-        starts.append(NEVER - outage_left(engine.storage))
-        cutover()
+    def counted_commit(*args, record_commits=engine.proxy._record_commits):
+        commits.append(NEVER - outage_left(engine.storage))
+        record_commits(*args)
 
-    engine._cutover = counted_cutover
+    engine.proxy._record_commits = counted_commit
     last = run_until_cutover(engine)
-    (start,) = starts
+    assert len(commits) == last + 1
+    committed_at = commits[-1]
     end = NEVER - outage_left(engine.storage)
-    assert end - start > 10
+    assert end - committed_at > 10
 
-    for after in range(start, end):
+    for after in range(committed_at - 1, end):
         engine = create_engine("obladi", cfg)
         engine.load_initial_data(LOADED)
         engine.storage.fail(after)
         with pytest.raises(ConnectionError):
             run_until_cutover(engine)
-        assert engine.stats().epochs == last + 1, after
+        assert engine.stats().epochs == last + (after >= committed_at), after
         assert engine.stats().committed == len(engine.committed_history), after
         engine.storage.recover()
         engine.recover()
