@@ -63,9 +63,6 @@ python -m pytest -q benchmarks/test_fig9_end_to_end.py -k smoke
 echo "== smoke: conflict repair keeps histories serializable =="
 python -m pytest -q benchmarks/test_repair_contention.py -k smoke
 
-echo "== smoke: autoscaled elastic topology beats static under a flash crowd =="
-python -m pytest -q benchmarks/test_elasticity_smoke.py
-
 # Sealed vs written: only real slots, WAL records and checkpoints go through
 # the keystream; a bucket's dummy slots are stored as random bytes.  The
 # step fails unless the sealed slots are under half the slots written

@@ -97,14 +97,6 @@ class ObladiEngine(TransactionEngine):
         """
         return max(1, self.proxy.config.read_batch_size)
 
-    def record_open_loop_wave(self, queue_depth: int, dropped: int) -> None:
-        """Mirror the wave's admission-queue counters into its epoch summary."""
-        if not self.proxy.epoch_summaries:
-            return
-        self.proxy.epoch_summaries[-1] = replace(self.proxy.epoch_summaries[-1],
-                                                 queue_depth=queue_depth,
-                                                 arrivals_dropped=dropped)
-
     # -- introspection -------------------------------------------------- #
     def _stamp(self, stats: RunStats) -> None:
         """Attach the completed migration windows, which the engine owns."""
@@ -154,11 +146,6 @@ class ObladiEngine(TransactionEngine):
                              for server in servers])
 
     # -- elastic topology ------------------------------------------------ #
-    @property
-    def supports_reshard(self) -> bool:
-        """The Obladi adapter reshards live (see :mod:`repro.elasticity`)."""
-        return True
-
     @property
     def reshard_in_flight(self) -> bool:
         """Whether a staged plan or running migration has yet to cut over."""

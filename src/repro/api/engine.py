@@ -162,16 +162,6 @@ class TransactionEngine(abc.ABC):
         """
         return None
 
-    def record_open_loop_wave(self, queue_depth: int, dropped: int) -> None:
-        """Hook: one open-loop wave was dispatched; mirror queue counters.
-
-        ``queue_depth`` is the admission-queue backlog left behind after the
-        wave was drawn, ``dropped`` the run's cumulative dropped arrivals.
-        The default is a no-op; the Obladi adapter mirrors both into the
-        epoch's :class:`~repro.core.epoch.EpochSummary`, since for that
-        engine one wave is exactly one epoch.
-        """
-
     # ------------------------------------------------------------------ #
     # Observers
     # ------------------------------------------------------------------ #
@@ -187,7 +177,11 @@ class TransactionEngine(abc.ABC):
         ``on_wave`` after every ``submit_many`` wave and ``on_run_end`` when
         a closed- or open-loop driver finishes.  They are passive: attaching
         one never changes the engine's simulated behaviour, so fixed-seed
-        runs stay byte-identical.  Returns the observer for chaining
+        runs stay byte-identical.  The one action an observer may take is
+        an operator's: staging a :meth:`reshard` from ``on_wave``, which
+        starts at the next wave boundary (``bench/workloads.py`` reshards
+        ``ycsb_hot_elastic`` after a fixed wave this way).  Returns the
+        observer for chaining
         (``auditor = engine.attach_observer(AuditingObserver())``).
         """
         if not hasattr(self, "_observers"):
@@ -214,8 +208,9 @@ class TransactionEngine(abc.ABC):
     def _notify_run_end(self, stats) -> None:
         """Stamp a loop driver's ``RunStats``, then notify observers (drivers call this).
 
-        Stamping comes first so observers (the autoscale controller, which
-        publishes its decisions on the same object) see the whole record.
+        Stamping comes first so observers see the whole record; an observer
+        may publish its own report on it (the auditor sets ``stats.audit``)
+        but changes nothing the engine counted.
         """
         self._stamp(stats)
         for observer in getattr(self, "_observers", ()):
@@ -273,11 +268,6 @@ class TransactionEngine(abc.ABC):
     # Elastic topology
     # ------------------------------------------------------------------ #
     @property
-    def supports_reshard(self) -> bool:
-        """Whether :meth:`reshard` can change this engine's topology live."""
-        return False
-
-    @property
     def reshard_in_flight(self) -> bool:
         """Whether a staged or running topology change has yet to cut over."""
         return False
@@ -302,16 +292,6 @@ class TransactionEngine(abc.ABC):
     def recover(self):
         """Recover after :meth:`crash`; returns an engine-specific report."""
         raise EngineFeatureUnavailable(self.name, "recover()")
-
-    def close(self) -> None:
-        """Release resources.  Engines are simulation-backed; default no-op."""
-
-    def __enter__(self) -> "TransactionEngine":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r}>"

@@ -89,18 +89,10 @@ class EngineConfig:
     encrypt: Optional[bool] = None
     checkpoint_frequency: Optional[int] = None
 
-    # Autoscaling (Obladi only): an ``repro.elasticity.AutoscalePolicy``
-    # attached as an AutoscaleController observer at engine creation.
-    # ``None`` (the default) attaches nothing and leaves every run
-    # byte-identical to the historical path.  Typed as object to avoid
-    # importing repro.elasticity here (it sits above the api layer).
-    autoscale: Optional[object] = None
-
     # Concurrency-control CPU per MVTSO operation (Obladi only); ``None``
     # keeps the cost model's 0.0 default (no CC CPU charged — the seed
     # behaviour).  Raising it makes epochs proxy-CPU-bound, which is what
-    # gives a larger ``proxy_workers`` topology a genuine throughput edge
-    # (the elasticity experiments scale along exactly that axis).
+    # gives a larger ``proxy_workers`` topology a genuine throughput edge.
     cc_op_ms: Optional[float] = None
 
     seed: Optional[int] = 0
@@ -226,25 +218,13 @@ class EngineConfig:
         """Toggle ORAM block / WAL / checkpoint encryption (ablation benchmarks)."""
         return replace(self, encrypt=enabled)
 
-    def with_autoscale(self, policy) -> "EngineConfig":
-        """Attach an autoscaling control loop to the engine at creation.
-
-        ``policy`` is a :class:`repro.elasticity.AutoscalePolicy`; the
-        factory attaches an :class:`~repro.elasticity.AutoscaleController`
-        observer that watches open-loop pressure and reshards the engine
-        along the policy's topology ladder.  Only the ``obladi`` engine
-        supports live resharding; ``None`` detaches.
-        """
-        return replace(self, autoscale=policy)
-
     def with_cc_cost(self, cc_op_ms: float) -> "EngineConfig":
         """Charge ``cc_op_ms`` milliseconds of proxy CPU per MVTSO operation.
 
         The seed default is 0.0 (no explicit CC CPU).  A positive cost makes
         epochs proxy-CPU-bound: a single proxy pays it serially while a
         sharded proxy tier (:meth:`with_proxy_workers`) schedules each
-        worker's share as parallel lanes — the throughput axis the
-        autoscaling experiments (:mod:`repro.elasticity`) scale along.
+        worker's share as parallel lanes.
         """
         return replace(self, cc_op_ms=cc_op_ms)
 
@@ -334,11 +314,7 @@ def create_engine(kind: str,
         from repro.proxytier import build_proxy
         if obladi_config is None:
             obladi_config = engine_config.to_obladi_config()
-        engine = ObladiEngine(build_proxy(obladi_config, storage=storage, clock=clock))
-        if engine_config.autoscale is not None:
-            from repro.elasticity import AutoscaleController
-            engine.attach_observer(AutoscaleController(engine_config.autoscale))
-        return engine
+        return ObladiEngine(build_proxy(obladi_config, storage=storage, clock=clock))
 
     if normalized == "nopriv":
         from repro.baseline.nopriv import NoPrivProxy

@@ -33,8 +33,7 @@ class ProgramSupply:
     """Where a wave's fresh programs come from.
 
     ``queued`` says whether a program can wait between becoming ready and
-    being dispatched; only then does :func:`run_waves` record queueing delay
-    and report the backlog to the engine.
+    being dispatched; only then does :func:`run_waves` record queueing delay.
     """
 
     queued = False
@@ -47,10 +46,6 @@ class ProgramSupply:
         ``queued``.
         """
         raise NotImplementedError
-
-    def backlog(self) -> int:
-        """Programs admitted but not yet dispatched."""
-        return 0
 
 
 class _OnDemand(ProgramSupply):
@@ -126,9 +121,6 @@ def run_waves(engine: TransactionEngine, stats: RunStats, supply: ProgramSupply,
         dispatch_ms = engine.clock.now_ms
         results = engine.submit_many([factory for factory, _, _ in wave])
         stats.epochs += 1
-        if supply.queued:
-            engine.record_open_loop_wave(queue_depth=supply.backlog(),
-                                         dropped=stats.dropped)
 
         for (factory, attempts, ready_ms), result in zip(wave, results):
             account_final_result(stats, result)

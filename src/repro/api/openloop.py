@@ -185,9 +185,6 @@ class _AdmissionQueue(ProgramSupply):
         return [self._queue.popleft()
                 for _ in range(max(0, min(room, len(self._queue))))]
 
-    def backlog(self) -> int:
-        return len(self._queue)
-
 
 def run_open_loop(engine: TransactionEngine, factory_source: FactorySource,
                   total_transactions: int,

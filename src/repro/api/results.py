@@ -190,22 +190,15 @@ class RunStats:
     wasted_attempts: int = field(default=0, repr=False, compare=False)
     aborts_by_reason: dict = field(default_factory=dict, repr=False, compare=False)
     # Elastic-topology observability (repro.elasticity): the run's completed
-    # migration windows (MigrationReport tuple, stamped by the Obladi engine)
-    # and the autoscale controller's decision record (ControllerReport, set
-    # by AutoscaleController.on_run_end).  Both are excluded from repr and
-    # comparisons like the other observability extras, so runs that never
-    # reshard stay byte-identical to the historical output.
+    # migration windows (MigrationReport tuple, stamped by the Obladi engine).
+    # Excluded from repr and comparisons like the other observability
+    # extras, so runs that never reshard stay byte-identical to the
+    # historical output.
     migrations: tuple = field(default=(), repr=False, compare=False)
-    controller: Optional[object] = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------ #
     # Derived metrics
     # ------------------------------------------------------------------ #
-    @property
-    def attempts(self) -> int:
-        """Total transaction attempts (committed + aborted)."""
-        return self.committed + self.aborted
-
     @property
     def throughput_tps(self) -> float:
         """Committed transactions per simulated second."""

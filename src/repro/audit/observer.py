@@ -29,6 +29,8 @@ class EngineObserver:
 
     Subclasses override what they need.  Callbacks fire synchronously on the
     engine's thread; they must not mutate the engine or advance its clock.
+    The one exception is an operator action: ``on_wave`` may stage
+    ``engine.reshard(plan)``, which starts at the next wave boundary.
     """
 
     def on_attach(self, engine: "TransactionEngine") -> None:

@@ -75,13 +75,6 @@ class EpochSummary:
     sorted ``(reason, count)`` pairs, and ``repaired``/``repair_failed``
     count the transactions the in-epoch repair pass salvaged or gave up on
     (both stay 0 under the default ``conflict_strategy="retry"``).
-
-    ``queue_depth``/``arrivals_dropped`` mirror the open-loop load
-    generator's admission queue when the epoch was one of its waves
-    (:func:`repro.api.openloop.run_open_loop` — for the Obladi engine one
-    wave is exactly one epoch): the backlog left queued after this epoch's
-    wave was drawn, and the run's cumulative dropped arrivals at that
-    point.  Both stay 0 for closed-loop and direct ``run_epoch`` use.
     """
 
     epoch_id: int
@@ -93,8 +86,6 @@ class EpochSummary:
     physical_writes: int
     partition_physical: tuple = ()
     worker_ops: tuple = ()
-    queue_depth: int = 0
-    arrivals_dropped: int = 0
     aborts_by_reason: tuple = ()
     repaired: int = 0
     repair_failed: int = 0

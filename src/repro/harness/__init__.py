@@ -9,20 +9,18 @@ pytest-benchmark targets.  All results are in *simulated* time (see
 ``docs/ARCHITECTURE.md``, "Simulation substrate").
 """
 
-from repro.harness.experiments import (OramRow, RunRow, RecoveryRow, ElasticityRow,
+from repro.harness.experiments import (OramRow, RunRow, RecoveryRow,
                                        run_end_to_end, run_parallelism,
                                        run_batch_size_sweep, run_delayed_visibility,
                                        run_epoch_size_oram, run_epoch_size_proxy,
                                        run_saturation_sweep, run_repair_comparison,
-                                       run_checkpoint_frequency, run_recovery_table,
-                                       run_elasticity_comparison)
+                                       run_checkpoint_frequency, run_recovery_table)
 from repro.harness.report import render_table, rows_to_dicts
 
 __all__ = [
     "OramRow",
     "RunRow",
     "RecoveryRow",
-    "ElasticityRow",
     "run_end_to_end",
     "run_parallelism",
     "run_batch_size_sweep",
@@ -33,7 +31,6 @@ __all__ = [
     "run_repair_comparison",
     "run_checkpoint_frequency",
     "run_recovery_table",
-    "run_elasticity_comparison",
     "render_table",
     "rows_to_dicts",
 ]

@@ -15,7 +15,6 @@ Figure 11a      :func:`run_checkpoint_frequency`
 Table 11b       :func:`run_recovery_table`
 (open loop)     :func:`run_saturation_sweep`
 (repair)        :func:`run_repair_comparison`
-(elasticity)    :func:`run_elasticity_comparison`
 ==============  ====================================================
 
 Each function lists its points and turns every point into a row.  The ORAM
@@ -34,7 +33,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.api import EngineConfig, PoissonArrivals, RunStats, create_engine
 from repro.audit import AuditingObserver
 from repro.core.config import ObladiConfig, RingOramConfig
-from repro.elasticity import AutoscalePolicy, FlashCrowdArrivals
 from repro.oram.batch_executor import EpochBatchExecutor
 from repro.oram.crypto import CipherSuite
 from repro.oram.parameters import derive_parameters
@@ -112,22 +110,6 @@ class RecoveryRow:
     durability_slowdown: float
     recovery: RecoveryResult
     run: RunStats
-
-
-@dataclass
-class ElasticityRow:
-    """One run of the flash-crowd elasticity comparison and the
-    ``(shards, storage_servers, proxy_workers)`` it ended at."""
-
-    mode: str                    # "static" or "autoscaled"
-    final_topology: Tuple[int, int, int]
-    run: RunStats
-
-    def decisions(self, action: str) -> int:
-        """How many autoscale decisions were ``action`` (``"scale_up"`` /
-        ``"scale_down"``); 0 for a run without a controller."""
-        return sum(d.action == action
-                   for d in getattr(self.run.controller, "decisions", ()))
 
 
 # --------------------------------------------------------------------------- #
@@ -376,14 +358,11 @@ def run_epoch_size_proxy(applications: Sequence[str] = ("smallbank", "freehealth
 # --------------------------------------------------------------------------- #
 def _small_engine(kind: str, topology: Tuple[int, int, int], clients: int,
                   num_accounts: int, seed: int,
-                  conflict_strategy: Optional[str] = None,
-                  cc_op_ms: Optional[float] = None, autoscale=None):
+                  conflict_strategy: Optional[str] = None):
     """A small, fast engine sized so ``clients`` fit in one epoch wave.
 
-    ``topology`` is ``(shards, storage_servers, proxy_workers)``.  A positive
-    ``cc_op_ms`` makes epochs proxy-CPU-bound (the seed charges no CC CPU),
-    so a rung with more proxy workers genuinely serves more load — the axis
-    the autoscale ladder climbs.  ``None`` leaves an option at its default.
+    ``topology`` is ``(shards, storage_servers, proxy_workers)``;
+    ``conflict_strategy=None`` leaves the system default.
     """
     shards, storage_servers, proxy_workers = topology
     config = (EngineConfig()
@@ -398,14 +377,12 @@ def _small_engine(kind: str, topology: Tuple[int, int, int], clients: int,
               .with_storage_servers(storage_servers)
               .with_proxy_workers(proxy_workers)
               .with_conflict_strategy(conflict_strategy)
-              .with_cc_cost(cc_op_ms)
-              .with_autoscale(autoscale)
               .with_durability(False).with_encryption(False).with_seed(seed))
     return create_engine(kind, config)
 
 
 def _audited_open_loop(engine, workload, transactions: int, clients: int,
-                       arrivals, queue_limit: Optional[int] = None) -> RunStats:
+                       arrivals) -> RunStats:
     """Load ``workload`` into ``engine`` and offer it open loop, with a
     streaming serializability auditor (:class:`repro.audit.AuditingObserver`)
     attached: ``run.audit`` certifies the run's own history."""
@@ -413,7 +390,7 @@ def _audited_open_loop(engine, workload, transactions: int, clients: int,
     engine.attach_observer(AuditingObserver())
     return engine.run_open_loop(workload.transaction_factory,
                                 total_transactions=transactions, arrivals=arrivals,
-                                clients=clients, queue_limit=queue_limit)
+                                clients=clients)
 
 
 def _knee_sweep(series: str, make_engine: Callable[[], object],
@@ -588,63 +565,3 @@ def run_recovery_table(sizes: Sequence[int] = (1_000, 10_000, 100_000),
                            slowdown, recovery, run)
 
     return [column(size) for size in sizes]
-
-
-# --------------------------------------------------------------------------- #
-# Elastic topologies: autoscaled vs static under a flash crowd
-# --------------------------------------------------------------------------- #
-def run_elasticity_comparison(transactions: int = 900, clients: int = 16,
-                              num_accounts: int = 200,
-                              base_tps: float = 150.0,
-                              spike_tps: float = 1100.0,
-                              spike_start_ms: float = 200.0,
-                              spike_duration_ms: float = 5000.0,
-                              queue_limit: int = 48,
-                              cc_op_ms: float = 0.2,
-                              arrival_seed: int = 7, seed: int = 11,
-                              ladder=((1, 1, 1), (4, 1, 4)),
-                              queue_high: int = 24, queue_low: int = 2,
-                              patience: int = 2, cooldown: int = 4
-                              ) -> List[ElasticityRow]:
-    """Flash crowd, twice: once static at the ladder's bottom rung, once with
-    the autoscaling control loop attached (``repro.elasticity``).
-
-    Both runs offer the *identical* seeded flash-crowd arrival stream
-    (:class:`~repro.elasticity.FlashCrowdArrivals`: ``base_tps`` background
-    load, a ``spike_tps`` rectangular spike from ``spike_start_ms`` for
-    ``spike_duration_ms``) through the same bounded admission queue, with
-    ``cc_op_ms`` of concurrency-control CPU per MVTSO operation so epochs
-    are proxy-CPU-bound and the ladder's larger rung genuinely serves more
-    load.  The static engine stays at the bottom rung and sheds the spike
-    as drops once the queue fills; the autoscaled engine's controller sees
-    the same pressure, live-reshards up the ladder (an oblivious migration
-    window followed by an epoch-barrier cutover), and serves the remainder
-    of the spike at the larger topology — strictly fewer drops and at least
-    the static engine's achieved throughput, which is the acceptance bar
-    ``benchmarks/test_elasticity_smoke.py`` pins.
-
-    Both runs carry a streaming serializability auditor, so each run also
-    certifies its own history across any migration windows it contains.
-    """
-    arrivals = FlashCrowdArrivals(base_tps=base_tps,
-                                  spike_tps=spike_tps,
-                                  spike_start_ms=spike_start_ms,
-                                  spike_duration_ms=spike_duration_ms,
-                                  seed=arrival_seed)
-    policy = AutoscalePolicy(ladder=ladder, queue_high=queue_high,
-                             queue_low=queue_low, patience=patience,
-                             cooldown=cooldown)
-
-    def flash_crowd(mode: str) -> ElasticityRow:
-        workload = SmallBankWorkload(SmallBankConfig(num_accounts=num_accounts,
-                                                     seed=seed))
-        engine = _small_engine("obladi", ladder[0], clients, num_accounts, seed,
-                               cc_op_ms=cc_op_ms,
-                               autoscale=policy if mode == "autoscaled" else None)
-        run = _audited_open_loop(engine, workload, transactions, clients,
-                                 arrivals, queue_limit)
-        config = engine.proxy.config
-        return ElasticityRow(mode, (config.shards, config.storage_servers,
-                                    config.proxy_workers), run)
-
-    return [flash_crowd(mode) for mode in ("static", "autoscaled")]

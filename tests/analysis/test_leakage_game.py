@@ -91,7 +91,7 @@ def cells():
 
 
 class ReshardAfter(EngineObserver):
-    """Stages the reshard after a number of waves, as an autoscaler would."""
+    """Stages the reshard after a number of waves, as an operator would."""
 
     def __init__(self, waves):
         self.waves = waves

@@ -31,7 +31,7 @@ from repro.api import (ENGINE_KINDS, EngineConfig, EngineFeatureUnavailable,
 from repro.audit import AuditingObserver
 from repro.concurrency import check_serializable
 from repro.core.client import Read, ReadMany, Write
-from repro.elasticity import AutoscalePolicy, ReshardPlan
+from repro.elasticity import ReshardPlan
 from tests.buggy_engine import BuggyEngine
 
 NUM_KEYS = 24
@@ -558,19 +558,6 @@ class TestOpenLoop:
         ok, cycle = check_serializable(eng.committed_history)
         assert ok, cycle
 
-    def test_obladi_epoch_summaries_mirror_the_admission_queue(self):
-        """For the Obladi engine one wave is one epoch: the wave's backlog
-        and cumulative drop count are mirrored into its EpochSummary."""
-        eng = create_engine("obladi", _config())
-        eng.load_initial_data({f"k{i}": b"0" for i in range(NUM_KEYS)})
-        run = eng.run_open_loop(mixed_source(seed=7), 24, arrivals=None,
-                                clients=4, queue_limit=16)
-        assert run.dropped == 24 - 16
-        summaries = eng.proxy.epoch_summaries
-        assert summaries[0].queue_depth == 16 - 4    # backlog after wave 1
-        assert all(s.arrivals_dropped == run.dropped for s in summaries)
-        assert summaries[-1].queue_depth == 0
-
 
 class TestAuditing:
     """Continuous auditing is part of the engine contract: on every engine
@@ -699,7 +686,7 @@ class TestElasticReshard:
         return (config.shards, config.storage_servers, config.proxy_workers)
 
     def test_capability_flag_gates_reshard(self, engine):
-        if engine.supports_reshard:
+        if engine.name == "obladi":
             assert not engine.reshard_in_flight
             return  # exercised below for the engine that reshards
         with pytest.raises(EngineFeatureUnavailable):
@@ -866,50 +853,24 @@ class TestElasticReshard:
 
 
 class TestElasticSeamRegression:
-    """The elasticity seam is strictly pay-for-what-you-use: engines built
-    without ``with_autoscale`` that never call ``reshard()`` must produce
-    RunStats byte-identical to the pre-elasticity ones — the new fields stay
-    empty, out of repr, and out of the run's behaviour."""
+    """The elasticity seam is strictly pay-for-what-you-use: engines that
+    never call ``reshard()`` must produce RunStats byte-identical to the
+    pre-elasticity ones — the new field stays empty, out of repr, and out of
+    the run's behaviour."""
 
     def test_static_runs_carry_no_elasticity_state(self, engine, request):
-        """Every engine variant, fixed seed: no migrations, no controller,
-        neither field in the repr — and the run is reproducible byte for
-        byte by a fresh identically-configured engine."""
+        """Every engine variant, fixed seed: no migrations, the field not in
+        the repr — and the run is reproducible byte for byte by a fresh
+        identically-configured engine."""
         variant = request.node.callspec.params["engine"]
         kind, shards, servers, workers, strategy = variant
         run = engine.run_closed_loop(mixed_source(seed=11), 24, clients=8)
         assert run.migrations == ()
-        assert run.controller is None
         assert "migrations" not in repr(run)
-        assert "controller" not in repr(run)
         twin = create_engine(kind, _config(shards, servers, workers, strategy))
         twin.load_initial_data({f"k{i}": b"0" for i in range(NUM_KEYS)})
         rerun = twin.run_closed_loop(mixed_source(seed=11), 24, clients=8)
         assert repr(run) == repr(rerun)
-
-    def test_idle_controller_leaves_runstats_byte_identical(self):
-        """The controller's one sanctioned deviation from the passive
-        observer contract is actuation; a policy that never triggers must
-        therefore change nothing — same seeds, one engine bare and one
-        autoscaled, byte-identical RunStats."""
-        idle = AutoscalePolicy(ladder=((1, 1, 1), (4, 1, 1)),
-                               queue_high=10**6, queue_low=0,
-                               patience=3, cooldown=3)
-        runs = {}
-        for label in ("bare", "autoscaled"):
-            config = _config()
-            if label == "autoscaled":
-                config = config.with_autoscale(idle)
-            eng = create_engine("obladi", config)
-            eng.load_initial_data({f"k{i}": b"0" for i in range(NUM_KEYS)})
-            runs[label] = eng.run_open_loop(
-                mixed_source(seed=11), 32,
-                arrivals=PoissonArrivals(400.0, seed=7), clients=8)
-        assert runs["bare"].controller is None
-        report = runs["autoscaled"].controller
-        assert report is not None and report.decisions == ()
-        assert runs["autoscaled"].migrations == ()
-        assert repr(runs["bare"]) == repr(runs["autoscaled"])
 
 
 #: The ledger test's variants: both baselines and every Obladi topology,
@@ -940,7 +901,7 @@ class TestLedger:
             eng.recover()
             incarnations.append(eng.proxy)
         runs.append(eng.run_closed_loop(mixed_source(seed=13), 24, clients=6))
-        if eng.supports_reshard:
+        if eng.name == "obladi":
             eng.reshard(ReshardPlan(shards=2, storage_servers=1, proxy_workers=1))
             while eng.reshard_in_flight:
                 runs.append(eng.run_closed_loop(mixed_source(seed=len(runs)), 8,

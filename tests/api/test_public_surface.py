@@ -117,7 +117,6 @@ HARNESS = [
     "OramRow",
     "RunRow",
     "RecoveryRow",
-    "ElasticityRow",
     "run_end_to_end",
     "run_parallelism",
     "run_batch_size_sweep",
@@ -128,7 +127,6 @@ HARNESS = [
     "run_repair_comparison",
     "run_checkpoint_frequency",
     "run_recovery_table",
-    "run_elasticity_comparison",
     "render_table",
     "rows_to_dicts",
 ]
@@ -144,11 +142,6 @@ AUDIT = [
 
 
 ELASTICITY = [
-    "AutoscaleController",
-    "AutoscaleDecision",
-    "AutoscalePolicy",
-    "ControllerReport",
-    "FlashCrowdArrivals",
     "MigrationReport",
     "ReshardPlan",
     "TopologyMigration",

@@ -128,10 +128,6 @@ class BuggyEngine(TransactionEngine):
         """Delegate the wave-size cap to the wrapped engine."""
         return self.inner.open_loop_wave_limit()
 
-    def record_open_loop_wave(self, queue_depth: int, dropped: int) -> None:
-        """Forward open-loop queue accounting to the wrapped engine."""
-        self.inner.record_open_loop_wave(queue_depth, dropped)
-
     def counters(self):
         """The wrapped engine's cumulative counters."""
         return self.inner.counters()
@@ -143,10 +139,6 @@ class BuggyEngine(TransactionEngine):
     def recover(self):
         """Recover the wrapped engine; returns its recovery report."""
         return self.inner.recover()
-
-    def close(self) -> None:
-        """Close the wrapped engine."""
-        self.inner.close()
 
     # ------------------------------------------------------------------ #
     # History corruption

@@ -214,12 +214,6 @@ PINNED = {
         ("repair", 2.0, 1201.7064231208315, 476.025671461341, 16, 0, 0, 5, 0, 0, 0.0,
          18.90342692092754, 600.8532115604157, True),
     ],
-    "run_elasticity_comparison": [
-        ("static", 200, 33, 139, 440.09100424547114, 48.71211814511934, 98.84984792895617,
-         48, 24, 0, 0, 0, (1, 1, 1), True),
-        ("autoscaled", 200, 43, 132, 509.99362326228396, 43.38974726387849,
-         87.11529014989156, 48, 22, 1, 1, 0, (4, 1, 4), True),
-    ],
 }
 
 
@@ -282,15 +276,6 @@ PINNED_RUNS = {
                        r.run.repair_failed, r.run.wasted_attempts, r.run.abort_rate,
                        r.run.average_total_latency_ms, r.ceiling.throughput_tps,
                        r.run.audit.ok) for r in rows]),
-    "run_elasticity_comparison": (
-        dict(transactions=200, num_accounts=40, spike_start_ms=50.0,
-             spike_duration_ms=2000.0),
-        lambda rows: [(r.mode, r.run.offered, r.run.dropped, r.run.committed,
-                       r.run.achieved_tps, r.run.average_total_latency_ms,
-                       r.run.p95_total_latency_ms, r.run.max_queue_depth, r.run.epochs,
-                       len(r.run.migrations), r.decisions("scale_up"),
-                       r.decisions("scale_down"), r.final_topology, r.run.audit.ok)
-                      for r in rows]),
 }
 
 
