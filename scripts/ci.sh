@@ -36,6 +36,15 @@ if grep -rn --include='*.py' "urandom(" src/ | grep -v "urandom(32)"; then
     exit 1
 fi
 
+# One reader of the program protocol: the proxy and both baselines step a
+# transaction program through repro.core.client.ProgramRun, so nothing else
+# under src/ resumes a generator.
+echo "== tripwire: only ProgramRun resumes a transaction program =="
+if grep -rn --include='*.py' "\.send(" src/ | grep -v "^src/repro/core/client\.py:"; then
+    echo "a file under src/ other than src/repro/core/client.py calls .send(" >&2
+    exit 1
+fi
+
 # One checkpoint encoding: the position map, the bucket metadata and the
 # stash checkpoint as fixed-width little-endian records, encoded and decoded
 # by the classes that own them, so no JSON encoding may sit beside them.

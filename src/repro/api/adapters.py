@@ -18,15 +18,6 @@ from repro.api.results import Counters, RunStats
 from repro.core.client import TransactionResult
 
 
-def _as_factory(program) -> ProgramFactory:
-    """Normalise a program (callable or generator object) to a factory."""
-    if callable(program):
-        return program
-    if hasattr(program, "send"):
-        return lambda generator=program: generator
-    raise TypeError("transaction programs must be generator functions or generators")
-
-
 class ObladiEngine(TransactionEngine):
     """The Obladi proxy behind the engine interface.
 
@@ -299,7 +290,7 @@ class _BaselineEngine(TransactionEngine):
     def submit_many(self, programs: Sequence[ProgramFactory]) -> List[TransactionResult]:
         if not programs:
             return []
-        wave = self.impl.run_transactions([_as_factory(p) for p in programs])
+        wave = self.impl.run_transactions(programs)
         # Programs start in submission order with monotonically increasing
         # txn ids, so sorting by id restores submission order.
         ordered = sorted(wave.results, key=lambda r: r.txn_id)

@@ -27,12 +27,12 @@ aborted program is reported aborted, and the engine layer's wave loop
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.engine import ProgramFactory
 from repro.api.results import RunStats
 from repro.concurrency.transaction import CommittedTransaction, TransactionRecord
-from repro.core.client import TransactionResult
+from repro.core.client import ProgramRun, TransactionResult
 from repro.sim.clock import SimClock
 from repro.sim.latency import get_latency_model
 from repro.storage.memory import InMemoryStorageServer
@@ -41,13 +41,10 @@ from repro.storage.memory import InMemoryStorageServer
 class WaveRunner:
     """One in-flight transaction of a wave, in its own client slot."""
 
-    def __init__(self, generator: Generator, record: TransactionRecord) -> None:
-        self.generator = generator
+    def __init__(self, run: ProgramRun, record: TransactionRecord) -> None:
+        self.run = run
         self.record = record
         self.time_ms = 0.0              # slot-local; every wave starts at 0
-        self.send_value = None
-        self.return_value = None
-        self.pending_operation = None   # operation to re-issue after a wait
         self.done = False
 
 
@@ -57,10 +54,20 @@ class WaveExecutor:
     The executor owns the plain key-value store the baseline runs over (the
     server itself never advances the clock: storage cost is charged to the
     client slot that waits for it) and the committed history.  Subclasses
-    provide four hooks: :meth:`_begin_wave`, :meth:`_begin_transaction`,
-    :meth:`_advance` and :meth:`_unpark` (with :meth:`_parked` saying whether
-    anyone is left to unpark).  The wave's state lives on the executor while
-    the wave runs; an executor runs one wave at a time.
+    provide the hooks:
+
+    * ``_begin_wave(slots)`` resets their per-wave state;
+    * ``_begin_transaction()`` opens the record of a transaction that
+      starts at slot time 0;
+    * ``_advance(runner)`` executes the runner's next request (read off its
+      :class:`~repro.core.client.ProgramRun`), then re-schedules
+      (:meth:`_schedule`), parks or finishes (:meth:`_finish`) it;
+    * ``_parked()`` says whether anyone is parked, and ``_unpark()``
+      finishes or re-schedules at least one parked transaction when
+      nothing is runnable.
+
+    The wave's state lives on the executor while the wave runs; an
+    executor runs one wave at a time.
     """
 
     #: ``RunStats.engine`` of the waves this executor runs.
@@ -95,18 +102,22 @@ class WaveExecutor:
 
     # -- the wave loop --------------------------------------------------- #
     def run_transactions(self, factories: Sequence[ProgramFactory]) -> RunStats:
-        """Run one wave to completion and report every program's fate once."""
+        """Run one wave to completion and report every program's fate once.
+
+        Each program is a factory or a generator object (see
+        :class:`~repro.core.client.ProgramRun`).
+        """
         self._run = RunStats(engine=self.engine_name)
         self._active: List[Tuple[float, int, WaveRunner]] = []   # earliest first
         self._seq = 0
         self._cpu_ms = 0.0
         self._finish_ms = 0.0
         base_ms = self.clock.now_ms
+        runs = [ProgramRun(factory) for factory in factories]
 
-        self._begin_wave(max(1, len(factories)))
-        for factory in factories:
-            record = self._begin_transaction()
-            self._schedule(WaveRunner(factory(), record))
+        self._begin_wave(max(1, len(runs)))
+        for run in runs:
+            self._schedule(WaveRunner(run, self._begin_transaction()))
         while self._active or self._parked():
             if not self._active:
                 self._unpark()
@@ -143,29 +154,6 @@ class WaveExecutor:
             run.aborted += 1
         run.results.append(TransactionResult(
             txn_id=runner.record.txn_id, committed=committed,
-            return_value=runner.return_value if committed else None,
+            return_value=runner.run.return_value if committed else None,
             abort_reason=reason, latency_ms=runner.time_ms, epoch=-1))
         runner.done = True
-
-    # -- what a baseline specialises ------------------------------------ #
-    def _begin_wave(self, slots: int) -> None:
-        """Reset the baseline's own per-wave state for ``slots`` clients."""
-        raise NotImplementedError
-
-    def _begin_transaction(self) -> TransactionRecord:
-        """Open the record of a transaction that starts at slot time 0."""
-        raise NotImplementedError
-
-    def _advance(self, runner: WaveRunner) -> None:
-        """Execute ``runner``'s next operation, then :meth:`_schedule` it
-        again, park it, or :meth:`_finish` it."""
-        raise NotImplementedError
-
-    def _parked(self) -> bool:
-        """Whether any transaction is parked (waiting on another one)."""
-        raise NotImplementedError
-
-    def _unpark(self) -> None:
-        """Nothing is runnable: finish or re-schedule at least one parked
-        transaction so the wave makes progress."""
-        raise NotImplementedError

@@ -23,13 +23,12 @@ blocked, a deadlock victim is aborted.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.baseline.common import WaveExecutor, WaveRunner
 from repro.concurrency.transaction import AbortReason, TransactionRecord
 from repro.concurrency.two_phase_locking import DeadlockError, LockManager, LockMode
-from repro.core.client import (AbortRequest, Read, ReadMany, TransactionAborted,
-                               Write)
+from repro.core.client import ABORT, COMMIT, ReadMany, Write
 from repro.sim.clock import SimClock
 from repro.storage.memory import InMemoryStorageServer
 
@@ -122,83 +121,69 @@ class TwoPhaseLockingStore(WaveExecutor):
     # One operation at a time
     # ------------------------------------------------------------------ #
     def _step(self, runner: WaveRunner):
-        """Execute the runner's next operation (or retry one after a lock wait)."""
+        """Execute the runner's next request.
+
+        A request that waits on a lock stays unanswered, so the runner
+        re-issues it (from its first key) when the lock is granted.
+        """
         record = runner.record
         # Every operation occupies the client for a sliver of CPU time; this
         # keeps concurrently started transactions from executing in perfect
         # lockstep at identical simulated instants.
         runner.time_ms += self.CPU_PER_OP_MS
-        if runner.pending_operation is not None:
-            operation = runner.pending_operation
-            runner.pending_operation = None
-        else:
-            try:
-                operation = runner.generator.send(runner.send_value)
-            except StopIteration as stop:
-                runner.return_value = getattr(stop, "value", None)
-                return self._commit(runner)
-            except TransactionAborted:
-                return self._abort(runner, AbortReason.USER)
-
-        if isinstance(operation, Read):
-            granted, deadlocked = self._acquire(runner, operation.key)
-            if deadlocked:
-                return self._abort(runner, AbortReason.DEADLOCK)
-            if not granted:
-                runner.pending_operation = operation
-                return "blocked"
-            runner.send_value = self._read_locked(runner, operation.key,
-                                                  self.LOCAL_READ_MS)
-            return "running"
-        if isinstance(operation, ReadMany):
-            values = {}
-            for key in operation.keys:
-                granted, deadlocked = self._acquire(runner, key)
-                if deadlocked:
-                    return self._abort(runner, AbortReason.DEADLOCK)
-                if not granted:
-                    runner.pending_operation = operation
-                    return "blocked"
-                values[key] = self._read_locked(runner, key, 0.0)
-            runner.time_ms += self.LOCAL_READ_MS
-            runner.send_value = values
-            return "running"
-        if isinstance(operation, Write):
-            granted, deadlocked = self._acquire(runner, operation.key)
-            if deadlocked:
-                return self._abort(runner, AbortReason.DEADLOCK)
-            if not granted:
-                runner.pending_operation = operation
-                return "blocked"
-            record.record_write(operation.key, bytes(operation.value))
-            runner.send_value = None
-            return "running"
-        if isinstance(operation, AbortRequest):
+        request = runner.run.next()
+        if request is COMMIT:
+            return self._commit(runner)
+        if request is ABORT:
             return self._abort(runner, AbortReason.USER)
-        raise TypeError(f"unsupported operation {operation!r}")
+        if isinstance(request, Write):
+            waited = self._lock(runner, request.key)
+            if waited is not None:
+                return waited
+            record.record_write(request.key, bytes(request.value))
+            runner.run.answer()
+            return "running"
+        # Each key is locked, then read, before the next one is locked.  A
+        # Read of the transaction's own write costs nothing; a ReadMany is
+        # charged one local read, whatever it reads.
+        many = isinstance(request, ReadMany)
+        values = {}
+        for key in request.keys:
+            waited = self._lock(runner, key)
+            if waited is not None:
+                return waited
+            if not many and key not in record.write_set:
+                runner.time_ms += self.LOCAL_READ_MS
+            values[key] = self._read_locked(record, key)
+        if many:
+            runner.time_ms += self.LOCAL_READ_MS
+        runner.run.answer(values)
+        return "running"
 
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
-    def _acquire(self, runner: WaveRunner, key: str) -> Tuple[bool, bool]:
-        """Take ``key``'s exclusive lock; returns (granted, aborted_by_deadlock)."""
+    def _lock(self, runner: WaveRunner, key: str):
+        """Take ``key``'s exclusive lock.
+
+        Returns None once it is held, ``"blocked"`` while the runner waits
+        for it, or the abort outcome if waiting would deadlock.
+        """
         try:
             granted = self.locks.acquire(runner.record.txn_id, key,
                                          LockMode.EXCLUSIVE)
-            return granted, False
         except DeadlockError:
-            return False, True
+            return self._abort(runner, AbortReason.DEADLOCK)
+        return None if granted else "blocked"
 
-    def _read_locked(self, runner: WaveRunner, key: str, charge_ms: float):
+    def _read_locked(self, record: TransactionRecord, key: str) -> Optional[bytes]:
         """Read a key the transaction already holds a lock on."""
-        record = runner.record
         if key in record.write_set:
             value = record.write_set[key]
         else:
             value = self._local_state.get(key)
             if value is None:
                 value = self._storage_read(key)
-            runner.time_ms += charge_ms
         record.record_read(key, writer_ts=self._last_writer_ts.get(key, -1))
         return value
 

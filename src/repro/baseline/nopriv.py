@@ -27,8 +27,7 @@ from typing import List, Optional
 from repro.baseline.common import WaveExecutor, WaveRunner
 from repro.concurrency.mvtso import MVTSOManager, WriteConflictError
 from repro.concurrency.transaction import AbortReason, TransactionStatus
-from repro.core.client import (AbortRequest, Read, ReadMany, TransactionAborted,
-                               Write)
+from repro.core.client import ABORT, COMMIT, Write
 from repro.sim.clock import SimClock
 from repro.storage.memory import InMemoryStorageServer
 
@@ -118,9 +117,9 @@ class NoPrivProxy(WaveExecutor):
     # One operation at a time
     # ------------------------------------------------------------------ #
     def _step(self, runner: WaveRunner):
-        """Execute the runner's next operation.
+        """Execute the runner's next request.
 
-        Returns ``"running"`` while the transaction has more operations,
+        Returns ``"running"`` while the transaction has more requests,
         ``"waiting"`` if it finished but must wait for uncommitted
         dependencies, or ``(committed, reason)`` when it resolved.
         """
@@ -128,49 +127,34 @@ class NoPrivProxy(WaveExecutor):
         # Charge a sliver of client CPU per operation so concurrent
         # transactions do not execute at identical simulated instants.
         runner.time_ms += self.CPU_PER_OP_MS
-        try:
-            operation = runner.generator.send(runner.send_value)
-        except StopIteration as stop:
-            runner.return_value = getattr(stop, "value", None)
+        request = runner.run.next()
+        if request is COMMIT:
             record.request_commit()
             return self._try_commit(runner)
-        except TransactionAborted:
+        if request is ABORT:
             self.mvtso.abort(record, AbortReason.USER, runner.time_ms)
             return False, AbortReason.USER.value
-
-        if isinstance(operation, Read):
-            value, _writer = self.mvtso.read(record, operation.key)
-            if value is None:
-                value = self._storage_read(operation.key)
-                runner.time_ms += self._read_cost_ms
-            runner.send_value = value
-            return "running"
-        if isinstance(operation, ReadMany):
-            values = {}
-            fetched_any = False
-            for key in operation.keys:
-                value, _writer = self.mvtso.read(record, key)
-                if value is None:
-                    value = self._storage_read(key)
-                    fetched_any = True
-                values[key] = value
-            if fetched_any:
-                # Independent keys are fetched concurrently: one round trip.
-                runner.time_ms += self._read_cost_ms
-            runner.send_value = values
-            return "running"
-        if isinstance(operation, Write):
+        if isinstance(request, Write):
             try:
-                self.mvtso.write(record, operation.key, bytes(operation.value))
+                self.mvtso.write(record, request.key, bytes(request.value))
             except WriteConflictError:
                 self.mvtso.abort(record, AbortReason.WRITE_CONFLICT, runner.time_ms)
                 return False, AbortReason.WRITE_CONFLICT.value
-            runner.send_value = None
+            runner.run.answer()
             return "running"
-        if isinstance(operation, AbortRequest):
-            self.mvtso.abort(record, AbortReason.USER, runner.time_ms)
-            return False, AbortReason.USER.value
-        raise TypeError(f"unsupported operation {operation!r}")
+        values = {}
+        fetched_any = False
+        for key in request.keys:
+            value, _writer = self.mvtso.read(record, key)
+            if value is None:
+                value = self._storage_read(key)
+                fetched_any = True
+            values[key] = value
+        if fetched_any:
+            # Independent keys are fetched concurrently: one round trip.
+            runner.time_ms += self._read_cost_ms
+        runner.run.answer(values)
+        return "running"
 
     def _try_commit(self, runner: WaveRunner):
         """Commit if all observed writers have resolved; park otherwise."""

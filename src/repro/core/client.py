@@ -2,9 +2,9 @@
 
 Transactions are expressed as *generator programs*: plain Python generator
 functions that yield :class:`Read` and :class:`Write` operations and receive
-read results back through ``send``.  This mirrors how the paper's clients
-issue operations to the proxy one at a time (and lets the proxy batch reads
-into its fixed epoch structure without threads):
+read results back as the value of the ``yield``.  This mirrors how the
+paper's clients issue operations to the proxy one at a time (and lets the
+proxy batch reads into its fixed epoch structure without threads):
 
 .. code-block:: python
 
@@ -16,7 +16,10 @@ into its fixed epoch structure without threads):
         return "ok"
 
 The same programs run unchanged on every :class:`repro.api.TransactionEngine`:
-Obladi, the NoPriv baseline and the 2PL baseline.
+Obladi, the NoPriv baseline and the 2PL baseline.  :class:`ProgramRun` is
+the one reader of this protocol: every engine drives a program through it
+and keeps only its policy — how a read is served, how a write is applied,
+and when a transaction waits or aborts.
 
 For interactive use (the quickstart example), :class:`Transaction` offers a
 blocking façade over a single-transaction epoch: ``txn.read(key)`` /
@@ -26,7 +29,7 @@ blocking façade over a single-transaction epoch: ``txn.read(key)`` /
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Generator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Generator, List, Optional, Tuple, Union
 
 
 class TransactionAborted(Exception):
@@ -47,6 +50,11 @@ class Read:
     """Yielded by a transaction program to read a key."""
 
     key: str
+
+    @property
+    def keys(self) -> tuple:
+        """The one key, in the shape :class:`ReadMany` exposes."""
+        return (self.key,)
 
 
 @dataclass(frozen=True)
@@ -86,6 +94,79 @@ class AbortRequest:
 
 Operation = Union[Read, ReadMany, Write, AbortRequest]
 TransactionProgram = Callable[..., Generator[Operation, Optional[bytes], object]]
+
+#: What :meth:`ProgramRun.next` returns once the program has finished.
+COMMIT = "commit"
+ABORT = "abort"
+
+
+class ProgramRun:
+    """One execution of a transaction program, one request at a time.
+
+    ``program`` is a zero-argument factory (called here) or a generator
+    object (used as given); anything else raises :class:`TypeError`.
+    :meth:`next` returns the pending request — a :class:`Read` or
+    :class:`ReadMany` (both expose ``keys``) or a :class:`Write` — and keeps
+    returning it until the engine calls :meth:`answer`.  Once the program
+    has finished it returns :data:`COMMIT` (``return_value`` holds what the
+    program returned) or :data:`ABORT` (a yielded :class:`AbortRequest` or a
+    raised :class:`TransactionAborted`).  Any other yield raises
+    :class:`TypeError`.
+    """
+
+    __slots__ = ("_generator", "_reply", "pending", "outcome", "return_value")
+
+    def __init__(self, program) -> None:
+        generator = program() if callable(program) else program
+        if not hasattr(generator, "send"):
+            raise TypeError("transaction programs must be generator functions "
+                            "or generators")
+        self._generator = generator
+        self._reply = None
+        #: The request :meth:`next` returned and :meth:`answer` has not.
+        self.pending: Optional[Union[Read, ReadMany, Write]] = None
+        #: :data:`COMMIT` or :data:`ABORT` once the program has finished.
+        self.outcome: Optional[str] = None
+        self.return_value: object = None
+
+    def next(self):
+        """The pending request, or the outcome once the program finished."""
+        if self.pending is not None:
+            return self.pending
+        if self.outcome is not None:
+            return self.outcome
+        try:
+            request = self._generator.send(self._reply)
+        except StopIteration as stop:
+            self.return_value = stop.value
+            self.outcome = COMMIT
+            return COMMIT
+        except TransactionAborted:
+            self.outcome = ABORT
+            return ABORT
+        if isinstance(request, (Read, ReadMany, Write)):
+            self.pending = request
+            return request
+        if isinstance(request, AbortRequest):
+            self.outcome = ABORT
+            return ABORT
+        raise TypeError(f"transaction yielded unsupported operation {request!r}")
+
+    def answer(self, values: Optional[Dict[str, Optional[bytes]]] = None) -> None:
+        """Answer the pending request; the program resumes at the next :meth:`next`.
+
+        A read is answered with ``{key: value}`` for its ``keys``: a
+        :class:`Read` receives the bare value, a :class:`ReadMany` the dict.
+        A :class:`Write` is answered with nothing.
+        """
+        request, self.pending = self.pending, None
+        self._reply = values[request.key] if isinstance(request, Read) else values
+
+    def close(self) -> None:
+        """Abandon the program: it is closed and its outcome is :data:`ABORT`."""
+        self._generator.close()
+        self.pending = None
+        self.outcome = ABORT
 
 
 @dataclass

@@ -1,57 +1,20 @@
-"""Epoch bookkeeping.
+"""Epoch summaries.
 
 Epochs are the unit at which Obladi enforces consistency and durability:
 transactions are assigned to an epoch on arrival, execute optimistically
 within it, and learn their fate (commit or abort) only when the epoch closes.
 An epoch either commits in its entirety — every finished transaction becomes
-durable — or, on a crash, disappears entirely (epoch fate sharing).
+durable — or, on a crash, disappears entirely (epoch fate sharing).  The
+proxy keeps one :class:`EpochSummary` per committed epoch.
 """
 
 from __future__ import annotations
 
-import enum
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
-from repro.concurrency.transaction import TransactionRecord
 from repro.core.client import TransactionResult
-
-
-class EpochPhase(enum.Enum):
-    """Lifecycle of an epoch at the proxy."""
-
-    OPEN = "open"                  # accepting transactions, running read batches
-    WRITE_BACK = "write_back"      # read batches done; flushing the write batch
-    COMMITTED = "committed"        # durable; clients notified
-    ABORTED = "aborted"            # lost to a crash; all transactions aborted
-
-
-@dataclass
-class EpochState:
-    """Mutable state of one epoch."""
-
-    epoch_id: int
-    phase: EpochPhase = EpochPhase.OPEN
-    start_ms: float = 0.0
-    end_ms: float = 0.0
-
-    transactions: Dict[int, TransactionRecord] = field(default_factory=dict)
-
-    def admit(self, txn: TransactionRecord) -> None:
-        if self.phase is not EpochPhase.OPEN:
-            raise ValueError(f"epoch {self.epoch_id} is {self.phase.value}; cannot admit")
-        self.transactions[txn.txn_id] = txn
-
-    def finish(self, phase: EpochPhase, now_ms: float) -> None:
-        if phase not in (EpochPhase.COMMITTED, EpochPhase.ABORTED):
-            raise ValueError("an epoch finishes either committed or aborted")
-        self.phase = phase
-        self.end_ms = now_ms
-
-    @property
-    def duration_ms(self) -> float:
-        return max(0.0, self.end_ms - self.start_ms)
 
 
 @dataclass
@@ -78,7 +41,6 @@ class EpochSummary:
     """
 
     epoch_id: int
-    phase: EpochPhase
     duration_ms: float
     committed: int
     aborted: int
@@ -91,17 +53,17 @@ class EpochSummary:
     repair_failed: int = 0
 
     @classmethod
-    def from_state(cls, state: EpochState, results: Sequence[TransactionResult],
-                   physical_reads: int, physical_writes: int,
-                   partition_physical: tuple = (),
-                   worker_ops: tuple = ()) -> "EpochSummary":
+    def from_results(cls, epoch_id: int, duration_ms: float,
+                     results: Sequence[TransactionResult],
+                     physical_reads: int, physical_writes: int,
+                     partition_physical: tuple = (),
+                     worker_ops: tuple = ()) -> "EpochSummary":
         committed = sum(result.committed for result in results)
         aborts = Counter(result.abort_reason for result in results
                          if not result.committed and result.abort_reason)
         return cls(
-            epoch_id=state.epoch_id,
-            phase=state.phase,
-            duration_ms=state.duration_ms,
+            epoch_id=epoch_id,
+            duration_ms=duration_ms,
             committed=committed,
             aborted=len(results) - committed,
             physical_reads=physical_reads,

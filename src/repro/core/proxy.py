@@ -6,8 +6,9 @@ reads into the epoch's fixed read batches, buffers writes, and at the end of
 each epoch commits the survivors, writes back the final values, flushes the
 buffered ORAM bucket rewrites, and checkpoints its metadata for durability.
 
-Transactions are generator programs (see :mod:`repro.core.client`).  The
-proxy executes an epoch in *rounds*: in round ``r`` it advances every
+Transactions are generator programs, read through
+:class:`repro.core.client.ProgramRun` like on every engine.  The proxy
+executes an epoch in *rounds*: in round ``r`` it advances every
 runnable transaction until it blocks on an ORAM fetch, dispatches read batch
 ``r``, installs the fetched base values in the version cache, and resumes
 the blocked transactions in the next round.  Transactions that need more
@@ -28,17 +29,17 @@ same document).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Generator, List, Optional, Tuple, Union
 
 from repro.concurrency.mvtso import MVTSOManager, WriteConflictError
 from repro.concurrency.transaction import (AbortReason, CommittedTransaction,
                                            TransactionRecord, TransactionStatus)
 from repro.core.batch_manager import BatchManager
-from repro.core.client import (AbortRequest, Read, ReadMany, TransactionAborted,
-                               TransactionProgram, TransactionResult, Write)
+from repro.core.client import (ABORT, COMMIT, ProgramRun, TransactionProgram,
+                               TransactionResult, Write)
 from repro.core.config import ObladiConfig
-from repro.core.epoch import EpochPhase, EpochState, EpochSummary
+from repro.core.epoch import EpochSummary
 from repro.core.errors import BatchFullError, ProxyCrashedError
 from repro.sim.clock import SimClock
 from repro.storage.backend import StorageServer
@@ -49,15 +50,8 @@ class _ActiveTransaction:
     """Book-keeping for one transaction while its epoch is running."""
 
     record: TransactionRecord
-    generator: Generator
-    program: TransactionProgram
-    waiting_keys: List[str] = field(default_factory=list)
-    waiting_multi: bool = False
-    pending_value: object = None
-    has_pending_value: bool = False
-    finished: bool = False
-    return_value: object = None
-    started: bool = False
+    run: ProgramRun
+    program: Union[TransactionProgram, Generator]
     # Conflict repair: the txn id the client knows this transaction by (set
     # when a repair re-executes it under a fresh MVTSO record), and how many
     # repair attempts it has consumed this epoch.
@@ -65,8 +59,14 @@ class _ActiveTransaction:
     repair_attempts: int = 0
 
     @property
+    def finished(self) -> bool:
+        """Whether its program has finished or been abandoned."""
+        return self.run.outcome is not None
+
+    @property
     def waiting(self) -> bool:
-        return bool(self.waiting_keys)
+        """Whether its read request is unanswered (it waits on a batch)."""
+        return self.run.pending is not None
 
 
 class ObladiProxy:
@@ -145,23 +145,19 @@ class ObladiProxy:
     # ------------------------------------------------------------------ #
     # Public client API
     # ------------------------------------------------------------------ #
-    def submit(self, program: Union[TransactionProgram, Generator]) -> int:
-        """Queue a transaction program for the next epoch; returns its id.
+    def submit(self, program: Union[TransactionProgram, Generator]) -> None:
+        """Queue a transaction program for the next epoch.
 
         ``program`` is either a zero-argument callable returning a generator
         or a generator object.  The transaction's timestamp (serialization
         order) is assigned when its epoch starts.
         """
         self._check_alive()
-        generator = program() if callable(program) else program
-        if not hasattr(generator, "send"):
-            raise TypeError("transaction programs must be generator functions")
         placeholder = TransactionRecord(txn_id=-1, timestamp=-1, epoch=-1,
                                         start_time_ms=self.clock.now_ms)
-        active = _ActiveTransaction(record=placeholder, generator=generator,
-                                    program=program)
-        self._queue.append(active)
-        return len(self._queue) - 1
+        self._queue.append(_ActiveTransaction(record=placeholder,
+                                              run=ProgramRun(program),
+                                              program=program))
 
     def load_initial_data(self, items: Dict[str, bytes]) -> None:
         """Bulk-load a dataset before serving transactions.
@@ -194,7 +190,7 @@ class ObladiProxy:
         self._check_alive()
         epoch_id = self._epoch_counter
         self._epoch_counter += 1
-        state = EpochState(epoch_id=epoch_id, start_ms=self.clock.now_ms)
+        start_ms = self.clock.now_ms
 
         self.data_layer.begin_epoch()
         self.batch_manager.reset_epoch()
@@ -206,12 +202,10 @@ class ObladiProxy:
             record = self.mvtso.begin(epoch_id, now_ms=active.record.start_time_ms)
             record.start_time_ms = active.record.start_time_ms
             active.record = record
-            state.admit(record)
 
-        epoch_start_ms = self.clock.now_ms
         # Round-based execution: one round per read batch.
         for round_index in range(self.config.read_batches):
-            self._advance_transactions(admitted, state)
+            self._advance_transactions(admitted)
             batch = self.batch_manager.dispatch_next()
             if batch is None:
                 break
@@ -220,19 +214,19 @@ class ObladiProxy:
                                              self.config.read_batch_size)
             self.data_layer.execute_read_batch(batch.keys, self.config.read_batch_size)
             self._deliver_values(admitted)
-            self._finish_round(epoch_start_ms, round_index)
+            self._finish_round(start_ms, round_index)
 
         # Give transactions one final chance to consume the last batch's
         # values and issue their remaining writes.
-        self._advance_transactions(admitted, state, final_round=True)
+        self._advance_transactions(admitted, final_round=True)
 
-        results = self._finalize_epoch(admitted, state, deliver)
+        results, end_ms = self._finalize_epoch(admitted, epoch_id, deliver)
 
         # Live resharding: one padded migration copy step rides each epoch
         # barrier (``repro.elasticity``); its reads from the retiring layer
         # land in this epoch's physical counters like any other traffic.
         if self._migration is not None:
-            self._migration.step(self, state)
+            self._migration.step()
 
         physical_after = self.data_layer.per_partition_physical()
         partition_physical = tuple((after_r - before_r, after_w - before_w)
@@ -240,9 +234,10 @@ class ObladiProxy:
                                    in zip(physical_before, physical_after))
         physical_reads = sum(reads for reads, _ in partition_physical)
         physical_writes = sum(writes for _, writes in partition_physical)
-        summary = EpochSummary.from_state(state, results, physical_reads, physical_writes,
-                                          partition_physical=partition_physical,
-                                          **self._summary_extras())
+        summary = EpochSummary.from_results(epoch_id, max(0.0, end_ms - start_ms), results,
+                                            physical_reads, physical_writes,
+                                            partition_physical=partition_physical,
+                                            **self._summary_extras())
         self.epoch_summaries.append(summary)
         return summary, results
 
@@ -287,87 +282,52 @@ class ObladiProxy:
     # ------------------------------------------------------------------ #
     # Transaction stepping
     # ------------------------------------------------------------------ #
-    def _advance_transactions(self, admitted: List[_ActiveTransaction], state: EpochState,
+    def _advance_transactions(self, admitted: List[_ActiveTransaction],
                               final_round: bool = False) -> None:
         """Advance every runnable transaction until it blocks, finishes or aborts."""
-        progress = True
-        while progress:
-            progress = False
-            for active in admitted:
-                if active.finished or active.record.is_finished or active.waiting:
-                    continue
-                stepped = self._step_transaction(active, state, final_round)
-                progress = progress or stepped
+        for active in admitted:
+            if not (active.finished or active.record.is_finished or active.waiting):
+                self._step_transaction(active, final_round)
 
-    def _step_transaction(self, active: _ActiveTransaction, state: EpochState,
-                          final_round: bool) -> bool:
-        """Run one transaction until it blocks/finishes/aborts.  Returns True if it advanced."""
-        advanced = False
+    def _step_transaction(self, active: _ActiveTransaction, final_round: bool) -> None:
+        """Run one transaction until it blocks on a fetch, finishes or aborts."""
+        run = active.run
         while True:
-            try:
-                if not active.started:
-                    active.started = True
-                    operation = active.generator.send(None)
-                elif active.has_pending_value:
-                    value = active.pending_value
-                    active.pending_value = None
-                    active.has_pending_value = False
-                    operation = active.generator.send(value)
-                else:
-                    # Nothing to feed: the transaction is at its first step of
-                    # this round (writes do not block, reads set pending).
-                    operation = active.generator.send(None)
-            except StopIteration as stop:
-                active.finished = True
-                active.return_value = getattr(stop, "value", None)
+            request = run.next()
+            if request is COMMIT:
                 active.record.request_commit()
-                return True
-            except TransactionAborted:
+                return
+            if request is ABORT:
                 self._abort(active, AbortReason.USER)
-                return True
-
-            advanced = True
-            if isinstance(operation, Write):
-                if not self._apply_write(active, operation):
-                    return True
-                active.has_pending_value = True
-                active.pending_value = None
+                return
+            if isinstance(request, Write):
+                if not self._apply_write(active, request):
+                    return
+                run.answer()
                 continue
-            if isinstance(operation, AbortRequest):
-                self._abort(active, AbortReason.USER)
-                return True
-            if isinstance(operation, (Read, ReadMany)):
-                keys = [operation.key] if isinstance(operation, Read) else list(operation.keys)
-                values: Dict[str, Optional[bytes]] = {}
-                missing: List[str] = []
-                for key in keys:
-                    served, value = self._try_serve_read(active, key)
-                    if served:
-                        values[key] = value
-                    else:
-                        missing.append(key)
-                if not missing:
-                    active.has_pending_value = True
-                    if isinstance(operation, Read):
-                        active.pending_value = values[keys[0]]
-                    else:
-                        active.pending_value = values
-                    continue
-                if final_round:
-                    # No batches left this epoch: the transaction cannot make
-                    # progress and is aborted at the epoch boundary.
-                    self._abort(active, AbortReason.EPOCH_BOUNDARY)
-                    return True
-                try:
-                    for key in missing:
-                        self.batch_manager.schedule_read(key)
-                except BatchFullError:
-                    self._abort(active, AbortReason.BATCH_FULL)
-                    return True
-                active.waiting_keys = keys
-                active.waiting_multi = isinstance(operation, ReadMany)
-                return advanced
-            raise TypeError(f"transaction yielded unsupported operation {operation!r}")
+            values: Dict[str, Optional[bytes]] = {}
+            missing: List[str] = []
+            for key in request.keys:
+                served, value = self._try_serve_read(active, key)
+                if served:
+                    values[key] = value
+                else:
+                    missing.append(key)
+            if not missing:
+                run.answer(values)
+                continue
+            if final_round:
+                # No batches left this epoch: the transaction cannot make
+                # progress and is aborted at the epoch boundary.
+                self._abort(active, AbortReason.EPOCH_BOUNDARY)
+                return
+            try:
+                for key in missing:
+                    self.batch_manager.schedule_read(key)
+            except BatchFullError:
+                self._abort(active, AbortReason.BATCH_FULL)
+            # Otherwise the request stays unanswered until its batch lands.
+            return
 
     def _apply_write(self, active: _ActiveTransaction, operation: Write) -> bool:
         """Apply a write through MVTSO; aborts the transaction on conflict."""
@@ -427,39 +387,32 @@ class ObladiProxy:
                 return (chain is not None
                         and chain.latest_visible(active.record.timestamp) is not None)
 
-            if not all(_available(key) for key in active.waiting_keys):
+            keys = active.run.pending.keys
+            if not all(_available(key) for key in keys):
                 continue
             values: Dict[str, Optional[bytes]] = {}
-            for key in active.waiting_keys:
+            for key in keys:
                 value, _writer = self.mvtso.read(active.record, key)
                 if value is None:
                     value = cache.base_value(key)
                     self._record_base_read(active, key)
                 values[key] = value
-            if active.waiting_multi:
-                active.pending_value = values
-            else:
-                active.pending_value = values[active.waiting_keys[0]]
-            active.waiting_keys = []
-            active.waiting_multi = False
-            active.has_pending_value = True
+            active.run.answer(values)
 
     def _abort(self, active: _ActiveTransaction, reason: AbortReason) -> None:
         """Abort a transaction and everything that depends on it."""
         if active.record.is_finished:
             return
         self.mvtso.abort(active.record, reason, now_ms=self.clock.now_ms)
-        active.finished = True
-        active.waiting_keys = []
-        active.generator.close()
+        active.run.close()
 
     # ------------------------------------------------------------------ #
     # Epoch finalisation
     # ------------------------------------------------------------------ #
-    def _finalize_epoch(self, admitted: List[_ActiveTransaction], state: EpochState,
+    def _finalize_epoch(self, admitted: List[_ActiveTransaction], epoch_id: int,
                         deliver: Optional[Callable[[List[TransactionResult]], None]]
-                        ) -> List[TransactionResult]:
-        state.phase = EpochPhase.WRITE_BACK
+                        ) -> Tuple[List[TransactionResult], float]:
+        """Commit the epoch; returns its results and the instant it ended."""
         # CC work from the final round (writes issued after the last batch
         # boundary) has no boundary to absorb it; charge it up front so the
         # commit timestamps below account for it.
@@ -487,7 +440,7 @@ class ObladiProxy:
         # before the write batch is built, so salvaged transactions ride the
         # same padded batch their abort was detected in.
         if self.config.conflict_strategy == "repair":
-            self._repair_conflict_losers(admitted, state, now)
+            self._repair_conflict_losers(admitted, epoch_id, now)
 
         # The write batch may overflow; shed the youngest writers until it
         # fits.  The commit pass below aborts nothing, so the accepted set is
@@ -520,7 +473,7 @@ class ObladiProxy:
         # stored (with durability off, once its writes are flushed).  A crash
         # before that point loses the epoch and a crash after it keeps it, so
         # that is where it enters the history.
-        self._checkpoint(full=(state.epoch_id % self.config.checkpoint_frequency == 0))
+        self._checkpoint(full=(epoch_id % self.config.checkpoint_frequency == 0))
         self._record_commits(admitted, batch_items)
         # Shadow paging ends at the commit: nothing durable names the
         # checkpoint chain it replaced or the bucket versions the flush
@@ -529,18 +482,16 @@ class ObladiProxy:
         try:
             self._collect()
         finally:
-            results = self._notify_clients(admitted, state)
+            end_ms = self.clock.now_ms
+            results = self._notify_clients(admitted, epoch_id, end_ms)
             if deliver is not None:
                 deliver(results)
         self.mvtso.reset_epoch_state()
-        return results
+        return results, end_ms
 
-    def _notify_clients(self, admitted: List[_ActiveTransaction],
-                        state: EpochState) -> List[TransactionResult]:
-        """Close the committed epoch and build its results."""
-        end_ms = self.clock.now_ms
-        state.finish(EpochPhase.COMMITTED, end_ms)
-
+    def _notify_clients(self, admitted: List[_ActiveTransaction], epoch_id: int,
+                        end_ms: float) -> List[TransactionResult]:
+        """Build the results of the epoch that committed at ``end_ms``."""
         # Client notification, in admission (= submission) order.  A
         # repaired transaction keeps reporting under its original txn id
         # (``result_txn_id``) even though its repaired execution ran under a
@@ -554,10 +505,10 @@ class ObladiProxy:
                 txn_id=(record.txn_id if active.result_txn_id is None
                         else active.result_txn_id),
                 committed=committed,
-                return_value=active.return_value if committed else None,
+                return_value=active.run.return_value if committed else None,
                 abort_reason=record.abort_reason.value if record.abort_reason else None,
                 latency_ms=record.latency_ms(),
-                epoch=state.epoch_id,
+                epoch=epoch_id,
                 repaired=active.repair_attempts > 0 and committed,
                 repair_failed=active.repair_attempts > 0 and not committed,
             ))
@@ -589,7 +540,7 @@ class ObladiProxy:
     _REPAIRABLE_REASONS = (AbortReason.WRITE_CONFLICT, AbortReason.CASCADE)
 
     def _repair_conflict_losers(self, admitted: List[_ActiveTransaction],
-                                state: EpochState, now: float) -> None:
+                                epoch_id: int, now: float) -> None:
         """In-epoch transaction repair: re-run conflict losers against the winners.
 
         For each admitted transaction that lost an MVTSO conflict (and only
@@ -621,21 +572,11 @@ class ObladiProxy:
             active.repair_attempts += 1
             if active.result_txn_id is None:
                 active.result_txn_id = old.txn_id
-            fresh = self.mvtso.begin(state.epoch_id, now_ms=old.start_time_ms)
+            fresh = self.mvtso.begin(epoch_id, now_ms=old.start_time_ms)
             fresh.start_time_ms = old.start_time_ms
-            # The epoch is past admission (WRITE_BACK), so the record joins
-            # the epoch's transaction table directly rather than via admit().
-            state.transactions[fresh.txn_id] = fresh
             active.record = fresh
-            active.generator = active.program()
-            active.started = False
-            active.finished = False
-            active.waiting_keys = []
-            active.waiting_multi = False
-            active.pending_value = None
-            active.has_pending_value = False
-            active.return_value = None
-            self._advance_transactions([active], state, final_round=True)
+            active.run = ProgramRun(active.program())
+            self._advance_transactions([active], final_round=True)
             if fresh.status is TransactionStatus.COMMIT_REQUESTED:
                 repaired_records.append(fresh)
         if repaired_records:

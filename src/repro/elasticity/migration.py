@@ -141,9 +141,8 @@ class TopologyMigration:
                 self.write_through_keys += 1
             self.pending[key] = value
 
-    def step(self, proxy, state=None) -> None:
+    def step(self) -> None:
         """Run this epoch barrier's copy work: one batch, or the final drain."""
-        del proxy, state  # the hook signature mirrors the other epoch hooks
         if self.done:
             return
         self.epochs += 1

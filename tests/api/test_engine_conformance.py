@@ -30,7 +30,7 @@ from repro.api import (ENGINE_KINDS, EngineConfig, EngineFeatureUnavailable,
                        create_engine)
 from repro.audit import AuditingObserver
 from repro.concurrency import check_serializable
-from repro.core.client import Read, ReadMany, Write
+from repro.core.client import Read, ReadMany, TransactionAborted, Write
 from repro.elasticity import ReshardPlan
 from tests.buggy_engine import BuggyEngine
 
@@ -180,6 +180,49 @@ class TestSubmission:
         txn.write("k3", b"doomed")
         txn.abort()
         assert engine.read("k3") == b"0"
+
+
+@pytest.mark.parametrize("kind", ENGINE_KINDS)
+class TestProgramProtocol:
+    """Every engine reads a program through the same interpreter."""
+
+    @staticmethod
+    def _engine(kind: str) -> TransactionEngine:
+        eng = create_engine(kind, _config())
+        eng.load_initial_data({f"k{i}": b"0" for i in range(NUM_KEYS)})
+        return eng
+
+    def test_raised_abort_is_a_user_abort(self, kind):
+        eng = self._engine(kind)
+
+        def program():
+            yield Write("k1", b"doomed")
+            raise TransactionAborted(0, "user")
+
+        result = eng.submit(program)
+        assert (result.committed, result.abort_reason) == (False, "user")
+        assert eng.read("k1") == b"0"
+
+    def test_unsupported_yield_raises_type_error(self, kind):
+        eng = self._engine(kind)
+
+        def program():
+            yield "not an operation"
+
+        with pytest.raises(TypeError):
+            eng.submit(program)
+
+    def test_read_many_after_own_write_sees_it(self, kind):
+        eng = self._engine(kind)
+
+        def program():
+            yield Write("k1", b"mine")
+            values = yield ReadMany(["k1", "k2"])
+            return values
+
+        result = eng.submit(program)
+        assert result.committed
+        assert result.return_value == {"k1": b"mine", "k2": b"0"}
 
 
 class TestClosedLoop:

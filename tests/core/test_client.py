@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.client import (AbortRequest, Read, ReadMany, Transaction, TransactionAborted,
-                               TransactionResult, Write)
+from repro.core.client import (ABORT, COMMIT, AbortRequest, ProgramRun, Read, ReadMany,
+                               Transaction, TransactionAborted, TransactionResult, Write)
 
 
 class TestOperations:
@@ -19,22 +19,136 @@ class TestOperations:
         assert AbortRequest().reason == "user"
 
 
+class TestProgramRun:
+    def test_read_request_is_answered_with_the_bare_value(self):
+        def program():
+            value = yield Read("k")
+            return value
+
+        run = ProgramRun(program)
+        request = run.next()
+        assert request == Read("k") and request.keys == ("k",)
+        run.answer({"k": b"v"})
+        assert run.next() is COMMIT
+        assert run.return_value == b"v"
+
+    def test_read_many_request_is_answered_with_the_dict(self):
+        def program():
+            values = yield ReadMany(["a", "b"])
+            return values
+
+        run = ProgramRun(program)
+        assert run.next().keys == ("a", "b")
+        run.answer({"a": b"1", "b": None})
+        assert run.next() is COMMIT
+        assert run.return_value == {"a": b"1", "b": None}
+
+    def test_write_request_is_answered_with_nothing(self):
+        def program():
+            reply = yield Write("k", b"v")
+            return reply
+
+        run = ProgramRun(program)
+        assert run.next() == Write("k", b"v")
+        run.answer()
+        assert run.next() is COMMIT
+        assert run.return_value is None
+
+    def test_abort_request_aborts(self):
+        def program():
+            yield AbortRequest()
+            yield Write("k", b"never")
+
+        run = ProgramRun(program)
+        assert run.next() is ABORT
+        assert run.next() is ABORT
+
+    def test_raised_transaction_aborted_aborts(self):
+        def program():
+            yield Write("k", b"v")
+            raise TransactionAborted(7, "user")
+
+        run = ProgramRun(program)
+        run.next()
+        run.answer()
+        assert run.next() is ABORT
+        assert run.return_value is None
+
+    def test_commit_sets_return_value(self):
+        def program():
+            yield Write("k", b"v")
+            return "done"
+
+        run = ProgramRun(program)
+        run.next()
+        run.answer()
+        assert run.next() is COMMIT
+        assert run.return_value == "done"
+        assert run.next() is COMMIT
+
+    def test_generator_object_is_used_as_given(self):
+        def program():
+            yield Read("k")
+
+        generator = program()
+        run = ProgramRun(generator)
+        assert run.next() == Read("k")
+
+    def test_unsupported_yield_raises_type_error(self):
+        def program():
+            yield ("read", "k")
+
+        run = ProgramRun(program)
+        with pytest.raises(TypeError):
+            run.next()
+
+    def test_non_generator_program_raises_type_error(self):
+        with pytest.raises(TypeError):
+            ProgramRun(lambda: 42)
+        with pytest.raises(TypeError):
+            ProgramRun(42)
+
+    def test_unanswered_request_is_returned_again_without_resuming(self):
+        steps = []
+
+        def program():
+            steps.append("first")
+            yield Read("a")
+            steps.append("second")
+            yield Read("b")
+
+        run = ProgramRun(program)
+        first = run.next()
+        assert run.next() is first
+        assert run.next() is first
+        assert steps == ["first"]
+        run.answer({"a": None})
+        assert run.next() == Read("b")
+        assert steps == ["first", "second"]
+
+    def test_close_aborts_the_program(self):
+        def program():
+            yield Read("k")
+
+        run = ProgramRun(program)
+        run.next()
+        run.close()
+        assert run.pending is None
+        assert run.next() is ABORT
+
+
 class TestTransactionFacade:
     def _make(self, submit_results=None, committed_state=None):
         committed_state = committed_state or {}
         submitted = []
 
         def submit(program):
-            generator = program()
+            run = ProgramRun(program)
             operations = []
-            value = None
-            while True:
-                try:
-                    op = generator.send(value)
-                except StopIteration:
-                    break
+            while (op := run.next()) not in (COMMIT, ABORT):
                 operations.append(op)
-                value = committed_state.get(op.key) if isinstance(op, Read) else None
+                run.answer(None if isinstance(op, Write)
+                           else {key: committed_state.get(key) for key in op.keys})
             submitted.append(operations)
             if submit_results is not None:
                 return submit_results

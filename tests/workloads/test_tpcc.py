@@ -3,6 +3,7 @@
 import pytest
 
 from repro.api import create_engine
+from repro.core.client import ABORT, COMMIT, ProgramRun, Write
 from repro.workloads.records import decode_record, make_key, record_field
 from repro.workloads.tpcc import STANDARD_MIX, TPCCConfig, TPCCWorkload, last_name
 
@@ -16,27 +17,20 @@ def workload():
 
 def run_program(program_factory, state):
     """Drive a transaction program against a plain dict state (no concurrency)."""
-    from repro.core.client import AbortRequest, Read, ReadMany, Write
-    program = program_factory()
-    value = None
+    run = ProgramRun(program_factory)
     writes = {}
     while True:
-        try:
-            operation = program.send(value)
-        except StopIteration as stop:
+        request = run.next()
+        if request is COMMIT:
             state.update(writes)
-            return stop.value, writes
-        if isinstance(operation, Read):
-            value = writes.get(operation.key, state.get(operation.key))
-        elif isinstance(operation, ReadMany):
-            value = {k: writes.get(k, state.get(k)) for k in operation.keys}
-        elif isinstance(operation, Write):
-            writes[operation.key] = operation.value
-            value = None
-        elif isinstance(operation, AbortRequest):
+            return run.return_value, writes
+        if request is ABORT:
             return None, {}
+        if isinstance(request, Write):
+            writes[request.key] = request.value
+            run.answer()
         else:
-            raise AssertionError(f"unexpected operation {operation}")
+            run.answer({key: writes.get(key, state.get(key)) for key in request.keys})
 
 
 class TestPopulation:
