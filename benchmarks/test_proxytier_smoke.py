@@ -17,10 +17,8 @@ control.  Two claims are guarded:
   lane speedup must be real (> 1).
 """
 
-from dataclasses import replace
 
 from repro.api import EngineConfig, create_engine
-from repro.sim.latency import CpuCostModel
 from repro.workloads.smallbank import SmallBankConfig, SmallBankWorkload
 
 from .conftest import run_once
@@ -40,11 +38,9 @@ def _engine(proxy_workers: int, num_accounts: int, cc_op_ms: float = 0.0):
               .with_durability(False)
               .with_encryption(False)
               .with_proxy_workers(proxy_workers)
+              .with_cc_cost(cc_op_ms)
               .with_seed(17))
-    resolved = config.to_obladi_config()
-    if cc_op_ms:
-        resolved = replace(resolved, cost_model=CpuCostModel(cc_op_ms=cc_op_ms))
-    return create_engine("obladi", resolved)
+    return create_engine("obladi", config)
 
 
 def _run(proxy_workers: int, num_accounts: int, cc_op_ms: float = 0.0):

@@ -64,6 +64,17 @@ if grep -rnE --include='*.py' "^\s*(from|import) repro\.sim\.latency|charge_late
     exit 1
 fi
 
+# One configuration type: ObladiConfig and its with_* builders.  EngineConfig
+# is the same class under the name repro.api exports; nothing converts one
+# config into another, and the partition map has no seed knob.
+echo "== tripwire: one configuration type =="
+if grep -rnE "to_obladi_config|for_workload\(|class EngineConfig" \
+        src/ tests/ benchmarks/ examples/ docs/ README.md \
+        || grep -rn "partition_seed" src/; then
+    echo "a second configuration type, a conversion or partition_seed is back" >&2
+    exit 1
+fi
+
 # Smoke first: an end-to-end regression across the three engines surfaces
 # in seconds, before the multi-minute figure regenerations start.
 echo "== smoke: Figure 9 end-to-end across all three engines =="

@@ -8,8 +8,9 @@ NoPriv and a MySQL-like store.  This package is that idea as an API:
   ``run_closed_loop`` / ``stats`` / ``crash``/``recover`` where supported);
 * :class:`~repro.api.results.RunStats` — the one run-result type every
   engine and both loop drivers return;
-* :func:`~repro.api.factory.create_engine` and the fluent
-  :class:`~repro.api.factory.EngineConfig` — construction;
+* :func:`~repro.api.factory.create_engine` — construction, from
+  ``EngineConfig``: the one configuration type,
+  :class:`~repro.core.config.ObladiConfig`, under this package's name;
 * :func:`~repro.api.loop.run_closed_loop` — the closed-loop driver: fill a
   wave, ``submit_many``, account, re-queue the aborted programs that have
   retries left (the one place anything is retried);

@@ -101,10 +101,6 @@ class MVTSOManager:
         self._next_ts = max(self._next_ts, next_timestamp)
         self._next_txn_id = max(self._next_txn_id, next_txn_id)
 
-    def get(self, txn_id: int) -> TransactionRecord:
-        """Look up a transaction record by id (KeyError if unknown)."""
-        return self.transactions[txn_id]
-
     # ------------------------------------------------------------------ #
     # Reads and writes
     # ------------------------------------------------------------------ #

@@ -63,9 +63,6 @@ class VersionChain:
         """The writer timestamps of every version, oldest first."""
         return [v.writer_ts for v in self.versions]
 
-    def __len__(self) -> int:
-        return len(self.versions)
-
 
 class VersionStore:
     """Version chains for all keys touched in the current epoch or database."""

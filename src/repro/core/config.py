@@ -14,10 +14,17 @@ The parameters mirror Table 1 of the paper:
 ``Δ``        interval between read batches, in simulated ms
 ===========  ==================================================
 
-Section 6.4 discusses how to choose them; :func:`ObladiConfig.for_workload`
+Section 6.4 discusses how to choose them; :meth:`ObladiConfig.with_workload`
 encodes those rules of thumb so the end-to-end experiments configure
 themselves the way the paper describes (OLTP: large ``b_read``, few ``R``;
-read-mostly applications: small ``b_write``).
+read-mostly applications: small ``b_write``).  :class:`ObladiConfig` is the
+one configuration type: every engine reads it (the baselines only its
+``backend``), and its ``with_*`` builders each return a validated copy::
+
+    >>> config = (ObladiConfig().with_workload("tpcc")
+    ...           .with_batching(write_batch_size=64).with_sharding(2))
+    >>> config.read_batches, config.write_batch_size, config.shards
+    (8, 64, 2)
 """
 
 from __future__ import annotations
@@ -58,6 +65,19 @@ class RingOramConfig:
         return replace(self, num_blocks=partition_block_count(self.num_blocks, shards))
 
 
+#: §6.4's epoch shape per application: what :meth:`ObladiConfig.with_workload` sets.
+_WORKLOAD_PRESETS = {
+    "tpcc": dict(read_batches=8, read_batch_size=96, write_batch_size=192,
+                 batch_interval_ms=10.0),
+    "smallbank": dict(read_batches=3, read_batch_size=64, write_batch_size=64,
+                      batch_interval_ms=5.0),
+    "freehealth": dict(read_batches=5, read_batch_size=64, write_batch_size=24,
+                       batch_interval_ms=5.0),
+    "ycsb": dict(read_batches=1, read_batch_size=500, write_batch_size=100,
+                 batch_interval_ms=10.0),
+}
+
+
 @dataclass(frozen=True)
 class ObladiConfig:
     """Full configuration of an Obladi proxy."""
@@ -75,11 +95,8 @@ class ObladiConfig:
     parallelism: int = 1024          # max in-flight physical requests at the proxy
 
     # Sharding: number of independent Ring ORAM partitions the keyspace is
-    # hashed across (1 = the paper's single-tree proxy).  ``partition_seed``
-    # perturbs the key-to-partition hash so different deployments of the same
-    # dataset shard differently.
+    # hashed across (1 = the paper's single-tree proxy).
     shards: int = 1
-    partition_seed: int = 0
 
     # Server topology: how many *distinct* simulated storage servers host the
     # partitions.  1 (the default) colocates every partition on one server
@@ -95,10 +112,9 @@ class ObladiConfig:
     # concurrency-control work is divided across (``repro.proxytier``).  1
     # (the default) is the paper's single proxy, byte-identical to the seed;
     # N > 1 hashes application keys over N workers with the same sha256
-    # partition map the data layer uses (perturbed by ``partition_seed``)
-    # and runs their concurrency-control CPU as parallel lanes.  Orthogonal
-    # to ``shards`` (ORAM partitions) and ``storage_servers`` (untrusted
-    # hosts): any combination is valid.
+    # partition map the data layer uses and runs their concurrency-control
+    # CPU as parallel lanes.  Orthogonal to ``shards`` (ORAM partitions) and
+    # ``storage_servers`` (untrusted hosts): any combination is valid.
     proxy_workers: int = 1
 
     # Conflict resolution: what the proxy does with transactions that lose
@@ -138,8 +154,12 @@ class ObladiConfig:
             raise ValueError("an epoch needs at least one read batch")
         if self.read_batch_size < 1 or self.write_batch_size < 1:
             raise ValueError("batch sizes must be positive")
-        if self.batch_interval_ms < 0:
-            raise ValueError("batch interval cannot be negative")
+        if not 0 <= self.batch_interval_ms < math.inf:
+            raise ValueError(f"batch interval must be finite and non-negative, "
+                             f"got {self.batch_interval_ms}")
+        if not 0 <= self.cost_model.cc_op_ms < math.inf:
+            raise ValueError(f"cc_op_ms must be finite and non-negative, "
+                             f"got {self.cost_model.cc_op_ms}")
         if self.parallelism < 1:
             raise ValueError("parallelism must be at least 1")
         if self.checkpoint_frequency < 1:
@@ -248,9 +268,101 @@ class ObladiConfig:
         return (self.read_batches * self.partition_read_batch_size
                 + self.partition_write_batch_size)
 
+    # ------------------------------------------------------------------ #
+    # Builders: each returns a validated copy and leaves ``self`` alone
+    # ------------------------------------------------------------------ #
+    def with_workload(self, profile: str) -> "ObladiConfig":
+        """Adopt a §6.4 preset for R / b_read / b_write / Δ.
+
+        ``tpcc``       — heterogeneous OLTP: deep epochs (8 read batches), a
+                         large write batch (the paper uses 2,000 at EC2 scale).
+        ``smallbank``  — short homogeneous transactions: shallow epochs.
+        ``freehealth`` — read-mostly EHR workload: five read batches, small
+                         write batch.
+        ``ycsb``       — microbenchmark: a single large read batch.
+
+        Builders called afterwards override the preset.
+        """
+        if profile not in _WORKLOAD_PRESETS:
+            raise KeyError(f"unknown workload profile {profile!r}; "
+                           f"valid: {', '.join(sorted(_WORKLOAD_PRESETS))}")
+        return replace(self, **_WORKLOAD_PRESETS[profile])
+
     def with_backend(self, backend: str) -> "ObladiConfig":
-        """Copy of this configuration targeting a different storage backend."""
+        """Target a storage latency model (``server``/``server_wan``/``dynamo``/``dummy``)."""
         return replace(self, backend=backend)
+
+    def with_oram(self, oram: Optional[RingOramConfig] = None,
+                  **oram_fields) -> "ObladiConfig":
+        """Set the Ring ORAM sizing, whole or field by field.
+
+        Field overrides apply on top of ``oram`` when it is given, and on
+        top of the current sizing otherwise.
+        """
+        base = oram if oram is not None else self.oram
+        return replace(self, oram=replace(base, **oram_fields))
+
+    def with_batching(self, *, read_batches: Optional[int] = None,
+                      read_batch_size: Optional[int] = None,
+                      write_batch_size: Optional[int] = None,
+                      batch_interval_ms: Optional[float] = None) -> "ObladiConfig":
+        """Set the epoch shape (R / b_read / b_write / Δ); ``None`` keeps the current value."""
+        updates = {key: value for key, value in (
+            ("read_batches", read_batches),
+            ("read_batch_size", read_batch_size),
+            ("write_batch_size", write_batch_size),
+            ("batch_interval_ms", batch_interval_ms)) if value is not None}
+        return replace(self, **updates)
+
+    def with_sharding(self, shards: int) -> "ObladiConfig":
+        """Hash the keyspace across ``shards`` parallel ORAM trees (1 = one tree)."""
+        return replace(self, shards=shards)
+
+    def with_storage_servers(self, storage_servers: int,
+                             link_extra_rtt_ms: Optional[Tuple[float, ...]] = None
+                             ) -> "ObladiConfig":
+        """Host the partitions on ``storage_servers`` distinct servers.
+
+        Partition ``i`` lives on server ``i % storage_servers``, so the count
+        must not exceed ``shards``; set :meth:`with_sharding` first.
+        ``link_extra_rtt_ms[i]`` adds round-trip time to server ``i``'s link.
+        """
+        config = replace(self, storage_servers=storage_servers)
+        if link_extra_rtt_ms is not None:
+            config = replace(config, link_extra_rtt_ms=tuple(link_extra_rtt_ms))
+        return config
+
+    def with_proxy_workers(self, proxy_workers: int) -> "ObladiConfig":
+        """Divide the trusted MVTSO work across ``proxy_workers`` lanes (``repro.proxytier``)."""
+        return replace(self, proxy_workers=proxy_workers)
+
+    def with_conflict_strategy(self, strategy: str) -> "ObladiConfig":
+        """``"retry"`` aborts MVTSO conflict losers; ``"repair"`` re-executes them in the epoch."""
+        return replace(self, conflict_strategy=strategy)
+
+    def with_parallelism(self, parallelism: int) -> "ObladiConfig":
+        """Cap the proxy's in-flight physical requests (and fan-out lanes)."""
+        return replace(self, parallelism=parallelism)
+
+    def with_durability(self, enabled: bool = True,
+                        checkpoint_frequency: Optional[int] = None) -> "ObladiConfig":
+        """Toggle WAL + checkpointing, optionally setting the full-checkpoint period."""
+        config = replace(self, durability=enabled)
+        if checkpoint_frequency is not None:
+            config = replace(config, checkpoint_frequency=checkpoint_frequency)
+        return config
+
+    def with_encryption(self, enabled: bool = True) -> "ObladiConfig":
+        """Toggle ORAM block / WAL / checkpoint encryption (ablation benchmarks)."""
+        return replace(self, encrypt=enabled)
+
+    def with_cc_cost(self, cc_op_ms: float) -> "ObladiConfig":
+        """Charge ``cc_op_ms`` of proxy CPU per MVTSO operation (default 0.0)."""
+        return replace(self, cost_model=replace(self.cost_model, cc_op_ms=cc_op_ms))
+
+    def with_seed(self, seed: Optional[int]) -> "ObladiConfig":
+        """Fix the deterministic RNG seed (``None`` = non-reproducible run)."""
+        return replace(self, seed=seed)
 
     def describe(self) -> str:
         """One-line summary of the epoch, sharding and topology parameters."""
@@ -265,38 +377,3 @@ class ObladiConfig:
             f"{sharding}{servers}{workers}backend={self.backend}, "
             f"{self.oram.to_parameters().describe()})"
         )
-
-    # ------------------------------------------------------------------ #
-    # Workload presets (paper §6.4)
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def for_workload(cls, profile: str, num_blocks: int = 10_000,
-                     backend: str = "server", **overrides) -> "ObladiConfig":
-        """Configuration presets following the paper's guidance.
-
-        ``tpcc``      — heterogeneous OLTP: deep epochs (8 read batches), a
-                        large write batch (the paper uses 2,000 at EC2 scale).
-        ``smallbank`` — short homogeneous transactions: shallow epochs.
-        ``freehealth``— read-mostly EHR workload: five read batches, small
-                        write batch.
-        ``ycsb``      — microbenchmark: a single large read batch.
-        """
-        presets = {
-            "tpcc": dict(read_batches=8, read_batch_size=96, write_batch_size=192,
-                         batch_interval_ms=10.0),
-            "smallbank": dict(read_batches=3, read_batch_size=64, write_batch_size=64,
-                              batch_interval_ms=5.0),
-            "freehealth": dict(read_batches=5, read_batch_size=64, write_batch_size=24,
-                               batch_interval_ms=5.0),
-            "ycsb": dict(read_batches=1, read_batch_size=500, write_batch_size=100,
-                         batch_interval_ms=10.0),
-        }
-        if profile not in presets:
-            raise KeyError(f"unknown workload profile {profile!r}; "
-                           f"valid: {', '.join(sorted(presets))}")
-        kwargs = dict(presets[profile])
-        kwargs.update(overrides)
-        oram_kwargs = kwargs.pop("oram", None)
-        oram = oram_kwargs if isinstance(oram_kwargs, RingOramConfig) else RingOramConfig(
-            num_blocks=num_blocks)
-        return cls(oram=oram, backend=backend, **kwargs)

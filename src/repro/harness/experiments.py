@@ -30,9 +30,9 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.api import EngineConfig, PoissonArrivals, RunStats, create_engine
+from repro.api import PoissonArrivals, RunStats, create_engine
 from repro.audit import AuditingObserver
-from repro.core.config import ObladiConfig, RingOramConfig
+from repro.core.config import ObladiConfig
 from repro.oram.batch_executor import EpochBatchExecutor
 from repro.oram.crypto import CipherSuite
 from repro.oram.parameters import derive_parameters
@@ -217,17 +217,15 @@ def _obladi_config_for(app: str, num_keys: int, backend: str,
     batch; FreeHealth a small write batch; SmallBank shallow epochs.  The
     tree holds twice the loaded keys.
     """
-    num_blocks = max(num_keys * 2, 2048)
-    oram = RingOramConfig(num_blocks=num_blocks, z_real=32, block_size=384)
     per_round_reads = {"tpcc": 12, "smallbank": 3, "freehealth": 4}
     writes_per_txn = {"tpcc": 14, "smallbank": 2, "freehealth": 2}
     read_batch = max(32, clients * per_round_reads[app])
     write_batch = max(32, clients * writes_per_txn[app])
-    return ObladiConfig.for_workload(app, num_blocks=num_blocks, backend=backend,
-                                     oram=oram, durability=True, encrypt=encrypt,
-                                     checkpoint_frequency=8,
-                                     read_batch_size=read_batch,
-                                     write_batch_size=write_batch)
+    return (ObladiConfig().with_workload(app).with_backend(backend)
+            .with_oram(num_blocks=max(num_keys * 2, 2048), z_real=32,
+                       block_size=384)
+            .with_batching(read_batch_size=read_batch, write_batch_size=write_batch)
+            .with_durability(True, checkpoint_frequency=8).with_encryption(encrypt))
 
 
 def run_end_to_end(applications: Sequence[str] = ("tpcc", "freehealth", "smallbank"),
@@ -252,7 +250,7 @@ def run_end_to_end(applications: Sequence[str] = ("tpcc", "freehealth", "smallba
         elif system.startswith("nopriv") or system == "mysql":
             # MySQL in the paper runs locally, so it never sees the WAN.
             engine = create_engine(system.split("_")[0],
-                                   EngineConfig(backend=backend, seed=seed))
+                                   ObladiConfig(backend=backend, seed=seed))
         else:
             raise KeyError(f"unknown system {system!r}")
         return RunRow(system, app, _closed_loop(engine, workload, data, transactions,
@@ -358,14 +356,13 @@ def run_epoch_size_proxy(applications: Sequence[str] = ("smallbank", "freehealth
 # --------------------------------------------------------------------------- #
 def _small_engine(kind: str, topology: Tuple[int, int, int], clients: int,
                   num_accounts: int, seed: int,
-                  conflict_strategy: Optional[str] = None):
+                  conflict_strategy: str = "retry"):
     """A small, fast engine sized so ``clients`` fit in one epoch wave.
 
-    ``topology`` is ``(shards, storage_servers, proxy_workers)``;
-    ``conflict_strategy=None`` leaves the system default.
+    ``topology`` is ``(shards, storage_servers, proxy_workers)``.
     """
     shards, storage_servers, proxy_workers = topology
-    config = (EngineConfig()
+    config = (ObladiConfig()
               .with_workload("smallbank")
               .with_backend("server")
               .with_oram(num_blocks=max(2048, 2 * num_accounts), z_real=8,
@@ -508,13 +505,12 @@ def _ycsb_obladi_run(num_records: int, durability: bool, backend: str,
     ycsb = YCSBWorkload(YCSBConfig(num_records=num_records,
                                    ops_per_transaction=ops_per_transaction, seed=seed))
     data = ycsb.initial_data()
-    config = ObladiConfig.for_workload("ycsb", num_blocks=num_records * 2, backend=backend,
-                                       oram=RingOramConfig(num_blocks=num_records * 2,
-                                                           z_real=32, block_size=192),
-                                       durability=durability, encrypt=False,
-                                       checkpoint_frequency=checkpoint_frequency,
-                                       read_batch_size=clients * ops_per_transaction,
-                                       write_batch_size=clients * ops_per_transaction)
+    config = (ObladiConfig().with_workload("ycsb").with_backend(backend)
+              .with_oram(num_blocks=num_records * 2, z_real=32, block_size=192)
+              .with_batching(read_batch_size=clients * ops_per_transaction,
+                             write_batch_size=clients * ops_per_transaction)
+              .with_durability(durability, checkpoint_frequency=checkpoint_frequency)
+              .with_encryption(False))
     engine = create_engine("obladi", config)
     return engine, _closed_loop(engine, ycsb, data, transactions, clients)
 

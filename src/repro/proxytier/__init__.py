@@ -14,7 +14,7 @@ The version chains and the epoch cache's base values stay the proxy's, one
 of each.
 
 Selected by ``ObladiConfig.proxy_workers`` /
-``EngineConfig.with_proxy_workers(N)``; ``proxy_workers=1`` builds the
+``ObladiConfig.with_proxy_workers(N)``; ``proxy_workers=1`` builds the
 plain :class:`~repro.core.proxy.ObladiProxy` (byte-identical to the seed).
 The physical request schedule is unchanged by worker count, so all
 per-partition and per-server obliviousness properties carry over; the props

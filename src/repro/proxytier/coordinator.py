@@ -42,15 +42,15 @@ from repro.proxytier.sharded import ShardedMVTSOManager
 from repro.proxytier.worker import ProxyWorker
 
 
-def worker_for_key(key: str, proxy_workers: int, partition_seed: int = 0) -> int:
+def worker_for_key(key: str, proxy_workers: int) -> int:
     """Index of the proxy worker owning ``key``'s trusted state.
 
-    The same keyed sha256 partition map the data layer uses
+    The same sha256 partition map the data layer uses
     (:func:`repro.sharding.key_partition`), applied to the worker count: the
     mapping is deterministic across proxy crashes and independent of the
     ORAM partition map unless the counts happen to match.
     """
-    return key_partition(key, proxy_workers, partition_seed)
+    return key_partition(key, proxy_workers)
 
 
 @dataclass
@@ -113,8 +113,7 @@ class ProxyCoordinator(ObladiProxy):
         """Index of the worker owning ``key`` (cached sha256 hash)."""
         index = self._worker_cache.get(key)
         if index is None:
-            index = worker_for_key(key, self.config.proxy_workers,
-                                   self.config.partition_seed)
+            index = worker_for_key(key, self.config.proxy_workers)
             self._worker_cache[key] = index
         return index
 

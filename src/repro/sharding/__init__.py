@@ -14,7 +14,7 @@ by its own latency model, and partition-batch fan-out is staggered across
 parallelism (:class:`FanoutStats` records the bounds).
 
 This package shards the *untrusted* data path; its trusted-tier sibling is
-``repro.proxytier`` (same keyed-sha256 partition map, applied to proxy
+``repro.proxytier`` (same sha256 partition map, applied to proxy
 workers).  ``docs/ARCHITECTURE.md`` walks both layers.
 """
 

@@ -35,16 +35,17 @@ from repro.storage.backend import StorageServer
 from repro.storage.cluster import StorageCluster
 
 
-def key_partition(key: str, shards: int, partition_seed: int = 0) -> int:
+def key_partition(key: str, shards: int) -> int:
     """Deterministic partition of an application key.
 
-    Uses a keyed cryptographic hash rather than Python's builtin ``hash``
+    Uses sha256 of ``"0:" + key`` rather than Python's builtin ``hash``
     (which is salted per process): the mapping must survive proxy crashes so
-    recovery re-routes every key to the partition that holds it.
+    recovery re-routes every key to the partition that holds it.  The fixed
+    ``"0:"`` prefix keeps every recorded partition map byte-identical.
     """
     if shards <= 1:
         return 0
-    digest = hashlib.sha256(f"{partition_seed}:{key}".encode("utf-8")).digest()
+    digest = hashlib.sha256(f"0:{key}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % shards
 
 

@@ -125,18 +125,18 @@ class PartitionedDataLayer(DataLayer):
             view = NamespacedStorage(host, prefix)
             # Distinct deterministic RNG streams per partition (position
             # remapping, permutations); None stays None (non-reproducible).
-            seed = None if config.seed is None else (
-                config.seed + 1_000_003 * (index + 1) + config.partition_seed)
+            seed = (None if config.seed is None
+                    else config.seed + 1_000_003 * (index + 1))
             self.partitions.append(
                 build_partition(config, index, view, clock, master_key,
                                 self.cache, component_prefix=prefix,
                                 seed=seed, advance_clock=False, latency=link))
         self._partition_cache: Dict[str, int] = {}
-        # Midstate of sha256 over the seed prefix: routing a cache-missed key
-        # is one ``copy() + update(key)`` instead of re-hashing the prefix —
-        # byte-identical to :func:`repro.sharding.data_layer.key_partition`.
-        self._route_state = hashlib.sha256(
-            f"{config.partition_seed}:".encode("utf-8"))
+        # Midstate of sha256 over the ``"0:"`` prefix: routing a cache-missed
+        # key is one ``copy() + update(key)`` instead of re-hashing the
+        # prefix — byte-identical to
+        # :func:`repro.sharding.data_layer.key_partition`.
+        self._route_state = hashlib.sha256(b"0:")
 
     # ------------------------------------------------------------------ #
     # Routing

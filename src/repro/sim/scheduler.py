@@ -154,10 +154,6 @@ class ParallelScheduler:
             critical_path_ms=critical_path,
         )
 
-    def makespan_ms(self, ops: Sequence[ScheduledOp], start_ms: float = 0.0) -> float:
-        """Convenience wrapper returning only the makespan."""
-        return self.schedule(ops, start_ms=start_ms).makespan_ms
-
 
 def serial_duration_ms(ops: Iterable[ScheduledOp]) -> float:
     """Total duration if the operations were executed one after another."""

@@ -132,7 +132,7 @@ def play(topology, cc_op_ms, loop, source, clients):
     if len(stats.migrations) != (topology == RESHARD):
         pytest.fail("the reshard must complete within the run")
     written = {key for txn in engine.committed_history for key in txn.write_set}
-    return (views(engine.proxy.storage), leakage(config.to_obladi_config(), stats),
+    return (views(engine.proxy.storage), leakage(config, stats),
             (stats.committed, stats.aborted, len(written)))
 
 

@@ -1,8 +1,12 @@
 """Tests for Obladi configuration."""
 
+import math
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import ObladiConfig, RingOramConfig
+from repro.sim.latency import CpuCostModel
 
 
 class TestRingOramConfig:
@@ -59,6 +63,23 @@ class TestObladiConfig:
         with pytest.raises(ValueError):
             ObladiConfig(conflict_strategy="optimism")
 
+    @pytest.mark.parametrize("interval", [math.nan, math.inf])
+    def test_non_finite_batch_interval_rejected(self, interval):
+        with pytest.raises(ValueError):
+            ObladiConfig(batch_interval_ms=interval)
+
+    def test_nan_cc_cost_rejected(self):
+        with pytest.raises(ValueError):
+            ObladiConfig(cost_model=CpuCostModel(cc_op_ms=math.nan))
+
+    def test_infinite_cc_cost_rejected(self):
+        with pytest.raises(ValueError):
+            ObladiConfig(cost_model=CpuCostModel(cc_op_ms=math.inf))
+
+    def test_negative_cc_cost_rejected(self):
+        with pytest.raises(ValueError):
+            ObladiConfig(cost_model=CpuCostModel(cc_op_ms=-0.5))
+
     def test_describe_mentions_batching(self):
         text = ObladiConfig().describe()
         assert "b_read" in text and "backend" in text
@@ -66,28 +87,91 @@ class TestObladiConfig:
 
 class TestWorkloadPresets:
     def test_tpcc_preset_has_deep_epochs_and_large_write_batch(self):
-        tpcc = ObladiConfig.for_workload("tpcc")
-        smallbank = ObladiConfig.for_workload("smallbank")
+        tpcc = ObladiConfig().with_workload("tpcc")
+        smallbank = ObladiConfig().with_workload("smallbank")
         assert tpcc.read_batches > smallbank.read_batches
         assert tpcc.write_batch_size > smallbank.write_batch_size
 
     def test_freehealth_preset_is_read_mostly(self):
-        freehealth = ObladiConfig.for_workload("freehealth")
+        freehealth = ObladiConfig().with_workload("freehealth")
         assert freehealth.write_batch_size < freehealth.epoch_read_capacity
 
     def test_preset_overrides(self):
-        config = ObladiConfig.for_workload("ycsb", read_batch_size=123, backend="dynamo")
+        config = (ObladiConfig().with_workload("ycsb")
+                  .with_batching(read_batch_size=123).with_backend("dynamo"))
         assert config.read_batch_size == 123
         assert config.backend == "dynamo"
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(KeyError):
-            ObladiConfig.for_workload("olap")
+            ObladiConfig().with_workload("olap")
 
     def test_custom_oram_config_accepted(self):
         oram = RingOramConfig(num_blocks=50, z_real=4)
-        config = ObladiConfig.for_workload("smallbank", oram=oram)
+        config = ObladiConfig().with_workload("smallbank").with_oram(oram)
         assert config.oram.num_blocks == 50
+
+    def test_preset_sets_the_epoch_shape_and_nothing_else(self):
+        config = ObladiConfig().with_workload("tpcc")
+        assert (config.read_batches, config.read_batch_size,
+                config.write_batch_size, config.batch_interval_ms) == (8, 96, 192, 10.0)
+        assert replace(config, read_batches=4, read_batch_size=64,
+                       write_batch_size=64, batch_interval_ms=5.0) == ObladiConfig()
+
+    def test_later_builder_overrides_the_preset(self):
+        config = (ObladiConfig().with_workload("tpcc")
+                  .with_batching(read_batches=2, batch_interval_ms=1.0))
+        assert (config.read_batches, config.batch_interval_ms) == (2, 1.0)
+        assert (config.read_batch_size, config.write_batch_size) == (96, 192)
+
+
+class TestBuilders:
+    """``ObladiConfig`` is the one configuration type, built fluently."""
+
+    def test_engine_config_is_obladi_config(self):
+        from repro.api import EngineConfig
+        assert EngineConfig is ObladiConfig
+
+    @pytest.mark.parametrize("build", [
+        lambda c: c.with_workload("tpcc"),
+        lambda c: c.with_backend("server_wan"),
+        lambda c: c.with_oram(num_blocks=64, z_real=4),
+        lambda c: c.with_batching(read_batches=2),
+        lambda c: c.with_sharding(4),
+        lambda c: c.with_storage_servers(1, link_extra_rtt_ms=(1.0,)),
+        lambda c: c.with_proxy_workers(3),
+        lambda c: c.with_conflict_strategy("repair"),
+        lambda c: c.with_parallelism(8),
+        lambda c: c.with_durability(False, checkpoint_frequency=2),
+        lambda c: c.with_encryption(False),
+        lambda c: c.with_cc_cost(0.5),
+        lambda c: c.with_seed(11),
+    ])
+    def test_builder_returns_a_new_config_and_leaves_the_receiver(self, build):
+        receiver = ObladiConfig()
+        built = build(receiver)
+        assert built is not receiver
+        assert built != receiver
+        assert receiver == ObladiConfig()
+
+    def test_with_oram_fields_apply_on_top_of_the_current_sizing(self):
+        config = ObladiConfig().with_oram(num_blocks=64).with_oram(z_real=4)
+        assert (config.oram.num_blocks, config.oram.z_real) == (64, 4)
+        whole = config.with_oram(RingOramConfig(num_blocks=32), block_size=96)
+        assert whole.oram == RingOramConfig(num_blocks=32, block_size=96)
+
+    def test_with_cc_cost_keeps_the_rest_of_the_cost_model(self):
+        config = ObladiConfig().with_cc_cost(0.25)
+        assert config.cost_model == replace(CpuCostModel(), cc_op_ms=0.25)
+
+    @pytest.mark.parametrize("build", [
+        lambda c: c.with_proxy_workers(0),
+        lambda c: c.with_storage_servers(3),
+        lambda c: c.with_conflict_strategy("optimism"),
+    ])
+    def test_invalid_value_raises_at_the_builder_call(self, build):
+        with pytest.raises(ValueError):
+            build(ObladiConfig().with_sharding(2))
 
 
 class TestProxyWorkersConfig:
@@ -130,14 +214,11 @@ class TestProxyWorkersConfig:
         assert "proxy_workers=4" in ObladiConfig(proxy_workers=4).describe()
 
     def test_engine_config_round_trip(self):
-        from repro.api import EngineConfig
-        resolved = (EngineConfig().with_workload("smallbank")
-                    .with_proxy_workers(4).to_obladi_config())
-        assert resolved.proxy_workers == 4
-        # None (the default) keeps the system default of 1.
-        assert EngineConfig().to_obladi_config().proxy_workers == 1
+        config = ObladiConfig().with_workload("smallbank").with_proxy_workers(4)
+        assert config.proxy_workers == 4
+        # Unset, the system default of 1 stays.
+        assert ObladiConfig().with_workload("smallbank").proxy_workers == 1
 
-    def test_engine_config_invalid_worker_count_surfaces_at_resolution(self):
-        from repro.api import EngineConfig
+    def test_invalid_worker_count_raises_at_the_builder(self):
         with pytest.raises(ValueError):
-            EngineConfig().with_proxy_workers(0).to_obladi_config()
+            ObladiConfig().with_workload("smallbank").with_proxy_workers(0)

@@ -148,6 +148,6 @@ def test_the_reshard_epoch_is_the_operators_choice(rate_tps, seed):
     assert not engine.reshard_in_flight, "migration never completed"
     stats = engine.stats()
     assert stats.epochs > operator.staged_at_epoch
-    ((first_epoch, target, _),) = leakage(config.to_obladi_config(), stats).reshards
+    ((first_epoch, target, _),) = leakage(config, stats).reshards
     assert first_epoch == operator.staged_at_epoch == 3
     assert (target.shards, target.storage_servers, target.generation) == (4, 2, 1)

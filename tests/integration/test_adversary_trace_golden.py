@@ -130,7 +130,7 @@ def test_two_shards_on_two_storage_servers():
 
 def test_immediate_writes_interleave_with_reads_inside_a_batch():
     config = replace(base_config(7).with_sharding(2).with_durability(
-        True, checkpoint_frequency=3).to_obladi_config(), buffer_writes=False)
+        True, checkpoint_frequency=3), buffer_writes=False)
     engine = create_engine("obladi", config)
     engine.load_initial_data({f"k{i}": f"v{i}".encode() for i in range(KEYS)})
     run_waves(engine, random.Random(79), waves=10)

@@ -250,7 +250,7 @@ def test_a_crash_after_any_storage_mutation_recovers_what_was_acknowledged(
         shards, servers, workers, frequency, migrate, half):
     """Every k (the even or the odd ones), each with a second crash inside
     recovery at ``k % 5`` mutations — none when recovery makes fewer."""
-    cfg = config(shards, servers, workers, frequency).to_obladi_config()
+    cfg = config(shards, servers, workers, frequency)
     _, states, mutations = reference(cfg, migrate)
     assert mutations > 100
     outcomes = [crash_and_check(cfg, migrate, after, recovery_after=after % 5)
@@ -267,7 +267,7 @@ def test_a_crash_inside_recovery_ends_the_same_way(shards, servers, workers,
                                                    frequency, migrate):
     """Recovery is idempotent: for five crash points spread over the run, a
     second crash after any of recovery's own mutations reads back the same."""
-    cfg = config(shards, servers, workers, frequency).to_obladi_config()
+    cfg = config(shards, servers, workers, frequency)
     _, _, mutations = reference(cfg, migrate)
     swept = 0
     for after in range(mutations // 7, mutations, mutations // 5):
@@ -284,7 +284,7 @@ def test_a_crash_inside_recovery_ends_the_same_way(shards, servers, workers,
 @given(st.sampled_from(MATRIX), st.floats(0.0, 1.0, exclude_max=True))
 def test_larger_trees_recover_from_a_crash_anywhere(row, where):
     shards, servers, workers, frequency, migrate = row
-    cfg = config(shards, servers, workers, frequency, small=False).to_obladi_config()
+    cfg = config(shards, servers, workers, frequency, small=False)
     _, _, mutations = reference(cfg, migrate)
     assert crash_and_check(cfg, migrate, int(where * mutations),
                            recovery_after=int(where * 97) % 11) is not None
@@ -302,7 +302,7 @@ def test_the_ledger_holds_an_epoch_from_its_commit_on(shards, servers, workers,
     ``submit_many`` raises, its results are in the engine's ledger, before
     and after ``recover()``: ``stats()`` counts exactly the committed
     history."""
-    cfg = config(shards, servers, workers, frequency).to_obladi_config()
+    cfg = config(shards, servers, workers, frequency)
     width = cfg.read_batch_size
 
     def run_until_cutover(engine):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.api import ObladiEngine, create_engine
 from repro.concurrency.serializability import check_serializable
-from repro.core.config import ObladiConfig, RingOramConfig
+from repro.core.config import ObladiConfig
 from repro.core.proxy import ObladiProxy
 from repro.workloads.freehealth import FreeHealthConfig, FreeHealthWorkload
 from repro.workloads.records import record_field
@@ -13,10 +13,10 @@ from repro.workloads.tpcc import TPCCConfig, TPCCWorkload
 
 
 def obladi_for(data, profile, seed=3):
-    config = ObladiConfig.for_workload(
-        profile, num_blocks=max(2 * len(data), 1024), backend="server",
-        oram=RingOramConfig(num_blocks=max(2 * len(data), 1024), z_real=8, block_size=320),
-        durability=False, read_batch_size=48, write_batch_size=64)
+    config = (ObladiConfig().with_workload(profile).with_backend("server")
+              .with_oram(num_blocks=max(2 * len(data), 1024), z_real=8, block_size=320)
+              .with_batching(read_batch_size=48, write_batch_size=64)
+              .with_durability(False))
     proxy = ObladiProxy(config)
     proxy.load_initial_data(data)
     return proxy

@@ -39,11 +39,10 @@ class TestBuildProxy:
         assert len(proxy.workers) == 4
 
     def test_routing_reuses_the_sharding_partition_map(self):
-        config = make_config(workers=4, partition_seed=9)
-        proxy = build_proxy(config)
+        proxy = build_proxy(make_config(workers=4))
         for key in ("a", "account:17", "zz"):
-            expected = key_partition(key, 4, partition_seed=9)
-            assert worker_for_key(key, 4, 9) == expected
+            expected = key_partition(key, 4)
+            assert worker_for_key(key, 4) == expected
             assert proxy.worker_of(key) == expected
 
 

@@ -35,13 +35,15 @@ class TestKeyPartition:
 
     def test_deterministic_across_calls(self):
         for key in ("a", "k17", "account:42"):
-            assert key_partition(key, 8, 3) == key_partition(key, 8, 3)
+            assert key_partition(key, 8) == key_partition(key, 8)
 
-    def test_partition_seed_perturbs_the_mapping(self):
-        keys = [f"k{i}" for i in range(200)]
-        mapping_a = [key_partition(k, 8, 0) for k in keys]
-        mapping_b = [key_partition(k, 8, 1) for k in keys]
-        assert mapping_a != mapping_b
+    def test_recorded_mapping_is_unchanged(self):
+        # Stored layouts route by this map (sha256 over "0:" + key), so a
+        # change to it strands every key already written.
+        assert [key_partition(f"k{i}", 8) for i in range(16)] == [
+            7, 2, 1, 6, 1, 5, 7, 5, 3, 1, 7, 2, 7, 6, 2, 2]
+        assert [key_partition(f"account:{i}", 3) for i in range(16)] == [
+            2, 0, 2, 2, 0, 2, 1, 2, 1, 1, 0, 0, 1, 2, 2, 2]
 
     def test_roughly_balanced(self):
         counts = {}
@@ -114,8 +116,7 @@ class TestBuildDataLayer:
         config = layer.config
         for i in range(50):
             key = f"k{i}"
-            assert layer.partition_of(key) == key_partition(
-                key, config.shards, config.partition_seed)
+            assert layer.partition_of(key) == key_partition(key, config.shards)
             assert layer.partition_for_key(key).index == layer.partition_of(key)
 
 
