@@ -75,6 +75,16 @@ if grep -rnE "to_obladi_config|for_workload\(|class EngineConfig" \
     exit 1
 fi
 
+# One class per baseline: NoPrivEngine and MySQLEngine are engines on the one
+# wave loop of BaselineEngine, with no wrapper or executor beside them, and
+# the 2PL lock manager has the exclusive lock and nothing else.
+echo "== tripwire: one class per baseline =="
+if grep -rnIE "NoPrivProxy|TwoPhaseLockingStore|WaveExecutor|_BaselineEngine|run_transactions|LockMode|find_any_cycle" \
+        src/ tests/ benchmarks/ examples/ docs/ README.md; then
+    echo "a baseline wrapper, wave executor, lock mode or global cycle search is back" >&2
+    exit 1
+fi
+
 # Smoke first: an end-to-end regression across the three engines surfaces
 # in seconds, before the multi-minute figure regenerations start.
 echo "== smoke: Figure 9 end-to-end across all three engines =="

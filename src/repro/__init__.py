@@ -31,8 +31,6 @@ from repro.api import (EngineConfig, RunStats, TransactionEngine, create_engine,
 from repro.core.config import ObladiConfig, RingOramConfig
 from repro.core.client import Transaction, TransactionAborted
 from repro.core.proxy import ObladiProxy
-from repro.baseline.nopriv import NoPrivProxy
-from repro.baseline.mysql_like import TwoPhaseLockingStore
 from repro.sim.latency import LatencyModel, BACKENDS
 from repro.storage.memory import InMemoryStorageServer
 
@@ -47,8 +45,6 @@ __all__ = [
     "ObladiConfig",
     "RingOramConfig",
     "ObladiProxy",
-    "NoPrivProxy",
-    "TwoPhaseLockingStore",
     "Transaction",
     "TransactionAborted",
     "LatencyModel",

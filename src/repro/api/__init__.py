@@ -31,10 +31,11 @@ backends, async batching) plugs in by implementing ``TransactionEngine``
 and registering a kind with ``create_engine``.
 """
 
-from repro.api.adapters import MySQLEngine, NoPrivEngine, ObladiEngine
+from repro.api.adapters import ObladiEngine
 from repro.api.engine import (EngineFeatureUnavailable, FactorySource,
                               ProgramFactory, TransactionEngine)
 from repro.api.factory import ENGINE_KINDS, EngineConfig, create_engine
+from repro.baseline import MySQLEngine, NoPrivEngine
 from repro.api.loop import run_closed_loop
 from repro.api.openloop import (ArrivalProcess, DeterministicArrivals,
                                 PoissonArrivals, run_open_loop)

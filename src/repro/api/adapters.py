@@ -1,10 +1,12 @@
-"""Engine adapters for the three evaluated systems.
+"""The engine adapter of the Obladi proxy.
 
-Each adapter is thin: it owns one underlying system (the Obladi proxy, the
-NoPriv executor, or the strict-2PL store) and maps the uniform
-:class:`~repro.api.engine.TransactionEngine` surface onto it.  The wave
-loop, retrying and result bookkeeping all live in :mod:`repro.api.loop`,
-:mod:`repro.api.results` and the ledger of
+:class:`ObladiEngine` owns one proxy (and, across crashes and reshard
+cutovers, its successors) and maps the uniform
+:class:`~repro.api.engine.TransactionEngine` surface onto it.  The
+baselines need no adapter: :class:`~repro.baseline.nopriv.NoPrivEngine` and
+:class:`~repro.baseline.mysql_like.MySQLEngine` are engines themselves.  The
+wave loop, retrying and result bookkeeping all live in
+:mod:`repro.api.loop`, :mod:`repro.api.results` and the ledger of
 :class:`~repro.api.engine.TransactionEngine`; nothing here duplicates them.
 """
 
@@ -271,61 +273,3 @@ class ObladiEngine(TransactionEngine):
         self.proxy = recovered
         return report
 
-
-class _BaselineEngine(TransactionEngine):
-    """Shared adapter over the baselines' wave executors.
-
-    A ``submit_many`` wave is one ``run_transactions`` call: one client slot
-    per program, every program's fate reported once.
-    """
-
-    def __init__(self, impl) -> None:
-        self.impl = impl
-        super().__init__()
-
-    # -- data plane ----------------------------------------------------- #
-    def load_initial_data(self, items: Dict[str, bytes]) -> None:
-        self.impl.load_initial_data(items)
-
-    def submit_many(self, programs: Sequence[ProgramFactory]) -> List[TransactionResult]:
-        if not programs:
-            return []
-        wave = self.impl.run_transactions(programs)
-        # Programs start in submission order with monotonically increasing
-        # txn ids, so sorting by id restores submission order.
-        ordered = sorted(wave.results, key=lambda r: r.txn_id)
-        self._record_wave(ordered)
-        self._notify_wave(ordered)
-        return ordered
-
-    # -- introspection -------------------------------------------------- #
-    @property
-    def clock(self):
-        return self.impl.clock
-
-    @property
-    def committed_history(self):
-        return self.impl.committed_history
-
-    @property
-    def storage(self):
-        return self.impl.storage
-
-    def counters(self) -> Counters:
-        """Raw key I/O on the baseline's one storage server, and its CPU."""
-        storage = self.impl.storage
-        io = (storage.stats_reads, storage.stats_writes)
-        return Counters(physical_reads=io[0], physical_writes=io[1],
-                        server_physical=[io], cpu_ms=self.impl.cpu_ms)
-
-
-class NoPrivEngine(_BaselineEngine):
-    """The paper's NoPriv baseline (MVTSO over plain remote storage)."""
-
-    name = "nopriv"
-
-
-class MySQLEngine(_BaselineEngine):
-    """The MySQL/InnoDB stand-in (strict 2PL over local storage)."""
-
-    name = "mysql"

@@ -43,8 +43,9 @@ class EngineFeatureUnavailable(NotImplementedError):
 class TransactionEngine(abc.ABC):
     """One serializable transaction system behind a uniform API.
 
-    Concrete engines are created with :func:`repro.api.create_engine`; the
-    adapters in :mod:`repro.api.adapters` wrap the underlying systems.
+    Concrete engines are created with :func:`repro.api.create_engine`:
+    :class:`~repro.api.adapters.ObladiEngine` wraps the proxy, and the
+    baselines (:mod:`repro.baseline`) are engines themselves.
 
     The engine keeps one ledger: every result a ``submit_many`` wave
     delivered, entered once by :meth:`_record_wave`.  :meth:`stats` is a
@@ -155,8 +156,8 @@ class TransactionEngine(abc.ABC):
 
         ``None`` (the default) means the engine has no batching cadence of
         its own: the open loop drains the admission queue up to ``clients``
-        per wave — right for the baselines, whose discrete-event executors
-        take any number of concurrent slots.  Engines with a natural batch
+        per wave — right for the baselines, whose discrete-event wave loop
+        takes any number of concurrent slots.  Engines with a natural batch
         shape override this; the Obladi adapter returns its epoch's read
         batch capacity so each wave pipelines one full epoch.
         """
@@ -255,14 +256,13 @@ class TransactionEngine(abc.ABC):
         """Committed transactions, for serializability checking."""
         return []
 
+    @abc.abstractmethod
     def counters(self) -> Counters:
         """Snapshot of the engine's cumulative I/O, CC-operation and CPU counters.
 
         One :class:`~repro.api.results.Counters` value; the loop drivers
-        report a run as the difference of two snapshots.  The default is all
-        zeros and no per-partition / per-server / per-worker breakdown.
+        report a run as the difference of two snapshots.
         """
-        return Counters()
 
     # ------------------------------------------------------------------ #
     # Elastic topology

@@ -24,8 +24,9 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-from repro.api.adapters import MySQLEngine, NoPrivEngine, ObladiEngine
+from repro.api.adapters import ObladiEngine
 from repro.api.engine import TransactionEngine
+from repro.baseline import MySQLEngine, NoPrivEngine
 from repro.core.config import ObladiConfig
 
 #: The engine kinds :func:`create_engine` builds — what comparison harnesses
@@ -72,11 +73,5 @@ def create_engine(kind: str, config: Optional[ObladiConfig] = None,
         from repro.proxytier import build_proxy
         return ObladiEngine(build_proxy(config, storage=storage, clock=clock))
 
-    if normalized == "nopriv":
-        from repro.baseline.nopriv import NoPrivProxy
-        return NoPrivEngine(NoPrivProxy(backend=config.backend, clock=clock,
-                                        storage=storage))
-
-    from repro.baseline.mysql_like import TwoPhaseLockingStore
-    return MySQLEngine(TwoPhaseLockingStore(backend=config.backend,
-                                            clock=clock, storage=storage))
+    baseline = NoPrivEngine if normalized == "nopriv" else MySQLEngine
+    return baseline(backend=config.backend, clock=clock, storage=storage)

@@ -1,19 +1,22 @@
 """Non-private baselines used by the end-to-end evaluation (Figure 9).
 
-* :class:`~repro.baseline.nopriv.NoPrivProxy` — the paper's NoPriv baseline:
+Each baseline is a :class:`~repro.api.engine.TransactionEngine` of its own,
+built on the one wave loop of :class:`~repro.baseline.common.BaselineEngine`:
+
+* :class:`~repro.baseline.nopriv.NoPrivEngine` — the paper's NoPriv baseline:
   the same MVTSO concurrency control as Obladi, but the data handler talks to
   remote storage directly (no ORAM, no batching, no delayed commits).  Writes
   are buffered at the proxy until commit and served locally when possible.
-* :class:`~repro.baseline.mysql_like.TwoPhaseLockingStore` — a MySQL/InnoDB
-  stand-in: strict two-phase locking with locks held until commit, which is
-  what serialises TPC-C's new-order/payment contention in the paper.
+* :class:`~repro.baseline.mysql_like.MySQLEngine` — a MySQL/InnoDB
+  stand-in: strict two-phase locking with exclusive locks held until
+  commit, which is what serialises TPC-C's new-order/payment contention in
+  the paper.
 
-Both are usually driven through the unified engine layer
-(:func:`repro.api.create_engine` with kind ``"nopriv"`` or ``"mysql"``) and
-report a :class:`repro.api.results.RunStats`.
+:func:`repro.api.create_engine` builds them (kind ``"nopriv"`` or
+``"mysql"``), and :mod:`repro.api` re-exports both.
 """
 
-from repro.baseline.nopriv import NoPrivProxy
-from repro.baseline.mysql_like import TwoPhaseLockingStore
+from repro.baseline.nopriv import NoPrivEngine
+from repro.baseline.mysql_like import MySQLEngine
 
-__all__ = ["NoPrivProxy", "TwoPhaseLockingStore"]
+__all__ = ["NoPrivEngine", "MySQLEngine"]

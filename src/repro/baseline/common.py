@@ -1,6 +1,6 @@
-"""The wave simulator both baseline executors share.
+"""The engine both baselines share: one wave, one client slot per program.
 
-A baseline's primitive is "run this wave": every program of the wave starts
+A baseline's ``submit_many`` runs one wave: every program of the wave starts
 at the wave's instant in a client slot of its own, and the programs are
 interleaved at *operation* granularity over a simulated clock —
 
@@ -15,13 +15,13 @@ interleaved at *operation* granularity over a simulated clock —
   the ``dummy``/LAN configurations become CPU-bound while WAN configurations
   stay I/O-bound, as in the paper.
 
-:class:`WaveExecutor` is that event loop, written once.  The two baselines
+:class:`BaselineEngine` is that event loop, written once.  The two baselines
 specialise what one operation does and what it means to be stuck:
-:class:`~repro.baseline.nopriv.NoPrivProxy` parks transactions that wait for
-uncommitted writers, :class:`~repro.baseline.mysql_like.TwoPhaseLockingStore`
-parks lock waiters and aborts deadlock victims.  Nothing is retried here: an
-aborted program is reported aborted, and the engine layer's wave loop
-(:func:`repro.api.loop.run_waves`) decides whether it rides a later wave.
+:class:`~repro.baseline.nopriv.NoPrivEngine` parks transactions that wait for
+uncommitted writers, :class:`~repro.baseline.mysql_like.MySQLEngine` parks
+lock waiters and aborts deadlock victims.  Nothing is retried here: an
+aborted program is reported aborted, and the loop drivers
+(:func:`repro.api.loop.run_waves`) decide whether it rides a later wave.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.api.engine import ProgramFactory
-from repro.api.results import RunStats
+from repro.api.engine import ProgramFactory, TransactionEngine
+from repro.api.results import Counters
 from repro.concurrency.transaction import CommittedTransaction, TransactionRecord
 from repro.core.client import ProgramRun, TransactionResult
 from repro.sim.clock import SimClock
@@ -45,13 +45,13 @@ class WaveRunner:
         self.run = run
         self.record = record
         self.time_ms = 0.0              # slot-local; every wave starts at 0
-        self.done = False
+        self.result: Optional[TransactionResult] = None
 
 
-class WaveExecutor:
-    """Discrete-event execution of one wave, one client slot per program.
+class BaselineEngine(TransactionEngine):
+    """Discrete-event execution of waves, one client slot per program.
 
-    The executor owns the plain key-value store the baseline runs over (the
+    The engine owns the plain key-value store the baseline runs over (the
     server itself never advances the clock: storage cost is charged to the
     client slot that waits for it) and the committed history.  Subclasses
     provide the hooks:
@@ -64,27 +64,25 @@ class WaveExecutor:
       (:meth:`_schedule`), parks or finishes (:meth:`_finish`) it;
     * ``_parked()`` says whether anyone is parked, and ``_unpark()``
       finishes or re-schedules at least one parked transaction when
-      nothing is runnable.
+      nothing is runnable.  By default nobody is parked.
 
-    The wave's state lives on the executor while the wave runs; an
-    executor runs one wave at a time.
+    The wave's state lives on the engine while the wave runs; an engine
+    runs one wave at a time.
     """
-
-    #: ``RunStats.engine`` of the waves this executor runs.
-    engine_name = ""
 
     def __init__(self, backend: str = "server", clock: Optional[SimClock] = None,
                  storage: Optional[InMemoryStorageServer] = None) -> None:
         self.latency = get_latency_model(backend)
-        self.clock = clock if clock is not None else SimClock()
+        self._clock = clock if clock is not None else SimClock()
         if storage is None:
-            storage = InMemoryStorageServer(clock=self.clock, record_trace=False)
+            storage = InMemoryStorageServer(clock=self._clock, record_trace=False)
         else:
-            storage.clock = self.clock
+            storage.clock = self._clock
         self.storage = storage
-        self.committed_history: List[CommittedTransaction] = []
-        #: Simulated proxy CPU spent over every wave this executor ran.
+        self._history: List[CommittedTransaction] = []
+        #: Simulated proxy CPU spent over every wave this engine ran.
         self.cpu_ms = 0.0
+        super().__init__()
 
     # -- data loading and raw storage access ---------------------------- #
     def load_initial_data(self, items: Dict[str, bytes]) -> None:
@@ -101,39 +99,45 @@ class WaveExecutor:
             self.storage.write_batch(payload, record_batch=False)
 
     # -- the wave loop --------------------------------------------------- #
-    def run_transactions(self, factories: Sequence[ProgramFactory]) -> RunStats:
-        """Run one wave to completion and report every program's fate once.
+    def submit_many(self, programs: Sequence[ProgramFactory]) -> List[TransactionResult]:
+        """Run one wave to completion; ``results[i]`` is ``programs[i]``'s fate.
 
         Each program is a factory or a generator object (see
         :class:`~repro.core.client.ProgramRun`).
         """
-        self._run = RunStats(engine=self.engine_name)
+        if not programs:
+            return []
         self._active: List[Tuple[float, int, WaveRunner]] = []   # earliest first
         self._seq = 0
         self._cpu_ms = 0.0
         self._finish_ms = 0.0
         base_ms = self.clock.now_ms
-        runs = [ProgramRun(factory) for factory in factories]
-
-        self._begin_wave(max(1, len(runs)))
-        for run in runs:
-            self._schedule(WaveRunner(run, self._begin_transaction()))
+        self._begin_wave(len(programs))
+        runners = [WaveRunner(ProgramRun(program), self._begin_transaction())
+                   for program in programs]
+        for runner in runners:
+            self._schedule(runner)
         while self._active or self._parked():
             if not self._active:
                 self._unpark()
                 continue
             _, _, runner = heapq.heappop(self._active)
-            if not runner.done:
+            if runner.result is None:
                 self._advance(runner)
 
-        run = self._run
-        run.cpu_ms = self._cpu_ms
         self.cpu_ms += self._cpu_ms
-        run.elapsed_ms = max(self._finish_ms, self._cpu_ms)
         # Slot times are wave-local; anchor the shared clock at the call's
         # start so consecutive waves accumulate simulated time correctly.
-        self.clock.advance_to(base_ms + run.elapsed_ms)
-        return run
+        self.clock.advance_to(base_ms + max(self._finish_ms, self._cpu_ms))
+        results = [runner.result for runner in runners]
+        if any(result is None for result in results):
+            raise RuntimeError(f"{self.name} wave ended with an unresolved program")
+        self._record_wave(results)
+        self._notify_wave(results)
+        return results
+
+    def _parked(self) -> bool:
+        return False
 
     def _schedule(self, runner: WaveRunner) -> None:
         """Make ``runner`` runnable at its slot's local time."""
@@ -143,17 +147,25 @@ class WaveExecutor:
     def _finish(self, runner: WaveRunner, committed: bool,
                 reason: Optional[str]) -> None:
         """Account for a transaction that resolved at its slot's local time."""
-        run = self._run
         self._finish_ms = max(self._finish_ms, runner.time_ms)
         if committed:
-            self.committed_history.append(
-                CommittedTransaction.from_record(runner.record))
-            run.committed += 1
-            run.latencies_ms.append(runner.time_ms)
-        else:
-            run.aborted += 1
-        run.results.append(TransactionResult(
+            self._history.append(CommittedTransaction.from_record(runner.record))
+        runner.result = TransactionResult(
             txn_id=runner.record.txn_id, committed=committed,
             return_value=runner.run.return_value if committed else None,
-            abort_reason=reason, latency_ms=runner.time_ms, epoch=-1))
-        runner.done = True
+            abort_reason=reason, latency_ms=runner.time_ms, epoch=-1)
+
+    # -- introspection -------------------------------------------------- #
+    @property
+    def clock(self) -> SimClock:
+        return self._clock
+
+    @property
+    def committed_history(self) -> List[CommittedTransaction]:
+        return self._history
+
+    def counters(self) -> Counters:
+        """Raw key I/O on the baseline's one storage server, and its CPU."""
+        io = (self.storage.stats_reads, self.storage.stats_writes)
+        return Counters(physical_reads=io[0], physical_writes=io[1],
+                        server_physical=[io], cpu_ms=self.cpu_ms)

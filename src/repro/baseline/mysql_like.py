@@ -5,38 +5,39 @@ relevant behaviour the paper calls out is that InnoDB "acquires exclusive
 locks for the duration of the transactions", so conflicting TPC-C
 transactions serialise instead of pipelining the way MVTSO allows.  This
 baseline implements exactly that: an exclusive lock for every read and
-write, all held until commit, waits-for deadlock detection with the
-requesting transaction aborted when its wait would close a cycle, and writes
-applied at commit time.
+write (:class:`~repro.concurrency.two_phase_locking.LockManager` has no
+other), all held until commit, the requesting transaction aborted when its
+wait would close a cycle, and writes applied at commit time.
 
 Execution model
 ---------------
-Like :class:`repro.baseline.nopriv.NoPrivProxy`, a wave's transactions are
+Like :class:`repro.baseline.nopriv.NoPrivEngine`, a wave's transactions are
 interleaved at operation granularity, one client slot per program, by the
-shared discrete-event loop (:class:`~repro.baseline.common.WaveExecutor`),
+shared discrete-event loop (:class:`~repro.baseline.common.BaselineEngine`),
 so lock conflicts and deadlocks arise exactly where concurrent executions
 would produce them.  What 2PL adds to the loop is the *lock wait*: a
 transaction that blocks on a lock resumes when the holder finishes, with its
-clock advanced to the holder's completion time; when every transaction is
-blocked, a deadlock victim is aborted.
+clock advanced to the holder's completion time.  Since every deadlock is
+refused at acquire time, some transaction is always runnable while any is
+blocked, so nothing is ever parked with nothing left to run.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.baseline.common import WaveExecutor, WaveRunner
+from repro.baseline.common import BaselineEngine, WaveRunner
 from repro.concurrency.transaction import AbortReason, TransactionRecord
-from repro.concurrency.two_phase_locking import DeadlockError, LockManager, LockMode
+from repro.concurrency.two_phase_locking import DeadlockError, LockManager
 from repro.core.client import ABORT, COMMIT, ReadMany, Write
 from repro.sim.clock import SimClock
 from repro.storage.memory import InMemoryStorageServer
 
 
-class TwoPhaseLockingStore(WaveExecutor):
-    """Operation-interleaved wave executor for the strict-2PL baseline."""
+class MySQLEngine(BaselineEngine):
+    """The MySQL/InnoDB stand-in: strict 2PL over local storage."""
 
-    engine_name = "mysql"
+    name = "mysql"
 
     CPU_PER_OP_MS = 0.009
     CPU_PER_COMMIT_MS = 0.015
@@ -48,11 +49,9 @@ class TwoPhaseLockingStore(WaveExecutor):
     def __init__(self, backend: str = "server", clock: Optional[SimClock] = None,
                  storage: Optional[InMemoryStorageServer] = None) -> None:
         super().__init__(backend, clock, storage)
-        # Every access takes an exclusive lock: the paper describes MySQL as
-        # acquiring exclusive locks for the duration of conflicting
-        # transactions (InnoDB's SELECT ... FOR UPDATE pattern in OLTP code),
-        # which also avoids the shared-to-exclusive upgrade deadlock storms
-        # that a naive 2PL client would suffer on read-modify-write rows.
+        # Every access takes the key's exclusive lock: the paper describes
+        # MySQL as acquiring exclusive locks for the duration of conflicting
+        # transactions (InnoDB's SELECT ... FOR UPDATE pattern in OLTP code).
         self.locks = LockManager()
         self._next_txn_id = 1
         self._local_state: Dict[str, Optional[bytes]] = {}
@@ -77,9 +76,6 @@ class TwoPhaseLockingStore(WaveExecutor):
         self._next_txn_id += 1
         return record
 
-    def _parked(self) -> bool:
-        return bool(self._blocked)
-
     def _advance(self, runner: WaveRunner) -> None:
         outcome = self._step(runner)
         if outcome == "running":
@@ -95,27 +91,11 @@ class TwoPhaseLockingStore(WaveExecutor):
         self._cpu_ms += (runner.record.operations * self.CPU_PER_OP_MS
                          + self.CPU_PER_COMMIT_MS)
         super()._finish(runner, committed, reason)
-        # Release this transaction's locks and wake eligible waiters.
-        for waiter_id, _key, _mode in self.locks.release_all(runner.record.txn_id):
-            waiter = self._blocked.pop(waiter_id, None)
-            if waiter is not None:
-                waiter.time_ms = max(waiter.time_ms, runner.time_ms)
-                self._schedule(waiter)
-
-    def _unpark(self) -> None:
-        # Every runnable transaction is blocked.  A deadlock cycle may have
-        # formed when a released lock was granted past an existing holder;
-        # abort one member of the cycle (or, if none is found, the youngest
-        # blocked transaction) so the rest can proceed.
-        blocked = self._blocked
-        cycle = self.locks.find_any_cycle()
-        candidates = [blocked[t] for t in (cycle or []) if t in blocked]
-        if not candidates:
-            candidates = list(blocked.values())
-        victim = max(candidates, key=lambda r: r.record.txn_id)
-        blocked.pop(victim.record.txn_id)
-        victim.record.mark_aborted(AbortReason.DEADLOCK, victim.time_ms)
-        self._finish(victim, False, AbortReason.DEADLOCK.value)
+        # Release this transaction's locks; each goes to its first waiter.
+        for waiter_id, _key in self.locks.release_all(runner.record.txn_id):
+            waiter = self._blocked.pop(waiter_id)
+            waiter.time_ms = max(waiter.time_ms, runner.time_ms)
+            self._schedule(waiter)
 
     # ------------------------------------------------------------------ #
     # One operation at a time
@@ -170,8 +150,7 @@ class TwoPhaseLockingStore(WaveExecutor):
         for it, or the abort outcome if waiting would deadlock.
         """
         try:
-            granted = self.locks.acquire(runner.record.txn_id, key,
-                                         LockMode.EXCLUSIVE)
+            granted = self.locks.acquire(runner.record.txn_id, key)
         except DeadlockError:
             return self._abort(runner, AbortReason.DEADLOCK)
         return None if granted else "blocked"

@@ -9,22 +9,22 @@ commit notifications.
 
 Execution model
 ---------------
-``run_transactions`` runs one wave through the shared discrete-event loop
-(:class:`~repro.baseline.common.WaveExecutor`): one client slot per program,
-the slot with the earliest simulated time executes its next *operation* (not
-its whole transaction) before control moves on.  Interleaving at operation
-granularity is what exposes MVTSO's write conflicts and cascading aborts
-under contention — the paper's NoPriv is contention-bottlenecked on TPC-C
-for exactly this reason.  What NoPriv adds to the loop is the *dependency
-wait*: a transaction that read an uncommitted write parks until its writers
-resolve.
+``submit_many`` runs one wave through the shared discrete-event loop
+(:class:`~repro.baseline.common.BaselineEngine`): one client slot per
+program, the slot with the earliest simulated time executes its next
+*operation* (not its whole transaction) before control moves on.
+Interleaving at operation granularity is what exposes MVTSO's write
+conflicts and cascading aborts under contention — the paper's NoPriv is
+contention-bottlenecked on TPC-C for exactly this reason.  What NoPriv adds
+to the loop is the *dependency wait*: a transaction that read an uncommitted
+write parks until its writers resolve.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.baseline.common import WaveExecutor, WaveRunner
+from repro.baseline.common import BaselineEngine, WaveRunner
 from repro.concurrency.mvtso import MVTSOManager, WriteConflictError
 from repro.concurrency.transaction import AbortReason, TransactionStatus
 from repro.core.client import ABORT, COMMIT, Write
@@ -32,10 +32,10 @@ from repro.sim.clock import SimClock
 from repro.storage.memory import InMemoryStorageServer
 
 
-class NoPrivProxy(WaveExecutor):
-    """Operation-interleaved wave executor for the NoPriv baseline."""
+class NoPrivEngine(BaselineEngine):
+    """The paper's NoPriv baseline: MVTSO over plain remote storage."""
 
-    engine_name = "nopriv"
+    name = "nopriv"
 
     #: CPU charged per operation for MVTSO dependency tracking; the paper
     #: observes this becomes NoPriv's bottleneck on SmallBank.

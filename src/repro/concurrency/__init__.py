@@ -7,7 +7,7 @@ return the latest version older than the reader and leave a read marker that
 causes late writers to abort.  Transactions that observed uncommitted data
 record write-read dependencies and abort in cascade if a dependency aborts.
 
-The package also contains a strict two-phase-locking store used by the
+The package also contains the exclusive-lock manager of the strict-2PL
 "MySQL" baseline of Figure 9 and the offline serializability check
 :func:`check_serializable` (the benchmark runs it on every round's history,
 and the auditor's tests compare against it).  Transaction repair
@@ -20,7 +20,7 @@ from repro.concurrency.mvtso import MVTSOManager, WriteConflictError
 from repro.concurrency.versions import Version, VersionChain, VersionStore
 from repro.concurrency.serializability import check_serializable
 from repro.concurrency.transaction import CommittedTransaction
-from repro.concurrency.two_phase_locking import LockManager, LockMode, DeadlockError
+from repro.concurrency.two_phase_locking import LockManager, DeadlockError
 
 __all__ = [
     "TransactionRecord",
@@ -33,6 +33,5 @@ __all__ = [
     "VersionStore",
     "check_serializable",
     "LockManager",
-    "LockMode",
     "DeadlockError",
 ]

@@ -2,23 +2,23 @@
 
 Figure 9 compares Obladi and NoPriv against MySQL, whose InnoDB engine
 acquires exclusive locks for the duration of conflicting transactions.  The
-baseline here implements strict 2PL with deadlock detection via a
-waits-for graph; locks are held until commit/abort, which is what makes the
-new-order/payment contention in TPC-C serialise (and why NoPriv, running
-MVTSO, slightly outperforms it in the paper).
+baseline takes exactly that lock and no other: a key has at most one holder
+and a FIFO queue of waiters, and every lock is held until commit/abort,
+which is what makes the new-order/payment contention in TPC-C serialise (and
+why NoPriv, running MVTSO, slightly outperforms it in the paper).
+
+A blocked transaction waits for exactly one holder, so the waits-for graph
+is a set of chains.  A wait that would close a cycle can only be added by
+:meth:`LockManager.acquire`, which follows the chain from the holder and
+refuses the wait with :class:`DeadlockError` if the chain leads back to the
+requester.  A release hands the key to its first waiter, which waits for
+nothing once it holds the key, so a release never closes a cycle.
 """
 
 from __future__ import annotations
 
-import enum
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
-
-
-class LockMode(enum.Enum):
-    SHARED = "shared"
-    EXCLUSIVE = "exclusive"
+from typing import Dict, List, Set, Tuple
 
 
 class DeadlockError(Exception):
@@ -30,158 +30,65 @@ class DeadlockError(Exception):
         self.cycle = cycle
 
 
-@dataclass
-class LockState:
-    """Current holders and waiters of one key's lock."""
-
-    holders: Dict[int, LockMode] = field(default_factory=dict)
-    waiters: List[Tuple[int, LockMode]] = field(default_factory=list)
-
-    def compatible(self, txn_id: int, mode: LockMode) -> bool:
-        """Whether ``txn_id`` may acquire the lock in ``mode`` right now."""
-        others = {t: m for t, m in self.holders.items() if t != txn_id}
-        if not others:
-            return True
-        if mode is LockMode.SHARED:
-            return all(m is LockMode.SHARED for m in others.values())
-        return False
-
-
 class LockManager:
-    """Strict 2PL lock table with waits-for deadlock detection."""
+    """Exclusive-lock table with deadlock detection at acquire time."""
 
     def __init__(self) -> None:
-        self._locks: Dict[str, LockState] = defaultdict(LockState)
+        self._holder: Dict[str, int] = {}
+        self._waiters: Dict[str, List[int]] = defaultdict(list)
         self._held_by_txn: Dict[int, Set[str]] = defaultdict(set)
-        self._waits_for: Dict[int, Set[int]] = defaultdict(set)
+        # The key each blocked transaction waits for; its holder is the one
+        # transaction it waits on.
+        self._waiting_on: Dict[int, str] = {}
         self.stats_lock_waits = 0
         self.stats_deadlocks = 0
 
-    # ------------------------------------------------------------------ #
-    # Acquisition
-    # ------------------------------------------------------------------ #
-    def acquire(self, txn_id: int, key: str, mode: LockMode) -> bool:
-        """Try to acquire (or upgrade) a lock.
+    def acquire(self, txn_id: int, key: str) -> bool:
+        """Take ``key``'s exclusive lock for ``txn_id``.
 
-        Returns ``True`` if the lock was granted immediately.  If the lock
-        conflicts, the transaction is registered as a waiter, the waits-for
-        graph is updated, and ``False`` is returned — unless the wait would
-        close a cycle, in which case :class:`DeadlockError` is raised and the
-        caller must abort the transaction.
+        Returns ``True`` if the lock is held (it was free, or already
+        ``txn_id``'s).  Otherwise the transaction joins the key's wait queue
+        and ``False`` is returned — unless the wait would close a cycle, in
+        which case :class:`DeadlockError` is raised, nothing is queued and
+        the caller must abort the transaction.
         """
-        state = self._locks[key]
-        held = state.holders.get(txn_id)
-        if held is LockMode.EXCLUSIVE or (held is LockMode.SHARED and mode is LockMode.SHARED):
-            return True
-        if state.compatible(txn_id, mode):
-            state.holders[txn_id] = mode
+        holder = self._holder.setdefault(key, txn_id)
+        if holder == txn_id:
             self._held_by_txn[txn_id].add(key)
             return True
-
-        blockers = {t for t in state.holders if t != txn_id}
-        self._waits_for[txn_id].update(blockers)
-        cycle = self._find_cycle_from(txn_id)
-        if cycle is not None:
+        # Follow the chain of waits from the holder; the membership test
+        # stops the walk even on a graph that already holds a cycle.
+        chain = [txn_id]
+        while holder is not None and holder not in chain:
+            chain.append(holder)
+            holder = self._holder.get(self._waiting_on.get(holder))
+        if holder == txn_id:
             self.stats_deadlocks += 1
-            self._waits_for[txn_id].difference_update(blockers)
-            raise DeadlockError(txn_id, cycle)
-        state.waiters.append((txn_id, mode))
+            raise DeadlockError(txn_id, chain + [txn_id])
+        self._waiting_on[txn_id] = key
+        self._waiters[key].append(txn_id)
         self.stats_lock_waits += 1
         return False
 
-    def release_all(self, txn_id: int) -> List[Tuple[int, str, LockMode]]:
-        """Release every lock held by ``txn_id`` and grant eligible waiters.
+    def release_all(self, txn_id: int) -> List[Tuple[int, str]]:
+        """Release every lock ``txn_id`` holds, and leave any queue it is in.
 
-        Returns the list of (txn, key, mode) grants performed so the caller
-        can resume the corresponding waiting transactions.
+        Each released key goes to its first waiter.  Returns the
+        ``(waiter, key)`` grants performed, so the caller can resume the
+        transactions that now hold the lock they waited for.
         """
-        granted: List[Tuple[int, str, LockMode]] = []
-        for key in sorted(self._held_by_txn.pop(txn_id, set())):
-            state = self._locks[key]
-            state.holders.pop(txn_id, None)
-            granted.extend(self._grant_waiters(key))
-        # The transaction may also have been parked on someone else's lock
-        # (e.g. it aborted as a deadlock victim while waiting): purge it from
-        # every wait queue so it is never granted a lock posthumously.
-        for state in self._locks.values():
-            state.waiters = [(waiter, mode) for waiter, mode in state.waiters
-                             if waiter != txn_id]
-        self._waits_for.pop(txn_id, None)
-        for waiters in self._waits_for.values():
-            waiters.discard(txn_id)
+        key = self._waiting_on.pop(txn_id, None)
+        if key is not None:
+            self._waiters[key].remove(txn_id)
+        granted: List[Tuple[int, str]] = []
+        for key in sorted(self._held_by_txn.pop(txn_id, ())):
+            waiters = self._waiters.get(key)
+            if not waiters:
+                del self._holder[key]
+                continue
+            waiter = waiters.pop(0)
+            del self._waiting_on[waiter]
+            self._holder[key] = waiter
+            self._held_by_txn[waiter].add(key)
+            granted.append((waiter, key))
         return granted
-
-    def _grant_waiters(self, key: str) -> List[Tuple[int, str, LockMode]]:
-        state = self._locks[key]
-        granted: List[Tuple[int, str, LockMode]] = []
-        still_waiting: List[Tuple[int, LockMode]] = []
-        for txn_id, mode in state.waiters:
-            if state.compatible(txn_id, mode):
-                state.holders[txn_id] = mode
-                self._held_by_txn[txn_id].add(key)
-                self._waits_for[txn_id].clear()
-                granted.append((txn_id, key, mode))
-            else:
-                still_waiting.append((txn_id, mode))
-        state.waiters = still_waiting
-        # Re-point the remaining waiters' waits-for edges at the *current*
-        # holders: the original blocker may be gone and the lock granted to a
-        # different transaction, and stale edges would hide real deadlocks.
-        for txn_id, _mode in state.waiters:
-            self._waits_for[txn_id] = {holder for holder in state.holders
-                                       if holder != txn_id}
-        return granted
-
-    # ------------------------------------------------------------------ #
-    # Deadlock detection
-    # ------------------------------------------------------------------ #
-    def _find_cycle_from(self, start: int) -> Optional[List[int]]:
-        visited: Set[int] = set()
-        path: List[int] = []
-
-        def dfs(node: int) -> Optional[List[int]]:
-            if node in path:
-                return path[path.index(node):] + [node]
-            if node in visited:
-                return None
-            visited.add(node)
-            path.append(node)
-            for nxt in sorted(self._waits_for.get(node, ())):
-                cycle = dfs(nxt)
-                if cycle is not None:
-                    return cycle
-            path.pop()
-            return None
-
-        return dfs(start)
-
-    def find_any_cycle(self) -> Optional[List[int]]:
-        """Search the whole waits-for graph for a deadlock cycle.
-
-        Deadlocks are normally caught at acquire time, but a cycle can also
-        form when a released lock is granted to a different waiter than the
-        one an existing holder was waiting behind.  Executors call this when
-        every runnable transaction is blocked, and abort a member of the
-        returned cycle.
-        """
-        for start in sorted(self._waits_for):
-            cycle = self._find_cycle_from(start)
-            if cycle is not None:
-                return cycle
-        return None
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    def locks_held(self, txn_id: int) -> Set[str]:
-        """The keys ``txn_id`` currently holds locks on."""
-        return set(self._held_by_txn.get(txn_id, set()))
-
-    def holders(self, key: str) -> Dict[int, LockMode]:
-        """The transactions holding ``key`` and the mode each holds."""
-        return dict(self._locks[key].holders)
-
-    def is_waiting(self, txn_id: int) -> bool:
-        """Whether ``txn_id`` is blocked in some key's waiter queue."""
-        return any(txn_id == waiter for state in self._locks.values()
-                   for waiter, _ in state.waiters)

@@ -12,7 +12,7 @@ data path (core, recovery, api) assumed exactly one tree.  The
   epoch batches as parallel work (epoch batch duration = max over
   partitions).
 
-The proxy, the recovery manager and the engine adapters program against
+The proxy, the recovery manager and the Obladi engine program against
 this interface only; future backends (e.g. a remote oblivious store, a
 different ORAM construction) plug in here.
 """

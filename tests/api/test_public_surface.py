@@ -52,7 +52,6 @@ CONCURRENCY = [
     "VersionStore",
     "check_serializable",
     "LockManager",
-    "LockMode",
     "DeadlockError",
 ]
 

@@ -1,11 +1,9 @@
 """Tests for the strict-2PL (MySQL-like) baseline, driven the way production
-drives it: ``MySQLEngine(TwoPhaseLockingStore(...))`` under the shared closed
-loop."""
+drives it: ``MySQLEngine`` under the shared closed loop."""
 
 import pytest
 
 from repro.api import MySQLEngine
-from repro.baseline.mysql_like import TwoPhaseLockingStore
 from repro.concurrency.serializability import check_serializable
 from repro.core.client import AbortRequest, Read, ReadMany, Write
 
@@ -60,7 +58,7 @@ def crossing_pair(a, b):
 
 @pytest.fixture
 def store():
-    store = MySQLEngine(TwoPhaseLockingStore())
+    store = MySQLEngine()
     store.load_initial_data({f"row{i}": b"0" for i in range(20)})
     return store
 
@@ -127,8 +125,8 @@ class TestCorrectness:
 class TestPerformanceModel:
     def test_lock_waits_increase_latency_under_contention(self, closed_loop):
         data = {f"row{i}": b"0" for i in range(32)}
-        contended = MySQLEngine(TwoPhaseLockingStore())
-        spread = MySQLEngine(TwoPhaseLockingStore())
+        contended = MySQLEngine()
+        spread = MySQLEngine()
         contended.load_initial_data(data)
         spread.load_initial_data(data)
         hot = closed_loop(contended, [read_modify_write("row0") for _ in range(40)],

@@ -1,10 +1,9 @@
 """Tests for the NoPriv baseline, driven the way production drives it:
-``NoPrivEngine(NoPrivProxy(...))`` under the shared closed loop."""
+``NoPrivEngine`` under the shared closed loop."""
 
 import pytest
 
 from repro.api import NoPrivEngine
-from repro.baseline.nopriv import NoPrivProxy
 from repro.concurrency.serializability import check_serializable
 from repro.core.client import AbortRequest, Read, ReadMany, Write
 
@@ -40,7 +39,7 @@ def transfer(src, dst):
 
 @pytest.fixture
 def nopriv():
-    engine = NoPrivEngine(NoPrivProxy(backend="server"))
+    engine = NoPrivEngine(backend="server")
     engine.load_initial_data({f"acct{i}": b"100" for i in range(20)})
     return engine
 
@@ -96,8 +95,8 @@ class TestPerformanceModel:
 
     def test_wan_slower_than_lan(self, closed_loop):
         data = {f"k{i}": b"v" for i in range(20)}
-        lan = NoPrivEngine(NoPrivProxy(backend="server"))
-        wan = NoPrivEngine(NoPrivProxy(backend="server_wan"))
+        lan = NoPrivEngine(backend="server")
+        wan = NoPrivEngine(backend="server_wan")
         lan.load_initial_data(data)
         wan.load_initial_data(data)
         factories = [simple_read(f"k{i % 20}") for i in range(60)]

@@ -1,9 +1,9 @@
-"""The closed loop over a real workload, on engines wrapping pre-built systems."""
+"""The closed loop over a real workload, on an engine wrapping a pre-built
+proxy and on a baseline engine built directly."""
 
 import pytest
 
 from repro.api import NoPrivEngine, ObladiEngine, RunStats
-from repro.baseline.nopriv import NoPrivProxy
 from repro.core.config import ObladiConfig, RingOramConfig
 from repro.core.proxy import ObladiProxy
 from repro.workloads.smallbank import SmallBankConfig, SmallBankWorkload
@@ -31,9 +31,9 @@ def obladi(smallbank):
 
 @pytest.fixture
 def nopriv(smallbank):
-    baseline = NoPrivProxy(backend="server")
-    baseline.load_initial_data(smallbank.initial_data())
-    return NoPrivEngine(baseline)
+    engine = NoPrivEngine(backend="server")
+    engine.load_initial_data(smallbank.initial_data())
+    return engine
 
 
 class TestRunReportsTopologyStats:
