@@ -50,8 +50,8 @@ def _run(shards: int, num_accounts: int, storage_servers: int = 1,
     engine.load_initial_data(workload.initial_data())
     stats = engine.run_closed_loop(workload.transaction_factory,
                                    total_transactions=TRANSACTIONS, clients=CLIENTS)
-    summaries = engine.proxy.epoch_summaries
-    mean_epoch_ms = sum(s.duration_ms for s in summaries) / len(summaries)
+    # A closed loop's clock moves only inside epochs.
+    mean_epoch_ms = stats.elapsed_ms / stats.epochs
     return stats, mean_epoch_ms, engine
 
 

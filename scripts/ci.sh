@@ -85,6 +85,15 @@ if grep -rnIE "NoPrivProxy|TwoPhaseLockingStore|WaveExecutor|_BaselineEngine|run
     exit 1
 fi
 
+# One ledger: an epoch's results and committed history enter the engine's
+# ledger together, so no epoch summary or per-proxy history sits beside it.
+echo "== tripwire: one ledger =="
+if grep -rnIE "EpochSummary|epoch_summaries|_summary_extras|_retired_history|repro\.core\.epoch" \
+        src/ tests/ benchmarks/ examples/ docs/ README.md; then
+    echo "an epoch summary or a second committed history is back" >&2
+    exit 1
+fi
+
 # Smoke first: an end-to-end regression across the three engines surfaces
 # in seconds, before the multi-minute figure regenerations start.
 echo "== smoke: Figure 9 end-to-end across all three engines =="

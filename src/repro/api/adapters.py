@@ -26,7 +26,8 @@ class ObladiEngine(TransactionEngine):
     One ``submit_many`` wave is one proxy epoch: the wave's programs are
     queued, ``run_epoch`` executes them and hands back the epoch's results
     in submission order (admission preserves queue order), and those
-    results enter the engine's ledger the moment the epoch has committed.
+    results enter the engine's ledger, with the epoch's committed
+    transactions, the moment the epoch has committed.
 
     The engine must own the proxy's queue: programs submitted directly on
     the wrapped proxy in the middle of a wave would shift the id-to-program
@@ -39,11 +40,10 @@ class ObladiEngine(TransactionEngine):
     def __init__(self, proxy) -> None:
         self.proxy = proxy
         super().__init__()
-        # Counters and history of proxies retired by crash/recover cycles
-        # (and by reshard cutovers): outcomes live in the engine's ledger,
-        # but these two are the proxy's own.
+        # Counters of proxies retired by crash/recover cycles (and by
+        # reshard cutovers): outcomes and history live in the engine's
+        # ledger, but I/O and CPU counters are the proxy's own.
         self._retired_counters = Counters()
-        self._retired_history: list = []
         # Live-resharding state (repro.elasticity): a staged plan waits for
         # the next wave boundary, a running migration rides epoch barriers,
         # and completed windows leave their reports for RunStats.migrations.
@@ -68,7 +68,7 @@ class ObladiEngine(TransactionEngine):
             # The epoch enters the ledger at its commit, so a crash in the
             # deletes and copy step after it, or in the cutover below,
             # cannot lose it.
-            _, results = self.proxy.run_epoch(deliver=self._record_wave)
+            results = self.proxy.run_epoch(deliver=self._record_wave)
             if self._migration is not None and self._migration.done:
                 self._cutover()
         except ConnectionError:
@@ -99,11 +99,6 @@ class ObladiEngine(TransactionEngine):
     def clock(self):
         """The proxy's simulated clock."""
         return self.proxy.clock
-
-    @property
-    def committed_history(self):
-        """Committed transactions across every proxy incarnation (crash-safe)."""
-        return self._retired_history + self.proxy.committed_history
 
     @property
     def storage(self):
@@ -184,11 +179,10 @@ class ObladiEngine(TransactionEngine):
         """Retire the proxy and install the target topology behind a new one.
 
         Mirrors :meth:`recover`'s retirement bookkeeping — a cutover is a
-        bloodless crash/recover: the engine's lifetime counters and committed
-        history absorb the old proxy, the (migration-populated or handed-
-        over) data layer moves behind a freshly built proxy, and MVTSO
-        timestamps/transaction ids keep extending the same serialization
-        order.  With durability on, a full checkpoint is written as the
+        bloodless crash/recover: the engine's lifetime counters absorb the
+        old proxy, the (migration-populated or handed-over) data layer moves
+        behind a freshly built proxy, and MVTSO timestamps/transaction ids
+        keep extending the same serialization order.  With durability on, a full checkpoint is written as the
         migration *fence*: recovery from any later crash finds only the new
         generation's chain, while a crash before this point never sees it —
         so the new proxy takes over the moment the fence's manifest is
@@ -215,7 +209,7 @@ class ObladiEngine(TransactionEngine):
             self._migration_reports.append(migration.report())
             old._migration = None
             self._migration = None
-        self._retire_proxy(old)
+        self._retired_counters += self._proxy_counters(old)
         self.proxy = fresh
         self._reshard_target = None
         # Past the fence nothing reads the retiring generation; the server
@@ -228,22 +222,12 @@ class ObladiEngine(TransactionEngine):
     def crash(self) -> None:
         self.proxy.crash()
 
-    def _retire_proxy(self, old) -> None:
-        """Fold a proxy's counters and history into the retired accumulators.
-
-        Shared by :meth:`recover` and the reshard cutover: both replace
-        ``self.proxy`` and must not lose the old incarnation's I/O counters
-        or history (its outcomes are already in the ledger).
-        """
-        self._retired_counters += self._proxy_counters(old)
-        self._retired_history.extend(old.committed_history)
-
     def recover(self):
         """Build a fresh proxy from the untrusted store; returns the report.
 
-        The crashed proxy's committed work stays in the engine's ledger and
-        history — a crash loses in-flight state, not the record of
-        what already committed durably.  An in-flight reshard dies with the
+        The crashed proxy's committed work stays in the engine's ledger — a
+        crash loses in-flight state, not the record of what already
+        committed durably.  An in-flight reshard dies with the
         crash: its staged plan and half-copied target generation are
         volatile, and recovery lands on whichever side of the migration
         fence the durable chain reflects.  Recovery reads and deletes on
@@ -256,7 +240,7 @@ class ObladiEngine(TransactionEngine):
             old.storage, old.config, master_key=old.master_key,
             committed_epoch=(old.recovery.checkpoints.committed_epoch
                              if old.recovery is not None else None))
-        self._retire_proxy(old)
+        self._retired_counters += self._proxy_counters(old)
         self._pending_reshard = None
         self._reshard_target = None
         self._migration = None

@@ -20,6 +20,7 @@ import abc
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.api.results import Counters, RunStats
+from repro.concurrency.transaction import CommittedTransaction
 from repro.core.client import Read, Transaction, TransactionResult
 
 ProgramFactory = Callable[[], object]
@@ -48,11 +49,13 @@ class TransactionEngine(abc.ABC):
     baselines (:mod:`repro.baseline`) are engines themselves.
 
     The engine keeps one ledger: every result a ``submit_many`` wave
-    delivered, entered once by :meth:`_record_wave`.  :meth:`stats` is a
-    fold of it, so a crash, recovery or reshard cutover behind the engine
-    cannot lose or double-count an outcome its clients were told.  The
-    ledger starts in ``__init__``, which reads :attr:`clock`: a subclass
-    calls ``super().__init__()`` once its clock is readable.
+    delivered and the wave's committed transactions, entered once by
+    :meth:`_record_wave`.  :meth:`stats` is a fold of the results and
+    :attr:`committed_history` is the transactions, so a crash, recovery or
+    reshard cutover behind the engine cannot lose or double-count an
+    outcome its clients were told.  The ledger starts in ``__init__``,
+    which reads :attr:`clock`: a subclass calls ``super().__init__()`` once
+    its clock is readable.
     """
 
     #: Stable engine name (matches the ``create_engine`` kind).
@@ -66,6 +69,8 @@ class TransactionEngine(abc.ABC):
         self._start_ms = self.clock.now_ms
         self._waves = 0
         self._delivered: List[TransactionResult] = []
+        self._history: List[CommittedTransaction] = []
+        self._observers: List[object] = []
 
     # ------------------------------------------------------------------ #
     # Data plane
@@ -87,7 +92,8 @@ class TransactionEngine(abc.ABC):
         on: for the Obladi proxy one wave is one epoch; for the baselines it
         is one batch of concurrent client slots.  An engine runs the wave it
         is given, once; retrying is the drivers' job.  Every wave's results
-        enter the ledger (:meth:`_record_wave`) as soon as they are final.
+        and committed transactions enter the ledger (:meth:`_record_wave`)
+        as soon as they are final.
         """
 
     def read(self, key: str) -> Optional[bytes]:
@@ -169,7 +175,7 @@ class TransactionEngine(abc.ABC):
     @property
     def observers(self) -> List["object"]:
         """Attached :class:`~repro.audit.observer.EngineObserver`\\ s (read-only view)."""
-        return list(getattr(self, "_observers", ()))
+        return list(self._observers)
 
     def attach_observer(self, observer):
         """Attach an observer and return it.
@@ -185,25 +191,25 @@ class TransactionEngine(abc.ABC):
         observer for chaining
         (``auditor = engine.attach_observer(AuditingObserver())``).
         """
-        if not hasattr(self, "_observers"):
-            self._observers: List[object] = []
         self._observers.append(observer)
         observer.on_attach(self)
         return observer
 
     def detach_observer(self, observer) -> None:
         """Detach a previously attached observer (no-op if absent)."""
-        if hasattr(self, "_observers") and observer in self._observers:
+        if observer in self._observers:
             self._observers.remove(observer)
 
-    def _record_wave(self, results: List[TransactionResult]) -> None:
-        """Enter one wave's delivered results into the ledger (engines call this)."""
+    def _record_wave(self, results: List[TransactionResult],
+                     committed: List[CommittedTransaction]) -> None:
+        """Enter one wave's results and commits into the ledger (engines call this)."""
         self._waves += 1
         self._delivered.extend(results)
+        self._history.extend(committed)
 
     def _notify_wave(self, results) -> None:
         """Notify observers that a wave committed (engines call this)."""
-        for observer in getattr(self, "_observers", ()):
+        for observer in self._observers:
             observer.on_wave(self, results)
 
     def _notify_run_end(self, stats) -> None:
@@ -214,7 +220,7 @@ class TransactionEngine(abc.ABC):
         but changes nothing the engine counted.
         """
         self._stamp(stats)
-        for observer in getattr(self, "_observers", ()):
+        for observer in self._observers:
             observer.on_run_end(self, stats)
 
     # ------------------------------------------------------------------ #
@@ -252,9 +258,9 @@ class TransactionEngine(abc.ABC):
         """The engine's simulated clock (:class:`repro.sim.clock.SimClock`)."""
 
     @property
-    def committed_history(self):
-        """Committed transactions, for serializability checking."""
-        return []
+    def committed_history(self) -> List[CommittedTransaction]:
+        """The ledger's committed transactions, for serializability checking."""
+        return self._history
 
     @abc.abstractmethod
     def counters(self) -> Counters:

@@ -53,7 +53,7 @@ class BaselineEngine(TransactionEngine):
 
     The engine owns the plain key-value store the baseline runs over (the
     server itself never advances the clock: storage cost is charged to the
-    client slot that waits for it) and the committed history.  Subclasses
+    client slot that waits for it).  Subclasses
     provide the hooks:
 
     * ``_begin_wave(slots)`` resets their per-wave state;
@@ -79,7 +79,6 @@ class BaselineEngine(TransactionEngine):
         else:
             storage.clock = self._clock
         self.storage = storage
-        self._history: List[CommittedTransaction] = []
         #: Simulated proxy CPU spent over every wave this engine ran.
         self.cpu_ms = 0.0
         super().__init__()
@@ -111,6 +110,7 @@ class BaselineEngine(TransactionEngine):
         self._seq = 0
         self._cpu_ms = 0.0
         self._finish_ms = 0.0
+        self._committed: List[CommittedTransaction] = []
         base_ms = self.clock.now_ms
         self._begin_wave(len(programs))
         runners = [WaveRunner(ProgramRun(program), self._begin_transaction())
@@ -132,7 +132,7 @@ class BaselineEngine(TransactionEngine):
         results = [runner.result for runner in runners]
         if any(result is None for result in results):
             raise RuntimeError(f"{self.name} wave ended with an unresolved program")
-        self._record_wave(results)
+        self._record_wave(results, self._committed)
         self._notify_wave(results)
         return results
 
@@ -149,7 +149,7 @@ class BaselineEngine(TransactionEngine):
         """Account for a transaction that resolved at its slot's local time."""
         self._finish_ms = max(self._finish_ms, runner.time_ms)
         if committed:
-            self._history.append(CommittedTransaction.from_record(runner.record))
+            self._committed.append(CommittedTransaction.from_record(runner.record))
         runner.result = TransactionResult(
             txn_id=runner.record.txn_id, committed=committed,
             return_value=runner.run.return_value if committed else None,
@@ -159,10 +159,6 @@ class BaselineEngine(TransactionEngine):
     @property
     def clock(self) -> SimClock:
         return self._clock
-
-    @property
-    def committed_history(self) -> List[CommittedTransaction]:
-        return self._history
 
     def counters(self) -> Counters:
         """Raw key I/O on the baseline's one storage server, and its CPU."""

@@ -103,8 +103,9 @@ class ObladiConfig:
     # via key namespaces — the historical layout; ``storage_servers ==
     # shards`` is one-server-per-partition; values in between group
     # partitions round-robin (partition i lives on server i % M).
-    # ``link_extra_rtt_ms[i]`` optionally adds round-trip latency to server
-    # i's link (heterogeneous links; servers past the end get none).
+    # ``link_extra_rtt_ms[i]`` optionally adds a finite, non-negative
+    # round-trip latency to server i's link (heterogeneous links; at most
+    # one entry per server, and servers past the end get none).
     storage_servers: int = 1
     link_extra_rtt_ms: Tuple[float, ...] = ()
 
@@ -173,6 +174,14 @@ class ObladiConfig:
                 f"cannot spread {self.shards} partition(s) over "
                 f"{self.storage_servers} storage servers; "
                 f"storage_servers must not exceed shards")
+        if len(self.link_extra_rtt_ms) > self.storage_servers:
+            raise ValueError(
+                f"{len(self.link_extra_rtt_ms)} link_extra_rtt_ms entries for "
+                f"{self.storage_servers} storage server(s); give at most one "
+                f"per server")
+        if not all(0 <= extra < math.inf for extra in self.link_extra_rtt_ms):
+            raise ValueError(f"link_extra_rtt_ms entries must be finite and "
+                             f"non-negative, got {self.link_extra_rtt_ms}")
         if self.proxy_workers < 1:
             raise ValueError(
                 f"need at least one proxy worker, got "
@@ -327,10 +336,10 @@ class ObladiConfig:
         must not exceed ``shards``; set :meth:`with_sharding` first.
         ``link_extra_rtt_ms[i]`` adds round-trip time to server ``i``'s link.
         """
-        config = replace(self, storage_servers=storage_servers)
-        if link_extra_rtt_ms is not None:
-            config = replace(config, link_extra_rtt_ms=tuple(link_extra_rtt_ms))
-        return config
+        if link_extra_rtt_ms is None:
+            return replace(self, storage_servers=storage_servers)
+        return replace(self, storage_servers=storage_servers,
+                       link_extra_rtt_ms=tuple(link_extra_rtt_ms))
 
     def with_proxy_workers(self, proxy_workers: int) -> "ObladiConfig":
         """Divide the trusted MVTSO work across ``proxy_workers`` lanes (``repro.proxytier``)."""

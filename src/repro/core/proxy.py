@@ -30,7 +30,7 @@ same document).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Generator, List, Optional, Union
 
 from repro.concurrency.mvtso import MVTSOManager, WriteConflictError
 from repro.concurrency.transaction import (AbortReason, CommittedTransaction,
@@ -39,10 +39,13 @@ from repro.core.batch_manager import BatchManager
 from repro.core.client import (ABORT, COMMIT, ProgramRun, TransactionProgram,
                                TransactionResult, Write)
 from repro.core.config import ObladiConfig
-from repro.core.epoch import EpochSummary
 from repro.core.errors import BatchFullError, ProxyCrashedError
 from repro.sim.clock import SimClock
 from repro.storage.backend import StorageServer
+
+#: What ``run_epoch(deliver=...)`` is called with at the commit: the epoch's
+#: results and its committed transactions.
+_Deliver = Callable[[List[TransactionResult], List[CommittedTransaction]], None]
 
 
 @dataclass
@@ -139,9 +142,6 @@ class ObladiProxy:
         # that committed histories can be checked for serializability.
         self._last_writer_ts: Dict[str, int] = {}
 
-        self.committed_history: List[CommittedTransaction] = []
-        self.epoch_summaries: List[EpochSummary] = []
-
     # ------------------------------------------------------------------ #
     # Public client API
     # ------------------------------------------------------------------ #
@@ -174,16 +174,16 @@ class ObladiProxy:
     # ------------------------------------------------------------------ #
     # Epoch execution
     # ------------------------------------------------------------------ #
-    def run_epoch(self, deliver: Optional[Callable[[List[TransactionResult]], None]] = None
-                  ) -> Tuple[EpochSummary, List[TransactionResult]]:
+    def run_epoch(self, deliver: Optional[_Deliver] = None) -> List[TransactionResult]:
         """Execute one epoch over the queued transactions.
 
-        Returns the epoch's summary and its results, one per queued program
-        in submission order.  The proxy keeps no results of its own: what it
-        hands back here is the only record of what its clients were told.
-        ``deliver``, if given, receives the same results as soon as the
-        epoch has committed, before any later storage request can fail: the
-        engine enters them in its ledger there.  Raises
+        Returns the epoch's results, one per queued program in submission
+        order.  The proxy keeps no results or history of its own: what it
+        hands over here is the only record of what its clients were told.
+        ``deliver``, if given, receives the same results and the epoch's
+        :class:`~repro.concurrency.transaction.CommittedTransaction`\\ s as
+        soon as the epoch has committed, before any later storage request
+        can fail: the engine enters both in its ledger there.  Raises
         :class:`ProxyCrashedError` if the proxy has crashed and has not been
         recovered.
         """
@@ -194,7 +194,6 @@ class ObladiProxy:
 
         self.data_layer.begin_epoch()
         self.batch_manager.reset_epoch()
-        physical_before = self.data_layer.per_partition_physical()
 
         # Admission: every transaction waiting in the queue joins this epoch.
         admitted, self._queue = self._queue, []
@@ -220,26 +219,14 @@ class ObladiProxy:
         # values and issue their remaining writes.
         self._advance_transactions(admitted, final_round=True)
 
-        results, end_ms = self._finalize_epoch(admitted, epoch_id, deliver)
+        results = self._finalize_epoch(admitted, epoch_id, deliver)
 
         # Live resharding: one padded migration copy step rides each epoch
         # barrier (``repro.elasticity``); its reads from the retiring layer
-        # land in this epoch's physical counters like any other traffic.
+        # land in the physical counters like any other traffic.
         if self._migration is not None:
             self._migration.step()
-
-        physical_after = self.data_layer.per_partition_physical()
-        partition_physical = tuple((after_r - before_r, after_w - before_w)
-                                   for (before_r, before_w), (after_r, after_w)
-                                   in zip(physical_before, physical_after))
-        physical_reads = sum(reads for reads, _ in partition_physical)
-        physical_writes = sum(writes for _, writes in partition_physical)
-        summary = EpochSummary.from_results(epoch_id, max(0.0, end_ms - start_ms), results,
-                                            physical_reads, physical_writes,
-                                            partition_physical=partition_physical,
-                                            **self._summary_extras())
-        self.epoch_summaries.append(summary)
-        return summary, results
+        return results
 
     def _finish_round(self, epoch_start_ms: float, round_index: int) -> None:
         """Close one read-batch round: charge CC CPU, wait for the boundary.
@@ -274,10 +261,6 @@ class ObladiProxy:
         elapsed = pending * cost
         self.clock.advance(elapsed)
         self.cc_cpu_ms += elapsed
-
-    def _summary_extras(self) -> Dict[str, tuple]:
-        """Extra :class:`EpochSummary` fields; the proxy tier adds worker counters."""
-        return {}
 
     # ------------------------------------------------------------------ #
     # Transaction stepping
@@ -410,9 +393,8 @@ class ObladiProxy:
     # Epoch finalisation
     # ------------------------------------------------------------------ #
     def _finalize_epoch(self, admitted: List[_ActiveTransaction], epoch_id: int,
-                        deliver: Optional[Callable[[List[TransactionResult]], None]]
-                        ) -> Tuple[List[TransactionResult], float]:
-        """Commit the epoch; returns its results and the instant it ended."""
+                        deliver: Optional[_Deliver]) -> List[TransactionResult]:
+        """Commit the epoch and return its results."""
         # CC work from the final round (writes issued after the last batch
         # boundary) has no boundary to absorb it; charge it up front so the
         # commit timestamps below account for it.
@@ -474,7 +456,7 @@ class ObladiProxy:
         # before that point loses the epoch and a crash after it keeps it, so
         # that is where it enters the history.
         self._checkpoint(full=(epoch_id % self.config.checkpoint_frequency == 0))
-        self._record_commits(admitted, batch_items)
+        committed = self._record_commits(admitted, batch_items)
         # Shadow paging ends at the commit: nothing durable names the
         # checkpoint chain it replaced or the bucket versions the flush
         # superseded any more.  The epoch has committed, so its clients are
@@ -485,9 +467,9 @@ class ObladiProxy:
             end_ms = self.clock.now_ms
             results = self._notify_clients(admitted, epoch_id, end_ms)
             if deliver is not None:
-                deliver(results)
+                deliver(results, committed)
         self.mvtso.reset_epoch_state()
-        return results, end_ms
+        return results
 
     def _notify_clients(self, admitted: List[_ActiveTransaction], epoch_id: int,
                         end_ms: float) -> List[TransactionResult]:
@@ -515,8 +497,8 @@ class ObladiProxy:
         return results
 
     def _record_commits(self, admitted: List[_ActiveTransaction],
-                        batch_items: Dict[str, bytes]) -> None:
-        """Enter a durable epoch's committed transactions into the history.
+                        batch_items: Dict[str, bytes]) -> List[CommittedTransaction]:
+        """Return a durable epoch's committed transactions, in admission order.
 
         Also records version provenance for future epochs' reads: the value
         the ORAM now returns for each key of the write batch is the one its
@@ -529,9 +511,8 @@ class ObladiProxy:
             for key in record.write_set:
                 if key in batch_items:
                     self._last_writer_ts[key] = record.timestamp
-        self.committed_history.extend(
-            CommittedTransaction.from_record(active.record) for active in admitted
-            if active.record.status is TransactionStatus.COMMITTED)
+        return [CommittedTransaction.from_record(active.record) for active in admitted
+                if active.record.status is TransactionStatus.COMMITTED]
 
     #: Abort reasons the in-epoch repair pass may attempt to fix (a late
     #: write hit a read marker, or a dependency aborted).  Anything else —

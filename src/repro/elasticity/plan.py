@@ -87,9 +87,11 @@ class ReshardPlan:
         (:meth:`requires_migration`): the new layout's storage keys then live
         under ``g<generation>/`` so both generations coexist on the same
         servers while the migration runs.  Workload parameters, batch
-        quotas, cipher keys and seeds all carry over unchanged.
+        quotas, cipher keys and seeds all carry over unchanged; a scale-down
+        drops the extra link delays of the servers it leaves idle.
         """
         shards, servers, workers = self.target_topology(config)
         generation = config.generation + (1 if self.requires_migration(config) else 0)
         return replace(config, shards=shards, storage_servers=servers,
+                       link_extra_rtt_ms=config.link_extra_rtt_ms[:servers],
                        proxy_workers=workers, generation=generation)

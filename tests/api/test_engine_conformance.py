@@ -28,7 +28,7 @@ import pytest
 from repro.api import (ENGINE_KINDS, EngineConfig, EngineFeatureUnavailable,
                        PoissonArrivals, RunStats, TransactionEngine,
                        create_engine)
-from repro.audit import AuditingObserver
+from repro.audit import AuditingObserver, EngineObserver
 from repro.concurrency import check_serializable
 from repro.core.client import Read, ReadMany, TransactionAborted, Write
 from repro.elasticity import ReshardPlan
@@ -457,14 +457,6 @@ class TestProxyTierStats:
             runs[workers] = (stats.committed, stats.aborted, stats.elapsed_ms,
                              tuple(stats.latencies_ms), state)
         assert runs[1] == runs[4]
-
-    def test_epoch_summaries_carry_worker_ops(self):
-        eng = create_engine("obladi", _config(proxy_workers=4))
-        eng.load_initial_data({f"k{i}": b"0" for i in range(NUM_KEYS)})
-        eng.submit(append_program("k1"))
-        summary = eng.proxy.epoch_summaries[-1]
-        assert len(summary.worker_ops) == 4
-        assert sum(reads for reads, _ in summary.worker_ops) > 0
 
     def test_recover_preserves_worker_counters(self):
         eng = create_engine("obladi",
@@ -923,35 +915,54 @@ LEDGER_VARIANTS = [(kind, 1, 1, 1, strategy) for kind in ("nopriv", "mysql")
     [("obladi",) + topology for topology in OBLADI_TOPOLOGIES]
 
 
-class TestLedger:
-    """``engine.stats()`` is a fold of the results the engine delivered:
-    across runs, a crash and recovery, and a reshard cutover, its outcome
-    counts are the sum of the runs' ``RunStats`` and of the epochs'
-    ``EpochSummary`` counts — nothing is lost and nothing counted twice."""
+class LedgerCheck(EngineObserver):
+    """After every wave, the ledger's history holds one entry per commit."""
 
-    @pytest.mark.parametrize("variant", LEDGER_VARIANTS, ids=_variant_id)
-    def test_stats_is_the_fold_of_every_run(self, variant):
+    def __init__(self) -> None:
+        self.waves = 0
+
+    def on_wave(self, engine, results) -> None:
+        self.waves += 1
+        assert len(engine.committed_history) == engine.stats().committed
+
+
+class TestLedger:
+    """``engine.stats()`` is a fold of the results the engine delivered and
+    ``engine.committed_history`` is the same ledger's transactions: across
+    runs, a crash and recovery, and a reshard cutover, the outcome counts
+    are the sum of the runs' ``RunStats`` and the history has one entry per
+    commit after every wave — nothing is lost and nothing counted twice."""
+
+    @staticmethod
+    def _runs(variant, observer=None):
+        """Closed-loop runs before and after a crash/recover and a reshard
+        cutover (Obladi only); returns the engine and every run's
+        ``RunStats``."""
         kind, shards, servers, workers, strategy = variant
         config = (_config(shards, servers, workers, strategy)
                   .with_batching(read_batches=3, read_batch_size=8, write_batch_size=8)
                   .with_durability(kind == "obladi"))
         eng = create_engine(kind, config)
         eng.load_initial_data({f"k{i}": b"0" for i in range(NUM_KEYS)})
-        incarnations = [getattr(eng, "proxy", None)]
+        if observer is not None:
+            eng.attach_observer(observer)
         runs = [eng.run_closed_loop(mixed_source(seed=11), 24, clients=6)]
         if eng.supports_crash_recovery:
             eng.crash()
             eng.recover()
-            incarnations.append(eng.proxy)
         runs.append(eng.run_closed_loop(mixed_source(seed=13), 24, clients=6))
         if eng.name == "obladi":
             eng.reshard(ReshardPlan(shards=2, storage_servers=1, proxy_workers=1))
             while eng.reshard_in_flight:
                 runs.append(eng.run_closed_loop(mixed_source(seed=len(runs)), 8,
                                                 clients=4))
-            incarnations.append(eng.proxy)
             assert eng.proxy.config.shards == 2
+            runs.append(eng.run_closed_loop(mixed_source(seed=17), 8, clients=4))
+        return eng, runs
 
+    @pytest.mark.parametrize("variant", LEDGER_VARIANTS, ids=_variant_id)
+    def test_stats_is_the_fold_of_every_run(self, variant):
+        eng, runs = self._runs(variant)
         stats = eng.stats()
         assert stats.committed == sum(run.committed for run in runs) > 0
         assert stats.aborted == sum(run.aborted for run in runs)
@@ -964,17 +975,17 @@ class TestLedger:
             (Counter(run.aborts_by_reason) for run in runs), Counter()))
         assert stats.epochs == sum(run.epochs for run in runs)
         assert stats.committed == len(eng.committed_history)
-        if kind != "obladi":
+        if eng.name != "obladi":
             return
         # The hot keys conflict: every variant has losers to account for.
+        strategy = variant[-1]
         assert stats.aborted + stats.repaired > 0
         assert (stats.repaired > 0) == (strategy == "repair")
-        summaries = [summary for proxy in incarnations
-                     for summary in proxy.epoch_summaries]
-        assert len(summaries) == stats.epochs
-        assert sum(s.committed for s in summaries) == stats.committed
-        assert sum(s.aborted for s in summaries) == stats.aborted
-        assert sum(s.repaired for s in summaries) == stats.repaired
-        assert sum(s.repair_failed for s in summaries) == stats.repair_failed
-        assert dict(sum((Counter(dict(s.aborts_by_reason)) for s in summaries),
-                        Counter())) == stats.aborts_by_reason
+
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    def test_history_matches_the_commits_after_every_wave(self, kind):
+        check = LedgerCheck()
+        eng, _ = self._runs((kind, 1, 1, 1, "retry"), check)
+        assert check.waves == eng.stats().epochs > 0
+        assert sorted(txn.txn_id for txn in eng.committed_history) == \
+            sorted(result.txn_id for result in eng.stats().results if result.committed)

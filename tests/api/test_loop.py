@@ -108,7 +108,7 @@ class ScriptedEngine(TransactionEngine):
                 repaired=verdict == "repaired",
                 repair_failed=verdict == "repair_failed"))
             self._next_txn_id += 1
-        self._record_wave(results)
+        self._record_wave(results, [])
         return results
 
     @property

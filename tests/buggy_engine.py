@@ -79,7 +79,6 @@ class BuggyEngine(TransactionEngine):
         self.period = max(1, period)
         self.injected: List[InjectedViolation] = []
         self._rng = random.Random(seed)
-        self._history: List[CommittedTransaction] = []
         self._cursor = 0
         # Per-key (timestamp, txn_id) writer index over the corrupted
         # history, for picking "older version" read targets.
@@ -94,17 +93,10 @@ class BuggyEngine(TransactionEngine):
         """Bulk-load the dataset into the wrapped engine."""
         self.inner.load_initial_data(items)
 
-    def submit(self, program):
-        """Execute one program on the inner engine, then corrupt its record."""
-        result = self.inner.submit(program)
-        self._sync()
-        self._notify_wave([result])
-        return result
-
     def submit_many(self, programs: Sequence[ProgramFactory]):
         """Execute a wave on the inner engine, then corrupt its records."""
         results = self.inner.submit_many(programs)
-        self._sync()
+        self._sync(results)
         self._notify_wave(results)
         return results
 
@@ -118,11 +110,6 @@ class BuggyEngine(TransactionEngine):
     def clock(self):
         """The inner engine's simulated clock."""
         return self.inner.clock
-
-    @property
-    def committed_history(self) -> List[CommittedTransaction]:
-        """The *corrupted* committed history (the lie under audit)."""
-        return list(self._history)
 
     def open_loop_wave_limit(self):
         """Delegate the wave-size cap to the wrapped engine."""
@@ -143,13 +130,15 @@ class BuggyEngine(TransactionEngine):
     # ------------------------------------------------------------------ #
     # History corruption
     # ------------------------------------------------------------------ #
-    def _sync(self) -> None:
-        """Copy newly committed records, index them, and inject faults."""
+    def _sync(self, results) -> None:
+        """Copy newly committed records, index them, and inject faults.
+
+        The wave's results and its corrupted records enter this engine's
+        own ledger, so :attr:`committed_history` is the lie under audit.
+        """
         inner_history = self.inner.committed_history
         fresh = inner_history[self._cursor:]
         self._cursor = len(inner_history)
-        if not fresh:
-            return
         wave: List[CommittedTransaction] = []
         for txn in fresh:
             copy = CommittedTransaction(
@@ -160,7 +149,7 @@ class BuggyEngine(TransactionEngine):
                 bisect.insort(self._writers.setdefault(key, []),
                               (copy.timestamp, copy.txn_id))
         self._inject(wave)
-        self._history.extend(wave)
+        self._record_wave(results, wave)
 
     def _inject(self, wave: List[CommittedTransaction]) -> None:
         """Attempt one injection per ``period`` commits, cycling the kinds."""

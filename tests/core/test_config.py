@@ -80,6 +80,25 @@ class TestObladiConfig:
         with pytest.raises(ValueError):
             ObladiConfig(cost_model=CpuCostModel(cc_op_ms=-0.5))
 
+    @pytest.mark.parametrize("extra", [math.nan, math.inf, -5.0])
+    def test_invalid_link_delay_rejected(self, extra):
+        with pytest.raises(ValueError, match="link_extra_rtt_ms"):
+            ObladiConfig(shards=2, storage_servers=2, link_extra_rtt_ms=(0.0, extra))
+
+    def test_more_link_delays_than_servers_rejected(self):
+        with pytest.raises(ValueError, match="link_extra_rtt_ms"):
+            ObladiConfig(shards=2, storage_servers=2,
+                         link_extra_rtt_ms=(0.0, 2.0, 1.0))
+        with pytest.raises(ValueError, match="link_extra_rtt_ms"):
+            ObladiConfig(shards=2, storage_servers=2).with_storage_servers(
+                1, link_extra_rtt_ms=(0.0, 2.0))
+
+    def test_valid_link_delays_accepted(self):
+        config = ObladiConfig(shards=2, storage_servers=2, link_extra_rtt_ms=(0.0, 2.0))
+        assert config.link_extra_rtt_ms == (0.0, 2.0)
+        assert ObladiConfig(shards=2, storage_servers=2,
+                            link_extra_rtt_ms=(3.0,)).link_extra_rtt_ms == (3.0,)
+
     def test_describe_mentions_batching(self):
         text = ObladiConfig().describe()
         assert "b_read" in text and "backend" in text

@@ -105,27 +105,38 @@ class TestEpochSemantics:
 
     def test_commit_notification_only_at_epoch_end(self, proxy):
         proxy.submit(write_program("k1", b"epoch-write"))
-        assert proxy.committed_history == []
-        summary, results = proxy.run_epoch()
-        assert summary.committed == 1
-        assert [(r.committed, r.epoch) for r in results] == [(True, summary.epoch_id)]
-        assert len(proxy.committed_history) == 1
+        start = proxy.clock.now_ms
+        delivered = []
+
+        def deliver(results, committed):
+            delivered.append((proxy.clock.now_ms - start, results, committed))
+
+        results = proxy.run_epoch(deliver=deliver)
+        [(told_at_ms, told, committed)] = delivered
+        assert told_at_ms >= proxy.config.epoch_length_ms * 0.99
+        assert told == results
+        assert [(r.committed, r.epoch) for r in results] == [(True, results[0].epoch)]
+        assert [(t.txn_id, t.epoch, t.write_set) for t in committed] == \
+            [(results[0].txn_id, results[0].epoch, {"k1": b"epoch-write"})]
 
     def test_epoch_counter_advances(self, proxy):
-        first, _ = proxy.run_epoch()
-        second, _ = proxy.run_epoch()
-        assert second.epoch_id == first.epoch_id + 1
+        proxy.submit(read_program("k1"))
+        [first] = proxy.run_epoch()
+        proxy.submit(read_program("k1"))
+        [second] = proxy.run_epoch()
+        assert second.epoch == first.epoch + 1
 
     def test_empty_epoch_commits_nothing(self, proxy):
-        summary, results = proxy.run_epoch()
+        delivered = []
+        results = proxy.run_epoch(deliver=lambda *ledger: delivered.append(ledger))
         assert results == []
-        assert summary.committed == 0
-        assert summary.aborted == 0
+        assert delivered == [([], [])]
 
     def test_epoch_duration_is_at_least_the_batch_intervals(self, proxy):
         proxy.submit(read_program("k1"))
-        summary, _ = proxy.run_epoch()
-        assert summary.duration_ms >= proxy.config.epoch_length_ms * 0.99
+        start = proxy.clock.now_ms
+        proxy.run_epoch()
+        assert proxy.clock.now_ms - start >= proxy.config.epoch_length_ms * 0.99
 
     def test_dependent_reads_use_multiple_batches(self, engine):
         def chained():
@@ -303,11 +314,9 @@ class TestSerializabilityAndDurability:
         # 6 transactions each writing 1 distinct key: only 4 fit the batch.
         for i in range(6):
             proxy.submit(write_program(f"w{i}", b"x"))
-        summary, results = proxy.run_epoch()
-        assert summary.committed == 4
-        assert summary.aborted == 2
-        assert summary.aborts_by_reason == (("batch_full", 2),)
+        results = proxy.run_epoch()
         # The youngest writers are shed: submission order is timestamp order.
+        assert [r.committed for r in results] == [True] * 4 + [False] * 2
         assert [r.abort_reason for r in results] == [None] * 4 + ["batch_full"] * 2
 
     def test_load_initial_data_checkpoints_when_durable(self, durable_proxy):

@@ -81,6 +81,13 @@ def test_resolve_carries_every_other_field_over():
                    generation=source.generation) == source
 
 
+def test_a_scale_down_drops_the_idle_servers_link_delays():
+    source = replace(SOURCE, link_extra_rtt_ms=(0.0, 4.0))
+    assert ReshardPlan(storage_servers=1).resolve(source).link_extra_rtt_ms == (0.0,)
+    assert ReshardPlan(shards=4, storage_servers=4).resolve(source) \
+        .link_extra_rtt_ms == (0.0, 4.0)
+
+
 def test_successive_reshards_count_up_the_generations():
     first = ReshardPlan(shards=4).resolve(SOURCE)
     second = ReshardPlan(storage_servers=4).resolve(first)

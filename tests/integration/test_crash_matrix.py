@@ -325,7 +325,7 @@ def test_the_ledger_holds_an_epoch_from_its_commit_on(shards, servers, workers,
 
     def counted_commit(*args, record_commits=engine.proxy._record_commits):
         commits.append(NEVER - outage_left(engine.storage))
-        record_commits(*args)
+        return record_commits(*args)
 
     engine.proxy._record_commits = counted_commit
     last = run_until_cutover(engine)

@@ -57,7 +57,7 @@ def test_docs_gate_passes(capsys):
 def test_docs_gate_rejects_a_dangling_dotted_name():
     gate = _docs_gate()
     assert gate.resolves("repro.api.loop.run_waves")
-    assert gate.resolves("repro.core.epoch.EpochSummary.epoch_id")   # a field, no default
+    assert gate.resolves("repro.core.client.Read.key")   # a field, no default
     assert gate.resolves("repro.core.proxy.ObladiProxy._repair_conflict_losers")
     assert not gate.resolves("repro.concurrency.repair")
     assert not gate.resolves("repro.oram.batch_executor._fetch_slots")

@@ -77,11 +77,11 @@ class TestTPCCEndToEnd:
         workload = TPCCWorkload(TPCCConfig(warehouses=2, districts_per_warehouse=2,
                                            customers_per_district=4, items=40, seed=5))
         data = workload.initial_data()
-        proxy = obladi_for(data, "tpcc")
-        run = ObladiEngine(proxy).run_closed_loop(workload.transaction_factory,
-                                                  total_transactions=30, clients=6)
+        engine = ObladiEngine(obladi_for(data, "tpcc"))
+        run = engine.run_closed_loop(workload.transaction_factory,
+                                     total_transactions=30, clients=6)
         assert run.committed > 0
-        ok, cycle = check_serializable(proxy.committed_history)
+        ok, cycle = check_serializable(engine.committed_history)
         assert ok, cycle
 
     def test_new_order_ids_never_collide_under_contention(self):
@@ -94,7 +94,7 @@ class TestTPCCEndToEnd:
         for _ in range(4):
             for _ in range(3):
                 proxy.submit(workload.new_order_program(warehouse=0, district=0))
-            results += proxy.run_epoch()[1]
+            results += proxy.run_epoch()
         for result in results:
             if result.committed and isinstance(result.return_value, dict):
                 order_ids.append(result.return_value["order"])
@@ -105,12 +105,12 @@ class TestFreeHealthEndToEnd:
     def test_freehealth_on_obladi(self):
         workload = FreeHealthWorkload(FreeHealthConfig(num_patients=40, num_drugs=15, seed=3))
         data = workload.initial_data()
-        proxy = obladi_for(data, "freehealth")
-        run = ObladiEngine(proxy).run_closed_loop(workload.transaction_factory,
-                                                  total_transactions=30, clients=6)
+        engine = ObladiEngine(obladi_for(data, "freehealth"))
+        run = engine.run_closed_loop(workload.transaction_factory,
+                                     total_transactions=30, clients=6)
         assert run.committed > 0
         assert run.abort_rate < 0.5
-        ok, cycle = check_serializable(proxy.committed_history)
+        ok, cycle = check_serializable(engine.committed_history)
         assert ok, cycle
 
     def test_episode_counter_monotone_under_contention(self):
@@ -121,7 +121,7 @@ class TestFreeHealthEndToEnd:
         for _ in range(3):
             for _ in range(4):
                 proxy.submit(workload.create_episode_program(patient=1))
-            results += proxy.run_epoch()[1]
+            results += proxy.run_epoch()
         committed_episodes = [r.return_value["episode"] for r in results
                               if r.committed and isinstance(r.return_value, dict)
                               and "episode" in r.return_value]

@@ -68,7 +68,7 @@ class TestTamperDetection:
 
         proxy.submit(sweep)
         try:
-            _, results = proxy.run_epoch()
+            results = proxy.run_epoch()
         except IntegrityError:
             return  # detected, as required
         # If the swapped slots were not touched this epoch, the values that
