@@ -16,6 +16,12 @@ A crash at a chosen point is a storage outage: ``storage.fail(after=k)``
 fails every request once k more keys have been written or deleted, and the
 engine crashes its proxy on the error.
 
+The crash here hits a deployment that grew while it ran: a live reshard
+(``engine.reshard``) moves the data from one storage server onto two
+partitions on two servers.  The WAL and the checkpoint chain stay on the
+cluster's metadata server (server 0), so one outage of the whole tier and
+one recovery cover both servers.
+
 Run it with::
 
     python examples/crash_recovery.py
@@ -23,6 +29,7 @@ Run it with::
 
 from repro.api import EngineConfig, create_engine
 from repro.core.client import Read, Write
+from repro.elasticity import ReshardPlan
 
 
 def main() -> None:
@@ -49,6 +56,21 @@ def main() -> None:
         results = engine.submit_many([edit_for(i) for i in range(5)])
         print(f"epoch wave {epoch}: committed {sum(r.committed for r in results)} edits")
     print("doc:1 is now:", engine.read("doc:1").decode(), "\n")
+
+    # Grow onto a second storage server while serving: the copy rides the
+    # next epoch barriers, then the engine cuts over behind a full checkpoint.
+    def read_doc0():
+        yield Read("doc:0")
+
+    engine.reshard(ReshardPlan(shards=2, storage_servers=2))
+    waves = 0
+    while engine.reshard_in_flight:
+        engine.submit_many([read_doc0])
+        waves += 1
+    config = engine.proxy.config
+    print(f"resharded in {waves} waves: {config.shards} partitions on "
+          f"{len(engine.storage.servers)} storage servers; doc:1 still reads "
+          f"{engine.read('doc:1').decode()}\n")
 
     # Crash in the middle of the next epoch: the storage tier goes down once
     # the epoch has logged its first two read batches to the WAL, and the

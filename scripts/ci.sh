@@ -94,6 +94,17 @@ if grep -rnIE "EpochSummary|epoch_summaries|_summary_extras|_retired_history|rep
     exit 1
 fi
 
+# Only what production runs stays in src/: the helpers only tests called were
+# deleted, and their tests inline what they checked.  scripts/reach.py finds
+# the next ones; it takes minutes under the profiler, so each re-anchor runs
+# it and this step only keeps the deleted names from coming back.
+echo "== tripwire: test-only API stays deleted =="
+if grep -rnIwE "merge_traces|keys_accessed|clear_traces|eviction_count_for_bucket|deepest_common_level|bucket_on_path|epoch_read_capacity|epoch_length_ms|server_for_partition|slot_of_block|valid_real_block_ids|p95_latency_ms|transaction_factories|pending_bucket_writes|write_batch_padding|assert_ok" \
+        src/ tests/ benchmarks/ examples/ docs/ README.md; then
+    echo "an API only tests called is back" >&2
+    exit 1
+fi
+
 # Smoke first: an end-to-end regression across the three engines surfaces
 # in seconds, before the multi-minute figure regenerations start.
 echo "== smoke: Figure 9 end-to-end across all three engines =="

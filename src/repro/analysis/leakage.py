@@ -35,7 +35,8 @@ def views(storage) -> Views:
     server saw at one instant go, in fan-out order, to the namespaces with such requests
     then, or, if reads, to every partition reading: buffered rewrites may serve one."""
     out: Views = {}
-    for server, trace in enumerate(getattr(storage, "traces", None) or [storage.trace]):
+    for server, host in enumerate(getattr(storage, "servers", [storage])):
+        trace = host.trace
         if trace is None:
             continue
         parts, named = trace.split(_namespace), defaultdict(list)
@@ -236,6 +237,7 @@ def distinguish(real: Sequence[Views], simulated: Sequence[Views]) -> List[str]:
 def check_bucket_invariant(trace: AccessTrace) -> List[Tuple[int, int, int]]:
     """``(bucket, version, slot)`` read twice in one namespace: Ring ORAM reads a slot
     at most once before its bucket's rewrite bumps the version."""
-    counts = Counter(map(_namespace, trace.keys_accessed(StorageOp.READ)))
+    counts = Counter(_namespace(event.key) for event in trace.events
+                     if event.op is StorageOp.READ)
     return sorted({(int(p[1]), int(p[2][1:]), int(p[4])) for (_, key), count in counts.items()
                    if count > 1 and len(p := key.split("/")) == 5 and p[0] == "oram"})

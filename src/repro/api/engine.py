@@ -172,11 +172,6 @@ class TransactionEngine(abc.ABC):
     # ------------------------------------------------------------------ #
     # Observers
     # ------------------------------------------------------------------ #
-    @property
-    def observers(self) -> List["object"]:
-        """Attached :class:`~repro.audit.observer.EngineObserver`\\ s (read-only view)."""
-        return list(self._observers)
-
     def attach_observer(self, observer):
         """Attach an observer and return it.
 
@@ -194,11 +189,6 @@ class TransactionEngine(abc.ABC):
         self._observers.append(observer)
         observer.on_attach(self)
         return observer
-
-    def detach_observer(self, observer) -> None:
-        """Detach a previously attached observer (no-op if absent)."""
-        if observer in self._observers:
-            self._observers.remove(observer)
 
     def _record_wave(self, results: List[TransactionResult],
                      committed: List[CommittedTransaction]) -> None:
@@ -298,6 +288,3 @@ class TransactionEngine(abc.ABC):
     def recover(self):
         """Recover after :meth:`crash`; returns an engine-specific report."""
         raise EngineFeatureUnavailable(self.name, "recover()")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} name={self.name!r}>"

@@ -213,27 +213,11 @@ class RunStats:
             return 0.0
         return sum(self.latencies_ms) / len(self.latencies_ms)
 
-    @property
-    def p50_latency_ms(self) -> float:
-        """Median committed-transaction latency."""
-        return self._percentile(0.50)
-
-    @property
-    def p95_latency_ms(self) -> float:
-        """95th-percentile committed-transaction latency."""
-        return self._percentile(0.95)
-
-    @property
-    def p99_latency_ms(self) -> float:
-        """99th-percentile committed-transaction latency."""
-        return self._percentile(0.99)
-
-    def _percentile(self, fraction: float,
-                    samples: Optional[List[float]] = None) -> float:
-        data = self.latencies_ms if samples is None else samples
-        if not data:
+    @staticmethod
+    def _percentile(fraction: float, samples: List[float]) -> float:
+        if not samples:
             return 0.0
-        ordered = sorted(data)
+        ordered = sorted(samples)
         index = min(len(ordered) - 1, int(fraction * len(ordered)))
         return ordered[index]
 
@@ -296,8 +280,3 @@ class RunStats:
     def p95_total_latency_ms(self) -> float:
         """95th-percentile queue-inclusive latency."""
         return self._percentile(0.95, self.total_latencies_ms)
-
-    @property
-    def p99_total_latency_ms(self) -> float:
-        """99th-percentile queue-inclusive latency."""
-        return self._percentile(0.99, self.total_latencies_ms)

@@ -85,19 +85,6 @@ class AuditingObserver(EngineObserver):
             self.graph.ingest_batch(fresh)
         return fresh
 
-    @property
-    def ok(self) -> bool:
-        """``True`` while the audited history is serializable so far."""
-        return self.graph.ok
-
     def report(self) -> AuditReport:
         """Snapshot the auditor's verdict and retained-graph accounting."""
         return self.graph.report()
-
-    def assert_ok(self) -> None:
-        """Raise ``AssertionError`` with the first violation if auditing failed."""
-        if not self.graph.ok:
-            first = self.graph.violations[0]
-            raise AssertionError(
-                f"serializability audit failed: {first.kind} on txn "
-                f"{first.txn_id} ({first.detail})")

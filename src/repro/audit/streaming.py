@@ -119,13 +119,6 @@ class AuditReport:
     #: Highest settled timestamp (``-1`` until the first batch settles).
     watermark_ts: int
 
-    def first_cycle(self) -> Optional[Tuple[int, ...]]:
-        """The first reported cycle witness, if any violation carries one."""
-        for violation in self.violations:
-            if violation.cycle is not None:
-                return violation.cycle
-        return None
-
 
 @dataclass
 class _Batch:
@@ -193,14 +186,6 @@ class StreamingSerializationGraph:
     def retained_edges(self) -> int:
         """Number of dependency edges currently retained."""
         return self._edge_count
-
-    def frontier(self, key: str) -> Optional[KeyFrontier]:
-        """The settled-prefix summary for ``key``, if any batch settled it."""
-        return self._frontier.get(key)
-
-    def edge_labels(self, src: int, dst: int) -> Set[str]:
-        """Dependency labels (``ww:k`` / ``wr:k`` / ``rw:k``) on a retained edge."""
-        return set(self._labels.get((src, dst), ()))
 
     def ingest_batch(self, txns: Sequence[CommittedTransaction]) -> None:
         """Ingest one batch of committed transactions and advance the GC.

@@ -214,15 +214,6 @@ class MVTSOManager:
                 return candidate
         return None
 
-    def active_transactions(self) -> List[TransactionRecord]:
-        """Transactions that have neither committed nor aborted yet."""
-        return [t for t in self.transactions.values() if not t.is_finished]
-
-    def committed_transactions(self) -> List[TransactionRecord]:
-        """Transactions that have committed (in id order of the dict)."""
-        return [t for t in self.transactions.values()
-                if t.status is TransactionStatus.COMMITTED]
-
     def reset_epoch_state(self) -> None:
         """Clear per-epoch version chains (called after the epoch write-back).
 

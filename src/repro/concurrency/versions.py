@@ -59,10 +59,6 @@ class VersionChain:
         if reader_ts > self.read_marker_ts:
             self.read_marker_ts = reader_ts
 
-    def writer_timestamps(self) -> List[int]:
-        """The writer timestamps of every version, oldest first."""
-        return [v.writer_ts for v in self.versions]
-
 
 class VersionStore:
     """Version chains for all keys touched in the current epoch or database."""

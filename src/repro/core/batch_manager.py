@@ -66,10 +66,6 @@ class ReadBatch:
         return self.capacity - len(self.keys)
 
 
-def _one_partition(key: str) -> int:
-    return 0
-
-
 class BatchManager:
     """Assembles the epoch's R read batches and its write batch.
 
@@ -81,7 +77,7 @@ class BatchManager:
     """
 
     def __init__(self, read_batches: int, read_batch_size: int, write_batch_size: int,
-                 partitioner: Callable[[str], int] = _one_partition,
+                 partitioner: Callable[[str], int],
                  read_partition_quota: Optional[int] = None,
                  write_partition_quota: Optional[int] = None) -> None:
         if read_batches < 1:
@@ -111,14 +107,6 @@ class BatchManager:
     # ------------------------------------------------------------------ #
     # Read scheduling
     # ------------------------------------------------------------------ #
-    @property
-    def current_index(self) -> int:
-        """Index of the batch currently accepting requests."""
-        return self._next_batch
-
-    def batches_remaining(self) -> int:
-        return self.read_batches_per_epoch - self._next_batch
-
     def schedule_read(self, key: str) -> int:
         """Assign ``key`` to the next unfilled batch; returns the batch index.
 
@@ -139,9 +127,6 @@ class BatchManager:
                 return idx
         raise BatchFullError("read", self.read_batch_size)
 
-    def peek_batch(self, index: int) -> ReadBatch:
-        return self._batches[index]
-
     def dispatch_next(self) -> Optional[ReadBatch]:
         """Mark the current batch dispatched and return it (None when done)."""
         if self._next_batch >= self.read_batches_per_epoch:
@@ -151,9 +136,6 @@ class BatchManager:
         self.stats_padded += batch.padding
         self._next_batch += 1
         return batch
-
-    def all_dispatched(self) -> bool:
-        return self._next_batch >= self.read_batches_per_epoch
 
     # ------------------------------------------------------------------ #
     # Write batch
@@ -177,7 +159,3 @@ class BatchManager:
                 raise BatchFullError("write", self.write_partition_quota)
         return {key: (value if value is not None else b"")
                 for key, value in sorted(write_back.items())}
-
-    def write_batch_padding(self, actual: int) -> int:
-        """Dummy write slots needed to pad the write batch to b_write."""
-        return max(0, self.write_batch_size - actual)

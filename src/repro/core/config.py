@@ -199,19 +199,6 @@ class ObladiConfig:
             raise ValueError("topology generation cannot be negative")
 
     # ------------------------------------------------------------------ #
-    # Derived quantities
-    # ------------------------------------------------------------------ #
-    @property
-    def epoch_read_capacity(self) -> int:
-        """Total logical read slots per epoch (R * b_read)."""
-        return self.read_batches * self.read_batch_size
-
-    @property
-    def epoch_length_ms(self) -> float:
-        """Nominal epoch length: R batch intervals."""
-        return self.read_batches * self.batch_interval_ms
-
-    # ------------------------------------------------------------------ #
     # Sharding-derived quantities
     # ------------------------------------------------------------------ #
     @property
@@ -240,20 +227,6 @@ class ObladiConfig:
         every earlier generation on the same storage.
         """
         return "" if self.generation == 0 else f"g{self.generation}/"
-
-    @property
-    def topology(self) -> str:
-        """Human-readable name of the server topology this config describes.
-
-        ``"colocated"`` — every partition namespaced onto one server (the
-        historical layout); ``"per-partition"`` — one server per partition;
-        ``"grouped"`` — M servers for N > M partitions, round-robin.
-        """
-        if self.storage_servers <= 1:
-            return "colocated"
-        if self.storage_servers == self.shards:
-            return "per-partition"
-        return "grouped"
 
     @property
     def fanout_lanes(self) -> int:
@@ -376,7 +349,7 @@ class ObladiConfig:
     def describe(self) -> str:
         """One-line summary of the epoch, sharding and topology parameters."""
         sharding = f"shards={self.shards}, " if self.shards > 1 else ""
-        servers = (f"servers={self.storage_servers} ({self.topology}), "
+        servers = (f"servers={self.storage_servers}, "
                    if self.storage_servers > 1 else "")
         workers = (f"proxy_workers={self.proxy_workers}, "
                    if self.proxy_workers > 1 else "")

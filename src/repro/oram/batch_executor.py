@@ -416,10 +416,6 @@ class EpochBatchExecutor:
     # ------------------------------------------------------------------ #
     # Epoch flush
     # ------------------------------------------------------------------ #
-    def pending_bucket_writes(self) -> int:
-        """Number of distinct buckets waiting to be written back."""
-        return len(self._buffered_rewrites)
-
     def flush_epoch(self) -> float:
         """Write all buffered bucket rewrites as one parallel batch.
 

@@ -274,10 +274,6 @@ class CipherSuite:
     # ------------------------------------------------------------------ #
     # Block serialisation helpers
     # ------------------------------------------------------------------ #
-    def seal_block(self, block_id: Optional[int], value: bytes, context: bytes = b"") -> bytes:
-        """Seal one ``(block id, value)`` slot; ``None`` id = dummy (see :meth:`seal_blocks`)."""
-        return self.seal_blocks([(block_id, value, context)])[0]
-
     def seal_blocks(self, entries: Sequence[Tuple[Optional[int], bytes, bytes]]
                     ) -> List[bytes]:
         """Seal a bucket's ``(block_id_or_None, value, context)`` entries.
@@ -303,7 +299,7 @@ class CipherSuite:
         return [next(dummies) if bid is None else next(sealed) for bid, _, _ in entries]
 
     def open_block(self, blob: bytes, context: bytes = b"") -> Tuple[Optional[int], bytes]:
-        """Inverse of :meth:`seal_block`; returns ``(block_id_or_None, value)``."""
+        """Open one slot sealed by :meth:`seal_blocks`; returns ``(block_id_or_None, value)``."""
         return self._split_payload(self.decrypt(blob, context))
 
     def open_blocks(self, blobs: Sequence[bytes], contexts: Sequence[bytes]

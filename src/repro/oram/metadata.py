@@ -92,11 +92,6 @@ class BucketMeta:
             self.valid = valid
             self._index_valid_dummies()
 
-    def __repr__(self) -> str:
-        return (f"BucketMeta(bucket_id={self.bucket_id}, blocks={self.blocks}, "
-                f"valid={self.valid}, reads_since_write={self.reads_since_write}, "
-                f"version={self.version})")
-
     def _index_valid_dummies(self) -> None:
         self._valid_dummies = [i for i, (block, valid) in enumerate(zip(self.blocks, self.valid))
                                if valid and block is None]
@@ -104,30 +99,12 @@ class BucketMeta:
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
-    def slot_of_block(self, block_id: int) -> Optional[int]:
-        """Physical index of the valid slot holding ``block_id``, if any."""
-        blocks = self.blocks
-        if block_id in blocks:
-            index = blocks.index(block_id)
-            if self.valid[index]:
-                return index
-        return None
-
     def valid_dummy_slots(self) -> List[int]:
         """Indices of valid dummy slots, ascending.
 
         This is the kept list itself, not a copy: read it, do not mutate it.
         """
         return self._valid_dummies
-
-    def real_block_ids(self) -> List[int]:
-        """Block ids of all real blocks recorded in the bucket (valid or not)."""
-        return [block for block in self.blocks if block is not None]
-
-    def valid_real_block_ids(self) -> List[int]:
-        """Block ids of real blocks whose slots are still valid (unread)."""
-        return [block for block, valid in zip(self.blocks, self.valid)
-                if valid and block is not None]
 
     def invalidate(self, slot_index: int) -> None:
         """Mark a slot as read; reading it again before a rewrite is a bug."""

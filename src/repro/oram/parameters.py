@@ -93,14 +93,6 @@ class RingOramParameters:
             return self.max_stash_blocks
         return max(4 * self.z_real, 32)
 
-    def physical_reads_per_access(self) -> int:
-        """Slot reads per logical access (one per bucket on the path)."""
-        return self.depth + 1
-
-    def amortized_eviction_reads(self) -> float:
-        """Average slot reads per access attributable to evictions."""
-        return (self.depth + 1) * self.z_real / self.evict_rate
-
     def describe(self) -> str:
         """Human-readable one-line summary (used by the harness reports)."""
         return (

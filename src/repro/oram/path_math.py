@@ -20,29 +20,6 @@ from __future__ import annotations
 from typing import List
 
 
-def tree_levels(num_leaves: int) -> int:
-    """Number of non-root levels ``L`` for a tree with ``num_leaves`` leaves."""
-    if num_leaves < 1 or num_leaves & (num_leaves - 1):
-        raise ValueError(f"num_leaves must be a positive power of two, got {num_leaves}")
-    return num_leaves.bit_length() - 1
-
-
-def num_buckets(depth: int) -> int:
-    """Total buckets in a tree of depth ``depth`` (levels 0..depth)."""
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
-    return (1 << (depth + 1)) - 1
-
-
-def bucket_id(level: int, index: int) -> int:
-    """Heap-style id of the bucket at ``level`` with in-level ``index``."""
-    if level < 0:
-        raise ValueError("level must be non-negative")
-    if not 0 <= index < (1 << level):
-        raise ValueError(f"index {index} out of range for level {level}")
-    return (1 << level) - 1 + index
-
-
 def bucket_level(bid: int) -> int:
     """Level of bucket ``bid`` (root is level 0)."""
     if bid < 0:
@@ -67,32 +44,6 @@ def path_buckets(leaf: int, depth: int) -> List[int]:
     return [(1 << level) - 1 + (leaf >> (depth - level)) for level in range(depth + 1)]
 
 
-def bucket_on_path(bid: int, leaf: int, depth: int) -> bool:
-    """Whether bucket ``bid`` lies on the path to ``leaf``."""
-    level = bucket_level(bid)
-    if level > depth:
-        return False
-    return bucket_index_in_level(bid) == (leaf >> (depth - level))
-
-
-def deepest_common_level(leaf_a: int, leaf_b: int, depth: int) -> int:
-    """Deepest level at which the paths to ``leaf_a`` and ``leaf_b`` intersect.
-
-    Two paths always intersect at the root (level 0); they share levels
-    ``0..k`` where ``k`` is the length of their common leaf-index prefix,
-    ``depth - (leaf_a ^ leaf_b).bit_length()`` — the closed form the eviction
-    write phase computes inline; this bit walk is the oracle it is tested
-    against.
-    """
-    for leaf in (leaf_a, leaf_b):
-        if not 0 <= leaf < (1 << depth):
-            raise ValueError(f"leaf {leaf} out of range for depth {depth}")
-    level = depth
-    while level > 0 and (leaf_a >> (depth - level)) != (leaf_b >> (depth - level)):
-        level -= 1
-    return level
-
-
 def reverse_bits(value: int, width: int) -> int:
     """Reverse the ``width`` low-order bits of ``value``."""
     if value < 0 or value >= (1 << width):
@@ -111,27 +62,3 @@ def eviction_path(g: int, depth: int) -> int:
     if depth == 0:
         return 0
     return reverse_bits(g % (1 << depth), depth)
-
-
-def eviction_count_for_bucket(bid: int, g: int, depth: int) -> int:
-    """How many of the first ``g`` evictions rewrote bucket ``bid``.
-
-    Bucket ``(l, i)`` is on the ``g``-th eviction path iff
-    ``g mod 2**l == reverse_bits(i, l)``; counting solutions in ``[0, g)``
-    gives a closed form.  Obladi's recovery relies on this determinism: the
-    version of every bucket can be reconstructed from the eviction counter
-    alone (early reshuffles, which are data-dependent, are WAL-logged
-    separately).
-    """
-    if g < 0:
-        raise ValueError("eviction counter must be non-negative")
-    level = bucket_level(bid)
-    if level > depth:
-        raise ValueError(f"bucket {bid} is below the tree depth {depth}")
-    if level == 0:
-        return g
-    period = 1 << level
-    residue = reverse_bits(bucket_index_in_level(bid), level)
-    if g <= residue:
-        return 0
-    return (g - residue - 1) // period + 1

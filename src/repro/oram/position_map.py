@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 import struct
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.oram.crypto import IntegrityError
 from repro.oram.metadata import NO_BLOCK
@@ -62,21 +62,8 @@ class PositionMap:
         self._dirty.add(block_id)
         return leaf
 
-    def set(self, block_id: int, leaf: int) -> None:
-        """Force a specific mapping (used by recovery when replaying a delta)."""
-        if not 0 <= leaf < self.num_leaves:
-            raise ValueError(f"leaf {leaf} out of range [0, {self.num_leaves})")
-        self._positions[block_id] = leaf
-        self._dirty.add(block_id)
-
-    def __contains__(self, block_id: int) -> bool:
-        return block_id in self._positions
-
     def __len__(self) -> int:
         return len(self._positions)
-
-    def items(self) -> Iterator[Tuple[int, int]]:
-        return iter(self._positions.items())
 
     # ------------------------------------------------------------------ #
     # Checkpoint support

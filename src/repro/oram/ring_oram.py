@@ -304,8 +304,7 @@ class RingOram:
 
         # Ordinary evict-path: every stash block goes into the deepest bucket
         # of the target path that lies on its own path and has room.  Two
-        # paths share levels 0..k, k the length of the leaves' common prefix
-        # (:func:`repro.oram.path_math.deepest_common_level`).
+        # paths share levels 0..k, k the length of the leaves' common prefix.
         depth, z_real = self.params.depth, self.params.z_real
         target_leaf = plan.leaf
         placements: List[List[Tuple[int, bytes]]] = [[] for _ in plan.bucket_ids]

@@ -100,9 +100,6 @@ class Stash:
         if entry is not None:
             entry.reason = StashReason.EVICTION_RESIDUE
 
-    def clear(self) -> None:
-        self._entries.clear()
-
     def iter_ids(self) -> Iterator[int]:
         return iter(sorted(self._entries))
 

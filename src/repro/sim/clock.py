@@ -51,6 +51,3 @@ class SimClock:
         if t_ms > self._now_ms:
             self._now_ms = t_ms
         return self._now_ms
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SimClock(now_ms={self._now_ms:.3f})"

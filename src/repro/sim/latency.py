@@ -50,10 +50,6 @@ class LatencyModel:
     per_request_server_ms: float = 0.0
     dispatch_ms_per_request: float = 0.0
 
-    def rtt_ms(self, is_write: bool) -> float:
-        """Round-trip latency for one request of the given kind."""
-        return self.write_rtt_ms if is_write else self.read_rtt_ms
-
     def effective_parallelism(self, proxy_parallelism: int) -> int:
         """Parallelism usable once both proxy and backend caps are applied."""
         return max(1, min(proxy_parallelism, self.max_parallel_requests))

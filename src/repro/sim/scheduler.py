@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -56,13 +56,6 @@ class ScheduleResult:
     finish_times: Dict[int, float] = field(default_factory=dict)
     total_work_ms: float = 0.0
     critical_path_ms: float = 0.0
-
-    @property
-    def parallel_speedup(self) -> float:
-        """Ratio of total work to makespan; 1.0 means fully serial."""
-        if self.makespan_ms <= 0:
-            return 1.0
-        return self.total_work_ms / self.makespan_ms
 
 
 class ParallelScheduler:
@@ -153,11 +146,6 @@ class ParallelScheduler:
             total_work_ms=total_work,
             critical_path_ms=critical_path,
         )
-
-
-def serial_duration_ms(ops: Iterable[ScheduledOp]) -> float:
-    """Total duration if the operations were executed one after another."""
-    return sum(op.duration_ms for op in ops)
 
 
 def build_ops(durations: Sequence[float],

@@ -61,5 +61,5 @@ class StorageServer:
         raise NotImplementedError
 
     def keys(self) -> List[str]:
-        """All keys currently stored (test/diagnostic use only)."""
+        """All keys currently stored (recovery sweeps checkpoints and slots with it)."""
         raise NotImplementedError

@@ -14,7 +14,7 @@ times partition ``i`` against link ``i % M`` of
 
 :class:`StorageCluster` is the registry of those servers.  Partition ``i``
 of an N-partition data layer is hosted on server ``i % num_servers``
-(:meth:`StorageCluster.server_for_partition`), so ``num_servers == shards``
+(:class:`~repro.sharding.partitioned.PartitionedDataLayer`), so ``num_servers == shards``
 is one-server-per-partition and ``1 < num_servers < shards`` groups several
 partitions per server (each keeping its ``p<i>/`` key namespace on the host).
 
@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.sim.clock import SimClock
 from repro.storage.backend import StorageServer
 from repro.storage.memory import InMemoryStorageServer
-from repro.storage.trace import AccessTrace
 
 __all__ = ["StorageCluster", "build_storage"]
 
@@ -52,7 +51,7 @@ class StorageCluster(StorageServer):
 
     The :class:`StorageServer` interface (``read_batch`` .. ``keys``)
     delegates to the metadata server (server 0); address a specific server
-    through :attr:`servers` or :meth:`server_for_partition`.
+    through :attr:`servers`.
     """
 
     def __init__(self, num_servers: int = 2, clock: Optional[SimClock] = None,
@@ -118,16 +117,6 @@ class StorageCluster(StorageServer):
         """The server hosting proxy-wide durability state (WAL, checkpoints)."""
         return self.servers[0]
 
-    def server_index_for_partition(self, partition_index: int) -> int:
-        """Index of the server hosting data-layer partition ``partition_index``."""
-        if partition_index < 0:
-            raise ValueError("partition index cannot be negative")
-        return partition_index % len(self.servers)
-
-    def server_for_partition(self, partition_index: int) -> InMemoryStorageServer:
-        """The server hosting data-layer partition ``partition_index``."""
-        return self.servers[self.server_index_for_partition(partition_index)]
-
     # ------------------------------------------------------------------ #
     # Shared-clock plumbing (the proxy sets the clock on whatever storage
     # object it is handed, single server or cluster alike).
@@ -157,30 +146,6 @@ class StorageCluster(StorageServer):
             server.recover()
 
     # ------------------------------------------------------------------ #
-    # Per-server observability
-    # ------------------------------------------------------------------ #
-    @property
-    def traces(self) -> List[Optional[AccessTrace]]:
-        """Each server's own adversary trace (``None`` when not recorded)."""
-        return [server.trace for server in self.servers]
-
-    def clear_traces(self) -> None:
-        """Clear every server's recorded trace (between experiment phases)."""
-        for trace in self.traces:
-            if trace is not None:
-                trace.clear()
-
-    @property
-    def stats_reads(self) -> int:
-        """Total read requests across every server."""
-        return sum(server.stats_reads for server in self.servers)
-
-    @property
-    def stats_writes(self) -> int:
-        """Total write requests across every server."""
-        return sum(server.stats_writes for server in self.servers)
-
-    # ------------------------------------------------------------------ #
     # StorageServer interface — delegated to the metadata server
     # ------------------------------------------------------------------ #
     def read_batch(self, keys: Sequence[str],
@@ -201,26 +166,8 @@ class StorageCluster(StorageServer):
         return self.metadata_server.contains(key)
 
     def keys(self) -> List[str]:
-        """The metadata server's keys (see :meth:`all_keys` for every server)."""
+        """The metadata server's keys."""
         return self.metadata_server.keys()
-
-    # ------------------------------------------------------------------ #
-    # Diagnostics
-    # ------------------------------------------------------------------ #
-    def all_keys(self) -> List[str]:
-        """Every key stored anywhere in the cluster (diagnostic)."""
-        collected: List[str] = []
-        for server in self.servers:
-            collected.extend(server.keys())
-        return collected
-
-    def size_bytes(self) -> int:
-        """Total bytes stored across every server (diagnostic)."""
-        return sum(server.size_bytes() for server in self.servers)
-
-    def snapshot(self) -> List[Dict[str, bytes]]:
-        """Per-server copies of the stored data (recovery-test diffing)."""
-        return [server.snapshot() for server in self.servers]
 
 
 def build_storage(config, clock: Optional[SimClock] = None):

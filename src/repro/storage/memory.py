@@ -176,7 +176,3 @@ class InMemoryStorageServer(StorageServer):
     def size_bytes(self) -> int:
         """Total bytes currently stored (diagnostic)."""
         return sum(len(v) for v in self._data.values())
-
-    def snapshot(self) -> Dict[str, bytes]:
-        """Copy of the stored data; used by recovery tests to diff state."""
-        return dict(self._data)

@@ -28,7 +28,7 @@ only the key space is remapped.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.storage.backend import StorageServer
 
@@ -47,7 +47,9 @@ class NamespacedStorage(StorageServer):
     to every key; results are returned under the caller's unprefixed keys.
     Attributes not overridden here (``clock``, ``trace``, ``fail``...)
     delegate to the base server, so callers that inspect the trace or inject
-    failures keep working against the shared store.
+    failures keep working against the shared store.  A view serves batches
+    only: the WAL and the checkpoints, the one state read back by key, live
+    on the base server, which answers ``contains`` and ``keys``.
     """
 
     def __init__(self, base: StorageServer, prefix: str) -> None:
@@ -75,11 +77,3 @@ class NamespacedStorage(StorageServer):
 
     def delete_batch(self, keys: Sequence[str]) -> None:
         self.base.delete_batch([self.prefix + key for key in keys])
-
-    def contains(self, key: str) -> bool:
-        return self.base.contains(self.prefix + key)
-
-    def keys(self) -> List[str]:
-        """Keys of this namespace, with the prefix stripped."""
-        return [key[len(self.prefix):] for key in self.base.keys()
-                if key.startswith(self.prefix)]

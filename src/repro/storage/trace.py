@@ -13,8 +13,7 @@ from __future__ import annotations
 import zlib
 from array import array
 from dataclasses import dataclass
-from itertools import groupby
-from operator import index, itemgetter
+from operator import index
 from typing import (Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -190,14 +189,6 @@ class AccessTrace:
     def __len__(self) -> int:
         return self._length
 
-    def keys_accessed(self, op: Optional[StorageOp] = None) -> List[str]:
-        """Keys in access order, optionally filtered by operation kind."""
-        keys: List[str] = []
-        for block, block_keys in self._block_keys():
-            if op is None or block[0] == op:
-                keys.extend(block_keys)
-        return keys
-
     def ops_by_kind(self) -> Dict[StorageOp, int]:
         """Number of requests per operation kind."""
         counts: Dict[StorageOp, int] = {}
@@ -244,29 +235,3 @@ class AccessTrace:
                    for kind, count, sizes, _, _ in self._blocks
                    if op is None or kind == op)
 
-
-def merge_traces(traces: Iterable[AccessTrace]) -> AccessTrace:
-    """Merge several traces into one, re-sequencing events by time.
-
-    Useful when an experiment runs multiple proxies against separate storage
-    servers but the analysis wants a single adversary view.  Batch
-    boundaries are carried over in time order so ``batch_shape()`` stays
-    meaningful, but their ids are renumbered — events keep the batch id they
-    had in their source trace, so event→batch links are not preserved across
-    traces.
-    """
-    merged = AccessTrace()
-    all_batches: List[BatchBoundary] = []
-    rows: List[Tuple[int, float, StorageOp, str, int, int]] = []
-    for trace in traces:
-        rows.extend(trace._rows())
-        all_batches.extend(trace.batches)
-    all_batches.sort(key=lambda b: (b.time_ms, b.batch_id))
-    for batch in all_batches:
-        merged.begin_batch(batch.kind, batch.time_ms, batch.request_count)
-    rows.sort(key=itemgetter(1, 0))        # (time_ms, seq); stable across traces
-    for (time_ms, op, batch_id), run in groupby(rows, key=itemgetter(1, 2, 5)):
-        requests = list(run)
-        merged.record_batch(op, [row[3] for row in requests],
-                            [row[4] for row in requests], time_ms, batch_id)
-    return merged

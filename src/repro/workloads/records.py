@@ -36,11 +36,6 @@ def make_key(table: str, *parts: Union[int, str]) -> str:
     return ":".join([table] + [str(p) for p in parts])
 
 
-def split_key(key: str) -> List[str]:
-    """Inverse of :func:`make_key`."""
-    return key.split(":")
-
-
 def update_record(payload: Optional[bytes], **changes) -> bytes:
     """Return a new encoded record with ``changes`` applied.
 

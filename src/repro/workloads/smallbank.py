@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, Optional
 
 from repro.core.client import AbortRequest, Read, ReadMany, Write
 from repro.workloads.records import encode_record, make_key, record_field, update_record
@@ -213,7 +213,3 @@ class SmallBankWorkload:
             "send_payment": self.send_payment_program,
         }
         return builders[chosen]()
-
-    def transaction_factories(self, count: int,
-                              mix: Optional[Dict[str, int]] = None) -> List[Callable[[], Iterator]]:
-        return [self.transaction_factory(mix) for _ in range(count)]

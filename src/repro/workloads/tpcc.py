@@ -362,7 +362,3 @@ class TPCCWorkload:
             "stock_level": self.stock_level_program,
         }
         return builders[chosen]()
-
-    def transaction_factories(self, count: int,
-                              mix: Optional[Dict[str, int]] = None) -> List[Callable[[], Iterator]]:
-        return [self.transaction_factory(mix) for _ in range(count)]

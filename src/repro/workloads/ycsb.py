@@ -105,14 +105,6 @@ class YCSBWorkload:
             return self._zipf.next_index()
         return self.rng.randrange(self.config.num_records)
 
-    def key_stream(self, count: int) -> List[str]:
-        """``count`` keys drawn from the configured distribution."""
-        return [self.key(self.next_key_index()) for _ in range(count)]
-
-    def block_id_stream(self, count: int) -> List[int]:
-        """Raw block ids for ORAM-level experiments (key i maps to block i)."""
-        return [self.next_key_index() for _ in range(count)]
-
     def operation_stream(self, count: int) -> List[Tuple[str, str, Optional[bytes]]]:
         """``(op, key, value)`` triples following the read/update mix."""
         ops: List[Tuple[str, str, Optional[bytes]]] = []
@@ -146,7 +138,3 @@ class YCSBWorkload:
             return observed
 
         return program
-
-    def transaction_factories(self, count: int) -> List[Callable[[], Iterator]]:
-        """``count`` independent transaction factories."""
-        return [self.transaction_factory() for _ in range(count)]

@@ -264,10 +264,10 @@ class TestViews:
     def test_views_split_by_namespace_and_own_their_batches(self):
         split = views(SimpleNamespace(trace=self.trace(batched=True)))
         assert sorted(split) == [(0, 0, 0), (0, 0, 1), (0, 1, 1)]
-        assert split[0, 0, 0].keys_accessed() == ["oram/3/v1/s/0", "wal/0/0"]
+        assert [e.key for e in split[0, 0, 0].events] == ["oram/3/v1/s/0", "wal/0/0"]
         assert split[0, 0, 0].batch_shape() == [("read", 1), ("write", 1)]
         assert split[0, 0, 1].batch_shape() == [("read", 1), ("delete", 1)]
-        assert split[0, 1, 1].keys_accessed() == ["oram/0/v1/s/0"]
+        assert [e.key for e in split[0, 1, 1].events] == ["oram/0/v1/s/0"]
         assert split[0, 1, 1].batch_shape() == [("write", 1)]
 
     def test_views_do_not_see_how_requests_were_recorded(self):
@@ -280,8 +280,8 @@ class TestViews:
 
     def test_a_cluster_has_one_view_per_server_and_namespace(self):
         cluster = StorageCluster(num_servers=2)
-        cluster.server_for_partition(1).write_batch({"p1/oram/0/v1/s/0": b"x"})
-        cluster.server_for_partition(0).write_batch({"p0/oram/0/v1/s/0": b"y"})
+        cluster.servers[1].write_batch({"p1/oram/0/v1/s/0": b"x"})
+        cluster.servers[0].write_batch({"p0/oram/0/v1/s/0": b"y"})
         assert sorted(views(cluster)) == [(0, 0, 0), (1, 0, 1)]
         assert views(NamespacedStorage(cluster.servers[1], "p1/"))[0, 0, 1].batch_shape() == \
             [("write", 1)]

@@ -116,8 +116,8 @@ def play(topology, cc_op_ms, loop, source, clients):
     engine = create_engine("obladi", config)
     engine.load_initial_data({f"k{i}": b"v" for i in range(KEYS)})
     storage = engine.proxy.storage
-    for trace in getattr(storage, "traces", None) or [storage.trace]:
-        trace.clear()
+    for server in getattr(storage, "servers", [storage]):
+        server.trace.clear()
 
     epochs = EPOCHS
     if topology == RESHARD:

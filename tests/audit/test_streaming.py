@@ -72,7 +72,7 @@ class TestIncrementalCycleDetection:
         graph.ingest_batch([txn(5, ts=5, reads={"a": 7}),
                             txn(7, ts=7, writes=["a"])])
         assert graph.ok
-        assert "wr:a" in graph.edge_labels(7, 5)
+        assert "wr:a" in graph._labels[(7, 5)]
 
     def test_duplicate_txn_id_flagged(self):
         graph = StreamingSerializationGraph()
@@ -126,8 +126,7 @@ class TestGarbageCollection:
         graph.ingest_batch([txn(2, reads={"a": 1})])
         graph.ingest_batch([txn(3, writes=["b"])])   # settles txn 1
         graph.ingest_batch([txn(4, writes=["b"])])   # settles txn 2
-        frontier = graph.frontier("a")
-        assert frontier == KeyFrontier(last_writer_ts=1, last_writer_txn=1,
+        assert graph._frontier["a"] == KeyFrontier(last_writer_ts=1, last_writer_txn=1,
                                        max_reader_ts=2)
 
     def test_memory_high_water_is_bounded_by_the_window(self):
@@ -196,7 +195,6 @@ class TestGarbageCollection:
         assert report.retained_nodes == graph.retained_nodes
         assert report.frontier_keys == 2
         assert report.watermark_ts == graph.watermark_ts
-        assert report.first_cycle() is None
 
     def test_settle_lag_validation(self):
         with pytest.raises(ValueError):

@@ -113,5 +113,5 @@ class TestPerformanceModel:
 
     def test_latency_percentiles_available(self, nopriv, closed_loop):
         result = closed_loop(nopriv, [simple_read("acct1") for _ in range(20)], clients=4)
-        assert result.p95_latency_ms >= result.average_latency_ms * 0.5
+        assert result.p95_total_latency_ms >= result.average_latency_ms * 0.5
         assert result.abort_rate == 0.0

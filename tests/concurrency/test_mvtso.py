@@ -149,10 +149,10 @@ class TestCommitAbort:
         mgr.reset_epoch_state()
         assert mgr.store.get_chain("k") is None
 
-    def test_active_and_committed_listing(self, mgr):
+    def test_commit_finishes_only_the_committed_transaction(self, mgr):
         a = mgr.begin(epoch=0)
         b = mgr.begin(epoch=0)
         a.request_commit()
         mgr.commit(a)
-        assert a in mgr.committed_transactions()
-        assert b in mgr.active_transactions()
+        assert a.status is TransactionStatus.COMMITTED
+        assert not b.is_finished

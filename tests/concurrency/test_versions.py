@@ -30,7 +30,7 @@ class TestVersionChain:
         chain = VersionChain(key="k")
         for ts in (5, 1, 3):
             chain.insert(Version("k", str(ts).encode(), writer_ts=ts))
-        assert chain.writer_timestamps() == [1, 3, 5]
+        assert [v.writer_ts for v in chain.versions] == [1, 3, 5]
 
     def test_read_marker_only_advances(self):
         chain = VersionChain(key="k")
@@ -50,7 +50,7 @@ class TestVersionStore:
         store = VersionStore()
         store.chain("x").insert(Version("x", b"a", writer_ts=1))
         assert store.chain("x") is store.get_chain("x")
-        assert store.chain("x").writer_timestamps() == [1]
+        assert [v.writer_ts for v in store.chain("x").versions] == [1]
         assert store.get_chain("y") is None
 
     def test_get_chain_returns_none_for_unknown(self):

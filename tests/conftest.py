@@ -163,23 +163,43 @@ class OneOpPerEpoch:
         self._epoch(lambda: self.executor.execute_write_batch({block_id: value}))
 
 
+def valid_slot(meta, block_id):
+    """Physical index of the valid slot of bucket ``meta`` holding ``block_id``, if any."""
+    if block_id in meta.blocks and meta.valid[meta.blocks.index(block_id)]:
+        return meta.blocks.index(block_id)
+    return None
+
+
+def valid_blocks(meta):
+    """Block ids of the real blocks whose slots in bucket ``meta`` are still unread."""
+    return [block for block, valid in zip(meta.blocks, meta.valid)
+            if valid and block is not None]
+
+
 def tree_slot_key(oram, block_id):
     """Storage key of the valid tree slot that holds ``block_id``."""
     for bucket in path_math.path_buckets(oram.position_map.lookup(block_id),
                                          oram.params.depth):
         meta = oram.metadata.bucket(bucket)
-        slot = meta.slot_of_block(block_id)
+        slot = valid_slot(meta, block_id)
         if slot is not None:
             return slot_storage_key(bucket, meta.version, slot)
     raise AssertionError(f"block {block_id} is not in the tree")
 
 
+def stored_data(server):
+    """Copy of every ``{key: bytes}`` an in-memory server holds, read untraced."""
+    return dict(server._data)
+
+
 def stored_versions(storage):
-    """``{bucket: {version: slots stored}}`` over the ``oram/`` keys of ``storage``."""
+    """``{bucket: {version: slots stored}}`` over the ``oram/`` keys of ``storage``,
+    a server or a namespaced view of one."""
+    prefix = getattr(storage, "prefix", "")
     versions = {}
-    for key in storage.keys():
-        if key.startswith("oram/"):
-            _, bucket, version, _ = key.split("/", 3)
+    for key in getattr(storage, "base", storage).keys():
+        if key.startswith(prefix + "oram/"):
+            _, bucket, version, _ = key[len(prefix):].split("/", 3)
             per_bucket = versions.setdefault(int(bucket), {})
             per_bucket[int(version[1:])] = per_bucket.get(int(version[1:]), 0) + 1
     return versions

@@ -8,7 +8,8 @@ from repro.core.errors import BatchFullError
 
 @pytest.fixture
 def manager():
-    return BatchManager(read_batches=3, read_batch_size=4, write_batch_size=4)
+    return BatchManager(read_batches=3, read_batch_size=4, write_batch_size=4,
+                        partitioner=lambda key: 0)
 
 
 class TestReadScheduling:
@@ -21,7 +22,7 @@ class TestReadScheduling:
         index = manager.schedule_read("a")
         assert index == 0
         assert manager.stats_deduplicated == 1
-        assert len(manager.peek_batch(0).keys) == 1
+        assert manager.dispatch_next().keys == ["a"]
 
     def test_overflow_spills_to_next_batch(self, manager):
         for key in "abcd":
@@ -39,7 +40,6 @@ class TestReadScheduling:
         batch = manager.dispatch_next()
         assert batch.index == 0
         assert batch.dispatched
-        assert manager.current_index == 1
         assert manager.schedule_read("b") == 1
 
     def test_dispatched_batch_rejects_new_keys(self, manager):
@@ -51,7 +51,6 @@ class TestReadScheduling:
         for _ in range(3):
             assert manager.dispatch_next() is not None
         assert manager.dispatch_next() is None
-        assert manager.all_dispatched()
 
     def test_padding_counted_at_dispatch(self, manager):
         manager.schedule_read("a")
@@ -62,14 +61,9 @@ class TestReadScheduling:
         manager.schedule_read("a")
         manager.dispatch_next()
         manager.reset_epoch()
-        assert manager.current_index == 0
-        assert manager.batches_remaining() == 3
         assert manager.schedule_read("a") == 0
-
-    def test_batches_remaining(self, manager):
-        assert manager.batches_remaining() == 3
-        manager.dispatch_next()
-        assert manager.batches_remaining() == 2
+        assert [manager.dispatch_next() is not None for _ in range(4)] == \
+            [True, True, True, False]
 
 
 class TestWriteBatch:
@@ -86,10 +80,7 @@ class TestWriteBatch:
         with pytest.raises(BatchFullError):
             manager.build_write_batch(items)
 
-    def test_write_batch_padding(self, manager):
-        assert manager.write_batch_padding(1) == 3
-        assert manager.write_batch_padding(10) == 0
-
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError):
-            BatchManager(read_batches=0, read_batch_size=4, write_batch_size=4)
+            BatchManager(read_batches=0, read_batch_size=4, write_batch_size=4,
+                         partitioner=lambda key: 0)

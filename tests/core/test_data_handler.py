@@ -85,7 +85,7 @@ class TestDataHandler:
         handler.execute_read_batch(["k1"], batch_size=4)
         handler.abort_epoch()
         assert not handler.cache.has_base("k1")
-        assert handler.executor.pending_bucket_writes() == 0
+        assert len(handler.executor._buffered_rewrites) == 0
 
     def test_stash_resident_detection(self):
         handler = make_handler()

@@ -113,7 +113,7 @@ class TestEpochSemantics:
 
         results = proxy.run_epoch(deliver=deliver)
         [(told_at_ms, told, committed)] = delivered
-        assert told_at_ms >= proxy.config.epoch_length_ms * 0.99
+        assert told_at_ms >= proxy.config.read_batches * proxy.config.batch_interval_ms * 0.99
         assert told == results
         assert [(r.committed, r.epoch) for r in results] == [(True, results[0].epoch)]
         assert [(t.txn_id, t.epoch, t.write_set) for t in committed] == \
@@ -136,7 +136,7 @@ class TestEpochSemantics:
         proxy.submit(read_program("k1"))
         start = proxy.clock.now_ms
         proxy.run_epoch()
-        assert proxy.clock.now_ms - start >= proxy.config.epoch_length_ms * 0.99
+        assert proxy.clock.now_ms - start >= proxy.config.read_batches * proxy.config.batch_interval_ms * 0.99
 
     def test_dependent_reads_use_multiple_batches(self, engine):
         def chained():

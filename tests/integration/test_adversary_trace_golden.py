@@ -65,7 +65,7 @@ def trace_hash(trace) -> str:
 
 def server_hashes(engine):
     storage = engine.storage
-    traces = storage.traces if hasattr(storage, "traces") else [storage.trace]
+    traces = [server.trace for server in getattr(storage, "servers", [storage])]
     return [trace_hash(trace) for trace in traces]
 
 

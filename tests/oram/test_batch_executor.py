@@ -10,7 +10,8 @@ from repro.oram.ring_oram import slot_storage_key
 from repro.oram.stash import StashReason
 from repro.storage.backend import StorageOp
 
-from tests.conftest import OneOpPerEpoch, live_versions, stored_versions, tree_slot_key
+from tests.conftest import (OneOpPerEpoch, live_versions, stored_data, stored_versions,
+                            tree_slot_key, valid_slot)
 
 
 class CountingCipher(CipherSuite):
@@ -94,9 +95,9 @@ class TestCorrectness:
         executor, _, storage = make_executor()
         executor.begin_epoch()
         executor.execute_write_batch({i: b"will-vanish" for i in range(6)})
-        assert executor.pending_bucket_writes() > 0
+        assert len(executor._buffered_rewrites) > 0
         executor.abort_epoch()
-        assert executor.pending_bucket_writes() == 0
+        assert len(executor._buffered_rewrites) == 0
         assert storage.stats_writes == 0
 
     def test_begin_epoch_requires_flush(self):
@@ -104,7 +105,7 @@ class TestCorrectness:
         executor.begin_epoch()
         # Enough writes to trigger an eviction and buffer bucket rewrites.
         executor.execute_write_batch({i: b"x" for i in range(6)})
-        assert executor.pending_bucket_writes() > 0
+        assert len(executor._buffered_rewrites) > 0
         with pytest.raises(RuntimeError):
             executor.begin_epoch()
 
@@ -163,7 +164,7 @@ class TestDeferredWrites:
         executor.execute_read_batch(list(range(12)), batch_size=12)
         executor.execute_write_batch({i: bytes([i]) for i in range(8)})
         saved = executor.stats.buffered_bucket_writes_saved
-        pending = executor.pending_bucket_writes()
+        pending = len(executor._buffered_rewrites)
         executor.flush_epoch()
         assert saved > 0
         assert pending < executor.stats.evictions * (oram.params.depth + 1)
@@ -191,7 +192,7 @@ class TestDeferredWrites:
         executor.execute_write_batch({1: b"x", 2: b"y"})
         elapsed = executor.flush_epoch()
         assert elapsed >= 0.0
-        assert executor.pending_bucket_writes() == 0
+        assert len(executor._buffered_rewrites) == 0
 
 
 class TestLazySealing:
@@ -205,7 +206,7 @@ class TestLazySealing:
         executor.execute_write_batch({i: bytes([i]) for i in range(8)})
         assert executor.stats.buffered_bucket_writes_saved > 0
         assert cipher.seal_calls == 0           # nothing sealed inside the epoch
-        pending = executor.pending_bucket_writes()
+        pending = len(executor._buffered_rewrites)
         real = sum(len(rewrite.plain_contents)
                    for rewrite in executor._buffered_rewrites.values())
         executor.flush_epoch()
@@ -219,7 +220,7 @@ class TestLazySealing:
         executor, _, storage = make_executor(cipher=cipher)
         executor.begin_epoch()
         executor.execute_write_batch({i: b"will-vanish" for i in range(6)})
-        assert executor.pending_bucket_writes() > 0
+        assert len(executor._buffered_rewrites) > 0
         executor.abort_epoch()
         executor.begin_epoch()
         assert executor.flush_epoch() == 0.0
@@ -263,7 +264,7 @@ class TestLazySealing:
         assert cipher.sealed_slots == storage.stats_writes \
             == rewritten * (oram.params.z_real + oram.params.s_dummies)
         assert 0 < cipher.keystream_slots == cipher.real_slots < cipher.sealed_slots
-        assert executor.pending_bucket_writes() == 0
+        assert len(executor._buffered_rewrites) == 0
         assert executor.flush_epoch() == 0.0
         assert cipher.seal_calls == rewritten
 
@@ -297,7 +298,7 @@ class TestStorageFaults:
             for bucket in path_math.path_buckets(oram.position_map.lookup(block),
                                                  oram.params.depth):
                 meta = oram.metadata.bucket(bucket)
-                slot = meta.slot_of_block(block)
+                slot = valid_slot(meta, block)
                 if slot is not None and \
                         slot_storage_key(bucket, meta.version - 1, slot) in kept:
                     return block, bucket, meta.version, slot
@@ -312,7 +313,7 @@ class TestStorageFaults:
             executor.begin_epoch()
             executor.execute_write_batch({i: b"e%d-%d" % (epoch, i) for i in range(12)})
             executor.flush_epoch()
-            kept.update(storage.snapshot())
+            kept.update(stored_data(storage))
             executor.collect()
         return kept
 
@@ -335,7 +336,7 @@ class TestStorageFaults:
         here = slot_storage_key(bucket, version, slot)
         there = slot_storage_key(bucket, version, (slot + 1) % len(
             oram.metadata.bucket(bucket).blocks))
-        data = storage.snapshot()
+        data = stored_data(storage)
         storage.write_batch({here: data[there], there: data[here]})
         executor.begin_epoch()
         with pytest.raises(IntegrityError):
@@ -481,7 +482,7 @@ class TestAdversaryView:
             executor.execute_write_batch({i: b"e%d-%d" % (epoch, i) for i in range(12)})
             written = list(executor._buffered_rewrites.values())
             executor.flush_epoch()
-            stored = storage.snapshot()
+            stored = stored_data(storage)
             executor.collect()
             for rewrite in written:
                 for slot, block in enumerate(rewrite.slot_blocks):

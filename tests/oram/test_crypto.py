@@ -105,25 +105,25 @@ class TestEncryption:
 
 class TestBlockSealing:
     def test_seal_open_real_block(self, suite):
-        blob = suite.seal_block(42, b"value")
+        blob = suite.seal_blocks([(42, b"value", b"")])[0]
         block_id, value = suite.open_block(blob)
         assert block_id == 42
         assert value == b"value"
 
     def test_sealed_dummy_block_does_not_open(self, suite):
-        dummy = suite.seal_block(None, b"", b"ctx")
+        dummy = suite.seal_blocks([(None, b"", b"ctx")])[0]
         for context in (b"ctx", b""):
             with pytest.raises(IntegrityError):
                 suite.open_block(dummy, context)
 
     def test_real_and_dummy_blocks_same_size(self, suite):
-        real = suite.seal_block(7, b"payload")
-        dummy = suite.seal_block(None, b"")
+        real = suite.seal_blocks([(7, b"payload", b"")])[0]
+        dummy = suite.seal_blocks([(None, b"", b"")])[0]
         assert len(real) == len(dummy) == suite.ciphertext_size
 
     def test_sealed_block_bound_to_position(self, suite):
         ctx = freshness_context(bucket=3, version=1, slot=5)
-        blob = suite.seal_block(9, b"v", ctx)
+        blob = suite.seal_blocks([(9, b"v", ctx)])[0]
         with pytest.raises(IntegrityError):
             suite.open_block(blob, freshness_context(bucket=3, version=2, slot=5))
 
@@ -140,7 +140,7 @@ class TestBlockSealing:
         suite = CipherSuite(block_size=64, enabled=False)
         assert suite._dummy_padded == suite.pad(b"\xff\xff\xff\xff")
         sealed = suite.seal_blocks([(None, b"", b"ctx"), (3, b"v", b"ctx"), (None, b"", b"")])
-        assert sealed[0] == sealed[2] == suite._dummy_padded == suite.seal_block(None, b"")
+        assert sealed[0] == sealed[2] == suite._dummy_padded
         assert suite.open_blocks(sealed, [b""] * 3) == [(None, b""), (3, b"v"), (None, b"")]
 
 

@@ -26,7 +26,7 @@ class TestBucketLayout:
 
     def test_fresh_bucket_is_all_dummies(self, table):
         meta = table.bucket(3)
-        assert meta.real_block_ids() == []
+        assert meta.blocks == [None] * 10
         assert len(meta.valid_dummy_slots()) == 10
 
     def test_out_of_range_bucket_rejected(self, table):
@@ -35,7 +35,7 @@ class TestBucketLayout:
 
     def test_rewrite_installs_contents(self, table):
         meta = table.rewrite_bucket(1, [(10, b"a"), (11, b"b")])
-        assert sorted(meta.real_block_ids()) == [10, 11]
+        assert sorted(b for b in meta.blocks if b is not None) == [10, 11]
         assert meta.version == 1
         assert meta.reads_since_write == 0
 
@@ -50,7 +50,7 @@ class TestBucketLayout:
         for seed in range(10):
             table = MetadataTable(3, 2, 2, rng=random.Random(seed))
             meta = table.rewrite_bucket(0, [(1, b"v")])
-            positions.add(meta.slot_of_block(1))
+            positions.add(meta.blocks.index(1))
         assert len(positions) > 1
 
     def test_versions_increase_monotonically(self, table):
@@ -60,18 +60,13 @@ class TestBucketLayout:
 
 
 class TestSlotAccounting:
-    def test_slot_of_block_finds_valid_slot(self, table):
-        table.rewrite_bucket(0, [(42, b"v")])
-        idx = table.bucket(0).slot_of_block(42)
-        assert idx is not None
-        assert table.bucket(0).blocks[idx] == 42
-
     def test_invalidate_marks_slot(self, table):
         table.rewrite_bucket(0, [(42, b"v")])
         meta = table.bucket(0)
-        idx = meta.slot_of_block(42)
+        idx = meta.blocks.index(42)
+        assert meta.valid[idx]
         meta.invalidate(idx)
-        assert meta.slot_of_block(42) is None
+        assert not meta.valid[idx] and meta.blocks[idx] == 42
 
     def test_double_invalidate_rejected(self, table):
         meta = table.bucket(0)
@@ -94,23 +89,25 @@ class TestSlotAccounting:
         assert oram.metadata.bucket(0).reads_since_write == 0
         assert oram.plan_path_read(None, force_dummy_path=6).over_read == []
 
-    def test_valid_real_block_ids_excludes_invalidated(self, table):
+    def test_invalidating_a_dummy_drops_it_from_the_dummy_list(self, table):
         table.rewrite_bucket(0, [(1, b"a"), (2, b"b")])
         meta = table.bucket(0)
-        meta.invalidate(meta.slot_of_block(1))
-        assert meta.valid_real_block_ids() == [2]
+        dummy = meta.valid_dummy_slots()[0]
+        meta.invalidate(dummy)
+        assert dummy not in meta.valid_dummy_slots()
+        assert len(meta.valid_dummy_slots()) == len(meta.blocks) - 3
 
 
 class TestSerialization:
     def test_full_roundtrip(self, table):
         table.rewrite_bucket(0, [(1, b"a")])
         table.rewrite_bucket(7, [(2, b"b")])
-        table.bucket(7).invalidate(table.bucket(7).slot_of_block(2))
+        table.bucket(7).invalidate(table.bucket(7).blocks.index(2))
         restored = MetadataTable(15, 4, 6)
         assert restored.apply_delta(table.serialize_full()) == 2
         restored.apply_valid_map(table.serialize_valid_map())
-        assert restored.bucket(0).real_block_ids() == [1]
-        assert restored.bucket(7).slot_of_block(2) is None
+        assert [b for b in restored.bucket(0).blocks if b is not None] == [1]
+        assert restored.bucket(7).valid[restored.bucket(7).blocks.index(2)] is False
         assert restored.bucket(7).version == 1
 
     def test_delta_contains_only_dirty_buckets(self, table):
@@ -120,8 +117,8 @@ class TestSerialization:
         other = MetadataTable(15, 4, 6)
         applied = other.apply_delta(table.serialize_delta())
         assert applied == 1
-        assert other.bucket(3).real_block_ids() == [2]
-        assert other.bucket(0).real_block_ids() == []
+        assert [b for b in other.bucket(3).blocks if b is not None] == [2]
+        assert other.bucket(0).blocks == [None] * 10
 
     def test_valid_map_roundtrip(self, table):
         table.rewrite_bucket(0, [(1, b"a")])

@@ -63,14 +63,6 @@ class TestRingOramParameters:
         params = derive_parameters(num_blocks=100, z_real=4, max_stash_blocks=50)
         assert params.stash_bound == 50
 
-    def test_physical_reads_per_access_is_path_length(self):
-        params = derive_parameters(num_blocks=1000, z_real=8)
-        assert params.physical_reads_per_access() == params.depth + 1
-
-    def test_amortized_eviction_reads_positive(self):
-        params = derive_parameters(num_blocks=1000, z_real=8)
-        assert params.amortized_eviction_reads() > 0
-
     def test_describe_mentions_key_parameters(self):
         params = derive_parameters(num_blocks=1000, z_real=8)
         text = params.describe()

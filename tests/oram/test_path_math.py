@@ -6,32 +6,17 @@ from repro.oram import path_math
 
 
 class TestTreeGeometry:
-    def test_tree_levels_power_of_two(self):
-        assert path_math.tree_levels(1) == 0
-        assert path_math.tree_levels(8) == 3
-        assert path_math.tree_levels(1024) == 10
-
-    def test_tree_levels_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError):
-            path_math.tree_levels(6)
-
-    def test_num_buckets(self):
-        assert path_math.num_buckets(0) == 1
-        assert path_math.num_buckets(3) == 15
-
-    def test_bucket_id_round_trip(self):
+    def test_bucket_level_and_index_round_trip(self):
+        # Heap numbering: the bucket at ``level`` with in-level ``index``.
         for level in range(5):
             for index in range(1 << level):
-                bid = path_math.bucket_id(level, index)
+                bid = (1 << level) - 1 + index
                 assert path_math.bucket_level(bid) == level
                 assert path_math.bucket_index_in_level(bid) == index
 
-    def test_bucket_id_out_of_range(self):
-        with pytest.raises(ValueError):
-            path_math.bucket_id(2, 4)
-
     def test_root_is_bucket_zero(self):
-        assert path_math.bucket_id(0, 0) == 0
+        assert path_math.bucket_level(0) == 0
+        assert path_math.bucket_index_in_level(0) == 0
 
 
 class TestPaths:
@@ -56,23 +41,30 @@ class TestPaths:
         with pytest.raises(ValueError):
             path_math.path_buckets(leaf=8, depth=3)
 
-    def test_bucket_on_path(self):
+    def test_path_holds_the_leafs_ancestor_at_every_level(self):
         depth = 3
-        buckets = path_math.path_buckets(leaf=6, depth=depth)
-        for bid in buckets:
-            assert path_math.bucket_on_path(bid, 6, depth)
-        assert not path_math.bucket_on_path(buckets[-1], 5, depth)
+        for level, bid in enumerate(path_math.path_buckets(leaf=6, depth=depth)):
+            assert path_math.bucket_level(bid) == level
+            assert path_math.bucket_index_in_level(bid) == 6 >> (depth - level)
 
-    def test_deepest_common_level_same_leaf(self):
-        assert path_math.deepest_common_level(5, 5, 4) == 4
+    # The eviction write phase places a stash block by the deepest level its
+    # path shares with the evicted one, ``depth - (a ^ b).bit_length()``:
+    # one less than the number of buckets the two paths share.
+    @staticmethod
+    def shared_levels(leaf_a, leaf_b, depth):
+        return len(set(path_math.path_buckets(leaf_a, depth))
+                   & set(path_math.path_buckets(leaf_b, depth))) - 1
 
-    def test_deepest_common_level_root_only(self):
+    def test_common_level_of_a_path_with_itself_is_the_leaf(self):
+        assert 4 - (5 ^ 5).bit_length() == self.shared_levels(5, 5, 4) == 4
+
+    def test_common_level_of_opposite_leaves_is_the_root(self):
         # Leaves 0 and 2^d - 1 share only the root.
-        assert path_math.deepest_common_level(0, 15, 4) == 0
+        assert 4 - (0 ^ 15).bit_length() == self.shared_levels(0, 15, 4) == 0
 
-    def test_deepest_common_level_partial(self):
+    def test_common_level_of_sibling_leaves(self):
         # Leaves 0b100 and 0b101 share the top two levels plus the root.
-        assert path_math.deepest_common_level(4, 5, 3) == 2
+        assert 3 - (4 ^ 5).bit_length() == self.shared_levels(4, 5, 3) == 2
 
 
 class TestEvictionSchedule:
@@ -103,23 +95,12 @@ class TestEvictionSchedule:
         first, second = path_math.eviction_path(0, depth), path_math.eviction_path(1, depth)
         assert (first < 4) != (second < 4)
 
-    def test_eviction_count_root_equals_g(self):
-        assert path_math.eviction_count_for_bucket(0, 17, 5) == 17
-
-    def test_eviction_count_matches_enumeration(self):
+    def test_level_l_bucket_is_rewritten_once_every_2_to_the_l_evictions(self):
+        # Any 2**l consecutive evict-paths cross every level-l bucket exactly
+        # once, which is what bounds a bucket's reads between rewrites.
         depth = 4
-        for g_total in (0, 1, 5, 16, 33):
-            observed = {bid: 0 for bid in range(path_math.num_buckets(depth))}
-            for g in range(g_total):
-                for bid in path_math.path_buckets(path_math.eviction_path(g, depth), depth):
-                    observed[bid] += 1
-            for bid, count in observed.items():
-                assert path_math.eviction_count_for_bucket(bid, g_total, depth) == count, (
-                    f"bucket {bid} at G={g_total}")
-
-    def test_level_l_bucket_written_once_per_period(self):
-        depth = 4
-        for level in range(depth + 1):
-            bid = path_math.bucket_id(level, 0)
-            per_period = (path_math.eviction_count_for_bucket(bid, 1 << depth, depth))
-            assert per_period == (1 << depth) >> level
+        for start in range(40):
+            for level in range(depth + 1):
+                crossed = [path_math.path_buckets(path_math.eviction_path(g, depth), depth)[level]
+                           for g in range(start, start + (1 << level))]
+                assert sorted(crossed) == list(range((1 << level) - 1, (1 << (level + 1)) - 1))

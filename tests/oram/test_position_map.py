@@ -38,18 +38,10 @@ class TestMapping:
             counts[pmap.remap(0)] += 1
         assert min(counts) > 300
 
-    def test_set_forces_leaf(self, pmap):
-        pmap.set(7, 3)
-        assert pmap.lookup(7) == 3
-
-    def test_set_rejects_out_of_range(self, pmap):
-        with pytest.raises(ValueError):
-            pmap.set(7, 16)
-
-    def test_contains_and_len(self, pmap):
+    def test_len_counts_mapped_blocks(self, pmap):
         pmap.lookup_or_assign(1)
         pmap.lookup_or_assign(2)
-        assert 1 in pmap and 3 not in pmap
+        assert pmap.lookup(3) is None
         assert len(pmap) == 2
 
     def test_invalid_size_rejected(self):
@@ -79,38 +71,38 @@ class TestCheckpointing:
     def test_delta_applies_only_dirty_entries(self, pmap):
         pmap.lookup_or_assign(1)
         pmap.clear_dirty()
-        pmap.set(2, 9)
+        pmap.remap(2)
         blob = pmap.serialize_delta()
         other = PositionMap(16)
         applied = other.apply_delta(blob)
         assert applied == 1
-        assert other.lookup(2) == 9
+        assert other.lookup(2) == pmap.lookup(2)
         assert other.lookup(1) is None
 
     def test_delta_padding_fixes_entry_count(self, pmap):
-        pmap.set(1, 2)
+        pmap.remap(1)
         short = pmap.serialize_delta(pad_to_entries=8)
-        pmap.set(3, 4)
-        pmap.set(5, 6)
+        pmap.remap(3)
+        pmap.remap(5)
         longer = pmap.serialize_delta(pad_to_entries=8)
         # Both deltas encode exactly 8 fixed-width entries.
         assert len(short) == len(longer) == 8 * 8
 
     def test_delta_padding_overflow_rejected(self, pmap):
-        pmap.set(1, 2)
-        pmap.set(2, 2)
+        pmap.remap(1)
+        pmap.remap(2)
         with pytest.raises(ValueError):
             pmap.serialize_delta(pad_to_entries=1)
 
     def test_padded_delta_entries_are_ignored_on_apply(self, pmap):
-        pmap.set(1, 2)
+        pmap.remap(1)
         blob = pmap.serialize_delta(pad_to_entries=4)
         other = PositionMap(16)
         assert other.apply_delta(blob) == 1
         assert len(other) == 1
 
     def test_delta_that_is_not_whole_entries_is_an_integrity_error(self, pmap):
-        pmap.set(1, 2)
+        pmap.remap(1)
         blob = pmap.serialize_delta(pad_to_entries=4)
         for bad in (blob[:-1], blob + b"\x00"):
             with pytest.raises(IntegrityError, match="not a whole number"):

@@ -13,7 +13,7 @@ from repro.oram.metadata import NO_BLOCK
 from repro.oram.ring_oram import BucketRewrite, slot_key_prefix, slot_storage_key
 from repro.sim.latency import CpuCostModel, LatencyModel, get_latency_model
 
-from tests.conftest import OneOpPerEpoch, stored_versions, tree_slot_key
+from tests.conftest import OneOpPerEpoch, stored_versions, tree_slot_key, valid_blocks
 
 
 def plant(oram, bucket_id, slot_index, block_id, valid):
@@ -108,7 +108,7 @@ class TestInvariants:
                 continue
             on_path = []
             for bid in path_math.path_buckets(leaf, oram.params.depth):
-                if block in oram.metadata.bucket(bid).valid_real_block_ids():
+                if block in valid_blocks(oram.metadata.bucket(bid)):
                     on_path.append(bid)
             assert on_path, f"block {block} not found on its path"
 
@@ -153,11 +153,11 @@ class TestInvariants:
             db.write(block, bytes([block]))
         leaf = oram.position_map.lookup(1)
         holders_before = [bid for bid in path_math.path_buckets(leaf, oram.params.depth)
-                          if 1 in oram.metadata.bucket(bid).real_block_ids()]
+                          if 1 in oram.metadata.bucket(bid).blocks]
         if holders_before:
             oram.forget_tree_copy(1)
             holders_after = [bid for bid in path_math.path_buckets(leaf, oram.params.depth)
-                             if 1 in oram.metadata.bucket(bid).valid_real_block_ids()]
+                             if 1 in valid_blocks(oram.metadata.bucket(bid))]
             assert holders_after == []
 
     def test_forget_tree_copy_clears_copy_shadowed_by_consumed_slot(self):
@@ -205,7 +205,7 @@ class TestInvariants:
         leaf = oram.position_map.lookup(1)
         path = path_math.path_buckets(leaf, oram.params.depth)
         holders = [bid for bid in path
-                   if 1 in oram.metadata.bucket(bid).valid_real_block_ids()]
+                   if 1 in valid_blocks(oram.metadata.bucket(bid))]
         if not holders or 1 in oram.stash:
             pytest.skip("seed did not evict block 1 into the tree")
         # Plant the decoy strictly above the live copy on the path.
@@ -223,7 +223,7 @@ class TestInvariants:
         # be gone: block 1 lives in exactly one place, or a later drain
         # would resurrect b"old".
         copies = [bid for bid in range(oram.params.num_buckets)
-                  if 1 in oram.metadata.bucket(bid).valid_real_block_ids()]
+                  if 1 in valid_blocks(oram.metadata.bucket(bid))]
         if 1 in oram.stash:
             assert copies == []
         else:

@@ -65,12 +65,6 @@ class TestBasicOperations:
         stash.mark_residue(1)
         assert stash.get(1).reason is StashReason.EVICTION_RESIDUE
 
-    def test_clear(self):
-        stash = Stash()
-        stash.put(1, 0, b"v")
-        stash.clear()
-        assert len(stash) == 0
-
 
 class TestSerialization:
     def test_roundtrip_preserves_entries(self):

@@ -125,7 +125,7 @@ class TestAuditEquivalence:
         drive_until_migrated(engine, rng)
 
         offline_ok, cycle = check_serializable(engine.committed_history)
-        assert audit.ok == offline_ok
+        assert audit.graph.ok == offline_ok
         assert offline_ok, f"resharding run has a serialization cycle: {cycle}"
 
 

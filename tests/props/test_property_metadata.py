@@ -26,6 +26,8 @@ from hypothesis import strategies as st
 
 from repro.oram.metadata import MetadataTable
 
+from tests.conftest import valid_blocks
+
 Z, S, BUCKETS, BLOCKS = 3, 4, 7, 12
 
 STEPS = st.lists(
@@ -61,7 +63,7 @@ def check(table, stash):
     for bucket_id in table.buckets_present():
         meta = table.bucket(bucket_id)
         assert meta.valid_dummy_slots() == scanned_valid_dummies(meta), bucket_id
-        live.update(meta.valid_real_block_ids())
+        live.update(valid_blocks(meta))
     # Single live copy: a block is in the stash or in exactly one valid slot.
     assert all(copies == 1 for copies in live.values()), live
     assert not stash & set(live)
@@ -88,7 +90,7 @@ def test_kept_dummy_list_equals_scan_and_blocks_stay_single(steps, seed):
                 table.bucket(present).forget(block_id)
             stash.add(block_id)
         elif op == "rewrite":                   # drain, then place from the stash
-            stash.update(meta.valid_real_block_ids())
+            stash.update(valid_blocks(meta))
             placed = sorted(stash)[:pick % (Z + 1)]
             stash.difference_update(placed)
             table.rewrite_bucket(bucket_id, [(block_id, b"") for block_id in placed])

@@ -14,7 +14,7 @@ from repro.oram import path_math
 from repro.oram.crypto import CipherSuite
 from repro.oram.parameters import derive_parameters, partition_block_count
 
-from tests.conftest import OneOpPerEpoch
+from tests.conftest import OneOpPerEpoch, valid_blocks
 
 
 class TestPathMathProperties:
@@ -23,18 +23,16 @@ class TestPathMathProperties:
         leaf = leaf % (1 << depth)
         buckets = path_math.path_buckets(leaf, depth)
         assert len(buckets) == depth + 1
-        for bucket in buckets:
-            assert path_math.bucket_on_path(bucket, leaf, depth)
+        for level, bucket in enumerate(buckets):
+            assert path_math.bucket_level(bucket) == level
+            assert path_math.bucket_index_in_level(bucket) == leaf >> (depth - level)
 
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=8))
-    def test_eviction_count_closed_form_matches_simulation(self, total, depth):
-        total = total % 200
-        observed = {bid: 0 for bid in range(path_math.num_buckets(depth))}
-        for g in range(total):
-            for bid in path_math.path_buckets(path_math.eviction_path(g, depth), depth):
-                observed[bid] += 1
-        for bid, count in observed.items():
-            assert path_math.eviction_count_for_bucket(bid, total, depth) == count
+    def test_a_window_of_2_to_the_l_evictions_crosses_each_level_l_bucket_once(self, start, depth):
+        for level in range(depth + 1):
+            crossed = [path_math.path_buckets(path_math.eviction_path(g, depth), depth)[level]
+                       for g in range(start, start + (1 << level))]
+            assert sorted(crossed) == list(range((1 << level) - 1, (1 << (level + 1)) - 1))
 
     @given(st.integers(min_value=0, max_value=2**16 - 1), st.integers(min_value=1, max_value=16))
     def test_reverse_bits_is_an_involution(self, value, width):
@@ -87,7 +85,7 @@ class TestOramProperties:
                 continue
             found = False
             for bid in path_math.path_buckets(leaf, oram.params.depth):
-                if block in oram.metadata.bucket(bid).valid_real_block_ids():
+                if block in valid_blocks(oram.metadata.bucket(bid)):
                     found = True
                     break
             assert found, f"block {block} neither in stash nor on its path"
@@ -199,8 +197,8 @@ class TestPerServerObliviousness:
         run_sharded_workload(proxy, lambda rng: f"k{rng.randrange(32)}")
         split = views(proxy.storage)
         assert set(split) == {(index, 0, index) for index in range(SHARDS)}
-        for trace in proxy.storage.traces:
-            assert check_bucket_invariant(trace) == []
+        for server in proxy.storage.servers:
+            assert check_bucket_invariant(server.trace) == []
         for key, view in split.items():
             assert check_bucket_invariant(view) == [], f"view {key}"
 
@@ -238,7 +236,7 @@ class TestCryptoProperties:
     @given(st.integers(min_value=0, max_value=2**31 - 1), st.binary(min_size=0, max_size=40))
     def test_seal_open_identity(self, block_id, value):
         suite = CipherSuite(key=b"key" * 11, block_size=64)
-        opened_id, opened_value = suite.open_block(suite.seal_block(block_id, value))
+        opened_id, opened_value = suite.open_block(suite.seal_blocks([(block_id, value, b"")])[0])
         assert opened_id == block_id
         assert opened_value == value
 

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.analysis import views as namespace_views
 from repro.storage import trace as trace_module
 from repro.storage.backend import StorageOp
-from repro.storage.trace import AccessTrace, merge_traces
+from repro.storage.trace import AccessTrace
 
 PREFIXES = ["", "p0/", "p1/", "p10/"]
 SIZES = [0, 64, 136]
@@ -46,20 +46,16 @@ def recorded(blocks, time_ms, batch_id):
 
 def views(trace):
     """Everything the analysis reads off a trace."""
-    other = AccessTrace()
-    other.record_batch(StorageOp.WRITE, ["p1/ckpt/0", "wal/7"], [9, 9], 0.5, 0)
     parts = namespace_views(SimpleNamespace(trace=trace))
 
     def under(prefix, cut):
         return trace.split(lambda key: (key.startswith(prefix),
                                         key[cut:] if key.startswith(prefix) else key))
 
-    return (trace.events, len(trace), trace.keys_accessed(),
-            trace.keys_accessed(StorageOp.READ), trace.total_bytes(),
+    return (trace.events, len(trace), trace.total_bytes(),
             trace.ops_by_kind(), list(parts), [part.events for part in parts.values()],
             [part.events for prefix in PREFIXES[1:] for cut in (0, len(prefix))
-             for part in under(prefix, cut).values()],
-            merge_traces([trace, other]).events, merge_traces([other, trace]).events)
+             for part in under(prefix, cut).values()])
 
 
 @pytest.mark.parametrize("segment_chars", [1, 17, trace_module._SEGMENT_CHARS])

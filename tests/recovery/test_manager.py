@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import check_bucket_invariant
 from repro.api import ObladiEngine
 from repro.core.client import Read, ReadMany, Write
 from repro.core.config import ObladiConfig, RingOramConfig
@@ -188,14 +189,47 @@ def recovery_slot_reads(real_reads):
     crash_after_mutations(proxy, 1, program)
     proxy.storage.trace.clear()
     recover(proxy)
-    return sum("oram/" in key for key in proxy.storage.trace.keys_accessed(StorageOp.READ))
+    return sum("oram/" in e.key for e in proxy.storage.trace.events if e.op is StorageOp.READ)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "replay reads one path per logged real key, not the padded batch the "
-    "server saw (ROADMAP item 9, leftovers); the fix pads replay to the "
+    "server saw (ROADMAP item 12 (i)); the fix pads replay to the "
     "logged padded_size and re-records the durable goldens"))
 def test_replay_reads_do_not_reveal_the_aborted_epochs_real_reads():
     """Both worlds logged one padded read batch of ``b_read`` rows before the
     crash; an observer of recovery must not tell one real read from six."""
     assert recovery_slot_reads(1) == recovery_slot_reads(6)
+
+
+def replayed_paths_and_double_reads(seed):
+    """``(paths replayed, slots read twice)`` of ``recover()`` after a crash at
+    the second WAL append of an epoch whose one transaction reads ``k0``..``k15``
+    across both of its read batches."""
+    config = ObladiConfig(oram=RingOramConfig(num_blocks=64, z_real=4, block_size=64),
+                          read_batches=2, read_batch_size=8, write_batch_size=8,
+                          backend="server", durability=True, seed=seed)
+    proxy = ObladiProxy(config)
+    proxy.load_initial_data({f"k{i}": b"v" for i in range(16)})
+
+    def program():
+        return (yield ReadMany([f"k{i}" for i in range(16)]))
+
+    crash_after_mutations(proxy, 2, program)
+    proxy.storage.trace.clear()
+    _, report = recover(proxy)
+    return report.paths_replayed, check_bucket_invariant(proxy.storage.trace)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "replay runs no early reshuffle: once the root has no unread slot left, "
+    "plan_path_read's fallback re-reads slot 0 (ROADMAP item 12 (i))"))
+def test_recovery_reads_no_oram_slot_twice():
+    """Ring ORAM reads a slot at most once per bucket version, replay included.
+
+    Recovery replays the 16 logged paths over a tree whose root has S = 6
+    dummy slots and reads ``oram/0/v0/s/0`` seven times, at every seed.
+    """
+    seeds = range(1, 6)
+    assert {seed: replayed_paths_and_double_reads(seed) for seed in seeds} == \
+        {seed: (16, []) for seed in seeds}

@@ -65,7 +65,7 @@ class TestNamespacedStorage:
         assert view_a.read("x") == b"from-a"
         assert view_b.read("x") == b"from-b"
         assert base.read("p0/x") == b"from-a"
-        assert sorted(view_a.keys()) == ["x"]
+        assert sorted(base.keys()) == ["p0/x", "p1/x"]
 
     def test_shares_base_clock_and_trace(self):
         base = InMemoryStorageServer()
@@ -73,16 +73,16 @@ class TestNamespacedStorage:
         view.write("y", b"payload")
         assert view.clock is base.clock
         assert view.trace is base.trace
-        assert base.trace.keys_accessed()[-1] == "p3/y"
+        assert base.trace.events[-1].key == "p3/y"
 
     def test_trace_split_recovers_partition_view(self):
         base = InMemoryStorageServer()
         NamespacedStorage(base, "p0/").write("x", b"a")
         NamespacedStorage(base, "p1/").write("x", b"b")
         split = base.trace.split(lambda key: (key[:3], key[3:]))
-        assert split["p1/"].keys_accessed() == ["x"]
+        assert [e.key for e in split["p1/"].events] == ["x"]
         unstripped = base.trace.split(lambda key: (key[:3], key))
-        assert unstripped["p1/"].keys_accessed() == ["p1/x"]
+        assert [e.key for e in unstripped["p1/"].events] == ["p1/x"]
 
 
 class TestBuildDataLayer:
@@ -182,7 +182,7 @@ class TestServerTopology:
     def test_partitions_are_hosted_round_robin(self):
         layer, cluster = _cluster_layer(4, 2)
         for part in layer.partitions:
-            assert part.storage.base is cluster.server_for_partition(part.index)
+            assert part.storage.base is cluster.servers[part.index % cluster.num_servers]
             assert part.storage.prefix == partition_prefix(part.index)
 
     def test_per_partition_namespaces_land_on_their_host_server(self):

@@ -34,11 +34,6 @@ class TestBackendCatalogue:
 
 
 class TestLatencyModel:
-    def test_rtt_selects_read_or_write(self):
-        model = LatencyModel(name="x", read_rtt_ms=1.0, write_rtt_ms=3.0)
-        assert model.rtt_ms(is_write=False) == pytest.approx(1.0)
-        assert model.rtt_ms(is_write=True) == pytest.approx(3.0)
-
     def test_effective_parallelism_applies_both_caps(self):
         model = LatencyModel(name="x", read_rtt_ms=1.0, write_rtt_ms=1.0,
                              max_parallel_requests=8)

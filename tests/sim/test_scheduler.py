@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.scheduler import ParallelScheduler, ScheduledOp, build_ops, serial_duration_ms
+from repro.sim.scheduler import ParallelScheduler, ScheduledOp, build_ops
 
 
 class TestBasicScheduling:
@@ -29,7 +29,7 @@ class TestBasicScheduling:
         ops = build_ops([1.0, 2.0, 3.0])
         result = ParallelScheduler(1).schedule(ops)
         assert result.makespan_ms == pytest.approx(6.0)
-        assert result.makespan_ms == pytest.approx(serial_duration_ms(ops))
+        assert result.makespan_ms == pytest.approx(sum(op.duration_ms for op in ops))
 
     def test_start_offset_shifts_everything(self):
         ops = build_ops([1.0, 1.0])
@@ -81,10 +81,10 @@ class TestDeterminismAndSpeedup:
         second = ParallelScheduler(2).schedule(ops)
         assert first.finish_times == second.finish_times
 
-    def test_parallel_speedup_reported(self):
+    def test_total_work_is_four_makespans_on_four_workers(self):
         ops = build_ops([2.0] * 8)
         result = ParallelScheduler(4).schedule(ops)
-        assert result.parallel_speedup == pytest.approx(4.0)
+        assert result.total_work_ms == pytest.approx(4.0 * result.makespan_ms)
 
     def test_more_workers_never_slower(self):
         ops = build_ops([1.0, 2.0, 1.5, 3.0, 0.5, 2.5], deps=[[], [], [0], [1], [2], []])

@@ -8,7 +8,6 @@ from repro.sim.latency import link_latency_models
 from repro.storage.cluster import StorageCluster, build_storage
 from repro.storage.memory import InMemoryStorageServer
 from repro.storage.namespace import NamespacedStorage, partition_prefix
-from repro.storage.trace import merge_traces
 
 
 def _cluster(num_servers=3, **kwargs):
@@ -19,16 +18,6 @@ class TestTopology:
     def test_needs_at_least_two_servers(self):
         with pytest.raises(ValueError):
             StorageCluster(num_servers=1)
-
-    def test_round_robin_partition_hosting(self):
-        cluster = _cluster(3)
-        assert [cluster.server_index_for_partition(i) for i in range(7)] == \
-            [0, 1, 2, 0, 1, 2, 0]
-        assert cluster.server_for_partition(4) is cluster.servers[1]
-
-    def test_negative_partition_rejected(self):
-        with pytest.raises(ValueError):
-            _cluster().server_index_for_partition(-1)
 
     def test_servers_are_distinct_stores(self):
         cluster = _cluster(2)
@@ -67,14 +56,6 @@ class TestMetadataRouting:
         assert not cluster.servers[1].contains("checkpoint/manifest")
         assert cluster.keys() == ["checkpoint/manifest"]
 
-    def test_all_keys_aggregates_every_server(self):
-        cluster = _cluster(2)
-        cluster.servers[0].write("a", b"1")
-        cluster.servers[1].write("b", b"22")
-        assert sorted(cluster.all_keys()) == ["a", "b"]
-        assert cluster.size_bytes() == 3
-        assert [sorted(s) for s in cluster.snapshot()] == [["a"], ["b"]]
-
 
 class TestSharedSimulationPlumbing:
     def test_clock_forwards_to_every_server(self):
@@ -97,7 +78,7 @@ class TestSharedSimulationPlumbing:
         assert cluster.metadata_server is server and cluster.contains("wal/0")
         cluster.resize(4)
         assert [s.clock for s in cluster.servers] == [clock] * 4
-        assert cluster.traces == [None] * 4
+        assert [s.trace for s in cluster.servers] == [None] * 4
         cluster.resize(2)
         assert cluster.servers[0] is server and cluster.num_servers == 2
 
@@ -125,35 +106,16 @@ class TestSharedSimulationPlumbing:
 class TestObservability:
     def test_each_server_records_its_own_trace(self):
         cluster = _cluster(2)
-        NamespacedStorage(cluster.server_for_partition(0), partition_prefix(0)).write("x", b"a")
-        NamespacedStorage(cluster.server_for_partition(1), partition_prefix(1)).write("x", b"b")
-        assert cluster.servers[0].trace.keys_accessed() == ["p0/x"]
-        assert cluster.servers[1].trace.keys_accessed() == ["p1/x"]
+        NamespacedStorage(cluster.servers[0], partition_prefix(0)).write("x", b"a")
+        NamespacedStorage(cluster.servers[1], partition_prefix(1)).write("x", b"b")
+        assert [e.key for e in cluster.servers[0].trace.events] == ["p0/x"]
+        assert [e.key for e in cluster.servers[1].trace.events] == ["p1/x"]
 
-    def test_merged_trace_is_time_ordered_and_clear_propagates(self):
-        cluster = _cluster(2)
-        cluster.servers[0].write("a", b"1")
-        cluster.servers[1].write("b", b"2")
-        assert merge_traces(cluster.traces).keys_accessed() == ["a", "b"]
-        # The cluster has no trace of its own: `clear_traces()` is what an
-        # experiment calls between phases, and it clears every server's.
-        cluster.clear_traces()
-        for server in cluster.servers:
-            assert len(server.trace) == 0
-
-    def test_merged_trace_carries_batch_boundaries(self):
-        cluster = _cluster(2)
-        cluster.servers[0].trace.begin_batch("read", 1.0, 8)
-        cluster.servers[1].trace.begin_batch("write", 0.5, 4)
-        assert merge_traces(cluster.traces).batch_shape() == [("write", 4), ("read", 8)]
-
-    def test_aggregate_stats(self):
+    def test_each_server_counts_its_own_requests(self):
         cluster = _cluster(2)
         cluster.servers[0].write("a", b"1")
         cluster.servers[1].read("a")
         cluster.servers[1].read("b")
-        assert cluster.stats_writes == 1
-        assert cluster.stats_reads == 2
         assert [(s.stats_reads, s.stats_writes) for s in cluster.servers] == [(0, 1), (2, 0)]
 
 
@@ -178,7 +140,3 @@ class TestBuildStorage:
         with pytest.raises(ValueError, match="storage_servers"):
             self._config(shards=2, storage_servers=4)
 
-    def test_config_topology_names(self):
-        assert self._config().topology == "colocated"
-        assert self._config(shards=4, storage_servers=4).topology == "per-partition"
-        assert self._config(shards=4, storage_servers=2).topology == "grouped"

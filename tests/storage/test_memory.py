@@ -6,6 +6,8 @@ from repro.sim.clock import SimClock
 from repro.storage.backend import StorageOp
 from repro.storage.memory import InMemoryStorageServer
 
+from tests.conftest import stored_data
+
 
 @pytest.fixture
 def server():
@@ -59,12 +61,6 @@ class TestReadWrite:
         server.write("a", b"1")
         assert server.contains("a")
         assert not server.contains("b")
-
-    def test_snapshot_is_a_copy(self, server):
-        server.write("a", b"1")
-        snap = server.snapshot()
-        server.write("a", b"2")
-        assert snap["a"] == b"1"
 
     def test_size_bytes(self, server):
         server.write("a", b"123")
@@ -135,11 +131,11 @@ class TestWriteBatchAtomicity:
         and traced, under counters already bumped for the whole batch."""
         server.write("kept", b"old")
         before = (server.stats_writes, len(server.trace), server.trace.batch_shape(),
-                  server.snapshot())
+                  stored_data(server))
         with pytest.raises(TypeError, match="payload for 'c' must be bytes, got str"):
             server.write_batch(items)
         assert (server.stats_writes, len(server.trace), server.trace.batch_shape(),
-                server.snapshot()) == before
+                stored_data(server)) == before
 
     def test_store_keeps_the_bytes_it_was_given_and_copies_what_can_change(self, server):
         kept, mutable = b"immutable", bytearray(b"before")

@@ -1,9 +1,11 @@
-"""Tests for NamespacedStorage key iteration under mixed prefixes."""
+"""Tests for NamespacedStorage requests under mixed prefixes."""
 
 import pytest
 
 from repro.storage.memory import InMemoryStorageServer
 from repro.storage.namespace import NamespacedStorage, partition_prefix
+
+from tests.conftest import stored_data
 
 
 @pytest.fixture
@@ -27,27 +29,7 @@ class TestPartitionPrefix:
             partition_prefix(-1)
 
 
-class TestMixedPrefixIteration:
-    def test_keys_are_stripped_and_scoped_to_the_namespace(self, base):
-        assert sorted(NamespacedStorage(base, "p1/").keys()) == ["oram/1", "oram/2"]
-        assert NamespacedStorage(base, "p0/").keys() == ["oram/1"]
-
-    def test_p1_does_not_swallow_p10(self, base):
-        """'p1/' must not match 'p10/...' — the slash is part of the prefix."""
-        assert "0/oram/1" not in NamespacedStorage(base, "p1/").keys()
-        assert NamespacedStorage(base, "p10/").keys() == ["oram/1"]
-
-    def test_unprefixed_keys_belong_to_no_namespace(self, base):
-        for prefix in ("p0/", "p1/", "p10/"):
-            assert "wal/0" not in NamespacedStorage(base, prefix).keys()
-        assert "wal/0" in base.keys()
-
-    def test_contains_respects_the_namespace(self, base):
-        view = NamespacedStorage(base, "p1/")
-        assert view.contains("oram/2")
-        assert not view.contains("wal/0")
-        assert not NamespacedStorage(base, "p0/").contains("oram/2")
-
+class TestMixedPrefixes:
     def test_read_batch_round_trips_under_mixed_prefixes(self, base):
         view = NamespacedStorage(base, "p1/")
         keys = ["oram/1", "oram/2", "missing", "oram/1"]        # present, missing, repeated
@@ -57,11 +39,11 @@ class TestMixedPrefixIteration:
         assert list(values) == ["oram/1", "oram/2", "missing"]
         assert base.stats_reads - reads == 4
         # The mapping a lookup per caller key under the prefix gives.
-        stored = base.snapshot()
+        stored = stored_data(base)
         assert values == {key: stored.get("p1/" + key) for key in keys}
 
     def test_delete_batch_only_touches_the_namespace(self, base):
         NamespacedStorage(base, "p1/").delete_batch(["oram/1"])
-        assert not NamespacedStorage(base, "p1/").contains("oram/1")
-        assert NamespacedStorage(base, "p0/").contains("oram/1")
-        assert NamespacedStorage(base, "p10/").contains("oram/1")
+        assert not base.contains("p1/oram/1")
+        assert base.contains("p0/oram/1")
+        assert base.contains("p10/oram/1")

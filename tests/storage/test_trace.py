@@ -10,8 +10,7 @@ import pytest
 from repro.analysis import views
 from repro.storage import trace as trace_module
 from repro.storage.backend import StorageOp
-from repro.storage.cluster import StorageCluster
-from repro.storage.trace import AccessTrace, merge_traces
+from repro.storage.trace import AccessTrace
 
 
 @pytest.fixture
@@ -45,12 +44,12 @@ class TestRecording:
 
 
 class TestQueries:
-    def test_keys_accessed_in_order(self, trace):
+    def test_events_keep_access_order(self, trace):
         trace.record(StorageOp.READ, "a", 1, 0.0)
         trace.record(StorageOp.WRITE, "b", 1, 1.0)
         trace.record(StorageOp.READ, "a", 1, 2.0)
-        assert trace.keys_accessed() == ["a", "b", "a"]
-        assert trace.keys_accessed(StorageOp.READ) == ["a", "a"]
+        assert [(e.op, e.key) for e in trace.events] == \
+            [(StorageOp.READ, "a"), (StorageOp.WRITE, "b"), (StorageOp.READ, "a")]
 
     def test_ops_by_kind(self, trace):
         trace.record(StorageOp.READ, "a", 1, 0.0)
@@ -69,23 +68,6 @@ class TestQueries:
         trace.record(StorageOp.WRITE, "b", 32, 0.0)
         assert trace.total_bytes() == 42
         assert trace.total_bytes(StorageOp.WRITE) == 32
-
-
-class TestMergeTraces:
-    def test_merge_orders_by_time(self):
-        a, b = AccessTrace(), AccessTrace()
-        a.record(StorageOp.READ, "a1", 1, 2.0)
-        b.record(StorageOp.READ, "b1", 1, 1.0)
-        merged = merge_traces([a, b])
-        assert merged.keys_accessed() == ["b1", "a1"]
-
-    def test_merge_preserves_event_count(self):
-        a, b = AccessTrace(), AccessTrace()
-        for i in range(4):
-            a.record(StorageOp.READ, f"a{i}", 1, float(i))
-            b.record(StorageOp.WRITE, f"b{i}", 1, float(i))
-        merged = merge_traces([a, b])
-        assert len(merged) == 8
 
 
 def event_fields(trace):
@@ -126,7 +108,6 @@ class TestRecordBatch:
         assert len(batched) == len(single) == 9
         assert batched.total_bytes(StorageOp.WRITE) == 64 + 64 + 900
         assert batched.ops_by_kind() == single.ops_by_kind()
-        assert batched.keys_accessed(StorageOp.READ) == single.keys_accessed(StorageOp.READ)
 
     def test_mismatched_columns_are_rejected(self):
         with pytest.raises(ValueError):
@@ -162,7 +143,6 @@ class TestRecordBatch:
     def test_empty_and_generator_keys_round_trip(self, trace):
         trace.record_batch(StorageOp.WRITE, iter(["", "x", ""]), iter([0, 5, 7]), 2.0)
         assert [(e.key, e.size_bytes) for e in trace.events] == [("", 0), ("x", 5), ("", 7)]
-        assert trace.keys_accessed() == ["", "x", ""]
         assert trace.total_bytes() == 12
 
     def test_events_are_rebuilt_after_an_append(self, trace):
@@ -184,7 +164,7 @@ class TestRecordBatch:
             assert (event_fields(recorded(True).split(classify)[True])
                     == event_fields(recorded(False).split(classify)[True]))
         view = recorded(True).split(p1)[True]
-        assert view.keys_accessed() == ["oram/0/v1/s/0", "oram/0/v1/s/0"]
+        assert [e.key for e in view.events] == ["oram/0/v1/s/0", "oram/0/v1/s/0"]
         assert [e.batch_id for e in view.events] == [0, -1]
 
     def test_views_split_per_generation_and_partition(self):
@@ -194,32 +174,7 @@ class TestRecordBatch:
         for key in batched:
             assert event_fields(batched[key]) == event_fields(single[key])
         assert sorted(batched) == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)]
-        assert batched[0, 1, 1].keys_accessed() == ["oram/5/v2/s/1"]
-
-    def test_merge_interleaves_equal_times_by_sequence(self):
-        other = AccessTrace()
-        other.record_batch(StorageOp.READ, ["x0", "x1", "x2"], [1, 1, 1], 1.5, 7)
-        for first, second in ((recorded(True), other), (other, recorded(True))):
-            merged = merge_traces([first, second])
-            reference = sorted(first.events + second.events,
-                               key=lambda e: (e.time_ms, e.seq))
-            assert ([(e.time_ms, e.op, e.key, e.size_bytes, e.batch_id)
-                     for e in merged.events]
-                    == [(e.time_ms, e.op, e.key, e.size_bytes, e.batch_id)
-                        for e in reference])
-            assert [e.seq for e in merged.events] == list(range(len(reference)))
-
-    def test_cluster_trace_clear_reaches_batch_recorded_rows(self):
-        cluster = StorageCluster(num_servers=2)
-        cluster.servers[0].write_batch({"a": b"1", "b": b"22"})
-        cluster.servers[1].read_batch(["c", "d", "e"])
-        merged = merge_traces(cluster.traces)
-        # Both batches happened at t=0: equal times interleave by sequence.
-        assert merged.keys_accessed() == ["a", "c", "b", "d", "e"]
-        assert merged.total_bytes() == 3
-        cluster.clear_traces()
-        assert [len(trace) for trace in cluster.traces] == [0, 0]
-        assert len(merge_traces(cluster.traces)) == 0
+        assert [e.key for e in batched[0, 1, 1].events] == ["oram/5/v2/s/1"]
 
 
 def oram_shaped_batches(rng: random.Random, epochs: int = 40):

@@ -99,4 +99,4 @@ class TestTransactions:
             assert any(key.startswith(f"episode_content:{result['patient']}:") for key in writes)
 
     def test_factories_generate_programs(self, workload):
-        assert len(workload.transaction_factories(15)) == 15
+        assert len([workload.transaction_factory() for _ in range(15)]) == 15

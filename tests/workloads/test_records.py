@@ -3,7 +3,7 @@
 import pytest
 
 from repro.workloads.records import (bump_counter, decode_record, encode_record, make_key,
-                                     record_field, split_key, update_record)
+                                     record_field, update_record)
 
 
 class TestEncodeDecode:
@@ -27,9 +27,6 @@ class TestEncodeDecode:
 class TestKeys:
     def test_make_key(self):
         assert make_key("customer", 3, 7, 11) == "customer:3:7:11"
-
-    def test_split_key_roundtrip(self):
-        assert split_key(make_key("stock", 2, 99)) == ["stock", "2", "99"]
 
 
 class TestFieldHelpers:

@@ -69,7 +69,7 @@ class TestTransactions:
 
     def test_mix_weights(self, workload):
         assert sum(STANDARD_MIX.values()) == 100
-        assert len(workload.transaction_factories(20)) == 20
+        assert len([workload.transaction_factory() for _ in range(20)]) == 20
 
     def test_hotspot_accounts_receive_more_traffic(self):
         workload = SmallBankWorkload(SmallBankConfig(num_accounts=1000, hotspot_fraction=0.01,

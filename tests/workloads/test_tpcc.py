@@ -114,13 +114,13 @@ class TestTransactions:
 
     def test_mix_respects_weights(self, workload):
         assert sum(STANDARD_MIX.values()) == 100
-        factories = workload.transaction_factories(50)
+        factories = [workload.transaction_factory() for _ in range(50)]
         assert len(factories) == 50
 
     def test_runs_on_nopriv_baseline(self, workload, closed_loop):
         proxy = create_engine("nopriv", backend="server")
         proxy.load_initial_data(workload.initial_data())
-        result = closed_loop(proxy, workload.transaction_factories(40), clients=8)
+        result = closed_loop(proxy, [workload.transaction_factory() for _ in range(40)], clients=8)
         assert result.committed > 0
         from repro.concurrency.serializability import check_serializable
         ok, cycle = check_serializable(proxy.committed_history)

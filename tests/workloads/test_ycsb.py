@@ -28,28 +28,27 @@ class TestKeyGeneration:
 
     def test_key_stream_within_population(self):
         workload = YCSBWorkload(YCSBConfig(num_records=100, seed=1))
-        keys = workload.key_stream(500)
+        keys = [workload.key(workload.next_key_index()) for _ in range(500)]
         assert len(keys) == 500
         assert all(0 <= int(k.split(":")[1]) < 100 for k in keys)
 
     def test_uniform_distribution_spreads_keys(self):
         workload = YCSBWorkload(YCSBConfig(num_records=10, seed=2))
-        indexes = workload.block_id_stream(5000)
+        indexes = [workload.next_key_index() for _ in range(5000)]
         counts = [indexes.count(i) for i in range(10)]
         assert min(counts) > 300
 
     def test_zipfian_skews_towards_few_keys(self):
         workload = YCSBWorkload(YCSBConfig(num_records=1000, distribution="zipfian", seed=3))
-        indexes = workload.block_id_stream(5000)
+        indexes = [workload.next_key_index() for _ in range(5000)]
         from collections import Counter
         top = Counter(indexes).most_common(10)
         top_share = sum(count for _idx, count in top) / 5000
         assert top_share > 0.25
 
     def test_generation_is_deterministic_per_seed(self):
-        a = YCSBWorkload(YCSBConfig(num_records=100, seed=9)).key_stream(50)
-        b = YCSBWorkload(YCSBConfig(num_records=100, seed=9)).key_stream(50)
-        assert a == b
+        a, b = (YCSBWorkload(YCSBConfig(num_records=100, seed=9)) for _ in range(2))
+        assert [a.next_key_index() for _ in range(50)] == [b.next_key_index() for _ in range(50)]
 
     def test_zipfian_generator_bounds(self):
         import random
@@ -80,6 +79,3 @@ class TestOperationsAndTransactions:
         from repro.core.client import ReadMany, Write
         assert isinstance(operation, (ReadMany, Write))
 
-    def test_transaction_factories_count(self):
-        workload = YCSBWorkload(YCSBConfig(num_records=20))
-        assert len(workload.transaction_factories(7)) == 7
