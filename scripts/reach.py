@@ -180,10 +180,13 @@ def main() -> int:
         print(f"reach: {len(failed)} entry point(s) failed: {', '.join(failed)}",
               file=sys.stderr)
         return 2
-    reached = reach.reached(index)
     names = sorted({name for name, _, _ in functions})
+    return report(names, reach.reached(index), read_allowlist())
+
+
+def report(names: List[str], reached: Set[str], allowed: Dict[str, str]) -> int:
+    """Print the counts; 1 if an unreached name is not in ``allowed``, else 0."""
     unreached = [name for name in names if name not in reached]
-    allowed = read_allowlist()
     missing = [name for name in unreached if name not in allowed]
     stale = sorted(name for name in allowed if name in reached)
     by_bin = {bin_: sum(1 for name in unreached if allowed.get(name) == bin_)

@@ -26,7 +26,7 @@ becomes an epoch-barrier vote.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.concurrency.transaction import (AbortReason, TransactionRecord,
                                            TransactionStatus)

@@ -9,7 +9,7 @@ convention; helpers here build and parse them consistently.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 
 Record = Dict[str, Union[int, float, str, List[int], List[str]]]

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.core.client import Read, ReadMany, Write
+from repro.core.client import ReadMany, Write
 from repro.workloads.records import encode_record, make_key
 
 

@@ -1,7 +1,5 @@
 """Tests for version chains."""
 
-import pytest
-
 from repro.concurrency.versions import Version, VersionChain, VersionStore
 
 

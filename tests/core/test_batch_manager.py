@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.batch_manager import BatchManager, ReadBatch
+from repro.core.batch_manager import BatchManager
 from repro.core.errors import BatchFullError
 
 
@@ -64,6 +64,39 @@ class TestReadScheduling:
         assert manager.schedule_read("a") == 0
         assert [manager.dispatch_next() is not None for _ in range(4)] == \
             [True, True, True, False]
+
+
+class TestPartitionQuotas:
+    """A partitioned proxy pads each partition's share of a batch to its
+    quota, so no batch may carry more of one partition's keys than that."""
+
+    @pytest.fixture
+    def partitioned(self):
+        return BatchManager(read_batches=2, read_batch_size=4, write_batch_size=4,
+                            partitioner=lambda key: int(key[1]),
+                            read_partition_quota=2, write_partition_quota=2)
+
+    def test_a_full_partition_spills_to_the_next_batch(self, partitioned):
+        assert [partitioned.schedule_read(key) for key in ("k0a", "k0b", "k0c", "k1a")] == \
+            [0, 0, 1, 0]
+        assert partitioned.dispatch_next().keys == ["k0a", "k0b", "k1a"]
+
+    def test_a_partition_out_of_quota_in_every_batch_raises(self, partitioned):
+        for key in ("k0a", "k0b", "k0c", "k0d"):
+            partitioned.schedule_read(key)
+        with pytest.raises(BatchFullError):
+            partitioned.schedule_read("k0e")
+        assert partitioned.schedule_read("k1a") == 0
+
+    def test_a_write_batch_over_one_partitions_quota_raises(self, partitioned):
+        assert len(partitioned.build_write_batch({"k0a": b"", "k0b": b"", "k1a": b""})) == 3
+        with pytest.raises(BatchFullError):
+            partitioned.build_write_batch({"k0a": b"", "k0b": b"", "k0c": b""})
+
+    def test_quotas_default_to_the_batch_sizes(self, manager):
+        for key in "abcd":
+            assert manager.schedule_read(key) == 0
+        assert len(manager.build_write_batch({key: b"" for key in "abcd"})) == 4
 
 
 class TestWriteBatch:

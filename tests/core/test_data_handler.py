@@ -1,7 +1,5 @@
 """Tests for the data handler and the key directory."""
 
-import pytest
-
 from repro.core.data_handler import DataHandler, KeyDirectory
 
 from tests.conftest import OneOpPerEpoch

@@ -6,7 +6,7 @@ import pytest
 
 from repro.api import RunStats
 from repro.harness import RunRow
-from repro.harness.report import render_table, rows_to_dicts
+from repro.harness.report import print_table, render_table, rows_to_dicts
 
 
 @dataclass
@@ -77,3 +77,9 @@ class TestRenderTable:
         text = render_table([Row("a", 1.0, 1), Row("bbbb", 22.0, 22)])
         lines = [line for line in text.splitlines() if line.strip()]
         assert len({len(line) for line in lines[1:]}) <= 2
+
+    def test_print_table_prints_the_rendered_table(self, capsys):
+        rows = [Row("a", 1.0, 1), Row("bbbb", 22.0, 22)]
+        print_table(rows, title="T", columns=["name", "count"])
+        assert capsys.readouterr().out == \
+            render_table(rows, title="T", columns=["name", "count"]) + "\n"

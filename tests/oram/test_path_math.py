@@ -18,6 +18,10 @@ class TestTreeGeometry:
         assert path_math.bucket_level(0) == 0
         assert path_math.bucket_index_in_level(0) == 0
 
+    def test_negative_bucket_id_rejected(self):
+        with pytest.raises(ValueError):
+            path_math.bucket_level(-1)
+
 
 class TestPaths:
     def test_path_starts_at_root_and_ends_at_leaf(self):
@@ -77,10 +81,22 @@ class TestEvictionSchedule:
         with pytest.raises(ValueError):
             path_math.reverse_bits(8, 3)
 
+    def test_reverse_bits_rejects_a_negative_value(self):
+        with pytest.raises(ValueError):
+            path_math.reverse_bits(-1, 3)
+
     def test_eviction_path_cycles_through_all_leaves(self):
         depth = 3
         visited = {path_math.eviction_path(g, depth) for g in range(1 << depth)}
         assert visited == set(range(1 << depth))
+
+    def test_negative_eviction_counter_rejected(self):
+        with pytest.raises(ValueError):
+            path_math.eviction_path(-1, 3)
+
+    def test_a_root_only_tree_evicts_its_one_path(self):
+        assert [path_math.eviction_path(g, 0) for g in range(3)] == [0, 0, 0]
+        assert path_math.path_buckets(0, 0) == [0]
 
     def test_eviction_path_is_periodic(self):
         depth = 4

@@ -9,7 +9,6 @@ from repro.analysis import check_bucket_invariant, views
 from repro.api import ObladiEngine
 from repro.core.client import Read, Write
 from repro.core.config import ObladiConfig, RingOramConfig
-from repro.core.proxy import ObladiProxy
 from repro.oram import path_math
 from repro.oram.crypto import CipherSuite
 from repro.oram.parameters import derive_parameters, partition_block_count

@@ -171,6 +171,25 @@ class TestEpochBarrier:
         for index, worker in enumerate(workers):
             assert worker.stats_votes == (1 if index == owner else 0)
 
+    def test_the_coordinator_reports_its_managers_votes(self):
+        proxy = build_proxy(make_config(workers=4))
+        proxy.load_initial_data({f"k{i}": b"0" for i in range(8)})
+
+        def program(key):
+            def run():
+                value = yield Read(key)
+                yield Write(key, value + b"x")
+            return run
+
+        for key in ("k1", "k2", "k5"):
+            proxy.submit(program(key))
+        proxy.run_epoch()
+        stats = proxy.barrier_stats
+        assert stats is proxy.mvtso.barrier_stats
+        assert (stats.epochs, stats.transactions_voted, stats.vetoed, stats.abort_votes) == \
+            (1, 3, 0, 0)
+        assert stats.commit_votes == sum(worker.stats_votes for worker in proxy.workers) >= 3
+
     def test_reset_clears_votes_and_worker_state(self):
         workers, manager = self.make_manager()
         txn = manager.begin(epoch=0)

@@ -30,6 +30,24 @@ class TestPartitionPrefix:
 
 
 class TestMixedPrefixes:
+    def test_keys_are_stripped_and_scoped_to_the_namespace(self, base):
+        NamespacedStorage(base, "p1/").write_batch({"oram/3": b"e"})
+        assert base.read("p1/oram/3") == b"e"
+        assert NamespacedStorage(base, "p1/").read_batch(["oram/3"]) == {"oram/3": b"e"}
+        assert NamespacedStorage(base, "p0/").read_batch(["oram/2", "oram/3"]) == \
+            {"oram/2": None, "oram/3": None}
+
+    def test_p1_does_not_swallow_p10(self, base):
+        """'p1/' must not match 'p10/...': the slash is part of the prefix."""
+        assert NamespacedStorage(base, "p1/").read_batch(["0/oram/1"]) == {"0/oram/1": None}
+        assert NamespacedStorage(base, "p10/").read_batch(["oram/1"]) == {"oram/1": b"d"}
+        assert NamespacedStorage(base, "p1/").read_batch(["oram/1"]) == {"oram/1": b"b"}
+
+    def test_unprefixed_keys_belong_to_no_namespace(self, base):
+        for prefix in ("p0/", "p1/", "p10/"):
+            assert NamespacedStorage(base, prefix).read_batch(["wal/0"]) == {"wal/0": None}
+        assert base.read("wal/0") == b"wal"
+
     def test_read_batch_round_trips_under_mixed_prefixes(self, base):
         view = NamespacedStorage(base, "p1/")
         keys = ["oram/1", "oram/2", "missing", "oram/1"]        # present, missing, repeated

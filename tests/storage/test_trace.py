@@ -10,6 +10,7 @@ import pytest
 from repro.analysis import views
 from repro.storage import trace as trace_module
 from repro.storage.backend import StorageOp
+from repro.storage.cluster import StorageCluster
 from repro.storage.trace import AccessTrace
 
 
@@ -175,6 +176,22 @@ class TestRecordBatch:
             assert event_fields(batched[key]) == event_fields(single[key])
         assert sorted(batched) == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)]
         assert [e.key for e in batched[0, 1, 1].events] == ["oram/5/v2/s/1"]
+
+    def test_cluster_trace_clear_reaches_batch_recorded_rows(self):
+        # A cluster has no trace of its own: each server records its batches,
+        # and clearing one server's trace leaves the other's rows in place.
+        cluster = StorageCluster(num_servers=2)
+        cluster.servers[0].write_batch({"a": b"1", "b": b"22"})
+        cluster.servers[1].read_batch(["c", "d", "e"])
+        first, second = (server.trace for server in cluster.servers)
+        assert [(e.key, e.batch_id) for e in first.events] == [("a", 0), ("b", 0)]
+        assert [(e.key, e.batch_id) for e in second.events] == [("c", 0), ("d", 0), ("e", 0)]
+        first.clear()
+        assert (len(first), first.events, first.batch_shape(), first.total_bytes()) == \
+            (0, [], [], 0)
+        assert second.batch_shape() == [("read", 3)] and len(second) == 3
+        cluster.servers[0].read_batch(["f"])
+        assert [(e.seq, e.key, e.batch_id) for e in first.events] == [(0, "f", 0)]
 
 
 def oram_shaped_batches(rng: random.Random, epochs: int = 40):

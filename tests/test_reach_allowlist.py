@@ -91,6 +91,41 @@ def test_every_entry_names_a_function_a_bin_and_a_reason():
     assert problems() == []
 
 
+def classes():
+    """``{class name: (base names, method names)}`` of every class under ``src/repro``."""
+    found = {}
+    for folder, _, files in os.walk(PACKAGE):
+        for name in files:
+            if name.endswith(".py"):
+                for node in ast.walk(_parse(os.path.join(folder, name))):
+                    if isinstance(node, ast.ClassDef):
+                        bases = {getattr(base, "id", getattr(base, "attr", None))
+                                 for base in node.bases}
+                        methods = {item.name for item in node.body
+                                   if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
+                        found[node.name] = (bases, methods)
+    return found
+
+
+def overriders(cls, method, found):
+    """Classes that inherit from ``cls``, directly or not, and define ``method``."""
+    heirs, frontier = set(), {cls}
+    while frontier:
+        frontier = {name for name, (bases, _) in found.items()
+                    if bases & frontier and name not in heirs}
+        heirs |= frontier
+    return sorted(name for name in heirs if method in found[name][1])
+
+
+def test_every_interface_entry_is_overridden_by_a_subclass():
+    """An ``interface`` entry stays because an implementation replaces it:
+    some subclass under ``src/repro`` defines the same method."""
+    found = classes()
+    lonely = [name for _, name, bin_, _ in entries() if bin_ == "interface"
+              and not overriders(*name.split(":")[1].rsplit(".", 1), found)]
+    assert lonely == []
+
+
 def test_a_stale_or_malformed_entry_is_reported(tmp_path):
     bad = tmp_path / "allowlist.txt"
     bad.write_text("repro.oram.stash:Stash.no_such_method  oracle  never defined\n"
