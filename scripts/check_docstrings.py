@@ -1,8 +1,8 @@
 #!/usr/bin/env python
-"""Docs gate: every exported symbol is documented, every dotted name exists.
+"""Docs gate: exported symbols are documented and the docs' references hold.
 
-Two checks, and the gate fails (exit code 1, listing the offenders) if
-either finds one:
+Four checks, and the gate fails (exit code 1, listing the offenders) if
+any finds one:
 
 * Walks the ``__all__`` of the public packages — ``repro.api``,
   ``repro.core``, ``repro.sharding``, ``repro.proxytier``, ``repro.audit``,
@@ -16,6 +16,15 @@ either finds one:
   import as a module or resolve, part by part, as an attribute or dataclass
   field of one — so a renamed or deleted module, class or method cannot
   leave a stale reference behind.
+* Requires every ```` ```python ```` block in ``README.md`` and
+  ``docs/*.md`` to hold a ``>>>`` prompt, so that ``python -m doctest``
+  runs it.
+* Collects every quoted chapter name cited next to ``ARCHITECTURE`` or
+  ``README`` — as in ``ARCHITECTURE "Performance"``, ``docs/ARCHITECTURE.md``
+  — "Elasticity" — or ``the "Auditing" chapter of docs/ARCHITECTURE.md``,
+  line breaks and comment markers allowed — in ``src/``, ``tests/``,
+  ``benchmarks/``, ``scripts/``, ``examples/`` and ``README.md``, and
+  requires a ``#`` heading of the cited file to start with the name.
 
 Run from the repository root with ``src`` on the path::
 
@@ -42,6 +51,29 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: A dotted name rooted at the package: ``repro`` and at least one more part.
 DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
+
+#: The file a chapter citation names, by the word it is cited with.
+CITED = {"ARCHITECTURE": os.path.join("docs", "ARCHITECTURE.md"),
+         "README": "README.md"}
+
+#: Where chapter citations are collected, beside ``README.md``.
+CITING = ("src", "tests", "benchmarks", "scripts", "examples")
+CITING_SUFFIXES = (".py", ".sh", ".txt")
+
+_DOCUMENT = r"(?<![\w/])(?:docs/)?(ARCHITECTURE|README)(?:\.md)?"
+_CHAPTER = r'"([A-Z][^"]{0,60})"'
+#: The document word, at most eight characters that are neither word
+#: characters nor quotes, then the quoted chapter name.
+CITATION_AFTER = re.compile(_DOCUMENT + r'[^\w"]{0,8}' + _CHAPTER)
+#: The quoted chapter name, then ``chapter of``, then the document word.
+CITATION_BEFORE = re.compile(_CHAPTER + r" chapter of \[?" + _DOCUMENT)
+#: A line break, with the indent and comment marker of the next line.
+_LINE_BREAK = re.compile(r"\s*\n\s*(?:#\s*)?")
+
+#: A fence that opens or closes a code block, and a doctest prompt.
+FENCE = re.compile(r"^\s*```")
+PYTHON_FENCE = re.compile(r"^\s*```python\s*$")
+PROMPT = re.compile(r"^\s*>>>")
 
 
 def _missing_in_class(qualname: str, cls: type) -> list:
@@ -112,11 +144,16 @@ def _docstrings(path: str):
                 yield docstring
 
 
+def _docs(root: str) -> list:
+    """``README.md`` and every ``docs/*.md`` under ``root``."""
+    return [os.path.join(root, "README.md")] + sorted(
+        glob.glob(os.path.join(root, "docs", "*.md")))
+
+
 def dangling_names(root: str = ROOT) -> list:
     """``"file: name"`` for every dotted ``repro`` name that does not resolve."""
     texts = []
-    for path in [os.path.join(root, "README.md")] + sorted(
-            glob.glob(os.path.join(root, "docs", "*.md"))):
+    for path in _docs(root):
         with open(path, encoding="utf-8") as handle:
             texts.append((path, handle.read()))
     for path in sorted(glob.glob(os.path.join(root, "src", "repro", "**", "*.py"),
@@ -130,23 +167,88 @@ def dangling_names(root: str = ROOT) -> list:
     return sorted(set(dangling))
 
 
+def plain_python_blocks(paths) -> list:
+    """``"file:line"`` of every ```` ```python ```` block without a ``>>>``."""
+    plain = []
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        opened, python, prompted = None, False, False
+        for number, line in enumerate(lines, 1):
+            if opened is None and FENCE.match(line):
+                opened, python, prompted = number, bool(PYTHON_FENCE.match(line)), False
+            elif opened is not None and FENCE.match(line):
+                if python and not prompted:
+                    plain.append(f"{path}:{opened}")
+                opened = None
+            elif opened is not None and PROMPT.match(line):
+                prompted = True
+    return plain
+
+
+def headings(path: str) -> list:
+    """The text of every ``#`` heading of the markdown file ``path``."""
+    found, fenced = [], False
+    with open(path, encoding="utf-8") as handle:
+        for line in handle:
+            if FENCE.match(line):
+                fenced = not fenced
+            elif not fenced and line.startswith("#"):
+                found.append(line.lstrip("#").strip())
+    return found
+
+
+def citations(text: str) -> list:
+    """``(document word, chapter name)`` of every chapter citation in ``text``."""
+    text = _LINE_BREAK.sub(" ", text)
+    return CITATION_AFTER.findall(text) + [
+        (document, name) for name, document in CITATION_BEFORE.findall(text)]
+
+
+def _citing_files(root: str):
+    yield os.path.join(root, "README.md")
+    for folder in CITING:
+        for directory, subdirectories, files in os.walk(os.path.join(root, folder)):
+            subdirectories[:] = [d for d in subdirectories if d != "__pycache__"]
+            for name in files:
+                if name.endswith(CITING_SUFFIXES):
+                    yield os.path.join(directory, name)
+
+
+def dangling_citations(root: str = ROOT) -> list:
+    """``"file: DOCUMENT "name""`` for every cited chapter no heading starts with."""
+    chapters = {word: headings(os.path.join(root, path)) for word, path in CITED.items()}
+    dangling = []
+    for path in _citing_files(root):
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        for document, name in citations(text):
+            if not any(heading.startswith(name) for heading in chapters[document]):
+                dangling.append(f'{os.path.relpath(path, root)}: {document} "{name}"')
+    return sorted(set(dangling))
+
+
 def main() -> int:
-    """Run both checks; print offenders and return the exit code."""
+    """Run the four checks; print offenders and return the exit code."""
     missing = []
     for package_name in PACKAGES:
         missing.extend(check_package(package_name))
-    dangling = dangling_names()
-    if missing:
-        print("undocumented exported symbols:")
-        for qualname in missing:
-            print(f"  - {qualname}")
-    if dangling:
-        print("dotted names that resolve to nothing:")
-        for reference in dangling:
-            print(f"  - {reference}")
-    if missing or dangling:
+    problems = [
+        ("undocumented exported symbols:", missing),
+        ("dotted names that resolve to nothing:", dangling_names()),
+        ("python blocks without a >>> prompt:",
+         [os.path.relpath(block, ROOT) for block in plain_python_blocks(_docs(ROOT))]),
+        ("chapter citations no heading starts with:", dangling_citations()),
+    ]
+    for title, offenders in problems:
+        if offenders:
+            print(title)
+            for offender in offenders:
+                print(f"  - {offender}")
+    if any(offenders for _, offenders in problems):
         return 1
-    print(f"docs gate OK ({', '.join(PACKAGES)}; every dotted repro name resolves)")
+    print(f"docs gate OK ({', '.join(PACKAGES)}; every dotted repro name resolves, "
+          "every python block is a doctest, every chapter citation resolves)")
     return 0
 
 

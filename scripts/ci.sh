@@ -17,6 +17,18 @@ echo "== docs gate: doctests + exported-symbol docstrings + dotted names =="
 python -m doctest docs/ARCHITECTURE.md README.md
 python scripts/check_docstrings.py
 
+# Docs budget: README and ARCHITECTURE describe the system at HEAD, not how
+# it got there (ROADMAP item 17 cut them from 525 and 1401 lines); each
+# change's record lives in CHANGES.md.
+echo "== docs budget: README.md at most 250 lines, docs/ARCHITECTURE.md at most 800 =="
+readme_lines=$(wc -l < README.md)
+architecture_lines=$(wc -l < docs/ARCHITECTURE.md)
+echo "README.md $readme_lines lines, docs/ARCHITECTURE.md $architecture_lines lines"
+if [ "$readme_lines" -gt 250 ] || [ "$architecture_lines" -gt 800 ]; then
+    echo "README.md is over 250 lines or docs/ARCHITECTURE.md over 800" >&2
+    exit 1
+fi
+
 # One representation, pure Python: the numpy twin of the path math was
 # measured against the plain-int forms and lost (ARCHITECTURE "Performance").
 # (An ``if``, not ``! grep``: ``set -e`` ignores a status inverted with ``!``.)

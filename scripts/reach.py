@@ -49,7 +49,7 @@ BINS = {
     "oracle": "a reference implementation tests compare the real path against",
     "bench": "bench/ imports, wraps or calls it by name",
     "interface": "an abstract or base-class stub an implementation overrides",
-    "documented": "public API the README shows; it goes only with the README's text",
+    "documented": "public API a README or ARCHITECTURE doctest calls; it goes only with that doctest",
 }
 
 WORKLOADS = ("smallbank_sharded", "tpcc_durable", "freehealth_openloop",

@@ -84,6 +84,12 @@ class TestBasicTransactions:
         with pytest.raises(TypeError):
             proxy.submit(lambda: 42)
 
+    def test_the_proxy_has_no_client_api(self):
+        # ObladiEngine is the proxy's only client: reads, the transaction
+        # facade and the numbers live on the engine, not here.
+        public = {name for name in vars(ObladiProxy) if not name.startswith("_")}
+        assert public == {"submit", "run_epoch", "crash", "crashed", "load_initial_data"}
+
 
 class TestEpochSemantics:
     def test_transactions_in_same_epoch_see_uncommitted_writes(self, engine):
