@@ -76,7 +76,7 @@ def test_workers_free_at_unpriced_cc(benchmark, bench_scale):
     assert single.worker_ops == []
     # Nothing was charged: the barrier and routing are free at cc_op_ms=0.
     assert sharded.cpu_ms == 0.0
-    assert sharded_engine.proxy.lane_stats.charges == 0
+    assert sharded_engine.proxy.lane_stats.calls == 0
 
 
 def test_workers_beat_single_proxy_when_cpu_bound(benchmark, bench_scale):

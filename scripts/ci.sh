@@ -106,6 +106,18 @@ if grep -rnIE "EpochSummary|epoch_summaries|_summary_extras|_retired_history|rep
     exit 1
 fi
 
+# One lane primitive: independent durations (partition batches on the fan-out
+# lanes, CC operations on the proxy's lanes) are timed by
+# repro.sim.scheduler.LaneStats.charge alone, and the single proxy is the
+# one-lane case of the CC charge and the epoch barrier.
+echo "== tripwire: one lane primitive =="
+if grep -rnIE "FanoutStats|CcLaneStats|_prepare_repaired|lane_ms" \
+        src/ tests/ benchmarks/ docs/ README.md \
+        || grep -rn --include='*.py' "heapreplace" src/ | grep -v "^src/repro/sim/scheduler\.py:"; then
+    echo "a second lane schedule, its stats record or a proxy-tier barrier hook is back" >&2
+    exit 1
+fi
+
 # Only what production runs stays in src/: the helpers only tests called were
 # deleted, and their tests inline what they checked.  scripts/reach.py finds
 # the next ones; it takes minutes under the profiler, so each re-anchor runs

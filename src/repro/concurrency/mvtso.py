@@ -26,7 +26,7 @@ becomes an epoch-barrier vote.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.concurrency.transaction import (AbortReason, TransactionRecord,
                                            TransactionStatus)
@@ -53,14 +53,11 @@ class MVTSOManager:
         self._next_txn_id = 1
         self.store = VersionStore()
         self.transactions: Dict[int, TransactionRecord] = {}
-        self.stats_aborts_write_conflict = 0
         self.stats_aborts_cascade = 0
-        # Lifetime operation counters: one version-chain read / one version
-        # install each.  They are the unit the proxy charges concurrency-
-        # control CPU in (``CpuCostModel.cc_op_ms``) and the quantity a
-        # sharded proxy tier (``repro.proxytier``) divides across workers.
-        self.stats_ops_read = 0
-        self.stats_ops_write = 0
+        # Version-chain reads and version installs not yet charged: the unit
+        # the proxy charges concurrency-control CPU in
+        # (``CpuCostModel.cc_op_ms``), drained by :meth:`take_lane_ops`.
+        self._pending_ops = 0
 
     # ------------------------------------------------------------------ #
     # Transaction lifecycle
@@ -115,7 +112,7 @@ class MVTSOManager:
         """
         if not txn.is_active:
             raise ValueError(f"transaction {txn.txn_id} is not active")
-        self.stats_ops_read += 1
+        self._pending_ops += 1
         chain = self.store.chain(key)
         chain.record_read(txn.timestamp)
         version = chain.latest_visible(txn.timestamp)
@@ -135,19 +132,35 @@ class MVTSOManager:
         """MVTSO write; raises :class:`WriteConflictError` on a late write."""
         if not txn.is_active:
             raise ValueError(f"transaction {txn.txn_id} is not active")
-        self.stats_ops_write += 1
+        self._pending_ops += 1
         chain = self.store.chain(key)
         if chain.read_marker_ts > txn.timestamp:
-            self.stats_aborts_write_conflict += 1
             raise WriteConflictError(key, txn.timestamp, chain.read_marker_ts)
         version = Version(key=key, value=value, writer_ts=txn.timestamp)
         chain.insert(version)
         txn.record_write(key, value)
         return version
 
+    def take_lane_ops(self) -> List[int]:
+        """Drain the operations not yet charged, one count per CC lane.
+
+        The single proxy runs its concurrency control on one lane; the
+        sharded manager (:mod:`repro.proxytier`) reports one per worker.
+        """
+        pending, self._pending_ops = self._pending_ops, 0
+        return [pending]
+
     # ------------------------------------------------------------------ #
     # Commit / abort
     # ------------------------------------------------------------------ #
+    def prepare_epoch(self, records: Sequence[TransactionRecord]) -> Dict[int, bool]:
+        """The epoch barrier before the commit checks; no votes on one lane.
+
+        :meth:`can_commit` is the single proxy's whole commit check.  The
+        sharded manager collects its workers' votes on ``records`` here.
+        """
+        return {}
+
     def can_commit(self, txn: TransactionRecord) -> bool:
         """A transaction may commit once none of its dependencies is aborted
         and all of them have committed or requested commit."""

@@ -20,11 +20,11 @@ it through :class:`repro.api.ObladiEngine`, which drives it through
 :meth:`ObladiProxy.submit`, :meth:`ObladiProxy.run_epoch` and
 :meth:`ObladiProxy.crash`.
 
-Layer context and the request-lifecycle diagram live in
-``docs/ARCHITECTURE.md`` ("Trusted proxy"); the sharded variant of this
-class — the trusted tier split across parallel workers — is
-:class:`repro.proxytier.ProxyCoordinator` ("Distributed proxy tier" in the
-same document).
+Layer context lives in ``docs/ARCHITECTURE.md`` ("Trusted proxy") and the
+request-lifecycle diagram in ``docs/ARCHITECTURE.md`` ("Request lifecycle");
+the sharded variant of this class — the trusted tier split across parallel
+workers — is :class:`repro.proxytier.ProxyCoordinator`
+(``docs/ARCHITECTURE.md`` "Distributed proxy tier").
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from repro.core.client import (ABORT, COMMIT, ProgramRun, TransactionProgram,
 from repro.core.config import ObladiConfig
 from repro.core.errors import BatchFullError, ProxyCrashedError
 from repro.sim.clock import SimClock
+from repro.sim.scheduler import LaneStats
 from repro.storage.backend import StorageServer
 
 #: What ``run_epoch(deliver=...)`` is called with at the commit: the epoch's
@@ -85,11 +86,6 @@ class ObladiProxy:
         if storage is None:
             from repro.storage.cluster import build_storage
             storage = build_storage(self.config, clock=self.clock)
-        elif self.config.storage_servers > 1 and not hasattr(storage, "servers"):
-            raise ValueError(
-                f"configuration asks for {self.config.storage_servers} storage "
-                f"servers but a single {type(storage).__name__} was supplied; "
-                f"pass a repro.storage.cluster.StorageCluster")
         self.storage = storage
         self.storage.clock = self.clock
 
@@ -130,13 +126,11 @@ class ObladiProxy:
         # Live resharding (repro.elasticity): when a TopologyMigration is
         # attached, one padded copy step rides every epoch barrier.
         self._migration = None
-        # Concurrency-control CPU accounting (``CpuCostModel.cc_op_ms``).
-        # The single proxy charges CC work serially; the sharded proxy tier
-        # (:mod:`repro.proxytier`) overrides :meth:`_charge_cc` to divide it
-        # across parallel worker lanes.  With the default cost of 0.0 the
-        # clock is never touched, keeping the seed timings byte-identical.
+        # Concurrency-control CPU accounting (``CpuCostModel.cc_op_ms``):
+        # one lane per proxy worker, so the single proxy charges its CC work
+        # serially.  With the default cost of 0.0 the clock is never touched.
         self.cc_cpu_ms = 0.0
-        self._cc_ops_charged = 0
+        self.lane_stats = LaneStats()
         # Timestamp of the latest committed writer per key, across epochs.
         # Used only to annotate read sets with their version provenance so
         # that committed histories can be checked for serializability.
@@ -244,21 +238,20 @@ class ObladiProxy:
     def _charge_cc(self) -> None:
         """Charge CPU for MVTSO operations performed since the last charge.
 
-        The single proxy runs its concurrency control on one core: the
-        operations are charged serially at ``CpuCostModel.cc_op_ms`` each.
-        The sharded proxy tier overrides this to schedule each worker's
-        share as parallel lanes.  A zero cost (the default) never touches
+        Each CC lane's operations (one lane on the single proxy, one per
+        worker on :class:`repro.proxytier.ProxyCoordinator`) cost
+        ``CpuCostModel.cc_op_ms`` each and run on that lane alone, so the
+        charge is the slowest lane.  A zero cost (the default) never touches
         the clock.
         """
         cost = self.config.cost_model.cc_op_ms
         if cost <= 0:
             return
-        total = self.mvtso.stats_ops_read + self.mvtso.stats_ops_write
-        pending = total - self._cc_ops_charged
-        if pending <= 0:
+        pending = self.mvtso.take_lane_ops()
+        if not any(pending):
             return
-        self._cc_ops_charged = total
-        elapsed = pending * cost
+        durations = [ops * cost for ops in pending]
+        elapsed = self.lane_stats.charge(durations, len(durations))
         self.clock.advance(elapsed)
         self.cc_cpu_ms += elapsed
 
@@ -395,9 +388,11 @@ class ObladiProxy:
     def _finalize_epoch(self, admitted: List[_ActiveTransaction], epoch_id: int,
                         deliver: Optional[_Deliver]) -> List[TransactionResult]:
         """Commit the epoch and return its results."""
-        # CC work from the final round (writes issued after the last batch
-        # boundary) has no boundary to absorb it; charge it up front so the
-        # commit timestamps below account for it.
+        # The epoch barrier (the workers' votes, if sharded) runs first.  CC
+        # work from the final round (writes issued after the last batch
+        # boundary) and the votes have no boundary to absorb them; charge
+        # them up front so the commit timestamps below account for them.
+        self.mvtso.prepare_epoch([active.record for active in admitted])
         self._charge_cc()
         now = self.clock.now_ms
 
@@ -561,21 +556,14 @@ class ObladiProxy:
             if fresh.status is TransactionStatus.COMMIT_REQUESTED:
                 repaired_records.append(fresh)
         if repaired_records:
-            self._prepare_repaired(repaired_records)
+            # A repaired record is fresh, so it goes through the barrier now.
+            self.mvtso.prepare_epoch(repaired_records)
             for record in repaired_records:
                 if not self.mvtso.can_commit(record):
                     self.mvtso.abort(record, AbortReason.CASCADE, now_ms=now)
         # Repair work is ordinary concurrency-control CPU; charge it before
         # the commit timestamps are taken.
         self._charge_cc()
-
-    def _prepare_repaired(self, records: List[TransactionRecord]) -> None:
-        """Hook: pre-commit preparation for repaired transactions.
-
-        The single proxy needs none.  The sharded proxy tier overrides this
-        to run repaired records through the epoch-barrier vote, so their
-        commit check carries per-worker votes like any other transaction's.
-        """
 
     def _collect_write_back(self, admitted: List[_ActiveTransaction]) -> Dict[str, Optional[bytes]]:
         """Latest value per key among transactions that are still commit-eligible."""

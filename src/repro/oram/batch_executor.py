@@ -102,7 +102,6 @@ class EpochBatchExecutor:
         self._held_back: List[str] = []      # keys registered as read, not yet sent
         self._buffered_rewrites: Dict[int, BucketRewrite] = {}   # latest per bucket
         self._stored_versions: Dict[int, int] = {}   # buffered bucket -> version on the server
-        self._rewrites_buffered_total = 0
         # Slot keys of the versions this epoch's writes superseded, deleted
         # by ``collect``; a flush after the epoch's collect (a migration copy
         # step at the barrier) waits for the next epoch's.
@@ -147,7 +146,6 @@ class EpochBatchExecutor:
             raise RuntimeError(
                 f"{len(self._superseded)} superseded slot keys were never collected")
         self._read_cache.clear()
-        self._rewrites_buffered_total = 0
         self._collected = False
         self.stats = EpochStats()
 
@@ -162,7 +160,6 @@ class EpochBatchExecutor:
         self._read_cache.clear()
         self._held_back.clear()
         self._superseded = []
-        self._rewrites_buffered_total = 0
 
     def _check_nothing_held_back(self) -> None:
         """Held-back reads never outlive the batch that registered them."""
@@ -259,7 +256,6 @@ class EpochBatchExecutor:
                 else:
                     self._stored_versions[rewrite.bucket_id] = rewrite.version - 1
                 self._buffered_rewrites[rewrite.bucket_id] = rewrite
-                self._rewrites_buffered_total += 1
             return
         # Immediate write-back (delayed visibility disabled): the reads
         # registered so far reach the store before the write does.

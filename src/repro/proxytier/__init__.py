@@ -6,12 +6,12 @@ storage servers); this package scales the *trusted* half.  N
 partition map as ``repro.sharding``): the chain reads and writes routed to
 it, the dependencies they observed, and its vote.  A
 :class:`ProxyCoordinator` admits transactions, attributes every read/write
-to the owning worker, charges concurrency-control CPU as parallel worker
-lanes on the simulated clock, and runs a lightweight 2PC over the epoch
-boundary — every participating worker votes commit/abort per transaction —
-before merging the epoch's batches into the existing ``DataLayer`` fan-out.
-The version chains and the epoch cache's base values stay the proxy's, one
-of each.
+to the owning worker, so the proxy charges concurrency-control CPU as one
+lane per worker on the simulated clock and its epoch barrier is a
+lightweight 2PC — every participating worker votes commit/abort per
+transaction — before merging the epoch's batches into the existing
+``DataLayer`` fan-out.  The version chains and the epoch cache's base
+values stay the proxy's, one of each.
 
 Selected by ``ObladiConfig.proxy_workers`` /
 ``ObladiConfig.with_proxy_workers(N)``; ``proxy_workers=1`` builds the
@@ -23,7 +23,7 @@ proxy tier" — for the worker/coordinator diagram and the commit-protocol
 walkthrough.
 """
 
-from repro.proxytier.coordinator import CcLaneStats, ProxyCoordinator, build_proxy
+from repro.proxytier.coordinator import ProxyCoordinator, build_proxy
 from repro.proxytier.sharded import BarrierStats, ShardedMVTSOManager
 from repro.proxytier.worker import ProxyWorker
 
@@ -32,6 +32,5 @@ __all__ = [
     "ProxyCoordinator",
     "ShardedMVTSOManager",
     "BarrierStats",
-    "CcLaneStats",
     "build_proxy",
 ]

@@ -15,7 +15,7 @@ unchanged; only *who* performs each operation and each check moves.  See
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.concurrency.mvtso import MVTSOManager
 from repro.concurrency.transaction import TransactionRecord, TransactionStatus
@@ -48,7 +48,7 @@ class ShardedMVTSOManager(MVTSOManager):
 
     Reads and writes go through the base implementation and are attributed
     to the worker owning the key for CPU-lane accounting.  At the epoch
-    boundary the coordinator calls :meth:`prepare_epoch`: every
+    boundary the proxy calls :meth:`prepare_epoch`: every
     participating worker votes commit/abort per transaction, and
     :meth:`can_commit` honours the memoized unanimous decision.  Because
     each dependency is attributed to exactly the worker owning the key that
@@ -81,6 +81,10 @@ class ShardedMVTSOManager(MVTSOManager):
         """
         self.worker_for(key).note_write(txn.txn_id)
         return super().write(txn, key, value)
+
+    def take_lane_ops(self) -> List[int]:
+        """Drain the operations not yet charged, one count per worker lane."""
+        return [worker.take_pending_ops() for worker in self.workers]
 
     # ------------------------------------------------------------------ #
     # Epoch barrier (lightweight 2PC over the epoch boundary)

@@ -39,16 +39,13 @@ class ProxyWorker:
         self.stats_writes = 0
         self.stats_votes = 0
 
-        # Operations performed since the coordinator last charged CPU; the
-        # coordinator drains this into one schedulable lane duration.
+        # Operations performed since the proxy last charged CPU; the proxy
+        # drains this into one lane duration.
         self.pending_ops = 0
 
         # Per-epoch vote bookkeeping.
         self.txn_deps: Dict[int, Set[int]] = {}
         self.txn_touched: Set[int] = set()
-
-        #: Simulated CPU this worker's lane has been charged, lifetime.
-        self.cpu_ms = 0.0
 
     # ------------------------------------------------------------------ #
     # Operation accounting (called by the sharded MVTSO manager)

@@ -106,7 +106,6 @@ class RecoveryManager:
         self.stats_wal_bytes = 0
         self.stats_checkpoint_bytes = 0
         self.stats_checkpoints = 0
-        self.stats_durability_ms = 0.0
 
     # ------------------------------------------------------------------ #
     # Normal-operation hooks
@@ -204,10 +203,8 @@ class RecoveryManager:
         written concurrently, so the proxy waits one round trip plus the time
         to push the bytes at the available bandwidth.
         """
-        elapsed = (self.latency.write_rtt_ms
-                   + total_bytes / self.costs.bandwidth_bytes_per_ms)
-        self.clock.advance(elapsed)
-        self.stats_durability_ms += elapsed
+        self.clock.advance(self.latency.write_rtt_ms
+                           + total_bytes / self.costs.bandwidth_bytes_per_ms)
 
     # ------------------------------------------------------------------ #
     # Recovery

@@ -11,7 +11,7 @@ A partitioned layer also decides *where* each partition lives: with
 servers of a :class:`~repro.storage.cluster.StorageCluster`, each link timed
 by its own latency model, and partition-batch fan-out is staggered across
 ``config.fanout_lanes`` lanes when partitions outnumber the proxy's
-parallelism (:class:`FanoutStats` records the bounds).
+parallelism.
 
 This package shards the *untrusted* data path; its trusted-tier sibling is
 ``repro.proxytier`` (same sha256 partition map, applied to proxy
@@ -20,15 +20,13 @@ workers).  ``docs/ARCHITECTURE.md`` walks both layers.
 
 from repro.sharding.data_layer import (DataLayer, OramPartition,
                                        SingleOramDataLayer, key_partition)
-from repro.sharding.partitioned import (FanoutStats, PartitionedDataLayer,
-                                        build_data_layer)
+from repro.sharding.partitioned import PartitionedDataLayer, build_data_layer
 
 __all__ = [
     "DataLayer",
     "OramPartition",
     "SingleOramDataLayer",
     "PartitionedDataLayer",
-    "FanoutStats",
     "build_data_layer",
     "key_partition",
 ]

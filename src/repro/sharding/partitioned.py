@@ -22,8 +22,8 @@ the available lanes the epoch's simulated batch duration is the *maximum*
 over partitions — exactly how :mod:`repro.oram.dependency` treats the
 independent slot fetches inside one batch.  When ``shards`` exceeds the
 lanes the fan-out is *staggered*: the per-partition durations are
-list-scheduled, in partition order, onto ``config.fanout_lanes`` lanes (each
-goes to the lane that frees up first), so the makespan lands
+list-scheduled, in partition order, onto ``config.fanout_lanes`` lanes
+(:meth:`repro.sim.scheduler.LaneStats.charge`), so the makespan lands
 between the ideal-parallel bound (max) and the serial bound (sum) —
 strictly above the ideal bound whenever no single partition dominates.
 Each partition's executor runs with a deferred clock and the layer advances
@@ -33,8 +33,6 @@ the shared :class:`~repro.sim.clock.SimClock` once per fan-out.
 from __future__ import annotations
 
 import hashlib
-import heapq
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from repro.core.config import ObladiConfig
@@ -42,39 +40,10 @@ from repro.core.version_cache import VersionCache
 from repro.sharding.data_layer import DataLayer, build_partition, key_partition
 from repro.sim.clock import SimClock
 from repro.sim.latency import link_latency_models
+from repro.sim.scheduler import LaneStats
 from repro.storage.backend import StorageServer
 from repro.storage.cluster import StorageCluster
 from repro.storage.namespace import NamespacedStorage, partition_prefix
-
-
-@dataclass
-class FanoutStats:
-    """Accumulated timing of partition-batch fan-outs (one epoch has several).
-
-    ``ideal_ms`` sums the ideal-parallel bound (max partition duration per
-    fan-out), ``serial_ms`` the serial bound (sum of partition durations),
-    and ``actual_ms`` what the staggered schedule actually charged; with
-    enough fan-out lanes ``actual_ms == ideal_ms``, and under lane pressure
-    it lies between the two bounds — strictly above the ideal bound when the
-    batches are comparable in size (one dominant batch can still hide the
-    queued short ones inside its own span).
-    """
-
-    fanouts: int = 0
-    staggered_fanouts: int = 0
-    ideal_ms: float = 0.0
-    serial_ms: float = 0.0
-    actual_ms: float = 0.0
-
-    def record(self, durations: List[float], actual_ms: float, lanes: int) -> None:
-        """Fold one fan-out's per-partition ``durations`` into the totals."""
-        self.fanouts += 1
-        busy = sum(1 for d in durations if d > 0)
-        if busy > lanes:
-            self.staggered_fanouts += 1
-        self.ideal_ms += max(durations, default=0.0)
-        self.serial_ms += sum(durations)
-        self.actual_ms += actual_ms
 
 
 class PartitionedDataLayer(DataLayer):
@@ -89,7 +58,7 @@ class PartitionedDataLayer(DataLayer):
         self.clock = clock
         self.base_storage = storage
         self.cache = VersionCache()
-        self.fanout_stats = FanoutStats()
+        self.fanout_stats = LaneStats()
         cluster = storage if isinstance(storage, StorageCluster) else None
         if cluster is None and config.storage_servers > 1:
             raise ValueError(
@@ -209,26 +178,14 @@ class PartitionedDataLayer(DataLayer):
     def _advance_parallel(self) -> float:
         """Advance the shared clock by the fan-out's staggered makespan.
 
-        Every partition's deferred batch duration is one unit of schedulable
-        work; with at least as many fan-out lanes as busy partitions the
-        makespan is simply the slowest partition (ideal parallel fan-out),
-        otherwise the batches are staggered: each, in partition order, runs
-        on the lane that frees up first — what :mod:`repro.sim.scheduler`'s
-        list scheduler does with independent operations, addition for
-        addition (``tests/props/test_property_timing.py``).
+        Every partition's deferred batch duration is one unit of independent
+        work on the ``config.fanout_lanes`` lanes
+        (:meth:`repro.sim.scheduler.LaneStats.charge`): the slowest partition
+        when the busy ones fit, otherwise a staggered schedule in partition
+        order.
         """
         durations = [part.executor.take_deferred_ms() for part in self.partitions]
-        lanes = self.config.fanout_lanes
-        busy = sum(1 for duration in durations if duration > 0)
-        if busy <= lanes:
-            makespan = max(durations, default=0.0)
-        else:
-            lane_free = [0.0] * lanes
-            for duration in durations:
-                if duration > 0:
-                    heapq.heapreplace(lane_free, lane_free[0] + duration)
-            makespan = max(lane_free)
-        self.fanout_stats.record(durations, makespan, lanes)
+        makespan = self.fanout_stats.charge(durations, self.config.fanout_lanes)
         if makespan > 0:
             self.clock.advance(makespan)
         return makespan

@@ -13,12 +13,13 @@ real networks:
 * :mod:`repro.sim.scheduler` — a small parallel-schedule solver: given a set
   of operations with durations, dependencies and a parallelism cap, it
   computes the simulated makespan (critical-path length under limited
-  resources).
+  resources), and :class:`~repro.sim.scheduler.LaneStats`, the lane
+  schedule of independent durations.
 """
 
 from repro.sim.clock import SimClock
 from repro.sim.latency import LatencyModel, CpuCostModel, BACKENDS, get_latency_model
-from repro.sim.scheduler import ParallelScheduler, ScheduledOp
+from repro.sim.scheduler import LaneStats, ParallelScheduler, ScheduledOp
 
 __all__ = [
     "SimClock",
@@ -26,6 +27,7 @@ __all__ = [
     "CpuCostModel",
     "BACKENDS",
     "get_latency_model",
+    "LaneStats",
     "ParallelScheduler",
     "ScheduledOp",
 ]

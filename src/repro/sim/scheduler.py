@@ -13,6 +13,11 @@ a bound on how many can run concurrently.  This is a classic list-scheduling
 computation (greedy earliest-start on a bounded worker pool, respecting
 precedence edges), which is exactly the behaviour of a thread pool executing
 a dependency DAG.
+
+Independent work — partition batches on the proxy's fan-out lanes,
+concurrency-control operations on the proxy's CC lanes — needs no DAG:
+:meth:`LaneStats.charge` list-schedules the durations in order onto the lanes
+and keeps the bounds of every charge.
 """
 
 from __future__ import annotations
@@ -146,6 +151,57 @@ class ParallelScheduler:
             total_work_ms=total_work,
             critical_path_ms=critical_path,
         )
+
+
+@dataclass
+class LaneStats:
+    """Lane schedules of independent durations, accumulated over charges.
+
+    ``ideal_ms`` sums the ideal-parallel bound (the longest duration of each
+    charge), ``serial_ms`` the serial bound (their sum) and ``actual_ms`` the
+    makespan each charge returned; a charge is ``staggered`` when more
+    durations were positive than there were lanes.  With enough lanes
+    ``actual_ms == ideal_ms``; under lane pressure it lies between the two
+    bounds, strictly above the ideal one when no single duration dominates.
+    On one lane ``actual_ms == serial_ms``.
+    """
+
+    calls: int = 0
+    staggered: int = 0
+    ideal_ms: float = 0.0
+    serial_ms: float = 0.0
+    actual_ms: float = 0.0
+
+    def charge(self, durations: Sequence[float], lanes: int) -> float:
+        """Makespan of the positive ``durations``, in order, on ``lanes`` lanes.
+
+        Each goes to the lane that frees up first — what
+        :class:`ParallelScheduler` does with independent operations, addition
+        for addition (``tests/props/test_property_timing.py``); when they fit
+        the makespan is simply the longest one.
+        """
+        busy = sum(1 for duration in durations if duration > 0)
+        if busy <= lanes:
+            makespan = max(durations, default=0.0)
+        else:
+            self.staggered += 1
+            lane_free = [0.0] * lanes
+            for duration in durations:
+                if duration > 0:
+                    heapq.heapreplace(lane_free, lane_free[0] + duration)
+            makespan = max(lane_free)
+        self.calls += 1
+        self.ideal_ms += max(durations, default=0.0)
+        self.serial_ms += sum(durations)
+        self.actual_ms += makespan
+        return makespan
+
+    @property
+    def speedup(self) -> float:
+        """Serial-to-actual ratio (1.0 when nothing was charged)."""
+        if self.actual_ms <= 0:
+            return 1.0
+        return self.serial_ms / self.actual_ms
 
 
 def build_ops(durations: Sequence[float],

@@ -61,7 +61,6 @@ PROXYTIER = [
     "ProxyCoordinator",
     "ShardedMVTSOManager",
     "BarrierStats",
-    "CcLaneStats",
     "build_proxy",
 ]
 
@@ -153,7 +152,6 @@ SHARDING = [
     "OramPartition",
     "SingleOramDataLayer",
     "PartitionedDataLayer",
-    "FanoutStats",
     "build_data_layer",
     "key_partition",
 ]

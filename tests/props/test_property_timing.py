@@ -11,13 +11,14 @@ of the builder under test.
 
 The two fan-outs above the ORAM — partition batches onto the proxy's fan-out
 lanes, CC work onto one lane per proxy worker — schedule independent
-operations only, so they use the closed form outright; the same oracle holds
-them.
+operations only, through one lane primitive (``LaneStats.charge``); the same
+oracle holds it and both of them.
 """
 
 import random
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import ObladiConfig, RingOramConfig
@@ -25,7 +26,7 @@ from repro.oram.dependency import (simulate_parallel_read_batch,
                                    simulate_parallel_write_batch)
 from repro.proxytier import build_proxy
 from repro.sim.latency import BACKENDS, CpuCostModel
-from repro.sim.scheduler import ParallelScheduler, ScheduledOp
+from repro.sim.scheduler import LaneStats, ParallelScheduler, ScheduledOp
 
 
 def scheduled_read_ms(bucket_ids, latency, parallelism, encrypted):
@@ -114,6 +115,28 @@ class TestTimingEqualsScheduler:
         assert (simulate_parallel_write_batch(slot_counts, latency, parallelism,
                                               encrypted=encrypted)
                 == scheduled_write_ms(slot_counts, latency, parallelism, encrypted))
+
+    @pytest.mark.parametrize("staggered", [False, True])
+    @settings(deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 0.1, 3.7]) | st.floats(0.0, 1e4),
+                    max_size=12),
+           st.data())
+    def test_lane_charge(self, staggered, durations, data):
+        # Fitting: every busy duration gets a lane and the longest decides.
+        # Staggered: fewer lanes than busy durations, each to the first free.
+        busy = sum(1 for duration in durations if duration > 0)
+        if staggered:
+            assume(busy >= 2)
+            lanes = data.draw(st.integers(1, busy - 1))
+        else:
+            lanes = data.draw(st.integers(max(busy, 1), 13))
+        stats = LaneStats()
+        makespan = stats.charge(durations, lanes)
+        assert makespan == scheduled_independent_ms(durations, lanes)
+        assert (stats.calls, stats.staggered) == (1, int(staggered))
+        assert stats.actual_ms == makespan
+        assert stats.ideal_ms == max(durations, default=0.0)
+        assert stats.serial_ms == sum(durations)
 
     @settings(deadline=None)
     @given(st.lists(st.sampled_from([0.0, 0.1, 3.7]) | st.floats(0.0, 1e4),

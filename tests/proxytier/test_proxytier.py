@@ -226,7 +226,7 @@ class TestWorkerLaneCpu:
         sharded, _ = self.run_epochs(build_proxy(make_config(workers=4)))
         assert sharded.clock.now_ms == single.clock.now_ms
         assert sharded.cc_cpu_ms == 0.0
-        assert sharded.lane_stats.charges == 0
+        assert sharded.lane_stats.calls == 0
 
     def test_priced_cc_charges_parallel_lanes(self):
         # A proxy-CPU-bound shape: the batch interval is too small to absorb
@@ -244,12 +244,21 @@ class TestWorkerLaneCpu:
         assert 0 < sharded.cc_cpu_ms < single.cc_cpu_ms
         assert sharded.clock.now_ms < single.clock.now_ms
         assert sharded.lane_stats.speedup > 1.0
-        assert sharded.lane_stats.lane_ms <= sharded.lane_stats.serial_ms
-        # Per-worker lane time accumulates on the workers that did the work.
-        busy = [worker for worker in sharded.workers if worker.cpu_ms > 0]
-        assert busy
-        assert sum(worker.cpu_ms for worker in sharded.workers) == pytest.approx(
-            sharded.lane_stats.serial_ms)
+        assert sharded.lane_stats.actual_ms <= sharded.lane_stats.serial_ms
+        # The serial bound is every worker's operations, votes included.
+        totals = sharded.worker_op_totals()
+        assert sum(1 for reads, writes in totals if reads + writes) > 1
+        votes = sum(worker.stats_votes for worker in sharded.workers)
+        assert (sum(reads + writes for reads, writes in totals) + votes) * 0.05 \
+            == pytest.approx(sharded.lane_stats.serial_ms)
+
+    def test_priced_single_proxy_is_one_lane(self):
+        single, _ = self.run_epochs(build_proxy(
+            make_config(workers=1, cc_op_ms=0.05, batch_interval_ms=0.25)))
+        lanes = single.lane_stats
+        assert lanes.calls > 0 and lanes.staggered == 0
+        assert lanes.serial_ms == lanes.actual_ms == lanes.ideal_ms == single.cc_cpu_ms
+        assert lanes.speedup == 1.0
 
 
 class TestCrashRecovery:

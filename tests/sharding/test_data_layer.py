@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import ObladiConfig, RingOramConfig
 from repro.core.proxy import ObladiProxy
+from repro.proxytier import build_proxy
 from repro.sharding import (PartitionedDataLayer, SingleOramDataLayer,
                             build_data_layer, key_partition)
 from repro.sim.clock import SimClock
@@ -217,12 +218,16 @@ class TestServerTopology:
 
     def test_plain_server_with_multi_server_config_rejected(self):
         """No silent degrade to colocated: a multi-server config given a
-        single server must fail loudly at the data-layer seam too."""
+        single server fails loudly at the data-layer seam, whether the layer
+        is built alone or by the proxy."""
         clock = SimClock()
         storage = InMemoryStorageServer(clock=clock)
+        config = _config(shards=4, storage_servers=4)
         with pytest.raises(ValueError, match="StorageCluster"):
-            build_data_layer(_config(shards=4, storage_servers=4),
-                             storage=storage, clock=clock, master_key=b"m" * 32)
+            build_data_layer(config, storage=storage, clock=clock,
+                             master_key=b"m" * 32)
+        with pytest.raises(ValueError, match="StorageCluster"):
+            build_proxy(config, storage=storage, clock=clock)
 
     def test_heterogeneous_link_slows_only_its_partitions(self):
         """A slow link raises the fan-out makespan only when one of *its*
@@ -248,7 +253,7 @@ class TestStaggeredFanout:
         layer.execute_read_batch([f"k{i}" for i in range(8)], 16)
         layer.flush()
         stats = layer.fanout_stats
-        assert stats.staggered_fanouts == 0
+        assert stats.staggered == 0
         assert stats.actual_ms == pytest.approx(stats.ideal_ms)
 
     def test_lane_pressure_staggers_between_the_bounds(self):
@@ -264,7 +269,7 @@ class TestStaggeredFanout:
         layer.execute_read_batch([f"k{i}" for i in range(16)], 32)
         layer.flush()
         stats = layer.fanout_stats
-        assert stats.staggered_fanouts > 0
+        assert stats.staggered > 0
         assert stats.ideal_ms < stats.actual_ms < stats.serial_ms
 
     def test_fanout_makespan_advances_the_shared_clock(self):
