@@ -129,6 +129,17 @@ if grep -rnIwE "merge_traces|keys_accessed|clear_traces|eviction_count_for_bucke
     exit 1
 fi
 
+# One key per slot version: a tree builds each bucket version's slot keys
+# once, its namespace included, and hands them to its host server itself
+# (no prefixing view rebuilds every batch); and the executor caches no read,
+# since Ring ORAM reads a slot at most once per version.
+echo "== tripwire: one key per slot version =="
+if grep -rn --include='*.py' "NamespacedStorage(" src/repro | grep -v "^src/repro/storage/namespace\.py:" \
+        || grep -rn --include='*.py' "_read_cache" src/; then
+    echo "a prefixing storage view is back on the data path, or a slot read cache is" >&2
+    exit 1
+fi
+
 # Smoke first: an end-to-end regression across the three engines surfaces
 # in seconds, before the multi-minute figure regenerations start.
 echo "== smoke: Figure 9 end-to-end across all three engines =="

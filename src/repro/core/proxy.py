@@ -440,8 +440,8 @@ class ObladiProxy:
         self.data_layer.execute_write_batch(batch_items, self.config.write_batch_size)
         # Write-through replication: a live migration (``repro.elasticity``)
         # must re-copy every key this epoch rewrote; hand it the committed
-        # values directly so its copy steps never pick up stale entries from
-        # the epoch's read cache.
+        # values directly so its copy steps never pick up the stale base
+        # values this epoch's version cache holds for them.
         if self._migration is not None:
             self._migration.observe_writes(batch_items)
         self.data_layer.flush()

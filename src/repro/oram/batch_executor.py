@@ -4,9 +4,11 @@ The executor wraps a :class:`~repro.oram.ring_oram.RingOram` planner and
 executes logical requests the way Section 7 of the paper describes:
 
 * logical reads arrive in fixed-size *read batches*; the physical slot reads
-  they require are deduplicated within the epoch and executed as one parallel
-  batch whose simulated duration is computed from the bucket-metadata
-  dependency DAG;
+  they require are executed as one parallel batch whose simulated duration is
+  computed from the bucket-metadata dependency DAG.  Ring ORAM reads a slot
+  at most once per bucket version (a read invalidates it, and only a rewrite
+  under a new version makes it valid again), so no two reads of an epoch
+  name the same key and nothing is cached between them;
 * logical writes are *dummiless*: they go straight to the stash and only
   advance the eviction schedule;
 * evict-path and early-reshuffle operations triggered inside the epoch run
@@ -44,7 +46,7 @@ from repro.oram.crypto import freshness_context
 from repro.oram.dependency import (simulate_parallel_read_batch,
                                    simulate_parallel_write_batch)
 from repro.oram.ring_oram import (BucketRewrite, PathReadPlan, RingOram, SlotRead,
-                                  lost_real_slot, slot_key_prefix, slot_storage_key)
+                                  lost_real_slot)
 from repro.oram.stash import StashReason
 from repro.sim.latency import CpuCostModel, LatencyModel, get_latency_model
 
@@ -98,7 +100,6 @@ class EpochBatchExecutor:
         self.deferred_ms = 0.0
 
         # Epoch-scoped state
-        self._read_cache: Dict[str, Optional[bytes]] = {}
         self._held_back: List[str] = []      # keys registered as read, not yet sent
         self._buffered_rewrites: Dict[int, BucketRewrite] = {}   # latest per bucket
         self._stored_versions: Dict[int, int] = {}   # buffered bucket -> version on the server
@@ -145,7 +146,6 @@ class EpochBatchExecutor:
         if self._superseded and not self._collected:
             raise RuntimeError(
                 f"{len(self._superseded)} superseded slot keys were never collected")
-        self._read_cache.clear()
         self._collected = False
         self.stats = EpochStats()
 
@@ -157,7 +157,6 @@ class EpochBatchExecutor:
         """
         self._buffered_rewrites.clear()
         self._stored_versions.clear()
-        self._read_cache.clear()
         self._held_back.clear()
         self._superseded = []
 
@@ -174,16 +173,17 @@ class EpochBatchExecutor:
                      physical: List[int]) -> Dict[int, bytes]:
         """Fetch a plan's slots; call the store only if the plan opens one.
 
-        Each slot comes from the epoch write buffer (in plaintext), the
-        epoch read cache, or the server.  One pass over the plan formats each
-        storage key once, registers every server read in the read cache,
-        appends its key to the held-back list and its bucket id to
-        ``physical`` — all the batch timing needs.  A plan that opens no
-        server slot (every padded request, most dummy levels of a real one)
-        stops there: nobody looks at the bytes, so its keys wait.  A plan
-        that does open one sends the list — the waiting keys and its own, in
-        the order they were registered — as a *single* ``read_batch`` and
-        opens its real blocks with a *single*
+        Each slot comes from the epoch write buffer (in plaintext) or the
+        server.  One pass over the plan takes each server slot's key from
+        the tree's list for the version on the server
+        (:meth:`~repro.oram.ring_oram.RingOram.slot_keys`), appends it to
+        the held-back list and its bucket id to ``physical`` — all the batch
+        timing needs.  A plan that opens no server slot (every padded
+        request, most dummy levels of a real one) stops there: nobody looks
+        at the bytes, so its keys wait.  A plan that does open one sends the
+        list — the waiting keys and its own, in the order they were
+        registered — as a *single* ``read_batch``, takes its bytes from that
+        call's result, and opens its real blocks with a *single*
         :meth:`~repro.oram.crypto.CipherSuite.open_blocks` call.
         A plan is fetched right after it is planned, so a slot of a bucket
         rewritten this epoch always names the bucket's *latest* buffered
@@ -192,9 +192,9 @@ class EpochBatchExecutor:
         slot the server has nothing for is an
         :class:`~repro.oram.crypto.IntegrityError`.
         """
-        cache = self._read_cache
         buffered_rewrites = self._buffered_rewrites
         held_back = self._held_back
+        server_keys = self.oram.server_keys
         fetched: Dict[int, bytes] = {}
         to_open: List[Tuple[str, int, int, int]] = []   # real slots: key, bucket, version, slot
         buffer_hits = 0
@@ -207,22 +207,23 @@ class EpochBatchExecutor:
                     if value is not None:
                         fetched[expected_block] = value
                 continue
-            key = slot_storage_key(bucket_id, version, slot_index)
-            if key not in cache:
-                cache[key] = None           # placeholder; filled when sent
-                held_back.append(key)
-                physical.append(bucket_id)
+            keys = server_keys.get(bucket_id)
+            if keys is None:
+                keys = self.oram.slot_keys(bucket_id, version)
+            key = keys[slot_index]
+            held_back.append(key)
+            physical.append(bucket_id)
             if expected_block is not None:
                 to_open.append((key, bucket_id, version, slot_index))
         self.stats.local_buffer_hits += buffer_hits
         if not to_open:
             return fetched
 
-        self._send_held_back()
+        sent = self._send_held_back()
         blobs: List[bytes] = []
         contexts: List[bytes] = []
         for key, bucket_id, version, slot_index in to_open:
-            blob = cache[key]
+            blob = sent.get(key)
             if blob is None:
                 raise lost_real_slot(key)
             blobs.append(blob)
@@ -232,8 +233,8 @@ class EpochBatchExecutor:
                 fetched[block_id] = value
         return fetched
 
-    def _send_held_back(self) -> None:
-        """Issue every held-back slot read as one storage batch.
+    def _send_held_back(self) -> Dict[str, Optional[bytes]]:
+        """Issue every held-back slot read as one storage batch; returns its bytes.
 
         Called where the bytes, or their place in the adversary's trace, are
         needed: by a plan that opens a slot, before a mid-batch write, and
@@ -241,11 +242,12 @@ class EpochBatchExecutor:
         """
         held_back = self._held_back
         if not held_back:
-            return
-        self._read_cache.update(self.oram.storage.read_batch(held_back, record_batch=False))
+            return {}
+        sent = self.oram.storage.read_batch(held_back, record_batch=False)
         self.stats.physical_reads += len(held_back)
         self.lifetime_stats.physical_reads += len(held_back)
         held_back.clear()
+        return sent
 
     def _buffer_rewrites(self, rewrites: Sequence[BucketRewrite]) -> None:
         """Buffer (or, if buffering is off, immediately apply) bucket rewrites."""
@@ -270,14 +272,14 @@ class EpochBatchExecutor:
         server: the one before the epoch's first rewrite of the bucket when
         writes are buffered, the one just before it when they are not.
         """
+        stored_versions, superseded = self._stored_versions, self._superseded
+        slot_keys = self.oram.slot_keys
+        for rewrite in rewrites:
+            # Before the seal replaces the list of the version on the server.
+            superseded += slot_keys(rewrite.bucket_id, stored_versions.pop(
+                rewrite.bucket_id, rewrite.version - 1))
         items = self.oram.seal_rewrites(rewrites)
         self.oram.storage.write_batch(items, record_batch=False)
-        stored_versions, superseded = self._stored_versions, self._superseded
-        suffixes = self.oram.slot_suffixes
-        for rewrite in rewrites:
-            prefix = slot_key_prefix(rewrite.bucket_id, stored_versions.pop(
-                rewrite.bucket_id, rewrite.version - 1))
-            superseded += [prefix + suffix for suffix in suffixes]
         self.stats.physical_writes += len(items)
         self.lifetime_stats.physical_writes += len(items)
         slot_counts = {rewrite.bucket_id: len(rewrite.slot_blocks) for rewrite in rewrites}
@@ -423,7 +425,6 @@ class EpochBatchExecutor:
         """
         self._check_nothing_held_back()
         if not self._buffered_rewrites:
-            self._read_cache.clear()
             return 0.0
 
         rewrites = [rewrite for _, rewrite in sorted(self._buffered_rewrites.items())]
@@ -434,7 +435,6 @@ class EpochBatchExecutor:
         elapsed = self._write_rewrites(rewrites)
 
         self._buffered_rewrites.clear()
-        self._read_cache.clear()
         return elapsed
 
     def collect(self) -> int:
@@ -460,10 +460,9 @@ class EpochBatchExecutor:
         For a tree nothing durable names any more (a reshard's retiring
         generation).  Returns how many keys were deleted.
         """
-        metadata = self.oram.metadata
+        metadata, slot_keys = self.oram.metadata, self.oram.slot_keys
         for bucket_id in metadata.buckets_present():
             version = metadata.bucket(bucket_id).version
             if version:
-                prefix = slot_key_prefix(bucket_id, version)
-                self._superseded += [prefix + suffix for suffix in self.oram.slot_suffixes]
+                self._superseded += slot_keys(bucket_id, version)
         return self.collect()

@@ -15,11 +15,16 @@ Storage layout
 --------------
 Each physical slot is stored under its own key::
 
-    oram/<bucket_id>/v<version>/s/<slot_index>
+    <namespace>oram/<bucket_id>/v<version>/s/<slot_index>
 
 so that a path read is ``L + 1`` single-slot reads (exactly what the server
 observes in the paper) and a bucket rewrite is ``Z + S`` slot writes under a
 *new* version — the copy-on-write shadow paging that recovery relies on.
+The namespace (``""``, ``g<g>/``, ``p<i>/`` or ``g<g>/p<i>/``) keeps the
+trees that share a server apart.  A version's keys are built once, when
+:meth:`RingOram.seal_rewrites` seals it, and :attr:`RingOram.server_keys`
+keeps them while that version is the one on the server: every read, delete
+and replay of its slots passes the same string objects to the server.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from repro.storage.backend import StorageServer
 #: One planned physical slot read, a plain row:
 #: ``(bucket_id, slot_index, version, expected_block)`` — ``expected_block`` is
 #: the real block id recorded there, ``None`` for a dummy.  Consumers unpack
-#: it by name; its storage key is :func:`slot_storage_key`.
+#: it by name; its storage key is ``RingOram.slot_keys(bucket_id, version)[slot_index]``.
 SlotRead = Tuple[int, int, int, Optional[int]]
 
 #: The :meth:`~repro.oram.crypto.CipherSuite.seal_blocks` entry of a dummy slot.
@@ -92,13 +97,8 @@ class EvictionPlan:
 
 
 def slot_key_prefix(bucket_id: int, version: int) -> str:
-    """What the storage keys of one bucket version's slots start with."""
+    """What the storage keys of one bucket version's slots start with, past the namespace."""
     return f"oram/{bucket_id}/v{version}/s/"
-
-
-def slot_storage_key(bucket_id: int, version: int, slot_index: int) -> str:
-    """Storage key of one physical slot of one bucket version."""
-    return f"oram/{bucket_id}/v{version}/s/{slot_index}"
 
 
 def lost_real_slot(key: str) -> IntegrityError:
@@ -119,7 +119,7 @@ class RingOram:
     params:
         Tree geometry and (Z, S, A) parameters.
     storage:
-        The untrusted storage server.
+        The untrusted storage server that hosts the tree.
     cipher:
         Cipher suite for sealing slots.  A fresh suite is created if omitted.
     clock:
@@ -129,6 +129,8 @@ class RingOram:
     seed:
         Seed for the ORAM's private RNG (position remapping, permutations),
         so tests are reproducible.
+    key_prefix:
+        The tree's namespace on its server, the start of every slot key.
     """
 
     def __init__(self, params: RingOramParameters, storage: StorageServer,
@@ -136,9 +138,11 @@ class RingOram:
                  clock: Optional[SimClock] = None,
                  cost_model: Optional[CpuCostModel] = None,
                  seed: Optional[int] = None,
-                 charge_crypto: Optional[bool] = None) -> None:
+                 charge_crypto: Optional[bool] = None,
+                 key_prefix: str = "") -> None:
         self.params = params
         self.storage = storage
+        self.key_prefix = key_prefix
         self.clock = clock if clock is not None else getattr(storage, "clock", SimClock())
         self.cost_model = cost_model if cost_model is not None else CpuCostModel()
         self.rng = random.Random(seed)
@@ -154,8 +158,13 @@ class RingOram:
                                       params.s_dummies, rng=self.rng)
         self.stash = Stash(capacity=0)
         # The slot-index part of every slot key, built once: a bucket
-        # version's slot keys are its ``slot_key_prefix`` plus each suffix.
+        # version's slot keys are the namespace and its ``slot_key_prefix``
+        # plus each suffix.
         self.slot_suffixes = [str(idx) for idx in range(params.slots_per_bucket)]
+        # bucket -> the slot keys of its version on the server, built once
+        # (by ``seal_rewrites``, or on the first miss) and handed to every
+        # read, delete and replay of that version.
+        self.server_keys: Dict[int, List[str]] = {}
 
         self.access_count = 0          # logical accesses since the ORAM started
         self.eviction_count = 0        # G: number of evict-path operations issued
@@ -347,6 +356,22 @@ class RingOram:
                              slot_blocks=list(meta.blocks),
                              plain_contents=dict(contents))
 
+    def _format_slot_keys(self, bucket_id: int, version: int) -> List[str]:
+        head = self.key_prefix + slot_key_prefix(bucket_id, version)
+        return [head + suffix for suffix in self.slot_suffixes]
+
+    def slot_keys(self, bucket_id: int, version: int) -> List[str]:
+        """Storage keys of the slots of ``bucket_id``'s version on the server.
+
+        ``version`` must be that version: it is read only on a miss — a
+        bucket never written (version 0) or a tree restored from a
+        checkpoint — which builds the list and keeps it.
+        """
+        keys = self.server_keys.get(bucket_id)
+        if keys is None:
+            keys = self.server_keys[bucket_id] = self._format_slot_keys(bucket_id, version)
+        return keys
+
     def seal_rewrites(self, rewrites: Iterable[BucketRewrite]) -> Dict[str, bytes]:
         """Seal every slot of ``rewrites``: ``{storage key: ciphertext}``.
 
@@ -357,10 +382,12 @@ class RingOram:
         XOR temporaries at once.  Each real slot is bound to its own
         ``(bucket, version, slot)`` context — unless the cipher binds none
         (encryption or authentication off), and then none is built.  A
-        dummy slot is never opened, so it gets no context either.
+        dummy slot is never opened, so it gets no context either.  Each
+        version's keys are built here and kept in :attr:`server_keys`, as
+        the version that is about to be on the server.
         """
         items: Dict[str, bytes] = {}
-        binds_context, suffixes = self.cipher.binds_context, self.slot_suffixes
+        binds_context, server_keys = self.cipher.binds_context, self.server_keys
         for rewrite in rewrites:
             bucket_id, version = rewrite.bucket_id, rewrite.version
             contents = rewrite.plain_contents
@@ -373,9 +400,8 @@ class RingOram:
                 entries = [
                     _DUMMY_ENTRY if block_id is None else (block_id, contents[block_id], b"")
                     for block_id in rewrite.slot_blocks]
-            prefix = slot_key_prefix(bucket_id, version)
-            items.update(zip([prefix + suffix for suffix in suffixes],
-                             self.cipher.seal_blocks(entries)))
+            keys = server_keys[bucket_id] = self._format_slot_keys(bucket_id, version)
+            items.update(zip(keys, self.cipher.seal_blocks(entries)))
         return items
 
     def crypto_charged(self) -> bool:

@@ -33,7 +33,8 @@ class BarrierStats:
     One *vote* is one worker deciding commit/abort for one transaction it
     participated in; a transaction is *vetoed* when any participant votes
     abort (the coordinator then cascades the abort exactly as the single
-    proxy would have).
+    proxy would have).  ``epochs`` counts the epochs that ran the barrier,
+    once each: the repair pass's second prepare is the same epoch's.
     """
 
     epochs: int = 0
@@ -62,6 +63,7 @@ class ShardedMVTSOManager(MVTSOManager):
         self._router = router
         self.barrier_stats = BarrierStats()
         self._vote_memo: Dict[int, bool] = {}
+        self._prepared = False      # the barrier has run in this epoch
 
     def worker_for(self, key: str) -> ProxyWorker:
         """The worker ``key``'s operations are attributed to."""
@@ -96,7 +98,9 @@ class ShardedMVTSOManager(MVTSOManager):
         votes on its local dependency fragment; the memoized decision is the
         unanimous AND.  Returns the decision map (txn id → commit?).
         """
-        self.barrier_stats.epochs += 1
+        if not self._prepared:
+            self._prepared = True
+            self.barrier_stats.epochs += 1
         for record in records:
             if record.status is not TransactionStatus.COMMIT_REQUESTED:
                 continue
@@ -131,5 +135,6 @@ class ShardedMVTSOManager(MVTSOManager):
         """Clear chains, votes and per-worker epoch bookkeeping."""
         super().reset_epoch_state()
         self._vote_memo.clear()
+        self._prepared = False
         for worker in self.workers:
             worker.reset_epoch_state()

@@ -18,8 +18,8 @@ reports a per-component time breakdown — the quantities of Table 11b.
 The untrusted tier may be a single server or a multi-server
 :class:`~repro.storage.cluster.StorageCluster`: the WAL and the checkpoint
 chain live on the metadata server (the cluster façade routes them there),
-while path replay addresses each partition's own host server through the
-partition's storage view — recovery therefore restores *every* server's
+while path replay addresses each partition's own host server under the
+partition's namespace — recovery therefore restores *every* server's
 partitions from the one checkpoint chain.
 """
 
@@ -27,20 +27,19 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import ObladiConfig
 from repro.oram.crypto import CipherSuite, IntegrityError, freshness_context
 from repro.oram.position_map import PositionMap
 from repro.oram.metadata import MetadataTable
-from repro.oram.ring_oram import lost_real_slot, slot_storage_key
+from repro.oram.ring_oram import lost_real_slot
 from repro.oram.stash import Stash
 from repro.recovery.checkpoint import CheckpointSizes, CheckpointStore
 from repro.recovery.wal import WalRecord, WriteAheadLog
 from repro.sim.clock import SimClock
 from repro.sim.latency import get_latency_model
 from repro.storage.backend import StorageServer
-from repro.storage.namespace import NamespacedStorage
 
 
 def derive_key(master_key: bytes, purpose: str) -> bytes:
@@ -297,7 +296,8 @@ class RecoveryManager:
             part = proxy.data_layer.partition_for_key(key)
             block_id = part.directory.block_id(key)
             plan = part.oram.plan_path_read(block_id)
-            slot_keys = [slot_storage_key(bucket_id, version, slot_index)
+            keys_of = part.oram.slot_keys
+            slot_keys = [keys_of(bucket_id, version)[slot_index]
                          for bucket_id, slot_index, version, _ in plan.slot_reads]
             fetched = part.storage.read_batch(slot_keys)
             physical_requests += len(slot_keys)
@@ -326,32 +326,26 @@ class RecoveryManager:
         restored layer does not name: a version that differs from its
         bucket's restored metadata (the aborted epoch's flush, or what a
         crash between commit and collect left behind), and every key of a
-        namespace that is no partition of the layer (the target generation
-        of a migration that died with the proxy, or the generation a crash
-        at the cutover had not finished retiring).  Then every checkpoint
-        object outside the manifest's chain.  After the sweep each bucket
-        ever written has exactly one version, and no other generation's.
+        namespace that is no partition of the layer hosted there (the target
+        generation of a migration that died with the proxy, or the
+        generation a crash at the cutover had not finished retiring).  Then
+        every checkpoint object outside the manifest's chain.  After the
+        sweep each bucket ever written has exactly one version, and no other
+        generation's.
         """
-        current: Dict[tuple, Dict[int, int]] = {}
+        named: Dict[StorageServer, Set[str]] = {}
         for part in proxy.data_layer.partitions:
-            view = part.storage
-            host, prefix = ((view.base, view.prefix) if isinstance(view, NamespacedStorage)
-                            else (view, ""))
-            metadata = part.oram.metadata
-            current[host, prefix] = {bucket_id: metadata.bucket(bucket_id).version
-                                     for bucket_id in metadata.buckets_present()}
+            keep = named.setdefault(part.storage, set())
+            metadata, slot_keys = part.oram.metadata, part.oram.slot_keys
+            for bucket_id in metadata.buckets_present():
+                version = metadata.bucket(bucket_id).version
+                if version:
+                    keep.update(slot_keys(bucket_id, version))
         storage = proxy.storage
         removed = 0
         for server in getattr(storage, "servers", None) or [storage]:
-            orphans: List[str] = []
-            for key in server.keys():
-                prefix, oram, slot = key.partition("oram/")
-                if not oram:
-                    continue
-                versions = current.get((server, prefix))
-                bucket_id, version, _ = slot.split("/", 2)
-                if versions is None or int(version[1:]) != versions.get(int(bucket_id), 0):
-                    orphans.append(key)
+            keep = named.get(server, set())
+            orphans = [key for key in server.keys() if "oram/" in key and key not in keep]
             if orphans:
                 server.delete_batch(orphans)
             removed += len(orphans)

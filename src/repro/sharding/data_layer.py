@@ -51,14 +51,19 @@ def key_partition(key: str, shards: int) -> int:
 
 @dataclass
 class OramPartition:
-    """One Ring ORAM partition: tree, executor, key directory, storage view."""
+    """One Ring ORAM partition: tree, executor, key directory, host server.
+
+    ``component_prefix`` is the partition's namespace (``""``, ``g<g>/``,
+    ``p<i>/`` or ``g<g>/p<i>/``): its checkpoint components are named under
+    it, and its tree's slot keys start with it (``oram.key_prefix``).
+    """
 
     index: int
     oram: RingOram
     executor: EpochBatchExecutor
     handler: DataHandler
     storage: StorageServer
-    component_prefix: str       # checkpoint-component namespace ("" or "p<i>/")
+    component_prefix: str
 
     @property
     def directory(self) -> KeyDirectory:
@@ -183,12 +188,14 @@ def build_partition(config: ObladiConfig, index: int, storage: StorageServer,
                     clock: SimClock, master_key: bytes, cache: VersionCache,
                     component_prefix: str, seed: Optional[int],
                     advance_clock: bool, latency=None) -> OramPartition:
-    """Assemble one partition's ORAM stack over (a view of) the storage.
+    """Assemble one partition's ORAM stack on its host server.
 
-    ``latency`` is the latency model of the proxy-to-server *link* this
-    partition's physical batches travel; it defaults to the configured
-    backend and differs per partition only when the partitions live on
-    distinct storage servers (see :mod:`repro.storage.cluster`).
+    The tree addresses ``storage`` itself, its keys namespaced by
+    ``component_prefix``.  ``latency`` is the latency model of the
+    proxy-to-server *link* this partition's physical batches travel; it
+    defaults to the configured backend and differs per partition only when
+    the partitions live on distinct storage servers (see
+    :mod:`repro.storage.cluster`).
     """
     shards = config.shards
     oram_config = config.oram if shards <= 1 else config.oram.for_partition(shards)
@@ -197,7 +204,8 @@ def build_partition(config: ObladiConfig, index: int, storage: StorageServer,
                          block_size=params.block_size + 8,
                          enabled=config.encrypt)
     oram = RingOram(params, storage, cipher=cipher, clock=clock,
-                    cost_model=config.cost_model, seed=seed)
+                    cost_model=config.cost_model, seed=seed,
+                    key_prefix=component_prefix)
     executor = EpochBatchExecutor(oram,
                                   latency=latency if latency is not None
                                   else config.backend,
@@ -218,23 +226,19 @@ class SingleOramDataLayer(DataLayer):
         self.config = config
         self.clock = clock
         self.cache = VersionCache()
-        # Generation 0 addresses the raw store directly (the historical
-        # layout, byte-for-byte); later generations — topologies installed by
-        # a reshard cutover — namespace their tree under "g<g>/" so they
-        # coexist with the generation they replaced on the same storage.
-        gen_prefix = config.generation_prefix
         # After a scale-down to one storage server the tier is still a
         # cluster; the tree lives on its first server, and must address that
         # server itself (as each partition of a partitioned layer addresses
         # its host) for the batch boundaries to reach the server's trace.
         if isinstance(storage, StorageCluster):
             storage = storage.servers[0]
-        view = storage
-        if gen_prefix:
-            from repro.storage.namespace import NamespacedStorage
-            view = NamespacedStorage(storage, gen_prefix)
-        self.partitions = [build_partition(config, 0, view, clock, master_key,
-                                           self.cache, component_prefix=gen_prefix,
+        # Generation 0's keys have no namespace (the historical layout,
+        # byte-for-byte); later generations — topologies installed by a
+        # reshard cutover — start theirs with "g<g>/" so they coexist with
+        # the generation they replaced on the same storage.
+        self.partitions = [build_partition(config, 0, storage, clock, master_key,
+                                           self.cache,
+                                           component_prefix=config.generation_prefix,
                                            seed=config.seed, advance_clock=True)]
         self._handler = self.partitions[0].handler
 

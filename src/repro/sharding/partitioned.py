@@ -43,7 +43,7 @@ from repro.sim.latency import link_latency_models
 from repro.sim.scheduler import LaneStats
 from repro.storage.backend import StorageServer
 from repro.storage.cluster import StorageCluster
-from repro.storage.namespace import NamespacedStorage, partition_prefix
+from repro.storage.namespace import partition_prefix
 
 
 class PartitionedDataLayer(DataLayer):
@@ -84,20 +84,20 @@ class PartitionedDataLayer(DataLayer):
             # from the ones it replaced on the same storage.
             prefix = config.generation_prefix + partition_prefix(index)
             # Each partition addresses its own host server (round-robin on a
-            # cluster, the shared store otherwise) through its namespace, and
-            # its executor is timed against that link's latency model.
+            # cluster, the shared store otherwise), its keys under its
+            # namespace, and its executor is timed against that link's
+            # latency model.
             if cluster is not None:
                 host_index = index % config.storage_servers
                 host, link = cluster.servers[host_index], links[host_index]
             else:
                 host, link = storage, config.backend
-            view = NamespacedStorage(host, prefix)
             # Distinct deterministic RNG streams per partition (position
             # remapping, permutations); None stays None (non-reproducible).
             seed = (None if config.seed is None
                     else config.seed + 1_000_003 * (index + 1))
             self.partitions.append(
-                build_partition(config, index, view, clock, master_key,
+                build_partition(config, index, host, clock, master_key,
                                 self.cache, component_prefix=prefix,
                                 seed=seed, advance_clock=False, latency=link))
         self._partition_cache: Dict[str, int] = {}

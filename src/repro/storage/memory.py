@@ -17,7 +17,8 @@ that point.  The engine crashes its proxy when a request fails, so
 
 from __future__ import annotations
 
-from itertools import islice
+from collections import deque
+from itertools import islice, repeat
 from typing import Dict, List, Optional, Sequence
 
 from repro.sim.clock import SimClock
@@ -159,8 +160,8 @@ class InMemoryStorageServer(StorageServer):
         self._drop(keys)
 
     def _drop(self, keys: Sequence[str]) -> None:
-        for key in keys:
-            self._data.pop(key, None)
+        # ``pop(key, None)`` per key without a Python-level loop.
+        deque(map(self._data.pop, keys, repeat(None)), maxlen=0)
         if self.trace is not None:
             now_ms = self.clock.now_ms
             batch_id = self.trace.begin_batch("delete", now_ms, len(keys))

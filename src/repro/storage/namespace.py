@@ -1,11 +1,13 @@
-"""Per-partition namespaces over an untrusted storage server.
+"""Storage namespaces: each tree's keys start with its own.
 
-A partitioned Obladi proxy runs N independent Ring ORAM trees.  Each
-partition addresses storage through a :class:`NamespacedStorage` view that
-prefixes every key with the partition's namespace (``p<index>/``), so
+A partitioned Obladi proxy runs N independent Ring ORAM trees, and a reshard
+cutover installs a new generation of them beside the old one.  Each tree
+carries its namespace in its keys (``RingOram.key_prefix``: ``""``,
+``g<g>/``, ``p<i>/`` or ``g<g>/p<i>/``; :func:`partition_prefix` names the
+``p<i>/`` part) and addresses its host server itself, so
 
-* partitions can never collide (each has its own ``oram/...``, bucket
-  versions, etc. under its prefix), and
+* trees can never collide (each has its own ``oram/...``, bucket versions,
+  etc. under its prefix), and
 * the adversary-visible trace records the *prefixed* keys, which is exactly
   what a real deployment exposes: the storage provider sees which partition
   (storage namespace) each request targets, and the obliviousness argument
@@ -14,16 +16,18 @@ prefixes every key with the partition's namespace (``p<index>/``), so
 
 Which *server* a namespace lives on is the server-topology knob
 (``ObladiConfig.storage_servers``), orthogonal to the namespacing: in the
-colocated topology every ``p<i>/`` view wraps the one shared store (the
-historical layout), while over a :class:`~repro.storage.cluster.StorageCluster`
-partition ``i``'s view wraps its host server ``i % M`` — several partitions
-may share a host when M < N, and their namespaces keep them apart there
-exactly as they did on a single server.  The prefix is retained even with
-one server per partition so traces, checkpoint components and the analysis
-helpers parse identically across every topology.
+colocated topology every ``p<i>/`` tree uses the one shared store, while
+over a :class:`~repro.storage.cluster.StorageCluster` partition ``i`` lives
+on its host server ``i % M`` — several partitions may share a host when
+M < N, and their namespaces keep them apart there exactly as they do on a
+single server.  The prefix is retained even with one server per partition
+so traces, checkpoint components and the analysis helpers parse
+identically across every topology.
 
-The view shares its base server's clock, trace, counters and fault switch;
-only the key space is remapped.
+:class:`NamespacedStorage`, a view that prefixes every key of a batch, is
+no longer on the data path: a tree builds each bucket version's keys once,
+namespace included, instead of having a view rebuild every batch.  The
+class stays while ``bench/trace.py`` imports it by name.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ def partition_prefix(index: int) -> str:
 
 
 class NamespacedStorage(StorageServer):
-    """A prefixed view of another :class:`StorageServer`.
+    """A prefixed view of another :class:`StorageServer` (see the module docstring).
 
     All requests are forwarded to the base server with ``prefix`` prepended
     to every key; results are returned under the caller's unprefixed keys.

@@ -357,7 +357,7 @@ class TestCrashRecovery:
         eng.recover()
         assert eng.proxy.storage is cluster   # the untrusted tier survives
         for part in eng.proxy.data_layer.partitions:
-            assert part.storage.base is cluster.servers[part.index % cluster.num_servers]
+            assert part.storage is cluster.servers[part.index % cluster.num_servers]
         eng.submit(append_program("k2"))      # an epoch touches every server
         for index, server in enumerate(cluster.servers):
             assert server.stats_writes > writes_before[index]

@@ -16,7 +16,7 @@ from repro.oram import path_math
 from repro.oram.batch_executor import EpochBatchExecutor
 from repro.oram.crypto import CipherSuite
 from repro.oram.parameters import RingOramParameters
-from repro.oram.ring_oram import RingOram, slot_storage_key
+from repro.oram.ring_oram import RingOram, slot_key_prefix
 from repro.sim.clock import SimClock
 from repro.storage.memory import InMemoryStorageServer
 
@@ -176,6 +176,11 @@ def valid_blocks(meta):
             if valid and block is not None]
 
 
+def slot_storage_key(bucket, version, slot):
+    """Storage key of one slot of one bucket version of a tree with no namespace."""
+    return slot_key_prefix(bucket, version) + str(slot)
+
+
 def tree_slot_key(oram, block_id):
     """Storage key of the valid tree slot that holds ``block_id``."""
     for bucket in path_math.path_buckets(oram.position_map.lookup(block_id),
@@ -192,12 +197,11 @@ def stored_data(server):
     return dict(server._data)
 
 
-def stored_versions(storage):
-    """``{bucket: {version: slots stored}}`` over the ``oram/`` keys of ``storage``,
-    a server or a namespaced view of one."""
-    prefix = getattr(storage, "prefix", "")
+def stored_versions(server, prefix=""):
+    """``{bucket: {version: slots stored}}`` over the slot keys ``server`` holds
+    for the tree whose keys start with ``prefix`` (its ``oram.key_prefix``)."""
     versions = {}
-    for key in getattr(storage, "base", storage).keys():
+    for key in server.keys():
         if key.startswith(prefix + "oram/"):
             _, bucket, version, _ = key[len(prefix):].split("/", 3)
             per_bucket = versions.setdefault(int(bucket), {})

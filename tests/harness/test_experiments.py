@@ -52,7 +52,7 @@ class TestParallelism:
                             batch_size=100)
         assert len(built) == 3
         for oram in built:
-            assert stored_versions(oram.storage) == live_versions(oram)
+            assert stored_versions(oram.storage, oram.key_prefix) == live_versions(oram)
 
     def test_exact_elapsed_ms(self):
         """Every Figure 10a row, bit for bit.  The sequential rows run the

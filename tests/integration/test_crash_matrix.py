@@ -189,7 +189,8 @@ def assert_clean(engine):
     slots = 0
     for part in proxy.data_layer.partitions:
         live = live_versions(part.oram)
-        assert stored_versions(part.storage) == live, f"partition {part.index}"
+        assert stored_versions(part.storage, part.oram.key_prefix) == live, \
+            f"partition {part.index}"
         slots += sum(count for versions in live.values() for count in versions.values())
     assert sum("oram/" in key for server in servers for key in server.keys()) == slots
     manifest = proxy.recovery.checkpoints.manifest

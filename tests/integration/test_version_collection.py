@@ -72,14 +72,14 @@ def wave(engine, epoch):
 
 def assert_one_version_per_bucket(proxy):
     for part in proxy.data_layer.partitions:
-        assert stored_versions(part.storage) == live_versions(part.oram), \
+        assert stored_versions(part.storage, part.oram.key_prefix) == live_versions(part.oram), \
             f"partition {part.index}"
 
 
 def assert_no_hole(partitions, live):
     """Every slot of every version in ``live`` (one map per partition) is stored."""
     for part, versions in zip(partitions, live):
-        stored = stored_versions(part.storage)
+        stored = stored_versions(part.storage, part.oram.key_prefix)
         for bucket, version in versions.items():
             assert stored[bucket].items() >= version.items(), (part.index, bucket)
 
@@ -190,7 +190,7 @@ def test_a_crash_at_the_commit_leaves_garbage_never_a_hole(point, shards, server
     # The flush ran, and no delete did: every version the last commit named
     # is still stored, next to the crashed epoch's newer ones.
     assert_no_hole(proxy.data_layer.partitions, committed)
-    assert any(stored_versions(part.storage) != versions
+    assert any(stored_versions(part.storage, part.oram.key_prefix) != versions
                for part, versions in zip(proxy.data_layer.partitions, committed))
 
     engine.storage.recover()

@@ -6,12 +6,11 @@ import pytest
 
 from repro.oram import path_math
 from repro.oram.crypto import CipherSuite, IntegrityError
-from repro.oram.ring_oram import slot_storage_key
 from repro.oram.stash import StashReason
 from repro.storage.backend import StorageOp
 
-from tests.conftest import (OneOpPerEpoch, live_versions, stored_data, stored_versions,
-                            tree_slot_key, valid_slot)
+from tests.conftest import (OneOpPerEpoch, live_versions, slot_storage_key, stored_data,
+                            stored_versions, tree_slot_key, valid_slot)
 
 
 class CountingCipher(CipherSuite):
@@ -402,6 +401,32 @@ class TestHeldBackReads:
             assert reads_sent_by(executor.execute_write_batch, writes, batch_size=8) > 0
             executor.flush_epoch()
             executor.collect()
+
+    @pytest.mark.parametrize("buffer_writes", [True, False])
+    def test_every_read_sends_the_kept_key_of_the_version_on_the_server(
+            self, buffer_writes):
+        """No key is formatted per read: each one is the very string the
+        tree keeps for its bucket, and none is sent twice."""
+        executor, oram, storage = make_executor(seed=5, buffer_writes=buffer_writes)
+        read_batch, sent = storage.read_batch, []
+
+        def spy(keys, record_batch=True):
+            for key in keys:
+                _, bucket, version, _, slot = key.split("/")
+                assert oram.server_keys[int(bucket)][int(slot)] is key
+                # Held back since planning: a rewrite may have been planned since.
+                assert oram.metadata.bucket(int(bucket)).version >= int(version[1:])
+            sent.extend(keys)
+            return read_batch(keys, record_batch)
+
+        storage.read_batch = spy
+        for epoch in range(4):
+            executor.begin_epoch()
+            executor.execute_read_batch([1, 2, 30, None], batch_size=6)
+            executor.execute_write_batch({i: b"e%d" % epoch for i in range(epoch, epoch + 6)})
+            executor.flush_epoch()
+            executor.collect()
+        assert sent and len(set(sent)) == len(sent)
 
     def test_all_padding_batch_calls_the_store_once_per_maintenance_plus_one(self):
         executor, _, storage = make_executor(seed=5)

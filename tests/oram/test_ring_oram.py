@@ -10,10 +10,11 @@ from repro.oram import path_math
 from repro.oram.crypto import CipherSuite, IntegrityError, freshness_context
 from repro.oram.dependency import simulate_parallel_read_batch, simulate_parallel_write_batch
 from repro.oram.metadata import NO_BLOCK
-from repro.oram.ring_oram import BucketRewrite, slot_key_prefix, slot_storage_key
+from repro.oram.ring_oram import BucketRewrite, RingOram
 from repro.sim.latency import CpuCostModel, LatencyModel, get_latency_model
 
-from tests.conftest import OneOpPerEpoch, stored_versions, tree_slot_key, valid_blocks
+from tests.conftest import (OneOpPerEpoch, slot_storage_key, stored_versions, tree_slot_key,
+                            valid_blocks)
 
 
 def plant(oram, bucket_id, slot_index, block_id, valid):
@@ -235,11 +236,23 @@ class TestInvariants:
 
 
 class TestPhysicalBehaviour:
-    def test_slot_keys_are_the_bucket_version_prefix_plus_the_slot(self):
-        # ``seal_rewrites`` formats the prefix once per bucket; it must spell
-        # the keys the read path asks for.
-        assert slot_storage_key(5, 2, 13) == "oram/5/v2/s/13"
-        assert slot_key_prefix(5, 2) + "13" == slot_storage_key(5, 2, 13)
+    def test_a_versions_keys_are_built_once_with_the_namespace(self):
+        # ``seal_rewrites`` formats a version's keys, namespace first, and
+        # keeps them: reads, deletes and replay pass these very objects on.
+        db = OneOpPerEpoch()
+        oram = RingOram(db.oram.params, db.storage, cipher=CipherSuite(block_size=72),
+                        clock=db.storage.clock, seed=0, key_prefix="g1/p2/")
+        items = oram.seal_rewrites([BucketRewrite(bucket_id=5, version=2,
+                                                  slot_blocks=[None] * 10, plain_contents={})])
+        kept = oram.slot_keys(5, 2)
+        assert list(items) == kept == [f"g1/p2/oram/5/v2/s/{slot}" for slot in range(10)]
+        assert all(key is mine for key, mine in zip(items, kept))
+        assert oram.slot_keys(5, 7) is kept        # the version on the server, kept
+        # A bucket never written (or a restored tree) builds its list on the
+        # first miss, and keeps it.
+        missed = oram.slot_keys(6, 0)
+        assert missed == [f"g1/p2/oram/6/v0/s/{slot}" for slot in range(10)]
+        assert oram.slot_keys(6, 0) is missed
 
     def test_path_read_touches_one_slot_per_level(self):
         # A is large enough that the read triggers no eviction.

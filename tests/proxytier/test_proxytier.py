@@ -15,6 +15,7 @@ from repro.proxytier import (ProxyCoordinator, ProxyWorker,
 from repro.proxytier.coordinator import worker_for_key
 from repro.sharding import key_partition
 from repro.sim.latency import CpuCostModel
+from repro.workloads.smallbank import SmallBankConfig, SmallBankWorkload
 
 
 def make_config(workers=4, cc_op_ms=0.0, **overrides):
@@ -189,6 +190,18 @@ class TestEpochBarrier:
         assert (stats.epochs, stats.transactions_voted, stats.vetoed, stats.abort_votes) == \
             (1, 3, 0, 0)
         assert stats.commit_votes == sum(worker.stats_votes for worker in proxy.workers) >= 3
+
+    def test_the_repair_pass_counts_no_second_barrier_epoch(self):
+        """Repaired records go through the barrier a second time in the same
+        epoch; ``epochs`` counts the epoch once (the repair pass used to add
+        one: 11 barrier epochs for these 7)."""
+        workload = SmallBankWorkload(SmallBankConfig(num_accounts=20, seed=17))
+        engine = create_engine("obladi", make_config(seed=17, conflict_strategy="repair"))
+        engine.load_initial_data(workload.initial_data())
+        stats = engine.run_closed_loop(workload.transaction_factory, 64, clients=32,
+                                       max_retries=3)
+        assert stats.repaired > 0
+        assert engine.proxy.barrier_stats.epochs == stats.epochs == 7
 
     def test_reset_clears_votes_and_worker_state(self):
         workers, manager = self.make_manager()

@@ -183,8 +183,9 @@ class TestServerTopology:
     def test_partitions_are_hosted_round_robin(self):
         layer, cluster = _cluster_layer(4, 2)
         for part in layer.partitions:
-            assert part.storage.base is cluster.servers[part.index % cluster.num_servers]
-            assert part.storage.prefix == partition_prefix(part.index)
+            assert part.storage is cluster.servers[part.index % cluster.num_servers]
+            assert part.oram.storage is part.storage
+            assert part.oram.key_prefix == part.component_prefix == partition_prefix(part.index)
 
     def test_per_partition_namespaces_land_on_their_host_server(self):
         layer, cluster = _cluster_layer(4, 4)
@@ -206,7 +207,7 @@ class TestServerTopology:
                                         link_extra_rtt_ms=(0.0, 5.0))
         rtts = [part.executor.latency.read_rtt_ms for part in layer.partitions]
         assert rtts == pytest.approx([0.3, 5.3, 0.3, 5.3])
-        hosts = [part.storage.base for part in layer.partitions]
+        hosts = [part.storage for part in layer.partitions]
         assert hosts == [cluster.servers[i % 2] for i in range(4)]
 
     def test_mismatched_cluster_size_rejected(self):
