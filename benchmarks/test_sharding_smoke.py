@@ -5,7 +5,7 @@ Ring ORAM trees and charges the *maximum* partition makespan (they run in
 parallel), and each partition's tree is shallower (it holds 1/N of the
 objects).  Both effects shrink the simulated epoch wall-time, so closed-loop
 throughput at the same latency model must not regress — this is the "sharded
-Obladi proxies" scale direction behind the ``DataLayer`` seam.
+Obladi proxies" scale direction of the data layer.
 
 Two topology guards ride along: hosting the partitions on distinct storage
 servers (one per partition, homogeneous links) must sustain the colocated

@@ -140,6 +140,19 @@ if grep -rn --include='*.py' "NamespacedStorage(" src/repro | grep -v "^src/repr
     exit 1
 fi
 
+# One data layer: the paper's single tree is PartitionedDataLayer with one
+# partition.  SingleOramDataLayer stays an empty subclass only because
+# bench/trace.py imports it by name; nothing builds it, and neither an
+# abstract data-layer base nor a refusal of one shard comes back.
+echo "== tripwire: one data layer =="
+if grep -rnI "SingleOramDataLayer(" src/ tests/ benchmarks/ examples/ \
+        | grep -v "class SingleOramDataLayer(PartitionedDataLayer):" \
+        || grep -rnIE "class DataLayer\b|needs at least two shards" \
+        src/ tests/ benchmarks/ examples/; then
+    echo "a second data-layer path is back: SingleOramDataLayer is built, or the DataLayer base or the shards=1 refusal returned" >&2
+    exit 1
+fi
+
 # Smoke first: an end-to-end regression across the three engines surfaces
 # in seconds, before the multi-minute figure regenerations start.
 echo "== smoke: Figure 9 end-to-end across all three engines =="

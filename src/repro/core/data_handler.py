@@ -108,18 +108,6 @@ class DataHandler:
         self.stats_reads_served_from_cache = 0
 
     # ------------------------------------------------------------------ #
-    # Epoch lifecycle
-    # ------------------------------------------------------------------ #
-    def begin_epoch(self) -> None:
-        self.executor.begin_epoch()
-        self.cache.reset()
-
-    def abort_epoch(self) -> None:
-        """Drop buffered ORAM writes and the version cache (crash path)."""
-        self.executor.abort_epoch()
-        self.cache.reset()
-
-    # ------------------------------------------------------------------ #
     # Batched physical operations
     # ------------------------------------------------------------------ #
     def execute_read_batch(self, keys: Sequence[str], batch_size: int) -> Dict[str, Optional[bytes]]:

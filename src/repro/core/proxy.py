@@ -94,8 +94,8 @@ class ObladiProxy:
         import os as _os
         self.master_key = master_key if master_key is not None else _os.urandom(32)
 
-        # The data path lives behind the DataLayer seam: one Ring ORAM tree,
-        # or — with ``config.shards > 1`` — N hash-partitioned parallel trees.
+        # The data path is one PartitionedDataLayer: one Ring ORAM tree, or —
+        # with ``config.shards > 1`` — N hash-partitioned parallel trees.
         # A reshard cutover (repro.elasticity) injects the already-populated
         # next-generation layer instead of building a fresh empty one.
         if data_layer is not None:

@@ -10,7 +10,7 @@ to the owning worker, so the proxy charges concurrency-control CPU as one
 lane per worker on the simulated clock and its epoch barrier is a
 lightweight 2PC — every participating worker votes commit/abort per
 transaction — before merging the epoch's batches into the existing
-``DataLayer`` fan-out.  The version chains and the epoch cache's base
+data-layer fan-out.  The version chains and the epoch cache's base
 values stay the proxy's, one of each.
 
 Selected by ``ObladiConfig.proxy_workers`` /

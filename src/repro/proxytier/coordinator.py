@@ -23,8 +23,8 @@ while the concurrency-control *work* is divided across N
 
 ``proxy_workers=1`` deployments never see this class —
 :func:`build_proxy` (and therefore ``create_engine``/crash recovery)
-constructs the plain :class:`~repro.core.proxy.ObladiProxy`, the same seam
-discipline ``SingleOramDataLayer`` follows on the data path.  See
+constructs the plain :class:`~repro.core.proxy.ObladiProxy`, whose CC
+charge and epoch barrier are this class's one-lane case.  See
 ``docs/ARCHITECTURE.md`` — "Distributed proxy tier".
 """
 
@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import ObladiConfig
 from repro.core.proxy import ObladiProxy
-from repro.sharding.data_layer import key_partition
+from repro.sharding.partitioned import key_partition
 from repro.proxytier.sharded import ShardedMVTSOManager
 from repro.proxytier.worker import ProxyWorker
 
@@ -105,8 +105,7 @@ def build_proxy(config: Optional[ObladiConfig] = None, storage=None, clock=None,
 
     ``proxy_workers=1`` (the default) returns the plain
     :class:`~repro.core.proxy.ObladiProxy` — byte-identical to the seed
-    system, the same way ``build_data_layer`` returns the single-tree layer
-    for ``shards=1``.  Anything larger returns a :class:`ProxyCoordinator`.
+    system.  Anything larger returns a :class:`ProxyCoordinator`.
     ``data_layer`` injects an already-populated layer instead of building a
     fresh one — the reshard cutover (``repro.elasticity``) hands the new
     proxy the layer its migration filled.

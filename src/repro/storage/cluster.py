@@ -13,10 +13,11 @@ times partition ``i`` against link ``i % M`` of
 ``link_extra_rtt_ms``).
 
 :class:`StorageCluster` is the registry of those servers.  Partition ``i``
-of an N-partition data layer is hosted on server ``i % num_servers``
-(:class:`~repro.sharding.partitioned.PartitionedDataLayer`), so ``num_servers == shards``
-is one-server-per-partition and ``1 < num_servers < shards`` groups several
-partitions per server (each keeping its ``p<i>/`` key namespace on the host).
+of the data layer (:class:`~repro.sharding.partitioned.PartitionedDataLayer`,
+one partition or N) is hosted on server ``i % num_servers``, so
+``num_servers == shards`` is one-server-per-partition and
+``1 < num_servers < shards`` groups several partitions per server (each
+keeping its ``p<i>/`` key namespace on the host).
 
 The cluster itself implements the :class:`~repro.storage.backend.StorageServer`
 interface by delegating to its *metadata server* (server 0): proxy-wide

@@ -148,9 +148,7 @@ ELASTICITY = [
 
 
 SHARDING = [
-    "DataLayer",
     "OramPartition",
-    "SingleOramDataLayer",
     "PartitionedDataLayer",
     "build_data_layer",
     "key_partition",

@@ -1,13 +1,25 @@
 """Tests for the data handler and the key directory."""
 
-from repro.core.data_handler import DataHandler, KeyDirectory
+from repro.core.config import ObladiConfig, RingOramConfig
+from repro.core.data_handler import KeyDirectory
+from repro.sharding import build_data_layer
+from repro.sim.clock import SimClock
+from repro.storage.memory import InMemoryStorageServer
 
-from tests.conftest import OneOpPerEpoch
 
+def make_layer():
+    """A one-partition data layer and its partition's handler.
 
-def make_handler():
-    db = OneOpPerEpoch(seed=3, backend="server", parallelism=32)
-    return DataHandler(db.oram, db.executor)
+    The layer owns the epoch lifecycle (``begin_epoch`` / ``abort_epoch``
+    reset the shared version cache and the executor); the handler runs the
+    batches.
+    """
+    config = ObladiConfig(oram=RingOramConfig(num_blocks=64, z_real=4, block_size=64),
+                          backend="server", parallelism=32, durability=False, seed=3)
+    clock = SimClock()
+    layer = build_data_layer(config, storage=InMemoryStorageServer(clock=clock),
+                             clock=clock, master_key=b"m" * 32)
+    return layer, layer.partitions[0].handler
 
 
 class TestKeyDirectory:
@@ -57,12 +69,12 @@ class TestKeyDirectory:
 
 class TestDataHandler:
     def test_read_batch_installs_base_values(self):
-        handler = make_handler()
-        handler.begin_epoch()
+        layer, handler = make_layer()
+        layer.begin_epoch()
         handler.execute_write_batch({"k1": b"v1", "k2": b"v2"}, batch_size=4)
         handler.flush()
         handler.executor.collect()
-        handler.begin_epoch()
+        layer.begin_epoch()
         values = handler.execute_read_batch(["k1", "k2", "missing"], batch_size=8)
         assert values["k1"] == b"v1"
         assert values["missing"] is None
@@ -70,24 +82,24 @@ class TestDataHandler:
         assert handler.cache.base_value("k2") == b"v2"
 
     def test_cached_keys_not_refetched(self):
-        handler = make_handler()
-        handler.begin_epoch()
+        layer, handler = make_layer()
+        layer.begin_epoch()
         handler.execute_read_batch(["k1"], batch_size=4)
         served_before = handler.stats_reads_served_from_cache
         handler.execute_read_batch(["k1"], batch_size=4)
         assert handler.stats_reads_served_from_cache > served_before
 
     def test_abort_epoch_clears_cache_and_buffered_writes(self):
-        handler = make_handler()
-        handler.begin_epoch()
+        layer, handler = make_layer()
+        layer.begin_epoch()
         handler.execute_read_batch(["k1"], batch_size=4)
-        handler.abort_epoch()
+        layer.abort_epoch()
         assert not handler.cache.has_base("k1")
         assert len(handler.executor._buffered_rewrites) == 0
 
     def test_stash_resident_detection(self):
-        handler = make_handler()
-        handler.begin_epoch()
+        layer, handler = make_layer()
+        layer.begin_epoch()
         handler.execute_write_batch({"hot": b"value"}, batch_size=2)
         handler.flush()
         if handler.stash_resident("hot"):
@@ -95,8 +107,8 @@ class TestDataHandler:
         assert not handler.stash_resident("never-seen")
 
     def test_directory_grows_with_new_keys(self):
-        handler = make_handler()
-        handler.begin_epoch()
+        layer, handler = make_layer()
+        layer.begin_epoch()
         handler.execute_read_batch(["a", "b"], batch_size=4)
         handler.execute_write_batch({"c": b"x"}, batch_size=2)
         handler.flush()

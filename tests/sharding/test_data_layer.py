@@ -1,16 +1,19 @@
-"""Tests for the DataLayer seam: routing, namespacing, topology, timing."""
+"""Tests for the data layer: routing, namespacing, topology, timing."""
 
 import pytest
 
+from repro.api import create_engine
 from repro.core.config import ObladiConfig, RingOramConfig
 from repro.core.proxy import ObladiProxy
+from repro.oram.ring_oram import RingOram
 from repro.proxytier import build_proxy
-from repro.sharding import (PartitionedDataLayer, SingleOramDataLayer,
-                            build_data_layer, key_partition)
+from repro.recovery.manager import derive_key
+from repro.sharding import PartitionedDataLayer, build_data_layer, key_partition
 from repro.sim.clock import SimClock
 from repro.storage.cluster import StorageCluster
 from repro.storage.memory import InMemoryStorageServer
 from repro.storage.namespace import NamespacedStorage, partition_prefix
+from repro.workloads.smallbank import SmallBankConfig, SmallBankWorkload
 
 
 def _config(**overrides):
@@ -86,12 +89,53 @@ class TestNamespacedStorage:
         assert [e.key for e in unstripped["p1/"].events] == ["p1/x"]
 
 
-class TestBuildDataLayer:
-    def test_single_layer_for_one_shard(self):
-        layer = _layer(1)
-        assert isinstance(layer, SingleOramDataLayer)
+class TestOnePartition:
+    """One shard is the general layer with N=1, and it is the paper's single
+    tree: no ``p0/`` namespace, the configured seed, the ``"oram-block"``
+    key and the unsplit sizing, and a batch charges its own duration."""
+
+    def test_default_config_builds_one_partition(self):
+        config = ObladiConfig()
+        clock = SimClock()
+        layer = build_data_layer(config, storage=InMemoryStorageServer(clock=clock),
+                                 clock=clock, master_key=b"m" * 32)
+        assert isinstance(layer, PartitionedDataLayer)
         assert layer.num_partitions == 1
         assert layer.partitions[0].component_prefix == ""
+
+    @pytest.mark.parametrize("generation, prefix", [(0, ""), (1, "g1/")])
+    def test_namespace_is_the_generation_alone(self, generation, prefix):
+        clock = SimClock()
+        layer = build_data_layer(_config(generation=generation),
+                                 storage=InMemoryStorageServer(clock=clock),
+                                 clock=clock, master_key=b"m" * 32)
+        [part] = layer.partitions
+        assert part.component_prefix == part.oram.key_prefix == prefix
+
+    def test_seed_key_and_sizing_are_the_single_trees(self):
+        master = b"m" * 32
+        layer = _layer(1)
+        [part] = layer.partitions
+        assert part.oram.params.num_blocks == 256
+        assert part.cipher.key == derive_key(master, "oram-block")
+        fresh = RingOram(part.oram.params, InMemoryStorageServer(), seed=layer.config.seed)
+        assert part.oram.rng.getstate() == fresh.rng.getstate()
+
+    def test_read_batch_advances_the_clock_by_its_own_duration(self):
+        layer = _layer(1)
+        layer.bulk_load({f"k{i}": b"v" for i in range(64)})
+        layer.begin_epoch()
+        before = layer.clock.now_ms
+        layer.execute_read_batch([f"k{i}" for i in range(8)], 16)
+        duration = layer.partitions[0].executor.stats.read_time_ms
+        assert duration > 0
+        assert layer.clock.now_ms == before + duration
+        assert layer.fanout_stats.calls == 1
+        assert layer.fanout_stats.actual_ms == duration
+        assert layer.fanout_stats.staggered == 0
+
+
+class TestBuildDataLayer:
 
     def test_partitioned_layer_for_many_shards(self):
         layer = _layer(4)
@@ -229,6 +273,31 @@ class TestServerTopology:
                              master_key=b"m" * 32)
         with pytest.raises(ValueError, match="StorageCluster"):
             build_proxy(config, storage=storage, clock=clock)
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_one_server_link_is_timed_with_its_delay(self, shards):
+        clock = SimClock()
+        config = _config(shards=shards, backend="server", link_extra_rtt_ms=(5.0,))
+        layer = build_data_layer(config, storage=InMemoryStorageServer(clock=clock),
+                                 clock=clock, master_key=b"m" * 32)
+        rtts = [part.executor.latency.read_rtt_ms for part in layer.partitions]
+        assert rtts == pytest.approx([5.3] * shards)
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_one_server_link_delay_slows_a_closed_loop(self, shards):
+        """A delay on the only server's link is charged, not dropped."""
+
+        def elapsed_ms(link_extra_rtt_ms):
+            workload = SmallBankWorkload(SmallBankConfig(num_accounts=50, seed=1))
+            config = ObladiConfig(oram=RingOramConfig(num_blocks=256, z_real=4),
+                                  shards=shards, link_extra_rtt_ms=link_extra_rtt_ms,
+                                  seed=1)
+            engine = create_engine("obladi", config)
+            engine.load_initial_data(workload.initial_data())
+            return engine.run_closed_loop(workload.transaction_factory, 32,
+                                          clients=8).elapsed_ms
+
+        assert elapsed_ms((5.0,)) > elapsed_ms(()) + 5.0
 
     def test_heterogeneous_link_slows_only_its_partitions(self):
         """A slow link raises the fan-out makespan only when one of *its*
