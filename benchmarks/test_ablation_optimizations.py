@@ -16,7 +16,7 @@ from repro.core.proxy import ObladiProxy
 from .conftest import run_once
 
 
-def build_proxy(num_keys, *, cache_stash=True, seed=5):
+def make_proxy(num_keys, *, cache_stash=True, seed=5):
     config = ObladiConfig(
         oram=RingOramConfig(num_blocks=max(512, num_keys * 2), z_real=16, block_size=160),
         read_batches=3, read_batch_size=32, write_batch_size=32,
@@ -55,8 +55,8 @@ def test_ablation_stash_read_caching(benchmark, bench_scale):
     """Serving logically-stashed blocks locally saves read-batch slots."""
 
     def experiment():
-        with_opt = run_mixed_workload(build_proxy(32, cache_stash=True))
-        without_opt = run_mixed_workload(build_proxy(32, cache_stash=False))
+        with_opt = run_mixed_workload(make_proxy(32, cache_stash=True))
+        without_opt = run_mixed_workload(make_proxy(32, cache_stash=False))
         return with_opt, without_opt
 
     with_opt, without_opt = run_once(benchmark, experiment)
@@ -71,7 +71,7 @@ def test_ablation_write_deduplication(benchmark, bench_scale):
     """Only the last version of each bucket is written back per epoch."""
 
     def experiment():
-        proxy = build_proxy(64)
+        proxy = make_proxy(64)
         run_mixed_workload(proxy, transactions=90, clients=15)
         return proxy
 

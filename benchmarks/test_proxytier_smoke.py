@@ -1,4 +1,4 @@
-"""Proxy-tier smoke: sharded trusted MVTSO/version-cache workers on SmallBank.
+"""Proxy-tier smoke: the proxy's MVTSO work on one lane vs four, on SmallBank.
 
 The distributed proxy tier (``repro.proxytier``) scales the half of Obladi
 the paper explicitly leaves single-node: the trusted proxy's concurrency
@@ -10,9 +10,9 @@ control.  Two claims are guarded:
   the epoch vote barrier change *who* does the work, never *what* the epoch
   looks like.
 * **Workers win when the proxy is CPU-bound.**  With a priced per-operation
-  CC cost (``CpuCostModel.cc_op_ms``) the single proxy charges its MVTSO
-  work serially, while the coordinator charges the slowest worker lane per
-  round; under a proxy-CPU-bound configuration SmallBank throughput with
+  CC cost (``CpuCostModel.cc_op_ms``) one worker charges its MVTSO work
+  serially, while four charge the slowest worker lane per round; under a
+  proxy-CPU-bound configuration SmallBank throughput with
   ``proxy_workers=4`` must be at least the single proxy's, and the realised
   lane speedup must be real (> 1).
 """
@@ -102,7 +102,7 @@ def test_workers_beat_single_proxy_when_cpu_bound(benchmark, bench_scale):
 
     assert sharded.committed == single.committed > 0
     assert sharded.throughput_tps >= single.throughput_tps
-    # The single proxy paid the CC bill serially; the coordinator's lanes
+    # One worker paid the CC bill serially; four workers' lanes
     # charged strictly less wall-clock for at least as much work.
     assert 0 < sharded.cpu_ms < single.cpu_ms
     assert lanes.speedup > 1.0

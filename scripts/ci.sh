@@ -153,6 +153,19 @@ if grep -rnI "SingleOramDataLayer(" src/ tests/ benchmarks/ examples/ \
     exit 1
 fi
 
+# One proxy: ObladiProxy owns config.proxy_workers CC lanes at every count and
+# MVTSOManager is the only MVTSO manager.  ProxyCoordinator and
+# ShardedMVTSOManager stay empty subclasses only because bench/trace.py
+# imports them by name; nothing builds them, and no factory picks a proxy
+# class or wraps the data layer's constructor.
+echo "== tripwire: one proxy =="
+if grep -rnIE "ProxyCoordinator\(|ShardedMVTSOManager\(" src/ tests/ benchmarks/ examples/ docs/ README.md \
+        | grep -vE "class ProxyCoordinator\(ObladiProxy\):|class ShardedMVTSOManager\(MVTSOManager\):" \
+        || grep -rnIE "build_proxy|build_data_layer" src/ tests/ benchmarks/ examples/ docs/ README.md; then
+    echo "a second proxy path is back: a proxy shim is built, or build_proxy / build_data_layer returned" >&2
+    exit 1
+fi
+
 # Smoke first: an end-to-end regression across the three engines surfaces
 # in seconds, before the multi-minute figure regenerations start.
 echo "== smoke: Figure 9 end-to-end across all three engines =="

@@ -18,6 +18,7 @@ from typing import Dict, List, Sequence
 from repro.api.engine import ProgramFactory, TransactionEngine
 from repro.api.results import Counters, RunStats
 from repro.core.client import TransactionResult
+from repro.core.proxy import ObladiProxy
 
 
 class ObladiEngine(TransactionEngine):
@@ -109,12 +110,11 @@ class ObladiEngine(TransactionEngine):
     def _proxy_counters(proxy) -> Counters:
         """What one proxy incarnation counted (the storage tier outlives it)."""
         reads, writes = proxy.data_layer.lifetime_physical()
-        # Per-worker CC operations exist on the sharded proxy tier only.
-        worker_totals = getattr(proxy, "worker_op_totals", None)
+        # One lane is no per-worker breakdown (the paper's single proxy).
         return Counters(
             physical_reads=reads, physical_writes=writes,
             partition_physical=proxy.data_layer.per_partition_physical(),
-            worker_ops=worker_totals() if worker_totals is not None else [],
+            worker_ops=proxy.worker_op_totals() if len(proxy.workers) > 1 else [],
             cpu_ms=proxy.cc_cpu_ms)
 
     def counters(self) -> Counters:
@@ -189,7 +189,6 @@ class ObladiEngine(TransactionEngine):
         stored, before anything is deleted.  After the fence the retiring
         generation's slots are deleted.
         """
-        from repro.proxytier.coordinator import build_proxy
         old = self.proxy
         target = self._reshard_target
         migration = self._migration
@@ -198,7 +197,7 @@ class ObladiEngine(TransactionEngine):
         # The layer follows the target topology; its epoch cache is reset by
         # the next begin_epoch before anything reads it.
         layer.config = target
-        fresh = build_proxy(config=target, storage=storage, clock=old.clock,
+        fresh = ObladiProxy(target, storage=storage, clock=old.clock,
                             master_key=old.master_key, data_layer=layer)
         fresh.mvtso.fast_forward(old.mvtso.next_timestamp, old.mvtso.next_txn_id)
         fresh._last_writer_ts.update(old._last_writer_ts)

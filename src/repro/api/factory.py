@@ -28,6 +28,7 @@ from repro.api.adapters import ObladiEngine
 from repro.api.engine import TransactionEngine
 from repro.baseline import MySQLEngine, NoPrivEngine
 from repro.core.config import ObladiConfig
+from repro.core.proxy import ObladiProxy
 
 #: The engine kinds :func:`create_engine` builds — what comparison harnesses
 #: iterate over.
@@ -70,8 +71,7 @@ def create_engine(kind: str, config: Optional[ObladiConfig] = None,
     config = replace(config if config is not None else ObladiConfig(), **overrides)
 
     if normalized == "obladi":
-        from repro.proxytier import build_proxy
-        return ObladiEngine(build_proxy(config, storage=storage, clock=clock))
+        return ObladiEngine(ObladiProxy(config, storage=storage, clock=clock))
 
     baseline = NoPrivEngine if normalized == "nopriv" else MySQLEngine
     return baseline(backend=config.backend, clock=clock, storage=storage)

@@ -106,10 +106,10 @@ class RunStats:
         Empty for engines that do not report a server breakdown.
     worker_ops:
         Per-proxy-worker ``(cc_reads, cc_writes)`` concurrency-control
-        operation counters for engines whose *trusted* tier is sharded
-        (``repro.proxytier``): the version-chain reads and version installs
-        each worker's slice performed during the run.  Empty for the
-        single-proxy path and the baselines.
+        operation counters for Obladi engines with more than one proxy
+        worker (``repro.proxytier``): the version-chain reads and version
+        installs each worker's slice performed during the run.  Empty for
+        one worker (no breakdown) and the baselines.
     latencies_ms:
         Per-committed-transaction latency samples.  Latency is measured over
         the *committing attempt* (submission of that attempt to its commit),

@@ -17,20 +17,29 @@ locking would (paper §6.1).
   commit after the writer does, and must abort if the writer aborts
   (cascading abort).
 
-The manager's work can be divided across trusted proxy workers
-(:class:`repro.proxytier.ShardedMVTSOManager`, ``docs/ARCHITECTURE.md`` —
+The manager's work is divided across the proxy's concurrency-control lanes
+(:class:`repro.proxytier.ProxyWorker`, ``docs/ARCHITECTURE.md`` —
 "Distributed proxy tier"): timestamps and the one version store stay global
-while each operation is attributed to the key's worker and the commit check
-becomes an epoch-barrier vote.
+while each operation is attributed to the key's lane, and with more than one
+lane the commit check is preceded by an epoch-barrier vote.  One lane — the
+paper's single proxy — votes nowhere: its barrier is the commit check.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.concurrency.transaction import (AbortReason, TransactionRecord,
                                            TransactionStatus)
 from repro.concurrency.versions import Version, VersionStore
+from repro.proxytier.worker import BarrierStats, ProxyWorker
+
+#: Maps an application key to the index of its owning lane.
+KeyRouter = Callable[[str], int]
+
+
+def _lane_zero(key: str) -> int:
+    return 0
 
 
 class WriteConflictError(Exception):
@@ -46,18 +55,30 @@ class WriteConflictError(Exception):
 
 
 class MVTSOManager:
-    """Timestamp allocation, version bookkeeping and dependency tracking."""
+    """Timestamp allocation, version bookkeeping and dependency tracking.
 
-    def __init__(self) -> None:
+    ``workers`` are the concurrency-control lanes (one if none are given)
+    and ``router`` names the lane owning a key.  Every read and write is
+    attributed to its lane — the unit the proxy charges CPU in
+    (``CpuCostModel.cc_op_ms``, drained by :meth:`take_lane_ops`).  Because
+    each dependency is attributed to exactly the lane owning the key that
+    produced it, the lanes' unanimous vote (:meth:`prepare_epoch`) equals
+    the global check :meth:`can_commit` runs — serializability is preserved
+    across lanes.
+    """
+
+    def __init__(self, workers: Sequence[ProxyWorker] = (),
+                 router: KeyRouter = _lane_zero) -> None:
         self._next_ts = 1
         self._next_txn_id = 1
         self.store = VersionStore()
         self.transactions: Dict[int, TransactionRecord] = {}
         self.stats_aborts_cascade = 0
-        # Version-chain reads and version installs not yet charged: the unit
-        # the proxy charges concurrency-control CPU in
-        # (``CpuCostModel.cc_op_ms``), drained by :meth:`take_lane_ops`.
-        self._pending_ops = 0
+        self.workers = list(workers) or [ProxyWorker(0)]
+        self._router = router
+        self.barrier_stats = BarrierStats()
+        self._vote_memo: Dict[int, bool] = {}
+        self._prepared = False      # the barrier has run in this epoch
 
     # ------------------------------------------------------------------ #
     # Transaction lifecycle
@@ -112,27 +133,32 @@ class MVTSOManager:
         """
         if not txn.is_active:
             raise ValueError(f"transaction {txn.txn_id} is not active")
-        self._pending_ops += 1
         chain = self.store.chain(key)
         chain.record_read(txn.timestamp)
         version = chain.latest_visible(txn.timestamp)
+        value: Optional[bytes] = None
+        writer_txn_id: Optional[int] = None
         if version is None:
             txn.record_read(key, writer_ts=-1)
-            return None, None
-
-        writer_txn_id: Optional[int] = None
-        writer = self._transaction_with_ts(version.writer_ts)
-        if writer is not None and writer.txn_id != txn.txn_id and not version.committed:
-            writer_txn_id = writer.txn_id
-            writer.dependents.add(txn.txn_id)
-        txn.record_read(key, writer_ts=version.writer_ts, writer_txn=writer_txn_id)
-        return version.value, writer_txn_id
+        else:
+            value = version.value
+            writer = self._transaction_with_ts(version.writer_ts)
+            if writer is not None and writer.txn_id != txn.txn_id and not version.committed:
+                writer_txn_id = writer.txn_id
+                writer.dependents.add(txn.txn_id)
+            txn.record_read(key, writer_ts=version.writer_ts, writer_txn=writer_txn_id)
+        self.workers[self._router(key)].note_read(txn.txn_id, writer_txn_id)
+        return value, writer_txn_id
 
     def write(self, txn: TransactionRecord, key: str, value: Optional[bytes]) -> Version:
-        """MVTSO write; raises :class:`WriteConflictError` on a late write."""
+        """MVTSO write; raises :class:`WriteConflictError` on a late write.
+
+        The write is counted against its lane even when it is rejected as a
+        late write: the conflict check was that lane's work.
+        """
         if not txn.is_active:
             raise ValueError(f"transaction {txn.txn_id} is not active")
-        self._pending_ops += 1
+        self.workers[self._router(key)].note_write(txn.txn_id)
         chain = self.store.chain(key)
         if chain.read_marker_ts > txn.timestamp:
             raise WriteConflictError(key, txn.timestamp, chain.read_marker_ts)
@@ -142,28 +168,56 @@ class MVTSOManager:
         return version
 
     def take_lane_ops(self) -> List[int]:
-        """Drain the operations not yet charged, one count per CC lane.
-
-        The single proxy runs its concurrency control on one lane; the
-        sharded manager (:mod:`repro.proxytier`) reports one per worker.
-        """
-        pending, self._pending_ops = self._pending_ops, 0
-        return [pending]
+        """Drain the operations not yet charged, one count per lane."""
+        return [worker.take_pending_ops() for worker in self.workers]
 
     # ------------------------------------------------------------------ #
     # Commit / abort
     # ------------------------------------------------------------------ #
     def prepare_epoch(self, records: Sequence[TransactionRecord]) -> Dict[int, bool]:
-        """The epoch barrier before the commit checks; no votes on one lane.
+        """The epoch barrier (a 2PC prepare) before the commit checks.
 
-        :meth:`can_commit` is the single proxy's whole commit check.  The
-        sharded manager collects its workers' votes on ``records`` here.
+        For each transaction of ``records`` that requested commit, every
+        lane it touched votes on its local dependency fragment; the memoized
+        decision is the unanimous AND, which :meth:`can_commit` honours.
+        Returns the decisions so far this epoch (txn id → commit?).  One
+        lane's vote would be :meth:`can_commit` itself, so a one-lane
+        manager casts none and returns ``{}``.
         """
-        return {}
+        if len(self.workers) == 1:
+            return {}
+        if not self._prepared:
+            self._prepared = True
+            self.barrier_stats.epochs += 1
+        for record in records:
+            if record.status is not TransactionStatus.COMMIT_REQUESTED:
+                continue
+            decision = True
+            for worker in self.workers:
+                if not worker.participates(record.txn_id):
+                    continue
+                if worker.vote(record.txn_id, self.transactions):
+                    self.barrier_stats.commit_votes += 1
+                else:
+                    self.barrier_stats.abort_votes += 1
+                    decision = False
+            self.barrier_stats.transactions_voted += 1
+            if not decision:
+                self.barrier_stats.vetoed += 1
+            self._vote_memo[record.txn_id] = decision
+        return dict(self._vote_memo)
 
     def can_commit(self, txn: TransactionRecord) -> bool:
-        """A transaction may commit once none of its dependencies is aborted
-        and all of them have committed or requested commit."""
+        """A transaction may commit once no lane vetoed it at the barrier and
+        none of its dependencies is aborted.
+
+        A veto is final (an aborted dependency never un-aborts); a memoized
+        commit is still re-validated against the global state, so cascades
+        that happen *after* the prepare phase (write-batch shedding) are
+        always respected.
+        """
+        if self._vote_memo.get(txn.txn_id) is False:
+            return False
         for dep_id in txn.dependencies:
             dep = self.transactions.get(dep_id)
             if dep is None:
@@ -233,6 +287,11 @@ class MVTSOManager:
         Transactions from later epochs are serialized after all transactions
         from earlier epochs, so the per-key version chains can be discarded
         once the final values have been flushed to the ORAM; re-reading the
-        epoch tail then falls back to the ORAM state.
+        epoch tail then falls back to the ORAM state.  The barrier's votes
+        and the lanes' epoch bookkeeping go with them.
         """
         self.store.clear()
+        self._vote_memo.clear()
+        self._prepared = False
+        for worker in self.workers:
+            worker.reset_epoch_state()

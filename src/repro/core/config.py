@@ -109,13 +109,14 @@ class ObladiConfig:
     storage_servers: int = 1
     link_extra_rtt_ms: Tuple[float, ...] = ()
 
-    # Proxy tier: how many trusted ``ProxyWorker`` lanes the MVTSO
-    # concurrency-control work is divided across (``repro.proxytier``).  1
-    # (the default) is the paper's single proxy, byte-identical to the seed;
-    # N > 1 hashes application keys over N workers with the same sha256
-    # partition map the data layer uses and runs their concurrency-control
-    # CPU as parallel lanes.  Orthogonal to ``shards`` (ORAM partitions) and
-    # ``storage_servers`` (untrusted hosts): any combination is valid.
+    # Proxy tier: how many trusted ``ProxyWorker`` lanes the one proxy
+    # divides its MVTSO concurrency-control work across (``repro.proxytier``).
+    # Application keys hash over the lanes with the same sha256 partition
+    # map the data layer uses, their CPU runs as parallel lanes, and N > 1
+    # lanes vote at the epoch barrier.  1 (the default) is the paper's single
+    # proxy: one lane owns every key and casts no vote.  Orthogonal to
+    # ``shards`` (ORAM partitions) and ``storage_servers`` (untrusted hosts):
+    # any combination is valid.
     proxy_workers: int = 1
 
     # Conflict resolution: what the proxy does with transactions that lose

@@ -20,17 +20,21 @@ it through :class:`repro.api.ObladiEngine`, which drives it through
 :meth:`ObladiProxy.submit`, :meth:`ObladiProxy.run_epoch` and
 :meth:`ObladiProxy.crash`.
 
+The proxy's concurrency control runs on ``config.proxy_workers`` lanes
+(:class:`repro.proxytier.ProxyWorker`): every read and write is attributed
+to the lane owning its key, the CC charge is the slowest lane, and with more
+than one lane the epoch barrier is the lanes' vote.  One lane is the
+paper's single proxy.
+
 Layer context lives in ``docs/ARCHITECTURE.md`` ("Trusted proxy") and the
 request-lifecycle diagram in ``docs/ARCHITECTURE.md`` ("Request lifecycle");
-the sharded variant of this class — the trusted tier split across parallel
-workers — is :class:`repro.proxytier.ProxyCoordinator`
-(``docs/ARCHITECTURE.md`` "Distributed proxy tier").
+the lanes are ``docs/ARCHITECTURE.md`` "Distributed proxy tier".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, List, Optional, Union
+from typing import Callable, Dict, Generator, List, Optional, Tuple, Union
 
 from repro.concurrency.mvtso import MVTSOManager, WriteConflictError
 from repro.concurrency.transaction import (AbortReason, CommittedTransaction,
@@ -40,6 +44,8 @@ from repro.core.client import (ABORT, COMMIT, ProgramRun, TransactionProgram,
                                TransactionResult, Write)
 from repro.core.config import ObladiConfig
 from repro.core.errors import BatchFullError, ProxyCrashedError
+from repro.proxytier.worker import BarrierStats, ProxyWorker
+from repro.sharding.partitioned import PartitionedDataLayer, key_partition
 from repro.sim.clock import SimClock
 from repro.sim.scheduler import LaneStats
 from repro.storage.backend import StorageServer
@@ -98,15 +104,15 @@ class ObladiProxy:
         # with ``config.shards > 1`` — N hash-partitioned parallel trees.
         # A reshard cutover (repro.elasticity) injects the already-populated
         # next-generation layer instead of building a fresh empty one.
-        if data_layer is not None:
-            self.data_layer = data_layer
-        else:
-            from repro.sharding import build_data_layer
-            self.data_layer = build_data_layer(self.config, storage=self.storage,
-                                               clock=self.clock,
-                                               master_key=self.master_key)
+        self.data_layer = (data_layer if data_layer is not None
+                           else PartitionedDataLayer(self.config, self.storage,
+                                                     self.clock, self.master_key))
 
-        self.mvtso = MVTSOManager()
+        # Concurrency control: one MVTSO manager over ``config.proxy_workers``
+        # lanes, each owning the keys that hash to it.
+        self.workers = [ProxyWorker(index) for index in range(self.config.proxy_workers)]
+        self._worker_cache: Dict[str, int] = {}
+        self.mvtso = MVTSOManager(self.workers, self.worker_of)
         self.batch_manager = BatchManager(
             self.config.read_batches, self.config.read_batch_size,
             self.config.write_batch_size,
@@ -127,7 +133,7 @@ class ObladiProxy:
         # attached, one padded copy step rides every epoch barrier.
         self._migration = None
         # Concurrency-control CPU accounting (``CpuCostModel.cc_op_ms``):
-        # one lane per proxy worker, so the single proxy charges its CC work
+        # one lane per proxy worker, so one worker charges its CC work
         # serially.  With the default cost of 0.0 the clock is never touched.
         self.cc_cpu_ms = 0.0
         self.lane_stats = LaneStats()
@@ -135,6 +141,28 @@ class ObladiProxy:
         # Used only to annotate read sets with their version provenance so
         # that committed histories can be checked for serializability.
         self._last_writer_ts: Dict[str, int] = {}
+
+    # ------------------------------------------------------------------ #
+    # Concurrency-control lanes
+    # ------------------------------------------------------------------ #
+    def worker_of(self, key: str) -> int:
+        """Index of the lane owning ``key``: :func:`repro.sharding.key_partition`
+        over the lane count, cached per key (one lane owns every key, unhashed)."""
+        if self.config.proxy_workers == 1:
+            return 0
+        index = self._worker_cache.get(key)
+        if index is None:
+            index = self._worker_cache[key] = key_partition(key, self.config.proxy_workers)
+        return index
+
+    def worker_op_totals(self) -> List[Tuple[int, int]]:
+        """Lifetime ``(cc_reads, cc_writes)`` per lane."""
+        return [(worker.stats_reads, worker.stats_writes) for worker in self.workers]
+
+    @property
+    def barrier_stats(self) -> BarrierStats:
+        """Epoch-barrier vote accounting; all zero on one lane."""
+        return self.mvtso.barrier_stats
 
     # ------------------------------------------------------------------ #
     # Public client API
@@ -238,8 +266,7 @@ class ObladiProxy:
     def _charge_cc(self) -> None:
         """Charge CPU for MVTSO operations performed since the last charge.
 
-        Each CC lane's operations (one lane on the single proxy, one per
-        worker on :class:`repro.proxytier.ProxyCoordinator`) cost
+        Each CC lane's operations (one lane per proxy worker) cost
         ``CpuCostModel.cc_op_ms`` each and run on that lane alone, so the
         charge is the slowest lane.  A zero cost (the default) never touches
         the clock.
@@ -388,7 +415,7 @@ class ObladiProxy:
     def _finalize_epoch(self, admitted: List[_ActiveTransaction], epoch_id: int,
                         deliver: Optional[_Deliver]) -> List[TransactionResult]:
         """Commit the epoch and return its results."""
-        # The epoch barrier (the workers' votes, if sharded) runs first.  CC
+        # The epoch barrier (the lanes' votes, if more than one) runs first.  CC
         # work from the final round (writes issued after the last batch
         # boundary) and the votes have no boundary to absorb them; charge
         # them up front so the commit timestamps below account for them.

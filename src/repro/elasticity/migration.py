@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import ObladiConfig
+from repro.sharding.partitioned import PartitionedDataLayer
 from repro.storage.cluster import StorageCluster
 
 __all__ = ["MigrationReport", "TopologyMigration", "prepare_storage"]
@@ -102,13 +103,10 @@ class TopologyMigration:
     """
 
     def __init__(self, proxy, target: ObladiConfig, storage) -> None:
-        from repro.sharding import build_data_layer
         self.source = proxy.data_layer
         self.target_config = target
         self.storage = storage
-        self.layer = build_data_layer(target, storage=storage,
-                                      clock=proxy.clock,
-                                      master_key=proxy.master_key)
+        self.layer = PartitionedDataLayer(target, storage, proxy.clock, proxy.master_key)
         seeds = sorted({key for part in self.source.partitions
                         for key in part.directory.keys()})
         # Insertion-ordered copy queue: ``None`` means "read the committed

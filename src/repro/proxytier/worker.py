@@ -1,13 +1,14 @@
 """One trusted proxy worker: the accounting of a key-range slice.
 
-A :class:`ProxyWorker` does the concurrency-control work for the slice of
-the keyspace that hashes to it: it counts the chain reads and writes routed
-to it, holds the write-read dependencies they observed, and votes at the
-epoch barrier.  It owns no *state* — the version chains and the epoch
+A :class:`ProxyWorker` is one concurrency-control lane of the proxy: it
+counts the chain reads and writes routed to the slice of the keyspace that
+hashes to it, holds the write-read dependencies they observed, and votes at
+the epoch barrier.  It owns no *state* — the version chains and the epoch
 cache's base values are the proxy's, one of each, whatever the worker
-count.  Workers do not talk to each other: all routing and cross-worker
-coordination (the epoch-barrier commit protocol) is the
-:class:`~repro.proxytier.coordinator.ProxyCoordinator`'s job.
+count.  Workers do not talk to each other: the proxy routes every key
+(:meth:`repro.core.proxy.ObladiProxy.worker_of`) and the MVTSO manager runs
+the epoch-barrier vote (:meth:`repro.concurrency.mvtso.MVTSOManager.prepare_epoch`),
+accounting for it in :class:`BarrierStats`.
 
 See ``docs/ARCHITECTURE.md`` — "Distributed proxy tier" — for how workers
 compose with the data layer's partitions and the storage servers.
@@ -15,9 +16,29 @@ compose with the data layer's partitions and the storage servers.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
 from repro.concurrency.transaction import TransactionRecord, TransactionStatus
+
+
+@dataclass
+class BarrierStats:
+    """Accumulated epoch-barrier (2PC prepare) accounting.
+
+    One *vote* is one worker deciding commit/abort for one transaction it
+    participated in; a transaction is *vetoed* when any participant votes
+    abort (the proxy then cascades the abort exactly as the global commit
+    check would have).  ``epochs`` counts the epochs that ran the barrier,
+    once each: the repair pass's second prepare is the same epoch's.  A
+    one-lane proxy casts no votes, so all of it stays zero there.
+    """
+
+    epochs: int = 0
+    transactions_voted: int = 0
+    commit_votes: int = 0
+    abort_votes: int = 0
+    vetoed: int = 0
 
 
 class ProxyWorker:
@@ -28,7 +49,7 @@ class ProxyWorker:
     Because every read is routed to exactly one worker, those per-worker
     dependency sets partition the transaction's global dependency set — the
     property that makes the epoch barrier's unanimous vote equivalent to the
-    single proxy's global commit check.
+    global commit check.
     """
 
     def __init__(self, index: int) -> None:
@@ -48,7 +69,7 @@ class ProxyWorker:
         self.txn_touched: Set[int] = set()
 
     # ------------------------------------------------------------------ #
-    # Operation accounting (called by the sharded MVTSO manager)
+    # Operation accounting (called by the MVTSO manager)
     # ------------------------------------------------------------------ #
     def note_read(self, txn_id: int, writer_txn_id: Optional[int]) -> None:
         """Record one version-chain read routed to this worker.
@@ -90,7 +111,7 @@ class ProxyWorker:
         observed *through keys this worker owns* has aborted — its local
         fragment of exactly the check
         :meth:`repro.concurrency.mvtso.MVTSOManager.can_commit` runs
-        globally on the single proxy.
+        globally.
         """
         self.stats_votes += 1
         self.pending_ops += 1

@@ -361,17 +361,16 @@ def recover_proxy(storage: StorageServer, config: ObladiConfig, master_key: byte
     trusted epoch counter it protects): ``committed_epoch``, the last epoch
     the crashed proxy saw commit (its ``CheckpointStore.committed_epoch``;
     ``None`` if it never saw one).  A chain that ends before it was rolled
-    back by the store and raises ``IntegrityError``.  A sharded proxy tier
-    (``config.proxy_workers > 1``) comes back as a fresh coordinator whose
-    workers start with empty epoch state — correct by epoch fate sharing:
-    every worker's MVTSO/cache slice is epoch-scoped, so the durable state
-    each worker serves is exactly what the shared checkpoint chain restores
-    into the data layer below it.
+    back by the store and raises ``IntegrityError``.  The proxy comes back
+    with ``config.proxy_workers`` lanes whose epoch state starts empty —
+    correct by epoch fate sharing: every lane's MVTSO/cache slice is
+    epoch-scoped, so the durable state each lane serves is exactly what the
+    shared checkpoint chain restores into the data layer below it.
     """
-    from repro.proxytier import build_proxy
+    from repro.core.proxy import ObladiProxy
 
     clock = storage.clock
-    proxy = build_proxy(config=config, storage=storage, clock=clock, master_key=master_key)
+    proxy = ObladiProxy(config, storage=storage, clock=clock, master_key=master_key)
     manager: RecoveryManager = proxy.recovery
     if manager is None:
         raise ValueError("recovery requires a configuration with durability enabled")

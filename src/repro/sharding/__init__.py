@@ -4,7 +4,6 @@ The proxy's data path — key directory, version cache, Ring ORAM batches —
 is one class, :class:`PartitionedDataLayer`: ``config.shards`` hash-routed
 Ring ORAM partitions whose one-partition case is the paper's single tree
 and whose N-partition case is the "sharded Obladi" scale direction.
-``build_data_layer`` builds it from the configuration.
 
 The layer also decides *where* each partition lives: with
 ``storage_servers > 1`` the partitions are hosted on distinct simulated
@@ -19,11 +18,10 @@ workers).  ``docs/ARCHITECTURE.md`` walks both layers.
 """
 
 from repro.sharding.partitioned import (OramPartition, PartitionedDataLayer,
-                                        build_data_layer, key_partition)
+                                        key_partition)
 
 __all__ = [
     "OramPartition",
     "PartitionedDataLayer",
-    "build_data_layer",
     "key_partition",
 ]

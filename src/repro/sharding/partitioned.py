@@ -360,9 +360,3 @@ class PartitionedDataLayer:
         """Aggregate lifetime ``(physical_reads, physical_writes)``."""
         per = self.per_partition_physical()
         return (sum(r for r, _ in per), sum(w for _, w in per))
-
-
-def build_data_layer(config: ObladiConfig, storage: StorageServer,
-                     clock: SimClock, master_key: bytes) -> PartitionedDataLayer:
-    """Construct the data layer the configuration asks for."""
-    return PartitionedDataLayer(config, storage, clock, master_key)

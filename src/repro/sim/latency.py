@@ -73,12 +73,12 @@ class CpuCostModel:
     #: Concurrency-control CPU charged per MVTSO operation at the *trusted*
     #: proxy tier.  The default is 0.0 — the seed proxy never charged
     #: explicit CC CPU and every recorded timing depends on that — so
-    #: proxy-CPU-bound experiments opt in by raising it.  A single proxy
+    #: proxy-CPU-bound experiments opt in by raising it.  One proxy worker
     #: pays this serially for its version-chain reads/inserts (its commit
-    #: check stays unpriced); a sharded proxy tier (``repro.proxytier``)
-    #: divides the same reads/inserts across worker lanes but additionally
-    #: prices its epoch-barrier votes at this rate — the genuine extra cost
-    #: of running commit as a cross-worker protocol.
+    #: check stays unpriced); N > 1 workers (``repro.proxytier``) divide
+    #: the same reads/inserts across lanes but additionally price their
+    #: epoch-barrier votes at this rate — the genuine extra cost of running
+    #: commit as a cross-worker protocol.
     cc_op_ms: float = 0.0
 
     def sequential_block_cost_ms(self, encrypted: bool = True) -> float:

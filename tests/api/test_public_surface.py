@@ -58,10 +58,7 @@ CONCURRENCY = [
 
 PROXYTIER = [
     "ProxyWorker",
-    "ProxyCoordinator",
-    "ShardedMVTSOManager",
     "BarrierStats",
-    "build_proxy",
 ]
 
 
@@ -150,7 +147,6 @@ ELASTICITY = [
 SHARDING = [
     "OramPartition",
     "PartitionedDataLayer",
-    "build_data_layer",
     "key_partition",
 ]
 

@@ -2,7 +2,7 @@
 
 from repro.core.config import ObladiConfig, RingOramConfig
 from repro.core.data_handler import KeyDirectory
-from repro.sharding import build_data_layer
+from repro.sharding import PartitionedDataLayer
 from repro.sim.clock import SimClock
 from repro.storage.memory import InMemoryStorageServer
 
@@ -17,8 +17,8 @@ def make_layer():
     config = ObladiConfig(oram=RingOramConfig(num_blocks=64, z_real=4, block_size=64),
                           backend="server", parallelism=32, durability=False, seed=3)
     clock = SimClock()
-    layer = build_data_layer(config, storage=InMemoryStorageServer(clock=clock),
-                             clock=clock, master_key=b"m" * 32)
+    layer = PartitionedDataLayer(config, storage=InMemoryStorageServer(clock=clock),
+                                 clock=clock, master_key=b"m" * 32)
     return layer, layer.partitions[0].handler
 
 

@@ -17,7 +17,7 @@ from repro.core.config import ObladiConfig, RingOramConfig
 from repro.core.proxy import ObladiProxy
 
 
-def build_proxy(seed=11):
+def make_proxy(seed=11):
     config = ObladiConfig(
         oram=RingOramConfig(num_blocks=256, z_real=4, block_size=128),
         read_batches=2, read_batch_size=10, write_batch_size=10,
@@ -46,7 +46,7 @@ def run_workload(proxy, key_picker, epochs=12, txns_per_epoch=6, writes=False, s
 
 class TestWorkloadIndependence:
     def test_bucket_invariant_never_violated(self):
-        proxy = build_proxy()
+        proxy = make_proxy()
         run_workload(proxy, lambda rng: f"k{rng.randrange(32)}", epochs=10, writes=True)
         assert check_bucket_invariant(proxy.storage.trace) == []
 

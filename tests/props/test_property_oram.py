@@ -9,6 +9,7 @@ from repro.analysis import check_bucket_invariant, views
 from repro.api import ObladiEngine
 from repro.core.client import Read, Write
 from repro.core.config import ObladiConfig, RingOramConfig
+from repro.core.proxy import ObladiProxy
 from repro.oram import path_math
 from repro.oram.crypto import CipherSuite
 from repro.oram.parameters import derive_parameters, partition_block_count
@@ -105,7 +106,6 @@ SHARDS = 4
 
 def build_sharded_proxy(seed=13, shards=SHARDS, storage_servers=1,
                         proxy_workers=1):
-    from repro.proxytier import build_proxy
     config = ObladiConfig(
         oram=RingOramConfig(num_blocks=256, z_real=4, block_size=64),
         read_batches=2, read_batch_size=16, write_batch_size=16,
@@ -113,7 +113,7 @@ def build_sharded_proxy(seed=13, shards=SHARDS, storage_servers=1,
         shards=shards, storage_servers=storage_servers, seed=seed,
         proxy_workers=proxy_workers,
     )
-    proxy = build_proxy(config)
+    proxy = ObladiProxy(config)
     proxy.load_initial_data({f"k{i}": bytes([i % 251]) for i in range(64)})
     return proxy
 

@@ -12,7 +12,7 @@ from repro.core.config import ObladiConfig, RingOramConfig
 from repro.core.proxy import ObladiProxy
 
 
-def build_proxy(seed):
+def make_proxy(seed):
     config = ObladiConfig(
         oram=RingOramConfig(num_blocks=128, z_real=4, block_size=96),
         read_batches=3, read_batch_size=8, write_batch_size=8,
@@ -37,7 +37,7 @@ class TestProxyLinearisesEpochs:
     def test_committed_writes_follow_epoch_order(self, epochs, seed):
         """The value read after all epochs is the last *committed* write, and
         committed histories are serializable."""
-        engine = ObladiEngine(build_proxy(seed))
+        engine = ObladiEngine(make_proxy(seed))
         expected = {f"k{i}": f"init-{i}".encode() for i in range(12)}
 
         for epoch_ops in epochs:
@@ -75,7 +75,7 @@ class TestProxyLinearisesEpochs:
     def test_epoch_shape_independent_of_random_workload(self, seed):
         """Whatever transactions run, the adversary sees R read batches of the
         configured size, one write batch and one delete batch, per epoch."""
-        proxy = build_proxy(seed)
+        proxy = make_proxy(seed)
         proxy.storage.trace.clear()
         rng = random.Random(seed)
         for _ in range(3):

@@ -22,9 +22,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import ObladiConfig, RingOramConfig
+from repro.core.proxy import ObladiProxy
 from repro.oram.dependency import (simulate_parallel_read_batch,
                                    simulate_parallel_write_batch)
-from repro.proxytier import build_proxy
 from repro.sim.latency import BACKENDS, CpuCostModel
 from repro.sim.scheduler import LaneStats, ParallelScheduler, ScheduledOp
 
@@ -81,7 +81,7 @@ def batch_settings(draw, sizes):
 
 def tiny_proxy(**topology):
     """A proxy over a 64-block tree; only its timing code is exercised."""
-    return build_proxy(ObladiConfig(
+    return ObladiProxy(ObladiConfig(
         oram=RingOramConfig(num_blocks=64, z_real=4, block_size=64),
         read_batches=2, read_batch_size=8, write_batch_size=8,
         backend="dummy", durability=False, encrypt=False, seed=5, **topology))

@@ -1,8 +1,9 @@
-"""Unit tests for the sharded trusted proxy tier (``repro.proxytier``)."""
+"""Unit tests for the proxy's concurrency-control lanes (``repro.proxytier``)."""
 
 import pytest
 
 from repro.api import EngineConfig, ObladiEngine, create_engine
+from repro.concurrency.mvtso import MVTSOManager
 from repro.concurrency.transaction import AbortReason
 from repro.concurrency.versions import VersionStore
 from repro.core.client import Read, ReadMany, Write
@@ -10,9 +11,7 @@ from repro.core.config import ObladiConfig, RingOramConfig
 from repro.core.proxy import ObladiProxy
 from repro.core.version_cache import VersionCache
 from repro.elasticity import ReshardPlan
-from repro.proxytier import (ProxyCoordinator, ProxyWorker,
-                             ShardedMVTSOManager, build_proxy)
-from repro.proxytier.coordinator import worker_for_key
+from repro.proxytier import BarrierStats, ProxyWorker
 from repro.sharding import key_partition
 from repro.sim.latency import CpuCostModel
 from repro.workloads.smallbank import SmallBankConfig, SmallBankWorkload
@@ -29,33 +28,47 @@ def make_config(workers=4, cc_op_ms=0.0, **overrides):
     return ObladiConfig(**defaults)
 
 
-class TestBuildProxy:
-    def test_single_worker_builds_plain_proxy(self):
-        proxy = build_proxy(make_config(workers=1))
-        assert type(proxy) is ObladiProxy
+def lane_manager(count=4):
+    """An MVTSO manager over ``count`` fresh lanes, routed as the proxy routes."""
+    workers = [ProxyWorker(i) for i in range(count)]
+    return workers, MVTSOManager(workers, lambda key: key_partition(key, count))
 
-    def test_multi_worker_builds_coordinator(self):
-        proxy = build_proxy(make_config(workers=4))
-        assert isinstance(proxy, ProxyCoordinator)
-        assert len(proxy.workers) == 4
+
+class TestLanes:
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_one_proxy_has_one_lane_per_worker(self, workers):
+        proxy = ObladiProxy(make_config(workers=workers))
+        assert [worker.index for worker in proxy.workers] == list(range(workers))
+        assert type(proxy.mvtso) is MVTSOManager
+        assert proxy.mvtso.workers == proxy.workers
+        assert proxy.worker_op_totals() == [(0, 0)] * workers
 
     def test_routing_reuses_the_sharding_partition_map(self):
-        proxy = build_proxy(make_config(workers=4))
+        proxy = ObladiProxy(make_config(workers=4))
+        single = ObladiProxy(make_config(workers=1))
         for key in ("a", "account:17", "zz"):
-            expected = key_partition(key, 4)
-            assert worker_for_key(key, 4) == expected
-            assert proxy.worker_of(key) == expected
+            assert proxy.worker_of(key) == key_partition(key, 4)
+            assert single.worker_of(key) == key_partition(key, 1) == 0
+
+    def test_a_manager_without_lanes_has_one(self):
+        manager = MVTSOManager()
+        txn = manager.begin(epoch=0)
+        manager.write(txn, "k1", b"v")
+        manager.read(txn, "k1")
+        [lane] = manager.workers
+        assert (lane.stats_reads, lane.stats_writes) == (1, 1)
+        assert manager.take_lane_ops() == [2]
+        assert manager.take_lane_ops() == [0]
 
 
 class TestShardedState:
     def test_operations_count_on_the_owning_worker_only(self):
-        workers = [ProxyWorker(i) for i in range(4)]
-        manager = ShardedMVTSOManager(workers, lambda key: worker_for_key(key, 4))
+        workers, manager = lane_manager()
         writer = manager.begin(epoch=0)
         manager.write(writer, "k1", b"v")
         reader = manager.begin(epoch=0)
         manager.read(reader, "k1")
-        owner = worker_for_key("k1", 4)
+        owner = key_partition("k1", 4)
         for index, worker in enumerate(workers):
             mine = index == owner
             assert worker.stats_writes == (1 if mine else 0)
@@ -64,20 +77,19 @@ class TestShardedState:
                                           if mine else set())
 
     def test_dependency_fragment_lands_on_the_owning_worker(self):
-        workers = [ProxyWorker(i) for i in range(4)]
-        manager = ShardedMVTSOManager(workers, lambda key: worker_for_key(key, 4))
+        workers, manager = lane_manager()
         writer = manager.begin(epoch=0)
         manager.write(writer, "k1", b"v")
         reader = manager.begin(epoch=0)
         value, _writer = manager.read(reader, "k1")
         assert value == b"v"
-        owner = worker_for_key("k1", 4)
+        owner = key_partition("k1", 4)
         for index, worker in enumerate(workers):
             expected = {reader.txn_id: {writer.txn_id}} if index == owner else {}
             assert worker.txn_deps == expected
 
-    def test_coordinator_keeps_one_store_and_one_cache(self):
-        proxy = build_proxy(make_config(workers=4, shards=2))
+    def test_lanes_share_one_store_and_one_cache(self):
+        proxy = ObladiProxy(make_config(workers=4, shards=2))
         assert type(proxy.mvtso.store) is VersionStore
         assert type(proxy.data_layer.cache) is VersionCache
         assert len(proxy.data_layer.partitions) == 2
@@ -118,20 +130,15 @@ class TestWorkerCutover:
         assert not engine.reshard_in_flight
         assert result.committed and result.return_value == b"before"
         assert engine.proxy.config.proxy_workers == target
-        assert isinstance(engine.proxy, ProxyCoordinator) == (target > 1)
+        assert len(engine.proxy.workers) == target
         assert engine.proxy.data_layer is layer
         for part in layer.partitions:
             assert part.handler.cache is layer.cache
 
 
 class TestEpochBarrier:
-    def make_manager(self):
-        workers = [ProxyWorker(i) for i in range(4)]
-        return workers, ShardedMVTSOManager(
-            workers, lambda key: worker_for_key(key, 4))
-
     def test_unanimous_votes_commit(self):
-        workers, manager = self.make_manager()
+        workers, manager = lane_manager()
         writer = manager.begin(epoch=0)
         manager.write(writer, "k1", b"v")
         reader = manager.begin(epoch=0)
@@ -147,7 +154,7 @@ class TestEpochBarrier:
     def test_participant_veto_blocks_commit(self):
         """A worker holding an aborted dependency votes abort, and the
         unanimous barrier turns that single veto into a global refusal."""
-        workers, manager = self.make_manager()
+        workers, manager = lane_manager()
         writer = manager.begin(epoch=0)
         manager.write(writer, "k1", b"v")
         reader = manager.begin(epoch=0)
@@ -162,18 +169,35 @@ class TestEpochBarrier:
         assert manager.barrier_stats.abort_votes >= 1
         assert not manager.can_commit(reader)
 
+    def test_one_lane_casts_no_vote(self):
+        """One lane's vote would be the commit check itself: the barrier
+        votes nowhere, counts nothing and charges no vote op, and the
+        commit check still refuses an aborted dependency."""
+        workers, manager = lane_manager(count=1)
+        writer = manager.begin(epoch=0)
+        manager.write(writer, "k1", b"v")
+        reader = manager.begin(epoch=0)
+        manager.read(reader, "k1")
+        reader.request_commit()
+        writer.mark_aborted(AbortReason.BATCH_FULL)
+        assert manager.prepare_epoch([reader]) == {}
+        assert manager.barrier_stats == BarrierStats()
+        assert workers[0].stats_votes == 0
+        assert manager.take_lane_ops() == [2]
+        assert not manager.can_commit(reader)
+
     def test_only_participants_vote(self):
-        workers, manager = self.make_manager()
+        workers, manager = lane_manager()
         txn = manager.begin(epoch=0)
         manager.write(txn, "k1", b"v")
         txn.request_commit()
         manager.prepare_epoch([txn])
-        owner = worker_for_key("k1", 4)
+        owner = key_partition("k1", 4)
         for index, worker in enumerate(workers):
             assert worker.stats_votes == (1 if index == owner else 0)
 
-    def test_the_coordinator_reports_its_managers_votes(self):
-        proxy = build_proxy(make_config(workers=4))
+    def test_the_proxy_reports_its_managers_votes(self):
+        proxy = ObladiProxy(make_config(workers=4))
         proxy.load_initial_data({f"k{i}": b"0" for i in range(8)})
 
         def program(key):
@@ -204,7 +228,7 @@ class TestEpochBarrier:
         assert engine.proxy.barrier_stats.epochs == stats.epochs == 7
 
     def test_reset_clears_votes_and_worker_state(self):
-        workers, manager = self.make_manager()
+        workers, manager = lane_manager()
         txn = manager.begin(epoch=0)
         manager.write(txn, "k1", b"v")
         txn.request_commit()
@@ -235,8 +259,8 @@ class TestWorkerLaneCpu:
         return proxy, results
 
     def test_unpriced_cc_never_touches_the_clock(self):
-        single, _ = self.run_epochs(build_proxy(make_config(workers=1)))
-        sharded, _ = self.run_epochs(build_proxy(make_config(workers=4)))
+        single, _ = self.run_epochs(ObladiProxy(make_config(workers=1)))
+        sharded, _ = self.run_epochs(ObladiProxy(make_config(workers=4)))
         assert sharded.clock.now_ms == single.clock.now_ms
         assert sharded.cc_cpu_ms == 0.0
         assert sharded.lane_stats.calls == 0
@@ -245,9 +269,9 @@ class TestWorkerLaneCpu:
         # A proxy-CPU-bound shape: the batch interval is too small to absorb
         # the CC work, so the serial-vs-lanes difference reaches the clock
         # (with roomy intervals both are absorbed and only cc_cpu_ms moves).
-        single, single_results = self.run_epochs(build_proxy(
+        single, single_results = self.run_epochs(ObladiProxy(
             make_config(workers=1, cc_op_ms=0.05, batch_interval_ms=0.25)))
-        sharded, sharded_results = self.run_epochs(build_proxy(
+        sharded, sharded_results = self.run_epochs(ObladiProxy(
             make_config(workers=4, cc_op_ms=0.05, batch_interval_ms=0.25)))
         # Identical transaction outcomes either way...
         assert [(r.txn_id, r.committed, r.abort_reason) for r in sharded_results] == \
@@ -266,18 +290,34 @@ class TestWorkerLaneCpu:
             == pytest.approx(sharded.lane_stats.serial_ms)
 
     def test_priced_single_proxy_is_one_lane(self):
-        single, _ = self.run_epochs(build_proxy(
+        single, _ = self.run_epochs(ObladiProxy(
             make_config(workers=1, cc_op_ms=0.05, batch_interval_ms=0.25)))
         lanes = single.lane_stats
         assert lanes.calls > 0 and lanes.staggered == 0
         assert lanes.serial_ms == lanes.actual_ms == lanes.ideal_ms == single.cc_cpu_ms
         assert lanes.speedup == 1.0
+        # Every charged op is a chain read or write: one lane casts no vote.
+        [(reads, writes)] = single.worker_op_totals()
+        assert (reads + writes) * 0.05 == pytest.approx(lanes.serial_ms)
+        assert single.workers[0].stats_votes == 0
+
+    def test_priced_single_lane_reports_no_breakdown(self):
+        """A priced engine run on one lane: the barrier stays all zero and
+        ``worker_ops`` is empty (no breakdown), as for the unpriced run."""
+        workload = SmallBankWorkload(SmallBankConfig(num_accounts=20, seed=17))
+        engine = create_engine("obladi", make_config(
+            workers=1, seed=17, cc_op_ms=0.05, batch_interval_ms=0.25))
+        engine.load_initial_data(workload.initial_data())
+        stats = engine.run_closed_loop(workload.transaction_factory, 32, clients=8)
+        assert stats.committed > 0 and stats.cpu_ms > 0
+        assert stats.worker_ops == []
+        assert engine.proxy.barrier_stats == BarrierStats()
 
 
 class TestCrashRecovery:
-    def test_coordinator_recovers_as_coordinator(self):
+    def test_recovery_keeps_the_lane_count(self):
         config = make_config(workers=4, durability=True, backend="server")
-        proxy = build_proxy(config)
+        proxy = ObladiProxy(config)
         proxy.load_initial_data({f"k{i}": b"0" for i in range(16)})
 
         def program():
@@ -292,6 +332,6 @@ class TestCrashRecovery:
         recovered, report = recover_proxy(
             proxy.storage, config, master_key=proxy.master_key,
             committed_epoch=proxy.recovery.checkpoints.committed_epoch)
-        assert isinstance(recovered, ProxyCoordinator)
         assert len(recovered.workers) == 4
+        assert recovered.mvtso.workers == recovered.workers
         assert ObladiEngine(recovered).read("k3") == b"0x"

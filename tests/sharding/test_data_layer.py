@@ -6,9 +6,8 @@ from repro.api import create_engine
 from repro.core.config import ObladiConfig, RingOramConfig
 from repro.core.proxy import ObladiProxy
 from repro.oram.ring_oram import RingOram
-from repro.proxytier import build_proxy
 from repro.recovery.manager import derive_key
-from repro.sharding import PartitionedDataLayer, build_data_layer, key_partition
+from repro.sharding import PartitionedDataLayer, key_partition
 from repro.sim.clock import SimClock
 from repro.storage.cluster import StorageCluster
 from repro.storage.memory import InMemoryStorageServer
@@ -29,8 +28,8 @@ def _config(**overrides):
 def _layer(shards):
     clock = SimClock()
     storage = InMemoryStorageServer(clock=clock)
-    return build_data_layer(_config(shards=shards), storage=storage, clock=clock,
-                            master_key=b"m" * 32)
+    return PartitionedDataLayer(_config(shards=shards), storage=storage, clock=clock,
+                                master_key=b"m" * 32)
 
 
 class TestKeyPartition:
@@ -97,18 +96,17 @@ class TestOnePartition:
     def test_default_config_builds_one_partition(self):
         config = ObladiConfig()
         clock = SimClock()
-        layer = build_data_layer(config, storage=InMemoryStorageServer(clock=clock),
-                                 clock=clock, master_key=b"m" * 32)
-        assert isinstance(layer, PartitionedDataLayer)
+        layer = PartitionedDataLayer(config, storage=InMemoryStorageServer(clock=clock),
+                                     clock=clock, master_key=b"m" * 32)
         assert layer.num_partitions == 1
         assert layer.partitions[0].component_prefix == ""
 
     @pytest.mark.parametrize("generation, prefix", [(0, ""), (1, "g1/")])
     def test_namespace_is_the_generation_alone(self, generation, prefix):
         clock = SimClock()
-        layer = build_data_layer(_config(generation=generation),
-                                 storage=InMemoryStorageServer(clock=clock),
-                                 clock=clock, master_key=b"m" * 32)
+        layer = PartitionedDataLayer(_config(generation=generation),
+                                     storage=InMemoryStorageServer(clock=clock),
+                                     clock=clock, master_key=b"m" * 32)
         [part] = layer.partitions
         assert part.component_prefix == part.oram.key_prefix == prefix
 
@@ -219,8 +217,8 @@ def _cluster_layer(shards, servers, cluster_servers=None, **overrides):
     clock = SimClock()
     config = _config(shards=shards, storage_servers=servers, **overrides)
     cluster = StorageCluster(num_servers=cluster_servers or servers, clock=clock)
-    return build_data_layer(config, storage=cluster, clock=clock,
-                            master_key=b"m" * 32), cluster
+    return PartitionedDataLayer(config, storage=cluster, clock=clock,
+                                master_key=b"m" * 32), cluster
 
 
 class TestServerTopology:
@@ -258,8 +256,8 @@ class TestServerTopology:
         clock = SimClock()
         cluster = StorageCluster(num_servers=2, clock=clock)
         with pytest.raises(ValueError, match="cluster"):
-            build_data_layer(_config(shards=4, storage_servers=4),
-                             storage=cluster, clock=clock, master_key=b"m" * 32)
+            PartitionedDataLayer(_config(shards=4, storage_servers=4),
+                                 storage=cluster, clock=clock, master_key=b"m" * 32)
 
     def test_plain_server_with_multi_server_config_rejected(self):
         """No silent degrade to colocated: a multi-server config given a
@@ -269,17 +267,17 @@ class TestServerTopology:
         storage = InMemoryStorageServer(clock=clock)
         config = _config(shards=4, storage_servers=4)
         with pytest.raises(ValueError, match="StorageCluster"):
-            build_data_layer(config, storage=storage, clock=clock,
-                             master_key=b"m" * 32)
+            PartitionedDataLayer(config, storage=storage, clock=clock,
+                                 master_key=b"m" * 32)
         with pytest.raises(ValueError, match="StorageCluster"):
-            build_proxy(config, storage=storage, clock=clock)
+            ObladiProxy(config, storage=storage, clock=clock)
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_one_server_link_is_timed_with_its_delay(self, shards):
         clock = SimClock()
         config = _config(shards=shards, backend="server", link_extra_rtt_ms=(5.0,))
-        layer = build_data_layer(config, storage=InMemoryStorageServer(clock=clock),
-                                 clock=clock, master_key=b"m" * 32)
+        layer = PartitionedDataLayer(config, storage=InMemoryStorageServer(clock=clock),
+                                     clock=clock, master_key=b"m" * 32)
         rtts = [part.executor.latency.read_rtt_ms for part in layer.partitions]
         assert rtts == pytest.approx([5.3] * shards)
 
@@ -331,8 +329,8 @@ class TestStaggeredFanout:
         storage = InMemoryStorageServer(clock=clock)
         config = _config(shards=8, parallelism=4, backend="server",
                          read_batch_size=32, write_batch_size=32)
-        layer = build_data_layer(config, storage=storage, clock=clock,
-                                 master_key=b"m" * 32)
+        layer = PartitionedDataLayer(config, storage=storage, clock=clock,
+                                     master_key=b"m" * 32)
         assert config.fanout_lanes == 4
         layer.bulk_load({f"k{i}": b"v" for i in range(128)})
         layer.begin_epoch()
@@ -347,8 +345,8 @@ class TestStaggeredFanout:
         storage = InMemoryStorageServer(clock=clock)
         config = _config(shards=8, parallelism=4, backend="server",
                          read_batch_size=32, write_batch_size=32)
-        layer = build_data_layer(config, storage=storage, clock=clock,
-                                 master_key=b"m" * 32)
+        layer = PartitionedDataLayer(config, storage=storage, clock=clock,
+                                     master_key=b"m" * 32)
         layer.bulk_load({f"k{i}": b"v" for i in range(128)})
         layer.begin_epoch()
         before = clock.now_ms
