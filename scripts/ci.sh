@@ -166,6 +166,15 @@ if grep -rnIE "ProxyCoordinator\(|ShardedMVTSOManager\(" src/ tests/ benchmarks/
     exit 1
 fi
 
+# One leaf draw: every fresh leaf of an ORAM tree (a first position, a remap,
+# a dummy path read) comes from PositionMap.draw_leaf, the stdlib's randrange
+# inlined draw for draw, so no second leaf draw sits under src/repro/oram/.
+echo "== tripwire: one leaf draw =="
+if grep -rn --include='*.py' "randrange(" src/repro/oram/; then
+    echo "randrange( under src/repro/oram/: draw leaves with PositionMap.draw_leaf" >&2
+    exit 1
+fi
+
 # Smoke first: an end-to-end regression across the three engines surfaces
 # in seconds, before the multi-minute figure regenerations start.
 echo "== smoke: Figure 9 end-to-end across all three engines =="

@@ -75,6 +75,8 @@ class MVTSOManager:
         self.transactions: Dict[int, TransactionRecord] = {}
         self.stats_aborts_cascade = 0
         self.workers = list(workers) or [ProxyWorker(0)]
+        for worker in self.workers:
+            worker.votes = len(self.workers) > 1
         self._router = router
         self.barrier_stats = BarrierStats()
         self._vote_memo: Dict[int, bool] = {}
@@ -270,10 +272,10 @@ class MVTSOManager:
     # Helpers
     # ------------------------------------------------------------------ #
     def _transaction_with_ts(self, ts: int) -> Optional[TransactionRecord]:
-        # Timestamps are dense and assigned in order; a linear probe of the
-        # dict would be O(n), so keep a reverse index lazily.
-        txn_id = ts  # timestamps and ids advance together in begin()
-        txn = self.transactions.get(txn_id)
+        # Timestamps and ids advance together in begin(), so the id equal to
+        # ``ts`` is the first probe; after a fast_forward moved them apart
+        # the scan covers this epoch's records only.
+        txn = self.transactions.get(ts)
         if txn is not None and txn.timestamp == ts:
             return txn
         for candidate in self.transactions.values():
@@ -288,8 +290,13 @@ class MVTSOManager:
         from earlier epochs, so the per-key version chains can be discarded
         once the final values have been flushed to the ORAM; re-reading the
         epoch tail then falls back to the ORAM state.  The barrier's votes
-        and the lanes' epoch bookkeeping go with them.
+        and the lanes' epoch bookkeeping go with them, and so does every
+        finished transaction record: a dependency (or dependent) is a writer
+        (or reader) of a version in the store, which holds this epoch's
+        versions only, so no later epoch's lookup names one.
         """
+        self.transactions = {txn_id: txn for txn_id, txn in self.transactions.items()
+                             if not txn.is_finished}
         self.store.clear()
         self._vote_memo.clear()
         self._prepared = False

@@ -44,7 +44,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import hmac
-import itertools
 import os
 import ssl
 import struct
@@ -54,6 +53,8 @@ from typing import List, Optional, Sequence, Tuple
 #: Block id field of a dummy slot, and the slot payload that carries it.
 _DUMMY_ID = 0xFFFFFFFF
 _DUMMY_PAYLOAD = struct.pack(">I", _DUMMY_ID)
+#: A slot payload's block id field.
+_pack_id = struct.Struct(">I").pack
 
 
 class IntegrityError(Exception):
@@ -286,17 +287,24 @@ class CipherSuite:
         bytes — all of the call's dummies from one ``ssl.RAND_bytes`` draw,
         OpenSSL's CSPRNG in user space — that no context opens; with the
         cipher off, the padded dummy payload, which opens as ``(None, b"")``.
+        A suite that binds no context ignores the entries' contexts, so it
+        passes none to :meth:`encrypt_many`; still one call a bucket.
         """
-        real = [entry for entry in entries if entry[0] is not None]
-        sealed = iter(self.encrypt_many([struct.pack(">I", bid) + value for bid, value, _ in real],
-                                        [context for _, _, context in real]))
-        if self.enabled:
-            size = self.ciphertext_size
-            drawn = ssl.RAND_bytes(size * (len(entries) - len(real)))
-            dummies = iter([drawn[i:i + size] for i in range(0, len(drawn), size)])
+        if self.binds_context:
+            real = [entry for entry in entries if entry[0] is not None]
+            sealed = self.encrypt_many([_pack_id(bid) + value for bid, value, _ in real],
+                                       [context for _, _, context in real])
         else:
-            dummies = itertools.repeat(self._dummy_padded)
-        return [next(dummies) if bid is None else next(sealed) for bid, _, _ in entries]
+            sealed = self.encrypt_many([_pack_id(bid) + value
+                                        for bid, value, _ in entries if bid is not None])
+        reals = iter(sealed)
+        if not self.enabled:
+            dummy = self._dummy_padded
+            return [dummy if bid is None else next(reals) for bid, _, _ in entries]
+        size = self.ciphertext_size
+        drawn = ssl.RAND_bytes(size * (len(entries) - len(sealed)))
+        dummies = iter([drawn[i:i + size] for i in range(0, len(drawn), size)])
+        return [next(dummies) if bid is None else next(reals) for bid, _, _ in entries]
 
     def open_block(self, blob: bytes, context: bytes = b"") -> Tuple[Optional[int], bytes]:
         """Open one slot sealed by :meth:`seal_blocks`; returns ``(block_id_or_None, value)``."""

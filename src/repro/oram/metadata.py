@@ -179,7 +179,8 @@ class MetadataTable:
     def mark_dirty(self, bucket_id: int) -> None:
         self._dirty.add(bucket_id)
 
-    def _fresh_bucket(self, bucket_id: int, contents: List[Tuple[int, bytes]]) -> BucketMeta:
+    def _fresh_bucket(self, bucket_id: int, contents: List[Tuple[int, bytes]],
+                      version: int = 0) -> BucketMeta:
         """Build a freshly permuted bucket layout holding ``contents`` block ids."""
         if len(contents) > self.z_real:
             raise ValueError(
@@ -190,18 +191,29 @@ class MetadataTable:
         layout: List[Optional[int]] = [bid for bid, _ in contents]
         layout.extend([None] * (self.z_real + self.s_dummies - len(contents)))
         shuffle_in_place(layout, self._rng.getrandbits)
-        return BucketMeta(bucket_id, layout)
+        return BucketMeta(bucket_id, layout, version=version)
 
     def rewrite_bucket(self, bucket_id: int, contents: List[Tuple[int, bytes]]) -> BucketMeta:
         """Replace a bucket's layout after an eviction / reshuffle write.
 
         Returns the new metadata; the version counter is advanced and the
         read counter reset, matching a physical rewrite of every slot.
+
+        A first rewrite (a bucket with no metadata yet, as every bucket the
+        bulk loader writes) takes the draws of the all-dummy layout
+        :meth:`bucket` would have made and replaced, but builds no layout:
+        the bucket goes from version 0 to 1 with one :class:`BucketMeta`,
+        and the RNG stream is the one a lookup-then-rewrite leaves.
         """
-        old = self.bucket(bucket_id)
-        fresh = self._fresh_bucket(bucket_id, contents)
-        fresh.version = old.version + 1
-        self._buckets[bucket_id] = fresh
+        old = self._buckets.get(bucket_id)
+        if old is None:
+            if not 0 <= bucket_id < self.num_buckets:
+                raise ValueError(f"bucket id {bucket_id} out of range")
+            shuffle_in_place([None] * (self.z_real + self.s_dummies), self._rng.getrandbits)
+            version = 1
+        else:
+            version = old.version + 1
+        fresh = self._buckets[bucket_id] = self._fresh_bucket(bucket_id, contents, version)
         self._dirty.add(bucket_id)
         return fresh
 

@@ -29,15 +29,39 @@ ENTRY_BYTES = 8
 
 
 class PositionMap:
-    """Mapping from block id to leaf, with delta tracking for checkpoints."""
+    """Mapping from block id to leaf, with delta tracking for checkpoints.
+
+    Every fresh leaf of the tree comes from :meth:`draw_leaf`: a block's
+    first leaf, each remap, and a dummy path read's leaf
+    (:meth:`repro.oram.ring_oram.RingOram.plan_path_read`).
+    """
 
     def __init__(self, num_leaves: int, rng: Optional[random.Random] = None) -> None:
         if num_leaves < 1:
             raise ValueError("num_leaves must be positive")
         self.num_leaves = num_leaves
         self._rng = rng if rng is not None else random.Random()
+        self._getrandbits = self._rng.getrandbits
+        self._leaf_bits = num_leaves.bit_length()
         self._positions: Dict[int, int] = {}
         self._dirty: Set[int] = set()
+
+    def draw_leaf(self) -> int:
+        """A uniform leaf: ``Random.randrange`` of ``num_leaves``, draw for draw.
+
+        For one positive bound ``n`` the stdlib method is ``_randbelow(n)``:
+        ``getrandbits(n.bit_length())`` until the result is below ``n``.
+        This is that loop inlined, as
+        :func:`repro.oram.metadata.shuffle_in_place` inlines ``shuffle``, so
+        from an equal RNG state it gives the same leaf and leaves the same
+        state (a props test pins that).  ``scripts/ci.sh`` ("one leaf draw")
+        keeps the stdlib call out of ``repro.oram``.
+        """
+        num_leaves, bits, getrandbits = self.num_leaves, self._leaf_bits, self._getrandbits
+        leaf = getrandbits(bits)
+        while leaf >= num_leaves:
+            leaf = getrandbits(bits)
+        return leaf
 
     # ------------------------------------------------------------------ #
     # Core mapping operations
@@ -50,15 +74,13 @@ class PositionMap:
         """Leaf for the block, assigning a fresh random leaf on first touch."""
         leaf = self._positions.get(block_id)
         if leaf is None:
-            leaf = self._rng.randrange(self.num_leaves)
-            self._positions[block_id] = leaf
+            leaf = self._positions[block_id] = self.draw_leaf()
             self._dirty.add(block_id)
         return leaf
 
     def remap(self, block_id: int) -> int:
         """Assign a fresh uniformly random leaf and return it."""
-        leaf = self._rng.randrange(self.num_leaves)
-        self._positions[block_id] = leaf
+        leaf = self._positions[block_id] = self.draw_leaf()
         self._dirty.add(block_id)
         return leaf
 

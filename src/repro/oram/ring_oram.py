@@ -188,7 +188,7 @@ class RingOram:
         elif force_dummy_path is not None:
             leaf = force_dummy_path
         else:
-            leaf = self.rng.randrange(self.params.num_leaves)
+            leaf = self.position_map.draw_leaf()
 
         # One pass per level over the bucket's columns.  This loop is the
         # hottest in the client, so it reads the metadata table's dicts and
@@ -434,32 +434,90 @@ class RingOram:
                 self.metadata.mark_dirty(bid)
         # The block may only exist in the stash (or nowhere yet); nothing to do.
 
+    def check_invariants(self) -> List[str]:
+        """Check the tree's client state against Ring ORAM's invariants.
+
+        Returns one line per violation, ``[]`` when all of these hold:
+
+        * one live copy per block: a real block sits in at most one valid
+          slot of the tree, and not in the stash as well (a slot a read
+          consumed keeps its block id until the rewrite, but is no copy);
+        * no bucket records more than ``Z`` real blocks;
+        * a block in a valid slot lies on its position-map path, and a stash
+          entry is mapped to its position-map leaf;
+        * the stash holds at most ``params.stash_bound`` blocks.
+
+        It scans every bucket's columns and the stash, so it is for checks
+        between operations, not for the data path.
+        """
+        problems: List[str] = []
+        depth, z_real = self.params.depth, self.params.z_real
+        lookup = self.position_map.lookup
+        live: Dict[int, int] = {}
+        for bid, meta in sorted(self.metadata._buckets.items()):
+            recorded = len(meta.blocks) - meta.blocks.count(None)
+            if recorded > z_real:
+                problems.append(f"bucket {bid} records {recorded} real blocks, Z={z_real}")
+            level = path_math.bucket_level(bid)
+            for block, valid in zip(meta.blocks, meta.valid):
+                if block is None or not valid:
+                    continue
+                if block in live:
+                    problems.append(f"block {block} is live in buckets {live[block]} and {bid}")
+                live[block] = bid
+                leaf = lookup(block)
+                if leaf is None or (1 << level) - 1 + (leaf >> (depth - level)) != bid:
+                    problems.append(f"block {block} in bucket {bid} is off the path "
+                                    f"of its leaf {leaf}")
+        for entry in self.stash.entries():
+            if entry.block_id in live:
+                problems.append(f"block {entry.block_id} is in the stash and live in "
+                                f"bucket {live[entry.block_id]}")
+            if entry.leaf != lookup(entry.block_id):
+                problems.append(f"stash block {entry.block_id} is mapped to leaf {entry.leaf}, "
+                                f"the position map says {lookup(entry.block_id)}")
+        if len(self.stash) > self.params.stash_bound:
+            problems.append(f"the stash holds {len(self.stash)} blocks, "
+                            f"its bound is {self.params.stash_bound}")
+        return problems
+
     # ------------------------------------------------------------------ #
     # Bulk loading
     # ------------------------------------------------------------------ #
     def bulk_load(self, blocks: Dict[int, bytes]) -> None:
         """Load an initial dataset directly into the tree.
 
-        Blocks are assigned random leaves and greedily packed into the
-        deepest bucket on their path with room, leaf level first; overflow
-        lands in the stash.  Bucket versions advance exactly once, so the
-        resulting server state is indistinguishable from a tree that was
-        filled through the normal protocol (every real slot is a fresh
-        ciphertext, every dummy slot fresh random bytes).  The clock is
-        charged the sequential per-block CPU cost of every slot written.
+        In ascending block id order, each block draws its leaf
+        (:meth:`PositionMap.lookup_or_assign
+        <repro.oram.position_map.PositionMap.lookup_or_assign>`) and goes
+        into the deepest bucket on that leaf's path with room: level ``l``'s
+        bucket is ``(1 << l) - 1 + (leaf >> (depth - l))``, tried from
+        ``l = depth`` up to the root.  A block no bucket of its path has
+        room for lands in the stash.  Each written bucket is then rewritten
+        once, in ascending bucket id order (its first rewrite, see
+        :meth:`MetadataTable.rewrite_bucket
+        <repro.oram.metadata.MetadataTable.rewrite_bucket>`), so its version
+        advances exactly once and the server state is indistinguishable
+        from a tree filled through the normal protocol (every real slot a
+        fresh ciphertext, every dummy slot fresh random bytes).  The clock
+        is charged the sequential per-block CPU cost of every slot written.
         """
+        depth, z_real = self.params.depth, self.params.z_real
+        assign, stash = self.position_map.lookup_or_assign, self.stash
         placements: Dict[int, List[Tuple[int, bytes]]] = {}
         for block_id, value in sorted(blocks.items()):
-            leaf = self.position_map.lookup_or_assign(block_id)
-            placed = False
-            for bid in reversed(path_math.path_buckets(leaf, self.params.depth)):
-                bucket_load = placements.setdefault(bid, [])
-                if len(bucket_load) < self.params.z_real:
-                    bucket_load.append((block_id, value))
-                    placed = True
+            leaf = assign(block_id)
+            for level in range(depth, -1, -1):
+                bid = (1 << level) - 1 + (leaf >> (depth - level))
+                bucket_load = placements.get(bid)
+                if bucket_load is None:
+                    placements[bid] = [(block_id, value)]
                     break
-            if not placed:
-                self.stash.put(block_id, leaf, value, StashReason.EVICTION_RESIDUE)
+                if len(bucket_load) < z_real:
+                    bucket_load.append((block_id, value))
+                    break
+            else:
+                stash.put(block_id, leaf, value, StashReason.EVICTION_RESIDUE)
 
         rewrites = [self._build_rewrite(bid, contents)
                     for bid, contents in sorted(placements.items())]

@@ -50,10 +50,16 @@ class ProxyWorker:
     dependency sets partition the transaction's global dependency set — the
     property that makes the epoch barrier's unanimous vote equivalent to the
     global commit check.
+
+    ``votes`` says whether the worker keeps that bookkeeping at all.  The
+    MVTSO manager clears it on the only lane of a one-lane proxy, which
+    never votes (its barrier is the commit check), so there the worker
+    counts operations and nothing else.
     """
 
     def __init__(self, index: int) -> None:
         self.index = index
+        self.votes = True
 
         # Lifetime concurrency-control operation counters.
         self.stats_reads = 0
@@ -80,15 +86,17 @@ class ProxyWorker:
         """
         self.stats_reads += 1
         self.pending_ops += 1
-        self.txn_touched.add(txn_id)
-        if writer_txn_id is not None:
-            self.txn_deps.setdefault(txn_id, set()).add(writer_txn_id)
+        if self.votes:
+            self.txn_touched.add(txn_id)
+            if writer_txn_id is not None:
+                self.txn_deps.setdefault(txn_id, set()).add(writer_txn_id)
 
     def note_write(self, txn_id: int) -> None:
         """Record one version install (or rejected late write) on this worker."""
         self.stats_writes += 1
         self.pending_ops += 1
-        self.txn_touched.add(txn_id)
+        if self.votes:
+            self.txn_touched.add(txn_id)
 
     def take_pending_ops(self) -> int:
         """Drain and return the operations not yet charged as lane CPU."""

@@ -328,11 +328,16 @@ class PartitionedDataLayer:
         return self._advance_parallel()
 
     def bulk_load(self, items: Dict[str, bytes]) -> None:
-        """Load an initial dataset directly into each partition's tree."""
+        """Load an initial dataset directly into each partition's tree.
+
+        Every key is routed by one :meth:`partitions_of` call, and each
+        partition's directory numbers its keys in ``items`` order.
+        """
         groups: List[Dict[int, bytes]] = [{} for _ in self.partitions]
-        for key, value in items.items():
-            part = self.partition_for_key(key)
-            groups[part.index][part.directory.block_id(key)] = value
+        block_ids = [part.directory.block_id for part in self.partitions]
+        keys = list(items)
+        for key, index in zip(keys, self.partitions_of(keys)):
+            groups[index][block_ids[index](key)] = items[key]
         for part, blocks in zip(self.partitions, groups):
             part.oram.bulk_load(blocks)
 

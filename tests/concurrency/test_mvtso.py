@@ -149,6 +149,14 @@ class TestCommitAbort:
         mgr.reset_epoch_state()
         assert mgr.store.get_chain("k") is None
 
+    def test_reset_epoch_state_drops_finished_records(self, mgr):
+        committed, aborted, running = (mgr.begin(epoch=0) for _ in range(3))
+        committed.request_commit()
+        mgr.commit(committed)
+        mgr.abort(aborted, AbortReason.USER)
+        mgr.reset_epoch_state()
+        assert mgr.transactions == {running.txn_id: running}
+
     def test_commit_finishes_only_the_committed_transaction(self, mgr):
         a = mgr.begin(epoch=0)
         b = mgr.begin(epoch=0)

@@ -5,14 +5,17 @@ epoch executor itself queue programs with ``proxy.submit`` and run
 ``proxy.run_epoch`` directly.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.api import ObladiEngine
+from repro.api import ObladiEngine, create_engine
 from repro.concurrency.serializability import check_serializable
 from repro.core.client import AbortRequest, Read, ReadMany, Write
 from repro.core.config import ObladiConfig, RingOramConfig
 from repro.core.errors import ProxyCrashedError
 from repro.core.proxy import ObladiProxy
+from repro.workloads.smallbank import SmallBankConfig, SmallBankWorkload
 
 from tests.conftest import read_program, read_write_program, write_program
 
@@ -262,6 +265,58 @@ class TestConflictRepair:
             (1, False, "write_conflict"), (2, True, None)]
         assert not results[0].repaired and not results[0].repair_failed
         assert repair_engine.read("k0") == b"0b"
+
+
+class TestTransactionRecords:
+    """The MVTSO manager keeps the running epoch's transaction records only.
+
+    A read sees only versions in the store, which holds this epoch's
+    versions, so every dependency and dependent of a record is a record of
+    the same epoch, and the reset after the write-back drops them all.
+    Each reset is checked before it runs: every record is finished, all
+    share one epoch, and none names a transaction outside them.
+    """
+
+    CLIENTS = 16
+
+    def run_smallbank(self, small_config, offered, **overrides):
+        workload = SmallBankWorkload(SmallBankConfig(num_accounts=40, seed=17))
+        engine = create_engine("obladi", replace(small_config, **overrides))
+        engine.load_initial_data(workload.initial_data())
+        mvtso = engine.proxy.mvtso
+        reset, epochs = mvtso.reset_epoch_state, []
+
+        def checked_reset():
+            records = mvtso.transactions
+            edges = 0
+            for record in records.values():
+                assert record.is_finished
+                for other in record.dependencies | record.dependents:
+                    assert other in records, (record.txn_id, other)
+                    edges += 1
+            [epoch] = {record.epoch for record in records.values()}
+            epochs.append((epoch, len(records), edges))
+            reset()
+
+        mvtso.reset_epoch_state = checked_reset
+        stats = engine.run_closed_loop(workload.transaction_factory, offered,
+                                       clients=self.CLIENTS)
+        assert len(epochs) == stats.epochs
+        assert [epoch for epoch, _, _ in epochs] == sorted({epoch for epoch, _, _ in epochs})
+        assert sum(edges for _, _, edges in epochs) > 0
+        assert mvtso.transactions == {}
+        return stats, epochs
+
+    def test_the_manager_holds_at_most_one_epochs_admissions(self, small_config):
+        stats, epochs = self.run_smallbank(small_config, 600)
+        assert stats.committed > 0
+        assert max(count for _, count, _ in epochs) <= self.CLIENTS
+        assert sum(count for _, count, _ in epochs) > 600     # retries begin records too
+
+    def test_no_dependency_crosses_an_epoch_under_repair_and_lanes(self, small_config):
+        stats, _ = self.run_smallbank(small_config, 200, conflict_strategy="repair",
+                                      proxy_workers=4)
+        assert stats.repaired > 0
 
 
 class TestBatchQuotas:

@@ -7,9 +7,10 @@ runs the ``--smoke`` configuration of each of the repo benchmark's four
 workloads (``bench/workloads.py``): a partitioned layer on one server, a
 durable single tree that crashes and recovers, a durable open loop, and a
 two-server cluster resharded live into generation ``g1/``.  Every server's
-adversary trace must pass :func:`repro.analysis.check_bucket_invariant`, and
+adversary trace must pass :func:`repro.analysis.check_bucket_invariant`,
 every tree must address its host server itself, its namespace leading each
-slot key.
+slot key, and every tree's client state must pass
+:meth:`repro.oram.ring_oram.RingOram.check_invariants` at the end.
 """
 
 import importlib.util
@@ -74,6 +75,8 @@ def test_smoke_workload_reads_each_slot_version_once(name):
         for key in sorted(state)[:8]:
             assert engine.read(key) == state[key], key
     assert_trees_address_their_hosts(engine)
+    for part in engine.proxy.data_layer.partitions:
+        assert part.oram.check_invariants() == [], f"partition {part.index}"
     servers = list(getattr(engine.storage, "servers", None) or [engine.storage])
     for index, server in enumerate(servers):
         assert check_bucket_invariant(server.trace) == [], f"server {index}"

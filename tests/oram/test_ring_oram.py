@@ -235,6 +235,80 @@ class TestInvariants:
         assert db.read(1) == b"new"
 
 
+class TestCheckInvariants:
+    """``RingOram.check_invariants`` passes a working tree and names each
+    violation planted into one."""
+
+    @pytest.fixture
+    def db(self):
+        db = OneOpPerEpoch(seed=4)
+        db.oram.bulk_load({block: bytes([block]) for block in range(40)})
+        rng = random.Random(2)
+        for step in range(60):
+            block = rng.randrange(48)
+            if step % 2:
+                db.write(block, bytes([step]))
+            else:
+                db.read(block)
+        assert db.oram.check_invariants() == []
+        return db
+
+    @staticmethod
+    def live_block(oram):
+        """A block in a valid slot below the root: ``(block, bucket, slot)``."""
+        for bid in oram.metadata.buckets_present()[::-1]:
+            meta = oram.metadata.bucket(bid)
+            for slot, (block, valid) in enumerate(zip(meta.blocks, meta.valid)):
+                if block is not None and valid:
+                    return block, bid, slot
+        raise AssertionError("no live block")
+
+    def test_a_second_live_copy_is_named(self, db):
+        block, bucket, _ = self.live_block(db.oram)
+        root = db.oram.metadata.bucket(0)
+        plant(db.oram, 0, root.valid_dummy_slots()[0], block, True)
+        assert f"block {block} is live in buckets 0 and {bucket}" in db.oram.check_invariants()
+
+    def test_a_live_copy_beside_the_stash_is_named(self, db):
+        block, bucket, _ = self.live_block(db.oram)
+        db.oram.stash.put(block, db.oram.position_map.lookup(block), b"x")
+        assert (f"block {block} is in the stash and live in bucket {bucket}"
+                in db.oram.check_invariants())
+
+    def test_a_bucket_over_z_is_named(self, db):
+        oram = db.oram
+        bucket = oram.metadata.buckets_present()[-1]
+        for slot in range(oram.params.slots_per_bucket):
+            if oram.metadata.bucket(bucket).blocks[slot] is None:
+                plant(oram, bucket, slot, 1000 + slot, False)
+        recorded = oram.params.slots_per_bucket
+        assert (f"bucket {bucket} records {recorded} real blocks, Z={oram.params.z_real}"
+                in oram.check_invariants())
+
+    def test_a_block_off_its_path_is_named(self, db):
+        oram = db.oram
+        block, bucket, _ = self.live_block(oram)
+        leaf = oram.position_map.lookup(block) ^ (oram.params.num_leaves - 1)
+        oram.position_map._positions[block] = leaf
+        assert (f"block {block} in bucket {bucket} is off the path of its leaf {leaf}"
+                in oram.check_invariants())
+
+    def test_a_stash_entry_on_another_leaf_is_named(self, db):
+        oram = db.oram
+        leaf = oram.position_map.lookup_or_assign(2000)
+        oram.stash.put(2000, leaf ^ 1, b"x")
+        assert (f"stash block 2000 is mapped to leaf {leaf ^ 1}, the position map says {leaf}"
+                in oram.check_invariants())
+
+    def test_a_stash_past_its_bound_is_named(self, db):
+        oram = db.oram
+        bound = oram.params.stash_bound
+        for block in range(3000, 3000 + bound + 1 - len(oram.stash)):
+            oram.stash.put(block, oram.position_map.lookup_or_assign(block), b"x")
+        assert oram.check_invariants() == [
+            f"the stash holds {bound + 1} blocks, its bound is {bound}"]
+
+
 class TestPhysicalBehaviour:
     def test_a_versions_keys_are_built_once_with_the_namespace(self):
         # ``seal_rewrites`` formats a version's keys, namespace first, and

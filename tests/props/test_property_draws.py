@@ -2,12 +2,14 @@
 
 Every fixed-seed result of this repository — the ``sim_digest``s, the
 adversary-trace hashes — hangs on the exact sequence of ``random`` draws.
-The ORAM client replaces two stdlib calls on its hot path with loops that
-skip the per-element Python call: :func:`repro.oram.metadata.shuffle_in_place`
-for ``Random.shuffle`` and the dummy pick inside
-:meth:`repro.oram.ring_oram.RingOram.plan_path_read` for ``Random.choice``.
-From an equal ``getstate()`` each must give the stdlib's result *and* leave
-the stdlib's state, or every later draw moves.
+The ORAM client replaces three stdlib calls on its hot path with loops that
+skip the stdlib's call layers: :func:`repro.oram.metadata.shuffle_in_place`
+for ``Random.shuffle``, the dummy pick inside
+:meth:`repro.oram.ring_oram.RingOram.plan_path_read` for ``Random.choice``,
+and :meth:`repro.oram.position_map.PositionMap.draw_leaf` (every fresh leaf:
+a first position, a remap, a dummy path) for ``Random.randrange``.  From an
+equal ``getstate()`` each must give the stdlib's result *and* leave the
+stdlib's state, or every later draw moves.
 """
 
 import random
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 from repro.oram import path_math
 from repro.oram.metadata import BucketMeta, shuffle_in_place
 from repro.oram.parameters import RingOramParameters
+from repro.oram.position_map import PositionMap
 from repro.oram.ring_oram import RingOram
 from repro.storage.memory import InMemoryStorageServer
 
@@ -35,6 +38,38 @@ def test_shuffle_in_place_is_random_shuffle(n, seed):
     stdlib.shuffle(expected)
     assert shuffled == expected
     assert ours.getstate() == stdlib.getstate()
+
+
+@pytest.mark.parametrize("num_leaves", [1, 2, 3, 256, 2 ** 20])
+@given(seed=SEEDS)
+def test_draw_leaf_is_random_randrange(num_leaves, seed):
+    ours, stdlib = random.Random(seed), random.Random(seed)
+    position_map = PositionMap(num_leaves, rng=ours)
+    for _ in range(3):
+        assert position_map.draw_leaf() == stdlib.randrange(num_leaves)
+        assert ours.getstate() == stdlib.getstate()
+
+
+@pytest.mark.parametrize("depth", [0, 1, 8])
+@given(seed=SEEDS, block_id=st.integers(0, 1000))
+def test_first_positions_remaps_and_dummy_paths_draw_as_randrange(depth, seed, block_id):
+    """``lookup_or_assign`` (on first touch only), ``remap`` and a dummy path
+    read's leaf each take one ``randrange(num_leaves)``.  Every bucket is
+    consumed, so the path read draws nothing past its leaf."""
+    params = RingOramParameters(num_blocks=4, z_real=4, s_dummies=6, evict_rate=3,
+                                depth=depth, block_size=16)
+    oram = RingOram(params, InMemoryStorageServer(), seed=seed)
+    slots = params.slots_per_bucket
+    for bid in range(params.num_buckets):
+        oram.metadata._buckets[bid] = BucketMeta(bid, [None] * slots, valid=[False] * slots)
+    stdlib = random.Random()
+    stdlib.setstate(oram.rng.getstate())
+    position_map, num_leaves = oram.position_map, params.num_leaves
+    assert position_map.lookup_or_assign(block_id) == stdlib.randrange(num_leaves)
+    assert position_map.lookup_or_assign(block_id) == position_map.lookup(block_id)
+    assert position_map.remap(block_id) == stdlib.randrange(num_leaves)
+    assert oram.plan_path_read(None).leaf == stdlib.randrange(num_leaves)
+    assert oram.rng.getstate() == stdlib.getstate()
 
 
 @pytest.mark.parametrize("n", SIZES)

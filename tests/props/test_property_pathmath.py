@@ -101,6 +101,34 @@ class TestBatchedCryptoEquivalence:
         for blob, (bid, value, ctx) in real:
             assert suite.open_block(blob, ctx) == (bid, value)
 
+    @pytest.mark.parametrize("enabled, authenticated", [(True, False), (False, True)])
+    @given(st.lists(st.tuples(
+        st.one_of(st.none(), st.integers(min_value=0, max_value=2**32 - 2)),
+        st.binary(min_size=0, max_size=50)), min_size=0, max_size=10))
+    @settings(deadline=None)
+    def test_a_suite_without_contexts_seals_each_bucket_in_one_call(
+            self, enabled, authenticated, pairs):
+        """No context bound: the entries' contexts are ignored, the reals
+        still go through one ``encrypt_many`` call and open in place, and
+        with the cipher off each dummy is the padded dummy payload."""
+        suite = CipherSuite(key=b"r" * 32, block_size=64, enabled=enabled,
+                            authenticated=authenticated)
+        assert not suite.binds_context
+        entries = [(bid, b"" if bid is None else value, b"ignored")
+                   for bid, value in pairs]
+        with mock.patch.object(CipherSuite, "encrypt_many", autospec=True,
+                               side_effect=CipherSuite.encrypt_many) as encrypt_many:
+            sealed = suite.seal_blocks(entries)
+        assert encrypt_many.call_count == 1
+        plaintexts = encrypt_many.call_args.args[1]
+        assert len(plaintexts) == sum(bid is not None for bid, _ in pairs)
+        assert all(len(blob) == suite.ciphertext_size for blob in sealed)
+        for blob, (bid, value, _) in zip(sealed, entries):
+            if bid is not None:
+                assert suite.open_block(blob) == (bid, value)
+            elif not enabled:
+                assert blob == suite._dummy_padded
+
     @given(PAYLOADS.filter(bool), st.data())
     @settings(deadline=None)
     def test_any_tampered_blob_fails_batch_verification(self, payloads, data):

@@ -60,6 +60,35 @@ class TestLanes:
         assert manager.take_lane_ops() == [2]
         assert manager.take_lane_ops() == [0]
 
+    def test_a_single_lane_counts_operations_and_keeps_no_vote_state(self):
+        manager = MVTSOManager()
+        writer = manager.begin(epoch=0)
+        manager.write(writer, "k1", b"v")
+        reader = manager.begin(epoch=0)
+        assert manager.read(reader, "k1") == (b"v", writer.txn_id)
+        assert reader.dependencies == {writer.txn_id}
+        [lane] = manager.workers
+        assert not lane.votes
+        assert (lane.stats_reads, lane.stats_writes, lane.pending_ops) == (1, 1, 2)
+        assert lane.txn_touched == set() and lane.txn_deps == {}
+        workers, _ = lane_manager()
+        assert all(worker.votes for worker in workers)
+
+    def test_one_lane_runs_the_same_without_vote_state(self):
+        """A one-lane run under priced CC is repr-identical whether its lane
+        keeps the vote bookkeeping or not: nothing reads it there."""
+        def run(votes):
+            workload = SmallBankWorkload(SmallBankConfig(num_accounts=20, seed=17))
+            engine = create_engine("obladi", make_config(workers=1, cc_op_ms=0.05, seed=17))
+            [lane] = engine.proxy.workers
+            lane.votes = votes
+            engine.load_initial_data(workload.initial_data())
+            stats = engine.run_closed_loop(workload.transaction_factory, 48, clients=16)
+            assert engine.proxy.cc_cpu_ms > 0
+            return repr(stats), engine.proxy.worker_op_totals()
+
+        assert run(False) == run(True)
+
 
 class TestShardedState:
     def test_operations_count_on_the_owning_worker_only(self):
