@@ -67,12 +67,15 @@ def main() -> None:
 
     # The leakage profile leaves WAL and checkpoint traffic out: both worlds
     # run without durability.
+    # Each world runs on one storage server, which records the provider's trace.
     world_a, workload_a = build_clinic(seed=2, durable=False)
-    world_a.storage.trace.clear()
+    trace_a = world_a.storage.servers[0].trace
+    trace_a.clear()
     chemotherapy_schedule(world_a, workload_a, patient=7)
 
     world_b, workload_b = build_clinic(seed=2, durable=False)
-    world_b.storage.trace.clear()
+    trace_b = world_b.storage.servers[0].trace
+    trace_b.clear()
     for _ in range(6):
         world_b.submit_many([workload_b.lookup_patient_program(),
                              workload_b.medical_history_program()])
@@ -81,10 +84,10 @@ def main() -> None:
     findings = distinguish([views(world.storage) for world in worlds],
                            [simulate_view(leakage(world.proxy.config, world.stats()), seed)
                             for seed, world in enumerate(worlds)])
-    read_batches = [[s for k, s in world.storage.trace.batch_shape() if k == "read"]
-                    for world in worlds]
-    print(f"physical requests observed:  world A = {len(world_a.storage.trace)}, "
-          f"world B = {len(world_b.storage.trace)}")
+    read_batches = [[s for k, s in trace.batch_shape() if k == "read"]
+                    for trace in (trace_a, trace_b)]
+    print(f"physical requests observed:  world A = {len(trace_a)}, "
+          f"world B = {len(trace_b)}")
     print(f"read batches observed: {len(read_batches[0])} vs {len(read_batches[1])}, "
           f"all padded to size {set(read_batches[0]) | set(read_batches[1])}")
     print(f"findings that tell either world from its simulation: {len(findings)}")

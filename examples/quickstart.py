@@ -97,7 +97,7 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     # 4. What did the storage server see?
     # ------------------------------------------------------------------ #
-    trace = engine.storage.trace
+    trace = engine.storage.servers[0].trace      # the tier's one server
     print("Adversary's view (a few physical requests):")
     for event in trace.events[-5:]:
         print(f"   {event.op.value:5s} {event.key:24s} {event.size_bytes} bytes")

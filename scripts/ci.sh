@@ -175,6 +175,18 @@ if grep -rn --include='*.py' "randrange(" src/repro/oram/; then
     exit 1
 fi
 
+# One storage tier: the Obladi proxy runs on a StorageCluster at every server
+# count, one server being the one-node cluster, so every caller reads
+# storage.servers; no fallback guesses whether it holds a plain server, and
+# neither a promotion of one nor a refusal of a one-node cluster comes back.
+# (bench/ keeps its own fallback, which works unchanged on a cluster.)
+echo "== tripwire: one storage tier =="
+if grep -rnIE "getattr\([^)]*[\"']servers[\"']|from_server|build_storage|prepare_storage|at least two servers" \
+        src/ tests/ benchmarks/ examples/ docs/ README.md; then
+    echo "a second storage-tier path is back: a servers fallback, from_server, build_storage, prepare_storage or a two-server minimum" >&2
+    exit 1
+fi
+
 # Smoke first: an end-to-end regression across the three engines surfaces
 # in seconds, before the multi-minute figure regenerations start.
 echo "== smoke: Figure 9 end-to-end across all three engines =="

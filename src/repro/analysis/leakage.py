@@ -30,12 +30,13 @@ def _namespace(key: str) -> Tuple[Tuple[int, int], str]:
 
 
 def views(storage) -> Views:
-    """One trace per ``(server, generation, partition)`` of a server, a namespaced view of
-    one or a :class:`~repro.storage.cluster.StorageCluster`.  The batches of one kind a
-    server saw at one instant go, in fan-out order, to the namespaces with such requests
-    then, or, if reads, to every partition reading: buffered rewrites may serve one."""
+    """One trace per ``(server, generation, partition)``: a namespaced view of each of the
+    ``servers`` of a :class:`~repro.storage.cluster.StorageCluster`, one server or many.
+    The batches of one kind a server saw at one instant go, in fan-out order, to the
+    namespaces with such requests then, or, if reads, to every partition reading:
+    buffered rewrites may serve one."""
     out: Views = {}
-    for server, host in enumerate(getattr(storage, "servers", [storage])):
+    for server, host in enumerate(storage.servers):
         trace = host.trace
         if trace is None:
             continue

@@ -103,7 +103,7 @@ class ObladiEngine(TransactionEngine):
 
     @property
     def storage(self):
-        """The untrusted storage server (its trace is the adversary's view)."""
+        """The untrusted storage tier: each of its ``servers`` traces one adversary's view."""
         return self.proxy.storage
 
     @staticmethod
@@ -126,12 +126,10 @@ class ObladiEngine(TransactionEngine):
         durability traffic — this is the per-node observer's ledger, not the
         data layer's ORAM I/O.
         """
-        storage = self.proxy.storage
-        servers = getattr(storage, "servers", None) or [storage]
         return replace(
             self._retired_counters + self._proxy_counters(self.proxy),
             server_physical=[(server.stats_reads, server.stats_writes)
-                             for server in servers])
+                             for server in self.proxy.storage.servers])
 
     # -- elastic topology ------------------------------------------------ #
     @property
@@ -161,7 +159,7 @@ class ObladiEngine(TransactionEngine):
         """Start the staged plan, if any, at this wave boundary."""
         if self._pending_reshard is None:
             return
-        from repro.elasticity.migration import TopologyMigration, prepare_storage
+        from repro.elasticity.migration import TopologyMigration
         plan = self._pending_reshard
         self._pending_reshard = None
         target = plan.resolve(self.proxy.config)
@@ -171,7 +169,13 @@ class ObladiEngine(TransactionEngine):
             # untouched, so the barrier itself is the whole change.
             self._cutover()
             return
-        storage = prepare_storage(self.proxy.storage, target)
+        # The tier grows in place (server 0 keeps the WAL and the checkpoint
+        # chain); a scale-down keeps it, its departing servers idle from the
+        # cutover on, so a crash mid-migration never touches the retiring
+        # layout's servers.
+        storage = self.proxy.storage
+        if storage.num_servers < target.storage_servers:
+            storage.resize(target.storage_servers)
         self._migration = TopologyMigration(self.proxy, target, storage)
         self.proxy._migration = self._migration
 

@@ -53,11 +53,11 @@ def create_engine(kind: str, config: Optional[ObladiConfig] = None,
         ``ObladiConfig()``.  The baselines read only its ``backend``.
     storage:
         Optional pre-built storage tier to run against (shared-storage and
-        trace-inspection scenarios): an
-        :class:`~repro.storage.memory.InMemoryStorageServer`, or — for a
-        multi-server Obladi topology — a
-        :class:`~repro.storage.cluster.StorageCluster` whose server count
-        matches ``storage_servers``.
+        trace-inspection scenarios): for Obladi a
+        :class:`~repro.storage.cluster.StorageCluster` with at least
+        ``storage_servers`` servers (``StorageCluster(num_servers=1)`` is the
+        single store; anything else raises ``TypeError``), for a baseline
+        its plain :class:`~repro.storage.memory.InMemoryStorageServer`.
     clock:
         Optional shared :class:`~repro.sim.clock.SimClock`.
     overrides:

@@ -22,12 +22,13 @@ write parks until its writers resolve.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
+from repro.api.engine import ProgramFactory
 from repro.baseline.common import BaselineEngine, WaveRunner
 from repro.concurrency.mvtso import MVTSOManager, WriteConflictError
 from repro.concurrency.transaction import AbortReason, TransactionStatus
-from repro.core.client import ABORT, COMMIT, Write
+from repro.core.client import ABORT, COMMIT, TransactionResult, Write
 from repro.sim.clock import SimClock
 from repro.storage.memory import InMemoryStorageServer
 
@@ -46,6 +47,27 @@ class NoPrivEngine(BaselineEngine):
                  storage: Optional[InMemoryStorageServer] = None) -> None:
         super().__init__(backend, clock, storage)
         self.mvtso = MVTSOManager()
+
+    def submit_many(self, programs: Sequence[ProgramFactory]) -> List[TransactionResult]:
+        """Run one wave (see :meth:`BaselineEngine.submit_many`), then settle it."""
+        results = super().submit_many(programs)
+        self._settle_wave()
+        return results
+
+    def _settle_wave(self) -> None:
+        """Drop the MVTSO state no later wave can observe.
+
+        Every transaction of the wave has resolved, so its record goes, and
+        each version chain keeps only its newest committed version: a later
+        transaction's timestamp exceeds every one of this wave's, so it
+        reads that version or the store and conflicts with no old marker.
+        """
+        unresolved = [txn.txn_id for txn in self.mvtso.transactions.values()
+                      if not txn.is_finished]
+        if unresolved:
+            raise RuntimeError(f"nopriv wave ended with unresolved transactions {unresolved}")
+        self.mvtso.transactions.clear()
+        self.mvtso.store.keep_committed()
 
     # ------------------------------------------------------------------ #
     # The wave loop's hooks

@@ -144,10 +144,11 @@ class MVTSOManager:
             txn.record_read(key, writer_ts=-1)
         else:
             value = version.value
-            writer = self._transaction_with_ts(version.writer_ts)
-            if writer is not None and writer.txn_id != txn.txn_id and not version.committed:
-                writer_txn_id = writer.txn_id
-                writer.dependents.add(txn.txn_id)
+            if not version.committed:
+                writer = self._transaction_with_ts(version.writer_ts)
+                if writer is not None and writer.txn_id != txn.txn_id:
+                    writer_txn_id = writer.txn_id
+                    writer.dependents.add(txn.txn_id)
             txn.record_read(key, writer_ts=version.writer_ts, writer_txn=writer_txn_id)
         self.workers[self._router(key)].note_read(txn.txn_id, writer_txn_id)
         return value, writer_txn_id

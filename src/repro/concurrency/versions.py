@@ -81,3 +81,18 @@ class VersionStore:
     def clear(self) -> None:
         """Drop every chain (at the end of an epoch's write-back)."""
         self._chains.clear()
+
+    def keep_committed(self) -> None:
+        """Trim each chain to its newest committed version and its read marker.
+
+        Once every writer has resolved, a later reader sees a chain's newest
+        committed version and nothing older, and a later writer's timestamp
+        exceeds every marker; a chain with no committed version is dropped,
+        since a reader then finds no version at all, as in an empty chain.
+        """
+        for key, chain in list(self._chains.items()):
+            committed = [version for version in chain.versions if version.committed]
+            if committed:
+                chain.versions[:] = committed[-1:]
+            else:
+                del self._chains[key]

@@ -98,9 +98,9 @@ class ObladiConfig:
     # hashed across (1 = the paper's single-tree proxy).
     shards: int = 1
 
-    # Server topology: how many *distinct* simulated storage servers host the
-    # partitions.  1 (the default) colocates every partition on one server
-    # via key namespaces — the historical layout; ``storage_servers ==
+    # Server topology: how many *distinct* simulated storage servers the
+    # proxy's StorageCluster runs.  1 (the default) colocates every
+    # partition on one server via key namespaces; ``storage_servers ==
     # shards`` is one-server-per-partition; values in between group
     # partitions round-robin (partition i lives on server i % M).
     # ``link_extra_rtt_ms[i]`` optionally adds a finite, non-negative

@@ -48,7 +48,7 @@ from repro.proxytier.worker import BarrierStats, ProxyWorker
 from repro.sharding.partitioned import PartitionedDataLayer, key_partition
 from repro.sim.clock import SimClock
 from repro.sim.scheduler import LaneStats
-from repro.storage.backend import StorageServer
+from repro.storage.cluster import StorageCluster
 
 #: What ``run_epoch(deliver=...)`` is called with at the commit: the epoch's
 #: results and its committed transactions.
@@ -83,15 +83,18 @@ class ObladiProxy:
     """Trusted proxy providing serializable, oblivious transactions."""
 
     def __init__(self, config: Optional[ObladiConfig] = None,
-                 storage: Optional[StorageServer] = None,
+                 storage: Optional[StorageCluster] = None,
                  clock: Optional[SimClock] = None,
                  master_key: Optional[bytes] = None,
                  data_layer=None) -> None:
         self.config = config if config is not None else ObladiConfig()
         self.clock = clock if clock is not None else SimClock()
         if storage is None:
-            from repro.storage.cluster import build_storage
-            storage = build_storage(self.config, clock=self.clock)
+            storage = StorageCluster(self.config.storage_servers, clock=self.clock)
+        elif not isinstance(storage, StorageCluster):
+            raise TypeError(f"the Obladi proxy runs on a StorageCluster, not a "
+                            f"{type(storage).__name__}; a single server is "
+                            f"StorageCluster(num_servers=1)")
         self.storage = storage
         self.storage.clock = self.clock
 
@@ -639,7 +642,7 @@ class ObladiProxy:
         """Simulate a proxy crash: all volatile state is lost.
 
         The engine calls this when a storage request fails: a storage outage
-        (:meth:`repro.storage.memory.InMemoryStorageServer.fail`) is how a
+        (:meth:`repro.storage.cluster.StorageCluster.fail`) is how a
         crash at a given storage mutation is injected.
 
         An in-flight migration dies with the proxy: its next-generation

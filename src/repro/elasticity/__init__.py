@@ -21,13 +21,11 @@ including the migration fence diagram and what the adversary does (and does
 not) learn from a migration window.
 """
 
-from repro.elasticity.migration import (MigrationReport, TopologyMigration,
-                                        prepare_storage)
+from repro.elasticity.migration import MigrationReport, TopologyMigration
 from repro.elasticity.plan import ReshardPlan
 
 __all__ = [
     "MigrationReport",
     "ReshardPlan",
     "TopologyMigration",
-    "prepare_storage",
 ]

@@ -40,29 +40,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import ObladiConfig
 from repro.sharding.partitioned import PartitionedDataLayer
-from repro.storage.cluster import StorageCluster
 
-__all__ = ["MigrationReport", "TopologyMigration", "prepare_storage"]
-
-
-def prepare_storage(storage, target: ObladiConfig):
-    """The storage tier the target topology will run over.
-
-    Reuses what is already deployed wherever possible: growing from a single
-    server promotes it to a cluster's metadata server
-    (:meth:`~repro.storage.cluster.StorageCluster.from_server`), growing a
-    cluster appends fresh servers in place, and scaling *down* keeps the
-    existing tier — departing servers simply stop receiving traffic once the
-    cutover lands, which is also what keeps a mid-migration crash safe: the
-    retiring layout's servers are never touched.
-    """
-    if target.storage_servers > 1:
-        if isinstance(storage, StorageCluster):
-            if storage.num_servers < target.storage_servers:
-                storage.resize(target.storage_servers)
-            return storage
-        return StorageCluster.from_server(storage, num_servers=target.storage_servers)
-    return storage
+__all__ = ["MigrationReport", "TopologyMigration"]
 
 
 @dataclass(frozen=True)
@@ -94,8 +73,9 @@ class TopologyMigration:
     """One in-flight background copy from a live proxy to a target layout.
 
     Construction builds the target generation's data layer over ``storage``
-    (already resized by :func:`prepare_storage`) and snapshots the set of
-    keys to move — the union of every source partition's key directory.
+    (a tier the engine has grown to the target's server count) and
+    snapshots the set of keys to move — the union of every source
+    partition's key directory.
     The proxy then drives the migration: each ``run_epoch`` calls
     :meth:`step` at the barrier, and the epoch finaliser feeds committed
     writes through :meth:`observe_writes`.  When :attr:`done` turns true the

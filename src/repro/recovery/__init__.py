@@ -11,7 +11,7 @@ and replays the logged read paths so the adversary observes exactly the same
 accesses it would have seen without the failure.
 
 A crash is injected as a storage outage
-(:meth:`repro.storage.memory.InMemoryStorageServer.fail`): ``fail(after=k)``
+(:meth:`repro.storage.cluster.StorageCluster.fail`): ``fail(after=k)``
 crashes the proxy right after its k-th storage mutation, so a test can crash
 it at every one.
 """

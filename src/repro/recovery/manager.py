@@ -15,12 +15,12 @@ epoch's logged paths (so the adversary observes the same accesses), deletes
 what the restored state cannot read (:meth:`RecoveryManager.sweep`), and
 reports a per-component time breakdown — the quantities of Table 11b.
 
-The untrusted tier may be a single server or a multi-server
-:class:`~repro.storage.cluster.StorageCluster`: the WAL and the checkpoint
-chain live on the metadata server (the cluster façade routes them there),
-while path replay addresses each partition's own host server under the
-partition's namespace — recovery therefore restores *every* server's
-partitions from the one checkpoint chain.
+The untrusted tier is a :class:`~repro.storage.cluster.StorageCluster` of
+one server or many: the WAL and the checkpoint chain live on the metadata
+server (the cluster façade routes them there), while path replay addresses
+each partition's own host server under the partition's namespace — recovery
+therefore restores *every* server's partitions from the one checkpoint
+chain.
 """
 
 from __future__ import annotations
@@ -322,16 +322,16 @@ class RecoveryManager:
     def sweep(self, proxy) -> int:
         """Delete what the restored state cannot read; returns how many objects.
 
-        Per server of the tier, one batch of every ORAM slot key the
-        restored layer does not name: a version that differs from its
-        bucket's restored metadata (the aborted epoch's flush, or what a
-        crash between commit and collect left behind), and every key of a
-        namespace that is no partition of the layer hosted there (the target
-        generation of a migration that died with the proxy, or the
-        generation a crash at the cutover had not finished retiring).  Then
-        every checkpoint object outside the manifest's chain.  After the
-        sweep each bucket ever written has exactly one version, and no other
-        generation's.
+        Per server of the proxy's storage cluster (one or many), one batch
+        of every ORAM slot key the restored layer does not name: a version
+        that differs from its bucket's restored metadata (the aborted
+        epoch's flush, or what a crash between commit and collect left
+        behind), and every key of a namespace that is no partition of the
+        layer hosted there (the target generation of a migration that died
+        with the proxy, or the generation a crash at the cutover had not
+        finished retiring).  Then every checkpoint object outside the
+        manifest's chain.  After the sweep each bucket ever written has
+        exactly one version, and no other generation's.
         """
         named: Dict[StorageServer, Set[str]] = {}
         for part in proxy.data_layer.partitions:
@@ -341,9 +341,8 @@ class RecoveryManager:
                 version = metadata.bucket(bucket_id).version
                 if version:
                     keep.update(slot_keys(bucket_id, version))
-        storage = proxy.storage
         removed = 0
-        for server in getattr(storage, "servers", None) or [storage]:
+        for server in proxy.storage.servers:
             keep = named.get(server, set())
             orphans = [key for key in server.keys() if "oram/" in key and key not in keep]
             if orphans:

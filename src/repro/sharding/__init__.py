@@ -5,10 +5,10 @@ is one class, :class:`PartitionedDataLayer`: ``config.shards`` hash-routed
 Ring ORAM partitions whose one-partition case is the paper's single tree
 and whose N-partition case is the "sharded Obladi" scale direction.
 
-The layer also decides *where* each partition lives: with
-``storage_servers > 1`` the partitions are hosted on distinct simulated
-servers of a :class:`~repro.storage.cluster.StorageCluster`; every
-partition is timed by its own link's latency model, and partition-batch
+The layer also decides *where* each partition lives: on server
+``i % storage_servers`` of the proxy's
+:class:`~repro.storage.cluster.StorageCluster` (one server by default);
+every partition is timed by its own link's latency model, and partition-batch
 fan-out is staggered across ``config.fanout_lanes`` lanes when partitions
 outnumber the proxy's parallelism.
 

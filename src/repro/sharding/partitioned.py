@@ -11,14 +11,12 @@ write batch fans out the same way.  Per-partition obliviousness is
 preserved because every partition executes its full padded batch every
 round regardless of how many real requests hashed to it.
 
-**Server topology.**  Where each partition's namespace lives is the
-``config.storage_servers`` knob: with one server (default) every namespace
-is colocated on the shared store, while with a
-:class:`~repro.storage.cluster.StorageCluster` partition ``i`` is hosted on
-server ``i % M``.  Either way partition ``i`` is timed against link
-``i % M`` of :func:`~repro.sim.latency.link_latency_models`, so a slow link
-slows only the partitions it carries and each server records its own
-adversary trace.
+**Server topology.**  The layer runs on a
+:class:`~repro.storage.cluster.StorageCluster` of ``config.storage_servers``
+servers (one by default, the paper's single store) and hosts partition ``i``
+on server ``i % M``.  Partition ``i`` is timed against link ``i % M`` of
+:func:`~repro.sim.latency.link_latency_models`, so a slow link slows only
+the partitions it carries and each server records its own adversary trace.
 
 **Timing.**  Partition batches are independent parallel work, but the proxy
 has only ``config.parallelism`` request-driving slots.  While partitions fit
@@ -141,37 +139,32 @@ class PartitionedDataLayer:
     Owns ``config.shards`` :class:`OramPartition` objects plus the epoch's
     shared :class:`VersionCache`; routes application keys to partitions and
     models how much simulated time an epoch's physical batches take on the
-    shared clock.  The proxy, the recovery manager and the Obladi engine
-    program against this class only.
+    shared clock.  Partition ``i`` lives on server ``i % storage_servers`` of
+    the :class:`~repro.storage.cluster.StorageCluster` it is given, which may
+    hold more servers than the configuration names but not fewer.  The
+    proxy, the recovery manager and the Obladi engine program against this
+    class only.
     """
 
-    def __init__(self, config: ObladiConfig, storage: StorageServer,
+    def __init__(self, config: ObladiConfig, storage: StorageCluster,
                  clock: SimClock, master_key: bytes) -> None:
         self.config = config
         self.clock = clock
         self.cache = VersionCache()
         self.fanout_stats = LaneStats()
-        cluster = storage if isinstance(storage, StorageCluster) else None
-        if cluster is None and config.storage_servers > 1:
-            raise ValueError(
-                f"configuration asks for {config.storage_servers} storage "
-                f"servers but the data layer was given a "
-                f"{type(storage).__name__}; pass a "
-                f"repro.storage.cluster.StorageCluster")
         # A cluster *larger* than the configuration is legal: live resharding
         # (``repro.elasticity``) grows the cluster before the target layer is
         # built and leaves departing servers idle after a scale-down, so a
         # layer must address servers through its *own* server count, never
         # the cluster's current size.
-        if cluster is not None and cluster.num_servers < config.storage_servers:
+        if storage.num_servers < config.storage_servers:
             raise ValueError(
-                f"storage cluster has {cluster.num_servers} servers but the "
+                f"storage cluster has {storage.num_servers} servers but the "
                 f"configuration asks for {config.storage_servers}")
-        servers = cluster.servers if cluster is not None else [storage]
         links = link_latency_models(config.backend, config.storage_servers,
                                     config.link_extra_rtt_ms)
         self.partitions = [
-            build_partition(config, index, servers[index % config.storage_servers],
+            build_partition(config, index, storage.servers[index % config.storage_servers],
                             links[index % config.storage_servers], clock,
                             master_key, self.cache)
             for index in range(config.shards)]

@@ -1,16 +1,17 @@
 """Untrusted cloud storage.
 
-The storage server is the *untrusted* half of Obladi's two-tier architecture:
-it stores encrypted ORAM buckets, the write-ahead log, and checkpoints, and
-it is controlled by an honest-but-curious adversary.  Everything the server
-observes — which addresses are read or written, when, and in what sizes — is
-recorded in an :class:`repro.storage.trace.AccessTrace` so the analysis
-package can verify workload independence empirically.  The servers keep
+The storage tier is the *untrusted* half of Obladi's two-tier architecture:
+a :class:`StorageCluster` of one or more servers that store encrypted ORAM
+buckets, the write-ahead log, and checkpoints, controlled by an
+honest-but-curious adversary.  Everything a server observes — which
+addresses are read or written, when, and in what sizes — is recorded in its
+:class:`repro.storage.trace.AccessTrace` so the analysis package can verify
+workload independence empirically.  The servers keep
 bytes and count requests; simulated time is charged by the proxy.
 """
 
 from repro.storage.backend import StorageServer, StorageOp
-from repro.storage.cluster import StorageCluster, build_storage
+from repro.storage.cluster import StorageCluster
 from repro.storage.memory import InMemoryStorageServer
 from repro.storage.namespace import NamespacedStorage, partition_prefix
 from repro.storage.trace import AccessTrace, TraceEvent
@@ -20,7 +21,6 @@ __all__ = [
     "StorageOp",
     "InMemoryStorageServer",
     "StorageCluster",
-    "build_storage",
     "NamespacedStorage",
     "partition_prefix",
     "AccessTrace",

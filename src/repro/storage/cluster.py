@@ -1,23 +1,22 @@
-"""A cluster of distinct simulated storage servers (one per partition group).
+"""The storage tier: one or more distinct simulated storage servers.
 
 Obladi's evaluation fans epoch batches out from the proxy to cloud storage
-over a real network.  A single :class:`~repro.storage.memory.InMemoryStorageServer`
-multiplexing every partition through key namespaces cannot express that a
-real storage provider runs one observer per storage node: each server of a
-cluster records its *own* :class:`~repro.storage.trace.AccessTrace`, and the
-obliviousness argument must hold for every node independently
-(:func:`repro.analysis.views` splits the views back out).  What the
-link to each node costs is not the cluster's concern: the proxy's data layer
-times partition ``i`` against link ``i % M`` of
-:func:`~repro.sim.latency.link_latency_models` (``ObladiConfig.backend`` and
-``link_extra_rtt_ms``).
+over a real network.  A real storage provider runs one observer per storage
+node: each server of a :class:`StorageCluster` records its *own*
+:class:`~repro.storage.trace.AccessTrace`, and the obliviousness argument
+must hold for every node independently (:func:`repro.analysis.views` splits
+the views back out).  One server is the one-node cluster — the paper's
+single untrusted store — so every caller reads :attr:`StorageCluster.servers`
+whatever the count.  What the link to each node costs is not the cluster's
+concern: the proxy's data layer times partition ``i`` against link ``i % M``
+of :func:`~repro.sim.latency.link_latency_models` (``ObladiConfig.backend``
+and ``link_extra_rtt_ms``).
 
-:class:`StorageCluster` is the registry of those servers.  Partition ``i``
-of the data layer (:class:`~repro.sharding.partitioned.PartitionedDataLayer`,
-one partition or N) is hosted on server ``i % num_servers``, so
-``num_servers == shards`` is one-server-per-partition and
-``1 < num_servers < shards`` groups several partitions per server (each
-keeping its ``p<i>/`` key namespace on the host).
+Partition ``i`` of the data layer
+(:class:`~repro.sharding.partitioned.PartitionedDataLayer`, one partition or
+N) is hosted on server ``i % num_servers``, so ``num_servers == shards`` is
+one-server-per-partition and ``num_servers < shards`` groups several
+partitions per server (each keeping its ``p<i>/`` key namespace on the host).
 
 The cluster itself implements the :class:`~repro.storage.backend.StorageServer`
 interface by delegating to its *metadata server* (server 0): proxy-wide
@@ -34,17 +33,17 @@ from repro.sim.clock import SimClock
 from repro.storage.backend import StorageServer
 from repro.storage.memory import InMemoryStorageServer
 
-__all__ = ["StorageCluster", "build_storage"]
+__all__ = ["StorageCluster"]
 
 
 class StorageCluster(StorageServer):
-    """M distinct simulated storage servers behind one façade.
+    """M >= 1 distinct simulated storage servers behind one façade.
 
     Parameters
     ----------
     num_servers:
-        How many distinct servers the cluster runs (at least 2; a single
-        server is just :class:`InMemoryStorageServer`).
+        How many distinct servers the cluster runs (one by default: the
+        paper's single store).
     clock:
         Shared simulated clock every server stamps its trace with.
     record_trace:
@@ -55,38 +54,15 @@ class StorageCluster(StorageServer):
     through :attr:`servers`.
     """
 
-    def __init__(self, num_servers: int = 2, clock: Optional[SimClock] = None,
+    def __init__(self, num_servers: int = 1, clock: Optional[SimClock] = None,
                  record_trace: bool = True) -> None:
-        if num_servers < 2:
-            raise ValueError("a StorageCluster needs at least two servers; "
-                             "use InMemoryStorageServer for one")
-        shared_clock = clock if clock is not None else SimClock()
-        self.servers: List[InMemoryStorageServer] = [
-            InMemoryStorageServer(clock=shared_clock, record_trace=record_trace)
-            for _ in range(num_servers)
-        ]
+        self.servers: List[InMemoryStorageServer] = [InMemoryStorageServer(
+            clock=clock if clock is not None else SimClock(), record_trace=record_trace)]
+        self.resize(num_servers)
 
     # ------------------------------------------------------------------ #
     # Topology
     # ------------------------------------------------------------------ #
-    @classmethod
-    def from_server(cls, server: InMemoryStorageServer,
-                    num_servers: int = 2) -> "StorageCluster":
-        """Promote an existing single server to a cluster's metadata server.
-
-        The live-resharding path (``repro.elasticity``) uses this to grow a
-        single-server deployment: ``server`` keeps every key it already
-        holds — including the WAL and checkpoint chain, which is why it must
-        become server 0 — and ``num_servers - 1`` fresh servers join it,
-        sharing its clock and trace-recording setting.
-        """
-        if num_servers < 2:
-            raise ValueError("a StorageCluster needs at least two servers")
-        cluster = cls.__new__(cls)
-        cluster.servers = [server]
-        cluster.resize(num_servers)
-        return cluster
-
     def resize(self, num_servers: int) -> None:
         """Grow or shrink the cluster to ``num_servers`` distinct servers.
 
@@ -97,8 +73,8 @@ class StorageCluster(StorageServer):
         live partition is hosted on the departing servers (the reshard
         cutover guarantees this before it resizes).
         """
-        if num_servers < 2:
-            raise ValueError("a StorageCluster needs at least two servers")
+        if num_servers < 1:
+            raise ValueError(f"a StorageCluster needs at least one server, not {num_servers}")
         template = self.metadata_server
         del self.servers[num_servers:]
         while len(self.servers) < num_servers:
@@ -119,8 +95,7 @@ class StorageCluster(StorageServer):
         return self.servers[0]
 
     # ------------------------------------------------------------------ #
-    # Shared-clock plumbing (the proxy sets the clock on whatever storage
-    # object it is handed, single server or cluster alike).
+    # Shared-clock plumbing (the proxy sets the tier's clock on every server).
     # ------------------------------------------------------------------ #
     @property
     def clock(self) -> SimClock:
@@ -170,16 +145,3 @@ class StorageCluster(StorageServer):
         """The metadata server's keys."""
         return self.metadata_server.keys()
 
-
-def build_storage(config, clock: Optional[SimClock] = None):
-    """Construct the storage tier an :class:`~repro.core.config.ObladiConfig` asks for.
-
-    ``storage_servers == 1`` (the default, and the only choice for a
-    single-tree proxy) yields one :class:`InMemoryStorageServer` — byte-
-    identical to the historical layout; ``storage_servers > 1`` yields a
-    :class:`StorageCluster` whose servers host the data-layer partitions
-    round-robin.
-    """
-    if config.storage_servers <= 1:
-        return InMemoryStorageServer(clock=clock)
-    return StorageCluster(num_servers=config.storage_servers, clock=clock)

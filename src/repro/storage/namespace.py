@@ -15,12 +15,11 @@ carries its namespace in its keys (``RingOram.key_prefix``: ``""``,
   (:func:`repro.analysis.views` splits traces accordingly).
 
 Which *server* a namespace lives on is the server-topology knob
-(``ObladiConfig.storage_servers``), orthogonal to the namespacing: in the
-colocated topology every ``p<i>/`` tree uses the one shared store, while
-over a :class:`~repro.storage.cluster.StorageCluster` partition ``i`` lives
-on its host server ``i % M`` — several partitions may share a host when
-M < N, and their namespaces keep them apart there exactly as they do on a
-single server.  The prefix is retained even with one server per partition
+(``ObladiConfig.storage_servers``), orthogonal to the namespacing: over a
+:class:`~repro.storage.cluster.StorageCluster` of M servers partition ``i``
+lives on its host server ``i % M`` — several partitions share a host when
+M < N (every one of them when M is 1), and their namespaces keep them
+apart there.  The prefix is retained even with one server per partition
 so traces, checkpoint components and the analysis helpers parse
 identically across every topology.
 

@@ -20,7 +20,6 @@ from repro.core.config import ObladiConfig, RingOramConfig
 from repro.elasticity.migration import MigrationReport
 from repro.storage.backend import StorageOp
 from repro.storage.cluster import StorageCluster
-from repro.storage.namespace import NamespacedStorage
 from repro.storage.trace import AccessTrace
 
 CONFIG = ObladiConfig(oram=RingOramConfig(num_blocks=128, z_real=4, s_dummies=2, evict_rate=3),
@@ -32,6 +31,11 @@ FIRST_LEAF = (1 << LEAK.trees[0, 0, 0].depth) - 1
 RESHARD = MigrationReport(from_generation=0, to_generation=1, from_topology=(2, 2, 1),
                           to_topology=(4, 2, 1), epochs=3, copy_batches=4, drain_batches=2,
                           initial_keys=10, copied_keys=10, write_through_keys=0, first_epoch=5)
+
+
+def one_server(trace):
+    """What :func:`views` reads of a one-server tier whose server recorded ``trace``."""
+    return SimpleNamespace(servers=[SimpleNamespace(trace=trace)])
 
 
 def rebuilt(view, key=lambda key: key, time=lambda time_ms: time_ms, keep=lambda kind, at: True):
@@ -262,7 +266,7 @@ class TestViews:
         return trace
 
     def test_views_split_by_namespace_and_own_their_batches(self):
-        split = views(SimpleNamespace(trace=self.trace(batched=True)))
+        split = views(one_server(self.trace(batched=True)))
         assert sorted(split) == [(0, 0, 0), (0, 0, 1), (0, 1, 1)]
         assert [e.key for e in split[0, 0, 0].events] == ["oram/3/v1/s/0", "wal/0/0"]
         assert split[0, 0, 0].batch_shape() == [("read", 1), ("write", 1)]
@@ -271,8 +275,8 @@ class TestViews:
         assert split[0, 1, 1].batch_shape() == [("write", 1)]
 
     def test_views_do_not_see_how_requests_were_recorded(self):
-        batched = views(SimpleNamespace(trace=self.trace(batched=True)))
-        single = views(SimpleNamespace(trace=self.trace(batched=False)))
+        batched = views(one_server(self.trace(batched=True)))
+        single = views(one_server(self.trace(batched=False)))
         assert list(batched) == list(single)
         for key, view in batched.items():
             assert view.events == single[key].events
@@ -283,7 +287,7 @@ class TestViews:
         cluster.servers[1].write_batch({"p1/oram/0/v1/s/0": b"x"})
         cluster.servers[0].write_batch({"p0/oram/0/v1/s/0": b"y"})
         assert sorted(views(cluster)) == [(0, 0, 0), (1, 0, 1)]
-        assert views(NamespacedStorage(cluster.servers[1], "p1/"))[0, 0, 1].batch_shape() == \
+        assert views(SimpleNamespace(servers=cluster.servers[1:]))[0, 0, 1].batch_shape() == \
             [("write", 1)]
 
 

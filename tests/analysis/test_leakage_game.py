@@ -115,8 +115,7 @@ def play(topology, cc_op_ms, loop, source, clients):
               .with_seed(SEED))
     engine = create_engine("obladi", config)
     engine.load_initial_data({f"k{i}": b"v" for i in range(KEYS)})
-    storage = engine.proxy.storage
-    for server in getattr(storage, "servers", [storage]):
+    for server in engine.storage.servers:
         server.trace.clear()
 
     epochs = EPOCHS

@@ -792,7 +792,7 @@ class TestElasticReshard:
             eng.load_initial_data({f"k{i}": b"0" for i in range(NUM_KEYS)})
             eng.reshard(self._plan((1, 1, 1)))
             self._drain(eng)
-            host = getattr(eng.storage, "servers", [eng.storage])[0]
+            host = eng.storage.servers[0]
             host.trace.clear()
             eng.submit_many([read_program("k1")])
             return host.trace.batch_shape()

@@ -67,7 +67,6 @@ STORAGE = [
     "StorageOp",
     "InMemoryStorageServer",
     "StorageCluster",
-    "build_storage",
     "NamespacedStorage",
     "partition_prefix",
     "AccessTrace",
@@ -140,7 +139,6 @@ ELASTICITY = [
     "MigrationReport",
     "ReshardPlan",
     "TopologyMigration",
-    "prepare_storage",
 ]
 
 

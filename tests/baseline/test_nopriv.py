@@ -6,6 +6,7 @@ import pytest
 from repro.api import NoPrivEngine
 from repro.concurrency.serializability import check_serializable
 from repro.core.client import AbortRequest, Read, ReadMany, Write
+from repro.workloads.smallbank import SmallBankConfig, SmallBankWorkload
 
 
 def simple_read(key):
@@ -115,3 +116,52 @@ class TestPerformanceModel:
         result = closed_loop(nopriv, [simple_read("acct1") for _ in range(20)], clients=4)
         assert result.p95_total_latency_ms >= result.average_latency_ms * 0.5
         assert result.abort_rate == 0.0
+
+
+class TestBoundedState:
+    """The MVTSO state a NoPriv engine keeps is one wave's records and one
+    committed version per key written, however long it runs."""
+
+    CLIENTS = 16
+    OFFERED = 1400
+
+    def run(self):
+        workload = SmallBankWorkload(SmallBankConfig(num_accounts=40, seed=17))
+        engine = NoPrivEngine(backend="server")
+        engine.load_initial_data(workload.initial_data())
+        stats = engine.run_closed_loop(workload.transaction_factory, self.OFFERED,
+                                       clients=self.CLIENTS)
+        return engine, stats
+
+    def test_each_wave_end_keeps_one_committed_version_per_written_key(self, monkeypatch):
+        settle = NoPrivEngine._settle_wave
+        waves = []
+
+        def checked(engine):
+            wave = len(engine.mvtso.transactions)
+            assert 0 < wave <= self.CLIENTS
+            settle(engine)
+            written = {key for txn in engine.committed_history for key in txn.write_set}
+            chains = engine.mvtso.store._chains
+            assert engine.mvtso.transactions == {}
+            assert set(chains) <= written
+            assert all(len(chain.versions) == 1 and chain.versions[0].committed
+                       for chain in chains.values())
+            waves.append(wave)
+
+        monkeypatch.setattr(NoPrivEngine, "_settle_wave", checked)
+        engine, stats = self.run()
+        assert sum(waves) >= self.OFFERED and len(waves) == stats.epochs
+        assert 0 < len(engine.mvtso.store._chains) <= 80    # two keys an account
+
+    def test_settling_changes_no_number(self, monkeypatch):
+        settled, stats = self.run()
+        monkeypatch.setattr(NoPrivEngine, "_settle_wave", lambda engine: None)
+        kept, unsettled = self.run()
+        assert repr(unsettled) == repr(stats)
+        assert len(kept.mvtso.transactions) > self.OFFERED > len(settled.mvtso.transactions)
+
+    def test_an_unresolved_transaction_fails_the_wave(self, nopriv):
+        nopriv.mvtso.begin(epoch=0)
+        with pytest.raises(RuntimeError, match="unresolved"):
+            nopriv.submit_many([simple_read("acct0")])

@@ -216,8 +216,7 @@ NEVER = 10 ** 9
 
 def outage_left(tier):
     """How many more keys ``tier`` writes or deletes before its outage starts."""
-    servers = getattr(tier, "servers", None) or [tier]
-    return servers[0]._outage.left
+    return tier.servers[0]._outage.left
 
 
 def live_versions(oram):

@@ -4,7 +4,7 @@ from repro.core.config import ObladiConfig, RingOramConfig
 from repro.core.data_handler import KeyDirectory
 from repro.sharding import PartitionedDataLayer
 from repro.sim.clock import SimClock
-from repro.storage.memory import InMemoryStorageServer
+from repro.storage.cluster import StorageCluster
 
 
 def make_layer():
@@ -17,7 +17,7 @@ def make_layer():
     config = ObladiConfig(oram=RingOramConfig(num_blocks=64, z_real=4, block_size=64),
                           backend="server", parallelism=32, durability=False, seed=3)
     clock = SimClock()
-    layer = PartitionedDataLayer(config, storage=InMemoryStorageServer(clock=clock),
+    layer = PartitionedDataLayer(config, storage=StorageCluster(clock=clock),
                                  clock=clock, master_key=b"m" * 32)
     return layer, layer.partitions[0].handler
 

@@ -64,9 +64,7 @@ def trace_hash(trace) -> str:
 
 
 def server_hashes(engine):
-    storage = engine.storage
-    traces = [server.trace for server in getattr(storage, "servers", [storage])]
-    return [trace_hash(trace) for trace in traces]
+    return [trace_hash(server.trace) for server in engine.storage.servers]
 
 
 def base_config(seed):
@@ -137,7 +135,7 @@ def test_immediate_writes_interleave_with_reads_inside_a_batch():
 
     # Far more read-to-write switches than epochs: the writes are not one
     # flush per epoch, they sit between the slot reads of the batches.
-    ops = [event.op.value for event in engine.storage.trace.events
+    ops = [event.op.value for event in engine.storage.servers[0].trace.events
            if event.key.startswith("p0/oram/")]
     assert sum(before == "read" and after == "write"
                for before, after in zip(ops, ops[1:])) > 20

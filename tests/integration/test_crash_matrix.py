@@ -138,8 +138,7 @@ def run(cfg, migrate, after):
 
 def keys_written_or_deleted(tier):
     """How many keys the servers of ``tier`` have written or deleted, by their traces."""
-    servers = getattr(tier, "servers", None) or [tier]
-    return sum(count for server in servers
+    return sum(count for server in tier.servers
                for op, count in server.trace.ops_by_kind().items() if op is not StorageOp.READ)
 
 
@@ -185,7 +184,7 @@ def read_back(engine):
 def assert_clean(engine):
     """One version of every written bucket, the manifest's chain, nothing else."""
     proxy = engine.proxy
-    servers = getattr(engine.storage, "servers", None) or [engine.storage]
+    servers = engine.storage.servers
     slots = 0
     for part in proxy.data_layer.partitions:
         live = live_versions(part.oram)

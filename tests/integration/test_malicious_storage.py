@@ -17,6 +17,7 @@ from repro.api import EngineConfig, create_engine
 from repro.core.client import Read, Write
 from repro.oram.crypto import IntegrityError
 from repro.recovery.checkpoint import MANIFEST_KEY
+from repro.storage.cluster import StorageCluster
 from repro.storage.memory import InMemoryStorageServer
 
 KEYS = [f"k{i}" for i in range(6)]
@@ -49,12 +50,6 @@ class LyingServer(InMemoryStorageServer):
         self.kept.update((key, self._data[key]) for key in keys if key in self._data)
         super().delete_batch(keys)
 
-    def read(self, key):
-        value = super().read(key)
-        if self.edit_valid_map is not None and key.endswith("valid_map") and value:
-            value = self.edit_valid_map(value)
-        return value
-
     def read_batch(self, keys, record_batch=True):
         values = super().read_batch(keys, record_batch)
         if self.rollback:
@@ -63,6 +58,10 @@ class LyingServer(InMemoryStorageServer):
                 older = self.older_version(key, held)
                 if older is not None:
                     values[key] = held[older]
+        if self.edit_valid_map is not None:
+            for key in keys:
+                if key.endswith("valid_map") and values[key]:
+                    values[key] = self.edit_valid_map(values[key])
         return values
 
     def older_version(self, key, held):
@@ -105,7 +104,11 @@ def engine_over(server):
               .with_sharding(2)
               .with_durability(True, checkpoint_frequency=2)
               .with_seed(13))
-    engine = create_engine("obladi", config, storage=server)
+    # The lying server is the tier's one node: it hosts both partitions and
+    # the WAL and checkpoint chain.
+    tier = StorageCluster()
+    tier.servers[0] = server
+    engine = create_engine("obladi", config, storage=tier)
     engine.load_initial_data(LOADED)
     return engine
 

@@ -38,7 +38,7 @@ WORKLOADS = _bench_workloads()
 
 
 def assert_trees_address_their_hosts(engine):
-    servers = list(getattr(engine.storage, "servers", None) or [engine.storage])
+    servers = engine.storage.servers
     config = engine.proxy.config
     for part in engine.proxy.data_layer.partitions:
         oram = part.oram
@@ -77,6 +77,5 @@ def test_smoke_workload_reads_each_slot_version_once(name):
     assert_trees_address_their_hosts(engine)
     for part in engine.proxy.data_layer.partitions:
         assert part.oram.check_invariants() == [], f"partition {part.index}"
-    servers = list(getattr(engine.storage, "servers", None) or [engine.storage])
-    for index, server in enumerate(servers):
+    for index, server in enumerate(engine.storage.servers):
         assert check_bucket_invariant(server.trace) == [], f"server {index}"

@@ -48,7 +48,7 @@ class TestWorkloadIndependence:
     def test_bucket_invariant_never_violated(self):
         proxy = make_proxy()
         run_workload(proxy, lambda rng: f"k{rng.randrange(32)}", epochs=10, writes=True)
-        assert check_bucket_invariant(proxy.storage.trace) == []
+        assert check_bucket_invariant(proxy.storage.servers[0].trace) == []
 
 
 class TestBulkRandomness:

@@ -97,8 +97,7 @@ def assert_reads_back(engine, expected):
 
 
 def checkpoint_keys(storage):
-    servers = getattr(storage, "servers", None) or [storage]
-    return sorted(key for key in servers[0].keys()
+    return sorted(key for key in storage.servers[0].keys()
                   if key.startswith("ckpt/") and key != MANIFEST_KEY)
 
 

@@ -27,7 +27,7 @@ from repro.oram.ring_oram import BucketRewrite
 from repro.oram.stash import StashReason
 from repro.sharding.partitioned import PartitionedDataLayer
 from repro.sim.clock import SimClock
-from repro.storage.memory import InMemoryStorageServer
+from repro.storage.cluster import StorageCluster
 
 from tests.conftest import stored_data, stored_versions
 
@@ -97,7 +97,7 @@ def make_layer(z_real, shards, encrypt, seed):
     config = ObladiConfig(oram=RingOramConfig(num_blocks=NUM_BLOCKS, z_real=z_real,
                                               block_size=16),
                           shards=shards, encrypt=encrypt, durability=False, seed=seed)
-    return PartitionedDataLayer(config, InMemoryStorageServer(record_trace=False),
+    return PartitionedDataLayer(config, StorageCluster(record_trace=False),
                                 SimClock(), MASTER_KEY)
 
 

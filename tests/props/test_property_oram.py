@@ -142,7 +142,7 @@ class TestPartitionedObliviousness:
         proxy = build_sharded_proxy()
         run_sharded_workload(proxy, lambda rng: f"k{rng.randrange(32)}")
         # Checked on the shared trace (partition-aware) and per partition.
-        assert check_bucket_invariant(proxy.storage.trace) == []
+        assert check_bucket_invariant(proxy.storage.servers[0].trace) == []
         split = views(proxy.storage)
         assert set(split) == {(0, 0, index) for index in range(SHARDS)}
         for key, view in split.items():
@@ -218,12 +218,12 @@ class TestProxyTierObliviousness:
         trusted tier runs 1 worker or 4."""
         single = build_sharded_proxy(proxy_workers=1)
         sharded = build_sharded_proxy(proxy_workers=4)
-        single.storage.trace.clear()
-        sharded.storage.trace.clear()
+        single.storage.servers[0].trace.clear()
+        sharded.storage.servers[0].trace.clear()
         run_sharded_workload(single, lambda rng: f"k{rng.randrange(64)}")
         run_sharded_workload(sharded, lambda rng: f"k{rng.randrange(64)}")
-        assert self._trace_fingerprint(sharded.storage.trace) == \
-            self._trace_fingerprint(single.storage.trace)
+        assert self._trace_fingerprint(sharded.storage.servers[0].trace) == \
+            self._trace_fingerprint(single.storage.servers[0].trace)
 
 
 class TestCryptoProperties:

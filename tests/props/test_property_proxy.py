@@ -76,7 +76,7 @@ class TestProxyLinearisesEpochs:
         """Whatever transactions run, the adversary sees R read batches of the
         configured size, one write batch and one delete batch, per epoch."""
         proxy = make_proxy(seed)
-        proxy.storage.trace.clear()
+        proxy.storage.servers[0].trace.clear()
         rng = random.Random(seed)
         for _ in range(3):
             for _ in range(rng.randrange(1, 5)):
@@ -90,7 +90,7 @@ class TestProxyLinearisesEpochs:
 
                 proxy.submit(program)
             proxy.run_epoch()
-        shape = proxy.storage.trace.batch_shape()
+        shape = proxy.storage.servers[0].trace.batch_shape()
         read_sizes = {size for kind, size in shape if kind == "read"}
         kinds = [kind for kind, _ in shape]
         assert read_sizes == {proxy.config.read_batch_size}

@@ -46,7 +46,7 @@ def recorded(blocks, time_ms, batch_id):
 
 def views(trace):
     """Everything the analysis reads off a trace."""
-    parts = namespace_views(SimpleNamespace(trace=trace))
+    parts = namespace_views(SimpleNamespace(servers=[SimpleNamespace(trace=trace)]))
 
     def under(prefix, cut):
         return trace.split(lambda key: (key.startswith(prefix),

@@ -187,9 +187,10 @@ def recovery_slot_reads(real_reads):
         return (yield ReadMany([f"k{i}" for i in range(real_reads)]))
 
     crash_after_mutations(proxy, 1, program)
-    proxy.storage.trace.clear()
+    trace = proxy.storage.servers[0].trace
+    trace.clear()
     recover(proxy)
-    return sum("oram/" in e.key for e in proxy.storage.trace.events if e.op is StorageOp.READ)
+    return sum("oram/" in e.key for e in trace.events if e.op is StorageOp.READ)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
@@ -216,9 +217,10 @@ def replayed_paths_and_double_reads(seed):
         return (yield ReadMany([f"k{i}" for i in range(16)]))
 
     crash_after_mutations(proxy, 2, program)
-    proxy.storage.trace.clear()
+    trace = proxy.storage.servers[0].trace
+    trace.clear()
     _, report = recover(proxy)
-    return report.paths_replayed, check_bucket_invariant(proxy.storage.trace)
+    return report.paths_replayed, check_bucket_invariant(trace)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

@@ -27,7 +27,7 @@ def _config(**overrides):
 
 def _layer(shards):
     clock = SimClock()
-    storage = InMemoryStorageServer(clock=clock)
+    storage = StorageCluster(clock=clock)
     return PartitionedDataLayer(_config(shards=shards), storage=storage, clock=clock,
                                 master_key=b"m" * 32)
 
@@ -96,7 +96,7 @@ class TestOnePartition:
     def test_default_config_builds_one_partition(self):
         config = ObladiConfig()
         clock = SimClock()
-        layer = PartitionedDataLayer(config, storage=InMemoryStorageServer(clock=clock),
+        layer = PartitionedDataLayer(config, storage=StorageCluster(clock=clock),
                                      clock=clock, master_key=b"m" * 32)
         assert layer.num_partitions == 1
         assert layer.partitions[0].component_prefix == ""
@@ -105,7 +105,7 @@ class TestOnePartition:
     def test_namespace_is_the_generation_alone(self, generation, prefix):
         clock = SimClock()
         layer = PartitionedDataLayer(_config(generation=generation),
-                                     storage=InMemoryStorageServer(clock=clock),
+                                     storage=StorageCluster(clock=clock),
                                      clock=clock, master_key=b"m" * 32)
         [part] = layer.partitions
         assert part.component_prefix == part.oram.key_prefix == prefix
@@ -259,24 +259,21 @@ class TestServerTopology:
             PartitionedDataLayer(_config(shards=4, storage_servers=4),
                                  storage=cluster, clock=clock, master_key=b"m" * 32)
 
-    def test_plain_server_with_multi_server_config_rejected(self):
-        """No silent degrade to colocated: a multi-server config given a
-        single server fails loudly at the data-layer seam, whether the layer
-        is built alone or by the proxy."""
+    def test_one_node_cluster_with_multi_server_config_rejected(self):
+        """No silent degrade to colocated: a multi-server config given one
+        server fails loudly at the proxy, and a plain server at every count."""
         clock = SimClock()
-        storage = InMemoryStorageServer(clock=clock)
         config = _config(shards=4, storage_servers=4)
-        with pytest.raises(ValueError, match="StorageCluster"):
-            PartitionedDataLayer(config, storage=storage, clock=clock,
-                                 master_key=b"m" * 32)
-        with pytest.raises(ValueError, match="StorageCluster"):
-            ObladiProxy(config, storage=storage, clock=clock)
+        with pytest.raises(ValueError, match="cluster has 1 servers"):
+            ObladiProxy(config, storage=StorageCluster(clock=clock), clock=clock)
+        with pytest.raises(TypeError, match="StorageCluster"):
+            ObladiProxy(config, storage=InMemoryStorageServer(clock=clock), clock=clock)
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_one_server_link_is_timed_with_its_delay(self, shards):
         clock = SimClock()
         config = _config(shards=shards, backend="server", link_extra_rtt_ms=(5.0,))
-        layer = PartitionedDataLayer(config, storage=InMemoryStorageServer(clock=clock),
+        layer = PartitionedDataLayer(config, storage=StorageCluster(clock=clock),
                                      clock=clock, master_key=b"m" * 32)
         rtts = [part.executor.latency.read_rtt_ms for part in layer.partitions]
         assert rtts == pytest.approx([5.3] * shards)
@@ -326,7 +323,7 @@ class TestStaggeredFanout:
 
     def test_lane_pressure_staggers_between_the_bounds(self):
         clock = SimClock()
-        storage = InMemoryStorageServer(clock=clock)
+        storage = StorageCluster(clock=clock)
         config = _config(shards=8, parallelism=4, backend="server",
                          read_batch_size=32, write_batch_size=32)
         layer = PartitionedDataLayer(config, storage=storage, clock=clock,
@@ -342,7 +339,7 @@ class TestStaggeredFanout:
 
     def test_fanout_makespan_advances_the_shared_clock(self):
         clock = SimClock()
-        storage = InMemoryStorageServer(clock=clock)
+        storage = StorageCluster(clock=clock)
         config = _config(shards=8, parallelism=4, backend="server",
                          read_batch_size=32, write_batch_size=32)
         layer = PartitionedDataLayer(config, storage=storage, clock=clock,

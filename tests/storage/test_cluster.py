@@ -1,12 +1,18 @@
-"""Tests for the multi-server storage cluster (server topology seam)."""
+"""Tests for the storage cluster: the one storage tier at every server count."""
 
 import pytest
 
+from repro.api import create_engine
+from repro.core.client import Read, Write
 from repro.core.config import ObladiConfig, RingOramConfig
+from repro.core.proxy import ObladiProxy
+from repro.elasticity import ReshardPlan
+from repro.recovery.checkpoint import MANIFEST_KEY
 from repro.sim.clock import SimClock
 from repro.sim.latency import link_latency_models
-from repro.storage.cluster import StorageCluster, build_storage
+from repro.storage.cluster import StorageCluster
 from repro.storage.memory import InMemoryStorageServer
+from tests.conftest import live_versions, stored_versions
 from repro.storage.namespace import NamespacedStorage, partition_prefix
 
 
@@ -15,9 +21,14 @@ def _cluster(num_servers=3, **kwargs):
 
 
 class TestTopology:
-    def test_needs_at_least_two_servers(self):
-        with pytest.raises(ValueError):
-            StorageCluster(num_servers=1)
+    def test_needs_at_least_one_server(self):
+        with pytest.raises(ValueError, match="at least one server"):
+            StorageCluster(num_servers=0)
+        cluster = StorageCluster()
+        assert cluster.num_servers == 1
+        with pytest.raises(ValueError, match="at least one server"):
+            cluster.resize(0)
+        assert cluster.num_servers == 1
 
     def test_servers_are_distinct_stores(self):
         cluster = _cluster(2)
@@ -72,9 +83,10 @@ class TestSharedSimulationPlumbing:
 
     def test_growth_shares_the_clock_and_trace_setting(self):
         clock = SimClock()
-        server = InMemoryStorageServer(clock=clock, record_trace=False)
-        server.write("wal/0", b"w")
-        cluster = StorageCluster.from_server(server, num_servers=2)
+        cluster = StorageCluster(num_servers=1, clock=clock, record_trace=False)
+        server = cluster.metadata_server
+        cluster.write("wal/0", b"w")
+        cluster.resize(2)
         assert cluster.metadata_server is server and cluster.contains("wal/0")
         cluster.resize(4)
         assert [s.clock for s in cluster.servers] == [clock] * 4
@@ -119,24 +131,66 @@ class TestObservability:
         assert [(s.stats_reads, s.stats_writes) for s in cluster.servers] == [(0, 1), (2, 0)]
 
 
-class TestBuildStorage:
-    def _config(self, **overrides):
-        base = dict(oram=RingOramConfig(num_blocks=64, z_real=4, block_size=64),
-                    backend="dummy", durability=False, encrypt=False)
-        base.update(overrides)
-        return ObladiConfig(**base)
+def _config(**overrides):
+    base = dict(oram=RingOramConfig(num_blocks=64, z_real=4, block_size=64),
+                backend="dummy", durability=False, encrypt=False)
+    base.update(overrides)
+    return ObladiConfig(**base)
 
-    def test_single_server_for_default_topology(self):
-        storage = build_storage(self._config())
-        assert isinstance(storage, InMemoryStorageServer)
 
-    def test_cluster_for_multi_server_topology(self):
-        storage = build_storage(self._config(shards=4, storage_servers=4,
-                                             link_extra_rtt_ms=(1.0,)))
-        assert isinstance(storage, StorageCluster)
-        assert storage.num_servers == 4
+class TestOneNodeTier:
+    """One server is the one-node cluster, not a second class."""
+
+    def test_default_engine_runs_on_a_one_node_cluster(self):
+        engine = create_engine("obladi", _config(durability=True))
+        engine.load_initial_data({f"k{i}": b"v" for i in range(8)})
+
+        def touch():
+            yield Read("k0")
+            yield Write("k1", b"w")
+
+        engine.submit_many([touch])
+        tier = engine.storage
+        assert isinstance(tier, StorageCluster)
+        assert tier.servers == [engine.proxy.data_layer.partitions[0].storage]
+        keys = tier.servers[0].keys()
+        assert MANIFEST_KEY in keys
+        assert any(key.startswith("wal/") for key in keys)
+        assert any(key.startswith("oram/") for key in keys)
+
+    def test_multi_server_config_builds_that_many_servers(self):
+        proxy = ObladiProxy(_config(shards=4, storage_servers=4, link_extra_rtt_ms=(1.0,)))
+        assert proxy.storage.num_servers == 4
+
+    def test_growing_one_server_to_two_keeps_the_tier_and_server_zero(self):
+        engine = create_engine("obladi", _config(durability=True, seed=3))
+        engine.load_initial_data({f"k{i}": bytes([i]) for i in range(16)})
+        tier = engine.storage
+        server = tier.servers[0]
+
+        def read_k0():
+            yield Read("k0")
+
+        engine.reshard(ReshardPlan(shards=2, storage_servers=2))
+        engine.submit_many([read_k0])      # the plan begins at this boundary
+        assert engine.storage is tier and tier.servers[0] is server
+        assert tier.num_servers == 2
+        # The source tree is still whole on server 0 while the copy runs.
+        source = engine.proxy.data_layer.partitions[0].oram
+        assert stored_versions(server, source.key_prefix) == live_versions(source)
+        while engine.reshard_in_flight:
+            engine.submit_many([read_k0])
+        assert engine.storage is tier and tier.servers[0] is server
+        assert MANIFEST_KEY in server.keys()
+        assert tier.servers[1].keys()       # partition 1 lives there now
+        assert [engine.read(f"k{i}") for i in range(16)] == [bytes([i]) for i in range(16)]
+
+    def test_a_plain_server_is_refused(self):
+        with pytest.raises(TypeError, match="StorageCluster"):
+            ObladiProxy(_config(), storage=InMemoryStorageServer())
+        with pytest.raises(TypeError, match="StorageCluster"):
+            create_engine("obladi", _config(), storage=InMemoryStorageServer())
 
     def test_config_rejects_more_servers_than_shards(self):
         with pytest.raises(ValueError, match="storage_servers"):
-            self._config(shards=2, storage_servers=4)
-
+            _config(shards=2, storage_servers=4)

@@ -169,8 +169,8 @@ class TestRecordBatch:
         assert [e.batch_id for e in view.events] == [0, -1]
 
     def test_views_split_per_generation_and_partition(self):
-        batched = views(SimpleNamespace(trace=recorded(True)))
-        single = views(SimpleNamespace(trace=recorded(False)))
+        batched = views(SimpleNamespace(servers=[SimpleNamespace(trace=recorded(True))]))
+        single = views(SimpleNamespace(servers=[SimpleNamespace(trace=recorded(False))]))
         assert list(batched) == list(single)
         for key in batched:
             assert event_fields(batched[key]) == event_fields(single[key])
